@@ -26,7 +26,10 @@
 // a full stable sort for every shard size and worker count. Per-query score
 // lanes and selectors come from a pooled scratch arena on the collection
 // batch: a steady-state query with a recycled result buffer
-// (RankTopAppend) allocates one object per ranking pass. The K limit is
+// (RankTopAppend) allocates one object per ranking pass. LRF-CSVM's
+// unlabeled selection (step 1 of Fig. 1) streams through the same driver
+// into bounded selectors of capacity N', so a refine keeps no score per
+// image and sorts nothing. The K limit is
 // threaded end to end — Engine.InitialQuery/InitialQueryBatch,
 // Session.Refine, and the HTTP query/refine endpoints (with a configurable
 // default and hard ceiling) all return bounded lists. The full-scores path

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +26,10 @@ import (
 //
 // Two consumption modes exist: the full-scores mode materializes one score
 // per image (the evaluation harness needs every score), and the streaming
-// mode (rankTopRanges) pushes each shard's scores through a bounded top-K
-// selector backed by a pooled per-query scratch arena, so the steady-state
-// query path allocates nothing proportional to the collection size.
+// mode (streamRanges) pushes each shard's scores through bounded selectors
+// backed by a pooled per-query scratch arena — a retrieval pass's top-K or
+// the unlabeled points of LRF-CSVM's step 1 — so the steady-state query path
+// allocates nothing proportional to the collection size.
 
 // DefaultShardSize re-exports the collection shard capacity selected when a
 // batch is built without an explicit shard size.
@@ -65,8 +67,10 @@ type CollectionBatch struct {
 	dist      []float64
 
 	// scratch pools per-query scoring arenas (see rankScratch); steady-state
-	// queries reuse them instead of allocating shard-sized buffers.
+	// queries reuse them instead of allocating shard-sized buffers. leased
+	// counts the arenas out on loan: zero after any pass, cancelled or not.
 	scratch sync.Pool
+	leased  atomic.Int64
 }
 
 // NewCollectionBatch indexes the collection's visual descriptors into
@@ -162,12 +166,13 @@ func (b *CollectionBatch) logPoints(vs []*sparse.Vector) []kernel.Point {
 
 // rankScratch is one pooled per-query scoring arena: two shard-sized score
 // lanes (decision values, log-modality values or kernel accumulation
-// buffers) and a reusable bounded top-K selector. Arenas live in the
-// collection batch's pool; a steady-state query borrows one, scores through
-// it and returns it without allocating.
+// buffers) and the reusable bounded selectors of the streaming passes.
+// Arenas live in the collection batch's pool; a steady-state query borrows
+// one, scores through it and returns it without allocating.
 type rankScratch struct {
 	lanes [2][]float64
 	sel   topKSelector
+	pick  unlabeledSelector
 	// view is a reusable DenseSet header for the candidate-restricted lane,
 	// so slicing a run of candidates out of a shard allocates nothing.
 	view *kernel.DenseSet
@@ -184,6 +189,7 @@ func (s *rankScratch) lane(i, n int) []float64 {
 
 // scratchGet borrows a scoring arena from the batch's pool.
 func (b *CollectionBatch) scratchGet() *rankScratch {
+	b.leased.Add(1)
 	if s, ok := b.scratch.Get().(*rankScratch); ok {
 		return s
 	}
@@ -191,7 +197,10 @@ func (b *CollectionBatch) scratchGet() *rankScratch {
 }
 
 // scratchPut returns a borrowed arena to the pool.
-func (b *CollectionBatch) scratchPut(s *rankScratch) { b.scratch.Put(s) }
+func (b *CollectionBatch) scratchPut(s *rankScratch) {
+	b.leased.Add(-1)
+	b.scratch.Put(s)
+}
 
 // collectionBatch returns the context's attached CollectionBatch when it
 // matches the collection, or builds a transient one.
@@ -279,18 +288,76 @@ func forEachRange(stdctx context.Context, set *kernel.ShardedSet, workers int, f
 	wg.Wait()
 }
 
-// rankTopRanges is the streaming selection mode: fn scores each shard range
-// into a pooled scratch lane, the range's scores feed a bounded top-K
-// selector, and the per-range selections merge into one global top-K
-// appended to dst (reusing its capacity — a caller recycling its result
-// buffer allocates nothing here). The (score, index) total order is strict,
-// so the merged result is the unique global top-K — bit-identical to
-// materializing every score and fully sorting, for any shard size and
-// worker count.
-func rankTopRanges(ctx *QueryContext, b *CollectionBatch, k int, dst []Ranked, fn func(sub *kernel.DenseSet, lo int, dst []float64)) ([]Ranked, error) {
+// rangeScorer scores one shard range — a DenseSet view plus the global index
+// of its first row — into dst with the arithmetic of the scalar path.
+type rangeScorer func(sub *kernel.DenseSet, lo int, dst []float64)
+
+// rangeSink is what a streaming pass keeps of its scores: a bounded selector
+// of the scratch arenas. like prepares sc's selector as proto's, consume
+// offers one scored range, merge folds a range's selection into the result.
+type rangeSink interface {
+	like(sc, proto *rankScratch)
+	consume(sc *rankScratch, lo int, scores []float64)
+	merge(into, from *rankScratch)
+}
+
+// streamRanges is the streaming selection driver: fn scores each shard range
+// into a pooled scratch lane, the range's scores feed the sink's bounded
+// selector, and the per-range selections merge into result, whose selector
+// the caller prepares and drains. The sinks' total orders are strict, so the
+// merged selection is unique — bit-identical to materializing every score
+// and fully sorting, for any shard size and worker count. A cancelled pass
+// returns the context's error and leaves result partial, to be discarded.
+func streamRanges(ctx *QueryContext, b *CollectionBatch, fn rangeScorer, sink rangeSink, result *rankScratch) error {
 	set := b.VisualSet()
-	n := set.Len()
-	if k > n {
+	stdctx := ctx.Ctx
+	workers := ctx.workers()
+	if workers <= 1 || set.Len() <= 1 {
+		for si := 0; si < set.NumShards(); si++ {
+			if err := ctxErr(stdctx); err != nil {
+				return err
+			}
+			shard := set.Shard(si)
+			lo := set.ShardStart(si)
+			scores := result.lane(0, shard.Len())
+			fn(shard, lo, scores)
+			sink.consume(result, lo, scores)
+		}
+		return nil
+	}
+	var mu sync.Mutex
+	forEachRange(stdctx, set, workers, func(sub *kernel.DenseSet, lo int) {
+		sc := b.scratchGet()
+		scores := sc.lane(0, sub.Len())
+		fn(sub, lo, scores)
+		sink.like(sc, result)
+		sink.consume(sc, lo, scores)
+		mu.Lock()
+		sink.merge(result, sc)
+		mu.Unlock()
+		b.scratchPut(sc)
+	})
+	return ctxErr(stdctx)
+}
+
+// topKSink streams into the arenas' bounded top-K selectors.
+type topKSink struct{}
+
+func (topKSink) like(sc, proto *rankScratch) { sc.sel.reset(proto.sel.k) }
+
+func (topKSink) consume(sc *rankScratch, lo int, scores []float64) {
+	for i, v := range scores {
+		sc.sel.push(lo+i, v)
+	}
+}
+
+func (topKSink) merge(into, from *rankScratch) { into.sel.merge(&from.sel) }
+
+// rankTopRanges streams the collection through fn into the global top-K
+// under the (score, index) order, appended to dst (reusing its capacity — a
+// caller recycling its result buffer allocates nothing here).
+func rankTopRanges(ctx *QueryContext, b *CollectionBatch, k int, dst []Ranked, fn rangeScorer) ([]Ranked, error) {
+	if n := b.VisualSet().Len(); k > n {
 		k = n
 	}
 	if k <= 0 {
@@ -299,55 +366,53 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, k int, dst []Ranked, f
 		}
 		return dst, nil
 	}
-	stdctx := ctx.Ctx
-	workers := ctx.workers()
-	if workers <= 1 || n <= 1 {
-		sc := b.scratchGet()
-		sc.sel.reset(k)
-		for si := 0; si < set.NumShards(); si++ {
-			if err := ctxErr(stdctx); err != nil {
-				b.scratchPut(sc)
-				return nil, err
-			}
-			shard := set.Shard(si)
-			lo := set.ShardStart(si)
-			scores := sc.lane(0, shard.Len())
-			fn(shard, lo, scores)
-			for i, v := range scores {
-				sc.sel.push(lo+i, v)
-			}
-		}
-		dst = sc.sel.drain(dst)
-		b.scratchPut(sc)
-		return dst, nil
-	}
-	// The global merge selector comes from the pool too, so the parallel
-	// path allocates nothing per query beyond the goroutines themselves.
-	var mu sync.Mutex
-	gsc := b.scratchGet()
-	global := &gsc.sel
-	global.reset(k)
-	forEachRange(stdctx, set, workers, func(sub *kernel.DenseSet, lo int) {
-		sc := b.scratchGet()
-		scores := sc.lane(0, sub.Len())
-		fn(sub, lo, scores)
-		sc.sel.reset(k)
-		for i, v := range scores {
-			sc.sel.push(lo+i, v)
-		}
-		mu.Lock()
-		global.merge(&sc.sel)
-		mu.Unlock()
-		b.scratchPut(sc)
-	})
-	if err := ctxErr(stdctx); err != nil {
-		// The merged selection is missing the unscored ranges; discard it.
-		b.scratchPut(gsc)
+	sc := b.scratchGet()
+	defer b.scratchPut(sc)
+	sc.sel.reset(k)
+	if err := streamRanges(ctx, b, fn, topKSink{}, sc); err != nil {
 		return nil, err
 	}
-	dst = global.drain(dst)
-	b.scratchPut(gsc)
-	return dst, nil
+	return sc.sel.drain(dst), nil
+}
+
+// unlabeledSink streams into the arenas' step-1 selectors. labeled lists the
+// judged images, ascending and distinct.
+type unlabeledSink struct {
+	labeled    []int
+	logVectors []*sparse.Vector
+}
+
+func (unlabeledSink) like(sc, proto *rankScratch) { sc.pick.reset(proto.pick.num) }
+
+func (k unlabeledSink) consume(sc *rankScratch, lo int, scores []float64) {
+	sc.pick.consume(lo, scores, k.labeled, k.logVectors)
+}
+
+func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick) }
+
+// selectUnlabeledRanges is the streaming selection of LRF-CSVM's step 1: the
+// combined scores fn streams feed the log-assisted heuristic's bounded
+// selectors (see unlabeledSelector), so drafting the N' = num unlabeled
+// points (fewer when fewer exist) materializes no collection-sized slice and
+// runs on every worker.
+func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, fn rangeScorer) (indices []int, initialLabels []float64, err error) {
+	labeled, _ := labeledSplit(ctx)
+	slices.Sort(labeled)
+	labeled = slices.Compact(labeled)
+	if unlabeled := b.VisualSet().Len() - len(labeled); num > unlabeled {
+		num = unlabeled
+	}
+	if num <= 0 {
+		return nil, nil, ctxErr(ctx.Ctx)
+	}
+	sc := b.scratchGet()
+	defer b.scratchPut(sc)
+	sc.pick.reset(num)
+	if err := streamRanges(ctx, b, fn, unlabeledSink{labeled: labeled, logVectors: ctx.LogVectors}, sc); err != nil {
+		return nil, nil, err
+	}
+	indices, initialLabels = sc.pick.drain()
+	return indices, initialLabels, nil
 }
 
 // rankVisual scores every image of the collection under a visual-modality

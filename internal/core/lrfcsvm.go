@@ -101,11 +101,28 @@ func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) {
 	return res.Scores, nil
 }
 
+// unlabeledSelection is the selection heuristic of step 1 of Fig. 1: given
+// the two per-modality SVMs trained on the labeled data alone, it drafts up
+// to num unlabeled images and their initial labels, in training order.
+// selectLogAssisted is the algorithm's own; LRFCSVMWithSelection swaps in the
+// ablation heuristics.
+type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) (indices []int, initialLabels []float64, err error)
+
+// selectLogAssisted is the log-assisted heuristic as a streaming pass: every
+// shard range is scored by the two initial models and selected from on the
+// spot, like the final retrieval pass (rankTopCoupled).
+func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
+	logPts := batch.logPoints(ctx.LogVectors)
+	return selectUnlabeledRanges(ctx, batch, num, func(sub *kernel.DenseSet, lo int, dst []float64) {
+		scoreCoupledRange(batch, visualInit, logInit, logPts, sub, lo, dst)
+	})
+}
+
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
 // the unlabeled selection — and assembles the coupled training problem. The
 // two initial trainings are independent, so with Coupled.Workers > 1 they
 // run concurrently (bit-identical to the sequential order).
-func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams) (modalities []Modality, labels, initialLabels []float64, unlabeledIdx []int, err error) {
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, unlabeledIdx []int, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
@@ -115,7 +132,7 @@ func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CS
 	// with initial label +1 and the N'/2 images with the smallest combined
 	// score with initial label -1 (Fig. 1, step 1, the discussion in
 	// Section 6.5, and the log-assisted selection of Hoi & Lyu ACM-MM'04;
-	// see logAssistedSelection).
+	// see unlabeledSelector).
 	var visualInit, logInit *svm.Model
 	err = forEachModality(2, p.Coupled.Workers, func(m int) error {
 		if m == 0 {
@@ -136,20 +153,10 @@ func (s LRFCSVM) trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CS
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-
-	n := ctx.NumImages()
-	labeledSet := ctx.labeledSet()
-	combined, err := rankCoupled(ctx, batch, visualInit, logInit)
+	unlabeledIdx, initialLabels, err = sel(ctx, batch, visualInit, logInit, p.NumUnlabeled)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	candidates := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !labeledSet[i] {
-			candidates = append(candidates, i)
-		}
-	}
-	unlabeledIdx, initialLabels = logAssistedSelection(ctx, candidates, combined, p.NumUnlabeled)
 
 	modalities = []Modality{
 		{
@@ -181,17 +188,14 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	}
 	batch := ctx.collectionBatch()
 	p := s.Params.withDefaults(ctx, batch)
-	modalities, labels, initialLabels, _, err := s.trainingProblem(ctx, batch, p)
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, batch, p, selectLogAssisted)
 	return modalities, labels, initialLabels, err
 }
 
-// train runs steps 1-2 of Fig. 1: unlabeled selection and the annealed
-// coupled-SVM optimization. Both steps need full combined scores of the
-// whole collection (the selection heuristic ranks every candidate), so only
-// step 3 — the final retrieval pass — can stream through bounded top-K
-// selection.
-func (s LRFCSVM) train(ctx *QueryContext, batch *CollectionBatch, p CSVMParams) (coupled *CoupledResult, unlabeledIdx []int, err error) {
-	modalities, labels, initialLabels, unlabeledIdx, err := s.trainingProblem(ctx, batch, p)
+// trainCSVM runs steps 1-2 of Fig. 1: unlabeled selection and the annealed
+// coupled-SVM optimization.
+func trainCSVM(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (coupled *CoupledResult, unlabeledIdx []int, err error) {
+	modalities, labels, initialLabels, unlabeledIdx, err := trainingProblem(ctx, batch, p, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,14 +209,15 @@ func (s LRFCSVM) train(ctx *QueryContext, batch *CollectionBatch, p CSVMParams) 
 	return coupled, unlabeledIdx, nil
 }
 
-// RankDetailed runs the full algorithm and returns scores plus diagnostics.
-func (s LRFCSVM) RankDetailed(ctx *QueryContext) (*CSVMResult, error) {
+// rankDetailedCSVM runs the full algorithm with the given step-1 heuristic,
+// materializing every score.
+func rankDetailedCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (*CSVMResult, error) {
 	if err := ctx.Validate(true); err != nil {
 		return nil, err
 	}
 	batch := ctx.collectionBatch()
-	p := s.Params.withDefaults(ctx, batch)
-	coupled, unlabeledIdx, err := s.train(ctx, batch, p)
+	p := params.withDefaults(ctx, batch)
+	coupled, unlabeledIdx, err := trainCSVM(ctx, batch, p, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +239,15 @@ func (s LRFCSVM) RankDetailed(ctx *QueryContext) (*CSVMResult, error) {
 	}, nil
 }
 
-// RankTop implements TopKRanker: steps 1-2 run exactly as in Rank (they
-// need full combined scores), and the final retrieval pass streams through
-// per-shard bounded selection. Results are bit-identical to Rank + TopK.
+// RankDetailed runs the full algorithm and returns scores plus diagnostics.
+func (s LRFCSVM) RankDetailed(ctx *QueryContext) (*CSVMResult, error) {
+	return rankDetailedCSVM(ctx, s.Params, selectLogAssisted)
+}
+
+// RankTop implements TopKRanker: steps 1-2 run exactly as in Rank, and the
+// final retrieval pass streams through per-shard bounded selection like the
+// unlabeled selection of step 1 does. Results are bit-identical to
+// Rank + TopK.
 func (s LRFCSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
@@ -248,7 +259,7 @@ func (s LRFCSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked
 	}
 	batch := ctx.collectionBatch()
 	p := s.Params.withDefaults(ctx, batch)
-	coupled, _, err := s.train(ctx, batch, p)
+	coupled, _, err := trainCSVM(ctx, batch, p, selectLogAssisted)
 	if err != nil {
 		return nil, err
 	}
@@ -289,74 +300,6 @@ func selectUnlabeled(candidates []int, combined []float64, num int) (indices []i
 	// Lowest combined scores: presumed irrelevant.
 	for i := 0; i < num-half && i < len(order); i++ {
 		idx := candidates[order[len(order)-1-i]]
-		if picked[idx] {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, -1)
-	}
-	return indices, initialLabels
-}
-
-// logAssistedSelection drafts the presumed-positive half only from images
-// that carry log information (at least one recorded judgment), ranked by the
-// combined score; the presumed-negative half is the global minimum of the
-// combined score as in selectUnlabeled. The paper motivates its selection
-// heuristic as being "assisted by both the low-level visual information ...
-// and the log information of user feedback" [Hoi & Lyu, ACM-MM'04]: drawing
-// the presumed positives from the log-covered pool keeps their inferred
-// labels accurate (they reflect real user judgments) and makes them exactly
-// the images whose inclusion teaches the visual SVM the category's other
-// visual modes. When fewer log-covered candidates exist than needed, the
-// remainder is filled from the global ranking.
-func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float64, num int) (indices []int, initialLabels []float64) {
-	if num > len(candidates) {
-		num = len(candidates)
-	}
-	if num == 0 {
-		return nil, nil
-	}
-	half := num / 2
-	if half == 0 {
-		half = 1
-	}
-	scores := make([]float64, len(candidates))
-	for i, idx := range candidates {
-		scores[i] = combined[idx]
-	}
-	order := linalg.ArgsortDesc(scores)
-	picked := make(map[int]bool, num)
-
-	// Presumed positives: best-scoring log-covered candidates first.
-	for _, oi := range order {
-		if len(indices) >= half {
-			break
-		}
-		idx := candidates[oi]
-		if picked[idx] || ctx.LogVectors[idx].NNZ() == 0 {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, 1)
-	}
-	// Fill up from the global ranking if the log-covered pool ran dry.
-	for _, oi := range order {
-		if len(indices) >= half {
-			break
-		}
-		idx := candidates[oi]
-		if picked[idx] {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, 1)
-	}
-	// Presumed negatives: global minimum of the combined score.
-	for i := len(order) - 1; i >= 0 && len(indices) < num; i-- {
-		idx := candidates[order[i]]
 		if picked[idx] {
 			continue
 		}
@@ -430,7 +373,7 @@ const (
 	// SelectLogAssisted is the default strategy: the presumed-positive half
 	// is drawn from the log-covered images with the highest combined score,
 	// the presumed-negative half from the global minimum (see
-	// logAssistedSelection).
+	// unlabeledSelector).
 	SelectLogAssisted SelectionStrategy = iota
 	// SelectMaxMin is the purely score-driven variant of the paper's
 	// pseudocode: half closest to the positive data, half closest to the
@@ -472,67 +415,48 @@ func (s LRFCSVMWithSelection) Name() string {
 	return fmt.Sprintf("LRF-CSVM[%s]", s.Strategy)
 }
 
-// Rank implements Scheme.
+// Rank implements Scheme: the shared three steps with this variant's step-1
+// heuristic.
 func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) {
-	if err := ctx.Validate(true); err != nil {
+	res, err := rankDetailedCSVM(ctx, s.Params, s.selection())
+	if err != nil {
 		return nil, err
 	}
-	batch := ctx.collectionBatch()
-	p := s.Params.withDefaults(ctx, batch)
+	return res.Scores, nil
+}
 
-	labeledIdx := make([]int, len(ctx.Labeled))
-	labels := make([]float64, len(ctx.Labeled))
-	for i, ex := range ctx.Labeled {
-		labeledIdx[i] = ex.Index
-		labels[i] = ex.Label
-	}
-	visualInit, err := trainModality(ctx.visualPoints(labeledIdx), labels, p.Cw, p.VisualKernel, perModalitySolverConfig(p.Coupled.Solver))
-	if err != nil {
-		return nil, err
-	}
-	logInit, err := trainModality(ctx.logPoints(labeledIdx), labels, p.Cu, p.LogKernel, perModalitySolverConfig(p.Coupled.Solver))
-	if err != nil {
-		return nil, err
-	}
-	labeledSet := ctx.labeledSet()
-	combined, err := rankCoupled(ctx, batch, visualInit, logInit)
-	if err != nil {
-		return nil, err
-	}
-	candidates := make([]int, 0, ctx.NumImages())
-	for i := 0; i < ctx.NumImages(); i++ {
-		if !labeledSet[i] {
-			candidates = append(candidates, i)
-		}
-	}
-	var unlabeledIdx []int
-	var initialLabels []float64
+// selection resolves the strategy to a step-1 heuristic. The ablation
+// heuristics rank every unlabeled image, so they materialize the full
+// combined scores; they run in the evaluation harness only.
+func (s LRFCSVMWithSelection) selection() unlabeledSelection {
+	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
 	switch s.Strategy {
-	case SelectBoundary:
-		unlabeledIdx, initialLabels = BoundarySelection(candidates, combined, p.NumUnlabeled)
-	case SelectRandom:
-		unlabeledIdx, initialLabels = RandomSelection(linalg.NewRNG(s.RandomSeed), candidates, combined, p.NumUnlabeled)
 	case SelectMaxMin:
-		unlabeledIdx, initialLabels = selectUnlabeled(candidates, combined, p.NumUnlabeled)
+		pick = selectUnlabeled
+	case SelectBoundary:
+		pick = BoundarySelection
+	case SelectRandom:
+		pick = func(candidates []int, combined []float64, num int) ([]int, []float64) {
+			return RandomSelection(linalg.NewRNG(s.RandomSeed), candidates, combined, num)
+		}
 	default:
-		unlabeledIdx, initialLabels = logAssistedSelection(ctx, candidates, combined, p.NumUnlabeled)
+		return selectLogAssisted
 	}
-	modalities := []Modality{
-		{Name: "visual", Kernel: p.VisualKernel, C: p.Cw, Labeled: ctx.visualPoints(labeledIdx), Unlabeled: ctx.visualPoints(unlabeledIdx)},
-		{Name: "log", Kernel: p.LogKernel, C: p.Cu, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
+	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
+		combined, err := rankCoupled(ctx, batch, visualInit, logInit)
+		if err != nil {
+			return nil, nil, err
+		}
+		labeledSet := ctx.labeledSet()
+		candidates := make([]int, 0, ctx.NumImages())
+		for i := 0; i < ctx.NumImages(); i++ {
+			if !labeledSet[i] {
+				candidates = append(candidates, i)
+			}
+		}
+		indices, initialLabels := pick(candidates, combined, num)
+		return indices, initialLabels, nil
 	}
-	coupled, err := TrainCoupled(modalities, labels, initialLabels, p.Coupled)
-	if err != nil {
-		return nil, err
-	}
-	scores, err := rankCoupled(ctx, batch, coupled.Models[0], coupled.Models[1])
-	if err != nil {
-		return nil, err
-	}
-	if err := addQueryPriorBatch(scores, ctx, batch); err != nil {
-		return nil, err
-	}
-	return scores, nil
 }
 
 // Ensure the schemes satisfy the Scheme interface, and that the paper's four

@@ -1,0 +1,406 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+
+	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
+	"lrfcsvm/internal/svm"
+)
+
+// logAssistedSelection is the select-by-sort implementation of the
+// log-assisted heuristic that step 1 ran before it became a streaming pass,
+// kept as the oracle of the streaming selection: every candidate's score is
+// materialized and fully sorted, then the presumed positives are drafted
+// from the log-covered candidates best first, the remainder of the half is
+// filled from the global ranking, and the presumed negatives are drafted from
+// the global minimum upwards.
+func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float64, num int) (indices []int, initialLabels []float64) {
+	if num > len(candidates) {
+		num = len(candidates)
+	}
+	if num == 0 {
+		return nil, nil
+	}
+	half := num / 2
+	if half == 0 {
+		half = 1
+	}
+	scores := make([]float64, len(candidates))
+	for i, idx := range candidates {
+		scores[i] = combined[idx]
+	}
+	order := linalg.ArgsortDesc(scores)
+	picked := make(map[int]bool, num)
+
+	// Presumed positives: best-scoring log-covered candidates first.
+	for _, oi := range order {
+		if len(indices) >= half {
+			break
+		}
+		idx := candidates[oi]
+		if picked[idx] || ctx.LogVectors[idx].NNZ() == 0 {
+			continue
+		}
+		picked[idx] = true
+		indices = append(indices, idx)
+		initialLabels = append(initialLabels, 1)
+	}
+	// Fill up from the global ranking if the log-covered pool ran dry.
+	for _, oi := range order {
+		if len(indices) >= half {
+			break
+		}
+		idx := candidates[oi]
+		if picked[idx] {
+			continue
+		}
+		picked[idx] = true
+		indices = append(indices, idx)
+		initialLabels = append(initialLabels, 1)
+	}
+	// Presumed negatives: global minimum of the combined score.
+	for i := len(order) - 1; i >= 0 && len(indices) < num; i-- {
+		idx := candidates[order[i]]
+		if picked[idx] {
+			continue
+		}
+		picked[idx] = true
+		indices = append(indices, idx)
+		initialLabels = append(initialLabels, -1)
+	}
+	return indices, initialLabels
+}
+
+// oracleSelection runs the select-by-sort oracle over the unlabeled images of
+// ctx, exactly as step 1 did before it streamed.
+func oracleSelection(ctx *QueryContext, combined []float64, num int) ([]int, []float64) {
+	labeledSet := ctx.labeledSet()
+	candidates := make([]int, 0, ctx.NumImages())
+	for i := 0; i < ctx.NumImages(); i++ {
+		if !labeledSet[i] {
+			candidates = append(candidates, i)
+		}
+	}
+	return logAssistedSelection(ctx, candidates, combined, num)
+}
+
+// copyScorer streams a materialized score slice, so a test decides every
+// score the streaming selection sees.
+func copyScorer(scores []float64) rangeScorer {
+	return func(sub *kernel.DenseSet, lo int, dst []float64) {
+		copy(dst, scores[lo:lo+len(dst)])
+	}
+}
+
+// selectionCase is one seeded input of the selection property test.
+type selectionCase struct {
+	visual   []linalg.Vector
+	logs     []*sparse.Vector
+	labeled  []LabeledExample
+	combined []float64
+}
+
+// randomSelectionCase draws n images whose combined scores come from only a
+// handful of distinct values (both zeros included), so exact ties straddle
+// every shard boundary; covered is the fraction of images the log covers and
+// numLabeled the size of the judged set (one index listed twice).
+func randomSelectionCase(rng *linalg.RNG, n int, covered float64, numLabeled int) selectionCase {
+	levels := []float64{-2.5, -1, 0, 0.25, 0.25, 1, 3}
+	negZero := math.Copysign(0, -1)
+	c := selectionCase{
+		visual:   make([]linalg.Vector, n),
+		logs:     make([]*sparse.Vector, n),
+		combined: make([]float64, n),
+	}
+	for i := range c.visual {
+		c.visual[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
+		c.logs[i] = sparse.New(4)
+		if rng.Float64() < covered {
+			c.logs[i].Set(rng.Intn(4), 1)
+		}
+		c.combined[i] = levels[rng.Intn(len(levels))]
+		if c.combined[i] == 0 && rng.Intn(2) == 0 {
+			c.combined[i] = negZero
+		}
+	}
+	for _, idx := range rng.Perm(n)[:numLabeled] {
+		c.labeled = append(c.labeled, LabeledExample{Index: idx, Label: 1})
+	}
+	if numLabeled > 0 {
+		c.labeled = append(c.labeled, c.labeled[0])
+	}
+	return c
+}
+
+// TestSelectUnlabeledRangesMatchesSortOracle is the parity property of the
+// streaming step 1: for seeded random scores full of exact ties, it must
+// draft the identical index list in the identical order, with the identical
+// initial labels, as the select-by-sort oracle — for every shard size and
+// worker count, with a log-covered pool smaller than N'/2 (and empty), with
+// fewer unlabeled images than N' (and none), and with N' = 1. The order is
+// the SMO training order, so anything weaker would move trained models.
+func TestSelectUnlabeledRangesMatchesSortOracle(t *testing.T) {
+	rng := linalg.NewRNG(20240913)
+	shapes := []struct {
+		name       string
+		n          int
+		covered    float64
+		numLabeled int
+		num        int
+	}{
+		{"default", 300, 0.5, 20, 16},
+		{"odd N'", 300, 0.5, 20, 7},
+		{"N'=1", 120, 0.5, 10, 1},
+		{"log pool smaller than half", 200, 0.015, 20, 16},
+		{"no log coverage", 150, 0, 12, 16},
+		{"fewer unlabeled than N'", 30, 0.5, 21, 16},
+		{"two unlabeled", 12, 0.5, 10, 16},
+		{"nothing unlabeled", 9, 0.5, 9, 16},
+		{"N' larger than collection", 11, 0.3, 0, 64},
+	}
+	for _, shape := range shapes {
+		for rep := 0; rep < 4; rep++ {
+			c := randomSelectionCase(rng, shape.n, shape.covered, shape.numLabeled)
+			base := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled}
+			wantIdx, wantLabels := oracleSelection(base, c.combined, shape.num)
+			for _, shardSize := range []int{1, 7, 2048} {
+				batch := NewShardedCollectionBatch(c.visual, shardSize)
+				for _, workers := range []int{1, 2, 5} {
+					ctx := *base
+					ctx.Batch, ctx.Workers = batch, workers
+					gotIdx, gotLabels, err := selectUnlabeledRanges(&ctx, batch, shape.num, copyScorer(c.combined))
+					name := fmt.Sprintf("%s rep=%d shard=%d workers=%d", shape.name, rep, shardSize, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(gotIdx, wantIdx) {
+						t.Fatalf("%s: drafted %v, oracle %v", name, gotIdx, wantIdx)
+					}
+					if !slices.Equal(gotLabels, wantLabels) {
+						t.Fatalf("%s: initial labels %v, oracle %v", name, gotLabels, wantLabels)
+					}
+					if got := batch.leased.Load(); got != 0 {
+						t.Fatalf("%s: %d scratch arenas not returned", name, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrainingProblemMatchesSortOracle pins the whole step 1 — real initial
+// models over a collection where every descriptor and log column occurs
+// twice, so every score ties exactly with its duplicate's — to the oracle fed
+// with the materialized scores of the same models.
+func TestTrainingProblemMatchesSortOracle(t *testing.T) {
+	coll := makeCollection(t, 4, 14, 40, 0, 5)
+	coll.visual = append(coll.visual, coll.visual...)
+	coll.logVectors = append(coll.logVectors, coll.logVectors...)
+	coll.labels = append(coll.labels, coll.labels...)
+	for _, shardSize := range []int{1, 7, 2048} {
+		batch := NewShardedCollectionBatch(coll.visual, shardSize)
+		for _, workers := range []int{1, 2, 5} {
+			ctx := coll.queryContext(3, 10)
+			ctx.Batch, ctx.Workers = batch, workers
+			p := DefaultCSVMParams().withDefaults(ctx, batch)
+			var wantIdx []int
+			var wantLabels []float64
+			_, _, gotLabels, gotIdx, err := trainingProblem(ctx, batch, p,
+				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
+					combined, err := rankCoupled(ctx, batch, visualInit, logInit)
+					if err != nil {
+						return nil, nil, err
+					}
+					wantIdx, wantLabels = oracleSelection(ctx, combined, num)
+					return selectLogAssisted(ctx, batch, visualInit, logInit, num)
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wantIdx) != p.NumUnlabeled {
+				t.Fatalf("oracle drafted %d images, want %d", len(wantIdx), p.NumUnlabeled)
+			}
+			if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(gotLabels, wantLabels) {
+				t.Fatalf("shard=%d workers=%d: drafted %v %v, oracle %v %v", shardSize, workers, gotIdx, gotLabels, wantIdx, wantLabels)
+			}
+		}
+	}
+}
+
+// A step 1 cancelled mid-pass returns the context's error and no selection —
+// a partial pass would draft from the ranges that happened to be scored —
+// and hands every scratch arena back.
+func TestSelectUnlabeledRangesCancelled(t *testing.T) {
+	c := randomSelectionCase(linalg.NewRNG(7), 240, 0.5, 12)
+	batch := NewShardedCollectionBatch(c.visual, 10) // 24 shards, so a small check budget cancels mid-pass
+	for _, workers := range []int{1, 3} {
+		ctx := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled, Batch: batch, Workers: workers}
+		ctx.Ctx = newCountdownCtx(5)
+		idx, labels, err := selectUnlabeledRanges(ctx, batch, 16, copyScorer(c.combined))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled selection error = %v, want context.Canceled", workers, err)
+		}
+		if idx != nil || labels != nil {
+			t.Fatalf("workers=%d: cancelled selection drafted %v %v", workers, idx, labels)
+		}
+		if got := batch.leased.Load(); got != 0 {
+			t.Fatalf("workers=%d: %d scratch arenas not returned after cancellation", workers, got)
+		}
+	}
+
+	// The same through the scheme: the error surfaces, no ranking does.
+	coll := makeCollection(t, 3, 12, 30, 0, 13)
+	qctx := coll.queryContext(2, 8)
+	qctx.Workers = 1
+	qctx.Batch = NewShardedCollectionBatch(coll.visual, 4)
+	p := DefaultCSVMParams()
+	p.Coupled.Solver.Ctx = context.Background() // only the scans see the cancellation, not the SMO solver
+	qctx.Ctx = newCountdownCtx(3)
+	if got, err := (LRFCSVM{Params: p}).RankTop(qctx, 5); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled LRFCSVM.RankTop = %v, %v; want nil, context.Canceled", got, err)
+	}
+	if got := qctx.Batch.leased.Load(); got != 0 {
+		t.Fatalf("%d scratch arenas not returned after a cancelled refine", got)
+	}
+}
+
+// selectBenchProblem builds step 1 at benchmark scale: n images of 36
+// dimensions in categories of 100, a log of n/25 sessions judging 20 images
+// each (half from the query's category — the shape of the repository
+// benchmark's generator, which leaves a little under half the images
+// uncovered), a 20-image judged page and the two initial models.
+func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, logInit *svm.Model) {
+	tb.Helper()
+	const dim, perCategory, page = 36, 100, 20
+	rng := linalg.NewRNG(uint64(n))
+	categories := (n + perCategory - 1) / perCategory
+	centres := make([]linalg.Vector, categories)
+	for c := range centres {
+		centres[c] = make(linalg.Vector, dim)
+		for j := range centres[c] {
+			centres[c][j] = rng.Normal(0, 1)
+		}
+	}
+	visual := make([]linalg.Vector, n)
+	for i := range visual {
+		visual[i] = make(linalg.Vector, dim)
+		for j := range visual[i] {
+			visual[i][j] = centres[i/perCategory][j] + rng.Normal(0, 1.6)
+		}
+	}
+	log := feedbacklog.NewLog(n)
+	for s := 0; s < n/25; s++ {
+		q := rng.Intn(n)
+		judged := make(map[int]feedbacklog.Judgment, page)
+		for len(judged) < page {
+			img := rng.Intn(n)
+			if len(judged) < page/2 {
+				img = min(q/perCategory*perCategory+rng.Intn(perCategory), n-1)
+			}
+			judged[img] = feedbacklog.Irrelevant
+			if img/perCategory == q/perCategory {
+				judged[img] = feedbacklog.Relevant
+			}
+		}
+		if _, err := log.AddSession(feedbacklog.Session{QueryImage: q, Judgments: judged}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ctx = &QueryContext{Visual: visual, LogVectors: log.RelevanceVectors(), Query: 0}
+	for i := 0; i < page; i++ {
+		// Half the page from the query's category, half from elsewhere.
+		ex := LabeledExample{Index: i / 2, Label: 1}
+		if i%2 == 1 {
+			ex = LabeledExample{Index: n - 1 - i, Label: -1}
+		}
+		ctx.Labeled = append(ctx.Labeled, ex)
+	}
+	ctx.Batch = NewCollectionBatch(visual)
+	p := DefaultCSVMParams().withDefaults(ctx, ctx.Batch)
+	_, _, _, _, err := trainingProblem(ctx, ctx.Batch, p,
+		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int) ([]int, []float64, error) {
+			visualInit, logInit = v, l
+			return nil, nil, nil
+		})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctx, visualInit, logInit
+}
+
+var selectSink []int
+
+// BenchmarkSelectUnlabeled measures step 1's scoring-and-selection pass with
+// pretrained initial models on GOMAXPROCS workers (-cpu 1 is the serial
+// path). B/op is the lane's point: the select-by-sort it replaced allocated
+// four collection-sized slices (≈ 4 × 8 × N bytes) per refine.
+func BenchmarkSelectUnlabeled(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"5k", 5000}, {"50k", 50000}} {
+		b.Run(size.name, func(b *testing.B) {
+			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
+			// One untimed pass wraps the log columns as kernel points (memoized
+			// per log snapshot) and fills the scratch pool, as any earlier
+			// refine on the engine's batch has.
+			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16)
+				if err != nil || len(idx) != 16 {
+					b.Fatalf("drafted %d images, err %v", len(idx), err)
+				}
+				selectSink = idx
+			}
+		})
+	}
+}
+
+// TestSelectUnlabeledBytesDoNotGrowWithN pins the allocation contract of the
+// streaming step 1: a pass allocates the drafted selection and its own
+// bookkeeping, never a collection-sized slice (the select-by-sort allocated
+// 4 × 8 bytes per image: 64 KB against 512 KB at these sizes). What still
+// scales is the kernels' per-call temporaries, about 1 KB per 2048-image
+// range — under one byte per image.
+func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")
+	}
+	bytesPerOp := func(n int) int64 {
+		ctx, visualInit, logInit := selectBenchProblem(t, n)
+		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
+		const passes = 20
+		var before, after runtime.MemStats
+		for i := 0; i <= passes; i++ {
+			if i == 1 { // pass 0 filled the scratch pool
+				runtime.ReadMemStats(&before)
+			}
+			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / passes
+	}
+	const small, large = 2000, 16000
+	bs, bl := bytesPerOp(small), bytesPerOp(large)
+	t.Logf("step 1 allocates %d B/op at %d images, %d B/op at %d", bs, small, bl, large)
+	// Two bytes per added image: a quarter of the smallest collection-sized
+	// slice, and room for a GC emptying the scratch pool mid-measurement.
+	if limit := bs + 2*(large-small); bl > limit {
+		t.Fatalf("step 1 allocates %d B/op at %d images against %d B/op at %d: it grows with the collection", bl, large, bs, small)
+	}
+}

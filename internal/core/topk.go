@@ -1,5 +1,11 @@
 package core
 
+import (
+	"slices"
+
+	"lrfcsvm/internal/sparse"
+)
+
 // This file is the bounded selection substrate of the streaming query path:
 // a fixed-capacity selector over the descending-score, ascending-index total
 // order. Selecting the top K of N scores costs O(N log K) and touches no
@@ -118,6 +124,94 @@ func (s *topKSelector) siftDown(i, n int) {
 		s.h[i], s.h[worst] = s.h[worst], s.h[i]
 		i = worst
 	}
+}
+
+// unlabeledSelector is the bounded selection of step 1 of Fig. 1, the
+// log-assisted heuristic: the presumed-positive half of the N' unlabeled
+// points is drawn from the images that carry log information (at least one
+// recorded judgment), best combined score first, and filled from the global
+// ranking when that pool runs dry; the presumed-negative half is the global
+// minimum of the combined score. The paper motivates the selection as
+// "assisted by both the low-level visual information ... and the log
+// information of user feedback" [Hoi & Lyu, ACM-MM'04]: log-covered positives
+// keep their inferred labels accurate (they reflect real user judgments) and
+// teach the visual SVM the category's other visual modes.
+//
+// Three selectors of capacity <= N' hold everything the heuristic can draft:
+// the half best log-covered unlabeled images, the half best overall (the
+// fill; at most half of them are drafted already) and the N' worst (at most
+// half of them are drafted positives). Their order is strict, so the
+// selection does not depend on how the collection is cut into ranges.
+type unlabeledSelector struct {
+	half, num     int
+	covered, best topKSelector
+	// worst keeps (-index, -score): negation is exact and turns "smallest
+	// score first, ties by descending index" into the one selection order.
+	worst topKSelector
+	buf   []Ranked
+}
+
+// reset prepares the selector to draft num unlabeled points.
+func (s *unlabeledSelector) reset(num int) {
+	s.num = num
+	s.half = num / 2
+	if s.half == 0 {
+		s.half = 1
+	}
+	s.covered.reset(s.half)
+	s.best.reset(s.half)
+	s.worst.reset(num)
+}
+
+// consume offers the combined scores of the images [lo, lo+len(scores)).
+// labeled lists the judged images, ascending and distinct; they are never
+// drafted. logVectors tells which images the log covers.
+func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, logVectors []*sparse.Vector) {
+	next, _ := slices.BinarySearch(labeled, lo)
+	for i, v := range scores {
+		idx := lo + i
+		if next < len(labeled) && labeled[next] == idx {
+			next++
+			continue
+		}
+		if logVectors[idx].NNZ() != 0 {
+			s.covered.push(idx, v)
+		}
+		s.best.push(idx, v)
+		s.worst.push(-idx, -v)
+	}
+}
+
+// merge offers everything another selector kept.
+func (s *unlabeledSelector) merge(o *unlabeledSelector) {
+	s.covered.merge(&o.covered)
+	s.best.merge(&o.best)
+	s.worst.merge(&o.worst)
+}
+
+// drain empties the selector into the drafted images, in training order —
+// log-covered positives, fill, negatives worst first — and their labels.
+func (s *unlabeledSelector) drain() (indices []int, initialLabels []float64) {
+	indices = make([]int, 0, s.num)
+	initialLabels = make([]float64, 0, s.num)
+	draft := func(limit int, sign int, label float64) {
+		for _, c := range s.buf {
+			if len(indices) >= limit {
+				return
+			}
+			if idx := sign * c.Index; !slices.Contains(indices, idx) {
+				indices = append(indices, idx)
+				initialLabels = append(initialLabels, label)
+			}
+		}
+	}
+	s.buf = s.covered.drain(s.buf[:0])
+	draft(s.half, 1, 1)
+	s.buf = s.best.drain(s.buf[:0])
+	draft(s.half, 1, 1)
+	s.buf = s.worst.drain(s.buf[:0])
+	draft(s.num, -1, -1)
+	return indices, initialLabels
 }
 
 // TopK returns the indices of the k highest-scoring images in descending

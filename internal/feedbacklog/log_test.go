@@ -216,6 +216,25 @@ func TestExtendRelevanceVectorsDoesNotMutatePrev(t *testing.T) {
 	}
 }
 
+// An extension allocates column headers by the slab, not by the image.
+func TestExtendRelevanceVectorsAllocatesHeadersInSlabs(t *testing.T) {
+	const images = 64 * headerSlab
+	log := NewLog(images)
+	if _, err := log.AddSession(Session{Judgments: map[int]Judgment{1: Relevant}}); err != nil {
+		t.Fatal(err)
+	}
+	cols := log.RelevanceVectors()
+	if _, err := log.AddSession(Session{Judgments: map[int]Judgment{1: Irrelevant, 7: Relevant, 9: Relevant}}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() { log.ExtendRelevanceVectors(cols, 1) })
+	// 64 slabs, the column slice, and the new session's image list and
+	// three copy-on-write appends.
+	if limit := float64(images/headerSlab + 8); allocs > limit {
+		t.Errorf("extending %d columns by one 3-judgment session allocates %v times, want at most %v", images, allocs, limit)
+	}
+}
+
 func TestExtendRelevanceVectorsStalePanics(t *testing.T) {
 	log := NewLog(2)
 	defer func() {

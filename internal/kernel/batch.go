@@ -152,7 +152,8 @@ var svMatPool = sync.Pool{New: func() any { return new([]float64) }}
 // the indices svs[t] carries), making each per-SV dot bit-identical to
 // Sparse.Dot; the final fold adds coefs[t]·dot_t into dst[j] in ascending
 // t, the accumulation order of the per-SV pass. The whole call is therefore
-// bit-for-bit equal to nsv successive Linear.EvalBatch accumulations.
+// bit-for-bit equal to nsv successive Linear.EvalBatch accumulations — also
+// for the rows it skips: an empty ys[j] leaves a nonzero dst[j] as it is.
 func LinearAccumulateSparse(coefs []float64, svs, ys []Point, dst []float64) bool {
 	if len(coefs) != len(svs) || len(svs) < 2 || len(ys) < sparseScatterMinBatch {
 		return false
@@ -192,6 +193,12 @@ func LinearAccumulateSparse(coefs []float64, svs, ys []Point, dst []float64) boo
 				s += coefs[t] * sv.Dot(y)
 			}
 			dst[j] = s
+			continue
+		}
+		if len(yv.Entries) == 0 && dst[j] != 0 {
+			// An image without log entries has every dot equal to +0, and a
+			// nonzero dst[j] absorbs the ±0 terms unchanged. (A zero dst[j]
+			// may change sign in the fold, so it takes the full path.)
 			continue
 		}
 		for t := range acc {
