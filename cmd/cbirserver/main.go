@@ -42,10 +42,9 @@
 // With -quantized, initial queries not covered by the ANN index run an
 // approximate scan over an int8 quantized copy of the collection and
 // exactly re-score the top k*oversample survivors, so returned scores are
-// bit-identical to the exhaustive scan's. -kernel-backend selects the
-// vectorized compute backend of the scoring kernels (also via the
-// KERNEL_BACKEND environment variable); the active backend appears as
-// "kernel_backend" in GET /api/status.
+// bit-identical to the exhaustive scan's. Which dot kernels the scoring
+// scans run on (AVX2 assembly or pure Go, picked by the build and the CPU)
+// appears as "kernel_backend" in GET /api/status.
 //
 // Example:
 //
@@ -68,7 +67,6 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
-	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 	"lrfcsvm/internal/server"
@@ -101,17 +99,10 @@ func main() {
 		annClusters  = flag.Int("ann-clusters", 0, "k-means cells of the candidate index (0 = sqrt of the collection size)")
 		annNProbe    = flag.Int("ann-nprobe", 0, "nearest cells scanned per pruned query; higher = better recall, slower (0 = clusters/4)")
 		annMinColl   = flag.Int("ann-min-collection", retrieval.DefaultANNMinCollection, "collection size below which no index is built and queries scan exhaustively")
-		kernBackend  = flag.String("kernel-backend", "", "compute backend of the scoring kernels: auto, scalar, unrolled or avx2 (empty = keep default; also settable via KERNEL_BACKEND)")
 		quantEnable  = flag.Bool("quantized", false, "serve initial queries the ANN index does not cover from an int8 approximate scan with exact re-scoring")
 		quantOver    = flag.Int("quantized-oversample", 0, "survivor multiplier of the quantized scan: top k*oversample approximate candidates are re-scored exactly (0 = library default)")
 	)
 	flag.Parse()
-
-	if *kernBackend != "" {
-		if err := kernel.SetBackend(*kernBackend); err != nil {
-			log.Fatalf("-kernel-backend: %v", err)
-		}
-	}
 
 	visual, fblog, coveredSeq, err := loadCollection(*snapshotPath, *featuresPath, *logPath)
 	if err != nil {

@@ -52,12 +52,9 @@ type benchReport struct {
 		RankingPathSpeedup    float64 `json:"ranking_path_speedup"`
 		LRF2SVMsRankingStage  float64 `json:"lrf2svms_ranking_stage_speedup"`
 	} `json:"summary"`
-	// KernelBackend is the backend the headline lanes ran under.
+	// KernelBackend is what kernel.Backend() reported on the measuring host:
+	// the dot kernels every lane ran on.
 	KernelBackend string `json:"kernel_backend"`
-	// Backends is the backend x headline-lane matrix: every selectable
-	// compute backend measured on the lrf-csvm stream lane and the pure
-	// Euclidean scoring lane.
-	Backends []backendLane `json:"backends,omitempty"`
 	// Quantized summarizes the int8 approximate-scan lane measured on the
 	// boosted collection; the run fails when recall@20 drops below
 	// RecallFloor.
@@ -66,14 +63,6 @@ type benchReport struct {
 	// (>= annBenchMinImages) collection; the run fails when the headline
 	// recall drops below RecallFloor.
 	ANN *annSummary `json:"ann,omitempty"`
-}
-
-// backendLane is one compute backend's measurement of the headline lanes.
-type backendLane struct {
-	Backend         string  `json:"backend"`
-	QueryNsPerOp    float64 `json:"query_lrf_csvm_stream_ns_per_op"`
-	ScoringNsPerOp  float64 `json:"ranking_path_euclidean_stream_ns_per_op"`
-	SpeedupVsScalar float64 `json:"query_speedup_vs_scalar"`
 }
 
 // quantRecallFloor is the CI gate on the quantized lane's recall@20 at the
@@ -400,81 +389,6 @@ func fullSortSelect(scores []float64, k int) []core.Ranked {
 	return out
 }
 
-// runBackendMatrix measures every selectable compute backend on the two
-// headline lanes: the end-to-end lrf-csvm streaming query (the acceptance
-// number) and the pure Euclidean scoring pass. The headline benchmarks above
-// run under the default backend; this matrix records how the alternatives
-// compare on the same machine, so an avx2 number lands in BENCH_query.json
-// without making it the (machine-dependent) headline. The active backend is
-// restored afterwards.
-func runBackendMatrix(exp *eval.Experiment, report *benchReport) error {
-	orig := kernel.Backend()
-	defer func() {
-		if err := kernel.SetBackend(orig); err != nil {
-			panic(err) // restoring a previously-active backend cannot fail
-		}
-	}()
-
-	queries := exp.SampleQueries()
-	probes := queries
-	if len(probes) > 6 {
-		probes = probes[:6]
-	}
-	fmt.Printf("\nbackend matrix (query/lrf-csvm/stream and ranking-path/euclidean/stream):\n")
-	var scalarNs float64
-	for _, name := range kernel.Backends() {
-		if name == kernel.BackendAuto {
-			continue // alias for one of the concrete backends below
-		}
-		if err := kernel.SetBackend(name); err != nil {
-			return fmt.Errorf("backend matrix: %w", err)
-		}
-		lane := backendLane{Backend: name}
-		scheme := core.LRFCSVM{Params: exp.Config.CSVM}
-		entry := measure(report, "backend/"+name+"/query/lrf-csvm/stream", func(b *testing.B) {
-			ctx := exp.QueryContext(queries[0])
-			ctx.Workers = 1
-			buf := make([]core.Ranked, 0, benchQueryK)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := scheme.RankTopAppend(ctx, benchQueryK, buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = got
-			}
-		})
-		lane.QueryNsPerOp = entry.NsPerOp
-		entry = measure(report, "backend/"+name+"/ranking-path/euclidean/stream", func(b *testing.B) {
-			ctx := exp.QueryContext(queries[0])
-			ctx.Workers = 1
-			buf := make([]core.Ranked, 0, benchQueryK)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx.Query = probes[i%len(probes)]
-				got, err := core.Euclidean{}.RankTopAppend(ctx, benchQueryK, buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = got
-			}
-		})
-		lane.ScoringNsPerOp = entry.NsPerOp
-		if name == kernel.BackendScalar {
-			scalarNs = lane.QueryNsPerOp
-		}
-		report.Backends = append(report.Backends, lane)
-	}
-	for i := range report.Backends {
-		if scalarNs > 0 && report.Backends[i].QueryNsPerOp > 0 {
-			report.Backends[i].SpeedupVsScalar = scalarNs / report.Backends[i].QueryNsPerOp
-		}
-	}
-	return nil
-}
-
 // measure runs one benchmark function and records it.
 func measure(report *benchReport, name string, fn func(b *testing.B)) benchEntry {
 	return record(report, sampleBench(name, fn))
@@ -667,10 +581,6 @@ func runQueryBench(exp *eval.Experiment, profile, outPath string) error {
 
 	fmt.Printf("ranking path: %.1fx fewer allocs/op, %.2fx faster (full-argsort vs streaming top-%d)\n",
 		report.Summary.RankingPathAllocRatio, report.Summary.RankingPathSpeedup, benchQueryK)
-
-	if err := runBackendMatrix(exp, report); err != nil {
-		return err
-	}
 
 	bb, err := prepareBoostedBench(exp, report)
 	if err != nil {

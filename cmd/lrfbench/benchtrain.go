@@ -47,14 +47,13 @@ type trainBenchReport struct {
 	Reference  benchEntry   `json:"reference"`
 	Benchmarks []benchEntry `json:"benchmarks"`
 	// Diagnostics reports the solver work of one default-config round and
-	// one fast-lane round: retrainings of the alternating optimization,
-	// total SMO pair updates and shrink passes.
+	// one fast-lane round: retrainings of the alternating optimization and
+	// total SMO pair updates.
 	Diagnostics struct {
 		BaselineRetrainings      int `json:"baseline_retrainings"`
 		BaselineSolverIterations int `json:"baseline_solver_iterations"`
 		FastlaneRetrainings      int `json:"fastlane_retrainings"`
 		FastlaneSolverIterations int `json:"fastlane_solver_iterations"`
-		FastlaneSolverShrinks    int `json:"fastlane_solver_shrinks"`
 	} `json:"diagnostics"`
 	Summary struct {
 		// Workers4SpeedupVsPreOverhaul is the headline acceptance number:
@@ -126,7 +125,6 @@ func runTrainBench(exp *eval.Experiment, profile, outPath string) error {
 	report.Diagnostics.BaselineSolverIterations = baseRes.SolverIterations
 	report.Diagnostics.FastlaneRetrainings = fastRes.Retrainings
 	report.Diagnostics.FastlaneSolverIterations = fastRes.SolverIterations
-	report.Diagnostics.FastlaneSolverShrinks = fastRes.SolverShrinks
 
 	fast := entries["fastlane-w4"]
 	def := entries["baseline"]
@@ -138,7 +136,7 @@ func runTrainBench(exp *eval.Experiment, profile, outPath string) error {
 		report.Summary.AllocRatioVsPreOverhaul = float64(preOverhaulReference.AllocsPerOp) / float64(def.AllocsPerOp)
 	}
 
-	fmt.Printf("fast lane (Workers=4 + shrinking + warm start): %.2fx vs recorded pre-overhaul baseline, %.2fx vs this run's default lane; default lane allocs/op down %.1fx\n",
+	fmt.Printf("fast lane (Workers=4 + warm start): %.2fx vs recorded pre-overhaul baseline, %.2fx vs this run's default lane; default lane allocs/op down %.1fx\n",
 		report.Summary.Workers4SpeedupVsPreOverhaul, report.Summary.FastlaneSpeedupInFile, report.Summary.AllocRatioVsPreOverhaul)
 
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -102,17 +102,14 @@
 //
 // The per-round training cost is carried by an SMO solver tuned for
 // repeated retraining: pair selection is fused into the gradient-update
-// loop, solver scratch is pooled across runs, warm starts can carry the
+// loop, solver scratch is pooled across runs, and warm starts can carry the
 // previous solution and its exact gradient (svm.Config.WarmAlpha /
-// WarmGrad / FinalGrad), and an opt-in shrinking heuristic
-// (svm.Config.Shrinking) deactivates bound-pinned variables, re-verifying
-// the KKT criterion over the full problem before convergence is declared.
-// The coupled trainer (core.TrainCoupled) reads unlabeled decision values
-// from its shared kernel caches and trains the modalities of each
-// alternation step concurrently (core.CoupledConfig.Workers) — the default
-// configuration stays bit-identical to sequential cold-start training,
-// pinned by the golden MAP regression and the solver property suite in
-// internal/svm.
+// WarmGrad / FinalGrad). The coupled trainer (core.TrainCoupled) reads
+// unlabeled decision values from its shared kernel caches and trains the
+// modalities of each alternation step concurrently
+// (core.CoupledConfig.Workers) — the default configuration stays
+// bit-identical to sequential cold-start training, pinned by the golden MAP
+// regression and the solver property suite in internal/svm.
 //
 // Refinement rounds can run asynchronously: Session.RefineAsync (HTTP:
 // POST /api/refine?async=1) submits the round to a bounded engine-wide

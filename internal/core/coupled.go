@@ -55,9 +55,8 @@ type CoupledConfig struct {
 	// approximate solution within the solver tolerance, so ranking results
 	// are no longer bit-identical to cold-started training (ablation MAPs
 	// move in the 4th decimal; see EXPERIMENTS.md). Off by default to keep
-	// results exactly reproducible. Combined with Solver.Shrinking it is
-	// the documented fast lane of the feedback-training path (see
-	// EXPERIMENTS.md for the drift characterization and speedups).
+	// results exactly reproducible (see EXPERIMENTS.md for the drift
+	// characterization and speedups).
 	WarmStart bool
 	// Workers bounds the goroutines that train the modalities of one
 	// alternation step concurrently; <=1 trains sequentially. The
@@ -108,11 +107,9 @@ type CoupledResult struct {
 	Retrainings int
 	// RhoSteps counts outer annealing iterations.
 	RhoSteps int
-	// SolverIterations totals the SMO pair updates across every retraining,
-	// and SolverShrinks the shrink passes (zero unless Solver.Shrinking is
-	// enabled) — the training-cost diagnostics tracked by BENCH_train.json.
+	// SolverIterations totals the SMO pair updates across every retraining
+	// — the training-cost diagnostic tracked by BENCH_train.json.
 	SolverIterations int
-	SolverShrinks    int
 }
 
 // Decision evaluates the coupled decision value of a point given its
@@ -424,7 +421,6 @@ func (r *CoupledResult) tallySolverStats() {
 	for _, m := range r.Models {
 		if m != nil {
 			r.SolverIterations += m.Iterations
-			r.SolverShrinks += m.Shrinks
 		}
 	}
 }

@@ -44,10 +44,10 @@ func benchCoupledSetup(b *testing.B) (modalities []Modality, labels, initial []f
 }
 
 // BenchmarkTrainCoupled measures the feedback-training hot path across its
-// configuration lanes: the bit-exact default (sequential, cold start, no
-// shrinking), concurrent modality training, the shrinking solver, and the
-// full fast lane (Workers + shrinking + warm start). The before/after pair
-// of EXPERIMENTS.md and BENCH_train.json is baseline vs fastlane-w4.
+// configuration lanes: the bit-exact default (sequential, cold start),
+// concurrent modality training, warm start, and the full fast lane
+// (Workers + warm start). The before/after pair of EXPERIMENTS.md and
+// BENCH_train.json is baseline vs fastlane-w4.
 func BenchmarkTrainCoupled(b *testing.B) {
 	modalities, labels, initial, base := benchCoupledSetup(b)
 	for _, lane := range TrainLanes() {

@@ -12,20 +12,18 @@ type TrainLane struct {
 }
 
 // TrainLanes returns the benchmark lanes of the feedback-training path:
-// the bit-exact default (sequential, cold start, no shrinking), each
-// optimization in isolation, and the full fast lane. The fast lane
-// (Workers + shrinking + warm start) is the documented opt-in whose drift
-// is characterized in EXPERIMENTS.md; the first and last entries are the
-// before/after acceptance pair of BENCH_train.json.
+// the bit-exact default (sequential, cold start), each optimization in
+// isolation, and the full fast lane. The fast lane (Workers + warm start)
+// is the documented opt-in whose drift is characterized in EXPERIMENTS.md;
+// the first and last entries are the before/after acceptance pair of
+// BENCH_train.json.
 func TrainLanes() []TrainLane {
 	return []TrainLane{
 		{"baseline", func(c *CoupledConfig) {}},
 		{"workers4", func(c *CoupledConfig) { c.Workers = 4 }},
-		{"shrinking", func(c *CoupledConfig) { c.Solver.Shrinking = true }},
 		{"warmstart", func(c *CoupledConfig) { c.WarmStart = true }},
 		{"fastlane-w4", func(c *CoupledConfig) {
 			c.Workers = 4
-			c.Solver.Shrinking = true
 			c.WarmStart = true
 		}},
 	}

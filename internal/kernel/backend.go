@@ -1,136 +1,41 @@
 package kernel
 
-import (
-	"fmt"
-	"os"
-	"sort"
-	"strings"
-	"sync/atomic"
-)
+// The fused distance+RBF-exp pass over DenseSet rows (RBF.AccumulateSet) is
+// the single dominant kernel of the SVM ranking path. It has one
+// implementation, the tile driver blockAccumulateRBF, parameterised only by
+// the two row-dot routines it calls: Go-assembly AVX2 kernels where the
+// build and the CPU have them (amd64 without the purego tag, hasAVX2), the
+// four-way-unrolled pure-Go kernels everywhere else. The assembly reproduces
+// the Go four-accumulator summation pattern lane for lane and the exp lanes
+// are the same Go code, so both are bit-identical to the straight-line
+// reference loop the parity tests keep (accumulateRBFScalar) — no ULP
+// tolerance is needed or permitted.
 
-// Pluggable compute backends for the hot batched-scoring loops.
-//
-// A backend supplies the implementation of the fused distance+RBF-exp pass
-// over DenseSet rows (RBF.AccumulateSet), the single dominant kernel of the
-// SVM ranking path. Three backends exist:
-//
-//   - "scalar": the original straight-line Go loop. It is the reference
-//     oracle: every other backend is pinned bit-for-bit against it by the
-//     parity tests.
-//   - "unrolled": portable optimized pure Go. Block-tiles the collection
-//     rows, evaluates the four-way-unrolled dot pair per row, and batches
-//     the exponentials of a whole tile through the four-lane Cephes exp
-//     instead of one exp2 call per row. Bit-identical to "scalar".
-//   - "avx2": Go-assembly dot kernels (amd64, gated behind the purego build
-//     tag and runtime CPU-feature detection) under the same tile driver.
-//     The assembly reproduces the scalar four-accumulator summation pattern
-//     lane for lane, and the exp lanes are the same Go code as "unrolled",
-//     so it is also bit-identical to "scalar" — no ULP tolerance is needed
-//     or permitted.
-//
-// "unrolled" is the default. The active backend is selected by SetBackend
-// (or the KERNEL_BACKEND environment variable at startup, or `cbirserver
-// -kernel-backend`); "auto" picks the fastest available backend for this
-// build and CPU. Selection is an atomic pointer swap, safe against
-// concurrent scoring.
-
-// Backend names accepted by SetBackend.
-const (
-	BackendAuto     = "auto"
-	BackendScalar   = "scalar"
-	BackendUnrolled = "unrolled"
-	BackendAVX2     = "avx2"
-)
-
-// backendImpl is one compute backend: a name plus the routines the scoring
-// path dispatches through.
-type backendImpl struct {
+// dotKernels is one pair of row-dot routines and the name Backend reports
+// for it.
+type dotKernels struct {
 	name string
-	// accumulateRBF implements RBF.AccumulateSet (arguments pre-validated).
-	accumulateRBF func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64)
+	pair dotPairRowsFunc
+	one  dotRowsFunc
 }
 
-var (
-	scalarImpl = &backendImpl{name: BackendScalar, accumulateRBF: accumulateRBFScalar}
+var goKernels = dotKernels{name: "unrolled", pair: dotPairRowsGo, one: dotRowsGo}
 
-	unrolledImpl = &backendImpl{
-		name: BackendUnrolled,
-		accumulateRBF: func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
-			blockAccumulateRBF(dotPairRowsGo, dotRowsGo, gamma, coefs, svs, xs, dst)
-		},
+// activeKernels is what AccumulateSet runs on, fixed once at package
+// initialisation from the build constraints and the CPU; nothing sets it
+// afterwards.
+var activeKernels = func() dotKernels {
+	if k, ok := asmKernels(); ok {
+		return k
 	}
+	return goKernels
+}()
 
-	// activeBackend is read on every AccumulateSet call; an atomic pointer
-	// keeps selection racefree against concurrent scoring workers.
-	activeBackend atomic.Pointer[backendImpl]
-)
-
-func init() {
-	// The portable optimized pure-Go backend is the default: benchmark
-	// numbers stay comparable across machines and builds. Operators opt
-	// into the assembly backend explicitly ("avx2") or with "auto".
-	activeBackend.Store(unrolledImpl)
-	if name := os.Getenv("KERNEL_BACKEND"); name != "" {
-		if err := SetBackend(name); err != nil {
-			// A typo'd KERNEL_BACKEND must not silently run a different
-			// backend than the operator asked for; fail at startup.
-			panic(err)
-		}
-	}
-}
-
-// autoBackend returns the fastest backend available on this build and CPU.
-func autoBackend() *backendImpl {
-	if avx2Impl != nil {
-		return avx2Impl
-	}
-	return unrolledImpl
-}
-
-// backendByName resolves a backend name, returning nil when the name is
-// unknown or the backend is unavailable on this build/CPU.
-func backendByName(name string) *backendImpl {
-	switch name {
-	case BackendAuto:
-		return autoBackend()
-	case BackendScalar:
-		return scalarImpl
-	case BackendUnrolled:
-		return unrolledImpl
-	case BackendAVX2:
-		return avx2Impl
-	}
-	return nil
-}
-
-// Backends lists the backend names selectable on this build and CPU,
-// sorted; "auto" is always included.
-func Backends() []string {
-	names := []string{BackendAuto, BackendScalar, BackendUnrolled}
-	if avx2Impl != nil {
-		names = append(names, BackendAVX2)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SetBackend selects the compute backend by name ("auto" resolves to the
-// fastest available). Unknown or unavailable names leave the selection
-// unchanged and return an error naming the valid choices.
-func SetBackend(name string) error {
-	impl := backendByName(name)
-	if impl == nil {
-		return fmt.Errorf("kernel: unknown or unavailable backend %q (available: %s)",
-			name, strings.Join(Backends(), ", "))
-	}
-	activeBackend.Store(impl)
-	return nil
-}
-
-// Backend returns the name of the active compute backend ("auto" is never
-// returned; it resolves at selection time).
+// Backend reports which dot kernels the scoring scans run on: "avx2" (the
+// assembly kernels) or "unrolled" (the pure-Go kernels). Read-only; GET
+// /api/status, cbir_kernel_backend_info and the benchmark reports surface it.
 func Backend() string {
-	return activeBackend.Load().name
+	return activeKernels.name
 }
 
 // dotRowsFunc computes du[r] = mat[r]·u for each row of the rows×cols
@@ -147,13 +52,13 @@ type dotPairRowsFunc func(mat []float64, rows, cols int, u, v, du, dv []float64)
 // exp-lane batches are long enough to amortize their loop overhead.
 const rbfBlockRows = 64
 
-// blockAccumulateRBF is the tile driver shared by the optimized backends.
-// It performs exactly the arithmetic of accumulateRBFScalar in exactly the
-// accumulation order — per row: four-accumulator dots combined as
-// ((s0+s1)+s2)+s3, norm expansion with clamp, per-lane Cephes exp, and
-// coefficient pairs folded as (dst + cA*eA) + cB*eB — only restructured so
-// each row tile is scored against all support vectors while hot and the
-// exponentials run over whole lanes.
+// blockAccumulateRBF is the tile driver behind RBF.AccumulateSet. Per row it
+// performs exactly the arithmetic of the reference loop in exactly its
+// accumulation order — four-accumulator dots combined as ((s0+s1)+s2)+s3,
+// norm expansion with clamp, per-lane Cephes exp, and coefficient pairs
+// folded as (dst + cA*eA) + cB*eB — structured so each row tile is scored
+// against all support vectors while hot and the exponentials run over whole
+// lanes.
 func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
 	n := svs.Len()
 	rows := xs.Len()
@@ -210,9 +115,9 @@ func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64,
 	}
 }
 
-// dotPairRowsGo is the pure-Go dot-pair kernel: per row, the four-way
-// unrolled accumulators of the scalar path, combined in the same
-// ((s0+s1)+s2)+s3 order, with the tail folded into accumulator 0.
+// dotPairRowsGo is the pure-Go dot-pair kernel: per row, four-way unrolled
+// accumulators combined as ((s0+s1)+s2)+s3, with the tail folded into
+// accumulator 0.
 func dotPairRowsGo(mat []float64, rows, cols int, u, v, du, dv []float64) {
 	for r := 0; r < rows; r++ {
 		x := mat[r*cols : r*cols+cols]
@@ -288,78 +193,5 @@ func dotRowsGo(mat []float64, rows, cols int, u, du []float64) {
 			a0 += x[i] * u[i]
 		}
 		du[r] = ((a0 + a1) + a2) + a3
-	}
-}
-
-// accumulateRBFScalar is the original scalar AccumulateSet loop, kept
-// verbatim as the "scalar" backend: it is the oracle the parity tests pin
-// every other backend against, bit for bit.
-func accumulateRBFScalar(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
-	n := svs.Len()
-	rows := xs.Len()
-	cols := xs.mat.Cols
-	svData := svs.mat.Data
-	t := 0
-	for ; t+2 <= n; t += 2 {
-		svA := svData[t*cols : (t+1)*cols]
-		svB := svData[(t+1)*cols : (t+2)*cols]
-		nA, nB := svs.norms[t], svs.norms[t+1]
-		cA, cB := coefs[t], coefs[t+1]
-		for j := 0; j < rows; j++ {
-			x := xs.mat.Data[j*cols : (j+1)*cols]
-			svA := svA[:len(x)]
-			svB := svB[:len(x)]
-			var a0, a1, a2, a3, b0, b1, b2, b3 float64
-			i := 0
-			for ; i+4 <= len(x); i += 4 {
-				a0 += x[i] * svA[i]
-				a1 += x[i+1] * svA[i+1]
-				a2 += x[i+2] * svA[i+2]
-				a3 += x[i+3] * svA[i+3]
-				b0 += x[i] * svB[i]
-				b1 += x[i+1] * svB[i+1]
-				b2 += x[i+2] * svB[i+2]
-				b3 += x[i+3] * svB[i+3]
-			}
-			for ; i < len(x); i++ {
-				a0 += x[i] * svA[i]
-				b0 += x[i] * svB[i]
-			}
-			dA := xs.norms[j] + nA - 2*(((a0+a1)+a2)+a3)
-			if dA < 0 {
-				dA = 0
-			}
-			dB := xs.norms[j] + nB - 2*(((b0+b1)+b2)+b3)
-			if dB < 0 {
-				dB = 0
-			}
-			eA, eB := exp2(-gamma*dA, -gamma*dB)
-			s := dst[j] + cA*eA
-			dst[j] = s + cB*eB
-		}
-	}
-	if t < n {
-		sv := svData[t*cols : (t+1)*cols]
-		nA, cA := svs.norms[t], coefs[t]
-		for j := 0; j < rows; j++ {
-			x := xs.mat.Data[j*cols : (j+1)*cols]
-			sv := sv[:len(x)]
-			var a0, a1, a2, a3 float64
-			i := 0
-			for ; i+4 <= len(x); i += 4 {
-				a0 += x[i] * sv[i]
-				a1 += x[i+1] * sv[i+1]
-				a2 += x[i+2] * sv[i+2]
-				a3 += x[i+3] * sv[i+3]
-			}
-			for ; i < len(x); i++ {
-				a0 += x[i] * sv[i]
-			}
-			d := xs.norms[j] + nA - 2*(((a0+a1)+a2)+a3)
-			if d < 0 {
-				d = 0
-			}
-			dst[j] += cA * expOne(-gamma*d)
-		}
 	}
 }

@@ -2,9 +2,9 @@
 
 package kernel
 
-// AVX2 backend plumbing: runtime CPU-feature detection (no dependency on
-// anything outside the standard library) and thin wrappers that hand slice
-// storage to the assembly dot kernels in backend_avx2_amd64.s.
+// AVX2 plumbing: runtime CPU-feature detection (no dependency on anything
+// outside the standard library) and thin wrappers that hand slice storage to
+// the assembly dot kernels in backend_avx2_amd64.s.
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -40,21 +40,13 @@ func hasAVX2() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-// avx2Impl is the AVX2 backend, nil when the CPU (or OS) does not support
-// it. Package variable initialization runs before any init function, so the
-// KERNEL_BACKEND resolution in backend.go always sees the final value.
-var avx2Impl = newAVX2Backend()
-
-func newAVX2Backend() *backendImpl {
+// asmKernels returns the assembly dot kernels, ok only when the CPU (and OS)
+// support them.
+func asmKernels() (k dotKernels, ok bool) {
 	if !hasAVX2() {
-		return nil
+		return dotKernels{}, false
 	}
-	return &backendImpl{
-		name: BackendAVX2,
-		accumulateRBF: func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
-			blockAccumulateRBF(dotPairRowsAsm, dotRowsAsm, gamma, coefs, svs, xs, dst)
-		},
-	}
+	return dotKernels{name: "avx2", pair: dotPairRowsAsm, one: dotRowsAsm}, true
 }
 
 func dotPairRowsAsm(mat []float64, rows, cols int, u, v, du, dv []float64) {

@@ -2,7 +2,8 @@
 
 package kernel
 
-// avx2Impl is nil when the assembly backend is compiled out: non-amd64
-// targets and purego builds fall back to the portable "unrolled" backend
-// (the "avx2" name is then rejected by SetBackend as unavailable).
-var avx2Impl *backendImpl
+// asmKernels reports no assembly kernels: they are compiled out on non-amd64
+// targets and under the purego build tag.
+func asmKernels() (k dotKernels, ok bool) {
+	return dotKernels{}, false
+}

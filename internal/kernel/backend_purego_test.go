@@ -4,24 +4,10 @@ package kernel
 
 import "testing"
 
-// TestPuregoFallback checks the assembly-free build: the avx2 backend is
-// compiled out, its name is rejected as unavailable, and "auto" falls back
-// to the portable optimized backend.
+// TestPuregoFallback checks the assembly-free build: the assembly kernels
+// are compiled out, so the scans run on the pure-Go pair.
 func TestPuregoFallback(t *testing.T) {
-	for _, name := range Backends() {
-		if name == BackendAVX2 {
-			t.Fatal("purego build lists the avx2 backend as available")
-		}
-	}
-	if err := SetBackend(BackendAVX2); err == nil {
-		t.Fatal("purego build accepted the avx2 backend")
-	}
-	prev := Backend()
-	defer SetBackend(prev)
-	if err := SetBackend(BackendAuto); err != nil {
-		t.Fatal(err)
-	}
-	if got := Backend(); got != BackendUnrolled {
-		t.Fatalf("auto resolved to %q under purego, want %q", got, BackendUnrolled)
+	if got := Backend(); got != "unrolled" {
+		t.Fatalf("Backend() = %q under purego, want %q", got, "unrolled")
 	}
 }

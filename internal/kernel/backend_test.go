@@ -1,9 +1,9 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -22,113 +22,161 @@ func backendVectors(rng *rand.Rand, n, dim int) []linalg.Vector {
 	return vs
 }
 
-// runBackend evaluates AccumulateSet under the named backend, restoring the
-// previous selection afterwards.
-func runBackend(t *testing.T, name string, k RBF, coefs []float64, svs, xs *DenseSet) []float64 {
-	t.Helper()
-	prev := Backend()
-	if err := SetBackend(name); err != nil {
-		t.Fatalf("SetBackend(%q): %v", name, err)
+// accumulateFunc is the signature shared by the scalar oracle and the tile
+// driver bound to one dot-kernel pair.
+type accumulateFunc func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64)
+
+// tiled binds the tile driver to one dot-kernel pair.
+func tiled(k dotKernels) accumulateFunc {
+	return func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
+		blockAccumulateRBF(k.pair, k.one, gamma, coefs, svs, xs, dst)
 	}
-	defer func() {
-		if err := SetBackend(prev); err != nil {
-			t.Fatalf("restore backend %q: %v", prev, err)
-		}
-	}()
-	dst := make([]float64, xs.Len())
+}
+
+// kernelsUnderTest lists every dot-kernel pair this build and CPU can run:
+// always the pure-Go pair, and the assembly pair when it is available.
+func kernelsUnderTest() []dotKernels {
+	impls := []dotKernels{goKernels}
+	if k, ok := asmKernels(); ok {
+		impls = append(impls, k)
+	}
+	return impls
+}
+
+// biasFill pre-fills a destination with a non-trivial bias, offset by lo so
+// shard-wise fills agree with a whole-set fill.
+func biasFill(dst []float64, lo int) {
 	for i := range dst {
-		dst[i] = 0.125 * float64(i) // non-trivial bias pre-fill
+		dst[i] = 0.125 * float64(lo+i)
 	}
-	k.AccumulateSet(coefs, svs, xs, dst)
+}
+
+func accumulate(fn accumulateFunc, gamma float64, coefs []float64, svs, xs *DenseSet) []float64 {
+	dst := make([]float64, xs.Len())
+	biasFill(dst, 0)
+	fn(gamma, coefs, svs, xs, dst)
 	return dst
 }
 
-// TestBackendParity pins every available backend bit-for-bit against the
-// scalar oracle across support-vector counts (odd and even, exercising the
-// paired and trailing paths), row counts straddling the tile size, and
-// dimensions exercising the vector tail.
+// sameBits reports bit-identity, treating any two NaNs as equal (the sign
+// and payload of a propagated NaN depend on operand order, which the
+// contract does not pin).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func checkParity(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("%s: dst[%d] = %.17g, scalar oracle %.17g (not bit-identical)", label, j, got[j], want[j])
+		}
+	}
+}
+
+func randomCoefs(rng *rand.Rand, n int) []float64 {
+	coefs := make([]float64, n)
+	for i := range coefs {
+		coefs[i] = rng.NormFloat64()
+	}
+	return coefs
+}
+
+// TestBackendParity pins the tile driver over every available dot-kernel
+// pair bit-for-bit against the scalar oracle across support-vector counts
+// (odd and even, exercising the paired and trailing paths), row counts
+// straddling the tile size up to the benchmark's 2,048-row scan range plus
+// one, and dimensions exercising the vector tail.
 func TestBackendParity(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(42))
 	for _, dim := range []int{1, 3, 4, 7, 36} {
 		for _, nsv := range []int{1, 2, 5, 31} {
-			for _, rows := range []int{1, 3, 63, 64, 67, 192} {
+			for _, rows := range []int{1, 3, 63, 64, 65, 67, 192, 2049} {
 				svs := NewDenseSet(backendVectors(rng, nsv, dim))
 				xs := NewDenseSet(backendVectors(rng, rows, dim))
-				coefs := make([]float64, nsv)
-				for i := range coefs {
-					coefs[i] = rng.NormFloat64()
-				}
-				k := RBF{Gamma: 0.5 + rng.Float64()}
-				want := runBackend(t, BackendScalar, k, coefs, svs, xs)
-				for _, name := range Backends() {
-					if name == BackendAuto || name == BackendScalar {
-						continue
-					}
-					got := runBackend(t, name, k, coefs, svs, xs)
-					for j := range got {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("backend %q dim=%d nsv=%d rows=%d: dst[%d] = %.17g, scalar %.17g (not bit-identical)",
-								name, dim, nsv, rows, j, got[j], want[j])
-						}
-					}
+				coefs := randomCoefs(rng, nsv)
+				gamma := 0.5 + rng.Float64()
+				want := accumulate(accumulateRBFScalar, gamma, coefs, svs, xs)
+				for _, k := range kernelsUnderTest() {
+					got := accumulate(tiled(k), gamma, coefs, svs, xs)
+					checkParity(t, fmt.Sprintf("%s dim=%d nsv=%d rows=%d", k.name, dim, nsv, rows), got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestSetBackendUnknown checks that an unknown name is rejected with an
-// error naming the valid choices and leaves the selection untouched.
-func TestSetBackendUnknown(t *testing.T) {
-	prev := Backend()
-	err := SetBackend("simd9000")
-	if err == nil {
-		t.Fatal("SetBackend with unknown name succeeded")
-	}
-	if !strings.Contains(err.Error(), "simd9000") || !strings.Contains(err.Error(), BackendScalar) {
-		t.Fatalf("error should name the rejected backend and the available ones, got: %v", err)
-	}
-	if Backend() != prev {
-		t.Fatalf("failed SetBackend changed the active backend to %q", Backend())
-	}
-	for _, name := range Backends() {
-		if err := SetBackend(name); err != nil {
-			t.Fatalf("SetBackend(%q) listed as available but rejected: %v", name, err)
+// TestBackendParitySpecialValues holds the contract on rows no finite
+// arithmetic reaches: NaN and infinite components and squares that overflow
+// must come out of every dot-kernel pair exactly as out of the oracle.
+func TestBackendParitySpecialValues(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	const dim = 36
+	rows := backendVectors(rng, 70, dim)
+	rows[0][0] = math.NaN()
+	rows[5][35] = math.NaN() // scalar tail of the vector loop's last quad
+	rows[17][3] = math.Inf(1)
+	rows[18][4] = math.Inf(-1)
+	rows[40][9] = 1e200 // squared norm overflows to +Inf
+	rows[69][1] = -1e200
+	xs := NewDenseSet(rows)
+	for _, nsv := range []int{1, 2, 5} {
+		svs := NewDenseSet(backendVectors(rng, nsv, dim))
+		coefs := randomCoefs(rng, nsv)
+		want := accumulate(accumulateRBFScalar, 0.7, coefs, svs, xs)
+		if !math.IsNaN(want[0]) || math.IsNaN(want[1]) {
+			t.Fatalf("nsv=%d: oracle gives dst[0]=%v dst[1]=%v, want NaN only on the poisoned row", nsv, want[0], want[1])
+		}
+		for _, k := range kernelsUnderTest() {
+			checkParity(t, fmt.Sprintf("%s nsv=%d", k.name, nsv), accumulate(tiled(k), 0.7, coefs, svs, xs), want)
 		}
 	}
-	if err := SetBackend(prev); err != nil {
-		t.Fatal(err)
+}
+
+// TestAccumulateSetMatchesOracle pins the production entry point, on
+// whichever dot kernels this build and CPU picked, bit-for-bit against the
+// scalar oracle, and checks Backend names that pick.
+func TestAccumulateSetMatchesOracle(t *testing.T) {
+	t.Parallel()
+	wantName := goKernels.name
+	if k, ok := asmKernels(); ok {
+		wantName = k.name
+	}
+	if Backend() != wantName {
+		t.Fatalf("Backend() = %q, want %q", Backend(), wantName)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const dim = 36
+	for _, nsv := range []int{1, 2, 9} {
+		for _, rows := range []int{1, 64, 2049} {
+			svs := NewDenseSet(backendVectors(rng, nsv, dim))
+			xs := NewDenseSet(backendVectors(rng, rows, dim))
+			coefs := randomCoefs(rng, nsv)
+			k := RBF{Gamma: 0.5 + rng.Float64()}
+			got := make([]float64, rows)
+			biasFill(got, 0)
+			k.AccumulateSet(coefs, svs, xs, got)
+			want := accumulate(accumulateRBFScalar, k.Gamma, coefs, svs, xs)
+			checkParity(t, fmt.Sprintf("AccumulateSet on %s nsv=%d rows=%d", Backend(), nsv, rows), got, want)
+		}
 	}
 }
 
-// TestBackendAutoResolves checks that "auto" resolves to a concrete backend
-// name, never to "auto" itself.
-func TestBackendAutoResolves(t *testing.T) {
-	prev := Backend()
-	defer SetBackend(prev)
-	if err := SetBackend(BackendAuto); err != nil {
-		t.Fatal(err)
-	}
-	if got := Backend(); got == BackendAuto || backendByName(got) == nil {
-		t.Fatalf("auto resolved to %q", got)
-	}
-}
-
-// TestBackendParitySharded scores a sharded collection concurrently under
-// every backend — shard counts {1,2,7} × workers {1,4} — and pins the
-// concatenated scores bit-for-bit against a serial scalar pass over the
-// whole set. Run under -race this also proves the dispatch path and the
-// assembly kernels are data-race free across concurrent workers.
+// TestBackendParitySharded scores a sharded collection concurrently over
+// every dot-kernel pair — shard counts {1,2,7} × workers {1,4} — and pins
+// the concatenated scores bit-for-bit against a serial oracle pass over the
+// whole set. Run under -race this also proves the assembly kernels are
+// data-race free across concurrent workers.
 func TestBackendParitySharded(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	const dim = 36
 	const nsv = 9
+	const gamma = 0.8
 	svs := NewDenseSet(backendVectors(rng, nsv, dim))
-	coefs := make([]float64, nsv)
-	for i := range coefs {
-		coefs[i] = rng.NormFloat64()
-	}
-	k := RBF{Gamma: 0.8}
+	coefs := randomCoefs(rng, nsv)
 	for _, numShards := range []int{1, 2, 7} {
 		const shardSize = 29
 		n := numShards * shardSize
@@ -137,16 +185,10 @@ func TestBackendParitySharded(t *testing.T) {
 		if sharded.NumShards() != numShards {
 			t.Fatalf("built %d shards, want %d", sharded.NumShards(), numShards)
 		}
-		want := runBackend(t, BackendScalar, k, coefs, svs, NewDenseSet(vs))
-		for _, name := range Backends() {
-			if name == BackendAuto {
-				continue
-			}
+		want := accumulate(accumulateRBFScalar, gamma, coefs, svs, NewDenseSet(vs))
+		for _, k := range kernelsUnderTest() {
+			score := tiled(k)
 			for _, workers := range []int{1, 4} {
-				prev := Backend()
-				if err := SetBackend(name); err != nil {
-					t.Fatal(err)
-				}
 				got := make([]float64, n)
 				var wg sync.WaitGroup
 				work := make(chan int)
@@ -158,10 +200,8 @@ func TestBackendParitySharded(t *testing.T) {
 							lo := sharded.ShardStart(s)
 							sh := sharded.Shard(s)
 							dst := got[lo : lo+sh.Len()]
-							for i := range dst {
-								dst[i] = 0.125 * float64(lo+i)
-							}
-							k.AccumulateSet(coefs, svs, sh, dst)
+							biasFill(dst, lo)
+							score(gamma, coefs, svs, sh, dst)
 						}
 					}()
 				}
@@ -170,15 +210,7 @@ func TestBackendParitySharded(t *testing.T) {
 				}
 				close(work)
 				wg.Wait()
-				if err := SetBackend(prev); err != nil {
-					t.Fatal(err)
-				}
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("backend %q shards=%d workers=%d: dst[%d] = %.17g, scalar %.17g",
-							name, numShards, workers, j, got[j], want[j])
-					}
-				}
+				checkParity(t, fmt.Sprintf("%s shards=%d workers=%d", k.name, numShards, workers), got, want)
 			}
 		}
 	}

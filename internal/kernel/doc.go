@@ -10,37 +10,25 @@
 //
 // # Compute backends
 //
-// The batched scoring primitives (RBF.AccumulateSet and the distance scans
-// underneath) dispatch through a pluggable backend selected at runtime:
+// RBF.AccumulateSet, the fused distance+exp pass every SVM scoring scan
+// runs on, has one implementation: a tile driver (64-row blocks so row data
+// stays L1-resident across support-vector passes, exponentials batched
+// through expLanes instead of per-element math.Exp calls) over a pair of
+// row-dot routines. The pair is fixed once at package initialisation from
+// what the code can observe: Go assembly when the build is amd64 without the
+// purego tag and runtime CPU detection (AVX2 + OS XSAVE support) passes,
+// four-accumulator eight-wide unrolled pure Go otherwise. Backend() names
+// the pair that runs ("avx2" or "unrolled") and is surfaced in GET
+// /api/status as "kernel_backend"; it cannot be set.
 //
-//   - "scalar" — the straight-line reference implementation. Every other
-//     backend is tested against it for bit-identical (math.Float64bits)
-//     output; it exists to be read and to be the oracle, not to be fast.
-//   - "unrolled" — the DEFAULT. Portable pure-Go: four-accumulator
-//     eight-wide unrolled dot products, 64-row block tiling so row data
-//     stays L1-resident across support-vector passes, and batched
-//     exponentials (expLanes) instead of per-element math.Exp calls.
-//     Default so that recorded benchmark numbers are comparable across
-//     machines and builds.
-//   - "avx2" — Go assembly behind `//go:build amd64 && !purego`, selected
-//     only when runtime CPU detection (AVX2 + OS XSAVE support) passes.
-//     Opt-in, never auto-selected by default.
-//   - "auto" — resolves to the fastest available backend at selection time
-//     ("avx2" when present, else "unrolled"); never reported back.
-//
-// Selection: SetBackend at runtime, the KERNEL_BACKEND environment variable
-// at startup (a typo panics rather than silently running a different
-// backend), or `cbirserver -kernel-backend`. Backend() names the active
-// choice and is surfaced in GET /api/status as "kernel_backend".
-//
-// Every backend is held to the same contract: bit-identical float64 results
-// to the scalar oracle on every input, including NaN/Inf propagation — not
-// a ULP tolerance. The four-accumulator summation pattern (lane l sums
-// elements with index ≡ l mod 4, tail into lane 0, combined as
-// ((s0+s1)+s2)+s3) is part of the contract, so wider unrolls and the
-// assembly backend must preserve each accumulator's addend sequence.
-// Training solvers keep calling math.Exp directly so solver trajectories
-// stay bit-exact regardless of backend.
+// Both pairs are held to the same contract: bit-identical float64 results
+// to the straight-line reference loop kept with the parity tests, on every
+// input, including NaN/Inf propagation — not a ULP tolerance. The
+// four-accumulator summation pattern (lane l sums elements with index ≡ l
+// mod 4, tail into lane 0, combined as ((s0+s1)+s2)+s3) is part of the
+// contract, so wider unrolls and the assembly must preserve each
+// accumulator's addend sequence. Training solvers keep calling math.Exp
+// directly so solver trajectories stay bit-exact on every build and CPU.
 //
 // # Quantized scan lane
 //

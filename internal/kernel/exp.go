@@ -2,14 +2,14 @@ package kernel
 
 import "math"
 
-// Fast paired exponential for the batched RBF scoring path.
+// Fast exponential for the batched RBF scoring path.
 //
 // math.Exp is a single-value assembly routine with ~20ns latency that the
-// scoring loops call once per (support vector, image) pair, making it the
-// dominant cost of an RBF ranking pass. exp2 evaluates two exponentials with
-// the classic Cephes rational approximation (the same algorithm vectorized
-// math libraries use), interleaved so the two divisions and polynomial
-// chains overlap in the pipeline. Maximum error is ~2 ulp (~4e-16 relative),
+// scoring loops would call once per (support vector, image) pair, making it
+// the dominant cost of an RBF ranking pass. expLanes evaluates four
+// exponentials at a time with the classic Cephes rational approximation (the
+// same algorithm vectorized math libraries use), interleaved so the divisions
+// and polynomial chains overlap in the pipeline. Maximum error is ~2 ulp (~4e-16 relative),
 // the same order as the norm-expansion drift of the batch path; training
 // paths keep math.Exp so solver results stay bit-exact. Arguments outside
 // [-700, 700] (and NaN) delegate to math.Exp for correct underflow,
@@ -35,7 +35,8 @@ var (
 	}
 )
 
-// expOne is the scalar Cephes exponential used by the paired variant.
+// expOne is the scalar Cephes exponential: the arithmetic of one expLanes
+// lane, and its fallback for tails and out-of-range quads.
 func expOne(x float64) float64 {
 	if x != x || x > 700 || x < -700 {
 		return math.Exp(x)
@@ -67,7 +68,7 @@ func expScale(r float64, n int) float64 {
 // expLanes replaces every element of v with e^v[i], processing four lanes at
 // a time so the four divisions and polynomial chains overlap in the
 // pipeline. Each lane performs exactly the arithmetic of expOne, so the
-// results are bit-identical to element-wise expOne (and exp2) calls; any
+// results are bit-identical to element-wise expOne calls; any
 // quad containing an argument outside [-700, 700] (or NaN) falls back to
 // per-element expOne, which delegates those elements to math.Exp.
 func expLanes(v []float64) {
@@ -114,39 +115,4 @@ func expLanes(v []float64) {
 	for ; i < len(v); i++ {
 		v[i] = expOne(v[i])
 	}
-}
-
-// exp2 returns (e^a, e^b) with the two evaluations interleaved for
-// instruction-level parallelism.
-func exp2(a, b float64) (float64, float64) {
-	if a != a || a > 700 || a < -700 || b != b || b > 700 || b < -700 {
-		return math.Exp(a), math.Exp(b)
-	}
-	ka := math.Floor(expLog2E*a + 0.5)
-	kb := math.Floor(expLog2E*b + 0.5)
-	na := int(ka)
-	nb := int(kb)
-	a -= ka * expC1
-	b -= kb * expC1
-	a -= ka * expC2
-	b -= kb * expC2
-	aa := a * a
-	bb := b * b
-	pa := a * ((expP[0]*aa+expP[1])*aa + expP[2])
-	pb := b * ((expP[0]*bb+expP[1])*bb + expP[2])
-	qa := ((expQ[0]*aa+expQ[1])*aa+expQ[2])*aa + expQ[3]
-	qb := ((expQ[0]*bb+expQ[1])*bb+expQ[2])*bb + expQ[3]
-	ra := 1 + 2*(pa/(qa-pa))
-	rb := 1 + 2*(pb/(qb-pb))
-	if na < -1021 || na > 1023 {
-		ra = math.Ldexp(ra, na)
-	} else {
-		ra *= math.Float64frombits(uint64(na+1023) << 52)
-	}
-	if nb < -1021 || nb > 1023 {
-		rb = math.Ldexp(rb, nb)
-	} else {
-		rb *= math.Float64frombits(uint64(nb+1023) << 52)
-	}
-	return ra, rb
 }

@@ -15,8 +15,8 @@ import (
 // the solver's own incrementally maintained state. The SMO objective must
 // also decrease monotonically along the iterate path. The suite runs over
 // table-driven randomized problems and as a fuzz target (FuzzTrainKKT) so
-// the optimizer can keep being rewritten — shrinking, fused selection,
-// warm starts — without silently breaking the mathematics.
+// the optimizer can keep being rewritten — fused selection, warm starts —
+// without silently breaking the mathematics.
 
 // kktProblem deterministically builds a randomized soft-margin problem from
 // a seed: two noisy, possibly overlapping clusters with occasional label
@@ -143,18 +143,15 @@ func checkKKT(t *testing.T, p Problem, cfg Config, m *Model) {
 
 func TestTrainKKTProperties(t *testing.T) {
 	for seed := uint64(1); seed <= 14; seed++ {
-		for _, shrink := range []bool{false, true} {
-			p, cfg := kktProblem(seed)
-			cfg.Shrinking = shrink
-			m, err := Train(p, cfg)
-			if err != nil {
-				t.Fatalf("seed %d shrink %v: %v", seed, shrink, err)
-			}
-			if !m.Converged {
-				t.Errorf("seed %d shrink %v: did not converge in %d iterations", seed, shrink, m.Iterations)
-			}
-			checkKKT(t, p, cfg, m)
+		p, cfg := kktProblem(seed)
+		m, err := Train(p, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if !m.Converged {
+			t.Errorf("seed %d: did not converge in %d iterations", seed, m.Iterations)
+		}
+		checkKKT(t, p, cfg, m)
 	}
 }
 
@@ -181,36 +178,32 @@ func dualObjective(p Problem, k kernel.Kernel, alphas []float64) float64 {
 // TestTrainObjectiveMonotone re-runs the deterministic solver with growing
 // iteration budgets: the dual objective after k iterations must never
 // increase in k — each SMO pair update solves its two-variable subproblem
-// exactly, so the full iterate path is a descent path. Verified with and
-// without shrinking.
+// exactly, so the full iterate path is a descent path.
 func TestTrainObjectiveMonotone(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
-		for _, shrink := range []bool{false, true} {
-			p, cfg := kktProblem(seed)
-			cfg.Shrinking = shrink
-			full, err := Train(p, cfg)
+		p, cfg := kktProblem(seed)
+		full, err := Train(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := 1
+		if full.Iterations > 120 {
+			stride = full.Iterations/120 + 1
+		}
+		last := 0.0 // objective of the zero start
+		for k := 1; k <= full.Iterations; k += stride {
+			cfgK := cfg
+			cfgK.MaxIterations = k
+			m, err := Train(p, cfgK)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stride := 1
-			if full.Iterations > 120 {
-				stride = full.Iterations/120 + 1
+			obj := dualObjective(p, cfg.Kernel, m.Alphas)
+			if eps := 1e-9 * (1 + math.Abs(last)); obj > last+eps {
+				t.Fatalf("seed %d: objective rose from %v to %v at iteration %d",
+					seed, last, obj, k)
 			}
-			last := 0.0 // objective of the zero start
-			for k := 1; k <= full.Iterations; k += stride {
-				cfgK := cfg
-				cfgK.MaxIterations = k
-				m, err := Train(p, cfgK)
-				if err != nil {
-					t.Fatal(err)
-				}
-				obj := dualObjective(p, cfg.Kernel, m.Alphas)
-				if eps := 1e-9 * (1 + math.Abs(last)); obj > last+eps {
-					t.Fatalf("seed %d shrink %v: objective rose from %v to %v at iteration %d",
-						seed, shrink, last, obj, k)
-				}
-				last = obj
-			}
+			last = obj
 		}
 	}
 }
@@ -273,17 +266,17 @@ func TestWarmStartKKT(t *testing.T) {
 }
 
 // FuzzTrainKKT fuzzes the solver invariants over the randomized problem
-// space: any (seed, shrinking, cost-scale) combination must produce a model
+// space: any (seed, cost-scale) combination must produce a model
 // inside the dual feasible region, and a converged one must satisfy the KKT
 // criterion — the same checks the table-driven suite applies, under
 // arbitrary adversarial parameters.
 func FuzzTrainKKT(f *testing.F) {
-	f.Add(uint64(1), false, 1.0)
-	f.Add(uint64(7), true, 0.1)
-	f.Add(uint64(42), true, 25.0)
-	f.Add(uint64(99), false, 1000.0)
-	f.Add(uint64(123456789), true, 3.5)
-	f.Fuzz(func(t *testing.T, seed uint64, shrink bool, cScale float64) {
+	f.Add(uint64(1), 1.0)
+	f.Add(uint64(7), 0.1)
+	f.Add(uint64(42), 25.0)
+	f.Add(uint64(99), 1000.0)
+	f.Add(uint64(123456789), 3.5)
+	f.Fuzz(func(t *testing.T, seed uint64, cScale float64) {
 		if math.IsNaN(cScale) || cScale < 1e-6 || cScale > 1e6 {
 			t.Skip()
 		}
@@ -291,7 +284,6 @@ func FuzzTrainKKT(f *testing.F) {
 		for i := range p.C {
 			p.C[i] *= cScale
 		}
-		cfg.Shrinking = shrink
 		m, err := Train(p, cfg)
 		if err != nil {
 			t.Fatal(err)

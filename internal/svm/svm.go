@@ -131,20 +131,6 @@ type Config struct {
 	// problems that cannot have gone invalid. An actually-invalid
 	// trusted problem is undefined behavior (garbage in, garbage out).
 	TrustedProblem bool
-	// Shrinking enables the LIBSVM-style shrinking heuristic: every
-	// ShrinkInterval iterations, bound-pinned variables (alpha at 0 or C_i)
-	// whose violation lies strictly beyond the current extremes are
-	// deactivated, and pair selection plus the gradient update run over the
-	// active set only. Before convergence is declared the full gradient is
-	// reconstructed and every variable re-verified against the KKT
-	// stopping criterion, so the solution satisfies the same tolerance as
-	// the unshrunk solver; the iterate path may differ, landing on a
-	// different solution within that tolerance. Off by default so default
-	// results stay bit-identical to the unshrunk solver.
-	Shrinking bool
-	// ShrinkInterval is the number of SMO iterations between shrink passes.
-	// Zero selects min(n, 1000), the LIBSVM rule.
-	ShrinkInterval int
 	// Ctx optionally carries the caller's cancellation context. The solver
 	// polls it at entry and every ctxCheckInterval SMO iterations; once it is
 	// cancelled Train abandons the run and returns the context's error. An
@@ -154,10 +140,9 @@ type Config struct {
 }
 
 // ctxCheckInterval is how many SMO iterations pass between cancellation
-// polls. One iteration touches O(active-set) gradient entries, so a few
-// hundred iterations bound the post-cancellation work to well under a
-// millisecond on feedback-sized problems while keeping the poll overhead
-// unmeasurable.
+// polls. One iteration touches O(n) gradient entries, so a few hundred
+// iterations bound the post-cancellation work to well under a millisecond on
+// feedback-sized problems while keeping the poll overhead unmeasurable.
 const ctxCheckInterval = 256
 
 func (c Config) withDefaults(n int) Config {
@@ -166,12 +151,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 100*n + 10000
-	}
-	if c.ShrinkInterval <= 0 {
-		c.ShrinkInterval = n
-		if c.ShrinkInterval > 1000 {
-			c.ShrinkInterval = 1000
-		}
 	}
 	return c
 }
@@ -189,13 +168,8 @@ type Model struct {
 	Alphas []float64
 	// Iterations is the number of SMO pair updates performed.
 	Iterations int
-	// Shrinks is the number of shrink passes the solver performed (always
-	// zero unless Config.Shrinking is enabled).
-	Shrinks int
 	// Converged reports whether the KKT stopping criterion was met before
-	// the iteration budget ran out. With shrinking it is only declared
-	// after reactivating every shrunk variable and re-verifying the
-	// criterion over the full set.
+	// the iteration budget ran out.
 	Converged bool
 
 	// svOnce lazily builds svSet, the support vectors in flat row-major
@@ -272,7 +246,6 @@ func Train(p Problem, cfg Config) (*Model, error) {
 		Bias:       s.bias(),
 		Alphas:     append([]float64(nil), s.alpha...),
 		Iterations: s.iterations,
-		Shrinks:    s.shrinks,
 		Converged:  s.converged,
 	}
 	if !cfg.OmitSupportVectors {
@@ -428,15 +401,13 @@ func (m *Model) Slack(x kernel.Point, y float64) float64 {
 func (m *Model) NumSupportVectors() int { return len(m.SupportPoints) }
 
 // solverScratch is the reusable per-training working memory of the solver:
-// the dual iterate, the gradient, and the active-set index buffers. Repeated
+// the dual iterate, the gradient, and the working-set penalties. Repeated
 // retrainings — the coupled SVM's annealing loop retrains each modality
 // dozens of times per feedback round — recycle these arrays through a
 // sync.Pool instead of reallocating them.
 type solverScratch struct {
 	alpha  []float64
 	grad   []float64
-	active []int
-	idx    []int // inactive-index buffer for gradient reconstruction
 	upPen  []float64
 	lowPen []float64
 
@@ -453,15 +424,11 @@ func (sc *solverScratch) grab(n int) {
 	if cap(sc.alpha) < n {
 		sc.alpha = make([]float64, n)
 		sc.grad = make([]float64, n)
-		sc.active = make([]int, n)
-		sc.idx = make([]int, 0, n)
 		sc.upPen = make([]float64, n)
 		sc.lowPen = make([]float64, n)
 	}
 	sc.alpha = sc.alpha[:n]
 	sc.grad = sc.grad[:n]
-	sc.active = sc.active[:n]
-	sc.idx = sc.idx[:0]
 	sc.upPen = sc.upPen[:n]
 	sc.lowPen = sc.lowPen[:n]
 }
@@ -475,13 +442,6 @@ type solver struct {
 
 	alpha []float64
 	grad  []float64 // G_i = (Q alpha)_i - 1
-
-	// active holds the indices the working-set selection and gradient
-	// update consider, in ascending order; shrunk is true when that is a
-	// strict subset of the problem (gradients of inactive variables are
-	// stale until reconstructGradient).
-	active []int
-	shrunk bool
 
 	// upPen/lowPen cache the working-set membership of each variable as
 	// additive penalties: upPen[t] is 0 when t is in the up set
@@ -498,7 +458,6 @@ type solver struct {
 	lowPen []float64
 
 	iterations int
-	shrinks    int
 	converged  bool
 	cancelled  bool
 }
@@ -519,12 +478,8 @@ func newSolver(p Problem, cfg Config) *solver {
 		scratch: sc,
 		alpha:   sc.alpha,
 		grad:    sc.grad,
-		active:  sc.active,
 		upPen:   sc.upPen,
 		lowPen:  sc.lowPen,
-	}
-	for i := range s.active {
-		s.active[i] = i
 	}
 	warm := cfg.WarmAlpha
 	if !s.feasible(warm) {
@@ -594,11 +549,10 @@ func (s *solver) feasible(warm []float64) bool {
 
 // initState is the single entry point for both the cold and the warm start:
 // it installs the starting iterate (zero, or the feasible warm point) and
-// derives the gradient from it through the same reconstruction used when
-// reactivating shrunk variables, so the two start paths cannot diverge. A
-// caller-supplied WarmGrad (the trusted final gradient of the run that
-// produced the warm point) replaces the reconstruction for an accepted
-// warm start.
+// derives the gradient from it through one reconstruction, so the two start
+// paths cannot diverge. A caller-supplied WarmGrad (the trusted final
+// gradient of the run that produced the warm point) replaces the
+// reconstruction for an accepted warm start.
 func (s *solver) initState(warm, warmGrad []float64) {
 	if warm == nil {
 		for i := range s.alpha {
@@ -611,15 +565,14 @@ func (s *solver) initState(warm, warmGrad []float64) {
 			return
 		}
 	}
-	s.reconstructGradient(s.active)
+	s.reconstructGradient()
 }
 
 // reconstructGradient recomputes G_t = (Q alpha)_t - 1 exactly for every
-// index in targets from the cached kernel rows of the non-zero alphas. It
-// serves the cold start (all alphas zero: G = -e), the warm start, and the
-// reactivation of shrunk variables whose gradients went stale.
-func (s *solver) reconstructGradient(targets []int) {
-	for _, t := range targets {
+// index from the cached kernel rows of the non-zero alphas. It serves the
+// cold start (all alphas zero: G = -e) and the warm start.
+func (s *solver) reconstructGradient() {
+	for t := range s.grad {
 		s.grad[t] = -1 // alpha = 0 => G = -e
 	}
 	for i, a := range s.alpha {
@@ -628,53 +581,35 @@ func (s *solver) reconstructGradient(targets []int) {
 		}
 		row := s.cache.Row(i)
 		ayi := a * s.p.Labels[i]
-		for _, t := range targets {
+		for t := range s.grad {
 			s.grad[t] += ayi * s.p.Labels[t] * row[t]
 		}
 	}
 }
 
-// selectPair returns the maximal violating pair over the active set and the
-// current violation. The up-set/low-set membership tests come from the
-// cached upPen/lowPen penalties, so the scan reads each slot exactly once
-// and carries no label or membership branch. The steady-state iterations get their pair from
-// the fused scan inside step instead; this standalone scan serves the first
-// iteration and every point where the gradient was rebuilt wholesale (warm
-// start, reactivation of shrunk variables). Both scans visit the same
-// indices in the same order over the same gradient values, so they select
-// bit-identical pairs.
+// selectPair returns the maximal violating pair and the current violation.
+// The up-set/low-set membership tests come from the cached upPen/lowPen
+// penalties, so the scan reads each slot exactly once and carries no label
+// or membership branch. The steady-state iterations get their pair from the
+// fused scan inside step instead; this standalone scan serves the first
+// iteration, after the gradient was built wholesale (cold or warm start).
+// Both scans visit the same indices in the same order over the same gradient
+// values, so they select bit-identical pairs.
 func (s *solver) selectPair() (i, j int, violation float64) {
 	maxUp := math.Inf(-1)
 	minLow := math.Inf(1)
 	i, j = -1, -1
 	labels, grad := s.p.Labels, s.grad
 	upPen, lowPen := s.upPen, s.lowPen
-	// The scan body is written out for both iteration shapes (a closure
-	// here does not inline and its call overhead dominates the few flops
-	// per element).
-	if s.shrunk {
-		for _, t := range s.active {
-			v := -labels[t] * grad[t]
-			if vu := v + upPen[t]; vu > maxUp {
-				maxUp = vu
-				i = t
-			}
-			if vl := v + lowPen[t]; vl < minLow {
-				minLow = vl
-				j = t
-			}
+	for t, g := range grad {
+		v := -labels[t] * g
+		if vu := v + upPen[t]; vu > maxUp {
+			maxUp = vu
+			i = t
 		}
-	} else {
-		for t, g := range grad {
-			v := -labels[t] * g
-			if vu := v + upPen[t]; vu > maxUp {
-				maxUp = vu
-				i = t
-			}
-			if vl := v + lowPen[t]; vl < minLow {
-				minLow = vl
-				j = t
-			}
+		if vl := v + lowPen[t]; vl < minLow {
+			minLow = vl
+			j = t
 		}
 	}
 	if i < 0 || j < 0 {
@@ -683,77 +618,7 @@ func (s *solver) selectPair() (i, j int, violation float64) {
 	return i, j, maxUp - minLow
 }
 
-// shrink deactivates every bound-pinned variable whose violation lies
-// strictly beyond the current extremes: a variable only in the up set with
-// v below the low set's minimum (or only in the low set with v above the up
-// set's maximum) cannot belong to any violating pair right now, so the
-// working-set scans and gradient updates stop paying for it. Free variables
-// (0 < alpha < C) are never shrunk. Deactivated variables keep their alpha;
-// their gradient goes stale and is reconstructed before convergence is
-// declared (see solve).
-func (s *solver) shrink() {
-	maxUp := math.Inf(-1)
-	minLow := math.Inf(1)
-	labels, grad, alpha, costs := s.p.Labels, s.grad, s.alpha, s.p.C
-	upPen, lowPen := s.upPen, s.lowPen
-	for _, t := range s.active {
-		v := -labels[t] * grad[t]
-		if vu := v + upPen[t]; vu > maxUp {
-			maxUp = vu
-		}
-		if vl := v + lowPen[t]; vl < minLow {
-			minLow = vl
-		}
-	}
-	kept := s.active[:0]
-	for _, t := range s.active {
-		a := alpha[t]
-		y := labels[t]
-		if a > 0 && a < costs[t] {
-			kept = append(kept, t) // free: always active
-			continue
-		}
-		v := -y * grad[t]
-		upOnly := (y > 0 && a == 0) || (y < 0 && a == costs[t])
-		if upOnly {
-			if v < minLow {
-				continue // cannot pair-violate as the up element
-			}
-		} else if v > maxUp {
-			continue // cannot pair-violate as the low element
-		}
-		kept = append(kept, t)
-	}
-	if len(kept) < len(s.active) {
-		s.shrunk = true
-		s.shrinks++
-	}
-	s.active = kept
-}
-
-// unshrink reactivates every variable: gradients of the inactive ones are
-// reconstructed exactly, and the active set is reset to the full problem.
-func (s *solver) unshrink() {
-	inactive := s.scratch.idx[:0]
-	next := 0
-	for t := range s.p.Points {
-		if next < len(s.active) && s.active[next] == t {
-			next++
-			continue
-		}
-		inactive = append(inactive, t)
-	}
-	s.scratch.idx = inactive
-	s.reconstructGradient(inactive)
-	s.active = s.scratch.active[:len(s.p.Points)]
-	for i := range s.active {
-		s.active[i] = i
-	}
-	s.shrunk = false
-}
-
 func (s *solver) solve() {
-	counter := s.cfg.ShrinkInterval
 	ctxCounter := ctxCheckInterval
 	i, j, violation := s.selectPair()
 	for s.iterations = 0; s.iterations < s.cfg.MaxIterations; s.iterations++ {
@@ -766,31 +631,9 @@ func (s *solver) solve() {
 				}
 			}
 		}
-		if s.cfg.Shrinking {
-			if counter--; counter == 0 {
-				counter = s.cfg.ShrinkInterval
-				// Shrinking between selection and update is safe: shrink
-				// only deactivates variables that cannot be either element
-				// of the maximal violating pair, so the carried selection
-				// is exactly what a post-shrink rescan would return.
-				s.shrink()
-			}
-		}
 		if i < 0 || violation <= s.cfg.Tolerance {
-			if !s.shrunk {
-				s.converged = true
-				return
-			}
-			// Converged on the active set only: reactivate everything,
-			// re-verify the KKT criterion over the full problem, and keep
-			// optimizing if any reactivated variable still violates it.
-			s.unshrink()
-			i, j, violation = s.selectPair()
-			if i < 0 || violation <= s.cfg.Tolerance {
-				s.converged = true
-				return
-			}
-			counter = s.cfg.ShrinkInterval
+			s.converged = true
+			return
 		}
 		var ok bool
 		i, j, violation, ok = s.step(i, j)
@@ -798,20 +641,15 @@ func (s *solver) solve() {
 			return
 		}
 	}
-	if s.shrunk {
-		// Iteration budget exhausted while shrunk: reconstruct the full
-		// gradient so the bias (and any KKT inspection) sees exact values.
-		s.unshrink()
-	}
 }
 
 // step performs one SMO pair update on (i, j) and the corresponding
-// gradient update over the active set. The next maximal violating pair is
-// selected inside the same gradient-update loop — each index is scanned
-// with its freshly written gradient value, in the same order a standalone
-// selectPair would visit it, so the fused selection is bit-identical while
-// saving one full pass per iteration. It returns ok == false when the pair
-// is numerically stuck and the solver should stop.
+// gradient update. The next maximal violating pair is selected inside the
+// same gradient-update loop — each index is scanned with its freshly written
+// gradient value, in the same order a standalone selectPair would visit it,
+// so the fused selection is bit-identical while saving one full pass per
+// iteration. It returns ok == false when the pair is numerically stuck and
+// the solver should stop.
 func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	const tau = 1e-12
 	yi, yj := s.p.Labels[i], s.p.Labels[j]
@@ -919,21 +757,7 @@ func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	dAi := s.alpha[i] - oldAi
 	dAj := s.alpha[j] - oldAj
 	if dAi == 0 && dAj == 0 {
-		// Numerically stuck pair. If the active set was shrunk, the pair
-		// was only maximal over it: reactivate everything (reconstructing
-		// the stale gradients) and rescan the full problem — a reactivated
-		// variable may form a workable pair, in which case optimization
-		// continues. Only when the full-set scan converges, or hands back
-		// the same stuck pair, does the solver stop, so Converged keeps
-		// its full-set meaning.
-		if s.shrunk {
-			s.unshrink()
-			ni, nj, violation = s.selectPair()
-			if ni >= 0 && violation > s.cfg.Tolerance && !(ni == i && nj == j) {
-				return ni, nj, violation, true
-			}
-		}
-		// Treat as converged to avoid spinning on the stuck pair.
+		// Numerically stuck pair: treat as converged to avoid spinning on it.
 		s.converged = true
 		return 0, 0, 0, false
 	}
@@ -947,48 +771,29 @@ func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	maxUp := math.Inf(-1)
 	minLow := math.Inf(1)
 	ni, nj = -1, -1
-	// The fused update+selection body is written out for both iteration
-	// shapes: a closure here is not inlined by the compiler, and its call
-	// overhead per element outweighs the arithmetic. The membership tests
-	// add the upPen/lowPen penalties (refreshed above for i and j,
-	// unchanged for everything else), selecting exactly the pair the
-	// predicate form would while keeping the per-element branches on the
-	// rarely-taken new-extreme comparisons only.
-	if s.shrunk {
-		for _, t := range s.active {
-			g := grad[t] + labels[t]*(ydAi*rowI[t]+ydAj*rowJ[t])
-			grad[t] = g
-			v := -labels[t] * g
-			if vu := v + upPen[t]; vu > maxUp {
-				maxUp = vu
-				ni = t
-			}
-			if vl := v + lowPen[t]; vl < minLow {
-				minLow = vl
-				nj = t
-			}
+	// The membership tests add the upPen/lowPen penalties (refreshed above
+	// for i and j, unchanged for everything else), selecting exactly the
+	// pair the predicate form would while keeping the per-element branches
+	// on the rarely-taken new-extreme comparisons only. Reslicing everything
+	// to the gradient length lets the compiler drop the per-element bounds
+	// checks (the kernel rows come from the cache, so their length is opaque
+	// here).
+	rowI = rowI[:len(grad)]
+	rowJ = rowJ[:len(grad)]
+	labels = labels[:len(grad)]
+	upPen = upPen[:len(grad)]
+	lowPen = lowPen[:len(grad)]
+	for t := range grad {
+		g := grad[t] + labels[t]*(ydAi*rowI[t]+ydAj*rowJ[t])
+		grad[t] = g
+		v := -labels[t] * g
+		if vu := v + upPen[t]; vu > maxUp {
+			maxUp = vu
+			ni = t
 		}
-	} else {
-		// Reslicing everything to the gradient length lets the compiler
-		// drop the per-element bounds checks (the kernel rows come from
-		// the cache, so their length is opaque here).
-		rowI := rowI[:len(grad)]
-		rowJ := rowJ[:len(grad)]
-		labels := labels[:len(grad)]
-		upPen := upPen[:len(grad)]
-		lowPen := lowPen[:len(grad)]
-		for t := range grad {
-			g := grad[t] + labels[t]*(ydAi*rowI[t]+ydAj*rowJ[t])
-			grad[t] = g
-			v := -labels[t] * g
-			if vu := v + upPen[t]; vu > maxUp {
-				maxUp = vu
-				ni = t
-			}
-			if vl := v + lowPen[t]; vl < minLow {
-				minLow = vl
-				nj = t
-			}
+		if vl := v + lowPen[t]; vl < minLow {
+			minLow = vl
+			nj = t
 		}
 	}
 	if ni < 0 || nj < 0 {
