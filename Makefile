@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test lint fmt vet cbirlint cbirlint-selftest staticcheck govulncheck
+.PHONY: all build test lint fmt vet cbirlint cbirlint-selftest staticcheck govulncheck loc
 
 all: build test
 
@@ -49,3 +49,12 @@ staticcheck:
 govulncheck:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 	"$$($(GO) env GOPATH)/bin/govulncheck" ./...
+
+# Non-test Go lines per package, and the total outside bench/: the figure the
+# ROADMAP's size targets and the simplicity PRs' before/after tables quote.
+# Every line counts, comments and blanks included, so stripping comments or
+# moving code into _test.go files shows up as exactly that in the diff.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sed 's|^\./||' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total outside bench/\n", t }'

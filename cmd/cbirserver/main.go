@@ -39,12 +39,9 @@
 // background as the collection grows. Relevance-feedback refinement always
 // scans exhaustively. Index state appears under "ann" in GET /api/status.
 //
-// With -quantized, initial queries not covered by the ANN index run an
-// approximate scan over an int8 quantized copy of the collection and
-// exactly re-score the top k*oversample survivors, so returned scores are
-// bit-identical to the exhaustive scan's. Which dot kernels the scoring
-// scans run on (AVX2 assembly or pure Go, picked by the build and the CPU)
-// appears as "kernel_backend" in GET /api/status.
+// Which dot kernels the scoring scans run on (AVX2 assembly or pure Go,
+// picked by the build and the CPU) appears as "kernel_backend" in
+// GET /api/status.
 //
 // Example:
 //
@@ -99,8 +96,6 @@ func main() {
 		annClusters  = flag.Int("ann-clusters", 0, "k-means cells of the candidate index (0 = sqrt of the collection size)")
 		annNProbe    = flag.Int("ann-nprobe", 0, "nearest cells scanned per pruned query; higher = better recall, slower (0 = clusters/4)")
 		annMinColl   = flag.Int("ann-min-collection", retrieval.DefaultANNMinCollection, "collection size below which no index is built and queries scan exhaustively")
-		quantEnable  = flag.Bool("quantized", false, "serve initial queries the ANN index does not cover from an int8 approximate scan with exact re-scoring")
-		quantOver    = flag.Int("quantized-oversample", 0, "survivor multiplier of the quantized scan: top k*oversample approximate candidates are re-scored exactly (0 = library default)")
 	)
 	flag.Parse()
 
@@ -145,10 +140,6 @@ func main() {
 			Clusters:      *annClusters,
 			NProbe:        *annNProbe,
 			MinCollection: *annMinColl,
-		},
-		Quantized: retrieval.QuantizedOptions{
-			Enable:     *quantEnable,
-			Oversample: *quantOver,
 		},
 	}
 	if journal != nil {

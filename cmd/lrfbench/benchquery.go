@@ -45,8 +45,8 @@ type benchReport struct {
 	// Summary condenses the acceptance numbers: the allocation and latency
 	// ratio of the pure ranking path (full-argsort / streaming), and the
 	// same ratio for the isolated (pretrained) LRF-2SVMs ranking stage —
-	// the end-to-end lrf-2svms lanes are ~95% training, so only the
-	// isolated stage measures the selection strategy.
+	// the end-to-end lrf-2svms lanes are mostly training at this profile's
+	// 192 images, so only the isolated stage measures the selection strategy.
 	Summary struct {
 		RankingPathAllocRatio float64 `json:"ranking_path_alloc_ratio"`
 		RankingPathSpeedup    float64 `json:"ranking_path_speedup"`
@@ -55,28 +55,10 @@ type benchReport struct {
 	// KernelBackend is what kernel.Backend() reported on the measuring host:
 	// the dot kernels every lane ran on.
 	KernelBackend string `json:"kernel_backend"`
-	// Quantized summarizes the int8 approximate-scan lane measured on the
-	// boosted collection; the run fails when recall@20 drops below
-	// RecallFloor.
-	Quantized *quantSummary `json:"quantized,omitempty"`
 	// ANN summarizes the candidate-pruning lanes measured on the boosted
 	// (>= annBenchMinImages) collection; the run fails when the headline
 	// recall drops below RecallFloor.
 	ANN *annSummary `json:"ann,omitempty"`
-}
-
-// quantRecallFloor is the CI gate on the quantized lane's recall@20 at the
-// default oversample, recorded alongside the measured numbers in
-// EXPERIMENTS.md.
-const quantRecallFloor = 0.99
-
-// quantSummary is the "quantized" section of BENCH_query.json.
-type quantSummary struct {
-	Images      int     `json:"images"`
-	Oversample  int     `json:"oversample"`
-	RecallAt20  float64 `json:"recall_at_20"`
-	RecallFloor float64 `json:"recall_floor"`
-	Speedup     float64 `json:"speedup_vs_exhaustive"`
 }
 
 // lrf2svmsRankingFloor is the regression gate of the isolated LRF-2SVMs
@@ -138,10 +120,9 @@ func annBoostCollection(visual []linalg.Vector, min int, seed uint64) []linalg.V
 	return out
 }
 
-// boostedBench is the shared fixture of the approximate-scan lanes (ANN
-// pruning and the quantized int8 lane): one boosted collection, the probe
-// set, the exhaustive oracle's top-20 per probe, and the measured exhaustive
-// baseline they are both compared against.
+// boostedBench is the fixture of the ANN pruning lanes: one boosted
+// collection, the probe set, the exhaustive oracle's top-20 per probe, and
+// the measured exhaustive baseline the lanes are compared against.
 type boostedBench struct {
 	visual  []linalg.Vector
 	batch   *core.CollectionBatch
@@ -194,61 +175,6 @@ func prepareBoostedBench(exp *eval.Experiment, report *benchReport) (*boostedBen
 		}
 	})
 	return bb, nil
-}
-
-// runQuantBench measures the int8 quantized scan lane (approximate scan +
-// exact re-score of the survivors) against the exhaustive baseline, with
-// recall@20 at the default oversample; the run fails below quantRecallFloor.
-func runQuantBench(bb *boostedBench, report *benchReport) error {
-	n := len(bb.visual)
-	fmt.Printf("\nquantized scan lane (%d images, oversample=%d, K=%d, Workers=1):\n",
-		n, core.DefaultQuantizedOversample, benchQueryK)
-
-	entry := measure(report, "quantized/euclidean/stream", func(b *testing.B) {
-		ctx := bb.queryCtx(bb.probes[0])
-		buf := make([]core.Ranked, 0, benchQueryK)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx.Query = bb.probes[i%len(bb.probes)]
-			got, err := core.Euclidean{}.RankTopQuantized(ctx, benchQueryK, 0, buf[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf = got
-		}
-	})
-
-	var recall float64
-	for i, q := range bb.probes {
-		ranked, err := core.Euclidean{}.RankTopQuantized(bb.queryCtx(q), benchQueryK, 0, nil)
-		if err != nil {
-			return fmt.Errorf("quantized bench: %w", err)
-		}
-		approx := make([]int, len(ranked))
-		for j, r := range ranked {
-			approx[j] = r.Index
-		}
-		recall += eval.RecallAtK(bb.oracles[i], approx, benchQueryK)
-	}
-	recall /= float64(len(bb.probes))
-
-	summary := &quantSummary{
-		Images:      n,
-		Oversample:  core.DefaultQuantizedOversample,
-		RecallAt20:  recall,
-		RecallFloor: quantRecallFloor,
-	}
-	if entry.NsPerOp > 0 {
-		summary.Speedup = bb.exhaust.NsPerOp / entry.NsPerOp
-	}
-	report.Quantized = summary
-	fmt.Printf("    recall@%d %.3f  %.2fx vs exhaustive\n", benchQueryK, recall, summary.Speedup)
-	if recall < quantRecallFloor {
-		return fmt.Errorf("quantized bench: recall@%d %.3f is below the %.2f floor recorded in EXPERIMENTS.md",
-			benchQueryK, recall, quantRecallFloor)
-	}
-	return nil
 }
 
 // runANNBench measures the IVF candidate-pruning lanes: the exhaustive
@@ -584,9 +510,6 @@ func runQueryBench(exp *eval.Experiment, profile, outPath string) error {
 
 	bb, err := prepareBoostedBench(exp, report)
 	if err != nil {
-		return err
-	}
-	if err := runQuantBench(bb, report); err != nil {
 		return err
 	}
 	if err := runANNBench(bb, report); err != nil {

@@ -19,20 +19,23 @@
 //
 // Collection scoring runs over fixed-size shards (kernel.ShardedSet): each
 // shard is a self-contained slab of flat row-major storage with precomputed
-// row norms, scored independently by workers pulling shard ranges from a
-// queue. The final ranking streams through bounded per-shard top-K heaps
+// row norms. Every pass is one computation run by one driver
+// (core's scanRanges): a candidate source (every shard, or the member lists
+// of probed IVF cells plus the unindexed tail), the scheme's range scorer,
+// and a sink — the top K, the unlabeled points of step 1 of Fig. 1, or every
+// score. Workers claim in-shard ranges from one queue, and the context is
+// checked between them. The top-K sink streams through bounded heaps
 // (core.TopKRanker / core.TopK, O(n log K)) merged under the strict
 // descending-score, ascending-index order, so results are bit-identical to
 // a full stable sort for every shard size and worker count. Per-query score
 // lanes and selectors come from a pooled scratch arena on the collection
 // batch: a steady-state query with a recycled result buffer
 // (RankTopAppend) allocates one object per ranking pass. LRF-CSVM's
-// unlabeled selection (step 1 of Fig. 1) streams through the same driver
-// into bounded selectors of capacity N', so a refine keeps no score per
-// image and sorts nothing. The K limit is
+// unlabeled selection keeps bounded selectors of capacity N', so a refine
+// keeps no score per image and sorts nothing. The K limit is
 // threaded end to end — Engine.InitialQuery/InitialQueryBatch,
 // Session.Refine, and the HTTP query/refine endpoints (with a configurable
-// default and hard ceiling) all return bounded lists. The full-scores path
+// default and hard ceiling) all return bounded lists. The full-scores sink
 // (Scheme.Rank) remains for the evaluation harness, which needs every
 // score.
 //

@@ -16,23 +16,23 @@ type Euclidean struct{}
 // Name implements Scheme.
 func (Euclidean) Name() string { return "Euclidean" }
 
-// Rank implements Scheme.
-// Euclidean ranking ignores user feedback, so unlike the learning schemes it
-// does not require any labeled examples in the context.
-func (Euclidean) Rank(ctx *QueryContext) ([]float64, error) {
+// scorer implements rangeScored. Euclidean ranking ignores user feedback, so
+// unlike the learning schemes it does not require any labeled examples in
+// the context. Distances are computed per range, without touching the
+// full-row cache, so streaming queries stay allocation-free.
+func (Euclidean) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	if err := validateEuclidean(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	dist, err := queryDistances(ctx, ctx.collectionBatch())
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, ctx.NumImages())
-	for i := range scores {
-		scores[i] = -dist[i]
-	}
-	return scores, nil
+	b := ctx.collectionBatch()
+	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
+	return b, func(sub *kernel.DenseSet, _ int, dst []float64) {
+		scoreDistanceRange(q, sub, dst)
+	}, nil
 }
+
+// Rank implements Scheme.
+func (s Euclidean) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
 // RankTop implements TopKRanker: per-shard distances are computed into a
 // pooled scratch lane and pushed through bounded selection, so no
@@ -43,15 +43,8 @@ func (s Euclidean) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 }
 
 // RankTopAppend implements TopKRanker.
-func (Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	if err := validateEuclidean(ctx); err != nil {
-		return nil, err
-	}
-	b := ctx.collectionBatch()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
-		scoreDistanceRange(q, sub, dst)
-	})
+func (s Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
+	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
 func validateEuclidean(ctx *QueryContext) error {
@@ -78,9 +71,9 @@ func labeledSplit(ctx *QueryContext) (indices []int, labels []float64) {
 
 // SVMOptions carries the kernel and solver settings shared by the SVM-based
 // schemes. Zero values select the defaults used throughout the reproduction:
-// Gaussian RBF kernels whose bandwidths are estimated from the collection
-// with the mean-distance heuristic (the same rule for both modalities, so
-// their decision values live on comparable scales) and C = 10.
+// over visual descriptors a Gaussian RBF kernel at visualGammaScale times the
+// collection's mean-distance bandwidth estimate, over log vectors the linear
+// co-judgment kernel (defaultLogKernel), and C = 1.
 type SVMOptions struct {
 	// C is the soft-margin cost applied to labeled examples.
 	C float64
@@ -103,22 +96,13 @@ const gammaSample = 64
 // ablation benchmark).
 const visualGammaScale = 4
 
-// defaultVisualKernel estimates an RBF kernel for the collection's visual
-// descriptors. The estimate is memoized per collection in the
-// CollectionBatch, since it depends only on the collection.
-func defaultVisualKernel(b *CollectionBatch) kernel.Kernel {
-	return b.defaultVisualKernel()
-}
-
-// defaultLogKernel returns the kernel used over user-log relevance vectors:
-// the linear co-judgment kernel <r_i, r_j>, which counts agreeing minus
+// defaultLogKernel is the kernel used over user-log relevance vectors: the
+// linear co-judgment kernel <r_i, r_j>, which counts agreeing minus
 // disagreeing session judgments. The paper uses an RBF kernel for all
 // schemes, but over near-binary sparse log columns the RBF compresses every
 // similarity toward one and erases most of the log signal; the linear
 // kernel preserves it (the log-kernel ablation benchmark compares the two).
-func defaultLogKernel(ctx *QueryContext) kernel.Kernel {
-	return kernel.Linear{}
-}
+var defaultLogKernel kernel.Kernel = kernel.Linear{}
 
 // LogRBFKernel estimates an RBF kernel over the collection's log vectors
 // with the mean-distance heuristic (restricted to log-covered images). It is
@@ -140,10 +124,10 @@ func (o SVMOptions) withDefaults(ctx *QueryContext, b *CollectionBatch) SVMOptio
 		o.C = 1
 	}
 	if o.VisualKernel == nil {
-		o.VisualKernel = defaultVisualKernel(b)
+		o.VisualKernel = b.defaultVisualKernel()
 	}
 	if o.LogKernel == nil {
-		o.LogKernel = defaultLogKernel(ctx)
+		o.LogKernel = defaultLogKernel
 	}
 	if o.Solver.Ctx == nil {
 		// Cancelling the query cancels its training rounds too.
@@ -192,25 +176,22 @@ func (s RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, err
 	return model, nil
 }
 
-// Rank implements Scheme.
-func (s RFSVM) Rank(ctx *QueryContext) ([]float64, error) {
+// scorer implements rangeScored: the round's model plus the query prior.
+func (s RFSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	if err := ctx.Validate(false); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	batch := ctx.collectionBatch()
 	model, err := s.train(ctx, batch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	scores, err := rankVisual(ctx, batch, model)
-	if err != nil {
-		return nil, err
-	}
-	if err := addQueryPriorBatch(scores, ctx, batch); err != nil {
-		return nil, err
-	}
-	return scores, nil
+	fn, err := visualScorer(ctx, batch, model)
+	return batch, fn, err
 }
+
+// Rank implements Scheme.
+func (s RFSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
 // RankTop implements TopKRanker: the same trained model as Rank, scored
 // through streaming per-shard selection. Results are bit-identical to
@@ -221,15 +202,7 @@ func (s RFSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 
 // RankTopAppend implements TopKRanker.
 func (s RFSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	if err := ctx.Validate(false); err != nil {
-		return nil, err
-	}
-	batch := ctx.collectionBatch()
-	model, err := s.train(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	return rankTopVisual(ctx, batch, model, k, dst)
+	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
 // LRF2SVMs is the "straightforward" log-based relevance feedback approach the
@@ -258,25 +231,22 @@ func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visualModel,
 	return visualModel, logModel, nil
 }
 
-// Rank implements Scheme.
-func (s LRF2SVMs) Rank(ctx *QueryContext) ([]float64, error) {
+// scorer implements rangeScored: the round's model pair plus the query prior.
+func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	if err := ctx.Validate(true); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	batch := ctx.collectionBatch()
 	visualModel, logModel, err := s.train(ctx, batch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	scores, err := rankCoupled(ctx, batch, visualModel, logModel)
-	if err != nil {
-		return nil, err
-	}
-	if err := addQueryPriorBatch(scores, ctx, batch); err != nil {
-		return nil, err
-	}
-	return scores, nil
+	fn, err := retrievalScorer(ctx, batch, visualModel, logModel)
+	return batch, fn, err
 }
+
+// Rank implements Scheme.
+func (s LRF2SVMs) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
 // RankTop implements TopKRanker: the same trained models as Rank, scored
 // through streaming per-shard selection. Results are bit-identical to
@@ -287,22 +257,15 @@ func (s LRF2SVMs) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 
 // RankTopAppend implements TopKRanker.
 func (s LRF2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	if err := ctx.Validate(true); err != nil {
-		return nil, err
-	}
-	batch := ctx.collectionBatch()
-	visualModel, logModel, err := s.train(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	return rankTopCoupled(ctx, batch, visualModel, logModel, k, dst)
+	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
 // Pretrained2SVMs is one round's trained LRF-2SVMs model pair, split out so
 // the pure ranking stage can be measured and regression-tested in isolation:
-// the end-to-end lanes are dominated by training (~95% of a query round), so
-// fullsort-vs-stream differences there are benchmark noise, while on the
-// isolated ranking stage the streaming path's advantage is measurable.
+// an end-to-end round also trains, which hides fullsort-vs-stream differences
+// on small collections (ROADMAP has the trainer's share of a refine per
+// collection size), while on the isolated ranking stage the streaming path's
+// advantage is measurable.
 type Pretrained2SVMs struct {
 	visualModel, logModel *svm.Model
 }
@@ -320,28 +283,21 @@ func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
 	return &Pretrained2SVMs{visualModel: visualModel, logModel: logModel}, nil
 }
 
-// Rank scores the whole collection with the pretrained pair — exactly the
-// post-training arithmetic of LRF2SVMs.Rank.
-func (p *Pretrained2SVMs) Rank(ctx *QueryContext) ([]float64, error) {
+// scorer implements rangeScored with exactly the post-training arithmetic of
+// LRF2SVMs.
+func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	if err := ctx.Validate(true); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	batch := ctx.collectionBatch()
-	scores, err := rankCoupled(ctx, batch, p.visualModel, p.logModel)
-	if err != nil {
-		return nil, err
-	}
-	if err := addQueryPriorBatch(scores, ctx, batch); err != nil {
-		return nil, err
-	}
-	return scores, nil
+	fn, err := retrievalScorer(ctx, batch, p.visualModel, p.logModel)
+	return batch, fn, err
 }
 
-// RankTopAppend streams the top k with the pretrained pair — exactly the
-// post-training arithmetic of LRF2SVMs.RankTopAppend.
+// Rank scores the whole collection with the pretrained pair.
+func (p *Pretrained2SVMs) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(p, ctx) }
+
+// RankTopAppend streams the top k with the pretrained pair.
 func (p *Pretrained2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	if err := ctx.Validate(true); err != nil {
-		return nil, err
-	}
-	return rankTopCoupled(ctx, ctx.collectionBatch(), p.visualModel, p.logModel, k, dst)
+	return rankTop(p, ctx, CandidateSet{}, k, dst)
 }

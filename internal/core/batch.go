@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -24,12 +23,13 @@ import (
 // rankings are bit-for-bit independent of the worker count and of the shard
 // size.
 //
-// Two consumption modes exist: the full-scores mode materializes one score
-// per image (the evaluation harness needs every score), and the streaming
-// mode (streamRanges) pushes each shard's scores through bounded selectors
-// backed by a pooled per-query scratch arena — a retrieval pass's top-K or
-// the unlabeled points of LRF-CSVM's step 1 — so the steady-state query path
-// allocates nothing proportional to the collection size.
+// Every pass is one computation, candidate source → range scorer → sink,
+// run by one driver (scanRanges): the source is every shard or a pruned
+// candidate set (candidates.go), the scorer is the scheme's, and the sink
+// keeps the top K, the unlabeled points of LRF-CSVM's step 1 — both bounded
+// selectors backed by a pooled per-query scratch arena, so the steady-state
+// query path allocates nothing proportional to the collection size — or
+// every score (the evaluation harness needs them all).
 
 // DefaultShardSize re-exports the collection shard capacity selected when a
 // batch is built without an explicit shard size.
@@ -219,131 +219,107 @@ func (ctx *QueryContext) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachRange partitions the sharded collection into contiguous ranges —
-// each confined to a single shard, so every unit of work reads one
-// cache-local slab — and runs fn over them on up to workers goroutines
-// pulling ranges from a shared queue. fn receives the range as a DenseSet
-// view plus the global index of its first row; it must only write state
-// owned by its own range. With one worker the shards are visited in order
-// on the calling goroutine with no scheduling overhead or allocation.
-//
-// stdctx is checked between ranges: once it is cancelled, no worker starts
-// another range (each finishes at most the range it is inside), so a
-// disconnected client or an expired deadline frees the scoring workers
-// within one shard range. Callers detect the early exit by checking the
-// context after forEachRange returns; partial results must then be
-// discarded, never cached. A nil context is never cancelled.
-func forEachRange(stdctx context.Context, set *kernel.ShardedSet, workers int, fn func(sub *kernel.DenseSet, lo int)) {
-	n := set.Len()
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for si := 0; si < set.NumShards(); si++ {
-			if ctxErr(stdctx) != nil {
-				return
-			}
-			fn(set.Shard(si), set.ShardStart(si))
-		}
-		return
-	}
-	// Chunk so every worker has work even when the whole collection fits in
-	// one shard, without ever splitting a range across shard boundaries.
-	chunk := (n + workers - 1) / workers
-	if ss := set.ShardSize(); chunk > ss {
-		chunk = ss
-	}
-	tasksPerShard := (set.ShardSize() + chunk - 1) / chunk
-	numTasks := tasksPerShard * set.NumShards()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctxErr(stdctx) != nil {
-					return
-				}
-				t := int(next.Add(1)) - 1
-				if t >= numTasks {
-					return
-				}
-				shard := set.Shard(t / tasksPerShard)
-				lo := (t % tasksPerShard) * chunk
-				if lo >= shard.Len() {
-					continue // the tail shard is shorter than a full one
-				}
-				hi := lo + chunk
-				if hi > shard.Len() {
-					hi = shard.Len()
-				}
-				fn(shard.Slice(lo, hi), set.ShardStart(t/tasksPerShard)+lo)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// rangeScorer scores one shard range — a DenseSet view plus the global index
-// of its first row — into dst with the arithmetic of the scalar path.
+// rangeScorer scores one in-shard range — a DenseSet view plus the global
+// index of its first row — into dst with the arithmetic of the scalar path.
+// It is the one thing a scheme contributes to a pass (see rangeScored).
 type rangeScorer func(sub *kernel.DenseSet, lo int, dst []float64)
 
-// rangeSink is what a streaming pass keeps of its scores: a bounded selector
-// of the scratch arenas. like prepares sc's selector as proto's, consume
-// offers one scored range, merge folds a range's selection into the result.
+// rangeSink is what a pass keeps of its scores. dst names where the scores
+// of rows [lo, lo+n) are written — a lane of the arena, or their final place
+// — and consume is offered them once scored. A pass on several workers gives
+// each its own arena: like prepares it as the result arena proto is, merge
+// folds what it kept into the result.
 type rangeSink interface {
 	like(sc, proto *rankScratch)
+	dst(sc *rankScratch, lo, n int) []float64
 	consume(sc *rankScratch, lo int, scores []float64)
 	merge(into, from *rankScratch)
 }
 
-// streamRanges is the streaming selection driver: fn scores each shard range
-// into a pooled scratch lane, the range's scores feed the sink's bounded
-// selector, and the per-range selections merge into result, whose selector
-// the caller prepares and drains. The sinks' total orders are strict, so the
-// merged selection is unique — bit-identical to materializing every score
-// and fully sorting, for any shard size and worker count. A cancelled pass
-// returns the context's error and leaves result partial, to be discarded.
-func streamRanges(ctx *QueryContext, b *CollectionBatch, fn rangeScorer, sink rangeSink, result *rankScratch) error {
-	set := b.VisualSet()
-	stdctx := ctx.Ctx
-	workers := ctx.workers()
-	if workers <= 1 || set.Len() <= 1 {
-		for si := 0; si < set.NumShards(); si++ {
-			if err := ctxErr(stdctx); err != nil {
-				return err
-			}
-			shard := set.Shard(si)
-			lo := set.ShardStart(si)
-			scores := result.lane(0, shard.Len())
-			fn(shard, lo, scores)
-			sink.consume(result, lo, scores)
-		}
-		return nil
+// scanRanges is the scoring driver, the only code that walks the collection.
+// The work units of cands (the zero CandidateSet is every shard; see
+// scanPass) are claimed from one queue by up to ctx.workers() goroutines —
+// by the caller alone, through the result arena and without allocating, when
+// that is one. Each range of a unit is scored by fn through the arena's
+// storage view and kept by sink, and the workers' arenas merge into result,
+// whose selectors the caller prepares and drains. Every row is scored once,
+// with the arithmetic of the scalar path on the same memory, and the sinks'
+// orders are strict, so what a pass keeps is bit-identical for any shard
+// size, worker count and grouping of the candidates.
+//
+// ctx.Ctx is checked before each unit: once it is cancelled no worker starts
+// another, so a disconnected client or an expired deadline frees the scoring
+// workers within one unit, and the pass returns the context's error. What it
+// kept is then partial: to be discarded, never cached. A nil context is
+// never cancelled.
+func scanRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, fn rangeScorer, sink rangeSink, result *rankScratch) error {
+	p := newScanPass(ctx, b.VisualSet(), cands, fn, sink)
+	if p.workers <= 1 {
+		return p.drain(new(atomic.Int64), result)
 	}
-	var mu sync.Mutex
-	forEachRange(stdctx, set, workers, func(sub *kernel.DenseSet, lo int) {
-		sc := b.scratchGet()
-		scores := sc.lane(0, sub.Len())
-		fn(sub, lo, scores)
-		sink.like(sc, result)
-		sink.consume(sc, lo, scores)
-		mu.Lock()
-		sink.merge(result, sc)
-		mu.Unlock()
-		b.scratchPut(sc)
-	})
-	return ctxErr(stdctx)
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed error
+	)
+	for w := 0; w < p.workers; w++ {
+		wg.Add(1)
+		// Each worker walks its own copy of the pass, so the serial path
+		// above keeps p on the stack.
+		go func(p scanPass) {
+			defer wg.Done()
+			sc := b.scratchGet()
+			defer b.scratchPut(sc)
+			sink.like(sc, result)
+			err := p.drain(&next, sc)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				failed = err
+				return
+			}
+			sink.merge(result, sc)
+		}(p)
+	}
+	wg.Wait()
+	return failed
 }
 
-// topKSink streams into the arenas' bounded top-K selectors.
+// drain claims units from the pass's queue and scores them through sc until
+// none is left or the context is cancelled.
+func (p *scanPass) drain(next *atomic.Int64, sc *rankScratch) error {
+	for {
+		t := int(next.Add(1)) - 1
+		if t >= p.units {
+			return nil
+		}
+		if err := ctxErr(p.stdctx); err != nil {
+			return err
+		}
+		p.unit(sc, t)
+	}
+}
+
+// score scores the in-shard range [lo, hi) into wherever the sink keeps it.
+func (p *scanPass) score(sc *rankScratch, lo, hi int) {
+	si := lo / p.set.ShardSize()
+	base := p.set.ShardStart(si)
+	if sc.view == nil {
+		sc.view = kernel.NewSetView()
+	}
+	sub := p.set.Shard(si).SliceInto(sc.view, lo-base, hi-base)
+	scores := p.sink.dst(sc, lo, hi-lo)
+	p.fn(sub, lo, scores)
+	p.sink.consume(sc, lo, scores)
+}
+
+// topKSink keeps the best k scores in the arenas' bounded selectors.
 type topKSink struct{}
 
 func (topKSink) like(sc, proto *rankScratch) { sc.sel.reset(proto.sel.k) }
+
+func (topKSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(0, n) }
 
 func (topKSink) consume(sc *rankScratch, lo int, scores []float64) {
 	for i, v := range scores {
@@ -353,10 +329,11 @@ func (topKSink) consume(sc *rankScratch, lo int, scores []float64) {
 
 func (topKSink) merge(into, from *rankScratch) { into.sel.merge(&from.sel) }
 
-// rankTopRanges streams the collection through fn into the global top-K
+// rankTopRanges streams the images cands names through fn into their top k
 // under the (score, index) order, appended to dst (reusing its capacity — a
-// caller recycling its result buffer allocates nothing here).
-func rankTopRanges(ctx *QueryContext, b *CollectionBatch, k int, dst []Ranked, fn rangeScorer) ([]Ranked, error) {
+// caller recycling its result buffer allocates nothing here). No
+// collection-sized slice is materialized.
+func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k int, dst []Ranked, fn rangeScorer) ([]Ranked, error) {
 	if n := b.VisualSet().Len(); k > n {
 		k = n
 	}
@@ -369,20 +346,23 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, k int, dst []Ranked, f
 	sc := b.scratchGet()
 	defer b.scratchPut(sc)
 	sc.sel.reset(k)
-	if err := streamRanges(ctx, b, fn, topKSink{}, sc); err != nil {
+	if err := scanRanges(ctx, b, cands, fn, topKSink{}, sc); err != nil {
 		return nil, err
 	}
 	return sc.sel.drain(dst), nil
 }
 
-// unlabeledSink streams into the arenas' step-1 selectors. labeled lists the
-// judged images, ascending and distinct.
+// unlabeledSink keeps the unlabeled points of LRF-CSVM's step 1 in the
+// arenas' step-1 selectors. labeled lists the judged images, ascending and
+// distinct.
 type unlabeledSink struct {
 	labeled    []int
 	logVectors []*sparse.Vector
 }
 
 func (unlabeledSink) like(sc, proto *rankScratch) { sc.pick.reset(proto.pick.num) }
+
+func (unlabeledSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(0, n) }
 
 func (k unlabeledSink) consume(sc *rankScratch, lo int, scores []float64) {
 	sc.pick.consume(lo, scores, k.labeled, k.logVectors)
@@ -408,24 +388,32 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, fn ra
 	sc := b.scratchGet()
 	defer b.scratchPut(sc)
 	sc.pick.reset(num)
-	if err := streamRanges(ctx, b, fn, unlabeledSink{labeled: labeled, logVectors: ctx.LogVectors}, sc); err != nil {
+	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, logVectors: ctx.LogVectors}, sc); err != nil {
 		return nil, nil, err
 	}
 	indices, initialLabels = sc.pick.drain()
 	return indices, initialLabels, nil
 }
 
-// rankVisual scores every image of the collection under a visual-modality
-// model, sharded across the context's workers.
-func rankVisual(ctx *QueryContext, b *CollectionBatch, model *svm.Model) ([]float64, error) {
-	set := b.VisualSet()
-	scores := make([]float64, set.Len())
-	forEachRange(ctx.Ctx, set, ctx.workers(), func(sub *kernel.DenseSet, lo int) {
-		sc := b.scratchGet()
-		model.DecisionSet(sub, scores[lo:lo+sub.Len()], sc.lane(0, sub.Len()))
-		b.scratchPut(sc)
-	})
-	if err := ctxErr(ctx.Ctx); err != nil {
+// scoreSink keeps every score: each range is scored straight into its place
+// in the collection-sized slice.
+type scoreSink []float64
+
+func (scoreSink) like(sc, proto *rankScratch) {}
+
+func (s scoreSink) dst(_ *rankScratch, lo, n int) []float64 { return s[lo : lo+n] }
+
+func (scoreSink) consume(*rankScratch, int, []float64) {}
+
+func (scoreSink) merge(into, from *rankScratch) {}
+
+// scanScores materializes the score of every image under fn — what average
+// precision, the ablation heuristics and the test oracles need.
+func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float64, error) {
+	scores := make([]float64, b.VisualSet().Len())
+	sc := b.scratchGet()
+	defer b.scratchPut(sc)
+	if err := scanRanges(ctx, b, CandidateSet{}, fn, scoreSink(scores), sc); err != nil {
 		return nil, err
 	}
 	return scores, nil
@@ -445,62 +433,62 @@ func scoreCoupledRange(b *CollectionBatch, visualModel, logModel *svm.Model, log
 	b.scratchPut(sc)
 }
 
-// rankCoupled scores every image by the summed decision value of a visual
-// and a log model (the combined score of the two-modality schemes), sharded
-// across the context's workers.
-func rankCoupled(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) ([]float64, error) {
-	set := b.VisualSet()
+// coupledScorer scores by the summed decision value of a visual and a log
+// model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — plus the
+// query prior over the distance row dist. Step 1 of Fig. 1 selects by the
+// decision values alone and passes a nil dist.
+func coupledScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, dist []float64) rangeScorer {
 	logPts := b.logPoints(ctx.LogVectors)
-	scores := make([]float64, set.Len())
-	forEachRange(ctx.Ctx, set, ctx.workers(), func(sub *kernel.DenseSet, lo int) {
-		scoreCoupledRange(b, visualModel, logModel, logPts, sub, lo, scores[lo:lo+sub.Len()])
-	})
-	if err := ctxErr(ctx.Ctx); err != nil {
-		return nil, err
+	return func(sub *kernel.DenseSet, lo int, dst []float64) {
+		scoreCoupledRange(b, visualModel, logModel, logPts, sub, lo, dst)
+		if dist != nil {
+			addQueryPrior(dst, dist[lo:])
+		}
 	}
-	return scores, nil
 }
 
-// rankTopVisual is the streaming counterpart of rankVisual followed by the
-// query prior and top-k selection, appending into dst.
-func rankTopVisual(ctx *QueryContext, b *CollectionBatch, model *svm.Model, k int, dst []Ranked) ([]Ranked, error) {
+// retrievalScorer is coupledScorer with the query prior: the retrieval pass
+// of the two-modality schemes (step 3 of Fig. 1).
+func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) (rangeScorer, error) {
 	dist, err := queryDistances(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
+	return coupledScorer(ctx, b, visualModel, logModel, dist), nil
+}
+
+// visualScorer scores by the decision value of a visual-modality model plus
+// the query prior: RF-SVM's retrieval pass.
+func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) (rangeScorer, error) {
+	dist, err := queryDistances(ctx, b)
+	if err != nil {
+		return nil, err
+	}
+	return func(sub *kernel.DenseSet, lo int, dst []float64) {
 		sc := b.scratchGet()
 		model.DecisionSet(sub, dst, sc.lane(1, sub.Len()))
 		b.scratchPut(sc)
-		for i := range dst {
-			dst[i] -= queryPriorWeight * dist[lo+i]
-		}
-	})
+		addQueryPrior(dst, dist[lo:])
+	}, nil
 }
 
-// rankTopCoupled is the streaming counterpart of rankCoupled followed by the
-// query prior and top-k selection, appending into dst.
-func rankTopCoupled(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, k int, dst []Ranked) ([]Ranked, error) {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return nil, err
+// addQueryPrior adds the initial-similarity prior to the scores of a range,
+// dist being the query's distance row from the range's first image on; see
+// queryPriorWeight for the rationale.
+func addQueryPrior(scores, dist []float64) {
+	for i := range scores {
+		scores[i] -= queryPriorWeight * dist[i]
 	}
-	logPts := b.logPoints(ctx.LogVectors)
-	return rankTopRanges(ctx, b, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
-		scoreCoupledRange(b, visualModel, logModel, logPts, sub, lo, dst)
-		for i := range dst {
-			dst[i] -= queryPriorWeight * dist[lo+i]
-		}
-	})
 }
 
 // queryDistances returns the Euclidean distances from the query image to
 // every image of the collection, computed through the sharded batch path and
 // cached per query (the last query's row is kept — feedback rounds re-rank
-// the same query). Callers must not mutate the returned slice. Distances use
-// the norm-expansion batch path (one matrix-vector product per shard against
-// the precomputed row norms); EXPERIMENTS.md documents the O(1e-15)
-// per-score drift and the unchanged MAP metrics.
+// the same query, and the prior is part of every SVM scorer). Callers must
+// not mutate the returned slice. Distances use the norm-expansion batch path
+// (one matrix-vector product per shard against the precomputed row norms);
+// EXPERIMENTS.md documents the O(1e-15) per-score drift and the unchanged
+// MAP metrics.
 func queryDistances(ctx *QueryContext, b *CollectionBatch) ([]float64, error) {
 	b.distMu.Lock()
 	if b.dist != nil && b.distQuery == ctx.Query {
@@ -510,19 +498,16 @@ func queryDistances(ctx *QueryContext, b *CollectionBatch) ([]float64, error) {
 	}
 	b.distMu.Unlock()
 
-	set := b.VisualSet()
-	q := linalg.Vector(set.Point(ctx.Query))
-	dst := make([]float64, set.Len())
-	forEachRange(ctx.Ctx, set, ctx.workers(), func(sub *kernel.DenseSet, lo int) {
-		out := dst[lo : lo+sub.Len()]
+	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
+	// A cancelled scan leaves unscored ranges zero-filled; caching the partial
+	// row would corrupt every later query for the same image.
+	dst, err := scanScores(ctx, b, func(sub *kernel.DenseSet, _ int, out []float64) {
 		sub.Matrix().RowSquaredDistancesNormInto(out, q, sub.Norms())
 		for i := range out {
 			out[i] = math.Sqrt(out[i])
 		}
 	})
-	if err := ctxErr(ctx.Ctx); err != nil {
-		// A cancelled scan leaves unscored ranges zero-filled; caching the
-		// partial row would corrupt every later query for the same image.
+	if err != nil {
 		return nil, err
 	}
 
@@ -541,18 +526,4 @@ func scoreDistanceRange(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
 	for i := range dst {
 		dst[i] = -math.Sqrt(dst[i])
 	}
-}
-
-// addQueryPriorBatch adds the initial-similarity prior to scores in place
-// through the batched, per-query-cached distance row; see queryPriorWeight
-// for the rationale.
-func addQueryPriorBatch(scores []float64, ctx *QueryContext, b *CollectionBatch) error {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return err
-	}
-	for i := range scores {
-		scores[i] -= queryPriorWeight * dist[i]
-	}
-	return nil
 }

@@ -9,9 +9,10 @@ import (
 	"lrfcsvm/internal/linalg"
 )
 
-// TestForEachRangeCoversCollection verifies the shard-range scheduler covers
-// every image exactly once and never hands out a range crossing a shard
-// boundary, for shard sizes and worker counts around the collection size.
+// TestForEachRangeCoversCollection verifies the driver's exhaustive source
+// (scanRanges over the zero CandidateSet) covers every image exactly once and
+// never hands out a range crossing a shard boundary, for shard sizes and
+// worker counts around the collection size.
 func TestForEachRangeCoversCollection(t *testing.T) {
 	rng := linalg.NewRNG(3)
 	for _, n := range []int{0, 1, 7, 100} {
@@ -20,11 +21,12 @@ func TestForEachRangeCoversCollection(t *testing.T) {
 			vs[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
 		}
 		for _, shardSize := range []int{1, 3, 8, 64, 1000} {
-			set := kernel.NewShardedSet(vs, shardSize)
+			batch := NewShardedCollectionBatch(vs, shardSize)
 			for _, workers := range []int{1, 2, 3, 8, 200} {
 				seen := make([]int, n)
 				var mu sync.Mutex
-				forEachRange(context.Background(), set, workers, func(sub *kernel.DenseSet, lo int) {
+				ctx := &QueryContext{Visual: vs, Batch: batch, Workers: workers, Ctx: context.Background()}
+				_, err := scanScores(ctx, batch, func(sub *kernel.DenseSet, lo int, dst []float64) {
 					if sub.Len() > shardSize {
 						t.Errorf("range of %d rows exceeds shard size %d", sub.Len(), shardSize)
 					}
@@ -37,6 +39,9 @@ func TestForEachRangeCoversCollection(t *testing.T) {
 						seen[i]++
 					}
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, c := range seen {
 					if c != 1 {
 						t.Fatalf("n=%d shardSize=%d workers=%d: element %d covered %d times", n, shardSize, workers, i, c)

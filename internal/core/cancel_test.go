@@ -40,45 +40,44 @@ func cancelTestVectors(n int) []linalg.Vector {
 	return vs
 }
 
-// A cancelled scan must stop within one shard range: the serial scheduler
-// checks the context before every range, so allowing exactly c checks means
+// countRanges runs one exhaustive full-scores pass of the driver over vs and
+// returns how many ranges it scored, with the pass's error.
+func countRanges(ctx context.Context, vs []linalg.Vector, shardSize, workers int) (int, error) {
+	batch := NewShardedCollectionBatch(vs, shardSize)
+	var ranges atomic.Int64
+	_, err := scanScores(&QueryContext{Visual: vs, Batch: batch, Workers: workers, Ctx: ctx}, batch,
+		func(sub *kernel.DenseSet, lo int, dst []float64) { ranges.Add(1) })
+	return int(ranges.Load()), err
+}
+
+// A cancelled scan must stop within one shard range: the driver checks the
+// context before every unit, so on one worker allowing exactly c checks means
 // exactly c ranges run — the cancellation latency is one range, never the
 // rest of the collection.
 func TestForEachRangeCancelStopsWithinOneRange(t *testing.T) {
-	set := kernel.NewShardedSet(cancelTestVectors(100), 10) // 10 shards
 	for _, allowed := range []int{0, 1, 3, 9} {
-		ctx := newCountdownCtx(allowed)
-		var ranges atomic.Int64
-		forEachRange(ctx, set, 1, func(sub *kernel.DenseSet, lo int) {
-			ranges.Add(1)
-		})
-		if got := int(ranges.Load()); got != allowed {
+		got, err := countRanges(newCountdownCtx(allowed), cancelTestVectors(100), 10, 1) // 10 shards
+		if got != allowed {
 			t.Errorf("countdown %d: %d ranges ran, want exactly %d (one per permitted check)", allowed, got, allowed)
 		}
-		if ctxErr(ctx) == nil {
-			t.Fatalf("countdown %d: context not cancelled after the scan", allowed)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("countdown %d: cancelled scan returned %v, want context.Canceled", allowed, err)
 		}
 	}
 }
 
-// The parallel scheduler checks before every task pull: a cancellation
-// budget far below the task count must leave most of the collection
-// unscanned, and the caller must see the context error.
+// The workers check before every unit they claim: a cancellation budget far
+// below the unit count must leave most of the collection unscanned, and the
+// caller must see the context error.
 func TestForEachRangeCancelParallel(t *testing.T) {
-	set := kernel.NewShardedSet(cancelTestVectors(200), 5) // 40 shards
-	ctx := newCountdownCtx(4)
-	var ranges atomic.Int64
-	forEachRange(ctx, set, 4, func(sub *kernel.DenseSet, lo int) {
-		ranges.Add(1)
-	})
-	// Each of the 4 workers passes at most its share of the 4 permitted
-	// checks before the budget is gone; the scan cannot have covered the
-	// whole collection.
-	if got := int(ranges.Load()); got >= 40 {
+	got, err := countRanges(newCountdownCtx(4), cancelTestVectors(200), 5, 4) // 40 shards
+	// The 4 workers share the 4 permitted checks; the scan cannot have
+	// covered the whole collection.
+	if got >= 40 {
 		t.Errorf("cancelled parallel scan still ran all %d ranges", got)
 	}
-	if ctxErr(ctx) == nil {
-		t.Fatal("context not cancelled after the scan")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
 	}
 }
 

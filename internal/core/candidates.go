@@ -1,25 +1,23 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
+	"context"
 
 	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/linalg"
 )
 
-// This file is the candidate-restricted twin of the streaming selection path
-// (rankTopRanges): instead of scanning every shard, it scores only an
-// explicit candidate set — the member lists of probed IVF cells plus an
+// This file says where the ranges of a scoring pass come from. A pass scores
+// an explicit candidate set — the member lists of probed IVF cells plus an
 // always-scanned "unindexed tail" of images appended after the index was
-// built. Candidates are grouped into maximal contiguous runs inside their
-// shards and scored through the same range scorers as the exhaustive path
-// (same arithmetic on the same memory, via a reusable DenseSet view), so the
-// score of every candidate is bit-identical to what the exhaustive scan
-// would give it: pruning decides which images are considered, never how the
-// considered images are ordered.
+// built — and the exhaustive scan is the candidate set that is all tail.
+// Candidates are grouped into maximal contiguous runs inside their shards and
+// scored through the same range scorers on the same memory whatever set
+// names them, so the score of every candidate is bit-identical to what the
+// exhaustive scan gives it: pruning decides which images are considered,
+// never how the considered images are ordered.
 
-// CandidateSet names the images a pruned ranking pass may consider.
+// CandidateSet names the images a ranking pass considers. The zero value
+// names every image.
 type CandidateSet struct {
 	// Lists holds groups of global image indices, each strictly ascending.
 	// The groups must be pairwise disjoint and every index must lie in
@@ -46,164 +44,65 @@ func (c CandidateSet) Count(n int) int {
 	return total
 }
 
-// viewSet returns the scratch arena's reusable DenseSet view, creating it on
-// first use.
-func (s *rankScratch) viewSet() *kernel.DenseSet {
-	if s.view == nil {
-		s.view = kernel.NewSetView()
-	}
-	return s.view
+// scanPass is one scoring pass cut into independent work units, each a
+// sequence of ranges confined to a single shard (so every scorer call reads
+// one cache-local slab): one unit per candidate list, then the tail's shards
+// cut into perShard chunks of chunk rows, so every worker has work even when
+// the whole tail fits in one shard.
+type scanPass struct {
+	set   *kernel.ShardedSet
+	lists [][]int32
+	// tailLo is the first row of the tail and firstShard the shard holding it.
+	tailLo, firstShard int
+	chunk, perShard    int
+	// units counts the work units and workers the goroutines that claim them.
+	units, workers int
+
+	stdctx context.Context
+	fn     rangeScorer
+	sink   rangeSink
 }
 
-// scoreCandidateList scores one ascending candidate list into sel: maximal
-// runs of consecutive indices inside a single shard become one scorer call
-// over a storage view, so a dense list costs the same per-point work as the
-// exhaustive scan and a sparse list degrades to per-point calls without ever
-// copying point data.
-func scoreCandidateList(sc *rankScratch, set *kernel.ShardedSet, list []int32, sel *topKSelector, fn func(sub *kernel.DenseSet, lo int, dst []float64)) {
-	ss := set.ShardSize()
-	for i := 0; i < len(list); {
-		start := int(list[i])
-		si := start / ss
-		base := si * ss
-		limit := base + ss
-		end := start + 1
-		j := i + 1
-		for j < len(list) && int(list[j]) == end && end < limit {
-			end++
-			j++
-		}
-		sub := set.Shard(si).SliceInto(sc.viewSet(), start-base, end-base)
-		scores := sc.lane(0, end-start)
-		fn(sub, start, scores)
-		for t, v := range scores {
-			sel.push(start+t, v)
-		}
-		i = j
-	}
-}
-
-// rankTopCandidates is the candidate-restricted streaming selection mode: the
-// candidate lists and the tail shards are the units of a shared work queue,
-// each unit's scores feed a bounded per-worker selector from the pooled
-// scratch arenas, and the selections merge into one global top-K appended to
-// dst. The (score, index) total order is strict and every candidate is scored
-// with the exhaustive path's arithmetic, so the result is the unique top-K of
-// the candidate set — bit-identical for any shard size and worker count to
-// filtering a full exhaustive ranking down to the candidates.
-//
-// ctx.Ctx is checked between units exactly like the exhaustive path: a
-// cancelled scan stops within one unit and its partial selection is
-// discarded, never returned.
-func rankTopCandidates(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k int, dst []Ranked, fn func(sub *kernel.DenseSet, lo int, dst []float64)) ([]Ranked, error) {
-	set := b.VisualSet()
-	n := set.Len()
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		if dst == nil {
-			dst = []Ranked{}
-		}
-		return dst, nil
-	}
-	tailLo := cands.TailStart
-	if tailLo < 0 {
-		tailLo = 0
-	}
-	if tailLo > n {
-		tailLo = n
-	}
-	ss := set.ShardSize()
-	firstTailShard := set.NumShards()
-	if tailLo < n {
-		firstTailShard = tailLo / ss
-	}
-	numLists := len(cands.Lists)
-	numUnits := numLists + set.NumShards() - firstTailShard
-
-	// scoreUnit scores work unit t (a candidate list, or one tail shard's
-	// suffix) through the given scratch into the given selector.
-	scoreUnit := func(sc *rankScratch, sel *topKSelector, t int) {
-		if t < numLists {
-			scoreCandidateList(sc, set, cands.Lists[t], sel, fn)
-			return
-		}
-		si := firstTailShard + (t - numLists)
-		base := set.ShardStart(si)
-		lo := base
-		if tailLo > lo {
-			lo = tailLo
-		}
-		hi := base + set.Shard(si).Len()
-		if lo >= hi {
-			return
-		}
-		sub := set.Shard(si).SliceInto(sc.viewSet(), lo-base, hi-base)
-		scores := sc.lane(0, hi-lo)
-		fn(sub, lo, scores)
-		for i, v := range scores {
-			sel.push(lo+i, v)
-		}
-	}
-
-	stdctx := ctx.Ctx
+func newScanPass(ctx *QueryContext, set *kernel.ShardedSet, cands CandidateSet, fn rangeScorer, sink rangeSink) scanPass {
+	n, ss := set.Len(), set.ShardSize()
+	tailLo := min(max(cands.TailStart, 0), n)
+	p := scanPass{set: set, lists: cands.Lists, tailLo: tailLo, firstShard: tailLo / ss, stdctx: ctx.Ctx, fn: fn, sink: sink}
 	workers := ctx.workers()
-	if workers > numUnits {
-		workers = numUnits
+	p.chunk = max(1, min((n-tailLo+workers-1)/workers, ss))
+	p.perShard = (min(ss, n) + p.chunk - 1) / p.chunk
+	p.units = len(p.lists)
+	if tailLo < n {
+		p.units += (set.NumShards() - p.firstShard) * p.perShard
 	}
-	if workers <= 1 {
-		sc := b.scratchGet()
-		sc.sel.reset(k)
-		for t := 0; t < numUnits; t++ {
-			if err := ctxErr(stdctx); err != nil {
-				b.scratchPut(sc)
-				return nil, err
-			}
-			scoreUnit(sc, &sc.sel, t)
-		}
-		dst = sc.sel.drain(dst)
-		b.scratchPut(sc)
-		return dst, nil
-	}
+	p.workers = min(workers, p.units)
+	return p
+}
 
-	var mu sync.Mutex
-	gsc := b.scratchGet()
-	global := &gsc.sel
-	global.reset(k)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := b.scratchGet()
-			sc.sel.reset(k)
-			for {
-				if ctxErr(stdctx) != nil {
-					break
-				}
-				t := int(next.Add(1)) - 1
-				if t >= numUnits {
-					break
-				}
-				scoreUnit(sc, &sc.sel, t)
+// unit scores work unit t through the arena sc: the maximal runs of
+// consecutive indices of a candidate list — a dense list costs the same
+// per-point work as the exhaustive scan, a sparse one degrades to per-point
+// calls without ever copying point data — or one chunk of a tail shard.
+func (p *scanPass) unit(sc *rankScratch, t int) {
+	ss := p.set.ShardSize()
+	if t < len(p.lists) {
+		for list := p.lists[t]; len(list) > 0; {
+			lo := int(list[0])
+			run, room := 1, ss-lo%ss
+			for run < len(list) && run < room && int(list[run]) == lo+run {
+				run++
 			}
-			mu.Lock()
-			global.merge(&sc.sel)
-			mu.Unlock()
-			b.scratchPut(sc)
-		}()
+			p.score(sc, lo, lo+run)
+			list = list[run:]
+		}
+		return
 	}
-	wg.Wait()
-	if err := ctxErr(stdctx); err != nil {
-		// The merged selection is missing the unscored units; discard it.
-		b.scratchPut(gsc)
-		return nil, err
+	t -= len(p.lists)
+	si := p.firstShard + t/p.perShard
+	lo := p.set.ShardStart(si) + t%p.perShard*p.chunk
+	hi := min(lo+p.chunk, p.set.ShardStart(si)+p.set.Shard(si).Len())
+	if lo = max(lo, p.tailLo); lo < hi {
+		p.score(sc, lo, hi)
 	}
-	dst = global.drain(dst)
-	b.scratchPut(gsc)
-	return dst, nil
 }
 
 // RankTopCandidates ranks only the images named by cands — probed IVF cell
@@ -211,13 +110,6 @@ func rankTopCandidates(ctx *QueryContext, b *CollectionBatch, cands CandidateSet
 // Euclidean distance to the query, appending the top k to dst. Every
 // returned score is bit-identical to the exhaustive RankTop score of the
 // same image; only membership in the considered set is approximate.
-func (Euclidean) RankTopCandidates(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
-	if err := validateEuclidean(ctx); err != nil {
-		return nil, err
-	}
-	b := ctx.collectionBatch()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	return rankTopCandidates(ctx, b, cands, k, dst, func(sub *kernel.DenseSet, lo int, dst []float64) {
-		scoreDistanceRange(q, sub, dst)
-	})
+func (s Euclidean) RankTopCandidates(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
+	return rankTop(s, ctx, cands, k, dst)
 }

@@ -19,8 +19,11 @@ type CSVMParams struct {
 	// Coupled controls the alternating optimization (rho schedule, Delta,
 	// solver settings).
 	Coupled CoupledConfig
-	// VisualKernel and LogKernel override the per-modality kernels;
-	// nil selects RBF with gamma = 1/dim.
+	// VisualKernel and LogKernel override the per-modality kernels. Nil
+	// selects the defaults of the other SVM schemes: for the visual modality
+	// an RBF kernel at visualGammaScale times the collection's mean-distance
+	// bandwidth estimate, for the log the linear co-judgment kernel
+	// (defaultLogKernel).
 	VisualKernel kernel.Kernel
 	LogKernel    kernel.Kernel
 }
@@ -59,10 +62,10 @@ func (p CSVMParams) withDefaults(ctx *QueryContext, b *CollectionBatch) CSVMPara
 		p.Coupled.Solver.Ctx = ctx.Ctx
 	}
 	if p.VisualKernel == nil {
-		p.VisualKernel = defaultVisualKernel(b)
+		p.VisualKernel = b.defaultVisualKernel()
 	}
 	if p.LogKernel == nil {
-		p.LogKernel = defaultLogKernel(ctx)
+		p.LogKernel = defaultLogKernel
 	}
 	return p
 }
@@ -92,14 +95,20 @@ type LRFCSVM struct {
 // Name implements Scheme.
 func (LRFCSVM) Name() string { return "LRF-CSVM" }
 
-// Rank implements Scheme.
-func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) {
-	res, err := s.RankDetailed(ctx)
+// scorer implements rangeScored: steps 1-2 of Fig. 1, then step 3's scorer —
+// the coupled decision value, with the same initial-similarity tie-break
+// prior as the other SVM schemes.
+func (s LRFCSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
+	batch, coupled, _, err := trainCSVM(ctx, s.Params, selectLogAssisted)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res.Scores, nil
+	fn, err := retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1])
+	return batch, fn, err
 }
+
+// Rank implements Scheme.
+func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
 // unlabeledSelection is the selection heuristic of step 1 of Fig. 1: given
 // the two per-modality SVMs trained on the labeled data alone, it drafts up
@@ -110,12 +119,9 @@ type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualIn
 
 // selectLogAssisted is the log-assisted heuristic as a streaming pass: every
 // shard range is scored by the two initial models and selected from on the
-// spot, like the final retrieval pass (rankTopCoupled).
+// spot, like the final retrieval pass.
 func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-	logPts := batch.logPoints(ctx.LogVectors)
-	return selectUnlabeledRanges(ctx, batch, num, func(sub *kernel.DenseSet, lo int, dst []float64) {
-		scoreCoupledRange(batch, visualInit, logInit, logPts, sub, lo, dst)
-	})
+	return selectUnlabeledRanges(ctx, batch, num, coupledScorer(ctx, batch, visualInit, logInit, nil))
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
@@ -192,43 +198,42 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	return modalities, labels, initialLabels, err
 }
 
-// trainCSVM runs steps 1-2 of Fig. 1: unlabeled selection and the annealed
-// coupled-SVM optimization.
-func trainCSVM(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (coupled *CoupledResult, unlabeledIdx []int, err error) {
+// trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
+// selection with the given heuristic and the annealed coupled-SVM
+// optimization.
+func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, unlabeledIdx []int, err error) {
+	if err := ctx.Validate(true); err != nil {
+		return nil, nil, nil, err
+	}
+	batch = ctx.collectionBatch()
+	p := params.withDefaults(ctx, batch)
 	modalities, labels, initialLabels, unlabeledIdx, err := trainingProblem(ctx, batch, p, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
 	// label correction.
 	coupled, err = TrainCoupled(modalities, labels, initialLabels, p.Coupled)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
-	return coupled, unlabeledIdx, nil
+	return batch, coupled, unlabeledIdx, nil
 }
 
 // rankDetailedCSVM runs the full algorithm with the given step-1 heuristic,
-// materializing every score.
+// materializing every score of step 3.
 func rankDetailedCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (*CSVMResult, error) {
-	if err := ctx.Validate(true); err != nil {
-		return nil, err
-	}
-	batch := ctx.collectionBatch()
-	p := params.withDefaults(ctx, batch)
-	coupled, unlabeledIdx, err := trainCSVM(ctx, batch, p, sel)
+	batch, coupled, unlabeledIdx, err := trainCSVM(ctx, params, sel)
 	if err != nil {
 		return nil, err
 	}
-
-	// Step 3 — retrieve by the coupled decision value (with the same
-	// initial-similarity tie-break prior as the other SVM schemes).
-	scores, err := rankCoupled(ctx, batch, coupled.Models[0], coupled.Models[1])
+	fn, err := retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1])
 	if err != nil {
 		return nil, err
 	}
-	if err := addQueryPriorBatch(scores, ctx, batch); err != nil {
+	scores, err := scanScores(ctx, batch, fn)
+	if err != nil {
 		return nil, err
 	}
 	return &CSVMResult{
@@ -254,16 +259,7 @@ func (s LRFCSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 
 // RankTopAppend implements TopKRanker.
 func (s LRFCSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	if err := ctx.Validate(true); err != nil {
-		return nil, err
-	}
-	batch := ctx.collectionBatch()
-	p := s.Params.withDefaults(ctx, batch)
-	coupled, _, err := trainCSVM(ctx, batch, p, selectLogAssisted)
-	if err != nil {
-		return nil, err
-	}
-	return rankTopCoupled(ctx, batch, coupled.Models[0], coupled.Models[1], k, dst)
+	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
 // selectUnlabeled drafts up to num unlabeled images from candidates: half
@@ -443,7 +439,7 @@ func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 		return selectLogAssisted
 	}
 	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-		combined, err := rankCoupled(ctx, batch, visualInit, logInit)
+		combined, err := scanScores(ctx, batch, coupledScorer(ctx, batch, visualInit, logInit, nil))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,18 +1,18 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
-// This file is the quantized scan lane of the Euclidean scheme: a full
-// approximate pass over the int8 shadow copy of the collection picks an
-// oversampled candidate pool, and the pool is re-scored by the exact
-// candidate-restricted path. The approximate distances decide only which
-// images survive into the pool — every returned score comes from the exact
-// scorer, bit-identical to the exhaustive RankTop score of the same image.
+// This file is the quantized scan of the Euclidean scheme: a full approximate
+// pass over the int8 shadow copy of the collection picks an oversampled
+// candidate pool, and the pool is re-scored by the exact candidate-restricted
+// pass. The approximate distances decide only which images survive into the
+// pool — every returned score comes from the exact scorer, bit-identical to
+// the exhaustive RankTop score of the same image.
 
 // DefaultQuantizedOversample is the survivor multiplier used when a caller
 // passes oversample <= 0: the approximate pass keeps the top k*oversample
@@ -20,10 +20,6 @@ import (
 // synthetic evaluation collections (see EXPERIMENTS.md) with the exact
 // re-score still touching only a small fraction of the collection.
 const DefaultQuantizedOversample = 4
-
-// quantScanChunk is the row granularity of the approximate pass between
-// cancellation checks.
-const quantScanChunk = 4096
 
 // RankTopQuantized ranks by exact (negative) Euclidean distance the images
 // an approximate int8 scan selects: the whole collection is scanned over
@@ -43,66 +39,34 @@ func (e Euclidean) RankTopQuantized(ctx *QueryContext, k, oversample int, dst []
 		oversample = DefaultQuantizedOversample
 	}
 	b := ctx.collectionBatch()
-	qs := b.QuantizedVisualSet()
-	n := qs.Len()
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		if dst == nil {
-			dst = []Ranked{}
-		}
-		return dst, nil
-	}
+	n := b.VisualSet().Len()
+	k = max(0, min(k, n))
 	m := k * oversample
-	if m > n || m < 0 { // m < 0: k*oversample overflowed
+	if m > n || m/oversample != k { // the product exceeds n, or overflowed
 		m = n
 	}
 
+	qs := b.QuantizedVisualSet()
 	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	sc := b.scratchGet()
-	sel := &sc.sel
-	sel.reset(m)
-	for lo := 0; lo < n; lo += quantScanChunk {
-		if ctx.Ctx != nil {
-			if err := ctx.Ctx.Err(); err != nil {
-				b.scratchPut(sc)
-				return nil, err
-			}
-		}
-		hi := lo + quantScanChunk
-		if hi > n {
-			hi = n
-		}
-		approx := sc.lane(0, hi-lo)
+	pool, err := rankTopRanges(ctx, b, CandidateSet{}, m, nil, func(_ *kernel.DenseSet, lo int, approx []float64) {
 		qs.ApproxSquaredDistances(q, lo, approx)
 		for i, d := range approx {
-			// Negated: the selector keeps the highest scores, and the
-			// candidates we want are the smallest approximate distances.
-			sel.push(lo+i, -d)
+			// Negated: the pass keeps the highest scores, and the survivors
+			// are the smallest approximate distances.
+			approx[i] = -d
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	survivors := make([]int32, 0, m)
-	for _, c := range sel.h {
-		survivors = append(survivors, int32(c.Index))
+	survivors := make([]int32, len(pool))
+	for i, r := range pool {
+		survivors[i] = int32(r.Index)
 	}
-	b.scratchPut(sc)
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("core: quantized scan selected no candidates for k=%d", k)
-	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
+	slices.Sort(survivors)
 
 	// TailStart = n: no always-exact tail, the survivor list is the whole
-	// candidate set. The exact path re-scores each survivor with the
+	// candidate set. The exact pass re-scores each survivor with the
 	// exhaustive scan's arithmetic.
-	cands := CandidateSet{Lists: [][]int32{survivors}, TailStart: n}
-	return e.RankTopCandidates(ctx, cands, k, dst)
-}
-
-// QuantizedSetBytes reports the memory footprint of the batch's quantized
-// shadow copy in bytes (codes only), for capacity accounting and the
-// server's status endpoint.
-func QuantizedSetBytes(ctx *QueryContext) int {
-	qs := ctx.collectionBatch().QuantizedVisualSet()
-	return qs.Len() * qs.Dim()
+	return e.RankTopCandidates(ctx, CandidateSet{Lists: [][]int32{survivors}, TailStart: n}, k, dst)
 }

@@ -158,6 +158,36 @@ type TopKRanker interface {
 	RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error)
 }
 
+// rangeScored is what a scheme contributes to a ranking pass, and all it
+// contributes: scorer validates the context, trains whatever the scheme
+// trains, and returns the collection batch with the function that scores one
+// range of it (query prior included). Which ranges are scored and what is
+// kept of the scores is the driver's business (scanRanges).
+type rangeScored interface {
+	scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error)
+}
+
+// rankScores scores every image of the collection: Scheme.Rank. It and
+// rankTop take the scheme as a type parameter, not as an interface value, so
+// calling them does not move a copy of the scheme's options to the heap.
+func rankScores[S rangeScored](s S, ctx *QueryContext) ([]float64, error) {
+	b, fn, err := s.scorer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return scanScores(ctx, b, fn)
+}
+
+// rankTop appends the top k of the images cands names to dst:
+// TopKRanker.RankTopAppend over the zero CandidateSet.
+func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
+	b, fn, err := s.scorer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rankTopRanges(ctx, b, cands, k, dst, fn)
+}
+
 // RankTop runs the scheme's streaming top-k path when it has one and falls
 // back to the full-scores path (Rank + TopK) otherwise. Both paths return
 // the same indices and scores.

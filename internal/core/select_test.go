@@ -216,7 +216,7 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 			var wantLabels []float64
 			_, _, gotLabels, gotIdx, err := trainingProblem(ctx, batch, p,
 				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-					combined, err := rankCoupled(ctx, batch, visualInit, logInit)
+					combined, err := scanScores(ctx, batch, coupledScorer(ctx, batch, visualInit, logInit, nil))
 					if err != nil {
 						return nil, nil, err
 					}
@@ -236,24 +236,162 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// A step 1 cancelled mid-pass returns the context's error and no selection —
-// a partial pass would draft from the ranges that happened to be scored —
-// and hands every scratch arena back.
+// passSinks names the three things a driver pass can keep.
+var passSinks = []string{"scores", "top-K", "unlabeled"}
+
+// unvisited marks, in a full-scores pass, the rows no range covered.
+var unvisited = math.Float64bits(math.NaN())
+
+// runPass runs one pass of the driver over cands with the named sink and
+// returns what it kept: the score row (rows outside cands left unvisited), the
+// top k, or step 1's drafted images and labels. The exhaustive passes go
+// through the production wrappers, the pruned ones through scanRanges itself
+// (production prunes only top-K passes).
+func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink string, k int, fn rangeScorer) (scores []float64, top []Ranked, idx []int, labels []float64, err error) {
+	exhaustive := cands.Lists == nil && cands.TailStart == 0
+	sc := b.scratchGet()
+	defer b.scratchPut(sc)
+	switch sink {
+	case "scores":
+		if exhaustive {
+			scores, err = scanScores(ctx, b, fn)
+			return
+		}
+		scores = make([]float64, b.VisualSet().Len())
+		for i := range scores {
+			scores[i] = math.Float64frombits(unvisited)
+		}
+		if err = scanRanges(ctx, b, cands, fn, scoreSink(scores), sc); err != nil {
+			scores = nil
+		}
+	case "top-K":
+		top, err = rankTopRanges(ctx, b, cands, k, nil, fn)
+	case "unlabeled":
+		if exhaustive {
+			idx, labels, err = selectUnlabeledRanges(ctx, b, k, fn)
+			return
+		}
+		labeled, _ := labeledSplit(ctx)
+		slices.Sort(labeled)
+		sc.pick.reset(k)
+		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: slices.Compact(labeled), logVectors: ctx.LogVectors}, sc); err == nil {
+			idx, labels = sc.pick.drain()
+		}
+	}
+	return
+}
+
+// randomCandidates draws a candidate set over n images: a random 40% of the
+// prefix grouped into a few lists, plus the last fifth as the tail.
+func randomCandidates(rng *linalg.RNG, n int) CandidateSet {
+	tailStart := n - n/5
+	var subset []int32
+	for i := 0; i < tailStart; i++ {
+		if rng.Float64() < 0.4 {
+			subset = append(subset, int32(i))
+		}
+	}
+	return CandidateSet{Lists: splitLists(subset, 1+rng.Intn(5)), TailStart: tailStart}
+}
+
+// TestScanRangesMatchesNaiveOracle is the parity property of the scoring
+// driver: every source (every shard; candidate runs plus the tail) under
+// every sink (all scores, top K, step 1's selection), for every shard size
+// and worker count, keeps exactly what the naive computation keeps — every
+// score materialized, filtered to the candidates and fully sorted — down to
+// the bits of the scores, on seeded scores full of exact ties and both zeros.
+func TestScanRangesMatchesNaiveOracle(t *testing.T) {
+	rng := linalg.NewRNG(20260928)
+	const n, k = 300, 16
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for rep := 0; rep < 4; rep++ {
+		c := randomSelectionCase(rng, n, 0.5, 20)
+		base := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled}
+		labeled := base.labeledSet()
+		for _, cands := range []CandidateSet{{}, randomCandidates(rng, n)} {
+			// The oracle: which images the source names, then plain sorts.
+			member := make([]bool, n)
+			for _, r := range subsetTopK(c.combined, cands, n, n) {
+				member[r.Index] = true
+			}
+			wantScores := make([]float64, n)
+			var unlabeledMembers []int
+			for i := range wantScores {
+				wantScores[i] = math.Float64frombits(unvisited)
+				if member[i] {
+					wantScores[i] = c.combined[i]
+					if !labeled[i] {
+						unlabeledMembers = append(unlabeledMembers, i)
+					}
+				}
+			}
+			wantTop := subsetTopK(c.combined, cands, n, k)
+			wantIdx, wantLabels := logAssistedSelection(base, unlabeledMembers, c.combined, k)
+
+			for _, shardSize := range []int{1, 7, 2048} {
+				batch := NewShardedCollectionBatch(c.visual, shardSize)
+				for _, workers := range []int{1, 2, 5} {
+					for _, sink := range passSinks {
+						name := fmt.Sprintf("rep=%d lists=%d sink=%s shard=%d workers=%d", rep, len(cands.Lists), sink, shardSize, workers)
+						ctx := *base
+						ctx.Batch, ctx.Workers = batch, workers
+						scores, top, idx, labels, err := runPass(&ctx, batch, cands, sink, k, copyScorer(c.combined))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						switch sink {
+						case "scores":
+							if !sameBits(scores, wantScores) {
+								t.Fatalf("%s: score row differs from the oracle's", name)
+							}
+						case "top-K":
+							if !slices.EqualFunc(top, wantTop, func(a, b Ranked) bool {
+								return a.Index == b.Index && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+							}) {
+								t.Fatalf("%s: top %d = %v, oracle %v", name, k, top, wantTop)
+							}
+						case "unlabeled":
+							if !slices.Equal(idx, wantIdx) || !sameBits(labels, wantLabels) {
+								t.Fatalf("%s: drafted %v %v, oracle %v %v", name, idx, labels, wantIdx, wantLabels)
+							}
+						}
+						if got := batch.leased.Load(); got != 0 {
+							t.Fatalf("%s: %d scratch arenas not returned", name, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A pass cancelled mid-way returns the context's error and nothing of what it
+// kept — a partial pass would rank or draft from the ranges that happened to
+// be scored — and hands every scratch arena back, whatever its source and
+// sink and however many workers ran it.
 func TestSelectUnlabeledRangesCancelled(t *testing.T) {
-	c := randomSelectionCase(linalg.NewRNG(7), 240, 0.5, 12)
+	rng := linalg.NewRNG(7)
+	c := randomSelectionCase(rng, 240, 0.5, 12)
 	batch := NewShardedCollectionBatch(c.visual, 10) // 24 shards, so a small check budget cancels mid-pass
-	for _, workers := range []int{1, 3} {
-		ctx := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled, Batch: batch, Workers: workers}
-		ctx.Ctx = newCountdownCtx(5)
-		idx, labels, err := selectUnlabeledRanges(ctx, batch, 16, copyScorer(c.combined))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: cancelled selection error = %v, want context.Canceled", workers, err)
-		}
-		if idx != nil || labels != nil {
-			t.Fatalf("workers=%d: cancelled selection drafted %v %v", workers, idx, labels)
-		}
-		if got := batch.leased.Load(); got != 0 {
-			t.Fatalf("workers=%d: %d scratch arenas not returned after cancellation", workers, got)
+	for _, cands := range []CandidateSet{{}, randomCandidates(rng, 240)} {
+		for _, sink := range passSinks {
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("lists=%d sink=%s workers=%d", len(cands.Lists), sink, workers)
+				ctx := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled, Batch: batch, Workers: workers}
+				ctx.Ctx = newCountdownCtx(2)
+				scores, top, idx, labels, err := runPass(ctx, batch, cands, sink, 16, copyScorer(c.combined))
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled pass error = %v, want context.Canceled", name, err)
+				}
+				if scores != nil || top != nil || idx != nil || labels != nil {
+					t.Fatalf("%s: cancelled pass kept %v %v %v %v", name, scores, top, idx, labels)
+				}
+				if got := batch.leased.Load(); got != 0 {
+					t.Fatalf("%s: %d scratch arenas not returned after cancellation", name, got)
+				}
+			}
 		}
 	}
 

@@ -140,9 +140,11 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			scores := oldRankVisual(mono, model)
-			if err := addQueryPriorBatch(scores, ctx, mono); err != nil {
+			dist, err := queryDistances(ctx, mono)
+			if err != nil {
 				b.Fatal(err)
 			}
+			addQueryPrior(scores, dist)
 			if got := fullSortSelect(scores, benchK); len(got) != benchK {
 				b.Fatal("short selection")
 			}
@@ -159,7 +161,11 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopVisual(ctx, sharded, model, benchK, buf[:0])
+			fn, err := visualScorer(ctx, sharded, model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], fn)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -194,9 +200,11 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			scores := oldRankCoupled(ctx, mono, visualModel, logModel)
-			if err := addQueryPriorBatch(scores, ctx, mono); err != nil {
+			dist, err := queryDistances(ctx, mono)
+			if err != nil {
 				b.Fatal(err)
 			}
+			addQueryPrior(scores, dist)
 			if got := fullSortSelect(scores, benchK); len(got) != benchK {
 				b.Fatal("short selection")
 			}
@@ -213,7 +221,11 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopCoupled(ctx, sharded, visualModel, logModel, benchK, buf[:0])
+			fn, err := retrievalScorer(ctx, sharded, visualModel, logModel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], fn)
 			if err != nil {
 				b.Fatal(err)
 			}

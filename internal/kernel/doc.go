@@ -1,8 +1,8 @@
 // Package kernel provides the Mercer kernels used by the SVM solver, over
 // both dense visual-feature vectors and sparse user-log vectors, plus Gram
 // matrix computation, a small evaluation cache, the batched scoring
-// primitives of the query hot path, and the approximate-scan structures
-// (IVF centroid index, int8 quantized shadow sets) built on top of them.
+// primitives of the query hot path, and the IVF centroid index that prunes
+// initial queries.
 //
 // The paper trains all schemes with the Gaussian RBF kernel; the linear,
 // polynomial and sigmoid kernels are provided for completeness and for the
@@ -30,22 +30,17 @@
 // accumulator's addend sequence. Training solvers keep calling math.Exp
 // directly so solver trajectories stay bit-exact on every build and CPU.
 //
-// # Quantized scan lane
+// # Quantized sets
 //
 // QuantizedSet is an int8 shadow copy of a dense collection (symmetric
 // per-dimension quantization, code = round(v/scale_d) clamped to ±127,
-// scale_d = maxabs_d/127): one byte per dimension instead of eight.
-// ApproxSquaredDistances scans it with cached row norms and the
-// per-dimension scales folded into the query, one convert + multiply-add
-// per element.
-//
-// The lane is strictly a candidate generator. Approximate distances decide
-// only WHICH rows survive (an oversampled top k·oversample); survivors are
-// re-scored by the exact path (core.RankTopCandidates), so every score a
-// caller sees is bit-identical to an exhaustive exact scan — only top-k
-// membership is approximate, and it is absorbed by oversampling (recall@20
-// = 1.000 at the default 4× oversample on the recorded profiles; see
-// EXPERIMENTS.md). Scan determinism: repeated scans of the same set return
+// scale_d = maxabs_d/127). ApproxSquaredDistances scans it with cached row
+// norms and the per-dimension scales folded into the query. Nothing serves
+// from it: the int8 scan measured 0.38–0.80× the exact scan at every
+// collection size and its serving lane was deleted (ROADMAP, "One ranking
+// pipeline"). The type and core.Euclidean.RankTopQuantized remain only as
+// the benchmark's kernel.quant_build_ms and core.quant_scan_us probes and go
+// when those do. Scan determinism: repeated scans of the same set return
 // bit-identical values, but the norm-decomposed arithmetic is NOT the
 // textbook subtract-square sum — values can differ from it in the last
 // ulps and can go slightly negative for near-identical vectors.

@@ -127,22 +127,16 @@ func (e *Engine) resolveNProbe(idx *kernel.CentroidIndex) int {
 	return np
 }
 
-// annCandidates produces the candidate set for one pruned query against a
-// pinned epoch, or reports false when the query must scan exhaustively
-// (pruning disabled, no index yet, or the pinned epoch is older than the
-// index — a rebuild raced ahead of this query's epoch load, so its member
+// annCandidates produces the candidate set for one query against a pinned
+// epoch: the probed cells' member lists plus the unindexed tail, or every
+// image (the zero CandidateSet) when the query must scan exhaustively —
+// pruning disabled, no index yet, or the pinned epoch is older than the
+// index (a rebuild raced ahead of this query's epoch load, so its member
 // lists could name images the epoch does not have).
-func (e *Engine) annCandidates(ep *epoch, query int) (core.CandidateSet, bool) {
-	if !e.opts.ANN.Enable {
-		return core.CandidateSet{}, false
-	}
+func (e *Engine) annCandidates(ep *epoch, query int) core.CandidateSet {
 	st := e.ann.Load()
-	if st == nil {
-		return core.CandidateSet{}, false
-	}
-	covered := st.idx.Len()
-	if covered > len(ep.visual) {
-		return core.CandidateSet{}, false
+	if !e.opts.ANN.Enable || st == nil || st.idx.Len() > len(ep.visual) {
+		return core.CandidateSet{}
 	}
 	q := linalg.Vector(ep.batch.VisualSet().Point(query))
 	cells := st.idx.Probe(q, e.resolveNProbe(st.idx))
@@ -150,7 +144,7 @@ func (e *Engine) annCandidates(ep *epoch, query int) (core.CandidateSet, bool) {
 	for i, c := range cells {
 		lists[i] = st.idx.Members(c)
 	}
-	return core.CandidateSet{Lists: lists, TailStart: covered}, true
+	return core.CandidateSet{Lists: lists, TailStart: st.idx.Len()}
 }
 
 // maybeRebuildANN starts a background index (re)build when pruning is

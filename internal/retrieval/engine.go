@@ -11,6 +11,7 @@ package retrieval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,13 +76,6 @@ type Options struct {
 	// IVF-style centroid pruning with exact re-ranking (see ann.go). The
 	// zero value keeps every query exhaustive.
 	ANN ANNOptions
-	// Quantized configures the int8 approximate scan lane for initial
-	// queries: a full scan over a quantized shadow copy of the collection
-	// selects an oversampled candidate pool that is re-scored exactly
-	// (see quantized.go). It serves queries the ANN index does not cover
-	// — ANN candidates take precedence when both are enabled and an index
-	// is live. The zero value keeps every query exhaustive.
-	Quantized QuantizedOptions
 	// Journal is an optional durability sink (typically *storage.Journal):
 	// every committed feedback session and every ingested image batch is
 	// appended to it before the in-memory state mutates, under the same
@@ -152,10 +146,6 @@ type Engine struct {
 	ann         atomic.Pointer[annState]
 	annBuilding atomic.Bool
 	annRebuilds atomic.Int64
-
-	// quantQueries counts initial queries served through the quantized
-	// approximate-scan lane (see quantized.go).
-	quantQueries atomic.Int64
 
 	// epochSeq counts published collection epochs since construction (the
 	// initial epoch is 1, each ingestion publishes the next); exposed via
@@ -277,6 +267,13 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	for i, d := range descriptors {
 		if len(d) != dim {
 			return 0, fmt.Errorf("retrieval: descriptor %d has dimension %d, collection has %d", i, len(d), dim)
+		}
+		// A row whose squared norm is not finite (a NaN or Inf component, or
+		// components that overflow when squared) is at distance NaN from
+		// itself and +Inf from everything else: it would poison every ranking
+		// that reaches it, and the journal would replay it forever.
+		if norm := d.Dot(d); math.IsNaN(norm) || math.IsInf(norm, 0) {
+			return 0, fmt.Errorf("retrieval: descriptor %d is not finite (squared norm %v)", i, norm)
 		}
 		added[i] = append(linalg.Vector(nil), d...)
 	}
@@ -408,29 +405,11 @@ func (e *Engine) initialQuery(stdctx context.Context, ep *epoch, query, k int) (
 		Batch:   ep.batch,
 		Ctx:     e.withCloseAware(stdctx),
 	}
-	// The pruned path considers only the probed cells' members plus the
+	// IVF candidates when a live index covers this epoch, else every shard.
+	// The pruned pass considers only the probed cells' members plus the
 	// always-exact unindexed tail; every considered image is scored with
-	// the exhaustive path's arithmetic (see ann.go for the contract).
-	if cands, ok := e.annCandidates(ep, query); ok {
-		ranked, err := core.Euclidean{}.RankTopCandidates(ctx, cands, k, nil)
-		if err != nil {
-			return nil, err
-		}
-		return toResults(ranked), nil
-	}
-	// The quantized lane covers what the ANN index does not: an int8
-	// approximate scan picks an oversampled pool, re-scored exactly, so
-	// returned scores stay bit-identical to the exhaustive scan's (see
-	// quantized.go for the recall contract).
-	if e.opts.Quantized.Enable {
-		ranked, err := core.Euclidean{}.RankTopQuantized(ctx, k, e.opts.Quantized.Oversample, nil)
-		if err != nil {
-			return nil, err
-		}
-		e.quantQueries.Add(1)
-		return toResults(ranked), nil
-	}
-	ranked, err := core.Euclidean{}.RankTop(ctx, k)
+	// the exhaustive pass's arithmetic (see ann.go for the contract).
+	ranked, err := core.Euclidean{}.RankTopCandidates(ctx, e.annCandidates(ep, query), k, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +117,57 @@ func TestAddImagesErrors(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/api/images", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET on images: status %d", resp.StatusCode)
+	}
+}
+
+// countingJournal is a JournalSink that only counts what it is handed.
+type countingJournal struct{ sessions, imageBatches int }
+
+func (j *countingJournal) AppendSession(feedbacklog.Session) error { j.sessions++; return nil }
+func (j *countingJournal) AppendImages([]linalg.Vector) error      { j.imageBatches++; return nil }
+
+// A descriptor whose squared norm overflows is at distance NaN from itself
+// and +Inf from everything else, which no JSON response can carry: ingestion
+// must refuse it before the journal sees it, and should a non-finite score
+// ever reach a response, the client gets a 500 with a body, not an empty 200.
+func TestAddImagesRejectsNonFiniteDescriptor(t *testing.T) {
+	journal := &countingJournal{}
+	engine, err := retrieval.NewEngine([]linalg.Vector{{0, 0}, {1, 0}, {0, 1}, {1, 1}}, nil, retrieval.Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(engine, Config{})
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+		engine.Close()
+	})
+
+	resp, err := http.Post(srv.URL+"/api/images", "application/json", strings.NewReader(`{"images":[[1e200,1e200]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing descriptor: status %d, want 400", resp.StatusCode)
+	}
+	if engine.NumImages() != 4 || journal.imageBatches != 0 {
+		t.Fatalf("rejected ingestion left %d images and %d journaled batches, want 4 and 0", engine.NumImages(), journal.imageBatches)
+	}
+	var q QueryResponse
+	if resp := getJSON(t, srv.URL+"/api/query?image=0&k=10", &q); resp.StatusCode != http.StatusOK || len(q.Results) != 4 {
+		t.Fatalf("query after the rejected ingestion: status %d, %d results", resp.StatusCode, len(q.Results))
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, QueryResponse{Results: []ResultJSON{{Image: 1, Score: math.Inf(-1)}}})
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Fatalf("unencodable payload: status %d, body %q (%v); want 500 with an error body", rec.Code, rec.Body.String(), err)
+	}
+	if got := statusCodeLabel(rec.Code); got != "500" {
+		t.Fatalf("a 500 is counted under code=%q", got)
 	}
 }
 

@@ -111,6 +111,8 @@ func statusCodeLabel(status int) string {
 		return "429"
 	case 499:
 		return "499"
+	case 500:
+		return "500"
 	case 503:
 		return "503"
 	case 504:
@@ -235,14 +237,6 @@ func (s *Server) registerStackMetrics() {
 			func() float64 { return float64(engine.ANNStats().TailImages) })
 		r.CounterFunc("cbir_ann_rebuilds_total", "Index generations published since start.", nil,
 			func() int64 { return engine.ANNStats().Rebuilds })
-	}
-
-	// Quantized scan lane, present when enabled.
-	if q := engine.QuantizedStats(); q.Enabled {
-		r.CounterFunc("cbir_quantized_queries_total", "Initial queries served through the int8 lane.", nil,
-			func() int64 { return engine.QuantizedStats().Queries })
-		r.GaugeFunc("cbir_quantized_code_bytes", "Footprint of the int8 shadow copy.", nil,
-			func() float64 { return float64(engine.QuantizedStats().CodeBytes) })
 	}
 
 	// Durability, present when a journal is attached (same source as the

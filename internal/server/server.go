@@ -77,6 +77,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -586,12 +587,21 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes before it writes the header, so a payload that cannot be
+// encoded (a non-finite score) is a 500 with an error body, never a 200 with
+// an empty one.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		// A struct of one string always encodes.
+		_ = json.NewEncoder(&body).Encode(errorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors at this point cannot be reported to the client; the
-	// payloads are plain structs so they cannot fail to marshal.
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one left to tell.
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
@@ -647,24 +657,8 @@ type StatusResponse struct {
 	// generation enabled (retrieval.Options.ANN.Enable).
 	ANN *ANNStatus `json:"ann,omitempty"`
 	// KernelBackend is the active compute backend of the scoring kernels
-	// (see internal/kernel: "scalar", "unrolled", or "avx2").
+	// (see internal/kernel: "unrolled" or "avx2").
 	KernelBackend string `json:"kernel_backend"`
-	// Quantized is present when the engine runs with the int8
-	// approximate-scan lane enabled (retrieval.Options.Quantized.Enable).
-	Quantized *QuantizedStatus `json:"quantized,omitempty"`
-}
-
-// QuantizedStatus is the quantized scan lane section of GET /api/status,
-// mirroring retrieval.QuantizedStats.
-type QuantizedStatus struct {
-	// Oversample is the survivor multiplier: the approximate scan keeps
-	// the top k*oversample images for exact re-scoring.
-	Oversample int `json:"oversample"`
-	// Queries counts initial queries served through the quantized lane.
-	Queries int64 `json:"queries"`
-	// CodeBytes is the int8 shadow copy's footprint for the current
-	// collection.
-	CodeBytes int64 `json:"code_bytes"`
 }
 
 // ANNStatus is the candidate-generation index section of GET /api/status,
@@ -712,13 +706,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.KernelBackend = kernel.Backend()
-	if q := s.engine.QuantizedStats(); q.Enabled {
-		resp.Quantized = &QuantizedStatus{
-			Oversample: q.Oversample,
-			Queries:    q.Queries,
-			CodeBytes:  q.CodeBytes,
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

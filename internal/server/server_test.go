@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
@@ -96,6 +97,20 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if status.Images != 36 || status.LogSessions != 15 {
 		t.Errorf("status = %+v", status)
+	}
+}
+
+// TestStatusReportsKernelBackend verifies /api/status always names the active
+// compute backend, and that it matches the kernel package's report.
+func TestStatusReportsKernelBackend(t *testing.T) {
+	srv, _ := testServer(t)
+	var status StatusResponse
+	getJSON(t, srv.URL+"/api/status", &status)
+	if status.KernelBackend == "" {
+		t.Fatal("status omitted the kernel backend")
+	}
+	if status.KernelBackend != kernel.Backend() {
+		t.Fatalf("status backend %q, kernel reports %q", status.KernelBackend, kernel.Backend())
 	}
 }
 
