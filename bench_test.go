@@ -277,9 +277,8 @@ func BenchmarkRFSVMQuery(b *testing.B) {
 // BenchmarkQueryTopK measures one full query per scheme through the
 // streaming top-K path at the server's default page size (K=20), with a
 // recycled result buffer — the steady-state serving pattern. Allocation
-// statistics are reported; EXPERIMENTS.md and BENCH_query.json track them
-// across PRs (the pure ranking-stage comparison lives in
-// internal/core's BenchmarkRankingPath* and cmd/lrfbench -benchquery).
+// statistics are reported (the pure ranking stage is internal/core's
+// BenchmarkRankingPath*, its allocation contract TestStreamRankingAllocations).
 func BenchmarkQueryTopK(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	query := exp.SampleQueries()[0]

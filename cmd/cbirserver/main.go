@@ -82,7 +82,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		sessionTTL   = flag.Duration("session-ttl", server.DefaultSessionTTL, "idle feedback sessions are evicted after this long")
 		maxSessions  = flag.Int("max-sessions", server.DefaultMaxSessions, "cap on live feedback sessions (LRU eviction beyond it)")
-		shardSize    = flag.Int("shard-size", 0, "collection shard capacity of the scoring path (0 = library default; rankings are identical for every value)")
 		defaultK     = flag.Int("default-k", server.DefaultResultK, "result-list length when a request omits k")
 		maxK         = flag.Int("max-k", server.DefaultMaxK, "hard cap on the result-list length of any request")
 		trainWorkers = flag.Int("train-workers", 0, "feedback-training concurrency: size of the async-refine worker pool and of each round's coupled modality training (0 = library default)")
@@ -132,7 +131,6 @@ func main() {
 	}
 
 	opts := retrieval.Options{
-		ShardSize:     *shardSize,
 		TrainWorkers:  *trainWorkers,
 		RefineTimeout: *trainTimeout,
 		ANN: retrieval.ANNOptions{

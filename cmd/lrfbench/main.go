@@ -9,17 +9,16 @@
 //	lrfbench -dataset 50 -queries 100         # Table 2 with fewer queries
 //	lrfbench -dataset 20 -profile ci          # fast scaled-down profile
 //	lrfbench -dataset 20 -ablation rho        # rho-ceiling ablation
-//	lrfbench -profile ci -benchquery          # query-path ns/op + allocs/op,
-//	                                          # written to BENCH_query.json
-//	lrfbench -profile ci -benchtrain          # feedback-training lanes
-//	                                          # (TrainCoupled), written to
-//	                                          # BENCH_train.json
+//
+// Performance is not this tool's job: bench/ and BENCHMARK.json hold the
+// benchmark of record (see bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"lrfcsvm/internal/core"
@@ -33,37 +32,16 @@ func main() {
 		queries     = flag.Int("queries", 0, "override the number of evaluation queries (0 keeps the profile default)")
 		seed        = flag.Uint64("seed", 42, "experiment seed")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		ablation    = flag.String("ablation", "", "run an ablation instead of the main table: selection, rho, delta, unlabeled, logkernel")
-		benchquery  = flag.Bool("benchquery", false, "benchmark the query hot path (-benchmem statistics) instead of the main table")
-		benchtrain  = flag.Bool("benchtrain", false, "benchmark the feedback-training path (core.TrainCoupled lanes) instead of the main table")
-		benchout    = flag.String("benchout", "", "output path of the machine-readable benchmark report (default BENCH_query.json / BENCH_train.json / BENCH_load.json by mode)")
-		loadtest    = flag.Bool("loadtest", false, "run the closed-loop serving-path load test against the in-process HTTP handler, written to BENCH_load.json; exits non-zero on SLO violation")
-		loadusers   = flag.String("loadusers", "8,32,128", "comma-separated concurrency levels of -loadtest")
-		loaditers   = flag.Int("loaditers", 0, "closed-loop iterations per simulated user in -loadtest (0 = profile default: 10 full, 3 ci)")
+		ablation    = flag.String("ablation", "", "run an ablation instead of the main table: "+strings.Join(ablationNames(), ", "))
 	)
 	flag.Parse()
 
-	// The load test prepares its own synthetic collection — no need for the
-	// full evaluation dataset below.
-	if *loadtest {
-		out := *benchout
-		if out == "" {
-			out = "BENCH_load.json"
-		}
-		if err := runLoadTest(*profile, *loadusers, *loaditers, *seed, out); err != nil {
-			fmt.Fprintln(os.Stderr, "lrfbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	cfg, name, figure, err := buildConfig(*datasetFlag, *profile, *seed)
+	// Everything the flags can get wrong is diagnosed here, before
+	// eval.Prepare spends minutes building the dataset.
+	cfg, name, figure, sweep, err := buildConfig(*datasetFlag, *profile, *queries, *seed, *ablation)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lrfbench:", err)
 		os.Exit(2)
-	}
-	if *queries > 0 {
-		cfg.Queries = *queries
 	}
 	cfg.Workers = *workers
 
@@ -79,32 +57,8 @@ func main() {
 	fmt.Printf("prepared in %v (log coverage %.0f%%, %d judgments)\n\n",
 		time.Since(start).Round(time.Millisecond), 100*exp.LogStats.CoverageFraction, exp.LogStats.TotalJudgments)
 
-	if *benchquery {
-		out := *benchout
-		if out == "" {
-			out = "BENCH_query.json"
-		}
-		if err := runQueryBench(exp, *profile, out); err != nil {
-			fmt.Fprintln(os.Stderr, "lrfbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchtrain {
-		out := *benchout
-		if out == "" {
-			out = "BENCH_train.json"
-		}
-		if err := runTrainBench(exp, *profile, out); err != nil {
-			fmt.Fprintln(os.Stderr, "lrfbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ablation != "" {
-		if err := runAblation(exp, *ablation); err != nil {
+	if sweep != nil {
+		if err := runAblation(exp, sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "lrfbench:", err)
 			os.Exit(1)
 		}
@@ -121,9 +75,10 @@ func main() {
 	fmt.Printf("total wall time %v\n", time.Since(start).Round(time.Second))
 }
 
-func buildConfig(dataset int, profile string, seed uint64) (eval.Config, string, string, error) {
-	var cfg eval.Config
-	var name, figure string
+// buildConfig validates the flags and turns them into the experiment
+// configuration, the table and figure captions, and the ablation to run in
+// place of the main table (nil when -ablation is not given).
+func buildConfig(dataset int, profile string, queries int, seed uint64, ablation string) (cfg eval.Config, name, figure string, sweep *ablationSweep, err error) {
 	switch dataset {
 	case 20:
 		cfg, name, figure = eval.Paper20(seed), "Table 1", "Figure 3"
@@ -138,57 +93,102 @@ func buildConfig(dataset int, profile string, seed uint64) (eval.Config, string,
 			name, figure = "Table 2 (CI profile)", "Figure 4 (CI profile)"
 		}
 	default:
-		return cfg, "", "", fmt.Errorf("unknown dataset %d (want 20 or 50)", dataset)
+		return cfg, "", "", nil, fmt.Errorf("unknown dataset %d (want 20 or 50)", dataset)
 	}
 	if profile != "full" && profile != "ci" {
-		return cfg, "", "", fmt.Errorf("unknown profile %q (want full or ci)", profile)
+		return cfg, "", "", nil, fmt.Errorf("unknown profile %q (want full or ci)", profile)
 	}
-	return cfg, name, figure, nil
+	if queries < 0 {
+		return cfg, "", "", nil, fmt.Errorf("negative -queries %d (want a positive count, or 0 for the profile default)", queries)
+	}
+	if queries > 0 {
+		cfg.Queries = queries
+	}
+	if ablation != "" {
+		for i := range ablations {
+			if ablations[i].name == ablation {
+				sweep = &ablations[i]
+				break
+			}
+		}
+		if sweep == nil {
+			return cfg, "", "", nil, fmt.Errorf("unknown ablation %q (want %s)", ablation, strings.Join(ablationNames(), ", "))
+		}
+	}
+	return cfg, name, figure, sweep, nil
 }
 
-// runAblation evaluates LRF-CSVM variants around the default configuration.
-func runAblation(exp *eval.Experiment, which string) error {
-	var schemes []core.Scheme
-	switch which {
-	case "selection":
+// ablationSweep is one -ablation: the LRF-CSVM variants it evaluates around
+// the default configuration.
+type ablationSweep struct {
+	name    string
+	schemes func(exp *eval.Experiment) []core.Scheme
+}
+
+// ablations is the one list of -ablation names: the flag's help text, its
+// validation and the sweep that runs all read it.
+var ablations = []ablationSweep{
+	{"selection", func(*eval.Experiment) []core.Scheme {
+		var schemes []core.Scheme
 		for _, strat := range []core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom} {
 			schemes = append(schemes, core.LRFCSVMWithSelection{Params: core.DefaultCSVMParams(), Strategy: strat, RandomSeed: 11})
 		}
-	case "rho":
+		return schemes
+	}},
+	{"rho", func(*eval.Experiment) []core.Scheme {
+		var schemes []core.Scheme
 		for _, rho := range []float64{0.1, 0.5, 1, 2} {
 			p := core.DefaultCSVMParams()
 			p.Coupled.Rho = rho
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM rho=%g", rho)})
 		}
-	case "delta":
+		return schemes
+	}},
+	{"delta", func(*eval.Experiment) []core.Scheme {
+		var schemes []core.Scheme
 		for _, delta := range []float64{0.25, 0.5, 1, 2, 4} {
 			p := core.DefaultCSVMParams()
 			p.Coupled.Delta = delta
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM delta=%g", delta)})
 		}
-	case "unlabeled":
+		return schemes
+	}},
+	{"unlabeled", func(*eval.Experiment) []core.Scheme {
+		var schemes []core.Scheme
 		for _, nu := range []int{8, 16, 32, 64} {
 			p := core.DefaultCSVMParams()
 			p.NumUnlabeled = nu
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM N'=%d", nu)})
 		}
-	case "logkernel":
+		return schemes
+	}},
+	{"logkernel", func(exp *eval.Experiment) []core.Scheme {
 		rbf := core.LogRBFKernel(&core.QueryContext{Visual: exp.Visual, LogVectors: exp.LogVectors, Query: 0, Labeled: []core.LabeledExample{{Index: 0, Label: 1}}})
 		linearParams := core.DefaultCSVMParams()
 		rbfParams := core.DefaultCSVMParams()
 		rbfParams.LogKernel = rbf
-		schemes = append(schemes,
+		return []core.Scheme{
 			namedScheme{core.LRF2SVMs{}, "LRF-2SVMs log=linear"},
 			namedScheme{core.LRF2SVMs{Options: core.SVMOptions{LogKernel: rbf}}, "LRF-2SVMs log=rbf"},
 			namedScheme{core.LRFCSVM{Params: linearParams}, "LRF-CSVM log=linear"},
 			namedScheme{core.LRFCSVM{Params: rbfParams}, "LRF-CSVM log=rbf"},
-		)
-	default:
-		return fmt.Errorf("unknown ablation %q (want selection, rho, delta, unlabeled or logkernel)", which)
+		}
+	}},
+}
+
+func ablationNames() []string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
 	}
-	// Always include the two reference schemes for context.
-	schemes = append([]core.Scheme{core.RFSVM{}, core.LRF2SVMs{}}, schemes...)
-	table, err := exp.Run("Ablation: "+which, schemes)
+	return names
+}
+
+// runAblation evaluates the sweep's variants next to the two reference
+// schemes, which are always included for context.
+func runAblation(exp *eval.Experiment, sweep *ablationSweep) error {
+	schemes := append([]core.Scheme{core.RFSVM{}, core.LRF2SVMs{}}, sweep.schemes(exp)...)
+	table, err := exp.Run("Ablation: "+sweep.name, schemes)
 	if err != nil {
 		return err
 	}

@@ -262,10 +262,10 @@ func (s LRF2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranke
 
 // Pretrained2SVMs is one round's trained LRF-2SVMs model pair, split out so
 // the pure ranking stage can be measured and regression-tested in isolation:
-// an end-to-end round also trains, which hides fullsort-vs-stream differences
-// on small collections (ROADMAP has the trainer's share of a refine per
-// collection size), while on the isolated ranking stage the streaming path's
-// advantage is measurable.
+// an end-to-end round also trains, which hides the scoring pass on small
+// collections (ROADMAP has the trainer's share of a refine per collection
+// size), while on the isolated ranking stage its time and allocations are
+// measurable.
 type Pretrained2SVMs struct {
 	visualModel, logModel *svm.Model
 }

@@ -108,7 +108,8 @@ type CoupledResult struct {
 	// RhoSteps counts outer annealing iterations.
 	RhoSteps int
 	// SolverIterations totals the SMO pair updates across every retraining
-	// — the training-cost diagnostic tracked by BENCH_train.json.
+	// — the training-cost diagnostic the benchmark reports as
+	// core.solver_iterations.
 	SolverIterations int
 }
 

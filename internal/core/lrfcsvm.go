@@ -186,8 +186,8 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 // TrainingProblem extracts the coupled-SVM training problem — modalities,
 // labeled-set labels and initial unlabeled labels — that this scheme would
 // hand to TrainCoupled for the given context, unlabeled selection included.
-// It exists so benchmarks and tools (lrfbench -benchtrain) can measure
-// TrainCoupled on exactly the problems the feedback path produces.
+// It exists so benchmarks (bench/'s depth replay) can measure TrainCoupled
+// on exactly the problems the feedback path produces.
 func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []float64, error) {
 	if err := ctx.Validate(true); err != nil {
 		return nil, nil, nil, err

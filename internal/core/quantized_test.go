@@ -87,7 +87,7 @@ func TestRankTopQuantizedCancelled(t *testing.T) {
 // collection: at the default oversample, the quantized top-20 must agree
 // with the exact top-20 on at least 99% of images across queries. With
 // TestQuantizedLaneRecallAndMAP (internal/eval) it is what holds the 0.99
-// recall@20 floor now that lrfbench -benchquery has no quantized lane to gate.
+// recall@20 floor.
 func TestRankTopQuantizedRecall(t *testing.T) {
 	col := makeCollection(t, 6, 20, 60, 0.1, 80)
 	const k = 20

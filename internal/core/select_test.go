@@ -507,6 +507,34 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 	}
 }
 
+// steadyBytesPerPass is the heap bytes one call of pass allocates once the
+// scratch pool is warm: the mean over 20 passes after an unmeasured first.
+func steadyBytesPerPass(pass func()) int64 {
+	const passes = 20
+	var before, after runtime.MemStats
+	pass() // fills the scratch pool
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / passes
+}
+
+// requireBytesDoNotGrowWithN fails when a pass over 16,000 images allocates
+// more than a pass over 2,000 plus two bytes per added image: a quarter of
+// the smallest collection-sized slice, and room for a GC emptying the scratch
+// pool mid-measurement.
+func requireBytesDoNotGrowWithN(t *testing.T, what string, bytesPerOp func(n int) int64) {
+	t.Helper()
+	const small, large = 2000, 16000
+	bs, bl := bytesPerOp(small), bytesPerOp(large)
+	t.Logf("%s allocates %d B/op at %d images, %d B/op at %d", what, bs, small, bl, large)
+	if limit := bs + 2*(large-small); bl > limit {
+		t.Fatalf("%s allocates %d B/op at %d images against %d B/op at %d: it grows with the collection", what, bl, large, bs, small)
+	}
+}
+
 // TestSelectUnlabeledBytesDoNotGrowWithN pins the allocation contract of the
 // streaming step 1: a pass allocates the drafted selection and its own
 // bookkeeping, never a collection-sized slice (the select-by-sort allocated
@@ -520,25 +548,11 @@ func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 	bytesPerOp := func(n int) int64 {
 		ctx, visualInit, logInit := selectBenchProblem(t, n)
 		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
-		const passes = 20
-		var before, after runtime.MemStats
-		for i := 0; i <= passes; i++ {
-			if i == 1 { // pass 0 filled the scratch pool
-				runtime.ReadMemStats(&before)
-			}
+		return steadyBytesPerPass(func() {
 			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc-before.TotalAlloc) / passes
+		})
 	}
-	const small, large = 2000, 16000
-	bs, bl := bytesPerOp(small), bytesPerOp(large)
-	t.Logf("step 1 allocates %d B/op at %d images, %d B/op at %d", bs, small, bl, large)
-	// Two bytes per added image: a quarter of the smallest collection-sized
-	// slice, and room for a GC emptying the scratch pool mid-measurement.
-	if limit := bs + 2*(large-small); bl > limit {
-		t.Fatalf("step 1 allocates %d B/op at %d images against %d B/op at %d: it grows with the collection", bl, large, bs, small)
-	}
+	requireBytesDoNotGrowWithN(t, "step 1", bytesPerOp)
 }

@@ -115,3 +115,56 @@ func TestRankTopEdgeCases(t *testing.T) {
 		t.Fatalf("top result is %d, want the query %d", got[0].Index, ctx.Query)
 	}
 }
+
+// TestStreamRankingAllocations pins the allocation contract of the streaming
+// top-K path, the one property of it no parity test sees: with a recycled
+// result buffer a pass takes its scratch from the pool and allocates nothing
+// the size of the collection, where materializing every score costs 8 bytes
+// per image and per lane.
+func TestStreamRankingAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")
+	}
+	const k = 20
+
+	// The initial query, over rotating probes so every pass misses the
+	// one-entry distance-row cache as distinct users do: one small
+	// allocation per pass.
+	ctx, _, _ := selectBenchProblem(t, 2000)
+	ctx.Workers = 1 // the parallel path adds its goroutines
+	buf := make([]Ranked, 0, k)
+	probe := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		probe = (probe + 331) % ctx.NumImages()
+		ctx.Query = probe
+		got, err := Euclidean{}.RankTopAppend(ctx, k, buf[:0])
+		if err != nil || len(got) != k {
+			t.Fatalf("ranked %d images, err %v", len(got), err)
+		}
+		buf = got
+	})
+	if allocs > 1 {
+		t.Errorf("Euclidean.RankTopAppend allocates %.0f times per query with a recycled buffer, want at most 1", allocs)
+	}
+
+	// The two-SVM scoring pass. Its allocation count is the kernels' ≈1 KB
+	// of temporaries per range (ROADMAP item 1), so what is pinned is that
+	// bytes per pass do not grow with the collection.
+	bytesPerOp := func(n int) int64 {
+		ctx, _, _ := selectBenchProblem(t, n)
+		ctx.Workers = 1
+		pre, err := LRF2SVMs{}.Pretrain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]Ranked, 0, k)
+		return steadyBytesPerPass(func() {
+			got, err := pre.RankTopAppend(ctx, k, buf[:0])
+			if err != nil || len(got) != k {
+				t.Fatalf("ranked %d images, err %v", len(got), err)
+			}
+			buf = got
+		})
+	}
+	requireBytesDoNotGrowWithN(t, "Pretrained2SVMs.RankTopAppend", bytesPerOp)
+}

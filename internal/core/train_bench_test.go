@@ -43,17 +43,31 @@ func benchCoupledSetup(b *testing.B) (modalities []Modality, labels, initial []f
 	return modalities, labels, initial, p.Coupled
 }
 
-// BenchmarkTrainCoupled measures the feedback-training hot path across its
-// configuration lanes: the bit-exact default (sequential, cold start),
-// concurrent modality training, warm start, and the full fast lane
-// (Workers + warm start). The before/after pair of EXPERIMENTS.md and
-// BENCH_train.json is baseline vs fastlane-w4.
+// trainLanes are the measured configurations of the coupled trainer: the
+// bit-exact default (sequential, cold start), each optimization in
+// isolation, and the full fast lane (Workers + warm start), the opt-in
+// whose drift EXPERIMENTS.md characterizes.
+var trainLanes = []struct {
+	name  string
+	apply func(*CoupledConfig)
+}{
+	{"baseline", func(c *CoupledConfig) {}},
+	{"workers4", func(c *CoupledConfig) { c.Workers = 4 }},
+	{"warmstart", func(c *CoupledConfig) { c.WarmStart = true }},
+	{"fastlane-w4", func(c *CoupledConfig) {
+		c.Workers = 4
+		c.WarmStart = true
+	}},
+}
+
+// BenchmarkTrainCoupled measures the feedback-training hot path across
+// trainLanes.
 func BenchmarkTrainCoupled(b *testing.B) {
 	modalities, labels, initial, base := benchCoupledSetup(b)
-	for _, lane := range TrainLanes() {
+	for _, lane := range trainLanes {
 		cfg := base
-		lane.Apply(&cfg)
-		b.Run(lane.Name, func(b *testing.B) {
+		lane.apply(&cfg)
+		b.Run(lane.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := TrainCoupled(modalities, labels, initial, cfg); err != nil {

@@ -30,9 +30,8 @@ func rankedPrecisionAt(ranked []core.Ranked, relevant []bool, k int) float64 {
 // top-20 must recover >= 99% of the exact Euclidean top-20 averaged over the
 // query workload, and the Euclidean precision curve computed from the
 // quantized ranking must stay within 0.005 MAP of the exact one. The measured
-// values are logged and recorded in EXPERIMENTS.md. The 0.99 floor is the one
-// lrfbench -benchquery gated until its quantized lane was deleted; this test
-// and core's TestRankTopQuantizedRecall are now its only pins.
+// values are logged and recorded in EXPERIMENTS.md. This test and core's
+// TestRankTopQuantizedRecall are what hold the 0.99 floor.
 func TestQuantizedLaneRecallAndMAP(t *testing.T) {
 	exp, err := Prepare(goldenConfig())
 	if err != nil {

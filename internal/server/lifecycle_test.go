@@ -341,6 +341,19 @@ func TestConcurrentAPITraffic(t *testing.T) {
 	if status.Images != 20+15 || status.LogSessions != 12 || status.ActiveSessions != 0 {
 		t.Errorf("final status = %+v", status)
 	}
+
+	// The server's own accounting survives the run: the scrape is valid
+	// exposition (scrapeMetrics fails otherwise), every commit was counted,
+	// and nothing was counted as a server error.
+	text := scrapeMetrics(t, srv.URL)
+	if got := sampleValue(t, text, "cbir_http_requests_total", `endpoint="commit"`, `code="200"`); got != 12 {
+		t.Errorf("cbir_http_requests_total counts %v commits, want 12", got)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "cbir_http_requests_total{") && strings.Contains(line, `code="5`) {
+			t.Errorf("request counted as a server error: %s", line)
+		}
+	}
 }
 
 // fakeSession is a controllable feedbackSession for lifecycle tests: its

@@ -149,8 +149,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 // instrument wraps a route with the request instrumentation. It sits
 // outermost — outside guard and admit — so shed, rejected-at-shutdown and
-// cancelled-in-queue requests are measured like any other: the 503s a
-// loadtest provokes are exactly the 503s the histograms record.
+// cancelled-in-queue requests are measured like any other: the 503s
+// overload provokes are exactly the 503s the histograms record.
 func (s *Server) instrument(em *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		em.inflight.Inc()
