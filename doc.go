@@ -105,14 +105,14 @@
 //
 // The per-round training cost is carried by an SMO solver tuned for
 // repeated retraining: pair selection is fused into the gradient-update
-// loop, solver scratch is pooled across runs, and warm starts can carry the
-// previous solution and its exact gradient (svm.Config.WarmAlpha /
-// WarmGrad / FinalGrad). The coupled trainer (core.TrainCoupled) reads
-// unlabeled decision values from its shared kernel caches and trains the
-// modalities of each alternation step concurrently
-// (core.CoupledConfig.Workers) — the default configuration stays
-// bit-identical to sequential cold-start training, pinned by the golden MAP
-// regression and the solver property suite in internal/svm.
+// loop, solver scratch is pooled across runs, and every run starts from
+// the zero iterate, so a model depends only on the problem it was trained
+// on. The coupled trainer (core.TrainCoupled) keeps every Gram row of a
+// modality in one kernel cache shared by all its retrainings, reads the
+// unlabeled decision values from it, and can train the modalities of each
+// alternation step concurrently (core.CoupledConfig.Workers) with
+// bit-identical results — pinned by an exact trajectory test, the golden
+// MAP regression and the solver property suite in internal/svm.
 //
 // Refinement rounds can run asynchronously: Session.RefineAsync (HTTP:
 // POST /api/refine?async=1) submits the round to a bounded engine-wide

@@ -147,32 +147,6 @@ func TestCollectionBatchReused(t *testing.T) {
 	}
 }
 
-// TestTrainCoupledWarmStart verifies the opt-in warm-started alternating
-// optimization converges and stays close to the cold-started ranking.
-func TestTrainCoupledWarmStart(t *testing.T) {
-	coll := makeCollection(t, 4, 12, 40, 0, 21)
-	run := func(warm bool) []float64 {
-		params := DefaultCSVMParams()
-		params.Coupled.WarmStart = warm
-		ctx := coll.queryContext(2, 10)
-		scores, err := LRFCSVM{Params: params}.Rank(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return scores
-	}
-	cold := run(false)
-	warm := run(true)
-	// Warm starting lands on a different solution within the solver
-	// tolerance; retrieval quality must stay equivalent at the top of the
-	// ranking.
-	pCold := coll.precisionAt(cold, 2, 10)
-	pWarm := coll.precisionAt(warm, 2, 10)
-	if diff := pCold - pWarm; diff > 0.2 || diff < -0.2 {
-		t.Errorf("warm start changed precision@10 from %v to %v", pCold, pWarm)
-	}
-}
-
 // TestCollectionBatchGrowParity pins the copy-on-write grow path: a batch
 // grown image by image must rank bit-identically to a batch rebuilt from
 // scratch over the same collection, for every scheme.

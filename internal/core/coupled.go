@@ -31,6 +31,8 @@ type Modality struct {
 }
 
 // CoupledConfig controls the alternating optimization of the coupled SVM.
+// Zero or negative RhoInit, Rho, Delta and MaxCorrectionIters select the
+// defaults of DefaultCoupledConfig; TrainCoupled rejects NaN and infinities.
 type CoupledConfig struct {
 	// RhoInit is the initial weight of the unlabeled points relative to C
 	// (the paper starts at 1e-4 to avoid early dominance of unlabeled data).
@@ -47,17 +49,6 @@ type CoupledConfig struct {
 	// MaxCorrectionIters bounds the inner label-correction loop of each
 	// annealing step so that oscillating flips cannot spin forever.
 	MaxCorrectionIters int
-	// WarmStart seeds every retraining of the alternating optimization
-	// with the previous solution of the same modality whenever that
-	// solution is still feasible (the rho schedule only grows costs, so it
-	// is until a label correction invalidates it). This cuts SMO
-	// iterations substantially but lands on a slightly different
-	// approximate solution within the solver tolerance, so ranking results
-	// are no longer bit-identical to cold-started training (ablation MAPs
-	// move in the 4th decimal; see EXPERIMENTS.md). Off by default to keep
-	// results exactly reproducible (see EXPERIMENTS.md for the drift
-	// characterization and speedups).
-	WarmStart bool
 	// Workers bounds the goroutines that train the modalities of one
 	// alternation step concurrently; <=1 trains sequentially. The
 	// modalities of a step share no mutable state — each has its own
@@ -170,6 +161,14 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			return nil, fmt.Errorf("core: modality %q has %d unlabeled points, want %d", m.Name, len(m.Unlabeled), nu)
 		}
 	}
+	// The schedule multiplies into the costs the retrainings hand the solver
+	// under TrustedProblem, and NaN slips through withDefaults (NaN <= 0 is
+	// false), so it is refused here like a non-finite C.
+	for _, v := range [...]float64{cfg.RhoInit, cfg.Rho, cfg.Delta} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: coupled schedule has RhoInit %v, Rho %v, Delta %v, want finite values", cfg.RhoInit, cfg.Rho, cfg.Delta)
+		}
+	}
 	cfg = cfg.withDefaults()
 
 	result := &CoupledResult{
@@ -203,16 +202,15 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// always over the same point set: only the labels and costs change.
 	// Kernel values depend on neither, so each modality gets one shared,
 	// read-through kernel row cache that every retraining reuses, and the
-	// per-problem point/label/cost buffers are built once and patched in
-	// place. With cfg.WarmStart, each training also seeds the solver with
-	// the previous solution of its modality whenever that solution is
-	// still feasible (costs only ever grow along the rho schedule; label
-	// flips invalidate the warm point, so it is dropped after a
-	// correction).
+	// per-problem point/label/cost buffers and the unlabeled decision
+	// values are built once and patched in place. Every retraining starts
+	// the solver from zero, so a model depends only on the labels and costs
+	// it was trained with, never on the path the schedule took to them.
 	points := make([][]kernel.Point, len(modalities))
 	ys := make([]float64, nl+nu)
 	costs := make([][]float64, len(modalities))
-	warm := make([][]float64, len(modalities))
+	caches := make([]*kernel.Cache, len(modalities))
+	decisions := make([][]float64, len(modalities))
 	copy(ys[:nl], labels)
 	for m, mod := range modalities {
 		points[m] = make([]kernel.Point, 0, nl+nu)
@@ -222,28 +220,9 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 		for i := 0; i < nl; i++ {
 			costs[m][i] = mod.C
 		}
-	}
-	caches := make([]*kernel.Cache, len(modalities))
-	for m, mod := range modalities {
-		caches[m] = kernel.NewCache(mod.Kernel, points[m], cfg.Solver.CacheRows)
-	}
-
-	// The unlabeled decision values are allocated once per modality and
-	// reused across every retraining. With cfg.WarmStart, finalGrad
-	// additionally carries each modality's exact solver gradient from one
-	// retraining to the next: it stays valid across rho steps (the
-	// gradient does not depend on the costs) and is dropped as soon as a
-	// label correction changes Y' (gradValid), so the solver never sees a
-	// stale gradient.
-	decisions := make([][]float64, len(modalities))
-	finalGrad := make([][]float64, len(modalities))
-	for m := range modalities {
+		caches[m] = kernel.NewCache(mod.Kernel, points[m])
 		decisions[m] = make([]float64, nu)
-		if cfg.WarmStart {
-			finalGrad[m] = make([]float64, nl+nu)
-		}
 	}
-	gradValid := false
 
 	// trainAll trains every modality on labeled + unlabeled points with the
 	// current Y' and per-sample costs (C for labeled, rho*C for unlabeled)
@@ -273,26 +252,17 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			// flips) and costs stay positive finite (rho schedule times
 			// an entry-checked C), so skip per-retrain revalidation.
 			cfgSolver.TrustedProblem = true
-			if cfg.WarmStart {
-				cfgSolver.WarmAlpha = warm[m]
-				if gradValid {
-					cfgSolver.WarmGrad = finalGrad[m]
-				}
-				cfgSolver.FinalGrad = finalGrad[m]
-			}
 			model, err := svm.Train(svm.Problem{Points: points[m], Labels: ys, C: costs[m]}, cfgSolver)
 			if err != nil {
 				return fmt.Errorf("core: modality %q: %w", mod.Name, err)
 			}
 			result.Models[m] = model
-			warm[m] = model.Alphas
 			decisionsFromCache(model, caches[m], ys, nl, decisions[m])
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		gradValid = cfg.WarmStart
 		result.Retrainings += len(modalities)
 		result.tallySolverStats()
 		return nil
@@ -319,16 +289,6 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			}
 		}
 		result.Flips += changed
-		if changed > 0 {
-			// A flipped label changes the sign structure of the dual
-			// problem: the previous alphas are no longer a feasible warm
-			// start and the carried solver gradients are stale, so the
-			// next training cold-starts.
-			for m := range warm {
-				warm[m] = nil
-			}
-			gradValid = false
-		}
 		return changed
 	}
 
@@ -336,7 +296,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// ceiling, mirroring the transductive SVM schedule the paper adopts.
 	// Each step alternates (train SVMs | update Y') until the label set is
 	// stable or the iteration bound is hit.
-	for rho := cfg.RhoInit; rho < cfg.Rho; rho = minFloat(2*rho, cfg.Rho) {
+	for rho := cfg.RhoInit; rho < cfg.Rho; rho = min(2*rho, cfg.Rho) {
 		result.RhoSteps++
 		if err := trainAll(rho); err != nil {
 			return nil, err
@@ -374,18 +334,14 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	return result, nil
 }
 
-// perModalitySolverConfig strips the per-problem solver fields a caller may
-// have set on CoupledConfig.Solver: the kernel cache and the warm-start /
-// gradient buffers belong to one specific training problem and must never
-// be shared by the several (possibly concurrent) modality trainings this
-// package fans out — the cache is documented as not concurrency-safe and
-// FinalGrad is written by the solver. trainAll re-derives each of them per
-// modality after this reset.
+// perModalitySolverConfig strips the one per-problem solver field a caller
+// may have set on CoupledConfig.Solver: a kernel cache belongs to one
+// specific point set and is documented as not concurrency-safe, so it must
+// never be shared by the several (possibly concurrent) modality trainings
+// this package fans out. trainAll installs each modality's own cache after
+// this reset.
 func perModalitySolverConfig(cfg svm.Config) svm.Config {
 	cfg.SharedCache = nil
-	cfg.WarmAlpha = nil
-	cfg.WarmGrad = nil
-	cfg.FinalGrad = nil
 	return cfg
 }
 
@@ -393,8 +349,8 @@ func perModalitySolverConfig(cfg svm.Config) svm.Config {
 // nl+i — the unlabeled points the label-correction step inspects — from the
 // already-cached kernel rows of the training problem:
 // f(x_t) = b + sum_j alpha_j y_j K(x_j, x_t). Every support vector's row was
-// fetched during training (a pair update or gradient reconstruction touched
-// it), so this costs zero kernel evaluations, where Model.DecisionBatch
+// fetched during training (training starts from alpha = 0, so a pair update
+// touched it), so this costs zero kernel evaluations, where Model.DecisionBatch
 // would re-evaluate every (support vector, unlabeled) pair each retraining.
 // The summation order (ascending j over alpha_j > 0, bias first) and every
 // operand match DecisionBatch over the same points, so the values — and
@@ -480,11 +436,4 @@ func hinge(margin float64) float64 {
 		return 0
 	}
 	return 1 - margin
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"lrfcsvm/internal/kernel"
@@ -57,6 +58,23 @@ func TestTrainCoupledValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := TrainCoupled(c.modalities, c.labels, c.unlabeled, DefaultCoupledConfig()); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+
+	// The schedule is validated like the costs: the retrainings run with
+	// TrustedProblem, so a non-finite rho would reach the solver as a
+	// non-finite cost with nothing downstream to refuse it.
+	far := kernel.Dense(linalg.Vector{3})
+	trainable := []Modality{{Name: "a", Kernel: k, C: 1, Labeled: []kernel.Point{pt, far}, Unlabeled: []kernel.Point{pt, far}}}
+	if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, DefaultCoupledConfig()); err != nil {
+		t.Fatalf("valid schedule rejected: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// The fields left at zero take their defaults.
+		for name, cfg := range map[string]CoupledConfig{"RhoInit": {RhoInit: v}, "Rho": {Rho: v}, "Delta": {Delta: v}} {
+			if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, cfg); err == nil {
+				t.Errorf("%s = %v: accepted", name, v)
+			}
 		}
 	}
 }

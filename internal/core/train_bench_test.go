@@ -8,7 +8,7 @@ import (
 // CI20-sized collection, one query's judged neighborhood as the labeled set
 // and a drafted unlabeled set, in both modalities — exactly the problem
 // LRFCSVM hands to TrainCoupled every refinement round.
-func benchCoupledSetup(b *testing.B) (modalities []Modality, labels, initial []float64, cfg CoupledConfig) {
+func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64, cfg CoupledConfig) {
 	b.Helper()
 	coll := makeCollection(b, 8, 24, 60, 0, 5)
 	ctx := coll.queryContext(3, 15)
@@ -44,20 +44,14 @@ func benchCoupledSetup(b *testing.B) (modalities []Modality, labels, initial []f
 }
 
 // trainLanes are the measured configurations of the coupled trainer: the
-// bit-exact default (sequential, cold start), each optimization in
-// isolation, and the full fast lane (Workers + warm start), the opt-in
-// whose drift EXPERIMENTS.md characterizes.
+// default (modalities trained one after the other) and the one option left,
+// Workers, which trains them concurrently with bit-identical results.
 var trainLanes = []struct {
 	name  string
 	apply func(*CoupledConfig)
 }{
 	{"baseline", func(c *CoupledConfig) {}},
 	{"workers4", func(c *CoupledConfig) { c.Workers = 4 }},
-	{"warmstart", func(c *CoupledConfig) { c.WarmStart = true }},
-	{"fastlane-w4", func(c *CoupledConfig) {
-		c.Workers = 4
-		c.WarmStart = true
-	}},
 }
 
 // BenchmarkTrainCoupled measures the feedback-training hot path across

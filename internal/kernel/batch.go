@@ -271,22 +271,6 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 	}
 }
 
-// EvalBatch implements BatchKernel.
-func (k Polynomial) EvalBatch(x Point, ys []Point, dst []float64) {
-	Linear{}.EvalBatch(x, ys, dst)
-	for j, dot := range dst {
-		dst[j] = powi(k.Gamma*dot+k.Coef0, k.Degree)
-	}
-}
-
-// EvalBatch implements BatchKernel.
-func (k Sigmoid) EvalBatch(x Point, ys []Point, dst []float64) {
-	Linear{}.EvalBatch(x, ys, dst)
-	for j, dot := range dst {
-		dst[j] = math.Tanh(k.Gamma*dot + k.Coef0)
-	}
-}
-
 // DenseSet stores a collection of dense points as one flat row-major matrix
 // with precomputed squared row norms. It is the collection-storage format of
 // the batched scoring path: kernel rows over the set become tight loops (or
@@ -478,22 +462,6 @@ func (k RBF) EvalSetExact(x linalg.Vector, set *DenseSet, dst []float64) {
 	set.mat.RowSquaredDistancesInto(dst, x)
 	for i, d := range dst {
 		dst[i] = math.Exp(-k.Gamma * d)
-	}
-}
-
-// EvalSet implements SetKernel.
-func (k Polynomial) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
-	set.mat.MulVecInto(dst, x)
-	for i, dot := range dst {
-		dst[i] = powi(k.Gamma*dot+k.Coef0, k.Degree)
-	}
-}
-
-// EvalSet implements SetKernel.
-func (k Sigmoid) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
-	set.mat.MulVecInto(dst, x)
-	for i, dot := range dst {
-		dst[i] = math.Tanh(k.Gamma*dot + k.Coef0)
 	}
 }
 

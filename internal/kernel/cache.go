@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 
@@ -18,24 +17,17 @@ import (
 // shares one cache per modality across all its retrainings (see
 // svm.Config.SharedCache).
 //
-// When the capacity covers every point the cache stores rows in a
-// direct-indexed table with no eviction bookkeeping; otherwise it evicts the
-// least recently used rows beyond its capacity. It is not safe for
+// Rows live in a direct-indexed table and are kept for the life of the
+// cache: relevance feedback trains on a few dozen points, so the whole Gram
+// matrix is tens of kilobytes and nothing is ever evicted. It is not safe for
 // concurrent use; callers sharing a cache must use it sequentially.
 type Cache struct {
-	kernel   Kernel
-	points   []Point
-	capacity int
+	kernel Kernel
+	points []Point
 
-	// denseRows is the direct-indexed store used when capacity covers
-	// every point (the common case); nil entries are not yet computed.
-	denseRows [][]float64
-	denseLen  int
-
-	// LRU bookkeeping, used only when capacity < len(points).
-	rows map[int][]float64
-	lru  *list.List // front = most recently used
-	pos  map[int]*list.Element
+	// rows is the direct-indexed row table; nil entries are not yet
+	// computed.
+	rows [][]float64
 
 	// denseVecs is non-nil when the kernel is RBF and every point is
 	// Dense: row computation then runs over the raw vectors with the
@@ -44,9 +36,9 @@ type Cache struct {
 	denseVecs []linalg.Vector
 	rbfGamma  float64
 
-	// slab carves new rows out of shared chunks in the direct-indexed
-	// mode, where rows are never evicted and live as long as the cache —
-	// one allocation and one zeroing pass per chunk instead of per row.
+	// slab carves new rows out of shared chunks: one allocation and one
+	// zeroing pass per chunk instead of per row. Rows are never evicted and
+	// live as long as the cache, so a chunk cannot pin dead memory.
 	slab []float64
 
 	hits, misses int
@@ -55,26 +47,12 @@ type Cache struct {
 // cacheSlabRows is the number of rows carved from one slab chunk.
 const cacheSlabRows = 16
 
-// NewCache builds a row cache over the given points. capacity is the maximum
-// number of rows kept; a non-positive capacity keeps every row.
-func NewCache(k Kernel, points []Point, capacity int) *Cache {
-	if capacity <= 0 || capacity > len(points) {
-		capacity = len(points)
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewCache builds a row cache over the given points.
+func NewCache(k Kernel, points []Point) *Cache {
 	c := &Cache{
-		kernel:   k,
-		points:   points,
-		capacity: capacity,
-	}
-	if capacity >= len(points) {
-		c.denseRows = make([][]float64, len(points))
-	} else {
-		c.rows = make(map[int][]float64)
-		c.lru = list.New()
-		c.pos = make(map[int]*list.Element)
+		kernel: k,
+		points: points,
+		rows:   make([][]float64, len(points)),
 	}
 	if rbf, ok := k.(RBF); ok {
 		vecs := make([]linalg.Vector, len(points))
@@ -98,51 +76,23 @@ func NewCache(k Kernel, points []Point, capacity int) *Cache {
 // Row returns the kernel row K(points[i], points[j]) for all j, computing
 // and caching it on first use.
 func (c *Cache) Row(i int) []float64 {
-	if c.denseRows != nil {
-		if row := c.denseRows[i]; row != nil {
-			c.hits++
-			return row
-		}
-		c.misses++
-		row := c.computeRow(i)
-		c.denseRows[i] = row
-		c.denseLen++
-		return row
-	}
-	if row, ok := c.rows[i]; ok {
+	if row := c.rows[i]; row != nil {
 		c.hits++
-		c.lru.MoveToFront(c.pos[i])
 		return row
 	}
 	c.misses++
-	row := c.computeRow(i)
-	if len(c.rows) >= c.capacity {
-		c.evict()
+	n := len(c.points)
+	if len(c.slab) < n {
+		c.slab = make([]float64, n*cacheSlabRows)
 	}
-	c.rows[i] = row
-	c.pos[i] = c.lru.PushFront(i)
-	return row
-}
-
-func (c *Cache) computeRow(i int) []float64 {
-	var row []float64
-	if c.denseRows != nil {
-		// Direct-indexed mode: rows are never evicted, so carving them
-		// from slab chunks cannot pin dead memory.
-		n := len(c.points)
-		if len(c.slab) < n {
-			c.slab = make([]float64, n*cacheSlabRows)
-		}
-		row = c.slab[:n:n]
-		c.slab = c.slab[n:]
-	} else {
-		row = make([]float64, len(c.points))
-	}
+	row := c.slab[:n:n]
+	c.slab = c.slab[n:]
 	if c.denseVecs != nil {
 		rbfRowDense(c.rbfGamma, c.denseVecs[i], c.denseVecs, row)
-		return row
+	} else {
+		EvalBatch(c.kernel, c.points[i], c.points, row)
 	}
-	EvalBatch(c.kernel, c.points[i], c.points, row)
+	c.rows[i] = row
 	return row
 }
 
@@ -166,59 +116,8 @@ func rbfRowDense(gamma float64, x linalg.Vector, pts []linalg.Vector, dst []floa
 	}
 }
 
-// Eval returns K(points[i], points[j]). A single-pair probe must not
-// materialize (and potentially evict) a whole row: it answers from an
-// already-cached row i or j (kernels are symmetric) and otherwise computes
-// just the one entry, leaving the row cache untouched. Diagonal probes like
-// K(i,i)/K(j,j) in the SMO inner loop therefore never displace useful rows.
-func (c *Cache) Eval(i, j int) float64 {
-	if c.denseRows != nil {
-		if row := c.denseRows[i]; row != nil {
-			c.hits++
-			return row[j]
-		}
-		if row := c.denseRows[j]; row != nil {
-			c.hits++
-			return row[i]
-		}
-		c.misses++
-		return c.kernel.Eval(c.points[i], c.points[j])
-	}
-	if row, ok := c.rows[i]; ok {
-		c.hits++
-		c.lru.MoveToFront(c.pos[i])
-		return row[j]
-	}
-	if row, ok := c.rows[j]; ok {
-		c.hits++
-		c.lru.MoveToFront(c.pos[j])
-		return row[i]
-	}
-	c.misses++
-	return c.kernel.Eval(c.points[i], c.points[j])
-}
-
 // Stats reports cache hits and misses since creation.
 func (c *Cache) Stats() (hits, misses int) { return c.hits, c.misses }
 
-// Len returns the number of cached rows.
-func (c *Cache) Len() int {
-	if c.denseRows != nil {
-		return c.denseLen
-	}
-	return len(c.rows)
-}
-
 // NumPoints returns the number of points the cache is built over.
 func (c *Cache) NumPoints() int { return len(c.points) }
-
-func (c *Cache) evict() {
-	back := c.lru.Back()
-	if back == nil {
-		return
-	}
-	idx := back.Value.(int)
-	c.lru.Remove(back)
-	delete(c.rows, idx)
-	delete(c.pos, idx)
-}

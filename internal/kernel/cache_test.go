@@ -23,12 +23,12 @@ func cachePoints(n, dim int, seed uint64) []Point {
 func TestCacheMatchesDirectEvaluation(t *testing.T) {
 	pts := cachePoints(10, 3, 1)
 	k := RBF{Gamma: 0.4}
-	c := NewCache(k, pts, 0)
+	c := NewCache(k, pts)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			want := k.Eval(pts[i], pts[j])
-			if got := c.Eval(i, j); math.Abs(got-want) > 1e-15 {
-				t.Fatalf("cache Eval(%d,%d) = %v, want %v", i, j, got, want)
+			if got := c.Row(i)[j]; math.Abs(got-want) > 1e-15 {
+				t.Fatalf("cache Row(%d)[%d] = %v, want %v", i, j, got, want)
 			}
 		}
 	}
@@ -36,59 +36,12 @@ func TestCacheMatchesDirectEvaluation(t *testing.T) {
 
 func TestCacheHitAccounting(t *testing.T) {
 	pts := cachePoints(5, 2, 2)
-	c := NewCache(Linear{}, pts, 0)
+	c := NewCache(Linear{}, pts)
 	c.Row(0)
 	c.Row(0)
 	c.Row(1)
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 2 {
 		t.Errorf("Stats = (%d,%d), want (1,2)", hits, misses)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	pts := cachePoints(6, 2, 3)
-	c := NewCache(Linear{}, pts, 2)
-	c.Row(0)
-	c.Row(1)
-	c.Row(2) // evicts row 0 (LRU)
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d rows, want 2", c.Len())
-	}
-	_, missesBefore := c.Stats()
-	c.Row(1) // still cached
-	_, missesAfter := c.Stats()
-	if missesAfter != missesBefore {
-		t.Error("row 1 should have been a hit")
-	}
-	c.Row(0) // was evicted -> miss
-	_, missesFinal := c.Stats()
-	if missesFinal != missesAfter+1 {
-		t.Error("row 0 should have been recomputed after eviction")
-	}
-}
-
-func TestCacheLRUOrderOnAccess(t *testing.T) {
-	pts := cachePoints(4, 2, 4)
-	c := NewCache(Linear{}, pts, 2)
-	c.Row(0)
-	c.Row(1)
-	c.Row(0) // touch 0 so 1 becomes LRU
-	c.Row(2) // should evict 1, keep 0
-	_, misses := c.Stats()
-	c.Row(0)
-	if _, m := c.Stats(); m != misses {
-		t.Error("row 0 was evicted despite being most recently used")
-	}
-}
-
-func TestCacheCapacityClamping(t *testing.T) {
-	pts := cachePoints(3, 2, 5)
-	c := NewCache(Linear{}, pts, 100)
-	c.Row(0)
-	c.Row(1)
-	c.Row(2)
-	if c.Len() != 3 {
-		t.Errorf("cache len = %d, want 3", c.Len())
 	}
 }

@@ -4,9 +4,9 @@
 // primitives of the query hot path, and the IVF centroid index that prunes
 // initial queries.
 //
-// The paper trains all schemes with the Gaussian RBF kernel; the linear,
-// polynomial and sigmoid kernels are provided for completeness and for the
-// ablation benchmarks.
+// The paper trains all schemes with the Gaussian RBF kernel. Two kernels
+// exist because two are trained: RBF over the visual descriptors and Linear,
+// the log modality's default co-judgment kernel (an ablation swaps in RBF).
 //
 // # Compute backends
 //

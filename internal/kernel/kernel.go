@@ -111,66 +111,6 @@ func (k RBF) Eval(x, y Point) float64 {
 // Name implements Kernel.
 func (k RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
 
-// Polynomial is the kernel K(x,y) = (gamma*<x,y> + coef0)^degree.
-type Polynomial struct {
-	Degree int
-	Gamma  float64
-	Coef0  float64
-}
-
-// Eval implements Kernel.
-func (k Polynomial) Eval(x, y Point) float64 {
-	return powi(k.Gamma*x.Dot(y)+k.Coef0, k.Degree)
-}
-
-// powi raises base to a non-negative integer power by squaring; math.Pow's
-// generality (and cost) is unnecessary for the small integer degrees
-// polynomial kernels use. Negative degrees fall back to math.Pow.
-func powi(base float64, deg int) float64 {
-	if deg < 0 {
-		return math.Pow(base, float64(deg))
-	}
-	result := 1.0
-	for deg > 0 {
-		if deg&1 == 1 {
-			result *= base
-		}
-		deg >>= 1
-		if deg > 0 {
-			base *= base
-		}
-	}
-	return result
-}
-
-// Name implements Kernel.
-func (k Polynomial) Name() string {
-	return fmt.Sprintf("poly(degree=%d,gamma=%g,coef0=%g)", k.Degree, k.Gamma, k.Coef0)
-}
-
-// Sigmoid is the kernel K(x,y) = tanh(gamma*<x,y> + coef0).
-type Sigmoid struct {
-	Gamma float64
-	Coef0 float64
-}
-
-// Eval implements Kernel.
-func (k Sigmoid) Eval(x, y Point) float64 {
-	return math.Tanh(k.Gamma*x.Dot(y) + k.Coef0)
-}
-
-// Name implements Kernel.
-func (k Sigmoid) Name() string { return fmt.Sprintf("sigmoid(gamma=%g,coef0=%g)", k.Gamma, k.Coef0) }
-
-// DefaultRBF returns the RBF kernel with gamma = 1/dim, the LIBSVM default
-// the paper's experiments rely on.
-func DefaultRBF(dim int) RBF {
-	if dim <= 0 {
-		dim = 1
-	}
-	return RBF{Gamma: 1 / float64(dim)}
-}
-
 // EstimateRBFGamma returns a data-driven RBF bandwidth for a collection of
 // points: gamma = 1 / mean squared pairwise distance, estimated over an
 // evenly spaced subsample of at most sample points (so the estimate is

@@ -66,35 +66,6 @@ func TestRBFKernel(t *testing.T) {
 	}
 }
 
-func TestPolynomialKernel(t *testing.T) {
-	k := Polynomial{Degree: 2, Gamma: 1, Coef0: 1}
-	a := Dense(linalg.Vector{1, 1})
-	b := Dense(linalg.Vector{2, 0})
-	if got := k.Eval(a, b); got != 9 {
-		t.Errorf("poly = %v, want 9", got)
-	}
-}
-
-func TestSigmoidKernel(t *testing.T) {
-	k := Sigmoid{Gamma: 1, Coef0: 0}
-	a := Dense(linalg.Vector{0.1})
-	b := Dense(linalg.Vector{1})
-	want := math.Tanh(0.1)
-	if got := k.Eval(a, b); math.Abs(got-want) > 1e-12 {
-		t.Errorf("sigmoid = %v, want %v", got, want)
-	}
-}
-
-func TestDefaultRBF(t *testing.T) {
-	k := DefaultRBF(36)
-	if math.Abs(k.Gamma-1.0/36) > 1e-12 {
-		t.Errorf("gamma = %v", k.Gamma)
-	}
-	if DefaultRBF(0).Gamma != 1 {
-		t.Error("DefaultRBF(0) should fall back to gamma=1")
-	}
-}
-
 func TestGramSymmetricWithUnitDiagonal(t *testing.T) {
 	rng := linalg.NewRNG(3)
 	points := make([]Point, 8)

@@ -10,7 +10,8 @@
 //	POST /api/query/batch                 -> many initial queries in one call
 //	POST /api/images                      -> ingest images into the collection
 //	POST /api/sessions                    -> start a feedback session
-//	POST /api/sessions/judge              -> record judgments
+//	POST /api/sessions/judge              -> record a batch of judgments
+//	                                         (all of it, or none on a 400)
 //	POST /api/sessions/refine             -> re-rank with a scheme
 //	POST /api/refine                      -> same; with ?async=1 (or
 //	                                         "async": true) the round trains
@@ -928,6 +929,17 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown or expired session %d", req.SessionID)
 		return
+	}
+	// All-or-nothing, like /api/query/batch: every index is checked before
+	// any judgment is recorded. The collection only grows, so an index in
+	// range here still is when Judge re-checks it, and Judge's other
+	// refusal, a committed session, stops the loop at its first judgment.
+	n := s.engine.NumImages()
+	for _, j := range req.Judgments {
+		if j.Image < 0 || j.Image >= n {
+			writeError(w, http.StatusBadRequest, "judged image %d out of range [0,%d): no judgment of the batch was recorded", j.Image, n)
+			return
+		}
 	}
 	for _, j := range req.Judgments {
 		if err := session.Judge(j.Image, j.Relevant); err != nil {

@@ -187,6 +187,45 @@ func TestFullFeedbackFlow(t *testing.T) {
 	}
 }
 
+// TestJudgeBatchIsAllOrNothing pins the batch contract of
+// POST /api/sessions/judge: a batch holding one out-of-range image answers
+// 400 and records none of its judgments, so what a client drops on a 400
+// can never reach the long-term log through a later commit.
+func TestJudgeBatchIsAllOrNothing(t *testing.T) {
+	srv, _ := testServer(t)
+	var start StartSessionResponse
+	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
+
+	type judgment = struct {
+		Image    int  `json:"image"`
+		Relevant bool `json:"relevant"`
+	}
+	count := func() int {
+		t.Helper()
+		var judged JudgeResponse
+		if resp := postJSON(t, srv.URL+"/api/sessions/judge", JudgeRequest{SessionID: start.SessionID}, &judged); resp.StatusCode != http.StatusOK {
+			t.Fatalf("empty batch: status %d", resp.StatusCode)
+		}
+		return judged.Judgments
+	}
+	var judged JudgeResponse
+	ok := JudgeRequest{SessionID: start.SessionID, Judgments: []judgment{{Image: 0, Relevant: true}}}
+	if resp := postJSON(t, srv.URL+"/api/sessions/judge", ok, &judged); resp.StatusCode != http.StatusOK || judged.Judgments != 1 {
+		t.Fatalf("valid batch: %d %+v", resp.StatusCode, judged)
+	}
+	for _, bad := range []int{999999, -1} {
+		batch := JudgeRequest{SessionID: start.SessionID, Judgments: []judgment{
+			{Image: 1, Relevant: true}, {Image: 2, Relevant: false}, {Image: bad, Relevant: true},
+		}}
+		if resp := postJSON(t, srv.URL+"/api/sessions/judge", batch, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch with image %d: status %d, want 400", bad, resp.StatusCode)
+		}
+		if got := count(); got != 1 {
+			t.Fatalf("after the rejected batch with image %d the session holds %d judgments, want 1", bad, got)
+		}
+	}
+}
+
 func TestRefineUnknownSessionAndScheme(t *testing.T) {
 	srv, _ := testServer(t)
 	resp := postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: 999, Scheme: "rf-svm"}, nil)

@@ -74,7 +74,7 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 	k := kernel.RBF{Gamma: 0.5}
 	base, points, _ := trainTestModel(t, Config{Kernel: k})
 
-	shared := kernel.NewCache(k, points, 0)
+	shared := kernel.NewCache(k, points)
 	// Pre-populate by a first training run, then retrain through the now
 	// warm cache.
 	labels := make([]float64, len(points))
@@ -101,66 +101,4 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 	if hits, _ := shared.Stats(); hits == 0 {
 		t.Error("second training should have hit the shared cache")
 	}
-}
-
-// TestWarmStartConvergesFaster verifies a feasible warm start converges to
-// (nearly) the same decision function in fewer iterations, and that
-// infeasible warm points are ignored rather than corrupting the solve.
-func TestWarmStartConvergesFaster(t *testing.T) {
-	k := kernel.RBF{Gamma: 0.5}
-	cold, points, _ := trainTestModel(t, Config{Kernel: k})
-	labels := make([]float64, len(points))
-	for i := range labels {
-		labels[i] = -1
-		if i%2 == 0 {
-			labels[i] = 1
-		}
-	}
-
-	warm, err := Train(NewProblem(points, labels, 1), Config{Kernel: k, WarmAlpha: cold.Alphas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Converged {
-		t.Fatal("warm-started solve did not converge")
-	}
-	if warm.Iterations > cold.Iterations {
-		t.Errorf("warm start took %d iterations, cold start %d", warm.Iterations, cold.Iterations)
-	}
-	for _, p := range points {
-		if d := math.Abs(warm.Decision(p) - cold.Decision(p)); d > 0.05 {
-			t.Errorf("warm/cold decision differ by %v", d)
-		}
-	}
-
-	// Costs grew: the old solution stays feasible and must still work.
-	grown, err := Train(Problem{Points: points, Labels: labels, C: filled(len(points), 2)},
-		Config{Kernel: k, WarmAlpha: cold.Alphas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grown.Converged {
-		t.Error("warm start with grown costs did not converge")
-	}
-
-	// Infeasible warm alphas (outside the box) must be ignored.
-	bad := make([]float64, len(points))
-	for i := range bad {
-		bad[i] = 5 // > C
-	}
-	ignored, err := Train(NewProblem(points, labels, 1), Config{Kernel: k, WarmAlpha: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ignored.Bias != cold.Bias {
-		t.Errorf("infeasible warm start changed the solution: bias %v != %v", ignored.Bias, cold.Bias)
-	}
-}
-
-func filled(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

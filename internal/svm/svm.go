@@ -18,7 +18,8 @@
 //	s.t.       y' alpha = 0,  0 <= alpha_i <= C_i
 //
 // with Q_ij = y_i y_j K(x_i,x_j), using maximal-violating-pair working-set
-// selection and an LRU kernel row cache.
+// selection from a zero start and a kernel row cache that keeps every Gram
+// row it has computed.
 package svm
 
 import (
@@ -82,8 +83,6 @@ type Config struct {
 	// 100 * n + 10000, generous for the small problems relevance feedback
 	// produces.
 	MaxIterations int
-	// CacheRows bounds the kernel row cache. Zero caches every row.
-	CacheRows int
 	// SharedCache, when non-nil, replaces the solver's private kernel row
 	// cache. It must be built with the same kernel over exactly the
 	// problem's points in the same order. Kernel values depend only on the
@@ -92,29 +91,6 @@ type Config struct {
 	// set. The cache is not safe for concurrent use; callers sharing it
 	// must train sequentially.
 	SharedCache *kernel.Cache
-	// WarmAlpha, when non-nil, seeds the solver with a previous solution
-	// (typically Model.Alphas from an earlier training run on the same
-	// points). The values must be feasible for this problem — within
-	// [0, C_i] and with sum_i y_i*alpha_i = 0 — or they are ignored and
-	// the solver cold-starts; labels or shrunken costs that changed since
-	// the previous run usually break feasibility, growing costs never do.
-	WarmAlpha []float64
-	// WarmGrad, when non-nil and the warm start is accepted, is taken as
-	// the exact gradient G_i = (Q*WarmAlpha)_i - 1 of the warm point and
-	// skips the O(nnz*n) gradient reconstruction. It must have been
-	// computed for the same points, labels and kernel as this problem
-	// (costs may differ: the gradient does not depend on them) —
-	// typically the FinalGrad of the training run that produced WarmAlpha.
-	// The solver cannot verify this cheaply, so a stale gradient silently
-	// corrupts the solution; callers must drop it whenever a label
-	// changed. Ignored when WarmAlpha is rejected.
-	WarmGrad []float64
-	// FinalGrad, when of problem length, receives the solver's final
-	// gradient after training (for a degenerate one-class problem, the
-	// zero-alpha gradient -e). Feeding it back as WarmGrad alongside
-	// Model.Alphas lets repeated retrainings on fixed labels skip gradient
-	// reconstruction entirely — the coupled SVM's rho schedule does this.
-	FinalGrad []float64
 	// OmitSupportVectors leaves SupportPoints/Coefficients of the returned
 	// model empty; Alphas, Bias and the solver diagnostics are still
 	// populated. The Decision* methods are unusable until
@@ -221,11 +197,6 @@ func Train(p Problem, cfg Config) (*Model, error) {
 	// prior as the bias so that Predict still answers with the only
 	// observed label.
 	if oneClass, label := singleClass(p.Labels); oneClass {
-		if len(cfg.FinalGrad) == n {
-			for i := range cfg.FinalGrad {
-				cfg.FinalGrad[i] = -1 // alpha = 0 => G = -e
-			}
-		}
 		return &Model{
 			Kernel:    cfg.Kernel,
 			Bias:      label,
@@ -250,9 +221,6 @@ func Train(p Problem, cfg Config) (*Model, error) {
 	}
 	if !cfg.OmitSupportVectors {
 		model.ExpandSupport(p.Points, p.Labels)
-	}
-	if len(cfg.FinalGrad) == n {
-		copy(cfg.FinalGrad, s.grad)
 	}
 	s.release()
 	return model, nil
@@ -466,7 +434,7 @@ func newSolver(p Problem, cfg Config) *solver {
 	n := len(p.Points)
 	cache := cfg.SharedCache
 	if cache == nil || cache.NumPoints() != n {
-		cache = kernel.NewCache(cfg.Kernel, p.Points, cfg.CacheRows)
+		cache = kernel.NewCache(cfg.Kernel, p.Points)
 	}
 	sc := scratchPool.Get().(*solverScratch)
 	sc.grab(n)
@@ -481,12 +449,11 @@ func newSolver(p Problem, cfg Config) *solver {
 		upPen:   sc.upPen,
 		lowPen:  sc.lowPen,
 	}
-	warm := cfg.WarmAlpha
-	if !s.feasible(warm) {
-		warm = nil
-	}
-	s.initState(warm, cfg.WarmGrad)
+	// Every training starts from the zero iterate, whose gradient Q*0 - e is
+	// -e whatever the kernel: no row is read before the first pair update.
 	for t := range s.alpha {
+		s.alpha[t] = 0
+		s.grad[t] = -1
 		s.refreshElig(t)
 	}
 	return s
@@ -528,71 +495,12 @@ func (s *solver) release() {
 	scratchPool.Put(sc)
 }
 
-// feasible reports whether warm is a feasible dual point for this problem:
-// matching length, inside the box [0, C_i], and on the equality constraint
-// sum_i y_i*alpha_i = 0. Infeasible warm points (labels or shrunken costs
-// changed since the previous run) are rejected so the solver cold-starts,
-// which is always correct.
-func (s *solver) feasible(warm []float64) bool {
-	if len(warm) != len(s.p.Points) {
-		return false
-	}
-	var linear float64
-	for i, a := range warm {
-		if a < 0 || a > s.p.C[i] || math.IsNaN(a) {
-			return false
-		}
-		linear += s.p.Labels[i] * a
-	}
-	return math.Abs(linear) <= 1e-9
-}
-
-// initState is the single entry point for both the cold and the warm start:
-// it installs the starting iterate (zero, or the feasible warm point) and
-// derives the gradient from it through one reconstruction, so the two start
-// paths cannot diverge. A caller-supplied WarmGrad (the trusted final
-// gradient of the run that produced the warm point) replaces the
-// reconstruction for an accepted warm start.
-func (s *solver) initState(warm, warmGrad []float64) {
-	if warm == nil {
-		for i := range s.alpha {
-			s.alpha[i] = 0
-		}
-	} else {
-		copy(s.alpha, warm)
-		if len(warmGrad) == len(s.grad) {
-			copy(s.grad, warmGrad)
-			return
-		}
-	}
-	s.reconstructGradient()
-}
-
-// reconstructGradient recomputes G_t = (Q alpha)_t - 1 exactly for every
-// index from the cached kernel rows of the non-zero alphas. It serves the
-// cold start (all alphas zero: G = -e) and the warm start.
-func (s *solver) reconstructGradient() {
-	for t := range s.grad {
-		s.grad[t] = -1 // alpha = 0 => G = -e
-	}
-	for i, a := range s.alpha {
-		if a == 0 {
-			continue
-		}
-		row := s.cache.Row(i)
-		ayi := a * s.p.Labels[i]
-		for t := range s.grad {
-			s.grad[t] += ayi * s.p.Labels[t] * row[t]
-		}
-	}
-}
-
 // selectPair returns the maximal violating pair and the current violation.
 // The up-set/low-set membership tests come from the cached upPen/lowPen
 // penalties, so the scan reads each slot exactly once and carries no label
 // or membership branch. The steady-state iterations get their pair from the
 // fused scan inside step instead; this standalone scan serves the first
-// iteration, after the gradient was built wholesale (cold or warm start).
+// iteration, after the constructor wrote the gradient wholesale.
 // Both scans visit the same indices in the same order over the same gradient
 // values, so they select bit-identical pairs.
 func (s *solver) selectPair() (i, j int, violation float64) {
