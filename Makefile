@@ -50,11 +50,14 @@ govulncheck:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 	"$$($(GO) env GOPATH)/bin/govulncheck" ./...
 
-# Non-test Go lines per package, and the total outside bench/: the figure the
-# ROADMAP's size targets and the simplicity PRs' before/after tables quote.
-# Every line counts, comments and blanks included, so stripping comments or
-# moving code into _test.go files shows up as exactly that in the diff.
+# Non-test Go lines per package, the internal/core + internal/kernel subtotal
+# and the total outside bench/: the figures the ROADMAP's size targets and the
+# simplicity PRs' before/after tables quote. Every line counts, comments and
+# blanks included, so stripping comments or moving code into _test.go files
+# shows up as exactly that in the diff.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sed 's|^\./||' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total outside bench/\n", t }'
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  internal/core + internal/kernel\n", n["internal/core"] + n["internal/kernel"]; \
+		printf "%7d  total outside bench/\n", t }'

@@ -2,11 +2,12 @@ package lrfcsvm
 
 // This file is the benchmark harness of the reproduction: one benchmark per
 // table and figure of the paper's evaluation section, plus ablation benches
-// for the design choices DESIGN.md calls out. Each benchmark runs the full
-// protocol — synthetic dataset generation, feature extraction, simulated log
-// collection, query evaluation — on the CI-scale profile so that
-// `go test -bench=.` finishes in minutes; the full paper-scale numbers are
-// produced by `go run ./cmd/lrfbench` and recorded in EXPERIMENTS.md.
+// for the choices the paper leaves open (the sweeps of `lrfbench -ablation`,
+// README "Layout"). Each benchmark runs the full protocol — synthetic dataset
+// generation, feature extraction, simulated log collection, query evaluation
+// — on the CI-scale profile so that `go test -bench=.` finishes in minutes;
+// the full paper-scale numbers are produced by `go run ./cmd/lrfbench` and
+// recorded in EXPERIMENTS.md.
 //
 // The per-scheme mean average precision of every run is reported through
 // b.ReportMetric (as "MAP_<scheme>"), so the benchmark output itself shows

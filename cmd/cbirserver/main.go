@@ -227,7 +227,7 @@ func main() {
 			}
 		case *snapshotPath != "":
 			snapVisual, snapLog := engine.Snapshot()
-			if err := storage.SaveSnapshot(*snapshotPath, snapVisual, snapLog); err != nil {
+			if err := storage.SaveSnapshotAt(*snapshotPath, snapVisual, snapLog, 0); err != nil {
 				log.Printf("cbirserver: save snapshot: %v", err)
 			} else {
 				log.Printf("cbirserver: snapshot of %d images (%d log sessions) written to %s",

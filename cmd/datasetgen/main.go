@@ -1,8 +1,8 @@
 // Command datasetgen renders the synthetic COREL-like datasets to disk as
 // PPM images plus a manifest (image index, category index, category name,
 // appearance variant). It substitutes the proprietary COREL Photo CDs used
-// by the paper (see DESIGN.md §4) and exists mainly so the generated imagery
-// can be inspected — the benchmarks render images in memory.
+// by the paper (see README "Layout") and exists mainly so the generated
+// imagery can be inspected — the benchmarks render images in memory.
 //
 // Example:
 //

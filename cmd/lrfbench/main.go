@@ -1,7 +1,8 @@
 // Command lrfbench reproduces the paper's evaluation: Tables 1-2 and
 // Figures 3-4 (average precision of Euclidean, RF-SVM, LRF-2SVMs and
 // LRF-CSVM versus the number of returned images on the 20-Category and
-// 50-Category datasets), plus the ablation sweeps described in DESIGN.md.
+// 50-Category datasets), plus the ablation sweeps around LRF-CSVM's defaults
+// (README "Layout"; the ablations table below is the list).
 //
 // Examples:
 //

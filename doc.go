@@ -51,7 +51,7 @@
 // blocked or torn. Shard layout depends only on the shard size, never on
 // ingestion batching. Committed feedback rounds extend the per-image log
 // relevance columns incrementally the same way. A grown engine can be
-// persisted as one self-contained snapshot file (storage.SaveSnapshot /
+// persisted as one self-contained snapshot file (storage.SaveSnapshotAt /
 // retrieval.Engine.Snapshot) and reloaded bit-identically; cmd/cbirserver
 // does this automatically on graceful shutdown via its -snapshot flag.
 //
@@ -146,9 +146,9 @@
 // violations. Run it locally with "make lint" or
 // "go run ./cmd/cbirlint ./...".
 //
-// Start with the README for an architecture overview, DESIGN.md for the
-// system inventory and per-experiment index, and EXPERIMENTS.md for the
-// paper-versus-measured results. The public entry points live under
+// Start with the README for an architecture overview and the system
+// inventory ("Layout"), and EXPERIMENTS.md for the paper-versus-measured
+// results and the per-PR experiment index. The public entry points live under
 // internal/core (learning schemes), internal/eval (experiments),
 // internal/retrieval (interactive engine) and internal/server (HTTP API);
 // runnable programs live under cmd/ and examples/.

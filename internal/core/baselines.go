@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/svm"
 )
 
@@ -18,16 +17,18 @@ func (Euclidean) Name() string { return "Euclidean" }
 
 // scorer implements rangeScored. Euclidean ranking ignores user feedback, so
 // unlike the learning schemes it does not require any labeled examples in
-// the context. Distances are computed per range, without touching the
-// full-row cache, so streaming queries stay allocation-free.
+// the context.
 func (Euclidean) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	if err := validateEuclidean(ctx); err != nil {
 		return nil, nil, err
 	}
 	b := ctx.collectionBatch()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	return b, func(sub *kernel.DenseSet, _ int, dst []float64) {
-		scoreDistanceRange(q, sub, dst)
+	q := b.queryVector(ctx)
+	return b, func(_ *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
+		rangeDistances(q, sub, dst)
+		for i := range dst {
+			dst[i] = -dst[i]
+		}
 	}, nil
 }
 
@@ -92,8 +93,8 @@ const gammaSample = 64
 // visual modality. The top of a retrieval ranking is decided in the local
 // neighborhood of the labeled examples, so a kernel somewhat sharper than
 // the global mean-distance heuristic ranks better; the factor was selected
-// on a held-out synthetic collection (see DESIGN.md §6 and the kernel
-// ablation benchmark).
+// on a held-out synthetic collection (EXPERIMENTS.md "MAP reference values"
+// holds the MAPs measured with it).
 const visualGammaScale = 4
 
 // defaultLogKernel is the kernel used over user-log relevance vectors: the
@@ -116,7 +117,7 @@ func LogRBFKernel(ctx *QueryContext) kernel.Kernel {
 		}
 		pts = append(pts, kernel.NewSparse(v))
 	}
-	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(pts, gammaSample)}
+	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(pts), func(i int) kernel.Point { return pts[i] }, gammaSample)}
 }
 
 func (o SVMOptions) withDefaults(ctx *QueryContext, b *CollectionBatch) SVMOptions {
@@ -186,8 +187,7 @@ func (s RFSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	fn, err := visualScorer(ctx, batch, model)
-	return batch, fn, err
+	return batch, visualScorer(ctx, batch, model), nil
 }
 
 // Rank implements Scheme.
@@ -241,8 +241,7 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	fn, err := retrievalScorer(ctx, batch, visualModel, logModel)
-	return batch, fn, err
+	return batch, retrievalScorer(ctx, batch, visualModel, logModel), nil
 }
 
 // Rank implements Scheme.
@@ -290,8 +289,7 @@ func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScor
 		return nil, nil, err
 	}
 	batch := ctx.collectionBatch()
-	fn, err := retrievalScorer(ctx, batch, p.visualModel, p.logModel)
-	return batch, fn, err
+	return batch, retrievalScorer(ctx, batch, p.visualModel, p.logModel), nil
 }
 
 // Rank scores the whole collection with the pretrained pair.

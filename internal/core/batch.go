@@ -27,23 +27,26 @@ import (
 // run by one driver (scanRanges): the source is every shard or a pruned
 // candidate set (candidates.go), the scorer is the scheme's, and the sink
 // keeps the top K, the unlabeled points of LRF-CSVM's step 1 — both bounded
-// selectors backed by a pooled per-query scratch arena, so the steady-state
-// query path allocates nothing proportional to the collection size — or
-// every score (the evaluation harness needs them all).
+// selectors — or every score (the evaluation harness needs them all).
+// Whatever a range needs beside the stores — score lanes, the query's
+// distances, the log vectors as kernel points — lives in the scanning
+// worker's pooled arena, sized to one shard and computed in the range it is
+// used in: nothing derived from the collection is kept per query or per log
+// version, so no pass but the one that returns every score allocates with
+// the size of the collection.
 
 // DefaultShardSize re-exports the collection shard capacity selected when a
 // batch is built without an explicit shard size.
 const DefaultShardSize = kernel.DefaultShardSize
 
-// CollectionBatch caches collection-level precomputation shared by every
-// query against the same collection: the sharded flat visual store with
-// per-shard row norms, the log vectors wrapped as kernel points, the
-// mean-distance estimate of the default visual kernel, and a pool of
-// per-query scratch arenas (score lanes and top-K selectors sized to one
-// shard). Build one per indexed collection (the retrieval engine and eval
-// experiments do) and attach it to each QueryContext; schemes fall back to a
-// transient one per Rank call when the context carries none. All methods are
-// safe for concurrent use.
+// CollectionBatch holds what every query against the same collection shares:
+// the sharded flat visual store with per-shard row norms, the mean-distance
+// estimate of the default visual kernel, and a pool of scoring arenas (see
+// rankScratch) — nothing that depends on the query or on the log. Build one
+// per indexed collection (the retrieval engine and eval experiments do) and
+// attach it to each QueryContext; schemes fall back to a transient one per
+// Rank call when the context carries none. All methods are safe for
+// concurrent use.
 type CollectionBatch struct {
 	src []linalg.Vector // the collection the batch was built from
 	set *kernel.ShardedSet
@@ -54,21 +57,9 @@ type CollectionBatch struct {
 	qsOnce sync.Once
 	qs     *kernel.QuantizedSet
 
-	logMu  sync.Mutex
-	logSrc []*sparse.Vector
-	logPts []kernel.Point
-
-	// distMu guards a one-entry cache of the query-to-collection distance
-	// row. Interactive sessions re-rank the same query across feedback
-	// rounds (and the prior is added to every SVM ranking), so the last
-	// query's distances are the ones asked for again.
-	distMu    sync.Mutex
-	distQuery int
-	dist      []float64
-
-	// scratch pools per-query scoring arenas (see rankScratch); steady-state
-	// queries reuse them instead of allocating shard-sized buffers. leased
-	// counts the arenas out on loan: zero after any pass, cancelled or not.
+	// scratch pools scoring arenas (see rankScratch); steady-state queries
+	// reuse them instead of allocating shard-sized buffers. leased counts the
+	// arenas out on loan: zero after any pass, cancelled or not.
 	scratch sync.Pool
 	leased  atomic.Int64
 }
@@ -97,8 +88,7 @@ func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *Collectio
 // disturbed. The default-kernel bandwidth is re-estimated lazily over the
 // full grown collection — the evenly spaced subsample of the estimator is
 // deterministic, so the grown batch's kernel is identical to a from-scratch
-// batch over the same collection. The query-distance and log-point caches
-// start empty: their shapes track the collection size.
+// batch over the same collection.
 func (b *CollectionBatch) Grow(visual []linalg.Vector) *CollectionBatch {
 	if len(visual) < len(b.src) {
 		panic(fmt.Sprintf("core: Grow shrinks the collection from %d to %d images", len(b.src), len(visual)))
@@ -141,42 +131,39 @@ func (b *CollectionBatch) QuantizedVisualSet() *kernel.QuantizedSet {
 // score.
 func (b *CollectionBatch) defaultVisualKernel() kernel.Kernel {
 	b.vkOnce.Do(func() {
-		b.vk = kernel.RBF{Gamma: visualGammaScale * kernel.EstimateRBFGamma(b.set.Points(), gammaSample)}
+		point := func(i int) kernel.Point { return b.set.Point(i) }
+		b.vk = kernel.RBF{Gamma: visualGammaScale * kernel.EstimateRBFGamma(b.set.Len(), point, gammaSample)}
 	})
 	return b.vk
 }
 
-// logPoints wraps the per-image log vectors as kernel points, memoized per
-// log snapshot (the engine rebuilds the vectors when the log grows, which
-// invalidates the memo by identity).
-func (b *CollectionBatch) logPoints(vs []*sparse.Vector) []kernel.Point {
-	if len(vs) == 0 {
-		return nil
-	}
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	if b.logSrc != nil && len(b.logSrc) == len(vs) && &b.logSrc[0] == &vs[0] {
-		return b.logPts
-	}
-	pts := kernel.SparsePoints(vs)
-	b.logSrc = vs
-	b.logPts = pts
-	return pts
+// queryVector returns the batch's copy of the query image's descriptor.
+func (b *CollectionBatch) queryVector(ctx *QueryContext) linalg.Vector {
+	return linalg.Vector(b.set.Point(ctx.Query))
 }
 
-// rankScratch is one pooled per-query scoring arena: two shard-sized score
-// lanes (decision values, log-modality values or kernel accumulation
-// buffers) and the reusable bounded selectors of the streaming passes.
-// Arenas live in the collection batch's pool; a steady-state query borrows
-// one, scores through it and returns it without allocating.
+// rankScratch is one pooled scoring arena, everything a worker needs beside
+// the stores to score ranges of at most one shard: score lanes, a buffer of
+// kernel points and the reusable bounded selectors of the streaming passes.
+// Arenas live in the collection batch's pool; a steady-state pass borrows
+// one per worker, scores through it and returns it without allocating.
 type rankScratch struct {
-	lanes [2][]float64
+	lanes [3][]float64
+	pts   []kernel.Point
 	sel   topKSelector
 	pick  unlabeledSelector
-	// view is a reusable DenseSet header for the candidate-restricted lane,
-	// so slicing a run of candidates out of a shard allocates nothing.
+	// view is a reusable DenseSet header, so slicing a range out of a shard
+	// allocates nothing.
 	view *kernel.DenseSet
 }
+
+// The lanes of an arena. The sink owns the first; a range scorer may use the
+// other two for the duration of one call.
+const (
+	laneScores = iota // the range's scores, for the sinks that select from them
+	laneKernel        // kernel accumulation buffer, then the query's distances
+	laneLog           // log-modality decision values
+)
 
 // lane returns scratch lane i with length n, growing its backing array only
 // when a larger shard is seen.
@@ -185,6 +172,20 @@ func (s *rankScratch) lane(i, n int) []float64 {
 		s.lanes[i] = make([]float64, n)
 	}
 	return s.lanes[i][:n]
+}
+
+// logPoints wraps the log vectors of one range as kernel points in the
+// arena's buffer. kernel.Sparse is one pointer, so boxing it allocates
+// nothing.
+func (s *rankScratch) logPoints(vs []*sparse.Vector) []kernel.Point {
+	if cap(s.pts) < len(vs) {
+		s.pts = make([]kernel.Point, len(vs))
+	}
+	pts := s.pts[:len(vs)]
+	for i, v := range vs {
+		pts[i] = kernel.NewSparse(v)
+	}
+	return pts
 }
 
 // scratchGet borrows a scoring arena from the batch's pool.
@@ -220,9 +221,10 @@ func (ctx *QueryContext) workers() int {
 }
 
 // rangeScorer scores one in-shard range — a DenseSet view plus the global
-// index of its first row — into dst with the arithmetic of the scalar path.
-// It is the one thing a scheme contributes to a pass (see rangeScored).
-type rangeScorer func(sub *kernel.DenseSet, lo int, dst []float64)
+// index of its first row — into dst with the arithmetic of the scalar path,
+// taking its temporaries from the scanning worker's arena sc. It is the one
+// thing a scheme contributes to a pass (see rangeScored).
+type rangeScorer func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64)
 
 // rangeSink is what a pass keeps of its scores. dst names where the scores
 // of rows [lo, lo+n) are written — a lane of the arena, or their final place
@@ -249,9 +251,8 @@ type rangeSink interface {
 //
 // ctx.Ctx is checked before each unit: once it is cancelled no worker starts
 // another, so a disconnected client or an expired deadline frees the scoring
-// workers within one unit, and the pass returns the context's error. What it
-// kept is then partial: to be discarded, never cached. A nil context is
-// never cancelled.
+// workers within one unit, and the pass returns the context's error; what it
+// kept is then partial and to be discarded. A nil context is never cancelled.
 func scanRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, fn rangeScorer, sink rangeSink, result *rankScratch) error {
 	p := newScanPass(ctx, b.VisualSet(), cands, fn, sink)
 	if p.workers <= 1 {
@@ -310,7 +311,7 @@ func (p *scanPass) score(sc *rankScratch, lo, hi int) {
 	}
 	sub := p.set.Shard(si).SliceInto(sc.view, lo-base, hi-base)
 	scores := p.sink.dst(sc, lo, hi-lo)
-	p.fn(sub, lo, scores)
+	p.fn(sc, sub, lo, scores)
 	p.sink.consume(sc, lo, scores)
 }
 
@@ -319,7 +320,7 @@ type topKSink struct{}
 
 func (topKSink) like(sc, proto *rankScratch) { sc.sel.reset(proto.sel.k) }
 
-func (topKSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(0, n) }
+func (topKSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(laneScores, n) }
 
 func (topKSink) consume(sc *rankScratch, lo int, scores []float64) {
 	for i, v := range scores {
@@ -362,7 +363,7 @@ type unlabeledSink struct {
 
 func (unlabeledSink) like(sc, proto *rankScratch) { sc.pick.reset(proto.pick.num) }
 
-func (unlabeledSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(0, n) }
+func (unlabeledSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(laneScores, n) }
 
 func (k unlabeledSink) consume(sc *rankScratch, lo int, scores []float64) {
 	sc.pick.consume(lo, scores, k.labeled, k.logVectors)
@@ -419,111 +420,60 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 	return scores, nil
 }
 
-// scoreCoupledRange scores one shard range by the summed decision value of a
-// visual and a log model, writing into dst with the same arithmetic as the
-// scalar path.
-func scoreCoupledRange(b *CollectionBatch, visualModel, logModel *svm.Model, logPts []kernel.Point, sub *kernel.DenseSet, lo int, dst []float64) {
-	sc := b.scratchGet()
-	logScores := sc.lane(0, sub.Len())
-	visualModel.DecisionSet(sub, dst, sc.lane(1, sub.Len()))
-	logModel.DecisionBatch(logPts[lo:lo+sub.Len()], logScores, sc.lane(1, sub.Len()))
-	for i := range dst {
-		dst[i] += logScores[i]
-	}
-	b.scratchPut(sc)
-}
-
 // coupledScorer scores by the summed decision value of a visual and a log
 // model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — plus the
-// query prior over the distance row dist. Step 1 of Fig. 1 selects by the
-// decision values alone and passes a nil dist.
-func coupledScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, dist []float64) rangeScorer {
-	logPts := b.logPoints(ctx.LogVectors)
-	return func(sub *kernel.DenseSet, lo int, dst []float64) {
-		scoreCoupledRange(b, visualModel, logModel, logPts, sub, lo, dst)
-		if dist != nil {
-			addQueryPrior(dst, dist[lo:])
+// query prior around the descriptor q. Step 1 of Fig. 1 selects by the
+// decision values alone and passes a nil q.
+func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector) rangeScorer {
+	logVectors := ctx.LogVectors
+	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
+		n := sub.Len()
+		logScores := sc.lane(laneLog, n)
+		visualModel.DecisionSet(sub, dst, sc.lane(laneKernel, n))
+		logModel.DecisionBatch(sc.logPoints(logVectors[lo:lo+n]), logScores, sc.lane(laneKernel, n))
+		for i := range dst {
+			dst[i] += logScores[i]
+		}
+		if q != nil {
+			addQueryPrior(sc, q, sub, dst)
 		}
 	}
 }
 
 // retrievalScorer is coupledScorer with the query prior: the retrieval pass
 // of the two-modality schemes (step 3 of Fig. 1).
-func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) (rangeScorer, error) {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return coupledScorer(ctx, b, visualModel, logModel, dist), nil
+func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) rangeScorer {
+	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx))
 }
 
 // visualScorer scores by the decision value of a visual-modality model plus
 // the query prior: RF-SVM's retrieval pass.
-func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) (rangeScorer, error) {
-	dist, err := queryDistances(ctx, b)
-	if err != nil {
-		return nil, err
+func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) rangeScorer {
+	q := b.queryVector(ctx)
+	return func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
+		model.DecisionSet(sub, dst, sc.lane(laneKernel, sub.Len()))
+		addQueryPrior(sc, q, sub, dst)
 	}
-	return func(sub *kernel.DenseSet, lo int, dst []float64) {
-		sc := b.scratchGet()
-		model.DecisionSet(sub, dst, sc.lane(1, sub.Len()))
-		b.scratchPut(sc)
-		addQueryPrior(dst, dist[lo:])
-	}, nil
 }
 
 // addQueryPrior adds the initial-similarity prior to the scores of a range,
-// dist being the query's distance row from the range's first image on; see
-// queryPriorWeight for the rationale.
-func addQueryPrior(scores, dist []float64) {
+// q being the query's descriptor; see queryPriorWeight for the rationale.
+func addQueryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet, scores []float64) {
+	dist := sc.lane(laneKernel, len(scores))
+	rangeDistances(q, sub, dist)
 	for i := range scores {
 		scores[i] -= queryPriorWeight * dist[i]
 	}
 }
 
-// queryDistances returns the Euclidean distances from the query image to
-// every image of the collection, computed through the sharded batch path and
-// cached per query (the last query's row is kept — feedback rounds re-rank
-// the same query, and the prior is part of every SVM scorer). Callers must
-// not mutate the returned slice. Distances use the norm-expansion batch path
-// (one matrix-vector product per shard against the precomputed row norms);
-// EXPERIMENTS.md documents the O(1e-15) per-score drift and the unchanged
-// MAP metrics.
-func queryDistances(ctx *QueryContext, b *CollectionBatch) ([]float64, error) {
-	b.distMu.Lock()
-	if b.dist != nil && b.distQuery == ctx.Query {
-		dst := b.dist
-		b.distMu.Unlock()
-		return dst, nil
-	}
-	b.distMu.Unlock()
-
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	// A cancelled scan leaves unscored ranges zero-filled; caching the partial
-	// row would corrupt every later query for the same image.
-	dst, err := scanScores(ctx, b, func(sub *kernel.DenseSet, _ int, out []float64) {
-		sub.Matrix().RowSquaredDistancesNormInto(out, q, sub.Norms())
-		for i := range out {
-			out[i] = math.Sqrt(out[i])
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	b.distMu.Lock()
-	b.distQuery = ctx.Query
-	b.dist = dst
-	b.distMu.Unlock()
-	return dst, nil
-}
-
-// scoreDistanceRange writes the negative Euclidean distance of one shard
-// range into dst — the Euclidean scheme's score, computed without touching
-// the full-row cache so streaming queries stay allocation-free.
-func scoreDistanceRange(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
+// rangeDistances writes the Euclidean distance from q to every row of a range
+// into dst: what the Euclidean scheme negates into its score and the query
+// prior weighs. Distances use the norm-expansion batch path (one matrix-vector
+// product per range against the precomputed row norms); EXPERIMENTS.md
+// documents the O(1e-15) per-score drift and the unchanged MAP metrics.
+func rangeDistances(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
 	sub.Matrix().RowSquaredDistancesNormInto(dst, q, sub.Norms())
 	for i := range dst {
-		dst[i] = -math.Sqrt(dst[i])
+		dst[i] = math.Sqrt(dst[i])
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 	"lrfcsvm/internal/linalg"
 )
 
-// TestForEachRangeCoversCollection verifies the driver's exhaustive source
+// TestScanRangesCoversCollection verifies the driver's exhaustive source
 // (scanRanges over the zero CandidateSet) covers every image exactly once and
 // never hands out a range crossing a shard boundary, for shard sizes and
 // worker counts around the collection size.
-func TestForEachRangeCoversCollection(t *testing.T) {
+func TestScanRangesCoversCollection(t *testing.T) {
 	rng := linalg.NewRNG(3)
 	for _, n := range []int{0, 1, 7, 100} {
 		vs := make([]linalg.Vector, n)
@@ -26,7 +27,7 @@ func TestForEachRangeCoversCollection(t *testing.T) {
 				seen := make([]int, n)
 				var mu sync.Mutex
 				ctx := &QueryContext{Visual: vs, Batch: batch, Workers: workers, Ctx: context.Background()}
-				_, err := scanScores(ctx, batch, func(sub *kernel.DenseSet, lo int, dst []float64) {
+				_, err := scanScores(ctx, batch, func(_ *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
 					if sub.Len() > shardSize {
 						t.Errorf("range of %d rows exceeds shard size %d", sub.Len(), shardSize)
 					}
@@ -89,29 +90,48 @@ func TestSchemesWorkerCountInvariant(t *testing.T) {
 }
 
 // TestSharedCollectionBatchConcurrentRank exercises one CollectionBatch
-// shared by concurrent rankings (the engine's serving pattern) under the
-// race detector.
+// shared by concurrent rankings of different queries (the engine's serving
+// pattern) under the race detector: the batch holds nothing per query, so
+// every concurrent score row is bit-identical to the serial ranking of the
+// same query, and every arena is back in the pool afterwards.
 func TestSharedCollectionBatchConcurrentRank(t *testing.T) {
 	coll := makeCollection(t, 3, 10, 30, 0, 9)
 	batch := NewCollectionBatch(coll.visual)
+	rank := func(query, workers int) ([]float64, error) {
+		ctx := coll.queryContext(query, 8)
+		ctx.Batch = batch
+		ctx.Workers = workers
+		return (LRF2SVMs{}).Rank(ctx)
+	}
+	const queries = 5
+	serial := make([][]float64, queries)
+	for q := range serial {
+		var err error
+		if serial[q], err = rank(q, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(query int) {
 			defer wg.Done()
-			ctx := coll.queryContext(query, 8)
-			ctx.Batch = batch
-			ctx.Workers = 2
-			if _, err := (LRF2SVMs{}).Rank(ctx); err != nil {
-				errs <- err
+			got, err := rank(query, 2)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}(g % 5)
+			for i, want := range serial[query] {
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("query %d: concurrent score[%d] = %v, serial %v", query, i, got[i], want)
+					return
+				}
+			}
+		}(g % queries)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	if got := batch.leased.Load(); got != 0 {
+		t.Fatalf("%d scratch arenas still leased after the rankings", got)
 	}
 }
 

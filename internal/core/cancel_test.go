@@ -46,7 +46,7 @@ func countRanges(ctx context.Context, vs []linalg.Vector, shardSize, workers int
 	batch := NewShardedCollectionBatch(vs, shardSize)
 	var ranges atomic.Int64
 	_, err := scanScores(&QueryContext{Visual: vs, Batch: batch, Workers: workers, Ctx: ctx}, batch,
-		func(sub *kernel.DenseSet, lo int, dst []float64) { ranges.Add(1) })
+		func(*rankScratch, *kernel.DenseSet, int, []float64) { ranges.Add(1) })
 	return int(ranges.Load()), err
 }
 
@@ -54,7 +54,7 @@ func countRanges(ctx context.Context, vs []linalg.Vector, shardSize, workers int
 // context before every unit, so on one worker allowing exactly c checks means
 // exactly c ranges run — the cancellation latency is one range, never the
 // rest of the collection.
-func TestForEachRangeCancelStopsWithinOneRange(t *testing.T) {
+func TestScanRangesCancelStopsWithinOneRange(t *testing.T) {
 	for _, allowed := range []int{0, 1, 3, 9} {
 		got, err := countRanges(newCountdownCtx(allowed), cancelTestVectors(100), 10, 1) // 10 shards
 		if got != allowed {
@@ -69,7 +69,7 @@ func TestForEachRangeCancelStopsWithinOneRange(t *testing.T) {
 // The workers check before every unit they claim: a cancellation budget far
 // below the unit count must leave most of the collection unscanned, and the
 // caller must see the context error.
-func TestForEachRangeCancelParallel(t *testing.T) {
+func TestScanRangesCancelParallel(t *testing.T) {
 	got, err := countRanges(newCountdownCtx(4), cancelTestVectors(200), 5, 4) // 40 shards
 	// The 4 workers share the 4 permitted checks; the scan cannot have
 	// covered the whole collection.

@@ -103,8 +103,7 @@ func (s LRFCSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error
 	if err != nil {
 		return nil, nil, err
 	}
-	fn, err := retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1])
-	return batch, fn, err
+	return batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]), nil
 }
 
 // Rank implements Scheme.
@@ -121,7 +120,7 @@ type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualIn
 // shard range is scored by the two initial models and selected from on the
 // spot, like the final retrieval pass.
 func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-	return selectUnlabeledRanges(ctx, batch, num, coupledScorer(ctx, batch, visualInit, logInit, nil))
+	return selectUnlabeledRanges(ctx, batch, num, coupledScorer(ctx, visualInit, logInit, nil))
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
@@ -228,11 +227,7 @@ func rankDetailedCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelecti
 	if err != nil {
 		return nil, err
 	}
-	fn, err := retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1])
-	if err != nil {
-		return nil, err
-	}
-	scores, err := scanScores(ctx, batch, fn)
+	scores, err := scanScores(ctx, batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]))
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +434,7 @@ func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 		return selectLogAssisted
 	}
 	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-		combined, err := scanScores(ctx, batch, coupledScorer(ctx, batch, visualInit, logInit, nil))
+		combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/linalg"
 )
 
 // This file is the quantized scan of the Euclidean scheme: a full approximate
@@ -47,8 +46,8 @@ func (e Euclidean) RankTopQuantized(ctx *QueryContext, k, oversample int, dst []
 	}
 
 	qs := b.QuantizedVisualSet()
-	q := linalg.Vector(b.VisualSet().Point(ctx.Query))
-	pool, err := rankTopRanges(ctx, b, CandidateSet{}, m, nil, func(_ *kernel.DenseSet, lo int, approx []float64) {
+	q := b.queryVector(ctx)
+	pool, err := rankTopRanges(ctx, b, CandidateSet{}, m, nil, func(_ *rankScratch, _ *kernel.DenseSet, lo int, approx []float64) {
 		qs.ApproxSquaredDistances(q, lo, approx)
 		for i, d := range approx {
 			// Negated: the pass keeps the highest scores, and the survivors

@@ -96,7 +96,7 @@ func oracleSelection(ctx *QueryContext, combined []float64, num int) ([]int, []f
 // copyScorer streams a materialized score slice, so a test decides every
 // score the streaming selection sees.
 func copyScorer(scores []float64) rangeScorer {
-	return func(sub *kernel.DenseSet, lo int, dst []float64) {
+	return func(_ *rankScratch, _ *kernel.DenseSet, lo int, dst []float64) {
 		copy(dst, scores[lo:lo+len(dst)])
 	}
 }
@@ -216,7 +216,7 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 			var wantLabels []float64
 			_, _, gotLabels, gotIdx, err := trainingProblem(ctx, batch, p,
 				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-					combined, err := scanScores(ctx, batch, coupledScorer(ctx, batch, visualInit, logInit, nil))
+					combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
 					if err != nil {
 						return nil, nil, err
 					}
@@ -488,9 +488,8 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 	}{{"5k", 5000}, {"50k", 50000}} {
 		b.Run(size.name, func(b *testing.B) {
 			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
-			// One untimed pass wraps the log columns as kernel points (memoized
-			// per log snapshot) and fills the scratch pool, as any earlier
-			// refine on the engine's batch has.
+			// One untimed pass fills the scratch pool, as any earlier refine on
+			// the engine's batch has.
 			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
 				b.Fatal(err)
 			}

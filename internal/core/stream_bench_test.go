@@ -23,8 +23,7 @@ func benchSetup(b *testing.B) (coll *syntheticCollection, sharded *CollectionBat
 }
 
 // BenchmarkRankingPathEuclidean measures the initial-query ranking path over
-// rotating probe images (the server's steady-state workload — every probe
-// misses the one-entry distance-row cache, exactly as distinct users do).
+// rotating probe images (the server's steady-state workload).
 func BenchmarkRankingPathEuclidean(b *testing.B) {
 	coll, sharded := benchSetup(b)
 	probes := []int{3, 40, 77, 114, 151, 188}
@@ -50,8 +49,7 @@ func BenchmarkRankingPathEuclidean(b *testing.B) {
 }
 
 // BenchmarkRankingPathRFSVM measures the visual-model ranking stage with a
-// pretrained model and a warm distance cache (feedback rounds re-rank the
-// same query), isolating scoring + prior + selection.
+// pretrained model, isolating scoring + prior + selection.
 func BenchmarkRankingPathRFSVM(b *testing.B) {
 	coll, sharded := benchSetup(b)
 	ctx := coll.queryContext(3, 10)
@@ -65,18 +63,11 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = sharded
-		if _, err := queryDistances(ctx, sharded); err != nil {
-			b.Fatal(err)
-		}
 		buf := make([]Ranked, 0, benchK)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fn, err := visualScorer(ctx, sharded, model)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], fn)
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], visualScorer(ctx, sharded, model))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,7 +81,7 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 
 // BenchmarkRankingPathCoupled measures the two-modality ranking stage (the
 // scoring pass shared by LRF-2SVMs and LRF-CSVM's final retrieval step)
-// with pretrained models and a warm distance cache.
+// with pretrained models.
 func BenchmarkRankingPathCoupled(b *testing.B) {
 	coll, sharded := benchSetup(b)
 	ctx := coll.queryContext(3, 10)
@@ -104,18 +95,11 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1
 		ctx.Batch = sharded
-		if _, err := queryDistances(ctx, sharded); err != nil {
-			b.Fatal(err)
-		}
 		buf := make([]Ranked, 0, benchK)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fn, err := retrievalScorer(ctx, sharded, visualModel, logModel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], fn)
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel))
 			if err != nil {
 				b.Fatal(err)
 			}

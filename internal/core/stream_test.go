@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"lrfcsvm/internal/sparse"
 )
 
 // TestRankTopShardedParity is the acceptance parity test of the sharded
@@ -127,9 +130,8 @@ func TestStreamRankingAllocations(t *testing.T) {
 	}
 	const k = 20
 
-	// The initial query, over rotating probes so every pass misses the
-	// one-entry distance-row cache as distinct users do: one small
-	// allocation per pass.
+	// The initial query, over rotating probes as distinct users send them:
+	// one small allocation per pass.
 	ctx, _, _ := selectBenchProblem(t, 2000)
 	ctx.Workers = 1 // the parallel path adds its goroutines
 	buf := make([]Ranked, 0, k)
@@ -149,7 +151,11 @@ func TestStreamRankingAllocations(t *testing.T) {
 
 	// The two-SVM scoring pass. Its allocation count is the kernels' ≈1 KB
 	// of temporaries per range (ROADMAP item 1), so what is pinned is that
-	// bytes per pass do not grow with the collection.
+	// bytes per pass do not grow with the collection — on the cold case: the
+	// query rotates and the log vectors change slice identity every pass (a
+	// commit produces a new slice), so nothing a pass needs was left behind
+	// by the one before. A distance row kept per query cost 8 bytes per image
+	// here and a point wrapper per log vector 16.
 	bytesPerOp := func(n int) int64 {
 		ctx, _, _ := selectBenchProblem(t, n)
 		ctx.Workers = 1
@@ -157,8 +163,13 @@ func TestStreamRankingAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		logs := [2][]*sparse.Vector{ctx.LogVectors, slices.Clone(ctx.LogVectors)}
 		buf := make([]Ranked, 0, k)
+		pass := 0
 		return steadyBytesPerPass(func() {
+			pass++
+			ctx.Query = pass * 331 % n
+			ctx.LogVectors = logs[pass%2]
 			got, err := pre.RankTopAppend(ctx, k, buf[:0])
 			if err != nil || len(got) != k {
 				t.Fatalf("ranked %d images, err %v", len(got), err)

@@ -280,19 +280,13 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 type DenseSet struct {
 	mat   *linalg.Matrix
 	norms linalg.Vector
-	pts   []Point
 }
 
 // NewDenseSet copies the given vectors into flat row-major storage and
 // precomputes their squared norms. All vectors must have the same length.
 func NewDenseSet(vs []linalg.Vector) *DenseSet {
 	m := linalg.FromRows(vs)
-	norms := m.RowSquaredNorms(make(linalg.Vector, m.Rows))
-	pts := make([]Point, m.Rows)
-	for i := range pts {
-		pts[i] = Dense(m.Row(i))
-	}
-	return &DenseSet{mat: m, norms: norms, pts: pts}
+	return &DenseSet{mat: m, norms: m.RowSquaredNorms(make(linalg.Vector, m.Rows))}
 }
 
 // Len returns the number of points in the set.
@@ -308,27 +302,8 @@ func (s *DenseSet) Matrix() *linalg.Matrix { return s.mat }
 // the returned slice.
 func (s *DenseSet) Norms() linalg.Vector { return s.norms }
 
-// Points returns the set as kernel points (views into the flat storage).
-// Callers must not mutate the returned slice.
-func (s *DenseSet) Points() []Point { return s.pts }
-
 // Point returns point i as a view into the flat storage.
 func (s *DenseSet) Point(i int) Dense { return Dense(s.mat.Row(i)) }
-
-// Slice returns the sub-set [lo,hi) as a view sharing the receiver's
-// storage; it allocates only the small header. Sharded scoring loops use it
-// to hand each worker a contiguous chunk of the collection.
-func (s *DenseSet) Slice(lo, hi int) *DenseSet {
-	if lo < 0 || hi < lo || hi > s.Len() {
-		panic(fmt.Sprintf("kernel: DenseSet slice [%d,%d) out of range [0,%d)", lo, hi, s.Len()))
-	}
-	c := s.mat.Cols
-	return &DenseSet{
-		mat:   &linalg.Matrix{Rows: hi - lo, Cols: c, Data: s.mat.Data[lo*c : hi*c]},
-		norms: s.norms[lo:hi],
-		pts:   s.pts[lo:hi],
-	}
-}
 
 // NewSetView returns an empty DenseSet whose header can be rewritten
 // repeatedly by SliceInto. Candidate-restricted scoring loops keep one view
@@ -339,9 +314,8 @@ func NewSetView() *DenseSet {
 
 // SliceInto writes the sub-set [lo,hi) of the receiver into view (which must
 // come from NewSetView) and returns it. The view shares the receiver's
-// storage exactly like Slice, without allocating: scoring through the view
-// performs the same arithmetic on the same memory as scoring the equivalent
-// Slice.
+// storage without allocating: scoring through it performs the same
+// arithmetic on the same memory as scoring those rows of the receiver.
 func (s *DenseSet) SliceInto(view *DenseSet, lo, hi int) *DenseSet {
 	if lo < 0 || hi < lo || hi > s.Len() {
 		panic(fmt.Sprintf("kernel: DenseSet slice [%d,%d) out of range [0,%d)", lo, hi, s.Len()))
@@ -349,7 +323,6 @@ func (s *DenseSet) SliceInto(view *DenseSet, lo, hi int) *DenseSet {
 	c := s.mat.Cols
 	view.mat.Rows, view.mat.Cols, view.mat.Data = hi-lo, c, s.mat.Data[lo*c:hi*c]
 	view.norms = s.norms[lo:hi]
-	view.pts = s.pts[lo:hi]
 	return view
 }
 
@@ -358,9 +331,9 @@ func (s *DenseSet) SliceInto(view *DenseSet, lo, hi int) *DenseSet {
 // concurrent readers: growing reuses the receiver's storage when the backing
 // arrays have spare capacity — writes then land only in rows past the
 // receiver's length — and reallocates (leaving the receiver on the old
-// arrays) otherwise. Row norms and point views are computed only for the
-// appended rows, so a grow costs O(len(vs)·dim) plus an amortized O(1)
-// storage move, not a full O(n·dim) rebuild.
+// arrays) otherwise. Row norms are computed only for the appended rows, so a
+// grow costs O(len(vs)·dim) plus an amortized O(1) storage move, not a full
+// O(n·dim) rebuild.
 //
 // Because spare capacity is shared along the chain of grown sets, only the
 // most recently grown set may be grown again, and Grow calls must be
@@ -378,8 +351,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 			panic(fmt.Sprintf("kernel: Grow vector of dimension %d into set of dimension %d", len(v), cols))
 		}
 	}
-	oldData := s.mat.Data
-	data := oldData
+	data := s.mat.Data
 	for _, v := range vs {
 		data = append(data, v...)
 	}
@@ -396,23 +368,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 		}
 		norms = append(norms, sum)
 	}
-
-	var pts []Point
-	if &oldData[0] != &data[0] {
-		// The append moved the storage: rebuild the point views against the
-		// new array so the old one is not pinned once the receiver dies.
-		// O(n) header writes, amortized away by the doubling growth.
-		pts = make([]Point, 0, mat.Rows)
-		for i := 0; i < mat.Rows; i++ {
-			pts = append(pts, Dense(data[i*cols:(i+1)*cols]))
-		}
-	} else {
-		pts = s.pts
-		for i := s.mat.Rows; i < mat.Rows; i++ {
-			pts = append(pts, Dense(data[i*cols:(i+1)*cols]))
-		}
-	}
-	return &DenseSet{mat: mat, norms: norms, pts: pts}
+	return &DenseSet{mat: mat, norms: norms}
 }
 
 // SetKernel is a kernel with a specialized evaluation of one dense point
@@ -424,7 +380,7 @@ type SetKernel interface {
 }
 
 // EvalSet stores K(x, set_i) into dst[i] for any kernel, using the kernel's
-// set implementation when it has one and the batched point path otherwise.
+// set implementation when it has one and per-pair evaluation otherwise.
 func EvalSet(k Kernel, x Point, set *DenseSet, dst []float64) {
 	if sk, ok := k.(SetKernel); ok {
 		if xv, ok := x.(Dense); ok {
@@ -432,7 +388,10 @@ func EvalSet(k Kernel, x Point, set *DenseSet, dst []float64) {
 			return
 		}
 	}
-	EvalBatch(k, x, set.Points(), dst)
+	checkBatch(set.Len(), len(dst))
+	for i := range dst {
+		dst[i] = k.Eval(x, set.Point(i))
+	}
 }
 
 // EvalSet implements SetKernel: one matrix-vector product over the flat

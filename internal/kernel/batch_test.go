@@ -145,7 +145,7 @@ func TestAccumulateSetMatchesPerSVAccumulation(t *testing.T) {
 func TestDenseSetSlice(t *testing.T) {
 	vs, _ := batchDensePoints(10, 3, 6)
 	set := NewDenseSet(vs)
-	sub := set.Slice(4, 8)
+	sub := set.SliceInto(NewSetView(), 4, 8)
 	if sub.Len() != 4 {
 		t.Fatalf("slice len = %d, want 4", sub.Len())
 	}
@@ -214,10 +214,6 @@ func TestDenseSetGrowMatchesRebuild(t *testing.T) {
 		r := linalg.Vector(want.Point(i))
 		if !g.Equal(r, 0) {
 			t.Fatalf("point %d: grown %v, rebuilt %v", i, g, r)
-		}
-		p := linalg.Vector(set.Points()[i].(Dense))
-		if !p.Equal(r, 0) {
-			t.Fatalf("point view %d: grown %v, rebuilt %v", i, p, r)
 		}
 	}
 	// Kernel rows over the grown set match the rebuilt set bit for bit.

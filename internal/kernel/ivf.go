@@ -90,7 +90,6 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 		seed = DefaultCentroidSeed
 	}
 	dim := set.Dim()
-	pts := set.Points()
 
 	// Seed cells from k distinct points chosen by the deterministic
 	// generator, so the initial centroids are actual data points.
@@ -98,7 +97,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 	perm := rng.Perm(n)
 	centroids := linalg.NewMatrix(k, dim)
 	for c := 0; c < k; c++ {
-		copy(centroids.Row(c), pts[perm[c]].(Dense))
+		copy(centroids.Row(c), set.Point(perm[c]))
 	}
 
 	assign := make([]int32, n)
@@ -111,7 +110,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 					return nil, err
 				}
 			}
-			x := linalg.Vector(pts[i].(Dense))
+			x := linalg.Vector(set.Point(i))
 			best, bestD := 0, math.Inf(1)
 			for c := 0; c < k; c++ {
 				if d := x.SquaredDistance(centroids.Row(c)); d < bestD {
@@ -130,8 +129,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 		}
 		for i := 0; i < n; i++ {
 			row := centroids.Row(int(assign[i]))
-			x := pts[i].(Dense)
-			for j, v := range x {
+			for j, v := range set.Point(i) {
 				row[j] += v
 			}
 			counts[int(assign[i])]++
@@ -140,7 +138,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 			if counts[c] == 0 {
 				// An emptied cell keeps no mass to average; reseed it from a
 				// deterministic fresh draw so it can capture points again.
-				copy(centroids.Row(c), pts[rng.Intn(n)].(Dense))
+				copy(centroids.Row(c), set.Point(rng.Intn(n)))
 				continue
 			}
 			inv := 1 / float64(counts[c])
@@ -160,7 +158,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 				return nil, err
 			}
 		}
-		x := linalg.Vector(pts[i].(Dense))
+		x := linalg.Vector(set.Point(i))
 		best, bestD := 0, math.Inf(1)
 		for c := 0; c < k; c++ {
 			if d := x.SquaredDistance(centroids.Row(c)); d < bestD {

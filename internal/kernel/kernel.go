@@ -112,28 +112,28 @@ func (k RBF) Eval(x, y Point) float64 {
 func (k RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
 
 // EstimateRBFGamma returns a data-driven RBF bandwidth for a collection of
-// points: gamma = 1 / mean squared pairwise distance, estimated over an
-// evenly spaced subsample of at most sample points (so the estimate is
-// deterministic and cheap for large collections). This is the standard
-// "mean/median distance" heuristic; applying the same rule to the visual
-// and the log modality puts their decision values on comparable scales,
-// which the coupled SVM's summed distances assume. A degenerate collection
-// (all points identical) falls back to gamma = 1.
-func EstimateRBFGamma(points []Point, sample int) float64 {
-	if len(points) < 2 {
+// n points, the i-th read through point: gamma = 1 / mean squared pairwise
+// distance, estimated over an evenly spaced subsample of at most sample
+// points (so the estimate is deterministic and cheap for large collections).
+// This is the standard "mean/median distance" heuristic; applying the same
+// rule to the visual and the log modality puts their decision values on
+// comparable scales, which the coupled SVM's summed distances assume. A
+// degenerate collection (all points identical) falls back to gamma = 1.
+func EstimateRBFGamma(n int, point func(i int) Point, sample int) float64 {
+	if n < 2 {
 		return 1
 	}
 	if sample < 2 {
 		sample = 2
 	}
 	// Evenly spaced subsample.
-	step := len(points) / sample
+	step := n / sample
 	if step < 1 {
 		step = 1
 	}
 	var sub []Point
-	for i := 0; i < len(points) && len(sub) < sample; i += step {
-		sub = append(sub, points[i])
+	for i := 0; i < n && len(sub) < sample; i += step {
+		sub = append(sub, point(i))
 	}
 	var sum float64
 	var count int

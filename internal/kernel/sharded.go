@@ -2,18 +2,17 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"lrfcsvm/internal/linalg"
 )
 
 // ShardedSet partitions a dense point collection into fixed-size shards, each
 // stored as its own DenseSet (flat row-major matrix, precomputed squared row
-// norms, point views). Shards are the unit of work of the sharded scoring
-// path: every shard is a self-contained, cache-local slab that workers can
-// score independently, and growing the collection touches only the tail
-// shard — full shards are shared between the old and the grown set, so
-// ingestion cost is bounded by the shard size regardless of collection size.
+// norms). Shards are the unit of work of the sharded scoring path: every shard
+// is a self-contained, cache-local slab that workers can score independently,
+// and growing the collection touches only the tail shard — full shards are
+// shared between the old and the grown set, so ingestion cost is bounded by
+// the shard size regardless of collection size.
 //
 // Shard boundaries depend only on the shard size, never on how the
 // collection was batched into Grow calls, so a grown set is layout- and
@@ -27,11 +26,6 @@ type ShardedSet struct {
 	n         int
 	dim       int
 	shards    []*DenseSet
-
-	// ptsOnce lazily concatenates the shard point views into one global
-	// slice (used by collection-level estimators that want every point).
-	ptsOnce sync.Once
-	pts     []Point
 }
 
 // DefaultShardSize is the shard size selected by a non-positive request:
@@ -86,23 +80,6 @@ func (s *ShardedSet) Point(i int) Dense {
 		panic(fmt.Sprintf("kernel: ShardedSet point %d out of range [0,%d)", i, s.n))
 	}
 	return s.shards[i/s.shardSize].Point(i % s.shardSize)
-}
-
-// Points returns every point of the set in global order, as views into the
-// shard storage. The concatenation is built once and cached; callers must
-// not mutate the returned slice.
-func (s *ShardedSet) Points() []Point {
-	s.ptsOnce.Do(func() {
-		if s.n == 0 {
-			return
-		}
-		pts := make([]Point, 0, s.n)
-		for _, sh := range s.shards {
-			pts = append(pts, sh.Points()...)
-		}
-		s.pts = pts
-	})
-	return s.pts
 }
 
 // Grow returns a new ShardedSet holding the receiver's points followed by vs

@@ -21,7 +21,7 @@ func randomVectors(n, d int, seed uint64) []linalg.Vector {
 }
 
 // identicalSets asserts two sharded sets have the same layout and
-// bit-identical stored data, norms and point views.
+// bit-identical stored data and norms.
 func identicalSets(t *testing.T, got, want *ShardedSet) {
 	t.Helper()
 	if got.Len() != want.Len() || got.NumShards() != want.NumShards() || got.ShardSize() != want.ShardSize() {
@@ -68,15 +68,6 @@ func TestShardedSetLayout(t *testing.T) {
 			if p[j] != vs[i][j] {
 				t.Fatalf("point %d component %d = %v, want %v", i, j, p[j], vs[i][j])
 			}
-		}
-	}
-	pts := s.Points()
-	if len(pts) != 23 {
-		t.Fatalf("Points returned %d points", len(pts))
-	}
-	for i, p := range pts {
-		if &p.(Dense)[0] != &s.Point(i)[0] {
-			t.Fatalf("Points()[%d] is not a view of point %d", i, i)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package retrieval
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,6 +41,34 @@ func TestAddImagesValidation(t *testing.T) {
 	}
 	if e.NumImages() != len(visual) {
 		t.Errorf("failed ingestions changed the collection to %d images", e.NumImages())
+	}
+}
+
+// NewEngine refuses what AddImages refuses: a collection with one bad row — a
+// features file, snapshot or journal written before ingestion was validated —
+// must not start an engine that cannot answer.
+func TestNewEngineRejectsBadDescriptors(t *testing.T) {
+	good := linalg.Vector{2, 2}
+	for _, tc := range []struct {
+		name string
+		bad  linalg.Vector
+	}{
+		{"NaN", linalg.Vector{math.NaN(), 1}},
+		{"+Inf", linalg.Vector{math.Inf(1), 1}},
+		{"-Inf", linalg.Vector{1, math.Inf(-1)}},
+		{"overflows when squared", linalg.Vector{1e200, 1}},
+		{"ragged", linalg.Vector{1, 0, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine([]linalg.Vector{{0, 1}, {1, 0}, tc.bad, good}, nil, Options{})
+			if err == nil {
+				e.Close()
+				t.Fatal("collection accepted")
+			}
+			if !strings.Contains(err.Error(), "image 2") {
+				t.Errorf("error %q does not name image 2", err)
+			}
+		})
 	}
 }
 

@@ -155,10 +155,16 @@ type Engine struct {
 
 // NewEngine builds an engine over a collection of visual descriptors and an
 // existing feedback log (which may be empty but must cover the same
-// collection).
+// collection). It refuses what AddImages refuses: descriptors of differing
+// dimension, and rows whose squared norm is not finite.
 func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Engine, error) {
 	if len(visual) == 0 {
 		return nil, fmt.Errorf("retrieval: empty collection")
+	}
+	for i, d := range visual {
+		if dim := len(visual[0]); len(d) != dim {
+			return nil, fmt.Errorf("retrieval: image %d has dimension %d, image 0 has %d", i, len(d), dim)
+		}
 	}
 	if log == nil {
 		log = feedbacklog.NewLog(len(visual))
@@ -185,11 +191,22 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if opts.ANN.RebuildTailFraction <= 0 {
 		opts.ANN.RebuildTailFraction = DefaultANNRebuildTailFraction
 	}
+	batch := core.NewShardedCollectionBatch(visual, opts.ShardSize)
+	// The store has just computed every squared row norm, so checking them
+	// costs no second pass over the data.
+	set := batch.VisualSet()
+	for si := 0; si < set.NumShards(); si++ {
+		for i, norm := range set.Shard(si).Norms() {
+			if math.IsNaN(norm) || math.IsInf(norm, 0) {
+				return nil, fmt.Errorf("retrieval: image %d is not finite (squared norm %v)", set.ShardStart(si)+i, norm)
+			}
+		}
+	}
 	e := &Engine{opts: opts, log: log, trainSem: make(chan struct{}, opts.TrainWorkers)}
 	//cbirlint:ignore ctxflow engine lifecycle root: baseCtx parents all background work and Close cancels it
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	e.epochSeq.Store(1)
-	e.cur.Store(&epoch{visual: visual, batch: core.NewShardedCollectionBatch(visual, opts.ShardSize)})
+	e.cur.Store(&epoch{visual: visual, batch: batch})
 	// Build the initial candidate-generation index synchronously so a
 	// pruning-enabled engine never serves a cold start with a worse plan
 	// than it was configured for; later growth folds in via background
@@ -344,8 +361,7 @@ func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
 // the given epoch's collection, extending the incremental cache by whatever
 // sessions and images arrived since the last call. The returned slice is
 // trimmed to the epoch's collection size so schemes see an exactly matching
-// column view; trimming shares storage, so the batch-level point-wrapper
-// memo stays warm across feedback rounds that do not change the log.
+// column view; trimming shares storage.
 func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
 	e.mu.Lock()
 	e.logVectors = e.log.ExtendRelevanceVectors(e.logVectors, e.logSessions)

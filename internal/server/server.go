@@ -50,13 +50,12 @@
 // cancels its sharded collection scan and its SMO training mid-flight, so
 // abandoned requests free their workers instead of burning a full round.
 // Per-endpoint deadlines come from Config.QueryTimeout (GET /api/query,
-// POST /api/query/batch), Config.TrainTimeout (synchronous refinement) and
-// Config.IngestTimeout (ingestion and commit); a deadline that expires
-// mid-request returns 504 Gateway Timeout, and a client that disconnects
-// first gets the non-standard 499 (client closed request, never seen by the
-// client — it exists for the access log). Zero timeouts (the default)
-// disable the per-endpoint deadline; the request still honors the client's
-// own cancellation.
+// POST /api/query/batch) and Config.TrainTimeout (synchronous refinement);
+// a deadline that expires mid-request returns 504 Gateway Timeout, and a
+// client that disconnects first gets the non-standard 499 (client closed
+// request, never seen by the client — it exists for the access log). Zero
+// timeouts (the default) disable the per-endpoint deadline; the request still
+// honors the client's own cancellation.
 //
 // Admission control is per class: queries, training rounds and ingestion
 // each have their own concurrency limiter (Config.MaxInflightQuery/Train/
@@ -136,12 +135,6 @@ type Config struct {
 	// Asynchronous rounds are bounded engine-side by
 	// retrieval.Options.RefineTimeout instead. <=0 disables the deadline.
 	TrainTimeout time.Duration
-	// IngestTimeout bounds one mutation request (POST /api/images,
-	// POST /api/sessions/commit). Cancellation is honored at admission
-	// only — once the journal append starts the mutation completes — so
-	// this mainly sheds mutations stuck waiting behind a long queue.
-	// <=0 disables the deadline.
-	IngestTimeout time.Duration
 	// MaxInflightQuery/Train/Ingest cap the concurrently running requests
 	// of each class; an equal number more may queue for QueueWait before
 	// being shed with 503 + Retry-After. <=0 means unlimited.
@@ -861,9 +854,7 @@ func (s *Server) handleAddImages(w http.ResponseWriter, r *http.Request) {
 	for i, d := range req.Images {
 		descriptors[i] = linalg.Vector(d)
 	}
-	ctx, cancel := s.requestCtx(r, s.cfg.IngestTimeout)
-	defer cancel()
-	first, err := s.engine.AddImages(ctx, descriptors)
+	first, err := s.engine.AddImages(r.Context(), descriptors)
 	if err != nil {
 		writeEngineError(w, r, err)
 		return
@@ -1124,9 +1115,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown or expired session %d", req.SessionID)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, s.cfg.IngestTimeout)
-	defer cancel()
-	if err := session.Commit(ctx); err != nil {
+	if err := session.Commit(r.Context()); err != nil {
 		writeEngineError(w, r, err)
 		return
 	}

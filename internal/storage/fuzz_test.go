@@ -122,7 +122,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	visual := []linalg.Vector{{1.5, -2}, {0, 0.25}, {3, 4}}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, visual, log); err != nil {
+	if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -133,15 +133,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(corrupt)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		visual, log, err := ReadSnapshot(bytes.NewReader(data))
+		visual, log, _, err := ReadSnapshotAt(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, visual, log); err != nil {
+		if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
 			t.Fatalf("re-encode decoded snapshot: %v", err)
 		}
-		visual2, log2, err := ReadSnapshot(&buf)
+		visual2, log2, _, err := ReadSnapshotAt(&buf)
 		if err != nil {
 			t.Fatalf("re-read encoded snapshot: %v", err)
 		}

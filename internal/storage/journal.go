@@ -988,7 +988,7 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// splitDir splits a path for same-directory temp staging (see SaveSnapshot
+// splitDir splits a path for same-directory temp staging (see SaveSnapshotAt
 // for why os.TempDir is not usable here).
 func splitDir(path string) (dir, base string) {
 	dir, base = filepath.Split(path)

@@ -24,10 +24,10 @@ func sampleSnapshot(t *testing.T) ([]linalg.Vector, *feedbacklog.Log) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	visual, log := sampleSnapshot(t)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, visual, log); err != nil {
+	if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
 		t.Fatal(err)
 	}
-	gotVisual, gotLog, err := ReadSnapshot(&buf)
+	gotVisual, gotLog, _, err := ReadSnapshotAt(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +59,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotValidation(t *testing.T) {
 	visual, log := sampleSnapshot(t)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, nil, log); err == nil {
+	if err := WriteSnapshotAt(&buf, nil, log, 0); err == nil {
 		t.Error("empty collection accepted")
 	}
-	if err := WriteSnapshot(&buf, visual, nil); err == nil {
+	if err := WriteSnapshotAt(&buf, visual, nil, 0); err == nil {
 		t.Error("nil log accepted")
 	}
-	if err := WriteSnapshot(&buf, visual, feedbacklog.NewLog(3)); err == nil {
+	if err := WriteSnapshotAt(&buf, visual, feedbacklog.NewLog(3), 0); err == nil {
 		t.Error("mismatched log size accepted")
 	}
 	ragged := append(append([]linalg.Vector(nil), visual...)[:9], linalg.Vector{1})
-	if err := WriteSnapshot(&buf, ragged, log); err == nil {
+	if err := WriteSnapshotAt(&buf, ragged, log, 0); err == nil {
 		t.Error("ragged descriptors accepted")
 	}
 }
@@ -77,17 +77,17 @@ func TestSnapshotValidation(t *testing.T) {
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	visual, log := sampleSnapshot(t)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, visual, log); err != nil {
+	if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload byte near the middle.
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0x40
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
+	if _, _, _, err := ReadSnapshotAt(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupted snapshot accepted")
 	}
 	// Truncation is detected too.
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-7])); err == nil {
+	if _, _, _, err := ReadSnapshotAt(bytes.NewReader(raw[:len(raw)-7])); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 }
@@ -95,16 +95,16 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 func TestSaveSnapshotAtomicOverwrite(t *testing.T) {
 	visual, log := sampleSnapshot(t)
 	path := filepath.Join(t.TempDir(), "engine.snap")
-	if err := SaveSnapshot(path, visual, log); err != nil {
+	if err := SaveSnapshotAt(path, visual, log, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a grown collection and reload: the new content wins.
 	visual = append(visual, linalg.Vector{9, 9, 9})
 	log.GrowImages(1)
-	if err := SaveSnapshot(path, visual, log); err != nil {
+	if err := SaveSnapshotAt(path, visual, log, 0); err != nil {
 		t.Fatal(err)
 	}
-	gotVisual, gotLog, err := LoadSnapshot(path)
+	gotVisual, gotLog, _, err := LoadSnapshotAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +142,10 @@ func TestEngineSnapshotPersistenceLoop(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "engine.snap")
 	snapVisual, snapLog := engine.Snapshot()
-	if err := SaveSnapshot(path, snapVisual, snapLog); err != nil {
+	if err := SaveSnapshotAt(path, snapVisual, snapLog, 0); err != nil {
 		t.Fatal(err)
 	}
-	loadedVisual, loadedLog, err := LoadSnapshot(path)
+	loadedVisual, loadedLog, _, err := LoadSnapshotAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,10 @@ func TestSaveSnapshotBareFilename(t *testing.T) {
 	// install rename would fail).
 	t.Chdir(t.TempDir())
 	visual, log := sampleSnapshot(t)
-	if err := SaveSnapshot("engine.snap", visual, log); err != nil {
+	if err := SaveSnapshotAt("engine.snap", visual, log, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSnapshot("engine.snap"); err != nil {
+	if _, _, _, err := LoadSnapshotAt("engine.snap"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Snapshot compaction: the background companion of the write-ahead journal.
 // The snapshotter periodically captures a consistent engine state, persists
-// it through the atomic SaveSnapshot, and truncates the journal prefix the
+// it through the atomic SaveSnapshotAt, and truncates the journal prefix the
 // snapshot now covers — so replay time after a crash stays proportional to
 // the journal tail written since the last snapshot, not to the server's
 // whole uptime.
@@ -30,7 +30,7 @@ type SnapshotSource func(mark func()) ([]linalg.Vector, *feedbacklog.Log)
 // fire).
 type SnapshotterConfig struct {
 	// SnapshotPath is where snapshots are written (atomically, see
-	// SaveSnapshot).
+	// SaveSnapshotAt).
 	SnapshotPath string
 	// Interval is the time trigger: a snapshot is taken when this much time
 	// has passed since the last one and the journal is non-empty. <=0

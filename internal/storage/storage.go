@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/linalg"
@@ -238,7 +239,7 @@ func encodeSession(s feedbacklog.Session) []byte {
 	for img := range s.Judgments {
 		imgs = append(imgs, img)
 	}
-	sortInts(imgs)
+	slices.Sort(imgs)
 	payload := make([]byte, 12+8*len(imgs))
 	binary.LittleEndian.PutUint32(payload[0:4], uint32(s.QueryImage))
 	binary.LittleEndian.PutUint32(payload[4:8], uint32(int32(s.TargetCategory)))
@@ -350,7 +351,7 @@ func LoadLog(path string) (*feedbacklog.Log, error) {
 	return ReadLog(f)
 }
 
-// WriteSnapshot writes one self-contained engine snapshot to w: the visual
+// WriteSnapshotAt writes one self-contained engine snapshot to w: the visual
 // descriptor of every image followed by every feedback-log session, the two
 // halves a live engine needs to be reconstructed after ingesting images and
 // collecting feedback (see retrieval.Engine.Snapshot). The log must cover
@@ -359,16 +360,13 @@ func LoadLog(path string) (*feedbacklog.Log, error) {
 // Layout after the file header: a meta record images(u32) dim(u32)
 // sessions(u32), then one record of dim float64 per image, then one session
 // record per log session (encoding as in WriteLog).
-func WriteSnapshot(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log) error {
-	return WriteSnapshotAt(w, visual, log, 0)
-}
-
-// WriteSnapshotAt is WriteSnapshot for a state that covers the write-ahead
-// journal up to journalSeq (see Journal.LastSeq): the sequence is recorded
-// in the meta record (appended as a u64; a zero sequence keeps the original
-// 12-byte meta encoding) so that a replay of snapshot + journal can skip
-// the records the snapshot already contains — regardless of whether the
-// journal was compacted before or after the crash.
+//
+// journalSeq is the write-ahead journal sequence the state covers (see
+// Journal.LastSeq; 0 without a journal): it is recorded in the meta record
+// (appended as a u64; a zero sequence keeps the original 12-byte meta
+// encoding) so that a replay of snapshot + journal can skip the records the
+// snapshot already contains — regardless of whether the journal was compacted
+// before or after the crash.
 func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
 	if len(visual) == 0 {
 		return fmt.Errorf("storage: snapshot of an empty collection")
@@ -415,15 +413,8 @@ func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, 
 	return bw.Flush()
 }
 
-// ReadSnapshot reads an engine snapshot written by WriteSnapshot,
-// discarding the journal coverage sequence if one is recorded.
-func ReadSnapshot(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, error) {
-	visual, log, _, err := ReadSnapshotAt(r)
-	return visual, log, err
-}
-
 // ReadSnapshotAt reads an engine snapshot and the journal sequence it
-// covers (0 for snapshots written without a journal, or by WriteSnapshot).
+// covers (0 for snapshots written without a journal).
 func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
 	br := bufio.NewReader(r)
 	if err := readHeader(br, KindSnapshot); err != nil {
@@ -487,17 +478,12 @@ func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 	return visual, log, journalSeq, nil
 }
 
-// SaveSnapshot writes an engine snapshot to the named file atomically: the
+// SaveSnapshotAt writes an engine snapshot to the named file atomically: the
 // snapshot is staged to a temporary file in the same directory and renamed
 // over the destination, so a crash mid-write never destroys the previous
-// snapshot.
-func SaveSnapshot(path string, visual []linalg.Vector, log *feedbacklog.Log) error {
-	return SaveSnapshotAt(path, visual, log, 0)
-}
-
-// SaveSnapshotAt is SaveSnapshot recording the journal sequence the state
-// covers (see WriteSnapshotAt); the snapshotter uses it so crash replay can
-// tell which journal records the snapshot already contains.
+// snapshot. It records the journal sequence the state covers (see
+// WriteSnapshotAt), so crash replay can tell which journal records the
+// snapshot already contains.
 func SaveSnapshotAt(path string, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
 	// Stage in the destination directory, not os.TempDir (often a different
 	// filesystem, where the rename would fail with EXDEV).
@@ -527,14 +513,8 @@ func SaveSnapshotAt(path string, visual []linalg.Vector, log *feedbacklog.Log, j
 	return nil
 }
 
-// LoadSnapshot reads an engine snapshot from the named file.
-func LoadSnapshot(path string) ([]linalg.Vector, *feedbacklog.Log, error) {
-	visual, log, _, err := LoadSnapshotAt(path)
-	return visual, log, err
-}
-
-// LoadSnapshotAt reads an engine snapshot and the journal sequence it
-// covers; pass the sequence to OpenJournal (JournalOptions.SnapshotSeq) so
+// LoadSnapshotAt reads an engine snapshot from the named file, with the
+// journal sequence it covers; pass the sequence to OpenJournal (JournalOptions.SnapshotSeq) so
 // replay skips the records the snapshot already contains.
 func LoadSnapshotAt(path string) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
 	f, err := os.Open(path)
@@ -543,14 +523,4 @@ func LoadSnapshotAt(path string) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 	}
 	defer f.Close()
 	return ReadSnapshotAt(f)
-}
-
-// sortInts is a tiny insertion sort; session judgment lists are ~20 entries,
-// not worth pulling in package sort's interface machinery here.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
 }

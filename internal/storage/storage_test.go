@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -188,16 +189,6 @@ func TestEmptyCollections(t *testing.T) {
 	}
 }
 
-func TestSortInts(t *testing.T) {
-	xs := []int{5, 1, 4, 1, 3}
-	sortInts(xs)
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			t.Fatalf("not sorted: %v", xs)
-		}
-	}
-}
-
 func TestLoadMissingFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := LoadFeatures(filepath.Join(dir, "missing")); err == nil {
@@ -205,5 +196,18 @@ func TestLoadMissingFiles(t *testing.T) {
 	}
 	if _, err := LoadLog(filepath.Join(dir, "missing")); err == nil {
 		t.Error("expected error")
+	}
+}
+
+// Judgments are encoded in ascending image order whatever order the map
+// yields them in, so the same session always encodes to the same bytes.
+func TestEncodeSessionAscendingImages(t *testing.T) {
+	payload := encodeSession(feedbacklog.Session{Judgments: map[int]feedbacklog.Judgment{
+		5: feedbacklog.Relevant, 1: feedbacklog.Relevant, 4: feedbacklog.Irrelevant, 9: feedbacklog.Relevant, 3: feedbacklog.Irrelevant,
+	}})
+	for i, want := range []uint32{1, 3, 4, 5, 9} {
+		if got := binary.LittleEndian.Uint32(payload[12+8*i:]); got != want {
+			t.Fatalf("judgment %d encodes image %d, want %d", i, got, want)
+		}
 	}
 }
