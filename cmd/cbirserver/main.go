@@ -262,6 +262,7 @@ func durabilityStatus(journal *storage.Journal, snapshotter *storage.Snapshotter
 			JournaledSessions: js.Sessions,
 			JournaledImages:   js.Images,
 			JournalBytes:      js.Bytes,
+			SyncFailures:      js.SyncFailures,
 			ReplayedSessions:  replay.Sessions,
 			ReplayedImages:    replay.Images,
 			ReplayTornBytes:   replay.TornTailBytes,
@@ -270,6 +271,7 @@ func durabilityStatus(journal *storage.Journal, snapshotter *storage.Snapshotter
 			ss := snapshotter.Stats()
 			d.Snapshots = ss.Snapshots
 			d.LastSnapshotUnix = ss.LastSnapshotUnix
+			d.LastSnapshotError = ss.LastError
 		}
 		return d
 	}

@@ -1,0 +1,109 @@
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"lrfcsvm/internal/faultinject"
+	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/retrieval"
+	"lrfcsvm/internal/server"
+	"lrfcsvm/internal/storage"
+)
+
+// TestDurabilityStatusSurfacesFaults: an fsync that fails on the background
+// flush and a snapshot pass that fails fail no request, so the adapter is
+// the only way an operator learns of either. Both must read on /api/status,
+// and the fsync count on /metrics.
+func TestDurabilityStatusSurfacesFaults(t *testing.T) {
+	dir := t.TempDir()
+	rng := linalg.NewRNG(5)
+	visual := make([]linalg.Vector, 12)
+	for i := range visual {
+		visual[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)}
+	}
+	in := faultinject.New(faultinject.Plan{})
+	journal, visual, replay, err := storage.OpenJournal(filepath.Join(dir, "engine.wal"), visual, feedbacklog.NewLog(len(visual)),
+		storage.JournalOptions{
+			Fsync:        storage.FsyncInterval,
+			SyncInterval: time.Hour, // the test plays the flush ticker itself
+			WrapFile:     func(f *os.File) storage.File { return in.Wrap(f) },
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	engine, err := retrieval.NewEngine(visual, feedbacklog.NewLog(len(visual)), retrieval.Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	// A snapshot path in a directory that does not exist: every pass fails.
+	snapshotter, err := storage.NewSnapshotter(journal, engine.SnapshotWith, storage.SnapshotterConfig{
+		SnapshotPath: filepath.Join(dir, "missing", "engine.snap"),
+		Interval:     time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snapshotter.Close()
+
+	srv := server.NewWithConfig(engine, server.Config{Durability: durabilityStatus(journal, snapshotter, replay)})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// One journaled ingestion leaves the journal dirty; from here every
+	// fsync fails, and the flush ticker fires twice.
+	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{0.5, 0.5, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	in.SetPlan(faultinject.Plan{FailSyncFrom: 1})
+	for range 2 {
+		if err := journal.Sync(); err == nil {
+			t.Fatal("the injected fsync fault did not reach the journal")
+		}
+	}
+	if err := snapshotter.SnapshotNow(); err == nil {
+		t.Fatal("a snapshot into a missing directory succeeded")
+	}
+
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	var status server.StatusResponse
+	if err := json.Unmarshal(get("/api/status"), &status); err != nil {
+		t.Fatal(err)
+	}
+	d := status.Durability
+	if d == nil {
+		t.Fatal("no durability section with a journal attached")
+	}
+	if d.JournaledImages != 1 || d.SyncFailures != 2 {
+		t.Errorf("durability section = %+v, want 1 journaled image and 2 sync failures", *d)
+	}
+	if d.LastSnapshotError == "" || d.Snapshots != 0 {
+		t.Errorf("durability section = %+v, want the failed snapshot pass's error and no snapshots", *d)
+	}
+	if metrics := string(get("/metrics")); !strings.Contains(metrics, "\ncbir_journal_sync_failures_total 2\n") {
+		t.Errorf("/metrics does not report cbir_journal_sync_failures_total 2:\n%s", metrics)
+	}
+}

@@ -127,17 +127,6 @@ func ExcludeSuffix(suffixes ...string) func(string) bool {
 	return func(path string) bool { return !in(path) }
 }
 
-// isPkgFunc reports whether obj is the package-level function pkgPath.name
-// (methods have a receiver and never match).
-func isPkgFunc(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // isNamedType reports whether t (after pointer indirection) is the named
 // type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {

@@ -104,15 +104,6 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 	return l, nil
 }
 
-// Targets returns the import paths of the packages the patterns matched.
-func (l *Loader) Targets() []string {
-	out := make([]string, len(l.targets))
-	for i, p := range l.targets {
-		out[i] = p.ImportPath
-	}
-	return out
-}
-
 // Load parses and type-checks every target package.
 func (l *Loader) Load() ([]*LoadedPackage, error) {
 	out := make([]*LoadedPackage, 0, len(l.targets))

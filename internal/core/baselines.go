@@ -292,9 +292,6 @@ func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScor
 	return batch, retrievalScorer(ctx, batch, p.visualModel, p.logModel), nil
 }
 
-// Rank scores the whole collection with the pretrained pair.
-func (p *Pretrained2SVMs) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(p, ctx) }
-
 // RankTopAppend streams the top k with the pretrained pair.
 func (p *Pretrained2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(p, ctx, CandidateSet{}, k, dst)

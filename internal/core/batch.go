@@ -35,10 +35,6 @@ import (
 // version, so no pass but the one that returns every score allocates with
 // the size of the collection.
 
-// DefaultShardSize re-exports the collection shard capacity selected when a
-// batch is built without an explicit shard size.
-const DefaultShardSize = kernel.DefaultShardSize
-
 // CollectionBatch holds what every query against the same collection shares:
 // the sharded flat visual store with per-shard row norms, the mean-distance
 // estimate of the default visual kernel, and a pool of scoring arenas (see

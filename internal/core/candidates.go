@@ -31,19 +31,6 @@ type CandidateSet struct {
 	TailStart int
 }
 
-// Count returns the total number of candidate images for a collection of n
-// images: the list members plus the unindexed tail.
-func (c CandidateSet) Count(n int) int {
-	total := 0
-	for _, l := range c.Lists {
-		total += len(l)
-	}
-	if c.TailStart < n {
-		total += n - c.TailStart
-	}
-	return total
-}
-
 // scanPass is one scoring pass cut into independent work units, each a
 // sequence of ranges confined to a single shard (so every scorer call reads
 // one cache-local slab): one unit per candidate list, then the tail's shards

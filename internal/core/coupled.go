@@ -104,20 +104,6 @@ type CoupledResult struct {
 	SolverIterations int
 }
 
-// Decision evaluates the coupled decision value of a point given its
-// representation in every modality: the sum of the per-modality decision
-// values (CSVM_Dist in Fig. 1 of the paper).
-func (r *CoupledResult) Decision(views []kernel.Point) (float64, error) {
-	if len(views) != len(r.Models) {
-		return 0, fmt.Errorf("core: decision needs %d views, got %d", len(r.Models), len(views))
-	}
-	var sum float64
-	for m, model := range r.Models {
-		sum += model.Decision(views[m])
-	}
-	return sum, nil
-}
-
 // TrainCoupled runs the coupled SVM of Section 4 of the paper: it learns one
 // SVM per modality such that all modalities agree on the labels of the
 // unlabeled points, using the two-step alternating optimization with an

@@ -146,29 +146,6 @@ func TestTrainCoupledRecoversUnlabeledLabels(t *testing.T) {
 	}
 }
 
-func TestCoupledResultDecision(t *testing.T) {
-	rng := linalg.NewRNG(9)
-	labA, labB, labels := twoViewData(rng, 12)
-	res, err := TrainCoupled([]Modality{
-		{Name: "a", Kernel: kernel.Linear{}, C: 5, Labeled: labA},
-		{Name: "b", Kernel: kernel.Linear{}, C: 5, Labeled: labB},
-	}, labels, nil, DefaultCoupledConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := res.Decision([]kernel.Point{labA[1], labB[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Models[0].Decision(labA[1]) + res.Models[1].Decision(labB[1])
-	if got != want {
-		t.Errorf("Decision = %v, want %v", got, want)
-	}
-	if _, err := res.Decision([]kernel.Point{labA[1]}); err == nil {
-		t.Error("expected error for wrong number of views")
-	}
-}
-
 func TestHinge(t *testing.T) {
 	cases := []struct{ margin, want float64 }{
 		{2, 0}, {1, 0}, {0.5, 0.5}, {0, 1}, {-1, 2},

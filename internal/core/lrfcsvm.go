@@ -70,19 +70,6 @@ func (p CSVMParams) withDefaults(ctx *QueryContext, b *CollectionBatch) CSVMPara
 	return p
 }
 
-// CSVMResult is the detailed outcome of one LRF-CSVM query.
-type CSVMResult struct {
-	// Scores holds the coupled decision value of every image in the
-	// collection; rank by descending score.
-	Scores []float64
-	// Unlabeled lists the image indices drafted as unlabeled transductive
-	// points, and UnlabeledLabels their final inferred labels.
-	Unlabeled       []int
-	UnlabeledLabels []float64
-	// Coupled carries the optimization diagnostics.
-	Coupled *CoupledResult
-}
-
 // LRFCSVM is the paper's log-based relevance feedback algorithm by coupled
 // SVM (Fig. 1): it selects informative unlabeled images using both
 // modalities, trains the coupled SVM with annealed transductive weighting
@@ -99,7 +86,7 @@ func (LRFCSVM) Name() string { return "LRF-CSVM" }
 // the coupled decision value, with the same initial-similarity tie-break
 // prior as the other SVM schemes.
 func (s LRFCSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	batch, coupled, _, err := trainCSVM(ctx, s.Params, selectLogAssisted)
+	batch, coupled, err := trainCSVM(ctx, s.Params, selectLogAssisted)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,7 +114,7 @@ func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, lo
 // the unlabeled selection — and assembles the coupled training problem. The
 // two initial trainings are independent, so with Coupled.Workers > 1 they
 // run concurrently (bit-identical to the sequential order).
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, unlabeledIdx []int, err error) {
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
@@ -156,11 +143,11 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	unlabeledIdx, initialLabels, err = sel(ctx, batch, visualInit, logInit, p.NumUnlabeled)
+	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualInit, logInit, p.NumUnlabeled)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	modalities = []Modality{
@@ -179,7 +166,7 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 			Unlabeled: ctx.logPoints(unlabeledIdx),
 		},
 	}
-	return modalities, labels, initialLabels, unlabeledIdx, nil
+	return modalities, labels, initialLabels, nil
 }
 
 // TrainingProblem extracts the coupled-SVM training problem — modalities,
@@ -193,55 +180,30 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	}
 	batch := ctx.collectionBatch()
 	p := s.Params.withDefaults(ctx, batch)
-	modalities, labels, initialLabels, _, err := trainingProblem(ctx, batch, p, selectLogAssisted)
-	return modalities, labels, initialLabels, err
+	return trainingProblem(ctx, batch, p, selectLogAssisted)
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
 // selection with the given heuristic and the annealed coupled-SVM
 // optimization.
-func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, unlabeledIdx []int, err error) {
+func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, err error) {
 	if err := ctx.Validate(true); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	batch = ctx.collectionBatch()
 	p := params.withDefaults(ctx, batch)
-	modalities, labels, initialLabels, unlabeledIdx, err := trainingProblem(ctx, batch, p, sel)
+	modalities, labels, initialLabels, err := trainingProblem(ctx, batch, p, sel)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
 	// label correction.
 	coupled, err = TrainCoupled(modalities, labels, initialLabels, p.Coupled)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
+		return nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
-	return batch, coupled, unlabeledIdx, nil
-}
-
-// rankDetailedCSVM runs the full algorithm with the given step-1 heuristic,
-// materializing every score of step 3.
-func rankDetailedCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (*CSVMResult, error) {
-	batch, coupled, unlabeledIdx, err := trainCSVM(ctx, params, sel)
-	if err != nil {
-		return nil, err
-	}
-	scores, err := scanScores(ctx, batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]))
-	if err != nil {
-		return nil, err
-	}
-	return &CSVMResult{
-		Scores:          scores,
-		Unlabeled:       unlabeledIdx,
-		UnlabeledLabels: coupled.UnlabeledLabels,
-		Coupled:         coupled,
-	}, nil
-}
-
-// RankDetailed runs the full algorithm and returns scores plus diagnostics.
-func (s LRFCSVM) RankDetailed(ctx *QueryContext) (*CSVMResult, error) {
-	return rankDetailedCSVM(ctx, s.Params, selectLogAssisted)
+	return batch, coupled, nil
 }
 
 // RankTop implements TopKRanker: steps 1-2 run exactly as in Rank, and the
@@ -409,11 +371,11 @@ func (s LRFCSVMWithSelection) Name() string {
 // Rank implements Scheme: the shared three steps with this variant's step-1
 // heuristic.
 func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) {
-	res, err := rankDetailedCSVM(ctx, s.Params, s.selection())
+	batch, coupled, err := trainCSVM(ctx, s.Params, s.selection())
 	if err != nil {
 		return nil, err
 	}
-	return res.Scores, nil
+	return scanScores(ctx, batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]))
 }
 
 // selection resolves the strategy to a step-1 heuristic. The ablation
@@ -459,7 +421,3 @@ var (
 	_ TopKRanker = LRF2SVMs{}
 	_ TopKRanker = LRFCSVM{}
 )
-
-// The solver configuration type is re-exported here for convenience so that
-// callers configuring schemes do not need to import the svm package.
-type SolverConfig = svm.Config

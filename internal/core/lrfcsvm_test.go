@@ -25,37 +25,28 @@ func TestLRFCSVMRequiresLog(t *testing.T) {
 	}
 }
 
-func TestLRFCSVMRankDetailed(t *testing.T) {
+// TestTrainCSVMDraftsUnlabeled checks steps 1-2 of Fig. 1 as every LRF-CSVM
+// ranking runs them: up to N' images drafted, each ending with a label in
+// {-1,+1}. (That no labeled image is drafted is the select-by-sort oracle's
+// to check, in select_test.go.)
+func TestTrainCSVMDraftsUnlabeled(t *testing.T) {
 	col := makeCollection(t, 4, 15, 40, 0.05, 53)
 	ctx := col.queryContext(5, 12)
 	params := DefaultCSVMParams()
 	params.NumUnlabeled = 16
-	res, err := LRFCSVM{Params: params}.RankDetailed(ctx)
+	_, coupled, err := trainCSVM(ctx, params, selectLogAssisted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scores) != len(col.visual) {
-		t.Fatalf("scores length %d", len(res.Scores))
+	if n := len(coupled.UnlabeledLabels); n == 0 || n > 16 {
+		t.Errorf("unlabeled count %d", n)
 	}
-	if len(res.Unlabeled) == 0 || len(res.Unlabeled) > 16 {
-		t.Errorf("unlabeled count %d", len(res.Unlabeled))
-	}
-	if len(res.Unlabeled) != len(res.UnlabeledLabels) {
-		t.Error("unlabeled indices and labels out of sync")
-	}
-	// Drafted unlabeled images must not be part of the labeled set.
-	labeledSet := ctx.labeledSet()
-	for _, idx := range res.Unlabeled {
-		if labeledSet[idx] {
-			t.Errorf("labeled image %d drafted as unlabeled", idx)
-		}
-	}
-	for _, y := range res.UnlabeledLabels {
+	for _, y := range coupled.UnlabeledLabels {
 		if y != 1 && y != -1 {
 			t.Errorf("inferred label %v", y)
 		}
 	}
-	if res.Coupled == nil || res.Coupled.RhoSteps == 0 {
+	if coupled.RhoSteps == 0 {
 		t.Error("missing coupled diagnostics")
 	}
 }

@@ -21,12 +21,12 @@ func TestPretrained2SVMsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := pre.Rank(coll.queryContext(3, 10))
+	scores, err := rankScores(pre, coll.queryContext(3, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scores) != len(endToEnd) {
-		t.Fatalf("pretrained Rank returned %d scores, want %d", len(scores), len(endToEnd))
+		t.Fatalf("pretrained pair returned %d scores, want %d", len(scores), len(endToEnd))
 	}
 	for i := range scores {
 		if math.Float64bits(scores[i]) != math.Float64bits(endToEnd[i]) {

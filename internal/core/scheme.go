@@ -58,16 +58,6 @@ type QueryContext struct {
 	Ctx context.Context
 }
 
-// Context returns the context attached to the query, or context.Background()
-// when none is.
-func (ctx *QueryContext) Context() context.Context {
-	if ctx.Ctx != nil {
-		return ctx.Ctx
-	}
-	//cbirlint:ignore ctxflow accessor default for an optional field, mirroring http.Request.Context; callers thread Ctx in
-	return context.Background()
-}
-
 // ctxErr returns the cancellation state of an optional context.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {

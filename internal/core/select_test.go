@@ -212,16 +212,18 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 			ctx := coll.queryContext(3, 10)
 			ctx.Batch, ctx.Workers = batch, workers
 			p := DefaultCSVMParams().withDefaults(ctx, batch)
-			var wantIdx []int
+			var gotIdx, wantIdx []int
 			var wantLabels []float64
-			_, _, gotLabels, gotIdx, err := trainingProblem(ctx, batch, p,
+			_, _, gotLabels, err := trainingProblem(ctx, batch, p,
 				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
 					combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
 					if err != nil {
 						return nil, nil, err
 					}
 					wantIdx, wantLabels = oracleSelection(ctx, combined, num)
-					return selectLogAssisted(ctx, batch, visualInit, logInit, num)
+					idx, labels, err := selectLogAssisted(ctx, batch, visualInit, logInit, num)
+					gotIdx = idx
+					return idx, labels, err
 				})
 			if err != nil {
 				t.Fatal(err)
@@ -464,7 +466,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 	}
 	ctx.Batch = NewCollectionBatch(visual)
 	p := DefaultCSVMParams().withDefaults(ctx, ctx.Batch)
-	_, _, _, _, err := trainingProblem(ctx, ctx.Batch, p,
+	_, _, _, err := trainingProblem(ctx, ctx.Batch, p,
 		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int) ([]int, []float64, error) {
 			visualInit, logInit = v, l
 			return nil, nil, nil

@@ -78,17 +78,11 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	return &Generator{spec: spec, archetypes: Archetypes(spec.Categories)}, nil
 }
 
-// Spec returns the generator's spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // NumImages returns the total number of images in the dataset.
 func (g *Generator) NumImages() int { return g.spec.Categories * g.spec.ImagesPerCategory }
 
 // NumCategories returns the number of categories.
 func (g *Generator) NumCategories() int { return g.spec.Categories }
-
-// CategoryName returns the archetype name of category c.
-func (g *Generator) CategoryName(c int) string { return g.archetypes[c].Name }
 
 // Item returns the identity of image i.
 func (g *Generator) Item(i int) Item {
@@ -98,9 +92,6 @@ func (g *Generator) Item(i int) Item {
 	c := i / g.spec.ImagesPerCategory
 	return Item{Index: i, Category: c, CategoryName: g.archetypes[c].Name}
 }
-
-// Category returns the category index of image i.
-func (g *Generator) Category(i int) int { return g.Item(i).Category }
 
 // Labels returns the category label of every image, indexed by image index.
 func (g *Generator) Labels() []int {

@@ -106,7 +106,7 @@ func TestGeneratorItemMapping(t *testing.T) {
 	if item.Category != 5 {
 		t.Errorf("image 23 category = %d, want 5", item.Category)
 	}
-	if item.CategoryName != g.CategoryName(5) {
+	if item.CategoryName != g.archetypes[5].Name {
 		t.Error("CategoryName mismatch")
 	}
 }
@@ -185,7 +185,7 @@ func TestRenderCoversAllArchetypeFamilies(t *testing.T) {
 			}
 		}
 		if constant {
-			t.Errorf("category %q rendered a constant image", g.CategoryName(i))
+			t.Errorf("category %q rendered a constant image", g.Item(i).CategoryName)
 		}
 	}
 }

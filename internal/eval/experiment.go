@@ -33,11 +33,6 @@ type Config struct {
 	// Workers bounds the number of concurrent workers used for feature
 	// extraction and query evaluation; <=0 selects GOMAXPROCS.
 	Workers int
-	// CSVM overrides the LRF-CSVM parameters; the zero value selects
-	// core.DefaultCSVMParams.
-	CSVM core.CSVMParams
-	// SVM overrides the options shared by RF-SVM and LRF-2SVMs.
-	SVM core.SVMOptions
 }
 
 // paperExtraNoise is the extra pixel noise applied to the synthetic
@@ -162,9 +157,9 @@ func Prepare(cfg Config) (*Experiment, error) {
 func (e *Experiment) DefaultSchemes() []core.Scheme {
 	return []core.Scheme{
 		core.Euclidean{},
-		core.RFSVM{Options: e.Config.SVM},
-		core.LRF2SVMs{Options: e.Config.SVM},
-		core.LRFCSVM{Params: e.Config.CSVM},
+		core.RFSVM{},
+		core.LRF2SVMs{},
+		core.LRFCSVM{},
 	}
 }
 
@@ -227,21 +222,18 @@ func (e *Experiment) Relevant(query int) []bool {
 	return out
 }
 
-// SchemeResult is the averaged evaluation of one scheme.
-type SchemeResult struct {
-	Row    Row
-	Errors int // queries that failed (excluded from the average)
-}
-
 // RunScheme evaluates one scheme over the experiment's query set and returns
-// its averaged precision row.
-func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (SchemeResult, error) {
+// its averaged precision row. A row is the mean over every query or it is
+// nothing: when any query fails, RunScheme fails with the scheme, the number
+// of failed queries and the error of the lowest-numbered one, rather than
+// average whichever queries survived under the full set's header.
+func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 	cutoffs := e.Config.Cutoffs
 	sums := make([]float64, len(cutoffs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	errCount := 0
-	evaluated := 0
+	failed, firstQuery := 0, -1
+	var firstErr error
 
 	work := make(chan int)
 	workers := e.Config.Workers
@@ -266,7 +258,10 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (SchemeResult,
 				scores, err := scheme.Rank(ctx)
 				mu.Lock()
 				if err != nil {
-					errCount++
+					failed++
+					if firstErr == nil || q < firstQuery {
+						firstQuery, firstErr = q, err
+					}
 					mu.Unlock()
 					continue
 				}
@@ -274,7 +269,6 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (SchemeResult,
 				for ci, k := range cutoffs {
 					sums[ci] += PrecisionAt(scores, relevant, k)
 				}
-				evaluated++
 				mu.Unlock()
 			}
 		}()
@@ -285,17 +279,15 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (SchemeResult,
 	close(work)
 	wg.Wait()
 
-	if evaluated == 0 {
-		return SchemeResult{}, fmt.Errorf("eval: scheme %s failed on every query", scheme.Name())
+	if failed > 0 {
+		return Row{}, fmt.Errorf("eval: scheme %s failed on %d of %d queries, first on query %d: %w",
+			scheme.Name(), failed, len(queries), firstQuery, firstErr)
 	}
 	curve := make([]float64, len(cutoffs))
 	for i := range curve {
-		curve[i] = sums[i] / float64(evaluated)
+		curve[i] = sums[i] / float64(len(queries))
 	}
-	return SchemeResult{
-		Row:    Row{Scheme: scheme.Name(), Precision: curve, MAP: MeanAveragePrecision(curve)},
-		Errors: errCount,
-	}, nil
+	return Row{Scheme: scheme.Name(), Precision: curve, MAP: MeanAveragePrecision(curve)}, nil
 }
 
 // Run evaluates the given schemes (or the default four when nil) over the
@@ -312,11 +304,11 @@ func (e *Experiment) Run(name string, schemes []core.Scheme) (*Table, error) {
 		Cutoffs: e.Config.Cutoffs,
 	}
 	for _, s := range schemes {
-		res, err := e.RunScheme(s, queries)
+		row, err := e.RunScheme(s, queries)
 		if err != nil {
 			return nil, err
 		}
-		table.Rows = append(table.Rows, res.Row)
+		table.Rows = append(table.Rows, row)
 	}
 	return table, nil
 }

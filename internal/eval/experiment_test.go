@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"lrfcsvm/internal/core"
@@ -168,23 +170,23 @@ func TestRunSchemeAndTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := exp.SampleQueries()
-	res, err := exp.RunScheme(core.Euclidean{}, queries)
+	row, err := exp.RunScheme(core.Euclidean{}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Row.Precision) != len(Cutoffs) {
-		t.Fatalf("precision curve length %d", len(res.Row.Precision))
+	if len(row.Precision) != len(Cutoffs) {
+		t.Fatalf("precision curve length %d", len(row.Precision))
 	}
-	for i, p := range res.Row.Precision {
+	for i, p := range row.Precision {
 		if p < 0 || p > 1 {
 			t.Errorf("precision[%d] = %v", i, p)
 		}
 	}
-	if res.Row.MAP <= 0 {
-		t.Errorf("MAP = %v", res.Row.MAP)
+	if row.MAP <= 0 {
+		t.Errorf("MAP = %v", row.MAP)
 	}
 
-	table, err := exp.Run("tiny", []core.Scheme{core.Euclidean{}, core.RFSVM{Options: exp.Config.SVM}})
+	table, err := exp.Run("tiny", []core.Scheme{core.Euclidean{}, core.RFSVM{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +195,43 @@ func TestRunSchemeAndTable(t *testing.T) {
 	}
 	if _, ok := table.Row("Euclidean"); !ok {
 		t.Error("Euclidean row missing")
+	}
+}
+
+// failsOn ranks like Euclidean except on the listed queries, where it fails.
+type failsOn struct {
+	core.Euclidean
+	queries map[int]bool
+}
+
+func (f failsOn) Rank(ctx *core.QueryContext) ([]float64, error) {
+	if f.queries[ctx.Query] {
+		return nil, fmt.Errorf("no ranking for query %d", ctx.Query)
+	}
+	return f.Euclidean.Rank(ctx)
+}
+
+// TestRunFailsWhenAnyQueryFails: a table row is the mean over every query in
+// its header, so two failed queries out of ten fail the run, naming the
+// scheme, the count and the first error, instead of averaging the other eight.
+func TestRunFailsWhenAnyQueryFails(t *testing.T) {
+	exp, err := Prepare(tinyConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := exp.SampleQueries()
+	lo, hi := min(queries[3], queries[7]), max(queries[3], queries[7])
+	scheme := failsOn{queries: map[int]bool{lo: true, hi: true}}
+	table, err := exp.Run("tiny", []core.Scheme{core.Euclidean{}, scheme})
+	if err == nil {
+		t.Fatalf("Run averaged a table over the surviving queries: %+v", table)
+	}
+	for _, want := range []string{
+		"Euclidean", fmt.Sprintf("2 of %d queries", len(queries)), fmt.Sprintf("no ranking for query %d", lo),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

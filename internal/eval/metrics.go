@@ -6,7 +6,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"lrfcsvm/internal/core"
 )
@@ -34,15 +33,6 @@ func PrecisionAt(scores []float64, relevant []bool, k int) float64 {
 		}
 	}
 	return float64(count) / float64(len(top))
-}
-
-// PrecisionCurve evaluates precision at every configured cutoff.
-func PrecisionCurve(scores []float64, relevant []bool, cutoffs []int) []float64 {
-	out := make([]float64, len(cutoffs))
-	for i, k := range cutoffs {
-		out[i] = PrecisionAt(scores, relevant, k)
-	}
-	return out
 }
 
 // MeanAveragePrecision is the paper's MAP row: the mean of the precision
@@ -191,31 +181,4 @@ func (f *FigureData) Format() string {
 		appendf("\n")
 	}
 	return string(b)
-}
-
-// OrderingHolds reports whether the scheme ordering (given from best to
-// worst) holds at every cutoff of the table within a tolerance: each scheme's
-// precision must be at least the next scheme's minus tol.
-func (t *Table) OrderingHolds(bestToWorst []string, tol float64) bool {
-	rows := make([]Row, 0, len(bestToWorst))
-	for _, name := range bestToWorst {
-		r, ok := t.Row(name)
-		if !ok {
-			return false
-		}
-		rows = append(rows, r)
-	}
-	for ci := range t.Cutoffs {
-		for i := 0; i+1 < len(rows); i++ {
-			if rows[i].Precision[ci] < rows[i+1].Precision[ci]-tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SortRowsByMAP orders the table rows by descending MAP (stable).
-func (t *Table) SortRowsByMAP() {
-	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].MAP > t.Rows[j].MAP })
 }

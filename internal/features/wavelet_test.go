@@ -146,8 +146,8 @@ func TestWaveletTextureDistinguishesFrequencies(t *testing.T) {
 	busy.AddNoise(linalg.NewRNG(7), 60)
 	ws := WaveletTexture(smooth)
 	wb := WaveletTexture(busy)
-	if ws.Distance(wb) < 0.2 {
-		t.Errorf("texture descriptors of smooth vs noisy images too close: %v", ws.Distance(wb))
+	if d := math.Sqrt(ws.SquaredDistance(wb)); d < 0.2 {
+		t.Errorf("texture descriptors of smooth vs noisy images too close: %v", d)
 	}
 }
 

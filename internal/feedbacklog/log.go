@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
 
@@ -118,22 +117,6 @@ func (l *Log) AddSession(s Session) (int, error) {
 	return s.ID, nil
 }
 
-// RelevanceVector returns the log relevance vector r_i of one image: a
-// sparse vector with one component per session, +1/-1 where the image was
-// judged and 0 elsewhere.
-func (l *Log) RelevanceVector(image int) *sparse.Vector {
-	if image < 0 || image >= l.numImages {
-		panic(fmt.Sprintf("feedbacklog: image %d out of range [0,%d)", image, l.numImages))
-	}
-	v := sparse.New(len(l.sessions))
-	for sid, s := range l.sessions {
-		if j, ok := s.Judgments[image]; ok {
-			v.Set(sid, float64(j))
-		}
-	}
-	return v
-}
-
 // RelevanceVectors returns the log relevance vectors of every image, indexed
 // by image index. This is the column view of the relevance matrix R.
 func (l *Log) RelevanceVectors() []*sparse.Vector {
@@ -217,13 +200,10 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 
 // Stats summarizes a log.
 type Stats struct {
-	Sessions          int
-	JudgedImages      int // distinct images with at least one judgment
-	TotalJudgments    int // sum over sessions of judged images
-	PositiveJudgments int
-	NegativeJudgments int
-	MeanPerSession    float64 // judgments per session
-	CoverageFraction  float64 // judged images / collection size
+	Sessions         int
+	JudgedImages     int     // distinct images with at least one judgment
+	TotalJudgments   int     // sum over sessions of judged images
+	CoverageFraction float64 // judged images / collection size
 }
 
 // Stats computes summary statistics of the log.
@@ -232,36 +212,14 @@ func (l *Log) Stats() Stats {
 	judged := make(map[int]bool)
 	for _, s := range l.sessions {
 		st.TotalJudgments += len(s.Judgments)
-		//cbirlint:ignore determinism integer counters and set membership are iteration-order independent
-		for img, j := range s.Judgments {
+		//cbirlint:ignore determinism set membership is iteration-order independent
+		for img := range s.Judgments {
 			judged[img] = true
-			if j == Relevant {
-				st.PositiveJudgments++
-			} else {
-				st.NegativeJudgments++
-			}
 		}
 	}
 	st.JudgedImages = len(judged)
-	if st.Sessions > 0 {
-		st.MeanPerSession = float64(st.TotalJudgments) / float64(st.Sessions)
-	}
 	if l.numImages > 0 {
 		st.CoverageFraction = float64(st.JudgedImages) / float64(l.numImages)
 	}
 	return st
-}
-
-// DenseRelevanceMatrix materializes the relevance matrix R as a dense
-// sessions x images matrix. Intended for tests and analysis tools, not for
-// the learning path, which uses the sparse column view.
-func (l *Log) DenseRelevanceMatrix() *linalg.Matrix {
-	m := linalg.NewMatrix(len(l.sessions), l.numImages)
-	for sid, s := range l.sessions {
-		//cbirlint:ignore determinism each (session, image) cell is written exactly once; order cannot show
-		for img, j := range s.Judgments {
-			m.Set(sid, img, float64(j))
-		}
-	}
-	return m
 }

@@ -24,11 +24,6 @@ func (c Color) Lerp(d Color, t float64) Color {
 	}
 }
 
-// FillColor paints the whole image with c.
-func (im *Image) FillColor(c Color) {
-	im.Fill(clamp8(c.R*255), clamp8(c.G*255), clamp8(c.B*255))
-}
-
 // DrawRect fills the axis-aligned rectangle [x0,x1) x [y0,y1) with c.
 // Coordinates outside the image are clipped.
 func (im *Image) DrawRect(x0, y0, x1, y1 int, c Color) {

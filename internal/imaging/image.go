@@ -1,7 +1,7 @@
 // Package imaging provides the minimal raster-image substrate the CBIR
 // pipeline needs: an RGB image type, color-space conversions (HSV,
 // grayscale), procedural drawing primitives used by the synthetic dataset
-// generator, and a PPM codec for inspecting generated images on disk.
+// generator, and a PPM encoder for inspecting generated images on disk.
 //
 // The paper extracts all visual features from real pixels (HSV color
 // moments, a Canny edge-direction histogram and Daubechies-4 wavelet
@@ -26,13 +26,6 @@ func New(width, height int) *Image {
 		panic(fmt.Sprintf("imaging: invalid image size %dx%d", width, height))
 	}
 	return &Image{Width: width, Height: height, Pix: make([]uint8, width*height*3)}
-}
-
-// Clone returns a deep copy of the image.
-func (im *Image) Clone() *Image {
-	c := &Image{Width: im.Width, Height: im.Height, Pix: make([]uint8, len(im.Pix))}
-	copy(c.Pix, im.Pix)
-	return c
 }
 
 // In reports whether (x,y) lies inside the image bounds.

@@ -45,17 +45,6 @@ func TestOutOfBoundsAccess(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	im := New(2, 2)
-	im.Set(0, 0, 1, 2, 3)
-	c := im.Clone()
-	c.Set(0, 0, 9, 9, 9)
-	r, _, _ := im.At(0, 0)
-	if r != 1 {
-		t.Error("Clone shares pixel storage")
-	}
-}
-
 func TestFill(t *testing.T) {
 	im := New(3, 3)
 	im.Fill(7, 8, 9)

@@ -19,37 +19,6 @@ func EncodePPM(w io.Writer, im *Image) error {
 	return bw.Flush()
 }
 
-// DecodePPM reads a binary PPM (P6) image from r.
-func DecodePPM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("imaging: read ppm magic: %w", err)
-	}
-	if magic != "P6" {
-		return nil, fmt.Errorf("imaging: unsupported ppm magic %q", magic)
-	}
-	var width, height, maxval int
-	if _, err := fmt.Fscan(br, &width, &height, &maxval); err != nil {
-		return nil, fmt.Errorf("imaging: read ppm header: %w", err)
-	}
-	if width <= 0 || height <= 0 {
-		return nil, fmt.Errorf("imaging: invalid ppm size %dx%d", width, height)
-	}
-	if maxval != 255 {
-		return nil, fmt.Errorf("imaging: unsupported ppm maxval %d", maxval)
-	}
-	// Exactly one whitespace byte separates the header from pixel data.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, fmt.Errorf("imaging: read ppm separator: %w", err)
-	}
-	im := New(width, height)
-	if _, err := io.ReadFull(br, im.Pix); err != nil {
-		return nil, fmt.Errorf("imaging: read ppm pixels: %w", err)
-	}
-	return im, nil
-}
-
 // SavePPM writes the image to the named file in PPM format.
 func SavePPM(path string, im *Image) error {
 	f, err := os.Create(path)
@@ -61,14 +30,4 @@ func SavePPM(path string, im *Image) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadPPM reads a PPM image from the named file.
-func LoadPPM(path string) (*Image, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("imaging: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return DecodePPM(f)
 }

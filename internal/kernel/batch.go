@@ -413,17 +413,6 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 	}
 }
 
-// EvalSetExact is the direct-subtraction variant of EvalSet: the same
-// floating-point arithmetic as the scalar Eval path, bit-for-bit, at the
-// cost of not fusing the row into a matrix-vector product. The parity tests
-// pin EvalSet to this reference within 1e-12.
-func (k RBF) EvalSetExact(x linalg.Vector, set *DenseSet, dst []float64) {
-	set.mat.RowSquaredDistancesInto(dst, x)
-	for i, d := range dst {
-		dst[i] = math.Exp(-k.Gamma * d)
-	}
-}
-
 // AccumulateSet adds coefs[t]*K(svs_t, xs_j) for every support vector t to
 // dst[j] through the tile driver of backend.go, on the dot kernels picked
 // at package initialisation. Both kernel pairs perform the same

@@ -81,33 +81,17 @@ func TestEvalSetMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRBFEvalSetExactBitIdentical verifies the direct-subtraction variant
-// reproduces the scalar arithmetic bit for bit.
-func TestRBFEvalSetExactBitIdentical(t *testing.T) {
-	vs, pts := batchDensePoints(11, 5, 4)
-	set := NewDenseSet(vs)
-	k := RBF{Gamma: 0.8}
-	dst := make([]float64, set.Len())
-	k.EvalSetExact(linalg.Vector(pts[1].(Dense)), set, dst)
-	for j, y := range pts {
-		if want := k.Eval(pts[1], y); dst[j] != want {
-			t.Errorf("EvalSetExact[%d] = %v, want exactly %v", j, dst[j], want)
-		}
-	}
-}
-
 // TestGramSetMatchesGram pins the batched Gram construction to the scalar
-// one.
+// per-pair Eval.
 func TestGramSetMatchesGram(t *testing.T) {
 	vs, pts := batchDensePoints(9, 4, 5)
 	set := NewDenseSet(vs)
 	for _, k := range batchKernels() {
-		want := Gram(k, pts)
 		got := GramSet(k, set)
-		for i := 0; i < want.Rows; i++ {
-			for j := 0; j < want.Cols; j++ {
-				if math.Abs(got.At(i, j)-want.At(i, j)) > batchTol {
-					t.Errorf("%s: GramSet(%d,%d) = %v, want %v", k.Name(), i, j, got.At(i, j), want.At(i, j))
+		for i := range pts {
+			for j := range pts {
+				if want := k.Eval(pts[i], pts[j]); math.Abs(got.Row(i)[j]-want) > batchTol {
+					t.Errorf("%s: GramSet(%d,%d) = %v, want %v", k.Name(), i, j, got.Row(i)[j], want)
 				}
 			}
 		}

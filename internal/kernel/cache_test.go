@@ -33,15 +33,3 @@ func TestCacheMatchesDirectEvaluation(t *testing.T) {
 		}
 	}
 }
-
-func TestCacheHitAccounting(t *testing.T) {
-	pts := cachePoints(5, 2, 2)
-	c := NewCache(Linear{}, pts)
-	c.Row(0)
-	c.Row(0)
-	c.Row(1)
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Errorf("Stats = (%d,%d), want (1,2)", hits, misses)
-	}
-}

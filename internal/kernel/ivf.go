@@ -19,7 +19,7 @@ import (
 // that survive it.
 //
 // Everything here is deterministic: seeding uses the repo's xorshift64*
-// generator with an explicit seed, Lloyd iterations run a fixed count with a
+// generator with a fixed seed, Lloyd iterations run a fixed count with a
 // fixed accumulation order (ascending global index), and every tie — in
 // assignment and in probing — breaks toward the lower centroid id. Building
 // the same index over the same points therefore always produces the same
@@ -32,22 +32,18 @@ type CentroidConfig struct {
 	// round(sqrt(n)) — the classical IVF balance point where probing t
 	// cells scans about t*sqrt(n) points — clamped to [1, n].
 	Clusters int
-	// Iters is the number of Lloyd iterations. Non-positive selects
-	// DefaultKMeansIters. The count is fixed (no convergence test) so the
-	// build is deterministic in cost as well as in result.
-	Iters int
-	// Seed seeds centroid initialization. Zero selects DefaultCentroidSeed.
-	Seed uint64
 }
 
-// DefaultKMeansIters is the Lloyd iteration count selected by a
-// non-positive CentroidConfig.Iters: enough for cells over the smooth
-// descriptor distributions of this system to settle, small enough that a
-// background rebuild stays cheap relative to the scans it will save.
-const DefaultKMeansIters = 10
+// kmeansIters is the Lloyd iteration count of every build: enough for cells
+// over the smooth descriptor distributions of this system to settle, small
+// enough that a background rebuild stays cheap relative to the scans it will
+// save. The count is fixed (no convergence test) so the build is
+// deterministic in cost as well as in result.
+const kmeansIters = 10
 
-// DefaultCentroidSeed is the seed selected by a zero CentroidConfig.Seed.
-const DefaultCentroidSeed = 0x51f15eed2048c1d
+// centroidSeed seeds centroid initialization: equal collections give
+// bit-identical indexes and therefore bit-identical pruned rankings.
+const centroidSeed = 0x51f15eed2048c1d
 
 // CentroidIndex is an immutable IVF-style cluster index over the first Len()
 // points of a collection. It is safe for concurrent readers. The index never
@@ -55,10 +51,7 @@ const DefaultCentroidSeed = 0x51f15eed2048c1d
 // was built over, which stays the single source of truth for re-ranking.
 type CentroidIndex struct {
 	n, dim    int
-	seed      uint64
-	iters     int
 	centroids *linalg.Matrix // k x dim cell centers
-	cnorms    linalg.Vector  // squared row norms of centroids
 	members   [][]int32      // ascending global indices; a partition of [0,n)
 }
 
@@ -81,19 +74,11 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 	if k > n {
 		k = n
 	}
-	iters := cfg.Iters
-	if iters <= 0 {
-		iters = DefaultKMeansIters
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = DefaultCentroidSeed
-	}
 	dim := set.Dim()
 
 	// Seed cells from k distinct points chosen by the deterministic
 	// generator, so the initial centroids are actual data points.
-	rng := linalg.NewRNG(seed)
+	rng := linalg.NewRNG(centroidSeed)
 	perm := rng.Perm(n)
 	centroids := linalg.NewMatrix(k, dim)
 	for c := 0; c < k; c++ {
@@ -102,7 +87,7 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 
 	assign := make([]int32, n)
 	counts := make([]int, k)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < kmeansIters; it++ {
 		// Assignment pass: nearest centroid, ties to the lower cell id.
 		for i := 0; i < n; i++ {
 			if i%4096 == 0 && ctx != nil {
@@ -167,23 +152,13 @@ func BuildCentroidIndex(ctx context.Context, set *ShardedSet, cfg CentroidConfig
 		}
 		members[best] = append(members[best], int32(i))
 	}
-	cnorms := centroids.RowSquaredNorms(make(linalg.Vector, k))
-	return &CentroidIndex{
-		n: n, dim: dim, seed: seed, iters: iters,
-		centroids: centroids, cnorms: cnorms, members: members,
-	}, nil
+	return &CentroidIndex{n: n, dim: dim, centroids: centroids, members: members}, nil
 }
 
 // Len returns the number of collection points the index covers (the prefix
 // [0, Len()) of the collection it was built over; points appended after the
 // build are outside the index and must be scanned exhaustively).
 func (ix *CentroidIndex) Len() int { return ix.n }
-
-// Dim returns the dimensionality of the indexed points.
-func (ix *CentroidIndex) Dim() int { return ix.dim }
-
-// Seed returns the seed the index was built with.
-func (ix *CentroidIndex) Seed() uint64 { return ix.seed }
 
 // NumClusters returns the number of cells.
 func (ix *CentroidIndex) NumClusters() int { return len(ix.members) }
@@ -228,14 +203,4 @@ func (ix *CentroidIndex) ProbeInto(dst []int, q linalg.Vector, nprobe int) []int
 		return dst[a] < dst[b]
 	})
 	return dst[:nprobe]
-}
-
-// CandidateCount returns the total number of members across the given cells
-// — the size of the candidate set a probe of exactly those cells produces.
-func (ix *CentroidIndex) CandidateCount(cells []int) int {
-	total := 0
-	for _, c := range cells {
-		total += len(ix.members[c])
-	}
-	return total
 }

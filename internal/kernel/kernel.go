@@ -152,19 +152,3 @@ func EstimateRBFGamma(n int, point func(i int) Point, sample int) float64 {
 	}
 	return 1 / mean
 }
-
-// Gram computes the full kernel (Gram) matrix of the given points.
-func Gram(k Kernel, points []Point) *linalg.Matrix {
-	n := len(points)
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := k.Eval(points[i], points[j])
-			m.Set(i, j, v)
-			if i != j {
-				m.Set(j, i, v)
-			}
-		}
-	}
-	return m
-}

@@ -66,32 +66,6 @@ func TestRBFKernel(t *testing.T) {
 	}
 }
 
-func TestGramSymmetricWithUnitDiagonal(t *testing.T) {
-	rng := linalg.NewRNG(3)
-	points := make([]Point, 8)
-	for i := range points {
-		v := make(linalg.Vector, 4)
-		for j := range v {
-			v[j] = rng.Range(-1, 1)
-		}
-		points[i] = Dense(v)
-	}
-	g := Gram(RBF{Gamma: 0.3}, points)
-	for i := 0; i < 8; i++ {
-		if math.Abs(g.At(i, i)-1) > 1e-12 {
-			t.Errorf("diagonal[%d] = %v", i, g.At(i, i))
-		}
-		for j := 0; j < 8; j++ {
-			if g.At(i, j) != g.At(j, i) {
-				t.Errorf("Gram not symmetric at (%d,%d)", i, j)
-			}
-			if g.At(i, j) < 0 || g.At(i, j) > 1 {
-				t.Errorf("RBF Gram entry out of range: %v", g.At(i, j))
-			}
-		}
-	}
-}
-
 // Property: the RBF kernel is bounded in [0,1] and symmetric.
 // (Mathematically K > 0, but for very distant points exp underflows to 0.)
 func TestPropertyRBFBoundedSymmetric(t *testing.T) {

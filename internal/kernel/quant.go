@@ -93,27 +93,6 @@ func quantizeOne(x, scale float64) int8 {
 	return int8(r)
 }
 
-// Len returns the number of quantized rows.
-func (q *QuantizedSet) Len() int { return q.n }
-
-// Dim returns the vector dimension.
-func (q *QuantizedSet) Dim() int { return q.dim }
-
-// Dequantize reconstructs row i (scale_d * code) into dst, growing it if
-// needed, and returns it. This is the exact vector the approximate scan
-// compares queries against.
-func (q *QuantizedSet) Dequantize(i int, dst []float64) []float64 {
-	if cap(dst) < q.dim {
-		dst = make([]float64, q.dim)
-	}
-	dst = dst[:q.dim]
-	row := q.codes[i*q.dim : (i+1)*q.dim]
-	for d, c := range row {
-		dst[d] = q.scales[d] * float64(c)
-	}
-	return dst
-}
-
 // quantScratchPool recycles the per-scan folded-query buffer.
 var quantScratchPool = sync.Pool{New: func() any { s := []float64(nil); return &s }}
 

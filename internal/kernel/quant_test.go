@@ -19,24 +19,23 @@ func TestQuantizedRoundTrip(t *testing.T) {
 		vs[i][3] = 0 // dimension 3 is zero everywhere
 	}
 	q := NewQuantizedSet(vs)
-	if q.Len() != n || q.Dim() != dim {
-		t.Fatalf("quantized set is %dx%d, want %dx%d", q.Len(), q.Dim(), n, dim)
+	if q.n != n || q.dim != dim {
+		t.Fatalf("quantized set is %dx%d, want %dx%d", q.n, q.dim, n, dim)
 	}
-	var buf []float64
 	for i, v := range vs {
-		buf = q.Dequantize(i, buf)
 		for d := range v {
+			rec := q.scales[d] * float64(q.codes[i*dim+d])
 			if c := q.codes[i*dim+d]; c < -127 || c > 127 {
 				t.Fatalf("code[%d][%d] = %d outside [-127,127]", i, d, c)
 			}
 			if d == 3 {
-				if buf[d] != 0 {
-					t.Fatalf("zero dimension reconstructs to %v", buf[d])
+				if rec != 0 {
+					t.Fatalf("zero dimension reconstructs to %v", rec)
 				}
 				continue
 			}
 			scale := q.scales[d]
-			if err := math.Abs(v[d] - buf[d]); err > scale/2+1e-15 {
+			if err := math.Abs(v[d] - rec); err > scale/2+1e-15 {
 				t.Fatalf("row %d dim %d: reconstruction error %g exceeds scale/2 = %g", i, d, err, scale/2)
 			}
 		}
@@ -58,13 +57,11 @@ func TestQuantizedApproxDistances(t *testing.T) {
 		query[d] = rng.NormFloat64()
 	}
 	want := make([]float64, n)
-	var buf []float64
 	var maxMag float64
 	for i := range vs {
-		buf = q.Dequantize(i, buf)
 		var s float64
 		for d := range query {
-			diff := query[d] - buf[d]
+			diff := query[d] - q.scales[d]*float64(q.codes[i*dim+d])
 			s += diff * diff
 		}
 		want[i] = s
@@ -132,7 +129,7 @@ func TestQuantizedDeterministic(t *testing.T) {
 // TestQuantizedEmpty covers the degenerate shapes.
 func TestQuantizedEmpty(t *testing.T) {
 	q := NewQuantizedSet(nil)
-	if q.Len() != 0 || q.Dim() != 0 {
-		t.Fatalf("empty set is %dx%d", q.Len(), q.Dim())
+	if q.n != 0 || q.dim != 0 {
+		t.Fatalf("empty set is %dx%d", q.n, q.dim)
 	}
 }

@@ -16,24 +16,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 {
-	m.check(i, j)
-	return m.Data[i*m.Cols+j]
-}
-
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, x float64) {
-	m.check(i, j)
-	m.Data[i*m.Cols+j] = x
-}
-
-func (m *Matrix) check(i, j int) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("linalg: index (%d,%d) out of range for %dx%d matrix", i, j, m.Rows, m.Cols))
-	}
-}
-
 // Row returns row i as a Vector backed by the matrix storage.
 // Mutating the returned slice mutates the matrix.
 func (m *Matrix) Row(i int) Vector {
@@ -41,41 +23,6 @@ func (m *Matrix) Row(i int) Vector {
 		panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.Rows, m.Cols))
 	}
 	return Vector(m.Data[i*m.Cols : (i+1)*m.Cols])
-}
-
-// Col returns column j as a newly allocated Vector.
-func (m *Matrix) Col(j int) Vector {
-	if j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("linalg: column %d out of range for %dx%d matrix", j, m.Rows, m.Cols))
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// MulVec returns m*v as a new vector. v must have length m.Cols.
-func (m *Matrix) MulVec(v Vector) Vector {
-	return m.MulVecInto(make(Vector, m.Rows), v)
 }
 
 // MulVecInto stores m*v into dst (which must have length m.Rows) and returns
@@ -127,37 +74,11 @@ func (m *Matrix) RowSquaredNorms(dst Vector) Vector {
 	return dst
 }
 
-// RowSquaredDistancesInto stores ||row_i - v||^2 for every row into dst and
-// returns dst. The per-row arithmetic is identical to Vector.SquaredDistance
-// (same accumulation order), so results are bit-for-bit equal to the scalar
-// path; the win is the flat row-major traversal and the absence of per-row
-// dispatch.
-func (m *Matrix) RowSquaredDistancesInto(dst, v Vector) Vector {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("linalg: RowSquaredDistances shape mismatch %dx%d vs %d", m.Rows, m.Cols, len(v)))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: RowSquaredDistances destination length %d, want %d", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, x := range row {
-			d := x - v[j]
-			s += d * d
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // RowSquaredDistancesNormInto stores ||row_i - v||^2 for every row into dst
 // using the expansion ||x||^2 + ||v||^2 - 2<x,v> with the precomputed row
 // norms, so the whole batch is one matrix-vector product. Cancellation makes
 // the result differ from the direct subtraction by O(1e-15) relative error;
-// negative results from rounding are clamped to zero. Use
-// RowSquaredDistancesInto where bit-exact agreement with the scalar path
-// matters.
+// negative results from rounding are clamped to zero.
 func (m *Matrix) RowSquaredDistancesNormInto(dst, v, rowNorms Vector) Vector {
 	if len(rowNorms) != m.Rows {
 		panic(fmt.Sprintf("linalg: RowSquaredDistancesNormInto norms length %d, want %d", len(rowNorms), m.Rows))
@@ -172,28 +93,6 @@ func (m *Matrix) RowSquaredDistancesNormInto(dst, v, rowNorms Vector) Vector {
 		dst[i] = d
 	}
 	return dst
-}
-
-// Mul returns the matrix product m*n.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[i*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			nRow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			oRow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, b := range nRow {
-				oRow[j] += a * b
-			}
-		}
-	}
-	return out
 }
 
 // FromRows builds a matrix whose rows are the given vectors.

@@ -73,19 +73,5 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n integers through the swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Split derives a new independent generator from r. The derived stream is a
-// deterministic function of r's current state, so splitting is reproducible.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xda3e39cb94b95bdb)
-}

@@ -115,18 +115,3 @@ func TestRNGBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) frequency = %v", frac)
 	}
 }
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(9)
-	a := r.Split()
-	b := r.Split()
-	equal := 0
-	for i := 0; i < 20; i++ {
-		if a.Uint64() == b.Uint64() {
-			equal++
-		}
-	}
-	if equal > 2 {
-		t.Errorf("split streams look correlated: %d/20 equal draws", equal)
-	}
-}

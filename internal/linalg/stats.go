@@ -3,29 +3,7 @@ package linalg
 import (
 	"math"
 	"slices"
-	"sort"
 )
-
-// MeanStd returns the mean and population standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	v := Vector(xs)
-	return v.Mean(), v.Std()
-}
-
-// Median returns the median of xs. It copies the input, so xs is not
-// modified. The median of an empty slice is 0.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return 0.5 * (c[n/2-1] + c[n/2])
-}
 
 // Entropy returns the Shannon entropy (natural log) of a non-negative value
 // distribution. The values are normalized to sum to one; zero-mass inputs
@@ -49,45 +27,6 @@ func Entropy(values []float64) float64 {
 		h -= p * math.Log(p)
 	}
 	return h
-}
-
-// Histogram builds a histogram with the given number of bins over [lo,hi).
-// Values outside the range are clamped into the first/last bin.
-func Histogram(values []float64, bins int, lo, hi float64) []float64 {
-	h := make([]float64, bins)
-	if bins == 0 || hi <= lo {
-		return h
-	}
-	width := (hi - lo) / float64(bins)
-	for _, v := range values {
-		idx := int((v - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= bins {
-			idx = bins - 1
-		}
-		h[idx]++
-	}
-	return h
-}
-
-// Normalize scales values so that they sum to one. A zero-sum input is
-// returned unchanged.
-func Normalize(values []float64) []float64 {
-	var total float64
-	for _, v := range values {
-		total += v
-	}
-	out := make([]float64, len(values))
-	if total == 0 {
-		copy(out, values)
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / total
-	}
-	return out
 }
 
 // ArgsortDesc returns the indices that sort xs in descending order.

@@ -7,31 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-	}
-	for _, c := range cases {
-		if got := Median(c.in); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Median mutated its input")
-	}
-}
-
 func TestEntropy(t *testing.T) {
 	// Uniform distribution over 4 outcomes: entropy = ln 4.
 	if got := Entropy([]float64{1, 1, 1, 1}); !almostEqual(got, math.Log(4), 1e-12) {
@@ -44,31 +19,6 @@ func TestEntropy(t *testing.T) {
 	// Zero mass: defined as 0.
 	if got := Entropy([]float64{0, 0}); got != 0 {
 		t.Errorf("zero-mass entropy = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.2, 0.55, 0.9, -5, 99}, 2, 0, 1)
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("Histogram = %v, want [3 3]", h)
-	}
-	empty := Histogram(nil, 3, 0, 1)
-	if len(empty) != 3 || empty[0] != 0 {
-		t.Errorf("empty Histogram = %v", empty)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 2, 4})
-	want := []float64{0.25, 0.25, 0.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize of zeros = %v", zero)
 	}
 }
 
@@ -126,11 +76,4 @@ func isNonIncreasing(xs []float64, idx []int) bool {
 		}
 	}
 	return true
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEqual(mean, 5, 1e-12) || !almostEqual(std, 2, 1e-12) {
-		t.Errorf("MeanStd = (%v,%v), want (5,2)", mean, std)
-	}
 }

@@ -2,35 +2,18 @@
 // toolkit used throughout the lrfcsvm library: vectors, matrices, moments,
 // distance functions and a deterministic random-number helper.
 //
-// The package deliberately stays allocation-conscious: most operations have
-// an "into destination" variant so hot loops in the SVM solver and the
-// feature extractors can reuse buffers.
+// The package deliberately stays allocation-conscious: the matrix
+// operations write into a caller-supplied destination, so the scoring scans
+// reuse their buffers.
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
-// ErrDimensionMismatch is returned when two operands have incompatible sizes.
-var ErrDimensionMismatch = errors.New("linalg: dimension mismatch")
-
 // Vector is a dense column vector of float64 values.
 type Vector []float64
-
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	copy(c, v)
-	return c
-}
-
-// Len returns the number of components of v.
-func (v Vector) Len() int { return len(v) }
 
 // Dot returns the inner product of v and w.
 // It panics if the lengths differ; dimension agreement is a programming
@@ -42,18 +25,6 @@ func (v Vector) Dot(w Vector) float64 {
 	var s float64
 	for i, x := range v {
 		s += x * w[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean (L2) norm of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// NormL1 returns the L1 norm of v.
-func (v Vector) NormL1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
 	}
 	return s
 }
@@ -71,39 +42,6 @@ func (v Vector) SquaredDistance(w Vector) float64 {
 	return s
 }
 
-// Distance returns the Euclidean distance between v and w.
-func (v Vector) Distance(w Vector) float64 { return math.Sqrt(v.SquaredDistance(w)) }
-
-// Add returns v+w as a new vector.
-func (v Vector) Add(w Vector) Vector {
-	out := make(Vector, len(v))
-	return out.AddInto(v, w)
-}
-
-// AddInto stores v+w into the receiver (which must have the right length)
-// and returns it.
-func (dst Vector) AddInto(v, w Vector) Vector {
-	if len(v) != len(w) || len(dst) != len(v) {
-		panic("linalg: AddInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = v[i] + w[i]
-	}
-	return dst
-}
-
-// Sub returns v-w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic("linalg: Sub length mismatch")
-	}
-	out := make(Vector, len(v))
-	for i := range out {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // Scale returns a*v as a new vector.
 func (v Vector) Scale(a float64) Vector {
 	out := make(Vector, len(v))
@@ -117,23 +55,6 @@ func (v Vector) Scale(a float64) Vector {
 func (v Vector) ScaleInPlace(a float64) {
 	for i := range v {
 		v[i] *= a
-	}
-}
-
-// AXPY performs v += a*w in place.
-func (v Vector) AXPY(a float64, w Vector) {
-	if len(v) != len(w) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-}
-
-// Fill sets every component of v to x.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
 	}
 }
 
@@ -191,36 +112,6 @@ func (v Vector) Skewness() float64 {
 	return s / float64(len(v))
 }
 
-// Min returns the minimum component and its index. It panics on an empty
-// vector.
-func (v Vector) Min() (float64, int) {
-	if len(v) == 0 {
-		panic("linalg: Min of empty vector")
-	}
-	best, idx := v[0], 0
-	for i, x := range v {
-		if x < best {
-			best, idx = x, i
-		}
-	}
-	return best, idx
-}
-
-// Max returns the maximum component and its index. It panics on an empty
-// vector.
-func (v Vector) Max() (float64, int) {
-	if len(v) == 0 {
-		panic("linalg: Max of empty vector")
-	}
-	best, idx := v[0], 0
-	for i, x := range v {
-		if x > best {
-			best, idx = x, i
-		}
-	}
-	return best, idx
-}
-
 // Equal reports whether v and w have the same length and all components are
 // within tol of each other.
 func (v Vector) Equal(w Vector, tol float64) bool {
@@ -233,16 +124,6 @@ func (v Vector) Equal(w Vector, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// HasNaN reports whether any component of v is NaN or infinite.
-func (v Vector) HasNaN() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // Concat returns the concatenation of the given vectors as a new vector.

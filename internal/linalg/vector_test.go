@@ -25,26 +25,9 @@ func TestVectorDotMismatchPanics(t *testing.T) {
 	Vector{1, 2}.Dot(Vector{1})
 }
 
-func TestVectorNorms(t *testing.T) {
-	v := Vector{3, 4}
-	if got := v.Norm(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", got)
-	}
-	if got := v.NormL1(); !almostEqual(got, 7, 1e-12) {
-		t.Errorf("NormL1 = %v, want 7", got)
-	}
-	neg := Vector{-3, 4}
-	if got := neg.NormL1(); !almostEqual(got, 7, 1e-12) {
-		t.Errorf("NormL1 with negatives = %v, want 7", got)
-	}
-}
-
 func TestVectorDistance(t *testing.T) {
 	v := Vector{0, 0}
 	w := Vector{3, 4}
-	if got := v.Distance(w); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Distance = %v, want 5", got)
-	}
 	if got := v.SquaredDistance(w); !almostEqual(got, 25, 1e-12) {
 		t.Errorf("SquaredDistance = %v, want 25", got)
 	}
@@ -52,25 +35,12 @@ func TestVectorDistance(t *testing.T) {
 
 func TestVectorAddSubScale(t *testing.T) {
 	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if got := v.Add(w); !got.Equal(Vector{5, 7, 9}, 0) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := w.Sub(v); !got.Equal(Vector{3, 3, 3}, 0) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := v.Scale(2); !got.Equal(Vector{2, 4, 6}, 0) {
 		t.Errorf("Scale = %v", got)
 	}
-	v2 := v.Clone()
-	v2.ScaleInPlace(-1)
-	if !v2.Equal(Vector{-1, -2, -3}, 0) {
-		t.Errorf("ScaleInPlace = %v", v2)
-	}
-	v3 := v.Clone()
-	v3.AXPY(2, w)
-	if !v3.Equal(Vector{9, 12, 15}, 0) {
-		t.Errorf("AXPY = %v", v3)
+	v.ScaleInPlace(-1)
+	if !v.Equal(Vector{-1, -2, -3}, 0) {
+		t.Errorf("ScaleInPlace = %v", v)
 	}
 }
 
@@ -105,34 +75,10 @@ func TestVectorSkewness(t *testing.T) {
 	}
 }
 
-func TestVectorMinMax(t *testing.T) {
-	v := Vector{3, -1, 7, 2}
-	minVal, minIdx := v.Min()
-	if minVal != -1 || minIdx != 1 {
-		t.Errorf("Min = (%v,%d), want (-1,1)", minVal, minIdx)
-	}
-	maxVal, maxIdx := v.Max()
-	if maxVal != 7 || maxIdx != 2 {
-		t.Errorf("Max = (%v,%d), want (7,2)", maxVal, maxIdx)
-	}
-}
-
 func TestVectorEmptyStats(t *testing.T) {
 	var v Vector
 	if v.Mean() != 0 || v.Variance() != 0 {
 		t.Error("empty vector stats should be zero")
-	}
-}
-
-func TestVectorHasNaN(t *testing.T) {
-	if (Vector{1, 2, 3}).HasNaN() {
-		t.Error("finite vector reported NaN")
-	}
-	if !(Vector{1, math.NaN()}).HasNaN() {
-		t.Error("NaN vector not detected")
-	}
-	if !(Vector{math.Inf(1)}).HasNaN() {
-		t.Error("Inf vector not detected")
 	}
 }
 
@@ -144,10 +90,9 @@ func TestConcat(t *testing.T) {
 }
 
 func TestVectorFillSum(t *testing.T) {
-	v := NewVector(4)
-	v.Fill(2.5)
+	v := Vector{2.5, 2.5, 2.5, 2.5}
 	if got := v.Sum(); !almostEqual(got, 10, 1e-12) {
-		t.Errorf("Sum after Fill = %v, want 10", got)
+		t.Errorf("Sum = %v, want 10", got)
 	}
 }
 
@@ -157,7 +102,7 @@ func TestPropertyCauchySchwarz(t *testing.T) {
 		v := Vector{clampF(a), clampF(b), clampF(c)}
 		w := Vector{clampF(d), clampF(e), clampF(g)}
 		lhs := math.Abs(v.Dot(w))
-		rhs := v.Norm() * w.Norm()
+		rhs := math.Sqrt(v.Dot(v)) * math.Sqrt(w.Dot(w))
 		return lhs <= rhs+1e-6*(1+rhs)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -171,7 +116,8 @@ func TestPropertyTriangleInequality(t *testing.T) {
 		u := Vector{clampF(a), clampF(b)}
 		v := Vector{clampF(c), clampF(d)}
 		w := Vector{clampF(e), clampF(g)}
-		return u.Distance(w) <= u.Distance(v)+v.Distance(w)+1e-6
+		dist := func(a, b Vector) float64 { return math.Sqrt(a.SquaredDistance(b)) }
+		return dist(u, w) <= dist(u, v)+dist(v, w)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -14,10 +14,12 @@ func TestWriteTextGolden(t *testing.T) {
 	c := r.Counter("http_requests_total", "Requests served.", Labels{
 		{Name: "endpoint", Value: "query"}, {Name: "code", Value: "200"},
 	})
-	c.Add(42)
+	for range 42 {
+		c.Inc()
+	}
 	r.CounterFunc("journal_records_total", "Journal records appended.", nil, func() int64 { return 7 })
 	g := r.Gauge("inflight_requests", "Requests currently in flight.", Labels{{Name: "endpoint", Value: "query"}})
-	g.Set(3)
+	g.Add(3)
 	r.GaugeFunc("engine_epoch", "Engine collection epoch.", nil, func() float64 { return 12 })
 	h := r.Histogram("request_duration_seconds", "Request latency.", Labels{{Name: "endpoint", Value: "query"}}, []float64{0.01, 0.1, 1})
 	h.Observe(0.005)

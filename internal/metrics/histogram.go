@@ -19,14 +19,14 @@ var DefLatencyBuckets = []float64{
 }
 
 // Histogram counts observations into fixed buckets. Observe is lock-free:
-// one atomic add into the bucket, one into the total, and a CAS loop for the
-// float sum — no locks, no allocation, safe for any number of concurrent
-// observers. Reading happens through Snapshot, which is concurrency-safe but
-// only approximately consistent: an Observe racing the snapshot may appear
-// in the bucket counts but not yet in the sum (or vice versa). That is the
-// standard trade for a lock-free write path and is harmless for monitoring.
+// one atomic add into the bucket and a CAS loop for the float sum — no
+// locks, no allocation, safe for any number of concurrent observers. Reading
+// happens through Snapshot, which is concurrency-safe but only approximately
+// consistent: an Observe racing the snapshot may appear in the bucket counts
+// but not yet in the sum (or vice versa). That is the standard trade for a
+// lock-free write path and is harmless for monitoring.
 //
-// Observations are assumed non-negative (latencies); percentile
+// Observations are assumed non-negative (latencies): a scraper's percentile
 // interpolation treats the first bucket as spanning [0, bounds[0]].
 type Histogram struct {
 	// bounds are the strictly increasing, finite bucket upper bounds; an
@@ -36,7 +36,6 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64
 	sum    atomic.Uint64 // float64 bits
-	total  atomic.Uint64
 }
 
 // NewHistogram builds a histogram over the given upper bounds; nil or empty
@@ -65,7 +64,6 @@ func (h *Histogram) Observe(v float64) {
 	// the observation overflows into +Inf.
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.counts[idx].Add(1)
-	h.total.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -81,7 +79,6 @@ type HistogramSnapshot struct {
 	Bounds []float64
 	Counts []uint64
 	Sum    float64
-	Count  uint64
 }
 
 // Snapshot copies the histogram's current state.
@@ -90,67 +87,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
 		Sum:    math.Float64frombits(h.sum.Load()),
-		Count:  h.total.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket holding the target rank, the same estimator Prometheus's
-// histogram_quantile uses: exact at bucket boundaries, linear between them.
-// Ranks landing in the +Inf overflow bucket report the largest finite bound
-// (the estimator cannot see past it). An empty histogram reports NaN.
-//
-// Quantile is monotone in q: p50 <= p90 <= p99 always holds on one
-// snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	// Sum the per-bucket counts rather than trusting s.Count: a concurrent
-	// Observe between the two atomic reads could leave Count one ahead of
-	// the buckets, and the rank walk below must terminate inside them.
-	var total uint64
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no finite upper edge to interpolate toward.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		upper := s.Bounds[i]
-		return lower + (upper-lower)*((rank-prev)/float64(c))
-	}
-	// rank == 0 (q == 0 with observations): the smallest representable
-	// estimate is the lower edge of the first occupied bucket.
-	for i, c := range s.Counts {
-		if c != 0 {
-			if i == 0 {
-				return 0
-			}
-			return s.Bounds[i-1]
-		}
-	}
-	return math.NaN()
 }

@@ -1,16 +1,15 @@
 // Package metrics is the dependency-free observability core of the serving
 // stack: atomic counters and gauges, fixed-bucket latency histograms with a
-// lock-free Observe and snapshot-time percentile estimation, and a registry
-// that renders everything in the Prometheus text exposition format (the
-// format every mainstream scraper ingests), without importing anything
-// beyond the standard library.
+// lock-free Observe, and a registry that renders everything in the
+// Prometheus text exposition format (the format every mainstream scraper
+// ingests), without importing anything beyond the standard library.
 //
 // The design constraint is the serving hot path: Observe, Inc and Add are
 // single atomic operations (plus one CAS loop for float accumulation) with
 // no locks and no allocations, so instrumenting a request path adds no
 // contention point and no garbage. All read-side work — bucket cumulation,
-// percentile interpolation, text rendering — happens at snapshot or scrape
-// time.
+// text rendering — happens at snapshot or scrape time; percentiles are the
+// scraper's histogram_quantile over the exported buckets.
 //
 // Metrics that already exist elsewhere as live counters (admission gauges,
 // journal statistics, index state) are re-exported through CounterFunc and
@@ -34,14 +33,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n, which must be non-negative: counters only move forward.
-// Negative deltas are dropped rather than silently corrupting monotonicity.
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -50,9 +41,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add shifts the gauge by d (negative deltas decrease it).
 func (g *Gauge) Add(d float64) {

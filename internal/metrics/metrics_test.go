@@ -7,10 +7,9 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(5)
-	c.Add(-3) // negative deltas are dropped: counters are monotone
-	c.Add(0)
+	for range 6 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 6 {
 		t.Errorf("counter: got %d, want 6", got)
 	}
@@ -21,7 +20,7 @@ func TestGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Errorf("zero gauge: got %v, want 0", got)
 	}
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Inc()
 	g.Dec()
 	g.Add(-0.5)

@@ -12,7 +12,7 @@ import (
 // exposition (format version 0.0.4) and that every histogram satisfies the
 // format's structural invariants. It is the hand-rolled counterpart of a
 // scraper's parser — no external dependency — and is used by the golden
-// tests and by the load-test harness to prove a /metrics scrape would be
+// tests and the server's traffic tests to prove a /metrics scrape would be
 // ingestible.
 //
 // Checked per line:

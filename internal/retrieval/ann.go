@@ -48,10 +48,6 @@ type ANNOptions struct {
 	// latency for recall; NProbe >= clusters degrades to an exhaustive
 	// scan with exact results.
 	NProbe int
-	// Seed seeds the deterministic k-means initialization; 0 selects
-	// kernel.DefaultCentroidSeed. Equal seeds over equal collections give
-	// bit-identical indexes and therefore bit-identical pruned rankings.
-	Seed uint64
 	// MinCollection is the collection size below which no index is built
 	// and every query scans exhaustively (pruning a collection that fits
 	// in a few shards costs more than it saves); <=0 selects
@@ -61,9 +57,6 @@ type ANNOptions struct {
 	// unindexed tail exceeds this fraction of the indexed prefix; <=0
 	// selects DefaultANNRebuildTailFraction.
 	RebuildTailFraction float64
-	// KMeansIters is the fixed Lloyd iteration count per build; <=0
-	// selects kernel.DefaultKMeansIters.
-	KMeansIters int
 }
 
 // Defaults for ANNOptions' zero values.
@@ -105,11 +98,7 @@ func (e *Engine) annConfig(n int) kernel.CentroidConfig {
 	if clusters <= 0 {
 		clusters = int(math.Round(math.Sqrt(float64(n))))
 	}
-	return kernel.CentroidConfig{
-		Clusters: clusters,
-		Iters:    e.opts.ANN.KMeansIters,
-		Seed:     e.opts.ANN.Seed,
-	}
+	return kernel.CentroidConfig{Clusters: clusters}
 }
 
 // resolveNProbe resolves the probe width against a live index.

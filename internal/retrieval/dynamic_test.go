@@ -90,6 +90,9 @@ func TestAddImagesExtendsCollection(t *testing.T) {
 	if e.NumImages() != len(visual)+3 {
 		t.Errorf("collection size = %d, want %d", e.NumImages(), len(visual)+3)
 	}
+	if e.Epoch() != 2 {
+		t.Errorf("epoch = %d after one ingestion, want 2 (the initial collection is 1)", e.Epoch())
+	}
 	// The new images are queryable and judgeable immediately.
 	results, err := e.InitialQuery(context.Background(), first+2, 5)
 	if err != nil {

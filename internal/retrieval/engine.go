@@ -42,23 +42,18 @@ const (
 
 // Options configures the engine's learning components.
 type Options struct {
-	// SVM configures RF-SVM and LRF-2SVMs.
-	SVM core.SVMOptions
-	// CSVM configures LRF-CSVM; the zero value selects the library defaults.
-	CSVM core.CSVMParams
 	// Workers bounds the goroutines used to score the collection per query;
 	// <=0 selects GOMAXPROCS.
 	Workers int
 	// ShardSize is the collection shard capacity of the sharded scoring
-	// path; <=0 selects core.DefaultShardSize. Rankings are bit-identical
+	// path; <=0 selects kernel.DefaultShardSize. Rankings are bit-identical
 	// for every shard size.
 	ShardSize int
 	// TrainWorkers bounds the feedback-training concurrency: it sizes the
 	// asynchronous-refinement worker pool (how many training jobs run at
-	// once) and, unless CSVM.Coupled.Workers is already set, is threaded
-	// into the coupled trainer so the two modality SVMs of each
-	// alternation train concurrently. <=0 selects 2. Training results are
-	// bit-identical for every value.
+	// once) and is threaded into the coupled trainer so the two modality
+	// SVMs of each alternation train concurrently. <=0 selects 2. Training
+	// results are bit-identical for every value.
 	TrainWorkers int
 	// MaxPendingRefines caps the asynchronous refinements queued or
 	// running engine-wide; RefineAsync fails fast once it is reached so a
@@ -98,12 +93,15 @@ const (
 	DefaultMaxPendingRefines = 64
 )
 
-// epoch is one immutable snapshot of the indexed collection: the visual
-// descriptors and the collection-level precomputation built over them.
-// Ingesting images publishes a new epoch; queries started against an older
-// epoch keep ranking its (still valid) snapshot, so ingestion never blocks
-// or corrupts an in-flight ranking.
+// epoch is one immutable snapshot of the indexed collection: its sequence
+// number (1 for the initial collection, the next for every ingestion), the
+// visual descriptors and the collection-level precomputation built over
+// them. Ingesting images publishes a new epoch in one store, number
+// included; queries started against an older epoch keep ranking its (still
+// valid) snapshot, so ingestion never blocks or corrupts an in-flight
+// ranking.
 type epoch struct {
+	seq    int64
 	visual []linalg.Vector
 	batch  *core.CollectionBatch
 }
@@ -146,11 +144,6 @@ type Engine struct {
 	ann         atomic.Pointer[annState]
 	annBuilding atomic.Bool
 	annRebuilds atomic.Int64
-
-	// epochSeq counts published collection epochs since construction (the
-	// initial epoch is 1, each ingestion publishes the next); exposed via
-	// Epoch for the status and metrics surfaces.
-	epochSeq atomic.Int64
 }
 
 // NewEngine builds an engine over a collection of visual descriptors and an
@@ -182,9 +175,6 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if opts.MaxPendingRefines <= 0 {
 		opts.MaxPendingRefines = DefaultMaxPendingRefines
 	}
-	if opts.CSVM.Coupled.Workers <= 0 {
-		opts.CSVM.Coupled.Workers = opts.TrainWorkers
-	}
 	if opts.ANN.MinCollection <= 0 {
 		opts.ANN.MinCollection = DefaultANNMinCollection
 	}
@@ -205,8 +195,7 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	e := &Engine{opts: opts, log: log, trainSem: make(chan struct{}, opts.TrainWorkers)}
 	//cbirlint:ignore ctxflow engine lifecycle root: baseCtx parents all background work and Close cancels it
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
-	e.epochSeq.Store(1)
-	e.cur.Store(&epoch{visual: visual, batch: batch})
+	e.cur.Store(&epoch{seq: 1, visual: visual, batch: batch})
 	// Build the initial candidate-generation index synchronously so a
 	// pruning-enabled engine never serves a cold start with a worse plan
 	// than it was configured for; later growth folds in via background
@@ -238,7 +227,7 @@ func (e *Engine) NumImages() int { return len(e.cur.Load().visual) }
 
 // Epoch returns the current collection epoch sequence number: 1 for the
 // initial collection, incremented by every published ingestion.
-func (e *Engine) Epoch() int64 { return e.epochSeq.Load() }
+func (e *Engine) Epoch() int64 { return e.cur.Load().seq }
 
 // NumShards returns the number of collection shards of the current epoch.
 func (e *Engine) NumShards() int { return e.cur.Load().batch.VisualSet().NumShards() }
@@ -323,8 +312,7 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	// to.
 	visual := append(old.visual, added...)
 	e.log.GrowImages(len(added))
-	e.cur.Store(&epoch{visual: visual, batch: old.batch.Grow(visual)})
-	e.epochSeq.Add(1)
+	e.cur.Store(&epoch{seq: old.seq + 1, visual: visual, batch: old.batch.Grow(visual)})
 	// The new images land in the unindexed tail of the pruned query path
 	// (always scanned exactly); fold them into the index in the background
 	// once the tail is worth it.
@@ -463,9 +451,6 @@ func (e *Engine) StartSession(query int) (*Session, error) {
 	return &Session{engine: e, query: query, judgments: make(map[int]bool)}, nil
 }
 
-// Query returns the session's query image.
-func (s *Session) Query() int { return s.query }
-
 // Judge records the user's relevance judgment for an image.
 func (s *Session) Judge(image int, relevant bool) error {
 	if n := s.engine.NumImages(); image < 0 || image >= n {
@@ -590,17 +575,17 @@ func (s *Session) Commit(ctx context.Context) error {
 	return nil
 }
 
-// scheme instantiates the requested ranking scheme with the engine options.
+// scheme instantiates the requested ranking scheme at the library defaults.
 func (e *Engine) scheme(kind SchemeKind) (core.Scheme, error) {
 	switch kind {
 	case SchemeEuclidean:
 		return core.Euclidean{}, nil
 	case SchemeRFSVM:
-		return core.RFSVM{Options: e.opts.SVM}, nil
+		return core.RFSVM{}, nil
 	case SchemeLRF2SVMs:
-		return core.LRF2SVMs{Options: e.opts.SVM}, nil
+		return core.LRF2SVMs{}, nil
 	case SchemeLRFCSVM:
-		return core.LRFCSVM{Params: e.opts.CSVM}, nil
+		return core.LRFCSVM{Params: core.CSVMParams{Coupled: core.CoupledConfig{Workers: e.opts.TrainWorkers}}}, nil
 	default:
 		return nil, fmt.Errorf("retrieval: unknown scheme %q", kind)
 	}

@@ -18,7 +18,7 @@ func testCollection(t *testing.T) ([]linalg.Vector, []int, *feedbacklog.Log) {
 	var labels []int
 	for c := 0; c < 4; c++ {
 		for i := 0; i < 15; i++ {
-			visual = append(visual, linalg.Vector{float64(4 * c), 0, 0}.Add(linalg.Vector{rng.Normal(0, 0.8), rng.Normal(0, 0.8), rng.Normal(0, 0.8)}))
+			visual = append(visual, linalg.Vector{float64(4*c) + rng.Normal(0, 0.8), rng.Normal(0, 0.8), rng.Normal(0, 0.8)})
 			labels = append(labels, c)
 		}
 	}

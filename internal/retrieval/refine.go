@@ -254,6 +254,3 @@ func (s *Session) PendingRefines() int {
 // PendingRefines returns the number of asynchronous refinement rounds
 // currently queued or running engine-wide.
 func (e *Engine) PendingRefines() int { return int(e.pendingRefines.Load()) }
-
-// TrainWorkers returns the size of the engine's training pool.
-func (e *Engine) TrainWorkers() int { return cap(e.trainSem) }

@@ -507,11 +507,13 @@ func TestStatusDurabilitySection(t *testing.T) {
 		JournaledSessions: 5,
 		JournaledImages:   2,
 		JournalBytes:      321,
+		SyncFailures:      4,
 		ReplayedSessions:  3,
 		ReplayedImages:    1,
 		ReplayTornBytes:   13,
 		Snapshots:         2,
 		LastSnapshotUnix:  1_000_000,
+		LastSnapshotError: "disk full",
 	}
 	_, srv, _ := lifecycleServer(t, Config{Durability: func() DurabilityStatus { return want }})
 	var status StatusResponse

@@ -251,6 +251,8 @@ func (s *Server) registerStackMetrics() {
 			func() int64 { return durability().JournaledImages })
 		r.GaugeFunc("cbir_journal_bytes", "Current journal file size (compaction shrinks it).", nil,
 			func() float64 { return float64(durability().JournalBytes) })
+		r.CounterFunc("cbir_journal_sync_failures_total", "Journal fsyncs that failed since start, background flushes included.", nil,
+			func() int64 { return durability().SyncFailures })
 		r.CounterFunc("cbir_journal_snapshots_total", "Snapshot-compaction passes completed since start.", nil,
 			func() int64 { return durability().Snapshots })
 		r.GaugeFunc("cbir_journal_last_snapshot_age_seconds", "Seconds since the last snapshot (-1 before the first).", nil,

@@ -30,14 +30,15 @@
 // client polls /api/refine/status with the returned round token until the
 // new ranking lands.
 //
-// Every ranking endpoint returns a bounded result list: an omitted or
-// non-positive k selects the configured default (Config.DefaultK, 20 unless
-// overridden) and requests beyond the configured ceiling (Config.MaxK,
-// 1000 unless overridden) are capped, so a single request can never pull a
-// full ranking of an arbitrarily large collection. The batch query endpoint
-// amortizes one collection-epoch load and one pooled scratch arena across
-// all its probe images; batch sizes on /api/query/batch and /api/images are
-// capped as well (Config.MaxBatchQueries, Config.MaxIngestImages).
+// Every ranking endpoint returns a bounded result list under one rule: an
+// omitted or zero k selects the configured default (Config.DefaultK, 20
+// unless overridden), a negative k is a 400, and requests beyond the
+// configured ceiling (Config.MaxK, 1000 unless overridden) are capped, so a
+// single request can never pull a full ranking of an arbitrarily large
+// collection. The batch query endpoint amortizes one collection-epoch load
+// and one pooled scratch arena across all its probe images; batch sizes on
+// /api/query/batch and /api/images are capped as well
+// (Config.MaxBatchQueries, Config.MaxIngestImages).
 //
 // The server is built for sustained traffic: feedback sessions are evicted
 // after an idle TTL (default 30 minutes) and capped at a maximum live count
@@ -197,16 +198,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// clampK resolves a requested result-list length against the configured
-// default and ceiling.
-func (s *Server) clampK(k int) int {
-	if k <= 0 {
-		return s.cfg.DefaultK
+// resultK applies the one rule every ranking endpoint has for a requested
+// result-list length: 0 (or omitted) selects Config.DefaultK, anything above
+// Config.MaxK is capped, and a negative k is refused with a 400 written here.
+func (s *Server) resultK(w http.ResponseWriter, k int) (int, bool) {
+	switch {
+	case k < 0:
+		writeError(w, http.StatusBadRequest, "invalid k %d: want a positive length, or 0 for the server default", k)
+		return 0, false
+	case k == 0:
+		return s.cfg.DefaultK, true
+	case k > s.cfg.MaxK:
+		return s.cfg.MaxK, true
 	}
-	if k > s.cfg.MaxK {
-		return s.cfg.MaxK
-	}
-	return k
+	return k, true
 }
 
 // feedbackSession is what the server needs from a live session. It is the
@@ -615,6 +620,10 @@ type DurabilityStatus struct {
 	JournaledSessions int64 `json:"journaled_sessions"`
 	JournaledImages   int64 `json:"journaled_images"`
 	JournalBytes      int64 `json:"journal_bytes"`
+	// SyncFailures counts journal fsyncs that returned an error, the
+	// background-interval ones included, which fail no request and would
+	// otherwise show nowhere.
+	SyncFailures int64 `json:"sync_failures"`
 	// Replayed* describe what startup recovered from the journal tail;
 	// ReplayTornBytes is the size of the torn trailing write truncated
 	// away (0 after a graceful shutdown).
@@ -623,8 +632,12 @@ type DurabilityStatus struct {
 	ReplayTornBytes  int64 `json:"replay_torn_bytes"`
 	// Snapshots counts successful snapshot-compaction passes;
 	// LastSnapshotUnix is when the last one finished (0 before the first).
-	Snapshots        int64 `json:"snapshots"`
-	LastSnapshotUnix int64 `json:"last_snapshot_unix"`
+	// LastSnapshotError is the message of the most recent failed pass,
+	// cleared by the next success: while it is set the journal is not being
+	// compacted.
+	Snapshots         int64  `json:"snapshots"`
+	LastSnapshotUnix  int64  `json:"last_snapshot_unix"`
+	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
 }
 
 // StatusResponse is the payload of GET /api/status.
@@ -736,12 +749,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	k := 0
 	if ks := r.URL.Query().Get("k"); ks != "" {
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid k parameter")
+		if k, err = strconv.Atoi(ks); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid k parameter: %v", err)
 			return
 		}
 	}
-	k = s.clampK(k)
+	k, ok := s.resultK(w, k)
+	if !ok {
+		return
+	}
 	ctx, cancel := s.requestCtx(r, s.cfg.QueryTimeout)
 	defer cancel()
 	results, err := s.engine.InitialQuery(ctx, image, k)
@@ -774,8 +790,8 @@ type QueryBatchResponse struct {
 // Cancellation or an expired deadline mid-batch therefore surfaces as
 // 499/504 with an error body — never as 200 over silently truncated lists.
 // Duplicate probe indices are legal and deterministic: equal probes yield
-// identical result lists. K is clamped server-side (0 selects DefaultK,
-// negatives are 400), so the engine never sees k < 1 from this handler.
+// identical result lists. K goes through resultK, so the engine never sees
+// k < 1 from this handler.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -793,11 +809,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Images), s.cfg.MaxBatchQueries)
 		return
 	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "invalid k")
+	k, ok := s.resultK(w, req.K)
+	if !ok {
 		return
 	}
-	k := s.clampK(req.K)
 	ctx, cancel := s.requestCtx(r, s.cfg.QueryTimeout)
 	defer cancel()
 	lists, err := s.engine.InitialQueryBatch(ctx, req.Images, k)
@@ -990,7 +1005,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown or expired session %d", req.SessionID)
 		return
 	}
-	req.K = s.clampK(req.K)
+	if req.K, ok = s.resultK(w, req.K); !ok {
+		return
+	}
 	if req.Scheme == "" {
 		req.Scheme = string(retrieval.SchemeLRFCSVM)
 	}

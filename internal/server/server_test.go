@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
@@ -31,7 +32,7 @@ func testServerFull(t *testing.T, cfg Config) (*httptest.Server, []int, *retriev
 	var labels []int
 	for c := 0; c < 3; c++ {
 		for i := 0; i < 12; i++ {
-			visual = append(visual, linalg.Vector{float64(5 * c), 0}.Add(linalg.Vector{rng.Normal(0, 0.7), rng.Normal(0, 0.7)}))
+			visual = append(visual, linalg.Vector{float64(5*c) + rng.Normal(0, 0.7), rng.Normal(0, 0.7)})
 			labels = append(labels, c)
 		}
 	}
@@ -134,8 +135,84 @@ func TestQueryEndpointErrors(t *testing.T) {
 	if resp := getJSON(t, srv.URL+"/api/query?image=999", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-range image: status %d", resp.StatusCode)
 	}
-	if resp := getJSON(t, srv.URL+"/api/query?image=1&k=0", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, srv.URL+"/api/query?image=1&k=abc", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad k: status %d", resp.StatusCode)
+	}
+}
+
+// TestResultLengthRule holds every ranking endpoint to the one rule for k:
+// omitted or 0 selects the default, a negative k is a 400, and anything above
+// the ceiling is capped.
+func TestResultLengthRule(t *testing.T) {
+	srv, _, _ := testServerWithConfig(t, Config{DefaultK: 4, MaxK: 6})
+	var start StartSessionResponse
+	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
+	judge := JudgeRequest{SessionID: start.SessionID}
+	for _, img := range []int{2, 30} {
+		judge.Judgments = append(judge.Judgments, struct {
+			Image    int  `json:"image"`
+			Relevant bool `json:"relevant"`
+		}{Image: img, Relevant: img == 2})
+	}
+	if resp := postJSON(t, srv.URL+"/api/sessions/judge", judge, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("judge: status %d", resp.StatusCode)
+	}
+
+	// Each endpoint answers a status and a result list of some length; an
+	// empty k leaves the field out of the request.
+	type answer struct{ status, results int }
+	withK := func(body map[string]any, k string) map[string]any {
+		if k != "" {
+			body["k"], _ = strconv.Atoi(k)
+		}
+		return body
+	}
+	refine := func(path string) func(k string) answer {
+		return func(k string) answer {
+			var out RefineResponse
+			resp := postJSON(t, srv.URL+path, withK(map[string]any{"session_id": start.SessionID, "scheme": "rf-svm"}, k), &out)
+			return answer{resp.StatusCode, len(out.Results)}
+		}
+	}
+	endpoints := map[string]func(k string) answer{
+		"GET /api/query": func(k string) answer {
+			url := srv.URL + "/api/query?image=1"
+			if k != "" {
+				url += "&k=" + k
+			}
+			var out QueryResponse
+			resp := getJSON(t, url, &out)
+			return answer{resp.StatusCode, len(out.Results)}
+		},
+		"POST /api/query/batch": func(k string) answer {
+			var out QueryBatchResponse
+			resp := postJSON(t, srv.URL+"/api/query/batch", withK(map[string]any{"images": []int{1}}, k), &out)
+			if resp.StatusCode != http.StatusOK {
+				return answer{status: resp.StatusCode}
+			}
+			return answer{resp.StatusCode, len(out.Queries[0].Results)}
+		},
+		"POST /api/sessions/refine": refine("/api/sessions/refine"),
+		"POST /api/refine":          refine("/api/refine"),
+	}
+	cases := []struct {
+		k    string
+		want answer
+	}{
+		{"", answer{http.StatusOK, 4}},
+		{"0", answer{http.StatusOK, 4}},
+		{"3", answer{http.StatusOK, 3}},
+		{"6", answer{http.StatusOK, 6}},
+		{"7", answer{http.StatusOK, 6}},
+		{"-1", answer{status: http.StatusBadRequest}},
+		{"-5", answer{status: http.StatusBadRequest}},
+	}
+	for name, ask := range endpoints {
+		for _, c := range cases {
+			if got := ask(c.k); got != c.want {
+				t.Errorf("%s with k=%q answered %+v, want %+v", name, c.k, got, c.want)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lrfcsvm/internal/linalg"
@@ -47,30 +46,6 @@ func FromDense(d linalg.Vector) *Vector {
 		}
 	}
 	return v
-}
-
-// FromMap builds a sparse vector of dimension dim from an index->value map.
-// Zero values are dropped; indices out of range cause an error.
-func FromMap(dim int, values map[int]float64) (*Vector, error) {
-	v := New(dim)
-	for idx, val := range values {
-		if idx < 0 || idx >= dim {
-			return nil, fmt.Errorf("sparse: index %d out of range [0,%d)", idx, dim)
-		}
-		if val == 0 {
-			continue
-		}
-		v.Entries = append(v.Entries, Entry{Index: idx, Value: val})
-	}
-	sort.Slice(v.Entries, func(i, j int) bool { return v.Entries[i].Index < v.Entries[j].Index })
-	return v, nil
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	c := New(v.Dim)
-	c.Entries = append([]Entry(nil), v.Entries...)
-	return c
 }
 
 // NNZ returns the number of stored non-zero components.
@@ -143,9 +118,6 @@ func (v *Vector) SquaredNorm() float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of v.
-func (v *Vector) Norm() float64 { return math.Sqrt(v.SquaredNorm()) }
-
 // SquaredDistance returns ||v-w||^2.
 func (v *Vector) SquaredDistance(w *Vector) float64 {
 	// ||v-w||^2 = ||v||^2 + ||w||^2 - 2<v,w>; cheaper than merging twice.
@@ -162,44 +134,6 @@ func (v *Vector) ToDense() linalg.Vector {
 	out := make(linalg.Vector, v.Dim)
 	for _, e := range v.Entries {
 		out[e.Index] = e.Value
-	}
-	return out
-}
-
-// Scale multiplies every stored component by a in place.
-func (v *Vector) Scale(a float64) {
-	if a == 0 {
-		v.Entries = v.Entries[:0]
-		return
-	}
-	for i := range v.Entries {
-		v.Entries[i].Value *= a
-	}
-}
-
-// Add returns v + w as a new sparse vector.
-func (v *Vector) Add(w *Vector) *Vector {
-	if v.Dim != w.Dim {
-		panic(fmt.Sprintf("sparse: Add dimension mismatch %d != %d", v.Dim, w.Dim))
-	}
-	out := New(v.Dim)
-	i, j := 0, 0
-	for i < len(v.Entries) || j < len(w.Entries) {
-		switch {
-		case j >= len(w.Entries) || (i < len(v.Entries) && v.Entries[i].Index < w.Entries[j].Index):
-			out.Entries = append(out.Entries, v.Entries[i])
-			i++
-		case i >= len(v.Entries) || w.Entries[j].Index < v.Entries[i].Index:
-			out.Entries = append(out.Entries, w.Entries[j])
-			j++
-		default:
-			sum := v.Entries[i].Value + w.Entries[j].Value
-			if sum != 0 {
-				out.Entries = append(out.Entries, Entry{Index: v.Entries[i].Index, Value: sum})
-			}
-			i++
-			j++
-		}
 	}
 	return out
 }

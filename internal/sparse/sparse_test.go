@@ -76,19 +76,6 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromMap(t *testing.T) {
-	v, err := FromMap(6, map[int]float64{5: 1, 0: -1, 3: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.NNZ() != 2 || v.At(5) != 1 || v.At(0) != -1 {
-		t.Errorf("FromMap produced %v", v.ToDense())
-	}
-	if _, err := FromMap(3, map[int]float64{4: 1}); err == nil {
-		t.Error("expected error for out-of-range index")
-	}
-}
-
 func TestDot(t *testing.T) {
 	a := FromDense(linalg.Vector{1, 0, 2, 0, 3})
 	b := FromDense(linalg.Vector{0, 5, 2, 0, -1})
@@ -112,9 +99,6 @@ func TestDotDimensionMismatchPanics(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	v := FromDense(linalg.Vector{3, 0, 4})
-	if got := v.Norm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm = %v", got)
-	}
 	if got := v.SquaredNorm(); math.Abs(got-25) > 1e-12 {
 		t.Errorf("SquaredNorm = %v", got)
 	}
@@ -128,41 +112,6 @@ func TestSquaredDistance(t *testing.T) {
 	}
 	if got := a.SquaredDistance(a); got != 0 {
 		t.Errorf("self distance = %v, want 0", got)
-	}
-}
-
-func TestAdd(t *testing.T) {
-	a := FromDense(linalg.Vector{1, 2, 0, 0})
-	b := FromDense(linalg.Vector{0, -2, 3, 0})
-	sum := a.Add(b)
-	want := linalg.Vector{1, 0, 3, 0}
-	if !sum.ToDense().Equal(want, 0) {
-		t.Errorf("Add = %v, want %v", sum.ToDense(), want)
-	}
-	// Cancelling entries must not be stored.
-	if sum.NNZ() != 2 {
-		t.Errorf("Add NNZ = %d, want 2", sum.NNZ())
-	}
-}
-
-func TestScale(t *testing.T) {
-	v := FromDense(linalg.Vector{1, 0, -2})
-	v.Scale(2)
-	if !v.ToDense().Equal(linalg.Vector{2, 0, -4}, 0) {
-		t.Errorf("Scale = %v", v.ToDense())
-	}
-	v.Scale(0)
-	if v.NNZ() != 0 {
-		t.Error("Scale(0) should empty the vector")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	v := FromDense(linalg.Vector{1, 2})
-	c := v.Clone()
-	c.Set(0, 9)
-	if v.At(0) != 1 {
-		t.Error("Clone shares storage")
 	}
 }
 

@@ -202,12 +202,11 @@ type File interface {
 
 // JournalStats counts what the journal has seen since it was opened.
 type JournalStats struct {
-	// Records, Sessions, ImageBatches and Images count appends since open
-	// (compaction does not reset them).
-	Records      int64
-	Sessions     int64
-	ImageBatches int64
-	Images       int64
+	// Records, Sessions and Images count appends since open (compaction
+	// does not reset them).
+	Records  int64
+	Sessions int64
+	Images   int64
 	// Bytes is the current journal file size, including the file header
 	// and base record.
 	Bytes int64
@@ -218,8 +217,6 @@ type JournalStats struct {
 	// AppendRetries counts append attempts that were retried after a
 	// transient write or fsync failure (JournalOptions.RetryAppends).
 	AppendRetries int64
-	// Compactions counts CompactTo calls that removed a covered prefix.
-	Compactions int64
 }
 
 // ReplayStats describes what OpenJournal recovered from an existing journal.
@@ -684,8 +681,7 @@ func (j *Journal) AppendImages(descriptors []linalg.Vector) error {
 		payloads = append(payloads, payload)
 	}
 	n := int64(len(descriptors))
-	batches := int64(len(payloads))
-	return j.appendAll(payloads, func(st *JournalStats) { st.ImageBatches += batches; st.Images += n })
+	return j.appendAll(payloads, func(st *JournalStats) { st.Images += n })
 }
 
 // append frames and writes one record; see appendAll.
@@ -963,7 +959,6 @@ func (j *Journal) CompactTo(covered uint64) error {
 	j.fileRecords -= int64(drop)
 	j.size = emptyJournalSize + int64(len(tail))
 	j.stats.Bytes = j.size
-	j.stats.Compactions++
 	j.dirty = false
 	return nil
 }

@@ -109,8 +109,9 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 	// The relevance vectors rebuilt from the loaded log must be identical.
-	for img := 0; img < log.NumImages(); img++ {
-		if !got.RelevanceVector(img).Equal(log.RelevanceVector(img), 0) {
+	gotCols, wantCols := got.RelevanceVectors(), log.RelevanceVectors()
+	for img := range wantCols {
+		if !gotCols[img].Equal(wantCols[img], 0) {
 			t.Errorf("relevance vector %d differs after round trip", img)
 		}
 	}

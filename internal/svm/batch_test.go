@@ -74,7 +74,8 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 	k := kernel.RBF{Gamma: 0.5}
 	base, points, _ := trainTestModel(t, Config{Kernel: k})
 
-	shared := kernel.NewCache(k, points)
+	var evals int
+	shared := kernel.NewCache(countingKernel{k, &evals}, points)
 	// Pre-populate by a first training run, then retrain through the now
 	// warm cache.
 	labels := make([]float64, len(points))
@@ -85,9 +86,13 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 		}
 	}
 	for run := 0; run < 2; run++ {
+		before := evals
 		model, err := Train(NewProblem(points, labels, 1), Config{Kernel: k, SharedCache: shared})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
+		}
+		if run == 1 && evals != before {
+			t.Errorf("second training evaluated %d kernel pairs, want every row from the shared cache", evals-before)
 		}
 		if model.Bias != base.Bias {
 			t.Fatalf("run %d: bias = %v, want %v", run, model.Bias, base.Bias)
@@ -98,7 +103,20 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := shared.Stats(); hits == 0 {
-		t.Error("second training should have hit the shared cache")
+	if evals == 0 {
+		t.Error("the shared cache never evaluated its kernel")
 	}
+}
+
+// countingKernel counts the pair evaluations a cache asks its kernel for.
+// It has no batched path, so the cache fills each row through Eval, whose
+// RBF arithmetic is the batched dense path's bit for bit.
+type countingKernel struct {
+	kernel.Kernel
+	n *int
+}
+
+func (c countingKernel) Eval(x, y kernel.Point) float64 {
+	*c.n++
+	return c.Kernel.Eval(x, y)
 }

@@ -355,19 +355,6 @@ func (m *Model) Predict(x kernel.Point) float64 {
 	return 1
 }
 
-// Slack returns the hinge slack xi = max(0, 1 - y*f(x)) of a point with
-// respect to the trained decision boundary.
-func (m *Model) Slack(x kernel.Point, y float64) float64 {
-	v := 1 - y*m.Decision(x)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// NumSupportVectors returns the number of support vectors in the model.
-func (m *Model) NumSupportVectors() int { return len(m.SupportPoints) }
-
 // solverScratch is the reusable per-training working memory of the solver:
 // the dual iterate, the gradient, and the working-set penalties. Repeated
 // retrainings — the coupled SVM's annealing loop retrains each modality

@@ -108,8 +108,8 @@ func TestTrainSingleClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSupportVectors() != 0 {
-		t.Errorf("one-class model has %d SVs", m.NumSupportVectors())
+	if len(m.SupportPoints) != 0 {
+		t.Errorf("one-class model has %d SVs", len(m.SupportPoints))
 	}
 	if m.Predict(kernel.Dense(linalg.Vector{-100})) != 1 {
 		t.Error("one-class positive model should always predict +1")
@@ -179,29 +179,6 @@ func TestPerSampleCostCap(t *testing.T) {
 		if m.Predict(pts[i]) != labels[i] {
 			t.Errorf("clean point %d misclassified", i)
 		}
-	}
-}
-
-func TestSlackValues(t *testing.T) {
-	pts := densePoints(linalg.Vector{-2}, linalg.Vector{-1}, linalg.Vector{1}, linalg.Vector{2})
-	labels := []float64{-1, -1, 1, 1}
-	m, err := Train(NewProblem(pts, labels, 10), Config{Kernel: kernel.Linear{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Separable data: slacks of all training points are ~0.
-	for i, pt := range pts {
-		if s := m.Slack(pt, labels[i]); s > 0.05 {
-			t.Errorf("slack[%d] = %v, want ~0", i, s)
-		}
-	}
-	// A point deep inside the wrong side has slack > 1.
-	if s := m.Slack(kernel.Dense(linalg.Vector{-3}), 1); s <= 1 {
-		t.Errorf("wrong-side slack = %v, want > 1", s)
-	}
-	// Slack is never negative.
-	if s := m.Slack(kernel.Dense(linalg.Vector{100}), 1); s != 0 {
-		t.Errorf("far-correct-side slack = %v, want 0", s)
 	}
 }
 
