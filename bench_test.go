@@ -150,7 +150,7 @@ func BenchmarkAblationUnlabeledSelection(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	var schemes []core.Scheme
 	for _, s := range []core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom} {
-		schemes = append(schemes, core.LRFCSVMWithSelection{Params: core.DefaultCSVMParams(), Strategy: s, RandomSeed: 11})
+		schemes = append(schemes, core.LRFCSVMWithSelection{Strategy: s, RandomSeed: 11})
 	}
 	runVariants(b, exp, schemes)
 }
@@ -162,8 +162,7 @@ func BenchmarkAblationRho(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	var schemes []core.Scheme
 	for _, rho := range []float64{0.1, 0.25, 0.5, 1, 2} {
-		p := core.DefaultCSVMParams()
-		p.Coupled.Rho = rho
+		p := core.CSVMParams{Coupled: core.CoupledConfig{Rho: rho}}
 		schemes = append(schemes, named{core.LRFCSVM{Params: p}, fmt.Sprintf("rho=%g", rho)})
 	}
 	runVariants(b, exp, schemes)
@@ -175,8 +174,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	var schemes []core.Scheme
 	for _, delta := range []float64{0.25, 0.5, 1, 2, 4} {
-		p := core.DefaultCSVMParams()
-		p.Coupled.Delta = delta
+		p := core.CSVMParams{Coupled: core.CoupledConfig{Delta: delta}}
 		schemes = append(schemes, named{core.LRFCSVM{Params: p}, fmt.Sprintf("delta=%g", delta)})
 	}
 	runVariants(b, exp, schemes)
@@ -188,8 +186,7 @@ func BenchmarkAblationUnlabeledCount(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	var schemes []core.Scheme
 	for _, nu := range []int{8, 16, 32, 64} {
-		p := core.DefaultCSVMParams()
-		p.NumUnlabeled = nu
+		p := core.CSVMParams{NumUnlabeled: nu}
 		schemes = append(schemes, named{core.LRFCSVM{Params: p}, fmt.Sprintf("Nprime=%d", nu)})
 	}
 	runVariants(b, exp, schemes)
@@ -204,7 +201,7 @@ func BenchmarkAblationLogSessions(b *testing.B) {
 			cfg := eval.CI20(42)
 			cfg.Log.Sessions = sessions
 			exp := prepareBench(b, cfg)
-			runVariants(b, exp, []core.Scheme{core.RFSVM{}, core.LRF2SVMs{}, core.LRFCSVM{Params: core.DefaultCSVMParams()}})
+			runVariants(b, exp, []core.Scheme{core.RFSVM{}, core.LRF2SVMs{}, core.LRFCSVM{}})
 		})
 	}
 }
@@ -217,7 +214,7 @@ func BenchmarkAblationLogNoise(b *testing.B) {
 			cfg := eval.CI20(42)
 			cfg.Log.NoiseRate = noise
 			exp := prepareBench(b, cfg)
-			runVariants(b, exp, []core.Scheme{core.LRF2SVMs{}, core.LRFCSVM{Params: core.DefaultCSVMParams()}})
+			runVariants(b, exp, []core.Scheme{core.LRF2SVMs{}, core.LRFCSVM{}})
 		})
 	}
 }
@@ -226,15 +223,12 @@ func BenchmarkAblationLogNoise(b *testing.B) {
 // default over the log vectors against the paper's literal RBF choice.
 func BenchmarkAblationLogKernel(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
-	ctx := exp.QueryContext(0)
-	rbf := core.LogRBFKernel(ctx)
-	rbfParams := core.DefaultCSVMParams()
-	rbfParams.LogKernel = rbf
+	rbf := core.LogRBFKernel(exp.LogVectors)
 	schemes := []core.Scheme{
 		named{core.LRF2SVMs{}, "2SVMs_linear"},
-		named{core.LRF2SVMs{Options: core.SVMOptions{LogKernel: rbf}}, "2SVMs_rbf"},
-		named{core.LRFCSVM{Params: core.DefaultCSVMParams()}, "CSVM_linear"},
-		named{core.LRFCSVM{Params: rbfParams}, "CSVM_rbf"},
+		named{core.LRF2SVMs{LogKernel: rbf}, "2SVMs_rbf"},
+		named{core.LRFCSVM{}, "CSVM_linear"},
+		named{core.LRFCSVM{Params: core.CSVMParams{LogKernel: rbf}}, "CSVM_rbf"},
 	}
 	runVariants(b, exp, schemes)
 }
@@ -252,7 +246,7 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 func BenchmarkCoupledSVMQuery(b *testing.B) {
 	exp := prepareBench(b, eval.CI20(42))
 	ctx := exp.QueryContext(exp.SampleQueries()[0])
-	scheme := core.LRFCSVM{Params: core.DefaultCSVMParams()}
+	scheme := core.LRFCSVM{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scheme.Rank(ctx); err != nil {

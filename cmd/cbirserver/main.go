@@ -98,6 +98,15 @@ func main() {
 	)
 	flag.Parse()
 
+	// What the command line can get wrong is diagnosed before the collection
+	// is read, not after, and whether or not -journal is given.
+	fsync, err := checkCommandLine(flag.Args(), *fsyncPolicy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cbirserver:", err)
+		fmt.Fprintln(os.Stderr, "usage: cbirserver [flags] (cbirserver -h lists them)")
+		os.Exit(2)
+	}
+
 	visual, fblog, coveredSeq, err := loadCollection(*snapshotPath, *featuresPath, *logPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cbirserver:", err)
@@ -111,11 +120,6 @@ func main() {
 	var journal *storage.Journal
 	var replay storage.ReplayStats
 	if *journalPath != "" {
-		fsync, err := storage.ParseFsyncPolicy(*fsyncPolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cbirserver:", err)
-			os.Exit(1)
-		}
 		if fblog == nil {
 			fblog = feedbacklog.NewLog(len(visual))
 		}
@@ -248,6 +252,16 @@ func main() {
 	// ListenAndServe returns as soon as Shutdown begins; wait for the
 	// shutdown goroutine to finish draining and writing the snapshot.
 	<-shutdownDone
+}
+
+// checkCommandLine refuses positional arguments — every input is a flag, so
+// `cbirserver features.bin` would otherwise serve ./features.bin or fail on a
+// file the user never named — and parses -fsync.
+func checkCommandLine(args []string, fsyncPolicy string) (storage.FsyncPolicy, error) {
+	if len(args) > 0 {
+		return 0, fmt.Errorf("unexpected argument %q: the collection is named with -features or -snapshot", args[0])
+	}
+	return storage.ParseFsyncPolicy(fsyncPolicy)
 }
 
 // durabilityStatus adapts the journal, snapshotter and replay counters into

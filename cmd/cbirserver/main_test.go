@@ -34,9 +34,8 @@ func TestDurabilityStatusSurfacesFaults(t *testing.T) {
 	in := faultinject.New(faultinject.Plan{})
 	journal, visual, replay, err := storage.OpenJournal(filepath.Join(dir, "engine.wal"), visual, feedbacklog.NewLog(len(visual)),
 		storage.JournalOptions{
-			Fsync:        storage.FsyncInterval,
-			SyncInterval: time.Hour, // the test plays the flush ticker itself
-			WrapFile:     func(f *os.File) storage.File { return in.Wrap(f) },
+			Fsync:    storage.FsyncOff, // no background flusher: the test plays the flush ticker itself
+			WrapFile: func(f *os.File) storage.File { return in.Wrap(f) },
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -105,5 +104,21 @@ func TestDurabilityStatusSurfacesFaults(t *testing.T) {
 	}
 	if metrics := string(get("/metrics")); !strings.Contains(metrics, "\ncbir_journal_sync_failures_total 2\n") {
 		t.Errorf("/metrics does not report cbir_journal_sync_failures_total 2:\n%s", metrics)
+	}
+}
+
+// TestCheckCommandLine: main runs this right after flag.Parse, before it
+// reads the collection. A mistyped -fsync used to be reported after the whole
+// collection was loaded, or never without -journal, and a positional argument
+// was ignored, so `cbirserver features.bin` served ./features.bin.
+func TestCheckCommandLine(t *testing.T) {
+	if fsync, err := checkCommandLine(nil, "always"); err != nil || fsync != storage.FsyncAlways {
+		t.Errorf("-fsync always = %v, %v", fsync, err)
+	}
+	if _, err := checkCommandLine(nil, "alway"); err == nil || !strings.Contains(err.Error(), `"alway"`) {
+		t.Errorf("-fsync alway: error %v, want one naming the value", err)
+	}
+	if _, err := checkCommandLine([]string{"features.bin"}, "interval"); err == nil || !strings.Contains(err.Error(), `"features.bin"`) {
+		t.Errorf("positional argument: error %v, want one naming it", err)
 	}
 }

@@ -127,20 +127,21 @@ type ablationSweep struct {
 }
 
 // ablations is the one list of -ablation names: the flag's help text, its
-// validation and the sweep that runs all read it.
+// validation and the sweep that runs all read it. Every variant is the zero
+// CSVMParams — the main table's LRF-CSVM — with the one field its sweep
+// varies, so each sweep contains the main table's row.
 var ablations = []ablationSweep{
 	{"selection", func(*eval.Experiment) []core.Scheme {
 		var schemes []core.Scheme
 		for _, strat := range []core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom} {
-			schemes = append(schemes, core.LRFCSVMWithSelection{Params: core.DefaultCSVMParams(), Strategy: strat, RandomSeed: 11})
+			schemes = append(schemes, core.LRFCSVMWithSelection{Strategy: strat, RandomSeed: 11})
 		}
 		return schemes
 	}},
 	{"rho", func(*eval.Experiment) []core.Scheme {
 		var schemes []core.Scheme
 		for _, rho := range []float64{0.1, 0.5, 1, 2} {
-			p := core.DefaultCSVMParams()
-			p.Coupled.Rho = rho
+			p := core.CSVMParams{Coupled: core.CoupledConfig{Rho: rho}}
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM rho=%g", rho)})
 		}
 		return schemes
@@ -148,8 +149,7 @@ var ablations = []ablationSweep{
 	{"delta", func(*eval.Experiment) []core.Scheme {
 		var schemes []core.Scheme
 		for _, delta := range []float64{0.25, 0.5, 1, 2, 4} {
-			p := core.DefaultCSVMParams()
-			p.Coupled.Delta = delta
+			p := core.CSVMParams{Coupled: core.CoupledConfig{Delta: delta}}
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM delta=%g", delta)})
 		}
 		return schemes
@@ -157,22 +157,18 @@ var ablations = []ablationSweep{
 	{"unlabeled", func(*eval.Experiment) []core.Scheme {
 		var schemes []core.Scheme
 		for _, nu := range []int{8, 16, 32, 64} {
-			p := core.DefaultCSVMParams()
-			p.NumUnlabeled = nu
+			p := core.CSVMParams{NumUnlabeled: nu}
 			schemes = append(schemes, namedScheme{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM N'=%d", nu)})
 		}
 		return schemes
 	}},
 	{"logkernel", func(exp *eval.Experiment) []core.Scheme {
-		rbf := core.LogRBFKernel(&core.QueryContext{Visual: exp.Visual, LogVectors: exp.LogVectors, Query: 0, Labeled: []core.LabeledExample{{Index: 0, Label: 1}}})
-		linearParams := core.DefaultCSVMParams()
-		rbfParams := core.DefaultCSVMParams()
-		rbfParams.LogKernel = rbf
+		rbf := core.LogRBFKernel(exp.LogVectors)
 		return []core.Scheme{
 			namedScheme{core.LRF2SVMs{}, "LRF-2SVMs log=linear"},
-			namedScheme{core.LRF2SVMs{Options: core.SVMOptions{LogKernel: rbf}}, "LRF-2SVMs log=rbf"},
-			namedScheme{core.LRFCSVM{Params: linearParams}, "LRF-CSVM log=linear"},
-			namedScheme{core.LRFCSVM{Params: rbfParams}, "LRF-CSVM log=rbf"},
+			namedScheme{core.LRF2SVMs{LogKernel: rbf}, "LRF-2SVMs log=rbf"},
+			namedScheme{core.LRFCSVM{}, "LRF-CSVM log=linear"},
+			namedScheme{core.LRFCSVM{Params: core.CSVMParams{LogKernel: rbf}}, "LRF-CSVM log=rbf"},
 		}
 	}},
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"lrfcsvm/internal/core"
+	"lrfcsvm/internal/eval"
 )
 
 // TestBuildConfigValidatesFlags pins what is diagnosed before any dataset is
@@ -57,6 +61,55 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 		_, _, _, _, err := buildConfig(r.dataset, r.profile, r.queries, 42, r.ablation)
 		if err == nil || !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%+v: error %v, want one naming %q", r.args, err, r.want)
+		}
+	}
+}
+
+// TestAblationsContainMainTableRow holds every sweep to "the default plus the
+// one field it varies": on the CI profile the named variant's precision row
+// is the main table's LRF-CSVM row, bit for bit, so a sweep can be read
+// against the tables and never runs around a configuration nothing else does.
+func TestAblationsContainMainTableRow(t *testing.T) {
+	defaultVariant := map[string]string{
+		"selection": "LRF-CSVM[log-assisted]",
+		"rho":       "LRF-CSVM rho=1",
+		"delta":     "LRF-CSVM delta=1",
+		"unlabeled": "LRF-CSVM N'=16",
+		"logkernel": "LRF-CSVM log=linear",
+	}
+	cfg := eval.CI20(42)
+	cfg.Workers = 1 // one summation order
+	exp, err := eval.Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := exp.SampleQueries()
+	want, err := exp.RunScheme(core.LRFCSVM{}, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sweep := range ablations {
+		found := false
+		for _, scheme := range sweep.schemes(exp) {
+			if scheme.Name() != defaultVariant[sweep.name] {
+				continue
+			}
+			found = true
+			got, err := exp.RunScheme(scheme, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Precision {
+				if math.Float64bits(got.Precision[i]) != math.Float64bits(want.Precision[i]) {
+					t.Errorf("-ablation %s: %s has P@%d %v, the main table's LRF-CSVM %v", sweep.name, scheme.Name(), eval.Cutoffs[i], got.Precision[i], want.Precision[i])
+				}
+			}
+			if math.Float64bits(got.MAP) != math.Float64bits(want.MAP) {
+				t.Errorf("-ablation %s: %s has MAP %v, the main table's LRF-CSVM %v", sweep.name, scheme.Name(), got.MAP, want.MAP)
+			}
+		}
+		if !found {
+			t.Errorf("-ablation %s has no variant named %q", sweep.name, defaultVariant[sweep.name])
 		}
 	}
 }

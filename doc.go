@@ -122,8 +122,8 @@
 // Session.LatestRefined, which only ever moves forward — queries keep
 // being served from the previous ranking until the new one lands, the
 // same publish-then-swap discipline the collection epochs use. An
-// engine-wide cap (Options.MaxPendingRefines) rejects submission bursts
-// instead of queueing unbounded training work.
+// engine-wide cap (64 pending rounds) rejects submission bursts instead of
+// queueing unbounded training work.
 //
 // # Static analysis and enforced invariants
 //

@@ -29,7 +29,7 @@ func main() {
 	strategies := []core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom}
 	schemes := []core.Scheme{core.RFSVM{}}
 	for _, s := range strategies {
-		schemes = append(schemes, core.LRFCSVMWithSelection{Params: core.DefaultCSVMParams(), Strategy: s, RandomSeed: 3})
+		schemes = append(schemes, core.LRFCSVMWithSelection{Strategy: s, RandomSeed: 3})
 	}
 	table, err := exp.Run("Selection strategies", schemes)
 	if err != nil {
@@ -40,8 +40,7 @@ func main() {
 	fmt.Println("Number of drafted unlabeled images N'")
 	var nuSchemes []core.Scheme
 	for _, nu := range []int{8, 16, 32} {
-		p := core.DefaultCSVMParams()
-		p.NumUnlabeled = nu
+		p := core.CSVMParams{NumUnlabeled: nu}
 		nuSchemes = append(nuSchemes, renamed{core.LRFCSVM{Params: p}, fmt.Sprintf("LRF-CSVM N'=%d", nu)})
 	}
 	table2, err := exp.Run("Unlabeled pool size", nuSchemes)

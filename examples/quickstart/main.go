@@ -70,7 +70,7 @@ func main() {
 	}
 
 	// 5. Refine with the paper's log-based coupled SVM.
-	csvmScores, err := core.LRFCSVM{Params: core.DefaultCSVMParams()}.Rank(ctx)
+	csvmScores, err := core.LRFCSVM{}.Rank(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,9 +4,6 @@ import "fmt"
 
 // RunConfig configures one cbirlint run.
 type RunConfig struct {
-	// Dir is where go list resolves the patterns; "" means the current
-	// directory (must be inside the module).
-	Dir string
 	// Patterns are go package patterns; empty means "./...".
 	Patterns []string
 	// PkgPath, when non-empty, loads the single matched package under
@@ -22,15 +19,11 @@ type RunConfig struct {
 // scope, filters cbirlint:ignore suppressions, and returns the surviving
 // diagnostics sorted by position.
 func Run(cfg RunConfig) ([]Diagnostic, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		dir = "."
-	}
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = All()
 	}
-	loader, err := NewLoader(dir, cfg.Patterns...)
+	loader, err := NewLoader(".", cfg.Patterns...)
 	if err != nil {
 		return nil, err
 	}

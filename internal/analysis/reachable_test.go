@@ -39,12 +39,11 @@ var testOnly = map[string]string{
 	"internal/sparse.Vector.ToDense": "Equal is built on it, and test failure messages print columns through it",
 	"internal/linalg.Vector.Equal":   "tolerance comparison of the linalg, kernel, features, storage and core tests",
 
-	"internal/imaging.Image.Fill":              "fixture of the features and imaging tests: a flat image, whose descriptor is known in closed form",
-	"internal/features.EdgeDirectionHistogram": "the default-options form the edge-histogram tests call: one line over EdgeDirectionHistogramOpts, which the extractor calls",
-	"internal/eval.RecallAtK":                  "the recall measure TestANNRecallMatrix and TestQuantizedLaneRecallAndMAP gate the approximate lanes with",
-	"internal/metrics.ValidateExposition":      "the scraper-side parser that the metrics golden tests and the server's /metrics tests hold every exposition to",
-	"internal/storage.Journal.Size":            "the journal tests cut the file at record boundaries read from it (torn-tail and truncation recovery)",
-	"internal/storage.validateSession":         "the fuzz targets assert it on whatever a decoder accepts, without rebuilding a log",
+	"internal/imaging.Image.Fill":         "fixture of the features and imaging tests: a flat image, whose descriptor is known in closed form",
+	"internal/eval.RecallAtK":             "the recall measure TestANNRecallMatrix and TestQuantizedLaneRecallAndMAP gate the approximate lanes with",
+	"internal/metrics.ValidateExposition": "the scraper-side parser that the metrics golden tests and the server's /metrics tests hold every exposition to",
+	"internal/storage.Journal.Size":       "the journal tests cut the file at record boundaries read from it (torn-tail and truncation recovery)",
+	"internal/storage.validateSession":    "the fuzz targets assert it on whatever a decoder accepts, without rebuilding a log",
 }
 
 // declGraph is the reference graph over the module's top-level declarations
@@ -212,7 +211,8 @@ func (g *declGraph) reach(roots []string) map[string]bool {
 // chain of references from a root; a method also counts when its type
 // satisfies an interface through it. Declarations only their own tests call
 // are deleted with those tests rather than listed (EXPERIMENTS.md "PR 19"
-// has the first inventory).
+// has the first inventory). The fields of the option structs are held to the
+// same rule by checkOptionFields (fields_test.go).
 func TestInternalDeclarationsReachable(t *testing.T) {
 	loader, err := analysis.NewLoader("../..", "./...")
 	if err != nil {
@@ -265,4 +265,6 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 			g.pos[key], strings.TrimPrefix(key, modulePath+"/"))
 	}
 	t.Logf("%d declarations checked, %d allowlist entries", len(g.pos), len(testOnly))
+
+	checkOptionFields(t, pkgs)
 }

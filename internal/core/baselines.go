@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/sparse"
 	"lrfcsvm/internal/svm"
 )
 
@@ -70,22 +72,6 @@ func labeledSplit(ctx *QueryContext) (indices []int, labels []float64) {
 	return indices, labels
 }
 
-// SVMOptions carries the kernel and solver settings shared by the SVM-based
-// schemes. Zero values select the defaults used throughout the reproduction:
-// over visual descriptors a Gaussian RBF kernel at visualGammaScale times the
-// collection's mean-distance bandwidth estimate, over log vectors the linear
-// co-judgment kernel (defaultLogKernel), and C = 1.
-type SVMOptions struct {
-	// C is the soft-margin cost applied to labeled examples.
-	C float64
-	// VisualKernel is the kernel over visual descriptors.
-	VisualKernel kernel.Kernel
-	// LogKernel is the kernel over user-log vectors.
-	LogKernel kernel.Kernel
-	// Solver tunes the SMO solver (tolerance, iteration budget).
-	Solver svm.Config
-}
-
 // gammaSample is the subsample size used by the RBF bandwidth heuristic.
 const gammaSample = 64
 
@@ -109,9 +95,9 @@ var defaultLogKernel kernel.Kernel = kernel.Linear{}
 // with the mean-distance heuristic (restricted to log-covered images). It is
 // the paper's literal kernel choice for the log modality and is exercised by
 // the log-kernel ablation benchmark.
-func LogRBFKernel(ctx *QueryContext) kernel.Kernel {
-	pts := make([]kernel.Point, 0, len(ctx.LogVectors))
-	for _, v := range ctx.LogVectors {
+func LogRBFKernel(logVectors []*sparse.Vector) kernel.Kernel {
+	pts := make([]kernel.Point, 0, len(logVectors))
+	for _, v := range logVectors {
 		if v == nil || v.NNZ() == 0 {
 			continue
 		}
@@ -120,30 +106,17 @@ func LogRBFKernel(ctx *QueryContext) kernel.Kernel {
 	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(pts), func(i int) kernel.Point { return pts[i] }, gammaSample)}
 }
 
-func (o SVMOptions) withDefaults(ctx *QueryContext, b *CollectionBatch) SVMOptions {
-	if o.C <= 0 {
-		o.C = 1
-	}
-	if o.VisualKernel == nil {
-		o.VisualKernel = b.defaultVisualKernel()
-	}
-	if o.LogKernel == nil {
-		o.LogKernel = defaultLogKernel
-	}
-	if o.Solver.Ctx == nil {
-		// Cancelling the query cancels its training rounds too.
-		o.Solver.Ctx = ctx.Ctx
-	}
-	return o
+// trainModality trains a plain SVM on the labeled examples of one modality.
+// Cancelling ctx (the query's context; may be nil) abandons the training.
+func trainModality(ctx context.Context, points []kernel.Point, labels []float64, c float64, k kernel.Kernel) (*svm.Model, error) {
+	return svm.Train(svm.NewProblem(points, labels, c), svm.Config{Kernel: k, Ctx: ctx})
 }
 
-// trainModality trains a plain SVM on the labeled examples of one modality.
-func trainModality(points []kernel.Point, labels []float64, c float64, k kernel.Kernel, solverCfg svm.Config) (*svm.Model, error) {
-	prob := svm.NewProblem(points, labels, c)
-	cfg := solverCfg
-	cfg.Kernel = k
-	return svm.Train(prob, cfg)
-}
+// svmCost is the soft-margin cost of a labeled example in every SVM-based
+// scheme and in both modalities (C of RF-SVM and LRF-2SVMs, C_w and C_u of
+// Eq. 1). The paper does not report its choice; no table, sweep or program of
+// the reproduction has run another value.
+const svmCost = 1
 
 // queryPriorWeight is the weight of the initial-similarity prior added to
 // every SVM-based ranking. Images far from all support vectors receive a
@@ -159,18 +132,15 @@ const queryPriorWeight = 0.02
 // RFSVM is the paper's regular relevance-feedback baseline: a single SVM
 // trained on the labeled visual descriptors of the current round; images are
 // ranked by the SVM decision value.
-type RFSVM struct {
-	Options SVMOptions
-}
+type RFSVM struct{}
 
 // Name implements Scheme.
 func (RFSVM) Name() string { return "RF-SVM" }
 
 // train validates the context and trains the round's visual SVM.
-func (s RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
-	opts := s.Options.withDefaults(ctx, batch)
+func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
 	indices, labels := labeledSplit(ctx)
-	model, err := trainModality(ctx.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
+	model, err := trainModality(ctx.Ctx, ctx.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, fmt.Errorf("core: RF-SVM training: %w", err)
 	}
@@ -210,7 +180,9 @@ func (s RFSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, 
 // labeled visual descriptors and one on the labeled log vectors — and each
 // image is scored by the sum of the two decision values.
 type LRF2SVMs struct {
-	Options SVMOptions
+	// LogKernel is the kernel over user-log vectors; nil selects the linear
+	// co-judgment kernel (defaultLogKernel).
+	LogKernel kernel.Kernel
 }
 
 // Name implements Scheme.
@@ -218,13 +190,16 @@ func (LRF2SVMs) Name() string { return "LRF-2SVMs" }
 
 // train trains the round's two independent per-modality SVMs.
 func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visualModel, logModel *svm.Model, err error) {
-	opts := s.Options.withDefaults(ctx, batch)
+	logKernel := s.LogKernel
+	if logKernel == nil {
+		logKernel = defaultLogKernel
+	}
 	indices, labels := labeledSplit(ctx)
-	visualModel, err = trainModality(ctx.visualPoints(indices), labels, opts.C, opts.VisualKernel, opts.Solver)
+	visualModel, err = trainModality(ctx.Ctx, ctx.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs visual training: %w", err)
 	}
-	logModel, err = trainModality(ctx.logPoints(indices), labels, opts.C, opts.LogKernel, opts.Solver)
+	logModel, err = trainModality(ctx.Ctx, ctx.logPoints(indices), labels, svmCost, logKernel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs log training: %w", err)
 	}

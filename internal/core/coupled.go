@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,14 +32,12 @@ type Modality struct {
 }
 
 // CoupledConfig controls the alternating optimization of the coupled SVM.
-// Zero or negative RhoInit, Rho, Delta and MaxCorrectionIters select the
-// defaults of DefaultCoupledConfig; TrainCoupled rejects NaN and infinities.
+// Zero or negative Rho and Delta select LRF-CSVM's defaults
+// (CSVMParams.withDefaults); TrainCoupled rejects NaN and infinities.
 type CoupledConfig struct {
-	// RhoInit is the initial weight of the unlabeled points relative to C
-	// (the paper starts at 1e-4 to avoid early dominance of unlabeled data).
-	RhoInit float64
-	// Rho is the final weight ceiling; the weight doubles every outer
-	// iteration until it reaches Rho, as in transductive SVMs.
+	// Rho is the final weight ceiling of the unlabeled points relative to C;
+	// the weight starts at rhoInit and doubles every outer iteration until it
+	// reaches Rho, as in transductive SVMs.
 	Rho float64
 	// Delta is the label-correction threshold ("degree of error" control in
 	// Fig. 1): an unlabeled point's label is only flipped when flipping it
@@ -46,9 +45,6 @@ type CoupledConfig struct {
 	// more than Delta. Larger values make label correction more
 	// conservative and avoid overlarge changes to the label set.
 	Delta float64
-	// MaxCorrectionIters bounds the inner label-correction loop of each
-	// annealing step so that oscillating flips cannot spin forever.
-	MaxCorrectionIters int
 	// Workers bounds the goroutines that train the modalities of one
 	// alternation step concurrently; <=1 trains sequentially. The
 	// modalities of a step share no mutable state — each has its own
@@ -56,32 +52,19 @@ type CoupledConfig struct {
 	// training is deterministic, so results are bit-identical for every
 	// worker count.
 	Workers int
-	// Solver tunes the underlying SMO solver.
-	Solver svm.Config
+	// Ctx optionally carries the caller's cancellation context to every
+	// retraining's solver: cancelling the query cancels its training too.
+	Ctx context.Context
 }
 
-// DefaultCoupledConfig returns the annealing schedule used by the paper's
-// algorithm (rho* from 1e-4 doubling to 1) with Delta = 1.
-func DefaultCoupledConfig() CoupledConfig {
-	return CoupledConfig{RhoInit: 1e-4, Rho: 1.0, Delta: 1.0, MaxCorrectionIters: 10}
-}
-
-func (c CoupledConfig) withDefaults() CoupledConfig {
-	d := DefaultCoupledConfig()
-	if c.RhoInit <= 0 {
-		c.RhoInit = d.RhoInit
-	}
-	if c.Rho <= 0 {
-		c.Rho = d.Rho
-	}
-	if c.Delta <= 0 {
-		c.Delta = d.Delta
-	}
-	if c.MaxCorrectionIters <= 0 {
-		c.MaxCorrectionIters = d.MaxCorrectionIters
-	}
-	return c
-}
+const (
+	// rhoInit is the initial weight of the unlabeled points relative to C
+	// (the paper starts at 1e-4 to avoid early dominance of unlabeled data).
+	rhoInit = 1e-4
+	// maxCorrectionIters bounds the inner label-correction loop of each
+	// annealing step so that oscillating flips cannot spin forever.
+	maxCorrectionIters = 10
+)
 
 // CoupledResult is the outcome of the coupled SVM's alternating optimization.
 type CoupledResult struct {
@@ -150,12 +133,13 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// The schedule multiplies into the costs the retrainings hand the solver
 	// under TrustedProblem, and NaN slips through withDefaults (NaN <= 0 is
 	// false), so it is refused here like a non-finite C.
-	for _, v := range [...]float64{cfg.RhoInit, cfg.Rho, cfg.Delta} {
+	for _, v := range [...]float64{cfg.Rho, cfg.Delta} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: coupled schedule has RhoInit %v, Rho %v, Delta %v, want finite values", cfg.RhoInit, cfg.Rho, cfg.Delta)
+			return nil, fmt.Errorf("core: coupled schedule has Rho %v, Delta %v, want finite values", cfg.Rho, cfg.Delta)
 		}
 	}
-	cfg = cfg.withDefaults()
+	// A direct caller's zero Rho and Delta are LRF-CSVM's.
+	cfg = CSVMParams{Coupled: cfg}.withDefaults().Coupled
 
 	result := &CoupledResult{
 		Models:          make([]*svm.Model, len(modalities)),
@@ -168,7 +152,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	if nu == 0 {
 		err := forEachModality(len(modalities), cfg.Workers, func(m int) error {
 			mod := modalities[m]
-			model, err := trainModality(mod.Labeled, labels, mod.C, mod.Kernel, perModalitySolverConfig(cfg.Solver))
+			model, err := trainModality(cfg.Ctx, mod.Labeled, labels, mod.C, mod.Kernel)
 			if err != nil {
 				return fmt.Errorf("core: modality %q: %w", mod.Name, err)
 			}
@@ -226,18 +210,20 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 		}
 		err := forEachModality(len(modalities), cfg.Workers, func(m int) error {
 			mod := modalities[m]
-			cfgSolver := perModalitySolverConfig(cfg.Solver)
-			cfgSolver.Kernel = mod.Kernel
-			cfgSolver.SharedCache = caches[m]
-			// Most models of the alternating optimization are discarded
-			// after updateLabels reads their alphas; the final ones are
-			// expanded just before TrainCoupled returns.
-			cfgSolver.OmitSupportVectors = true
-			// The problem is the validated template patched in place:
-			// labels stay in {-1,+1} (entry checks + updateLabels sign
-			// flips) and costs stay positive finite (rho schedule times
-			// an entry-checked C), so skip per-retrain revalidation.
-			cfgSolver.TrustedProblem = true
+			cfgSolver := svm.Config{
+				Kernel:      mod.Kernel,
+				SharedCache: caches[m],
+				// Most models of the alternating optimization are discarded
+				// after updateLabels reads their alphas; the final ones are
+				// expanded just before TrainCoupled returns.
+				OmitSupportVectors: true,
+				// The problem is the validated template patched in place:
+				// labels stay in {-1,+1} (entry checks + updateLabels sign
+				// flips) and costs stay positive finite (rho schedule times
+				// an entry-checked C), so skip per-retrain revalidation.
+				TrustedProblem: true,
+				Ctx:            cfg.Ctx,
+			}
 			model, err := svm.Train(svm.Problem{Points: points[m], Labels: ys, C: costs[m]}, cfgSolver)
 			if err != nil {
 				return fmt.Errorf("core: modality %q: %w", mod.Name, err)
@@ -282,12 +268,12 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// ceiling, mirroring the transductive SVM schedule the paper adopts.
 	// Each step alternates (train SVMs | update Y') until the label set is
 	// stable or the iteration bound is hit.
-	for rho := cfg.RhoInit; rho < cfg.Rho; rho = min(2*rho, cfg.Rho) {
+	for rho := rhoInit; rho < cfg.Rho; rho = min(2*rho, cfg.Rho) {
 		result.RhoSteps++
 		if err := trainAll(rho); err != nil {
 			return nil, err
 		}
-		for iter := 0; iter < cfg.MaxCorrectionIters; iter++ {
+		for iter := 0; iter < maxCorrectionIters; iter++ {
 			if updateLabels() == 0 {
 				break
 			}
@@ -301,7 +287,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	if err := trainAll(cfg.Rho); err != nil {
 		return nil, err
 	}
-	for iter := 0; iter < cfg.MaxCorrectionIters; iter++ {
+	for iter := 0; iter < maxCorrectionIters; iter++ {
 		if updateLabels() == 0 {
 			break
 		}
@@ -318,17 +304,6 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 		result.Models[m].ExpandSupport(points[m], ys)
 	}
 	return result, nil
-}
-
-// perModalitySolverConfig strips the one per-problem solver field a caller
-// may have set on CoupledConfig.Solver: a kernel cache belongs to one
-// specific point set and is documented as not concurrency-safe, so it must
-// never be shared by the several (possibly concurrent) modality trainings
-// this package fans out. trainAll installs each modality's own cache after
-// this reset.
-func perModalitySolverConfig(cfg svm.Config) svm.Config {
-	cfg.SharedCache = nil
-	return cfg
 }
 
 // decisionsFromCache fills dec[i] with the decision value of training point

@@ -24,18 +24,6 @@ func twoViewData(rng *linalg.RNG, n int) (viewA, viewB []kernel.Point, labels []
 	return viewA, viewB, labels
 }
 
-func TestDefaultCoupledConfig(t *testing.T) {
-	cfg := DefaultCoupledConfig()
-	if cfg.RhoInit != 1e-4 || cfg.Rho != 1.0 || cfg.Delta != 1.0 {
-		t.Errorf("unexpected defaults %+v", cfg)
-	}
-	// withDefaults must fill zero values.
-	filled := (CoupledConfig{}).withDefaults()
-	if filled.RhoInit != cfg.RhoInit || filled.MaxCorrectionIters != cfg.MaxCorrectionIters {
-		t.Errorf("withDefaults = %+v", filled)
-	}
-}
-
 func TestTrainCoupledValidation(t *testing.T) {
 	k := kernel.RBF{Gamma: 1}
 	pt := kernel.Dense(linalg.Vector{0})
@@ -56,7 +44,7 @@ func TestTrainCoupledValidation(t *testing.T) {
 		{"unlabeled size mismatch", []Modality{{Name: "a", Kernel: k, C: 1, Labeled: []kernel.Point{pt, pt}, Unlabeled: []kernel.Point{pt}}}, []float64{1, -1}, []float64{1, 1}},
 	}
 	for _, c := range cases {
-		if _, err := TrainCoupled(c.modalities, c.labels, c.unlabeled, DefaultCoupledConfig()); err == nil {
+		if _, err := TrainCoupled(c.modalities, c.labels, c.unlabeled, CoupledConfig{}); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -66,12 +54,12 @@ func TestTrainCoupledValidation(t *testing.T) {
 	// non-finite cost with nothing downstream to refuse it.
 	far := kernel.Dense(linalg.Vector{3})
 	trainable := []Modality{{Name: "a", Kernel: k, C: 1, Labeled: []kernel.Point{pt, far}, Unlabeled: []kernel.Point{pt, far}}}
-	if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, DefaultCoupledConfig()); err != nil {
+	if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, CoupledConfig{}); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		// The fields left at zero take their defaults.
-		for name, cfg := range map[string]CoupledConfig{"RhoInit": {RhoInit: v}, "Rho": {Rho: v}, "Delta": {Delta: v}} {
+		for name, cfg := range map[string]CoupledConfig{"Rho": {Rho: v}, "Delta": {Delta: v}} {
 			if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, cfg); err == nil {
 				t.Errorf("%s = %v: accepted", name, v)
 			}
@@ -85,7 +73,7 @@ func TestTrainCoupledNoUnlabeledDegeneratesToIndependentSVMs(t *testing.T) {
 	res, err := TrainCoupled([]Modality{
 		{Name: "a", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: viewA},
 		{Name: "b", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: viewB},
-	}, labels, nil, DefaultCoupledConfig())
+	}, labels, nil, CoupledConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +110,7 @@ func TestTrainCoupledRecoversUnlabeledLabels(t *testing.T) {
 	res, err := TrainCoupled([]Modality{
 		{Name: "a", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labA, Unlabeled: unlA},
 		{Name: "b", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labB, Unlabeled: unlB},
-	}, labels, initial, DefaultCoupledConfig())
+	}, labels, initial, CoupledConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +149,22 @@ func TestTrainCoupledRhoScheduleLength(t *testing.T) {
 	rng := linalg.NewRNG(13)
 	labA, labB, labels := twoViewData(rng, 10)
 	unlA, unlB, trueUnl := twoViewData(rng, 4)
-	cfg := DefaultCoupledConfig()
-	cfg.RhoInit = 0.25 // 0.25 -> 0.5 -> (final at 1.0): 2 annealing steps + final
-	res, err := TrainCoupled([]Modality{
-		{Name: "a", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labA, Unlabeled: unlA},
-		{Name: "b", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labB, Unlabeled: unlB},
-	}, labels, trueUnl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RhoSteps != 3 {
-		t.Errorf("RhoSteps = %d, want 3 (0.25, 0.5, final 1.0)", res.RhoSteps)
+	// The weight doubles from 1e-4 while it is below the ceiling, then one
+	// final pass runs at the ceiling: 14 + 1 steps to the default ceiling of
+	// 1, 12 + 1 to 0.25, the final pass alone at 1e-4.
+	for _, c := range []struct {
+		rho  float64
+		want int
+	}{{0, 15}, {1, 15}, {0.25, 13}, {1e-4, 1}} {
+		res, err := TrainCoupled([]Modality{
+			{Name: "a", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labA, Unlabeled: unlA},
+			{Name: "b", Kernel: kernel.RBF{Gamma: 0.5}, C: 10, Labeled: labB, Unlabeled: unlB},
+		}, labels, trueUnl, CoupledConfig{Rho: c.rho})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RhoSteps != c.want {
+			t.Errorf("Rho %v: RhoSteps = %d, want %d", c.rho, res.RhoSteps, c.want)
+		}
 	}
 }

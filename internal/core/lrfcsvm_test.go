@@ -3,16 +3,23 @@ package core
 import (
 	"testing"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
-func TestDefaultCSVMParams(t *testing.T) {
-	p := DefaultCSVMParams()
-	if p.Cw != 1 || p.Cu != 1 || p.NumUnlabeled != 16 {
-		t.Errorf("unexpected defaults %+v", p)
+// TestCSVMParamsZeroValue states LRF-CSVM's one default: what the zero
+// CSVMParams — LRFCSVM{}, the scheme of the tables, the server and the
+// benchmark — resolves to, and that fields a program set survive. (A bare
+// TrainCoupled call resolves its schedule through the same function:
+// TestTrainCoupledRhoScheduleLength's zero-Rho row.)
+func TestCSVMParamsZeroValue(t *testing.T) {
+	want := CSVMParams{NumUnlabeled: 16, Coupled: CoupledConfig{Rho: 1, Delta: 1}, LogKernel: kernel.Linear{}}
+	if got := (CSVMParams{}).withDefaults(); got != want {
+		t.Errorf("zero CSVMParams resolves to %+v, want %+v", got, want)
 	}
-	if p.Coupled.Delta != 0.5 {
-		t.Errorf("default Delta = %v, want 0.5", p.Coupled.Delta)
+	set := CSVMParams{NumUnlabeled: 8, Coupled: CoupledConfig{Rho: 0.25, Delta: 0.5, Workers: 2}, LogKernel: kernel.RBF{Gamma: 1}}
+	if got := set.withDefaults(); got != set {
+		t.Errorf("withDefaults changed set fields: %+v, want %+v", got, set)
 	}
 }
 
@@ -32,8 +39,7 @@ func TestLRFCSVMRequiresLog(t *testing.T) {
 func TestTrainCSVMDraftsUnlabeled(t *testing.T) {
 	col := makeCollection(t, 4, 15, 40, 0.05, 53)
 	ctx := col.queryContext(5, 12)
-	params := DefaultCSVMParams()
-	params.NumUnlabeled = 16
+	params := CSVMParams{NumUnlabeled: 16}
 	_, coupled, err := trainCSVM(ctx, params, selectLogAssisted)
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +63,7 @@ func TestLRFCSVMBeatsRFSVMWithInformativeLog(t *testing.T) {
 	// RF-SVM scheme. Use several queries and compare average precision@20.
 	col := makeCollection(t, 4, 20, 80, 0.05, 59)
 	queries := []int{2, 24, 41, 63, 70}
-	params := DefaultCSVMParams()
-	params.NumUnlabeled = 20
+	params := CSVMParams{NumUnlabeled: 20}
 	var rfTotal, csvmTotal float64
 	for _, q := range queries {
 		ctx := col.queryContext(q, 14)
@@ -144,8 +149,7 @@ func TestBoundaryAndRandomSelection(t *testing.T) {
 func TestLRFCSVMWithSelectionStrategies(t *testing.T) {
 	col := makeCollection(t, 3, 12, 30, 0.05, 61)
 	ctx := col.queryContext(4, 10)
-	params := DefaultCSVMParams()
-	params.NumUnlabeled = 10
+	params := CSVMParams{NumUnlabeled: 10}
 	for _, strategy := range []SelectionStrategy{SelectMaxMin, SelectBoundary, SelectRandom} {
 		s := LRFCSVMWithSelection{Params: params, Strategy: strategy, RandomSeed: 7}
 		scores, err := s.Rank(ctx)
@@ -161,8 +165,7 @@ func TestLRFCSVMWithSelectionStrategies(t *testing.T) {
 func TestLRFCSVMDeterministic(t *testing.T) {
 	col := makeCollection(t, 3, 12, 30, 0.05, 67)
 	ctx := col.queryContext(9, 10)
-	params := DefaultCSVMParams()
-	params.NumUnlabeled = 10
+	params := CSVMParams{NumUnlabeled: 10}
 	a, err := LRFCSVM{Params: params}.Rank(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -211,7 +211,7 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 5} {
 			ctx := coll.queryContext(3, 10)
 			ctx.Batch, ctx.Workers = batch, workers
-			p := DefaultCSVMParams().withDefaults(ctx, batch)
+			p := CSVMParams{}.withDefaults()
 			var gotIdx, wantIdx []int
 			var wantLabels []float64
 			_, _, gotLabels, err := trainingProblem(ctx, batch, p,
@@ -402,10 +402,11 @@ func TestSelectUnlabeledRangesCancelled(t *testing.T) {
 	qctx := coll.queryContext(2, 8)
 	qctx.Workers = 1
 	qctx.Batch = NewShardedCollectionBatch(coll.visual, 4)
-	p := DefaultCSVMParams()
-	p.Coupled.Solver.Ctx = context.Background() // only the scans see the cancellation, not the SMO solver
-	qctx.Ctx = newCountdownCtx(3)
-	if got, err := (LRFCSVM{Params: p}).RankTop(qctx, 5); !errors.Is(err, context.Canceled) || got != nil {
+	// The two initial trainings poll the context once each (at entry; they
+	// are far shorter than the solver's poll interval), so the cancellation
+	// lands in step 1's selection scan.
+	qctx.Ctx = newCountdownCtx(5)
+	if got, err := (LRFCSVM{}).RankTop(qctx, 5); !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("cancelled LRFCSVM.RankTop = %v, %v; want nil, context.Canceled", got, err)
 	}
 	if got := qctx.Batch.leased.Load(); got != 0 {
@@ -465,7 +466,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 		ctx.Labeled = append(ctx.Labeled, ex)
 	}
 	ctx.Batch = NewCollectionBatch(visual)
-	p := DefaultCSVMParams().withDefaults(ctx, ctx.Batch)
+	p := CSVMParams{}.withDefaults()
 	_, _, _, err := trainingProblem(ctx, ctx.Batch, p,
 		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int) ([]int, []float64, error) {
 			visualInit, logInit = v, l

@@ -8,13 +8,13 @@ import (
 // CI20-sized collection, one query's judged neighborhood as the labeled set
 // and a drafted unlabeled set, in both modalities — exactly the problem
 // LRFCSVM hands to TrainCoupled every refinement round.
-func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64, cfg CoupledConfig) {
+func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64) {
 	b.Helper()
 	coll := makeCollection(b, 8, 24, 60, 0, 5)
 	ctx := coll.queryContext(3, 15)
 	batch := NewCollectionBatch(ctx.Visual)
 	ctx.Batch = batch
-	p := DefaultCSVMParams().withDefaults(ctx, batch)
+	p := CSVMParams{}.withDefaults()
 
 	labeledIdx := make([]int, len(ctx.Labeled))
 	labels = make([]float64, len(ctx.Labeled))
@@ -37,10 +37,10 @@ func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []f
 		}
 	}
 	modalities = []Modality{
-		{Name: "visual", Kernel: p.VisualKernel, C: p.Cw, Labeled: ctx.visualPoints(labeledIdx), Unlabeled: ctx.visualPoints(unlabeledIdx)},
-		{Name: "log", Kernel: p.LogKernel, C: p.Cu, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
+		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: ctx.visualPoints(labeledIdx), Unlabeled: ctx.visualPoints(unlabeledIdx)},
+		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
 	}
-	return modalities, labels, initial, p.Coupled
+	return modalities, labels, initial
 }
 
 // trainLanes are the measured configurations of the coupled trainer: the
@@ -57,9 +57,9 @@ var trainLanes = []struct {
 // BenchmarkTrainCoupled measures the feedback-training hot path across
 // trainLanes.
 func BenchmarkTrainCoupled(b *testing.B) {
-	modalities, labels, initial, base := benchCoupledSetup(b)
+	modalities, labels, initial := benchCoupledSetup(b)
 	for _, lane := range trainLanes {
-		cfg := base
+		var cfg CoupledConfig
 		lane.apply(&cfg)
 		b.Run(lane.name, func(b *testing.B) {
 			b.ReportAllocs()

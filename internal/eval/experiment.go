@@ -25,9 +25,6 @@ type Config struct {
 	// LabeledPerQuery is the number of top-ranked images whose relevance the
 	// simulated user judges before feedback learning (20 in the paper).
 	LabeledPerQuery int
-	// Cutoffs are the top-N evaluation cutoffs; nil selects the paper's
-	// 20..100.
-	Cutoffs []int
 	// Seed drives query sampling.
 	Seed uint64
 	// Workers bounds the number of concurrent workers used for feature
@@ -91,9 +88,6 @@ func CI50(seed uint64) Config {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Cutoffs) == 0 {
-		c.Cutoffs = append([]int(nil), Cutoffs...)
-	}
 	if c.LabeledPerQuery <= 0 {
 		c.LabeledPerQuery = 20
 	}
@@ -228,7 +222,7 @@ func (e *Experiment) Relevant(query int) []bool {
 // of failed queries and the error of the lowest-numbered one, rather than
 // average whichever queries survived under the full set's header.
 func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
-	cutoffs := e.Config.Cutoffs
+	cutoffs := Cutoffs
 	sums := make([]float64, len(cutoffs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -301,7 +295,7 @@ func (e *Experiment) Run(name string, schemes []core.Scheme) (*Table, error) {
 		Name:    name,
 		Dataset: fmt.Sprintf("%d-Category (%d images, %d log sessions)", e.Config.Dataset.Categories, len(e.Visual), e.LogStats.Sessions),
 		Queries: len(queries),
-		Cutoffs: e.Config.Cutoffs,
+		Cutoffs: Cutoffs,
 	}
 	for _, s := range schemes {
 		row, err := e.RunScheme(s, queries)

@@ -38,7 +38,7 @@ func TestQuantizedLaneRecallAndMAP(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := exp.SampleQueries()
-	cutoffs := exp.Config.Cutoffs
+	cutoffs := Cutoffs
 	maxK := cutoffs[len(cutoffs)-1]
 
 	var recallSum float64

@@ -10,29 +10,15 @@ type EdgePoint struct {
 	Magnitude float64
 }
 
-// CannyOptions configures the edge detector.
-type CannyOptions struct {
-	// GaussianSigma is the standard deviation of the smoothing kernel.
-	GaussianSigma float64
-	// LowThreshold and HighThreshold are the hysteresis thresholds applied
-	// to the gradient magnitude. If HighThreshold is zero, both thresholds
-	// are derived from the magnitude distribution (high = 2x mean,
-	// low = 0.5x high), which adapts to the image contrast.
-	LowThreshold, HighThreshold float64
-}
-
-// DefaultCannyOptions returns the detector configuration used by the
-// edge-direction histogram descriptor.
-func DefaultCannyOptions() CannyOptions {
-	return CannyOptions{GaussianSigma: 1.0}
-}
+// gaussianSigma is the standard deviation of the detector's smoothing kernel.
+const gaussianSigma = 1.0
 
 // Canny runs the Canny edge detector on a grayscale plane (values in
 // [0,255]) and returns the retained edge points with their gradient
 // directions. The implementation follows the classical pipeline: Gaussian
 // smoothing, Sobel gradients, non-maximum suppression and hysteresis
 // thresholding.
-func Canny(gray [][]float64, opts CannyOptions) []EdgePoint {
+func Canny(gray [][]float64) []EdgePoint {
 	h := len(gray)
 	if h == 0 {
 		return nil
@@ -41,30 +27,23 @@ func Canny(gray [][]float64, opts CannyOptions) []EdgePoint {
 	if w == 0 {
 		return nil
 	}
-	if opts.GaussianSigma <= 0 {
-		opts.GaussianSigma = 1.0
-	}
 
-	smoothed := gaussianBlur(gray, opts.GaussianSigma)
+	smoothed := gaussianBlur(gray, gaussianSigma)
 	mag, dir := sobel(smoothed)
 
-	// Derive hysteresis thresholds from the magnitude distribution when the
-	// caller did not fix them: fractions of the maximum gradient magnitude,
-	// which adapts to image contrast and keeps strongly textured images
-	// (where nearly every pixel carries gradient) from suppressing all edges.
-	low, high := opts.LowThreshold, opts.HighThreshold
-	if high <= 0 {
-		var maxMag float64
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				if mag[y][x] > maxMag {
-					maxMag = mag[y][x]
-				}
+	// The hysteresis thresholds are fractions of the maximum gradient
+	// magnitude, which adapts to image contrast and keeps strongly textured
+	// images (where nearly every pixel carries gradient) from suppressing all
+	// edges.
+	var maxMag float64
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if mag[y][x] > maxMag {
+				maxMag = mag[y][x]
 			}
 		}
-		high = 0.25 * maxMag
-		low = 0.1 * maxMag
 	}
+	low, high := 0.1*maxMag, 0.25*maxMag
 	// Intensities are in [0,255]; anything below this floor is floating-point
 	// residue from the blur, not a real gradient.
 	const magnitudeFloor = 1e-6

@@ -21,17 +21,17 @@ func grayFrom(w, h int, f func(x, y int) float64) [][]float64 {
 }
 
 func TestCannyEmptyInput(t *testing.T) {
-	if got := Canny(nil, DefaultCannyOptions()); got != nil {
+	if got := Canny(nil); got != nil {
 		t.Errorf("Canny(nil) = %v", got)
 	}
-	if got := Canny([][]float64{}, DefaultCannyOptions()); got != nil {
+	if got := Canny([][]float64{}); got != nil {
 		t.Errorf("Canny(empty) = %v", got)
 	}
 }
 
 func TestCannyFlatImageNoEdges(t *testing.T) {
 	gray := grayFrom(32, 32, func(x, y int) float64 { return 100 })
-	points := Canny(gray, DefaultCannyOptions())
+	points := Canny(gray)
 	if len(points) != 0 {
 		t.Errorf("flat image produced %d edge points", len(points))
 	}
@@ -45,7 +45,7 @@ func TestCannyVerticalStepEdge(t *testing.T) {
 		}
 		return 255
 	})
-	points := Canny(gray, DefaultCannyOptions())
+	points := Canny(gray)
 	if len(points) < 16 {
 		t.Fatalf("vertical step produced only %d edge points", len(points))
 	}
@@ -69,7 +69,7 @@ func TestCannyHorizontalStepEdge(t *testing.T) {
 		}
 		return 255
 	})
-	points := Canny(gray, DefaultCannyOptions())
+	points := Canny(gray)
 	if len(points) < 16 {
 		t.Fatalf("horizontal step produced only %d edge points", len(points))
 	}
@@ -84,25 +84,11 @@ func TestCannyHorizontalStepEdge(t *testing.T) {
 	}
 }
 
-func TestCannyExplicitThresholds(t *testing.T) {
-	gray := grayFrom(16, 16, func(x, y int) float64 {
-		if x < 8 {
-			return 0
-		}
-		return 255
-	})
-	// An absurdly high threshold removes all edges.
-	points := Canny(gray, CannyOptions{GaussianSigma: 1, LowThreshold: 1e7, HighThreshold: 1e8})
-	if len(points) != 0 {
-		t.Errorf("expected no edges with huge thresholds, got %d", len(points))
-	}
-}
-
 func TestCannyMagnitudePositive(t *testing.T) {
 	im := imaging.New(32, 32)
 	im.DrawChecker(imaging.Color{R: 1, G: 1, B: 1}, imaging.Color{R: 0, G: 0, B: 0}, 4)
 	im.AddNoise(linalg.NewRNG(1), 5)
-	points := Canny(im.Gray(), DefaultCannyOptions())
+	points := Canny(im.Gray())
 	if len(points) == 0 {
 		t.Fatal("checkerboard produced no edges")
 	}

@@ -18,14 +18,7 @@ const EdgeHistDim = 18
 // of edge pixels so image size does not affect the descriptor; an image with
 // no detected edges yields the zero vector.
 func EdgeDirectionHistogram(im *imaging.Image) linalg.Vector {
-	return EdgeDirectionHistogramOpts(im, DefaultCannyOptions())
-}
-
-// EdgeDirectionHistogramOpts is EdgeDirectionHistogram with explicit Canny
-// detector options.
-func EdgeDirectionHistogramOpts(im *imaging.Image, opts CannyOptions) linalg.Vector {
-	gray := im.Gray()
-	points := Canny(gray, opts)
+	points := Canny(im.Gray())
 	hist := make(linalg.Vector, EdgeHistDim)
 	if len(points) == 0 {
 		return hist

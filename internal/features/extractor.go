@@ -17,20 +17,12 @@ const Dim = ColorMomentDim + EdgeHistDim + WaveletDim
 
 // Extractor turns images into 36-dimensional visual descriptors.
 // The zero value is ready to use.
-type Extractor struct {
-	// Canny configures the edge detector used for the edge-direction
-	// histogram. A zero value selects DefaultCannyOptions.
-	Canny CannyOptions
-}
+type Extractor struct{}
 
 // Extract computes the composite descriptor of a single image.
 func (e Extractor) Extract(im *imaging.Image) linalg.Vector {
-	opts := e.Canny
-	if opts.GaussianSigma <= 0 && opts.HighThreshold <= 0 {
-		opts = DefaultCannyOptions()
-	}
 	cm := ColorMoments(im)
-	eh := EdgeDirectionHistogramOpts(im, opts)
+	eh := EdgeDirectionHistogram(im)
 	wt := WaveletTexture(im)
 	return linalg.Concat(cm, eh, wt)
 }

@@ -21,7 +21,7 @@ import (
 //   - Images ingested after a build land in the "unindexed tail"
 //     [covered, n), which every pruned query scans exactly — a fresh image
 //     can never be missed, no matter how stale the index is.
-//   - When the tail outgrows Options.ANN.RebuildTailFraction of the indexed
+//   - When the tail outgrows annRebuildTailFraction of the indexed
 //     prefix, a background rebuild folds it in and publishes the new index
 //     through a forward-only compare-and-swap, exactly like an async refine
 //     round: queries never block on a rebuild and never see a half-built
@@ -53,17 +53,14 @@ type ANNOptions struct {
 	// in a few shards costs more than it saves); <=0 selects
 	// DefaultANNMinCollection.
 	MinCollection int
-	// RebuildTailFraction triggers a background index rebuild when the
-	// unindexed tail exceeds this fraction of the indexed prefix; <=0
-	// selects DefaultANNRebuildTailFraction.
-	RebuildTailFraction float64
 }
 
-// Defaults for ANNOptions' zero values.
-const (
-	DefaultANNMinCollection       = 512
-	DefaultANNRebuildTailFraction = 0.25
-)
+// DefaultANNMinCollection is ANNOptions.MinCollection's zero value.
+const DefaultANNMinCollection = 512
+
+// annRebuildTailFraction triggers a background index rebuild when the
+// unindexed tail exceeds this fraction of the indexed prefix.
+const annRebuildTailFraction = 0.25
 
 // ANNStats describes the live candidate-generation index for monitoring
 // (the server surfaces it in /api/status).
@@ -155,7 +152,7 @@ func (e *Engine) maybeRebuildANN() {
 	if st := e.ann.Load(); st != nil {
 		covered = st.idx.Len()
 	}
-	if covered > 0 && float64(n-covered) <= e.opts.ANN.RebuildTailFraction*float64(covered) {
+	if covered > 0 && float64(n-covered) <= annRebuildTailFraction*float64(covered) {
 		return
 	}
 	if !e.annBuilding.CompareAndSwap(false, true) {

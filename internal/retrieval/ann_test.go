@@ -10,13 +10,12 @@ import (
 )
 
 // annTestOptions enables pruning at the scale of the test collection.
-func annTestOptions(nprobe int, rebuildFraction float64) Options {
+func annTestOptions(nprobe int) Options {
 	return Options{ANN: ANNOptions{
-		Enable:              true,
-		Clusters:            5,
-		NProbe:              nprobe,
-		MinCollection:       10,
-		RebuildTailFraction: rebuildFraction,
+		Enable:        true,
+		Clusters:      5,
+		NProbe:        nprobe,
+		MinCollection: 10,
 	}}
 }
 
@@ -46,7 +45,7 @@ func TestANNInitialQueryParityNProbeAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exact.Close()
-	pruned, err := NewEngine(visual, log, annTestOptions(5, 0))
+	pruned, err := NewEngine(visual, log, annTestOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,9 @@ func TestANNInitialQueryParityNProbeAll(t *testing.T) {
 // must be found by a pruned query immediately — before any rebuild runs.
 func TestANNUnindexedTailNeverMissed(t *testing.T) {
 	visual, _, log := testCollection(t)
-	// A huge rebuild threshold pins the index to the original 60 images.
-	e, err := NewEngine(visual, log, annTestOptions(1, 1e9))
+	// One image is under the rebuild threshold (a quarter of the indexed 60),
+	// so the index stays pinned to the original collection.
+	e, err := NewEngine(visual, log, annTestOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestANNUnindexedTailNeverMissed(t *testing.T) {
 // generation in the background, published forward-only like a refine round.
 func TestANNBackgroundRebuildFoldsTail(t *testing.T) {
 	visual, _, log := testCollection(t)
-	e, err := NewEngine(visual, log, annTestOptions(5, 0.10))
+	e, err := NewEngine(visual, log, annTestOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestANNBackgroundRebuildFoldsTail(t *testing.T) {
 // Close must stop without publishing garbage.
 func TestANNRebuildStopsOnClose(t *testing.T) {
 	visual, _, log := testCollection(t)
-	e, err := NewEngine(visual, log, annTestOptions(2, 0.01))
+	e, err := NewEngine(visual, log, annTestOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}

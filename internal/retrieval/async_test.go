@@ -122,11 +122,11 @@ func TestRefineAsyncValidation(t *testing.T) {
 }
 
 // TestRefineAsyncAdmissionCap checks the engine-wide backpressure: once
-// MaxPendingRefines rounds are in flight, further submissions fail fast
+// maxPendingRefines rounds are in flight, further submissions fail fast
 // instead of queueing unbounded training work.
 func TestRefineAsyncAdmissionCap(t *testing.T) {
 	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{MaxPendingRefines: 3})
+	e, err := NewEngine(visual, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestRefineAsyncAdmissionCap(t *testing.T) {
 	// Fill the admission budget directly (the counter is what the cap
 	// guards) so the rejection is deterministic regardless of how fast the
 	// worker pool drains real rounds.
-	e.pendingRefines.Add(3)
+	e.pendingRefines.Add(maxPendingRefines)
 	if _, err := s.RefineAsync(context.Background(), SchemeEuclidean, 5); !errors.Is(err, ErrTooManyRefines) {
 		t.Fatalf("submission above the cap: %v, want ErrTooManyRefines", err)
 	}
-	if got := e.PendingRefines(); got != 3 {
+	if got := e.PendingRefines(); got != maxPendingRefines {
 		t.Errorf("rejected submission leaked into the pending count: %d", got)
 	}
-	e.pendingRefines.Add(-3)
+	e.pendingRefines.Add(-maxPendingRefines)
 	token, err := s.RefineAsync(context.Background(), SchemeEuclidean, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestRefineAsyncRoundRetention(t *testing.T) {
 // dynamic_test.go.
 func TestConcurrentAsyncRefine(t *testing.T) {
 	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{TrainWorkers: 2, MaxPendingRefines: 64})
+	e, err := NewEngine(visual, log, Options{TrainWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

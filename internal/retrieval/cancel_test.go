@@ -139,7 +139,7 @@ func TestEngineCloseStopsRefines(t *testing.T) {
 // Run with -race.
 func TestEngineCloseDrainsQueuedRounds(t *testing.T) {
 	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{TrainWorkers: 1, MaxPendingRefines: 64})
+	e, err := NewEngine(visual, log, Options{TrainWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package retrieval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -42,27 +43,15 @@ const (
 
 // Options configures the engine's learning components.
 type Options struct {
-	// Workers bounds the goroutines used to score the collection per query;
-	// <=0 selects GOMAXPROCS.
-	Workers int
-	// ShardSize is the collection shard capacity of the sharded scoring
-	// path; <=0 selects kernel.DefaultShardSize. Rankings are bit-identical
-	// for every shard size.
-	ShardSize int
 	// TrainWorkers bounds the feedback-training concurrency: it sizes the
 	// asynchronous-refinement worker pool (how many training jobs run at
 	// once) and is threaded into the coupled trainer so the two modality
 	// SVMs of each alternation train concurrently. <=0 selects 2. Training
 	// results are bit-identical for every value.
 	TrainWorkers int
-	// MaxPendingRefines caps the asynchronous refinements queued or
-	// running engine-wide; RefineAsync fails fast once it is reached so a
-	// burst of feedback rounds cannot pile up unbounded training work.
-	// <=0 selects 64.
-	MaxPendingRefines int
 	// RefineTimeout bounds the wall-clock duration of one asynchronous
 	// refinement round, measured from the moment a training worker picks it
-	// up (queue wait is governed by MaxPendingRefines, not the timeout). A
+	// up (queue wait is governed by maxPendingRefines, not the timeout). A
 	// round that exceeds it fails with context.DeadlineExceeded and is never
 	// published — readers keep the previous good ranking. Zero means no
 	// limit.
@@ -87,11 +76,20 @@ type JournalSink interface {
 	AppendImages(descriptors []linalg.Vector) error
 }
 
-// Defaults for Options' zero values.
-const (
-	DefaultTrainWorkers      = 2
-	DefaultMaxPendingRefines = 64
-)
+// ErrJournal marks (errors.Is) a commit or an ingestion that failed because
+// its journal append did. The request was valid and nothing changed — the
+// append precedes the mutation, so the collection, the log and the session
+// are as before and the same request succeeds once the journal can write
+// again — which is a server fault (500), not the client's (400).
+var ErrJournal = errors.New("retrieval: journal append failed")
+
+// DefaultTrainWorkers is Options.TrainWorkers' zero value.
+const DefaultTrainWorkers = 2
+
+// maxPendingRefines caps the asynchronous refinements queued or running
+// engine-wide; RefineAsync fails fast once it is reached so a burst of
+// feedback rounds cannot pile up unbounded training work.
+const maxPendingRefines = 64
 
 // epoch is one immutable snapshot of the indexed collection: its sequence
 // number (1 for the initial collection, the next for every ingestion), the
@@ -126,7 +124,7 @@ type Engine struct {
 
 	// trainSem bounds concurrently running asynchronous training jobs
 	// (capacity Options.TrainWorkers); pendingRefines counts queued plus
-	// running jobs against Options.MaxPendingRefines.
+	// running jobs against maxPendingRefines.
 	trainSem       chan struct{}
 	pendingRefines atomic.Int64
 
@@ -172,16 +170,10 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if opts.TrainWorkers <= 0 {
 		opts.TrainWorkers = DefaultTrainWorkers
 	}
-	if opts.MaxPendingRefines <= 0 {
-		opts.MaxPendingRefines = DefaultMaxPendingRefines
-	}
 	if opts.ANN.MinCollection <= 0 {
 		opts.ANN.MinCollection = DefaultANNMinCollection
 	}
-	if opts.ANN.RebuildTailFraction <= 0 {
-		opts.ANN.RebuildTailFraction = DefaultANNRebuildTailFraction
-	}
-	batch := core.NewShardedCollectionBatch(visual, opts.ShardSize)
+	batch := core.NewCollectionBatch(visual)
 	// The store has just computed every squared row norm, so checking them
 	// costs no second pass over the data.
 	set := batch.VisualSet()
@@ -299,7 +291,7 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	// below cannot fail (the descriptors were validated above).
 	if e.opts.Journal != nil {
 		if err := e.opts.Journal.AppendImages(added); err != nil {
-			return 0, fmt.Errorf("retrieval: journal ingestion: %w", err)
+			return 0, fmt.Errorf("%w: ingestion: %w", ErrJournal, err)
 		}
 	}
 	old := e.cur.Load()
@@ -403,11 +395,10 @@ func (e *Engine) initialQuery(stdctx context.Context, ep *epoch, query, k int) (
 		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, len(ep.visual))
 	}
 	ctx := &core.QueryContext{
-		Visual:  ep.visual,
-		Query:   query,
-		Workers: e.opts.Workers,
-		Batch:   ep.batch,
-		Ctx:     e.withCloseAware(stdctx),
+		Visual: ep.visual,
+		Query:  query,
+		Batch:  ep.batch,
+		Ctx:    e.withCloseAware(stdctx),
 	}
 	// IVF candidates when a live index covers this epoch, else every shard.
 	// The pruned pass considers only the probed cells' members plus the
@@ -510,7 +501,6 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 		LogVectors: s.engine.logColumns(ep),
 		Query:      s.query,
 		Labeled:    labeled,
-		Workers:    s.engine.opts.Workers,
 		Batch:      ep.batch,
 		Ctx:        s.engine.withCloseAware(stdctx),
 	}
@@ -565,7 +555,7 @@ func (s *Session) Commit(ctx context.Context) error {
 	// fail — the durable record and the in-memory log cannot diverge.
 	if e.opts.Journal != nil {
 		if err := e.opts.Journal.AppendSession(session); err != nil {
-			return fmt.Errorf("retrieval: journal commit: %w", err)
+			return fmt.Errorf("%w: commit: %w", ErrJournal, err)
 		}
 	}
 	if _, err := e.log.AddSession(session); err != nil {

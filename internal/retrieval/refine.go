@@ -7,7 +7,7 @@ import (
 )
 
 // ErrTooManyRefines is returned (wrapped) by Session.RefineAsync when the
-// engine-wide pending cap (Options.MaxPendingRefines) is reached. Callers
+// engine-wide pending cap (maxPendingRefines) is reached. Callers
 // can match it with errors.Is to distinguish backpressure — worth retrying
 // later — from request errors that will never succeed.
 var ErrTooManyRefines = errors.New("retrieval: too many pending refinements")
@@ -65,7 +65,7 @@ type refineRound struct {
 // order, and failed rounds never displace it.
 //
 // RefineAsync fails fast when the engine-wide pending cap
-// (Options.MaxPendingRefines) is reached, so a burst of feedback traffic
+// (maxPendingRefines) is reached, so a burst of feedback traffic
 // degrades into rejected rounds instead of unbounded queued training work.
 // The submitted round runs under the engine's base context (cancelled by
 // Engine.Close), bounded by Options.RefineTimeout — not under the caller's
@@ -97,9 +97,9 @@ func (s *Session) RefineAsync(ctx context.Context, kind SchemeKind, k int) (int,
 
 	// Admission control: count the round before publishing it, backing out
 	// on overflow, so concurrent submissions cannot exceed the cap.
-	if e.pendingRefines.Add(1) > int64(e.opts.MaxPendingRefines) {
+	if e.pendingRefines.Add(1) > maxPendingRefines {
 		e.pendingRefines.Add(-1)
-		return 0, fmt.Errorf("%w: %d already pending, try again later", ErrTooManyRefines, e.opts.MaxPendingRefines)
+		return 0, fmt.Errorf("%w: %d already pending, try again later", ErrTooManyRefines, maxPendingRefines)
 	}
 
 	s.mu.Lock()

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/linalg"
 )
 
 // rankingsEqual asserts two full result lists are identical in indices and
@@ -27,11 +30,12 @@ func rankingsEqual(t *testing.T, name string, got, want []Result) {
 // the same collection. Shard layout must depend only on the shard size,
 // never on how ingestion was batched.
 func TestShardBoundaryIngestion(t *testing.T) {
-	const shardSize = 8
-	visual, _, _ := testCollection(t) // 60 images
-	opts := Options{ShardSize: shardSize, Workers: 2}
+	const shardSize = kernel.DefaultShardSize
+	visual := randomDescriptors(linalg.NewRNG(21), 3*shardSize+100)
+	opts := Options{}
 
-	e, err := NewEngine(visual[:11], nil, opts)
+	prev := shardSize - 5
+	e, err := NewEngine(visual[:prev], nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +44,11 @@ func TestShardBoundaryIngestion(t *testing.T) {
 		to        int
 		wantShard int
 	}{
-		{"fill tail shard exactly", 16, 2},
-		{"straddle into a new shard", 21, 3},
-		{"overflow multiple shards", 41, 6},
-		{"partial tail", 60, 8},
+		{"fill tail shard exactly", shardSize, 1},
+		{"straddle into a new shard", shardSize + 5, 2},
+		{"overflow multiple shards", 3*shardSize + 5, 4},
+		{"partial tail", 3*shardSize + 100, 4},
 	}
-	prev := 11
 	for _, step := range steps {
 		if _, err := e.AddImages(context.Background(), visual[prev:step.to]); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
@@ -99,7 +102,7 @@ func TestShardBoundaryIngestion(t *testing.T) {
 // InitialQuery calls and validates every probe up front.
 func TestInitialQueryBatch(t *testing.T) {
 	visual, _, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{ShardSize: 16})
+	e, err := NewEngine(visual, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,27 +126,5 @@ func TestInitialQueryBatch(t *testing.T) {
 	}
 	if _, err := e.InitialQueryBatch(context.Background(), []int{0, len(visual)}, 5); err == nil {
 		t.Error("out-of-range probe accepted")
-	}
-}
-
-// TestShardSizeInvariance pins rankings across shard sizes: the same
-// collection indexed with different shard sizes must rank bit-identically.
-func TestShardSizeInvariance(t *testing.T) {
-	visual, _, log := testCollection(t)
-	var want []Result
-	for _, shardSize := range []int{0, 1, 7, 16, 1000} {
-		e, err := NewEngine(visual, log.Clone(), Options{ShardSize: shardSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.InitialQuery(context.Background(), 5, len(visual))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		rankingsEqual(t, fmt.Sprintf("shardSize=%d", shardSize), got, want)
 	}
 }

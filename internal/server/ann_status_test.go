@@ -28,7 +28,6 @@ func TestStatusReportsANN(t *testing.T) {
 		visual[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
 	}
 	engine, err := retrieval.NewEngine(visual, nil, retrieval.Options{
-		ShardSize: 16,
 		ANN: retrieval.ANNOptions{
 			Enable:        true,
 			Clusters:      4,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -125,6 +126,67 @@ type countingJournal struct{ sessions, imageBatches int }
 
 func (j *countingJournal) AppendSession(feedbacklog.Session) error { j.sessions++; return nil }
 func (j *countingJournal) AppendImages([]linalg.Vector) error      { j.imageBatches++; return nil }
+
+// failingJournal is a JournalSink whose appends fail while err is set.
+type failingJournal struct{ err error }
+
+func (j *failingJournal) AppendSession(feedbacklog.Session) error { return j.err }
+func (j *failingJournal) AppendImages([]linalg.Vector) error      { return j.err }
+
+// A journal that cannot write is the server's fault, not the client's: the
+// commit and the ingestion answer 500 with the cause (README tells clients
+// that a 4xx is permanent), /metrics counts them under code="500", nothing
+// changed, and the same commit succeeds once the journal recovers.
+func TestJournalFailureIsServerError(t *testing.T) {
+	journal := &failingJournal{err: errors.New("no space left on device")}
+	engine, err := retrieval.NewEngine([]linalg.Vector{{0, 0}, {1, 0}, {0, 1}, {1, 1}}, nil, retrieval.Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(engine, Config{})
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+		engine.Close()
+	})
+
+	id := startSession(t, srv.URL, 0)
+	judge := JudgeRequest{SessionID: id}
+	judge.Judgments = append(judge.Judgments, struct {
+		Image    int  `json:"image"`
+		Relevant bool `json:"relevant"`
+	}{Image: 1, Relevant: true})
+	if resp := postJSON(t, srv.URL+"/api/sessions/judge", judge, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("judge: status %d", resp.StatusCode)
+	}
+	commit, ingest := CommitRequest{SessionID: id}, AddImagesRequest{Images: [][]float64{{2, 2}}}
+	for url, req := range map[string]interface{}{"/api/sessions/commit": commit, "/api/images": ingest} {
+		var body errorResponse
+		if resp := postJSON(t, srv.URL+url, req, &body); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "no space left on device") {
+			t.Errorf("POST %s with a failing journal: status %d, body %q; want 500 naming the cause", url, resp.StatusCode, body.Error)
+		}
+	}
+	if engine.NumImages() != 4 || engine.NumLogSessions() != 0 {
+		t.Errorf("failed appends left %d images and %d log sessions, want 4 and 0", engine.NumImages(), engine.NumLogSessions())
+	}
+	text := scrapeMetrics(t, srv.URL)
+	for _, endpoint := range []string{"commit", "images"} {
+		if got := sampleValue(t, text, "cbir_http_requests_total", `endpoint="`+endpoint+`"`, `code="500"`); got != 1 {
+			t.Errorf("cbir_http_requests_total{endpoint=%q,code=\"500\"} = %v, want 1", endpoint, got)
+		}
+	}
+
+	journal.err = nil
+	var committed CommitResponse
+	if resp := postJSON(t, srv.URL+"/api/sessions/commit", commit, &committed); resp.StatusCode != http.StatusOK || committed.LogSessions != 1 {
+		t.Errorf("retried commit: status %d, %d log sessions; want 200 and 1", resp.StatusCode, committed.LogSessions)
+	}
+	var added AddImagesResponse
+	if resp := postJSON(t, srv.URL+"/api/images", ingest, &added); resp.StatusCode != http.StatusOK || added.Images != 5 {
+		t.Errorf("retried ingestion: status %d, %d images; want 200 and 5", resp.StatusCode, added.Images)
+	}
+}
 
 // A descriptor whose squared norm overflows is at distance NaN from itself
 // and +Inf from everything else, which no JSON response can carry: ingestion

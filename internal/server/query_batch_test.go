@@ -41,13 +41,13 @@ func TestQueryBatchEndpoint(t *testing.T) {
 
 // TestQueryBatchValidation covers the rejection paths of the batch endpoint.
 func TestQueryBatchValidation(t *testing.T) {
-	srv, _, _ := testServerWithConfig(t, Config{MaxBatchQueries: 2})
+	srv, _, _ := testServerWithConfig(t, Config{})
 	cases := []struct {
 		name string
 		req  QueryBatchRequest
 	}{
 		{"empty batch", QueryBatchRequest{}},
-		{"oversized batch", QueryBatchRequest{Images: []int{0, 1, 2}}},
+		{"oversized batch", QueryBatchRequest{Images: make([]int, maxBatchQueries+1)}},
 		{"negative k", QueryBatchRequest{Images: []int{0}, K: -1}},
 		{"out-of-range probe", QueryBatchRequest{Images: []int{0, 999}}},
 	}
@@ -196,17 +196,19 @@ func TestStatusReportsShards(t *testing.T) {
 	}
 }
 
-// TestAddImagesCapped verifies ingestion batches beyond the configured
-// limit are rejected while batches at the limit pass.
+// TestAddImagesCapped verifies ingestion batches beyond the limit are
+// rejected while batches at the limit pass.
 func TestAddImagesCapped(t *testing.T) {
-	srv, _, engine := testServerWithConfig(t, Config{MaxIngestImages: 2})
-	img := make([]float64, engine.Dim())
-	over := AddImagesRequest{Images: [][]float64{img, img, img}}
-	if resp := postJSON(t, srv.URL+"/api/images", over, nil); resp.StatusCode != http.StatusBadRequest {
+	srv, _, engine := testServerWithConfig(t, Config{})
+	batch := make([][]float64, maxIngestImages+1)
+	for i := range batch {
+		batch[i] = make([]float64, engine.Dim())
+	}
+	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: batch}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized ingest batch: status %d, want 400", resp.StatusCode)
 	}
 	var ok AddImagesResponse
-	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: [][]float64{img, img}}, &ok); resp.StatusCode != http.StatusOK || ok.Added != 2 {
+	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: batch[:maxIngestImages]}, &ok); resp.StatusCode != http.StatusOK || ok.Added != maxIngestImages {
 		t.Fatalf("at-limit ingest batch: status %d, added %d", resp.StatusCode, ok.Added)
 	}
 }

@@ -37,8 +37,8 @@
 // single request can never pull a full ranking of an arbitrarily large
 // collection. The batch query endpoint amortizes one collection-epoch load
 // and one pooled scratch arena across all its probe images; batch sizes on
-// /api/query/batch and /api/images are capped as well
-// (Config.MaxBatchQueries, Config.MaxIngestImages).
+// /api/query/batch and /api/images are capped as well (256 probes, 4096
+// images).
 //
 // The server is built for sustained traffic: feedback sessions are evicted
 // after an idle TTL (default 30 minutes) and capped at a maximum live count
@@ -69,12 +69,15 @@
 // (asynchronous refinement only) means "the training queue is full, poll an
 // earlier round or retry later". Clients should treat both as retryable
 // with exponential backoff, honoring Retry-After, and treat 4xx request
-// errors as permanent. Per-class in-flight gauges, queue depths and shed
-// counters are exposed under "admission" in GET /api/status.
+// errors as permanent. A commit or an ingestion whose journal append fails
+// is neither: it answers 500 with the cause, nothing has changed, and the
+// same request succeeds once the journal can write again. Per-class
+// in-flight gauges, queue depths and shed counters are exposed under
+// "admission" in GET /api/status.
 //
 // All JSON POST bodies are size-capped (1 MiB, except /api/images whose cap
-// scales with the configured ingest batch limit); an oversized body returns
-// 413 Request Entity Too Large.
+// scales with its batch limit); an oversized body returns 413 Request Entity
+// Too Large.
 package server
 
 import (
@@ -113,13 +116,6 @@ type Config struct {
 	// requests are silently capped, so no request pulls a full ranking of
 	// an arbitrarily large collection. <=0 selects 1000.
 	MaxK int
-	// MaxBatchQueries caps the probe count of one POST /api/query/batch
-	// request; <=0 selects 256.
-	MaxBatchQueries int
-	// MaxIngestImages caps the image count of one POST /api/images
-	// request (the request body is additionally size-limited to what that
-	// many descriptors can plausibly encode); <=0 selects 4096.
-	MaxIngestImages int
 	// Durability optionally reports the persistence layer's counters
 	// (journal, replay, snapshot compaction); when set, GET /api/status
 	// includes them. cbirserver wires it when -journal is given.
@@ -158,13 +154,21 @@ type Config struct {
 
 // Defaults for Config's zero values.
 const (
-	DefaultSessionTTL      = 30 * time.Minute
-	DefaultMaxSessions     = 16384
-	DefaultResultK         = 20
-	DefaultMaxK            = 1000
-	DefaultMaxBatchQueries = 256
-	DefaultMaxIngestImages = 4096
-	DefaultQueueWait       = time.Second
+	DefaultSessionTTL  = 30 * time.Minute
+	DefaultMaxSessions = 16384
+	DefaultResultK     = 20
+	DefaultMaxK        = 1000
+	DefaultQueueWait   = time.Second
+)
+
+const (
+	// maxBatchQueries caps the probe count of one POST /api/query/batch
+	// request.
+	maxBatchQueries = 256
+	// maxIngestImages caps the image count of one POST /api/images request
+	// (the request body is additionally size-limited to what that many
+	// descriptors can plausibly encode).
+	maxIngestImages = 4096
 )
 
 func (c Config) withDefaults() Config {
@@ -182,12 +186,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultK > c.MaxK {
 		c.DefaultK = c.MaxK
-	}
-	if c.MaxBatchQueries <= 0 {
-		c.MaxBatchQueries = DefaultMaxBatchQueries
-	}
-	if c.MaxIngestImages <= 0 {
-		c.MaxIngestImages = DefaultMaxIngestImages
 	}
 	if c.QueueWait == 0 {
 		c.QueueWait = DefaultQueueWait
@@ -533,6 +531,8 @@ func statusForError(r *http.Request, err error) int {
 	switch {
 	case errors.Is(err, retrieval.ErrEngineClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, retrieval.ErrJournal):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -562,7 +562,7 @@ func writeEngineError(w http.ResponseWriter, r *http.Request, err error) {
 // refinement, batch queries, commit) at 1 MiB — orders of magnitude above
 // any legitimate payload under the configured batch limits, and small
 // enough that a hostile client cannot buffer gigabytes into the decoder.
-// /api/images sizes its own cap from MaxIngestImages instead.
+// /api/images sizes its own cap from maxIngestImages instead.
 const maxJSONBody = 1 << 20
 
 // decodeJSON bounds the request body and decodes it into v, writing the
@@ -805,8 +805,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no query images")
 		return
 	}
-	if len(req.Images) > s.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Images), s.cfg.MaxBatchQueries)
+	if len(req.Images) > maxBatchQueries {
+		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Images), maxBatchQueries)
 		return
 	}
 	k, ok := s.resultK(w, req.K)
@@ -851,18 +851,18 @@ func (s *Server) handleAddImages(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the buffered payload before decoding: a descriptor component
 	// encodes in well under 32 bytes of JSON, so this admits any legitimate
-	// batch up to MaxIngestImages while refusing multi-gigabyte bodies.
+	// batch up to maxIngestImages while refusing multi-gigabyte bodies.
 	dim := s.engine.Dim()
 	var req AddImagesRequest
-	if !decodeJSON(w, r, int64(s.cfg.MaxIngestImages)*int64(dim+1)*32, &req) {
+	if !decodeJSON(w, r, maxIngestImages*int64(dim+1)*32, &req) {
 		return
 	}
 	if len(req.Images) == 0 {
 		writeError(w, http.StatusBadRequest, "no images to add")
 		return
 	}
-	if len(req.Images) > s.cfg.MaxIngestImages {
-		writeError(w, http.StatusBadRequest, "batch of %d images exceeds the limit of %d", len(req.Images), s.cfg.MaxIngestImages)
+	if len(req.Images) > maxIngestImages {
+		writeError(w, http.StatusBadRequest, "batch of %d images exceeds the limit of %d", len(req.Images), maxIngestImages)
 		return
 	}
 	descriptors := make([]linalg.Vector, len(req.Images))

@@ -42,7 +42,7 @@ func testServerFull(t *testing.T, cfg Config) (*httptest.Server, []int, *retriev
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{ShardSize: 16})
+	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,8 @@ type FsyncPolicy int
 
 // Fsync policies.
 const (
-	// FsyncInterval (the default) syncs on a background timer
-	// (JournalOptions.SyncInterval, 100ms unless overridden): bounded loss
-	// window, negligible per-record cost.
+	// FsyncInterval (the default) syncs on a background timer (syncInterval,
+	// 100ms): bounded loss window, negligible per-record cost.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every record: no loss window, one fsync of
 	// latency on every commit and ingestion.
@@ -150,9 +149,6 @@ func (p FsyncPolicy) String() string {
 type JournalOptions struct {
 	// Fsync selects the flush-to-stable-storage policy.
 	Fsync FsyncPolicy
-	// SyncInterval is the background flush period under FsyncInterval;
-	// <=0 selects DefaultSyncInterval.
-	SyncInterval time.Duration
 	// SnapshotSeq is the journal sequence the base state passed to
 	// OpenJournal already covers (as returned by LoadSnapshotAt): records
 	// with sequence <= SnapshotSeq are skipped during replay instead of
@@ -177,8 +173,8 @@ type JournalOptions struct {
 	WrapFile func(*os.File) File
 }
 
-// DefaultSyncInterval is the FsyncInterval flush period unless overridden.
-const DefaultSyncInterval = 100 * time.Millisecond
+// syncInterval is the background flush period under FsyncInterval.
+const syncInterval = 100 * time.Millisecond
 
 // DefaultRetryBackoff is the first-retry wait of the append retry loop
 // unless JournalOptions.RetryBackoff overrides it.
@@ -277,9 +273,6 @@ func OpenJournal(path string, visual []linalg.Vector, fblog *feedbacklog.Log, op
 	}
 	if fblog.NumImages() != len(visual) {
 		return nil, nil, ReplayStats{}, fmt.Errorf("storage: journal log covers %d images, collection has %d", fblog.NumImages(), len(visual))
-	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = DefaultSyncInterval
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -829,7 +822,7 @@ func (j *Journal) syncLocked() error {
 // syncLoop is the FsyncInterval background flusher.
 func (j *Journal) syncLoop() {
 	defer close(j.done)
-	t := time.NewTicker(j.opts.SyncInterval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

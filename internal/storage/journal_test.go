@@ -591,7 +591,7 @@ func TestJournalFsyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("interval", func(t *testing.T) {
-		j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "i.wal"), visual, fblog.Clone(), JournalOptions{Fsync: FsyncInterval, SyncInterval: 5 * time.Millisecond})
+		j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "i.wal"), visual, fblog.Clone(), JournalOptions{Fsync: FsyncInterval})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,10 +135,6 @@ func kktViolation(p Problem, grad, alphas []float64) (float64, bool) {
 // independent of the solver's incremental bookkeeping.
 func checkKKT(t *testing.T, p Problem, cfg Config, m *Model) {
 	t.Helper()
-	tol := cfg.Tolerance
-	if tol <= 0 {
-		tol = 1e-3
-	}
 	var sumAY, sumAbs float64
 	for i, a := range m.Alphas {
 		if math.IsNaN(a) || a < 0 || a > p.C[i] {
@@ -158,8 +154,8 @@ func checkKKT(t *testing.T, p Problem, cfg Config, m *Model) {
 		}
 	}
 	violation, ok := kktViolation(p, grad, m.Alphas)
-	if m.Converged && ok && violation > tol+1e-9*scale {
-		t.Errorf("converged model violates KKT: gap %v > tolerance %v", violation, tol)
+	if m.Converged && ok && violation > tolerance+1e-9*scale {
+		t.Errorf("converged model violates KKT: gap %v > tolerance %v", violation, tolerance)
 	}
 	if math.IsNaN(m.Bias) || math.IsInf(m.Bias, 0) {
 		t.Errorf("bias = %v", m.Bias)

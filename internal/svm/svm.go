@@ -76,9 +76,6 @@ func (p Problem) Validate() error {
 type Config struct {
 	// Kernel is the Mercer kernel; required.
 	Kernel kernel.Kernel
-	// Tolerance is the KKT violation tolerance for the stopping criterion.
-	// Zero selects 1e-3 (the LIBSVM default).
-	Tolerance float64
 	// MaxIterations bounds the number of SMO pair updates. Zero selects
 	// 100 * n + 10000, generous for the small problems relevance feedback
 	// produces.
@@ -121,15 +118,9 @@ type Config struct {
 // feedback-sized problems while keeping the poll overhead unmeasurable.
 const ctxCheckInterval = 256
 
-func (c Config) withDefaults(n int) Config {
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-3
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 100*n + 10000
-	}
-	return c
-}
+// tolerance is the KKT violation at which the solver stops (the LIBSVM
+// default).
+const tolerance = 1e-3
 
 // Model is a trained SVM decision function
 // f(x) = sum_i coef_i K(sv_i, x) + Bias with coef_i = alpha_i * y_i.
@@ -190,7 +181,6 @@ func Train(p Problem, cfg Config) (*Model, error) {
 		}
 	}
 	n := len(p.Points)
-	cfg = cfg.withDefaults(n)
 
 	// Degenerate one-class problems: the equality constraint forces
 	// alpha = 0, so the decision function is a constant. Return the class
@@ -515,8 +505,12 @@ func (s *solver) selectPair() (i, j int, violation float64) {
 
 func (s *solver) solve() {
 	ctxCounter := ctxCheckInterval
+	maxIterations := s.cfg.MaxIterations
+	if maxIterations <= 0 {
+		maxIterations = 100*len(s.p.Points) + 10000
+	}
 	i, j, violation := s.selectPair()
-	for s.iterations = 0; s.iterations < s.cfg.MaxIterations; s.iterations++ {
+	for s.iterations = 0; s.iterations < maxIterations; s.iterations++ {
 		if s.cfg.Ctx != nil {
 			if ctxCounter--; ctxCounter == 0 {
 				ctxCounter = ctxCheckInterval
@@ -526,7 +520,7 @@ func (s *solver) solve() {
 				}
 			}
 		}
-		if i < 0 || violation <= s.cfg.Tolerance {
+		if i < 0 || violation <= tolerance {
 			s.converged = true
 			return
 		}
