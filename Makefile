@@ -54,9 +54,10 @@ govulncheck:
 # and the total outside bench/: the figures the ROADMAP's size targets and the
 # simplicity PRs' before/after tables quote. Every line counts, comments and
 # blanks included, so stripping comments or moving code into _test.go files
-# shows up as exactly that in the diff. The last two lines are the option
-# surface: cbirserver's flag definitions, and the option-struct fields the
-# field pass of TestInternalDeclarationsReachable checked.
+# shows up as exactly that in the diff. The last three lines are the option
+# surface: cbirserver's flag definitions, the routes the server registers, and
+# the option-struct fields the field pass of TestInternalDeclarationsReachable
+# checked.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sed 's|^\./||' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
@@ -64,6 +65,7 @@ loc:
 		printf "%7d  internal/core + internal/kernel\n", n["internal/core"] + n["internal/kernel"]; \
 		printf "%7d  total outside bench/\n", t }'
 	@printf '%7d  cbirserver flags\n' $$(grep -c '= flag\.' cmd/cbirserver/main.go)
+	@printf '%7d  server routes\n' $$(grep -c 'mux\.HandleFunc(' internal/server/server.go)
 	@$(GO) test -count=1 -v -run '^TestInternalDeclarationsReachable$$' ./internal/analysis | \
 		sed -n 's/.*: \([0-9]*\) option fields checked, \([0-9]*\) allowlist entries$$/\1 \2/p' | \
 		awk '{ printf "%7d  option fields in internal/ (%d kept without a program that sets them)\n", $$1, $$2 }'

@@ -29,15 +29,8 @@
 // The server exports its operational state twice: human-readable under
 // GET /api/status, and as Prometheus text exposition under GET /metrics —
 // per-endpoint request latency histograms and status-code counters plus
-// the admission, engine, index and journal gauges, all reading the same
+// the admission, engine and journal gauges, all reading the same
 // counters as /api/status. /metrics stays scrapable during shutdown.
-//
-// With -ann, initial queries prune the collection through an IVF-style
-// centroid index (-ann-clusters cells, -ann-nprobe probed per query) and
-// re-rank the candidates exactly; images ingested since the last index
-// build are always scanned exactly, and the index is rebuilt in the
-// background as the collection grows. Relevance-feedback refinement always
-// scans exhaustively. Index state appears under "ann" in GET /api/status.
 //
 // Which dot kernels the scoring scans run on (AVX2 assembly or pure Go,
 // picked by the build and the CPU) appears as "kernel_backend" in
@@ -91,16 +84,13 @@ func main() {
 		maxTrain     = flag.Int("max-inflight-train", 0, "concurrent refine requests admitted (0 = unlimited)")
 		maxIngest    = flag.Int("max-inflight-ingest", 0, "concurrent ingest/commit requests admitted (0 = unlimited)")
 		queueWait    = flag.Duration("queue-wait", server.DefaultQueueWait, "how long an over-limit request waits for an admission slot before it is shed with 503; negative sheds immediately without queueing")
-		annEnable    = flag.Bool("ann", false, "prune initial queries with an IVF-style centroid index (exact re-rank; refinement and small collections stay exhaustive)")
-		annClusters  = flag.Int("ann-clusters", 0, "k-means cells of the candidate index (0 = sqrt of the collection size)")
-		annNProbe    = flag.Int("ann-nprobe", 0, "nearest cells scanned per pruned query; higher = better recall, slower (0 = clusters/4)")
-		annMinColl   = flag.Int("ann-min-collection", retrieval.DefaultANNMinCollection, "collection size below which no index is built and queries scan exhaustively")
 	)
 	flag.Parse()
 
 	// What the command line can get wrong is diagnosed before the collection
 	// is read, not after, and whether or not -journal is given.
-	fsync, err := checkCommandLine(flag.Args(), *fsyncPolicy)
+	snapshotting := *journalPath != "" && *snapshotPath != ""
+	fsync, err := checkCommandLine(flag.Args(), *fsyncPolicy, snapshotting, *snapInterval, *journalMax)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cbirserver:", err)
 		fmt.Fprintln(os.Stderr, "usage: cbirserver [flags] (cbirserver -h lists them)")
@@ -137,12 +127,6 @@ func main() {
 	opts := retrieval.Options{
 		TrainWorkers:  *trainWorkers,
 		RefineTimeout: *trainTimeout,
-		ANN: retrieval.ANNOptions{
-			Enable:        *annEnable,
-			Clusters:      *annClusters,
-			NProbe:        *annNProbe,
-			MinCollection: *annMinColl,
-		},
 	}
 	if journal != nil {
 		opts.Journal = journal
@@ -156,7 +140,7 @@ func main() {
 	// Snapshot compaction keeps journal replay bounded; it needs both a
 	// snapshot to write and a journal to truncate.
 	var snapshotter *storage.Snapshotter
-	if journal != nil && *snapshotPath != "" {
+	if snapshotting {
 		snapshotter, err = storage.NewSnapshotter(journal, engine.SnapshotWith, storage.SnapshotterConfig{
 			SnapshotPath:    *snapshotPath,
 			Interval:        *snapInterval,
@@ -256,10 +240,15 @@ func main() {
 
 // checkCommandLine refuses positional arguments — every input is a flag, so
 // `cbirserver features.bin` would otherwise serve ./features.bin or fail on a
-// file the user never named — and parses -fsync.
-func checkCommandLine(args []string, fsyncPolicy string) (storage.FsyncPolicy, error) {
+// file the user never named — refuses a snapshotter neither of whose triggers
+// can fire (storage.NewSnapshotter's own condition, which main reaches only
+// after the collection is loaded and the journal replayed), and parses -fsync.
+func checkCommandLine(args []string, fsyncPolicy string, snapshotting bool, snapInterval time.Duration, journalMax int64) (storage.FsyncPolicy, error) {
 	if len(args) > 0 {
 		return 0, fmt.Errorf("unexpected argument %q: the collection is named with -features or -snapshot", args[0])
+	}
+	if snapshotting && snapInterval <= 0 && journalMax < 0 {
+		return 0, fmt.Errorf("-snapshot-interval %v with -journal-max-bytes %d: the snapshotter would never run; give one of them a positive value or drop -snapshot", snapInterval, journalMax)
 	}
 	return storage.ParseFsyncPolicy(fsyncPolicy)
 }

@@ -110,15 +110,31 @@ func TestDurabilityStatusSurfacesFaults(t *testing.T) {
 // TestCheckCommandLine: main runs this right after flag.Parse, before it
 // reads the collection. A mistyped -fsync used to be reported after the whole
 // collection was loaded, or never without -journal, and a positional argument
-// was ignored, so `cbirserver features.bin` served ./features.bin.
+// was ignored, so `cbirserver features.bin` served ./features.bin. A
+// snapshotter with both triggers disabled was refused by storage.NewSnapshotter
+// after the journal had been replayed.
 func TestCheckCommandLine(t *testing.T) {
-	if fsync, err := checkCommandLine(nil, "always"); err != nil || fsync != storage.FsyncAlways {
+	if fsync, err := checkCommandLine(nil, "always", true, 5*time.Minute, 0); err != nil || fsync != storage.FsyncAlways {
 		t.Errorf("-fsync always = %v, %v", fsync, err)
 	}
-	if _, err := checkCommandLine(nil, "alway"); err == nil || !strings.Contains(err.Error(), `"alway"`) {
+	if _, err := checkCommandLine(nil, "alway", false, 0, 0); err == nil || !strings.Contains(err.Error(), `"alway"`) {
 		t.Errorf("-fsync alway: error %v, want one naming the value", err)
 	}
-	if _, err := checkCommandLine([]string{"features.bin"}, "interval"); err == nil || !strings.Contains(err.Error(), `"features.bin"`) {
+	if _, err := checkCommandLine([]string{"features.bin"}, "interval", false, 0, 0); err == nil || !strings.Contains(err.Error(), `"features.bin"`) {
 		t.Errorf("positional argument: error %v, want one naming it", err)
+	}
+	if _, err := checkCommandLine(nil, "interval", true, 0, -1); err == nil || !strings.Contains(err.Error(), "never run") {
+		t.Errorf("-snapshot-interval 0 -journal-max-bytes -1: error %v, want the snapshotter refused", err)
+	}
+	// Either trigger alone is a snapshotter, and without one (no -journal or
+	// no -snapshot) the two flags are not read at all.
+	for _, ok := range []struct {
+		snapshotting bool
+		interval     time.Duration
+		maxBytes     int64
+	}{{true, time.Second, -1}, {true, 0, 0}, {false, 0, -1}} {
+		if _, err := checkCommandLine(nil, "interval", ok.snapshotting, ok.interval, ok.maxBytes); err != nil {
+			t.Errorf("checkCommandLine(%+v) = %v, want accepted", ok, err)
+		}
 	}
 }

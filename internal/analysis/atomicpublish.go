@@ -6,7 +6,7 @@ import (
 )
 
 // AtomicPublish enforces the atomic publish discipline behind the engine's
-// epoch/annState/refine-round pattern: state published with sync/atomic is
+// epoch/refine-round pattern: state published with sync/atomic is
 // read with sync/atomic, everywhere, always. A struct field that is ever
 // the operand of an atomic.LoadX/StoreX/AddX/SwapX/CompareAndSwapX call is
 // atomically published; any other read or write of that field in the same

@@ -20,6 +20,7 @@ var keptFields = map[string]string{
 	"internal/storage.JournalOptions.RetryAppends": "fault handling the server does not enable (README); whether it should is a robustness decision of its own, and bench/ reads JournalStats.AppendRetries",
 	"internal/storage.JournalOptions.RetryBackoff": "the wait of RetryAppends' loop, kept with it",
 	"internal/storage.JournalOptions.WrapFile":     "the fault-injection seam: internal/faultinject interposes failing writes and fsyncs through it, which no program may",
+	"internal/kernel.CentroidConfig.Clusters":      "the serving lane that set it is gone (PR 21) and bench/ builds its index with CentroidConfig{}; it waits with the rest of kernel/ivf.go, whose tests and TestANNRecallMatrix's narrow row set it, for the deleting PR that follows the benchmark PR (ROADMAP item 2)",
 	"internal/eval.Config.LabeledPerQuery":         "20 in both paper profiles, but the golden MAPs of internal/eval were recorded judging 15 images per query: deleting it re-pins them",
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"lrfcsvm/internal/kernel"
@@ -176,5 +177,49 @@ func TestLRFCSVMDeterministic(t *testing.T) {
 	}
 	if !linalg.Vector(a).Equal(linalg.Vector(b), 1e-12) {
 		t.Error("LRF-CSVM is not deterministic for identical input")
+	}
+}
+
+// TestLRFCSVMWithNothingToDraftIsLRF2SVMs: when every image is judged, step 1
+// has no unlabeled image to draft, the coupled problem is the two independent
+// labeled-only SVMs, and the retrieval pass is LRF-2SVMs' — same two models,
+// same scorer, same query prior — so the two schemes must agree to the bit.
+// A difference is a plumbing defect between the schemes, not a tolerance.
+func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
+	col := makeCollection(t, 3, 8, 20, 0.05, 71)
+	n := len(col.visual)
+	for _, query := range []int{0, 9, 22} {
+		ctx := col.queryContext(query, n)
+		if _, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
+			t.Fatal(err)
+		} else if len(coupled.UnlabeledLabels) != 0 {
+			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, len(coupled.UnlabeledLabels))
+		}
+		want, err := LRF2SVMs{}.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LRFCSVM{}.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("query %d image %d: LRF-CSVM scores %v, LRF-2SVMs %v", query, i, got[i], want[i])
+			}
+		}
+		wantTop, err := LRF2SVMs{}.RankTop(ctx, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTop, err := LRFCSVM{}.RankTop(ctx, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantTop {
+			if gotTop[i].Index != wantTop[i].Index || math.Float64bits(gotTop[i].Score) != math.Float64bits(wantTop[i].Score) {
+				t.Fatalf("query %d rank %d: LRF-CSVM %+v, LRF-2SVMs %+v", query, i, gotTop[i], wantTop[i])
+			}
+		}
 	}
 }

@@ -268,9 +268,11 @@ func TestIntegrationSchemeOrdering(t *testing.T) {
 	if csvm.MAP <= rf.MAP {
 		t.Errorf("LRF-CSVM MAP %.3f not above RF-SVM %.3f", csvm.MAP, rf.MAP)
 	}
-	// The two log-based schemes must be in the same league (the paper ranks
-	// LRF-CSVM first; on the synthetic substrate they are statistically
-	// close — see EXPERIMENTS.md).
+	// The two log-based schemes must be in the same league. The paper ranks
+	// LRF-CSVM first; on the synthetic substrate LRF-2SVMs ranks first at the
+	// paper's scale (Tables 1-2 in EXPERIMENTS.md "PR 21": MAP 0.73 against
+	// 0.71 and 0.57 against 0.50), and which ordering to assert is ROADMAP
+	// item 1's verdict, not this bound's.
 	if csvm.MAP < two.MAP-0.08 {
 		t.Errorf("LRF-CSVM MAP %.3f far below LRF-2SVMs %.3f", csvm.MAP, two.MAP)
 	}

@@ -56,10 +56,6 @@ type Options struct {
 	// published — readers keep the previous good ranking. Zero means no
 	// limit.
 	RefineTimeout time.Duration
-	// ANN configures approximate candidate generation for initial queries:
-	// IVF-style centroid pruning with exact re-ranking (see ann.go). The
-	// zero value keeps every query exhaustive.
-	ANN ANNOptions
 	// Journal is an optional durability sink (typically *storage.Journal):
 	// every committed feedback session and every ingested image batch is
 	// appended to it before the in-memory state mutates, under the same
@@ -128,20 +124,12 @@ type Engine struct {
 	trainSem       chan struct{}
 	pendingRefines atomic.Int64
 
-	// baseCtx parents every asynchronous refinement round and every
-	// background ANN index rebuild; Close cancels it so background work
-	// stops promptly at shutdown. closed makes further RefineAsync
-	// submissions fail fast.
+	// baseCtx parents every asynchronous refinement round; Close cancels it
+	// so background work stops promptly at shutdown. closed makes further
+	// RefineAsync submissions fail fast.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	closed     atomic.Bool
-
-	// ann is the current candidate-generation index generation (nil until
-	// the first build); annBuilding serializes background rebuilds and
-	// annRebuilds counts published builds. See ann.go.
-	ann         atomic.Pointer[annState]
-	annBuilding atomic.Bool
-	annRebuilds atomic.Int64
 }
 
 // NewEngine builds an engine over a collection of visual descriptors and an
@@ -170,9 +158,6 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if opts.TrainWorkers <= 0 {
 		opts.TrainWorkers = DefaultTrainWorkers
 	}
-	if opts.ANN.MinCollection <= 0 {
-		opts.ANN.MinCollection = DefaultANNMinCollection
-	}
 	batch := core.NewCollectionBatch(visual)
 	// The store has just computed every squared row norm, so checking them
 	// costs no second pass over the data.
@@ -188,13 +173,6 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	//cbirlint:ignore ctxflow engine lifecycle root: baseCtx parents all background work and Close cancels it
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	e.cur.Store(&epoch{seq: 1, visual: visual, batch: batch})
-	// Build the initial candidate-generation index synchronously so a
-	// pruning-enabled engine never serves a cold start with a worse plan
-	// than it was configured for; later growth folds in via background
-	// rebuilds (maybeRebuildANN).
-	if opts.ANN.Enable && len(visual) >= opts.ANN.MinCollection {
-		e.rebuildANN()
-	}
 	return e, nil
 }
 
@@ -226,6 +204,21 @@ func (e *Engine) NumShards() int { return e.cur.Load().batch.VisualSet().NumShar
 
 // Dim returns the dimensionality of the collection's visual descriptors.
 func (e *Engine) Dim() int { return e.cur.Load().batch.VisualSet().Dim() }
+
+// CollectionStats describes one collection epoch.
+type CollectionStats struct {
+	Images, Dim, Shards int
+	Epoch               int64
+}
+
+// Collection describes the current epoch from a single load, so the four
+// numbers belong together even while an ingestion publishes the next one —
+// which NumImages, Dim, NumShards and Epoch called in turn do not guarantee.
+func (e *Engine) Collection() CollectionStats {
+	ep := e.cur.Load()
+	set := ep.batch.VisualSet()
+	return CollectionStats{Images: len(ep.visual), Dim: set.Dim(), Shards: set.NumShards(), Epoch: ep.seq}
+}
 
 // NumLogSessions returns the number of feedback sessions accumulated so far.
 func (e *Engine) NumLogSessions() int {
@@ -305,10 +298,6 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	visual := append(old.visual, added...)
 	e.log.GrowImages(len(added))
 	e.cur.Store(&epoch{seq: old.seq + 1, visual: visual, batch: old.batch.Grow(visual)})
-	// The new images land in the unindexed tail of the pruned query path
-	// (always scanned exactly); fold them into the index in the background
-	// once the tail is worth it.
-	e.maybeRebuildANN()
 	return first, nil
 }
 
@@ -400,11 +389,7 @@ func (e *Engine) initialQuery(stdctx context.Context, ep *epoch, query, k int) (
 		Batch:  ep.batch,
 		Ctx:    e.withCloseAware(stdctx),
 	}
-	// IVF candidates when a live index covers this epoch, else every shard.
-	// The pruned pass considers only the probed cells' members plus the
-	// always-exact unindexed tail; every considered image is scored with
-	// the exhaustive pass's arithmetic (see ann.go for the contract).
-	ranked, err := core.Euclidean{}.RankTopCandidates(ctx, e.annCandidates(ep, query), k, nil)
+	ranked, err := core.Euclidean{}.RankTopAppend(ctx, k, nil)
 	if err != nil {
 		return nil, err
 	}

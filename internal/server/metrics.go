@@ -229,16 +229,6 @@ func (s *Server) registerStackMetrics() {
 		metrics.Labels{{Name: "backend", Value: kernel.Backend()}},
 		func() float64 { return 1 })
 
-	// Candidate-generation index, present when pruning is enabled.
-	if ann := engine.ANNStats(); ann.Enabled {
-		r.GaugeFunc("cbir_ann_indexed_images", "Images covered by the live candidate-generation index.", nil,
-			func() float64 { return float64(engine.ANNStats().IndexedImages) })
-		r.GaugeFunc("cbir_ann_tail_images", "Images in the always-scanned unindexed tail.", nil,
-			func() float64 { return float64(engine.ANNStats().TailImages) })
-		r.CounterFunc("cbir_ann_rebuilds_total", "Index generations published since start.", nil,
-			func() int64 { return engine.ANNStats().Rebuilds })
-	}
-
 	// Durability, present when a journal is attached (same source as the
 	// "durability" section of /api/status).
 	if s.cfg.Durability != nil {

@@ -660,24 +660,9 @@ type StatusResponse struct {
 	// Durability is present when the server runs with a journal attached
 	// (Config.Durability).
 	Durability *DurabilityStatus `json:"durability,omitempty"`
-	// ANN is present when the engine runs with approximate candidate
-	// generation enabled (retrieval.Options.ANN.Enable).
-	ANN *ANNStatus `json:"ann,omitempty"`
 	// KernelBackend is the active compute backend of the scoring kernels
 	// (see internal/kernel: "unrolled" or "avx2").
 	KernelBackend string `json:"kernel_backend"`
-}
-
-// ANNStatus is the candidate-generation index section of GET /api/status,
-// mirroring retrieval.ANNStats: how much of the collection the live index
-// covers, how wide queries probe, and how many index generations have been
-// published since startup.
-type ANNStatus struct {
-	Clusters      int   `json:"clusters"`
-	NProbe        int   `json:"nprobe"`
-	IndexedImages int   `json:"indexed_images"`
-	TailImages    int   `json:"tail_images"`
-	Rebuilds      int64 `json:"rebuilds"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -685,11 +670,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
+	coll := s.engine.Collection()
 	resp := StatusResponse{
-		Images:         s.engine.NumImages(),
-		Dim:            s.engine.Dim(),
-		Shards:         s.engine.NumShards(),
-		Epoch:          s.engine.Epoch(),
+		Images:         coll.Images,
+		Dim:            coll.Dim,
+		Shards:         coll.Shards,
+		Epoch:          coll.Epoch,
 		LogSessions:    s.engine.NumLogSessions(),
 		ActiveSessions: s.numSessions(),
 		PendingRefines: s.engine.PendingRefines(),
@@ -702,15 +688,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Durability != nil {
 		d := s.cfg.Durability()
 		resp.Durability = &d
-	}
-	if ann := s.engine.ANNStats(); ann.Enabled {
-		resp.ANN = &ANNStatus{
-			Clusters:      ann.Clusters,
-			NProbe:        ann.NProbe,
-			IndexedImages: ann.IndexedImages,
-			TailImages:    ann.TailImages,
-			Rebuilds:      ann.Rebuilds,
-		}
 	}
 	resp.KernelBackend = kernel.Backend()
 	writeJSON(w, http.StatusOK, resp)

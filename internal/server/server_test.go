@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -98,6 +99,51 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if status.Images != 36 || status.LogSessions != 15 {
 		t.Errorf("status = %+v", status)
+	}
+}
+
+// TestStatusIsOneEpoch: /api/status read images, dim, shards and epoch with a
+// load of the current epoch each, so a status answered while an ingestion
+// published could pair one epoch's image count with the next one's sequence
+// number and shard count. Fixed-size batches make the three a function of one
+// another, which every response must satisfy whatever epoch it describes.
+func TestStatusIsOneEpoch(t *testing.T) {
+	_, _, engine, s := testServerFull(t, Config{})
+	const batch, batches = 64, 2000 // 128,036 images: the shard count changes every 32nd epoch
+	n0 := engine.NumImages()
+	rows := make([]linalg.Vector, batch)
+	for i := range rows {
+		rows[i] = linalg.Vector{float64(i), 1}
+	}
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		for i := 0; i < batches; i++ {
+			if _, err := engine.AddImages(context.Background(), rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	handler := s.Handler()
+	for polling := true; polling; {
+		select {
+		case <-ingested:
+			polling = false // one more poll, of the final epoch
+		default:
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/status", nil))
+		var st StatusResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if want := n0 + int(st.Epoch-1)*batch; st.Images != want {
+			t.Fatalf("status pairs %d images with epoch %d, which has %d", st.Images, st.Epoch, want)
+		}
+		if want := (st.Images + kernel.DefaultShardSize - 1) / kernel.DefaultShardSize; st.Shards != want {
+			t.Fatalf("status pairs %d shards with %d images, which fill %d", st.Shards, st.Images, want)
+		}
 	}
 }
 
