@@ -3,23 +3,26 @@ package kernel
 // The fused distance+RBF-exp pass over DenseSet rows (RBF.AccumulateSet) is
 // the single dominant kernel of the SVM ranking path. It has one
 // implementation, the tile driver blockAccumulateRBF, parameterised only by
-// the two row-dot routines it calls: Go-assembly AVX2 kernels where the
-// build and the CPU have them (amd64 without the purego tag, hasAVX2), the
-// four-way-unrolled pure-Go kernels everywhere else. The assembly reproduces
-// the Go four-accumulator summation pattern lane for lane and the exp lanes
-// are the same Go code, so both are bit-identical to the straight-line
-// reference loop the parity tests keep (accumulateRBFScalar) — no ULP
-// tolerance is needed or permitted.
+// the three routines it calls — the two row dots and the exponential over a
+// tile column: Go-assembly AVX2 routines where the build and the CPU have
+// them (amd64 without the purego tag, hasAVX2), the four-way-unrolled
+// pure-Go routines everywhere else. The assembly reproduces the Go
+// four-accumulator summation pattern lane for lane and evaluates expOne's
+// arithmetic in expOne's order four elements at a time, one correctly
+// rounded instruction per Go operation and no fused multiply-add, so both
+// are bit-identical to the straight-line reference loop the parity tests
+// keep (accumulateRBFScalar) — no ULP tolerance is needed or permitted.
 
-// dotKernels is one pair of row-dot routines and the name Backend reports
-// for it.
+// dotKernels is one backend: the two row-dot routines, the in-place
+// exponential, and the name Backend reports for them.
 type dotKernels struct {
 	name string
 	pair dotPairRowsFunc
 	one  dotRowsFunc
+	exp  func(v []float64)
 }
 
-var goKernels = dotKernels{name: "unrolled", pair: dotPairRowsGo, one: dotRowsGo}
+var goKernels = dotKernels{name: "unrolled", pair: dotPairRowsGo, one: dotRowsGo, exp: expLanes}
 
 // activeKernels is what AccumulateSet runs on, fixed once at package
 // initialisation from the build constraints and the CPU; nothing sets it
@@ -31,8 +34,8 @@ var activeKernels = func() dotKernels {
 	return goKernels
 }()
 
-// Backend reports which dot kernels the scoring scans run on: "avx2" (the
-// assembly kernels) or "unrolled" (the pure-Go kernels). Read-only; GET
+// Backend reports which kernels the scoring scans run on: "avx2" (the
+// assembly dots and exponential) or "unrolled" (the pure-Go ones). Read-only; GET
 // /api/status, cbir_kernel_backend_info and the benchmark reports surface it.
 func Backend() string {
 	return activeKernels.name
@@ -55,11 +58,11 @@ const rbfBlockRows = 64
 // blockAccumulateRBF is the tile driver behind RBF.AccumulateSet. Per row it
 // performs exactly the arithmetic of the reference loop in exactly its
 // accumulation order — four-accumulator dots combined as ((s0+s1)+s2)+s3,
-// norm expansion with clamp, per-lane Cephes exp, and coefficient pairs
-// folded as (dst + cA*eA) + cB*eB — structured so each row tile is scored
-// against all support vectors while hot and the exponentials run over whole
-// lanes.
-func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
+// norm expansion with clamp, per-element Cephes exp (expOne), and coefficient
+// pairs folded as (dst + cA*eA) + cB*eB — structured so each row tile is
+// scored against all support vectors while hot and the exponentials run over
+// whole tile columns.
+func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
 	n := svs.Len()
 	rows := xs.Len()
 	cols := xs.mat.Cols
@@ -75,7 +78,7 @@ func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64,
 		out := dst[base : base+blk]
 		t := 0
 		for ; t+2 <= n; t += 2 {
-			dotPair(mat, blk, cols, svData[t*cols:(t+1)*cols], svData[(t+1)*cols:(t+2)*cols], dA[:blk], dB[:blk])
+			k.pair(mat, blk, cols, svData[t*cols:(t+1)*cols], svData[(t+1)*cols:(t+2)*cols], dA[:blk], dB[:blk])
 			nA, nB := svs.norms[t], svs.norms[t+1]
 			for j := 0; j < blk; j++ {
 				a := xn[j] + nA - 2*dA[j]
@@ -89,8 +92,8 @@ func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64,
 				dA[j] = -gamma * a
 				dB[j] = -gamma * b
 			}
-			expLanes(dA[:blk])
-			expLanes(dB[:blk])
+			k.exp(dA[:blk])
+			k.exp(dB[:blk])
 			cA, cB := coefs[t], coefs[t+1]
 			for j := 0; j < blk; j++ {
 				s := out[j] + cA*dA[j]
@@ -98,7 +101,7 @@ func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64,
 			}
 		}
 		if t < n {
-			dot(mat, blk, cols, svData[t*cols:(t+1)*cols], dA[:blk])
+			k.one(mat, blk, cols, svData[t*cols:(t+1)*cols], dA[:blk])
 			nA, cA := svs.norms[t], coefs[t]
 			for j := 0; j < blk; j++ {
 				a := xn[j] + nA - 2*dA[j]
@@ -107,7 +110,7 @@ func blockAccumulateRBF(dotPair dotPairRowsFunc, dot dotRowsFunc, gamma float64,
 				}
 				dA[j] = -gamma * a
 			}
-			expLanes(dA[:blk])
+			k.exp(dA[:blk])
 			for j := 0; j < blk; j++ {
 				out[j] += cA * dA[j]
 			}

@@ -169,3 +169,105 @@ onecombine:
 onedone:
 	VZEROUPPER
 	RET
+
+// expTableAVX2 holds expQuadsAVX2's constants as float64 bit patterns:
+// expLog2E, expC1, expC2, expP[0..2], expQ[0..3] of exp.go in that order,
+// then 0.5, 1, expWindow, the sign-clearing mask and the exponent bias.
+// TestExpConstantsMatchAssemblyTable holds it to the Go constants.
+DATA ·expTableAVX2+0(SB)/8, $0x3ff71547652b82fe   // expLog2E
+DATA ·expTableAVX2+8(SB)/8, $0x3fe62e4000000000   // expC1
+DATA ·expTableAVX2+16(SB)/8, $0x3eb7f7d1cf79abca  // expC2
+DATA ·expTableAVX2+24(SB)/8, $0x3f2089cdd5e44be8  // expP[0]
+DATA ·expTableAVX2+32(SB)/8, $0x3f9f06d10cca2c7e  // expP[1]
+DATA ·expTableAVX2+40(SB)/8, $0x3ff0000000000000  // expP[2]
+DATA ·expTableAVX2+48(SB)/8, $0x3ec92eb6bc365fa0  // expQ[0]
+DATA ·expTableAVX2+56(SB)/8, $0x3f64ae39b508b6c0  // expQ[1]
+DATA ·expTableAVX2+64(SB)/8, $0x3fcd17099887e074  // expQ[2]
+DATA ·expTableAVX2+72(SB)/8, $0x4000000000000000  // expQ[3]
+DATA ·expTableAVX2+80(SB)/8, $0x3fe0000000000000  // 0.5
+DATA ·expTableAVX2+88(SB)/8, $0x3ff0000000000000  // 1
+DATA ·expTableAVX2+96(SB)/8, $0x4085e00000000000  // expWindow
+DATA ·expTableAVX2+104(SB)/8, $0x7fffffffffffffff // |x| mask
+DATA ·expTableAVX2+112(SB)/8, $1023               // exponent bias
+GLOBL ·expTableAVX2(SB), RODATA|NOPTR, $120
+
+// func expQuadsAVX2(v *float64, quads int) int
+//
+// Replaces consecutive groups of four float64 at v by their exponentials and
+// returns how many groups it did: all quads of them, or fewer when it stopped
+// in front of a group holding a NaN or an element outside
+// [-expWindow, expWindow], which it leaves untouched for the caller's expOne.
+// Each vector lane is expOne's arithmetic in expOne's order, one correctly
+// rounded IEEE instruction per Go operation: no FMA, no reassociation, no
+// approximate reciprocal. In the window n is in [-1010, 1010], so 2^n is
+// built from its exponent bits and applied with one multiply.
+TEXT ·expQuadsAVX2(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), SI
+	MOVQ quads+8(FP), CX
+	XORQ AX, AX            // groups done
+	TESTQ CX, CX
+	JLE  expdone
+	VBROADCASTSD ·expTableAVX2+104(SB), Y15 // |x| mask
+	VBROADCASTSD ·expTableAVX2+96(SB), Y14  // expWindow
+	VBROADCASTSD ·expTableAVX2+0(SB), Y13   // expLog2E
+	VBROADCASTSD ·expTableAVX2+80(SB), Y12  // 0.5
+	VBROADCASTSD ·expTableAVX2+8(SB), Y11   // expC1
+	VBROADCASTSD ·expTableAVX2+16(SB), Y10  // expC2
+	VBROADCASTSD ·expTableAVX2+24(SB), Y9   // expP[0]
+	VBROADCASTSD ·expTableAVX2+32(SB), Y8   // expP[1]
+	VBROADCASTSD ·expTableAVX2+40(SB), Y7   // expP[2]
+	VBROADCASTSD ·expTableAVX2+48(SB), Y6   // expQ[0]
+	// The five constants that have no register left are broadcast where
+	// they are used, into Y1 once k is dead.
+
+	PCALIGN $32
+expquad:
+	VMOVUPD (SI), Y0           // x
+	VANDPD  Y15, Y0, Y1        // |x|
+	VCMPPD  $2, Y14, Y1, Y2    // |x| <= expWindow, ordered: false for NaN
+	VMOVMSKPD Y2, DX
+	CMPL    DX, $15
+	JNE     expdone
+	VMULPD  Y13, Y0, Y1        // expLog2E*x
+	VADDPD  Y12, Y1, Y1        // + 0.5
+	VROUNDPD $9, Y1, Y1        // k = Floor(...)
+	VCVTTPD2DQY Y1, X2         // n = int(k), exact
+	VMULPD  Y11, Y1, Y3
+	VSUBPD  Y3, Y0, Y0         // x -= k*expC1
+	VMULPD  Y10, Y1, Y3
+	VSUBPD  Y3, Y0, Y0         // x -= k*expC2
+	VMULPD  Y0, Y0, Y3         // xx
+	VMULPD  Y9, Y3, Y4
+	VADDPD  Y8, Y4, Y4
+	VMULPD  Y3, Y4, Y4
+	VADDPD  Y7, Y4, Y4
+	VMULPD  Y0, Y4, Y4         // p = x*((P0*xx+P1)*xx+P2)
+	VMULPD  Y6, Y3, Y5
+	VBROADCASTSD ·expTableAVX2+56(SB), Y1
+	VADDPD  Y1, Y5, Y5
+	VMULPD  Y3, Y5, Y5
+	VBROADCASTSD ·expTableAVX2+64(SB), Y1
+	VADDPD  Y1, Y5, Y5
+	VMULPD  Y3, Y5, Y5
+	VBROADCASTSD ·expTableAVX2+72(SB), Y1
+	VADDPD  Y1, Y5, Y5         // q = ((Q0*xx+Q1)*xx+Q2)*xx+Q3
+	VSUBPD  Y4, Y5, Y5         // q-p
+	VDIVPD  Y5, Y4, Y4         // p/(q-p)
+	VADDPD  Y4, Y4, Y4         // 2*(...), exact either way
+	VBROADCASTSD ·expTableAVX2+88(SB), Y1
+	VADDPD  Y1, Y4, Y4         // 1 + ...
+	VPMOVSXDQ X2, Y2
+	VPBROADCASTQ ·expTableAVX2+112(SB), Y1
+	VPADDQ  Y1, Y2, Y2
+	VPSLLQ  $52, Y2, Y2        // bits of 2^n
+	VMULPD  Y2, Y4, Y4
+	VMOVUPD Y4, (SI)
+	ADDQ    $32, SI
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     expquad
+
+expdone:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET

@@ -29,7 +29,7 @@ type accumulateFunc func(gamma float64, coefs []float64, svs, xs *DenseSet, dst 
 // tiled binds the tile driver to one dot-kernel pair.
 func tiled(k dotKernels) accumulateFunc {
 	return func(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
-		blockAccumulateRBF(k.pair, k.one, gamma, coefs, svs, xs, dst)
+		blockAccumulateRBF(k, gamma, coefs, svs, xs, dst)
 	}
 }
 
@@ -103,6 +103,72 @@ func TestBackendParity(t *testing.T) {
 					checkParity(t, fmt.Sprintf("%s dim=%d nsv=%d rows=%d", k.name, dim, nsv, rows), got, want)
 				}
 			}
+		}
+	}
+
+	// Far rows: the cases above never leave the exponential's window. Here
+	// gamma = 1 and the rows sit at chosen squared distances from the first
+	// support vector, eight rows inside the window, eight beyond it and
+	// eight alternating, over two tiles and a 7-row tail, so one tile column
+	// holds quads the vector routine takes whole, quads it must hand to
+	// expOne and resume after, and both kinds of neighbour; the second
+	// support vector is 20 away from the first, so the two columns of one
+	// pair disagree about which rows are in the window. The scores start
+	// from zero, not from a bias that would absorb the last bits of e^-600.
+	const dim, gamma, rows = 36, 1.0, 2*rbfBlockRows + 7
+	sv0 := backendVectors(rng, 1, dim)[0]
+	away := func(r2 float64) linalg.Vector {
+		u := backendVectors(rng, 1, dim)[0]
+		u.ScaleInPlace(math.Sqrt(r2 / u.Dot(u)))
+		for d := range u {
+			u[d] += sv0[d]
+		}
+		return u
+	}
+	svVecs := []linalg.Vector{sv0, away(400), away(1e6), away(2), away(90)}
+	rowVecs := make([]linalg.Vector, rows)
+	for j := range rowVecs {
+		in := j%24 < 8 || j%24 >= 16 && (j+j/24)%2 == 0
+		if in {
+			rowVecs[j] = away(1 + 689*rng.Float64())
+		} else {
+			rowVecs[j] = away(710 + 2000*rng.Float64())
+		}
+	}
+	inWindow := func(sv linalg.Vector, j int) bool { return gamma*rowVecs[j].SquaredDistance(sv) <= expWindow }
+	var whole, none, mixed, disagree int
+	for j := 0; j+4 <= rbfBlockRows; j += 4 {
+		n := 0
+		for l := 0; l < 4; l++ {
+			if inWindow(svVecs[0], j+l) {
+				n++
+			}
+			if inWindow(svVecs[0], j+l) != inWindow(svVecs[1], j+l) {
+				disagree++
+			}
+		}
+		switch n {
+		case 4:
+			whole++
+		case 0:
+			none++
+		default:
+			mixed++
+		}
+	}
+	if whole == 0 || none == 0 || mixed == 0 || disagree == 0 {
+		t.Fatalf("far rows: first tile has %d quads in the window, %d outside, %d mixed and %d rows the pair disagrees on; want some of each", whole, none, mixed, disagree)
+	}
+	xs := NewDenseSet(rowVecs)
+	for _, nsv := range []int{2, 3, 5} {
+		svs := NewDenseSet(svVecs[:nsv])
+		coefs := randomCoefs(rng, nsv)
+		want := make([]float64, rows)
+		accumulateRBFScalar(gamma, coefs, svs, xs, want)
+		for _, k := range kernelsUnderTest() {
+			got := make([]float64, rows)
+			blockAccumulateRBF(k, gamma, coefs, svs, xs, got)
+			checkParity(t, fmt.Sprintf("%s far rows nsv=%d", k.name, nsv), got, want)
 		}
 	}
 }
@@ -213,5 +279,38 @@ func TestBackendParitySharded(t *testing.T) {
 				checkParity(t, fmt.Sprintf("%s shards=%d workers=%d", k.name, numShards, workers), got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkBackends times, per backend, the exponential over one tile column
+// of scan-like arguments (ns/elem) and the whole tile driver over a
+// 4,096 × 36 range against 30 support vectors (ns/row·sv): the two numbers
+// kernel.accumulate_ns_per_row_sv of the benchmark of record is made of.
+func BenchmarkBackends(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const dim, nsv, rows = 36, 30, 4096
+	svs := NewDenseSet(backendVectors(rng, nsv, dim))
+	xs := NewDenseSet(backendVectors(rng, rows, dim))
+	coefs := randomCoefs(rng, nsv)
+	dst := make([]float64, rows)
+	args := make([]float64, rbfBlockRows)
+	col := make([]float64, rbfBlockRows)
+	for i := range args {
+		args[i] = -60 * rng.Float64()
+	}
+	for _, k := range kernelsUnderTest() {
+		b.Run(k.name+"/exp", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(col, args)
+				k.exp(col)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(col)), "ns/elem")
+		})
+		b.Run(k.name+"/accumulate", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				blockAccumulateRBF(k, 1.0/dim, coefs, svs, xs, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*nsv), "ns/row·sv")
+		})
 	}
 }

@@ -414,13 +414,14 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 }
 
 // AccumulateSet adds coefs[t]*K(svs_t, xs_j) for every support vector t to
-// dst[j] through the tile driver of backend.go, on the dot kernels picked
-// at package initialisation. Both kernel pairs perform the same
-// floating-point operations in the same order — four-way-accumulator dots
-// combined as ((s0+s1)+s2)+s3, the norm expansion of EvalSet, the Cephes
-// fast exponential, and coefficient pairs folded in support-vector order —
-// so the result is bit-identical on every build and CPU (the parity tests
-// pin both against the straight-line reference loop). The fast
+// dst[j] through the tile driver of backend.go, on the three routines (pair
+// dot, single dot, exponential) picked at package initialisation. Both
+// backends perform the same floating-point operations in the same order —
+// four-way-accumulator dots combined as ((s0+s1)+s2)+s3, the norm expansion
+// of EvalSet, the Cephes fast exponential expOne, and coefficient pairs
+// folded in support-vector order — so the result is bit-identical on every
+// build and CPU (the parity tests pin both against the straight-line
+// reference loop). The fast
 // exponential is within ~2 ulp of math.Exp, so each accumulated score
 // matches the per-SV math.Exp path to O(1e-15) relative error
 // (EXPERIMENTS.md records the reported MAP metrics unchanged). Callers
@@ -433,7 +434,7 @@ func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
 		panic(fmt.Sprintf("kernel: AccumulateSet dimension mismatch %d != %d", svs.Dim(), xs.Dim()))
 	}
 	checkBatch(xs.Len(), len(dst))
-	blockAccumulateRBF(activeKernels.pair, activeKernels.one, k.Gamma, coefs, svs, xs, dst)
+	blockAccumulateRBF(activeKernels, k.Gamma, coefs, svs, xs, dst)
 }
 
 // GramSet computes the Gram matrix of a dense set through the batched row

@@ -145,7 +145,7 @@ func TestDenseSetSlice(t *testing.T) {
 	}
 }
 
-// TestFastExpAccuracy bounds the fast paired exponential against math.Exp
+// TestFastExpAccuracy bounds the fast exponential against math.Exp
 // over the argument range the RBF scoring path produces, and checks the
 // extreme ranges delegate to math.Exp exactly.
 func TestFastExpAccuracy(t *testing.T) {
@@ -156,11 +156,6 @@ func TestFastExpAccuracy(t *testing.T) {
 		got := expOne(x)
 		if relErr(got, want) > 5e-15 {
 			t.Fatalf("expOne(%v) = %v, want %v", x, got, want)
-		}
-		a, b := x, rng.Range(-120, 5)
-		ga, gb := exp2(a, b)
-		if relErr(ga, math.Exp(a)) > 5e-15 || relErr(gb, math.Exp(b)) > 5e-15 {
-			t.Fatalf("exp2(%v,%v) = (%v,%v)", a, b, ga, gb)
 		}
 	}
 	for _, x := range []float64{-1e6, -750, 710, 1e6, math.Inf(-1), math.Inf(1), math.NaN()} {

@@ -12,23 +12,29 @@
 //
 // RBF.AccumulateSet, the fused distance+exp pass every SVM scoring scan
 // runs on, has one implementation: a tile driver (64-row blocks so row data
-// stays L1-resident across support-vector passes, exponentials batched
-// through expLanes instead of per-element math.Exp calls) over a pair of
-// row-dot routines. The pair is fixed once at package initialisation from
-// what the code can observe: Go assembly when the build is amd64 without the
-// purego tag and runtime CPU detection (AVX2 + OS XSAVE support) passes,
-// four-accumulator eight-wide unrolled pure Go otherwise. Backend() names
-// the pair that runs ("avx2" or "unrolled") and is surfaced in GET
-// /api/status as "kernel_backend"; it cannot be set.
+// stays L1-resident across support-vector passes, exponentials batched over
+// a whole tile column instead of per-element math.Exp calls) over three
+// routines — the row dot against a pair of support vectors, the row dot
+// against one, and the in-place exponential. The three are fixed once at
+// package initialisation from what the code can observe: Go assembly when
+// the build is amd64 without the purego tag and runtime CPU detection (AVX2
+// + OS XSAVE support) passes; otherwise pure Go, four-accumulator
+// eight-wide unrolled dots and four interleaved scalar exponential lanes
+// (expLanes). Backend() names the set that runs ("avx2" or "unrolled") and
+// is surfaced in GET /api/status as "kernel_backend"; it cannot be set.
 //
-// Both pairs are held to the same contract: bit-identical float64 results
+// Both sets are held to the same contract: bit-identical float64 results
 // to the straight-line reference loop kept with the parity tests, on every
 // input, including NaN/Inf propagation — not a ULP tolerance. The
 // four-accumulator summation pattern (lane l sums elements with index ≡ l
 // mod 4, tail into lane 0, combined as ((s0+s1)+s2)+s3) is part of the
 // contract, so wider unrolls and the assembly must preserve each
-// accumulator's addend sequence. Training solvers keep calling math.Exp
-// directly so solver trajectories stay bit-exact on every build and CPU.
+// accumulator's addend sequence; so is expOne, the scalar Cephes
+// exponential: the assembly performs its operations in its order, one
+// correctly rounded instruction each and no fused multiply-add, and hands
+// any quad holding a NaN or an argument outside [-700, 700] back to it.
+// Training solvers keep calling math.Exp directly so solver trajectories
+// stay bit-exact on every build and CPU.
 //
 // # Quantized sets
 //

@@ -4,21 +4,30 @@ import "math"
 
 // Fast exponential for the batched RBF scoring path.
 //
-// math.Exp is a single-value assembly routine with ~20ns latency that the
-// scoring loops would call once per (support vector, image) pair, making it
-// the dominant cost of an RBF ranking pass. expLanes evaluates four
-// exponentials at a time with the classic Cephes rational approximation (the
-// same algorithm vectorized math libraries use), interleaved so the divisions
-// and polynomial chains overlap in the pipeline. Maximum error is ~2 ulp (~4e-16 relative),
-// the same order as the norm-expansion drift of the batch path; training
-// paths keep math.Exp so solver results stay bit-exact. Arguments outside
-// [-700, 700] (and NaN) delegate to math.Exp for correct underflow,
-// overflow and special-case handling.
+// math.Exp is a single-value routine with ~20ns latency that the scoring
+// loops would call once per (support vector, image) pair, making it the
+// dominant cost of an RBF ranking pass. expOne is the classic Cephes rational
+// approximation (the algorithm vectorized math libraries use) and defines
+// what a tile computes per element; every backend's exp routine is
+// bit-identical to element-wise expOne. Two evaluate it four elements at a
+// time: expLanes, four interleaved scalar Go lanes so the divisions and
+// polynomial chains overlap in the pipeline (the purego, non-AVX2 and
+// non-amd64 lane), and expQuadsAVX2 (backend_avx2_amd64.s), the same
+// operations in the same order in four-wide vector instructions. Maximum
+// error is ~2 ulp (~4e-16 relative), the same order as the norm-expansion
+// drift of the batch path; training paths keep math.Exp so solver results
+// stay bit-exact. Arguments outside [-expWindow, expWindow] (and NaN)
+// delegate to math.Exp for correct underflow, overflow and special-case
+// handling.
 
 const (
 	expLog2E = 1.4426950408889634073599 // 1/ln(2)
 	expC1    = 6.93145751953125e-1      // high part of ln(2), Cody-Waite
 	expC2    = 1.42860682030941723212e-6
+
+	// expWindow bounds the arguments the Cephes evaluation takes; math.Exp
+	// answers outside it.
+	expWindow = 700
 )
 
 var (
@@ -36,11 +45,15 @@ var (
 )
 
 // expOne is the scalar Cephes exponential: the arithmetic of one expLanes
-// lane, and its fallback for tails and out-of-range quads.
+// lane and of one vector lane of expQuadsAVX2, and their fallback for tails
+// and out-of-window quads.
 func expOne(x float64) float64 {
-	if x != x || x > 700 || x < -700 {
+	if x != x || x > expWindow || x < -expWindow {
 		return math.Exp(x)
 	}
+	// Inside the window n is in [-1010, 1010], so 2^n is a normal float64
+	// whose bits are (n+1023)<<52 and the scaling below is one multiply: no
+	// denormal or overflow arm exists, here, in expLanes or in the assembly.
 	k := math.Floor(expLog2E*x + 0.5)
 	n := int(k)
 	x -= k * expC1
@@ -48,37 +61,23 @@ func expOne(x float64) float64 {
 	xx := x * x
 	p := x * ((expP[0]*xx+expP[1])*xx + expP[2])
 	q := ((expQ[0]*xx+expQ[1])*xx+expQ[2])*xx + expQ[3]
-	r := 1 + 2*(p/(q-p))
-	if n < -1021 || n > 1023 {
-		return math.Ldexp(r, n)
-	}
-	return r * math.Float64frombits(uint64(n+1023)<<52)
-}
-
-// expScale applies the 2^n scaling step shared by every lane width: the
-// fast bit-construction when 2^n is a normal float64 and math.Ldexp at the
-// denormal/overflow edges. Identical operations to the tail of expOne.
-func expScale(r float64, n int) float64 {
-	if n < -1021 || n > 1023 {
-		return math.Ldexp(r, n)
-	}
-	return r * math.Float64frombits(uint64(n+1023)<<52)
+	return (1 + 2*(p/(q-p))) * math.Float64frombits(uint64(n+1023)<<52)
 }
 
 // expLanes replaces every element of v with e^v[i], processing four lanes at
 // a time so the four divisions and polynomial chains overlap in the
 // pipeline. Each lane performs exactly the arithmetic of expOne, so the
 // results are bit-identical to element-wise expOne calls; any
-// quad containing an argument outside [-700, 700] (or NaN) falls back to
+// quad containing an argument outside the window (or NaN) falls back to
 // per-element expOne, which delegates those elements to math.Exp.
 func expLanes(v []float64) {
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
 		a, b, c, d := v[i], v[i+1], v[i+2], v[i+3]
-		if a != a || a > 700 || a < -700 ||
-			b != b || b > 700 || b < -700 ||
-			c != c || c > 700 || c < -700 ||
-			d != d || d > 700 || d < -700 {
+		if a != a || a > expWindow || a < -expWindow ||
+			b != b || b > expWindow || b < -expWindow ||
+			c != c || c > expWindow || c < -expWindow ||
+			d != d || d > expWindow || d < -expWindow {
 			v[i], v[i+1], v[i+2], v[i+3] = expOne(a), expOne(b), expOne(c), expOne(d)
 			continue
 		}
@@ -107,10 +106,10 @@ func expLanes(v []float64) {
 		qb := ((expQ[0]*bb+expQ[1])*bb+expQ[2])*bb + expQ[3]
 		qc := ((expQ[0]*cc+expQ[1])*cc+expQ[2])*cc + expQ[3]
 		qd := ((expQ[0]*dd+expQ[1])*dd+expQ[2])*dd + expQ[3]
-		v[i] = expScale(1+2*(pa/(qa-pa)), na)
-		v[i+1] = expScale(1+2*(pb/(qb-pb)), nb)
-		v[i+2] = expScale(1+2*(pc/(qc-pc)), nc)
-		v[i+3] = expScale(1+2*(pd/(qd-pd)), nd)
+		v[i] = (1 + 2*(pa/(qa-pa))) * math.Float64frombits(uint64(na+1023)<<52)
+		v[i+1] = (1 + 2*(pb/(qb-pb))) * math.Float64frombits(uint64(nb+1023)<<52)
+		v[i+2] = (1 + 2*(pc/(qc-pc))) * math.Float64frombits(uint64(nc+1023)<<52)
+		v[i+3] = (1 + 2*(pd/(qd-pd))) * math.Float64frombits(uint64(nd+1023)<<52)
 	}
 	for ; i < len(v); i++ {
 		v[i] = expOne(v[i])

@@ -70,10 +70,18 @@ func TestExpMaxULPFullRange(t *testing.T) {
 	}
 }
 
-// TestExpDelegationEdges verifies everything outside [-700, 700] — deep
+// expExponent is the n of expOne: the power of two an in-window argument is
+// scaled by.
+func expExponent(x float64) int {
+	return int(math.Floor(expLog2E*x + 0.5))
+}
+
+// TestExpDelegationEdges verifies everything outside the window — deep
 // underflow into denormals, overflow to +Inf, infinities, NaN — is delegated
-// to math.Exp bit-for-bit, and that the shared 2^n scaling helper matches
-// math.Ldexp at the denormal and overflow edges it guards.
+// to math.Exp bit-for-bit, and that inside it the exponent n stays in
+// [-1010, 1010], where 2^n is a normal float64 and the scaling needs no
+// math.Ldexp arm: at the window's edges and on both sides of the two
+// arguments where n changes last.
 func TestExpDelegationEdges(t *testing.T) {
 	delegated := []float64{
 		-1e308, -745.2, -744.03, -708.4, -700.0000001, // denormal/underflow region
@@ -81,8 +89,7 @@ func TestExpDelegationEdges(t *testing.T) {
 		math.Inf(-1), math.Inf(1), math.NaN(),
 	}
 	for _, x := range delegated {
-		got, want := expOne(x), math.Exp(x)
-		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		if got, want := expOne(x), math.Exp(x); !sameBits(got, want) {
 			t.Errorf("expOne(%v) = %v, want math.Exp's %v bit-for-bit", x, got, want)
 		}
 	}
@@ -90,88 +97,173 @@ func TestExpDelegationEdges(t *testing.T) {
 	if w := math.Exp(-744.03); w == 0 || math.Float64bits(expOne(-744.03)) != math.Float64bits(w) {
 		t.Errorf("denormal delegation broken: expOne(-744.03) = %v, want %v", expOne(-744.03), w)
 	}
+
+	// n steps to +1010 at hi and to -1010 just below -hi, and to nothing
+	// further before the window ends.
+	hi := 1009.5 / expLog2E
 	for _, tc := range []struct {
-		r float64
+		x float64
 		n int
 	}{
-		{1.5, -1030}, {1.9999, -1022}, {1.0, -1074}, {1.5, 1024}, {1.0, 1023}, {1.3, -1021},
+		{expWindow, 1010}, {hi + 1e-9, 1010}, {hi - 1e-9, 1009},
+		{-expWindow, -1010}, {-hi - 1e-9, -1010}, {-hi + 1e-9, -1009},
 	} {
-		if got, want := expScale(tc.r, tc.n), math.Ldexp(tc.r, tc.n); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("expScale(%v, %d) = %v, want math.Ldexp's %v", tc.r, tc.n, got, want)
+		if tc.x > expWindow || tc.x < -expWindow {
+			t.Fatalf("%v is outside the window; the last change of n must lie inside it", tc.x)
+		}
+		if n := expExponent(tc.x); n != tc.n {
+			t.Errorf("n(%v) = %d, want %d", tc.x, n, tc.n)
+		}
+		if d := ulpDiff(expOne(tc.x), math.Exp(tc.x)); d > expULPBound {
+			t.Errorf("expOne(%v) is %d ulp off math.Exp at the edge of the exponent range", tc.x, d)
 		}
 	}
 }
 
-// TestExpLanesBitParity pins the vectorized widths to the scalar routine:
-// expLanes and exp2 must be bit-identical to element-wise expOne for every
-// slice length (covering the quad main loop and every tail) and for quads
-// holding special values that force the per-element fallback.
+// expSpecials are the elements that must stop a vector quad, or must not:
+// NaN, the infinities, both zeros, the window's edges and their neighbours
+// outside, arguments whose exponential is denormal or overflows, and
+// denormal arguments.
+var expSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	expWindow, -expWindow, 700.0000001, -700.0000001, -745.2, 710, 1e-320, -1e-320,
+}
+
+// checkExp runs one backend's exp over buf[off:off+n] in place and requires
+// want there and the untouched original everywhere else in buf.
+func checkExp(t *testing.T, k dotKernels, buf, orig, want []float64, off, n int) {
+	t.Helper()
+	copy(buf, orig)
+	k.exp(buf[off : off+n : off+n])
+	for i, x := range buf {
+		w := orig[i]
+		if i >= off && i < off+n {
+			w = want[i]
+		}
+		if !sameBits(x, w) {
+			t.Fatalf("%s len %d offset %d of %v: element %d (%v) came out %v, want %v", k.name, n, off, orig[off:off+n], i-off, orig[i], x, w)
+		}
+	}
+}
+
+// TestExpLanesBitParity pins every backend's exp to element-wise expOne:
+// every slice length through two tiles and every tail, at every start offset
+// into the backing array (so no alignment is assumed), with out-of-window
+// arguments sprinkled in and with each special value at each lane of the
+// first, a middle and the last quad — the quads the assembly must stop in
+// front of and resume after. The sentinels around the slice must survive.
 func TestExpLanesBitParity(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(42))
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -750, 710, 0, -700, 700}
-	for n := 0; n <= 17; n++ {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.Float64()*1500 - 760 // includes out-of-window arguments
-		}
-		if n > 3 {
-			v[rng.Intn(n)] = specials[rng.Intn(len(specials))]
-		}
-		want := make([]float64, n)
-		for i, x := range v {
-			want[i] = expOne(x)
-		}
-		got := append([]float64(nil), v...)
-		expLanes(got)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-				t.Fatalf("len %d: expLanes[%d](%v) = %v, expOne = %v", n, i, v[i], got[i], want[i])
+	kernels := kernelsUnderTest()
+	const maxLen = 2*rbfBlockRows + 3
+	const pad = 4
+	orig := make([]float64, pad+3+maxLen+pad)
+	want := make([]float64, len(orig))
+	buf := make([]float64, len(orig))
+	for n := 0; n <= maxLen; n++ {
+		for off := pad; off < pad+4; off++ {
+			for i := range orig {
+				switch rng.Intn(8) {
+				case 0:
+					orig[i] = rng.Float64()*1500 - 760 // some outside the window
+				default:
+					orig[i] = -60 * rng.Float64() // where -gamma*d^2 lives
+				}
+				want[i] = expOne(orig[i])
+			}
+			for _, k := range kernels {
+				checkExp(t, k, buf[:off+n+pad], orig[:off+n+pad], want, off, n)
+			}
+			quads := n / 4
+			for _, q := range []int{0, quads / 2, quads - 1} {
+				if q < 0 || q >= quads {
+					continue
+				}
+				for lane := 0; lane < 4; lane++ {
+					at := off + 4*q + lane
+					x, w := orig[at], want[at]
+					for _, s := range expSpecials {
+						orig[at], want[at] = s, expOne(s)
+						for _, k := range kernels {
+							checkExp(t, k, buf[:off+n+pad], orig[:off+n+pad], want, off, n)
+						}
+					}
+					orig[at], want[at] = x, w
+				}
 			}
 		}
-		if n >= 2 {
-			// exp2 delegates the whole pair to math.Exp when either element
-			// is outside the window, so it matches expOne element-wise only
-			// for fully in-window pairs.
-			a, b := v[0], v[1]
-			ga, gb := exp2(a, b)
-			wa, wb := want[0], want[1]
-			if a != a || a > 700 || a < -700 || b != b || b > 700 || b < -700 {
-				wa, wb = math.Exp(a), math.Exp(b)
+	}
+}
+
+// TestExpSweepMatchesExpOne walks the whole window, and again the range
+// -gamma*d^2 lives in, in steps no power of two divides, and requires every
+// backend's exp to equal expOne there to the bit.
+func TestExpSweepMatchesExpOne(t *testing.T) {
+	t.Parallel()
+	kernels := kernelsUnderTest()
+	const chunk = 4096
+	xs := make([]float64, chunk)
+	got := make([]float64, chunk)
+	for _, sweep := range []struct{ lo, hi, step float64 }{
+		{-expWindow, expWindow, 0.00099731},
+		{-60, 0, 0.000099731},
+	} {
+		for x := sweep.lo; x <= sweep.hi; {
+			n := 0
+			for ; n < chunk && x <= sweep.hi; n++ {
+				xs[n] = x
+				x += sweep.step
 			}
-			if (math.Float64bits(ga) != math.Float64bits(wa) && !(math.IsNaN(ga) && math.IsNaN(wa))) ||
-				(math.Float64bits(gb) != math.Float64bits(wb) && !(math.IsNaN(gb) && math.IsNaN(wb))) {
-				t.Fatalf("exp2(%v, %v) = (%v, %v), want (%v, %v)", a, b, ga, gb, wa, wb)
+			for _, k := range kernels {
+				copy(got, xs[:n])
+				k.exp(got[:n])
+				for i := 0; i < n; i++ {
+					if w := expOne(xs[i]); math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("%s exp(%.17g) = %.17g, expOne = %.17g", k.name, xs[i], got[i], w)
+					}
+				}
 			}
 		}
 	}
 }
 
 // FuzzExp holds the accuracy and delegation contracts under fuzzing: inside
-// [-700, 700] the fast path stays within the ULP bound of math.Exp; outside
-// it is math.Exp bit-for-bit.
+// the window the fast path stays within the ULP bound of math.Exp; outside
+// it is math.Exp bit-for-bit; and every backend's exp is expOne on two quads
+// built from x, the first of them poisoned when x is outside the window, in
+// both orders.
 func FuzzExp(f *testing.F) {
 	for _, x := range []float64{0, 1, -1, -50.25, 699.999, -699.999, 700, -700,
 		709.78, -745.13, math.Ln2, -math.Ln2, 1e-300, -1e-300} {
 		f.Add(x)
 	}
+	kernels := kernelsUnderTest()
 	f.Fuzz(func(t *testing.T, x float64) {
 		got, want := expOne(x), math.Exp(x)
-		if x != x || x > 700 || x < -700 {
-			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		if x != x || x > expWindow || x < -expWindow {
+			if !sameBits(got, want) {
 				t.Fatalf("expOne(%v) = %v, want delegation to math.Exp's %v", x, got, want)
 			}
-			return
-		}
-		if d := ulpDiff(got, want); d > expULPBound {
+		} else if d := ulpDiff(got, want); d > expULPBound {
 			t.Fatalf("expOne(%v) = %v, %d ulp from math.Exp's %v", x, got, d, want)
 		}
-		var v [4]float64
-		v[0], v[1], v[2], v[3] = x, -x, x/2, x*0.999
-		lanes := v
-		expLanes(lanes[:])
-		for i, xi := range v {
-			if w := expOne(xi); math.Float64bits(lanes[i]) != math.Float64bits(w) {
-				t.Fatalf("expLanes lane %d (%v) = %v, expOne = %v", i, xi, lanes[i], w)
+		w := math.Mod(x, expWindow) // inside the window whatever x is
+		if w != w {
+			w = -1
+		}
+		for _, args := range [2][8]float64{
+			{x, -x, x / 2, x * 0.999, w, -w, w / 2, w * 0.999},
+			{w, -w, w / 2, w * 0.999, x, -x, x / 2, x * 0.999},
+		} {
+			for _, k := range kernels {
+				lanes := args
+				k.exp(lanes[:])
+				for i, xi := range args {
+					if e := expOne(xi); !sameBits(lanes[i], e) {
+						t.Fatalf("%s exp element %d (%v) = %v, expOne = %v", k.name, i, xi, lanes[i], e)
+					}
+				}
 			}
 		}
 	})

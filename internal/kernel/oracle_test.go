@@ -1,11 +1,9 @@
 package kernel
 
-import "math"
-
 // accumulateRBFScalar is the straight-line AccumulateSet loop: one row at a
-// time, one exp2 call per row and support-vector pair. It exists to be read
+// time, one expOne call per row and support vector. It exists to be read
 // and to be the oracle the parity tests pin blockAccumulateRBF against, bit
-// for bit, over both dot-kernel pairs.
+// for bit, over every backend.
 func accumulateRBFScalar(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
 	n := svs.Len()
 	rows := xs.Len()
@@ -45,9 +43,8 @@ func accumulateRBFScalar(gamma float64, coefs []float64, svs, xs *DenseSet, dst 
 			if dB < 0 {
 				dB = 0
 			}
-			eA, eB := exp2(-gamma*dA, -gamma*dB)
-			s := dst[j] + cA*eA
-			dst[j] = s + cB*eB
+			s := dst[j] + cA*expOne(-gamma*dA)
+			dst[j] = s + cB*expOne(-gamma*dB)
 		}
 	}
 	if t < n {
@@ -74,39 +71,4 @@ func accumulateRBFScalar(gamma float64, coefs []float64, svs, xs *DenseSet, dst 
 			dst[j] += cA * expOne(-gamma*d)
 		}
 	}
-}
-
-// exp2 returns (e^a, e^b) with the two evaluations interleaved for
-// instruction-level parallelism.
-func exp2(a, b float64) (float64, float64) {
-	if a != a || a > 700 || a < -700 || b != b || b > 700 || b < -700 {
-		return math.Exp(a), math.Exp(b)
-	}
-	ka := math.Floor(expLog2E*a + 0.5)
-	kb := math.Floor(expLog2E*b + 0.5)
-	na := int(ka)
-	nb := int(kb)
-	a -= ka * expC1
-	b -= kb * expC1
-	a -= ka * expC2
-	b -= kb * expC2
-	aa := a * a
-	bb := b * b
-	pa := a * ((expP[0]*aa+expP[1])*aa + expP[2])
-	pb := b * ((expP[0]*bb+expP[1])*bb + expP[2])
-	qa := ((expQ[0]*aa+expQ[1])*aa+expQ[2])*aa + expQ[3]
-	qb := ((expQ[0]*bb+expQ[1])*bb+expQ[2])*bb + expQ[3]
-	ra := 1 + 2*(pa/(qa-pa))
-	rb := 1 + 2*(pb/(qb-pb))
-	if na < -1021 || na > 1023 {
-		ra = math.Ldexp(ra, na)
-	} else {
-		ra *= math.Float64frombits(uint64(na+1023) << 52)
-	}
-	if nb < -1021 || nb > 1023 {
-		rb = math.Ldexp(rb, nb)
-	} else {
-		rb *= math.Float64frombits(uint64(nb+1023) << 52)
-	}
-	return ra, rb
 }
