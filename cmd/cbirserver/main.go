@@ -77,9 +77,9 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", server.DefaultMaxSessions, "cap on live feedback sessions (LRU eviction beyond it)")
 		defaultK     = flag.Int("default-k", server.DefaultResultK, "result-list length when a request omits k")
 		maxK         = flag.Int("max-k", server.DefaultMaxK, "hard cap on the result-list length of any request")
-		trainWorkers = flag.Int("train-workers", 0, "feedback-training concurrency: size of the async-refine worker pool and of each round's coupled modality training (0 = library default)")
+		trainWorkers = flag.Int("train-workers", 0, "how many of a refine's two modality SVMs the coupled trainer trains at once (0 = library default)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "deadline of each query request; an expired one stops scanning mid-collection and returns 504 (0 = no deadline)")
-		trainTimeout = flag.Duration("train-timeout", 30*time.Second, "deadline of each synchronous refine request and of every async refine round (0 = no deadline)")
+		trainTimeout = flag.Duration("train-timeout", 30*time.Second, "deadline of each refine request; an expired one stops training or scanning mid-way and returns 504 (0 = no deadline)")
 		maxQuery     = flag.Int("max-inflight-query", 0, "concurrent query requests admitted; beyond it requests queue briefly and then shed with 503 (0 = unlimited)")
 		maxTrain     = flag.Int("max-inflight-train", 0, "concurrent refine requests admitted (0 = unlimited)")
 		maxIngest    = flag.Int("max-inflight-ingest", 0, "concurrent ingest/commit requests admitted (0 = unlimited)")
@@ -124,10 +124,7 @@ func main() {
 		}
 	}
 
-	opts := retrieval.Options{
-		TrainWorkers:  *trainWorkers,
-		RefineTimeout: *trainTimeout,
-	}
+	opts := retrieval.Options{TrainWorkers: *trainWorkers}
 	if journal != nil {
 		opts.Journal = journal
 	}
@@ -199,8 +196,9 @@ func main() {
 			log.Printf("cbirserver: shutdown: %v", err)
 		}
 		srv.Close()
-		// Cancel the engine's base context: queued and running async refine
-		// rounds stop promptly instead of training into the final snapshot.
+		// A request that outlived the drain window stops at its next
+		// cancellation check, and a late commit or ingestion is refused
+		// instead of landing after the final snapshot.
 		engine.Close()
 		switch {
 		case snapshotter != nil:

@@ -33,9 +33,9 @@
 // (RankTopAppend) allocates one object per ranking pass. LRF-CSVM's
 // unlabeled selection keeps bounded selectors of capacity N', so a refine
 // keeps no score per image and sorts nothing. The K limit is
-// threaded end to end — Engine.InitialQuery/InitialQueryBatch,
-// Session.Refine, and the HTTP query/refine endpoints (with a configurable
-// default and hard ceiling) all return bounded lists. The full-scores sink
+// threaded end to end — Engine.InitialQuery, Session.Refine, and the HTTP
+// query/refine endpoints (with a configurable default and hard ceiling) all
+// return bounded lists. The full-scores sink
 // (Scheme.Rank) remains for the evaluation harness, which needs every
 // score.
 //
@@ -59,10 +59,7 @@
 // traffic: sessions idle longer than the TTL (default 30 minutes) are
 // evicted by a background sweeper, the live-session table is capped
 // (default 16384, least-recently-used evicted first), and Server.Close
-// shuts the session layer down gracefully. Sessions with an asynchronous
-// refinement round still in flight are never evicted mid-round (the
-// training result would be silently lost); they become evictable as soon
-// as the round completes.
+// shuts the session layer down gracefully.
 //
 // # Durability
 //
@@ -114,16 +111,11 @@
 // bit-identical results — pinned by an exact trajectory test, the golden
 // MAP regression and the solver property suite in internal/svm.
 //
-// Refinement rounds can run asynchronously: Session.RefineAsync (HTTP:
-// POST /api/refine?async=1) submits the round to a bounded engine-wide
-// training pool (retrieval.Options.TrainWorkers, cbirserver
-// -train-workers) and returns a round token at once; rounds are polled
-// via Session.RefineStatus (GET /api/refine/status) or read through
-// Session.LatestRefined, which only ever moves forward — queries keep
-// being served from the previous ranking until the new one lands, the
-// same publish-then-swap discipline the collection epochs use. An
-// engine-wide cap (64 pending rounds) rejects submission bursts instead of
-// queueing unbounded training work.
+// A refinement round is synchronous, as the paper's feedback loop is:
+// Session.Refine (HTTP: POST /api/sessions/refine) trains and ranks under
+// its caller's context and returns the ranking. How many rounds train at
+// once is the server's admission limiter's business (-max-inflight-train),
+// and the engine starts no goroutine of its own.
 //
 // # Static analysis and enforced invariants
 //

@@ -16,9 +16,9 @@ import (
 //
 //   - context.Background() / context.TODO() are flagged outside package
 //     main (commands own their root contexts; tests are never analyzed —
-//     the loader sees the compiler's non-test file set). The one
-//     legitimate serving-layer use, a documented lifecycle root such as
-//     Engine.baseCtx, carries a //cbirlint:ignore ctxflow <reason>.
+//     the loader sees the compiler's non-test file set). The serving
+//     layer has no such use today; a documented lifecycle root would
+//     carry a //cbirlint:ignore ctxflow <reason>.
 //   - a named context.Context parameter that is never referenced in the
 //     function body is flagged: the signature promises propagation the
 //     body does not deliver. An explicitly blank parameter

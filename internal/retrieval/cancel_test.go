@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,16 +20,13 @@ func TestInitialQueryCancelled(t *testing.T) {
 	if _, err := e.InitialQuery(ctx, 0, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("InitialQuery error = %v, want context.Canceled", err)
 	}
-	if _, err := e.InitialQueryBatch(ctx, []int{0, 1}, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InitialQueryBatch error = %v, want context.Canceled", err)
-	}
 	// The engine itself is unharmed: the same queries succeed afterwards.
 	if _, err := e.InitialQuery(context.Background(), 0, 8); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// A cancelled context aborts a synchronous refinement; the same refinement
+// A cancelled context aborts a refinement; the same refinement
 // without the cancellation still works afterwards — the session state was
 // not corrupted by the abandoned round.
 func TestRefineSyncCancelled(t *testing.T) {
@@ -50,122 +46,7 @@ func TestRefineSyncCancelled(t *testing.T) {
 	}
 }
 
-// A deadline-expired asynchronous round must land in RefineFailed and never
-// publish: LatestRefined keeps serving whatever was there before (here:
-// nothing).
-func TestRefineAsyncDeadlineExpiredNeverPublishes(t *testing.T) {
-	visual, labels, log := testCollection(t)
-	// A timeout of one nanosecond has always expired by the time the worker
-	// picks the round up, whatever the scheduler does.
-	e, err := NewEngine(visual, log, Options{RefineTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := judgedSession(t, e, 0, labels)
-	token, err := s.RefineAsync(context.Background(), SchemeLRFCSVM, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	round := waitRound(t, s, token)
-	if round.State != RefineFailed {
-		t.Fatalf("round state = %q, want failed (deadline expired)", round.State)
-	}
-	if !errorMentionsDeadline(round.Err) {
-		t.Errorf("round error = %q, want a deadline error", round.Err)
-	}
-	if _, ok := s.LatestRefined(); ok {
-		t.Fatal("deadline-expired round was published")
-	}
-	if s.PendingRefines() != 0 || e.PendingRefines() != 0 {
-		t.Fatalf("pending gauges not drained: session=%d engine=%d", s.PendingRefines(), e.PendingRefines())
-	}
-}
-
-func errorMentionsDeadline(msg string) bool {
-	return strings.Contains(msg, context.DeadlineExceeded.Error())
-}
-
-// RefineAsync with an already-cancelled submission context is rejected at
-// admission — no round is queued, no training runs.
-func TestRefineAsyncCancelledSubmission(t *testing.T) {
-	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := judgedSession(t, e, 0, labels)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RefineAsync(ctx, SchemeLRFCSVM, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RefineAsync error = %v, want context.Canceled", err)
-	}
-	if e.PendingRefines() != 0 {
-		t.Fatalf("rejected submission left %d pending rounds", e.PendingRefines())
-	}
-}
-
-// Engine.Close rejects new rounds and fails queued ones promptly; rounds
-// that already published stay readable.
-func TestEngineCloseStopsRefines(t *testing.T) {
-	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{TrainWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := judgedSession(t, e, 0, labels)
-	token, err := s.RefineAsync(context.Background(), SchemeLRFCSVM, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := waitRound(t, s, token)
-	if first.State != RefineDone {
-		t.Fatalf("pre-close round failed: %s", first.Err)
-	}
-
-	e.Close()
-	if _, err := s.RefineAsync(context.Background(), SchemeLRFCSVM, 8); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("RefineAsync after Close = %v, want ErrEngineClosed", err)
-	}
-	// The published pre-close ranking survives.
-	if latest, ok := s.LatestRefined(); !ok || latest.Token != token {
-		t.Fatalf("published round lost after Close (ok=%v)", ok)
-	}
-	// Close is idempotent.
-	e.Close()
-}
-
-// Close racing queued rounds: every round either completes or fails with
-// the engine's cancellation — none hangs, and the pending gauges drain.
-// Run with -race.
-func TestEngineCloseDrainsQueuedRounds(t *testing.T) {
-	visual, labels, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{TrainWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := judgedSession(t, e, 0, labels)
-	var tokens []int
-	for i := 0; i < 8; i++ {
-		token, err := s.RefineAsync(context.Background(), SchemeLRFCSVM, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tokens = append(tokens, token)
-	}
-	e.Close()
-	for _, token := range tokens {
-		waitRound(t, s, token) // must settle either way, not hang
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.PendingRefines() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d rounds still pending after Close", e.PendingRefines())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// After Close, synchronous queries, refinements and mutations all surface
+// After Close, queries, refinements and mutations all surface
 // ErrEngineClosed — never context.Canceled: the caller did not hang up, the
 // engine went away, and the server maps the two to different status codes.
 // The caller's own cancellation still takes precedence when both hold.
@@ -177,11 +58,9 @@ func TestEngineClosedSurfacesErrEngineClosed(t *testing.T) {
 	}
 	s := judgedSession(t, e, 0, labels)
 	e.Close()
+	e.Close() // idempotent
 	if _, err := e.InitialQuery(context.Background(), 0, 8); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("InitialQuery after Close = %v, want ErrEngineClosed", err)
-	}
-	if _, err := e.InitialQueryBatch(context.Background(), []int{0, 1}, 8); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("InitialQueryBatch after Close = %v, want ErrEngineClosed", err)
 	}
 	if _, err := s.Refine(context.Background(), SchemeLRFCSVM, 8); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Refine after Close = %v, want ErrEngineClosed", err)
@@ -196,7 +75,7 @@ func TestEngineClosedSurfacesErrEngineClosed(t *testing.T) {
 	}
 }
 
-// Close racing in-flight synchronous work (run with -race): every query and
+// Close racing in-flight work (run with -race): every query and
 // refinement either completes normally or fails with ErrEngineClosed —
 // none may be misattributed to the caller as context.Canceled.
 func TestEngineCloseRacesInFlightQueries(t *testing.T) {
@@ -263,4 +142,24 @@ func TestMutationsCancelledAtAdmission(t *testing.T) {
 	if e.NumImages() != preImages || e.NumLogSessions() != preSessions {
 		t.Fatal("cancelled mutation changed engine state")
 	}
+}
+
+// judgedSession starts a session for the query and judges its Euclidean
+// neighborhood against the ground-truth labels.
+func judgedSession(t *testing.T, e *Engine, query int, labels []int) *Session {
+	t.Helper()
+	s, err := e.StartSession(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := e.InitialQuery(context.Background(), query, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if err := s.Judge(r.Image, labels[r.Image] == labels[query]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
 }

@@ -2,16 +2,25 @@ package retrieval
 
 import (
 	"context"
+	"errors"
 	"time"
 )
+
+// ErrEngineClosed is returned after Engine.Close by everything the engine
+// still gets asked to do: mutations are rejected at admission, and in-flight
+// queries and refinements surface it from their next cancellation check. It
+// is deliberately not context.Canceled — the server must be able to tell "we
+// are shutting down" (503, retryable elsewhere) from "the client hung up"
+// (499).
+var ErrEngineClosed = errors.New("retrieval: engine closed")
 
 // closeCtx is the context the engine hands its scoring and training loops:
 // it delegates to the caller's context first and otherwise reports
 // ErrEngineClosed once Engine.Close has run. This is how a shutdown
-// interrupts in-flight synchronous work without being mistaken for the
-// caller hanging up — the server maps ErrEngineClosed to 503 (retry against
-// the next replica) and a genuine client cancellation to 499, and the two
-// must stay distinguishable all the way up from the scan loops.
+// interrupts in-flight work without being mistaken for the caller hanging
+// up — the server maps ErrEngineClosed to 503 (retry against the next
+// replica) and a genuine client cancellation to 499, and the two must stay
+// distinguishable all the way up from the scan loops.
 //
 // It deliberately does not merge Done channels: every cancellation check on
 // the engine's hot paths polls Err() between shard ranges or solver

@@ -43,18 +43,15 @@ const (
 
 // Options configures the engine's learning components.
 type Options struct {
-	// TrainWorkers bounds the feedback-training concurrency: it sizes the
-	// asynchronous-refinement worker pool (how many training jobs run at
-	// once) and is threaded into the coupled trainer so the two modality
+	// TrainWorkers is threaded into the coupled trainer so the two modality
 	// SVMs of each alternation train concurrently. <=0 selects 2. Training
 	// results are bit-identical for every value.
 	TrainWorkers int
-	// RefineTimeout bounds the wall-clock duration of one asynchronous
-	// refinement round, measured from the moment a training worker picks it
-	// up (queue wait is governed by maxPendingRefines, not the timeout). A
-	// round that exceeds it fails with context.DeadlineExceeded and is never
-	// published — readers keep the previous good ranking. Zero means no
-	// limit.
+	// RefineTimeout is read by nothing: it bounded asynchronous refinement
+	// rounds, which are gone, and a refinement runs under its caller's
+	// context (the server's -train-timeout). The field stays only because
+	// the benchmark sets it (bench/trace.go:158) and the PR that deleted the
+	// rounds could not edit bench/; it is deleted by ROADMAP item 2 (a).
 	RefineTimeout time.Duration
 	// Journal is an optional durability sink (typically *storage.Journal):
 	// every committed feedback session and every ingested image batch is
@@ -81,11 +78,6 @@ var ErrJournal = errors.New("retrieval: journal append failed")
 
 // DefaultTrainWorkers is Options.TrainWorkers' zero value.
 const DefaultTrainWorkers = 2
-
-// maxPendingRefines caps the asynchronous refinements queued or running
-// engine-wide; RefineAsync fails fast once it is reached so a burst of
-// feedback rounds cannot pile up unbounded training work.
-const maxPendingRefines = 64
 
 // epoch is one immutable snapshot of the indexed collection: its sequence
 // number (1 for the initial collection, the next for every ingestion), the
@@ -118,18 +110,9 @@ type Engine struct {
 	logVectors  []*sparse.Vector // incremental column cache, see logColumns
 	logSessions int              // sessions covered by logVectors
 
-	// trainSem bounds concurrently running asynchronous training jobs
-	// (capacity Options.TrainWorkers); pendingRefines counts queued plus
-	// running jobs against maxPendingRefines.
-	trainSem       chan struct{}
-	pendingRefines atomic.Int64
-
-	// baseCtx parents every asynchronous refinement round; Close cancels it
-	// so background work stops promptly at shutdown. closed makes further
-	// RefineAsync submissions fail fast.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	closed     atomic.Bool
+	// closed is set by Close: mutations read it at admission and closeCtx
+	// at every cancellation check of a query or a refinement.
+	closed atomic.Bool
 }
 
 // NewEngine builds an engine over a collection of visual descriptors and an
@@ -169,28 +152,19 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 			}
 		}
 	}
-	e := &Engine{opts: opts, log: log, trainSem: make(chan struct{}, opts.TrainWorkers)}
-	//cbirlint:ignore ctxflow engine lifecycle root: baseCtx parents all background work and Close cancels it
-	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
+	e := &Engine{opts: opts, log: log}
 	e.cur.Store(&epoch{seq: 1, visual: visual, batch: batch})
 	return e, nil
 }
 
-// Close shuts down the engine's background work: it cancels the base
-// context every asynchronous refinement round runs under — queued rounds
-// fail before training, running rounds stop at the solver's or the scan's
-// next cancellation check — and makes further RefineAsync submissions fail
-// with ErrEngineClosed. In-flight synchronous queries and refinements
-// observe the shutdown at their next cancellation check and return
-// ErrEngineClosed (not context.Canceled: the caller did not hang up, the
-// server did — the HTTP layer maps the two to different status codes), and
-// new mutations are rejected at admission. Close is idempotent.
-func (e *Engine) Close() {
-	if !e.closed.CompareAndSwap(false, true) {
-		return
-	}
-	e.baseCancel()
-}
+// Close shuts the engine down. The engine starts no goroutine, so there is
+// nothing to wait for: Close sets a flag. In-flight queries and refinements
+// observe it at their next cancellation check — the scan's between shard
+// ranges, the solver's between iterations — and return ErrEngineClosed (not
+// context.Canceled: the caller did not hang up, the server did — the HTTP
+// layer maps the two to different status codes), and new mutations are
+// rejected at admission. Close is idempotent.
+func (e *Engine) Close() { e.closed.Store(true) }
 
 // NumImages returns the current collection size.
 func (e *Engine) NumImages() int { return len(e.cur.Load().visual) }
@@ -347,39 +321,8 @@ func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
 // round. It streams the collection through the sharded batch path with
 // bounded per-shard selection, so no collection-sized score slice is
 // allocated.
-func (e *Engine) InitialQuery(ctx context.Context, query, k int) ([]Result, error) {
-	return e.initialQuery(ctx, e.cur.Load(), query, k)
-}
-
-// InitialQueryBatch answers many initial queries against one consistent
-// collection epoch: the epoch is loaded once and the pooled per-query
-// scratch arenas are reused across the probes, so the per-probe cost is the
-// scoring pass alone. Results are identical to calling InitialQuery once per
-// probe (against an unchanging collection). Every probe is validated before
-// any is ranked: one bad index fails the whole batch.
-func (e *Engine) InitialQueryBatch(ctx context.Context, queries []int, k int) ([][]Result, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("retrieval: empty query batch")
-	}
+func (e *Engine) InitialQuery(stdctx context.Context, query, k int) ([]Result, error) {
 	ep := e.cur.Load()
-	for _, q := range queries {
-		if q < 0 || q >= len(ep.visual) {
-			return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", q, len(ep.visual))
-		}
-	}
-	out := make([][]Result, len(queries))
-	for i, q := range queries {
-		results, err := e.initialQuery(ctx, ep, q, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = results
-	}
-	return out, nil
-}
-
-// initialQuery ranks one Euclidean probe against a pinned epoch.
-func (e *Engine) initialQuery(stdctx context.Context, ep *epoch, query, k int) ([]Result, error) {
 	if query < 0 || query >= len(ep.visual) {
 		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, len(ep.visual))
 	}
@@ -406,17 +349,6 @@ type Session struct {
 	mu        sync.Mutex
 	judgments map[int]bool // image -> relevant?
 	committed bool
-
-	// Asynchronous refinement rounds (see refine.go): rounds and nextToken
-	// are guarded by mu; latest publishes the most recent completed round
-	// for lock-free readers, and pendingRounds mirrors the number of
-	// pending/running rounds so PendingRefines is a single atomic load —
-	// the server's eviction scan calls it for every table entry under its
-	// own write lock and must not take mu per session.
-	rounds        map[int]*refineRound
-	nextToken     int
-	latest        atomic.Pointer[RefineRound]
-	pendingRounds atomic.Int32
 }
 
 // StartSession begins a feedback session for the given query image.

@@ -97,34 +97,3 @@ func TestShardBoundaryIngestion(t *testing.T) {
 	}
 	rankingsEqual(t, "rf-svm refinement", refine(e), refine(rebuilt))
 }
-
-// TestInitialQueryBatch verifies the batched probe path matches per-probe
-// InitialQuery calls and validates every probe up front.
-func TestInitialQueryBatch(t *testing.T) {
-	visual, _, log := testCollection(t)
-	e, err := NewEngine(visual, log, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []int{0, 17, 42, 17}
-	batch, err := e.InitialQueryBatch(context.Background(), queries, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(queries) {
-		t.Fatalf("%d result lists, want %d", len(batch), len(queries))
-	}
-	for i, q := range queries {
-		single, err := e.InitialQuery(context.Background(), q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rankingsEqual(t, fmt.Sprintf("probe %d", q), batch[i], single)
-	}
-	if _, err := e.InitialQueryBatch(context.Background(), nil, 5); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := e.InitialQueryBatch(context.Background(), []int{0, len(visual)}, 5); err == nil {
-		t.Error("out-of-range probe accepted")
-	}
-}

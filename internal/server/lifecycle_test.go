@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,11 +348,21 @@ func TestClosedServerRejectsRequests(t *testing.T) {
 }
 
 // TestConcurrentAPITraffic drives every endpoint concurrently — ingestion,
-// queries and full feedback rounds — to cover the server's table locking and
-// the engine's epoch handoff under HTTP-shaped load (run with -race).
+// queries and full feedback rounds, with the TTL sweep running against the
+// session table meanwhile — to cover the server's table locking and the
+// engine's epoch handoff under HTTP-shaped load (run with -race).
 func TestConcurrentAPITraffic(t *testing.T) {
-	_, srv, _ := lifecycleServer(t, Config{})
+	s, srv, _ := lifecycleServer(t, Config{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if n := s.Sweep(); n != 0 { // the clock stands still: nothing is idle
+				t.Errorf("sweep evicted %d live sessions", n)
+			}
+		}
+	}()
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -418,122 +426,6 @@ func TestConcurrentAPITraffic(t *testing.T) {
 	}
 }
 
-// fakeSession is a controllable feedbackSession for lifecycle tests: its
-// pending-refine count is flipped directly, so eviction behavior around
-// in-flight rounds is tested deterministically instead of racing the real
-// training pool.
-type fakeSession struct {
-	pending atomic.Int32
-}
-
-func (f *fakeSession) Judge(int, bool) error { return nil }
-func (f *fakeSession) NumJudgments() int     { return 0 }
-func (f *fakeSession) Refine(context.Context, retrieval.SchemeKind, int) ([]retrieval.Result, error) {
-	return nil, nil
-}
-func (f *fakeSession) RefineAsync(context.Context, retrieval.SchemeKind, int) (int, error) {
-	return 0, nil
-}
-func (f *fakeSession) RefineStatus(int) (retrieval.RefineRound, bool) {
-	return retrieval.RefineRound{}, false
-}
-func (f *fakeSession) LatestRefined() (retrieval.RefineRound, bool) {
-	return retrieval.RefineRound{}, false
-}
-func (f *fakeSession) Commit(context.Context) error { return nil }
-func (f *fakeSession) PendingRefines() int          { return int(f.pending.Load()) }
-
-// has reports whether the session table still holds the given ID without
-// touching its last-used stamp (the session accessor would renew the TTL).
-func (s *Server) has(id int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.sessions[id]
-	return ok
-}
-
-// TestSweepSkipsSessionsWithPendingRefines: an idle-expired session whose
-// asynchronous round is still in flight must survive the sweep — evicting
-// it would let the background training keep working into an unreachable
-// session and silently lose its result — and must become evictable once the
-// round completes.
-func TestSweepSkipsSessionsWithPendingRefines(t *testing.T) {
-	s, _, clock := lifecycleServer(t, Config{SessionTTL: time.Minute})
-	pinned := &fakeSession{}
-	pinned.pending.Store(1)
-	idle := &fakeSession{}
-	pinnedID := s.addSession(pinned)
-	idleID := s.addSession(idle)
-	clock.Advance(2 * time.Minute) // both far past the TTL
-
-	if evicted := s.Sweep(); evicted != 1 {
-		t.Fatalf("swept %d sessions, want only the idle one", evicted)
-	}
-	if s.has(idleID) || !s.has(pinnedID) {
-		t.Fatalf("idle present=%v pinned present=%v after sweep", s.has(idleID), s.has(pinnedID))
-	}
-	// Concurrency shape (run with -race): sweeps racing round completion
-	// and new registrations must stay data-race free.
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				s.Sweep()
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			pinned.pending.Store(int32(i % 2))
-			s.addSession(&fakeSession{})
-		}
-	}()
-	wg.Wait()
-
-	// The round completes; the very next sweep evicts the session.
-	pinned.pending.Store(0)
-	s.Sweep()
-	if s.has(pinnedID) {
-		t.Error("session with completed round survived the sweep")
-	}
-}
-
-// TestAddSessionEvictionPrefersUnpinned: when the table is full the LRU
-// eviction must pick the oldest session without an in-flight round, falling
-// back to the overall LRU only when every session is mid-round (the cap
-// must hold regardless).
-func TestAddSessionEvictionPrefersUnpinned(t *testing.T) {
-	s, _, clock := lifecycleServer(t, Config{MaxSessions: 2})
-	older := &fakeSession{}
-	older.pending.Store(1)
-	newer := &fakeSession{}
-	olderID := s.addSession(older)
-	clock.Advance(time.Second)
-	newerID := s.addSession(newer)
-	clock.Advance(time.Second)
-
-	// older is the LRU but pinned: the unpinned newer session goes first.
-	thirdID := s.addSession(&fakeSession{})
-	if s.has(newerID) || !s.has(olderID) {
-		t.Fatalf("unpinned LRU not preferred: newer present=%v older present=%v", s.has(newerID), s.has(olderID))
-	}
-	// Pin everything: the cap still holds, overall LRU (older) is evicted.
-	third, ok := s.sessions[thirdID]
-	if !ok {
-		t.Fatal("third session missing")
-	}
-	third.session.(*fakeSession).pending.Store(1)
-	clock.Advance(time.Second)
-	s.addSession(&fakeSession{})
-	if s.has(olderID) || s.numSessions() != 2 {
-		t.Fatalf("all-pinned fallback: older present=%v live=%d", s.has(olderID), s.numSessions())
-	}
-}
-
 // TestAddSessionZeroMaxSessionsDoesNotSpin guards the config-bypass case: a
 // Server whose Config skipped withDefaults (MaxSessions 0 over an empty
 // table) used to spin the eviction loop forever deleting a key that was
@@ -547,7 +439,7 @@ func TestAddSessionZeroMaxSessionsDoesNotSpin(t *testing.T) {
 			nextID:   1,
 		}
 		done := make(chan int, 1)
-		go func() { done <- s.addSession(&fakeSession{}) }()
+		go func() { done <- s.addSession(nil) }()
 		select {
 		case id := <-done:
 			if id != 1 || s.numSessions() != 1 {

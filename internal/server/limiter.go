@@ -9,24 +9,29 @@ import (
 
 // errOverloaded is the load-shedding signal: the request's class is at its
 // in-flight limit and the wait budget (queue cap or queue wait) is
-// exhausted. The admission middleware maps it to 503 + Retry-After —
-// distinct from 429 (ErrTooManyRefines), which is per-resource
-// backpressure on the async training queue rather than whole-server
-// overload.
+// exhausted. The admission middleware maps it to 503 + Retry-After, the
+// server's one overload answer.
 var errOverloaded = errors.New("server: overloaded")
 
 // classLimiter is a weighted concurrency limiter for one request class
 // (query, train or ingest). At most cap(slots) requests of the class run at
-// once; up to maxQueue more may wait for a slot, each for at most
-// queueWait, and everything beyond that is shed immediately. A nil slots
-// channel disables limiting (the gauges still count).
+// once; as many more may wait for a slot, each for at most queueWait, and
+// everything beyond that is shed immediately. A nil slots channel disables
+// limiting (the gauges still count).
+//
+// room is what bounds the waiters: it holds one token per request the class
+// has admitted or queued and not yet let go of, taken on arrival (full: shed)
+// and given back after the slot on release, or on timeout and cancellation.
+// So an arrival is shed only while cap(room) requests really are present —
+// a counter of waiters cannot say that, because a waiter that has been handed
+// its slot still counts until its goroutine gets to run.
 //
 // The wait queue is FIFO in the runtime's channel-receive order; fairness
 // across classes is structural — each class has its own limiter, so a
 // training burst can never starve queries.
 type classLimiter struct {
 	slots     chan struct{}
-	maxQueue  int64
+	room      chan struct{}
 	queueWait time.Duration
 	now       func() time.Time // injectable clock for the drain-rate tests
 
@@ -48,10 +53,10 @@ type classLimiter struct {
 // newClassLimiter builds a limiter admitting maxInFlight concurrent
 // requests (<=0 disables limiting), queueing up to maxInFlight more for at
 // most queueWait each. A non-positive queueWait disables the wait queue
-// entirely: over-limit requests are shed immediately rather than armed on a
-// zero-duration timer (which would race the queue's own slot handoff and
-// shed requests that a real zero-wait policy should never have queued in
-// the first place).
+// entirely: room is then no larger than slots, so an over-limit request is
+// shed on arrival and a request that got room always finds a slot free —
+// none is ever armed on a zero-duration timer, which would race the slot
+// handoff.
 func newClassLimiter(maxInFlight int, queueWait time.Duration) *classLimiter {
 	if queueWait < 0 {
 		queueWait = 0
@@ -59,9 +64,11 @@ func newClassLimiter(maxInFlight int, queueWait time.Duration) *classLimiter {
 	l := &classLimiter{queueWait: queueWait, now: time.Now}
 	if maxInFlight > 0 {
 		l.slots = make(chan struct{}, maxInFlight)
+		room := maxInFlight
 		if queueWait > 0 {
-			l.maxQueue = int64(maxInFlight)
+			room += maxInFlight
 		}
+		l.room = make(chan struct{}, room)
 	}
 	return l
 }
@@ -80,12 +87,21 @@ func (l *classLimiter) acquire(ctx context.Context) (release func(), err error) 
 			l.observe(l.now().Sub(start))
 			l.inFlight.Add(-1)
 			if l.slots != nil {
+				// Slot before room: every slot holder also holds room, so
+				// with no queue a request that got room finds a slot free.
 				<-l.slots
+				<-l.room
 			}
 		}
 	}
 	if l.slots == nil {
 		return admit(), nil
+	}
+	select {
+	case l.room <- struct{}{}:
+	default:
+		l.shed.Add(1)
+		return nil, errOverloaded
 	}
 	// Fast path: a free slot admits without queueing.
 	select {
@@ -93,18 +109,8 @@ func (l *classLimiter) acquire(ctx context.Context) (release func(), err error) 
 		return admit(), nil
 	default:
 	}
-	// Zero-wait policy: no queue to join, shed on a full class right away.
-	if l.queueWait <= 0 {
-		l.shed.Add(1)
-		return nil, errOverloaded
-	}
-	// Slow path: join the bounded wait queue. Count in before checking the
-	// bound so concurrent arrivals cannot both squeeze under it.
-	if l.queued.Add(1) > l.maxQueue {
-		l.queued.Add(-1)
-		l.shed.Add(1)
-		return nil, errOverloaded
-	}
+	// Slow path: wait in the queue room was taken for.
+	l.queued.Add(1)
 	defer l.queued.Add(-1)
 	timer := time.NewTimer(l.queueWait)
 	defer timer.Stop()
@@ -113,10 +119,12 @@ func (l *classLimiter) acquire(ctx context.Context) (release func(), err error) 
 		return admit(), nil
 	case <-timer.C:
 		l.shed.Add(1)
-		return nil, errOverloaded
+		err = errOverloaded
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		err = ctx.Err()
 	}
+	<-l.room // left the queue without a slot
+	return nil, err
 }
 
 // ewmaWarmupSamples is how many completions are averaged arithmetically

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -74,8 +75,8 @@ func TestRetryAfterTracksDrainRate(t *testing.T) {
 func TestZeroQueueWaitShedsImmediately(t *testing.T) {
 	for _, wait := range []time.Duration{0, -time.Second} {
 		l := newClassLimiter(1, wait)
-		if l.maxQueue != 0 {
-			t.Fatalf("queueWait=%v: maxQueue = %d, want 0 (no queue)", wait, l.maxQueue)
+		if cap(l.room) != cap(l.slots) {
+			t.Fatalf("queueWait=%v: room for %d requests over %d slots, want no queue", wait, cap(l.room), cap(l.slots))
 		}
 		release, err := l.acquire(context.Background())
 		if err != nil {
@@ -198,4 +199,37 @@ func TestRetryAfterHeaderReflectsDrainRate(t *testing.T) {
 
 	qcancel()
 	<-queued
+}
+
+// TestLimiterNeverShedsWithinItsBounds: four closed-loop callers of a
+// limiter of two can never be more than two running and two waiting, which
+// is what the limiter admits, so none of them may be shed — however late a
+// waiter that was handed its slot gets to run. (The queue bound used to
+// count such a waiter as still queued, and an arrival in that window was
+// answered 503 with room to spare.)
+func TestLimiterNeverShedsWithinItsBounds(t *testing.T) {
+	l := newClassLimiter(2, 10*time.Second)
+	stop := time.Now().Add(500 * time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				release, err := l.acquire(context.Background())
+				if err != nil {
+					t.Errorf("acquire: %v", err)
+					return
+				}
+				if n := l.inFlight.Load(); n > 2 {
+					t.Errorf("%d in flight, ceiling 2", n)
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := l.status(); st.Shed != 0 || st.InFlight != 0 || st.Queued != 0 {
+		t.Fatalf("after %d acquisitions: %+v, want nothing shed and the gauges drained", st.Admitted, st)
+	}
 }

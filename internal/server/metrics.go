@@ -97,8 +97,6 @@ func statusCodeLabel(status int) string {
 	switch status {
 	case 200:
 		return "200"
-	case 202:
-		return "202"
 	case 400:
 		return "400"
 	case 404:
@@ -107,8 +105,6 @@ func statusCodeLabel(status int) string {
 		return "405"
 	case 413:
 		return "413"
-	case 429:
-		return "429"
 	case 499:
 		return "499"
 	case 500:
@@ -221,8 +217,6 @@ func (s *Server) registerStackMetrics() {
 		func() float64 { return float64(engine.NumShards()) })
 	r.GaugeFunc("cbir_engine_log_sessions", "Feedback sessions accumulated in the long-term log.", nil,
 		func() float64 { return float64(engine.NumLogSessions()) })
-	r.GaugeFunc("cbir_engine_pending_refines", "Asynchronous refinement rounds queued or running.", nil,
-		func() float64 { return float64(engine.PendingRefines()) })
 	r.GaugeFunc("cbir_server_active_sessions", "Live feedback sessions in the server's table.", nil,
 		func() float64 { return float64(s.numSessions()) })
 	r.GaugeFunc("cbir_kernel_backend_info", "Active kernel compute backend (value is always 1).",

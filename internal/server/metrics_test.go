@@ -96,7 +96,7 @@ func TestMetricsAgreeWithStatus(t *testing.T) {
 	srv, labels, _ := testServerWithConfig(t, Config{})
 
 	// Drive some traffic: queries plus a full judged session with a
-	// synchronous refinement and a commit.
+	// refinement and a commit.
 	for i := 0; i < 5; i++ {
 		resp := getJSON(t, srv.URL+fmt.Sprintf("/api/query?image=%d&k=5", i), nil)
 		if resp.StatusCode != http.StatusOK {
@@ -133,7 +133,6 @@ func TestMetricsAgreeWithStatus(t *testing.T) {
 		{"cbir_engine_epoch", float64(status.Epoch)},
 		{"cbir_engine_collection_shards", float64(status.Shards)},
 		{"cbir_engine_log_sessions", float64(status.LogSessions)},
-		{"cbir_engine_pending_refines", float64(status.PendingRefines)},
 		{"cbir_server_active_sessions", float64(status.ActiveSessions)},
 	} {
 		if got := sampleValue(t, text, tc.metric); got != tc.want {

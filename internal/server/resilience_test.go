@@ -73,17 +73,15 @@ func TestQueryClientDisconnectMidScan(t *testing.T) {
 	}
 }
 
-func TestQueryBatchClientDisconnectMidScan(t *testing.T) {
-	srv, _, _ := testServerWithConfig(t, Config{})
-	h := serverHandlerOf(t, srv)
-	ctx := newCountdownCtx(2)
-	rr := serveWithCtx(t, h, ctx, http.MethodPost, "/api/query/batch",
-		QueryBatchRequest{Images: []int{0, 5, 9, 13, 20}, K: 5})
-	if rr.Code != statusClientClosedRequest {
-		t.Fatalf("status = %d (%s), want 499", rr.Code, rr.Body.String())
+// An expired -query-timeout is one 504 with an error body, never a 200 over a
+// ranking the scan did not finish.
+func TestQueryDeadlineExpiredReturns504(t *testing.T) {
+	srv, _, _ := testServerWithConfig(t, Config{QueryTimeout: time.Nanosecond})
+	var errResp errorResponse
+	resp := getJSON(t, srv.URL+"/api/query?image=3&k=5", &errResp)
+	if resp.StatusCode != http.StatusGatewayTimeout || errResp.Error == "" {
+		t.Fatalf("status = %d (%+v), want 504 with an error", resp.StatusCode, errResp)
 	}
-	// The whole batch failed: no probe's results leak out with the error.
-	partialBatchBody(t, rr.Body.Bytes())
 }
 
 // serverHandlerOf digs the live *Server handler out of the httptest server
@@ -107,9 +105,6 @@ func TestRefineDeadlineExpiredReturns504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%+v), want 504", resp.StatusCode, errResp)
 	}
-	// No round was published for polling either: the synchronous path
-	// failed before producing results, and the async publish gate is
-	// covered by the retrieval package's deadline test.
 	var status StatusResponse
 	getJSON(t, srv.URL+"/api/status", &status)
 	if status.ActiveSessions != 1 {
@@ -162,7 +157,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 	// Syntactically valid JSON, so the decoder keeps reading until the
 	// byte cap trips rather than failing on the first malformed byte.
 	huge := append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), maxJSONBody)...), `"}`...)
-	for _, ep := range []string{"/api/sessions", "/api/sessions/judge", "/api/refine", "/api/query/batch", "/api/sessions/commit"} {
+	for _, ep := range []string{"/api/sessions", "/api/sessions/judge", "/api/sessions/refine", "/api/sessions/commit"} {
 		resp, err := http.Post(srv.URL+ep, "application/json", bytes.NewReader(huge))
 		if err != nil {
 			t.Fatalf("%s: %v", ep, err)
@@ -209,7 +204,7 @@ func TestLimiterStressUnderMixedLoad(t *testing.T) {
 						AddImagesRequest{Images: [][]float64{{0.1 * float64(w), 0.2 * float64(i)}}})
 				}
 				switch rr.Code {
-				case http.StatusOK, http.StatusServiceUnavailable, http.StatusTooManyRequests:
+				case http.StatusOK, http.StatusServiceUnavailable:
 				default:
 					unexpected.Add(1)
 					t.Errorf("unexpected status %d: %s", rr.Code, rr.Body.String())

@@ -7,38 +7,23 @@
 //
 //	GET  /api/status                      -> collection and log statistics
 //	GET  /api/query?image=ID&k=K          -> initial (Euclidean) results
-//	POST /api/query/batch                 -> many initial queries in one call
 //	POST /api/images                      -> ingest images into the collection
 //	POST /api/sessions                    -> start a feedback session
 //	POST /api/sessions/judge              -> record a batch of judgments
 //	                                         (all of it, or none on a 400)
 //	POST /api/sessions/refine             -> re-rank with a scheme
-//	POST /api/refine                      -> same; with ?async=1 (or
-//	                                         "async": true) the round trains
-//	                                         on the engine's bounded worker
-//	                                         pool and a round token returns
-//	                                         immediately (202 Accepted)
-//	GET  /api/refine/status               -> poll a round token, or with the
-//	                                         token omitted read the latest
-//	                                         completed round of the session
 //	POST /api/sessions/commit             -> append the round to the log
 //	GET  /metrics                         -> Prometheus text exposition
 //
-// Asynchronous refinement keeps feedback rounds off the request path: the
-// training job runs on the retrieval engine's bounded pool, queries keep
-// being answered from the previously published round meanwhile, and the
-// client polls /api/refine/status with the returned round token until the
-// new ranking lands.
+// A refinement is synchronous, as the paper's feedback loop is: the request
+// trains and ranks under its caller's context and answers with the ranking.
 //
 // Every ranking endpoint returns a bounded result list under one rule: an
 // omitted or zero k selects the configured default (Config.DefaultK, 20
 // unless overridden), a negative k is a 400, and requests beyond the
 // configured ceiling (Config.MaxK, 1000 unless overridden) are capped, so a
 // single request can never pull a full ranking of an arbitrarily large
-// collection. The batch query endpoint amortizes one collection-epoch load
-// and one pooled scratch arena across all its probe images; batch sizes on
-// /api/query/batch and /api/images are capped as well (256 probes, 4096
-// images).
+// collection. The batch size of /api/images is capped as well (4096 images).
 //
 // The server is built for sustained traffic: feedback sessions are evicted
 // after an idle TTL (default 30 minutes) and capped at a maximum live count
@@ -50,13 +35,13 @@
 // Every request runs under its caller's context: a disconnected client
 // cancels its sharded collection scan and its SMO training mid-flight, so
 // abandoned requests free their workers instead of burning a full round.
-// Per-endpoint deadlines come from Config.QueryTimeout (GET /api/query,
-// POST /api/query/batch) and Config.TrainTimeout (synchronous refinement);
-// a deadline that expires mid-request returns 504 Gateway Timeout, and a
-// client that disconnects first gets the non-standard 499 (client closed
-// request, never seen by the client — it exists for the access log). Zero
-// timeouts (the default) disable the per-endpoint deadline; the request still
-// honors the client's own cancellation.
+// Per-endpoint deadlines come from Config.QueryTimeout (GET /api/query) and
+// Config.TrainTimeout (POST /api/sessions/refine); a deadline that expires
+// mid-request returns 504 Gateway Timeout, and a client that disconnects
+// first gets the non-standard 499 (client closed request, never seen by the
+// client — it exists for the access log). Zero timeouts (the default) disable
+// the per-endpoint deadline; the request still honors the client's own
+// cancellation.
 //
 // Admission control is per class: queries, training rounds and ingestion
 // each have their own concurrency limiter (Config.MaxInflightQuery/Train/
@@ -64,20 +49,19 @@
 // its class is saturated waits up to Config.QueueWait for a slot and is
 // then shed with 503 Service Unavailable + a Retry-After header — requests
 // already in flight complete normally. A negative QueueWait disables the
-// wait queue: saturation sheds immediately. 503 therefore means "the whole class
-// is overloaded, retry after backing off", while 429 Too Many Requests
-// (asynchronous refinement only) means "the training queue is full, poll an
-// earlier round or retry later". Clients should treat both as retryable
-// with exponential backoff, honoring Retry-After, and treat 4xx request
-// errors as permanent. A commit or an ingestion whose journal append fails
-// is neither: it answers 500 with the cause, nothing has changed, and the
-// same request succeeds once the journal can write again. Per-class
+// wait queue: saturation sheds immediately. 503 is the one overload answer —
+// "the whole class is overloaded, retry after backing off": clients should
+// retry it with exponential backoff, honoring Retry-After, and treat 4xx
+// request errors as permanent. A commit or an ingestion whose journal append
+// fails is neither: it answers 500 with the cause, nothing has changed, and
+// the same request succeeds once the journal can write again. Per-class
 // in-flight gauges, queue depths and shed counters are exposed under
 // "admission" in GET /api/status.
 //
 // All JSON POST bodies are size-capped (1 MiB, except /api/images whose cap
 // scales with its batch limit); an oversized body returns 413 Request Entity
-// Too Large.
+// Too Large. A body naming a field its route does not have is a 400 that
+// names the field, not a request served without it.
 package server
 
 import (
@@ -86,7 +70,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -121,16 +104,13 @@ type Config struct {
 	// includes them. cbirserver wires it when -journal is given.
 	Durability func() DurabilityStatus
 
-	// QueryTimeout bounds one query request (GET /api/query,
-	// POST /api/query/batch — the whole batch, not each probe); an expired
-	// deadline aborts the scan between shard ranges and returns 504.
-	// <=0 disables the deadline (client cancellation is still honored).
+	// QueryTimeout bounds one GET /api/query request; an expired deadline
+	// aborts the scan between shard ranges and returns 504. <=0 disables the
+	// deadline (client cancellation is still honored).
 	QueryTimeout time.Duration
-	// TrainTimeout bounds one synchronous refinement request
-	// (POST /api/sessions/refine, POST /api/refine without async): training
-	// and scanning abort at the deadline with 504 and nothing is published.
-	// Asynchronous rounds are bounded engine-side by
-	// retrieval.Options.RefineTimeout instead. <=0 disables the deadline.
+	// TrainTimeout bounds one POST /api/sessions/refine request: training
+	// and scanning abort at the deadline with 504. <=0 disables the
+	// deadline.
 	TrainTimeout time.Duration
 	// MaxInflightQuery/Train/Ingest cap the concurrently running requests
 	// of each class; an equal number more may queue for QueueWait before
@@ -161,15 +141,10 @@ const (
 	DefaultQueueWait   = time.Second
 )
 
-const (
-	// maxBatchQueries caps the probe count of one POST /api/query/batch
-	// request.
-	maxBatchQueries = 256
-	// maxIngestImages caps the image count of one POST /api/images request
-	// (the request body is additionally size-limited to what that many
-	// descriptors can plausibly encode).
-	maxIngestImages = 4096
-)
+// maxIngestImages caps the image count of one POST /api/images request (the
+// request body is additionally size-limited to what that many descriptors
+// can plausibly encode).
+const maxIngestImages = 4096
 
 func (c Config) withDefaults() Config {
 	if c.SessionTTL <= 0 {
@@ -212,28 +187,13 @@ func (s *Server) resultK(w http.ResponseWriter, k int) (int, bool) {
 	return k, true
 }
 
-// feedbackSession is what the server needs from a live session. It is the
-// method set of *retrieval.Session; the indirection lets lifecycle tests
-// insert controllable fakes (e.g. a session whose refine round never
-// finishes) without racing the real training pool.
-type feedbackSession interface {
-	Judge(image int, relevant bool) error
-	NumJudgments() int
-	Refine(ctx context.Context, kind retrieval.SchemeKind, k int) ([]retrieval.Result, error)
-	RefineAsync(ctx context.Context, kind retrieval.SchemeKind, k int) (int, error)
-	RefineStatus(token int) (retrieval.RefineRound, bool)
-	LatestRefined() (retrieval.RefineRound, bool)
-	Commit(ctx context.Context) error
-	PendingRefines() int
-}
-
 // sessionEntry tracks one live session. The last-use timestamp is atomic so
 // concurrent requests touching the same or different sessions never contend
 // on the server's table lock longer than the map lookup itself; all
 // per-session state transitions are guarded by the session's own lock inside
 // retrieval.Session.
 type sessionEntry struct {
-	session  feedbackSession
+	session  *retrieval.Session
 	lastUsed atomic.Int64 // unix nanoseconds
 }
 
@@ -291,8 +251,8 @@ func NewWithConfig(engine *retrieval.Engine, cfg Config) *Server {
 	}
 	s.endpoints = make(map[string]*endpointMetrics)
 	for _, name := range []string{
-		"status", "query", "query_batch", "images", "sessions", "judge",
-		"refine", "refine_status", "commit", "metrics",
+		"status", "query", "images", "sessions", "judge", "refine", "commit",
+		"metrics",
 	} {
 		s.endpoints[name] = newEndpointMetrics(s.metrics, name)
 	}
@@ -340,11 +300,7 @@ func (s *Server) sweeper() {
 }
 
 // Sweep evicts every session idle past the TTL and returns how many were
-// evicted. Sessions with an asynchronous refinement round still pending or
-// running are skipped even when idle-expired: evicting one would leave the
-// background training working into an unreachable session and silently lose
-// its result — it becomes evictable on the pass after the round completes.
-// The background sweeper calls Sweep periodically; it is exported so
+// evicted. The background sweeper calls Sweep periodically; it is exported so
 // operators (and tests) can force a pass.
 func (s *Server) Sweep() int {
 	// A tick that raced Close may reach here after shutdown began; Close
@@ -358,7 +314,7 @@ func (s *Server) Sweep() int {
 	defer s.mu.Unlock()
 	evicted := 0
 	for id, ent := range s.sessions {
-		if ent.lastUsed.Load() < cutoff && ent.session.PendingRefines() == 0 {
+		if ent.lastUsed.Load() < cutoff {
 			delete(s.sessions, id)
 			evicted++
 		}
@@ -368,7 +324,7 @@ func (s *Server) Sweep() int {
 
 // addSession registers a session, evicting least-recently-used entries when
 // the table is full, and returns its ID.
-func (s *Server) addSession(session feedbackSession) int {
+func (s *Server) addSession(session *retrieval.Session) int {
 	now := s.now().UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,36 +346,20 @@ func (s *Server) addSession(session feedbackSession) int {
 	return id
 }
 
-// evictionVictimLocked picks the least-recently-used session, preferring one
-// without an asynchronous refinement in flight (evicting mid-round loses the
-// training result, see Sweep). When every session is mid-round the overall
-// LRU is evicted anyway — the table must not grow past its cap. Returns
-// false only for an empty table.
+// evictionVictimLocked picks the least-recently-used session. Returns false
+// only for an empty table.
 func (s *Server) evictionVictimLocked() (int, bool) {
-	freeID, free := 0, int64(math.MaxInt64)
-	anyID, any := 0, int64(math.MaxInt64)
-	found := false
+	victim, oldest, found := 0, int64(0), false
 	for id, ent := range s.sessions {
-		v := ent.lastUsed.Load()
-		if v < any || !found {
-			anyID, any = id, v
-			found = true
-		}
-		if ent.session.PendingRefines() == 0 && v < free {
-			freeID, free = id, v
+		if v := ent.lastUsed.Load(); !found || v < oldest {
+			victim, oldest, found = id, v, true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	if free < int64(math.MaxInt64) {
-		return freeID, true
-	}
-	return anyID, true
+	return victim, found
 }
 
 // session looks a session up and marks it used.
-func (s *Server) session(id int) (feedbackSession, bool) {
+func (s *Server) session(id int) (*retrieval.Session, bool) {
 	s.mu.RLock()
 	ent, ok := s.sessions[id]
 	s.mu.RUnlock()
@@ -446,21 +386,18 @@ func (s *Server) numSessions() int {
 
 // Handler returns the HTTP handler with all API routes mounted. The heavy
 // endpoints pass through their class's admission limiter; the cheap
-// bookkeeping endpoints (status, session start/judge, round polling) are
-// never queued or shed.
+// bookkeeping endpoints (status, session start/judge) are never queued or
+// shed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// instrument sits outermost so shed and shutdown-rejected requests are
 	// recorded with the status the client actually saw.
 	mux.HandleFunc("/api/status", s.instrument(s.endpoints["status"], s.guard(s.handleStatus)))
 	mux.HandleFunc("/api/query", s.instrument(s.endpoints["query"], s.guard(s.admit(s.limQuery, s.handleQuery))))
-	mux.HandleFunc("/api/query/batch", s.instrument(s.endpoints["query_batch"], s.guard(s.admit(s.limQuery, s.handleQueryBatch))))
 	mux.HandleFunc("/api/images", s.instrument(s.endpoints["images"], s.guard(s.admit(s.limIngest, s.handleAddImages))))
 	mux.HandleFunc("/api/sessions", s.instrument(s.endpoints["sessions"], s.guard(s.handleStartSession)))
 	mux.HandleFunc("/api/sessions/judge", s.instrument(s.endpoints["judge"], s.guard(s.handleJudge)))
 	mux.HandleFunc("/api/sessions/refine", s.instrument(s.endpoints["refine"], s.guard(s.admit(s.limTrain, s.handleRefine))))
-	mux.HandleFunc("/api/refine", s.instrument(s.endpoints["refine"], s.guard(s.admit(s.limTrain, s.handleRefine))))
-	mux.HandleFunc("/api/refine/status", s.instrument(s.endpoints["refine_status"], s.guard(s.handleRefineStatus)))
 	mux.HandleFunc("/api/sessions/commit", s.instrument(s.endpoints["commit"], s.guard(s.admit(s.limIngest, s.handleCommit))))
 	// /metrics stays outside guard: the last scrape is how a shutdown is
 	// observed from the outside.
@@ -523,10 +460,9 @@ func (s *Server) requestCtx(r *http.Request, timeout time.Duration) (context.Con
 //
 // context.Canceled is only 499 (client closed request) when the request's
 // own context actually carries the cancellation: a cancellation that did
-// not come from the client is server-initiated (Engine.Close cancelling the
-// training base context, for instance) and blaming the client for it would
-// both lie in the access log and deny the client the 503 + Retry-After
-// signal it should act on.
+// not come from the client is server-initiated, and blaming the client for
+// it would both lie in the access log and deny the client the 503 it should
+// act on.
 func statusForError(r *http.Request, err error) int {
 	switch {
 	case errors.Is(err, retrieval.ErrEngineClosed):
@@ -559,18 +495,22 @@ func writeEngineError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // maxJSONBody caps the small JSON POST bodies (session start, judgments,
-// refinement, batch queries, commit) at 1 MiB — orders of magnitude above
-// any legitimate payload under the configured batch limits, and small
-// enough that a hostile client cannot buffer gigabytes into the decoder.
-// /api/images sizes its own cap from maxIngestImages instead.
+// refinement, commit) at 1 MiB — orders of magnitude above any legitimate
+// payload, and small enough that a hostile client cannot buffer gigabytes
+// into the decoder. /api/images sizes its own cap from maxIngestImages
+// instead.
 const maxJSONBody = 1 << 20
 
 // decodeJSON bounds the request body and decodes it into v, writing the
-// error response (413 for an oversized body, 400 otherwise) itself. The
-// caller must stop handling the request when it returns false.
+// error response (413 for an oversized body, 400 otherwise) itself. A field
+// v does not have is a 400 naming it: a request that asks for something the
+// route does not do ("async": true) must not be answered as if it had not
+// asked. The caller must stop handling the request when it returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
@@ -650,9 +590,6 @@ type StatusResponse struct {
 	Epoch          int64 `json:"epoch"`
 	LogSessions    int   `json:"log_sessions"`
 	ActiveSessions int   `json:"active_sessions"`
-	// PendingRefines counts asynchronous refinement rounds queued or
-	// running engine-wide.
-	PendingRefines int `json:"pending_refines"`
 	// Admission reports the per-class concurrency limiters: in-flight and
 	// queued requests, configured ceilings, and cumulative admitted/shed
 	// counts.
@@ -678,7 +615,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Epoch:          coll.Epoch,
 		LogSessions:    s.engine.NumLogSessions(),
 		ActiveSessions: s.numSessions(),
-		PendingRefines: s.engine.PendingRefines(),
 		Admission: AdmissionStatus{
 			Query:  s.limQuery.status(),
 			Train:  s.limTrain.status(),
@@ -743,65 +679,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, QueryResponse{Query: image, K: k, Results: toResultJSON(results)})
-}
-
-// QueryBatchRequest is the payload of POST /api/query/batch: many probe
-// images ranked in one call against one consistent collection epoch. K
-// applies to every probe (0 selects the server default; values beyond the
-// configured ceiling are capped).
-type QueryBatchRequest struct {
-	Images []int `json:"images"`
-	K      int   `json:"k"`
-}
-
-// QueryBatchResponse carries one bounded result list per probe, in request
-// order.
-type QueryBatchResponse struct {
-	K       int             `json:"k"`
-	Queries []QueryResponse `json:"queries"`
-}
-
-// handleQueryBatch answers POST /api/query/batch with all-or-nothing
-// semantics: either every probe's full result list is returned with 200, or
-// the whole batch fails with one error status and no partial results.
-// Cancellation or an expired deadline mid-batch therefore surfaces as
-// 499/504 with an error body — never as 200 over silently truncated lists.
-// Duplicate probe indices are legal and deterministic: equal probes yield
-// identical result lists. K goes through resultK, so the engine never sees
-// k < 1 from this handler.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req QueryBatchRequest
-	if !decodeJSON(w, r, maxJSONBody, &req) {
-		return
-	}
-	if len(req.Images) == 0 {
-		writeError(w, http.StatusBadRequest, "no query images")
-		return
-	}
-	if len(req.Images) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Images), maxBatchQueries)
-		return
-	}
-	k, ok := s.resultK(w, req.K)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, s.cfg.QueryTimeout)
-	defer cancel()
-	lists, err := s.engine.InitialQueryBatch(ctx, req.Images, k)
-	if err != nil {
-		writeEngineError(w, r, err)
-		return
-	}
-	resp := QueryBatchResponse{K: k, Queries: make([]QueryResponse, len(lists))}
-	for i, results := range lists {
-		resp.Queries[i] = QueryResponse{Query: req.Images[i], K: k, Results: toResultJSON(results)}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // AddImagesRequest is the payload of POST /api/images: the visual
@@ -913,10 +790,10 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown or expired session %d", req.SessionID)
 		return
 	}
-	// All-or-nothing, like /api/query/batch: every index is checked before
-	// any judgment is recorded. The collection only grows, so an index in
-	// range here still is when Judge re-checks it, and Judge's other
-	// refusal, a committed session, stops the loop at its first judgment.
+	// All-or-nothing: every index is checked before any judgment is
+	// recorded. The collection only grows, so an index in range here still
+	// is when Judge re-checks it, and Judge's other refusal, a committed
+	// session, stops the loop at its first judgment.
 	n := s.engine.NumImages()
 	for _, j := range req.Judgments {
 		if j.Image < 0 || j.Image >= n {
@@ -933,31 +810,17 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, JudgeResponse{Judgments: session.NumJudgments()})
 }
 
-// RefineRequest is the payload of POST /api/sessions/refine and
-// POST /api/refine. Async selects the asynchronous mode (equivalently,
-// request /api/refine?async=1): the round is submitted to the engine's
-// bounded training pool and a round token returns immediately.
+// RefineRequest is the payload of POST /api/sessions/refine.
 type RefineRequest struct {
 	SessionID int    `json:"session_id"`
 	Scheme    string `json:"scheme"`
 	K         int    `json:"k"`
-	Async     bool   `json:"async"`
 }
 
 // RefineResponse carries the re-ranked results.
 type RefineResponse struct {
 	Scheme  string       `json:"scheme"`
 	Results []ResultJSON `json:"results"`
-}
-
-// RefineAsyncResponse is the 202 Accepted payload of an asynchronous
-// refinement: poll GET /api/refine/status with the session and round.
-type RefineAsyncResponse struct {
-	SessionID int    `json:"session_id"`
-	Round     int    `json:"round"`
-	Scheme    string `json:"scheme"`
-	K         int    `json:"k"`
-	State     string `json:"state"`
 }
 
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
@@ -968,14 +831,6 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	var req RefineRequest
 	if !decodeJSON(w, r, maxJSONBody, &req) {
 		return
-	}
-	if raw := r.URL.Query().Get("async"); raw != "" {
-		async, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid async parameter %q: want a boolean", raw)
-			return
-		}
-		req.Async = req.Async || async
 	}
 	session, ok := s.session(req.SessionID)
 	if !ok {
@@ -993,31 +848,6 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Async {
-		token, err := session.RefineAsync(r.Context(), kind, req.K)
-		if err != nil {
-			// Backpressure is retryable (429, or 503 when the engine is
-			// shutting down); everything else is a request error that
-			// retrying cannot fix.
-			status := statusForError(r, err)
-			switch {
-			case errors.Is(err, retrieval.ErrTooManyRefines):
-				status = http.StatusTooManyRequests
-			case errors.Is(err, retrieval.ErrEngineClosed):
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, RefineAsyncResponse{
-			SessionID: req.SessionID,
-			Round:     token,
-			Scheme:    string(kind),
-			K:         req.K,
-			State:     string(retrieval.RefinePending),
-		})
-		return
-	}
 	ctx, cancel := s.requestCtx(r, s.cfg.TrainTimeout)
 	defer cancel()
 	results, err := session.Refine(ctx, kind, req.K)
@@ -1026,63 +856,6 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, RefineResponse{Scheme: string(kind), Results: toResultJSON(results)})
-}
-
-// RefineStatusResponse is the payload of GET /api/refine/status. Results is
-// present once State is "done"; Error once it is "failed".
-type RefineStatusResponse struct {
-	SessionID int          `json:"session_id"`
-	Round     int          `json:"round"`
-	Scheme    string       `json:"scheme"`
-	K         int          `json:"k"`
-	State     string       `json:"state"`
-	Results   []ResultJSON `json:"results,omitempty"`
-	Error     string       `json:"error,omitempty"`
-}
-
-func (s *Server) handleRefineStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	q := r.URL.Query()
-	sessionID, err := strconv.Atoi(q.Get("session"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid session parameter: %v", err)
-		return
-	}
-	session, ok := s.session(sessionID)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown or expired session %d", sessionID)
-		return
-	}
-	var round retrieval.RefineRound
-	if rs := q.Get("round"); rs != "" {
-		token, err := strconv.Atoi(rs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid round parameter: %v", err)
-			return
-		}
-		if round, ok = session.RefineStatus(token); !ok {
-			writeError(w, http.StatusNotFound, "session %d has no round %d", sessionID, token)
-			return
-		}
-	} else if round, ok = session.LatestRefined(); !ok {
-		writeError(w, http.StatusNotFound, "session %d has no successfully completed round yet", sessionID)
-		return
-	}
-	resp := RefineStatusResponse{
-		SessionID: sessionID,
-		Round:     round.Token,
-		Scheme:    string(round.Scheme),
-		K:         round.K,
-		State:     string(round.State),
-		Error:     round.Err,
-	}
-	if round.State == retrieval.RefineDone {
-		resp.Results = toResultJSON(round.Results)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // CommitRequest is the payload of POST /api/sessions/commit.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
@@ -88,6 +90,30 @@ func postJSON(t *testing.T, url string, body interface{}, out interface{}) *http
 		}
 	}
 	return resp
+}
+
+// startJudgedSession drives the HTTP flow up to a judged session and
+// returns its id.
+func startJudgedSession(t *testing.T, srv *httptest.Server, labels []int, query int) int {
+	t.Helper()
+	var start StartSessionResponse
+	resp := postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: query}, &start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("start session: %d", resp.StatusCode)
+	}
+	var q QueryResponse
+	getJSON(t, srv.URL+fmt.Sprintf("/api/query?image=%d&k=8", query), &q)
+	judge := JudgeRequest{SessionID: start.SessionID}
+	for _, r := range q.Results {
+		judge.Judgments = append(judge.Judgments, struct {
+			Image    int  `json:"image"`
+			Relevant bool `json:"relevant"`
+		}{Image: r.Image, Relevant: labels[r.Image] == labels[query]})
+	}
+	if resp := postJSON(t, srv.URL+"/api/sessions/judge", judge, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("judge: %d", resp.StatusCode)
+	}
+	return start.SessionID
 }
 
 func TestStatusEndpoint(t *testing.T) {
@@ -207,19 +233,6 @@ func TestResultLengthRule(t *testing.T) {
 	// Each endpoint answers a status and a result list of some length; an
 	// empty k leaves the field out of the request.
 	type answer struct{ status, results int }
-	withK := func(body map[string]any, k string) map[string]any {
-		if k != "" {
-			body["k"], _ = strconv.Atoi(k)
-		}
-		return body
-	}
-	refine := func(path string) func(k string) answer {
-		return func(k string) answer {
-			var out RefineResponse
-			resp := postJSON(t, srv.URL+path, withK(map[string]any{"session_id": start.SessionID, "scheme": "rf-svm"}, k), &out)
-			return answer{resp.StatusCode, len(out.Results)}
-		}
-	}
 	endpoints := map[string]func(k string) answer{
 		"GET /api/query": func(k string) answer {
 			url := srv.URL + "/api/query?image=1"
@@ -230,16 +243,15 @@ func TestResultLengthRule(t *testing.T) {
 			resp := getJSON(t, url, &out)
 			return answer{resp.StatusCode, len(out.Results)}
 		},
-		"POST /api/query/batch": func(k string) answer {
-			var out QueryBatchResponse
-			resp := postJSON(t, srv.URL+"/api/query/batch", withK(map[string]any{"images": []int{1}}, k), &out)
-			if resp.StatusCode != http.StatusOK {
-				return answer{status: resp.StatusCode}
+		"POST /api/sessions/refine": func(k string) answer {
+			body := map[string]any{"session_id": start.SessionID, "scheme": "rf-svm"}
+			if k != "" {
+				body["k"], _ = strconv.Atoi(k)
 			}
-			return answer{resp.StatusCode, len(out.Queries[0].Results)}
+			var out RefineResponse
+			resp := postJSON(t, srv.URL+"/api/sessions/refine", body, &out)
+			return answer{resp.StatusCode, len(out.Results)}
 		},
-		"POST /api/sessions/refine": refine("/api/sessions/refine"),
-		"POST /api/refine":          refine("/api/refine"),
 	}
 	cases := []struct {
 		k    string
@@ -379,6 +391,43 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestUnknownBodyFieldRejected: a body naming a field its route does not
+// have is a 400 that names the field on every POST route, not a request
+// served as if the field were absent — "async": true asked for a 202 and a
+// round token before asynchronous refinement went, and must not now be
+// answered 200 with a ranking it did not ask for.
+func TestUnknownBodyFieldRejected(t *testing.T) {
+	srv, labels := testServer(t)
+	session := startJudgedSession(t, srv, labels, 1)
+	for _, c := range []struct{ path, body, field string }{
+		{"/api/sessions", `{"query":1,"scheme":"rf-svm"}`, "scheme"},
+		{"/api/sessions/judge", fmt.Sprintf(`{"session_id":%d,"judgments":[{"image":2,"relevant":true,"weight":2}]}`, session), "weight"},
+		{"/api/sessions/refine", fmt.Sprintf(`{"session_id":%d,"scheme":"lrf-csvm","async":true}`, session), "async"},
+		{"/api/sessions/commit", fmt.Sprintf(`{"session_id":%d,"force":true}`, session), "force"},
+		{"/api/images", `{"images":[[0.5,0.5]],"labels":[1]}`, "labels"},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if want := fmt.Sprintf("unknown field %q", c.field); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, want) {
+			t.Errorf("%s %s: status %d, error %q (%v), want 400 naming %s", c.path, c.body, resp.StatusCode, got.Error, err, want)
+		}
+	}
+	// None of the five was half-served: the session is still there with its
+	// eight judgments, and nothing was ingested or committed.
+	var status StatusResponse
+	getJSON(t, srv.URL+"/api/status", &status)
+	var judged JudgeResponse
+	postJSON(t, srv.URL+"/api/sessions/judge", JudgeRequest{SessionID: session}, &judged)
+	if status.Images != 36 || status.LogSessions != 15 || status.ActiveSessions != 1 || judged.Judgments != 8 {
+		t.Errorf("after five refused requests: %+v, %d judgments", status, judged.Judgments)
+	}
+}
+
 func TestMalformedBodies(t *testing.T) {
 	srv, _ := testServer(t)
 	resp, err := http.Post(srv.URL+"/api/sessions", "application/json", bytes.NewReader([]byte("{not json")))
@@ -388,5 +437,73 @@ func TestMalformedBodies(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed start: status %d", resp.StatusCode)
+	}
+}
+
+// TestQueryKCapped verifies result lists are capped at the configured MaxK
+// and default to DefaultK, on the query path and on refinement.
+func TestQueryKCapped(t *testing.T) {
+	srv, _, engine := testServerWithConfig(t, Config{DefaultK: 4, MaxK: 7})
+	n := engine.NumImages()
+
+	// Omitted k selects the default.
+	var q QueryResponse
+	getJSON(t, srv.URL+"/api/query?image=1", &q)
+	if q.K != 4 || len(q.Results) != 4 {
+		t.Fatalf("default: k=%d with %d results, want 4", q.K, len(q.Results))
+	}
+	// A request beyond MaxK is capped, never the full collection.
+	getJSON(t, srv.URL+"/api/query?image=1&k="+strconv.Itoa(10*n), &q)
+	if q.K != 7 || len(q.Results) != 7 {
+		t.Fatalf("capped: k=%d with %d results, want 7", q.K, len(q.Results))
+	}
+
+	// Refinement follows the same default and ceiling.
+	var start StartSessionResponse
+	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
+	judge := JudgeRequest{SessionID: start.SessionID}
+	for img := 0; img < 6; img++ {
+		judge.Judgments = append(judge.Judgments, struct {
+			Image    int  `json:"image"`
+			Relevant bool `json:"relevant"`
+		}{Image: img, Relevant: img < 3})
+	}
+	postJSON(t, srv.URL+"/api/sessions/judge", judge, nil)
+	var refined RefineResponse
+	postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: "rf-svm"}, &refined)
+	if len(refined.Results) != 4 {
+		t.Fatalf("refine default: %d results, want 4", len(refined.Results))
+	}
+	postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: "rf-svm", K: 10 * n}, &refined)
+	if len(refined.Results) != 7 {
+		t.Fatalf("refine capped: %d results, want 7", len(refined.Results))
+	}
+}
+
+// TestStatusReportsShards verifies /api/status exposes the shard count of
+// the current collection epoch.
+func TestStatusReportsShards(t *testing.T) {
+	srv, _, engine := testServerWithConfig(t, Config{})
+	var status StatusResponse
+	getJSON(t, srv.URL+"/api/status", &status)
+	if status.Shards != engine.NumShards() || status.Shards == 0 {
+		t.Fatalf("status shards = %d, engine has %d", status.Shards, engine.NumShards())
+	}
+}
+
+// TestAddImagesCapped verifies ingestion batches beyond the limit are
+// rejected while batches at the limit pass.
+func TestAddImagesCapped(t *testing.T) {
+	srv, _, engine := testServerWithConfig(t, Config{})
+	batch := make([][]float64, maxIngestImages+1)
+	for i := range batch {
+		batch[i] = make([]float64, engine.Dim())
+	}
+	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: batch}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized ingest batch: status %d, want 400", resp.StatusCode)
+	}
+	var ok AddImagesResponse
+	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: batch[:maxIngestImages]}, &ok); resp.StatusCode != http.StatusOK || ok.Added != maxIngestImages {
+		t.Fatalf("at-limit ingest batch: status %d, added %d", resp.StatusCode, ok.Added)
 	}
 }
