@@ -39,6 +39,8 @@ var testOnly = map[string]string{
 	"internal/sparse.Vector.ToDense": "Equal is built on it, and test failure messages print columns through it",
 	"internal/linalg.Vector.Equal":   "tolerance comparison of the linalg, kernel, features, storage and core tests",
 
+	"internal/linalg.Matrix.RowSquaredDistancesNormInto": "the distance expansion as first written, over MulVecInto: kernel's TestSquaredDistancesMatchLinalg holds DenseSet.SquaredDistancesInto (every backend's row dot) to it bit for bit, and linalg's own test holds it to the direct subtraction",
+
 	"internal/imaging.Image.Fill":         "fixture of the features and imaging tests: a flat image, whose descriptor is known in closed form",
 	"internal/eval.RecallAtK":             "the recall measure TestANNRecallMatrix and TestQuantizedLaneRecallAndMAP gate the approximate lanes with",
 	"internal/metrics.ValidateExposition": "the scraper-side parser that the metrics golden tests and the server's /metrics tests hold every exposition to",

@@ -465,10 +465,11 @@ func addQueryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet, score
 // rangeDistances writes the Euclidean distance from q to every row of a range
 // into dst: what the Euclidean scheme negates into its score and the query
 // prior weighs. Distances use the norm-expansion batch path (one matrix-vector
-// product per range against the precomputed row norms); EXPERIMENTS.md
-// documents the O(1e-15) per-score drift and the unchanged MAP metrics.
+// product per range against the precomputed row norms, on the kernel
+// backend's row dot); EXPERIMENTS.md documents the O(1e-15) per-score drift
+// and the unchanged MAP metrics.
 func rangeDistances(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
-	sub.Matrix().RowSquaredDistancesNormInto(dst, q, sub.Norms())
+	sub.SquaredDistancesInto(dst, q)
 	for i := range dst {
 		dst[i] = math.Sqrt(dst[i])
 	}

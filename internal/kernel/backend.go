@@ -1,28 +1,37 @@
 package kernel
 
 // The fused distance+RBF-exp pass over DenseSet rows (RBF.AccumulateSet) is
-// the single dominant kernel of the SVM ranking path. It has one
-// implementation, the tile driver blockAccumulateRBF, parameterised only by
-// the three routines it calls — the two row dots and the exponential over a
-// tile column: Go-assembly AVX2 routines where the build and the CPU have
-// them (amd64 without the purego tag, hasAVX2), the four-way-unrolled
-// pure-Go routines everywhere else. The assembly reproduces the Go
-// four-accumulator summation pattern lane for lane and evaluates expOne's
-// arithmetic in expOne's order four elements at a time, one correctly
-// rounded instruction per Go operation and no fused multiply-add, so both
-// are bit-identical to the straight-line reference loop the parity tests
-// keep (accumulateRBFScalar) — no ULP tolerance is needed or permitted.
+// the dominant kernel of the SVM ranking path. It has one implementation,
+// the tile driver blockAccumulateRBF, parameterised only by the four
+// routines it calls: the RBF arguments of a tile against a pair of support
+// vectors (pairArgs), the row dot against one (one; it also serves
+// DenseSet.SquaredDistancesInto), the exponential over a tile column (exp)
+// and the coefficient fold of a pair (fold). They are Go-assembly AVX2
+// routines where the build and the CPU have them (amd64 without the purego
+// tag, hasAVX2), pure-Go routines everywhere else. The assembly reproduces
+// the Go four-accumulator summation pattern lane for lane — four rows
+// against two support vectors per step, eight chains, each the Go chain —
+// and evaluates the norm expansion's, expOne's and the fold's arithmetic in
+// their order, one correctly rounded instruction per Go operation and no
+// fused multiply-add. On amd64, where the Go compiler does not fuse either,
+// the assembly members, the Go members and the straight-line reference loop
+// the parity tests keep (accumulateRBFScalar) agree to the bit — no ULP
+// tolerance is needed or permitted. On other architectures only the Go
+// members exist and the compiler may fuse a multiply into the add that
+// follows it (arm64 does): scores there repeat from run to run but are not
+// the amd64 bits.
 
-// dotKernels is one backend: the two row-dot routines, the in-place
-// exponential, and the name Backend reports for them.
+// dotKernels is one backend: the four routines of the tile driver and the
+// name Backend reports for them.
 type dotKernels struct {
-	name string
-	pair dotPairRowsFunc
-	one  dotRowsFunc
-	exp  func(v []float64)
+	name     string
+	pairArgs pairArgsFunc
+	one      dotRowsFunc
+	exp      func(v []float64)
+	fold     foldFunc
 }
 
-var goKernels = dotKernels{name: "unrolled", pair: dotPairRowsGo, one: dotRowsGo, exp: expLanes}
+var goKernels = dotKernels{name: "unrolled", pairArgs: pairArgsGo, one: dotRowsGo, exp: expLanes, fold: foldGo}
 
 // activeKernels is what AccumulateSet runs on, fixed once at package
 // initialisation from the build constraints and the CPU; nothing sets it
@@ -34,8 +43,8 @@ var activeKernels = func() dotKernels {
 	return goKernels
 }()
 
-// Backend reports which kernels the scoring scans run on: "avx2" (the
-// assembly dots and exponential) or "unrolled" (the pure-Go ones). Read-only; GET
+// Backend reports which kernels the scoring scans run on: "avx2" (the four
+// assembly routines) or "unrolled" (the pure-Go ones). Read-only; GET
 // /api/status, cbir_kernel_backend_info and the benchmark reports surface it.
 func Backend() string {
 	return activeKernels.name
@@ -45,9 +54,17 @@ func Backend() string {
 // row-major matrix, with the scalar four-accumulator summation pattern.
 type dotRowsFunc func(mat []float64, rows, cols int, u, du []float64)
 
-// dotPairRowsFunc computes du[r] = mat[r]·u and dv[r] = mat[r]·v per row,
-// sharing one pass over the matrix.
-type dotPairRowsFunc func(mat []float64, rows, cols int, u, v, du, dv []float64)
+// pairArgsFunc computes, for each row r of the rows×cols row-major matrix
+// with squared norm xn[r], the RBF exponents against the support vectors u
+// and v of squared norms nU and nV:
+// aU[r] = negGamma·max((xn[r]+nU) − 2·(mat[r]·u), 0), and aV[r] likewise,
+// the dots with the four-accumulator pattern, a negative zero or a NaN
+// passing the clamp as "if a < 0 { a = 0 }" lets it.
+type pairArgsFunc func(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64)
+
+// foldFunc adds a pair of support vectors' kernel columns to the scores:
+// out[r] = (out[r] + cA·eA[r]) + cB·eB[r].
+type foldFunc func(out, eA, eB []float64, cA, cB float64)
 
 // rbfBlockRows is the row-tile size of the blocked AccumulateSet driver:
 // 64 rows x 36 dims x 8 B = 18 KiB of row data per tile, small enough that
@@ -78,27 +95,11 @@ func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *D
 		out := dst[base : base+blk]
 		t := 0
 		for ; t+2 <= n; t += 2 {
-			k.pair(mat, blk, cols, svData[t*cols:(t+1)*cols], svData[(t+1)*cols:(t+2)*cols], dA[:blk], dB[:blk])
-			nA, nB := svs.norms[t], svs.norms[t+1]
-			for j := 0; j < blk; j++ {
-				a := xn[j] + nA - 2*dA[j]
-				if a < 0 {
-					a = 0
-				}
-				b := xn[j] + nB - 2*dB[j]
-				if b < 0 {
-					b = 0
-				}
-				dA[j] = -gamma * a
-				dB[j] = -gamma * b
-			}
+			k.pairArgs(mat, blk, cols, svData[t*cols:(t+1)*cols], svData[(t+1)*cols:(t+2)*cols],
+				xn, svs.norms[t], svs.norms[t+1], -gamma, dA[:blk], dB[:blk])
 			k.exp(dA[:blk])
 			k.exp(dB[:blk])
-			cA, cB := coefs[t], coefs[t+1]
-			for j := 0; j < blk; j++ {
-				s := out[j] + cA*dA[j]
-				out[j] = s + cB*dB[j]
-			}
+			k.fold(out, dA[:blk], dB[:blk], coefs[t], coefs[t+1])
 		}
 		if t < n {
 			k.one(mat, blk, cols, svData[t*cols:(t+1)*cols], dA[:blk])
@@ -118,7 +119,34 @@ func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *D
 	}
 }
 
-// dotPairRowsGo is the pure-Go dot-pair kernel: per row, four-way unrolled
+// pairArgsGo is the pure-Go pairArgs, and its definition: the pair dot, then
+// the norm expansion, the clamp and the scaling element by element.
+func pairArgsGo(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64) {
+	dotPairRowsGo(mat, rows, cols, u, v, aU, aV)
+	for j := 0; j < rows; j++ {
+		a := xn[j] + nU - 2*aU[j]
+		if a < 0 {
+			a = 0
+		}
+		b := xn[j] + nV - 2*aV[j]
+		if b < 0 {
+			b = 0
+		}
+		aU[j] = negGamma * a
+		aV[j] = negGamma * b
+	}
+}
+
+// foldGo is the pure-Go fold, and its definition.
+func foldGo(out, eA, eB []float64, cA, cB float64) {
+	for j := range out {
+		s := out[j] + cA*eA[j]
+		out[j] = s + cB*eB[j]
+	}
+}
+
+// dotPairRowsGo is the pair dot of pairArgsGo: du[r] = mat[r]·u and
+// dv[r] = mat[r]·v in one pass over the matrix; per row, four-way unrolled
 // accumulators combined as ((s0+s1)+s2)+s3, with the tail folded into
 // accumulator 0.
 func dotPairRowsGo(mat []float64, rows, cols int, u, v, du, dv []float64) {

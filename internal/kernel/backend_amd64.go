@@ -13,7 +13,10 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func dotPairRowsAVX2(mat *float64, rows, cols int, u, v, du, dv *float64)
+func pairArgsAVX2(mat *float64, groups, cols int, u, v, xn *float64, nU, nV, negGamma float64, aU, aV *float64)
+
+//go:noescape
+func foldAVX2(out, eA, eB *float64, quads int, cA, cB float64)
 
 //go:noescape
 func dotRowsAVX2(mat *float64, rows, cols int, u, du *float64)
@@ -49,20 +52,35 @@ func asmKernels() (k dotKernels, ok bool) {
 	if !hasAVX2() {
 		return dotKernels{}, false
 	}
-	return dotKernels{name: "avx2", pair: dotPairRowsAsm, one: dotRowsAsm, exp: expLanesAsm}, true
+	return dotKernels{name: "avx2", pairArgs: pairArgsAsm, one: dotRowsAsm, exp: expLanesAsm, fold: foldAsm}, true
 }
 
-func dotPairRowsAsm(mat []float64, rows, cols int, u, v, du, dv []float64) {
-	if rows == 0 {
+// pairArgsAsm hands a tile to pairArgsAVX2 in groups of four rows. When the
+// row count is not a multiple of four the last group is the tile's last four
+// rows, so up to three rows are computed twice, to the same values; a tile
+// of fewer than four rows takes the Go routine.
+func pairArgsAsm(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64) {
+	if rows < 4 || cols == 0 {
+		pairArgsGo(mat, rows, cols, u, v, xn, nU, nV, negGamma, aU, aV)
 		return
 	}
-	if cols == 0 {
-		for r := 0; r < rows; r++ {
-			du[r], dv[r] = 0, 0
-		}
-		return
+	// The assembly trusts these lengths.
+	mat, u, v, xn, aU, aV = mat[:rows*cols], u[:cols], v[:cols], xn[:rows], aU[:rows], aV[:rows]
+	pairArgsAVX2(&mat[0], rows/4, cols, &u[0], &v[0], &xn[0], nU, nV, negGamma, &aU[0], &aV[0])
+	if rows%4 != 0 {
+		r := rows - 4
+		pairArgsAVX2(&mat[r*cols], 1, cols, &u[0], &v[0], &xn[r], nU, nV, negGamma, &aU[r], &aV[r])
 	}
-	dotPairRowsAVX2(&mat[0], rows, cols, &u[0], &v[0], &du[0], &dv[0])
+}
+
+// foldAsm folds whole quads in foldAVX2 and the rest through foldGo.
+func foldAsm(out, eA, eB []float64, cA, cB float64) {
+	eA, eB = eA[:len(out)], eB[:len(out)]
+	whole := len(out) &^ 3
+	if whole > 0 {
+		foldAVX2(&out[0], &eA[0], &eB[0], whole/4, cA, cB)
+	}
+	foldGo(out[whole:], eA[whole:], eB[whole:], cA, cB)
 }
 
 func dotRowsAsm(mat []float64, rows, cols int, u, du []float64) {

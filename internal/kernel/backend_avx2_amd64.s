@@ -21,99 +21,217 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func dotPairRowsAVX2(mat *float64, rows, cols int, u, v, du, dv *float64)
+// func pairArgsAVX2(mat *float64, groups, cols int, u, v, xn *float64, nU, nV, negGamma float64, aU, aV *float64)
 //
-// For each row r of the rows×cols row-major matrix: du[r] = mat[r]·u and
-// dv[r] = mat[r]·v, with the exact floating-point behavior of the scalar
-// four-accumulator pattern. Vector lane l accumulates the products of
-// elements i ≡ l (mod 4) in stride order (VADDPD lane arithmetic is the
-// same sequence of rounded double adds as the scalar a_l accumulators),
-// the scalar tail folds into lane 0, and the lanes combine left-to-right
-// as ((s0+s1)+s2)+s3. No FMA is used anywhere: every product rounds to
-// double before the add, exactly like the Go code.
-TEXT ·dotPairRowsAVX2(SB), NOSPLIT, $0-56
+// The RBF exponents of 4·groups consecutive rows of the row-major matrix
+// against the support vectors u and v, four rows per trip:
+// aU[r] = negGamma·max((xn[r]+nU) − (d+d), 0) with d = mat[r]·u, and aV[r]
+// likewise, each dot with the exact floating-point behavior of the scalar
+// four-accumulator pattern. Eight accumulator registers, Y0–Y3 for the four
+// rows against u and Y4–Y7 against v: lane l of each sums the products of
+// elements i ≡ l (mod 4) in stride order (VMULPD then VADDPD, the rounded
+// multiply and the rounded add of the scalar a_l chain), and each quad of u
+// and v is loaded once for the four rows. The column tail folds into lane 0
+// alone: the product and the sum are formed in a temporary whose lane 0 is
+// blended back, so lanes 1–3 are not touched. A 4×4 transpose turns each
+// set of four accumulators into the four rows' s0, s1, s2 and s3, combined
+// left to right as ((s0+s1)+s2)+s3. d+d is 2·d exactly; VMAXPD returns its
+// second source, the argument, when that is NaN or both operands are zero,
+// which is what "if a < 0 { a = 0 }" leaves of a NaN and of −0. No FMA is
+// used anywhere: every product rounds to double before the add, exactly
+// like the Go code.
+TEXT ·pairArgsAVX2(SB), NOSPLIT, $0-88
 	MOVQ mat+0(FP), SI
-	MOVQ rows+8(FP), R11
+	MOVQ groups+8(FP), R11
 	MOVQ cols+16(FP), R12
 	MOVQ u+24(FP), R13
 	MOVQ v+32(FP), R14
-	MOVQ du+40(FP), R15
-	MOVQ dv+48(FP), DI
+	MOVQ xn+40(FP), R8
+	MOVQ aU+72(FP), R15
+	MOVQ aV+80(FP), DI
+	MOVQ R12, DX
+	SHLQ $3, DX            // bytes from a row to the next
+	LEAQ (DX)(DX*2), CX    // and to the third after it
+	VBROADCASTSD negGamma+64(FP), Y14
+	VXORPD Y15, Y15, Y15   // the clamp's zero
 
-pairrow:
+argsgroup:
 	TESTQ R11, R11
-	JE    pairdone
+	JE    argsdone
 	MOVQ  R13, R9          // u cursor
 	MOVQ  R14, R10         // v cursor
 	MOVQ  R12, BX          // columns remaining
-	VXORPD Y0, Y0, Y0      // u-dot accumulators, lanes 0..3
-	VXORPD Y1, Y1, Y1      // v-dot accumulators, lanes 0..3
-
-pairvec4:
+	VXORPD Y0, Y0, Y0      // row 0 · u
+	VXORPD Y1, Y1, Y1      // row 1 · u
+	VXORPD Y2, Y2, Y2      // row 2 · u
+	VXORPD Y3, Y3, Y3      // row 3 · u
+	VXORPD Y4, Y4, Y4      // row 0 · v
+	VXORPD Y5, Y5, Y5      // row 1 · v
+	VXORPD Y6, Y6, Y6      // row 2 · v
+	VXORPD Y7, Y7, Y7      // row 3 · v
 	CMPQ BX, $4
-	JLT  pairtailsetup
-	VMOVUPD (SI), Y2
-	VMOVUPD (R9), Y3
-	VMOVUPD (R10), Y4
-	VMULPD  Y2, Y3, Y3
-	VADDPD  Y3, Y0, Y0
-	VMULPD  Y2, Y4, Y4
-	VADDPD  Y4, Y1, Y1
+	JLT  argstail
+
+	PCALIGN $32
+argsquad:
+	VMOVUPD (R9), Y8
+	VMOVUPD (R10), Y9
+	VMOVUPD (SI), Y10
+	VMULPD  Y10, Y8, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y12, Y4, Y4
+	VMOVUPD (SI)(DX*1), Y10
+	VMULPD  Y10, Y8, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y12, Y5, Y5
+	VMOVUPD (SI)(DX*2), Y10
+	VMULPD  Y10, Y8, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y12, Y6, Y6
+	VMOVUPD (SI)(CX*1), Y10
+	VMULPD  Y10, Y8, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y12, Y7, Y7
 	ADDQ    $32, SI
 	ADDQ    $32, R9
 	ADDQ    $32, R10
 	SUBQ    $4, BX
-	JMP     pairvec4
+	CMPQ    BX, $4
+	JGE     argsquad
 
-pairtailsetup:
-	VEXTRACTF128 $1, Y0, X5 // u lanes 2,3
-	VEXTRACTF128 $1, Y1, X6 // v lanes 2,3
-	// X0 = u lanes 0,1 ; X1 = v lanes 0,1
-
-pairtail:
+argstail:
 	TESTQ BX, BX
-	JE    paircombine
-	VMOVSD (SI), X7
-	VMOVSD (R9), X8
-	VMULSD X7, X8, X8
-	VADDSD X8, X0, X0       // tail folds into lane 0; lane 1 preserved
-	VMOVSD (R10), X8
-	VMULSD X7, X8, X8
-	VADDSD X8, X1, X1
+	JE    argscombine
+	VMOVSD (R9), X8            // u element in lane 0, zeros above
+	VMOVSD (R10), X9
+	VMOVSD (SI), X10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y0, Y11
+	VBLENDPD $1, Y11, Y0, Y0   // lane 0 := s0 + x·u; lanes 1-3 kept
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y4, Y12
+	VBLENDPD $1, Y12, Y4, Y4
+	VMOVSD (SI)(DX*1), X10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y1, Y11
+	VBLENDPD $1, Y11, Y1, Y1
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y5, Y12
+	VBLENDPD $1, Y12, Y5, Y5
+	VMOVSD (SI)(DX*2), X10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y2, Y11
+	VBLENDPD $1, Y11, Y2, Y2
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y6, Y12
+	VBLENDPD $1, Y12, Y6, Y6
+	VMOVSD (SI)(CX*1), X10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y3, Y11
+	VBLENDPD $1, Y11, Y3, Y3
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y7, Y12
+	VBLENDPD $1, Y12, Y7, Y7
 	ADDQ   $8, SI
 	ADDQ   $8, R9
 	ADDQ   $8, R10
 	DECQ   BX
-	JMP    pairtail
+	JMP    argstail
 
-paircombine:
-	// du[r] = ((s0+s1)+s2)+s3
-	VSHUFPD $1, X0, X0, X7  // lane 0 := s1
-	VADDSD  X7, X0, X0
-	VADDSD  X5, X0, X0      // += s2
-	VSHUFPD $1, X5, X5, X7  // lane 0 := s3
-	VADDSD  X7, X0, X0
-	VMOVSD  X0, (R15)
-	// dv[r], same combine
-	VSHUFPD $1, X1, X1, X7
-	VADDSD  X7, X1, X1
-	VADDSD  X6, X1, X1
-	VSHUFPD $1, X6, X6, X7
-	VADDSD  X7, X1, X1
-	VMOVSD  X1, (DI)
-	ADDQ    $8, R15
-	ADDQ    $8, DI
+argscombine:
+	// Rows a, b, c, d against u: Y0..Y3 become the rows' s0, s1, s2, s3.
+	VUNPCKLPD Y1, Y0, Y8       // a0 b0 a2 b2
+	VUNPCKHPD Y1, Y0, Y9       // a1 b1 a3 b3
+	VUNPCKLPD Y3, Y2, Y10      // c0 d0 c2 d2
+	VUNPCKHPD Y3, Y2, Y11      // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y10, Y8, Y0  // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y11, Y9, Y1  // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y10, Y8, Y2  // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y11, Y9, Y3  // a3 b3 c3 d3
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y0, Y0         // d = ((s0+s1)+s2)+s3, four rows
+	VADDPD  Y0, Y0, Y0         // d+d
+	VMOVUPD (R8), Y12          // xn
+	VBROADCASTSD nU+48(FP), Y13
+	VADDPD  Y13, Y12, Y13      // xn+nU
+	VSUBPD  Y0, Y13, Y0        // (xn+nU) - (d+d)
+	VMAXPD  Y0, Y15, Y0        // the argument is the second source
+	VMULPD  Y14, Y0, Y0
+	VMOVUPD Y0, (R15)
+	// The same against v.
+	VUNPCKLPD Y5, Y4, Y8
+	VUNPCKHPD Y5, Y4, Y9
+	VUNPCKLPD Y7, Y6, Y10
+	VUNPCKHPD Y7, Y6, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y4
+	VPERM2F128 $0x20, Y11, Y9, Y5
+	VPERM2F128 $0x31, Y10, Y8, Y6
+	VPERM2F128 $0x31, Y11, Y9, Y7
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y4, Y4
+	VADDPD  Y4, Y4, Y4
+	VBROADCASTSD nV+56(FP), Y13
+	VADDPD  Y13, Y12, Y13
+	VSUBPD  Y4, Y13, Y4
+	VMAXPD  Y4, Y15, Y4
+	VMULPD  Y14, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    CX, SI             // past the group's other three rows
+	ADDQ    $32, R8
+	ADDQ    $32, R15
+	ADDQ    $32, DI
 	DECQ    R11
-	JMP     pairrow
+	JMP     argsgroup
 
-pairdone:
+argsdone:
+	VZEROUPPER
+	RET
+
+// func foldAVX2(out, eA, eB *float64, quads int, cA, cB float64)
+//
+// out[r] = (out[r] + cA·eA[r]) + cB·eB[r] over 4·quads elements: foldGo's
+// two rounded products and two rounded sums in its order, four rows at a
+// time.
+TEXT ·foldAVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ eA+8(FP), SI
+	MOVQ eB+16(FP), DX
+	MOVQ quads+24(FP), CX
+	VBROADCASTSD cA+32(FP), Y2
+	VBROADCASTSD cB+40(FP), Y3
+	TESTQ CX, CX
+	JLE  folddone
+
+foldquad:
+	VMULPD  (SI), Y2, Y0
+	VADDPD  (DI), Y0, Y0       // out + cA*eA
+	VMULPD  (DX), Y3, Y1
+	VADDPD  Y1, Y0, Y0         // + cB*eB
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     foldquad
+
+folddone:
 	VZEROUPPER
 	RET
 
 // func dotRowsAVX2(mat *float64, rows, cols int, u, du *float64)
 //
-// Single-vector variant of dotPairRowsAVX2 with identical summation
-// semantics, used for the odd trailing support vector.
+// du[r] = mat[r]·u for each row of the rows×cols row-major matrix, one row
+// at a time with the summation semantics of pairArgsAVX2's dots: the lanes
+// of Y0 are the scalar a_l accumulators, the tail folds into lane 0 (scalar
+// adds on the low half, the high half set aside first) and the lanes
+// combine as ((s0+s1)+s2)+s3. Used for the odd trailing support vector and
+// for DenseSet.SquaredDistancesInto.
 TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-40
 	MOVQ mat+0(FP), SI
 	MOVQ rows+8(FP), R11

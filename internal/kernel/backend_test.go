@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"lrfcsvm/internal/linalg"
 )
@@ -69,7 +70,7 @@ func checkParity(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for j := range want {
 		if !sameBits(got[j], want[j]) {
-			t.Fatalf("%s: dst[%d] = %.17g, scalar oracle %.17g (not bit-identical)", label, j, got[j], want[j])
+			t.Fatalf("%s: dst[%d] = %.17g, reference %.17g (not bit-identical)", label, j, got[j], want[j])
 		}
 	}
 }
@@ -85,14 +86,16 @@ func randomCoefs(rng *rand.Rand, n int) []float64 {
 // TestBackendParity pins the tile driver over every available dot-kernel
 // pair bit-for-bit against the scalar oracle across support-vector counts
 // (odd and even, exercising the paired and trailing paths), row counts
-// straddling the tile size up to the benchmark's 2,048-row scan range plus
-// one, and dimensions exercising the vector tail.
+// straddling the four-row group (a tile under four rows, whole groups, a
+// last group that overlaps the one before it) and the tile size, up to the
+// benchmark's 2,048-row scan range plus one, and dimensions exercising the
+// vector tail.
 func TestBackendParity(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(42))
 	for _, dim := range []int{1, 3, 4, 7, 36} {
 		for _, nsv := range []int{1, 2, 5, 31} {
-			for _, rows := range []int{1, 3, 63, 64, 65, 67, 192, 2049} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 66, 67, 68, 192, 2049} {
 				svs := NewDenseSet(backendVectors(rng, nsv, dim))
 				xs := NewDenseSet(backendVectors(rng, rows, dim))
 				coefs := randomCoefs(rng, nsv)
@@ -135,6 +138,10 @@ func TestBackendParity(t *testing.T) {
 			rowVecs[j] = away(710 + 2000*rng.Float64())
 		}
 	}
+	// The tail's first rows are the support vectors themselves: the norm
+	// expansion of a point against itself is a rounding residue of either
+	// sign, and the negative ones are what the clamp is for.
+	copy(rowVecs[2*rbfBlockRows:], svVecs)
 	inWindow := func(sv linalg.Vector, j int) bool { return gamma*rowVecs[j].SquaredDistance(sv) <= expWindow }
 	var whole, none, mixed, disagree int
 	for j := 0; j+4 <= rbfBlockRows; j += 4 {
@@ -160,6 +167,18 @@ func TestBackendParity(t *testing.T) {
 		t.Fatalf("far rows: first tile has %d quads in the window, %d outside, %d mixed and %d rows the pair disagrees on; want some of each", whole, none, mixed, disagree)
 	}
 	xs := NewDenseSet(rowVecs)
+	clamped := 0
+	self := make([]float64, 1)
+	for i, sv := range svVecs[:2] { // the pair every support-vector count below scores
+		j := 2*rbfBlockRows + i
+		dotRowsGo(xs.mat.Row(j), 1, dim, sv, self)
+		if xs.norms[j]+xs.norms[j]-2*self[0] < 0 {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("far rows: neither support vector's expansion against itself is negative; the clamp is not exercised")
+	}
 	for _, nsv := range []int{2, 3, 5} {
 		svs := NewDenseSet(svVecs[:nsv])
 		coefs := randomCoefs(rng, nsv)
@@ -230,6 +249,43 @@ func TestAccumulateSetMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSquaredDistancesMatchLinalg holds the distance method every initial
+// query and query prior runs on to linalg's expansion over MulVecInto, bit
+// for bit: every backend's row dot to the matrix-vector product, and
+// DenseSet.SquaredDistancesInto, on the backend this build and CPU picked, to
+// RowSquaredDistancesNormInto — rows with a NaN, an infinity and an
+// overflowing square included.
+func TestSquaredDistancesMatchLinalg(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(17))
+	for _, dim := range []int{1, 3, 4, 7, 36, 37} {
+		for _, rows := range []int{1, 5, 64, 2049} {
+			vs := backendVectors(rng, rows, dim)
+			if rows >= 5 {
+				vs[1][dim-1] = math.NaN()
+				vs[2][0] = math.Inf(-1)
+				vs[3][dim/2] = 1e200
+			}
+			set := NewDenseSet(vs)
+			x := backendVectors(rng, 1, dim)[0]
+			label := fmt.Sprintf("dim=%d rows=%d", dim, rows)
+
+			want := make(linalg.Vector, rows)
+			set.mat.MulVecInto(want, x)
+			for _, k := range kernelsUnderTest() {
+				got := make([]float64, rows)
+				k.one(set.mat.Data, rows, dim, x, got)
+				checkParity(t, k.name+" row dot "+label, got, want)
+			}
+
+			set.mat.RowSquaredDistancesNormInto(want, x, set.norms)
+			got := make([]float64, rows)
+			set.SquaredDistancesInto(got, x)
+			checkParity(t, "SquaredDistancesInto on "+Backend()+" "+label, got, want)
+		}
+	}
+}
+
 // TestBackendParitySharded scores a sharded collection concurrently over
 // every dot-kernel pair — shard counts {1,2,7} × workers {1,4} — and pins
 // the concatenated scores bit-for-bit against a serial oracle pass over the
@@ -282,13 +338,33 @@ func TestBackendParitySharded(t *testing.T) {
 	}
 }
 
+// chainSink keeps xorshiftChain's result alive.
+var chainSink uint64
+
+// xorshiftChain is steps dependent integer operations: no vector
+// instruction, no memory, nothing to overlap, so what it takes is the clock
+// the core runs at while it does.
+func xorshiftChain(x uint64, steps int) uint64 {
+	for i := 0; i < steps; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
 // BenchmarkBackends times, per backend, the exponential over one tile column
 // of scan-like arguments (ns/elem) and the whole tile driver over a
 // 4,096 × 36 range against 30 support vectors (ns/row·sv): the two numbers
-// kernel.accumulate_ns_per_row_sv of the benchmark of record is made of.
+// kernel.accumulate_ns_per_row_sv of the benchmark of record is made of. The
+// after lanes time a fixed integer chain right after the tile driver has
+// scored a 500-row range (µs/chain, the tile not counted) and, as none/after,
+// with nothing before it: a chain that is slower after a backend's tile than
+// after none is the core clocking down for that backend's instruction mix,
+// which everything that runs between two scans pays.
 func BenchmarkBackends(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	const dim, nsv, rows = 36, 30, 4096
+	const dim, nsv, rows, probeRows = 36, 30, 4096, 500
 	svs := NewDenseSet(backendVectors(rng, nsv, dim))
 	xs := NewDenseSet(backendVectors(rng, rows, dim))
 	coefs := randomCoefs(rng, nsv)
@@ -298,6 +374,22 @@ func BenchmarkBackends(b *testing.B) {
 	for i := range args {
 		args[i] = -60 * rng.Float64()
 	}
+	probe := xs.SliceInto(NewSetView(), 0, probeRows)
+	after := func(name string, tile func()) {
+		for _, steps := range []int{20_000, 200_000, 1_000_000} {
+			b.Run(fmt.Sprintf("%s/after/%dk", name, steps/1000), func(b *testing.B) {
+				var chain time.Duration
+				for i := 0; i < b.N; i++ {
+					tile()
+					start := time.Now()
+					chainSink += xorshiftChain(uint64(i)|1, steps)
+					chain += time.Since(start)
+				}
+				b.ReportMetric(float64(chain.Microseconds())/float64(b.N), "µs/chain")
+			})
+		}
+	}
+	after("none", func() {})
 	for _, k := range kernelsUnderTest() {
 		b.Run(k.name+"/exp", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -312,5 +404,6 @@ func BenchmarkBackends(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*nsv), "ns/row·sv")
 		})
+		after(k.name, func() { blockAccumulateRBF(k, 1.0/dim, coefs, svs, probe, dst[:probeRows]) })
 	}
 }

@@ -130,66 +130,102 @@ func linearSparseBatch(x Sparse, ys []Point, dst []float64) {
 	scatterPool.Put(bp)
 }
 
-// svMatPool recycles the dim×nsv scatter matrices of the transposed
-// multi-support-vector sparse path. Like scatterPool, every buffer in the
-// pool is all-zero: LinearAccumulateSparse clears exactly the entries it
-// scattered before returning its matrix.
-var svMatPool = sync.Pool{New: func() any { return new([]float64) }}
+// SparseSVIndex is the support vectors of a sparse linear model inverted by
+// index: for each log session, the (support vector, weight) cells of the
+// support vectors that carry it. It is built once per model, never written
+// afterwards and shared by the scan workers.
+type SparseSVIndex struct {
+	svs []Point
+	dim int
+	// cells[start[i]:start[i+1]] are the cells of index i, in ascending t.
+	start []int32
+	cells []svCell
+}
 
-// LinearAccumulateSparse accumulates a whole linear decision pass,
-// dst[j] += Σ_t coefs[t]·<svs[t], ys[j]>, for sparse support vectors. It
-// transposes the work: instead of one scatter/gather sweep over ys per
-// support vector, it scatters all support vectors once into a dim×nsv
-// column matrix and gathers every per-SV dot for an image in a single walk
-// of that image's entries, with the nsv running sums hot in one small
-// accumulator. Reports false (leaving dst untouched) when the shapes do not
-// fit — fewer than two support vectors, a non-sparse or zero-dimension
-// support vector, or a batch too small to amortize the scatter.
-//
-// Bit-exactness: for a fixed support vector t, the gathered products are
-// the matched products of the merge join in the same ascending-index order
-// (sparse vectors never store zeros, so "column[t] != 0" holds exactly for
-// the indices svs[t] carries), making each per-SV dot bit-identical to
-// Sparse.Dot; the final fold adds coefs[t]·dot_t into dst[j] in ascending
-// t, the accumulation order of the per-SV pass. The whole call is therefore
-// bit-for-bit equal to nsv successive Linear.EvalBatch accumulations — also
-// for the rows it skips: an empty ys[j] leaves a nonzero dst[j] as it is.
-func LinearAccumulateSparse(coefs []float64, svs, ys []Point, dst []float64) bool {
-	if len(coefs) != len(svs) || len(svs) < 2 || len(ys) < sparseScatterMinBatch {
-		return false
+// svCell is one stored entry of support vector t.
+type svCell struct {
+	t int32
+	w float64
+}
+
+// NewSparseSVIndex inverts svs, or returns nil when they are not what
+// LinearAccumulateSparse scores: fewer than two, a non-sparse or
+// zero-dimension one, or two of different dimensions.
+func NewSparseSVIndex(svs []Point) *SparseSVIndex {
+	if len(svs) < 2 {
+		return nil
 	}
-	checkBatch(len(ys), len(dst))
 	dim := -1
 	for _, sv := range svs {
 		v, ok := sv.(Sparse)
-		if !ok || v.Dim <= 0 {
-			return false
+		if !ok || v.Dim <= 0 || (dim >= 0 && v.Dim != dim) {
+			return nil
 		}
-		if dim < 0 {
-			dim = v.Dim
-		} else if v.Dim != dim {
-			return false
+		dim = v.Dim
+	}
+	// A counting sort by index: start[i+2] counts index i, the prefix sum
+	// leaves the first cell of i in start[i+1], and placing the cells in
+	// support-vector order advances it to the first cell of i+1.
+	start := make([]int32, dim+2)
+	n := 0
+	for _, sv := range svs {
+		for _, e := range sv.(Sparse).Entries {
+			start[e.Index+2]++
+			n++
 		}
 	}
-	nsv := len(svs)
-	mp := svMatPool.Get().(*[]float64)
-	mat := *mp
-	if cap(mat) >= dim*nsv {
-		mat = mat[:dim*nsv]
-	} else {
-		mat = make([]float64, dim*nsv)
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
+	cells := make([]svCell, n)
 	for t, sv := range svs {
 		for _, e := range sv.(Sparse).Entries {
-			mat[e.Index*nsv+t] = e.Value
+			cells[start[e.Index+1]] = svCell{t: int32(t), w: e.Value}
+			start[e.Index+1]++
 		}
 	}
-	acc := make([]float64, nsv)
+	return &SparseSVIndex{svs: svs, dim: dim, start: start[:dim+1], cells: cells}
+}
+
+// sparseAccStack is how many support vectors' running dots
+// LinearAccumulateSparse keeps on its stack; a larger model allocates them.
+const sparseAccStack = 128
+
+// LinearAccumulateSparse accumulates a whole linear decision pass,
+// dst[j] += Σ_t coefs[t]·<svs[t], ys[j]>, for the sparse support vectors ix
+// inverts. It transposes the work: instead of one scatter/gather sweep over
+// ys per support vector, every per-SV dot of an image is gathered in a
+// single walk of that image's entries, each entry visiting only the support
+// vectors that carry its index, with the nsv running sums hot in one small
+// accumulator. Reports false (leaving dst untouched) when the shapes do not
+// fit — no index (see NewSparseSVIndex), or a batch too small to be worth
+// the accumulator.
+//
+// Same arithmetic as the per-SV pass: for a fixed support vector t, the
+// gathered products are the matched products of the merge join in the same
+// ascending-index order, making each per-SV dot Sparse.Dot's; the final fold
+// adds coefs[t]·dot_t into dst[j] over every t ascending, the accumulation
+// order of the per-SV pass, the ±0 terms of the support vectors an image
+// shares nothing with included (they decide the sign of a zero sum). The
+// whole call therefore equals nsv successive Linear.EvalBatch accumulations
+// — also for the rows it skips: an empty ys[j] leaves a nonzero dst[j] as it
+// is.
+func LinearAccumulateSparse(coefs []float64, ix *SparseSVIndex, ys []Point, dst []float64) bool {
+	if ix == nil || len(coefs) != len(ix.svs) || len(ys) < sparseScatterMinBatch {
+		return false
+	}
+	checkBatch(len(ys), len(dst))
+	var stack [sparseAccStack]float64
+	acc := stack[:]
+	if len(coefs) > len(acc) {
+		acc = make([]float64, len(coefs))
+	}
+	acc = acc[:len(coefs)]
 	for j, y := range ys {
 		yv, ok := y.(Sparse)
-		if !ok || yv.Dim != dim {
+		if !ok || yv.Dim != ix.dim {
 			s := dst[j]
-			for t, sv := range svs {
+			for t, sv := range ix.svs {
 				s += coefs[t] * sv.Dot(y)
 			}
 			dst[j] = s
@@ -205,12 +241,9 @@ func LinearAccumulateSparse(coefs []float64, svs, ys []Point, dst []float64) boo
 			acc[t] = 0
 		}
 		for _, e := range yv.Entries {
-			col := mat[e.Index*nsv : e.Index*nsv+nsv]
 			x := e.Value
-			for t, w := range col {
-				if w != 0 {
-					acc[t] += w * x
-				}
+			for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
+				acc[c.t] += c.w * x
 			}
 		}
 		s := dst[j]
@@ -219,13 +252,6 @@ func LinearAccumulateSparse(coefs []float64, svs, ys []Point, dst []float64) boo
 		}
 		dst[j] = s
 	}
-	for t, sv := range svs {
-		for _, e := range sv.(Sparse).Entries {
-			mat[e.Index*nsv+t] = 0
-		}
-	}
-	*mp = mat
-	svMatPool.Put(mp)
 	return true
 }
 
@@ -295,15 +321,36 @@ func (s *DenseSet) Len() int { return s.mat.Rows }
 // Dim returns the dimensionality of the points.
 func (s *DenseSet) Dim() int { return s.mat.Cols }
 
-// Matrix returns the flat row-major storage. Callers must not mutate it.
-func (s *DenseSet) Matrix() *linalg.Matrix { return s.mat }
-
 // Norms returns the precomputed squared row norms. Callers must not mutate
 // the returned slice.
 func (s *DenseSet) Norms() linalg.Vector { return s.norms }
 
 // Point returns point i as a view into the flat storage.
 func (s *DenseSet) Point(i int) Dense { return Dense(s.mat.Row(i)) }
+
+// SquaredDistancesInto stores ||set_i - x||^2 into dst[i] through the
+// expansion ||set_i||^2 + ||x||^2 - 2<set_i, x> over the precomputed row
+// norms, the dots on the backend's row-dot routine. The row dot is
+// linalg.Matrix.MulVecInto's four-accumulator sum and the expansion is
+// written as linalg.Matrix.RowSquaredDistancesNormInto writes it, so the
+// result is that function's: cancellation makes it differ from the direct
+// subtraction by O(1e-15) relative error, and negative results from rounding
+// are clamped to zero.
+func (s *DenseSet) SquaredDistancesInto(dst []float64, x linalg.Vector) {
+	if len(x) != s.mat.Cols {
+		panic(fmt.Sprintf("kernel: SquaredDistancesInto dimension mismatch %d != %d", len(x), s.mat.Cols))
+	}
+	checkBatch(s.Len(), len(dst))
+	activeKernels.one(s.mat.Data, s.mat.Rows, s.mat.Cols, x, dst)
+	xx := x.Dot(x)
+	for i, d := range dst {
+		d = s.norms[i] + xx - 2*d
+		if d < 0 {
+			d = 0
+		}
+		dst[i] = d
+	}
+}
 
 // NewSetView returns an empty DenseSet whose header can be rewritten
 // repeatedly by SliceInto. Candidate-restricted scoring loops keep one view
@@ -404,27 +451,32 @@ func (Linear) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 // ||x||^2 + norms - 2*(set*x), so the whole row is one matrix-vector
 // product against the precomputed row norms. Cancellation in the expansion
 // makes individual kernel values drift from the scalar path by O(1e-15)
-// relative error (see EvalSetExact); EXPERIMENTS.md records that every
-// reported MAP metric is nevertheless unchanged to full float64 precision.
+// relative error; EXPERIMENTS.md records that every reported MAP metric is
+// nevertheless unchanged to full float64 precision.
 func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
-	set.mat.RowSquaredDistancesNormInto(dst, x, set.norms)
+	set.SquaredDistancesInto(dst, x)
 	for i, d := range dst {
 		dst[i] = math.Exp(-k.Gamma * d)
 	}
 }
 
 // AccumulateSet adds coefs[t]*K(svs_t, xs_j) for every support vector t to
-// dst[j] through the tile driver of backend.go, on the three routines (pair
-// dot, single dot, exponential) picked at package initialisation. Both
+// dst[j] through the tile driver of backend.go, on the four routines picked
+// at package initialisation: the RBF arguments of a tile against a pair of
+// support vectors, the row dot against the odd last one, the exponential
+// over a tile column and the coefficient fold of a pair — all four in
+// assembly on the avx2 backend, all four in Go on the unrolled one. Both
 // backends perform the same floating-point operations in the same order —
 // four-way-accumulator dots combined as ((s0+s1)+s2)+s3, the norm expansion
 // of EvalSet, the Cephes fast exponential expOne, and coefficient pairs
-// folded in support-vector order — so the result is bit-identical on every
-// build and CPU (the parity tests pin both against the straight-line
-// reference loop). The fast
-// exponential is within ~2 ulp of math.Exp, so each accumulated score
-// matches the per-SV math.Exp path to O(1e-15) relative error
-// (EXPERIMENTS.md records the reported MAP metrics unchanged). Callers
+// folded in support-vector order. On amd64 that makes the result the same
+// bits on either backend and on every CPU (the parity tests pin both against
+// the straight-line reference loop, and the golden MAPs and trajectory pins
+// are amd64 values); on another architecture the compiler may fuse the Go
+// routines' multiply-adds, so scores repeat from run to run there but are
+// not those bits. The fast exponential is within ~2 ulp of math.Exp, so each
+// accumulated score matches the per-SV math.Exp path to O(1e-15) relative
+// error (EXPERIMENTS.md records the reported MAP metrics unchanged). Callers
 // pre-fill dst with the bias.
 func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
 	if len(coefs) != svs.Len() {

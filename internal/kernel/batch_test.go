@@ -212,7 +212,7 @@ func TestDenseSetGrowLeavesReceiverIntact(t *testing.T) {
 	all, _ := batchDensePoints(24, 5, 123)
 	base := NewDenseSet(all[:8])
 	wantNorms := append(linalg.Vector(nil), base.Norms()...)
-	wantData := append([]float64(nil), base.Matrix().Data...)
+	wantData := append([]float64(nil), base.mat.Data...)
 
 	grown := base
 	for _, hi := range []int{9, 16, 24} {
@@ -224,7 +224,7 @@ func TestDenseSetGrowLeavesReceiverIntact(t *testing.T) {
 	if !base.Norms().Equal(wantNorms, 0) {
 		t.Fatalf("receiver norms changed: %v != %v", base.Norms(), wantNorms)
 	}
-	if !linalg.Vector(base.Matrix().Data).Equal(linalg.Vector(wantData), 0) {
+	if !linalg.Vector(base.mat.Data).Equal(linalg.Vector(wantData), 0) {
 		t.Fatal("receiver storage changed")
 	}
 	if grown.Len() != 24 {
@@ -248,8 +248,12 @@ func TestDenseSetGrowDimensionMismatchPanics(t *testing.T) {
 // accumulations, the per-SV pass it replaces — on rows with entries, on the
 // empty rows it skips (images the log does not cover, whose score is the
 // bias), and for biases of either zero sign, where the ±0 terms of the fold
-// decide the sign of the result.
+// decide the sign of the result. The seeded half (sparse_accumulate_test.go)
+// repeats it at the shapes of the benchmark's log modality, from several
+// goroutines at once.
 func TestLinearAccumulateSparseMatchesPerSV(t *testing.T) {
+	t.Run("workload shapes", testLinearAccumulateSparseAtWorkloadShapes)
+	t.Run("odd rows", testLinearAccumulateSparseOddRows)
 	const dim = 9
 	svs := batchSparsePoints(5, dim, 31)
 	ys := batchSparsePoints(24, dim, 32)
@@ -274,7 +278,7 @@ func TestLinearAccumulateSparseMatchesPerSV(t *testing.T) {
 					want[j] += coefs[i] * kv
 				}
 			}
-			if !LinearAccumulateSparse(coefs, svs, ys, got) {
+			if !sparseAccumulator(svs)(coefs, ys, got) {
 				t.Fatal("LinearAccumulateSparse declined a sparse same-dimension batch")
 			}
 			for j := range ys {

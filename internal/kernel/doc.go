@@ -13,19 +13,26 @@
 // RBF.AccumulateSet, the fused distance+exp pass every SVM scoring scan
 // runs on, has one implementation: a tile driver (64-row blocks so row data
 // stays L1-resident across support-vector passes, exponentials batched over
-// a whole tile column instead of per-element math.Exp calls) over three
-// routines — the row dot against a pair of support vectors, the row dot
-// against one, and the in-place exponential. The three are fixed once at
-// package initialisation from what the code can observe: Go assembly when
-// the build is amd64 without the purego tag and runtime CPU detection (AVX2
-// + OS XSAVE support) passes; otherwise pure Go, four-accumulator
-// eight-wide unrolled dots and four interleaved scalar exponential lanes
-// (expLanes). Backend() names the set that runs ("avx2" or "unrolled") and
-// is surfaced in GET /api/status as "kernel_backend"; it cannot be set.
+// a whole tile column instead of per-element math.Exp calls) over four
+// routines — the RBF arguments of a tile against a pair of support vectors
+// (pair dot, norm expansion, clamp and scaling in one pass), the row dot
+// against one support vector, the in-place exponential, and the fold of a
+// pair's two kernel columns into the scores. The four are fixed once at
+// package initialisation from what the code can observe: Go assembly, all
+// four, when the build is amd64 without the purego tag and runtime CPU
+// detection (AVX2 + OS XSAVE support) passes — the pair routine scores four
+// rows against two support vectors per step; otherwise pure Go,
+// four-accumulator eight-wide unrolled dots and four interleaved scalar
+// exponential lanes (expLanes). Backend() names the set that runs ("avx2"
+// or "unrolled") and is surfaced in GET /api/status as "kernel_backend"; it
+// cannot be set. The row dot also computes the query distances
+// (DenseSet.SquaredDistancesInto), and the log modality's linear decision
+// pass has its own routine, LinearAccumulateSparse over a SparseSVIndex, in
+// Go on every build.
 //
-// Both sets are held to the same contract: bit-identical float64 results
-// to the straight-line reference loop kept with the parity tests, on every
-// input, including NaN/Inf propagation — not a ULP tolerance. The
+// On amd64 both sets are held to the same contract: bit-identical float64
+// results to the straight-line reference loop kept with the parity tests,
+// on every input, including NaN/Inf propagation — not a ULP tolerance. The
 // four-accumulator summation pattern (lane l sums elements with index ≡ l
 // mod 4, tail into lane 0, combined as ((s0+s1)+s2)+s3) is part of the
 // contract, so wider unrolls and the assembly must preserve each
@@ -33,8 +40,14 @@
 // exponential: the assembly performs its operations in its order, one
 // correctly rounded instruction each and no fused multiply-add, and hands
 // any quad holding a NaN or an argument outside [-700, 700] back to it.
-// Training solvers keep calling math.Exp directly so solver trajectories
-// stay bit-exact on every build and CPU.
+// Training solvers keep calling math.Exp directly. The golden MAPs and the
+// solver-trajectory pins are amd64 values: there the compiler fuses nothing
+// (at any GOAMD64 level the pinned lanes hold no FMA), so the assembly, the
+// Go routines and the reference agree to the bit on every CPU. On other
+// architectures only the Go routines exist and the Go specification lets
+// the compiler fuse x*y + z — the arm64 compiler does, in the dots, the
+// exponential, the fold and the solver — so results there are deterministic
+// from run to run but are not pinned, and CI only builds that target.
 //
 // # Quantized sets
 //

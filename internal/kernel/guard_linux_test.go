@@ -37,26 +37,40 @@ func guardedFloats(t *testing.T, n int, fill func() float64) []float64 {
 	return v
 }
 
-// TestBackendsStayInsideTheirSlices runs the three routines of every backend
-// with each operand ending at a guard page, over shapes that take the vector
-// loops, the scalar tails and both at once, and checks the results against
-// the pure-Go routines on ordinary memory.
+// TestBackendsStayInsideTheirSlices runs the four routines of every backend
+// with each operand ending at a guard page — the matrix, both support
+// vectors, the row norms and both outputs of pairArgs, the matrix, the
+// vector and the output of one, the scores and both columns of fold, the
+// column of exp — over shapes that take the vector loops, the scalar tails,
+// the four-row groups, the overlapping last group and the sub-four tile, and
+// checks the results against the pure-Go routines on ordinary memory.
 func TestBackendsStayInsideTheirSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	const nU, nV, negGamma, cA, cB = 1.25, 0.75, -0.5, 0.625, -1.5
 	for _, k := range kernelsUnderTest() {
 		for _, cols := range []int{1, 3, 4, 7, 36} {
-			for _, rows := range []int{1, 5, rbfBlockRows} {
+			for _, rows := range []int{1, 4, 5, 6, 7, 8, 9, rbfBlockRows} {
 				mat := guardedFloats(t, rows*cols, rng.NormFloat64)
 				u := guardedFloats(t, cols, rng.NormFloat64)
 				v := guardedFloats(t, cols, rng.NormFloat64)
+				xn := guardedFloats(t, rows, rng.Float64)
 				du := guardedFloats(t, rows, rng.NormFloat64)
 				dv := guardedFloats(t, rows, rng.NormFloat64)
-				wantU, wantV := make([]float64, rows), make([]float64, rows)
-				dotPairRowsGo(mat, rows, cols, u, v, wantU, wantV)
+				out := guardedFloats(t, rows, rng.NormFloat64)
 				label := fmt.Sprintf("%s %dx%d", k.name, rows, cols)
-				k.pair(mat, rows, cols, u, v, du, dv)
-				checkParity(t, label+" pair u", du, wantU)
-				checkParity(t, label+" pair v", dv, wantV)
+
+				wantU, wantV := make([]float64, rows), make([]float64, rows)
+				pairArgsGo(mat, rows, cols, u, v, xn, nU, nV, negGamma, wantU, wantV)
+				k.pairArgs(mat, rows, cols, u, v, xn, nU, nV, negGamma, du, dv)
+				checkParity(t, label+" pairArgs u", du, wantU)
+				checkParity(t, label+" pairArgs v", dv, wantV)
+
+				wantOut := append([]float64(nil), out...)
+				foldGo(wantOut, wantU, wantV, cA, cB)
+				k.fold(out, du, dv, cA, cB)
+				checkParity(t, label+" fold", out, wantOut)
+
+				dotRowsGo(mat, rows, cols, v, wantV)
 				k.one(mat, rows, cols, v, du)
 				checkParity(t, label+" one", du, wantV)
 			}

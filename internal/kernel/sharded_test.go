@@ -33,9 +33,9 @@ func identicalSets(t *testing.T, got, want *ShardedSet) {
 		if g.Len() != w.Len() || g.Dim() != w.Dim() {
 			t.Fatalf("shard %d shape differs: got %dx%d, want %dx%d", si, g.Len(), g.Dim(), w.Len(), w.Dim())
 		}
-		for i, x := range g.Matrix().Data {
-			if x != w.Matrix().Data[i] {
-				t.Fatalf("shard %d data[%d] = %v, want %v", si, i, x, w.Matrix().Data[i])
+		for i, x := range g.mat.Data {
+			if x != w.mat.Data[i] {
+				t.Fatalf("shard %d data[%d] = %v, want %v", si, i, x, w.mat.Data[i])
 			}
 		}
 		for i, x := range g.Norms() {

@@ -144,6 +144,11 @@ type Model struct {
 	// pointer (copying would copy the sync.Once).
 	svOnce sync.Once
 	svSet  *kernel.DenseSet
+
+	// svIndexOnce lazily builds svIndex, the support vectors inverted by
+	// index, for the sparse linear scoring path; shared like svSet.
+	svIndexOnce sync.Once
+	svIndex     *kernel.SparseSVIndex
 }
 
 // denseSVSet returns the support vectors as a flat DenseSet when they are
@@ -163,6 +168,14 @@ func (m *Model) denseSVSet() *kernel.DenseSet {
 		}
 	})
 	return m.svSet
+}
+
+// sparseSVIndex returns the support vectors inverted by index when
+// kernel.LinearAccumulateSparse can score them, building the index once on
+// first use; nil otherwise.
+func (m *Model) sparseSVIndex() *kernel.SparseSVIndex {
+	m.svIndexOnce.Do(func() { m.svIndex = kernel.NewSparseSVIndex(m.SupportPoints) })
+	return m.svIndex
 }
 
 // Train solves the dual problem and returns the resulting model.
@@ -283,9 +296,10 @@ func (m *Model) DecisionBatch(ys []kernel.Point, dst, buf []float64) {
 	}
 	if _, linear := m.Kernel.(kernel.Linear); linear {
 		// Sparse linear models (the log modality) take the transposed
-		// multi-SV path: one scatter of all support vectors, one gather
-		// sweep per image, bit-identical to the per-SV accumulation.
-		if kernel.LinearAccumulateSparse(m.Coefficients, m.SupportPoints, ys, dst) {
+		// multi-SV path: the support vectors inverted by index once per
+		// model, one gather sweep per image, the per-SV accumulation's
+		// arithmetic in its order.
+		if kernel.LinearAccumulateSparse(m.Coefficients, m.sparseSVIndex(), ys, dst) {
 			return
 		}
 	}
