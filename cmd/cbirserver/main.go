@@ -128,6 +128,7 @@ func main() {
 	if journal != nil {
 		opts.Journal = journal
 	}
+	// The engine copies the rows: visual, not read again, is garbage from here.
 	engine, err := retrieval.NewEngine(visual, fblog, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cbirserver:", err)
@@ -212,7 +213,7 @@ func main() {
 					engine.NumImages(), engine.NumLogSessions(), *snapshotPath)
 			}
 		case *snapshotPath != "":
-			snapVisual, snapLog := engine.Snapshot()
+			snapVisual, snapLog := engine.SnapshotWith(nil)
 			if err := storage.SaveSnapshotAt(*snapshotPath, snapVisual, snapLog, 0); err != nil {
 				log.Printf("cbirserver: save snapshot: %v", err)
 			} else {
@@ -227,7 +228,8 @@ func main() {
 		}
 	}()
 
-	log.Printf("cbirserver: serving %d images in %d shards (%d log sessions) on %s", engine.NumImages(), engine.NumShards(), engine.NumLogSessions(), *addr)
+	coll := engine.Collection()
+	log.Printf("cbirserver: serving %d images in %d shards (%d log sessions) on %s", coll.Images, coll.Shards, engine.NumLogSessions(), *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("cbirserver: %v", err)
 	}

@@ -24,25 +24,25 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 		{20, "full", 0, ""},
 		{50, "ci", 7, ""},
 	}
-	if n := len(ablationNames()); n != 5 {
-		t.Fatalf("ablation list has %d names, want 5", n)
+	if n := len(eval.AblationNames()); n != 7 {
+		t.Fatalf("ablation list has %d names, want 7", n)
 	}
-	for _, name := range ablationNames() {
+	for _, name := range eval.AblationNames() {
 		accept = append(accept, args{20, "ci", 0, name})
 	}
 	for _, a := range accept {
-		cfg, name, figure, sweep, err := buildConfig(a.dataset, a.profile, a.queries, 42, a.ablation)
+		cfg, name, sweep, err := buildConfig(a.dataset, a.profile, a.queries, 42, a.ablation)
 		if err != nil {
 			t.Errorf("%+v rejected: %v", a, err)
 			continue
 		}
-		if name == "" || figure == "" || cfg.Dataset.Categories == 0 {
-			t.Errorf("%+v: captions %q/%q, %d categories", a, name, figure, cfg.Dataset.Categories)
+		if name == "" || cfg.Dataset.Categories == 0 {
+			t.Errorf("%+v: caption %q, %d categories", a, name, cfg.Dataset.Categories)
 		}
 		if a.queries > 0 && cfg.Queries != a.queries {
 			t.Errorf("%+v: cfg.Queries = %d", a, cfg.Queries)
 		}
-		if (sweep != nil) != (a.ablation != "") || (sweep != nil && sweep.name != a.ablation) {
+		if (sweep != nil) != (a.ablation != "") || (sweep != nil && sweep.Name != a.ablation) {
 			t.Errorf("%+v: resolved sweep %+v", a, sweep)
 		}
 	}
@@ -54,11 +54,11 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 		{args{30, "ci", 0, ""}, "unknown dataset 30"},
 		{args{20, "fast", 0, ""}, `unknown profile "fast"`},
 		{args{20, "ci", -1, ""}, "negative -queries -1"},
-		{args{20, "ci", 0, "rhoo"}, strings.Join(ablationNames(), ", ")},
+		{args{20, "ci", 0, "rhoo"}, strings.Join(eval.AblationNames(), ", ")},
 		{args{20, "ci", 0, "Rho"}, `unknown ablation "Rho"`},
 	}
 	for _, r := range reject {
-		_, _, _, _, err := buildConfig(r.dataset, r.profile, r.queries, 42, r.ablation)
+		_, _, _, err := buildConfig(r.dataset, r.profile, r.queries, 42, r.ablation)
 		if err == nil || !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%+v: error %v, want one naming %q", r.args, err, r.want)
 		}
@@ -69,13 +69,17 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 // one field it varies": on the CI profile the named variant's precision row
 // is the main table's LRF-CSVM row, bit for bit, so a sweep can be read
 // against the tables and never runs around a configuration nothing else does.
+// A sweep over the log holds the profile's own configuration among its
+// variants, and the scheme it runs there is the main table's.
 func TestAblationsContainMainTableRow(t *testing.T) {
 	defaultVariant := map[string]string{
-		"selection": "LRF-CSVM[log-assisted]",
-		"rho":       "LRF-CSVM rho=1",
-		"delta":     "LRF-CSVM delta=1",
-		"unlabeled": "LRF-CSVM N'=16",
-		"logkernel": "LRF-CSVM log=linear",
+		"selection":   "LRF-CSVM[log-assisted]",
+		"rho":         "LRF-CSVM rho=1",
+		"delta":       "LRF-CSVM delta=1",
+		"unlabeled":   "LRF-CSVM N'=16",
+		"logkernel":   "LRF-CSVM log=linear",
+		"logsessions": "LRF-CSVM",
+		"lognoise":    "LRF-CSVM",
 	}
 	cfg := eval.CI20(42)
 	cfg.Workers = 1 // one summation order
@@ -88,10 +92,17 @@ func TestAblationsContainMainTableRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sweep := range ablations {
+	for _, sweep := range eval.Ablations {
 		found := false
-		for _, scheme := range sweep.schemes(exp) {
-			if scheme.Name() != defaultVariant[sweep.name] {
+		for _, v := range sweep.Variants(cfg) {
+			found = found || v.Config == cfg
+		}
+		if !found {
+			t.Errorf("-ablation %s has no variant on the profile's own configuration", sweep.Name)
+		}
+		found = false
+		for _, scheme := range sweep.Schemes(exp) {
+			if scheme.Name() != defaultVariant[sweep.Name] {
 				continue
 			}
 			found = true
@@ -101,15 +112,15 @@ func TestAblationsContainMainTableRow(t *testing.T) {
 			}
 			for i := range want.Precision {
 				if math.Float64bits(got.Precision[i]) != math.Float64bits(want.Precision[i]) {
-					t.Errorf("-ablation %s: %s has P@%d %v, the main table's LRF-CSVM %v", sweep.name, scheme.Name(), eval.Cutoffs[i], got.Precision[i], want.Precision[i])
+					t.Errorf("-ablation %s: %s has P@%d %v, the main table's LRF-CSVM %v", sweep.Name, scheme.Name(), eval.Cutoffs[i], got.Precision[i], want.Precision[i])
 				}
 			}
 			if math.Float64bits(got.MAP) != math.Float64bits(want.MAP) {
-				t.Errorf("-ablation %s: %s has MAP %v, the main table's LRF-CSVM %v", sweep.name, scheme.Name(), got.MAP, want.MAP)
+				t.Errorf("-ablation %s: %s has MAP %v, the main table's LRF-CSVM %v", sweep.Name, scheme.Name(), got.MAP, want.MAP)
 			}
 		}
 		if !found {
-			t.Errorf("-ablation %s has no variant named %q", sweep.name, defaultVariant[sweep.name])
+			t.Errorf("-ablation %s has no variant named %q", sweep.Name, defaultVariant[sweep.Name])
 		}
 	}
 }

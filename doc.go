@@ -43,16 +43,18 @@
 //
 // The engine serves a living collection: retrieval.Engine.AddImages (and
 // POST /api/images on the HTTP server) ingests new visual descriptors while
-// queries and feedback rounds keep running. Ingestion is copy-on-write —
-// only the tail shard grows (full shards are shared between epochs), row
-// norms and the collection-level kernel estimate grow incrementally, and
-// the grown index is published as a new immutable epoch, so in-flight
-// rankings finish against their own consistent snapshot and are never
-// blocked or torn. Shard layout depends only on the shard size, never on
-// ingestion batching. Committed feedback rounds extend the per-image log
+// queries and feedback rounds keep running. The collection is stored once, in
+// the flat store of the epoch's core.CollectionBatch, which a
+// core.QueryContext names by Batch (Visual is the un-indexed form of callers
+// without one). Ingestion is copy-on-write — only the tail shard grows (full
+// shards are shared between epochs), row norms and the collection-level
+// kernel estimate grow incrementally, and the grown index is published as a
+// new immutable epoch, so in-flight rankings finish against their own
+// consistent snapshot and are never blocked or torn. Shard layout depends
+// only on the shard size, never on ingestion batching. Committed feedback rounds extend the per-image log
 // relevance columns incrementally the same way. A grown engine can be
 // persisted as one self-contained snapshot file (storage.SaveSnapshotAt /
-// retrieval.Engine.Snapshot) and reloaded bit-identically; cmd/cbirserver
+// retrieval.Engine.SnapshotWith) and reloaded bit-identically; cmd/cbirserver
 // does this automatically on graceful shutdown via its -snapshot flag.
 //
 // The HTTP server manages feedback-session lifecycles for sustained

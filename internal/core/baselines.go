@@ -21,7 +21,7 @@ func (Euclidean) Name() string { return "Euclidean" }
 // unlike the learning schemes it does not require any labeled examples in
 // the context.
 func (Euclidean) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	if err := validateEuclidean(ctx); err != nil {
+	if err := ctx.validateQuery(); err != nil {
 		return nil, nil, err
 	}
 	b := ctx.collectionBatch()
@@ -48,16 +48,6 @@ func (s Euclidean) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 // RankTopAppend implements TopKRanker.
 func (s Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
-}
-
-func validateEuclidean(ctx *QueryContext) error {
-	if len(ctx.Visual) == 0 {
-		return fmt.Errorf("core: query context has no images")
-	}
-	if ctx.Query < 0 || ctx.Query >= len(ctx.Visual) {
-		return fmt.Errorf("core: query index %d out of range [0,%d)", ctx.Query, len(ctx.Visual))
-	}
-	return nil
 }
 
 // labeledSplit splits the context's labeled examples into parallel index and
@@ -140,7 +130,7 @@ func (RFSVM) Name() string { return "RF-SVM" }
 // train validates the context and trains the round's visual SVM.
 func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
 	indices, labels := labeledSplit(ctx)
-	model, err := trainModality(ctx.Ctx, ctx.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+	model, err := trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, fmt.Errorf("core: RF-SVM training: %w", err)
 	}
@@ -195,7 +185,7 @@ func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visualModel,
 		logKernel = defaultLogKernel
 	}
 	indices, labels := labeledSplit(ctx)
-	visualModel, err = trainModality(ctx.Ctx, ctx.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+	visualModel, err = trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs visual training: %w", err)
 	}

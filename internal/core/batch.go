@@ -36,15 +36,15 @@ import (
 // the size of the collection.
 
 // CollectionBatch holds what every query against the same collection shares:
-// the sharded flat visual store with per-shard row norms, the mean-distance
-// estimate of the default visual kernel, and a pool of scoring arenas (see
-// rankScratch) — nothing that depends on the query or on the log. Build one
-// per indexed collection (the retrieval engine and eval experiments do) and
-// attach it to each QueryContext; schemes fall back to a transient one per
-// Rank call when the context carries none. All methods are safe for
-// concurrent use.
+// the sharded flat visual store with per-shard row norms — the one copy of
+// the descriptors, read by the scans, the SVMs' labeled points and the query
+// vector alike — the mean-distance estimate of the default visual kernel, and
+// a pool of scoring arenas (see rankScratch); nothing that depends on the
+// query or on the log. Build one per indexed collection (the retrieval engine
+// and eval experiments do) and attach it to each QueryContext; schemes fall
+// back to a transient one per Rank call when the context carries none. All
+// methods are safe for concurrent use.
 type CollectionBatch struct {
-	src []linalg.Vector // the collection the batch was built from
 	set *kernel.ShardedSet
 
 	vkOnce sync.Once
@@ -62,7 +62,7 @@ type CollectionBatch struct {
 
 // NewCollectionBatch indexes the collection's visual descriptors into
 // sharded flat storage with the default shard size. The descriptors are
-// copied; later mutation of the input does not reach the batch.
+// copied and the input is not kept.
 func NewCollectionBatch(visual []linalg.Vector) *CollectionBatch {
 	return NewShardedCollectionBatch(visual, 0)
 }
@@ -72,38 +72,46 @@ func NewCollectionBatch(visual []linalg.Vector) *CollectionBatch {
 // bit-identical for every shard size; the knob trades per-worker cache
 // residency against scheduling granularity.
 func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *CollectionBatch {
-	return &CollectionBatch{src: visual, set: kernel.NewShardedSet(visual, shardSize)}
+	return &CollectionBatch{set: kernel.NewShardedSet(visual, shardSize)}
 }
 
-// Grow returns a CollectionBatch extended to cover visual: the receiver's
-// source collection plus descriptors appended after it (the prefix must be
-// the same collection; only the length grows). The sharded store grows
-// copy-on-write through kernel.ShardedSet.Grow — full shards are shared and
-// only the tail shard is rebuilt — so row norms are computed only for the
-// appended descriptors and in-flight queries against the receiver are never
-// disturbed. The default-kernel bandwidth is re-estimated lazily over the
-// full grown collection — the evenly spaced subsample of the estimator is
-// deterministic, so the grown batch's kernel is identical to a from-scratch
-// batch over the same collection.
+// Len returns the number of images in the collection.
+func (b *CollectionBatch) Len() int { return b.set.Len() }
+
+// Append returns a CollectionBatch holding the receiver's collection followed
+// by the added descriptors (copied). The sharded store grows copy-on-write
+// through kernel.ShardedSet.Grow — full shards are shared and only the tail
+// shard is rebuilt — so row norms are computed only for the appended
+// descriptors and in-flight queries against the receiver are never disturbed.
+// The default-kernel bandwidth is re-estimated lazily over the full grown
+// collection — the evenly spaced subsample of the estimator is deterministic,
+// so the grown batch's kernel is identical to a from-scratch batch over the
+// same collection.
+func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
+	return &CollectionBatch{set: b.set.Grow(added)}
+}
+
+// Grow is Append for a caller that keeps the whole collection as a slice:
+// what follows the receiver's collection in visual is appended. Only bench/
+// grows its batches this way; the form ends with ROADMAP item 2 (a).
 func (b *CollectionBatch) Grow(visual []linalg.Vector) *CollectionBatch {
-	if len(visual) < len(b.src) {
-		panic(fmt.Sprintf("core: Grow shrinks the collection from %d to %d images", len(b.src), len(visual)))
+	if !b.startsWith(visual) {
+		panic(fmt.Sprintf("core: Grow of a %d-image collection with %d images that do not start with it", b.Len(), len(visual)))
 	}
-	if len(b.src) > 0 && &visual[0][0] != &b.src[0][0] {
-		panic("core: Grow with a different collection prefix")
-	}
-	return &CollectionBatch{src: visual, set: b.set.Grow(visual[len(b.src):])}
+	return b.Append(visual[b.Len():])
 }
 
-// matches reports whether the batch was built from exactly this collection
-// slice. Length alone is not enough — a batch built over a different
-// same-size collection would silently score against stale descriptors — so
-// the identity of the source slice is compared too.
-func (b *CollectionBatch) matches(visual []linalg.Vector) bool {
-	if len(b.src) != len(visual) {
+// startsWith reports whether visual starts with the batch's collection: at
+// least as long, with the stored first and last row at their indices. The
+// store keeps no reference to what it was built from, so the guard is content
+// — which, unlike slice identity, also holds for an equal copy.
+func (b *CollectionBatch) startsWith(visual []linalg.Vector) bool {
+	n := b.Len()
+	if len(visual) < n {
 		return false
 	}
-	return len(visual) == 0 || &b.src[0] == &visual[0]
+	return n == 0 || slices.Equal(b.set.Point(0), kernel.Dense(visual[0])) &&
+		slices.Equal(b.set.Point(n-1), kernel.Dense(visual[n-1]))
 }
 
 // VisualSet returns the sharded flat visual collection store.
@@ -116,7 +124,7 @@ func (b *CollectionBatch) VisualSet() *kernel.ShardedSet { return b.set }
 // covering the appended images.
 func (b *CollectionBatch) QuantizedVisualSet() *kernel.QuantizedSet {
 	b.qsOnce.Do(func() {
-		b.qs = kernel.NewQuantizedSet(b.src)
+		b.qs = kernel.NewQuantizedSet(b.set.Rows())
 	})
 	return b.qs
 }
@@ -133,9 +141,19 @@ func (b *CollectionBatch) defaultVisualKernel() kernel.Kernel {
 	return b.vk
 }
 
-// queryVector returns the batch's copy of the query image's descriptor.
+// queryVector returns the query image's descriptor, a view into the store.
 func (b *CollectionBatch) queryVector(ctx *QueryContext) linalg.Vector {
 	return linalg.Vector(b.set.Point(ctx.Query))
+}
+
+// visualPoints returns the visual descriptors of the given image indices as
+// kernel points, views into the store.
+func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
+	out := make([]kernel.Point, len(indices))
+	for i, idx := range indices {
+		out[i] = b.set.Point(idx)
+	}
+	return out
 }
 
 // rankScratch is one pooled scoring arena, everything a worker needs beside
@@ -199,10 +217,10 @@ func (b *CollectionBatch) scratchPut(s *rankScratch) {
 	b.scratch.Put(s)
 }
 
-// collectionBatch returns the context's attached CollectionBatch when it
-// matches the collection, or builds a transient one.
+// collectionBatch returns the context's collection: the attached batch, or a
+// transient one indexed from Visual.
 func (ctx *QueryContext) collectionBatch() *CollectionBatch {
-	if ctx.Batch != nil && ctx.Batch.matches(ctx.Visual) {
+	if ctx.Batch != nil {
 		return ctx.Batch
 	}
 	return NewCollectionBatch(ctx.Visual)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -135,36 +137,71 @@ func TestSharedCollectionBatchConcurrentRank(t *testing.T) {
 	}
 }
 
-// TestCollectionBatchReused verifies an attached batch with a matching
-// collection is used as-is, and a mismatched one is replaced by a transient
-// batch rather than producing wrong-sized rankings.
+// TestCollectionBatchReused pins which collection a context names. An
+// attached batch is the collection, with or without Visual beside it; a Visual
+// that is not the batch's collection — another length, or the same length with
+// other data in a boundary row — is refused by every scheme instead of being
+// ranked against descriptors it does not hold; an equal copy is the same
+// collection, whatever slice holds it.
 func TestCollectionBatchReused(t *testing.T) {
 	coll := makeCollection(t, 3, 8, 20, 0, 13)
 	batch := NewCollectionBatch(coll.visual)
 	ctx := coll.queryContext(1, 6)
 	ctx.Batch = batch
 	if got := ctx.collectionBatch(); got != batch {
-		t.Error("matching batch should be reused")
+		t.Error("the attached batch should be the collection")
 	}
-	other := NewCollectionBatch(coll.visual[:4])
-	ctx.Batch = other
-	if got := ctx.collectionBatch(); got == other {
-		t.Error("mismatched batch must not be reused")
-	}
-	// A different collection of the same size must be rejected too: scores
-	// would otherwise be computed against stale descriptors.
-	sameLen := NewCollectionBatch(append([]linalg.Vector(nil), coll.visual...))
-	ctx.Batch = sameLen
-	if got := ctx.collectionBatch(); got == sameLen {
-		t.Error("batch over a different same-length collection must not be reused")
-	}
-	scores, err := (Euclidean{}).Rank(ctx)
+	want, err := (RFSVM{}).Rank(ctx)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("batch with the slice it was built from: %v", err)
 	}
-	if len(scores) != len(coll.visual) {
-		t.Fatalf("scores len = %d, want %d", len(scores), len(coll.visual))
+	sameScores := func(what string) {
+		t.Helper()
+		got, err := (RFSVM{}).Rank(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: score %d = %v, want %v", what, i, got[i], want[i])
+			}
+		}
 	}
+	clone := func() []linalg.Vector {
+		out := make([]linalg.Vector, len(coll.visual))
+		for i, v := range coll.visual {
+			out[i] = append(linalg.Vector(nil), v...)
+		}
+		return out
+	}
+	ctx.Visual = clone()
+	sameScores("an equal copy of the collection")
+	ctx.Visual = nil
+	sameScores("a batch alone")
+
+	refused := func(what string, visual []linalg.Vector) {
+		t.Helper()
+		ctx.Visual = visual
+		for _, scheme := range []Scheme{Euclidean{}, RFSVM{}, LRF2SVMs{}, LRFCSVM{}} {
+			if _, err := scheme.Rank(ctx); err == nil {
+				t.Errorf("%s: %s ranked a collection its batch does not hold", what, scheme.Name())
+			}
+		}
+	}
+	refused("a shorter collection", coll.visual[:4])
+	refused("a longer collection", append(clone(), coll.visual[0]))
+	for _, row := range []int{0, len(coll.visual) - 1} {
+		other := clone()
+		other[row][0]++
+		refused(fmt.Sprintf("the same length with another row %d", row), other)
+	}
+
+	// Without a batch, Visual is the collection, indexed for the call.
+	ctx.Batch, ctx.Visual = nil, coll.visual
+	if got := ctx.collectionBatch(); got == batch || got.Len() != len(coll.visual) {
+		t.Errorf("transient batch: %d images, want %d in a batch of its own", got.Len(), len(coll.visual))
+	}
+	sameScores("a transient batch")
 }
 
 // TestCollectionBatchGrowParity pins the copy-on-write grow path: a batch
@@ -201,15 +238,47 @@ func TestCollectionBatchGrowParity(t *testing.T) {
 	}
 }
 
+// TestCollectionBatchGrowRejectsDifferentPrefix: Grow takes the whole
+// collection and appends what follows the batch's own, so a slice that does
+// not start with it — shorter, or with another first or last prefix row — is
+// refused, and an equal copy grows like the original.
 func TestCollectionBatchGrowRejectsDifferentPrefix(t *testing.T) {
 	col := makeCollection(t, 2, 6, 10, 0, 5)
-	b := NewCollectionBatch(col.visual[:8:8])
-	defer func() {
-		if recover() == nil {
-			t.Fatal("growing onto a different collection did not panic")
+	const prefix = 8
+	b := NewCollectionBatch(col.visual[:prefix:prefix])
+	clone := func() []linalg.Vector {
+		out := make([]linalg.Vector, len(col.visual))
+		for i, v := range col.visual {
+			out[i] = append(linalg.Vector(nil), v...)
 		}
-	}()
-	other := append([]linalg.Vector(nil), col.visual...)
-	other[0] = append(linalg.Vector(nil), other[0]...)
-	b.Grow(other)
+		return out
+	}
+	grown := b.Grow(clone())
+	if grown.Len() != len(col.visual) {
+		t.Fatalf("grown onto an equal copy: %d images, want %d", grown.Len(), len(col.visual))
+	}
+	for i, v := range col.visual {
+		if !slices.Equal(grown.VisualSet().Point(i), kernel.Dense(v)) {
+			t.Fatalf("grown row %d = %v, want %v", i, grown.VisualSet().Point(i), v)
+		}
+	}
+	if same := b.Grow(col.visual[:prefix]); same.Len() != prefix {
+		t.Errorf("growing by nothing: %d images, want %d", same.Len(), prefix)
+	}
+
+	refused := func(what string, visual []linalg.Vector) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("growing onto %s did not panic", what)
+			}
+		}()
+		b.Grow(visual)
+	}
+	refused("a shorter collection", col.visual[:prefix-1])
+	for _, row := range []int{0, prefix - 1} {
+		other := clone()
+		other[row][0]++
+		refused(fmt.Sprintf("a prefix with another row %d", row), other)
+	}
 }

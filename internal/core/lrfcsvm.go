@@ -107,7 +107,7 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	// Section 6.5, and the log-assisted selection of Hoi & Lyu ACM-MM'04;
 	// see unlabeledSelector).
 	modalities = []Modality{
-		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: ctx.visualPoints(labeledIdx)},
+		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx)},
 		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx)},
 	}
 	var inits [2]*svm.Model
@@ -127,7 +127,7 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	modalities[0].Unlabeled = ctx.visualPoints(unlabeledIdx)
+	modalities[0].Unlabeled = batch.visualPoints(unlabeledIdx)
 	modalities[1].Unlabeled = ctx.logPoints(unlabeledIdx)
 	return modalities, labels, initialLabels, nil
 }

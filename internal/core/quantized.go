@@ -31,7 +31,7 @@ const DefaultQuantizedOversample = 4
 // oversampled pool, which the oversampling margin makes rare (the recall
 // floor is pinned by the evaluation tests).
 func (e Euclidean) RankTopQuantized(ctx *QueryContext, k, oversample int, dst []Ranked) ([]Ranked, error) {
-	if err := validateEuclidean(ctx); err != nil {
+	if err := ctx.validateQuery(); err != nil {
 		return nil, err
 	}
 	if oversample <= 0 {

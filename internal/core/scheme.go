@@ -31,8 +31,15 @@ type LabeledExample struct {
 // one query: the collection representations and the user's current-feedback
 // judgments. Visual descriptors are expected to be normalized (see
 // features.Normalizer); log vectors come from feedbacklog.Log.
+//
+// Batch names the collection, and everything is read from its store: the
+// size, the query's descriptor, the labeled points, every scanned row.
 type QueryContext struct {
-	// Visual holds the visual descriptor of every image in the collection.
+	// Visual is the un-indexed form of the collection, for callers without a
+	// Batch (examples, tests): each Rank call indexes it into a transient
+	// one. Beside a Batch it is only checked to be the batch's collection
+	// (CollectionBatch.startsWith); bench/ sets both, which is all that keeps
+	// the pair legal, and it ends with ROADMAP item 2 (a).
 	Visual []linalg.Vector
 	// LogVectors holds the user-log relevance vector of every image. It may
 	// be nil for schemes that do not use the log (Euclidean, RF-SVM).
@@ -45,9 +52,9 @@ type QueryContext struct {
 	// selects GOMAXPROCS, 1 forces the serial path. Scores are identical
 	// for any worker count.
 	Workers int
-	// Batch optionally carries collection-level precomputation (flat
-	// visual storage, kernel estimates) shared across the queries hitting
-	// one collection. Nil makes each Rank call precompute transiently.
+	// Batch is the indexed collection (flat visual storage, kernel
+	// estimates) shared across the queries hitting it; nil makes each Rank
+	// call index Visual transiently.
 	Batch *CollectionBatch
 	// Ctx optionally carries the caller's cancellation context. The sharded
 	// scoring path checks it between shard ranges and the SMO solver checks
@@ -66,15 +73,36 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Validate checks structural consistency of the context.
-func (ctx *QueryContext) Validate(needLog bool) error {
-	n := len(ctx.Visual)
+// NumImages returns the collection size.
+func (ctx *QueryContext) NumImages() int {
+	if ctx.Batch != nil {
+		return ctx.Batch.Len()
+	}
+	return len(ctx.Visual)
+}
+
+// validateQuery checks what every scheme needs: one collection and a query
+// image inside it.
+func (ctx *QueryContext) validateQuery() error {
+	n := ctx.NumImages()
 	if n == 0 {
 		return fmt.Errorf("core: query context has no images")
+	}
+	if b := ctx.Batch; b != nil && ctx.Visual != nil && !(len(ctx.Visual) == n && b.startsWith(ctx.Visual)) {
+		return fmt.Errorf("core: query context's Visual (%d images) is not the collection of its Batch (%d images)", len(ctx.Visual), n)
 	}
 	if ctx.Query < 0 || ctx.Query >= n {
 		return fmt.Errorf("core: query index %d out of range [0,%d)", ctx.Query, n)
 	}
+	return nil
+}
+
+// Validate checks structural consistency of the context.
+func (ctx *QueryContext) Validate(needLog bool) error {
+	if err := ctx.validateQuery(); err != nil {
+		return err
+	}
+	n := ctx.NumImages()
 	if needLog {
 		if len(ctx.LogVectors) != n {
 			return fmt.Errorf("core: log vectors (%d) do not cover the collection (%d images)", len(ctx.LogVectors), n)
@@ -94,9 +122,6 @@ func (ctx *QueryContext) Validate(needLog bool) error {
 	return nil
 }
 
-// NumImages returns the collection size.
-func (ctx *QueryContext) NumImages() int { return len(ctx.Visual) }
-
 // labeledSet returns the labeled indices as a set for quick membership tests.
 func (ctx *QueryContext) labeledSet() map[int]bool {
 	set := make(map[int]bool, len(ctx.Labeled))
@@ -104,16 +129,6 @@ func (ctx *QueryContext) labeledSet() map[int]bool {
 		set[ex.Index] = true
 	}
 	return set
-}
-
-// visualPoints returns the visual descriptors of the given image indices as
-// kernel points.
-func (ctx *QueryContext) visualPoints(indices []int) []kernel.Point {
-	out := make([]kernel.Point, len(indices))
-	for i, idx := range indices {
-		out[i] = kernel.Dense(ctx.Visual[idx])
-	}
-	return out
 }
 
 // logPoints returns the log vectors of the given image indices as kernel

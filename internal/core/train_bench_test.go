@@ -37,7 +37,7 @@ func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []f
 		}
 	}
 	modalities = []Modality{
-		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: ctx.visualPoints(labeledIdx), Unlabeled: ctx.visualPoints(unlabeledIdx)},
+		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx), Unlabeled: batch.visualPoints(unlabeledIdx)},
 		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
 	}
 	return modalities, labels, initial

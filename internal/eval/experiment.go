@@ -111,8 +111,8 @@ type Experiment struct {
 	Labels     []int
 	LogStats   feedbacklog.Stats
 
-	// batch is the collection-level precomputation shared by every query
-	// context the experiment hands out.
+	// batch is Visual indexed, the collection of every query context the
+	// experiment hands out.
 	batch *core.CollectionBatch
 }
 
@@ -180,7 +180,6 @@ func (e *Experiment) QueryContext(query int) *core.QueryContext {
 		labeled = append(labeled, core.LabeledExample{Index: idx, Label: label})
 	}
 	return &core.QueryContext{
-		Visual:     e.Visual,
 		LogVectors: e.LogVectors,
 		Query:      query,
 		Labeled:    labeled,

@@ -1,7 +1,8 @@
 // Package eval implements the paper's evaluation harness: average precision
 // at top-N cutoffs, mean average precision over cutoffs, the automatic
-// relevance judge, and the experiment runner that regenerates Tables 1-2 and
-// Figures 3-4 for the two datasets.
+// relevance judge, and the experiment runner that regenerates Tables 1-2 for
+// the two datasets (Figures 3-4 plot their columns: precision versus the
+// number of returned images, one curve per scheme).
 package eval
 
 import (
@@ -131,54 +132,5 @@ func (t *Table) Format() string {
 		}
 	}
 	appendf("\n")
-	return string(b)
-}
-
-// Series is one scheme's curve for the paper's figures: average precision
-// versus the number of returned images.
-type Series struct {
-	Scheme string
-	X      []int
-	Y      []float64
-}
-
-// FigureData is the data behind one of the paper's figures.
-type FigureData struct {
-	Name    string
-	Dataset string
-	Series  []Series
-}
-
-// FromTable converts a results table into figure series (one per scheme).
-func FromTable(t *Table, name string) *FigureData {
-	fig := &FigureData{Name: name, Dataset: t.Dataset}
-	for _, r := range t.Rows {
-		fig.Series = append(fig.Series, Series{Scheme: r.Scheme, X: append([]int(nil), t.Cutoffs...), Y: append([]float64(nil), r.Precision...)})
-	}
-	return fig
-}
-
-// Format renders the figure data as aligned text columns, one row per cutoff.
-func (f *FigureData) Format() string {
-	var b []byte
-	appendf := func(format string, args ...interface{}) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	appendf("%s — %s\n", f.Name, f.Dataset)
-	appendf("%-10s", "#returned")
-	for _, s := range f.Series {
-		appendf("  %-12s", s.Scheme)
-	}
-	appendf("\n")
-	if len(f.Series) == 0 {
-		return string(b)
-	}
-	for i, x := range f.Series[0].X {
-		appendf("%-10d", x)
-		for _, s := range f.Series {
-			appendf("  %-12.3f", s.Y[i])
-		}
-		appendf("\n")
-	}
 	return string(b)
 }

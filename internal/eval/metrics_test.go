@@ -118,20 +118,6 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-func TestFigureDataFromTable(t *testing.T) {
-	fig := FromTable(testTable(), "Figure 3")
-	if len(fig.Series) != 4 {
-		t.Fatalf("series count %d", len(fig.Series))
-	}
-	if fig.Series[0].X[0] != 20 || fig.Series[0].Y[0] != 0.4 {
-		t.Errorf("series values wrong: %+v", fig.Series[0])
-	}
-	out := fig.Format()
-	if !strings.Contains(out, "Figure 3") || !strings.Contains(out, "#returned") {
-		t.Errorf("figure format missing headers:\n%s", out)
-	}
-}
-
 func TestCutoffsMatchPaper(t *testing.T) {
 	want := []int{20, 30, 40, 50, 60, 70, 80, 90, 100}
 	if len(Cutoffs) != len(want) {

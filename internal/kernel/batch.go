@@ -321,10 +321,6 @@ func (s *DenseSet) Len() int { return s.mat.Rows }
 // Dim returns the dimensionality of the points.
 func (s *DenseSet) Dim() int { return s.mat.Cols }
 
-// Norms returns the precomputed squared row norms. Callers must not mutate
-// the returned slice.
-func (s *DenseSet) Norms() linalg.Vector { return s.norms }
-
 // Point returns point i as a view into the flat storage.
 func (s *DenseSet) Point(i int) Dense { return Dense(s.mat.Row(i)) }
 

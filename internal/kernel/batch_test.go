@@ -139,8 +139,8 @@ func TestDenseSetSlice(t *testing.T) {
 		if !got.Equal(want, 0) {
 			t.Errorf("slice point %d = %v, want %v", i, got, want)
 		}
-		if sub.Norms()[i] != set.Norms()[4+i] {
-			t.Errorf("slice norm %d = %v, want %v", i, sub.Norms()[i], set.Norms()[4+i])
+		if sub.norms[i] != set.norms[4+i] {
+			t.Errorf("slice norm %d = %v, want %v", i, sub.norms[i], set.norms[4+i])
 		}
 	}
 }
@@ -186,8 +186,8 @@ func TestDenseSetGrowMatchesRebuild(t *testing.T) {
 		t.Fatalf("grown set %dx%d, want %dx%d", set.Len(), set.Dim(), want.Len(), want.Dim())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if set.Norms()[i] != want.Norms()[i] {
-			t.Fatalf("norm %d: grown %v, rebuilt %v", i, set.Norms()[i], want.Norms()[i])
+		if set.norms[i] != want.norms[i] {
+			t.Fatalf("norm %d: grown %v, rebuilt %v", i, set.norms[i], want.norms[i])
 		}
 		g := linalg.Vector(set.Point(i))
 		r := linalg.Vector(want.Point(i))
@@ -211,7 +211,7 @@ func TestDenseSetGrowMatchesRebuild(t *testing.T) {
 func TestDenseSetGrowLeavesReceiverIntact(t *testing.T) {
 	all, _ := batchDensePoints(24, 5, 123)
 	base := NewDenseSet(all[:8])
-	wantNorms := append(linalg.Vector(nil), base.Norms()...)
+	wantNorms := append(linalg.Vector(nil), base.norms...)
 	wantData := append([]float64(nil), base.mat.Data...)
 
 	grown := base
@@ -221,8 +221,8 @@ func TestDenseSetGrowLeavesReceiverIntact(t *testing.T) {
 	if base.Len() != 8 {
 		t.Fatalf("receiver length changed to %d", base.Len())
 	}
-	if !base.Norms().Equal(wantNorms, 0) {
-		t.Fatalf("receiver norms changed: %v != %v", base.Norms(), wantNorms)
+	if !base.norms.Equal(wantNorms, 0) {
+		t.Fatalf("receiver norms changed: %v != %v", base.norms, wantNorms)
 	}
 	if !linalg.Vector(base.mat.Data).Equal(linalg.Vector(wantData), 0) {
 		t.Fatal("receiver storage changed")

@@ -166,7 +166,7 @@ func TestDenseSetSliceInto(t *testing.T) {
 			if &got.Point(i)[0] != &set.Point(lo + i)[0] {
 				t.Fatalf("view row %d does not alias row %d of the set", i, lo+i)
 			}
-			if &got.Norms()[i] != &set.Norms()[lo+i] {
+			if &got.norms[i] != &set.norms[lo+i] {
 				t.Fatalf("view norm %d does not alias norm %d of the set", i, lo+i)
 			}
 		}

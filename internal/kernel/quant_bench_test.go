@@ -60,7 +60,7 @@ func scoreSquaredDistances(query linalg.Vector, set *DenseSet, dst []float64) {
 	for _, x := range query {
 		qn += x * x
 	}
-	norms := set.Norms()
+	norms := set.norms
 	for i := range dst {
 		row := rows[i*dim : (i+1)*dim]
 		var s0, s1, s2, s3 float64

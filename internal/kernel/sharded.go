@@ -82,6 +82,21 @@ func (s *ShardedSet) Point(i int) Dense {
 	return s.shards[i/s.shardSize].Point(i % s.shardSize)
 }
 
+// Rows returns every point in order as views into the shards' storage: the
+// slice form the snapshot writer and the quantizer take, for the cost of the
+// headers. Grow never rewrites a stored row, so the views stay valid, and
+// must stay unwritten, however the set is grown afterwards.
+func (s *ShardedSet) Rows() []linalg.Vector {
+	rows := make([]linalg.Vector, 0, s.n)
+	for _, shard := range s.shards {
+		for i := 0; i < shard.Len(); i++ {
+			row := shard.Point(i)
+			rows = append(rows, linalg.Vector(row[:len(row):len(row)]))
+		}
+	}
+	return rows
+}
+
 // Grow returns a new ShardedSet holding the receiver's points followed by vs
 // (which are copied). Full shards are shared with the receiver; only the
 // tail shard is grown (copy-on-write through DenseSet.Grow, so concurrent

@@ -38,9 +38,9 @@ func identicalSets(t *testing.T, got, want *ShardedSet) {
 				t.Fatalf("shard %d data[%d] = %v, want %v", si, i, x, w.mat.Data[i])
 			}
 		}
-		for i, x := range g.Norms() {
-			if x != w.Norms()[i] {
-				t.Fatalf("shard %d norm[%d] = %v, want %v", si, i, x, w.Norms()[i])
+		for i, x := range g.norms {
+			if x != w.norms[i] {
+				t.Fatalf("shard %d norm[%d] = %v, want %v", si, i, x, w.norms[i])
 			}
 		}
 	}

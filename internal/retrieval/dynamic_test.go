@@ -90,8 +90,8 @@ func TestAddImagesExtendsCollection(t *testing.T) {
 	if e.NumImages() != len(visual)+3 {
 		t.Errorf("collection size = %d, want %d", e.NumImages(), len(visual)+3)
 	}
-	if e.Epoch() != 2 {
-		t.Errorf("epoch = %d after one ingestion, want 2 (the initial collection is 1)", e.Epoch())
+	if got := e.Collection().Epoch; got != 2 {
+		t.Errorf("epoch = %d after one ingestion, want 2 (the initial collection is 1)", got)
 	}
 	// The new images are queryable and judgeable immediately.
 	results, err := e.InitialQuery(context.Background(), first+2, 5)
@@ -148,7 +148,7 @@ func TestGrownEngineMatchesRebuilt(t *testing.T) {
 	}
 	commitRound(t, grown, len(visual)+1, append(append([]int(nil), labels...), 0, 1, 2, 3))
 
-	snapVisual, snapLog := grown.Snapshot()
+	snapVisual, snapLog := grown.SnapshotWith(nil)
 	rebuilt, err := NewEngine(snapVisual, snapLog, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestGrownEngineMatchesRebuiltSampledGamma(t *testing.T) {
 		t.Fatalf("collection of %d images does not reach the sampled-gamma regime", n)
 	}
 
-	snapVisual, snapLog := grown.Snapshot()
+	snapVisual, snapLog := grown.SnapshotWith(nil)
 	rebuilt, err := NewEngine(snapVisual, snapLog, Options{})
 	if err != nil {
 		t.Fatal(err)

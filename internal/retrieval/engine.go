@@ -80,16 +80,23 @@ var ErrJournal = errors.New("retrieval: journal append failed")
 const DefaultTrainWorkers = 2
 
 // epoch is one immutable snapshot of the indexed collection: its sequence
-// number (1 for the initial collection, the next for every ingestion), the
-// visual descriptors and the collection-level precomputation built over
-// them. Ingesting images publishes a new epoch in one store, number
-// included; queries started against an older epoch keep ranking its (still
-// valid) snapshot, so ingestion never blocks or corrupts an in-flight
-// ranking.
+// number (1 for the initial collection, the next for every ingestion) and the
+// batch whose sharded store is the engine's only copy of the descriptors.
+// Ingesting images publishes a new epoch in one store, number included;
+// queries started against an older epoch keep ranking its (still valid)
+// snapshot, so ingestion never blocks or corrupts an in-flight ranking.
 type epoch struct {
-	seq    int64
-	visual []linalg.Vector
-	batch  *core.CollectionBatch
+	seq   int64
+	batch *core.CollectionBatch
+}
+
+// checkImage refuses an image index (a query, a judged image) outside the
+// epoch's collection: the one range check of the engine, on the one size.
+func (ep *epoch) checkImage(what string, image int) error {
+	if n := ep.batch.Len(); image < 0 || image >= n {
+		return fmt.Errorf("retrieval: %s image %d out of range [0,%d)", what, image, n)
+	}
+	return nil
 }
 
 // Engine is the retrieval engine. It is safe for concurrent use: queries and
@@ -118,15 +125,14 @@ type Engine struct {
 // NewEngine builds an engine over a collection of visual descriptors and an
 // existing feedback log (which may be empty but must cover the same
 // collection). It refuses what AddImages refuses: descriptors of differing
-// dimension, and rows whose squared norm is not finite.
+// dimension, and rows whose squared norm is not finite. The descriptors are
+// copied; the input is not kept.
 func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Engine, error) {
 	if len(visual) == 0 {
 		return nil, fmt.Errorf("retrieval: empty collection")
 	}
-	for i, d := range visual {
-		if dim := len(visual[0]); len(d) != dim {
-			return nil, fmt.Errorf("retrieval: image %d has dimension %d, image 0 has %d", i, len(d), dim)
-		}
+	if err := checkDescriptors("image", visual, len(visual[0])); err != nil {
+		return nil, err
 	}
 	if log == nil {
 		log = feedbacklog.NewLog(len(visual))
@@ -134,27 +140,30 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	if log.NumImages() != len(visual) {
 		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), len(visual))
 	}
-	// Detach from the caller's slice: the engine appends to its current
-	// epoch's slice when ingesting, which must never collide with a caller
-	// holding (and growing) the original.
-	visual = append([]linalg.Vector(nil), visual...)
 	if opts.TrainWorkers <= 0 {
 		opts.TrainWorkers = DefaultTrainWorkers
 	}
-	batch := core.NewCollectionBatch(visual)
-	// The store has just computed every squared row norm, so checking them
-	// costs no second pass over the data.
-	set := batch.VisualSet()
-	for si := 0; si < set.NumShards(); si++ {
-		for i, norm := range set.Shard(si).Norms() {
-			if math.IsNaN(norm) || math.IsInf(norm, 0) {
-				return nil, fmt.Errorf("retrieval: image %d is not finite (squared norm %v)", set.ShardStart(si)+i, norm)
-			}
+	e := &Engine{opts: opts, log: log}
+	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatch(visual)})
+	return e, nil
+}
+
+// checkDescriptors refuses rows (images of a collection, descriptors of an
+// ingestion) the collection cannot hold: another dimension, or a squared norm
+// that is not finite (a NaN or Inf component, or components that overflow
+// when squared) — such a row is at distance NaN from itself and +Inf from
+// everything else, so it would poison every ranking that reaches it, and the
+// journal would replay it forever.
+func checkDescriptors(what string, rows []linalg.Vector, dim int) error {
+	for i, d := range rows {
+		if len(d) != dim {
+			return fmt.Errorf("retrieval: %s %d has dimension %d, collection has %d", what, i, len(d), dim)
+		}
+		if norm := d.Dot(d); math.IsNaN(norm) || math.IsInf(norm, 0) {
+			return fmt.Errorf("retrieval: %s %d is not finite (squared norm %v)", what, i, norm)
 		}
 	}
-	e := &Engine{opts: opts, log: log}
-	e.cur.Store(&epoch{seq: 1, visual: visual, batch: batch})
-	return e, nil
+	return nil
 }
 
 // Close shuts the engine down. The engine starts no goroutine, so there is
@@ -167,31 +176,21 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 func (e *Engine) Close() { e.closed.Store(true) }
 
 // NumImages returns the current collection size.
-func (e *Engine) NumImages() int { return len(e.cur.Load().visual) }
+func (e *Engine) NumImages() int { return e.cur.Load().batch.Len() }
 
-// Epoch returns the current collection epoch sequence number: 1 for the
-// initial collection, incremented by every published ingestion.
-func (e *Engine) Epoch() int64 { return e.cur.Load().seq }
-
-// NumShards returns the number of collection shards of the current epoch.
-func (e *Engine) NumShards() int { return e.cur.Load().batch.VisualSet().NumShards() }
-
-// Dim returns the dimensionality of the collection's visual descriptors.
-func (e *Engine) Dim() int { return e.cur.Load().batch.VisualSet().Dim() }
-
-// CollectionStats describes one collection epoch.
+// CollectionStats describes one collection epoch; Epoch is its sequence
+// number (1 for the initial collection, the next for every ingestion).
 type CollectionStats struct {
 	Images, Dim, Shards int
 	Epoch               int64
 }
 
 // Collection describes the current epoch from a single load, so the four
-// numbers belong together even while an ingestion publishes the next one —
-// which NumImages, Dim, NumShards and Epoch called in turn do not guarantee.
+// numbers belong together even while an ingestion publishes the next one.
 func (e *Engine) Collection() CollectionStats {
 	ep := e.cur.Load()
 	set := ep.batch.VisualSet()
-	return CollectionStats{Images: len(ep.visual), Dim: set.Dim(), Shards: set.NumShards(), Epoch: ep.seq}
+	return CollectionStats{Images: ep.batch.Len(), Dim: set.Dim(), Shards: set.NumShards(), Epoch: ep.seq}
 }
 
 // NumLogSessions returns the number of feedback sessions accumulated so far.
@@ -202,7 +201,7 @@ func (e *Engine) NumLogSessions() int {
 }
 
 // Log returns the engine's feedback log (shared, not a copy). Callers that
-// need a stable view while the engine keeps serving should use Snapshot.
+// need a stable view while the engine keeps serving should use SnapshotWith.
 func (e *Engine) Log() *feedbacklog.Log {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -227,20 +226,8 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	if len(descriptors) == 0 {
 		return 0, fmt.Errorf("retrieval: no descriptors to add")
 	}
-	dim := e.Dim()
-	added := make([]linalg.Vector, len(descriptors))
-	for i, d := range descriptors {
-		if len(d) != dim {
-			return 0, fmt.Errorf("retrieval: descriptor %d has dimension %d, collection has %d", i, len(d), dim)
-		}
-		// A row whose squared norm is not finite (a NaN or Inf component, or
-		// components that overflow when squared) is at distance NaN from
-		// itself and +Inf from everything else: it would poison every ranking
-		// that reaches it, and the journal would replay it forever.
-		if norm := d.Dot(d); math.IsNaN(norm) || math.IsInf(norm, 0) {
-			return 0, fmt.Errorf("retrieval: descriptor %d is not finite (squared norm %v)", i, norm)
-		}
-		added[i] = append(linalg.Vector(nil), d...)
+	if err := checkDescriptors("descriptor", descriptors, e.Collection().Dim); err != nil {
+		return 0, err
 	}
 
 	e.mu.Lock()
@@ -257,47 +244,34 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	// unchanged and the caller sees the error; if it succeeds the mutation
 	// below cannot fail (the descriptors were validated above).
 	if e.opts.Journal != nil {
-		if err := e.opts.Journal.AppendImages(added); err != nil {
+		if err := e.opts.Journal.AppendImages(descriptors); err != nil {
 			return 0, fmt.Errorf("%w: ingestion: %w", ErrJournal, err)
 		}
 	}
+	// Mutations are serialized by e.mu, so only the latest epoch's batch is
+	// ever appended to, as the copy-on-write store requires.
 	old := e.cur.Load()
-	first := len(old.visual)
-	// Plain append keeps the grow amortized: when it extends in place only
-	// elements past the previous epoch's length are written, and when it
-	// reallocates the previous epoch keeps the old backing array — either
-	// way readers of the old epoch are never disturbed. Mutations are
-	// serialized by e.mu, so only the latest epoch's slice is ever appended
-	// to.
-	visual := append(old.visual, added...)
-	e.log.GrowImages(len(added))
-	e.cur.Store(&epoch{seq: old.seq + 1, visual: visual, batch: old.batch.Grow(visual)})
-	return first, nil
+	e.log.GrowImages(len(descriptors))
+	e.cur.Store(&epoch{seq: old.seq + 1, batch: old.batch.Append(descriptors)})
+	return old.batch.Len(), nil
 }
 
-// Snapshot returns a mutually consistent copy of the collection's visual
-// descriptors and the feedback log, suitable for persisting while the engine
-// keeps serving and ingesting (see package storage's snapshot format).
-func (e *Engine) Snapshot() ([]linalg.Vector, *feedbacklog.Log) {
-	return e.SnapshotWith(nil)
-}
-
-// SnapshotWith is Snapshot with a hook: a non-nil mark is invoked while the
-// mutation lock is held, before the state is copied. The snapshotter uses it
-// to read the journal offset the captured state corresponds to — appends are
-// journaled under the same lock, so no record can land between the mark and
-// the copy. It satisfies storage.SnapshotSource.
+// SnapshotWith returns the collection's visual descriptors and a copy of the
+// feedback log, mutually consistent and suitable for persisting while the
+// engine keeps serving and ingesting (see package storage's snapshot format).
+// The rows are views into the engine's store (kernel.ShardedSet.Rows): no
+// ingestion rewrites them and the caller must not. A non-nil mark is invoked
+// while the mutation lock is held, before the state is captured: the
+// snapshotter reads the journal offset the state corresponds to in it —
+// appends are journaled under the same lock, so no record can land between
+// the mark and the capture. It satisfies storage.SnapshotSource.
 func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if mark != nil {
 		mark()
 	}
-	ep := e.cur.Load()
-	// The descriptor vectors themselves are immutable; copying the headers
-	// detaches the snapshot from the engine's append chain.
-	visual := append([]linalg.Vector(nil), ep.visual...)
-	return visual, e.log.Clone()
+	return e.cur.Load().batch.VisualSet().Rows(), e.log.Clone()
 }
 
 // logColumns returns the per-image log relevance vectors covering at least
@@ -313,7 +287,7 @@ func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
 	e.mu.Unlock()
 	// The log covers every image the engine has ever published, which may
 	// already exceed this epoch's snapshot if an ingestion raced ahead.
-	return cols[:len(ep.visual)]
+	return cols[:ep.batch.Len()]
 }
 
 // InitialQuery returns the top-k images by Euclidean visual similarity to
@@ -323,15 +297,10 @@ func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
 // allocated.
 func (e *Engine) InitialQuery(stdctx context.Context, query, k int) ([]Result, error) {
 	ep := e.cur.Load()
-	if query < 0 || query >= len(ep.visual) {
-		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, len(ep.visual))
+	if err := ep.checkImage("query", query); err != nil {
+		return nil, err
 	}
-	ctx := &core.QueryContext{
-		Visual: ep.visual,
-		Query:  query,
-		Batch:  ep.batch,
-		Ctx:    e.withCloseAware(stdctx),
-	}
+	ctx := &core.QueryContext{Query: query, Batch: ep.batch, Ctx: e.withCloseAware(stdctx)}
 	ranked, err := core.Euclidean{}.RankTopAppend(ctx, k, nil)
 	if err != nil {
 		return nil, err
@@ -353,16 +322,16 @@ type Session struct {
 
 // StartSession begins a feedback session for the given query image.
 func (e *Engine) StartSession(query int) (*Session, error) {
-	if n := e.NumImages(); query < 0 || query >= n {
-		return nil, fmt.Errorf("retrieval: query image %d out of range [0,%d)", query, n)
+	if err := e.cur.Load().checkImage("query", query); err != nil {
+		return nil, err
 	}
 	return &Session{engine: e, query: query, judgments: make(map[int]bool)}, nil
 }
 
 // Judge records the user's relevance judgment for an image.
 func (s *Session) Judge(image int, relevant bool) error {
-	if n := s.engine.NumImages(); image < 0 || image >= n {
-		return fmt.Errorf("retrieval: judged image %d out of range [0,%d)", image, n)
+	if err := s.engine.cur.Load().checkImage("judged", image); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,7 +383,6 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 	}
 
 	ctx := &core.QueryContext{
-		Visual:     ep.visual,
 		LogVectors: s.engine.logColumns(ep),
 		Query:      s.query,
 		Labeled:    labeled,

@@ -54,7 +54,7 @@ func TestShardBoundaryIngestion(t *testing.T) {
 			t.Fatalf("%s: %v", step.name, err)
 		}
 		prev = step.to
-		if got := e.NumShards(); got != step.wantShard {
+		if got := e.Collection().Shards; got != step.wantShard {
 			t.Fatalf("%s: %d shards, want %d", step.name, got, step.wantShard)
 		}
 		rebuilt, err := NewEngine(visual[:step.to], nil, opts)

@@ -212,9 +212,9 @@ func (s *Server) registerStackMetrics() {
 	r.GaugeFunc("cbir_engine_images", "Images in the current collection epoch.", nil,
 		func() float64 { return float64(engine.NumImages()) })
 	r.GaugeFunc("cbir_engine_epoch", "Collection epoch sequence number (1 = initial collection).", nil,
-		func() float64 { return float64(engine.Epoch()) })
+		func() float64 { return float64(engine.Collection().Epoch) })
 	r.GaugeFunc("cbir_engine_collection_shards", "Shards of the current collection epoch.", nil,
-		func() float64 { return float64(engine.NumShards()) })
+		func() float64 { return float64(engine.Collection().Shards) })
 	r.GaugeFunc("cbir_engine_log_sessions", "Feedback sessions accumulated in the long-term log.", nil,
 		func() float64 { return float64(engine.NumLogSessions()) })
 	r.GaugeFunc("cbir_server_active_sessions", "Live feedback sessions in the server's table.", nil,

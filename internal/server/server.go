@@ -706,7 +706,7 @@ func (s *Server) handleAddImages(w http.ResponseWriter, r *http.Request) {
 	// Bound the buffered payload before decoding: a descriptor component
 	// encodes in well under 32 bytes of JSON, so this admits any legitimate
 	// batch up to maxIngestImages while refusing multi-gigabyte bodies.
-	dim := s.engine.Dim()
+	dim := s.engine.Collection().Dim
 	var req AddImagesRequest
 	if !decodeJSON(w, r, maxIngestImages*int64(dim+1)*32, &req) {
 		return

@@ -486,8 +486,8 @@ func TestStatusReportsShards(t *testing.T) {
 	srv, _, engine := testServerWithConfig(t, Config{})
 	var status StatusResponse
 	getJSON(t, srv.URL+"/api/status", &status)
-	if status.Shards != engine.NumShards() || status.Shards == 0 {
-		t.Fatalf("status shards = %d, engine has %d", status.Shards, engine.NumShards())
+	if status.Shards != engine.Collection().Shards || status.Shards == 0 {
+		t.Fatalf("status shards = %d, engine has %d", status.Shards, engine.Collection().Shards)
 	}
 }
 
@@ -497,7 +497,7 @@ func TestAddImagesCapped(t *testing.T) {
 	srv, _, engine := testServerWithConfig(t, Config{})
 	batch := make([][]float64, maxIngestImages+1)
 	for i := range batch {
-		batch[i] = make([]float64, engine.Dim())
+		batch[i] = make([]float64, engine.Collection().Dim)
 	}
 	if resp := postJSON(t, srv.URL+"/api/images", AddImagesRequest{Images: batch}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized ingest batch: status %d, want 400", resp.StatusCode)

@@ -185,7 +185,7 @@ func TestCrashRecoveryServerFlow(t *testing.T) {
 	}
 	// Reference: the pre-crash engine minus the torn (unacknowledged)
 	// final commit — rebuilt from the live engine's own snapshot.
-	liveVisual, liveLog := engineA.Snapshot()
+	liveVisual, liveLog := engineA.SnapshotWith(nil)
 	refLog := feedbacklog.NewLog(liveLog.NumImages())
 	for i, s := range liveLog.Sessions() {
 		if i == liveLog.NumSessions()-1 {

@@ -840,7 +840,7 @@ func TestEngineJournalOrderMatchesLog(t *testing.T) {
 			}
 		}
 	}
-	liveVisual, liveLog := engine.Snapshot()
+	liveVisual, liveLog := engine.SnapshotWith(nil)
 
 	baseVisual, baseLog := journalBase(8, 3)
 	j2, gotVisual, _, err := OpenJournal(path, baseVisual, baseLog, JournalOptions{})

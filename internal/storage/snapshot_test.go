@@ -141,7 +141,7 @@ func TestEngineSnapshotPersistenceLoop(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "engine.snap")
-	snapVisual, snapLog := engine.Snapshot()
+	snapVisual, snapLog := engine.SnapshotWith(nil)
 	if err := SaveSnapshotAt(path, snapVisual, snapLog, 0); err != nil {
 		t.Fatal(err)
 	}

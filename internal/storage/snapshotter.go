@@ -16,12 +16,13 @@ import (
 	"lrfcsvm/internal/linalg"
 )
 
-// SnapshotSource captures a consistent copy of the engine state. The mark
-// callback must be invoked while the state is pinned (i.e. under the same
-// lock that serializes journal appends): the snapshotter uses it to read
-// the journal offset the captured state corresponds to, so compaction
-// removes exactly the records the snapshot covers and nothing appended
-// concurrently. retrieval.Engine.SnapshotWith has this shape.
+// SnapshotSource captures a consistent view of the engine state; the rows may
+// be views into live storage, read and never written here. The mark callback
+// must be invoked while the state is pinned (i.e. under the same lock that
+// serializes journal appends): the snapshotter uses it to read the journal
+// offset the captured state corresponds to, so compaction removes exactly
+// the records the snapshot covers and nothing appended concurrently.
+// retrieval.Engine.SnapshotWith has this shape.
 type SnapshotSource func(mark func()) ([]linalg.Vector, *feedbacklog.Log)
 
 // SnapshotterConfig tunes the snapshotter. The zero value of the trigger

@@ -354,7 +354,7 @@ func LoadLog(path string) (*feedbacklog.Log, error) {
 // WriteSnapshotAt writes one self-contained engine snapshot to w: the visual
 // descriptor of every image followed by every feedback-log session, the two
 // halves a live engine needs to be reconstructed after ingesting images and
-// collecting feedback (see retrieval.Engine.Snapshot). The log must cover
+// collecting feedback (see retrieval.Engine.SnapshotWith). The log must cover
 // exactly the given collection.
 //
 // Layout after the file header: a meta record images(u32) dim(u32)
