@@ -77,7 +77,6 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", server.DefaultMaxSessions, "cap on live feedback sessions (LRU eviction beyond it)")
 		defaultK     = flag.Int("default-k", server.DefaultResultK, "result-list length when a request omits k")
 		maxK         = flag.Int("max-k", server.DefaultMaxK, "hard cap on the result-list length of any request")
-		trainWorkers = flag.Int("train-workers", 0, "how many of a refine's two modality SVMs the coupled trainer trains at once (0 = library default)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "deadline of each query request; an expired one stops scanning mid-collection and returns 504 (0 = no deadline)")
 		trainTimeout = flag.Duration("train-timeout", 30*time.Second, "deadline of each refine request; an expired one stops training or scanning mid-way and returns 504 (0 = no deadline)")
 		maxQuery     = flag.Int("max-inflight-query", 0, "concurrent query requests admitted; beyond it requests queue briefly and then shed with 503 (0 = unlimited)")
@@ -124,7 +123,7 @@ func main() {
 		}
 	}
 
-	opts := retrieval.Options{TrainWorkers: *trainWorkers}
+	var opts retrieval.Options
 	if journal != nil {
 		opts.Journal = journal
 	}

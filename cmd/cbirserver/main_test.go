@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +137,46 @@ func TestCheckCommandLine(t *testing.T) {
 	}{{true, time.Second, -1}, {true, 0, 0}, {false, 0, -1}} {
 		if _, err := checkCommandLine(nil, "interval", ok.snapshotting, ok.interval, ok.maxBytes); err != nil {
 			t.Errorf("checkCommandLine(%+v) = %v, want accepted", ok, err)
+		}
+	}
+}
+
+// TestReadmeNamesTheFlags holds README.md to the command line: every flag
+// main.go defines (the definitions `make loc` counts) is named there, and
+// every `-flag` it names in backticks is one a program under cmd/ defines —
+// a deleted flag goes from the README with the code.
+func TestReadmeNamesTheFlags(t *testing.T) {
+	definition := regexp.MustCompile(`flag\.\w+\("([a-z][a-z-]*)"`)
+	defined := func(pattern string) map[string]bool {
+		names := make(map[string]bool)
+		sources, _ := filepath.Glob(pattern)
+		for _, path := range sources {
+			source, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range definition.FindAllSubmatch(source, -1) {
+				names[string(m[1])] = true
+			}
+		}
+		return names
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, any := defined("main.go"), defined("../*/main.go")
+	if len(own) == 0 {
+		t.Fatal("main.go defines no flag: the test no longer reads it")
+	}
+	for name := range own {
+		if !bytes.Contains(readme, []byte("`-"+name+"`")) && !bytes.Contains(readme, []byte("`-"+name+" ")) {
+			t.Errorf("README.md does not name -%s", name)
+		}
+	}
+	for _, m := range regexp.MustCompile("`-([a-z][a-z-]*)").FindAllSubmatch(readme, -1) {
+		if !any[string(m[1])] {
+			t.Errorf("README.md names `-%s`, which no program under cmd/ defines", m[1])
 		}
 	}
 }

@@ -82,7 +82,6 @@ func TestAblationsContainMainTableRow(t *testing.T) {
 		"lognoise":    "LRF-CSVM",
 	}
 	cfg := eval.CI20(42)
-	cfg.Workers = 1 // one summation order
 	exp, err := eval.Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -108,10 +108,10 @@
 // the zero iterate, so a model depends only on the problem it was trained
 // on. The coupled trainer (core.TrainCoupled) keeps every Gram row of a
 // modality in one kernel cache shared by all its retrainings, reads the
-// unlabeled decision values from it, and can train the modalities of each
-// alternation step concurrently (core.CoupledConfig.Workers) with
-// bit-identical results — pinned by an exact trajectory test, the golden
-// MAP regression and the solver property suite in internal/svm.
+// unlabeled decision values from it, and trains the modalities of each
+// alternation step one after the other — pinned by an exact trajectory
+// test, the golden MAP regression and the solver property suite in
+// internal/svm.
 //
 // A refinement round is synchronous, as the paper's feedback loop is:
 // Session.Refine (HTTP: POST /api/sessions/refine) trains and ranks under
@@ -139,6 +139,13 @@
 // directive, and stale or malformed directives are themselves
 // violations. Run it locally with "make lint" or
 // "go run ./cmd/cbirlint ./...".
+//
+// What the engine has to do, as opposed to how, is written once, in
+// internal/retrieval/model_test.go: a collection is a slice of rows, the log
+// a slice of committed sessions, a ranking the scheme's scores fully sorted.
+// TestEngineMatchesModel drives the engine — journal, snapshotter, crashes,
+// faults, cancellations and Close included — against that definition under
+// random operation sequences, and prints the sequence when they disagree.
 //
 // Start with the README for an architecture overview and the system
 // inventory ("Layout"), and EXPERIMENTS.md for the paper-versus-measured

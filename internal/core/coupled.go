@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/svm"
@@ -45,12 +43,11 @@ type CoupledConfig struct {
 	// more than Delta. Larger values make label correction more
 	// conservative and avoid overlarge changes to the label set.
 	Delta float64
-	// Workers bounds the goroutines that train the modalities of one
-	// alternation step concurrently; <=1 trains sequentially. The
-	// modalities of a step share no mutable state — each has its own
-	// kernel cache, problem buffers and solver scratch — and per-modality
-	// training is deterministic, so results are bit-identical for every
-	// worker count.
+	// Workers is read by nothing: the modalities of an alternation step train
+	// one after the other, which measured faster than handing one of them to
+	// a goroutine (EXPERIMENTS.md "PR 28"). The field stays only because the
+	// benchmark sets it (bench/trace.go:254) and this PR could not edit
+	// bench/; it is deleted by ROADMAP item 2 (a).
 	Workers int
 	// Ctx optionally carries the caller's cancellation context to every
 	// retraining's solver: cancelling the query cancels its training too.
@@ -147,20 +144,14 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	}
 
 	// With no unlabeled points the coupled SVM degenerates to independent
-	// per-modality SVMs on the labeled data (still trained concurrently
-	// when Workers allows).
+	// per-modality SVMs on the labeled data.
 	if nu == 0 {
-		err := forEachModality(len(modalities), cfg.Workers, func(m int) error {
-			mod := modalities[m]
+		for m, mod := range modalities {
 			model, err := trainModality(cfg.Ctx, mod.Labeled, labels, mod.C, mod.Kernel)
 			if err != nil {
-				return fmt.Errorf("core: modality %q: %w", mod.Name, err)
+				return nil, fmt.Errorf("core: modality %q: %w", mod.Name, err)
 			}
 			result.Models[m] = model
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		result.Retrainings += len(modalities)
 		result.tallySolverStats()
@@ -197,10 +188,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// trainAll trains every modality on labeled + unlabeled points with the
 	// current Y' and per-sample costs (C for labeled, rho*C for unlabeled)
 	// and refreshes, per modality, the decision value of every unlabeled
-	// point. With cfg.Workers > 1 the modalities train concurrently: they
-	// share only immutable state (the patched ys slice is written before
-	// any goroutine starts and read-only during training), so the result
-	// is bit-identical to the sequential order.
+	// point.
 	trainAll := func(rho float64) error {
 		copy(ys[nl:], result.UnlabeledLabels)
 		for m, mod := range modalities {
@@ -208,8 +196,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 				costs[m][nl+i] = rho * mod.C
 			}
 		}
-		err := forEachModality(len(modalities), cfg.Workers, func(m int) error {
-			mod := modalities[m]
+		for m, mod := range modalities {
 			cfgSolver := svm.Config{
 				Kernel:      mod.Kernel,
 				SharedCache: caches[m],
@@ -230,10 +217,6 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			}
 			result.Models[m] = model
 			decisionsFromCache(model, caches[m], ys, nl, decisions[m])
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 		result.Retrainings += len(modalities)
 		result.tallySolverStats()
@@ -341,54 +324,6 @@ func (r *CoupledResult) tallySolverStats() {
 			r.SolverIterations += m.Iterations
 		}
 	}
-}
-
-// forEachModality runs fn(m) for every modality index. With workers > 1 the
-// calls run concurrently (bounded by workers); the returned error is always
-// the lowest-index failure, so error reporting is deterministic too. The
-// calling goroutine participates in the work, so the two-modality case —
-// every alternation step of the coupled SVM — spawns a single goroutine per
-// call, which keeps the dispatch overhead small against the sub-millisecond
-// trainings of typical feedback rounds.
-func forEachModality(n, workers int, fn func(m int) error) error {
-	if workers <= 1 || n <= 1 {
-		for m := 0; m < n; m++ {
-			if err := fn(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for {
-			m := int(next.Add(1)) - 1
-			if m >= n {
-				return
-			}
-			errs[m] = fn(m)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // hinge is the hinge loss max(0, 1-margin).

@@ -92,9 +92,7 @@ func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, lo
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
-// the unlabeled selection — and assembles the coupled training problem. The
-// two initial trainings are independent, so with Coupled.Workers > 1 they
-// run concurrently (bit-identical to the sequential order).
+// the unlabeled selection — and assembles the coupled training problem.
 func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
@@ -111,17 +109,10 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx)},
 	}
 	var inits [2]*svm.Model
-	err = forEachModality(len(inits), p.Coupled.Workers, func(m int) error {
-		mod := modalities[m]
-		model, err := trainModality(ctx.Ctx, mod.Labeled, labels, mod.C, mod.Kernel)
-		if err != nil {
-			return fmt.Errorf("core: LRF-CSVM %s init: %w", mod.Name, err)
+	for m, mod := range modalities {
+		if inits[m], err = trainModality(ctx.Ctx, mod.Labeled, labels, mod.C, mod.Kernel); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: LRF-CSVM %s init: %w", mod.Name, err)
 		}
-		inits[m] = model
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	unlabeledIdx, initialLabels, err := sel(ctx, batch, inits[0], inits[1], p.NumUnlabeled)
 	if err != nil {

@@ -18,7 +18,7 @@ func TestCSVMParamsZeroValue(t *testing.T) {
 	if got := (CSVMParams{}).withDefaults(); got != want {
 		t.Errorf("zero CSVMParams resolves to %+v, want %+v", got, want)
 	}
-	set := CSVMParams{NumUnlabeled: 8, Coupled: CoupledConfig{Rho: 0.25, Delta: 0.5, Workers: 2}, LogKernel: kernel.RBF{Gamma: 1}}
+	set := CSVMParams{NumUnlabeled: 8, Coupled: CoupledConfig{Rho: 0.25, Delta: 0.5}, LogKernel: kernel.RBF{Gamma: 1}}
 	if got := set.withDefaults(); got != set {
 		t.Errorf("withDefaults changed set fields: %+v, want %+v", got, set)
 	}

@@ -43,31 +43,14 @@ func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []f
 	return modalities, labels, initial
 }
 
-// trainLanes are the measured configurations of the coupled trainer: the
-// default (modalities trained one after the other) and the one option left,
-// Workers, which trains them concurrently with bit-identical results.
-var trainLanes = []struct {
-	name  string
-	apply func(*CoupledConfig)
-}{
-	{"baseline", func(c *CoupledConfig) {}},
-	{"workers4", func(c *CoupledConfig) { c.Workers = 4 }},
-}
-
-// BenchmarkTrainCoupled measures the feedback-training hot path across
-// trainLanes.
+// BenchmarkTrainCoupled measures the feedback-training hot path at its one
+// configuration, the zero CoupledConfig.
 func BenchmarkTrainCoupled(b *testing.B) {
 	modalities, labels, initial := benchCoupledSetup(b)
-	for _, lane := range trainLanes {
-		var cfg CoupledConfig
-		lane.apply(&cfg)
-		b.Run(lane.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := TrainCoupled(modalities, labels, initial, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainCoupled(modalities, labels, initial, CoupledConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

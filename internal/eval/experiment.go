@@ -222,11 +222,12 @@ func (e *Experiment) Relevant(query int) []bool {
 // average whichever queries survived under the full set's header.
 func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 	cutoffs := Cutoffs
-	sums := make([]float64, len(cutoffs))
-	var mu sync.Mutex
+	// Each query's precisions and error land in the query's own slot and are
+	// summed in query order below, so a row does not depend on which worker
+	// finished first: any Workers value gives the same bits.
+	precisions := make([][]float64, len(queries))
+	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
-	failed, firstQuery := 0, -1
-	var firstErr error
 
 	work := make(chan int)
 	workers := e.Config.Workers
@@ -240,7 +241,8 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for q := range work {
+			for qi := range work {
+				q := queries[qi]
 				ctx := e.QueryContext(q)
 				if workers > 1 {
 					// Query-level parallelism already saturates the
@@ -249,36 +251,46 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 					ctx.Workers = 1
 				}
 				scores, err := scheme.Rank(ctx)
-				mu.Lock()
 				if err != nil {
-					failed++
-					if firstErr == nil || q < firstQuery {
-						firstQuery, firstErr = q, err
-					}
-					mu.Unlock()
+					errs[qi] = err
 					continue
 				}
 				relevant := e.Relevant(q)
+				precisions[qi] = make([]float64, len(cutoffs))
 				for ci, k := range cutoffs {
-					sums[ci] += PrecisionAt(scores, relevant, k)
+					precisions[qi][ci] = PrecisionAt(scores, relevant, k)
 				}
-				mu.Unlock()
 			}
 		}()
 	}
-	for _, q := range queries {
-		work <- q
+	for qi := range queries {
+		work <- qi
 	}
 	close(work)
 	wg.Wait()
 
+	failed, first := 0, -1
+	for qi, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		if first < 0 || queries[qi] < queries[first] {
+			first = qi
+		}
+	}
 	if failed > 0 {
 		return Row{}, fmt.Errorf("eval: scheme %s failed on %d of %d queries, first on query %d: %w",
-			scheme.Name(), failed, len(queries), firstQuery, firstErr)
+			scheme.Name(), failed, len(queries), queries[first], errs[first])
 	}
 	curve := make([]float64, len(cutoffs))
+	for _, p := range precisions {
+		for ci := range curve {
+			curve[ci] += p[ci]
+		}
+	}
 	for i := range curve {
-		curve[i] = sums[i] / float64(len(queries))
+		curve[i] /= float64(len(queries))
 	}
 	return Row{Scheme: scheme.Name(), Precision: curve, MAP: MeanAveragePrecision(curve)}, nil
 }

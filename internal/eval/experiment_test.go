@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -195,6 +196,28 @@ func TestRunSchemeAndTable(t *testing.T) {
 	}
 	if _, ok := table.Row("Euclidean"); !ok {
 		t.Error("Euclidean row missing")
+	}
+}
+
+// TestRunSchemeRowIndependentOfWorkers: a row is summed in query order, not
+// in the order the workers finish, so four workers print the table one does.
+func TestRunSchemeRowIndependentOfWorkers(t *testing.T) {
+	exp, err := Prepare(CI20(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := exp.SampleQueries()
+	var rows [2]Row
+	for i, workers := range []int{1, 4} {
+		exp.Config.Workers = workers
+		if rows[i], err = exp.RunScheme(core.RFSVM{}, queries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ci := range Cutoffs {
+		if a, b := rows[0].Precision[ci], rows[1].Precision[ci]; math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("P@%d = %.17g on one worker, %.17g on four", Cutoffs[ci], a, b)
+		}
 	}
 }
 

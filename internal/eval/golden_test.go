@@ -8,10 +8,8 @@ import (
 	"lrfcsvm/internal/feedbacklog"
 )
 
-// goldenConfig is the fixed-seed profile of the golden regression test.
-// Workers is pinned to 1 because the per-query precision sums accumulate in
-// completion order: with one worker the order (and therefore every floating
-// point result) is fully deterministic.
+// goldenConfig is the fixed-seed profile of the golden regression test. A row
+// is summed in query order whatever Workers is, so it is left at its default.
 func goldenConfig() Config {
 	return Config{
 		Dataset: dataset.Spec{Categories: 6, ImagesPerCategory: 20, Width: 32, Height: 32, Seed: 42, ExtraNoise: 10},
@@ -21,7 +19,6 @@ func goldenConfig() Config {
 		Queries:         12,
 		LabeledPerQuery: 15,
 		Seed:            44,
-		Workers:         1,
 	}
 }
 

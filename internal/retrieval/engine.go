@@ -43,10 +43,6 @@ const (
 
 // Options configures the engine's learning components.
 type Options struct {
-	// TrainWorkers is threaded into the coupled trainer so the two modality
-	// SVMs of each alternation train concurrently. <=0 selects 2. Training
-	// results are bit-identical for every value.
-	TrainWorkers int
 	// RefineTimeout is read by nothing: it bounded asynchronous refinement
 	// rounds, which are gone, and a refinement runs under its caller's
 	// context (the server's -train-timeout). The field stays only because
@@ -76,7 +72,11 @@ type JournalSink interface {
 // again — which is a server fault (500), not the client's (400).
 var ErrJournal = errors.New("retrieval: journal append failed")
 
-// DefaultTrainWorkers is Options.TrainWorkers' zero value.
+// DefaultTrainWorkers is read by nothing: it was the default of the option
+// that trained a refine's two modality SVMs concurrently, which lost to
+// training them in turn and is gone (EXPERIMENTS.md "PR 28"). The constant
+// stays only because the benchmark names it (bench/trace.go:254) and this PR
+// could not edit bench/; it is deleted by ROADMAP item 2 (a).
 const DefaultTrainWorkers = 2
 
 // epoch is one immutable snapshot of the indexed collection: its sequence
@@ -139,9 +139,6 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 	}
 	if log.NumImages() != len(visual) {
 		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), len(visual))
-	}
-	if opts.TrainWorkers <= 0 {
-		opts.TrainWorkers = DefaultTrainWorkers
 	}
 	e := &Engine{opts: opts, log: log}
 	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatch(visual)})
@@ -460,7 +457,7 @@ func (e *Engine) scheme(kind SchemeKind) (core.Scheme, error) {
 	case SchemeLRF2SVMs:
 		return core.LRF2SVMs{}, nil
 	case SchemeLRFCSVM:
-		return core.LRFCSVM{Params: core.CSVMParams{Coupled: core.CoupledConfig{Workers: e.opts.TrainWorkers}}}, nil
+		return core.LRFCSVM{}, nil
 	default:
 		return nil, fmt.Errorf("retrieval: unknown scheme %q", kind)
 	}

@@ -159,35 +159,6 @@ func TestCommitEmptySessionRejected(t *testing.T) {
 	}
 }
 
-func TestCommittedFeedbackInfluencesLogVectors(t *testing.T) {
-	visual, _, _ := testCollection(t)
-	e, err := NewEngine(visual, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before any feedback the log vectors are empty.
-	if cols := e.logColumns(e.cur.Load()); cols[5].NNZ() != 0 {
-		t.Fatal("fresh engine has non-empty log vectors")
-	}
-	s, _ := e.StartSession(5)
-	if err := s.Judge(5, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Judge(40, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	cols := e.logColumns(e.cur.Load())
-	if cols[5].NNZ() != 1 || cols[5].At(0) != 1 {
-		t.Errorf("image 5 log vector = %v", cols[5].ToDense())
-	}
-	if cols[40].At(0) != -1 {
-		t.Errorf("image 40 log vector = %v", cols[40].ToDense())
-	}
-}
-
 func TestParseScheme(t *testing.T) {
 	for _, s := range []string{"euclidean", "rf-svm", "lrf-2svms", "lrf-csvm"} {
 		if _, err := ParseScheme(s); err != nil {

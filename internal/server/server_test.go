@@ -28,7 +28,25 @@ func testServerWithConfig(t *testing.T, cfg Config) (*httptest.Server, []int, *r
 	return srv, labels, engine
 }
 
-func testServerFull(t *testing.T, cfg Config) (*httptest.Server, []int, *retrieval.Engine, *Server) {
+func testServerFull(t testing.TB, cfg Config) (*httptest.Server, []int, *retrieval.Engine, *Server) {
+	t.Helper()
+	visual, labels, log := testCollection(t)
+	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(engine, cfg)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+	return srv, labels, engine, s
+}
+
+// testCollection is three clusters of twelve 2-D descriptors with their
+// labels and a simulated log over them.
+func testCollection(t testing.TB) ([]linalg.Vector, []int, *feedbacklog.Log) {
 	t.Helper()
 	rng := linalg.NewRNG(5)
 	var visual []linalg.Vector
@@ -45,20 +63,10 @@ func testServerFull(t *testing.T, cfg Config) (*httptest.Server, []int, *retriev
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(engine, cfg)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		s.Close()
-	})
-	return srv, labels, engine, s
+	return visual, labels, log
 }
 
-func getJSON(t *testing.T, url string, out interface{}) *http.Response {
+func getJSON(t testing.TB, url string, out interface{}) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -73,7 +81,7 @@ func getJSON(t *testing.T, url string, out interface{}) *http.Response {
 	return resp
 }
 
-func postJSON(t *testing.T, url string, body interface{}, out interface{}) *http.Response {
+func postJSON(t testing.TB, url string, body interface{}, out interface{}) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -94,7 +102,7 @@ func postJSON(t *testing.T, url string, body interface{}, out interface{}) *http
 
 // startJudgedSession drives the HTTP flow up to a judged session and
 // returns its id.
-func startJudgedSession(t *testing.T, srv *httptest.Server, labels []int, query int) int {
+func startJudgedSession(t testing.TB, srv *httptest.Server, labels []int, query int) int {
 	t.Helper()
 	var start StartSessionResponse
 	resp := postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: query}, &start)

@@ -4,10 +4,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lrfcsvm/internal/retrieval"
+	"lrfcsvm/internal/storage"
 )
 
 // An engine shut down under a live server must answer in-flight and
@@ -89,5 +95,53 @@ func TestServerCloseRejectsWith503(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after Server.Close: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestCloseLeavesNoGoroutine starts everything cbirserver starts that owns a
+// goroutine — the journal's interval flusher, the snapshotter's poll loop,
+// the server's session sweeper, the listener and its connections — drives a
+// feedback round through them and closes them in cbirserver's order: the
+// goroutine count must be back at its baseline within two seconds.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	dir := t.TempDir()
+	visual, labels, log := testCollection(t)
+	journal, visual, _, err := storage.OpenJournal(filepath.Join(dir, "engine.wal"), visual, log, storage.JournalOptions{Fsync: storage.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotter, err := storage.NewSnapshotter(journal, engine.SnapshotWith, storage.SnapshotterConfig{SnapshotPath: filepath.Join(dir, "engine.snap"), Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(engine)
+	srv := httptest.NewServer(s.Handler())
+	id := startJudgedSession(t, srv, labels, 0)
+	for _, route := range []string{"refine", "commit"} {
+		if resp := postJSON(t, srv.URL+"/api/sessions/"+route, CommitRequest{SessionID: id}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d", route, resp.StatusCode)
+		}
+	}
+
+	srv.Close()
+	s.Close()
+	engine.Close()
+	snapshotter.Close()
+	if err := snapshotter.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d two seconds after everything was closed:\n%s", baseline, runtime.NumGoroutine(), stacks[:runtime.Stack(stacks, true)])
+		}
 	}
 }

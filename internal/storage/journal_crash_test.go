@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
-	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
 
@@ -119,98 +118,6 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	if _, _, rb, err := OpenJournal(path, reVisual, reLog, JournalOptions{}); err != nil || rb.Sessions != next+1 {
 		t.Fatalf("reopen after repair: %v (replay %+v)", err, rb)
 	}
-}
-
-// TestCrashRecoveryServerFlow mirrors the cbirserver startup/shutdown
-// wiring (loadCollection + OpenJournal + engine + snapshotter) across a
-// simulated crash, pinning the acceptance property end to end: the engine
-// restarted from -snapshot/-journal ranks bit-identically to the pre-crash
-// in-memory engine even when the crash interrupts the final record.
-func TestCrashRecoveryServerFlow(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "engine.wal")
-	snapPath := filepath.Join(dir, "engine.snap")
-
-	// First server lifetime: import, journal, snapshot once, keep going.
-	visual, fblog := journalBase(12, 3)
-	j, visual, _, err := OpenJournal(walPath, visual, fblog, JournalOptions{Fsync: FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineA, err := newJournaledEngine(t, visual, fblog, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := NewSnapshotter(j, engineA.SnapshotWith, SnapshotterConfig{SnapshotPath: snapPath, Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitOn(t, engineA, 0, 4)
-	if err := snap.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	commitOn(t, engineA, 4, 7)
-	snap.Close()
-	// Crash: tear the final journal record the way an interrupted write
-	// would, then abandon the journal without closing it.
-	j.Sync()
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tornPath := filepath.Join(dir, "torn.wal")
-	if err := os.WriteFile(tornPath, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second lifetime: snapshot + torn journal tail. The torn commit (never
-	// acknowledged: it is the suffix of the file) is truncated; everything
-	// acknowledged before it must rank identically. Rebuild the same state
-	// on the live side for comparison by dropping the torn final session.
-	visualB, logB, seq, err := LoadSnapshotAt(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, visualB, replay, err := OpenJournal(tornPath, visualB, logB, JournalOptions{Fsync: FsyncOff, SnapshotSeq: seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if replay.TornTailBytes == 0 || replay.Sessions != 2 {
-		t.Fatalf("replay = %+v, want 2 intact tail sessions and a torn third", replay)
-	}
-	engineB, err := newJournaledEngine(t, visualB, logB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: the pre-crash engine minus the torn (unacknowledged)
-	// final commit — rebuilt from the live engine's own snapshot.
-	liveVisual, liveLog := engineA.SnapshotWith(nil)
-	refLog := feedbacklog.NewLog(liveLog.NumImages())
-	for i, s := range liveLog.Sessions() {
-		if i == liveLog.NumSessions()-1 {
-			break
-		}
-		if _, err := refLog.AddSession(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	engineRef, err := newJournaledEngine(t, liveVisual, refLog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesBitIdentical(t, engineRef, engineB)
-}
-
-// newJournaledEngine builds a retrieval engine with an optional journal
-// sink attached.
-func newJournaledEngine(t *testing.T, visual []linalg.Vector, fblog *feedbacklog.Log, j *Journal) (*retrieval.Engine, error) {
-	t.Helper()
-	opts := retrieval.Options{}
-	if j != nil {
-		opts.Journal = j
-	}
-	return retrieval.NewEngine(visual, fblog, opts)
 }
 
 // commitOn commits the deterministic sessions [from, to) on the engine.
