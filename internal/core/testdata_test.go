@@ -54,6 +54,59 @@ func makeCollection(t testing.TB, nCat, nPer, sessions int, noise float64, seed 
 	return &syntheticCollection{visual: visual, logVectors: log.RelevanceVectors(), labels: labels}
 }
 
+// makeDenseLogCollection builds a collection at the shape of the benchmark's
+// smallest workload: nCat categories of nPer images in 36 dimensions, each
+// category a N(0,1)-per-dimension centre with within-category spread 1.6,
+// and a log of the given number of sessions, each judging 20 distinct images
+// by ground truth — ten of the query's category and ten from the whole
+// collection. Its log vectors hold sessions·20/(nCat·nPer) entries on
+// average, ~60 at 10×50 images and 1,500 sessions, where makeCollection's
+// hold a few.
+func makeDenseLogCollection(t testing.TB, nCat, nPer, sessions int, seed uint64) *syntheticCollection {
+	t.Helper()
+	const dim, sigma, page = 36, 1.6, 20
+	rng := linalg.NewRNG(seed)
+	centres := make([]linalg.Vector, nCat)
+	for c := range centres {
+		centres[c] = make(linalg.Vector, dim)
+		for j := range centres[c] {
+			centres[c][j] = rng.Normal(0, 1)
+		}
+	}
+	n := nCat * nPer
+	visual := make([]linalg.Vector, n)
+	labels := make([]int, n)
+	for i := range visual {
+		labels[i] = i / nPer
+		visual[i] = make(linalg.Vector, dim)
+		for j := range visual[i] {
+			visual[i][j] = centres[labels[i]][j] + rng.Normal(0, sigma)
+		}
+	}
+	log := feedbacklog.NewLog(n)
+	for s := 0; s < sessions; s++ {
+		q := rng.Intn(n)
+		judged := make(map[int]feedbacklog.Judgment, page)
+		for len(judged) < page {
+			img := rng.Intn(n)
+			if len(judged) < page/2 {
+				img = labels[q]*nPer + rng.Intn(nPer)
+			}
+			if _, ok := judged[img]; ok {
+				continue
+			}
+			judged[img] = feedbacklog.Irrelevant
+			if labels[img] == labels[q] {
+				judged[img] = feedbacklog.Relevant
+			}
+		}
+		if _, err := log.AddSession(feedbacklog.Session{QueryImage: q, TargetCategory: labels[q], Judgments: judged}); err != nil {
+			t.Fatalf("session %d: %v", s, err)
+		}
+	}
+	return &syntheticCollection{visual: visual, logVectors: log.RelevanceVectors(), labels: labels}
+}
+
 // queryContext builds a QueryContext for the given query image by labeling
 // the top-k Euclidean neighbors with their ground-truth relevance, the same
 // protocol the paper's evaluation uses.

@@ -7,11 +7,28 @@ import (
 // benchCoupledSetup builds a realistic feedback-round training problem: a
 // CI20-sized collection, one query's judged neighborhood as the labeled set
 // and a drafted unlabeled set, in both modalities — exactly the problem
-// LRFCSVM hands to TrainCoupled every refinement round.
+// LRFCSVM hands to TrainCoupled every refinement round. Its log is 60
+// sessions, so a log vector holds a few entries.
 func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64) {
 	b.Helper()
-	coll := makeCollection(b, 8, 24, 60, 0, 5)
-	ctx := coll.queryContext(3, 15)
+	return coupledProblem(makeCollection(b, 8, 24, 60, 0, 5), 3, 15)
+}
+
+// denseLogCoupledSetup is the same round at the shape of the benchmark's
+// feedback-small workload: 500 images in 36 dimensions, a log of 1,500
+// sessions × 20 judgments (~60 entries per log vector), 20 labeled and 16
+// drafted points. Here the log modality's Gram rows are sparse dots over
+// dense-ish rows, which benchCoupledSetup's log never exercises.
+func denseLogCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64) {
+	b.Helper()
+	return coupledProblem(makeDenseLogCollection(b, 10, 50, 1500, 29), 7, 20)
+}
+
+// coupledProblem labels the labeledK Euclidean neighbours of the query by
+// ground truth and drafts the first NumUnlabeled other images with
+// alternating initial labels.
+func coupledProblem(coll *syntheticCollection, query, labeledK int) (modalities []Modality, labels, initial []float64) {
+	ctx := coll.queryContext(query, labeledK)
 	batch := NewCollectionBatch(ctx.Visual)
 	ctx.Batch = batch
 	p := CSVMParams{}.withDefaults()
@@ -44,13 +61,25 @@ func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []f
 }
 
 // BenchmarkTrainCoupled measures the feedback-training hot path at its one
-// configuration, the zero CoupledConfig.
+// configuration, the zero CoupledConfig, on two problems: log=ci is
+// benchCoupledSetup's (log vectors of a few entries), log=dense is
+// denseLogCoupledSetup's (the feedback-small shape, ~60 entries).
 func BenchmarkTrainCoupled(b *testing.B) {
-	modalities, labels, initial := benchCoupledSetup(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainCoupled(modalities, labels, initial, CoupledConfig{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, lane := range []struct {
+		name  string
+		setup func(testing.TB) ([]Modality, []float64, []float64)
+	}{
+		{"log=ci", benchCoupledSetup},
+		{"log=dense", denseLogCoupledSetup},
+	} {
+		modalities, labels, initial := lane.setup(b)
+		b.Run(lane.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := TrainCoupled(modalities, labels, initial, CoupledConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,9 +3,9 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 // This file is the batched evaluation path: kernels evaluate one point
@@ -45,11 +45,12 @@ func checkBatch(n, d int) {
 	}
 }
 
-// EvalBatch implements BatchKernel.
+// EvalBatch implements BatchKernel. Sparse points take the per-pair merge
+// join, Sparse.Dot; the log modality's hot sparse products go through a
+// SparseSVIndex instead (LinearAccumulateSparse, Cache.Row).
 func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
-	switch xv := x.(type) {
-	case Dense:
+	if xv, ok := x.(Dense); ok {
 		for j, y := range ys {
 			if yv, ok := y.(Dense); ok {
 				dst[j] = linalg.Vector(xv).Dot(linalg.Vector(yv))
@@ -57,83 +58,18 @@ func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 				dst[j] = x.Dot(y)
 			}
 		}
-	case Sparse:
-		if len(ys) >= sparseScatterMinBatch && xv.Dim > 0 {
-			linearSparseBatch(xv, ys, dst)
-			return
-		}
-		for j, y := range ys {
-			if yv, ok := y.(Sparse); ok {
-				dst[j] = xv.Vector.Dot(yv.Vector)
-			} else {
-				dst[j] = x.Dot(y)
-			}
-		}
-	default:
-		for j, y := range ys {
-			dst[j] = x.Dot(y)
-		}
-	}
-}
-
-// sparseScatterMinBatch is the batch size from which the scatter/gather
-// sparse dot pays for the O(nnz(x)) scatter and clear passes. Below it the
-// per-pair merge join wins.
-const sparseScatterMinBatch = 4
-
-// scatterPool recycles dense scatter buffers for the sparse batch path.
-// Every buffer in the pool is all-zero: linearSparseBatch clears exactly
-// the entries it scattered before returning its buffer.
-var scatterPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// linearSparseBatch computes dst[j] = <x, ys[j]> for a sparse x by
-// scattering x into a dense buffer once and gathering each y's entries
-// against it, replacing len(ys) merge joins over x with one O(nnz(x))
-// scatter plus an O(nnz(y)) gather per y. Because sparse vectors never
-// store zero entries, "buf[e.Index] != 0" holds exactly for the indices x
-// carries, so the gathered products are the matched products of the merge
-// join, accumulated in the same ascending-index order — the result is
-// bit-identical to sparse.Vector.Dot.
-func linearSparseBatch(x Sparse, ys []Point, dst []float64) {
-	bp := scatterPool.Get().(*[]float64)
-	buf := *bp
-	if cap(buf) >= x.Dim {
-		buf = buf[:x.Dim]
-	} else {
-		buf = make([]float64, x.Dim)
-	}
-	for _, e := range x.Entries {
-		buf[e.Index] = e.Value
+		return
 	}
 	for j, y := range ys {
-		yv, ok := y.(Sparse)
-		if !ok {
-			dst[j] = x.Dot(y)
-			continue
-		}
-		if yv.Dim != x.Dim {
-			dst[j] = x.Vector.Dot(yv.Vector)
-			continue
-		}
-		var s float64
-		for _, e := range yv.Entries {
-			if w := buf[e.Index]; w != 0 {
-				s += w * e.Value
-			}
-		}
-		dst[j] = s
+		dst[j] = x.Dot(y)
 	}
-	for _, e := range x.Entries {
-		buf[e.Index] = 0
-	}
-	*bp = buf
-	scatterPool.Put(bp)
 }
 
-// SparseSVIndex is the support vectors of a sparse linear model inverted by
-// index: for each log session, the (support vector, weight) cells of the
-// support vectors that carry it. It is built once per model, never written
-// afterwards and shared by the scan workers.
+// SparseSVIndex is sparse points of one dimension — a linear model's support
+// vectors, or a training problem's points — inverted by index: for each log
+// session, the (point, weight) cells of the points that carry it. It is
+// built once per model or problem and never written afterwards; a model's
+// is shared by the scan workers.
 type SparseSVIndex struct {
 	svs []Point
 	dim int
@@ -142,17 +78,17 @@ type SparseSVIndex struct {
 	cells []svCell
 }
 
-// svCell is one stored entry of support vector t.
+// svCell is one stored entry of point t.
 type svCell struct {
 	t int32
 	w float64
 }
 
-// NewSparseSVIndex inverts svs, or returns nil when they are not what
-// LinearAccumulateSparse scores: fewer than two, a non-sparse or
-// zero-dimension one, or two of different dimensions.
+// NewSparseSVIndex inverts svs, or returns nil when they are not sparse
+// points of one dimension: none at all, a non-sparse or zero-dimension one,
+// or two of different dimensions.
 func NewSparseSVIndex(svs []Point) *SparseSVIndex {
-	if len(svs) < 2 {
+	if len(svs) == 0 {
 		return nil
 	}
 	dim := -1
@@ -165,7 +101,7 @@ func NewSparseSVIndex(svs []Point) *SparseSVIndex {
 	}
 	// A counting sort by index: start[i+2] counts index i, the prefix sum
 	// leaves the first cell of i in start[i+1], and placing the cells in
-	// support-vector order advances it to the first cell of i+1.
+	// point order advances it to the first cell of i+1.
 	start := make([]int32, dim+2)
 	n := 0
 	for _, sv := range svs {
@@ -187,32 +123,50 @@ func NewSparseSVIndex(svs []Point) *SparseSVIndex {
 	return &SparseSVIndex{svs: svs, dim: dim, start: start[:dim+1], cells: cells}
 }
 
+// gather adds <svs[t], x> into acc[t] for every point t the index holds, in
+// one walk of x's entries, each entry visiting only the cells of its index.
+// For a fixed t the products are the matched products of the merge join,
+// svs[t]'s value times x's (the same bits either way round), added in the
+// same ascending-index order: starting from +0, acc[t] ends on Sparse.Dot's
+// bits, and stays +0 for a point that shares no index with x.
+func (ix *SparseSVIndex) gather(x []sparse.Entry, acc []float64) {
+	for _, e := range x {
+		v := e.Value
+		for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
+			acc[c.t] += c.w * v
+		}
+	}
+}
+
 // sparseAccStack is how many support vectors' running dots
 // LinearAccumulateSparse keeps on its stack; a larger model allocates them.
 const sparseAccStack = 128
 
 // LinearAccumulateSparse accumulates a whole linear decision pass,
 // dst[j] += Σ_t coefs[t]·<svs[t], ys[j]>, for the sparse support vectors ix
-// inverts. It transposes the work: instead of one scatter/gather sweep over
-// ys per support vector, every per-SV dot of an image is gathered in a
-// single walk of that image's entries, each entry visiting only the support
-// vectors that carry its index, with the nsv running sums hot in one small
-// accumulator. Reports false (leaving dst untouched) when the shapes do not
-// fit — no index (see NewSparseSVIndex), or a batch too small to be worth
-// the accumulator.
+// inverts. It transposes the work: instead of one merge join per support
+// vector and image, every per-SV dot of an image is gathered in a single
+// walk of that image's entries (SparseSVIndex.gather), with the nsv running
+// sums hot in one small accumulator. Reports false (leaving dst untouched)
+// when there is no index (see NewSparseSVIndex) or a coefficient is not
+// finite: Inf·0 is NaN, so the ±0 terms of an empty row are then not
+// absorbed and the skip below would be wrong.
 //
-// Same arithmetic as the per-SV pass: for a fixed support vector t, the
-// gathered products are the matched products of the merge join in the same
-// ascending-index order, making each per-SV dot Sparse.Dot's; the final fold
-// adds coefs[t]·dot_t into dst[j] over every t ascending, the accumulation
-// order of the per-SV pass, the ±0 terms of the support vectors an image
-// shares nothing with included (they decide the sign of a zero sum). The
-// whole call therefore equals nsv successive Linear.EvalBatch accumulations
-// — also for the rows it skips: an empty ys[j] leaves a nonzero dst[j] as it
-// is.
+// Same arithmetic as the per-SV pass: each per-SV dot is Sparse.Dot's; the
+// final fold adds coefs[t]·dot_t into dst[j] over every t ascending, the
+// accumulation order of the per-SV pass, the ±0 terms of the support vectors
+// an image shares nothing with included (they decide the sign of a zero
+// sum). The whole call therefore equals nsv successive Linear.EvalBatch
+// accumulations — also for the rows it skips: an empty ys[j] leaves a
+// nonzero dst[j] as it is.
 func LinearAccumulateSparse(coefs []float64, ix *SparseSVIndex, ys []Point, dst []float64) bool {
-	if ix == nil || len(coefs) != len(ix.svs) || len(ys) < sparseScatterMinBatch {
+	if ix == nil || len(coefs) != len(ix.svs) {
 		return false
+	}
+	for _, c := range coefs {
+		if math.IsInf(c, 0) || math.IsNaN(c) {
+			return false
+		}
 	}
 	checkBatch(len(ys), len(dst))
 	var stack [sparseAccStack]float64
@@ -233,19 +187,15 @@ func LinearAccumulateSparse(coefs []float64, ix *SparseSVIndex, ys []Point, dst 
 		}
 		if len(yv.Entries) == 0 && dst[j] != 0 {
 			// An image without log entries has every dot equal to +0, and a
-			// nonzero dst[j] absorbs the ±0 terms unchanged. (A zero dst[j]
-			// may change sign in the fold, so it takes the full path.)
+			// nonzero dst[j] absorbs the finite coefficients' ±0 terms
+			// unchanged. (A zero dst[j] may change sign in the fold, so it
+			// takes the full path.)
 			continue
 		}
 		for t := range acc {
 			acc[t] = 0
 		}
-		for _, e := range yv.Entries {
-			x := e.Value
-			for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
-				acc[c.t] += c.w * x
-			}
-		}
+		ix.gather(yv.Entries, acc)
 		s := dst[j]
 		for t, a := range acc {
 			s += coefs[t] * a

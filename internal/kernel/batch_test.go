@@ -254,6 +254,7 @@ func TestDenseSetGrowDimensionMismatchPanics(t *testing.T) {
 func TestLinearAccumulateSparseMatchesPerSV(t *testing.T) {
 	t.Run("workload shapes", testLinearAccumulateSparseAtWorkloadShapes)
 	t.Run("odd rows", testLinearAccumulateSparseOddRows)
+	t.Run("non-finite coefficients", testLinearAccumulateSparseNonFiniteCoefficients)
 	const dim = 9
 	svs := batchSparsePoints(5, dim, 31)
 	ys := batchSparsePoints(24, dim, 32)

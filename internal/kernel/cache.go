@@ -14,9 +14,19 @@ package kernel
 // cache: relevance feedback trains on a few dozen points, so the whole Gram
 // matrix is tens of kilobytes and nothing is ever evicted. It is not safe for
 // concurrent use; callers sharing a cache must use it sequentially.
+//
+// The log modality's problem — the Linear kernel over sparse points of one
+// dimension — is inverted by session once, into the SparseSVIndex the scans
+// score with, and a row is gathered through it: one walk over x_i's entries,
+// each visiting only the points that carry that session. Every other kernel
+// and point mix fills its rows with EvalBatch. Both give Eval's bits.
 type Cache struct {
 	kernel Kernel
 	points []Point
+
+	// index is points inverted by session when the kernel is Linear over
+	// sparse points of one dimension; nil otherwise.
+	index *SparseSVIndex
 
 	// rows is the direct-indexed row table; nil entries are not yet
 	// computed.
@@ -33,11 +43,15 @@ const cacheSlabRows = 16
 
 // NewCache builds a row cache over the given points.
 func NewCache(k Kernel, points []Point) *Cache {
-	return &Cache{
+	c := &Cache{
 		kernel: k,
 		points: points,
 		rows:   make([][]float64, len(points)),
 	}
+	if _, ok := k.(Linear); ok {
+		c.index = NewSparseSVIndex(points)
+	}
+	return c
 }
 
 // Row returns the kernel row K(points[i], points[j]) for all j, computing
@@ -50,9 +64,14 @@ func (c *Cache) Row(i int) []float64 {
 	if len(c.slab) < n {
 		c.slab = make([]float64, n*cacheSlabRows)
 	}
+	// A carved row is all +0: chunks are fresh and rows never overlap.
 	row := c.slab[:n:n]
 	c.slab = c.slab[n:]
-	EvalBatch(c.kernel, c.points[i], c.points, row)
+	if c.index != nil {
+		c.index.gather(c.points[i].(Sparse).Entries, row)
+	} else {
+		EvalBatch(c.kernel, c.points[i], c.points, row)
+	}
 	c.rows[i] = row
 	return row
 }

@@ -30,6 +30,17 @@
 // pass has its own routine, LinearAccumulateSparse over a SparseSVIndex, in
 // Go on every build.
 //
+// # Sparse products
+//
+// The log modality has one sparse product method: points inverted by
+// session (SparseSVIndex), walked once per row through that row's entries.
+// There is an index per model, over its support vectors, for the scans
+// (LinearAccumulateSparse), and one per training problem, over its points,
+// for the Gram rows the solver reads (Cache). Either gives Sparse.Dot's bits
+// for every pair: the same products in the same ascending-session order,
+// from +0. Linear.EvalBatch over sparse points is the per-pair merge join and
+// serves only the shapes neither index takes.
+//
 // On amd64 both sets are held to the same contract: bit-identical float64
 // results to the straight-line reference loop kept with the parity tests,
 // on every input, including NaN/Inf propagation — not a ULP tolerance. The

@@ -54,21 +54,27 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 
 // testLinearAccumulateSparseAtWorkloadShapes is the seeded half of
 // TestLinearAccumulateSparseMatchesPerSV: models and batches shaped like the
-// benchmark's log modality — a few thousand sessions, up to 64 support
+// benchmark's log modality — a few thousand sessions, one to 64 support
 // vectors of which one is repeated and one has no entry, rows from 60
-// entries down to mostly none — scored through one shared accumulator by
-// four goroutines at once, every score bit-equal to the per-SV pass.
+// entries down to mostly none, batches from one row to a scan range — scored
+// through one shared accumulator by four goroutines at once, every score
+// bit-equal to the per-SV pass.
 func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
 	rng := linalg.NewRNG(24)
 	for trial := 0; trial < 6; trial++ {
 		dim := 1500 + rng.Intn(2001)
 		nsv := 2 + rng.Intn(63)
+		if trial == 1 {
+			nsv = 1
+		}
 		unit := trial%2 == 0
 		svs := make([]Point, nsv)
 		for i := range svs {
 			svs[i] = NewSparse(logLikeVector(rng, dim, 60, unit))
 		}
-		svs[rng.Intn(nsv)] = NewSparse(sparse.New(dim))
+		if nsv > 1 {
+			svs[rng.Intn(nsv)] = NewSparse(sparse.New(dim))
+		}
 		if nsv > 2 {
 			svs[nsv-1] = svs[0]
 		}
@@ -81,7 +87,7 @@ func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
 		}
 		accumulate := sparseAccumulator(svs)
 		for _, mean := range []float64{60, 4, 0.8} {
-			for _, rows := range []int{3, 4, 2048} {
+			for _, rows := range []int{1, 3, 2048} {
 				ys := make([]Point, rows)
 				for j := range ys {
 					ys[j] = NewSparse(logLikeVector(rng, dim, mean, unit))
@@ -94,13 +100,6 @@ func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
 						want[j] = bias
 					}
 					got := append([]float64(nil), want...)
-					if rows < sparseScatterMinBatch {
-						if accumulate(coefs, ys, got) {
-							t.Fatalf("%s: accepted a batch under %d rows", label, sparseScatterMinBatch)
-						}
-						checkParity(t, label+" (refused)", got, want)
-						continue
-					}
 					perSVAccumulate(coefs, svs, ys, want)
 					// Every worker scores the whole batch into a destination of
 					// its own: what they share is the accumulator.
@@ -160,15 +159,43 @@ func testLinearAccumulateSparseOddRows(t *testing.T) {
 	}
 }
 
+// testLinearAccumulateSparseNonFiniteCoefficients pins the refusal of a
+// model with a coefficient that is not finite. The per-SV pass turns an
+// empty row's +0 dot times ±Inf or NaN into NaN, which the empty-row skip
+// would not: the accumulate must decline, leaving dst to that pass.
+func testLinearAccumulateSparseNonFiniteCoefficients(t *testing.T) {
+	const dim = 40
+	rng := linalg.NewRNG(5)
+	svs := []Point{NewSparse(logLikeVector(rng, dim, 6, true)), NewSparse(logLikeVector(rng, dim, 6, true))}
+	ys := make([]Point, 4)
+	for j := range ys {
+		ys[j] = NewSparse(sparse.New(dim))
+	}
+	for _, coefs := range [][]float64{{math.Inf(1), 0.5}, {0.5, math.Inf(-1)}, {math.NaN(), 0.5}} {
+		want := []float64{0.25, 0.25, 0.25, 0.25}
+		got := append([]float64(nil), want...)
+		if sparseAccumulator(svs)(coefs, ys, got) {
+			t.Errorf("coefficients %v: accepted", coefs)
+		}
+		checkParity(t, fmt.Sprintf("coefficients %v (refused)", coefs), got, want)
+		perSVAccumulate(coefs, svs, ys, want)
+		if !math.IsNaN(want[0]) {
+			t.Errorf("coefficients %v: the per-SV pass gives %v on an empty row, want NaN", coefs, want[0])
+		}
+	}
+}
+
 // FuzzLinearAccumulateSparse builds a small sparse model and batch from the
 // input bytes (values in sevenths, so products round; zero coefficients and
-// biases of either sign, so the fold's ±0 terms show) and holds
-// LinearAccumulateSparse to the per-SV pass, bit for bit.
+// biases of either sign, so the fold's ±0 terms show; coefficients of ±Inf
+// and NaN, which must be refused) and holds LinearAccumulateSparse to the
+// per-SV pass, bit for bit.
 func FuzzLinearAccumulateSparse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 2, 1, 0x80, 0x80, 0x80, 1, 3, 9, 1, 3, 0xf7}) // negative coefficients, -0 bias, rows without entries
 	f.Add([]byte{3, 0, 0, 1, 5, 0, 0, 0, 2, 1, 7, 2, 7, 2, 1, 14, 2, 0xf2, 1, 1, 21})
 	f.Add([]byte{15, 3, 8, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})
+	f.Add([]byte{3, 1, 3, 2, 0x7f, 5}) // +Inf coefficient, rows without entries, nonzero bias: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -179,8 +206,8 @@ func FuzzLinearAccumulateSparse(f *testing.F) {
 			return b
 		}
 		dim := 1 + int(next())%16
-		nsv := 2 + int(next())%4
-		rows := sparseScatterMinBatch + int(next())%9
+		nsv := 1 + int(next())%5
+		rows := 1 + int(next())%12
 		bias := []float64{0, math.Copysign(0, -1), 0.5, -3}[next()%4]
 		vector := func() Point {
 			v := sparse.New(dim)
@@ -190,8 +217,19 @@ func FuzzLinearAccumulateSparse(f *testing.F) {
 			return NewSparse(v)
 		}
 		coefs := make([]float64, nsv)
+		finite := true
 		for i := range coefs {
-			coefs[i] = float64(int8(next())) / 7
+			switch b := int8(next()); b {
+			case math.MaxInt8:
+				coefs[i] = math.Inf(1)
+			case -math.MaxInt8:
+				coefs[i] = math.Inf(-1)
+			case math.MaxInt8 - 1:
+				coefs[i] = math.NaN()
+			default:
+				coefs[i] = float64(b) / 7
+			}
+			finite = finite && !math.IsInf(coefs[i], 0) && !math.IsNaN(coefs[i])
 		}
 		svs := make([]Point, nsv)
 		for i := range svs {
@@ -206,11 +244,19 @@ func FuzzLinearAccumulateSparse(f *testing.F) {
 			want[j] = bias
 		}
 		got := append([]float64(nil), want...)
+		label := fmt.Sprintf("dim %d, %d SVs, coefficients %v, bias %v (signbit %v)", dim, nsv, coefs, bias, math.Signbit(bias))
+		if !finite {
+			if sparseAccumulator(svs)(coefs, ys, got) {
+				t.Fatalf("%s: accepted", label)
+			}
+			checkParity(t, label+" (refused)", got, want)
+			return
+		}
 		perSVAccumulate(coefs, svs, ys, want)
 		if !sparseAccumulator(svs)(coefs, ys, got) {
-			t.Fatalf("refused %d support vectors of dimension %d and %d rows", nsv, dim, rows)
+			t.Fatalf("%s: refused %d rows", label, rows)
 		}
-		checkParity(t, fmt.Sprintf("dim %d, %d SVs, bias %v (signbit %v)", dim, nsv, bias, math.Signbit(bias)), got, want)
+		checkParity(t, label, got, want)
 	})
 }
 

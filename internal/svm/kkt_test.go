@@ -62,9 +62,9 @@ func kktProblem(seed uint64) (Problem, Config) {
 		// The pair the log SVM trains: the linear co-judgment kernel over
 		// sparse ±1 relevance vectors, one coordinate per past session and
 		// most of them unjudged (some points end up with no entry at all),
-		// whose Gram rows kernel.Cache fills through the scatter/gather
-		// sparse batch path. A session judges a point by its label, wrongly
-		// one time in five.
+		// whose Gram rows kernel.Cache gathers through the points inverted
+		// by session. A session judges a point by its label, wrongly one
+		// time in five.
 		k = kernel.Linear{}
 		sessions := 6 + rng.Intn(30)
 		logs := make([]*sparse.Vector, n)

@@ -86,7 +86,9 @@ type Config struct {
 	// points — never on labels or costs — so one cache can serve every
 	// retraining of the coupled SVM's annealing loop over a fixed point
 	// set. The cache is not safe for concurrent use; callers sharing it
-	// must train sequentially.
+	// must train sequentially. A private cache and a shared one compute the
+	// same rows (for the Linear kernel over sparse points, through the
+	// points inverted by session once per cache; see kernel.Cache).
 	SharedCache *kernel.Cache
 	// OmitSupportVectors leaves SupportPoints/Coefficients of the returned
 	// model empty; Alphas, Bias and the solver diagnostics are still
