@@ -201,6 +201,7 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, erro
 	if err := ctx.Validate(true); err != nil {
 		return nil, nil, err
 	}
+	ctx = ctx.withLogIndex()
 	batch := ctx.collectionBatch()
 	visualModel, logModel, err := s.train(ctx, batch)
 	if err != nil {
@@ -253,6 +254,7 @@ func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScor
 	if err := ctx.Validate(true); err != nil {
 		return nil, nil, err
 	}
+	ctx = ctx.withLogIndex()
 	batch := ctx.collectionBatch()
 	return batch, retrievalScorer(ctx, batch, p.visualModel, p.logModel), nil
 }

@@ -31,9 +31,11 @@ import (
 // Whatever a range needs beside the stores — score lanes, the query's
 // distances, the log vectors as kernel points — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
-// used in: nothing derived from the collection is kept per query or per log
-// version, so no pass but the one that returns every score allocates with
-// the size of the collection.
+// used in: nothing derived from the collection is kept per query, so no pass
+// but the one that returns every score allocates with the size of the
+// collection. The one thing kept per log version, the log inverted by
+// session, comes with the context (QueryContext.LogIndex); a context without
+// it has one built per Rank call.
 
 // CollectionBatch holds what every query against the same collection shares:
 // the sharded flat visual store with per-shard row norms — the one copy of
@@ -162,7 +164,7 @@ func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
 // Arenas live in the collection batch's pool; a steady-state pass borrows
 // one per worker, scores through it and returns it without allocating.
 type rankScratch struct {
-	lanes [3][]float64
+	lanes [4][]float64
 	pts   []kernel.Point
 	sel   topKSelector
 	pick  unlabeledSelector
@@ -172,11 +174,12 @@ type rankScratch struct {
 }
 
 // The lanes of an arena. The sink owns the first; a range scorer may use the
-// other two for the duration of one call.
+// other three for the duration of one call.
 const (
 	laneScores = iota // the range's scores, for the sinks that select from them
 	laneKernel        // kernel accumulation buffer, then the query's distances
 	laneLog           // log-modality decision values
+	laneRow           // kernel.LinearAccumulateSessions' row buffer: all +0 between calls
 )
 
 // lane returns scratch lane i with length n, growing its backing array only
@@ -439,12 +442,11 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 // query prior around the descriptor q. Step 1 of Fig. 1 selects by the
 // decision values alone and passes a nil q.
 func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector) rangeScorer {
-	logVectors := ctx.LogVectors
+	logVectors, logIndex := ctx.LogVectors, ctx.LogIndex
 	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
 		n := sub.Len()
-		logScores := sc.lane(laneLog, n)
 		visualModel.DecisionSet(sub, dst, sc.lane(laneKernel, n))
-		logModel.DecisionBatch(sc.logPoints(logVectors[lo:lo+n]), logScores, sc.lane(laneKernel, n))
+		logScores := logDecisions(sc, logModel, logVectors, logIndex, lo, n)
 		for i := range dst {
 			dst[i] += logScores[i]
 		}
@@ -452,6 +454,26 @@ func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg
 			addQueryPrior(sc, q, sub, dst)
 		}
 	}
+}
+
+// logDecisions returns the log model's decision values of the rows [lo, lo+n)
+// in the arena's log lane. A linear model walks its support vectors through
+// the collection's log inverted by session (kernel.LinearAccumulateSessions);
+// what that declines — another kernel, no index, a coefficient that is not
+// finite — takes svm.Model.DecisionBatch, one pass per support vector over
+// the rows' log vectors. Both give the bits of the per-SV pass.
+func logDecisions(sc *rankScratch, m *svm.Model, logVectors []*sparse.Vector, ix *kernel.SparseSVIndex, lo, n int) []float64 {
+	dst := sc.lane(laneLog, n)
+	if _, linear := m.Kernel.(kernel.Linear); linear {
+		for i := range dst {
+			dst[i] = m.Bias
+		}
+		if kernel.LinearAccumulateSessions(m.Coefficients, m.SupportPoints, ix, lo, dst, sc.lane(laneRow, n)) {
+			return dst
+		}
+	}
+	m.DecisionBatch(sc.logPoints(logVectors[lo:lo+n]), dst, sc.lane(laneKernel, n))
+	return dst
 }
 
 // retrievalScorer is coupledScorer with the query prior: the retrieval pass

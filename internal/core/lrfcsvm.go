@@ -67,11 +67,8 @@ func (LRFCSVM) Name() string { return "LRF-CSVM" }
 // the coupled decision value, with the same initial-similarity tie-break
 // prior as the other SVM schemes.
 func (s LRFCSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	batch, coupled, err := trainCSVM(ctx, s.Params, selectLogAssisted)
-	if err != nil {
-		return nil, nil, err
-	}
-	return batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]), nil
+	batch, _, final, err := trainCSVM(ctx, s.Params, selectLogAssisted)
+	return batch, final, err
 }
 
 // Rank implements Scheme.
@@ -132,21 +129,24 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	if err := ctx.Validate(true); err != nil {
 		return nil, nil, nil, err
 	}
+	ctx = ctx.withLogIndex()
 	return trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted)
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
 // selection with the given heuristic and the annealed coupled-SVM
-// optimization.
-func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, err error) {
+// optimization. It returns the coupled models with step 3's scorer, which
+// shares step 1's log index.
+func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, final rangeScorer, err error) {
 	if err := ctx.Validate(true); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	ctx = ctx.withLogIndex()
 	batch = ctx.collectionBatch()
 	p := params.withDefaults()
 	modalities, labels, initialLabels, err := trainingProblem(ctx, batch, p, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
@@ -154,9 +154,9 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (ba
 	p.Coupled.Ctx = ctx.Ctx
 	coupled, err = TrainCoupled(modalities, labels, initialLabels, p.Coupled)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
-	return batch, coupled, nil
+	return batch, coupled, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]), nil
 }
 
 // RankTop implements TopKRanker: steps 1-2 run exactly as in Rank, and the
@@ -324,11 +324,11 @@ func (s LRFCSVMWithSelection) Name() string {
 // Rank implements Scheme: the shared three steps with this variant's step-1
 // heuristic.
 func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) {
-	batch, coupled, err := trainCSVM(ctx, s.Params, s.selection())
+	batch, _, final, err := trainCSVM(ctx, s.Params, s.selection())
 	if err != nil {
 		return nil, err
 	}
-	return scanScores(ctx, batch, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]))
+	return scanScores(ctx, batch, final)
 }
 
 // selection resolves the strategy to a step-1 heuristic. The ablation

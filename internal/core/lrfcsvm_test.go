@@ -41,7 +41,7 @@ func TestTrainCSVMDraftsUnlabeled(t *testing.T) {
 	col := makeCollection(t, 4, 15, 40, 0.05, 53)
 	ctx := col.queryContext(5, 12)
 	params := CSVMParams{NumUnlabeled: 16}
-	_, coupled, err := trainCSVM(ctx, params, selectLogAssisted)
+	_, coupled, _, err := trainCSVM(ctx, params, selectLogAssisted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
 	n := len(col.visual)
 	for _, query := range []int{0, 9, 22} {
 		ctx := col.queryContext(query, n)
-		if _, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
+		if _, coupled, _, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
 			t.Fatal(err)
 		} else if len(coupled.UnlabeledLabels) != 0 {
 			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, len(coupled.UnlabeledLabels))

@@ -44,6 +44,12 @@ type QueryContext struct {
 	// LogVectors holds the user-log relevance vector of every image. It may
 	// be nil for schemes that do not use the log (Euclidean, RF-SVM).
 	LogVectors []*sparse.Vector
+	// LogIndex is LogVectors inverted by session — each session's judged
+	// images, ascending — as feedbacklog.Log.ExtendSessionIndex keeps it or
+	// kernel.NewSparseSVIndex builds it; it may cover images past the
+	// collection. The log schemes score the log half of every scanned row
+	// through it. Nil makes each Rank call build one for itself.
+	LogIndex *kernel.SparseSVIndex
 	// Query is the index of the query image.
 	Query int
 	// Labeled is the set S_l of images judged in the current feedback round.
@@ -107,6 +113,9 @@ func (ctx *QueryContext) Validate(needLog bool) error {
 		if len(ctx.LogVectors) != n {
 			return fmt.Errorf("core: log vectors (%d) do not cover the collection (%d images)", len(ctx.LogVectors), n)
 		}
+		if ix := ctx.LogIndex; ix != nil && ctx.LogVectors[0] != nil && ix.Dim() != ctx.LogVectors[0].Dim {
+			return fmt.Errorf("core: log index of %d sessions beside log vectors of %d", ix.Dim(), ctx.LogVectors[0].Dim)
+		}
 	}
 	if len(ctx.Labeled) == 0 {
 		return fmt.Errorf("core: no labeled examples")
@@ -139,6 +148,18 @@ func (ctx *QueryContext) logPoints(indices []int) []kernel.Point {
 		out[i] = kernel.NewSparse(ctx.LogVectors[idx])
 	}
 	return out
+}
+
+// withLogIndex returns ctx when it carries a log index, and otherwise a copy
+// carrying one built from LogVectors: what a log scheme calls once per Rank,
+// so that its scans (step 1's and step 3's alike) share the index.
+func (ctx *QueryContext) withLogIndex() *QueryContext {
+	if ctx.LogIndex != nil {
+		return ctx
+	}
+	c := *ctx
+	c.LogIndex = kernel.NewSparseSVIndex(kernel.SparsePoints(ctx.LogVectors))
+	return &c
 }
 
 // Scheme is a retrieval scheme: it scores every image of the collection for

@@ -418,7 +418,8 @@ func TestSelectUnlabeledRangesCancelled(t *testing.T) {
 // dimensions in categories of 100, a log of n/25 sessions judging 20 images
 // each (half from the query's category — the shape of the repository
 // benchmark's generator, which leaves a little under half the images
-// uncovered), a 20-image judged page and the two initial models.
+// uncovered) with its session index, a 20-image judged page and the two
+// initial models.
 func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, logInit *svm.Model) {
 	tb.Helper()
 	const dim, perCategory, page = 36, 100, 20
@@ -456,7 +457,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 			tb.Fatal(err)
 		}
 	}
-	ctx = &QueryContext{Visual: visual, LogVectors: log.RelevanceVectors(), Query: 0}
+	ctx = &QueryContext{Visual: visual, LogVectors: log.RelevanceVectors(), LogIndex: log.ExtendSessionIndex(nil), Query: 0}
 	for i := 0; i < page; i++ {
 		// Half the page from the query's category, half from elsewhere.
 		ex := LabeledExample{Index: i / 2, Label: 1}

@@ -149,15 +149,20 @@ func TestStreamRankingAllocations(t *testing.T) {
 		t.Errorf("Euclidean.RankTopAppend allocates %.0f times per query with a recycled buffer, want at most 1", allocs)
 	}
 
-	// The two-SVM scoring pass. Its allocation count is the kernels' ≈1 KB
-	// of temporaries per range (ROADMAP item 1), so what is pinned is that
-	// bytes per pass do not grow with the collection — on the cold case: the
-	// query rotates and the log vectors change slice identity every pass (a
-	// commit produces a new slice), so nothing a pass needs was left behind
-	// by the one before. A distance row kept per query cost 8 bytes per image
-	// here and a point wrapper per log vector 16.
+	// The two-SVM scoring pass over a context that carries its log index, as
+	// the engine's do. What is pinned is that bytes per pass do not grow with
+	// the collection — on the cold case: the query rotates and the log vectors
+	// change slice identity every pass (a commit produces a new slice), so
+	// nothing a pass needs was left behind by the one before. A distance row
+	// kept per query cost 8 bytes per image here, a point wrapper per log
+	// vector 16, and a row buffer per range for the log half would cost 8;
+	// what still scales is the RBF tile's two 64-row column buffers, 1 KB
+	// per range, which escape to the heap.
 	bytesPerOp := func(n int) int64 {
 		ctx, _, _ := selectBenchProblem(t, n)
+		if ctx.LogIndex == nil {
+			t.Fatal("the benchmark problem carries no log index")
+		}
 		ctx.Workers = 1
 		pre, err := LRF2SVMs{}.Pretrain(ctx)
 		if err != nil {

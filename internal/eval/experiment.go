@@ -9,6 +9,7 @@ import (
 	"lrfcsvm/internal/dataset"
 	"lrfcsvm/internal/features"
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
@@ -111,9 +112,11 @@ type Experiment struct {
 	Labels     []int
 	LogStats   feedbacklog.Stats
 
-	// batch is Visual indexed, the collection of every query context the
-	// experiment hands out.
-	batch *core.CollectionBatch
+	// batch is Visual indexed and logIndex the log inverted by session: the
+	// collection and the log index of every query context the experiment
+	// hands out.
+	batch    *core.CollectionBatch
+	logIndex *kernel.SparseSVIndex
 }
 
 // Prepare generates the dataset, extracts and normalizes the visual
@@ -143,6 +146,7 @@ func Prepare(cfg Config) (*Experiment, error) {
 		Labels:     labels,
 		LogStats:   log.Stats(),
 		batch:      core.NewCollectionBatch(visual),
+		logIndex:   log.ExtendSessionIndex(nil),
 	}, nil
 }
 
@@ -181,6 +185,7 @@ func (e *Experiment) QueryContext(query int) *core.QueryContext {
 	}
 	return &core.QueryContext{
 		LogVectors: e.LogVectors,
+		LogIndex:   e.logIndex,
 		Query:      query,
 		Labeled:    labeled,
 		Workers:    e.Config.Workers,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/sparse"
 )
 
@@ -128,16 +129,21 @@ func (l *Log) RelevanceVectors() []*sparse.Vector {
 		// Deterministic iteration keeps the construction reproducible even
 		// though map order is random: entries are set per image, and Set
 		// keeps per-vector entries sorted by session index anyway.
-		imgs := make([]int, 0, len(s.Judgments))
-		for img := range s.Judgments {
-			imgs = append(imgs, img)
-		}
-		sort.Ints(imgs)
-		for _, img := range imgs {
+		for _, img := range s.images() {
 			out[img].Set(sid, float64(s.Judgments[img]))
 		}
 	}
 	return out
+}
+
+// images returns the images the session judged, ascending.
+func (s Session) images() []int {
+	imgs := make([]int, 0, len(s.Judgments))
+	for img := range s.Judgments {
+		imgs = append(imgs, img)
+	}
+	sort.Ints(imgs)
+	return imgs
 }
 
 // headerSlab is how many column headers ExtendRelevanceVectors carves out of
@@ -181,12 +187,7 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 	}
 	for sid := prevSessions; sid < len(l.sessions); sid++ {
 		s := l.sessions[sid]
-		imgs := make([]int, 0, len(s.Judgments))
-		for img := range s.Judgments {
-			imgs = append(imgs, img)
-		}
-		sort.Ints(imgs)
-		for _, img := range imgs {
+		for _, img := range s.images() {
 			// Sessions are appended in id order and every existing entry of
 			// the column has a smaller session index, so the new component
 			// goes at the end; the full slice expression forces the append
@@ -196,6 +197,35 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 		}
 	}
 	return out
+}
+
+// ExtendSessionIndex returns the log inverted by session as a
+// kernel.SparseSVIndex over the images: index s holds the images session s
+// judged, ascending, with their judgments — row s of the relevance matrix,
+// and the index kernel.NewSparseSVIndex builds of RelevanceVectors() (nil
+// while the log has no session). prev is an index an earlier call returned
+// for this log: only the sessions it does not hold are appended, at
+// O(judgments added), sharing its storage as kernel.SparseSVIndex.Extend
+// does — so only the latest index may be extended, by calls serialized with
+// the log's mutations. When no session was added prev itself is returned;
+// images added by GrowImages change nothing until a session judges them.
+func (l *Log) ExtendSessionIndex(prev *kernel.SparseSVIndex) *kernel.SparseSVIndex {
+	from := prev.Dim()
+	if from > len(l.sessions) {
+		panic(fmt.Sprintf("feedbacklog: stale session index (%d sessions) cannot extend to %d sessions", from, len(l.sessions)))
+	}
+	if from == len(l.sessions) {
+		return prev
+	}
+	rows := make([][]sparse.Entry, 0, len(l.sessions)-from)
+	for _, s := range l.sessions[from:] {
+		row := make([]sparse.Entry, 0, len(s.Judgments))
+		for _, img := range s.images() {
+			row = append(row, sparse.Entry{Index: img, Value: float64(s.Judgments[img])})
+		}
+		rows = append(rows, row)
+	}
+	return prev.Extend(rows)
 }
 
 // Stats summarizes a log.

@@ -1,8 +1,10 @@
 package feedbacklog
 
 import (
+	"reflect"
 	"testing"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
@@ -207,6 +209,68 @@ func TestExtendRelevanceVectorsStalePanics(t *testing.T) {
 		}
 	}()
 	log.ExtendRelevanceVectors(nil, 5)
+}
+
+// TestExtendSessionIndexMatchesInversion holds the session index kept
+// incrementally — extended after one commit, after several, across
+// GrowImages, and not at all — to the index kernel.NewSparseSVIndex inverts
+// RelevanceVectors() to after every extension, and every index an earlier
+// extension returned to what it held then: extensions write past the end of
+// the storage they share.
+func TestExtendSessionIndexMatchesInversion(t *testing.T) {
+	rng := linalg.NewRNG(30)
+	log := NewLog(40)
+	inversion := func() *kernel.SparseSVIndex {
+		return kernel.NewSparseSVIndex(kernel.SparsePoints(log.RelevanceVectors()))
+	}
+	var ix *kernel.SparseSVIndex
+	if ix = log.ExtendSessionIndex(ix); ix != nil {
+		t.Fatalf("a log of no session: index of %d sessions, want nil as the inversion", ix.Dim())
+	}
+	type kept struct{ ix, want *kernel.SparseSVIndex }
+	var earlier []kept
+	for step := 0; step < 30; step++ {
+		if step%7 == 3 {
+			log.GrowImages(1 + rng.Intn(20))
+		}
+		for commits := rng.Intn(4); commits > 0; commits-- {
+			judged := make(map[int]Judgment)
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				judged[rng.Intn(log.NumImages())] = Judgment(2*rng.Intn(2) - 1)
+			}
+			mustAdd(t, log, judged)
+		}
+		prev := ix
+		ix = log.ExtendSessionIndex(prev)
+		want := inversion()
+		if !reflect.DeepEqual(ix, want) {
+			t.Fatalf("step %d: the index extended to %d sessions is not the inversion of the columns", step, log.NumSessions())
+		}
+		if prev != nil && prev.Dim() == log.NumSessions() && ix != prev {
+			t.Fatalf("step %d: no session added, and the previous index was not returned", step)
+		}
+		earlier = append(earlier, kept{ix, want})
+	}
+	for i, k := range earlier {
+		if !reflect.DeepEqual(k.ix, k.want) {
+			t.Errorf("the index of step %d changed after later extensions", i)
+		}
+	}
+}
+
+func TestExtendSessionIndexStalePanics(t *testing.T) {
+	ahead := NewLog(3)
+	mustAdd(t, ahead, map[int]Judgment{0: Relevant})
+	mustAdd(t, ahead, map[int]Judgment{1: Irrelevant})
+	ix := ahead.ExtendSessionIndex(nil)
+	log := NewLog(3)
+	mustAdd(t, log, map[int]Judgment{2: Relevant})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an index of 2 sessions extended to a log of 1 without a panic")
+		}
+	}()
+	log.ExtendSessionIndex(ix)
 }
 
 func TestCloneIsolatesSessionList(t *testing.T) {

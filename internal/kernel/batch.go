@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
@@ -47,7 +48,7 @@ func checkBatch(n, d int) {
 
 // EvalBatch implements BatchKernel. Sparse points take the per-pair merge
 // join, Sparse.Dot; the log modality's hot sparse products go through a
-// SparseSVIndex instead (LinearAccumulateSparse, Cache.Row).
+// SparseSVIndex instead (LinearAccumulateSessions, Cache.Row).
 func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	if xv, ok := x.(Dense); ok {
@@ -65,13 +66,15 @@ func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 	}
 }
 
-// SparseSVIndex is sparse points of one dimension — a linear model's support
-// vectors, or a training problem's points — inverted by index: for each log
-// session, the (point, weight) cells of the points that carry it. It is
-// built once per model or problem and never written afterwards; a model's
-// is shared by the scan workers.
+// SparseSVIndex is sparse points of one dimension inverted by index: for
+// each index — a log session — the (point, value) cells of the points that
+// carry it, in ascending point order. It has two users: a training problem's
+// points, whose Gram rows the solver reads (Cache), and a collection's log
+// vectors, through which the scans walk a linear model's support vectors
+// (LinearAccumulateSessions) — there the cells of session s are the images it
+// judged, row s of the relevance matrix. An index is never written once it is
+// built or extended, so concurrent readers share it.
 type SparseSVIndex struct {
-	svs []Point
 	dim int
 	// cells[start[i]:start[i+1]] are the cells of index i, in ascending t.
 	start []int32
@@ -84,16 +87,16 @@ type svCell struct {
 	w float64
 }
 
-// NewSparseSVIndex inverts svs, or returns nil when they are not sparse
+// NewSparseSVIndex inverts points, or returns nil when they are not sparse
 // points of one dimension: none at all, a non-sparse or zero-dimension one,
 // or two of different dimensions.
-func NewSparseSVIndex(svs []Point) *SparseSVIndex {
-	if len(svs) == 0 {
+func NewSparseSVIndex(points []Point) *SparseSVIndex {
+	if len(points) == 0 {
 		return nil
 	}
 	dim := -1
-	for _, sv := range svs {
-		v, ok := sv.(Sparse)
+	for _, p := range points {
+		v, ok := p.(Sparse)
 		if !ok || v.Dim <= 0 || (dim >= 0 && v.Dim != dim) {
 			return nil
 		}
@@ -104,8 +107,8 @@ func NewSparseSVIndex(svs []Point) *SparseSVIndex {
 	// point order advances it to the first cell of i+1.
 	start := make([]int32, dim+2)
 	n := 0
-	for _, sv := range svs {
-		for _, e := range sv.(Sparse).Entries {
+	for _, p := range points {
+		for _, e := range p.(Sparse).Entries {
 			start[e.Index+2]++
 			n++
 		}
@@ -114,93 +117,164 @@ func NewSparseSVIndex(svs []Point) *SparseSVIndex {
 		start[i] += start[i-1]
 	}
 	cells := make([]svCell, n)
-	for t, sv := range svs {
-		for _, e := range sv.(Sparse).Entries {
+	for t, p := range points {
+		for _, e := range p.(Sparse).Entries {
 			cells[start[e.Index+1]] = svCell{t: int32(t), w: e.Value}
 			start[e.Index+1]++
 		}
 	}
-	return &SparseSVIndex{svs: svs, dim: dim, start: start[:dim+1], cells: cells}
+	return &SparseSVIndex{dim: dim, start: start[:dim+1], cells: cells}
 }
 
-// gather adds <svs[t], x> into acc[t] for every point t the index holds, in
-// one walk of x's entries, each entry visiting only the cells of its index.
+// Dim returns the dimension of the indexed points, the number of indices; a
+// nil index has none.
+func (ix *SparseSVIndex) Dim() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.dim
+}
+
+// Extend returns the index of the receiver's points with one index appended
+// per row: rows[k] lists the cells of index Dim()+k as entries {Index: point,
+// Value: value}, in strictly ascending point order — the inversion of giving
+// every point one more component. A nil receiver is the index of no index.
+// The result shares the receiver's storage and writes only past its end, so
+// the receiver stays valid for its readers and an extension costs the cells
+// it adds (amortized). As with DenseSet.Grow, only the most recently extended
+// index may be extended again, and Extend calls must be serialized by the
+// caller (the retrieval engine's mutation lock does both).
+func (ix *SparseSVIndex) Extend(rows [][]sparse.Entry) *SparseSVIndex {
+	out := SparseSVIndex{start: []int32{0}}
+	if ix != nil {
+		out = *ix
+	}
+	for k, row := range rows {
+		for i, e := range row {
+			if e.Index < 0 || i > 0 && e.Index <= row[i-1].Index {
+				panic(fmt.Sprintf("kernel: Extend row %d has point %d at position %d, not in strictly ascending order", k, e.Index, i))
+			}
+			out.cells = append(out.cells, svCell{t: int32(e.Index), w: e.Value})
+		}
+		out.start = append(out.start, int32(len(out.cells)))
+	}
+	out.dim += len(rows)
+	return &out
+}
+
+// gather adds <points[t], x> into acc[t] for every point t the index holds,
+// in one walk of x's entries, each entry visiting only the cells of its index.
 // For a fixed t the products are the matched products of the merge join,
-// svs[t]'s value times x's (the same bits either way round), added in the
+// points[t]'s value times x's (the same bits either way round), added in the
 // same ascending-index order: starting from +0, acc[t] ends on Sparse.Dot's
-// bits, and stays +0 for a point that shares no index with x.
+// bits, and stays +0 for a point that shares no index with x. The product is
+// rounded on its own, as Sparse.Dot's is, so no build fuses the two.
 func (ix *SparseSVIndex) gather(x []sparse.Entry, acc []float64) {
 	for _, e := range x {
 		v := e.Value
 		for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
-			acc[c.t] += c.w * v
+			acc[c.t] += float64(c.w * v)
 		}
 	}
 }
 
-// sparseAccStack is how many support vectors' running dots
-// LinearAccumulateSparse keeps on its stack; a larger model allocates them.
-const sparseAccStack = 128
+// from returns the cells of index i whose points are at least lo, found by
+// a binary search over the cells, which ascend in t.
+func (ix *SparseSVIndex) from(i, lo int) []svCell {
+	cells := ix.cells[ix.start[i]:ix.start[i+1]]
+	if len(cells) == 0 || int(cells[0].t) >= lo {
+		return cells
+	}
+	a, b := 0, len(cells)
+	for a < b {
+		m := int(uint(a+b) >> 1)
+		if int(cells[m].t) < lo {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	return cells[a:]
+}
 
-// LinearAccumulateSparse accumulates a whole linear decision pass,
-// dst[j] += Σ_t coefs[t]·<svs[t], ys[j]>, for the sparse support vectors ix
-// inverts. It transposes the work: instead of one merge join per support
-// vector and image, every per-SV dot of an image is gathered in a single
-// walk of that image's entries (SparseSVIndex.gather), with the nsv running
-// sums hot in one small accumulator. Reports false (leaving dst untouched)
-// when there is no index (see NewSparseSVIndex) or a coefficient is not
-// finite: Inf·0 is NaN, so the ±0 terms of an empty row are then not
-// absorbed and the skip below would be wrong.
+// denseFoldRatio picks LinearAccumulateSessions' fold for one support
+// vector: every row of the range once its cells there number at least a
+// quarter of the range's rows, the cells again otherwise. Both fold the same
+// values; the ratio only weighs a sequential pass over the range against a
+// second walk of the cells, searches for the range's first row included (at
+// 500 images a support vector meets more cells than the range has rows, at
+// 5,000 a few dozen in a range of 2,048).
+const denseFoldRatio = 4
+
+// LinearAccumulateSessions adds a linear model's decision pass over the rows
+// [lo, lo+len(dst)) of the points ix inverts — one scan range of the
+// collection's log vectors — to dst: dst[r] += Σ_t coefs[t]·<svs[t], y_{lo+r}>.
+// It walks the support vectors, not the rows: support vector t, in ascending
+// order, adds the products of each of its sessions into row[j-lo] for the
+// images j of that session inside the range (a binary search finds the first,
+// the walk stops past the last), then folds coefs[t]·row into dst
+// and clears row again — through those cells when they are few against the
+// range, over the whole range when they are not. A support vector that meets
+// few cells costs those cells, not a walk and a fold per row. row is scratch
+// of len(dst), all +0 on entry and left so.
 //
-// Same arithmetic as the per-SV pass: each per-SV dot is Sparse.Dot's; the
-// final fold adds coefs[t]·dot_t into dst[j] over every t ascending, the
-// accumulation order of the per-SV pass, the ±0 terms of the support vectors
-// an image shares nothing with included (they decide the sign of a zero
-// sum). The whole call therefore equals nsv successive Linear.EvalBatch
-// accumulations — also for the rows it skips: an empty ys[j] leaves a
-// nonzero dst[j] as it is.
-func LinearAccumulateSparse(coefs []float64, ix *SparseSVIndex, ys []Point, dst []float64) bool {
-	if ix == nil || len(coefs) != len(ix.svs) {
+// Same bits as the per-SV pass, nsv successive Linear.EvalBatch
+// accumulations. For a fixed row and t the products are Sparse.Dot's, added
+// in ascending session order from +0 (an image occurs once per session), and
+// the values are folded over ascending t, each product rounded on its own as
+// Sparse.Dot rounds it. A row t shares no session with — or whose sum is +0,
+// which is the only zero a sum from +0 reaches — receives coefs[t]·(+0) = ±0
+// in the per-SV pass, which leaves every dst value but -0 as it is; so the
+// fold through the cells skips it (a row reached through several sessions is
+// folded at the first and is +0 at the others), and a range whose dst holds a
+// -0 folds over the whole range for every t. Reports false, leaving dst and
+// row untouched, when ix is nil, a support vector is not a sparse point of
+// ix's dimension, or a coefficient is not finite (Inf·0 is NaN, so the
+// skipped terms would not be ±0).
+func LinearAccumulateSessions(coefs []float64, svs []Point, ix *SparseSVIndex, lo int, dst, row []float64) bool {
+	if ix == nil || len(coefs) != len(svs) {
 		return false
 	}
-	for _, c := range coefs {
-		if math.IsInf(c, 0) || math.IsNaN(c) {
+	for t, c := range coefs {
+		if sv, ok := svs[t].(Sparse); !ok || sv.Dim != ix.dim || math.IsInf(c, 0) || math.IsNaN(c) {
 			return false
 		}
 	}
-	checkBatch(len(ys), len(dst))
-	var stack [sparseAccStack]float64
-	acc := stack[:]
-	if len(coefs) > len(acc) {
-		acc = make([]float64, len(coefs))
-	}
-	acc = acc[:len(coefs)]
-	for j, y := range ys {
-		yv, ok := y.(Sparse)
-		if !ok || yv.Dim != ix.dim {
-			s := dst[j]
-			for t, sv := range ix.svs {
-				s += coefs[t] * sv.Dot(y)
+	checkBatch(len(dst), len(row))
+	everyRow := slices.ContainsFunc(dst, func(d float64) bool { return d == 0 && math.Signbit(d) })
+	for t, c := range coefs {
+		entries := svs[t].(Sparse).Entries
+		met := 0
+		for _, e := range entries {
+			w := e.Value
+			for _, cell := range ix.from(e.Index, lo) {
+				r := int(cell.t) - lo
+				if uint(r) >= uint(len(row)) {
+					break
+				}
+				row[r] += float64(w * cell.w)
+				met++
 			}
-			dst[j] = s
+		}
+		if everyRow || met*denseFoldRatio >= len(row) {
+			for r, v := range row {
+				dst[r] += float64(c * v)
+				row[r] = 0
+			}
 			continue
 		}
-		if len(yv.Entries) == 0 && dst[j] != 0 {
-			// An image without log entries has every dot equal to +0, and a
-			// nonzero dst[j] absorbs the finite coefficients' ±0 terms
-			// unchanged. (A zero dst[j] may change sign in the fold, so it
-			// takes the full path.)
-			continue
+		for _, e := range entries {
+			for _, cell := range ix.from(e.Index, lo) {
+				r := int(cell.t) - lo
+				if uint(r) >= uint(len(row)) {
+					break
+				}
+				if v := row[r]; v != 0 {
+					dst[r] += float64(c * v)
+					row[r] = 0
+				}
+			}
 		}
-		for t := range acc {
-			acc[t] = 0
-		}
-		ix.gather(yv.Entries, acc)
-		s := dst[j]
-		for t, a := range acc {
-			s += coefs[t] * a
-		}
-		dst[j] = s
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -243,50 +244,41 @@ func TestDenseSetGrowDimensionMismatchPanics(t *testing.T) {
 	set.Grow([]linalg.Vector{make(linalg.Vector, 3)})
 }
 
-// TestLinearAccumulateSparseMatchesPerSV pins the transposed multi-SV sparse
-// path bit for bit (Float64bits) to nsv successive Linear.EvalBatch
-// accumulations, the per-SV pass it replaces — on rows with entries, on the
-// empty rows it skips (images the log does not cover, whose score is the
-// bias), and for biases of either zero sign, where the ±0 terms of the fold
-// decide the sign of the result. The seeded half (sparse_accumulate_test.go)
-// repeats it at the shapes of the benchmark's log modality, from several
-// goroutines at once.
-func TestLinearAccumulateSparseMatchesPerSV(t *testing.T) {
-	t.Run("workload shapes", testLinearAccumulateSparseAtWorkloadShapes)
-	t.Run("odd rows", testLinearAccumulateSparseOddRows)
-	t.Run("non-finite coefficients", testLinearAccumulateSparseNonFiniteCoefficients)
+// TestLinearAccumulateSessionsMatchesPerSV pins the decision pass that walks
+// the support vectors through the collection's log inverted by session bit
+// for bit (Float64bits) to nsv successive Linear.EvalBatch accumulations, the
+// per-SV pass — on rows with entries, on the rows no support vector reaches
+// (images the log does not cover, whose score is the bias), and for biases of
+// either zero sign, where the ±0 terms of the fold decide the sign of the
+// result; over the whole collection and cut into ranges. The seeded halves
+// (sparse_accumulate_test.go) repeat it at the shapes of the benchmark's log
+// modality from several goroutines at once, and on 3,000 small draws full of
+// signed zeros, infinities and NaNs.
+func TestLinearAccumulateSessionsMatchesPerSV(t *testing.T) {
+	t.Run("workload shapes", testLinearAccumulateSessionsAtWorkloadShapes)
+	t.Run("special values", testLinearAccumulateSessionsSpecialValues)
+	t.Run("odd support vectors", testLinearAccumulateSessionsOddSupportVectors)
+	t.Run("non-finite coefficients", testLinearAccumulateSessionsNonFiniteCoefficients)
 	const dim = 9
 	svs := batchSparsePoints(5, dim, 31)
 	ys := batchSparsePoints(24, dim, 32)
 	for j := 0; j < len(ys); j += 3 {
 		ys[j] = NewSparse(sparse.New(dim)) // no log entry
 	}
+	ix := NewSparseSVIndex(ys)
 	coefSets := map[string][]float64{
 		"mixed signs":  {0.8, -1, 0.25, -0.5, 1},
 		"all negative": {-0.8, -1, -0.25, -0.5, -1},
 	}
 	for name, coefs := range coefSets {
 		for _, bias := range []float64{0.7, -1.3, 0, math.Copysign(0, -1)} {
-			want := make([]float64, len(ys))
-			got := make([]float64, len(ys))
+			dst0 := make([]float64, len(ys))
 			for j := range ys {
-				want[j], got[j] = bias, bias
+				dst0[j] = bias
 			}
-			buf := make([]float64, len(ys))
-			for i, sv := range svs {
-				Linear{}.EvalBatch(sv, ys, buf)
-				for j, kv := range buf {
-					want[j] += coefs[i] * kv
-				}
-			}
-			if !sparseAccumulator(svs)(coefs, ys, got) {
-				t.Fatal("LinearAccumulateSparse declined a sparse same-dimension batch")
-			}
-			for j := range ys {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Errorf("%s, bias %v (signbit %v), row %d (%d entries): got %v (signbit %v), want %v (signbit %v)",
-						name, bias, math.Signbit(bias), j, ys[j].(Sparse).NNZ(), got[j], math.Signbit(got[j]), want[j], math.Signbit(want[j]))
-				}
+			for _, ranges := range [][][2]int{{{0, 24}}, {{0, 1}, {1, 7}, {7, 8}, {8, 24}}} {
+				checkSessionsMatchPerSV(t, fmt.Sprintf("%s, bias %v (signbit %v), ranges %v", name, bias, math.Signbit(bias), ranges),
+					coefs, svs, ys, ix, dst0, ranges)
 			}
 		}
 	}

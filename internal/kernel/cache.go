@@ -16,8 +16,9 @@ package kernel
 // concurrent use; callers sharing a cache must use it sequentially.
 //
 // The log modality's problem — the Linear kernel over sparse points of one
-// dimension — is inverted by session once, into the SparseSVIndex the scans
-// score with, and a row is gathered through it: one walk over x_i's entries,
+// dimension — is inverted by session once, into a SparseSVIndex (the type
+// the scans walk the collection's log through), and a row is gathered
+// through it: one walk over x_i's entries,
 // each visiting only the points that carry that session. Every other kernel
 // and point mix fills its rows with EvalBatch. Both give Eval's bits.
 type Cache struct {

@@ -27,19 +27,23 @@
 // or "unrolled") and is surfaced in GET /api/status as "kernel_backend"; it
 // cannot be set. The row dot also computes the query distances
 // (DenseSet.SquaredDistancesInto), and the log modality's linear decision
-// pass has its own routine, LinearAccumulateSparse over a SparseSVIndex, in
-// Go on every build.
+// pass has its own routine, LinearAccumulateSessions, in Go on every build
+// and with its multiply-adds written so that no build fuses them.
 //
 // # Sparse products
 //
 // The log modality has one sparse product method: points inverted by
-// session (SparseSVIndex), walked once per row through that row's entries.
-// There is an index per model, over its support vectors, for the scans
-// (LinearAccumulateSparse), and one per training problem, over its points,
-// for the Gram rows the solver reads (Cache). Either gives Sparse.Dot's bits
-// for every pair: the same products in the same ascending-session order,
-// from +0. Linear.EvalBatch over sparse points is the per-pair merge join and
-// serves only the shapes neither index takes.
+// session (SparseSVIndex), and one index type with two users. The scans walk
+// each support vector of a linear model through the collection's log
+// inverted by session — each session's judged images, ascending, which the
+// retrieval engine keeps beside its log columns and extends by whole sessions
+// (feedbacklog.Log.ExtendSessionIndex) — so a scan range costs the cells the
+// support vectors meet in it (LinearAccumulateSessions). The solver's Gram
+// rows walk each row point through its training problem's points inverted
+// once per problem (Cache). Either gives Sparse.Dot's bits for every pair:
+// the same products, each rounded on its own, in the same ascending-session
+// order, from +0. Linear.EvalBatch over sparse points is the per-pair merge
+// join and serves only the shapes neither index takes.
 //
 // On amd64 both sets are held to the same contract: bit-identical float64
 // results to the straight-line reference loop kept with the parity tests,
@@ -58,7 +62,11 @@
 // architectures only the Go routines exist and the Go specification lets
 // the compiler fuse x*y + z — the arm64 compiler does, in the dots, the
 // exponential, the fold and the solver — so results there are deterministic
-// from run to run but are not pinned, and CI only builds that target.
+// from run to run but are not pinned. The log half is the exception: the
+// session-index pass, the Gram row gather and sparse.Vector.Dot write each
+// product as float64(x*y), which the specification forbids fusing, so they
+// are Sparse.Dot's bits on every architecture, and CI checks the arm64
+// build's code for fused multiply-adds there.
 //
 // # Quantized sets
 //

@@ -10,27 +10,82 @@ import (
 	"lrfcsvm/internal/sparse"
 )
 
-// sparseAccumulator binds LinearAccumulateSparse to one model's support
-// vectors, the way svm.Model does: whatever is prepared per model is prepared
-// here once, and the returned function is what the scan workers share.
-func sparseAccumulator(svs []Point) func(coefs []float64, ys []Point, dst []float64) bool {
-	ix := NewSparseSVIndex(svs)
-	return func(coefs []float64, ys []Point, dst []float64) bool {
-		return LinearAccumulateSparse(coefs, ix, ys, dst)
-	}
-}
-
-// perSVAccumulate is the definition LinearAccumulateSparse is held to: one
-// Linear.EvalBatch pass per support vector, folded into dst in
+// perSVAccumulate is the definition LinearAccumulateSessions is held to: one
+// Linear.EvalBatch pass per support vector over every row, folded into dst in
 // support-vector order.
 func perSVAccumulate(coefs []float64, svs, ys []Point, dst []float64) {
 	buf := make([]float64, len(ys))
 	for t, sv := range svs {
 		Linear{}.EvalBatch(sv, ys, buf)
 		for j, kv := range buf {
-			dst[j] += coefs[t] * kv
+			dst[j] += float64(coefs[t] * kv)
 		}
 	}
+}
+
+// accumulateRange runs LinearAccumulateSessions over the rows [lo, hi) into
+// dst[lo:hi] through row, a buffer the caller keeps between calls as a scan
+// worker keeps its arena's, and reports an error when the call leaves row
+// holding anything but +0.
+func accumulateRange(coefs []float64, svs []Point, ix *SparseSVIndex, lo, hi int, dst []float64, row *[]float64) (bool, error) {
+	if cap(*row) < hi-lo {
+		*row = make([]float64, hi-lo)
+	}
+	buf := (*row)[:hi-lo]
+	ok := LinearAccumulateSessions(coefs, svs, ix, lo, dst[lo:hi], buf)
+	for r, v := range buf {
+		if math.Float64bits(v) != 0 {
+			return ok, fmt.Errorf("rows [%d,%d) leave the row buffer holding %v at %d", lo, hi, v, r)
+		}
+	}
+	return ok, nil
+}
+
+// splitRanges cuts [0, n) into consecutive ranges of 1 to maxLen rows, the
+// way a scan hands shards and their tails to its workers.
+func splitRanges(rng *linalg.RNG, n, maxLen int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+rng.Intn(maxLen))
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// scoreBySessions scores a copy of dst0 range by range through one row
+// buffer, empty ranges at the start, middle and end included (they change
+// nothing), and returns the scores, or the first refusal or row buffer not
+// left +0.
+func scoreBySessions(coefs []float64, svs []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) ([]float64, error) {
+	got := append([]float64(nil), dst0...)
+	n := len(dst0)
+	ranges = append([][2]int{{0, 0}, {n / 2, n / 2}, {n, n}}, ranges...)
+	var row []float64
+	for _, r := range ranges {
+		ok, err := accumulateRange(coefs, svs, ix, r[0], r[1], got, &row)
+		if err == nil && !ok {
+			err = fmt.Errorf("rows [%d,%d) refused", r[0], r[1])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return got, nil
+}
+
+// checkSessionsMatchPerSV scores ys through an index over them, range by
+// range, and holds every row of the result to the per-SV pass from the same
+// initial dst0, bit for bit.
+func checkSessionsMatchPerSV(t *testing.T, label string, coefs []float64, svs, ys []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) {
+	t.Helper()
+	want := append([]float64(nil), dst0...)
+	perSVAccumulate(coefs, svs, ys, want)
+	got, err := scoreBySessions(coefs, svs, ix, dst0, ranges)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	checkParity(t, label, got, want)
 }
 
 // logLikeVector draws a sparse vector of the given dimension with about mean
@@ -52,14 +107,15 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 	return v
 }
 
-// testLinearAccumulateSparseAtWorkloadShapes is the seeded half of
-// TestLinearAccumulateSparseMatchesPerSV: models and batches shaped like the
-// benchmark's log modality — a few thousand sessions, one to 64 support
-// vectors of which one is repeated and one has no entry, rows from 60
-// entries down to mostly none, batches from one row to a scan range — scored
-// through one shared accumulator by four goroutines at once, every score
-// bit-equal to the per-SV pass.
-func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
+// testLinearAccumulateSessionsAtWorkloadShapes is the seeded half of
+// TestLinearAccumulateSessionsMatchesPerSV: models and collections shaped
+// like the benchmark's log modality — a few thousand sessions, one to 64
+// support vectors of which one is repeated and one has no entry, rows from 60
+// entries down to mostly none, collections from one row to a scan range, the
+// index over all of them or over all but a tail of images no session judged —
+// scored by four goroutines at once through one shared index, each cutting
+// the rows into ranges of its own, every score bit-equal to the per-SV pass.
+func testLinearAccumulateSessionsAtWorkloadShapes(t *testing.T) {
 	rng := linalg.NewRNG(24)
 	for trial := 0; trial < 6; trial++ {
 		dim := 1500 + rng.Intn(2001)
@@ -85,40 +141,49 @@ func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
 				coefs[i] = -math.Abs(coefs[i]) // a zero sum of these is -0
 			}
 		}
-		accumulate := sparseAccumulator(svs)
 		for _, mean := range []float64{60, 4, 0.8} {
 			for _, rows := range []int{1, 3, 2048} {
 				ys := make([]Point, rows)
 				for j := range ys {
 					ys[j] = NewSparse(logLikeVector(rng, dim, mean, unit))
 				}
+				ix := NewSparseSVIndex(ys)
+				if rows > 1 && trial%2 == 1 {
+					// The last images were ingested after the last session.
+					judged := rows - 1 - rng.Intn(rows/2+1)
+					for j := judged; j < rows; j++ {
+						ys[j] = NewSparse(sparse.New(dim))
+					}
+					ix = NewSparseSVIndex(ys[:judged])
+				}
 				for _, bias := range []float64{0, math.Copysign(0, -1), 0.37} {
 					label := fmt.Sprintf("trial %d: dim %d, %d SVs, %d rows of ~%v entries, bias %v (signbit %v)",
 						trial, dim, nsv, rows, mean, bias, math.Signbit(bias))
-					want := make([]float64, rows)
-					for j := range want {
-						want[j] = bias
+					dst0 := make([]float64, rows)
+					for j := range dst0 {
+						dst0[j] = bias
 					}
-					got := append([]float64(nil), want...)
+					want := append([]float64(nil), dst0...)
 					perSVAccumulate(coefs, svs, ys, want)
-					// Every worker scores the whole batch into a destination of
-					// its own: what they share is the accumulator.
+					// Every worker scores the whole collection into a
+					// destination of its own: what they share is the index.
 					var wg sync.WaitGroup
-					results := make([][]float64, 4)
-					for w := range results {
-						dst := append([]float64(nil), got...)
-						results[w] = dst
+					got := make([][]float64, 4)
+					errs := make([]error, 4)
+					for w := range got {
+						ranges := splitRanges(rng, rows, 1+w*700)
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							if !accumulate(coefs, ys, dst) {
-								t.Errorf("%s: refused", label)
-							}
+							got[w], errs[w] = scoreBySessions(coefs, svs, ix, dst0, ranges)
 						}()
 					}
 					wg.Wait()
-					for _, dst := range results {
-						checkParity(t, label, dst, want)
+					for w := range got {
+						if errs[w] != nil {
+							t.Fatalf("%s, worker %d: %v", label, w, errs[w])
+						}
+						checkParity(t, fmt.Sprintf("%s, worker %d", label, w), got[w], want)
 					}
 				}
 			}
@@ -126,44 +191,99 @@ func testLinearAccumulateSparseAtWorkloadShapes(t *testing.T) {
 	}
 }
 
-// testLinearAccumulateSparseOddRows pins what a row that is not a sparse
-// vector of the model's dimension does in the middle of a batch: what it
-// does to the per-SV pass, which is the same panic.
-func testLinearAccumulateSparseOddRows(t *testing.T) {
+// testLinearAccumulateSessionsSpecialValues draws 3,000 small models and
+// collections whose values hold every sign of zero: entries of ±0 (which
+// sparse.Vector.Set would drop), coefficients of ±0, duplicate support
+// vectors and ones without an entry, destinations holding +0, -0, ±Inf, NaN
+// and plain values side by side, logs of no session at all, and ranges cut
+// anywhere — every score bit-equal to the per-SV pass.
+func testLinearAccumulateSessionsSpecialValues(t *testing.T) {
+	rng := linalg.NewRNG(30)
+	values := []float64{1, -1, 0.5, -2.25, 1.0 / 7, 0, math.Copysign(0, -1)}
+	dsts := []float64{0, math.Copysign(0, -1), 0.25, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	vector := func(dim int) Point {
+		v := sparse.New(dim)
+		for i := 0; i < dim; i++ {
+			if rng.Float64() < 0.4 {
+				v.Entries = append(v.Entries, sparse.Entry{Index: i, Value: values[rng.Intn(len(values))]})
+			}
+		}
+		return NewSparse(v)
+	}
+	for trial := 0; trial < 3000; trial++ {
+		dim := rng.Intn(9)
+		nsv := rng.Intn(6)
+		svs := make([]Point, nsv)
+		coefs := make([]float64, nsv)
+		for i := range svs {
+			svs[i] = vector(dim)
+			if i > 0 && rng.Float64() < 0.2 {
+				svs[i] = svs[rng.Intn(i)]
+			}
+			coefs[i] = values[rng.Intn(len(values))]
+		}
+		rows := 1 + rng.Intn(24)
+		ys := make([]Point, rows)
+		for j := range ys {
+			ys[j] = vector(dim)
+		}
+		ix := NewSparseSVIndex(ys)
+		if dim == 0 {
+			ix = (*SparseSVIndex)(nil).Extend(nil) // a log of no session
+		}
+		dst0 := make([]float64, rows)
+		for j := range dst0 {
+			dst0[j] = 0.25
+			if rng.Float64() < 0.3 {
+				dst0[j] = dsts[rng.Intn(len(dsts))]
+			}
+		}
+		label := fmt.Sprintf("trial %d: dim %d, %d SVs, coefficients %v, %d rows, dst %v", trial, dim, nsv, coefs, rows, dst0)
+		checkSessionsMatchPerSV(t, label, coefs, svs, ys, ix, dst0, splitRanges(rng, rows, 1+rng.Intn(rows)))
+	}
+}
+
+// testLinearAccumulateSessionsOddSupportVectors pins the refusal of a model
+// the index cannot score: a support vector that is dense, or sparse of
+// another dimension than the log's. The call must leave dst and row as they
+// were, for the per-SV pass to take over.
+func testLinearAccumulateSessionsOddSupportVectors(t *testing.T) {
 	const dim = 40
 	rng := linalg.NewRNG(7)
-	svs := make([]Point, 5)
-	for i := range svs {
-		svs[i] = NewSparse(logLikeVector(rng, dim, 6, true))
+	ys := make([]Point, 9)
+	for j := range ys {
+		ys[j] = NewSparse(logLikeVector(rng, dim, 6, true))
 	}
+	ix := NewSparseSVIndex(ys)
 	coefs := []float64{0.5, -1, 0.25, -0.75, 1}
-	panicOf := func(run func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		run()
-		return
-	}
 	for name, odd := range map[string]Point{
 		"another dimension": NewSparse(logLikeVector(rng, dim+3, 6, true)),
 		"dense":             Dense(make(linalg.Vector, dim)),
 	} {
-		ys := make([]Point, 9)
-		for j := range ys {
-			ys[j] = NewSparse(logLikeVector(rng, dim, 6, true))
+		svs := make([]Point, len(coefs))
+		for i := range svs {
+			svs[i] = NewSparse(logLikeVector(rng, dim, 6, true))
 		}
-		ys[4] = odd
-		want := panicOf(func() { perSVAccumulate(coefs, svs, ys, make([]float64, len(ys))) })
-		got := panicOf(func() { sparseAccumulator(svs)(coefs, ys, make([]float64, len(ys))) })
-		if got != want || want == "<nil>" {
-			t.Errorf("%s row: panic %q, per-SV pass panics %q", name, got, want)
+		svs[2] = odd
+		want := []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25}
+		got := append([]float64(nil), want...)
+		var row []float64
+		if ok, err := accumulateRange(coefs, svs, ix, 0, len(ys), got, &row); ok || err != nil {
+			t.Errorf("%s support vector: accepted %v, %v", name, ok, err)
 		}
+		checkParity(t, name+" support vector (refused)", got, want)
+	}
+	var row []float64
+	if ok, err := accumulateRange(coefs[:1], ys[:1], nil, 0, 3, make([]float64, 3), &row); ok || err != nil {
+		t.Errorf("no index: accepted %v, %v", ok, err)
 	}
 }
 
-// testLinearAccumulateSparseNonFiniteCoefficients pins the refusal of a
-// model with a coefficient that is not finite. The per-SV pass turns an
-// empty row's +0 dot times ±Inf or NaN into NaN, which the empty-row skip
-// would not: the accumulate must decline, leaving dst to that pass.
-func testLinearAccumulateSparseNonFiniteCoefficients(t *testing.T) {
+// testLinearAccumulateSessionsNonFiniteCoefficients pins the refusal of a
+// model with a coefficient that is not finite. The per-SV pass turns a row's
+// +0 dot times ±Inf or NaN into NaN, which the skipped rows would not: the
+// accumulate must decline, leaving dst to that pass.
+func testLinearAccumulateSessionsNonFiniteCoefficients(t *testing.T) {
 	const dim = 40
 	rng := linalg.NewRNG(5)
 	svs := []Point{NewSparse(logLikeVector(rng, dim, 6, true)), NewSparse(logLikeVector(rng, dim, 6, true))}
@@ -171,11 +291,14 @@ func testLinearAccumulateSparseNonFiniteCoefficients(t *testing.T) {
 	for j := range ys {
 		ys[j] = NewSparse(sparse.New(dim))
 	}
+	ys[1] = NewSparse(logLikeVector(rng, dim, 6, true))
+	ix := NewSparseSVIndex(ys)
 	for _, coefs := range [][]float64{{math.Inf(1), 0.5}, {0.5, math.Inf(-1)}, {math.NaN(), 0.5}} {
 		want := []float64{0.25, 0.25, 0.25, 0.25}
 		got := append([]float64(nil), want...)
-		if sparseAccumulator(svs)(coefs, ys, got) {
-			t.Errorf("coefficients %v: accepted", coefs)
+		var row []float64
+		if ok, err := accumulateRange(coefs, svs, ix, 0, len(ys), got, &row); ok || err != nil {
+			t.Errorf("coefficients %v: accepted %v, %v", coefs, ok, err)
 		}
 		checkParity(t, fmt.Sprintf("coefficients %v (refused)", coefs), got, want)
 		perSVAccumulate(coefs, svs, ys, want)
@@ -185,12 +308,13 @@ func testLinearAccumulateSparseNonFiniteCoefficients(t *testing.T) {
 	}
 }
 
-// FuzzLinearAccumulateSparse builds a small sparse model and batch from the
-// input bytes (values in sevenths, so products round; zero coefficients and
-// biases of either sign, so the fold's ±0 terms show; coefficients of ±Inf
-// and NaN, which must be refused) and holds LinearAccumulateSparse to the
-// per-SV pass, bit for bit.
-func FuzzLinearAccumulateSparse(f *testing.F) {
+// FuzzLinearAccumulateSessions builds a small sparse model and collection
+// from the input bytes (values in sevenths, so products round; zero
+// coefficients and destinations of either sign, ±Inf and NaN, so the fold's
+// ±0 terms show; coefficients of ±Inf and NaN, which must be refused), cuts
+// the collection into two ranges anywhere, and holds LinearAccumulateSessions
+// to the per-SV pass, bit for bit, with the row buffer +0 after every call.
+func FuzzLinearAccumulateSessions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 2, 1, 0x80, 0x80, 0x80, 1, 3, 9, 1, 3, 0xf7}) // negative coefficients, -0 bias, rows without entries
 	f.Add([]byte{3, 0, 0, 1, 5, 0, 0, 0, 2, 1, 7, 2, 7, 2, 1, 14, 2, 0xf2, 1, 1, 21})
@@ -208,7 +332,7 @@ func FuzzLinearAccumulateSparse(f *testing.F) {
 		dim := 1 + int(next())%16
 		nsv := 1 + int(next())%5
 		rows := 1 + int(next())%12
-		bias := []float64{0, math.Copysign(0, -1), 0.5, -3}[next()%4]
+		bias := []float64{0, math.Copysign(0, -1), 0.5, -3, math.NaN(), math.Inf(1), math.Inf(-1), 0.25}[next()%8]
 		vector := func() Point {
 			v := sparse.New(dim)
 			for n := int(next()) % (dim + 1); n > 0; n-- {
@@ -239,34 +363,33 @@ func FuzzLinearAccumulateSparse(f *testing.F) {
 		for j := range ys {
 			ys[j] = vector()
 		}
-		want := make([]float64, rows)
-		for j := range want {
-			want[j] = bias
+		cut := int(next()) % (rows + 1)
+		ix := NewSparseSVIndex(ys)
+		dst0 := make([]float64, rows)
+		for j := range dst0 {
+			dst0[j] = bias
 		}
-		got := append([]float64(nil), want...)
-		label := fmt.Sprintf("dim %d, %d SVs, coefficients %v, bias %v (signbit %v)", dim, nsv, coefs, bias, math.Signbit(bias))
+		label := fmt.Sprintf("dim %d, %d SVs, coefficients %v, bias %v (signbit %v), cut at %d", dim, nsv, coefs, bias, math.Signbit(bias), cut)
 		if !finite {
-			if sparseAccumulator(svs)(coefs, ys, got) {
-				t.Fatalf("%s: accepted", label)
+			got := append([]float64(nil), dst0...)
+			var row []float64
+			if ok, err := accumulateRange(coefs, svs, ix, 0, rows, got, &row); ok || err != nil {
+				t.Fatalf("%s: accepted %v, %v", label, ok, err)
 			}
-			checkParity(t, label+" (refused)", got, want)
+			checkParity(t, label+" (refused)", got, dst0)
 			return
 		}
-		perSVAccumulate(coefs, svs, ys, want)
-		if !sparseAccumulator(svs)(coefs, ys, got) {
-			t.Fatalf("%s: refused %d rows", label, rows)
-		}
-		checkParity(t, label, got, want)
+		checkSessionsMatchPerSV(t, label, coefs, svs, ys, ix, dst0, [][2]int{{0, cut}, {cut, rows}})
 	})
 }
 
-// BenchmarkLinearAccumulateSparse times one log-side decision pass over a
+// BenchmarkLinearAccumulateSessions times one log-side decision pass over a
 // 2,048-row scan range against 48 support vectors of ~60 entries in 2,500
 // sessions, at the three row densities of the benchmark's collections (an
 // image with a log history, a sparsely covered one, a mostly uncovered one),
-// in ns per row. The bias is non-zero, so the rows without an entry are
-// skipped as they are in a scan.
-func BenchmarkLinearAccumulateSparse(b *testing.B) {
+// in ns per row. The bias is non-zero, so only the rows a support vector
+// reaches are folded, as in a scan.
+func BenchmarkLinearAccumulateSessions(b *testing.B) {
 	const dim, nsv, rows = 2500, 48, 2048
 	rng := linalg.NewRNG(9)
 	svs := make([]Point, nsv)
@@ -275,19 +398,20 @@ func BenchmarkLinearAccumulateSparse(b *testing.B) {
 		svs[i] = NewSparse(logLikeVector(rng, dim, 60, true))
 		coefs[i] = rng.Range(-1, 1)
 	}
-	accumulate := sparseAccumulator(svs)
 	for _, mean := range []float64{60, 4, 0.8} {
 		ys := make([]Point, rows)
 		for j := range ys {
 			ys[j] = NewSparse(logLikeVector(rng, dim, mean, true))
 		}
+		ix := NewSparseSVIndex(ys)
 		dst := make([]float64, rows)
+		row := make([]float64, rows)
 		b.Run(fmt.Sprintf("entries=%v", mean), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := range dst {
 					dst[j] = 0.25
 				}
-				if !accumulate(coefs, ys, dst) {
+				if !LinearAccumulateSessions(coefs, svs, ix, 0, dst, row) {
 					b.Fatal("refused")
 				}
 			}

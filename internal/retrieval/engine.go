@@ -20,6 +20,7 @@ import (
 
 	"lrfcsvm/internal/core"
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
@@ -114,8 +115,9 @@ type Engine struct {
 	// log-column cache.
 	mu          sync.Mutex
 	log         *feedbacklog.Log
-	logVectors  []*sparse.Vector // incremental column cache, see logColumns
-	logSessions int              // sessions covered by logVectors
+	logVectors  []*sparse.Vector      // incremental column cache, see logColumns
+	logIndex    *kernel.SparseSVIndex // the log inverted by session, kept beside logVectors
+	logSessions int                   // sessions covered by logVectors and logIndex
 
 	// closed is set by Close: mutations read it at admission and closeCtx
 	// at every cancellation check of a query or a refinement.
@@ -272,19 +274,22 @@ func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
 }
 
 // logColumns returns the per-image log relevance vectors covering at least
-// the given epoch's collection, extending the incremental cache by whatever
-// sessions and images arrived since the last call. The returned slice is
-// trimmed to the epoch's collection size so schemes see an exactly matching
-// column view; trimming shares storage.
-func (e *Engine) logColumns(ep *epoch) []*sparse.Vector {
+// the given epoch's collection and the same log inverted by session,
+// extending both incremental caches by whatever sessions and images arrived
+// since the last call. The returned slice is trimmed to the epoch's
+// collection size so schemes see an exactly matching column view; trimming
+// shares storage. The index may name images past the epoch, which no scan of
+// it reaches.
+func (e *Engine) logColumns(ep *epoch) ([]*sparse.Vector, *kernel.SparseSVIndex) {
 	e.mu.Lock()
 	e.logVectors = e.log.ExtendRelevanceVectors(e.logVectors, e.logSessions)
+	e.logIndex = e.log.ExtendSessionIndex(e.logIndex)
 	e.logSessions = e.log.NumSessions()
-	cols := e.logVectors
+	cols, index := e.logVectors, e.logIndex
 	e.mu.Unlock()
 	// The log covers every image the engine has ever published, which may
 	// already exceed this epoch's snapshot if an ingestion raced ahead.
-	return cols[:ep.batch.Len()]
+	return cols[:ep.batch.Len()], index
 }
 
 // InitialQuery returns the top-k images by Euclidean visual similarity to
@@ -379,8 +384,10 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 		return nil, fmt.Errorf("retrieval: scheme %q needs at least one judgment", kind)
 	}
 
+	logVectors, logIndex := s.engine.logColumns(ep)
 	ctx := &core.QueryContext{
-		LogVectors: s.engine.logColumns(ep),
+		LogVectors: logVectors,
+		LogIndex:   logIndex,
 		Query:      s.query,
 		Labeled:    labeled,
 		Batch:      ep.batch,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -177,12 +178,15 @@ func (d *driver) checkState() {
 	want := retrieval.CollectionStats{Images: n, Dim: len(d.m.rows[0]), Shards: (n + kernel.DefaultShardSize - 1) / kernel.DefaultShardSize, Epoch: d.epoch}
 	d.check(d.e.Collection() == want, "Collection() = %+v, the model has %+v", d.e.Collection(), want)
 	d.check(d.e.NumLogSessions() == len(d.m.sessions), "NumLogSessions() = %d, the model committed %d", d.e.NumLogSessions(), len(d.m.sessions))
-	cols, wantCols := d.e.LogColumns(), d.m.log().RelevanceVectors()
+	cols, index := d.e.LogColumns()
+	wantCols := d.m.log().RelevanceVectors()
 	d.check(len(cols) == n, "%d log columns for %d images", len(cols), n)
 	for i, col := range cols {
 		same := col.Dim == wantCols[i].Dim && slices.Equal(col.Entries, wantCols[i].Entries)
 		d.check(same, "log column %d is %+v, RelevanceVectors() of the model's sessions has %+v", i, col, wantCols[i])
 	}
+	wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))
+	d.check(reflect.DeepEqual(index, wantIndex), "the session index kept beside the log columns is not the one those of the model's sessions invert to")
 	// Snapshot rows are views into the store: whatever was ingested since,
 	// the last check's read as they did.
 	for i, row := range d.held {

@@ -85,7 +85,9 @@ func (v *Vector) At(index int) float64 {
 	return 0
 }
 
-// Dot returns the inner product of v and w. Vectors of different
+// Dot returns the inner product of v and w: the products of the matched
+// entries, each rounded on its own (so no build fuses it into the addition),
+// added in ascending index order from +0. Vectors of different
 // dimensionality cannot be compared and cause a panic.
 func (v *Vector) Dot(w *Vector) float64 {
 	if v.Dim != w.Dim {
@@ -97,7 +99,7 @@ func (v *Vector) Dot(w *Vector) float64 {
 		a, b := v.Entries[i], w.Entries[j]
 		switch {
 		case a.Index == b.Index:
-			s += a.Value * b.Value
+			s += float64(a.Value * b.Value)
 			i++
 			j++
 		case a.Index < b.Index:
