@@ -54,16 +54,18 @@ govulncheck:
 # and the total outside bench/: the figures the ROADMAP's size targets and the
 # simplicity PRs' before/after tables quote. Every line counts, comments and
 # blanks included, so stripping comments or moving code into _test.go files
-# shows up as exactly that in the diff. The last three lines are the option
-# surface: cbirserver's flag definitions, the routes the server registers, and
-# the option-struct fields the field pass of TestInternalDeclarationsReachable
-# checked.
+# shows up as exactly that in the diff. The line after the total counts the
+# _test.go lines outside bench/, so a PR that trades tests for a driver shows
+# it too. The last three lines are the option surface: cbirserver's flag
+# definitions, the routes the server registers, and the option-struct fields
+# the field pass of TestInternalDeclarationsReachable checked.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sed 's|^\./||' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%7d  internal/core + internal/kernel\n", n["internal/core"] + n["internal/kernel"]; \
 		printf "%7d  total outside bench/\n", t }'
+	@printf '%7d  test lines outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf '%7d  cbirserver flags\n' $$(grep -c '= flag\.' cmd/cbirserver/main.go)
 	@printf '%7d  server routes\n' $$(grep -c 'mux\.HandleFunc(' internal/server/server.go)
 	@$(GO) test -count=1 -v -run '^TestInternalDeclarationsReachable$$' ./internal/analysis | \

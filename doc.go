@@ -145,7 +145,13 @@
 // a slice of committed sessions, a ranking the scheme's scores fully sorted.
 // TestEngineMatchesModel drives the engine — journal, snapshotter, crashes,
 // faults, cancellations and Close included — against that definition under
-// random operation sequences, and prints the sequence when they disagree.
+// random operation sequences, and prints the sequence when they disagree,
+// with the fewest of its steps found to disagree the same way.
+// TestServerMatchesEngine (internal/server) does the same one layer up: it
+// sends random requests over HTTP and checks every answer against a twin
+// engine driven directly and a model of the server's own state — the
+// sessions table, TTL and LRU eviction, the result-length rule and the status
+// of each outcome.
 //
 // Start with the README for an architecture overview and the system
 // inventory ("Layout"), and EXPERIMENTS.md for the paper-versus-measured

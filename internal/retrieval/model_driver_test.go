@@ -42,8 +42,9 @@ var regimes = map[string]struct {
 // through the same random operations — ingestions, queries, sessions,
 // refinements under every scheme, commits, snapshots, crashes and recoveries,
 // cancelled contexts, journal faults, Close — and fails at the first outcome
-// or state they disagree on, printing the operations that led there. A seed
-// and a cell are all that replays a subtest:
+// or state they disagree on, printing the operations that led there and the
+// fewest of its steps found to fail the same way. A seed and a cell are all
+// that replays a subtest:
 // go test -run 'TestEngineMatchesModel/^seed=7$/^off$' ./internal/retrieval
 func TestEngineMatchesModel(t *testing.T) {
 	seeds := uint64(32)
@@ -71,8 +72,7 @@ type pair struct {
 }
 
 type driver struct {
-	t                      *testing.T
-	rng                    *linalg.RNG
+	rng                    *linalg.RNG // the current step's: a step draws the same whichever steps ran before it
 	dir                    string
 	big                    bool // this seed may grow the collection to the shard boundary
 	journaled, snapshotter bool // the cell
@@ -93,14 +93,66 @@ type driver struct {
 	seen   map[string]bool // the regimes passed through
 }
 
+// runDriver runs a seed's 200 steps on a cell and returns the regimes they
+// passed through; on a disagreement it shrinks the steps and fails.
 func runDriver(t *testing.T, seed uint64, cell string) map[string]bool {
-	d := &driver{t: t, rng: linalg.NewRNG(seed), dir: t.TempDir(), big: seed%8 == 3, seen: map[string]bool{}}
+	all := make([]int, 200)
+	for i := range all {
+		all[i] = i + 1
+	}
+	seen, f := drive(t.TempDir(), seed, cell, all)
+	if f != nil {
+		first := func(msg string) string { line, _, _ := strings.Cut(msg, "\n"); return line }
+		steps := shrink(all, func(steps []int) bool {
+			_, g := drive(t.TempDir(), seed, cell, steps)
+			return g != nil && first(g.msg) == first(f.msg)
+		})
+		_, g := drive(t.TempDir(), seed, cell, steps)
+		t.Fatalf("%s\nafter these operations:\n%s\n\nsteps %v alone fail the same way, in %d operations:\n%s", f.msg, f.ops, steps, strings.Count(g.ops, "\n")+1, g.ops)
+	}
+	return seen
+}
+
+// failure is how a run ends that disagreed: the first disagreement (a panic's
+// value, its stack after it) and the operations that led there.
+type failure struct{ msg, ops string }
+
+// disagreement is what check panics with, to end the run.
+type disagreement string
+
+// shrink is delta debugging over which steps run: it drops ever smaller runs
+// of the steps while fails holds without them, and returns the fewest found.
+func shrink(steps []int, fails func([]int) bool) []int {
+	for n := 2; len(steps) > 1; {
+		chunk, dropped := (len(steps)+n-1)/n, false
+		for i := 0; i < len(steps) && !dropped; i += chunk {
+			rest := slices.Concat(steps[:i], steps[min(i+chunk, len(steps)):])
+			if dropped = fails(rest); dropped {
+				steps, n = rest, max(n-1, 2)
+			}
+		}
+		if !dropped && n >= len(steps) {
+			break
+		} else if !dropped {
+			n = min(2*n, len(steps))
+		}
+	}
+	return steps
+}
+
+// drive runs the given steps of a seed on a cell in dir.
+func drive(dir string, seed uint64, cell string, steps []int) (seen map[string]bool, f *failure) {
+	d := &driver{rng: linalg.NewRNG(seed), dir: dir, big: seed%8 == 3, seen: map[string]bool{}}
 	policy, snapshotter := strings.CutSuffix(cell, "+snapshotter")
 	fsync, err := storage.ParseFsyncPolicy(policy) // "nojournal" is no policy
 	d.fsync, d.journaled, d.snapshotter = fsync, err == nil, snapshotter
-	defer func() { // an engine that panics disagrees too: print the operations
+	defer func() { // an engine that panics disagrees too
 		if p := recover(); p != nil {
-			d.check(false, "panic: %v\n%s", p, debug.Stack())
+			msg, ok := p.(disagreement)
+			if !ok {
+				msg = disagreement(fmt.Sprintf("panic: %v\n%s", p, debug.Stack()))
+			}
+			f = &failure{string(msg), strings.Join(d.ops, "\n")}
 		}
 	}()
 	d.m.rows = d.rows(20 + d.rng.Intn(40))
@@ -113,15 +165,21 @@ func runDriver(t *testing.T, seed uint64, cell string) map[string]bool {
 	}
 	err = storage.SaveSnapshotAt(d.path("snap"), d.m.rows, d.m.log(), 0)
 	d.check(err == nil, "%v", err)
+	stepSeeds := make([]uint64, 200)
+	for i := range stepSeeds {
+		stepSeeds[i] = d.rng.Uint64()
+	}
 	d.start()
 	defer d.stop()
-	for step := 1; step <= 200; step++ {
+	for _, step := range steps {
+		d.rng = linalg.NewRNG(stepSeeds[step-1])
 		d.step()
 		if step%16 == 0 {
 			d.checkState()
 		}
 	}
-	return d.seen
+	d.checkState()
+	return d.seen, nil
 }
 
 func (d *driver) path(name string) string { return filepath.Join(d.dir, name) }
@@ -130,11 +188,10 @@ func (d *driver) logf(format string, args ...any) {
 	d.ops = append(d.ops, fmt.Sprintf("%4d  ", len(d.ops))+fmt.Sprintf(format, args...))
 }
 
-// check fails the run, with the operations so far, unless ok.
+// check ends the run as a disagreement unless ok.
 func (d *driver) check(ok bool, format string, args ...any) {
-	d.t.Helper()
 	if !ok {
-		d.t.Fatalf("%s\nafter these operations:\n%s", fmt.Sprintf(format, args...), strings.Join(d.ops, "\n"))
+		panic(disagreement(fmt.Sprintf(format, args...)))
 	}
 }
 
@@ -402,14 +459,13 @@ func (d *driver) snapshot() {
 // arm makes the journal fail the next record it is handed: a write that
 // fails, one that tears, one whose rollback fails too — after which the
 // journal refuses every record — or, where appends sync, an fsync that fails.
-// A tear stays inside the 12-byte record header: one that reached the
-// record's last byte would leave a whole record, which replay cannot tell
-// from one whose write did not fail.
+// A tear lands anywhere in the record, its last byte and past it included:
+// a whole record whose rollback failed is zeroed, so replay drops it too.
 func (d *driver) arm() {
 	if !d.journaled || d.w.journal != nil {
 		return
 	}
-	torn := map[int]int{1: 1 + d.rng.Intn(12)}
+	torn := map[int]int{1: 1 + d.rng.Intn(160)}
 	plans := []faultinject.Plan{{FailWrites: []int{1}}, {TornWrites: torn}, {TornWrites: torn, FailTruncates: []int{1}}, {FailSyncFrom: 1, FailSyncCount: 1}}
 	if d.fsync != storage.FsyncAlways {
 		plans = plans[:3]

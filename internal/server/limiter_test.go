@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -206,9 +209,22 @@ func TestRetryAfterHeaderReflectsDrainRate(t *testing.T) {
 // is what the limiter admits, so none of them may be shed — however late a
 // waiter that was handed its slot gets to run. (The queue bound used to
 // count such a waiter as still queued, and an arrival in that window was
-// answered 503 with room to spare.)
+// answered 503 with room to spare.) Waiters queued in a known order on a full
+// class are admitted in that order, one cancelled while queued is skipped, and
+// every arrival ends admitted, shed or cancelled, exactly one of them.
 func TestLimiterNeverShedsWithinItsBounds(t *testing.T) {
 	l := newClassLimiter(2, 10*time.Second)
+	var arrivals, cancelled atomic.Int64
+	acquire := func(ctx context.Context) (func(), error) {
+		arrivals.Add(1)
+		release, err := l.acquire(ctx)
+		if err == nil && l.inFlight.Load() > 2 {
+			t.Errorf("%d in flight, ceiling 2", l.inFlight.Load())
+		} else if errors.Is(err, context.Canceled) {
+			cancelled.Add(1)
+		}
+		return release, err
+	}
 	stop := time.Now().Add(500 * time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -216,20 +232,69 @@ func TestLimiterNeverShedsWithinItsBounds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(stop) {
-				release, err := l.acquire(context.Background())
+				release, err := acquire(context.Background())
 				if err != nil {
 					t.Errorf("acquire: %v", err)
 					return
-				}
-				if n := l.inFlight.Load(); n > 2 {
-					t.Errorf("%d in flight, ceiling 2", n)
 				}
 				release()
 			}
 		}()
 	}
 	wg.Wait()
-	if st := l.status(); st.Shed != 0 || st.InFlight != 0 || st.Queued != 0 {
+
+	// Two holders fill the class; two waiters queue behind them, one at a
+	// time, and the first is cancelled or not before the slots free up.
+	for _, cancelFirst := range []bool{false, true} {
+		holders := make([]func(), 2)
+		for i := range holders {
+			holders[i], _ = acquire(context.Background())
+		}
+		admitted := make(chan int, 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		for w, c := range []context.Context{ctx, context.Background()} {
+			queued := l.queued.Load()
+			go func() {
+				if release, err := acquire(c); err == nil {
+					admitted <- w
+					release()
+				}
+			}()
+			for deadline := time.Now().Add(5 * time.Second); l.queued.Load() == queued; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("waiter %d was admitted at once: the two holders did not fill the class", w)
+				}
+			}
+			time.Sleep(20 * time.Millisecond) // from the gauge to the channel's queue
+		}
+		want := []int{0, 1}
+		if cancelFirst {
+			cancel()
+			for l.queued.Load() != 1 {
+				time.Sleep(time.Millisecond)
+			}
+			want = want[1:]
+		}
+		var got []int
+		for _, release := range holders {
+			release()
+			if len(got) < len(want) {
+				got = append(got, <-admitted)
+			}
+		}
+		cancel()
+		if !slices.Equal(got, want) {
+			t.Errorf("waiters admitted in the order %v, want %v (first cancelled: %v)", got, want, cancelFirst)
+		}
+	}
+	for l.inFlight.Load() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	st := l.status()
+	if st.Shed != 0 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("after %d acquisitions: %+v, want nothing shed and the gauges drained", st.Admitted, st)
+	}
+	if n := st.Admitted + st.Shed + cancelled.Load(); n != arrivals.Load() {
+		t.Fatalf("%d admitted, %d shed and %d cancelled of %d arrivals", st.Admitted, st.Shed, cancelled.Load(), arrivals.Load())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -124,18 +123,6 @@ func startJudgedSession(t testing.TB, srv *httptest.Server, labels []int, query 
 	return start.SessionID
 }
 
-func TestStatusEndpoint(t *testing.T) {
-	srv, _ := testServer(t)
-	var status StatusResponse
-	resp := getJSON(t, srv.URL+"/api/status", &status)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status code %d", resp.StatusCode)
-	}
-	if status.Images != 36 || status.LogSessions != 15 {
-		t.Errorf("status = %+v", status)
-	}
-}
-
 // TestStatusIsOneEpoch: /api/status read images, dim, shards and epoch with a
 // load of the current epoch each, so a status answered while an ingestion
 // published could pair one epoch's image count with the next one's sequence
@@ -195,210 +182,6 @@ func TestStatusReportsKernelBackend(t *testing.T) {
 	}
 }
 
-func TestQueryEndpoint(t *testing.T) {
-	srv, _ := testServer(t)
-	var q QueryResponse
-	resp := getJSON(t, srv.URL+"/api/query?image=3&k=5", &q)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status code %d", resp.StatusCode)
-	}
-	if len(q.Results) != 5 || q.Results[0].Image != 3 {
-		t.Errorf("query response = %+v", q)
-	}
-}
-
-func TestQueryEndpointErrors(t *testing.T) {
-	srv, _ := testServer(t)
-	if resp := getJSON(t, srv.URL+"/api/query?image=abc", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad image param: status %d", resp.StatusCode)
-	}
-	if resp := getJSON(t, srv.URL+"/api/query?image=999", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("out-of-range image: status %d", resp.StatusCode)
-	}
-	if resp := getJSON(t, srv.URL+"/api/query?image=1&k=abc", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad k: status %d", resp.StatusCode)
-	}
-}
-
-// TestResultLengthRule holds every ranking endpoint to the one rule for k:
-// omitted or 0 selects the default, a negative k is a 400, and anything above
-// the ceiling is capped.
-func TestResultLengthRule(t *testing.T) {
-	srv, _, _ := testServerWithConfig(t, Config{DefaultK: 4, MaxK: 6})
-	var start StartSessionResponse
-	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
-	judge := JudgeRequest{SessionID: start.SessionID}
-	for _, img := range []int{2, 30} {
-		judge.Judgments = append(judge.Judgments, struct {
-			Image    int  `json:"image"`
-			Relevant bool `json:"relevant"`
-		}{Image: img, Relevant: img == 2})
-	}
-	if resp := postJSON(t, srv.URL+"/api/sessions/judge", judge, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("judge: status %d", resp.StatusCode)
-	}
-
-	// Each endpoint answers a status and a result list of some length; an
-	// empty k leaves the field out of the request.
-	type answer struct{ status, results int }
-	endpoints := map[string]func(k string) answer{
-		"GET /api/query": func(k string) answer {
-			url := srv.URL + "/api/query?image=1"
-			if k != "" {
-				url += "&k=" + k
-			}
-			var out QueryResponse
-			resp := getJSON(t, url, &out)
-			return answer{resp.StatusCode, len(out.Results)}
-		},
-		"POST /api/sessions/refine": func(k string) answer {
-			body := map[string]any{"session_id": start.SessionID, "scheme": "rf-svm"}
-			if k != "" {
-				body["k"], _ = strconv.Atoi(k)
-			}
-			var out RefineResponse
-			resp := postJSON(t, srv.URL+"/api/sessions/refine", body, &out)
-			return answer{resp.StatusCode, len(out.Results)}
-		},
-	}
-	cases := []struct {
-		k    string
-		want answer
-	}{
-		{"", answer{http.StatusOK, 4}},
-		{"0", answer{http.StatusOK, 4}},
-		{"3", answer{http.StatusOK, 3}},
-		{"6", answer{http.StatusOK, 6}},
-		{"7", answer{http.StatusOK, 6}},
-		{"-1", answer{status: http.StatusBadRequest}},
-		{"-5", answer{status: http.StatusBadRequest}},
-	}
-	for name, ask := range endpoints {
-		for _, c := range cases {
-			if got := ask(c.k); got != c.want {
-				t.Errorf("%s with k=%q answered %+v, want %+v", name, c.k, got, c.want)
-			}
-		}
-	}
-}
-
-func TestFullFeedbackFlow(t *testing.T) {
-	srv, labels := testServer(t)
-
-	var start StartSessionResponse
-	resp := postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
-	if resp.StatusCode != http.StatusOK || start.SessionID == 0 {
-		t.Fatalf("start session: %d %+v", resp.StatusCode, start)
-	}
-
-	var q QueryResponse
-	getJSON(t, srv.URL+"/api/query?image=1&k=10", &q)
-	judge := JudgeRequest{SessionID: start.SessionID}
-	for _, r := range q.Results {
-		judge.Judgments = append(judge.Judgments, struct {
-			Image    int  `json:"image"`
-			Relevant bool `json:"relevant"`
-		}{Image: r.Image, Relevant: labels[r.Image] == labels[1]})
-	}
-	var judged JudgeResponse
-	resp = postJSON(t, srv.URL+"/api/sessions/judge", judge, &judged)
-	if resp.StatusCode != http.StatusOK || judged.Judgments != 10 {
-		t.Fatalf("judge: %d %+v", resp.StatusCode, judged)
-	}
-
-	for _, scheme := range []string{"euclidean", "rf-svm", "lrf-2svms", "lrf-csvm"} {
-		var refined RefineResponse
-		resp = postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: scheme, K: 8}, &refined)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("refine %s: status %d", scheme, resp.StatusCode)
-		}
-		if len(refined.Results) != 8 {
-			t.Errorf("refine %s: %d results", scheme, len(refined.Results))
-		}
-	}
-
-	var committed CommitResponse
-	resp = postJSON(t, srv.URL+"/api/sessions/commit", CommitRequest{SessionID: start.SessionID}, &committed)
-	if resp.StatusCode != http.StatusOK || committed.LogSessions != 16 {
-		t.Fatalf("commit: %d %+v", resp.StatusCode, committed)
-	}
-
-	// The session is gone after commit.
-	resp = postJSON(t, srv.URL+"/api/sessions/commit", CommitRequest{SessionID: start.SessionID}, nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("second commit: status %d", resp.StatusCode)
-	}
-}
-
-// TestJudgeBatchIsAllOrNothing pins the batch contract of
-// POST /api/sessions/judge: a batch holding one out-of-range image answers
-// 400 and records none of its judgments, so what a client drops on a 400
-// can never reach the long-term log through a later commit.
-func TestJudgeBatchIsAllOrNothing(t *testing.T) {
-	srv, _ := testServer(t)
-	var start StartSessionResponse
-	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
-
-	type judgment = struct {
-		Image    int  `json:"image"`
-		Relevant bool `json:"relevant"`
-	}
-	count := func() int {
-		t.Helper()
-		var judged JudgeResponse
-		if resp := postJSON(t, srv.URL+"/api/sessions/judge", JudgeRequest{SessionID: start.SessionID}, &judged); resp.StatusCode != http.StatusOK {
-			t.Fatalf("empty batch: status %d", resp.StatusCode)
-		}
-		return judged.Judgments
-	}
-	var judged JudgeResponse
-	ok := JudgeRequest{SessionID: start.SessionID, Judgments: []judgment{{Image: 0, Relevant: true}}}
-	if resp := postJSON(t, srv.URL+"/api/sessions/judge", ok, &judged); resp.StatusCode != http.StatusOK || judged.Judgments != 1 {
-		t.Fatalf("valid batch: %d %+v", resp.StatusCode, judged)
-	}
-	for _, bad := range []int{999999, -1} {
-		batch := JudgeRequest{SessionID: start.SessionID, Judgments: []judgment{
-			{Image: 1, Relevant: true}, {Image: 2, Relevant: false}, {Image: bad, Relevant: true},
-		}}
-		if resp := postJSON(t, srv.URL+"/api/sessions/judge", batch, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("batch with image %d: status %d, want 400", bad, resp.StatusCode)
-		}
-		if got := count(); got != 1 {
-			t.Fatalf("after the rejected batch with image %d the session holds %d judgments, want 1", bad, got)
-		}
-	}
-}
-
-func TestRefineUnknownSessionAndScheme(t *testing.T) {
-	srv, _ := testServer(t)
-	resp := postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: 999, Scheme: "rf-svm"}, nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown session: status %d", resp.StatusCode)
-	}
-	var start StartSessionResponse
-	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 0}, &start)
-	resp = postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: "bogus"}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown scheme: status %d", resp.StatusCode)
-	}
-}
-
-func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := testServer(t)
-	resp := getJSON(t, srv.URL+"/api/sessions/judge", nil)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET on judge: status %d", resp.StatusCode)
-	}
-	resp, err := http.Post(srv.URL+"/api/status", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST on status: status %d", resp.StatusCode)
-	}
-}
-
 // TestUnknownBodyFieldRejected: a body naming a field its route does not
 // have is a 400 that names the field on every POST route, not a request
 // served as if the field were absent — "async": true asked for a 202 and a
@@ -445,57 +228,6 @@ func TestMalformedBodies(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed start: status %d", resp.StatusCode)
-	}
-}
-
-// TestQueryKCapped verifies result lists are capped at the configured MaxK
-// and default to DefaultK, on the query path and on refinement.
-func TestQueryKCapped(t *testing.T) {
-	srv, _, engine := testServerWithConfig(t, Config{DefaultK: 4, MaxK: 7})
-	n := engine.NumImages()
-
-	// Omitted k selects the default.
-	var q QueryResponse
-	getJSON(t, srv.URL+"/api/query?image=1", &q)
-	if q.K != 4 || len(q.Results) != 4 {
-		t.Fatalf("default: k=%d with %d results, want 4", q.K, len(q.Results))
-	}
-	// A request beyond MaxK is capped, never the full collection.
-	getJSON(t, srv.URL+"/api/query?image=1&k="+strconv.Itoa(10*n), &q)
-	if q.K != 7 || len(q.Results) != 7 {
-		t.Fatalf("capped: k=%d with %d results, want 7", q.K, len(q.Results))
-	}
-
-	// Refinement follows the same default and ceiling.
-	var start StartSessionResponse
-	postJSON(t, srv.URL+"/api/sessions", StartSessionRequest{Query: 1}, &start)
-	judge := JudgeRequest{SessionID: start.SessionID}
-	for img := 0; img < 6; img++ {
-		judge.Judgments = append(judge.Judgments, struct {
-			Image    int  `json:"image"`
-			Relevant bool `json:"relevant"`
-		}{Image: img, Relevant: img < 3})
-	}
-	postJSON(t, srv.URL+"/api/sessions/judge", judge, nil)
-	var refined RefineResponse
-	postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: "rf-svm"}, &refined)
-	if len(refined.Results) != 4 {
-		t.Fatalf("refine default: %d results, want 4", len(refined.Results))
-	}
-	postJSON(t, srv.URL+"/api/sessions/refine", RefineRequest{SessionID: start.SessionID, Scheme: "rf-svm", K: 10 * n}, &refined)
-	if len(refined.Results) != 7 {
-		t.Fatalf("refine capped: %d results, want 7", len(refined.Results))
-	}
-}
-
-// TestStatusReportsShards verifies /api/status exposes the shard count of
-// the current collection epoch.
-func TestStatusReportsShards(t *testing.T) {
-	srv, _, engine := testServerWithConfig(t, Config{})
-	var status StatusResponse
-	getJSON(t, srv.URL+"/api/status", &status)
-	if status.Shards != engine.Collection().Shards || status.Shards == 0 {
-		t.Fatalf("status shards = %d, engine has %d", status.Shards, engine.Collection().Shards)
 	}
 }
 

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,33 +13,6 @@ import (
 	"lrfcsvm/internal/retrieval"
 	"lrfcsvm/internal/storage"
 )
-
-// An engine shut down under a live server must answer in-flight and
-// subsequent queries with 503 + a shutting-down body — not 499, which
-// blames a client that never hung up. (This was a real bug: statusForError
-// mapped every context.Canceled to 499, including the engine's own
-// shutdown cancellation.)
-func TestEngineShutdownIs503Not499(t *testing.T) {
-	srv, _, engine := testServerWithConfig(t, Config{})
-	engine.Close()
-
-	resp, err := http.Get(srv.URL + "/api/query?image=0&k=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query against a closed engine: status %d, want 503", resp.StatusCode)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	var e errorResponse
-	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatalf("non-JSON 503 body %q: %v", body, err)
-	}
-	if !strings.Contains(e.Error, "shutting down") {
-		t.Errorf("503 body %q does not say the server is shutting down", e.Error)
-	}
-}
 
 // Engine.Close racing in-flight requests through the full HTTP stack (run
 // with -race): every response is 200 (finished before the close landed) or
@@ -80,22 +51,6 @@ func TestEngineCloseRacesInFlightRequests(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	engine.Close()
 	wg.Wait()
-}
-
-// Server.Close alone (engine still alive) also answers with the guard's
-// 503; requests in flight when Close begins complete normally because the
-// sweeper shutdown does not cancel them.
-func TestServerCloseRejectsWith503(t *testing.T) {
-	srv, _, _, s := testServerFull(t, Config{})
-	s.Close()
-	resp, err := http.Get(srv.URL + "/api/query?image=0&k=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query after Server.Close: status %d, want 503", resp.StatusCode)
-	}
 }
 
 // TestCloseLeavesNoGoroutine starts everything cbirserver starts that owns a

@@ -150,40 +150,45 @@ func TestJournalRetryExhaustionFailsWithRollback(t *testing.T) {
 }
 
 // A torn write whose rollback also fails poisons the journal (it can no
-// longer promise disk == acked state), and a clean reopen must classify
-// the partial record as a torn tail and truncate it away.
+// longer promise disk == acked state) and zeroes the failed record's extent,
+// and a clean reopen must classify it as a torn tail and truncate it away —
+// also when the tear is the whole record, which would otherwise replay as a
+// commit its caller was refused.
 func TestJournalTornWriteWithFailedRollbackPoisonsAndReplays(t *testing.T) {
-	j, in := openFaultJournal(t, JournalOptions{Fsync: FsyncOff})
-	path := j.path
-	// First write tears after 7 bytes; the rollback truncate fails too,
-	// leaving the torn bytes on disk — the post-power-loss shape.
-	in.SetPlan(faultinject.Plan{
-		TornWrites:    map[int]int{1: 7},
-		FailTruncates: []int{1},
-	})
+	record := int64(len(frameJournalRecord(append([]byte{journalEntrySession}, encodeSession(journalSession(4, 8))...))))
+	for _, tear := range []int{7, int(record)} {
+		j, in := openFaultJournal(t, JournalOptions{Fsync: FsyncOff})
+		path := j.path
+		// The first write tears; the rollback truncate fails too, leaving
+		// the torn bytes on disk — the post-power-loss shape.
+		in.SetPlan(faultinject.Plan{
+			TornWrites:    map[int]int{1: tear},
+			FailTruncates: []int{1},
+		})
 
-	err := j.AppendSession(journalSession(4, 8))
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("append error = %v, want the injected fault", err)
-	}
-	// Poisoned: even a fault-free append must now be refused.
-	in.SetPlan(faultinject.Plan{})
-	if err := j.AppendSession(journalSession(5, 8)); err == nil {
-		t.Fatal("append accepted on a journal whose rollback failed")
-	}
-	j.Close()
+		err := j.AppendSession(journalSession(4, 8))
+		if !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("tear of %d: append error = %v, want the injected fault", tear, err)
+		}
+		// Poisoned: even a fault-free append must now be refused.
+		in.SetPlan(faultinject.Plan{})
+		if err := j.AppendSession(journalSession(5, 8)); err == nil {
+			t.Fatalf("tear of %d: append accepted on a journal whose rollback failed", tear)
+		}
+		j.Close()
 
-	j2, replay := reopenClean(t, path)
-	defer j2.Close()
-	if replay.Records != 0 || replay.Sessions != 0 {
-		t.Fatalf("replay invented records from torn bytes: %+v", replay)
-	}
-	if replay.TornTailBytes != 7 {
-		t.Fatalf("TornTailBytes = %d, want the 7 torn bytes", replay.TornTailBytes)
-	}
-	// The recovered journal must be appendable again.
-	if err := j2.AppendSession(journalSession(6, 8)); err != nil {
-		t.Fatalf("append after torn-tail recovery: %v", err)
+		j2, replay := reopenClean(t, path)
+		if replay.Records != 0 || replay.Sessions != 0 {
+			t.Fatalf("tear of %d: replay applied the refused record: %+v", tear, replay)
+		}
+		if replay.TornTailBytes != record {
+			t.Fatalf("tear of %d: TornTailBytes = %d, want the %d zeroed bytes of the record", tear, replay.TornTailBytes, record)
+		}
+		// The recovered journal must be appendable again.
+		if err := j2.AppendSession(journalSession(6, 8)); err != nil {
+			t.Fatalf("tear of %d: append after torn-tail recovery: %v", tear, err)
+		}
+		j2.Close()
 	}
 }
 

@@ -41,6 +41,13 @@
 // be a torn append; it is genuine corruption and surfaces as ErrCorrupt
 // without truncating anything, so acknowledged records are never silently
 // discarded.
+//
+// A failed append is truncated back out. When that truncate fails too, the
+// journal refuses every later append and overwrites the failed extent with
+// zeros, which replay drops as a zero-filled tail. If the zeros cannot be
+// written either, a record whose write failed after its last byte stays
+// whole in the file, and the next start applies a mutation its caller was
+// refused.
 package storage
 
 import (
@@ -749,7 +756,7 @@ func (j *Journal) tryAppendLocked(records [][]byte) (int64, error) {
 		// code path (compaction's prefix walk, replay) can misplace an
 		// append by moving the shared file offset.
 		if _, err := j.f.WriteAt(rec, end); err != nil {
-			j.rollbackLocked(err)
+			j.rollbackLocked(err, end+int64(len(rec)))
 			return 0, fmt.Errorf("storage: append journal record: %w", err)
 		}
 		end += int64(len(rec))
@@ -758,7 +765,7 @@ func (j *Journal) tryAppendLocked(records [][]byte) (int64, error) {
 		j.stats.Syncs++
 		if err := j.f.Sync(); err != nil {
 			j.stats.SyncFailures++
-			j.rollbackLocked(err)
+			j.rollbackLocked(err, end)
 			return 0, fmt.Errorf("storage: sync journal: %w", err)
 		}
 	} else {
@@ -792,10 +799,21 @@ func (j *Journal) zeroToEOF(off, size int64) bool {
 
 // rollbackLocked restores the journal file to its pre-append size after a
 // failed write or sync, so the on-disk journal matches what the caller was
-// acknowledged. A rollback that itself fails poisons the journal.
-func (j *Journal) rollbackLocked(cause error) {
-	if err := j.f.Truncate(j.size); err != nil {
-		j.broken = fmt.Errorf("rollback after %v failed: %w", cause, err)
+// acknowledged. A rollback that itself fails poisons the journal, and the
+// failed attempt's extent, j.size up to end, is overwritten with zeros: a
+// write that failed after its last byte left a whole, checksummed record
+// there, which replay would apply although its caller was refused. Zeros
+// run to the end of the file, so replay truncates them as a torn tail. Only
+// if the zeros cannot be written either can the refused record come back at
+// the next start.
+func (j *Journal) rollbackLocked(cause error, end int64) {
+	err := j.f.Truncate(j.size)
+	if err == nil {
+		return
+	}
+	j.broken = fmt.Errorf("rollback after %v failed: %w", cause, err)
+	if _, err := j.f.WriteAt(make([]byte, end-j.size), j.size); err == nil && j.opts.Fsync == FsyncAlways {
+		_ = j.f.Sync() // the journal is broken either way; this only narrows what a power loss can bring back
 	}
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,9 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"lrfcsvm/internal/feedbacklog"
-	"lrfcsvm/internal/retrieval"
 )
 
 // crashChildEnv names the environment variable that turns the test binary
@@ -117,26 +113,5 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	reVisual, reLog := journalBase(8, 3)
 	if _, _, rb, err := OpenJournal(path, reVisual, reLog, JournalOptions{}); err != nil || rb.Sessions != next+1 {
 		t.Fatalf("reopen after repair: %v (replay %+v)", err, rb)
-	}
-}
-
-// commitOn commits the deterministic sessions [from, to) on the engine.
-func commitOn(t *testing.T, e *retrieval.Engine, from, to int) {
-	t.Helper()
-	n := e.NumImages()
-	for i := from; i < to; i++ {
-		src := journalSession(i, n)
-		s, err := e.StartSession(src.QueryImage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for img, jd := range src.Judgments {
-			if err := s.Judge(img, jd == feedbacklog.Relevant); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Commit(context.Background()); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

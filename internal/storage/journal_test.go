@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"lrfcsvm/internal/eval"
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
@@ -345,61 +344,6 @@ func TestJournalOversizedBatchChunked(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenSnapshotAndCompaction pins the double-apply hole: a crash
-// after the snapshot is installed but before the journal is compacted must
-// not re-apply the records the snapshot already contains — the snapshot
-// records the sequence it covers and replay skips up to it.
-func TestCrashBetweenSnapshotAndCompaction(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "engine.wal")
-	snapPath := filepath.Join(dir, "engine.snap")
-	visual, fblog := journalBase(8, 3)
-	j, visual, _, err := OpenJournal(walPath, visual, fblog, JournalOptions{Fsync: FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := retrieval.NewEngine(visual, fblog, retrieval.Options{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitOn(t, engine, 0, 3)
-	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{9, 9, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot pass captures state + covered sequence and installs the
-	// snapshot... and then the process dies before CompactTo runs.
-	var mark uint64
-	snapVisual, snapLog := engine.SnapshotWith(func() { mark = j.LastSeq() })
-	if err := SaveSnapshotAt(snapPath, snapVisual, snapLog, mark); err != nil {
-		t.Fatal(err)
-	}
-	commitOn(t, engine, 3, 5) // post-snapshot records, only in the journal
-
-	// Restart: snapshot + UNCOMPACTED journal. The 4 covered records are
-	// skipped, the 2 tail records applied — no duplicated sessions or
-	// images.
-	crashVisual, crashLog, seq, err := LoadSnapshotAt(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != mark || seq != 4 {
-		t.Fatalf("snapshot covers sequence %d, want %d", seq, mark)
-	}
-	j2, crashVisual, replay, err := OpenJournal(walPath, crashVisual, crashLog, JournalOptions{SnapshotSeq: seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if replay.Skipped != 4 || replay.Sessions != 2 || replay.Images != 0 {
-		t.Fatalf("replay = %+v, want 4 skipped and 2 applied sessions", replay)
-	}
-	recovered, err := retrieval.NewEngine(crashVisual, crashLog, retrieval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesBitIdentical(t, engine, recovered)
-}
-
 // TestFreshJournalAdoptsSnapshotSeq: recreating a deleted journal next to a
 // covered snapshot must continue the sequence numbering after the covered
 // point — restarting from 1 would make the snapshot's coverage swallow the
@@ -649,277 +593,6 @@ func TestOpenJournalValidation(t *testing.T) {
 	if _, _, _, err := OpenJournal(logPath, visual10, fblog10, JournalOptions{}); err == nil {
 		t.Error("log store accepted as journal")
 	}
-}
-
-// TestSnapshotterCompactionLoop drives the full durability loop at the
-// engine level: journal everything, snapshot + compact mid-stream, keep
-// mutating, "crash", and verify snapshot + journal-tail replay reconstructs
-// an engine whose rankings — and therefore MAPs — are bit-identical to the
-// pre-crash in-memory engine.
-func TestSnapshotterCompactionLoop(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "engine.wal")
-	snapPath := filepath.Join(dir, "engine.snap")
-
-	visual, fblog := journalBase(16, 3)
-	j, visual, _, err := OpenJournal(walPath, visual, fblog, JournalOptions{Fsync: FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := retrieval.NewEngine(visual, fblog, retrieval.Options{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := NewSnapshotter(j, engine.SnapshotWith, SnapshotterConfig{SnapshotPath: snapPath, Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-
-	commit := func(i int) {
-		t.Helper()
-		src := journalSession(i, 16)
-		s, err := engine.StartSession(src.QueryImage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for img, jd := range src.Judgments {
-			if err := s.Judge(img, jd == feedbacklog.Relevant); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Commit(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		commit(i)
-	}
-	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{0.5, -1, 2}, {3, 0.25, -2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	if j.TailBytes() != 0 {
-		t.Fatalf("journal not compacted: %d tail bytes", j.TailBytes())
-	}
-	if st := snap.Stats(); st.Snapshots != 1 || st.LastSnapshotUnix == 0 {
-		t.Errorf("snapshotter stats = %+v", st)
-	}
-	// Keep mutating after the snapshot: these records live only in the
-	// journal tail.
-	for i := 3; i < 6; i++ {
-		commit(i)
-	}
-	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{-1, -1, -1}}); err != nil {
-		t.Fatal(err)
-	}
-	commit(6)
-
-	// Crash: no Close, no final snapshot. Restart from snapshot + journal.
-	crashVisual, crashLog, seq, err := LoadSnapshotAt(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, crashVisual, replay, err := OpenJournal(walPath, crashVisual, crashLog, JournalOptions{SnapshotSeq: seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if replay.Sessions != 4 || replay.Images != 1 || replay.Skipped != 0 {
-		t.Fatalf("replay = %+v, want 4 sessions and 1 image from the tail", replay)
-	}
-	recovered, err := retrieval.NewEngine(crashVisual, crashLog, retrieval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesBitIdentical(t, engine, recovered)
-}
-
-// assertEnginesBitIdentical compares two engines' full rankings (initial
-// queries and every feedback scheme) score for score, and the MAPs computed
-// from them. Bit-identical rankings imply bit-identical MAPs; both are
-// asserted so a regression reports at the level the paper's evaluation uses.
-func assertEnginesBitIdentical(t *testing.T, a, b *retrieval.Engine) {
-	t.Helper()
-	if a.NumImages() != b.NumImages() || a.NumLogSessions() != b.NumLogSessions() {
-		t.Fatalf("engines differ in shape: %d/%d images, %d/%d sessions",
-			a.NumImages(), b.NumImages(), a.NumLogSessions(), b.NumLogSessions())
-	}
-	n := a.NumImages()
-	rank := func(e *retrieval.Engine, query int, kind retrieval.SchemeKind) []retrieval.Result {
-		t.Helper()
-		if kind == "" {
-			rs, err := e.InitialQuery(context.Background(), query, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rs
-		}
-		s, err := e.StartSession(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Judge(query, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Judge((query+1)%n, false); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := s.Refine(context.Background(), kind, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs
-	}
-	for _, query := range []int{0, 3, n - 1} {
-		for _, kind := range []retrieval.SchemeKind{"", retrieval.SchemeEuclidean, retrieval.SchemeRFSVM, retrieval.SchemeLRF2SVMs, retrieval.SchemeLRFCSVM} {
-			ra, rb := rank(a, query, kind), rank(b, query, kind)
-			if len(ra) != len(rb) {
-				t.Fatalf("query %d scheme %q: %d vs %d results", query, kind, len(ra), len(rb))
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("query %d scheme %q rank %d: live %+v, recovered %+v", query, kind, i, ra[i], rb[i])
-				}
-			}
-			if mapA, mapB := rankingMAP(ra, n), rankingMAP(rb, n); mapA != mapB {
-				t.Fatalf("query %d scheme %q: MAP %v vs %v", query, kind, mapA, mapB)
-			}
-		}
-	}
-}
-
-// rankingMAP computes a MAP over a ranking with a synthetic relevance
-// labeling (every 4th image relevant) via the eval package's metrics — the
-// exact values are irrelevant, their bit-equality across engines is what the
-// crash-recovery tests pin.
-func rankingMAP(rs []retrieval.Result, n int) float64 {
-	scores := make([]float64, n)
-	relevant := make([]bool, n)
-	for rank, r := range rs {
-		scores[r.Image] = float64(n - rank)
-		relevant[r.Image] = r.Image%4 == 0
-	}
-	return eval.MeanAveragePrecision([]float64{
-		eval.PrecisionAt(scores, relevant, 10),
-		eval.PrecisionAt(scores, relevant, 20),
-		eval.PrecisionAt(scores, relevant, n),
-	})
-}
-
-// TestEngineJournalOrderMatchesLog interleaves commits and ingestions and
-// verifies the journal replays to the same log order the engine holds —
-// the property the under-lock sink exists for.
-func TestEngineJournalOrderMatchesLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "engine.wal")
-	visual, fblog := journalBase(8, 3)
-	j, visual, _, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := retrieval.NewEngine(visual, fblog, retrieval.Options{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		s, err := engine.StartSession(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Judge((i+2)%8, i%2 == 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			if _, err := engine.AddImages(context.Background(), []linalg.Vector{{float64(i), 1, 2}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	liveVisual, liveLog := engine.SnapshotWith(nil)
-
-	baseVisual, baseLog := journalBase(8, 3)
-	j2, gotVisual, _, err := OpenJournal(path, baseVisual, baseLog, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	j.Close()
-	if len(gotVisual) != len(liveVisual) || baseLog.NumSessions() != liveLog.NumSessions() {
-		t.Fatalf("replayed %d images/%d sessions, live %d/%d",
-			len(gotVisual), baseLog.NumSessions(), len(liveVisual), liveLog.NumSessions())
-	}
-	for i, want := range liveLog.Sessions() {
-		if !sessionsMatch(baseLog.Sessions()[i], want) {
-			t.Errorf("replayed session %d out of order: %+v vs %+v", i, baseLog.Sessions()[i], want)
-		}
-	}
-}
-
-// TestEngineJournalFailureFailsMutation: a sink error must fail the commit
-// or ingestion and leave the in-memory state untouched — the engine must
-// never serve state it could not make durable.
-func TestEngineJournalFailureFailsMutation(t *testing.T) {
-	visual, fblog := journalBase(8, 3)
-	sink := &failingSink{}
-	engine, err := retrieval.NewEngine(visual, fblog, retrieval.Options{Journal: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := engine.StartSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Judge(1, true); err != nil {
-		t.Fatal(err)
-	}
-	sink.fail = true
-	if err := s.Commit(context.Background()); err == nil {
-		t.Fatal("commit succeeded with a failing journal")
-	}
-	if engine.NumLogSessions() != 0 {
-		t.Errorf("failed commit mutated the log: %d sessions", engine.NumLogSessions())
-	}
-	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{1, 2, 3}}); err == nil {
-		t.Fatal("ingestion succeeded with a failing journal")
-	}
-	if engine.NumImages() != 8 {
-		t.Errorf("failed ingestion mutated the collection: %d images", engine.NumImages())
-	}
-	// The session is still committable once the journal recovers.
-	sink.fail = false
-	if err := s.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if engine.NumLogSessions() != 1 || sink.sessions != 1 {
-		t.Errorf("recovered commit: %d log sessions, %d journaled", engine.NumLogSessions(), sink.sessions)
-	}
-}
-
-type failingSink struct {
-	fail     bool
-	sessions int
-	images   int
-}
-
-func (f *failingSink) AppendSession(feedbacklog.Session) error {
-	if f.fail {
-		return fmt.Errorf("sink: injected failure")
-	}
-	f.sessions++
-	return nil
-}
-
-func (f *failingSink) AppendImages(d []linalg.Vector) error {
-	if f.fail {
-		return fmt.Errorf("sink: injected failure")
-	}
-	f.images += len(d)
-	return nil
 }
 
 // BenchmarkCommitJournal measures the journal's overhead on the feedback

@@ -2,13 +2,11 @@ package storage
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/linalg"
-	"lrfcsvm/internal/retrieval"
 )
 
 func sampleSnapshot(t *testing.T) ([]linalg.Vector, *feedbacklog.Log) {
@@ -110,67 +108,6 @@ func TestSaveSnapshotAtomicOverwrite(t *testing.T) {
 	}
 	if len(gotVisual) != 11 || gotLog.NumImages() != 11 {
 		t.Errorf("reloaded %d descriptors, log covers %d images", len(gotVisual), gotLog.NumImages())
-	}
-}
-
-// TestEngineSnapshotPersistenceLoop closes the persistence loop of the
-// live-collection engine: grow an engine (ingestion + feedback), persist it
-// through the snapshot store, reload it, and check the reloaded engine ranks
-// bit-identically.
-func TestEngineSnapshotPersistenceLoop(t *testing.T) {
-	visual, log := sampleSnapshot(t)
-	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.AddImages(context.Background(), []linalg.Vector{{4, 4, 4}, {-3, 2, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := engine.StartSession(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Judge(10, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Judge(2, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "engine.snap")
-	snapVisual, snapLog := engine.SnapshotWith(nil)
-	if err := SaveSnapshotAt(path, snapVisual, snapLog, 0); err != nil {
-		t.Fatal(err)
-	}
-	loadedVisual, loadedLog, _, err := LoadSnapshotAt(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := retrieval.NewEngine(loadedVisual, loadedLog, retrieval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.NumImages() != engine.NumImages() || reloaded.NumLogSessions() != engine.NumLogSessions() {
-		t.Fatalf("reloaded engine: %d images/%d sessions, want %d/%d",
-			reloaded.NumImages(), reloaded.NumLogSessions(), engine.NumImages(), engine.NumLogSessions())
-	}
-	for _, query := range []int{0, 10, 11} {
-		a, err := engine.InitialQuery(context.Background(), query, engine.NumImages())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := reloaded.InitialQuery(context.Background(), query, reloaded.NumImages())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %d rank %d: live %+v, reloaded %+v", query, i, a[i], b[i])
-			}
-		}
 	}
 }
 
