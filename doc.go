@@ -103,15 +103,15 @@
 // # Feedback training
 //
 // The per-round training cost is carried by an SMO solver tuned for
-// repeated retraining: pair selection is fused into the gradient-update
-// loop, solver scratch is pooled across runs, and every run starts from
-// the zero iterate, so a model depends only on the problem it was trained
-// on. The coupled trainer (core.TrainCoupled) keeps every Gram row of a
-// modality in one kernel cache shared by all its retrainings, reads the
-// unlabeled decision values from it, and trains the modalities of each
-// alternation step one after the other — pinned by an exact trajectory
-// test, the golden MAP regression and the solver property suite in
-// internal/svm.
+// repeated retraining: an svm.Solver is bound to one point set and keeps its
+// Gram rows and working arrays across every Solve, pair selection is fused
+// into the gradient-update loop, and every Solve starts from the zero
+// iterate, so a model depends only on the labels and costs it was trained
+// with. The coupled trainer (core.TrainCoupled) retrains each modality
+// through one Solver, reads the unlabeled decision values from its cached
+// rows, and trains the modalities of each alternation step one after the
+// other — pinned by an exact trajectory test, the golden MAP regression and
+// the solver property suite in internal/svm.
 //
 // A refinement round is synchronous, as the paper's feedback loop is:
 // Session.Refine (HTTP: POST /api/sessions/refine) trains and ranks under

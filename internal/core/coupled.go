@@ -127,9 +127,9 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			return nil, fmt.Errorf("core: modality %q has %d unlabeled points, want %d", m.Name, len(m.Unlabeled), nu)
 		}
 	}
-	// The schedule multiplies into the costs the retrainings hand the solver
-	// under TrustedProblem, and NaN slips through withDefaults (NaN <= 0 is
-	// false), so it is refused here like a non-finite C.
+	// A NaN slips through withDefaults (NaN <= 0 is false) and would reach
+	// every retraining's costs, where the solver refuses it; refusing it
+	// here names the schedule instead.
 	for _, v := range [...]float64{cfg.Rho, cfg.Delta} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("core: coupled schedule has Rho %v, Delta %v, want finite values", cfg.Rho, cfg.Delta)
@@ -143,45 +143,32 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 		UnlabeledLabels: append([]float64(nil), initialUnlabeled...),
 	}
 
-	// With no unlabeled points the coupled SVM degenerates to independent
-	// per-modality SVMs on the labeled data.
-	if nu == 0 {
-		for m, mod := range modalities {
-			model, err := trainModality(cfg.Ctx, mod.Labeled, labels, mod.C, mod.Kernel)
-			if err != nil {
-				return nil, fmt.Errorf("core: modality %q: %w", mod.Name, err)
-			}
-			result.Models[m] = model
-		}
-		result.Retrainings += len(modalities)
-		result.tallySolverStats()
-		return result, nil
-	}
-
 	// The alternating optimization retrains every modality many times —
 	// once per annealing step times once per label-correction pass — but
-	// always over the same point set: only the labels and costs change.
-	// Kernel values depend on neither, so each modality gets one shared,
-	// read-through kernel row cache that every retraining reuses, and the
-	// per-problem point/label/cost buffers and the unlabeled decision
-	// values are built once and patched in place. Every retraining starts
-	// the solver from zero, so a model depends only on the labels and costs
-	// it was trained with, never on the path the schedule took to them.
-	points := make([][]kernel.Point, len(modalities))
+	// always over the same point set: only the labels and costs change. So
+	// each modality gets one svm.Solver over its labeled then unlabeled
+	// points, which keeps its Gram rows and working arrays across every
+	// retraining, and the label and cost buffers and the unlabeled decision
+	// values are built once and patched in place. Every Solve starts from
+	// zero, so a model depends only on the labels and costs it was trained
+	// with, never on the path the schedule took to them.
+	solvers := make([]*svm.Solver, len(modalities))
 	ys := make([]float64, nl+nu)
 	costs := make([][]float64, len(modalities))
-	caches := make([]*kernel.Cache, len(modalities))
 	decisions := make([][]float64, len(modalities))
 	copy(ys[:nl], labels)
 	for m, mod := range modalities {
-		points[m] = make([]kernel.Point, 0, nl+nu)
-		points[m] = append(points[m], mod.Labeled...)
-		points[m] = append(points[m], mod.Unlabeled...)
+		points := make([]kernel.Point, 0, nl+nu)
+		points = append(points, mod.Labeled...)
+		points = append(points, mod.Unlabeled...)
+		var err error
+		if solvers[m], err = svm.NewSolver(points, svm.Config{Kernel: mod.Kernel, Ctx: cfg.Ctx}); err != nil {
+			return nil, fmt.Errorf("core: modality %q: %w", mod.Name, err)
+		}
 		costs[m] = make([]float64, nl+nu)
 		for i := 0; i < nl; i++ {
 			costs[m][i] = mod.C
 		}
-		caches[m] = kernel.NewCache(mod.Kernel, points[m])
 		decisions[m] = make([]float64, nu)
 	}
 
@@ -195,31 +182,13 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			for i := 0; i < nu; i++ {
 				costs[m][nl+i] = rho * mod.C
 			}
-		}
-		for m, mod := range modalities {
-			cfgSolver := svm.Config{
-				Kernel:      mod.Kernel,
-				SharedCache: caches[m],
-				// Most models of the alternating optimization are discarded
-				// after updateLabels reads their alphas; the final ones are
-				// expanded just before TrainCoupled returns.
-				OmitSupportVectors: true,
-				// The problem is the validated template patched in place:
-				// labels stay in {-1,+1} (entry checks + updateLabels sign
-				// flips) and costs stay positive finite (rho schedule times
-				// an entry-checked C), so skip per-retrain revalidation.
-				TrustedProblem: true,
-				Ctx:            cfg.Ctx,
-			}
-			model, err := svm.Train(svm.Problem{Points: points[m], Labels: ys, C: costs[m]}, cfgSolver)
-			if err != nil {
+			if err := solvers[m].Solve(ys, costs[m]); err != nil {
 				return fmt.Errorf("core: modality %q: %w", mod.Name, err)
 			}
-			result.Models[m] = model
-			decisionsFromCache(model, caches[m], ys, nl, decisions[m])
+			result.SolverIterations += solvers[m].Iterations()
+			solvers[m].Decisions(nl, decisions[m])
 		}
 		result.Retrainings += len(modalities)
-		result.tallySolverStats()
 		return nil
 	}
 
@@ -235,8 +204,9 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 			current := result.UnlabeledLabels[i]
 			lossCur, lossFlip := 0.0, 0.0
 			for m := range modalities {
-				lossCur += modalities[m].C * hinge(current*decisions[m][i])
-				lossFlip += modalities[m].C * hinge(-current*decisions[m][i])
+				d := decisions[m][i]
+				lossCur += float64(modalities[m].C * hinge(float64(current*d)))
+				lossFlip += float64(modalities[m].C * hinge(float64(-current*d)))
 			}
 			if lossCur-lossFlip > cfg.Delta {
 				result.UnlabeledLabels[i] = -current
@@ -247,83 +217,42 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 		return changed
 	}
 
-	// Annealing schedule: rho* starts small and doubles until it reaches the
-	// ceiling, mirroring the transductive SVM schedule the paper adopts.
-	// Each step alternates (train SVMs | update Y') until the label set is
-	// stable or the iteration bound is hit.
-	for rho := rhoInit; rho < cfg.Rho; rho = min(2*rho, cfg.Rho) {
-		result.RhoSteps++
-		if err := trainAll(rho); err != nil {
-			return nil, err
-		}
-		for iter := 0; iter < maxCorrectionIters; iter++ {
-			if updateLabels() == 0 {
-				break
-			}
-			if err := trainAll(rho); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Final pass at the full weight rho, again alternating until stable.
-	result.RhoSteps++
-	if err := trainAll(cfg.Rho); err != nil {
-		return nil, err
-	}
-	for iter := 0; iter < maxCorrectionIters; iter++ {
-		if updateLabels() == 0 {
-			break
-		}
+	if nu == 0 {
+		// With no unlabeled points the coupled SVM degenerates to independent
+		// per-modality SVMs on the labeled data: one training, no schedule.
 		if err := trainAll(cfg.Rho); err != nil {
 			return nil, err
 		}
+	} else {
+		// Annealing schedule: rho* starts small and doubles until it reaches
+		// the ceiling, mirroring the transductive SVM schedule the paper
+		// adopts; the last step runs at the ceiling itself. Each step
+		// alternates (train SVMs | update Y') until the label set is stable
+		// or the iteration bound is hit.
+		for rho := min(rhoInit, cfg.Rho); ; rho = min(2*rho, cfg.Rho) {
+			result.RhoSteps++
+			if err := trainAll(rho); err != nil {
+				return nil, err
+			}
+			for iter := 0; iter < maxCorrectionIters; iter++ {
+				if updateLabels() == 0 {
+					break
+				}
+				if err := trainAll(rho); err != nil {
+					return nil, err
+				}
+			}
+			if rho >= cfg.Rho {
+				break
+			}
+		}
 	}
-	// Only the final models are kept by callers; expand the
-	// support-vector lists the intermediate retrainings skipped. ys still
-	// holds the labels of the last training run, which is what the
-	// expansion must see even when a trailing correction pass flipped
-	// labels without retraining.
+	// Only the final models are kept by callers, so the support vectors are
+	// expanded once per modality, from its solver's latest Solve.
 	for m := range result.Models {
-		result.Models[m].ExpandSupport(points[m], ys)
+		result.Models[m] = solvers[m].Model()
 	}
 	return result, nil
-}
-
-// decisionsFromCache fills dec[i] with the decision value of training point
-// nl+i — the unlabeled points the label-correction step inspects — from the
-// already-cached kernel rows of the training problem:
-// f(x_t) = b + sum_j alpha_j y_j K(x_j, x_t). Every support vector's row was
-// fetched during training (training starts from alpha = 0, so a pair update
-// touched it), so this costs zero kernel evaluations, where Model.DecisionBatch
-// would re-evaluate every (support vector, unlabeled) pair each retraining.
-// The summation order (ascending j over alpha_j > 0, bias first) and every
-// operand match DecisionBatch over the same points, so the values — and
-// therefore the default-config rankings — are bit-identical.
-func decisionsFromCache(model *svm.Model, cache *kernel.Cache, ys []float64, nl int, dec []float64) {
-	for i := range dec {
-		dec[i] = model.Bias
-	}
-	for j, a := range model.Alphas {
-		if a == 0 {
-			continue
-		}
-		row := cache.Row(j)[nl:]
-		row = row[:len(dec)]
-		c := a * ys[j]
-		for i := range dec {
-			dec[i] += c * row[i]
-		}
-	}
-}
-
-// tallySolverStats accumulates the per-model solver diagnostics of the most
-// recent training round into the result's totals.
-func (r *CoupledResult) tallySolverStats() {
-	for _, m := range r.Models {
-		if m != nil {
-			r.SolverIterations += m.Iterations
-		}
-	}
 }
 
 // hinge is the hinge loss max(0, 1-margin).

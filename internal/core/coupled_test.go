@@ -49,9 +49,9 @@ func TestTrainCoupledValidation(t *testing.T) {
 		}
 	}
 
-	// The schedule is validated like the costs: the retrainings run with
-	// TrustedProblem, so a non-finite rho would reach the solver as a
-	// non-finite cost with nothing downstream to refuse it.
+	// The schedule is validated like the costs, before any training: a
+	// non-finite rho would otherwise surface only as a non-finite cost the
+	// solver refuses, and a non-finite Delta would reach no check at all.
 	far := kernel.Dense(linalg.Vector{3})
 	trainable := []Modality{{Name: "a", Kernel: k, C: 1, Labeled: []kernel.Point{pt, far}, Unlabeled: []kernel.Point{pt, far}}}
 	if _, err := TrainCoupled(trainable, []float64{1, -1}, []float64{1, -1}, CoupledConfig{}); err != nil {

@@ -94,26 +94,24 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
-	// the labeled data only and score every image by the sum of the two
-	// decision values; draft N'/2 presumed-positive images (the log-covered
-	// images closest to the positive labeled data by the combined score)
-	// with initial label +1 and the N'/2 images with the smallest combined
-	// score with initial label -1 (Fig. 1, step 1, the discussion in
-	// Section 6.5, and the log-assisted selection of Hoi & Lyu ACM-MM'04;
-	// see unlabeledSelector).
+	// the labeled data only — exactly LRF-2SVMs' two models — and score
+	// every image by the sum of the two decision values; draft N'/2
+	// presumed-positive images (the log-covered images closest to the
+	// positive labeled data by the combined score) with initial label +1 and
+	// the N'/2 images with the smallest combined score with initial label -1
+	// (Fig. 1, step 1, the discussion in Section 6.5, and the log-assisted
+	// selection of Hoi & Lyu ACM-MM'04; see unlabeledSelector).
+	visualInit, logInit, err := LRF2SVMs{LogKernel: p.LogKernel}.train(ctx, batch)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
+	}
+	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualInit, logInit, p.NumUnlabeled)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	modalities = []Modality{
 		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx)},
 		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx)},
-	}
-	var inits [2]*svm.Model
-	for m, mod := range modalities {
-		if inits[m], err = trainModality(ctx.Ctx, mod.Labeled, labels, mod.C, mod.Kernel); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: LRF-CSVM %s init: %w", mod.Name, err)
-		}
-	}
-	unlabeledIdx, initialLabels, err := sel(ctx, batch, inits[0], inits[1], p.NumUnlabeled)
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	modalities[0].Unlabeled = batch.visualPoints(unlabeledIdx)
 	modalities[1].Unlabeled = ctx.logPoints(unlabeledIdx)

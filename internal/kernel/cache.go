@@ -6,9 +6,9 @@ package kernel
 // number of iterations for the small problems relevance feedback solves.
 //
 // Kernel values depend only on the points — never on labels or costs — so a
-// cache can outlive a single training run: the coupled SVM's annealing loop
-// shares one cache per modality across all its retrainings (see
-// svm.Config.SharedCache).
+// cache can outlive a single training run: an svm.Solver owns one for its
+// point set, and the coupled SVM's annealing loop retrains each modality
+// through one Solver, reading every row it has computed before.
 //
 // Rows live in a direct-indexed table and are kept for the life of the
 // cache: relevance feedback trains on a few dozen points, so the whole Gram
@@ -76,6 +76,3 @@ func (c *Cache) Row(i int) []float64 {
 	c.rows[i] = row
 	return row
 }
-
-// NumPoints returns the number of points the cache is built over.
-func (c *Cache) NumPoints() int { return len(c.points) }

@@ -61,12 +61,12 @@
 // Go routines and the reference agree to the bit on every CPU. On other
 // architectures only the Go routines exist and the Go specification lets
 // the compiler fuse x*y + z — the arm64 compiler does, in the dots, the
-// exponential, the fold and the solver — so results there are deterministic
-// from run to run but are not pinned. The log half is the exception: the
-// session-index pass, the Gram row gather and sparse.Vector.Dot write each
-// product as float64(x*y), which the specification forbids fusing, so they
-// are Sparse.Dot's bits on every architecture, and CI checks the arm64
-// build's code for fused multiply-adds there.
+// exponential and the fold — so results there are deterministic from run to
+// run but are not pinned. The log half (the session-index pass, the Gram row
+// gather, sparse.Vector.Dot) and the trainer (package svm, core's label
+// correction) write each product as float64(x*y), which the specification
+// forbids fusing, so over the same kernel values they give amd64's bits, and
+// CI checks the arm64 build's code for fused multiply-adds there.
 //
 // # Quantized sets
 //

@@ -1,6 +1,9 @@
 package svm
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,45 +69,127 @@ func TestDecisionSetMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSharedCacheIdenticalModel verifies that training through a shared,
-// pre-populated kernel cache returns exactly the model a private cache
-// produces — kernel values do not depend on labels or costs, so reusing
-// rows across trainings must not change anything.
+// TestSharedCacheIdenticalModel drives one Solver through a sequence of
+// label and cost problems over one point set — a one-class problem, a Solve
+// cancelled mid-run and refused invalid ones among them — and holds every
+// result to a fresh Train of the same problem bit for bit: alphas, bias,
+// iterations, convergence, and the cached decision values against the fresh
+// model's DecisionBatch. Kernel values depend on neither labels nor costs,
+// so the solver computes each Gram row at most once: a second pass over the
+// sequence evaluates no kernel pair.
 func TestSharedCacheIdenticalModel(t *testing.T) {
-	k := kernel.RBF{Gamma: 0.5}
-	base, points, _ := trainTestModel(t, Config{Kernel: k})
+	k := kernel.RBF{Gamma: 1}
+	rng := linalg.NewRNG(5)
+	const n = 160
+	vecs := make([]linalg.Vector, n)
+	for i := range vecs {
+		vecs[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
+	}
+	points := kernel.DensePoints(vecs)
+	uniform := func(c float64) []float64 {
+		cs := make([]float64, n)
+		for i := range cs {
+			cs[i] = c
+		}
+		return cs
+	}
+	random, noisy, clean := make([]float64, n), make([]float64, n), make([]float64, n)
+	ones, varied := make([]float64, n), make([]float64, n)
+	for i, v := range vecs {
+		random[i] = 1 - 2*float64(rng.Intn(2))
+		noisy[i], clean[i] = -1, -1
+		if v[0]+0.5*rng.Normal(0, 1) > 0 {
+			noisy[i] = 1
+		}
+		if v[0] > 0 {
+			clean[i] = 1
+		}
+		ones[i] = 1
+		varied[i] = 0.1 + float64(i%7)
+	}
+	problems := []struct {
+		name          string
+		labels, costs []float64
+		cancel        bool
+	}{
+		{"random labels", random, uniform(0.01), false},
+		{"noisy boundary, large cost", noisy, uniform(100), false},
+		{"clean boundary, varied costs", clean, varied, false},
+		{"one class", ones, uniform(1), false},
+		{"cancelled mid-run", noisy, uniform(100), true},
+		{"after the cancelled run", noisy, uniform(100), false},
+		{"clean boundary, small cost", clean, uniform(0.05), false},
+	}
 
 	var evals int
-	shared := kernel.NewCache(countingKernel{k, &evals}, points)
-	// Pre-populate by a first training run, then retrain through the now
-	// warm cache.
-	labels := make([]float64, len(points))
-	for i := range labels {
-		labels[i] = -1
-		if i%2 == 0 {
-			labels[i] = 1
-		}
+	ctx := &pollCountdownCtx{Context: context.Background(), remaining: math.MaxInt}
+	s, err := NewSolver(points, Config{Kernel: countingKernel{k, &evals}, Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for run := 0; run < 2; run++ {
-		before := evals
-		model, err := Train(NewProblem(points, labels, 1), Config{Kernel: k, SharedCache: shared})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
+	zeroLabel := append([]float64(nil), clean...)
+	zeroLabel[5] = 0
+	nanCost := uniform(1)
+	nanCost[3] = math.NaN()
+	invalid := [][2][]float64{{zeroLabel, uniform(1)}, {clean, nanCost}, {clean[1:], uniform(1)[1:]}}
+	for pass := 0; pass < 2; pass++ {
+		// Every Solve checks its own inputs: there is no trusted mode.
+		for i, bad := range invalid {
+			if err := s.Solve(bad[0], bad[1]); err == nil {
+				t.Errorf("pass %d: invalid problem %d accepted", pass, i)
+			}
 		}
-		if run == 1 && evals != before {
-			t.Errorf("second training evaluated %d kernel pairs, want every row from the shared cache", evals-before)
-		}
-		if model.Bias != base.Bias {
-			t.Fatalf("run %d: bias = %v, want %v", run, model.Bias, base.Bias)
-		}
-		for i := range base.Alphas {
-			if model.Alphas[i] != base.Alphas[i] {
-				t.Fatalf("run %d: alpha[%d] = %v, want %v", run, i, model.Alphas[i], base.Alphas[i])
+		for _, p := range problems {
+			name := fmt.Sprintf("pass %d, %s", pass, p.name)
+			fresh, err := Train(Problem{Points: points, Labels: p.labels, C: p.costs}, Config{Kernel: k})
+			if err != nil {
+				t.Fatalf("%s: fresh Train: %v", name, err)
+			}
+			before := evals
+			if p.cancel {
+				if fresh.Iterations <= ctxCheckInterval {
+					t.Fatalf("%s: the problem takes %d iterations, too few to cancel mid-run", name, fresh.Iterations)
+				}
+				// The entry check takes the one poll left; the first
+				// periodic poll cancels.
+				ctx.remaining = 1
+				if err := s.Solve(p.labels, p.costs); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: Solve error = %v, want context.Canceled", name, err)
+				}
+				if ctx.remaining != -1 {
+					t.Fatalf("%s: the solver did not stop at its first periodic poll (remaining=%d)", name, ctx.remaining)
+				}
+				ctx.remaining = math.MaxInt
+				continue
+			}
+			if err := s.Solve(p.labels, p.costs); err != nil {
+				t.Fatalf("%s: Solve: %v", name, err)
+			}
+			if pass == 1 && evals != before {
+				t.Errorf("%s: evaluated %d kernel pairs, want every row from the solver's cache", name, evals-before)
+			}
+			got := s.Model()
+			if got.Bias != fresh.Bias || got.Iterations != fresh.Iterations || got.Converged != fresh.Converged {
+				t.Fatalf("%s: bias %v, %d iterations, converged %v; fresh Train: %v, %d, %v",
+					name, got.Bias, got.Iterations, got.Converged, fresh.Bias, fresh.Iterations, fresh.Converged)
+			}
+			for i := range fresh.Alphas {
+				if got.Alphas[i] != fresh.Alphas[i] {
+					t.Fatalf("%s: alpha[%d] = %v, fresh Train %v", name, i, got.Alphas[i], fresh.Alphas[i])
+				}
+			}
+			dec, want := make([]float64, n-1), make([]float64, n-1)
+			s.Decisions(1, dec)
+			fresh.DecisionBatch(points[1:], want, nil)
+			for i := range want {
+				if math.Float64bits(dec[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: Decisions[%d] = %v, fresh DecisionBatch %v", name, i, dec[i], want[i])
+				}
 			}
 		}
 	}
-	if evals == 0 {
-		t.Error("the shared cache never evaluated its kernel")
+	if evals == 0 || evals%n != 0 || evals > n*n {
+		t.Errorf("%d kernel pairs evaluated, want whole rows, each at most once", evals)
 	}
 }
 

@@ -18,8 +18,18 @@
 //	s.t.       y' alpha = 0,  0 <= alpha_i <= C_i
 //
 // with Q_ij = y_i y_j K(x_i,x_j), using maximal-violating-pair working-set
-// selection from a zero start and a kernel row cache that keeps every Gram
-// row it has computed.
+// selection from a zero start.
+//
+// A Solver is bound to one point set: it keeps every Gram row it has computed
+// and its working arrays for its whole life, and each Solve takes new labels
+// and costs over those points. The coupled SVM retrains each modality dozens
+// of times per feedback round over one point set this way; Train is one
+// Solve on a fresh Solver.
+//
+// Every product the solver and the decision functions add is written
+// float64(x*y), which the Go specification forbids fusing into a
+// multiply-add, so over the same kernel values they give the same bits on
+// every architecture.
 package svm
 
 import (
@@ -80,35 +90,9 @@ type Config struct {
 	// 100 * n + 10000, generous for the small problems relevance feedback
 	// produces.
 	MaxIterations int
-	// SharedCache, when non-nil, replaces the solver's private kernel row
-	// cache. It must be built with the same kernel over exactly the
-	// problem's points in the same order. Kernel values depend only on the
-	// points — never on labels or costs — so one cache can serve every
-	// retraining of the coupled SVM's annealing loop over a fixed point
-	// set. The cache is not safe for concurrent use; callers sharing it
-	// must train sequentially. A private cache and a shared one compute the
-	// same rows (for the Linear kernel over sparse points, through the
-	// points inverted by session once per cache; see kernel.Cache).
-	SharedCache *kernel.Cache
-	// OmitSupportVectors leaves SupportPoints/Coefficients of the returned
-	// model empty; Alphas, Bias and the solver diagnostics are still
-	// populated. The Decision* methods are unusable until
-	// Model.ExpandSupport is called. Intermediate retrainings of the
-	// coupled SVM's annealing loop use this: their models are discarded
-	// after the label-correction step reads the alphas, so materializing
-	// their support-vector lists is pure waste.
-	OmitSupportVectors bool
-	// TrustedProblem skips Problem.Validate inside Train. Only for
-	// callers that retrain many problems derived from one already
-	// validated template — same points, labels kept in {-1,+1}, costs
-	// kept positive and finite — like the coupled SVM's annealing loop,
-	// which otherwise pays the O(n) validation ~60 times per query for
-	// problems that cannot have gone invalid. An actually-invalid
-	// trusted problem is undefined behavior (garbage in, garbage out).
-	TrustedProblem bool
 	// Ctx optionally carries the caller's cancellation context. The solver
 	// polls it at entry and every ctxCheckInterval SMO iterations; once it is
-	// cancelled Train abandons the run and returns the context's error. An
+	// cancelled Solve abandons the run and returns the context's error. An
 	// uncancelled context changes nothing: the checks are read-only and the
 	// iterate path is untouched.
 	Ctx context.Context
@@ -167,84 +151,17 @@ func (m *Model) denseSVSet() *kernel.DenseSet {
 	return m.svSet
 }
 
-// Train solves the dual problem and returns the resulting model.
+// Train solves the dual problem and returns the resulting model: one Solve
+// on a Solver over the problem's points.
 func Train(p Problem, cfg Config) (*Model, error) {
-	if !cfg.TrustedProblem {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
+	s, err := NewSolver(p.Points, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Kernel == nil {
-		return nil, errors.New("svm: config must specify a kernel")
+	if err := s.Solve(p.Labels, p.C); err != nil {
+		return nil, err
 	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	n := len(p.Points)
-
-	// Degenerate one-class problems: the equality constraint forces
-	// alpha = 0, so the decision function is a constant. Return the class
-	// prior as the bias so that Predict still answers with the only
-	// observed label.
-	if oneClass, label := singleClass(p.Labels); oneClass {
-		return &Model{
-			Kernel:    cfg.Kernel,
-			Bias:      label,
-			Alphas:    make([]float64, n),
-			Converged: true,
-		}, nil
-	}
-
-	s := newSolver(p, cfg)
-	s.solve()
-	if s.cancelled {
-		s.release()
-		return nil, cfg.Ctx.Err()
-	}
-
-	model := &Model{
-		Kernel:     cfg.Kernel,
-		Bias:       s.bias(),
-		Alphas:     append([]float64(nil), s.alpha...),
-		Iterations: s.iterations,
-		Converged:  s.converged,
-	}
-	if !cfg.OmitSupportVectors {
-		model.ExpandSupport(p.Points, p.Labels)
-	}
-	s.release()
-	return model, nil
-}
-
-// ExpandSupport populates SupportPoints and Coefficients from the model's
-// alphas, given the training problem's points and the labels the model was
-// trained with. It is what Train runs eagerly unless
-// Config.OmitSupportVectors deferred it, and produces a bit-identical model
-// (coef_i = alpha_i * y_i in training order). No-op when the support list
-// is already populated or the model has no support vectors.
-func (m *Model) ExpandSupport(points []kernel.Point, labels []float64) {
-	if len(m.SupportPoints) > 0 {
-		return
-	}
-	nsv := 0
-	for _, a := range m.Alphas {
-		if a > 0 {
-			nsv++
-		}
-	}
-	if nsv == 0 {
-		return
-	}
-	m.SupportPoints = make([]kernel.Point, 0, nsv)
-	m.Coefficients = make([]float64, 0, nsv)
-	for i, a := range m.Alphas {
-		if a > 0 {
-			m.SupportPoints = append(m.SupportPoints, points[i])
-			m.Coefficients = append(m.Coefficients, a*labels[i])
-		}
-	}
+	return s.Model(), nil
 }
 
 func singleClass(labels []float64) (bool, float64) {
@@ -263,7 +180,7 @@ func singleClass(labels []float64) (bool, float64) {
 func (m *Model) Decision(x kernel.Point) float64 {
 	sum := m.Bias
 	for i, sv := range m.SupportPoints {
-		sum += m.Coefficients[i] * m.Kernel.Eval(sv, x)
+		sum += float64(m.Coefficients[i] * m.Kernel.Eval(sv, x))
 	}
 	return sum
 }
@@ -290,7 +207,7 @@ func (m *Model) DecisionBatch(ys []kernel.Point, dst, buf []float64) {
 		kernel.EvalBatch(m.Kernel, sv, ys, buf)
 		c := m.Coefficients[i]
 		for j, kv := range buf {
-			dst[j] += c * kv
+			dst[j] += float64(c * kv)
 		}
 	}
 }
@@ -325,7 +242,7 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 		kernel.EvalSet(m.Kernel, sv, set, buf)
 		c := m.Coefficients[i]
 		for j, kv := range buf {
-			dst[j] += c * kv
+			dst[j] += float64(c * kv)
 		}
 	}
 }
@@ -339,45 +256,20 @@ func (m *Model) Predict(x kernel.Point) float64 {
 	return 1
 }
 
-// solverScratch is the reusable per-training working memory of the solver:
-// the dual iterate, the gradient, and the working-set penalties. Repeated
-// retrainings — the coupled SVM's annealing loop retrains each modality
-// dozens of times per feedback round — recycle these arrays through a
-// sync.Pool instead of reallocating them.
-type solverScratch struct {
-	alpha  []float64
-	grad   []float64
-	upPen  []float64
-	lowPen []float64
-
-	// sol is the solver struct itself, recycled with the arrays: at dozens
-	// of retrainings per feedback round the per-Train escape of &solver{}
-	// is measurable on the allocation profile.
-	sol solver
-}
-
-var scratchPool = sync.Pool{New: func() interface{} { return new(solverScratch) }}
-
-// grab resizes the scratch for an n-point problem, reusing capacity.
-func (sc *solverScratch) grab(n int) {
-	if cap(sc.alpha) < n {
-		sc.alpha = make([]float64, n)
-		sc.grad = make([]float64, n)
-		sc.upPen = make([]float64, n)
-		sc.lowPen = make([]float64, n)
-	}
-	sc.alpha = sc.alpha[:n]
-	sc.grad = sc.grad[:n]
-	sc.upPen = sc.upPen[:n]
-	sc.lowPen = sc.lowPen[:n]
-}
-
-// solver carries the SMO state.
-type solver struct {
-	p       Problem
-	cfg     Config
-	cache   *kernel.Cache
-	scratch *solverScratch
+// Solver is the SMO solver bound to one point set under one Config. It owns
+// the points' kernel row cache and its working arrays for its whole life:
+// kernel values depend only on the points, never on labels or costs, so every
+// Solve over the same points reads the rows the earlier ones computed, and a
+// Solve allocates nothing once its rows are cached. Each Solve starts from
+// alpha = 0, so what it computes depends only on the labels and costs it is
+// given, never on the Solves before it. A Solver is not safe for concurrent
+// use.
+type Solver struct {
+	// p is the problem of the latest Solve: the bound points, with labels
+	// and costs copied in.
+	p     Problem
+	cfg   Config
+	cache *kernel.Cache
 
 	alpha []float64
 	grad  []float64 // G_i = (Q alpha)_i - 1
@@ -396,44 +288,131 @@ type solver struct {
 	upPen  []float64
 	lowPen []float64
 
+	intercept  float64
 	iterations int
 	converged  bool
-	cancelled  bool
 }
 
-func newSolver(p Problem, cfg Config) *solver {
-	n := len(p.Points)
-	cache := cfg.SharedCache
-	if cache == nil || cache.NumPoints() != n {
-		cache = kernel.NewCache(cfg.Kernel, p.Points)
+// NewSolver binds a solver to points under cfg. The points are kept, not
+// copied.
+func NewSolver(points []kernel.Point, cfg Config) (*Solver, error) {
+	if cfg.Kernel == nil {
+		return nil, errors.New("svm: config must specify a kernel")
 	}
-	sc := scratchPool.Get().(*solverScratch)
-	sc.grab(n)
-	s := &sc.sol
-	*s = solver{
-		p:       p,
-		cfg:     cfg,
-		cache:   cache,
-		scratch: sc,
-		alpha:   sc.alpha,
-		grad:    sc.grad,
-		upPen:   sc.upPen,
-		lowPen:  sc.lowPen,
+	n := len(points)
+	// One backing array carries the six per-point arrays.
+	buf := make([]float64, 6*n)
+	return &Solver{
+		p:      Problem{Points: points, Labels: buf[:n], C: buf[n : 2*n]},
+		cfg:    cfg,
+		cache:  kernel.NewCache(cfg.Kernel, points),
+		alpha:  buf[2*n : 3*n],
+		grad:   buf[3*n : 4*n],
+		upPen:  buf[4*n : 5*n],
+		lowPen: buf[5*n:],
+	}, nil
+}
+
+// Solve trains on the bound points with the given labels (+-1) and per-point
+// cost bounds, which it validates and copies. On an error — an invalid
+// problem or a cancelled Config.Ctx — the solver holds no solution until the
+// next Solve succeeds.
+func (s *Solver) Solve(labels, costs []float64) error {
+	if err := (Problem{Points: s.p.Points, Labels: labels, C: costs}).Validate(); err != nil {
+		return err
 	}
-	// Every training starts from the zero iterate, whose gradient Q*0 - e is
-	// -e whatever the kernel: no row is read before the first pair update.
+	if s.cfg.Ctx != nil {
+		if err := s.cfg.Ctx.Err(); err != nil {
+			return err
+		}
+	}
+	copy(s.p.Labels, labels)
+	copy(s.p.C, costs)
+	// Every Solve starts from the zero iterate, whose gradient Q*0 - e is -e
+	// whatever the kernel: no row is read before the first pair update.
 	for t := range s.alpha {
 		s.alpha[t] = 0
 		s.grad[t] = -1
 		s.refreshElig(t)
 	}
-	return s
+	s.iterations, s.converged = 0, false
+
+	// Degenerate one-class problems: the equality constraint forces
+	// alpha = 0, so the decision function is a constant. The class prior is
+	// the bias, so that Predict still answers with the only observed label.
+	if oneClass, label := singleClass(labels); oneClass {
+		s.intercept, s.converged = label, true
+		return nil
+	}
+	if err := s.solve(); err != nil {
+		return err
+	}
+	s.intercept = s.bias()
+	return nil
+}
+
+// Model returns the decision function of the latest Solve, with its support
+// vectors (coef_i = alpha_i * y_i, in training order) and a copy of every
+// alpha.
+func (s *Solver) Model() *Model {
+	m := &Model{
+		Kernel:     s.cfg.Kernel,
+		Bias:       s.intercept,
+		Alphas:     append([]float64(nil), s.alpha...),
+		Iterations: s.iterations,
+		Converged:  s.converged,
+	}
+	nsv := 0
+	for _, a := range s.alpha {
+		if a > 0 {
+			nsv++
+		}
+	}
+	if nsv == 0 {
+		return m
+	}
+	m.SupportPoints = make([]kernel.Point, 0, nsv)
+	m.Coefficients = make([]float64, 0, nsv)
+	for i, a := range s.alpha {
+		if a > 0 {
+			m.SupportPoints = append(m.SupportPoints, s.p.Points[i])
+			m.Coefficients = append(m.Coefficients, a*s.p.Labels[i])
+		}
+	}
+	return m
+}
+
+// Iterations returns the number of SMO pair updates of the latest Solve.
+func (s *Solver) Iterations() int { return s.iterations }
+
+// Decisions stores into dst[i] the decision value of bound point from+i
+// under the latest Solve, f(x_t) = b + sum_j alpha_j y_j K(x_j, x_t), read
+// from the cached kernel rows. Every support vector's row was fetched
+// during the Solve (it starts from alpha = 0, so a pair update touched it),
+// so this evaluates no kernel pair. The summation order (bias first, then
+// ascending j over alpha_j > 0) and every operand match Model().DecisionBatch
+// over the same points, so the values are bit-identical to it.
+func (s *Solver) Decisions(from int, dst []float64) {
+	for i := range dst {
+		dst[i] = s.intercept
+	}
+	for j, a := range s.alpha {
+		if a == 0 {
+			continue
+		}
+		row := s.cache.Row(j)[from:]
+		row = row[:len(dst)]
+		c := a * s.p.Labels[j]
+		for i := range dst {
+			dst[i] += float64(c * row[i])
+		}
+	}
 }
 
 // refreshElig recomputes the up/low working-set penalties of index t from
-// its current alpha. Called for every index at construction and for the
-// two pair indices after each SMO update — the only places alphas change.
-func (s *solver) refreshElig(t int) {
+// its current alpha. Called for every index at the start of a Solve and for
+// the two pair indices after each SMO update — the only places alphas change.
+func (s *Solver) refreshElig(t int) {
 	a := s.alpha[t]
 	var up, low bool
 	if s.p.Labels[t] > 0 {
@@ -455,33 +434,22 @@ func (s *solver) refreshElig(t int) {
 	}
 }
 
-// release returns the solver's working memory to the pool. The caller must
-// have copied out everything it needs (Train copies the alphas into the
-// model first).
-func (s *solver) release() {
-	sc := s.scratch
-	// Zero the whole solver (it lives inside the pooled scratch) so pooled
-	// entries retain no problem, kernel cache, or config references.
-	*s = solver{}
-	scratchPool.Put(sc)
-}
-
 // selectPair returns the maximal violating pair and the current violation.
 // The up-set/low-set membership tests come from the cached upPen/lowPen
 // penalties, so the scan reads each slot exactly once and carries no label
 // or membership branch. The steady-state iterations get their pair from the
 // fused scan inside step instead; this standalone scan serves the first
-// iteration, after the constructor wrote the gradient wholesale.
+// iteration, after Solve wrote the gradient wholesale.
 // Both scans visit the same indices in the same order over the same gradient
 // values, so they select bit-identical pairs.
-func (s *solver) selectPair() (i, j int, violation float64) {
+func (s *Solver) selectPair() (i, j int, violation float64) {
 	maxUp := math.Inf(-1)
 	minLow := math.Inf(1)
 	i, j = -1, -1
 	labels, grad := s.p.Labels, s.grad
 	upPen, lowPen := s.upPen, s.lowPen
 	for t, g := range grad {
-		v := -labels[t] * g
+		v := float64(-labels[t] * g)
 		if vu := v + upPen[t]; vu > maxUp {
 			maxUp = vu
 			i = t
@@ -497,7 +465,10 @@ func (s *solver) selectPair() (i, j int, violation float64) {
 	return i, j, maxUp - minLow
 }
 
-func (s *solver) solve() {
+// solve runs SMO pair updates from the iterate Solve prepared until the KKT
+// criterion, a stuck pair or the iteration bound stops it. It returns the
+// context's error when Config.Ctx is cancelled mid-run.
+func (s *Solver) solve() error {
 	ctxCounter := ctxCheckInterval
 	maxIterations := s.cfg.MaxIterations
 	if maxIterations <= 0 {
@@ -508,22 +479,22 @@ func (s *solver) solve() {
 		if s.cfg.Ctx != nil {
 			if ctxCounter--; ctxCounter == 0 {
 				ctxCounter = ctxCheckInterval
-				if s.cfg.Ctx.Err() != nil {
-					s.cancelled = true
-					return
+				if err := s.cfg.Ctx.Err(); err != nil {
+					return err
 				}
 			}
 		}
 		if i < 0 || violation <= tolerance {
 			s.converged = true
-			return
+			return nil
 		}
 		var ok bool
 		i, j, violation, ok = s.step(i, j)
 		if !ok {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 // step performs one SMO pair update on (i, j) and the corresponding
@@ -533,7 +504,7 @@ func (s *solver) solve() {
 // so the fused selection is bit-identical while saving one full pass per
 // iteration. It returns ok == false when the pair is numerically stuck and
 // the solver should stop.
-func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
+func (s *Solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	const tau = 1e-12
 	yi, yj := s.p.Labels[i], s.p.Labels[j]
 	ci, cj := s.p.C[i], s.p.C[j]
@@ -667,9 +638,9 @@ func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	upPen = upPen[:len(grad)]
 	lowPen = lowPen[:len(grad)]
 	for t := range grad {
-		g := grad[t] + labels[t]*(ydAi*rowI[t]+ydAj*rowJ[t])
+		g := grad[t] + float64(labels[t]*(float64(ydAi*rowI[t])+float64(ydAj*rowJ[t])))
 		grad[t] = g
-		v := -labels[t] * g
+		v := float64(-labels[t] * g)
 		if vu := v + upPen[t]; vu > maxUp {
 			maxUp = vu
 			ni = t
@@ -687,13 +658,13 @@ func (s *solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 
 // bias computes the intercept b of the decision function from the KKT
 // conditions: free support vectors satisfy y_i f(x_i) = 1 exactly.
-func (s *solver) bias() float64 {
+func (s *Solver) bias() float64 {
 	var sum float64
 	var nFree int
 	ub := math.Inf(1)
 	lb := math.Inf(-1)
 	for i := range s.p.Points {
-		yG := s.p.Labels[i] * s.grad[i]
+		yG := float64(s.p.Labels[i] * s.grad[i])
 		switch {
 		case s.alpha[i] >= s.p.C[i]:
 			if s.p.Labels[i] < 0 {
