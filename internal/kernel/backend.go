@@ -19,7 +19,9 @@ package kernel
 // tolerance is needed or permitted. On other architectures only the Go
 // members exist and the compiler may fuse a multiply into the add that
 // follows it (arm64 does): scores there repeat from run to run but are not
-// the amd64 bits.
+// the amd64 bits. The choice is made once, here: package svm runs its SMO
+// step's assembly member exactly where this package runs its own (AVX2), so
+// Backend names what the trainer runs on too.
 
 // dotKernels is one backend: the four routines of the tile driver and the
 // name Backend reports for them.
@@ -43,11 +45,18 @@ var activeKernels = func() dotKernels {
 	return goKernels
 }()
 
-// Backend reports which kernels the scoring scans run on: "avx2" (the four
-// assembly routines) or "unrolled" (the pure-Go ones). Read-only; GET
-// /api/status, cbir_kernel_backend_info and the benchmark reports surface it.
+// Backend reports which kernels the scoring scans and the SMO step run on:
+// "avx2" (the tile's four assembly routines and svm's step) or "unrolled"
+// (the pure-Go ones). Read-only; GET /api/status, cbir_kernel_backend_info
+// and the benchmark reports surface it.
 func Backend() string {
 	return activeKernels.name
+}
+
+// AVX2 reports whether Backend is "avx2": the fact package svm picks its SMO
+// step's member by.
+func AVX2() bool {
+	return activeKernels.name == "avx2"
 }
 
 // dotRowsFunc computes du[r] = mat[r]·u for each row of the rows×cols

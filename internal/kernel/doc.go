@@ -25,7 +25,9 @@
 // four-accumulator eight-wide unrolled dots and four interleaved scalar
 // exponential lanes (expLanes). Backend() names the set that runs ("avx2"
 // or "unrolled") and is surfaced in GET /api/status as "kernel_backend"; it
-// cannot be set. The row dot also computes the query distances
+// cannot be set. Package svm reads the same fact (AVX2) to pick the member
+// its SMO step runs on, so the name covers the trainer too, and no second
+// CPU probe exists. The row dot also computes the query distances
 // (DenseSet.SquaredDistancesInto), and the log modality's linear decision
 // pass has its own routine, LinearAccumulateSessions, in Go on every build
 // and with its multiply-adds written so that no build fuses them.

@@ -20,6 +20,15 @@
 // with Q_ij = y_i y_j K(x_i,x_j), using maximal-violating-pair working-set
 // selection from a zero start.
 //
+// Each SMO step updates the gradient and selects the next pair in one pass
+// over the points (gradSelect). The pass has two members: gradSelectGo, the
+// definition, and on amd64 an AVX2 routine that runs four points per
+// instruction. The routine performs the same rounded operations in the same
+// order, with no fused multiply-add, and merges its lanes so that it picks
+// the same first index on every tie. It runs exactly where kernel.Backend
+// reports "avx2". The two give the same bits, so the duals, iterations and
+// models are the same on any CPU.
+//
 // A Solver is bound to one point set: it keeps every Gram row it has computed
 // and its working arrays for its whole life, and each Solve takes new labels
 // and costs over those points. The coupled SVM retrains each modality dozens
@@ -283,8 +292,8 @@ type Solver struct {
 	// affects a comparison), for a non-member the result is ∓Inf or NaN
 	// (when v is itself the opposite infinity), none of which can win a
 	// strict comparison against the running extreme — exactly like the
-	// short-circuited mask test, branch-free. Refreshed whenever an alpha
-	// changes (refreshElig).
+	// short-circuited mask test, branch-free. Solve writes them for the zero
+	// start and step rewrites those of i and j, the only alphas it changes.
 	upPen  []float64
 	lowPen []float64
 
@@ -330,10 +339,24 @@ func (s *Solver) Solve(labels, costs []float64) error {
 	copy(s.p.C, costs)
 	// Every Solve starts from the zero iterate, whose gradient Q*0 - e is -e
 	// whatever the kernel: no row is read before the first pair update.
-	for t := range s.alpha {
+	// There v_t = -y_t*G_t = y_t, the up set is the +1 labels and the low set
+	// the -1 labels, so the first maximal violating pair is the first index
+	// of each, with violation 1 - (-1) = 2.
+	i, j := -1, -1
+	for t, y := range s.p.Labels {
 		s.alpha[t] = 0
 		s.grad[t] = -1
-		s.refreshElig(t)
+		if y > 0 {
+			s.upPen[t], s.lowPen[t] = 0, math.Inf(1)
+			if i < 0 {
+				i = t
+			}
+		} else {
+			s.upPen[t], s.lowPen[t] = math.Inf(-1), 0
+			if j < 0 {
+				j = t
+			}
+		}
 	}
 	s.iterations, s.converged = 0, false
 
@@ -344,7 +367,7 @@ func (s *Solver) Solve(labels, costs []float64) error {
 		s.intercept, s.converged = label, true
 		return nil
 	}
-	if err := s.solve(); err != nil {
+	if err := s.solve(i, j, 2); err != nil {
 		return err
 	}
 	s.intercept = s.bias()
@@ -409,72 +432,16 @@ func (s *Solver) Decisions(from int, dst []float64) {
 	}
 }
 
-// refreshElig recomputes the up/low working-set penalties of index t from
-// its current alpha. Called for every index at the start of a Solve and for
-// the two pair indices after each SMO update — the only places alphas change.
-func (s *Solver) refreshElig(t int) {
-	a := s.alpha[t]
-	var up, low bool
-	if s.p.Labels[t] > 0 {
-		up = a < s.p.C[t]
-		low = a > 0
-	} else {
-		up = a > 0
-		low = a < s.p.C[t]
-	}
-	if up {
-		s.upPen[t] = 0
-	} else {
-		s.upPen[t] = math.Inf(-1)
-	}
-	if low {
-		s.lowPen[t] = 0
-	} else {
-		s.lowPen[t] = math.Inf(1)
-	}
-}
-
-// selectPair returns the maximal violating pair and the current violation.
-// The up-set/low-set membership tests come from the cached upPen/lowPen
-// penalties, so the scan reads each slot exactly once and carries no label
-// or membership branch. The steady-state iterations get their pair from the
-// fused scan inside step instead; this standalone scan serves the first
-// iteration, after Solve wrote the gradient wholesale.
-// Both scans visit the same indices in the same order over the same gradient
-// values, so they select bit-identical pairs.
-func (s *Solver) selectPair() (i, j int, violation float64) {
-	maxUp := math.Inf(-1)
-	minLow := math.Inf(1)
-	i, j = -1, -1
-	labels, grad := s.p.Labels, s.grad
-	upPen, lowPen := s.upPen, s.lowPen
-	for t, g := range grad {
-		v := float64(-labels[t] * g)
-		if vu := v + upPen[t]; vu > maxUp {
-			maxUp = vu
-			i = t
-		}
-		if vl := v + lowPen[t]; vl < minLow {
-			minLow = vl
-			j = t
-		}
-	}
-	if i < 0 || j < 0 {
-		return -1, -1, 0
-	}
-	return i, j, maxUp - minLow
-}
-
-// solve runs SMO pair updates from the iterate Solve prepared until the KKT
-// criterion, a stuck pair or the iteration bound stops it. It returns the
-// context's error when Config.Ctx is cancelled mid-run.
-func (s *Solver) solve() error {
+// solve runs SMO pair updates from the iterate Solve prepared, whose maximal
+// violating pair (i, j) has the given violation, until the KKT criterion, a
+// stuck pair or the iteration bound stops it. It returns the context's error
+// when Config.Ctx is cancelled mid-run.
+func (s *Solver) solve(i, j int, violation float64) error {
 	ctxCounter := ctxCheckInterval
 	maxIterations := s.cfg.MaxIterations
 	if maxIterations <= 0 {
 		maxIterations = 100*len(s.p.Points) + 10000
 	}
-	i, j, violation := s.selectPair()
 	for s.iterations = 0; s.iterations < maxIterations; s.iterations++ {
 		if s.cfg.Ctx != nil {
 			if ctxCounter--; ctxCounter == 0 {
@@ -499,11 +466,10 @@ func (s *Solver) solve() error {
 
 // step performs one SMO pair update on (i, j) and the corresponding
 // gradient update. The next maximal violating pair is selected inside the
-// same gradient-update loop — each index is scanned with its freshly written
-// gradient value, in the same order a standalone selectPair would visit it,
-// so the fused selection is bit-identical while saving one full pass per
-// iteration. It returns ok == false when the pair is numerically stuck and
-// the solver should stop.
+// same gradient-update loop (gradSelect), each index scanned with its freshly
+// written gradient value, so one pass over the points serves both. It
+// returns ok == false when the pair is numerically stuck and the solver
+// should stop.
 func (s *Solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	const tau = 1e-12
 	yi, yj := s.p.Labels[i], s.p.Labels[j]
@@ -584,9 +550,7 @@ func (s *Solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 		}
 	}
 
-	// refreshElig for i and j, manually inlined: the function exceeds the
-	// compiler's inlining budget, and these two per-iteration calls are the
-	// hot ones (the constructor loop keeps the named function).
+	// The working-set penalties of i and j from their new alphas.
 	for _, t := range [2]int{i, j} {
 		a := s.alpha[t]
 		var up, low bool
@@ -617,21 +581,29 @@ func (s *Solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 	}
 	// y_i*dA_i and y_j*dA_j are hoisted: labels are exactly +-1, so
 	// the refactored products are bit-identical to the per-term form.
-	ydAi := yi * dAi
-	ydAj := yj * dAj
-	grad := s.grad
-	labels := s.p.Labels
-	upPen, lowPen := s.upPen, s.lowPen
-	maxUp := math.Inf(-1)
-	minLow := math.Inf(1)
+	ni, nj, maxUp, minLow := gradSelect(s.grad, rowI, rowJ, s.p.Labels, s.upPen, s.lowPen, yi*dAi, yj*dAj)
+	if ni < 0 || nj < 0 {
+		return -1, -1, 0, true
+	}
+	return ni, nj, maxUp - minLow, true
+}
+
+// gradSelectGo is the Go member of gradSelect, and its definition. It adds
+// labels[t]*(ydAi*rowI[t] + ydAj*rowJ[t]) to every grad[t], and scans
+// v = -labels[t]*grad[t] over the new values for the first index ni of the
+// largest v + upPen[t] and the first index nj of the smallest v + lowPen[t]:
+// the maximal violating pair over the up and low sets the penalties mark.
+// An index is -1, its extreme -Inf or +Inf, when no value wins a strict
+// comparison; a NaN never does.
+func gradSelectGo(grad, rowI, rowJ, labels, upPen, lowPen []float64, ydAi, ydAj float64) (ni, nj int, maxUp, minLow float64) {
+	maxUp = math.Inf(-1)
+	minLow = math.Inf(1)
 	ni, nj = -1, -1
-	// The membership tests add the upPen/lowPen penalties (refreshed above
-	// for i and j, unchanged for everything else), selecting exactly the
-	// pair the predicate form would while keeping the per-element branches
-	// on the rarely-taken new-extreme comparisons only. Reslicing everything
-	// to the gradient length lets the compiler drop the per-element bounds
-	// checks (the kernel rows come from the cache, so their length is opaque
-	// here).
+	// The membership tests add the upPen/lowPen penalties, selecting exactly
+	// the pair the predicate form would while keeping the per-element
+	// branches on the rarely-taken new-extreme comparisons only. Reslicing
+	// everything to the gradient length lets the compiler drop the
+	// per-element bounds checks.
 	rowI = rowI[:len(grad)]
 	rowJ = rowJ[:len(grad)]
 	labels = labels[:len(grad)]
@@ -650,10 +622,7 @@ func (s *Solver) step(i, j int) (ni, nj int, violation float64, ok bool) {
 			nj = t
 		}
 	}
-	if ni < 0 || nj < 0 {
-		return -1, -1, 0, true
-	}
-	return ni, nj, maxUp - minLow, true
+	return ni, nj, maxUp, minLow
 }
 
 // bias computes the intercept b of the decision function from the KKT
