@@ -20,7 +20,7 @@ var keptFields = map[string]string{
 	"internal/storage.JournalOptions.RetryAppends": "fault handling the server does not enable (README), exercised by internal/storage/fault_test.go; whether it should is a robustness decision of its own. bench/ does not pin it: it opens its journals without the option and reads only the counter JournalStats.AppendRetries (replay.go), which a PR deleting the option can leave in place",
 	"internal/storage.JournalOptions.RetryBackoff": "the wait of RetryAppends' loop, kept with it",
 	"internal/storage.JournalOptions.WrapFile":     "the fault-injection seam: internal/faultinject interposes failing writes and fsyncs through it, which no program may",
-	"internal/kernel.CentroidConfig.Clusters":      "the serving lane that set it is gone (PR 21) and bench/ builds its index with CentroidConfig{}; it waits with the rest of kernel/ivf.go, whose tests and TestANNRecallMatrix's narrow row set it, for the deleting PR that follows the benchmark PR (ROADMAP item 2)",
+	"internal/kernel.CentroidConfig.Clusters":      "the serving lane that set it is gone (PR 21) and bench/ builds its index with CentroidConfig{}; it waits with the rest of kernel/ivf.go, whose tests and TestANNRecallMatrix's narrow row set it, until bench/ stops building that index",
 	"internal/eval.Config.LabeledPerQuery":         "20 in both paper profiles, but the golden MAPs of internal/eval were recorded judging 15 images per query: deleting it re-pins them",
 }
 

@@ -95,7 +95,7 @@ func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
 
 // Grow is Append for a caller that keeps the whole collection as a slice:
 // what follows the receiver's collection in visual is appended. Only bench/
-// grows its batches this way; the form ends with ROADMAP item 2 (a).
+// grows its batches this way; the form ends once bench/ calls Append.
 func (b *CollectionBatch) Grow(visual []linalg.Vector) *CollectionBatch {
 	if !b.startsWith(visual) {
 		panic(fmt.Sprintf("core: Grow of a %d-image collection with %d images that do not start with it", b.Len(), len(visual)))

@@ -34,8 +34,8 @@ type CandidateSet struct {
 // scanPass is one scoring pass cut into independent work units, each a
 // sequence of ranges confined to a single shard (so every scorer call reads
 // one cache-local slab): one unit per candidate list, then the tail's shards
-// cut into perShard chunks of chunk rows, so every worker has work even when
-// the whole tail fits in one shard.
+// cut into perShard chunks of chunk rows, a worker's share of the tail within
+// [minUnitRows, shard size], so a tail of up to minUnitRows rows is one unit.
 type scanPass struct {
 	set   *kernel.ShardedSet
 	lists [][]int32
@@ -50,12 +50,21 @@ type scanPass struct {
 	sink   rangeSink
 }
 
+// minUnitRows is the fewest rows a tail unit holds but for a shard's
+// remainder: half a default shard. A goroutine spawned while its spawner
+// works on starts 11–58 µs late at best, and once the process has idled half
+// of them start only when the spawner blocks (the hand-off probe in
+// EXPERIMENTS.md). An SVM pass scores a row in 0.2–0.5 µs, so a unit pays for
+// the hand-off only at a few hundred µs of work, about a thousand rows: the
+// floor is that cost in rows, not any collection's size.
+const minUnitRows = 1024
+
 func newScanPass(ctx *QueryContext, set *kernel.ShardedSet, cands CandidateSet, fn rangeScorer, sink rangeSink) scanPass {
 	n, ss := set.Len(), set.ShardSize()
 	tailLo := min(max(cands.TailStart, 0), n)
 	p := scanPass{set: set, lists: cands.Lists, tailLo: tailLo, firstShard: tailLo / ss, stdctx: ctx.Ctx, fn: fn, sink: sink}
 	workers := ctx.workers()
-	p.chunk = max(1, min((n-tailLo+workers-1)/workers, ss))
+	p.chunk = min(max((n-tailLo+workers-1)/workers, minUnitRows), ss)
 	p.perShard = (min(ss, n) + p.chunk - 1) / p.chunk
 	p.units = len(p.lists)
 	if tailLo < n {

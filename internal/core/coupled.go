@@ -46,8 +46,8 @@ type CoupledConfig struct {
 	// Workers is read by nothing: the modalities of an alternation step train
 	// one after the other, which measured faster than handing one of them to
 	// a goroutine (EXPERIMENTS.md "PR 28"). The field stays only because the
-	// benchmark sets it (bench/trace.go:254) and this PR could not edit
-	// bench/; it is deleted by ROADMAP item 2 (a).
+	// benchmark sets it (bench/trace.go:254); it goes once bench/ stops
+	// setting it.
 	Workers int
 	// Ctx optionally carries the caller's cancellation context to every
 	// retraining's solver: cancelling the query cancels its training too.

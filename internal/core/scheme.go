@@ -39,7 +39,7 @@ type QueryContext struct {
 	// Batch (examples, tests): each Rank call indexes it into a transient
 	// one. Beside a Batch it is only checked to be the batch's collection
 	// (CollectionBatch.startsWith); bench/ sets both, which is all that keeps
-	// the pair legal, and it ends with ROADMAP item 2 (a).
+	// the pair legal, and it ends once bench/ sets a Batch alone.
 	Visual []linalg.Vector
 	// LogVectors holds the user-log relevance vector of every image. It may
 	// be nil for schemes that do not use the log (Euclidean, RF-SVM).
@@ -54,9 +54,9 @@ type QueryContext struct {
 	Query int
 	// Labeled is the set S_l of images judged in the current feedback round.
 	Labeled []LabeledExample
-	// Workers bounds the goroutines used to score the collection; <=0
-	// selects GOMAXPROCS, 1 forces the serial path. Scores are identical
-	// for any worker count.
+	// Workers bounds the goroutines scoring the collection (<=0: GOMAXPROCS,
+	// 1: serial); a pass of up to 1,024 rows runs on the caller whatever the
+	// bound. Scores are identical for any worker count.
 	Workers int
 	// Batch is the indexed collection (flat visual storage, kernel
 	// estimates) shared across the queries hitting it; nil makes each Rank

@@ -302,13 +302,15 @@ func randomCandidates(rng *linalg.RNG, n int) CandidateSet {
 // and worker count, keeps exactly what the naive computation keeps — every
 // score materialized, filtered to the candidates and fully sorted — down to
 // the bits of the scores, on seeded scores full of exact ties and both zeros.
+// The last collection spans two default shards, so at the serving shard size
+// too every sink runs on two workers and merges their arenas.
 func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 	rng := linalg.NewRNG(20260928)
-	const n, k = 300, 16
+	const k = 16
 	sameBits := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	for rep := 0; rep < 4; rep++ {
+	for rep, n := range []int{300, 300, 300, 300, kernel.DefaultShardSize + 52} {
 		c := randomSelectionCase(rng, n, 0.5, 20)
 		base := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled}
 		labeled := base.labeledSet()
@@ -332,13 +334,16 @@ func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 			wantTop := subsetTopK(c.combined, cands, n, k)
 			wantIdx, wantLabels := logAssistedSelection(base, unlabeledMembers, c.combined, k)
 
-			for _, shardSize := range []int{1, 7, 2048} {
+			for _, shardSize := range []int{1, 7, kernel.DefaultShardSize} {
 				batch := NewShardedCollectionBatch(c.visual, shardSize)
 				for _, workers := range []int{1, 2, 5} {
 					for _, sink := range passSinks {
-						name := fmt.Sprintf("rep=%d lists=%d sink=%s shard=%d workers=%d", rep, len(cands.Lists), sink, shardSize, workers)
+						name := fmt.Sprintf("rep=%d n=%d lists=%d sink=%s shard=%d workers=%d", rep, n, len(cands.Lists), sink, shardSize, workers)
 						ctx := *base
 						ctx.Batch, ctx.Workers = batch, workers
+						if p := newScanPass(&ctx, batch.VisualSet(), cands, nil, nil); n > kernel.DefaultShardSize && workers > 1 && p.workers < 2 {
+							t.Fatalf("%s: the pass runs on %d worker", name, p.workers)
+						}
 						scores, top, idx, labels, err := runPass(&ctx, batch, cands, sink, k, copyScorer(c.combined))
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -147,6 +148,34 @@ func TestStreamRankingAllocations(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("Euclidean.RankTopAppend allocates %.0f times per query with a recycled buffer, want at most 1", allocs)
+	}
+
+	// A pass of at most minUnitRows rows is one unit, which the caller scores
+	// without forking: at 500 images a query on every core (Workers: 0, at
+	// least two of them) allocates what the serial one does. AllocsPerRun
+	// would run it on one core, so the mallocs are counted here.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	small, _, _ := selectBenchProblem(t, 500)
+	small.Workers = 0
+	query := func() {
+		probe = (probe + 331) % small.NumImages()
+		small.Query = probe
+		got, err := Euclidean{}.RankTopAppend(small, k, buf[:0])
+		if err != nil || len(got) != k {
+			t.Fatalf("ranked %d images, err %v", len(got), err)
+		}
+		buf = got
+	}
+	const queries = 50
+	var before, after runtime.MemStats
+	query() // fills the scratch pool
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs := (after.Mallocs - before.Mallocs) / queries; mallocs > 1 {
+		t.Errorf("Euclidean.RankTopAppend on %d cores allocates %d times per 500-image query, want at most 1", runtime.GOMAXPROCS(0), mallocs)
 	}
 
 	// The two-SVM scoring pass over a context that carries its log index, as

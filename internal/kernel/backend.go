@@ -17,9 +17,9 @@ package kernel
 // the assembly members, the Go members and the straight-line reference loop
 // the parity tests keep (accumulateRBFScalar) agree to the bit — no ULP
 // tolerance is needed or permitted. On other architectures only the Go
-// members exist and the compiler may fuse a multiply into the add that
-// follows it (arm64 does): scores there repeat from run to run but are not
-// the amd64 bits. The choice is made once, here: package svm runs its SMO
+// members exist; each writes its products float64(x*y), which the Go spec
+// forbids fusing into an add, so over the same row norms they give amd64's
+// bits. The choice is made once, here: package svm runs its SMO
 // step's assembly member exactly where this package runs its own (AVX2), so
 // Backend names what the trainer runs on too.
 
@@ -114,7 +114,7 @@ func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *D
 			k.one(mat, blk, cols, svData[t*cols:(t+1)*cols], dA[:blk])
 			nA, cA := svs.norms[t], coefs[t]
 			for j := 0; j < blk; j++ {
-				a := xn[j] + nA - 2*dA[j]
+				a := xn[j] + nA - float64(2*dA[j])
 				if a < 0 {
 					a = 0
 				}
@@ -122,7 +122,7 @@ func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *D
 			}
 			k.exp(dA[:blk])
 			for j := 0; j < blk; j++ {
-				out[j] += cA * dA[j]
+				out[j] += float64(cA * dA[j])
 			}
 		}
 	}
@@ -133,11 +133,11 @@ func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *D
 func pairArgsGo(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64) {
 	dotPairRowsGo(mat, rows, cols, u, v, aU, aV)
 	for j := 0; j < rows; j++ {
-		a := xn[j] + nU - 2*aU[j]
+		a := xn[j] + nU - float64(2*aU[j])
 		if a < 0 {
 			a = 0
 		}
-		b := xn[j] + nV - 2*aV[j]
+		b := xn[j] + nV - float64(2*aV[j])
 		if b < 0 {
 			b = 0
 		}
@@ -149,8 +149,8 @@ func pairArgsGo(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGa
 // foldGo is the pure-Go fold, and its definition.
 func foldGo(out, eA, eB []float64, cA, cB float64) {
 	for j := range out {
-		s := out[j] + cA*eA[j]
-		out[j] = s + cB*eB[j]
+		s := out[j] + float64(cA*eA[j])
+		out[j] = s + float64(cB*eB[j])
 	}
 }
 
@@ -170,36 +170,36 @@ func dotPairRowsGo(mat []float64, rows, cols int, u, v, du, dv []float64) {
 		// order, so the sums are bit-identical to the quad-at-a-time
 		// loop.
 		for ; i+8 <= len(x); i += 8 {
-			a0 += x[i] * u[i]
-			a1 += x[i+1] * u[i+1]
-			a2 += x[i+2] * u[i+2]
-			a3 += x[i+3] * u[i+3]
-			b0 += x[i] * v[i]
-			b1 += x[i+1] * v[i+1]
-			b2 += x[i+2] * v[i+2]
-			b3 += x[i+3] * v[i+3]
-			a0 += x[i+4] * u[i+4]
-			a1 += x[i+5] * u[i+5]
-			a2 += x[i+6] * u[i+6]
-			a3 += x[i+7] * u[i+7]
-			b0 += x[i+4] * v[i+4]
-			b1 += x[i+5] * v[i+5]
-			b2 += x[i+6] * v[i+6]
-			b3 += x[i+7] * v[i+7]
+			a0 += float64(x[i] * u[i])
+			a1 += float64(x[i+1] * u[i+1])
+			a2 += float64(x[i+2] * u[i+2])
+			a3 += float64(x[i+3] * u[i+3])
+			b0 += float64(x[i] * v[i])
+			b1 += float64(x[i+1] * v[i+1])
+			b2 += float64(x[i+2] * v[i+2])
+			b3 += float64(x[i+3] * v[i+3])
+			a0 += float64(x[i+4] * u[i+4])
+			a1 += float64(x[i+5] * u[i+5])
+			a2 += float64(x[i+6] * u[i+6])
+			a3 += float64(x[i+7] * u[i+7])
+			b0 += float64(x[i+4] * v[i+4])
+			b1 += float64(x[i+5] * v[i+5])
+			b2 += float64(x[i+6] * v[i+6])
+			b3 += float64(x[i+7] * v[i+7])
 		}
 		for ; i+4 <= len(x); i += 4 {
-			a0 += x[i] * u[i]
-			a1 += x[i+1] * u[i+1]
-			a2 += x[i+2] * u[i+2]
-			a3 += x[i+3] * u[i+3]
-			b0 += x[i] * v[i]
-			b1 += x[i+1] * v[i+1]
-			b2 += x[i+2] * v[i+2]
-			b3 += x[i+3] * v[i+3]
+			a0 += float64(x[i] * u[i])
+			a1 += float64(x[i+1] * u[i+1])
+			a2 += float64(x[i+2] * u[i+2])
+			a3 += float64(x[i+3] * u[i+3])
+			b0 += float64(x[i] * v[i])
+			b1 += float64(x[i+1] * v[i+1])
+			b2 += float64(x[i+2] * v[i+2])
+			b3 += float64(x[i+3] * v[i+3])
 		}
 		for ; i < len(x); i++ {
-			a0 += x[i] * u[i]
-			b0 += x[i] * v[i]
+			a0 += float64(x[i] * u[i])
+			b0 += float64(x[i] * v[i])
 		}
 		du[r] = ((a0 + a1) + a2) + a3
 		dv[r] = ((b0 + b1) + b2) + b3
@@ -214,23 +214,23 @@ func dotRowsGo(mat []float64, rows, cols int, u, du []float64) {
 		var a0, a1, a2, a3 float64
 		i := 0
 		for ; i+8 <= len(x); i += 8 {
-			a0 += x[i] * u[i]
-			a1 += x[i+1] * u[i+1]
-			a2 += x[i+2] * u[i+2]
-			a3 += x[i+3] * u[i+3]
-			a0 += x[i+4] * u[i+4]
-			a1 += x[i+5] * u[i+5]
-			a2 += x[i+6] * u[i+6]
-			a3 += x[i+7] * u[i+7]
+			a0 += float64(x[i] * u[i])
+			a1 += float64(x[i+1] * u[i+1])
+			a2 += float64(x[i+2] * u[i+2])
+			a3 += float64(x[i+3] * u[i+3])
+			a0 += float64(x[i+4] * u[i+4])
+			a1 += float64(x[i+5] * u[i+5])
+			a2 += float64(x[i+6] * u[i+6])
+			a3 += float64(x[i+7] * u[i+7])
 		}
 		for ; i+4 <= len(x); i += 4 {
-			a0 += x[i] * u[i]
-			a1 += x[i+1] * u[i+1]
-			a2 += x[i+2] * u[i+2]
-			a3 += x[i+3] * u[i+3]
+			a0 += float64(x[i] * u[i])
+			a1 += float64(x[i+1] * u[i+1])
+			a2 += float64(x[i+2] * u[i+2])
+			a3 += float64(x[i+3] * u[i+3])
 		}
 		for ; i < len(x); i++ {
-			a0 += x[i] * u[i]
+			a0 += float64(x[i] * u[i])
 		}
 		du[r] = ((a0 + a1) + a2) + a3
 	}

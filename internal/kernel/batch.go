@@ -492,9 +492,9 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 // folded in support-vector order. On amd64 that makes the result the same
 // bits on either backend and on every CPU (the parity tests pin both against
 // the straight-line reference loop, and the golden MAPs and trajectory pins
-// are amd64 values); on another architecture the compiler may fuse the Go
-// routines' multiply-adds, so scores repeat from run to run there but are
-// not those bits. The fast exponential is within ~2 ulp of math.Exp, so each
+// are amd64 values); elsewhere the Go routines round each product on its own
+// too, so only linalg's row norms and math.Exp outside expWindow can move
+// them. The fast exponential is within ~2 ulp of math.Exp, so each
 // accumulated score matches the per-SV math.Exp path to O(1e-15) relative
 // error (EXPERIMENTS.md records the reported MAP metrics unchanged). Callers
 // pre-fill dst with the bias.

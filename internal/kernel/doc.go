@@ -62,13 +62,13 @@
 // (at any GOAMD64 level the pinned lanes hold no FMA), so the assembly, the
 // Go routines and the reference agree to the bit on every CPU. On other
 // architectures only the Go routines exist and the Go specification lets
-// the compiler fuse x*y + z — the arm64 compiler does, in the dots, the
-// exponential and the fold — so results there are deterministic from run to
-// run but are not pinned. The log half (the session-index pass, the Gram row
-// gather, sparse.Vector.Dot) and the trainer (package svm, core's label
-// correction) write each product as float64(x*y), which the specification
-// forbids fusing, so over the same kernel values they give amd64's bits, and
-// CI checks the arm64 build's code for fused multiply-adds there.
+// the compiler fuse x*y + z — arm64 does, in linalg and so in the row norms —
+// so results there repeat from run to run but are not pinned. The tile's Go
+// routines, the log half (the session-index pass, the Gram row gather,
+// sparse.Vector.Dot) and the trainer (package svm, core's label correction)
+// write each product as float64(x*y), which the specification forbids fusing,
+// so over the same norms and kernel values they give amd64's bits, and CI
+// checks the arm64 build's code for fused multiply-adds there.
 //
 // # Quantized sets
 //

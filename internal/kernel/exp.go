@@ -54,14 +54,14 @@ func expOne(x float64) float64 {
 	// Inside the window n is in [-1010, 1010], so 2^n is a normal float64
 	// whose bits are (n+1023)<<52 and the scaling below is one multiply: no
 	// denormal or overflow arm exists, here, in expLanes or in the assembly.
-	k := math.Floor(expLog2E*x + 0.5)
+	k := math.Floor(float64(expLog2E*x) + 0.5)
 	n := int(k)
-	x -= k * expC1
-	x -= k * expC2
+	x -= float64(k * expC1)
+	x -= float64(k * expC2)
 	xx := x * x
-	p := x * ((expP[0]*xx+expP[1])*xx + expP[2])
-	q := ((expQ[0]*xx+expQ[1])*xx+expQ[2])*xx + expQ[3]
-	return (1 + 2*(p/(q-p))) * math.Float64frombits(uint64(n+1023)<<52)
+	p := float64(x * (float64((float64(expP[0]*xx)+expP[1])*xx) + expP[2]))
+	q := float64((float64((float64(expQ[0]*xx)+expQ[1])*xx)+expQ[2])*xx) + expQ[3]
+	return (1 + float64(2*(p/(q-p)))) * math.Float64frombits(uint64(n+1023)<<52)
 }
 
 // expLanes replaces every element of v with e^v[i], processing four lanes at
@@ -81,35 +81,35 @@ func expLanes(v []float64) {
 			v[i], v[i+1], v[i+2], v[i+3] = expOne(a), expOne(b), expOne(c), expOne(d)
 			continue
 		}
-		ka := math.Floor(expLog2E*a + 0.5)
-		kb := math.Floor(expLog2E*b + 0.5)
-		kc := math.Floor(expLog2E*c + 0.5)
-		kd := math.Floor(expLog2E*d + 0.5)
+		ka := math.Floor(float64(expLog2E*a) + 0.5)
+		kb := math.Floor(float64(expLog2E*b) + 0.5)
+		kc := math.Floor(float64(expLog2E*c) + 0.5)
+		kd := math.Floor(float64(expLog2E*d) + 0.5)
 		na, nb, nc, nd := int(ka), int(kb), int(kc), int(kd)
-		a -= ka * expC1
-		b -= kb * expC1
-		c -= kc * expC1
-		d -= kd * expC1
-		a -= ka * expC2
-		b -= kb * expC2
-		c -= kc * expC2
-		d -= kd * expC2
+		a -= float64(ka * expC1)
+		b -= float64(kb * expC1)
+		c -= float64(kc * expC1)
+		d -= float64(kd * expC1)
+		a -= float64(ka * expC2)
+		b -= float64(kb * expC2)
+		c -= float64(kc * expC2)
+		d -= float64(kd * expC2)
 		aa := a * a
 		bb := b * b
 		cc := c * c
 		dd := d * d
-		pa := a * ((expP[0]*aa+expP[1])*aa + expP[2])
-		pb := b * ((expP[0]*bb+expP[1])*bb + expP[2])
-		pc := c * ((expP[0]*cc+expP[1])*cc + expP[2])
-		pd := d * ((expP[0]*dd+expP[1])*dd + expP[2])
-		qa := ((expQ[0]*aa+expQ[1])*aa+expQ[2])*aa + expQ[3]
-		qb := ((expQ[0]*bb+expQ[1])*bb+expQ[2])*bb + expQ[3]
-		qc := ((expQ[0]*cc+expQ[1])*cc+expQ[2])*cc + expQ[3]
-		qd := ((expQ[0]*dd+expQ[1])*dd+expQ[2])*dd + expQ[3]
-		v[i] = (1 + 2*(pa/(qa-pa))) * math.Float64frombits(uint64(na+1023)<<52)
-		v[i+1] = (1 + 2*(pb/(qb-pb))) * math.Float64frombits(uint64(nb+1023)<<52)
-		v[i+2] = (1 + 2*(pc/(qc-pc))) * math.Float64frombits(uint64(nc+1023)<<52)
-		v[i+3] = (1 + 2*(pd/(qd-pd))) * math.Float64frombits(uint64(nd+1023)<<52)
+		pa := float64(a * (float64((float64(expP[0]*aa)+expP[1])*aa) + expP[2]))
+		pb := float64(b * (float64((float64(expP[0]*bb)+expP[1])*bb) + expP[2]))
+		pc := float64(c * (float64((float64(expP[0]*cc)+expP[1])*cc) + expP[2]))
+		pd := float64(d * (float64((float64(expP[0]*dd)+expP[1])*dd) + expP[2]))
+		qa := float64((float64((float64(expQ[0]*aa)+expQ[1])*aa)+expQ[2])*aa) + expQ[3]
+		qb := float64((float64((float64(expQ[0]*bb)+expQ[1])*bb)+expQ[2])*bb) + expQ[3]
+		qc := float64((float64((float64(expQ[0]*cc)+expQ[1])*cc)+expQ[2])*cc) + expQ[3]
+		qd := float64((float64((float64(expQ[0]*dd)+expQ[1])*dd)+expQ[2])*dd) + expQ[3]
+		v[i] = (1 + float64(2*(pa/(qa-pa)))) * math.Float64frombits(uint64(na+1023)<<52)
+		v[i+1] = (1 + float64(2*(pb/(qb-pb)))) * math.Float64frombits(uint64(nb+1023)<<52)
+		v[i+2] = (1 + float64(2*(pc/(qc-pc)))) * math.Float64frombits(uint64(nc+1023)<<52)
+		v[i+3] = (1 + float64(2*(pd/(qd-pd)))) * math.Float64frombits(uint64(nd+1023)<<52)
 	}
 	for ; i < len(v); i++ {
 		v[i] = expOne(v[i])

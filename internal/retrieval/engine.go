@@ -47,8 +47,8 @@ type Options struct {
 	// RefineTimeout is read by nothing: it bounded asynchronous refinement
 	// rounds, which are gone, and a refinement runs under its caller's
 	// context (the server's -train-timeout). The field stays only because
-	// the benchmark sets it (bench/trace.go:158) and the PR that deleted the
-	// rounds could not edit bench/; it is deleted by ROADMAP item 2 (a).
+	// the benchmark sets it (bench/trace.go:158); it goes once bench/ stops
+	// setting it.
 	RefineTimeout time.Duration
 	// Journal is an optional durability sink (typically *storage.Journal):
 	// every committed feedback session and every ingested image batch is
@@ -76,8 +76,8 @@ var ErrJournal = errors.New("retrieval: journal append failed")
 // DefaultTrainWorkers is read by nothing: it was the default of the option
 // that trained a refine's two modality SVMs concurrently, which lost to
 // training them in turn and is gone (EXPERIMENTS.md "PR 28"). The constant
-// stays only because the benchmark names it (bench/trace.go:254) and this PR
-// could not edit bench/; it is deleted by ROADMAP item 2 (a).
+// stays only because the benchmark names it (bench/trace.go:254); it goes
+// once bench/ stops naming it.
 const DefaultTrainWorkers = 2
 
 // epoch is one immutable snapshot of the indexed collection: its sequence

@@ -12,6 +12,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/retrieval"
 )
 
 // countdownCtx reports itself cancelled after a fixed number of Err calls —
@@ -59,10 +64,23 @@ func serveWithCtx(t *testing.T, h http.Handler, ctx context.Context, method, tar
 
 // A client that disconnects mid-scan must get the scan stopped (the
 // countdown context stops being polled once cancelled checks trip) and the
-// request accounted as client-closed, not as a server error.
+// request accounted as client-closed, not as a server error. The collection
+// spans two default shards, so the scan is at least two work units at any
+// worker count: the one check the countdown allows lets the first unit run and
+// a later one is refused.
 func TestQueryClientDisconnectMidScan(t *testing.T) {
-	srv, _, _ := testServerWithConfig(t, Config{})
-	h := serverHandlerOf(t, srv)
+	rng := linalg.NewRNG(5)
+	visual := make([]linalg.Vector, kernel.DefaultShardSize+100)
+	for i := range visual {
+		visual[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
+	}
+	engine, err := retrieval.NewEngine(visual, feedbacklog.NewLog(len(visual)), retrieval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(engine, Config{})
+	t.Cleanup(s.Close)
+	h := s.Handler()
 	ctx := newCountdownCtx(1)
 	rr := serveWithCtx(t, h, ctx, http.MethodGet, "/api/query?image=3&k=5", nil)
 	if rr.Code != statusClientClosedRequest {
