@@ -104,14 +104,15 @@
 //
 // The per-round training cost is carried by an SMO solver tuned for
 // repeated retraining: an svm.Solver is bound to one point set and keeps its
-// Gram rows and working arrays across every Solve, pair selection is fused
+// Gram matrix (each pair evaluated once, step 1's reused by LRF-CSVM's step
+// 2) and working arrays across every Solve, pair selection is fused
 // into the gradient-update loop — four points per instruction in AVX2 where
 // kernel.Backend reports "avx2", to the bit of the Go loop — and every Solve
 // starts from the zero iterate, whose first pair needs no scan, so a model
 // depends only on the labels and costs it was trained with. The coupled
 // trainer (core.TrainCoupled) retrains each modality
-// through one Solver, reads the unlabeled decision values from its cached
-// rows, and trains the modalities of each alternation step one after the
+// through one Solver, reads the unlabeled decision values from its Gram
+// matrix, and trains the modalities of each alternation step one after the
 // other — pinned by an exact trajectory test, the golden MAP regression and
 // the solver property suite in internal/svm.
 //

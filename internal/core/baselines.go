@@ -96,10 +96,15 @@ func LogRBFKernel(logVectors []*sparse.Vector) kernel.Kernel {
 	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(pts), func(i int) kernel.Point { return pts[i] }, gammaSample)}
 }
 
-// trainModality trains a plain SVM on the labeled examples of one modality.
-// Cancelling ctx (the query's context; may be nil) abandons the training.
-func trainModality(ctx context.Context, points []kernel.Point, labels []float64, c float64, k kernel.Kernel) (*svm.Model, error) {
-	return svm.Train(svm.NewProblem(points, labels, c), svm.Config{Kernel: k, Ctx: ctx})
+// trainModality trains a plain SVM on the labeled examples of one modality;
+// its solver holds the model and the points' Gram matrix. Cancelling ctx
+// (the query's context; may be nil) abandons the training.
+func trainModality(ctx context.Context, points []kernel.Point, labels []float64, c float64, k kernel.Kernel) (*svm.Solver, error) {
+	s, err := svm.NewSolver(points, svm.Config{Kernel: k, Ctx: ctx})
+	if err == nil {
+		err = s.Solve(labels, svm.NewProblem(points, labels, c).C)
+	}
+	return s, err
 }
 
 // svmCost is the soft-margin cost of a labeled example in every SVM-based
@@ -130,11 +135,11 @@ func (RFSVM) Name() string { return "RF-SVM" }
 // train validates the context and trains the round's visual SVM.
 func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
 	indices, labels := labeledSplit(ctx)
-	model, err := trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+	s, err := trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, fmt.Errorf("core: RF-SVM training: %w", err)
 	}
-	return model, nil
+	return s.Model(), nil
 }
 
 // scorer implements rangeScored: the round's model plus the query prior.
@@ -179,21 +184,21 @@ type LRF2SVMs struct {
 func (LRF2SVMs) Name() string { return "LRF-2SVMs" }
 
 // train trains the round's two independent per-modality SVMs.
-func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visualModel, logModel *svm.Model, err error) {
+func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visual, log *svm.Solver, err error) {
 	logKernel := s.LogKernel
 	if logKernel == nil {
 		logKernel = defaultLogKernel
 	}
 	indices, labels := labeledSplit(ctx)
-	visualModel, err = trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+	visual, err = trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs visual training: %w", err)
 	}
-	logModel, err = trainModality(ctx.Ctx, ctx.logPoints(indices), labels, svmCost, logKernel)
+	log, err = trainModality(ctx.Ctx, ctx.logPoints(indices), labels, svmCost, logKernel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs log training: %w", err)
 	}
-	return visualModel, logModel, nil
+	return visual, log, nil
 }
 
 // scorer implements rangeScored: the round's model pair plus the query prior.
@@ -203,11 +208,11 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, erro
 	}
 	ctx = ctx.withLogIndex()
 	batch := ctx.collectionBatch()
-	visualModel, logModel, err := s.train(ctx, batch)
+	visual, log, err := s.train(ctx, batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	return batch, retrievalScorer(ctx, batch, visualModel, logModel), nil
+	return batch, retrievalScorer(ctx, batch, visual.Model(), log.Model()), nil
 }
 
 // Rank implements Scheme.
@@ -241,11 +246,11 @@ func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
 	if err := ctx.Validate(true); err != nil {
 		return nil, err
 	}
-	visualModel, logModel, err := s.train(ctx, ctx.collectionBatch())
+	visual, log, err := s.train(ctx, ctx.collectionBatch())
 	if err != nil {
 		return nil, err
 	}
-	return &Pretrained2SVMs{visualModel: visualModel, logModel: logModel}, nil
+	return &Pretrained2SVMs{visualModel: visual.Model(), logModel: log.Model()}, nil
 }
 
 // scorer implements rangeScored with exactly the post-training arithmetic of

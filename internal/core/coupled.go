@@ -95,6 +95,19 @@ type CoupledResult struct {
 // unlabeled points (+-1), typically produced by the unlabeled-selection
 // heuristic of the practical algorithm.
 func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []float64, cfg CoupledConfig) (*CoupledResult, error) {
+	// A missing kernel leaves a nil solver, which trainCoupled refuses first.
+	labeled := make([]*svm.Solver, len(modalities))
+	for m, mod := range modalities {
+		labeled[m], _ = svm.NewSolver(mod.Labeled, svm.Config{Kernel: mod.Kernel, Ctx: cfg.Ctx})
+	}
+	return trainCoupled(modalities, labels, initialUnlabeled, cfg, labeled)
+}
+
+// trainCoupled is TrainCoupled through labeled[m], a solver over modality m's
+// labeled points under its kernel and cfg.Ctx, grown by the unlabeled ones.
+// One that filled its Gram matrix (LRF-CSVM's step 1) saves those entries;
+// the result is the same bits either way.
+func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg CoupledConfig, labeled []*svm.Solver) (*CoupledResult, error) {
 	if len(modalities) == 0 {
 		return nil, errors.New("core: coupled SVM needs at least one modality")
 	}
@@ -147,7 +160,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	// once per annealing step times once per label-correction pass — but
 	// always over the same point set: only the labels and costs change. So
 	// each modality gets one svm.Solver over its labeled then unlabeled
-	// points, which keeps its Gram rows and working arrays across every
+	// points, which keeps its Gram matrix and working arrays across every
 	// retraining, and the label and cost buffers and the unlabeled decision
 	// values are built once and patched in place. Every Solve starts from
 	// zero, so a model depends only on the labels and costs it was trained
@@ -158,13 +171,7 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	decisions := make([][]float64, len(modalities))
 	copy(ys[:nl], labels)
 	for m, mod := range modalities {
-		points := make([]kernel.Point, 0, nl+nu)
-		points = append(points, mod.Labeled...)
-		points = append(points, mod.Unlabeled...)
-		var err error
-		if solvers[m], err = svm.NewSolver(points, svm.Config{Kernel: mod.Kernel, Ctx: cfg.Ctx}); err != nil {
-			return nil, fmt.Errorf("core: modality %q: %w", mod.Name, err)
-		}
+		solvers[m] = labeled[m].Grow(mod.Unlabeled)
 		costs[m] = make([]float64, nl+nu)
 		for i := 0; i < nl; i++ {
 			costs[m][i] = mod.C

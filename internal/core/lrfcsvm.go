@@ -89,8 +89,9 @@ func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, lo
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
-// the unlabeled selection — and assembles the coupled training problem.
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, err error) {
+// the unlabeled selection — and assembles the coupled training problem,
+// with step 1's solver of each modality.
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
@@ -103,11 +104,11 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	// selection of Hoi & Lyu ACM-MM'04; see unlabeledSelector).
 	visualInit, logInit, err := LRF2SVMs{LogKernel: p.LogKernel}.train(ctx, batch)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
 	}
-	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualInit, logInit, p.NumUnlabeled)
+	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualInit.Model(), logInit.Model(), p.NumUnlabeled)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	modalities = []Modality{
 		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx)},
@@ -115,7 +116,7 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	}
 	modalities[0].Unlabeled = batch.visualPoints(unlabeledIdx)
 	modalities[1].Unlabeled = ctx.logPoints(unlabeledIdx)
-	return modalities, labels, initialLabels, nil
+	return modalities, labels, initialLabels, []*svm.Solver{visualInit, logInit}, nil
 }
 
 // TrainingProblem extracts the coupled-SVM training problem — modalities,
@@ -128,7 +129,8 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 		return nil, nil, nil, err
 	}
 	ctx = ctx.withLogIndex()
-	return trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted)
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted)
+	return modalities, labels, initialLabels, err
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
@@ -142,15 +144,16 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (ba
 	ctx = ctx.withLogIndex()
 	batch = ctx.collectionBatch()
 	p := params.withDefaults()
-	modalities, labels, initialLabels, err := trainingProblem(ctx, batch, p, sel)
+	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, sel)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
-	// label correction. Cancelling the query cancels its training rounds too.
+	// label correction, through step 1's solvers grown by the drafted points;
+	// cancelling the query cancels its training rounds too.
 	p.Coupled.Ctx = ctx.Ctx
-	coupled, err = TrainCoupled(modalities, labels, initialLabels, p.Coupled)
+	coupled, err = trainCoupled(modalities, labels, initialLabels, p.Coupled, labeled)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}

@@ -180,6 +180,89 @@ func TestLRFCSVMDeterministic(t *testing.T) {
 	}
 }
 
+// TestLRFCSVMGrownSolversMatchTrainCoupled: LRF-CSVM's step 2 trains through
+// step 1's two solvers grown by the drafted points, which copy step 1's Gram
+// entries instead of computing them again. The coupled models must be
+// TrainCoupled's, with fresh solvers, on the problem TrainingProblem
+// extracts: the same counts, labels, biases and duals, to the bit. The
+// queries are at the feedback-small shape, with a labeled set that is all
+// relevant (step 1 is one-class and fills no Gram matrix, so step 2 fills its
+// own) and a fully judged collection (nothing to draft: step 2's matrix is
+// step 1's, copied).
+func TestLRFCSVMGrownSolversMatchTrainCoupled(t *testing.T) {
+	coll := makeDenseLogCollection(t, 10, 50, 1500, 29)
+	small := makeDenseLogCollection(t, 3, 10, 60, 37)
+	allRelevant := coll.queryContext(123, 30)
+	kept := allRelevant.Labeled[:0]
+	for _, ex := range allRelevant.Labeled {
+		if ex.Label > 0 {
+			kept = append(kept, ex)
+		}
+	}
+	allRelevant.Labeled = kept
+	for _, tc := range []struct {
+		name     string
+		ctx      *QueryContext
+		drafted  int
+		oneClass bool
+	}{
+		{"query 7, 20 judged", coll.queryContext(7, 20), 16, false},
+		{"query 260, 20 judged", coll.queryContext(260, 20), 16, false},
+		{"query 431, 12 judged", coll.queryContext(431, 12), 16, false},
+		{"query 123, only the relevant of 30 judged", allRelevant, 16, true},
+		{"every image judged", small.queryContext(4, 30), 0, false},
+	} {
+		if got := len(tc.ctx.Labeled); got == 0 || tc.oneClass != (got == countRelevant(tc.ctx)) {
+			t.Fatalf("%s: %d judged, %d relevant", tc.name, got, countRelevant(tc.ctx))
+		}
+		_, got, _, err := trainCSVM(tc.ctx, CSVMParams{}, selectLogAssisted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modalities, labels, initial, err := LRFCSVM{}.TrainingProblem(tc.ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := TrainCoupled(modalities, labels, initial, CoupledConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.UnlabeledLabels) != tc.drafted {
+			t.Fatalf("%s: %d drafted, want %d", tc.name, len(got.UnlabeledLabels), tc.drafted)
+		}
+		if g, w := [4]int{got.RhoSteps, got.Retrainings, got.Flips, got.SolverIterations}, [4]int{want.RhoSteps, want.Retrainings, want.Flips, want.SolverIterations}; g != w {
+			t.Errorf("%s: RhoSteps, Retrainings, Flips, SolverIterations = %v, TrainCoupled %v", tc.name, g, w)
+		}
+		for i, y := range want.UnlabeledLabels {
+			if got.UnlabeledLabels[i] != y {
+				t.Errorf("%s: unlabeled label %d is %v, TrainCoupled %v", tc.name, i, got.UnlabeledLabels[i], y)
+			}
+		}
+		for m, w := range want.Models {
+			g := got.Models[m]
+			if math.Float64bits(g.Bias) != math.Float64bits(w.Bias) || len(g.Alphas) != len(w.Alphas) {
+				t.Fatalf("%s, %s: bias %v over %d duals, TrainCoupled %v over %d", tc.name, modalities[m].Name, g.Bias, len(g.Alphas), w.Bias, len(w.Alphas))
+			}
+			for i, a := range w.Alphas {
+				if math.Float64bits(g.Alphas[i]) != math.Float64bits(a) {
+					t.Errorf("%s, %s: alpha[%d] = %v, TrainCoupled %v", tc.name, modalities[m].Name, i, g.Alphas[i], a)
+				}
+			}
+		}
+	}
+}
+
+// countRelevant counts the context's judged examples labeled relevant.
+func countRelevant(ctx *QueryContext) int {
+	n := 0
+	for _, ex := range ctx.Labeled {
+		if ex.Label > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLRFCSVMWithNothingToDraftIsLRF2SVMs: when every image is judged, step 1
 // has no unlabeled image to draft, the coupled problem is the two independent
 // labeled-only SVMs, and the retrieval pass is LRF-2SVMs' — same two models,

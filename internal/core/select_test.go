@@ -214,7 +214,7 @@ func TestTrainingProblemMatchesSortOracle(t *testing.T) {
 			p := CSVMParams{}.withDefaults()
 			var gotIdx, wantIdx []int
 			var wantLabels []float64
-			_, _, gotLabels, err := trainingProblem(ctx, batch, p,
+			_, _, gotLabels, _, err := trainingProblem(ctx, batch, p,
 				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
 					combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
 					if err != nil {
@@ -473,7 +473,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 	}
 	ctx.Batch = NewCollectionBatch(visual)
 	p := CSVMParams{}.withDefaults()
-	_, _, _, err := trainingProblem(ctx, ctx.Batch, p,
+	_, _, _, _, err := trainingProblem(ctx, ctx.Batch, p,
 		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int) ([]int, []float64, error) {
 			visualInit, logInit = v, l
 			return nil, nil, nil

@@ -87,10 +87,11 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 	ctx := coll.queryContext(3, 10)
 	ctx.Workers = 1
 	ctx.Batch = sharded
-	visualModel, logModel, err := (LRF2SVMs{}).train(ctx, sharded)
+	visual, log, err := (LRF2SVMs{}).train(ctx, sharded)
 	if err != nil {
 		b.Fatal(err)
 	}
+	visualModel, logModel := visual.Model(), log.Model()
 	b.Run("stream", func(b *testing.B) {
 		ctx := coll.queryContext(3, 10)
 		ctx.Workers = 1

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"lrfcsvm/internal/svm"
 )
 
 // benchCoupledSetup builds a realistic feedback-round training problem: a
@@ -17,7 +20,7 @@ func benchCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []f
 // denseLogCoupledSetup is the same round at the shape of the benchmark's
 // feedback-small workload: 500 images in 36 dimensions, a log of 1,500
 // sessions × 20 judgments (~60 entries per log vector), 20 labeled and 16
-// drafted points. Here the log modality's Gram rows are sparse dots over
+// drafted points. Here the log modality's Gram entries are sparse dots over
 // dense-ish rows, which benchCoupledSetup's log never exercises.
 func denseLogCoupledSetup(b testing.TB) (modalities []Modality, labels, initial []float64) {
 	b.Helper()
@@ -63,7 +66,10 @@ func coupledProblem(coll *syntheticCollection, query, labeledK int) (modalities 
 // BenchmarkTrainCoupled measures the feedback-training hot path at its one
 // configuration, the zero CoupledConfig, on two problems: log=ci is
 // benchCoupledSetup's (log vectors of a few entries), log=dense is
-// denseLogCoupledSetup's (the feedback-small shape, ~60 entries).
+// denseLogCoupledSetup's (the feedback-small shape, ~60 entries). Both train
+// through fresh solvers, as TrainCoupled does. path=refine is a refine's
+// training on log=dense's problem: step 1's two labeled solves, then the
+// coupled trainer through those solvers grown by the drafted points.
 func BenchmarkTrainCoupled(b *testing.B) {
 	for _, lane := range []struct {
 		name  string
@@ -82,4 +88,21 @@ func BenchmarkTrainCoupled(b *testing.B) {
 			}
 		})
 	}
+	modalities, labels, initial := denseLogCoupledSetup(b)
+	b.Run("path=refine", func(b *testing.B) {
+		b.ReportAllocs()
+		labeled := make([]*svm.Solver, len(modalities))
+		for i := 0; i < b.N; i++ {
+			for m, mod := range modalities {
+				s, err := trainModality(context.Background(), mod.Labeled, labels, mod.C, mod.Kernel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				labeled[m] = s
+			}
+			if _, err := trainCoupled(modalities, labels, initial, CoupledConfig{}, labeled); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

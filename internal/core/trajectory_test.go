@@ -13,8 +13,8 @@ import (
 // label corrections and SMO pair updates, and end on bit-identical duals
 // and biases in both modalities. The values were recorded at 8b6de9a and
 // are the same on the default and the -tags purego build: training reads
-// its kernel rows through kernel.Cache (math.Exp, sparse dots), never
-// through the scan's dot kernels. The golden MAPs of internal/eval only see
+// its kernel values from kernel.Cache's Gram matrix (math.Exp, sparse
+// dots), never through the scan's dot kernels. The golden MAPs of internal/eval only see
 // a change here after it has moved a ranking; this test sees the first ulp.
 // Re-record only for a deliberate change to the solver's arithmetic.
 //
@@ -78,10 +78,11 @@ func TestTrainCoupledServingTrajectoryPinned(t *testing.T) {
 // TestTrainCoupledDenseLogTrajectoryPinned is the serving pin on
 // denseLogCoupledSetup's problem, the feedback-small shape: 20 labeled + 16
 // drafted points whose log vectors hold ~60 of 1,500 sessions each, where
-// the two pins above hold a few of 60. It is the one pin of the log Gram rows
-// kernel.Cache computes at a realistic density. Recorded at 9c6fc91, before
-// the cache's sparse linear rows moved onto the session index; identical on
-// the -tags purego build.
+// the two pins above hold a few of 60. It is the one pin of the log Gram
+// matrix kernel.Cache computes at a realistic density. Recorded at 9c6fc91,
+// before the cache's sparse linear rows moved onto the session index and
+// before its fill became symmetric (each pair evaluated once, mirrored);
+// identical on the -tags purego build.
 func TestTrainCoupledDenseLogTrajectoryPinned(t *testing.T) {
 	checkTrajectory(t, denseLogCoupledSetup, CoupledConfig{}, [4]int{15, 32, 8, 1777}, []modelPin{
 		{"visual", 0x3fe04d593308eedd, []uint64{

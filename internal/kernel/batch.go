@@ -48,7 +48,7 @@ func checkBatch(n, d int) {
 
 // EvalBatch implements BatchKernel. Sparse points take the per-pair merge
 // join, Sparse.Dot; the log modality's hot sparse products go through a
-// SparseSVIndex instead (LinearAccumulateSessions, Cache.Row).
+// SparseSVIndex instead (LinearAccumulateSessions, Cache).
 func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	if xv, ok := x.(Dense); ok {
@@ -69,7 +69,7 @@ func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 // SparseSVIndex is sparse points of one dimension inverted by index: for
 // each index — a log session — the (point, value) cells of the points that
 // carry it, in ascending point order. It has two users: a training problem's
-// points, whose Gram rows the solver reads (Cache), and a collection's log
+// points, whose Gram matrix the solver reads (Cache), and a collection's log
 // vectors, through which the scans walk a linear model's support vectors
 // (LinearAccumulateSessions) — there the cells of session s are the images it
 // judged, row s of the relevance matrix. An index is never written once it is
@@ -113,8 +113,10 @@ func NewSparseSVIndex(points []Point) *SparseSVIndex {
 			n++
 		}
 	}
+	var sum int32
 	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
+		sum += start[i]
+		start[i] = sum
 	}
 	cells := make([]svCell, n)
 	for t, p := range points {
@@ -162,18 +164,20 @@ func (ix *SparseSVIndex) Extend(rows [][]sparse.Entry) *SparseSVIndex {
 	return &out
 }
 
-// gather adds <points[t], x> into acc[t] for every point t the index holds,
-// in one walk of x's entries, each entry visiting only the cells of its index.
-// For a fixed t the products are the matched products of the merge join,
-// points[t]'s value times x's (the same bits either way round), added in the
-// same ascending-index order: starting from +0, acc[t] ends on Sparse.Dot's
-// bits, and stays +0 for a point that shares no index with x. The product is
+// gather adds <points[t], x> into acc[t] for every point t ≥ lo, in one walk
+// of x's entries, each entry visiting only the cells of its index. For a
+// fixed t the products are the matched products of the merge join, points[t]'s
+// value times x's (the same bits either way round), added in the same
+// ascending-index order: starting from +0, acc[t] ends on Sparse.Dot's bits,
+// and stays +0 for a point that shares no index with x. The product is
 // rounded on its own, as Sparse.Dot's is, so no build fuses the two.
-func (ix *SparseSVIndex) gather(x []sparse.Entry, acc []float64) {
+func (ix *SparseSVIndex) gather(x []sparse.Entry, lo int, acc []float64) {
 	for _, e := range x {
 		v := e.Value
 		for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
-			acc[c.t] += float64(c.w * v)
+			if int(c.t) >= lo {
+				acc[c.t] += float64(c.w * v)
+			}
 		}
 	}
 }
@@ -279,7 +283,7 @@ func LinearAccumulateSessions(coefs []float64, svs []Point, ix *SparseSVIndex, l
 	return true
 }
 
-// EvalBatch implements BatchKernel.
+// EvalBatch implements BatchKernel. Every product is written float64(x*y).
 func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	switch xv := x.(type) {
@@ -288,10 +292,32 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 		// Vector.SquaredDistance: same single accumulator over the same
 		// ascending elements (bit-identical — the training paths that pin
 		// solver trajectories come through here), but without a non-inlined
-		// call and its length-check per pair.
+		// call and its length-check per pair. Four points go per trip, four
+		// independent chains that are each that sum; the rest, and a trip
+		// with a point of another type or dimension, go one at a time.
 		xs := []float64(xv)
-		for j, y := range ys {
-			if yv, ok := y.(Dense); ok {
+		j := 0
+		for ; j+4 <= len(ys); j += 4 {
+			w0, ok0 := ys[j].(Dense)
+			w1, ok1 := ys[j+1].(Dense)
+			w2, ok2 := ys[j+2].(Dense)
+			w3, ok3 := ys[j+3].(Dense)
+			if !ok0 || !ok1 || !ok2 || !ok3 || len(w0) != len(xs) || len(w1) != len(xs) || len(w2) != len(xs) || len(w3) != len(xs) {
+				break
+			}
+			var s0, s1, s2, s3 float64
+			for i, xi := range xs {
+				d0, d1, d2, d3 := xi-w0[i], xi-w1[i], xi-w2[i], xi-w3[i]
+				s0 += float64(d0 * d0)
+				s1 += float64(d1 * d1)
+				s2 += float64(d2 * d2)
+				s3 += float64(d3 * d3)
+			}
+			dst[j], dst[j+1] = math.Exp(float64(-k.Gamma*s0)), math.Exp(float64(-k.Gamma*s1))
+			dst[j+2], dst[j+3] = math.Exp(float64(-k.Gamma*s2)), math.Exp(float64(-k.Gamma*s3))
+		}
+		for ; j < len(ys); j++ {
+			if yv, ok := ys[j].(Dense); ok {
 				w := []float64(yv)
 				if len(w) != len(xs) {
 					panic(fmt.Sprintf("kernel: EvalBatch dimension mismatch %d != %d", len(w), len(xs)))
@@ -299,17 +325,17 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 				var s float64
 				for i, xi := range xs {
 					d := xi - w[i]
-					s += d * d
+					s += float64(d * d)
 				}
-				dst[j] = math.Exp(-k.Gamma * s)
+				dst[j] = math.Exp(float64(-k.Gamma * s))
 			} else {
-				dst[j] = k.Eval(x, y)
+				dst[j] = k.Eval(x, ys[j])
 			}
 		}
 	case Sparse:
 		for j, y := range ys {
 			if yv, ok := y.(Sparse); ok {
-				dst[j] = math.Exp(-k.Gamma * xv.Vector.SquaredDistance(yv.Vector))
+				dst[j] = math.Exp(float64(-k.Gamma * xv.Vector.SquaredDistance(yv.Vector)))
 			} else {
 				dst[j] = k.Eval(x, y)
 			}

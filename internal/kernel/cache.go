@@ -1,78 +1,100 @@
 package kernel
 
-// Cache memoizes kernel evaluations between indexed points. The SMO solver
-// repeatedly asks for the same rows of the Gram matrix while it sweeps
-// working pairs; caching rows keeps training cost close to linear in the
-// number of iterations for the small problems relevance feedback solves.
-//
-// Kernel values depend only on the points — never on labels or costs — so a
-// cache can outlive a single training run: an svm.Solver owns one for its
-// point set, and the coupled SVM's annealing loop retrains each modality
-// through one Solver, reading every row it has computed before.
-//
-// Rows live in a direct-indexed table and are kept for the life of the
-// cache: relevance feedback trains on a few dozen points, so the whole Gram
-// matrix is tens of kilobytes and nothing is ever evicted. It is not safe for
-// concurrent use; callers sharing a cache must use it sequentially.
+// Cache is the Gram matrix of a training problem's points, which the SMO
+// solver reads a row at a time. Relevance feedback trains on a few dozen
+// points, so the whole matrix is tens of kilobytes: it is filled on the first
+// Row call (a one-class problem reads none and computes nothing) and kept.
+// The fill is symmetric: each unordered pair is evaluated once, as row i's
+// entry j ≥ i, and mirrored. Every kernel and point type in the package gives
+// the same bits for (x, y) and (y, x) — the dense RBF squares ±d, the sparse
+// dot adds the same products in the same ascending-session order, the sparse
+// RBF adds the two norms — so each entry is Eval's bits either way round.
 //
 // The log modality's problem — the Linear kernel over sparse points of one
-// dimension — is inverted by session once, into a SparseSVIndex (the type
-// the scans walk the collection's log through), and a row is gathered
-// through it: one walk over x_i's entries,
-// each visiting only the points that carry that session. Every other kernel
-// and point mix fills its rows with EvalBatch. Both give Eval's bits.
+// dimension — is inverted by session into a SparseSVIndex (the type the
+// scans walk the collection's log through), and a row is gathered through
+// it: one walk over x_i's entries, each visiting only the points that carry
+// that session. Every other kernel and point mix fills its rows with
+// EvalBatch. Both give Eval's bits. A cache is not safe for concurrent use.
 type Cache struct {
 	kernel Kernel
 	points []Point
-
-	// index is points inverted by session when the kernel is Linear over
-	// sparse points of one dimension; nil otherwise.
+	base   *Cache    // the cache this one was grown from, until the fill
+	gram   []float64 // row-major; nil until the first Row
+	// index is points inverted by session, kept by a fill from no filled
+	// base when the kernel is Linear over sparse points of one dimension.
 	index *SparseSVIndex
-
-	// rows is the direct-indexed row table; nil entries are not yet
-	// computed.
-	rows [][]float64
-
-	// slab carves new rows out of shared chunks: one allocation and one
-	// zeroing pass per chunk instead of per row. Rows are never evicted and
-	// live as long as the cache, so a chunk cannot pin dead memory.
-	slab []float64
 }
 
-// cacheSlabRows is the number of rows carved from one slab chunk.
-const cacheSlabRows = 16
-
-// NewCache builds a row cache over the given points.
+// NewCache returns the Gram matrix of the given points.
 func NewCache(k Kernel, points []Point) *Cache {
-	c := &Cache{
-		kernel: k,
-		points: points,
-		rows:   make([][]float64, len(points)),
-	}
-	if _, ok := k.(Linear); ok {
-		c.index = NewSparseSVIndex(points)
-	}
-	return c
+	return &Cache{kernel: k, points: points}
 }
 
-// Row returns the kernel row K(points[i], points[j]) for all j, computing
-// and caching it on first use.
+// Grow returns the Gram matrix of the receiver's points followed by more.
+// When the receiver is filled by the first Row call of the result, its pairs
+// are copied and only the pairs that involve a point of more are evaluated:
+// LRF-CSVM's coupled problem is its step 1 problem's points followed by the
+// drafted ones, so a refine computes each Gram entry once.
+func (c *Cache) Grow(more []Point) *Cache {
+	points := make([]Point, 0, len(c.points)+len(more))
+	points = append(append(points, c.points...), more...)
+	return &Cache{kernel: c.kernel, points: points, base: c}
+}
+
+// Points returns the points of the matrix, in row order.
+func (c *Cache) Points() []Point { return c.points }
+
+// Row returns the kernel row K(points[i], points[j]) for all j.
 func (c *Cache) Row(i int) []float64 {
-	if row := c.rows[i]; row != nil {
-		return row
+	if c.gram == nil {
+		c.fill()
 	}
 	n := len(c.points)
-	if len(c.slab) < n {
-		c.slab = make([]float64, n*cacheSlabRows)
+	return c.gram[i*n : (i+1)*n : (i+1)*n]
+}
+
+// fill computes the Gram matrix: the block of the first n0 points is the
+// filled base's, copied (n0 = 0 without one), and every later point i
+// evaluates its row against those points and against points i.. and mirrors
+// it into column i. The gather needs the base's index beside the new points'
+// one, of the same dimension; a base grown from a filled cache kept none,
+// so a cache grown twice fills through EvalBatch.
+func (c *Cache) fill() {
+	n := len(c.points)
+	g := make([]float64, n*n)
+	n0 := 0
+	var head, tail *SparseSVIndex
+	if b := c.base; b != nil && b.gram != nil {
+		n0, head = len(b.points), b.index
+		for i := range n0 {
+			copy(g[i*n:i*n+n0], b.gram[i*n0:(i+1)*n0])
+		}
 	}
-	// A carved row is all +0: chunks are fresh and rows never overlap.
-	row := c.slab[:n:n]
-	c.slab = c.slab[n:]
-	if c.index != nil {
-		c.index.gather(c.points[i].(Sparse).Entries, row)
-	} else {
-		EvalBatch(c.kernel, c.points[i], c.points, row)
+	c.base = nil
+	if _, ok := c.kernel.(Linear); ok {
+		tail = NewSparseSVIndex(c.points[n0:])
+		if n0 == 0 {
+			c.index = tail
+		} else if head.Dim() != tail.Dim() {
+			tail = nil
+		}
 	}
-	c.rows[i] = row
-	return row
+	for i := n0; i < n; i++ {
+		row := g[i*n : (i+1)*n]
+		if tail != nil {
+			x := c.points[i].(Sparse).Entries
+			if n0 > 0 {
+				head.gather(x, 0, row[:n0])
+			}
+			tail.gather(x, i-n0, row[n0:])
+		} else {
+			EvalBatch(c.kernel, c.points[i], c.points[:n0], row[:n0])
+			EvalBatch(c.kernel, c.points[i], c.points[i:], row[i:])
+		}
+		for j, v := range row {
+			g[j*n+i] = v
+		}
+	}
+	c.gram = g
 }

@@ -1,6 +1,6 @@
 // Package kernel provides the Mercer kernels used by the SVM solver, over
 // both dense visual-feature vectors and sparse user-log vectors, plus Gram
-// matrix computation, a small evaluation cache, the batched scoring
+// matrix computation (GramSet, and the solver's Cache), the batched scoring
 // primitives of the query hot path, and the IVF centroid index that prunes
 // initial queries.
 //
@@ -41,9 +41,9 @@
 // retrieval engine keeps beside its log columns and extends by whole sessions
 // (feedbacklog.Log.ExtendSessionIndex) — so a scan range costs the cells the
 // support vectors meet in it (LinearAccumulateSessions). The solver's Gram
-// rows walk each row point through its training problem's points inverted
-// once per problem (Cache). Either gives Sparse.Dot's bits for every pair:
-// the same products, each rounded on its own, in the same ascending-session
+// matrix walks each row point through its training problem's points inverted
+// by session (Cache). Either gives Sparse.Dot's bits for every pair: the
+// same products, each rounded on its own, in the same ascending-session
 // order, from +0. Linear.EvalBatch over sparse points is the per-pair merge
 // join and serves only the shapes neither index takes.
 //
@@ -64,11 +64,12 @@
 // architectures only the Go routines exist and the Go specification lets
 // the compiler fuse x*y + z — arm64 does, in linalg and so in the row norms —
 // so results there repeat from run to run but are not pinned. The tile's Go
-// routines, the log half (the session-index pass, the Gram row gather,
-// sparse.Vector.Dot) and the trainer (package svm, core's label correction)
-// write each product as float64(x*y), which the specification forbids fusing,
-// so over the same norms and kernel values they give amd64's bits, and CI
-// checks the arm64 build's code for fused multiply-adds there.
+// routines, the log half (the session-index pass, the Gram fill's gather,
+// sparse.Vector.Dot), RBF.EvalBatch and the trainer (package svm, core's
+// label correction) write each product as float64(x*y), which the
+// specification forbids fusing, so over the same norms and kernel values
+// they give amd64's bits (math.Exp aside), and CI checks the arm64 build's
+// code for fused multiply-adds there.
 //
 // # Quantized sets
 //

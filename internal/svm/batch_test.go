@@ -75,8 +75,8 @@ func TestDecisionSetMatchesScalar(t *testing.T) {
 // result to a fresh Train of the same problem bit for bit: alphas, bias,
 // iterations, convergence, and the cached decision values against the fresh
 // model's DecisionBatch. Kernel values depend on neither labels nor costs,
-// so the solver computes each Gram row at most once: a second pass over the
-// sequence evaluates no kernel pair.
+// so the solver fills its Gram matrix once, evaluating each unordered pair
+// once: a second pass over the sequence evaluates no kernel pair.
 func TestSharedCacheIdenticalModel(t *testing.T) {
 	k := kernel.RBF{Gamma: 1}
 	rng := linalg.NewRNG(5)
@@ -188,13 +188,72 @@ func TestSharedCacheIdenticalModel(t *testing.T) {
 			}
 		}
 	}
-	if evals == 0 || evals%n != 0 || evals > n*n {
-		t.Errorf("%d kernel pairs evaluated, want whole rows, each at most once", evals)
+	if evals != n*(n+1)/2 {
+		t.Errorf("%d kernel pairs evaluated, want the %d unordered pairs, each once", evals, n*(n+1)/2)
+	}
+}
+
+// TestSolverGrowEvaluatesOnlyNewPairs: a solver grown from one that filled
+// its Gram matrix trains the joined points as a fresh Train does, bit for
+// bit, and evaluates only the pairs with a new point; the receiver keeps its
+// solution.
+func TestSolverGrowEvaluatesOnlyNewPairs(t *testing.T) {
+	k := kernel.RBF{Gamma: 0.7}
+	rng := linalg.NewRNG(17)
+	const n, nl = 30, 18
+	vecs := make([]linalg.Vector, n)
+	labels, costs := make([]float64, n), make([]float64, n)
+	for i := range vecs {
+		vecs[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1)}
+		labels[i], costs[i] = -1, 1
+		if vecs[i][0]+0.3*rng.Normal(0, 1) > 0 {
+			labels[i] = 1
+		}
+		if i >= nl {
+			costs[i] = 0.25
+		}
+	}
+	points := kernel.DensePoints(vecs)
+	var evals int
+	base, err := NewSolver(points[:nl], Config{Kernel: countingKernel{k, &evals}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Solve(labels[:nl], costs[:nl]); err != nil {
+		t.Fatal(err)
+	}
+	if evals != nl*(nl+1)/2 {
+		t.Fatalf("the base evaluated %d pairs, want %d", evals, nl*(nl+1)/2)
+	}
+	before := base.Model()
+	grown := base.Grow(points[nl:])
+	if err := grown.Solve(labels, costs); err != nil {
+		t.Fatal(err)
+	}
+	if want := nl*(nl+1)/2 + (n-nl)*nl + (n-nl)*(n-nl+1)/2; evals != want {
+		t.Errorf("base and growth evaluated %d pairs, want %d", evals, want)
+	}
+	fresh, err := Train(Problem{Points: points, Labels: labels, C: costs}, Config{Kernel: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *Model
+	}{{"grown", grown.Model(), fresh}, {"base", base.Model(), before}} {
+		if math.Float64bits(c.got.Bias) != math.Float64bits(c.want.Bias) || c.got.Iterations != c.want.Iterations || len(c.got.Alphas) != len(c.want.Alphas) {
+			t.Fatalf("%s: bias %v, %d iterations, %d alphas; want %v, %d, %d", c.name, c.got.Bias, c.got.Iterations, len(c.got.Alphas), c.want.Bias, c.want.Iterations, len(c.want.Alphas))
+		}
+		for i, a := range c.want.Alphas {
+			if math.Float64bits(c.got.Alphas[i]) != math.Float64bits(a) {
+				t.Errorf("%s: alpha[%d] = %v, want %v", c.name, i, c.got.Alphas[i], a)
+			}
+		}
 	}
 }
 
 // countingKernel counts the pair evaluations a cache asks its kernel for.
-// It has no batched path, so the cache fills each row through Eval, whose
+// It has no batched path, so the cache fills its rows through Eval, whose
 // RBF arithmetic is the batched dense path's bit for bit.
 type countingKernel struct {
 	kernel.Kernel

@@ -62,7 +62,7 @@ func kktProblem(seed uint64) (Problem, Config) {
 		// The pair the log SVM trains: the linear co-judgment kernel over
 		// sparse ±1 relevance vectors, one coordinate per past session and
 		// most of them unjudged (some points end up with no entry at all),
-		// whose Gram rows kernel.Cache gathers through the points inverted
+		// whose Gram matrix kernel.Cache gathers through the points inverted
 		// by session. A session judges a point by its label, wrongly one
 		// time in five.
 		k = kernel.Linear{}

@@ -29,11 +29,11 @@
 // reports "avx2". The two give the same bits, so the duals, iterations and
 // models are the same on any CPU.
 //
-// A Solver is bound to one point set: it keeps every Gram row it has computed
-// and its working arrays for its whole life, and each Solve takes new labels
-// and costs over those points. The coupled SVM retrains each modality dozens
-// of times per feedback round over one point set this way; Train is one
-// Solve on a fresh Solver.
+// A Solver is bound to one point set: it keeps the whole Gram matrix of its
+// points and its working arrays for its whole life, and each Solve takes new
+// labels and costs over those points. The coupled SVM retrains each modality
+// dozens of times per feedback round over one point set this way; Train is
+// one Solve on a fresh Solver, and Grow starts one from another's matrix.
 //
 // Every product the solver and the decision functions add is written
 // float64(x*y), which the Go specification forbids fusing into a
@@ -266,13 +266,12 @@ func (m *Model) Predict(x kernel.Point) float64 {
 }
 
 // Solver is the SMO solver bound to one point set under one Config. It owns
-// the points' kernel row cache and its working arrays for its whole life:
-// kernel values depend only on the points, never on labels or costs, so every
-// Solve over the same points reads the rows the earlier ones computed, and a
-// Solve allocates nothing once its rows are cached. Each Solve starts from
-// alpha = 0, so what it computes depends only on the labels and costs it is
-// given, never on the Solves before it. A Solver is not safe for concurrent
-// use.
+// the points' Gram matrix and its working arrays for its whole life: kernel
+// values depend only on the points, never on labels or costs, so the first
+// row a Solve reads fills the matrix for every later Solve, which allocates
+// nothing. Each Solve starts from alpha = 0, so what it computes depends only
+// on the labels and costs it is given, never on the Solves before it. A
+// Solver is not safe for concurrent use.
 type Solver struct {
 	// p is the problem of the latest Solve: the bound points, with labels
 	// and costs copied in.
@@ -308,18 +307,31 @@ func NewSolver(points []kernel.Point, cfg Config) (*Solver, error) {
 	if cfg.Kernel == nil {
 		return nil, errors.New("svm: config must specify a kernel")
 	}
+	return newSolver(cfg, kernel.NewCache(cfg.Kernel, points)), nil
+}
+
+// Grow returns a solver under the receiver's Config bound to the receiver's
+// points followed by more, whose Gram matrix is the receiver's grown
+// (kernel.Cache.Grow).
+func (s *Solver) Grow(more []kernel.Point) *Solver {
+	return newSolver(s.cfg, s.cache.Grow(more))
+}
+
+// newSolver binds a solver to the points of cache under cfg.
+func newSolver(cfg Config, cache *kernel.Cache) *Solver {
+	points := cache.Points()
 	n := len(points)
 	// One backing array carries the six per-point arrays.
 	buf := make([]float64, 6*n)
 	return &Solver{
 		p:      Problem{Points: points, Labels: buf[:n], C: buf[n : 2*n]},
 		cfg:    cfg,
-		cache:  kernel.NewCache(cfg.Kernel, points),
+		cache:  cache,
 		alpha:  buf[2*n : 3*n],
 		grad:   buf[3*n : 4*n],
 		upPen:  buf[4*n : 5*n],
 		lowPen: buf[5*n:],
-	}, nil
+	}
 }
 
 // Solve trains on the bound points with the given labels (+-1) and per-point
@@ -410,11 +422,11 @@ func (s *Solver) Iterations() int { return s.iterations }
 
 // Decisions stores into dst[i] the decision value of bound point from+i
 // under the latest Solve, f(x_t) = b + sum_j alpha_j y_j K(x_j, x_t), read
-// from the cached kernel rows. Every support vector's row was fetched
-// during the Solve (it starts from alpha = 0, so a pair update touched it),
-// so this evaluates no kernel pair. The summation order (bias first, then
-// ascending j over alpha_j > 0) and every operand match Model().DecisionBatch
-// over the same points, so the values are bit-identical to it.
+// from the Gram matrix. A support vector exists only after a pair update,
+// which filled the matrix, so this evaluates no kernel pair. The summation
+// order (bias first, then ascending j over alpha_j > 0) and every operand
+// match Model().DecisionBatch over the same points, so the values are
+// bit-identical to it.
 func (s *Solver) Decisions(from int, dst []float64) {
 	for i := range dst {
 		dst[i] = s.intercept
