@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test lint fmt vet cbirlint cbirlint-selftest staticcheck govulncheck loc
+.PHONY: all build test lint fmt vet cbirlint cbirlint-selftest staticcheck govulncheck loc fuzz listed
 
 all: build test
 
@@ -39,6 +39,22 @@ cbirlint:
 # broken analyzer cannot keep the lint job green.
 cbirlint-selftest:
 	$(GO) test ./cmd/cbirlint/
+
+# fuzz runs one fuzz target: make fuzz TARGET=FuzzExp PKG=./internal/kernel/
+# [TAGS=-tags=purego] [FUZZTIME=20s]. go test -fuzz exits 0 when its pattern
+# names no target ("no fuzz tests to fuzz"), so a renamed target would
+# silently leave CI: the target must be listed first.
+FUZZTIME ?= 20s
+fuzz:
+	@$(GO) test $(TAGS) -list '^$(TARGET)$$' $(PKG) | grep -qx '$(TARGET)' || { echo "$(PKG) has no fuzz target $(TARGET)"; exit 1; }
+	$(GO) test $(TAGS) -run='^$$' -fuzz='^$(TARGET)$$' -fuzztime=$(FUZZTIME) $(PKG)
+
+# listed runs the tests RUN matches in each of PKGS: make listed RUN=... PKGS=...
+# [TAGS=...] [FLAGS=...]. go test -run exits 0 when RUN matches nothing ("no
+# tests to run"), so every package must list a match first.
+listed:
+	@for p in $(PKGS); do $(GO) test $(TAGS) -list '$(RUN)' $$p | grep -qE '^(Test|Fuzz)' || { echo "-run '$(RUN)' names no test in $$p"; exit 1; }; done
+	$(GO) test $(TAGS) $(FLAGS) -run '$(RUN)' $(PKGS)
 
 # staticcheck and govulncheck install a pinned version on first run, so
 # they need network once; CI runs them in dedicated jobs.

@@ -132,7 +132,7 @@ func BenchmarkQueryTopK(b *testing.B) {
 	query := exp.SampleQueries()[0]
 	for _, tc := range []struct {
 		name   string
-		scheme core.TopKRanker
+		scheme core.Scheme
 	}{
 		{"euclidean", core.Euclidean{}},
 		{"rf-svm", core.RFSVM{}},

@@ -39,7 +39,7 @@ func main() {
 
 	// Everything the flags can get wrong is diagnosed here, before
 	// eval.Prepare spends minutes building the dataset.
-	cfg, name, sweep, err := buildConfig(*datasetFlag, *profile, *queries, *seed, *ablation)
+	cfg, name, sweep, err := buildConfig(flag.Args(), *datasetFlag, *profile, *queries, *seed, *ablation)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lrfbench:", err)
 		os.Exit(2)
@@ -89,10 +89,16 @@ func run(v eval.Variant, name string, sweep *eval.Ablation) error {
 	return nil
 }
 
-// buildConfig validates the flags and turns them into the experiment
+// buildConfig validates the command line and turns it into the experiment
 // configuration, the table caption, and the ablation to run in place of the
-// main table (nil when -ablation is not given).
-func buildConfig(dataset int, profile string, queries int, seed uint64, ablation string) (cfg eval.Config, name string, sweep *eval.Ablation, err error) {
+// main table (nil when -ablation is not given). args are the positional
+// arguments, which it refuses: every input is a flag, and flag.Parse stops at
+// the first non-flag, so `lrfbench 50 -profile ci` would otherwise run the
+// paper-scale Table 1.
+func buildConfig(args []string, dataset int, profile string, queries int, seed uint64, ablation string) (cfg eval.Config, name string, sweep *eval.Ablation, err error) {
+	if len(args) > 0 {
+		return cfg, "", nil, fmt.Errorf("unexpected argument %q: every input is a flag, and none after it was read", args[0])
+	}
 	switch dataset {
 	case 20:
 		cfg, name = eval.Paper20(seed), "Table 1"

@@ -15,23 +15,24 @@ import (
 // eval.Prepare had generated and feature-extracted the whole collection.
 func TestBuildConfigValidatesFlags(t *testing.T) {
 	type args struct {
-		dataset  int
-		profile  string
-		queries  int
-		ablation string
+		dataset    int
+		profile    string
+		queries    int
+		ablation   string
+		positional []string
 	}
 	accept := []args{
-		{20, "full", 0, ""},
-		{50, "ci", 7, ""},
+		{20, "full", 0, "", nil},
+		{50, "ci", 7, "", nil},
 	}
 	if n := len(eval.AblationNames()); n != 7 {
 		t.Fatalf("ablation list has %d names, want 7", n)
 	}
 	for _, name := range eval.AblationNames() {
-		accept = append(accept, args{20, "ci", 0, name})
+		accept = append(accept, args{20, "ci", 0, name, nil})
 	}
 	for _, a := range accept {
-		cfg, name, sweep, err := buildConfig(a.dataset, a.profile, a.queries, 42, a.ablation)
+		cfg, name, sweep, err := buildConfig(a.positional, a.dataset, a.profile, a.queries, 42, a.ablation)
 		if err != nil {
 			t.Errorf("%+v rejected: %v", a, err)
 			continue
@@ -51,14 +52,15 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 		args
 		want string // must appear in the diagnostic
 	}{
-		{args{30, "ci", 0, ""}, "unknown dataset 30"},
-		{args{20, "fast", 0, ""}, `unknown profile "fast"`},
-		{args{20, "ci", -1, ""}, "negative -queries -1"},
-		{args{20, "ci", 0, "rhoo"}, strings.Join(eval.AblationNames(), ", ")},
-		{args{20, "ci", 0, "Rho"}, `unknown ablation "Rho"`},
+		{args{30, "ci", 0, "", nil}, "unknown dataset 30"},
+		{args{20, "fast", 0, "", nil}, `unknown profile "fast"`},
+		{args{20, "ci", -1, "", nil}, "negative -queries -1"},
+		{args{20, "ci", 0, "rhoo", nil}, strings.Join(eval.AblationNames(), ", ")},
+		{args{20, "ci", 0, "Rho", nil}, `unknown ablation "Rho"`},
+		{args{20, "full", 0, "", []string{"50", "-profile", "ci"}}, `unexpected argument "50"`},
 	}
 	for _, r := range reject {
-		_, _, _, err := buildConfig(r.dataset, r.profile, r.queries, 42, r.ablation)
+		_, _, _, err := buildConfig(r.positional, r.dataset, r.profile, r.queries, 42, r.ablation)
 		if err == nil || !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%+v: error %v, want one naming %q", r.args, err, r.want)
 		}

@@ -25,7 +25,7 @@
 // the top K, the unlabeled points of step 1 of Fig. 1, or every score.
 // Workers claim in-shard ranges from one queue, and the context is
 // checked between them. The top-K sink streams through bounded heaps
-// (core.TopKRanker / core.TopK, O(n log K)) merged under the strict
+// (core.Scheme.RankTop / core.TopK, O(n log K)) merged under the strict
 // descending-score, ascending-index order, so results are bit-identical to
 // a full stable sort for every shard size and worker count. Per-query score
 // lanes and selectors come from a pooled scratch arena on the collection
@@ -35,9 +35,11 @@
 // keeps no score per image and sorts nothing. The K limit is
 // threaded end to end — Engine.InitialQuery, Session.Refine, and the HTTP
 // query/refine endpoints (with a configurable default and hard ceiling) all
-// return bounded lists. The full-scores sink
-// (Scheme.Rank) remains for the evaluation harness, which needs every
-// score.
+// return bounded lists, and so does the evaluation harness: every cutoff of
+// the paper's tables is a prefix of one top-100 ranking, so eval.RunScheme
+// asks RankTopAppend once per query. The full-scores sink (Scheme.Rank)
+// remains for the ablation heuristics of step 1, which rank every unlabeled
+// image, the engine's reference model and the test references.
 //
 // # Dynamic collections
 //

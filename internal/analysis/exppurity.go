@@ -17,7 +17,7 @@ import "go/ast"
 var ExpPurity = &Analyzer{
 	Name:     "exppurity",
 	Doc:      "forbid math.Exp and friends outside internal/kernel, whose backends own the pinned exponential",
-	Contract: "one exponential definition (kernel.expOne), ≤2 ulp of math.Exp; every kernel backend's exp routine, Go or assembly, is bit-identical to it (PR 1/PR 8/PR 22, pinned by FuzzExp, TestExpLanesBitParity and the backend parity suite)",
+	Contract: "one exponential definition (kernel.expOne), ≤2 ulp of math.Exp; every kernel backend's exp routine, Go or assembly, is bit-identical to it (PR 1/PR 8/PR 22, pinned by FuzzExp and TestKernelsMatchReference)",
 	Applies:  ExcludeSuffix("internal/kernel"),
 	Run:      runExpPurity,
 }

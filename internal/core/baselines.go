@@ -37,15 +37,14 @@ func (Euclidean) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error
 // Rank implements Scheme.
 func (s Euclidean) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements TopKRanker: per-shard distances are computed into a
-// pooled scratch lane and pushed through bounded selection, so no
-// collection-sized slice is materialized. Results are bit-identical to
-// Rank + TopK.
+// RankTop implements Scheme: per-shard distances are computed into a pooled
+// scratch lane and pushed through bounded selection, so no collection-sized
+// slice is materialized.
 func (s Euclidean) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
 
-// RankTopAppend implements TopKRanker.
+// RankTopAppend implements Scheme.
 func (s Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
@@ -158,14 +157,13 @@ func (s RFSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) 
 // Rank implements Scheme.
 func (s RFSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements TopKRanker: the same trained model as Rank, scored
-// through streaming per-shard selection. Results are bit-identical to
-// Rank + TopK.
+// RankTop implements Scheme: the same trained model as Rank, scored through
+// streaming per-shard selection.
 func (s RFSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
 
-// RankTopAppend implements TopKRanker.
+// RankTopAppend implements Scheme.
 func (s RFSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
@@ -218,14 +216,13 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, erro
 // Rank implements Scheme.
 func (s LRF2SVMs) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements TopKRanker: the same trained models as Rank, scored
-// through streaming per-shard selection. Results are bit-identical to
-// Rank + TopK.
+// RankTop implements Scheme: the same trained models as Rank, scored through
+// streaming per-shard selection.
 func (s LRF2SVMs) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
 
-// RankTopAppend implements TopKRanker.
+// RankTopAppend implements Scheme.
 func (s LRF2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }

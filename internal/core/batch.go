@@ -27,7 +27,8 @@ import (
 // run by one driver (scanRanges): the source is every shard or a pruned
 // candidate set (candidates.go), the scorer is the scheme's, and the sink
 // keeps the top K, the unlabeled points of LRF-CSVM's step 1 — both bounded
-// selectors — or every score (the evaluation harness needs them all).
+// selectors — or every score (Scheme.Rank: the ablation heuristics of step 1
+// rank every unlabeled image).
 // Whatever a range needs beside the stores — score lanes, the query's
 // distances, the log vectors as kernel points — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
@@ -425,8 +426,8 @@ func (scoreSink) consume(*rankScratch, int, []float64) {}
 
 func (scoreSink) merge(into, from *rankScratch) {}
 
-// scanScores materializes the score of every image under fn — what average
-// precision, the ablation heuristics and the test oracles need.
+// scanScores materializes the score of every image under fn: Scheme.Rank,
+// what the ablation heuristics of step 1 and the test references read.
 func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float64, error) {
 	scores := make([]float64, b.VisualSet().Len())
 	sc := b.scratchGet()

@@ -55,42 +55,6 @@ func TestScanRangesCoversCollection(t *testing.T) {
 	}
 }
 
-// TestSchemesWorkerCountInvariant verifies every scheme produces identical
-// scores for any worker count: each score element is written by exactly one
-// goroutine with the same arithmetic, so sharding must not change a single
-// bit. Running this under -race also exercises the sharded ranking path for
-// data races.
-func TestSchemesWorkerCountInvariant(t *testing.T) {
-	coll := makeCollection(t, 4, 12, 40, 0, 5)
-	schemes := []Scheme{
-		Euclidean{},
-		RFSVM{},
-		LRF2SVMs{},
-		LRFCSVM{},
-		LRFCSVMWithSelection{Strategy: SelectMaxMin},
-	}
-	for _, scheme := range schemes {
-		var serial []float64
-		for _, workers := range []int{1, 4, 9} {
-			ctx := coll.queryContext(3, 10)
-			ctx.Workers = workers
-			scores, err := scheme.Rank(ctx)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", scheme.Name(), workers, err)
-			}
-			if serial == nil {
-				serial = scores
-				continue
-			}
-			for i := range scores {
-				if scores[i] != serial[i] {
-					t.Fatalf("%s: score[%d] = %v with %d workers, %v serial", scheme.Name(), i, scores[i], workers, serial[i])
-				}
-			}
-		}
-	}
-}
-
 // TestSharedCollectionBatchConcurrentRank exercises one CollectionBatch
 // shared by concurrent rankings of different queries (the engine's serving
 // pattern) under the race detector: the batch holds nothing per query, so
@@ -137,36 +101,16 @@ func TestSharedCollectionBatchConcurrentRank(t *testing.T) {
 	}
 }
 
-// TestCollectionBatchReused pins which collection a context names. An
-// attached batch is the collection, with or without Visual beside it; a Visual
-// that is not the batch's collection — another length, or the same length with
-// other data in a boundary row — is refused by every scheme instead of being
-// ranked against descriptors it does not hold; an equal copy is the same
-// collection, whatever slice holds it.
+// TestCollectionBatchReused pins which collection a context names: a Visual
+// beside an attached batch that is not the batch's collection — another
+// length, or the same length with other data in a boundary row — is refused
+// by every scheme instead of being ranked against descriptors it does not
+// hold. (An attached batch alone, with an equal copy beside it, and a Visual
+// alone rank as the reference does: TestRefineMatchesReference.)
 func TestCollectionBatchReused(t *testing.T) {
 	coll := makeCollection(t, 3, 8, 20, 0, 13)
-	batch := NewCollectionBatch(coll.visual)
 	ctx := coll.queryContext(1, 6)
-	ctx.Batch = batch
-	if got := ctx.collectionBatch(); got != batch {
-		t.Error("the attached batch should be the collection")
-	}
-	want, err := (RFSVM{}).Rank(ctx)
-	if err != nil {
-		t.Fatalf("batch with the slice it was built from: %v", err)
-	}
-	sameScores := func(what string) {
-		t.Helper()
-		got, err := (RFSVM{}).Rank(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: score %d = %v, want %v", what, i, got[i], want[i])
-			}
-		}
-	}
+	ctx.Batch = NewCollectionBatch(coll.visual)
 	clone := func() []linalg.Vector {
 		out := make([]linalg.Vector, len(coll.visual))
 		for i, v := range coll.visual {
@@ -174,11 +118,6 @@ func TestCollectionBatchReused(t *testing.T) {
 		}
 		return out
 	}
-	ctx.Visual = clone()
-	sameScores("an equal copy of the collection")
-	ctx.Visual = nil
-	sameScores("a batch alone")
-
 	refused := func(what string, visual []linalg.Vector) {
 		t.Helper()
 		ctx.Visual = visual
@@ -194,47 +133,6 @@ func TestCollectionBatchReused(t *testing.T) {
 		other := clone()
 		other[row][0]++
 		refused(fmt.Sprintf("the same length with another row %d", row), other)
-	}
-
-	// Without a batch, Visual is the collection, indexed for the call.
-	ctx.Batch, ctx.Visual = nil, coll.visual
-	if got := ctx.collectionBatch(); got == batch || got.Len() != len(coll.visual) {
-		t.Errorf("transient batch: %d images, want %d in a batch of its own", got.Len(), len(coll.visual))
-	}
-	sameScores("a transient batch")
-}
-
-// TestCollectionBatchGrowParity pins the copy-on-write grow path: a batch
-// grown image by image must rank bit-identically to a batch rebuilt from
-// scratch over the same collection, for every scheme.
-func TestCollectionBatchGrowParity(t *testing.T) {
-	col := makeCollection(t, 3, 10, 25, 0, 77)
-	prefix := 22
-	grown := NewCollectionBatch(col.visual[:prefix:prefix])
-	// Grow in two steps to exercise chained grows.
-	mid := col.visual[:26:26]
-	grown = grown.Grow(mid)
-	grown = grown.Grow(col.visual)
-	rebuilt := NewCollectionBatch(col.visual)
-
-	for _, scheme := range []Scheme{Euclidean{}, RFSVM{}, LRF2SVMs{}, LRFCSVM{}} {
-		ctx := col.queryContext(4, 10)
-		ctx.Batch = grown
-		got, err := scheme.Rank(ctx)
-		if err != nil {
-			t.Fatalf("%s on grown batch: %v", scheme.Name(), err)
-		}
-		ctx2 := col.queryContext(4, 10)
-		ctx2.Batch = rebuilt
-		want, err := scheme.Rank(ctx2)
-		if err != nil {
-			t.Fatalf("%s on rebuilt batch: %v", scheme.Name(), err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: score %d differs: grown %v, rebuilt %v", scheme.Name(), i, got[i], want[i])
-			}
-		}
 	}
 }
 

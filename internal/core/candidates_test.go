@@ -59,130 +59,6 @@ func subsetTopK(scores []float64, cands CandidateSet, n, k int) []Ranked {
 	return all[:k]
 }
 
-// A candidate set covering every image must reproduce the exhaustive RankTop
-// bit-for-bit, for every shard count, worker count and list grouping — the
-// exactness half of the pruned path's contract.
-func TestRankTopCandidatesFullCoverageParity(t *testing.T) {
-	coll := makeCollection(t, 4, 14, 40, 0, 5)
-	n := len(coll.visual)
-	tailStart := n - n/4
-	indexed := make([]int32, tailStart)
-	for i := range indexed {
-		indexed[i] = int32(i)
-	}
-
-	refCtx := coll.queryContext(3, 10)
-	refCtx.Workers = 1
-	want, err := Euclidean{}.RankTop(refCtx, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 2, 7} {
-		batch := NewShardedCollectionBatch(coll.visual, (n+shards-1)/shards)
-		for _, workers := range []int{1, 4} {
-			for _, groups := range []int{1, 3, 16} {
-				name := fmt.Sprintf("shards=%d workers=%d groups=%d", shards, workers, groups)
-				ctx := coll.queryContext(3, 10)
-				ctx.Workers = workers
-				ctx.Batch = batch
-				cands := CandidateSet{Lists: splitLists(indexed, groups), TailStart: tailStart}
-				got, err := Euclidean{}.RankTopCandidates(ctx, cands, 10, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: result %d = %+v, want %+v", name, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// A strict subset of candidates must come back as exactly the top k of that
-// subset under true exhaustive scores: the re-rank is exact even when the
-// candidate set is not.
-func TestRankTopCandidatesSubsetExact(t *testing.T) {
-	coll := makeCollection(t, 4, 14, 40, 0, 7)
-	n := len(coll.visual)
-	refCtx := coll.queryContext(5, 10)
-	refCtx.Workers = 1
-	scores, err := Euclidean{}.Rank(refCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := linalg.NewRNG(21)
-	tailStart := n - 6
-	var subset []int32
-	for i := 0; i < tailStart; i++ {
-		if rng.Bool(0.4) {
-			subset = append(subset, int32(i))
-		}
-	}
-	for _, shards := range []int{1, 2, 7} {
-		batch := NewShardedCollectionBatch(coll.visual, (n+shards-1)/shards)
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-			cands := CandidateSet{Lists: splitLists(subset, 4), TailStart: tailStart}
-			want := subsetTopK(scores, cands, n, 10)
-			ctx := coll.queryContext(5, 10)
-			ctx.Workers = workers
-			ctx.Batch = batch
-			got, err := Euclidean{}.RankTopCandidates(ctx, cands, 10, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: result %d = %+v, want %+v", name, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// Edge semantics: k<=0 and an empty candidate set both yield empty results;
-// TailStart<=0 with no lists degrades to the exhaustive scan.
-func TestRankTopCandidatesEdgeCases(t *testing.T) {
-	coll := makeCollection(t, 2, 8, 20, 0, 3)
-	n := len(coll.visual)
-	ctx := coll.queryContext(1, 6)
-	ctx.Workers = 1
-
-	if got, err := (Euclidean{}).RankTopCandidates(ctx, CandidateSet{TailStart: 0}, 0, nil); err != nil || len(got) != 0 {
-		t.Fatalf("k=0: got %d results, err %v", len(got), err)
-	}
-	if got, err := (Euclidean{}).RankTopCandidates(ctx, CandidateSet{TailStart: n}, 5, nil); err != nil || len(got) != 0 {
-		t.Fatalf("empty candidates: got %d results, err %v", len(got), err)
-	}
-
-	want, err := Euclidean{}.RankTop(coll.queryContext(1, 6), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := (Euclidean{}).RankTopCandidates(ctx, CandidateSet{TailStart: -1}, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("tail-only scan: %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("tail-only scan diverges at %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // passUnits returns the in-shard ranges each work unit of p scores, unit by
 // unit.
 func passUnits(p scanPass) [][][2]int {

@@ -160,15 +160,14 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (ba
 	return batch, coupled, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]), nil
 }
 
-// RankTop implements TopKRanker: steps 1-2 run exactly as in Rank, and the
+// RankTop implements Scheme: steps 1-2 run exactly as in Rank, and the
 // final retrieval pass streams through per-shard bounded selection like the
-// unlabeled selection of step 1 does. Results are bit-identical to
-// Rank + TopK.
+// unlabeled selection of step 1 does.
 func (s LRFCSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
 
-// RankTopAppend implements TopKRanker.
+// RankTopAppend implements Scheme.
 func (s LRFCSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
@@ -322,14 +321,24 @@ func (s LRFCSVMWithSelection) Name() string {
 	return fmt.Sprintf("LRF-CSVM[%s]", s.Strategy)
 }
 
-// Rank implements Scheme: the shared three steps with this variant's step-1
-// heuristic.
-func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) {
+// scorer implements rangeScored: the shared three steps with this variant's
+// step-1 heuristic.
+func (s LRFCSVMWithSelection) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
 	batch, _, final, err := trainCSVM(ctx, s.Params, s.selection())
-	if err != nil {
-		return nil, err
-	}
-	return scanScores(ctx, batch, final)
+	return batch, final, err
+}
+
+// Rank implements Scheme.
+func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
+
+// RankTop implements Scheme.
+func (s LRFCSVMWithSelection) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
+	return s.RankTopAppend(ctx, k, nil)
+}
+
+// RankTopAppend implements Scheme.
+func (s LRFCSVMWithSelection) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
+	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
 // selection resolves the strategy to a step-1 heuristic. The ablation
@@ -366,12 +375,11 @@ func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 	}
 }
 
-// Ensure the schemes satisfy the Scheme interface, and that the paper's four
-// comparison schemes all provide the streaming top-K path.
+// Ensure the schemes satisfy the Scheme interface.
 var (
-	_ Scheme     = LRFCSVMWithSelection{}
-	_ TopKRanker = Euclidean{}
-	_ TopKRanker = RFSVM{}
-	_ TopKRanker = LRF2SVMs{}
-	_ TopKRanker = LRFCSVM{}
+	_ Scheme = Euclidean{}
+	_ Scheme = RFSVM{}
+	_ Scheme = LRF2SVMs{}
+	_ Scheme = LRFCSVM{}
+	_ Scheme = LRFCSVMWithSelection{}
 )

@@ -33,31 +33,6 @@ func TestLRFCSVMRequiresLog(t *testing.T) {
 	}
 }
 
-// TestTrainCSVMDraftsUnlabeled checks steps 1-2 of Fig. 1 as every LRF-CSVM
-// ranking runs them: up to N' images drafted, each ending with a label in
-// {-1,+1}. (That no labeled image is drafted is the select-by-sort oracle's
-// to check, in select_test.go.)
-func TestTrainCSVMDraftsUnlabeled(t *testing.T) {
-	col := makeCollection(t, 4, 15, 40, 0.05, 53)
-	ctx := col.queryContext(5, 12)
-	params := CSVMParams{NumUnlabeled: 16}
-	_, coupled, _, err := trainCSVM(ctx, params, selectLogAssisted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(coupled.UnlabeledLabels); n == 0 || n > 16 {
-		t.Errorf("unlabeled count %d", n)
-	}
-	for _, y := range coupled.UnlabeledLabels {
-		if y != 1 && y != -1 {
-			t.Errorf("inferred label %v", y)
-		}
-	}
-	if coupled.RhoSteps == 0 {
-		t.Error("missing coupled diagnostics")
-	}
-}
-
 func TestLRFCSVMBeatsRFSVMWithInformativeLog(t *testing.T) {
 	// The paper's central claim: with an informative feedback log, the
 	// coupled-SVM scheme improves retrieval precision over the regular
@@ -145,122 +120,6 @@ func TestBoundaryAndRandomSelection(t *testing.T) {
 		}
 		seen[id] = true
 	}
-}
-
-func TestLRFCSVMWithSelectionStrategies(t *testing.T) {
-	col := makeCollection(t, 3, 12, 30, 0.05, 61)
-	ctx := col.queryContext(4, 10)
-	params := CSVMParams{NumUnlabeled: 10}
-	for _, strategy := range []SelectionStrategy{SelectMaxMin, SelectBoundary, SelectRandom} {
-		s := LRFCSVMWithSelection{Params: params, Strategy: strategy, RandomSeed: 7}
-		scores, err := s.Rank(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
-		}
-		if len(scores) != len(col.visual) {
-			t.Fatalf("%s: scores length %d", strategy, len(scores))
-		}
-	}
-}
-
-func TestLRFCSVMDeterministic(t *testing.T) {
-	col := makeCollection(t, 3, 12, 30, 0.05, 67)
-	ctx := col.queryContext(9, 10)
-	params := CSVMParams{NumUnlabeled: 10}
-	a, err := LRFCSVM{Params: params}.Rank(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LRFCSVM{Params: params}.Rank(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !linalg.Vector(a).Equal(linalg.Vector(b), 1e-12) {
-		t.Error("LRF-CSVM is not deterministic for identical input")
-	}
-}
-
-// TestLRFCSVMGrownSolversMatchTrainCoupled: LRF-CSVM's step 2 trains through
-// step 1's two solvers grown by the drafted points, which copy step 1's Gram
-// entries instead of computing them again. The coupled models must be
-// TrainCoupled's, with fresh solvers, on the problem TrainingProblem
-// extracts: the same counts, labels, biases and duals, to the bit. The
-// queries are at the feedback-small shape, with a labeled set that is all
-// relevant (step 1 is one-class and fills no Gram matrix, so step 2 fills its
-// own) and a fully judged collection (nothing to draft: step 2's matrix is
-// step 1's, copied).
-func TestLRFCSVMGrownSolversMatchTrainCoupled(t *testing.T) {
-	coll := makeDenseLogCollection(t, 10, 50, 1500, 29)
-	small := makeDenseLogCollection(t, 3, 10, 60, 37)
-	allRelevant := coll.queryContext(123, 30)
-	kept := allRelevant.Labeled[:0]
-	for _, ex := range allRelevant.Labeled {
-		if ex.Label > 0 {
-			kept = append(kept, ex)
-		}
-	}
-	allRelevant.Labeled = kept
-	for _, tc := range []struct {
-		name     string
-		ctx      *QueryContext
-		drafted  int
-		oneClass bool
-	}{
-		{"query 7, 20 judged", coll.queryContext(7, 20), 16, false},
-		{"query 260, 20 judged", coll.queryContext(260, 20), 16, false},
-		{"query 431, 12 judged", coll.queryContext(431, 12), 16, false},
-		{"query 123, only the relevant of 30 judged", allRelevant, 16, true},
-		{"every image judged", small.queryContext(4, 30), 0, false},
-	} {
-		if got := len(tc.ctx.Labeled); got == 0 || tc.oneClass != (got == countRelevant(tc.ctx)) {
-			t.Fatalf("%s: %d judged, %d relevant", tc.name, got, countRelevant(tc.ctx))
-		}
-		_, got, _, err := trainCSVM(tc.ctx, CSVMParams{}, selectLogAssisted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modalities, labels, initial, err := LRFCSVM{}.TrainingProblem(tc.ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := TrainCoupled(modalities, labels, initial, CoupledConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.UnlabeledLabels) != tc.drafted {
-			t.Fatalf("%s: %d drafted, want %d", tc.name, len(got.UnlabeledLabels), tc.drafted)
-		}
-		if g, w := [4]int{got.RhoSteps, got.Retrainings, got.Flips, got.SolverIterations}, [4]int{want.RhoSteps, want.Retrainings, want.Flips, want.SolverIterations}; g != w {
-			t.Errorf("%s: RhoSteps, Retrainings, Flips, SolverIterations = %v, TrainCoupled %v", tc.name, g, w)
-		}
-		for i, y := range want.UnlabeledLabels {
-			if got.UnlabeledLabels[i] != y {
-				t.Errorf("%s: unlabeled label %d is %v, TrainCoupled %v", tc.name, i, got.UnlabeledLabels[i], y)
-			}
-		}
-		for m, w := range want.Models {
-			g := got.Models[m]
-			if math.Float64bits(g.Bias) != math.Float64bits(w.Bias) || len(g.Alphas) != len(w.Alphas) {
-				t.Fatalf("%s, %s: bias %v over %d duals, TrainCoupled %v over %d", tc.name, modalities[m].Name, g.Bias, len(g.Alphas), w.Bias, len(w.Alphas))
-			}
-			for i, a := range w.Alphas {
-				if math.Float64bits(g.Alphas[i]) != math.Float64bits(a) {
-					t.Errorf("%s, %s: alpha[%d] = %v, TrainCoupled %v", tc.name, modalities[m].Name, i, g.Alphas[i], a)
-				}
-			}
-		}
-	}
-}
-
-// countRelevant counts the context's judged examples labeled relevant.
-func countRelevant(ctx *QueryContext) int {
-	n := 0
-	for _, ex := range ctx.Labeled {
-		if ex.Label > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // TestLRFCSVMWithNothingToDraftIsLRF2SVMs: when every image is judged, step 1

@@ -164,22 +164,16 @@ func (ctx *QueryContext) withLogIndex() *QueryContext {
 
 // Scheme is a retrieval scheme: it scores every image of the collection for
 // the query described by the context. Higher scores are more relevant.
+// RankTop returns the best k images in descending score order, ties broken
+// by ascending index — indices and scores bit-identical to Rank followed by
+// TopK, for any shard size and worker count — streamed through bounded
+// per-shard selection instead of one materialized score per image.
+// RankTopAppend is the allocation-free variant: it appends the same results
+// to dst (reusing dst's capacity), so a steady-state caller that recycles its
+// result buffer completes the whole ranking through pooled scratch memory.
 type Scheme interface {
 	Name() string
 	Rank(ctx *QueryContext) ([]float64, error)
-}
-
-// TopKRanker is implemented by schemes whose final scoring pass can stream
-// through bounded per-shard selection instead of materializing (and fully
-// sorting) one score per image. RankTop returns the best k images in
-// descending score order, ties broken by ascending index — indices and
-// scores bit-identical to Rank followed by TopK, for any shard size and
-// worker count. RankTopAppend is the allocation-free variant: it appends
-// the same results to dst (reusing dst's capacity), so a steady-state
-// caller that recycles its result buffer completes the whole ranking
-// through pooled scratch memory.
-type TopKRanker interface {
-	Scheme
 	RankTop(ctx *QueryContext, k int) ([]Ranked, error)
 	RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error)
 }
@@ -205,7 +199,7 @@ func rankScores[S rangeScored](s S, ctx *QueryContext) ([]float64, error) {
 }
 
 // rankTop appends the top k of the images cands names to dst:
-// TopKRanker.RankTopAppend over the zero CandidateSet.
+// Scheme.RankTopAppend over the zero CandidateSet.
 func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
 	b, fn, err := s.scorer(ctx)
 	if err != nil {
@@ -214,26 +208,7 @@ func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, d
 	return rankTopRanges(ctx, b, cands, k, dst, fn)
 }
 
-// RankTop runs the scheme's streaming top-k path when it has one and falls
-// back to the full-scores path (Rank + TopK) otherwise. Both paths return
-// the same indices and scores.
+// RankTop is s.RankTop, for callers that hold a scheme by its interface.
 func RankTop(s Scheme, ctx *QueryContext, k int) ([]Ranked, error) {
-	if tr, ok := s.(TopKRanker); ok {
-		return tr.RankTop(ctx, k)
-	}
-	scores, err := s.Rank(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rankedFromScores(scores, k), nil
-}
-
-// rankedFromScores selects the top k of a full score slice.
-func rankedFromScores(scores []float64, k int) []Ranked {
-	idx := TopK(scores, k)
-	out := make([]Ranked, len(idx))
-	for i, id := range idx {
-		out[i] = Ranked{Index: id, Score: scores[id]}
-	}
-	return out
+	return s.RankTop(ctx, k)
 }

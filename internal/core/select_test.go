@@ -141,103 +141,6 @@ func randomSelectionCase(rng *linalg.RNG, n int, covered float64, numLabeled int
 	return c
 }
 
-// TestSelectUnlabeledRangesMatchesSortOracle is the parity property of the
-// streaming step 1: for seeded random scores full of exact ties, it must
-// draft the identical index list in the identical order, with the identical
-// initial labels, as the select-by-sort oracle — for every shard size and
-// worker count, with a log-covered pool smaller than N'/2 (and empty), with
-// fewer unlabeled images than N' (and none), and with N' = 1. The order is
-// the SMO training order, so anything weaker would move trained models.
-func TestSelectUnlabeledRangesMatchesSortOracle(t *testing.T) {
-	rng := linalg.NewRNG(20240913)
-	shapes := []struct {
-		name       string
-		n          int
-		covered    float64
-		numLabeled int
-		num        int
-	}{
-		{"default", 300, 0.5, 20, 16},
-		{"odd N'", 300, 0.5, 20, 7},
-		{"N'=1", 120, 0.5, 10, 1},
-		{"log pool smaller than half", 200, 0.015, 20, 16},
-		{"no log coverage", 150, 0, 12, 16},
-		{"fewer unlabeled than N'", 30, 0.5, 21, 16},
-		{"two unlabeled", 12, 0.5, 10, 16},
-		{"nothing unlabeled", 9, 0.5, 9, 16},
-		{"N' larger than collection", 11, 0.3, 0, 64},
-	}
-	for _, shape := range shapes {
-		for rep := 0; rep < 4; rep++ {
-			c := randomSelectionCase(rng, shape.n, shape.covered, shape.numLabeled)
-			base := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled}
-			wantIdx, wantLabels := oracleSelection(base, c.combined, shape.num)
-			for _, shardSize := range []int{1, 7, 2048} {
-				batch := NewShardedCollectionBatch(c.visual, shardSize)
-				for _, workers := range []int{1, 2, 5} {
-					ctx := *base
-					ctx.Batch, ctx.Workers = batch, workers
-					gotIdx, gotLabels, err := selectUnlabeledRanges(&ctx, batch, shape.num, copyScorer(c.combined))
-					name := fmt.Sprintf("%s rep=%d shard=%d workers=%d", shape.name, rep, shardSize, workers)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !slices.Equal(gotIdx, wantIdx) {
-						t.Fatalf("%s: drafted %v, oracle %v", name, gotIdx, wantIdx)
-					}
-					if !slices.Equal(gotLabels, wantLabels) {
-						t.Fatalf("%s: initial labels %v, oracle %v", name, gotLabels, wantLabels)
-					}
-					if got := batch.leased.Load(); got != 0 {
-						t.Fatalf("%s: %d scratch arenas not returned", name, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTrainingProblemMatchesSortOracle pins the whole step 1 — real initial
-// models over a collection where every descriptor and log column occurs
-// twice, so every score ties exactly with its duplicate's — to the oracle fed
-// with the materialized scores of the same models.
-func TestTrainingProblemMatchesSortOracle(t *testing.T) {
-	coll := makeCollection(t, 4, 14, 40, 0, 5)
-	coll.visual = append(coll.visual, coll.visual...)
-	coll.logVectors = append(coll.logVectors, coll.logVectors...)
-	coll.labels = append(coll.labels, coll.labels...)
-	for _, shardSize := range []int{1, 7, 2048} {
-		batch := NewShardedCollectionBatch(coll.visual, shardSize)
-		for _, workers := range []int{1, 2, 5} {
-			ctx := coll.queryContext(3, 10)
-			ctx.Batch, ctx.Workers = batch, workers
-			p := CSVMParams{}.withDefaults()
-			var gotIdx, wantIdx []int
-			var wantLabels []float64
-			_, _, gotLabels, _, err := trainingProblem(ctx, batch, p,
-				func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-					combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
-					if err != nil {
-						return nil, nil, err
-					}
-					wantIdx, wantLabels = oracleSelection(ctx, combined, num)
-					idx, labels, err := selectLogAssisted(ctx, batch, visualInit, logInit, num)
-					gotIdx = idx
-					return idx, labels, err
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantIdx) != p.NumUnlabeled {
-				t.Fatalf("oracle drafted %d images, want %d", len(wantIdx), p.NumUnlabeled)
-			}
-			if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(gotLabels, wantLabels) {
-				t.Fatalf("shard=%d workers=%d: drafted %v %v, oracle %v %v", shardSize, workers, gotIdx, gotLabels, wantIdx, wantLabels)
-			}
-		}
-	}
-}
-
 // passSinks names the three things a driver pass can keep.
 var passSinks = []string{"scores", "top-K", "unlabeled"}
 

@@ -1,124 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
 	"lrfcsvm/internal/sparse"
 )
-
-// TestRankTopShardedParity is the acceptance parity test of the sharded
-// streaming query path: for all four schemes of the paper's comparison, for
-// every shard count in {1, 2, 7} and worker count in {1, 4}, RankTop must
-// return exactly the indices and bit-identical scores of the pre-refactor
-// full-sort path (full Rank on a single-shard batch followed by a stable
-// descending argsort).
-func TestRankTopShardedParity(t *testing.T) {
-	coll := makeCollection(t, 4, 14, 40, 0, 5)
-	n := len(coll.visual)
-	schemes := []TopKRanker{Euclidean{}, RFSVM{}, LRF2SVMs{}, LRFCSVM{}}
-
-	for _, scheme := range schemes {
-		// Reference: the pre-refactor path — every score materialized on a
-		// single-shard batch, ranked by full stable argsort.
-		refCtx := coll.queryContext(3, 10)
-		refCtx.Workers = 1
-		refCtx.Batch = NewShardedCollectionBatch(coll.visual, n)
-		refScores, err := scheme.Rank(refCtx)
-		if err != nil {
-			t.Fatalf("%s reference Rank: %v", scheme.Name(), err)
-		}
-
-		for _, shards := range []int{1, 2, 7} {
-			shardSize := (n + shards - 1) / shards
-			batch := NewShardedCollectionBatch(coll.visual, shardSize)
-			if got := batch.VisualSet().NumShards(); got != shards {
-				t.Fatalf("shard size %d over %d images yields %d shards, want %d", shardSize, n, got, shards)
-			}
-			for _, workers := range []int{1, 4} {
-				for _, k := range []int{1, 10, n} {
-					name := fmt.Sprintf("%s shards=%d workers=%d k=%d", scheme.Name(), shards, workers, k)
-					wantIdx := argsortTopK(refScores, k)
-					ctx := coll.queryContext(3, 10)
-					ctx.Workers = workers
-					ctx.Batch = batch
-					got, err := scheme.RankTop(ctx, k)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if len(got) != len(wantIdx) {
-						t.Fatalf("%s: %d results, want %d", name, len(got), len(wantIdx))
-					}
-					for i, r := range got {
-						if r.Index != wantIdx[i] {
-							t.Fatalf("%s: result %d is image %d, want %d", name, i, r.Index, wantIdx[i])
-						}
-						if r.Score != refScores[r.Index] {
-							t.Fatalf("%s: result %d score %v, want bit-identical %v", name, i, r.Score, refScores[r.Index])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRankTopFallback verifies core.RankTop on a scheme without a streaming
-// path (the ablation-only selection variant) falls back to Rank + TopK with
-// identical results.
-func TestRankTopFallback(t *testing.T) {
-	coll := makeCollection(t, 3, 10, 30, 0, 9)
-	scheme := LRFCSVMWithSelection{Strategy: SelectMaxMin}
-	if _, ok := Scheme(scheme).(TopKRanker); ok {
-		t.Fatal("test premise broken: LRFCSVMWithSelection grew a RankTop; pick another fallback scheme")
-	}
-	ctx := coll.queryContext(2, 8)
-	ctx.Workers = 1
-	scores, err := scheme.Rank(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := argsortTopK(scores, 7)
-	ctx2 := coll.queryContext(2, 8)
-	ctx2.Workers = 1
-	got, err := RankTop(scheme, ctx2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i, r := range got {
-		if r.Index != want[i] || r.Score != scores[want[i]] {
-			t.Fatalf("result %d = %+v, want index %d score %v", i, r, want[i], scores[want[i]])
-		}
-	}
-}
-
-// TestRankTopEdgeCases covers k <= 0 and k beyond the collection.
-func TestRankTopEdgeCases(t *testing.T) {
-	coll := makeCollection(t, 2, 6, 20, 0, 3)
-	ctx := coll.queryContext(1, 6)
-	if got, err := (Euclidean{}).RankTop(ctx, 0); err != nil || len(got) != 0 {
-		t.Fatalf("k=0: got %d results, err %v", len(got), err)
-	}
-	if got, err := (Euclidean{}).RankTop(ctx, -3); err != nil || len(got) != 0 {
-		t.Fatalf("k<0: got %d results, err %v", len(got), err)
-	}
-	got, err := (Euclidean{}).RankTop(ctx, 10*len(coll.visual))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(coll.visual) {
-		t.Fatalf("k>n: got %d results, want %d", len(got), len(coll.visual))
-	}
-	// The query itself must rank first under Euclidean similarity.
-	if got[0].Index != ctx.Query {
-		t.Fatalf("top result is %d, want the query %d", got[0].Index, ctx.Query)
-	}
-}
 
 // TestStreamRankingAllocations pins the allocation contract of the streaming
 // top-K path, the one property of it no parity test sees: with a recycled

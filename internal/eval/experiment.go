@@ -255,7 +255,9 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 					// of multiplying the two levels.
 					ctx.Workers = 1
 				}
-				scores, err := scheme.Rank(ctx)
+				// The strict (score, index) order makes every cutoff's top k a
+				// prefix of the deepest one's, so one ranking serves them all.
+				ranked, err := scheme.RankTopAppend(ctx, cutoffs[len(cutoffs)-1], nil)
 				if err != nil {
 					errs[qi] = err
 					continue
@@ -263,7 +265,7 @@ func (e *Experiment) RunScheme(scheme core.Scheme, queries []int) (Row, error) {
 				relevant := e.Relevant(q)
 				precisions[qi] = make([]float64, len(cutoffs))
 				for ci, k := range cutoffs {
-					precisions[qi][ci] = PrecisionAt(scores, relevant, k)
+					precisions[qi][ci] = PrecisionAt(ranked, relevant, k)
 				}
 			}
 		}()

@@ -227,11 +227,11 @@ type failsOn struct {
 	queries map[int]bool
 }
 
-func (f failsOn) Rank(ctx *core.QueryContext) ([]float64, error) {
+func (f failsOn) RankTopAppend(ctx *core.QueryContext, k int, dst []core.Ranked) ([]core.Ranked, error) {
 	if f.queries[ctx.Query] {
 		return nil, fmt.Errorf("no ranking for query %d", ctx.Query)
 	}
-	return f.Euclidean.Rank(ctx)
+	return f.Euclidean.RankTopAppend(ctx, k, dst)
 }
 
 // TestRunFailsWhenAnyQueryFails: a table row is the mean over every query in

@@ -17,23 +17,22 @@ var Cutoffs = []int{20, 30, 40, 50, 60, 70, 80, 90, 100}
 
 // PrecisionAt computes the paper's Average Precision metric for one query at
 // one cutoff: the number of relevant images among the top-k ranked images
-// divided by k. relevant[i] reports whether image i shares the query's
-// semantic category.
-func PrecisionAt(scores []float64, relevant []bool, k int) float64 {
+// divided by k, read off ranked, a ranking best first (a Scheme.RankTop
+// result). A ranking shorter than k — the whole collection is fewer images —
+// counts over what it has. relevant[i] reports whether image i shares the
+// query's semantic category.
+func PrecisionAt(ranked []core.Ranked, relevant []bool, k int) float64 {
+	k = min(k, len(ranked))
 	if k <= 0 {
 		return 0
 	}
-	top := core.TopK(scores, k)
-	if len(top) == 0 {
-		return 0
-	}
 	count := 0
-	for _, idx := range top {
-		if relevant[idx] {
+	for _, r := range ranked[:k] {
+		if relevant[r.Index] {
 			count++
 		}
 	}
-	return float64(count) / float64(len(top))
+	return float64(count) / float64(k)
 }
 
 // MeanAveragePrecision is the paper's MAP row: the mean of the precision

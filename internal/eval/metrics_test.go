@@ -5,25 +5,36 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lrfcsvm/internal/core"
 )
+
+// ranked is the ranking of every image by its score, best first.
+func ranked(scores []float64) []core.Ranked {
+	out := make([]core.Ranked, 0, len(scores))
+	for _, i := range core.TopK(scores, len(scores)) {
+		out = append(out, core.Ranked{Index: i, Score: scores[i]})
+	}
+	return out
+}
 
 func TestPrecisionAt(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.7, 0.6, 0.5}
 	relevant := []bool{true, false, true, true, false}
-	if got := PrecisionAt(scores, relevant, 1); got != 1 {
+	if got := PrecisionAt(ranked(scores), relevant, 1); got != 1 {
 		t.Errorf("P@1 = %v", got)
 	}
-	if got := PrecisionAt(scores, relevant, 2); got != 0.5 {
+	if got := PrecisionAt(ranked(scores), relevant, 2); got != 0.5 {
 		t.Errorf("P@2 = %v", got)
 	}
-	if got := PrecisionAt(scores, relevant, 5); got != 0.6 {
+	if got := PrecisionAt(ranked(scores), relevant, 5); got != 0.6 {
 		t.Errorf("P@5 = %v", got)
 	}
 	// k beyond the collection size uses the whole collection.
-	if got := PrecisionAt(scores, relevant, 50); got != 0.6 {
+	if got := PrecisionAt(ranked(scores), relevant, 50); got != 0.6 {
 		t.Errorf("P@50 = %v", got)
 	}
-	if got := PrecisionAt(scores, relevant, 0); got != 0 {
+	if got := PrecisionAt(ranked(scores), relevant, 0); got != 0 {
 		t.Errorf("P@0 = %v", got)
 	}
 }
@@ -31,7 +42,7 @@ func TestPrecisionAt(t *testing.T) {
 func TestPrecisionCurveAndMAP(t *testing.T) {
 	scores := []float64{5, 4, 3, 2, 1, 0}
 	relevant := []bool{true, true, false, false, true, false}
-	curve := []float64{PrecisionAt(scores, relevant, 1), PrecisionAt(scores, relevant, 2), PrecisionAt(scores, relevant, 4)}
+	curve := []float64{PrecisionAt(ranked(scores), relevant, 1), PrecisionAt(ranked(scores), relevant, 2), PrecisionAt(ranked(scores), relevant, 4)}
 	want := []float64{1, 1, 0.5}
 	for i := range want {
 		if math.Abs(curve[i]-want[i]) > 1e-12 {
@@ -57,7 +68,7 @@ func TestPropertyPrecisionBounds(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(len(raw) - i)
 		}
-		p := PrecisionAt(scores, raw, len(raw))
+		p := PrecisionAt(ranked(scores), raw, len(raw))
 		return p >= 0 && p <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

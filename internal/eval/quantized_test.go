@@ -7,24 +7,6 @@ import (
 	"lrfcsvm/internal/core"
 )
 
-// rankedPrecisionAt computes precision@k directly from a ranked index list,
-// so the exact and quantized lanes are scored by the same rule.
-func rankedPrecisionAt(ranked []core.Ranked, relevant []bool, k int) float64 {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k <= 0 {
-		return 0
-	}
-	hits := 0
-	for _, r := range ranked[:k] {
-		if relevant[r.Index] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
 // TestQuantizedLaneRecallAndMAP is the accuracy gate of the int8 scan lane on
 // the golden evaluation profile: at the default oversample the quantized
 // top-20 must recover >= 99% of the exact Euclidean top-20 averaged over the
@@ -65,8 +47,8 @@ func TestQuantizedLaneRecallAndMAP(t *testing.T) {
 		recallSum += RecallAtK(oracle, approx, 20)
 		relevant := exp.Relevant(q)
 		for ci, k := range cutoffs {
-			exactSums[ci] += rankedPrecisionAt(exact, relevant, k)
-			quantSums[ci] += rankedPrecisionAt(quant, relevant, k)
+			exactSums[ci] += PrecisionAt(exact, relevant, k)
+			quantSums[ci] += PrecisionAt(quant, relevant, k)
 		}
 	}
 	n := float64(len(queries))

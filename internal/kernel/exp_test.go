@@ -146,88 +146,6 @@ func checkExp(t *testing.T, k dotKernels, buf, orig, want []float64, off, n int)
 	}
 }
 
-// TestExpLanesBitParity pins every backend's exp to element-wise expOne:
-// every slice length through two tiles and every tail, at every start offset
-// into the backing array (so no alignment is assumed), with out-of-window
-// arguments sprinkled in and with each special value at each lane of the
-// first, a middle and the last quad — the quads the assembly must stop in
-// front of and resume after. The sentinels around the slice must survive.
-func TestExpLanesBitParity(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(42))
-	kernels := kernelsUnderTest()
-	const maxLen = 2*rbfBlockRows + 3
-	const pad = 4
-	orig := make([]float64, pad+3+maxLen+pad)
-	want := make([]float64, len(orig))
-	buf := make([]float64, len(orig))
-	for n := 0; n <= maxLen; n++ {
-		for off := pad; off < pad+4; off++ {
-			for i := range orig {
-				switch rng.Intn(8) {
-				case 0:
-					orig[i] = rng.Float64()*1500 - 760 // some outside the window
-				default:
-					orig[i] = -60 * rng.Float64() // where -gamma*d^2 lives
-				}
-				want[i] = expOne(orig[i])
-			}
-			for _, k := range kernels {
-				checkExp(t, k, buf[:off+n+pad], orig[:off+n+pad], want, off, n)
-			}
-			quads := n / 4
-			for _, q := range []int{0, quads / 2, quads - 1} {
-				if q < 0 || q >= quads {
-					continue
-				}
-				for lane := 0; lane < 4; lane++ {
-					at := off + 4*q + lane
-					x, w := orig[at], want[at]
-					for _, s := range expSpecials {
-						orig[at], want[at] = s, expOne(s)
-						for _, k := range kernels {
-							checkExp(t, k, buf[:off+n+pad], orig[:off+n+pad], want, off, n)
-						}
-					}
-					orig[at], want[at] = x, w
-				}
-			}
-		}
-	}
-}
-
-// TestExpSweepMatchesExpOne walks the whole window, and again the range
-// -gamma*d^2 lives in, in steps no power of two divides, and requires every
-// backend's exp to equal expOne there to the bit.
-func TestExpSweepMatchesExpOne(t *testing.T) {
-	t.Parallel()
-	kernels := kernelsUnderTest()
-	const chunk = 4096
-	xs := make([]float64, chunk)
-	got := make([]float64, chunk)
-	for _, sweep := range []struct{ lo, hi, step float64 }{
-		{-expWindow, expWindow, 0.00099731},
-		{-60, 0, 0.000099731},
-	} {
-		for x := sweep.lo; x <= sweep.hi; {
-			n := 0
-			for ; n < chunk && x <= sweep.hi; n++ {
-				xs[n] = x
-				x += sweep.step
-			}
-			for _, k := range kernels {
-				copy(got, xs[:n])
-				k.exp(got[:n])
-				for i := 0; i < n; i++ {
-					if w := expOne(xs[i]); math.Float64bits(got[i]) != math.Float64bits(w) {
-						t.Fatalf("%s exp(%.17g) = %.17g, expOne = %.17g", k.name, xs[i], got[i], w)
-					}
-				}
-			}
-		}
-	}
-}
-
 // FuzzExp holds the accuracy and delegation contracts under fuzzing: inside
 // the window the fast path stays within the ULP bound of math.Exp; outside
 // it is math.Exp bit-for-bit; and every backend's exp is expOne on two quads

@@ -34,12 +34,12 @@ func identicalSets(t *testing.T, got, want *ShardedSet) {
 			t.Fatalf("shard %d shape differs: got %dx%d, want %dx%d", si, g.Len(), g.Dim(), w.Len(), w.Dim())
 		}
 		for i, x := range g.mat.Data {
-			if x != w.mat.Data[i] {
+			if !sameBits(x, w.mat.Data[i]) {
 				t.Fatalf("shard %d data[%d] = %v, want %v", si, i, x, w.mat.Data[i])
 			}
 		}
 		for i, x := range g.norms {
-			if x != w.norms[i] {
+			if !sameBits(x, w.norms[i]) {
 				t.Fatalf("shard %d norm[%d] = %v, want %v", si, i, x, w.norms[i])
 			}
 		}

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"lrfcsvm/internal/linalg"
@@ -105,207 +104,6 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 		v.Set(rng.Intn(dim), x)
 	}
 	return v
-}
-
-// testLinearAccumulateSessionsAtWorkloadShapes is the seeded half of
-// TestLinearAccumulateSessionsMatchesPerSV: models and collections shaped
-// like the benchmark's log modality — a few thousand sessions, one to 64
-// support vectors of which one is repeated and one has no entry, rows from 60
-// entries down to mostly none, collections from one row to a scan range, the
-// index over all of them or over all but a tail of images no session judged —
-// scored by four goroutines at once through one shared index, each cutting
-// the rows into ranges of its own, every score bit-equal to the per-SV pass.
-func testLinearAccumulateSessionsAtWorkloadShapes(t *testing.T) {
-	rng := linalg.NewRNG(24)
-	for trial := 0; trial < 6; trial++ {
-		dim := 1500 + rng.Intn(2001)
-		nsv := 2 + rng.Intn(63)
-		if trial == 1 {
-			nsv = 1
-		}
-		unit := trial%2 == 0
-		svs := make([]Point, nsv)
-		for i := range svs {
-			svs[i] = NewSparse(logLikeVector(rng, dim, 60, unit))
-		}
-		if nsv > 1 {
-			svs[rng.Intn(nsv)] = NewSparse(sparse.New(dim))
-		}
-		if nsv > 2 {
-			svs[nsv-1] = svs[0]
-		}
-		coefs := make([]float64, nsv)
-		for i := range coefs {
-			coefs[i] = rng.Range(-1, 1)
-			if trial%3 == 0 {
-				coefs[i] = -math.Abs(coefs[i]) // a zero sum of these is -0
-			}
-		}
-		for _, mean := range []float64{60, 4, 0.8} {
-			for _, rows := range []int{1, 3, 2048} {
-				ys := make([]Point, rows)
-				for j := range ys {
-					ys[j] = NewSparse(logLikeVector(rng, dim, mean, unit))
-				}
-				ix := NewSparseSVIndex(ys)
-				if rows > 1 && trial%2 == 1 {
-					// The last images were ingested after the last session.
-					judged := rows - 1 - rng.Intn(rows/2+1)
-					for j := judged; j < rows; j++ {
-						ys[j] = NewSparse(sparse.New(dim))
-					}
-					ix = NewSparseSVIndex(ys[:judged])
-				}
-				for _, bias := range []float64{0, math.Copysign(0, -1), 0.37} {
-					label := fmt.Sprintf("trial %d: dim %d, %d SVs, %d rows of ~%v entries, bias %v (signbit %v)",
-						trial, dim, nsv, rows, mean, bias, math.Signbit(bias))
-					dst0 := make([]float64, rows)
-					for j := range dst0 {
-						dst0[j] = bias
-					}
-					want := append([]float64(nil), dst0...)
-					perSVAccumulate(coefs, svs, ys, want)
-					// Every worker scores the whole collection into a
-					// destination of its own: what they share is the index.
-					var wg sync.WaitGroup
-					got := make([][]float64, 4)
-					errs := make([]error, 4)
-					for w := range got {
-						ranges := splitRanges(rng, rows, 1+w*700)
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							got[w], errs[w] = scoreBySessions(coefs, svs, ix, dst0, ranges)
-						}()
-					}
-					wg.Wait()
-					for w := range got {
-						if errs[w] != nil {
-							t.Fatalf("%s, worker %d: %v", label, w, errs[w])
-						}
-						checkParity(t, fmt.Sprintf("%s, worker %d", label, w), got[w], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// testLinearAccumulateSessionsSpecialValues draws 3,000 small models and
-// collections whose values hold every sign of zero: entries of ±0 (which
-// sparse.Vector.Set would drop), coefficients of ±0, duplicate support
-// vectors and ones without an entry, destinations holding +0, -0, ±Inf, NaN
-// and plain values side by side, logs of no session at all, and ranges cut
-// anywhere — every score bit-equal to the per-SV pass.
-func testLinearAccumulateSessionsSpecialValues(t *testing.T) {
-	rng := linalg.NewRNG(30)
-	values := []float64{1, -1, 0.5, -2.25, 1.0 / 7, 0, math.Copysign(0, -1)}
-	dsts := []float64{0, math.Copysign(0, -1), 0.25, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
-	vector := func(dim int) Point {
-		v := sparse.New(dim)
-		for i := 0; i < dim; i++ {
-			if rng.Float64() < 0.4 {
-				v.Entries = append(v.Entries, sparse.Entry{Index: i, Value: values[rng.Intn(len(values))]})
-			}
-		}
-		return NewSparse(v)
-	}
-	for trial := 0; trial < 3000; trial++ {
-		dim := rng.Intn(9)
-		nsv := rng.Intn(6)
-		svs := make([]Point, nsv)
-		coefs := make([]float64, nsv)
-		for i := range svs {
-			svs[i] = vector(dim)
-			if i > 0 && rng.Float64() < 0.2 {
-				svs[i] = svs[rng.Intn(i)]
-			}
-			coefs[i] = values[rng.Intn(len(values))]
-		}
-		rows := 1 + rng.Intn(24)
-		ys := make([]Point, rows)
-		for j := range ys {
-			ys[j] = vector(dim)
-		}
-		ix := NewSparseSVIndex(ys)
-		if dim == 0 {
-			ix = (*SparseSVIndex)(nil).Extend(nil) // a log of no session
-		}
-		dst0 := make([]float64, rows)
-		for j := range dst0 {
-			dst0[j] = 0.25
-			if rng.Float64() < 0.3 {
-				dst0[j] = dsts[rng.Intn(len(dsts))]
-			}
-		}
-		label := fmt.Sprintf("trial %d: dim %d, %d SVs, coefficients %v, %d rows, dst %v", trial, dim, nsv, coefs, rows, dst0)
-		checkSessionsMatchPerSV(t, label, coefs, svs, ys, ix, dst0, splitRanges(rng, rows, 1+rng.Intn(rows)))
-	}
-}
-
-// testLinearAccumulateSessionsOddSupportVectors pins the refusal of a model
-// the index cannot score: a support vector that is dense, or sparse of
-// another dimension than the log's. The call must leave dst and row as they
-// were, for the per-SV pass to take over.
-func testLinearAccumulateSessionsOddSupportVectors(t *testing.T) {
-	const dim = 40
-	rng := linalg.NewRNG(7)
-	ys := make([]Point, 9)
-	for j := range ys {
-		ys[j] = NewSparse(logLikeVector(rng, dim, 6, true))
-	}
-	ix := NewSparseSVIndex(ys)
-	coefs := []float64{0.5, -1, 0.25, -0.75, 1}
-	for name, odd := range map[string]Point{
-		"another dimension": NewSparse(logLikeVector(rng, dim+3, 6, true)),
-		"dense":             Dense(make(linalg.Vector, dim)),
-	} {
-		svs := make([]Point, len(coefs))
-		for i := range svs {
-			svs[i] = NewSparse(logLikeVector(rng, dim, 6, true))
-		}
-		svs[2] = odd
-		want := []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25}
-		got := append([]float64(nil), want...)
-		var row []float64
-		if ok, err := accumulateRange(coefs, svs, ix, 0, len(ys), got, &row); ok || err != nil {
-			t.Errorf("%s support vector: accepted %v, %v", name, ok, err)
-		}
-		checkParity(t, name+" support vector (refused)", got, want)
-	}
-	var row []float64
-	if ok, err := accumulateRange(coefs[:1], ys[:1], nil, 0, 3, make([]float64, 3), &row); ok || err != nil {
-		t.Errorf("no index: accepted %v, %v", ok, err)
-	}
-}
-
-// testLinearAccumulateSessionsNonFiniteCoefficients pins the refusal of a
-// model with a coefficient that is not finite. The per-SV pass turns a row's
-// +0 dot times ±Inf or NaN into NaN, which the skipped rows would not: the
-// accumulate must decline, leaving dst to that pass.
-func testLinearAccumulateSessionsNonFiniteCoefficients(t *testing.T) {
-	const dim = 40
-	rng := linalg.NewRNG(5)
-	svs := []Point{NewSparse(logLikeVector(rng, dim, 6, true)), NewSparse(logLikeVector(rng, dim, 6, true))}
-	ys := make([]Point, 4)
-	for j := range ys {
-		ys[j] = NewSparse(sparse.New(dim))
-	}
-	ys[1] = NewSparse(logLikeVector(rng, dim, 6, true))
-	ix := NewSparseSVIndex(ys)
-	for _, coefs := range [][]float64{{math.Inf(1), 0.5}, {0.5, math.Inf(-1)}, {math.NaN(), 0.5}} {
-		want := []float64{0.25, 0.25, 0.25, 0.25}
-		got := append([]float64(nil), want...)
-		var row []float64
-		if ok, err := accumulateRange(coefs, svs, ix, 0, len(ys), got, &row); ok || err != nil {
-			t.Errorf("coefficients %v: accepted %v, %v", coefs, ok, err)
-		}
-		checkParity(t, fmt.Sprintf("coefficients %v (refused)", coefs), got, want)
-		perSVAccumulate(coefs, svs, ys, want)
-		if !math.IsNaN(want[0]) {
-			t.Errorf("coefficients %v: the per-SV pass gives %v on an empty row, want NaN", coefs, want[0])
-		}
-	}
 }
 
 // FuzzLinearAccumulateSessions builds a small sparse model and collection
