@@ -29,6 +29,13 @@ func main() {
 		out        = flag.String("out", "dataset-out", "output directory")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first non-flag: every flag after it would
+		// be ignored.
+		fmt.Fprintf(os.Stderr, "datasetgen: unexpected argument %q: every input is a flag, and none after it was read\n", flag.Arg(0))
+		fmt.Fprintln(os.Stderr, "usage: datasetgen [flags] (datasetgen -h lists them)")
+		os.Exit(2)
+	}
 
 	spec := dataset.Spec{
 		Categories:        *categories,

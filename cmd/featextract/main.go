@@ -30,6 +30,13 @@ func main() {
 		out        = flag.String("out", "features.bin", "output feature store")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first non-flag: every flag after it would
+		// be ignored.
+		fmt.Fprintf(os.Stderr, "featextract: unexpected argument %q: every input is a flag, and none after it was read\n", flag.Arg(0))
+		fmt.Fprintln(os.Stderr, "usage: featextract [flags] (featextract -h lists them)")
+		os.Exit(2)
+	}
 
 	gen, err := dataset.NewGenerator(dataset.Spec{
 		Categories:        *categories,

@@ -16,12 +16,10 @@ import (
 // reason. An entry that a program sets, or that names no field, fails the
 // test.
 var keptFields = map[string]string{
-	"internal/svm.Config.MaxIterations":            "safety code: the bound that stops a solver that does not converge; the KKT suite lowers it to reach the not-converged return",
-	"internal/storage.JournalOptions.RetryAppends": "fault handling the server does not enable (README), exercised by internal/storage/fault_test.go; whether it should is a robustness decision of its own. bench/ does not pin it: it opens its journals without the option and reads only the counter JournalStats.AppendRetries (replay.go), which a PR deleting the option can leave in place",
-	"internal/storage.JournalOptions.RetryBackoff": "the wait of RetryAppends' loop, kept with it",
-	"internal/storage.JournalOptions.WrapFile":     "the fault-injection seam: internal/faultinject interposes failing writes and fsyncs through it, which no program may",
-	"internal/kernel.CentroidConfig.Clusters":      "the serving lane that set it is gone (PR 21) and bench/ builds its index with CentroidConfig{}; it waits with the rest of kernel/ivf.go, whose tests and TestANNRecallMatrix's narrow row set it, until bench/ stops building that index",
-	"internal/eval.Config.LabeledPerQuery":         "20 in both paper profiles, but the golden MAPs of internal/eval were recorded judging 15 images per query: deleting it re-pins them",
+	"internal/svm.Config.MaxIterations":        "safety code: the bound that stops a solver that does not converge; the KKT suite lowers it to reach the not-converged return",
+	"internal/storage.JournalOptions.WrapFile": "the fault-injection seam: internal/faultinject interposes failing writes and fsyncs through it, which no program may",
+	"internal/kernel.CentroidConfig.Clusters":  "the serving lane that set it is gone and bench/ builds its index with CentroidConfig{}; it waits with the rest of kernel/ivf.go, whose tests and TestANNRecallMatrix's narrow row set it, until bench/ stops building that index",
+	"internal/eval.Config.LabeledPerQuery":     "20 in both paper profiles, but the golden MAPs of internal/eval were recorded judging 15 images per query: deleting it re-pins them",
 }
 
 // isOptionType reports whether a named type of the module is one that

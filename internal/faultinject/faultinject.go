@@ -3,9 +3,8 @@
 // waiting for real disks to misbehave. An Injector wraps an *os.File into
 // a File that counts write, fsync and truncate operations and fails the
 // ones a Plan names: a clean write error on the Nth write, a torn (short)
-// write that leaves a partial record on disk, an fsync error window, a
-// failing truncate (which poisons the journal's rollback), and injected
-// latency before every write.
+// write that leaves a partial record on disk, an fsync error window, and a
+// failing truncate (which poisons the journal's rollback).
 //
 // The wrapper's method set structurally satisfies storage.File, so a test
 // wires it in with storage.JournalOptions.WrapFile without this package
@@ -13,10 +12,8 @@
 // the import would be a cycle).
 //
 // Faults are deterministic by construction — plans name operation indices,
-// not probabilities. The probabilistic mode (WriteFailEvery) drives a
-// plain counter, so a given plan always fails the same operations in the
-// same order regardless of scheduling; Seed is reserved for future
-// randomized plans and recorded so failures reproduce.
+// not probabilities — so a given plan always fails the same operations in
+// the same order.
 package faultinject
 
 import (
@@ -24,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 )
 
 // ErrInjected marks every fault this package produces. Tests assert with
@@ -36,10 +32,6 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // count per wrapped file, writes (Write and WriteAt combined), fsyncs and
 // truncates separately. The zero Plan injects nothing.
 type Plan struct {
-	// Seed labels the plan for reproduction; deterministic plans do not
-	// consume it, but it travels with failure reports.
-	Seed int64
-
 	// FailWrites lists write indices that fail cleanly: no bytes reach the
 	// file and the call returns ErrInjected.
 	FailWrites []int
@@ -50,15 +42,9 @@ type Plan struct {
 	// are clamped.
 	TornWrites map[int]int
 
-	// WriteFailEvery, when >0, fails every Nth write (in addition to the
-	// explicit lists above) — a cheap way to model a persistently flaky
-	// device without enumerating indices.
-	WriteFailEvery int
-
 	// FailSyncFrom / FailSyncCount open a window of consecutive fsync
 	// failures: syncs FailSyncFrom through FailSyncFrom+FailSyncCount-1
-	// (1-based) return ErrInjected, later ones succeed — the transient
-	// fsync fault the journal's retry loop must absorb. FailSyncCount <= 0
+	// (1-based) return ErrInjected, later ones succeed. FailSyncCount <= 0
 	// with FailSyncFrom > 0 means every sync from that point fails.
 	FailSyncFrom  int
 	FailSyncCount int
@@ -67,10 +53,6 @@ type Plan struct {
 	// journal's rollback path, which poisons the journal when it cannot
 	// restore the pre-append size.
 	FailTruncates []int
-
-	// WriteLatency is slept before every write, modeling a slow device so
-	// deadline and cancellation paths can race real work.
-	WriteLatency time.Duration
 }
 
 // Injector applies one Plan to the files it wraps. All wrapped files share
@@ -124,16 +106,10 @@ func (in *Injector) Wrap(f *os.File) *File {
 
 // checkWrite advances the write counter and reports how many of n bytes
 // the write may pass through: n (no fault), a clamped torn length, or an
-// error for a clean failure. The latency sleep happens here, outside the
-// counter lock's critical section concerns (the mutex is held only for
-// bookkeeping; sleeping under it is fine for a test harness and keeps the
-// op order deterministic).
+// error for a clean failure.
 func (in *Injector) checkWrite(n int) (int, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.plan.WriteLatency > 0 {
-		time.Sleep(in.plan.WriteLatency)
-	}
 	in.writes++
 	idx := in.writes
 	if torn, ok := in.plan.TornWrites[idx]; ok {
@@ -148,10 +124,6 @@ func (in *Injector) checkWrite(n int) (int, error) {
 			in.injected++
 			return 0, fmt.Errorf("%w: write %d", ErrInjected, idx)
 		}
-	}
-	if every := in.plan.WriteFailEvery; every > 0 && idx%every == 0 {
-		in.injected++
-		return 0, fmt.Errorf("%w: write %d (every %d)", ErrInjected, idx, every)
 	}
 	return n, nil
 }
@@ -204,9 +176,6 @@ func (f *File) Seek(offset int64, whence int) (int64, error) { return f.f.Seek(o
 
 // Stat passes through to the underlying file.
 func (f *File) Stat() (os.FileInfo, error) { return f.f.Stat() }
-
-// Name passes through to the underlying file.
-func (f *File) Name() string { return f.f.Name() }
 
 // Close passes through to the underlying file.
 func (f *File) Close() error { return f.f.Close() }

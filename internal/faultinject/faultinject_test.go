@@ -99,17 +99,3 @@ func TestSetPlanResetsCounters(t *testing.T) {
 		t.Fatal("re-armed fault did not fire at the reset index")
 	}
 }
-
-func TestWriteFailEvery(t *testing.T) {
-	in := New(Plan{WriteFailEvery: 3})
-	f := in.Wrap(tempFile(t))
-	failed := 0
-	for i := 0; i < 9; i++ {
-		if _, err := f.Write([]byte("x")); err != nil {
-			failed++
-		}
-	}
-	if failed != 3 {
-		t.Fatalf("%d of 9 writes failed, want every 3rd", failed)
-	}
-}

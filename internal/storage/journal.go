@@ -60,6 +60,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -162,30 +163,15 @@ type JournalOptions struct {
 	// double-applied. 0 means the base state predates the journal (a fresh
 	// import), so everything replays.
 	SnapshotSeq uint64
-	// RetryAppends is how many additional attempts a failed record write
-	// or fsync gets before the append fails for good. Each retry first
-	// rolls the partial group back out (so the file is exactly its
-	// pre-append state) and waits RetryBackoff, doubling per attempt — a
-	// transient fault (ENOSPC racing a cleanup, a flaky fsync) recovers
-	// with the record durable exactly once, while a persistent fault still
-	// fails the request with the journal rolled back. 0 disables retries.
-	RetryAppends int
-	// RetryBackoff is the wait before the first retry; <=0 selects
-	// DefaultRetryBackoff. Doubled on each subsequent attempt.
-	RetryBackoff time.Duration
 	// WrapFile optionally wraps the journal's backing file handle (and the
 	// staged file of every compaction) before use; the fault-injection
 	// harness uses it to interpose failing writes, torn writes, fsync
-	// errors and latency. Nil uses the plain *os.File.
+	// errors and failing truncates. Nil uses the plain *os.File.
 	WrapFile func(*os.File) File
 }
 
 // syncInterval is the background flush period under FsyncInterval.
 const syncInterval = 100 * time.Millisecond
-
-// DefaultRetryBackoff is the first-retry wait of the append retry loop
-// unless JournalOptions.RetryBackoff overrides it.
-const DefaultRetryBackoff = 5 * time.Millisecond
 
 // File is the journal's view of its backing file. *os.File satisfies it;
 // the fault-injection layer (internal/faultinject) wraps one to exercise
@@ -200,7 +186,6 @@ type File interface {
 	Stat() (os.FileInfo, error)
 	Truncate(size int64) error
 	Sync() error
-	Name() string
 }
 
 // JournalStats counts what the journal has seen since it was opened.
@@ -217,8 +202,9 @@ type JournalStats struct {
 	// errored (background-interval failures would otherwise be invisible).
 	Syncs        int64
 	SyncFailures int64
-	// AppendRetries counts append attempts that were retried after a
-	// transient write or fsync failure (JournalOptions.RetryAppends).
+	// AppendRetries is always 0: a failed append fails once, rolled back.
+	// The field stays only because the benchmark reads it
+	// (bench/replay.go:430); it goes once bench/ stops reading it.
 	AppendRetries int64
 }
 
@@ -312,16 +298,24 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 		return nil, ReplayStats{}, fmt.Errorf("storage: stat journal: %w", err)
 	}
 	size := info.Size()
-	if size < emptyJournalSize {
-		// New journal — or a crash during creation left a partial header or
-		// base record. No data record can precede a durable base record
-		// (reset syncs before any append is accepted), so nothing was ever
-		// recorded: start fresh, continuing the sequence the snapshot ends
-		// at so future records never collide with covered ones.
+	// fresh starts an empty journal, continuing the sequence the snapshot
+	// ends at so future records never collide with covered ones. No data
+	// record can precede a durable base record (reset syncs before any
+	// append is accepted), so nothing was ever recorded. The file may have
+	// just been created: its directory entry is made durable too.
+	fresh := func() ([]linalg.Vector, ReplayStats, error) {
 		if err := j.reset(j.opts.SnapshotSeq + 1); err != nil {
 			return nil, ReplayStats{}, err
 		}
+		if err := syncDir(filepath.Dir(j.path)); err != nil {
+			return nil, ReplayStats{}, fmt.Errorf("storage: create journal: %w", err)
+		}
 		return visual, ReplayStats{TornTailBytes: size}, nil
+	}
+	if size < emptyJournalSize {
+		// New journal — or a crash during creation left a partial header or
+		// base record.
+		return fresh()
 	}
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return nil, ReplayStats{}, fmt.Errorf("storage: seek journal: %w", err)
@@ -337,12 +331,8 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 		}
 		if errors.Is(err, errZeroHeader) || errors.Is(err, errTornTail) || (n > 0 && journalHeaderLen+n >= size) {
 			// The base record itself was the interrupted write of the
-			// initial create (nothing follows it, and no data record can
-			// exist without a durable base record): start fresh.
-			if err := j.reset(j.opts.SnapshotSeq + 1); err != nil {
-				return nil, ReplayStats{}, err
-			}
-			return visual, ReplayStats{TornTailBytes: size}, nil
+			// initial create: nothing follows it.
+			return fresh()
 		}
 		return nil, ReplayStats{}, fmt.Errorf("%w: journal base record: %v", ErrCorrupt, err)
 	}
@@ -692,22 +682,13 @@ func (j *Journal) append(payload []byte, count func(*JournalStats)) error {
 // appendAll frames and writes a group of records all-or-nothing. Each
 // record is assembled into a single buffer and written with one call, so a
 // crash tears at most the final record — exactly what replay truncates
-// away. On a failed write or fsync the whole group is rolled back
-// (truncated out) and, when JournalOptions.RetryAppends allows, rewritten
-// after a backoff — a transient fault recovers with every record durable
-// exactly once. When retries are exhausted (or disabled) the caller gets
-// the error with the journal rolled back, so it never holds records whose
+// away. Under FsyncAlways the group is synced once, after its last record.
+// The first failed write or fsync fails the append: the whole group is
+// rolled back (truncated out), so the journal never holds records whose
 // caller was told the mutation failed; if even the rollback fails the
 // journal declares itself broken and refuses further appends rather than
-// risk diverging from the in-memory state. Under FsyncAlways the group is
-// synced once, after its last record.
-//
-// The retry loop sleeps while holding j.mu. That is deliberate: appends
-// must reach the file in the order the engine acknowledged them, and
-// releasing the lock between attempts would let a later mutation's record
-// land first.
+// risk diverging from the in-memory state.
 func (j *Journal) appendAll(payloads [][]byte, count func(*JournalStats)) error {
-	// Frame once up front so every retry rewrites byte-identical records.
 	records := make([][]byte, len(payloads))
 	for i, payload := range payloads {
 		records[i] = frameJournalRecord(payload)
@@ -720,36 +701,6 @@ func (j *Journal) appendAll(payloads [][]byte, count func(*JournalStats)) error 
 	if j.broken != nil {
 		return fmt.Errorf("storage: journal is broken by an earlier failure: %w", j.broken)
 	}
-	backoff := j.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			j.stats.AppendRetries++
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		end, err := j.tryAppendLocked(records)
-		if err == nil {
-			j.size = end
-			j.fileRecords += int64(len(records))
-			j.stats.Bytes = j.size
-			j.stats.Records += int64(len(records))
-			count(&j.stats)
-			return nil
-		}
-		if j.broken != nil || attempt >= j.opts.RetryAppends {
-			return err
-		}
-	}
-}
-
-// tryAppendLocked makes one attempt at writing a framed record group at
-// the tracked end of file, returning the new end offset. Any failure is
-// rolled back (truncated out) before returning, so the file is exactly its
-// pre-append state and the group can be retried wholesale.
-func (j *Journal) tryAppendLocked(records [][]byte) (int64, error) {
 	end := j.size
 	for _, rec := range records {
 		// WriteAt pins the record to the tracked end of file, so no other
@@ -757,7 +708,7 @@ func (j *Journal) tryAppendLocked(records [][]byte) (int64, error) {
 		// append by moving the shared file offset.
 		if _, err := j.f.WriteAt(rec, end); err != nil {
 			j.rollbackLocked(err, end+int64(len(rec)))
-			return 0, fmt.Errorf("storage: append journal record: %w", err)
+			return fmt.Errorf("storage: append journal record: %w", err)
 		}
 		end += int64(len(rec))
 	}
@@ -766,12 +717,17 @@ func (j *Journal) tryAppendLocked(records [][]byte) (int64, error) {
 		if err := j.f.Sync(); err != nil {
 			j.stats.SyncFailures++
 			j.rollbackLocked(err, end)
-			return 0, fmt.Errorf("storage: sync journal: %w", err)
+			return fmt.Errorf("storage: sync journal: %w", err)
 		}
 	} else {
 		j.dirty = true
 	}
-	return end, nil
+	j.size = end
+	j.fileRecords += int64(len(records))
+	j.stats.Bytes = j.size
+	j.stats.Records += int64(len(records))
+	count(&j.stats)
+	return nil
 }
 
 // zeroToEOF reports whether every byte of the file from off to size is
@@ -896,9 +852,10 @@ func (j *Journal) Fsync() FsyncPolicy { return j.opts.Fsync }
 // and no longer needed for replay. Later records are preserved, and their
 // sequences never change. CompactTo is idempotent — compacting to an
 // already-compacted (or smaller) sequence is a no-op — and the rewrite is
-// staged to a temporary file and renamed into place, so a crash at any
-// point leaves either the old or the new journal, both of which replay
-// correctly against whichever snapshot generation is on disk.
+// installed by installStaged, so a crash at any point leaves either the old
+// or the new journal, both of which replay correctly against whichever
+// snapshot generation is on disk. Had the directory sync after the rename
+// failed, the journal refuses every later append.
 func (j *Journal) CompactTo(covered uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -931,47 +888,36 @@ func (j *Journal) CompactTo(covered uint64) error {
 	if _, err := j.f.ReadAt(tail, tailOff); err != nil {
 		return fmt.Errorf("storage: read journal tail: %w", err)
 	}
-	dir, base := splitDir(j.path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("storage: stage compacted journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeHeader(tmp, KindJournal); err != nil {
-		tmp.Close()
+	tmp, err := installStaged(j.path, "compacted journal", func(w io.Writer) error {
+		if err := writeHeader(w, KindJournal); err != nil {
+			return err
+		}
+		if _, err := w.Write(slices.Concat(frameJournalRecord(baseRecordPayload(covered+1)), tail)); err != nil {
+			return fmt.Errorf("storage: write compacted journal: %w", err)
+		}
+		return nil
+	})
+	if tmp == nil {
 		return err
 	}
-	if _, err := tmp.Write(frameJournalRecord(baseRecordPayload(covered + 1))); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: write journal base record: %w", err)
+	if err != nil {
+		// The rename may not survive a power loss, which would bring the old
+		// journal back without the records appended from here on: refuse them.
+		j.broken = err
 	}
-	if _, err := tmp.Write(tail); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: write compacted journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: sync compacted journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: install compacted journal: %w", err)
-	}
-	old := j.f
+	j.f.Close()
 	// The staged file becomes the live journal; give the fault-injection
 	// wrapper (if any) the same grip on it the original handle had.
-	var installed File = tmp
+	j.f = tmp
 	if j.opts.WrapFile != nil {
-		installed = j.opts.WrapFile(tmp)
+		j.f = j.opts.WrapFile(tmp)
 	}
-	j.f = installed
-	old.Close()
 	j.baseSeq = covered + 1
 	j.fileRecords -= int64(drop)
 	j.size = emptyJournalSize + int64(len(tail))
 	j.stats.Bytes = j.size
 	j.dirty = false
-	return nil
+	return err
 }
 
 // Close flushes pending records, stops the background syncer and closes the
@@ -992,14 +938,4 @@ func (j *Journal) Close() error {
 		err = fmt.Errorf("storage: close journal: %w", cerr)
 	}
 	return err
-}
-
-// splitDir splits a path for same-directory temp staging (see SaveSnapshotAt
-// for why os.TempDir is not usable here).
-func splitDir(path string) (dir, base string) {
-	dir, base = filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	return dir, base
 }

@@ -3,9 +3,11 @@ package storage
 import (
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
@@ -53,5 +55,57 @@ func TestSnapshotterCloseThenFinalSnapshot(t *testing.T) {
 	}
 	if j.TailBytes() != 0 {
 		t.Fatalf("final snapshot did not compact the journal: %d tail bytes", j.TailBytes())
+	}
+}
+
+// TestSnapshotterTriggers: the size and time triggers of due() are what
+// bound replay time behind -journal-max-bytes and -snapshot-interval.
+func TestSnapshotterTriggers(t *testing.T) {
+	const interval = time.Minute
+	record := int64(journalRecordHeaderLen + 1 + len(encodeSession(journalSession(0, 8))))
+	for _, tc := range []struct {
+		name     string
+		records  int
+		maxBytes int64
+		elapsed  time.Duration
+		want     bool
+	}{
+		{"size trigger at MaxJournalBytes", 2, 2 * record, 0, true},
+		{"size trigger a byte short", 2, 2*record + 1, 0, false},
+		{"time trigger after Interval", 1, -1, interval, true},
+		{"time trigger before Interval", 1, -1, interval - 1, false},
+		{"empty journal never fires", 0, 1, 10 * interval, false},
+		{"negative MaxJournalBytes disables the size trigger", 4, -1, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			visual, fblog := journalBase(8, 3)
+			j, _, _, err := OpenJournal(filepath.Join(dir, "engine.wal"), visual, fblog, JournalOptions{Fsync: FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			for i := 0; i < tc.records; i++ {
+				if err := j.AppendSession(journalSession(i, 8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := time.Unix(1e9, 0)
+			var elapsed atomic.Int64 // the clock; the loop reads it only on a tick, seconds away
+			snap, err := NewSnapshotter(j, func(func()) ([]linalg.Vector, *feedbacklog.Log) { return nil, nil }, SnapshotterConfig{
+				SnapshotPath:    filepath.Join(dir, "engine.snap"),
+				Interval:        interval,
+				MaxJournalBytes: tc.maxBytes,
+				now:             func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			elapsed.Store(int64(tc.elapsed))
+			if got := snap.due(); got != tc.want {
+				t.Errorf("due() = %v with %d tail bytes, MaxJournalBytes %d, %v elapsed; want %v", got, j.TailBytes(), tc.maxBytes, tc.elapsed, tc.want)
+			}
+		})
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"lrfcsvm/internal/feedbacklog"
@@ -478,39 +479,71 @@ func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 	return visual, log, journalSeq, nil
 }
 
-// SaveSnapshotAt writes an engine snapshot to the named file atomically: the
-// snapshot is staged to a temporary file in the same directory and renamed
-// over the destination, so a crash mid-write never destroys the previous
-// snapshot. It records the journal sequence the state covers (see
+// SaveSnapshotAt writes an engine snapshot to the named file atomically and
+// durably (see installStaged), so a crash mid-write never destroys the
+// previous snapshot. It records the journal sequence the state covers (see
 // WriteSnapshotAt), so crash replay can tell which journal records the
 // snapshot already contains.
 func SaveSnapshotAt(path string, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
-	// Stage in the destination directory, not os.TempDir (often a different
-	// filesystem, where the rename would fail with EXDEV).
-	dir, base := splitDir(path)
+	f, err := installStaged(path, "snapshot", func(w io.Writer) error {
+		return WriteSnapshotAt(w, visual, log, journalSeq)
+	})
+	if f != nil {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("storage: close snapshot: %w", cerr)
+		}
+	}
+	return err
+}
+
+// installStaged replaces the file at path with what write produces: staged
+// in a temporary file in the same directory (os.TempDir is often another
+// filesystem, where the rename would fail with EXDEV), synced, renamed over
+// path, and then the directory is synced, because POSIX makes a rename
+// durable only then. A crash at any point leaves the old file or the new
+// one. Once the rename has happened the installed file is returned, open;
+// the error is then that of the directory sync, after which a power loss
+// may still bring the old file back.
+func installStaged(path, what string, write func(io.Writer) error) (*os.File, error) {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
-		return fmt.Errorf("storage: stage snapshot: %w", err)
+		return nil, fmt.Errorf("storage: stage %s: %w", what, err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteSnapshotAt(tmp, visual, log, journalSeq); err != nil {
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return err
+		return nil, err
 	}
 	// Flush to stable storage before the rename: otherwise a power loss
-	// could install a snapshot whose data never hit the disk, destroying
-	// the previous good one.
+	// could install a file whose data never hit the disk, destroying the
+	// previous good one.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("storage: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: close snapshot: %w", err)
+		return nil, fmt.Errorf("storage: sync %s: %w", what, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("storage: install snapshot: %w", err)
+		tmp.Close()
+		return nil, fmt.Errorf("storage: install %s: %w", what, err)
 	}
-	return nil
+	if err := syncDir(dir); err != nil {
+		return tmp, fmt.Errorf("storage: install %s: %w", what, err)
+	}
+	return tmp, nil
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable. Its errors name the directory.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadSnapshotAt reads an engine snapshot from the named file, with the
