@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"lrfcsvm/internal/cmdline"
 	"lrfcsvm/internal/dataset"
 	"lrfcsvm/internal/imaging"
 )
@@ -28,14 +29,7 @@ func main() {
 		noise      = flag.Float64("extra-noise", 15, "extra pixel noise (0..255 scale)")
 		out        = flag.String("out", "dataset-out", "output directory")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag.Parse stops at the first non-flag: every flag after it would
-		// be ignored.
-		fmt.Fprintf(os.Stderr, "datasetgen: unexpected argument %q: every input is a flag, and none after it was read\n", flag.Arg(0))
-		fmt.Fprintln(os.Stderr, "usage: datasetgen [flags] (datasetgen -h lists them)")
-		os.Exit(2)
-	}
+	cmdline.Parse("datasetgen")
 
 	spec := dataset.Spec{
 		Categories:        *categories,

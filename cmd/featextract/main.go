@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"lrfcsvm/internal/cmdline"
 	"lrfcsvm/internal/dataset"
 	"lrfcsvm/internal/features"
 	"lrfcsvm/internal/storage"
@@ -29,14 +30,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "extraction workers (0 = GOMAXPROCS)")
 		out        = flag.String("out", "features.bin", "output feature store")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag.Parse stops at the first non-flag: every flag after it would
-		// be ignored.
-		fmt.Fprintf(os.Stderr, "featextract: unexpected argument %q: every input is a flag, and none after it was read\n", flag.Arg(0))
-		fmt.Fprintln(os.Stderr, "usage: featextract [flags] (featextract -h lists them)")
-		os.Exit(2)
-	}
+	cmdline.Parse("featextract")
 
 	gen, err := dataset.NewGenerator(dataset.Spec{
 		Categories:        *categories,

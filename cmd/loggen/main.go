@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"lrfcsvm/internal/cmdline"
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/storage"
 )
@@ -28,14 +29,7 @@ func main() {
 		seed         = flag.Uint64("seed", 43, "simulation seed")
 		out          = flag.String("out", "log.bin", "output log store")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag.Parse stops at the first non-flag: every flag after it would
-		// be ignored.
-		fmt.Fprintf(os.Stderr, "loggen: unexpected argument %q: every input is a flag, and none after it was read\n", flag.Arg(0))
-		fmt.Fprintln(os.Stderr, "usage: loggen [flags] (loggen -h lists them)")
-		os.Exit(2)
-	}
+	cmdline.Parse("loggen")
 
 	visual, labels, err := storage.LoadFeatures(*featuresPath)
 	if err != nil {

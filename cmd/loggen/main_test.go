@@ -8,9 +8,10 @@ import (
 )
 
 // TestRefusesPositionalArguments: flag.Parse stops at the first non-flag, so
-// `loggen feats.bin -sessions 3 -out mylog.bin` simulated 150 sessions
-// from ./features.bin and wrote log.bin. The command must refuse the argument with exit 2 before it
-// reads or writes anything.
+// `loggen feats.bin -sessions 3 -out mylog.bin` simulated 150 sessions from
+// ./features.bin and wrote log.bin. The command must refuse the argument
+// with exit 2 before it reads or writes anything. featextract and
+// datasetgen parse through the same cmdline.Parse, which this pins.
 func TestRefusesPositionalArguments(t *testing.T) {
 	args := []string{"-features", "missing.bin", "feats.bin", "-sessions", "3", "-out", "mylog.bin"}
 	if os.Getenv("LOGGEN_RUN_MAIN") != "" {

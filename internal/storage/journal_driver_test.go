@@ -310,12 +310,10 @@ func (d *journalDriver) crash() {
 	inFlight := shape < 3 && !d.m.broken && d.rng.Bool(0.7)
 	if inFlight { // an append that reached the file, but not its caller
 		r := d.record()
-		d.check(d.write(r) == nil, "the append before the crash failed")
-		d.m.records = append(d.m.records, r)
+		d.check(d.write(r) == nil && d.m.append(r, nil, d.always), "the append before the crash failed")
 		hi = lo + r.framed()
 	}
-	d.check(d.j.Close() == nil, "Close before the crash failed")
-	d.j = nil
+	d.closeJournal()
 	raw, err := os.ReadFile(d.path)
 	d.check(err == nil && int64(len(raw)) == hi, "the file is %d bytes (%v), the model's %d", len(raw), err, hi)
 	kept, torn := len(d.m.records), hi-lo
@@ -388,6 +386,20 @@ func (d *journalDriver) crash() {
 	}
 	d.reach("poisoned", d.poisoned && torn > 0)
 	d.reopen(kept, torn)
+}
+
+// closeJournal closes the journal before a crash: Close flushes what is
+// unsynced, so a graceful shutdown loses nothing, a second Close does
+// nothing, and an append after it is refused and changes nothing.
+func (d *journalDriver) closeJournal() {
+	first, second := d.j.Close(), d.j.Close()
+	err := d.j.AppendImages([]linalg.Vector{{1, 2, 3}})
+	d.logf("Close() -> %v, Close() -> %v, AppendImages(1 row) -> %v", first, second, err)
+	d.check(first == nil && second == nil, "Close before the crash failed")
+	d.check(err != nil && strings.Contains(err.Error(), "journal is closed"), "an append after Close answers %v, not that the journal is closed", err)
+	d.reach("synced-at-close", d.m.sync())
+	d.check(d.j.Stats() == d.m.stats, "after Close, Stats() = %+v, the model's %+v", d.j.Stats(), d.m.stats)
+	d.j = nil
 }
 
 // refused writes file and checks that a reopen over the snapshot at mark

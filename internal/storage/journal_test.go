@@ -43,7 +43,9 @@ func journalSession(i, numImages int) feedbacklog.Session {
 }
 
 // The scripted tests TestJournalMatchesModel replaced, each pinned to a seed
-// and a cell that pass through what it was written for.
+// and a cell that pass through what it was written for. Every crash closes
+// the journal first and checks what RoundTrip checked of Close: it flushes,
+// a second Close does nothing, and an append after it is refused.
 func TestJournalRoundTrip(t *testing.T)           { journalPin(t, 1, "off", "sessions-and-images") }
 func TestJournalEveryByteTruncation(t *testing.T) { journalPin(t, 2, "off", "cut-record") }
 func TestJournalCompactTo(t *testing.T)           { journalPin(t, 1, "off", "kept-tail", "skipped") }
@@ -178,7 +180,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 // background syncer of interval is checked here.
 func TestJournalFsyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) { journalPin(t, 1, "always", "synced-append") })
-	t.Run("off", func(t *testing.T) { journalPin(t, 1, "off", "synced-on-demand") })
+	t.Run("off", func(t *testing.T) { journalPin(t, 1, "off", "synced-on-demand", "synced-at-close") })
 	t.Run("interval", func(t *testing.T) {
 		visual, fblog := journalBase(8, 3)
 		j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "i.wal"), visual, fblog, JournalOptions{Fsync: FsyncInterval})
