@@ -74,7 +74,8 @@ govulncheck:
 # _test.go lines outside bench/, so a PR that trades tests for a driver shows
 # it too. The last three lines are the option surface: cbirserver's flag
 # definitions, the routes the server registers, and the option-struct fields
-# the field pass of TestInternalDeclarationsReachable checked.
+# the field pass of TestInternalDeclarationsReachable checked. Then the byte
+# sizes of the four root documents, so their growth shows in every CI log.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sed 's|^\./||' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
@@ -87,3 +88,4 @@ loc:
 	@$(GO) test -count=1 -v -run '^TestInternalDeclarationsReachable$$' ./internal/analysis | \
 		sed -n 's/.*: \([0-9]*\) option fields checked, \([0-9]*\) allowlist entries$$/\1 \2/p' | \
 		awk '{ printf "%7d  option fields in internal/ (%d kept without a program that sets them)\n", $$1, $$2 }'
+	@for f in README.md EXPERIMENTS.md CHANGES.md ROADMAP.md; do printf '%7d  bytes in %s\n' $$(wc -c < $$f) $$f; done

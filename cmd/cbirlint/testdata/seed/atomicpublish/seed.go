@@ -8,12 +8,7 @@ type state struct {
 	epoch int64
 }
 
-// Publish moves the epoch atomically.
+// Publish moves the epoch through sync/atomic's function API.
 func (s *state) Publish() {
 	atomic.AddInt64(&s.epoch, 1)
-}
-
-// Torn reads the atomically-published field without sync/atomic.
-func (s *state) Torn() int64 {
-	return s.epoch
 }

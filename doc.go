@@ -36,10 +36,11 @@
 // threaded end to end — Engine.InitialQuery, Session.Refine, and the HTTP
 // query/refine endpoints (with a configurable default and hard ceiling) all
 // return bounded lists, and so does the evaluation harness: every cutoff of
-// the paper's tables is a prefix of one top-100 ranking, so eval.RunScheme
-// asks RankTopAppend once per query. The full-scores sink (Scheme.Rank)
-// remains for the ablation heuristics of step 1, which rank every unlabeled
-// image, the engine's reference model and the test references.
+// the paper's tables is a prefix of one top-100 ranking, so
+// eval.Experiment.RunScheme asks RankTopAppend once per query. The
+// full-scores sink (Scheme.Rank) remains for the ablation heuristics of
+// step 1, which rank every unlabeled image, the engine's reference model and
+// the test references.
 //
 // # Dynamic collections
 //
@@ -134,9 +135,9 @@
 // internal/core, internal/svm, internal/feedbacklog); ctxflow forbids
 // fabricated context.Background()/TODO() and dropped ctx parameters on
 // the serving path (internal/retrieval, internal/server,
-// internal/core); atomicpublish requires that any struct field ever
-// touched through sync/atomic is never also read or written plainly in
-// its package; exppurity confines math.Exp and friends to
+// internal/core); atomicpublish forbids sync/atomic's functions, so
+// atomically published state is a typed atomic, which has no plain access;
+// exppurity confines math.Exp and friends to
 // internal/kernel, where the pinned ≤2-ulp exponential lives; and
 // lockjournal requires journal appends to happen inside the engine
 // mutation mutex, before the state mutation they cover. Violations are
@@ -159,11 +160,11 @@
 // of each outcome.
 //
 // Start with the README for an architecture overview and the system
-// inventory ("Layout"), and EXPERIMENTS.md for the paper-versus-measured
-// results and the per-PR experiment index. At the paper's scale on the
-// synthetic substrate LRF-2SVMs ranks above LRF-CSVM — MAP 0.73 against 0.71
-// on the 20-Category tables and 0.57 against 0.50 on the 50-Category ones —
-// the reverse of the paper's ordering (EXPERIMENTS.md "PR 21"). The public
+// inventory ("Layout"), and EXPERIMENTS.md for the current results, each
+// with the command that prints it, and a line per PR. At the paper's scale on
+// the synthetic substrate LRF-2SVMs ranks above LRF-CSVM — MAP 0.73 against
+// 0.71 on the 20-Category table and 0.57 against 0.50 on the 50-Category one —
+// the reverse of the paper's ordering (EXPERIMENTS.md "Paper tables"). The public
 // entry points live under internal/core (learning schemes), internal/eval
 // (experiments), internal/retrieval (interactive engine) and
 // internal/server (HTTP API); runnable programs live under cmd/ and

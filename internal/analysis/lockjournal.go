@@ -162,6 +162,19 @@ func isJournalCall(p *Pass, call *ast.CallExpr) bool {
 	return false
 }
 
+// fieldOf resolves sel to the struct field it selects, or nil.
+func fieldOf(p *Pass, sel *ast.SelectorExpr) *types.Var {
+	s, ok := p.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, ok := s.Obj().(*types.Var)
+	if !ok {
+		return nil
+	}
+	return v
+}
+
 // isMutexCall reports whether call is recv.<method>() on a sync mutex (or
 // sync.Locker). RLock/RUnlock deliberately do not count: a read lock does
 // not serialize mutations, so a journal append under RLock is still

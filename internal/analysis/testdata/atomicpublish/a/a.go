@@ -1,56 +1,33 @@
-// Package a is the atomicpublish fixture: the seq field is published with
-// sync/atomic, so every plain access to it is a torn-access bug; the
-// never-atomic other field stays free.
+// Package a is the atomicpublish fixture: every use of sync/atomic's
+// function API is reported; the typed atomics' methods are not.
 package a
 
 import "sync/atomic"
 
 type counter struct {
 	seq   int64
-	other int64
+	typed atomic.Int64
 }
 
-// bump publishes seq atomically, marking the field.
 func (c *counter) bump() int64 {
-	return atomic.AddInt64(&c.seq, 1)
+	return atomic.AddInt64(&c.seq, 1) // want `atomic\.AddInt64 leaves its operand open`
 }
 
-// read is a sanctioned atomic access.
 func (c *counter) read() int64 {
-	return atomic.LoadInt64(&c.seq)
+	return atomic.LoadInt64(&c.seq) // want `atomic\.LoadInt64 leaves its operand open`
 }
 
-// torn reads the atomically-published field without sync/atomic.
-func (c *counter) torn() int64 {
-	return c.seq // want `published with atomic\.`
+// load takes the function as a value: a use all the same.
+var load = atomic.LoadInt64 // want `atomic\.LoadInt64 leaves its operand open`
+
+// typedOps use a typed atomic, whose API has no plain access: fine.
+func (c *counter) typedOps() int64 {
+	c.typed.Add(1)
+	c.typed.CompareAndSwap(1, 2)
+	return c.typed.Load()
 }
 
-// tornWrite stores without sync/atomic.
-func (c *counter) tornWrite() {
-	c.seq = 0 // want `published with atomic\.`
-}
-
-// escape leaks the field's address outside the atomic API.
-func (c *counter) escape() *int64 {
-	return &c.seq // want `published with atomic\.`
-}
-
-// plain touches a field that is never atomic: fine.
-func (c *counter) plain() int64 {
-	c.other++
-	return c.other
-}
-
-// newCounter uses keyed-literal initialization: construction happens
-// before the value is shared, so it is exempt.
-func newCounter() *counter {
-	return &counter{seq: 1}
-}
-
-var _ = newCounter
 var _ = (*counter).bump
 var _ = (*counter).read
-var _ = (*counter).torn
-var _ = (*counter).tornWrite
-var _ = (*counter).escape
-var _ = (*counter).plain
+var _ = (*counter).typedOps
+var _ = load

@@ -16,7 +16,7 @@ import (
 // DefaultQuantizedOversample is the survivor multiplier used when a caller
 // passes oversample <= 0: the approximate pass keeps the top k*oversample
 // images for exact re-scoring. 4 holds recall@20 above 0.99 on the
-// synthetic evaluation collections (see EXPERIMENTS.md) with the exact
+// synthetic evaluation collections (TestQuantizedLaneRecallAndMAP) with the exact
 // re-score still touching only a small fraction of the collection.
 const DefaultQuantizedOversample = 4
 

@@ -10,7 +10,7 @@
 // relies on: images of the same semantic category are *closer but not
 // identical* in the low-level color/edge/texture feature space, leaving a
 // semantic gap for relevance feedback to close. See README "Layout" and
-// EXPERIMENTS.md "Workflows" for the collection sizes the experiments use.
+// EXPERIMENTS.md "How to regenerate" for the collection sizes the experiments use.
 package dataset
 
 // TextureKind enumerates the procedural texture families used by the

@@ -293,7 +293,7 @@ func TestIntegrationSchemeOrdering(t *testing.T) {
 	}
 	// The two log-based schemes must be in the same league. The paper ranks
 	// LRF-CSVM first; on the synthetic substrate LRF-2SVMs ranks first at the
-	// paper's scale (Tables 1-2 in EXPERIMENTS.md "PR 21": MAP 0.73 against
+	// paper's scale (EXPERIMENTS.md "Paper tables": MAP 0.73 against
 	// 0.71 and 0.57 against 0.50), and which ordering to assert is ROADMAP
 	// item 1's verdict, not this bound's.
 	if csvm.MAP < two.MAP-0.08 {

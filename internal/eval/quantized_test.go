@@ -12,7 +12,7 @@ import (
 // top-20 must recover >= 99% of the exact Euclidean top-20 averaged over the
 // query workload, and the Euclidean precision curve computed from the
 // quantized ranking must stay within 0.005 MAP of the exact one. The measured
-// values are logged and recorded in EXPERIMENTS.md. This test and core's
+// values are logged. This test and core's
 // TestRankTopQuantizedRecall are what hold the 0.99 floor.
 func TestQuantizedLaneRecallAndMAP(t *testing.T) {
 	exp, err := Prepare(goldenConfig())

@@ -15,7 +15,7 @@ import (
 // user ticks the relevant ones. Real users are unavailable here, so the
 // simulator reproduces that collection protocol against the category ground
 // truth and injects label noise, which the paper stresses is present in real
-// logs (see README "Layout" and EXPERIMENTS.md "Workflows").
+// logs (see README "Layout" and EXPERIMENTS.md "How to regenerate").
 type SimulatorConfig struct {
 	// Sessions is the number of log sessions to collect (M). The paper uses
 	// 150 per dataset.

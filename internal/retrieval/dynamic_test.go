@@ -47,25 +47,27 @@ func TestAddImagesValidation(t *testing.T) {
 // features file, snapshot or journal written before ingestion was validated —
 // must not start an engine that cannot answer.
 func TestNewEngineRejectsBadDescriptors(t *testing.T) {
-	good := linalg.Vector{2, 2}
+	withBad := func(bad linalg.Vector) []linalg.Vector { return []linalg.Vector{{0, 1}, {1, 0}, bad, {2, 2}} }
 	for _, tc := range []struct {
 		name string
-		bad  linalg.Vector
+		rows []linalg.Vector
+		want string // in the error
 	}{
-		{"NaN", linalg.Vector{math.NaN(), 1}},
-		{"+Inf", linalg.Vector{math.Inf(1), 1}},
-		{"-Inf", linalg.Vector{1, math.Inf(-1)}},
-		{"overflows when squared", linalg.Vector{1e200, 1}},
-		{"ragged", linalg.Vector{1, 0, 3}},
+		{"NaN", withBad(linalg.Vector{math.NaN(), 1}), "image 2"},
+		{"+Inf", withBad(linalg.Vector{math.Inf(1), 1}), "image 2"},
+		{"-Inf", withBad(linalg.Vector{1, math.Inf(-1)}), "image 2"},
+		{"overflows when squared", withBad(linalg.Vector{1e200, 1}), "image 2"},
+		{"ragged", withBad(linalg.Vector{1, 0, 3}), "image 2"},
+		{"zero-dimensional", []linalg.Vector{{}, {}}, "dimension 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEngine([]linalg.Vector{{0, 1}, {1, 0}, tc.bad, good}, nil, Options{})
+			e, err := NewEngine(tc.rows, nil, Options{})
 			if err == nil {
 				e.Close()
 				t.Fatal("collection accepted")
 			}
-			if !strings.Contains(err.Error(), "image 2") {
-				t.Errorf("error %q does not name image 2", err)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
 			}
 		})
 	}

@@ -127,8 +127,8 @@ type Engine struct {
 // NewEngine builds an engine over a collection of visual descriptors and an
 // existing feedback log (which may be empty but must cover the same
 // collection). It refuses what AddImages refuses: descriptors of differing
-// dimension, and rows whose squared norm is not finite. The descriptors are
-// copied; the input is not kept.
+// dimension or of dimension 0, and rows whose squared norm is not finite.
+// The descriptors are copied; the input is not kept.
 func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Engine, error) {
 	if len(visual) == 0 {
 		return nil, fmt.Errorf("retrieval: empty collection")
@@ -152,8 +152,12 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 // that is not finite (a NaN or Inf component, or components that overflow
 // when squared) — such a row is at distance NaN from itself and +Inf from
 // everything else, so it would poison every ranking that reaches it, and the
-// journal would replay it forever.
+// journal would replay it forever. A collection of dimension 0 holds nothing
+// to rank by, and the journal cannot frame its rows.
 func checkDescriptors(what string, rows []linalg.Vector, dim int) error {
+	if dim == 0 {
+		return fmt.Errorf("retrieval: a collection of dimension 0")
+	}
 	for i, d := range rows {
 		if len(d) != dim {
 			return fmt.Errorf("retrieval: %s %d has dimension %d, collection has %d", what, i, len(d), dim)

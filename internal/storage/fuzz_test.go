@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
@@ -109,6 +110,62 @@ func FuzzLogRoundTrip(f *testing.F) {
 		}
 		if !logsEquivalent(log, again) {
 			t.Fatal("log changed across a write/read round trip")
+		}
+	})
+}
+
+// fuzzFeaturesWrappedDim encodes a one-record feature store whose dim field
+// is 2^29: in uint32 arithmetic the record size check 8+8*dim wraps to 8,
+// the size of this record's payload.
+func fuzzFeaturesWrappedDim(f testing.TB) []byte {
+	f.Helper()
+	var buf bytes.Buffer
+	if err := writeHeader(&buf, KindFeatures); err != nil {
+		f.Fatal(err)
+	}
+	payload := make([]byte, 8)
+	binary.LittleEndian.PutUint32(payload[4:8], 1<<29)
+	if err := writeRecord(&buf, payload); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzFeaturesRoundTrip is the same property for the feature store:
+// decoding never panics, and what decodes survives a round trip bit for bit.
+func FuzzFeaturesRoundTrip(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteFeatures(&buf, []linalg.Vector{{1.5, -2}, {0, 0.25}}, []int{3, -1}); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	corrupt := append([]byte(nil), valid...)
+	corrupt[12] ^= 0x01
+	f.Add(corrupt)
+	f.Add([]byte{})
+	f.Add(fuzzFeaturesWrappedDim(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		features, labels, err := ReadFeatures(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFeatures(&buf, features, labels); err != nil {
+			t.Fatalf("re-encode decoded features: %v", err)
+		}
+		features2, labels2, err := ReadFeatures(&buf)
+		if err != nil {
+			t.Fatalf("re-read encoded features: %v", err)
+		}
+		if len(features2) != len(features) || !slices.Equal(labels, labels2) {
+			t.Fatal("feature store changed across a write/read round trip")
+		}
+		for i := range features {
+			if !slices.EqualFunc(features[i], features2[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("feature %d changed across a round trip", i)
+			}
 		}
 	})
 }

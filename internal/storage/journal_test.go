@@ -225,7 +225,7 @@ func TestOpenJournalValidation(t *testing.T) {
 }
 
 // BenchmarkCommitJournal measures the journal's overhead on the feedback
-// commit path under each fsync policy (reported in EXPERIMENTS.md).
+// commit path under each fsync policy (CI's race job uploads its output).
 func BenchmarkCommitJournal(b *testing.B) {
 	run := func(b *testing.B, journal func(b *testing.B) retrieval.JournalSink) {
 		visual, fblog := journalBase(256, 16)

@@ -172,8 +172,9 @@ func ReadFeatures(r io.Reader) ([]linalg.Vector, []int, error) {
 			return nil, nil, fmt.Errorf("%w: feature record too short", ErrCorrupt)
 		}
 		label := int(int32(binary.LittleEndian.Uint32(payload[0:4])))
-		dim := binary.LittleEndian.Uint32(payload[4:8])
-		if uint32(len(payload)) != 8+8*dim {
+		// int arithmetic: in uint32, 8+8*dim wraps to 8 at dim = 2^29.
+		dim := int(binary.LittleEndian.Uint32(payload[4:8]))
+		if len(payload) != 8+8*dim {
 			return nil, nil, fmt.Errorf("%w: feature record size mismatch", ErrCorrupt)
 		}
 		vec := make(linalg.Vector, dim)
@@ -185,17 +186,10 @@ func ReadFeatures(r io.Reader) ([]linalg.Vector, []int, error) {
 	}
 }
 
-// SaveFeatures writes a feature store to the named file.
+// SaveFeatures writes a feature store to the named file, replacing any
+// previous one only once the new one is complete (see installStaged).
 func SaveFeatures(path string, features []linalg.Vector, labels []int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("storage: create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := WriteFeatures(f, features, labels); err != nil {
-		return err
-	}
-	return f.Close()
+	return save(path, "features", func(w io.Writer) error { return WriteFeatures(w, features, labels) })
 }
 
 // LoadFeatures reads a feature store from the named file.
@@ -329,17 +323,10 @@ func ReadLog(r io.Reader) (*feedbacklog.Log, error) {
 	}
 }
 
-// SaveLog writes a feedback log to the named file.
+// SaveLog writes a feedback log to the named file, replacing any previous
+// one only once the new one is complete (see installStaged).
 func SaveLog(path string, log *feedbacklog.Log) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("storage: create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := WriteLog(f, log); err != nil {
-		return err
-	}
-	return f.Close()
+	return save(path, "log", func(w io.Writer) error { return WriteLog(w, log) })
 }
 
 // LoadLog reads a feedback log from the named file.
@@ -485,12 +472,16 @@ func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 // WriteSnapshotAt), so crash replay can tell which journal records the
 // snapshot already contains.
 func SaveSnapshotAt(path string, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
-	f, err := installStaged(path, "snapshot", func(w io.Writer) error {
-		return WriteSnapshotAt(w, visual, log, journalSeq)
-	})
+	return save(path, "snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, visual, log, journalSeq) })
+}
+
+// save installs what write produces at path (see installStaged) and closes
+// the installed file.
+func save(path, what string, write func(io.Writer) error) error {
+	f, err := installStaged(path, what, write)
 	if f != nil {
 		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("storage: close snapshot: %w", cerr)
+			err = fmt.Errorf("storage: close %s: %w", what, cerr)
 		}
 	}
 	return err

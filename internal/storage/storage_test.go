@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,6 +72,33 @@ func TestFeaturesFileRoundTrip(t *testing.T) {
 	}
 	if len(gotF) != 3 || gotL[2] != 1 {
 		t.Errorf("loaded %d features, labels %v", len(gotF), gotL)
+	}
+}
+
+// A Save that fails leaves the previous store byte for byte: the new one is
+// staged beside it and installed only once complete.
+func TestFailedSaveFeaturesKeepsThePreviousStore(t *testing.T) {
+	features, labels := sampleFeatures()
+	path := filepath.Join(t.TempDir(), "features.bin")
+	if err := SaveFeatures(path, features, labels); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFeatures(path, features, labels[:1]); err == nil {
+		t.Fatal("SaveFeatures accepted 3 features with 1 label")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a failed save changed the store: %d bytes became %d", len(before), len(after))
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Errorf("a failed save left %d files beside the store (%v)", len(entries), err)
 	}
 }
 
