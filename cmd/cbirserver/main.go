@@ -32,8 +32,8 @@
 // the admission, engine and journal gauges, all reading the same
 // counters as /api/status. /metrics stays scrapable during shutdown.
 //
-// Which dot kernels the scoring scans run on (AVX2 assembly or pure Go,
-// picked by the build and the CPU) appears as "kernel_backend" in
+// Which dot kernels the scoring scans run on (AVX-512 or AVX2 assembly or
+// pure Go, picked by the build and the CPU) appears as "kernel_backend" in
 // GET /api/status.
 //
 // Example:

@@ -110,8 +110,8 @@
 // Gram matrix (each pair evaluated once, step 1's reused by LRF-CSVM's step
 // 2) and working arrays across every Solve, pair selection is fused
 // into the gradient-update loop — four points per instruction in AVX2 where
-// kernel.Backend reports "avx2", to the bit of the Go loop — and every Solve
-// starts from the zero iterate, whose first pair needs no scan, so a model
+// kernel.Backend reports "avx2" or "avx512", to the bit of the Go loop — and
+// every Solve starts from the zero iterate, whose first pair needs no scan, so a model
 // depends only on the labels and costs it was trained with. The coupled
 // trainer (core.TrainCoupled) retrains each modality
 // through one Solver, reads the unlabeled decision values from its Gram

@@ -6,22 +6,25 @@ package kernel
 // routines it calls: the RBF arguments of a tile against a pair of support
 // vectors (pairArgs), the row dot against one (one; it also serves
 // DenseSet.SquaredDistancesInto), the exponential over a tile column (exp)
-// and the coefficient fold of a pair (fold). They are Go-assembly AVX2
-// routines where the build and the CPU have them (amd64 without the purego
-// tag, hasAVX2), pure-Go routines everywhere else. The assembly reproduces
-// the Go four-accumulator summation pattern lane for lane — four rows
-// against two support vectors per step, eight chains, each the Go chain —
-// and evaluates the norm expansion's, expOne's and the fold's arithmetic in
-// their order, one correctly rounded instruction per Go operation and no
-// fused multiply-add. On amd64, where the Go compiler does not fuse either,
-// the assembly members, the Go members and the straight-line reference loop
-// the parity tests keep (accumulateRBFScalar) agree to the bit — no ULP
-// tolerance is needed or permitted. On other architectures only the Go
+// and the coefficient fold of a pair (fold). There are three members: the
+// pure-Go routines (everywhere), the Go-assembly AVX2 routines (amd64
+// without the purego tag, hasAVX2) and the AVX-512 member (hasAVX512 too),
+// whose pair arguments and fold run eight rows per step in 512-bit
+// registers and whose other two routines are the AVX2 ones. The assembly
+// reproduces the Go four-accumulator summation pattern lane for lane — four
+// rows against two support vectors per step in AVX2, eight in AVX-512, each
+// lane the Go chain — and evaluates the norm expansion's, expOne's and the
+// fold's arithmetic in their order, one correctly rounded instruction per
+// Go operation and no fused multiply-add. On amd64, where the Go compiler
+// does not fuse either, the assembly members, the Go members and the
+// straight-line reference loop the parity tests keep (accumulateRBFScalar)
+// agree to the bit — no ULP tolerance is needed or permitted. On other architectures only the Go
 // members exist; each writes its products float64(x*y), which the Go spec
 // forbids fusing into an add, so over the same row norms they give amd64's
-// bits. The choice is made once, here: package svm runs its SMO
-// step's assembly member exactly where this package runs its own (AVX2), so
-// Backend names what the trainer runs on too.
+// bits. The choice is made once, here, for the widest member the CPU
+// runs: package svm runs its SMO step's assembly member exactly where this
+// package runs an assembly member (AVX2), so Backend names what the trainer
+// runs on too.
 
 // dotKernels is one backend: the four routines of the tile driver and the
 // name Backend reports for them.
@@ -36,27 +39,28 @@ type dotKernels struct {
 var goKernels = dotKernels{name: "unrolled", pairArgs: pairArgsGo, one: dotRowsGo, exp: expLanes, fold: foldGo}
 
 // activeKernels is what AccumulateSet runs on, fixed once at package
-// initialisation from the build constraints and the CPU; nothing sets it
-// afterwards.
+// initialisation from the build constraints and the CPU: the widest member
+// the CPU runs. Nothing sets it afterwards.
 var activeKernels = func() dotKernels {
-	if k, ok := asmKernels(); ok {
-		return k
+	if ks := asmKernels(); len(ks) > 0 {
+		return ks[len(ks)-1]
 	}
 	return goKernels
 }()
 
 // Backend reports which kernels the scoring scans and the SMO step run on:
-// "avx2" (the tile's four assembly routines and svm's step) or "unrolled"
-// (the pure-Go ones). Read-only; GET /api/status, cbir_kernel_backend_info
-// and the benchmark reports surface it.
+// "avx512" (the tile's pair arguments and fold eight rows per instruction,
+// its other routines and svm's step AVX2), "avx2" (the tile's four assembly
+// routines and svm's step) or "unrolled" (the pure-Go ones). Read-only; GET
+// /api/status, cbir_kernel_backend_info and the benchmark reports surface it.
 func Backend() string {
 	return activeKernels.name
 }
 
-// AVX2 reports whether Backend is "avx2": the fact package svm picks its SMO
-// step's member by.
+// AVX2 reports whether Backend is "avx2" or "avx512", both of which run the
+// AVX2 routines: the fact package svm picks its SMO step's member by.
 func AVX2() bool {
-	return activeKernels.name == "avx2"
+	return activeKernels.name == "avx2" || activeKernels.name == "avx512"
 }
 
 // dotRowsFunc computes du[r] = mat[r]·u for each row of the rows×cols

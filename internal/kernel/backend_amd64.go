@@ -2,9 +2,10 @@
 
 package kernel
 
-// AVX2 plumbing: runtime CPU-feature detection (no dependency on anything
-// outside the standard library) and thin wrappers that hand slice storage to
-// the assembly routines in backend_avx2_amd64.s.
+// AVX2 and AVX-512 plumbing: runtime CPU-feature detection (no dependency on
+// anything outside the standard library) and thin wrappers that hand slice
+// storage to the assembly routines in backend_avx2_amd64.s and
+// backend_avx512_amd64.s.
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -23,6 +24,12 @@ func dotRowsAVX2(mat *float64, rows, cols int, u, du *float64)
 
 //go:noescape
 func expQuadsAVX2(v *float64, quads int) int
+
+//go:noescape
+func pairArgsAVX512(mat *float64, groups, cols int, u, v, xn *float64, nU, nV, negGamma float64, aU, aV *float64)
+
+//go:noescape
+func foldAVX512(out, eA, eB *float64, octs int, cA, cB float64)
 
 // hasAVX2 reports whether the CPU supports AVX2 and the OS saves the YMM
 // register state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7.0:EBX
@@ -46,13 +53,62 @@ func hasAVX2() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-// asmKernels returns the assembly routines, ok only when the CPU (and OS)
-// support them.
-func asmKernels() (k dotKernels, ok bool) {
+// hasAVX512 reports whether, on top of hasAVX2, the CPU supports AVX-512F
+// (CPUID.7.0:EBX bit 16) and the OS saves the opmask and ZMM register state
+// (XCR0 bits 5-7).
+func hasAVX512() bool {
 	if !hasAVX2() {
-		return dotKernels{}, false
+		return false
 	}
-	return dotKernels{name: "avx2", pairArgs: pairArgsAsm, one: dotRowsAsm, exp: expLanesAsm, fold: foldAsm}, true
+	xcr0, _ := xgetbv0()
+	if xcr0&0xe0 != 0xe0 {
+		return false
+	}
+	_, ebx7, _, _ := cpuidex(7, 0)
+	return ebx7&(1<<16) != 0 // AVX-512F
+}
+
+// asmKernels returns every assembly member the CPU (and OS) run, narrowest
+// first. The avx512 member is the avx2 one with the pair arguments and the
+// fold eight rows wide; tiles under eight rows, the row dot and the
+// exponential stay on the AVX2 routines.
+func asmKernels() []dotKernels {
+	var ks []dotKernels
+	if hasAVX2() {
+		ks = append(ks, dotKernels{name: "avx2", pairArgs: pairArgsAsm, one: dotRowsAsm, exp: expLanesAsm, fold: foldAsm})
+	}
+	if hasAVX512() {
+		ks = append(ks, dotKernels{name: "avx512", pairArgs: pairArgsAsm512, one: dotRowsAsm, exp: expLanesAsm, fold: foldAsm512})
+	}
+	return ks
+}
+
+// pairArgsAsm512 hands a tile to pairArgsAVX512 in groups of eight rows,
+// the last group overlapping the one before when the row count is not a
+// multiple of eight, as pairArgsAsm does with four; a tile of fewer than
+// eight rows takes pairArgsAsm.
+func pairArgsAsm512(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64) {
+	if rows < 8 || cols == 0 {
+		pairArgsAsm(mat, rows, cols, u, v, xn, nU, nV, negGamma, aU, aV)
+		return
+	}
+	// The assembly trusts these lengths.
+	mat, u, v, xn, aU, aV = mat[:rows*cols], u[:cols], v[:cols], xn[:rows], aU[:rows], aV[:rows]
+	pairArgsAVX512(&mat[0], rows/8, cols, &u[0], &v[0], &xn[0], nU, nV, negGamma, &aU[0], &aV[0])
+	if rows%8 != 0 {
+		r := rows - 8
+		pairArgsAVX512(&mat[r*cols], 1, cols, &u[0], &v[0], &xn[r], nU, nV, negGamma, &aU[r], &aV[r])
+	}
+}
+
+// foldAsm512 folds whole octs in foldAVX512 and the rest through foldAsm.
+func foldAsm512(out, eA, eB []float64, cA, cB float64) {
+	eA, eB = eA[:len(out)], eB[:len(out)]
+	whole := len(out) &^ 7
+	if whole > 0 {
+		foldAVX512(&out[0], &eA[0], &eB[0], whole/8, cA, cB)
+	}
+	foldAsm(out[whole:], eA[whole:], eB[whole:], cA, cB)
 }
 
 // pairArgsAsm hands a tile to pairArgsAVX2 in groups of four rows. When the

@@ -226,18 +226,99 @@ folddone:
 
 // func dotRowsAVX2(mat *float64, rows, cols int, u, du *float64)
 //
-// du[r] = mat[r]·u for each row of the rows×cols row-major matrix, one row
-// at a time with the summation semantics of pairArgsAVX2's dots: the lanes
-// of Y0 are the scalar a_l accumulators, the tail folds into lane 0 (scalar
-// adds on the low half, the high half set aside first) and the lanes
-// combine as ((s0+s1)+s2)+s3. Used for the odd trailing support vector and
-// for DenseSet.SquaredDistancesInto.
+// du[r] = mat[r]·u for each row of the rows×cols row-major matrix, with the
+// summation semantics of pairArgsAVX2's dots, four rows per trip: the lanes
+// of Y0–Y3 are the four rows' scalar a_l accumulators, one chain per
+// register, so no add waits on the one before it; each quad of u is loaded
+// once for the four rows, the column tail folds into lane 0 by a blend, and
+// pairArgsAVX2's 4×4 transpose turns the four registers into the rows'
+// s0…s3, combined as ((s0+s1)+s2)+s3. The last rows%4 rows go one at a time:
+// the lanes of Y0 are the chains, the tail folds into lane 0 (scalar adds on
+// the low half, the high half set aside first) and the lanes combine in the
+// same order. Used for the odd trailing support vector and for
+// DenseSet.SquaredDistancesInto.
 TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-40
 	MOVQ mat+0(FP), SI
 	MOVQ rows+8(FP), R11
 	MOVQ cols+16(FP), R12
 	MOVQ u+24(FP), R13
 	MOVQ du+32(FP), R15
+	MOVQ R12, DX
+	SHLQ $3, DX            // bytes from a row to the next
+	LEAQ (DX)(DX*2), CX    // and to the third after it
+
+dotgroup:
+	CMPQ  R11, $4
+	JLT   onerow
+	MOVQ  R13, R9          // u cursor
+	MOVQ  R12, BX          // columns remaining
+	VXORPD Y0, Y0, Y0      // row 0 · u
+	VXORPD Y1, Y1, Y1      // row 1 · u
+	VXORPD Y2, Y2, Y2      // row 2 · u
+	VXORPD Y3, Y3, Y3      // row 3 · u
+	CMPQ BX, $4
+	JLT  dottail
+
+	PCALIGN $32
+dotquad:
+	VMOVUPD (R9), Y8
+	VMULPD  (SI), Y8, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  (SI)(DX*1), Y8, Y5
+	VADDPD  Y5, Y1, Y1
+	VMULPD  (SI)(DX*2), Y8, Y6
+	VADDPD  Y6, Y2, Y2
+	VMULPD  (SI)(CX*1), Y8, Y7
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	SUBQ    $4, BX
+	CMPQ    BX, $4
+	JGE     dotquad
+
+dottail:
+	TESTQ BX, BX
+	JE    dotcombine
+	VMOVSD (R9), X8            // u element in lane 0, zeros above
+	VMOVSD (SI), X4
+	VMULPD Y4, Y8, Y4
+	VADDPD Y4, Y0, Y4
+	VBLENDPD $1, Y4, Y0, Y0    // lane 0 := s0 + x·u; lanes 1-3 kept
+	VMOVSD (SI)(DX*1), X5
+	VMULPD Y5, Y8, Y5
+	VADDPD Y5, Y1, Y5
+	VBLENDPD $1, Y5, Y1, Y1
+	VMOVSD (SI)(DX*2), X6
+	VMULPD Y6, Y8, Y6
+	VADDPD Y6, Y2, Y6
+	VBLENDPD $1, Y6, Y2, Y2
+	VMOVSD (SI)(CX*1), X7
+	VMULPD Y7, Y8, Y7
+	VADDPD Y7, Y3, Y7
+	VBLENDPD $1, Y7, Y3, Y3
+	ADDQ   $8, SI
+	ADDQ   $8, R9
+	DECQ   BX
+	JMP    dottail
+
+dotcombine:
+	// Rows a, b, c, d: Y0..Y3 become the rows' s0, s1, s2, s3.
+	VUNPCKLPD Y1, Y0, Y8       // a0 b0 a2 b2
+	VUNPCKHPD Y1, Y0, Y9       // a1 b1 a3 b3
+	VUNPCKLPD Y3, Y2, Y10      // c0 d0 c2 d2
+	VUNPCKHPD Y3, Y2, Y11      // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y10, Y8, Y0  // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y11, Y9, Y1  // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y10, Y8, Y2  // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y11, Y9, Y3  // a3 b3 c3 d3
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y0, Y0         // ((s0+s1)+s2)+s3, four rows
+	VMOVUPD Y0, (R15)
+	ADDQ    CX, SI             // past the group's other three rows
+	ADDQ    $32, R15
+	SUBQ    $4, R11
+	JMP     dotgroup
 
 onerow:
 	TESTQ R11, R11

@@ -2,8 +2,8 @@
 
 package kernel
 
-// asmKernels reports no assembly kernels: they are compiled out on non-amd64
+// asmKernels reports no assembly members: they are compiled out on non-amd64
 // targets and under the purego build tag.
-func asmKernels() (k dotKernels, ok bool) {
-	return dotKernels{}, false
+func asmKernels() []dotKernels {
+	return nil
 }

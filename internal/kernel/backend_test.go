@@ -22,14 +22,10 @@ func backendVectors(rng *rand.Rand, n, dim int) []linalg.Vector {
 	return vs
 }
 
-// kernelsUnderTest lists every dot-kernel pair this build and CPU can run:
-// always the pure-Go pair, and the assembly pair when it is available.
+// kernelsUnderTest lists every member this build and CPU can run: always the
+// pure-Go one, then each assembly member the CPU has.
 func kernelsUnderTest() []dotKernels {
-	impls := []dotKernels{goKernels}
-	if k, ok := asmKernels(); ok {
-		impls = append(impls, k)
-	}
-	return impls
+	return append([]dotKernels{goKernels}, asmKernels()...)
 }
 
 // biasFill pre-fills a destination with a non-trivial bias, offset by lo so
@@ -82,7 +78,8 @@ func xorshiftChain(x uint64, steps int) uint64 {
 // BenchmarkBackends times, per backend, the exponential over one tile column
 // of scan-like arguments (ns/elem) and the whole tile driver over a
 // 4,096 × 36 range against 30 support vectors (ns/row·sv): the two numbers
-// kernel.accumulate_ns_per_row_sv of the benchmark of record is made of. The
+// kernel.accumulate_ns_per_row_sv of the benchmark of record is made of; and
+// the row dot, a query's distance scan, over 512 and 4,096 rows (ns/row). The
 // after lanes time a fixed integer chain right after the tile driver has
 // scored a 500-row range (µs/chain, the tile not counted) and, as none/after,
 // with nothing before it: a chain that is slower after a backend's tile than
@@ -130,6 +127,14 @@ func BenchmarkBackends(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*nsv), "ns/row·sv")
 		})
+		for _, n := range []int{512, rows} {
+			b.Run(fmt.Sprintf("%s/rowdot/%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.one(xs.mat.Data, n, dim, svs.mat.Row(i%nsv), dst)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
 		after(k.name, func() { blockAccumulateRBF(k, 1.0/dim, coefs, svs, probe, dst[:probeRows]) })
 	}
 }

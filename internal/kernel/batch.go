@@ -457,7 +457,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 		row := data[i*cols : (i+1)*cols]
 		var sum float64
 		for _, x := range row {
-			sum += x * x
+			sum += float64(x * x)
 		}
 		norms = append(norms, sum)
 	}

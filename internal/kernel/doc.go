@@ -18,16 +18,19 @@
 // (pair dot, norm expansion, clamp and scaling in one pass), the row dot
 // against one support vector, the in-place exponential, and the fold of a
 // pair's two kernel columns into the scores. The four are fixed once at
-// package initialisation from what the code can observe: Go assembly, all
-// four, when the build is amd64 without the purego tag and runtime CPU
-// detection (AVX2 + OS XSAVE support) passes — the pair routine scores four
-// rows against two support vectors per step; otherwise pure Go,
-// four-accumulator eight-wide unrolled dots and four interleaved scalar
-// exponential lanes (expLanes). Backend() names the set that runs ("avx2"
-// or "unrolled") and is surfaced in GET /api/status as "kernel_backend"; it
-// cannot be set. Package svm reads the same fact (AVX2) to pick the member
-// its SMO step runs on, so the name covers the trainer too, and no second
-// CPU probe exists. The row dot also computes the query distances
+// package initialisation from what the code can observe, the widest member
+// the build and the CPU run: on amd64 without the purego tag, Go assembly,
+// all four, when runtime CPU detection (AVX2 + OS XSAVE support) passes —
+// the pair routine scores four rows against two support vectors per step
+// and the row dot four rows — and with the pair routine and the fold eight
+// rows wide in 512-bit registers when it also finds AVX-512F and the OS
+// saves the ZMM state; otherwise pure Go, four-accumulator eight-wide
+// unrolled dots and four interleaved scalar exponential lanes (expLanes).
+// Backend() names the set that runs ("avx512", "avx2" or "unrolled") and is
+// surfaced in GET /api/status as "kernel_backend"; it cannot be set.
+// Package svm reads the same fact (AVX2, true on both assembly members) to
+// pick the member its SMO step runs on, so the name covers the trainer too,
+// and no second CPU probe exists. The row dot also computes the query distances
 // (DenseSet.SquaredDistancesInto), and the log modality's linear decision
 // pass has its own routine, LinearAccumulateSessions, in Go on every build
 // and with its multiply-adds written so that no build fuses them.

@@ -148,9 +148,10 @@ func checkExp(t *testing.T, k dotKernels, buf, orig, want []float64, off, n int)
 
 // FuzzExp holds the accuracy and delegation contracts under fuzzing: inside
 // the window the fast path stays within the ULP bound of math.Exp; outside
-// it is math.Exp bit-for-bit; and every backend's exp is expOne on two quads
-// built from x, the first of them poisoned when x is outside the window, in
-// both orders.
+// it is math.Exp bit-for-bit; and every backend's exp is expOne on two
+// eight-element halves built from x, the first of them poisoned when x is
+// outside the window, in both orders, so a four- or an eight-lane member
+// meets a poisoned group.
 func FuzzExp(f *testing.F) {
 	for _, x := range []float64{0, 1, -1, -50.25, 699.999, -699.999, 700, -700,
 		709.78, -745.13, math.Ln2, -math.Ln2, 1e-300, -1e-300} {
@@ -170,9 +171,9 @@ func FuzzExp(f *testing.F) {
 		if w != w {
 			w = -1
 		}
-		for _, args := range [2][8]float64{
-			{x, -x, x / 2, x * 0.999, w, -w, w / 2, w * 0.999},
-			{w, -w, w / 2, w * 0.999, x, -x, x / 2, x * 0.999},
+		for _, args := range [2][16]float64{
+			{x, -x, x / 2, x * 0.999, -x / 2, -x * 0.999, x / 4, -x / 4, w, -w, w / 2, w * 0.999, -w / 2, -w * 0.999, w / 4, -w / 4},
+			{w, -w, w / 2, w * 0.999, -w / 2, -w * 0.999, w / 4, -w / 4, x, -x, x / 2, x * 0.999, -x / 2, -x * 0.999, x / 4, -x / 4},
 		} {
 			for _, k := range kernels {
 				lanes := args

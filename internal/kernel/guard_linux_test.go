@@ -42,14 +42,15 @@ func guardedFloats(t *testing.T, n int, fill func() float64) []float64 {
 // vectors, the row norms and both outputs of pairArgs, the matrix, the
 // vector and the output of one, the scores and both columns of fold, the
 // column of exp — over shapes that take the vector loops, the scalar tails,
-// the four-row groups, the overlapping last group and the sub-four tile, and
-// checks the results against the pure-Go routines on ordinary memory.
+// the four- and eight-row groups, the overlapping last group of either and
+// the tiles under four and eight rows, and checks the results against the
+// pure-Go routines on ordinary memory.
 func TestBackendsStayInsideTheirSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const nU, nV, negGamma, cA, cB = 1.25, 0.75, -0.5, 0.625, -1.5
 	for _, k := range kernelsUnderTest() {
 		for _, cols := range []int{1, 3, 4, 7, 36} {
-			for _, rows := range []int{1, 4, 5, 6, 7, 8, 9, rbfBlockRows} {
+			for _, rows := range []int{1, 4, 5, 6, 7, 8, 9, 15, 16, 17, rbfBlockRows} {
 				mat := guardedFloats(t, rows*cols, rng.NormFloat64)
 				u := guardedFloats(t, cols, rng.NormFloat64)
 				v := guardedFloats(t, cols, rng.NormFloat64)

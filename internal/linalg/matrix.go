@@ -40,17 +40,19 @@ func (m *Matrix) MulVecInto(dst, v Vector) Vector {
 		// Four independent accumulators break the loop-carried add
 		// dependency; the combine order is fixed, so results are
 		// deterministic (though grouped differently than a plain
-		// left-to-right sum).
+		// left-to-right sum). Each product is written float64(x*y), which
+		// the Go spec forbids fusing into the add, so arm64 sums what
+		// amd64 sums.
 		var s0, s1, s2, s3 float64
 		j := 0
 		for ; j+4 <= len(row); j += 4 {
-			s0 += row[j] * v[j]
-			s1 += row[j+1] * v[j+1]
-			s2 += row[j+2] * v[j+2]
-			s3 += row[j+3] * v[j+3]
+			s0 += float64(row[j] * v[j])
+			s1 += float64(row[j+1] * v[j+1])
+			s2 += float64(row[j+2] * v[j+2])
+			s3 += float64(row[j+3] * v[j+3])
 		}
 		for ; j < len(row); j++ {
-			s0 += row[j] * v[j]
+			s0 += float64(row[j] * v[j])
 		}
 		dst[i] = ((s0 + s1) + s2) + s3
 	}
@@ -67,7 +69,7 @@ func (m *Matrix) RowSquaredNorms(dst Vector) Vector {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for _, x := range row {
-			s += x * x
+			s += float64(x * x)
 		}
 		dst[i] = s
 	}

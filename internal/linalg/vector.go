@@ -24,7 +24,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -37,7 +37,7 @@ func (v Vector) SquaredDistance(w Vector) float64 {
 	var s float64
 	for i, x := range v {
 		d := x - w[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -598,7 +598,7 @@ type StatusResponse struct {
 	// (Config.Durability).
 	Durability *DurabilityStatus `json:"durability,omitempty"`
 	// KernelBackend is the active compute backend of the scoring kernels
-	// (see internal/kernel: "unrolled" or "avx2").
+	// (see internal/kernel: "unrolled", "avx2" or "avx512").
 	KernelBackend string `json:"kernel_backend"`
 }
 
