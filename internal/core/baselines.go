@@ -201,10 +201,10 @@ func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visual, log 
 
 // scorer implements rangeScored: the round's model pair plus the query prior.
 func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	if err := ctx.Validate(true); err != nil {
+	ctx, err := ctx.validated(true)
+	if err != nil {
 		return nil, nil, err
 	}
-	ctx = ctx.withLogIndex()
 	batch := ctx.collectionBatch()
 	visual, log, err := s.train(ctx, batch)
 	if err != nil {
@@ -240,7 +240,8 @@ type Pretrained2SVMs struct {
 // Pretrain runs only the training stage of one LRF-2SVMs round and returns
 // the model pair for repeated ranking.
 func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
-	if err := ctx.Validate(true); err != nil {
+	ctx, err := ctx.validated(true)
+	if err != nil {
 		return nil, err
 	}
 	visual, log, err := s.train(ctx, ctx.collectionBatch())
@@ -253,10 +254,10 @@ func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
 // scorer implements rangeScored with exactly the post-training arithmetic of
 // LRF2SVMs.
 func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	if err := ctx.Validate(true); err != nil {
+	ctx, err := ctx.validated(true)
+	if err != nil {
 		return nil, nil, err
 	}
-	ctx = ctx.withLogIndex()
 	batch := ctx.collectionBatch()
 	return batch, retrievalScorer(ctx, batch, p.visualModel, p.logModel), nil
 }

@@ -30,13 +30,13 @@ import (
 // selectors — or every score (Scheme.Rank: the ablation heuristics of step 1
 // rank every unlabeled image).
 // Whatever a range needs beside the stores — score lanes, the query's
-// distances, the log vectors as kernel points — lives in the scanning
+// distances, the log columns as kernel points — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
 // used in: nothing derived from the collection is kept per query, so no pass
 // but the one that returns every score allocates with the size of the
-// collection. The one thing kept per log version, the log inverted by
-// session, comes with the context (QueryContext.LogIndex); a context without
-// it has one built per Rank call.
+// collection. The one thing kept per log version, the log indexed by session
+// and by image, comes with the context (QueryContext.LogIndex); a context
+// without it has one built per Rank call.
 
 // CollectionBatch holds what every query against the same collection shares:
 // the sharded flat visual store with per-shard row norms — the one copy of
@@ -57,9 +57,13 @@ type CollectionBatch struct {
 	qs     *kernel.QuantizedSet
 
 	// scratch pools scoring arenas (see rankScratch); steady-state queries
-	// reuse them instead of allocating shard-sized buffers. leased counts the
-	// arenas out on loan: zero after any pass, cancelled or not.
-	scratch sync.Pool
+	// reuse them instead of allocating shard-sized buffers. An arena is sized
+	// to a shard, not to the collection, so a batch shares the pool of the
+	// batch it was appended to: an ingestion neither allocates arenas anew
+	// nor leaves the old epoch's in a pool only a garbage collection empties.
+	// leased counts this batch's arenas out on loan: zero after any pass,
+	// cancelled or not.
+	scratch *sync.Pool
 	leased  atomic.Int64
 }
 
@@ -75,7 +79,7 @@ func NewCollectionBatch(visual []linalg.Vector) *CollectionBatch {
 // bit-identical for every shard size; the knob trades per-worker cache
 // residency against scheduling granularity.
 func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *CollectionBatch {
-	return &CollectionBatch{set: kernel.NewShardedSet(visual, shardSize)}
+	return &CollectionBatch{set: kernel.NewShardedSet(visual, shardSize), scratch: new(sync.Pool)}
 }
 
 // Len returns the number of images in the collection.
@@ -89,9 +93,9 @@ func (b *CollectionBatch) Len() int { return b.set.Len() }
 // The default-kernel bandwidth is re-estimated lazily over the full grown
 // collection — the evenly spaced subsample of the estimator is deterministic,
 // so the grown batch's kernel is identical to a from-scratch batch over the
-// same collection.
+// same collection. The grown batch shares the receiver's scoring arenas.
 func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
-	return &CollectionBatch{set: b.set.Grow(added)}
+	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch}
 }
 
 // Grow is Append for a caller that keeps the whole collection as a slice:
@@ -167,6 +171,7 @@ func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
 type rankScratch struct {
 	lanes [4][]float64
 	pts   []kernel.Point
+	cols  []sparse.Vector // the column headers pts name
 	sel   topKSelector
 	pick  unlabeledSelector
 	// view is a reusable DenseSet header, so slicing a range out of a shard
@@ -184,24 +189,28 @@ const (
 )
 
 // lane returns scratch lane i with length n, growing its backing array only
-// when a larger shard is seen.
+// when a longer range is seen, and then to at least twice its length: the
+// pool outlives an ingestion, whose tail shard is a few rows longer.
 func (s *rankScratch) lane(i, n int) []float64 {
 	if cap(s.lanes[i]) < n {
-		s.lanes[i] = make([]float64, n)
+		s.lanes[i] = make([]float64, max(n, 2*cap(s.lanes[i])))
 	}
 	return s.lanes[i][:n]
 }
 
-// logPoints wraps the log vectors of one range as kernel points in the
-// arena's buffer. kernel.Sparse is one pointer, so boxing it allocates
-// nothing.
-func (s *rankScratch) logPoints(vs []*sparse.Vector) []kernel.Point {
-	if cap(s.pts) < len(vs) {
-		s.pts = make([]kernel.Point, len(vs))
+// logPoints wraps the log columns of the rows [lo, lo+n) as kernel points in
+// the arena's buffers: the column headers, views into the index, and the
+// points that name them. kernel.Sparse is one pointer, so boxing it
+// allocates nothing.
+func (s *rankScratch) logPoints(ix *kernel.LogIndex, lo, n int) []kernel.Point {
+	if cap(s.pts) < n {
+		s.pts = make([]kernel.Point, n)
+		s.cols = make([]sparse.Vector, n)
 	}
-	pts := s.pts[:len(vs)]
-	for i, v := range vs {
-		pts[i] = kernel.NewSparse(v)
+	pts, cols := s.pts[:n], s.cols[:n]
+	for i := range pts {
+		cols[i] = ix.Column(lo + i)
+		pts[i] = kernel.NewSparse(&cols[i])
 	}
 	return pts
 }
@@ -375,8 +384,8 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k 
 // arenas' step-1 selectors. labeled lists the judged images, ascending and
 // distinct.
 type unlabeledSink struct {
-	labeled    []int
-	logVectors []*sparse.Vector
+	labeled []int
+	log     *kernel.LogIndex
 }
 
 func (unlabeledSink) like(sc, proto *rankScratch) { sc.pick.reset(proto.pick.num) }
@@ -384,7 +393,7 @@ func (unlabeledSink) like(sc, proto *rankScratch) { sc.pick.reset(proto.pick.num
 func (unlabeledSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(laneScores, n) }
 
 func (k unlabeledSink) consume(sc *rankScratch, lo int, scores []float64) {
-	sc.pick.consume(lo, scores, k.labeled, k.logVectors)
+	sc.pick.consume(lo, scores, k.labeled, k.log)
 }
 
 func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick) }
@@ -407,7 +416,7 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, fn ra
 	sc := b.scratchGet()
 	defer b.scratchPut(sc)
 	sc.pick.reset(num)
-	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, logVectors: ctx.LogVectors}, sc); err != nil {
+	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, log: ctx.LogIndex}, sc); err != nil {
 		return nil, nil, err
 	}
 	indices, initialLabels = sc.pick.drain()
@@ -443,11 +452,11 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 // query prior around the descriptor q. Step 1 of Fig. 1 selects by the
 // decision values alone and passes a nil q.
 func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector) rangeScorer {
-	logVectors, logIndex := ctx.LogVectors, ctx.LogIndex
+	log := ctx.LogIndex
 	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
 		n := sub.Len()
 		visualModel.DecisionSet(sub, dst, sc.lane(laneKernel, n))
-		logScores := logDecisions(sc, logModel, logVectors, logIndex, lo, n)
+		logScores := logDecisions(sc, logModel, log, lo, n)
 		for i := range dst {
 			dst[i] += logScores[i]
 		}
@@ -460,20 +469,20 @@ func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg
 // logDecisions returns the log model's decision values of the rows [lo, lo+n)
 // in the arena's log lane. A linear model walks its support vectors through
 // the collection's log inverted by session (kernel.LinearAccumulateSessions);
-// what that declines — another kernel, no index, a coefficient that is not
-// finite — takes svm.Model.DecisionBatch, one pass per support vector over
-// the rows' log vectors. Both give the bits of the per-SV pass.
-func logDecisions(sc *rankScratch, m *svm.Model, logVectors []*sparse.Vector, ix *kernel.SparseSVIndex, lo, n int) []float64 {
+// what that declines — another kernel, a log of no session, a coefficient
+// that is not finite — takes svm.Model.DecisionBatch, one pass per support
+// vector over the rows' log columns. Both give the bits of the per-SV pass.
+func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int) []float64 {
 	dst := sc.lane(laneLog, n)
 	if _, linear := m.Kernel.(kernel.Linear); linear {
 		for i := range dst {
 			dst[i] = m.Bias
 		}
-		if kernel.LinearAccumulateSessions(m.Coefficients, m.SupportPoints, ix, lo, dst, sc.lane(laneRow, n)) {
+		if kernel.LinearAccumulateSessions(m.Coefficients, m.SupportPoints, log.Sessions(), lo, dst, sc.lane(laneRow, n)) {
 			return dst
 		}
 	}
-	m.DecisionBatch(sc.logPoints(logVectors[lo:lo+n]), dst, sc.lane(laneKernel, n))
+	m.DecisionBatch(sc.logPoints(log, lo, n), dst, sc.lane(laneKernel, n))
 	return dst
 }
 
@@ -499,7 +508,7 @@ func addQueryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet, score
 	dist := sc.lane(laneKernel, len(scores))
 	rangeDistances(q, sub, dist)
 	for i := range scores {
-		scores[i] -= queryPriorWeight * dist[i]
+		scores[i] -= float64(queryPriorWeight * dist[i])
 	}
 }
 

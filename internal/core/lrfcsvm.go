@@ -125,10 +125,10 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 // It exists so benchmarks (bench/'s depth replay) can measure TrainCoupled
 // on exactly the problems the feedback path produces.
 func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []float64, error) {
-	if err := ctx.Validate(true); err != nil {
+	ctx, err := ctx.validated(true)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	ctx = ctx.withLogIndex()
 	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted)
 	return modalities, labels, initialLabels, err
 }
@@ -138,10 +138,10 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 // optimization. It returns the coupled models with step 3's scorer, which
 // shares step 1's log index.
 func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, final rangeScorer, err error) {
-	if err := ctx.Validate(true); err != nil {
+	ctx, err = ctx.validated(true)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	ctx = ctx.withLogIndex()
 	batch = ctx.collectionBatch()
 	p := params.withDefaults()
 	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, sel)

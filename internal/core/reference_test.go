@@ -114,7 +114,7 @@ func referenceRefine(ctx *QueryContext, s refScheme) (*refResult, error) {
 	}
 	if s.name == "RF-SVM" {
 		for i, x := range visual {
-			res.scores[i] = visualDecision(vm, x) - queryPriorWeight*queryDistance(q, x)
+			res.scores[i] = visualDecision(vm, x) - float64(queryPriorWeight*queryDistance(q, x))
 		}
 		return res, nil
 	}
@@ -146,7 +146,7 @@ func referenceRefine(ctx *QueryContext, s refScheme) (*refResult, error) {
 	}
 	// Step 3 (and LRF-2SVMs): the summed decision value plus the prior.
 	for i, x := range visual {
-		res.scores[i] = visualDecision(vm, x) + lm.Decision(kernel.NewSparse(logs[i])) - queryPriorWeight*queryDistance(q, x)
+		res.scores[i] = visualDecision(vm, x) + lm.Decision(kernel.NewSparse(logs[i])) - float64(queryPriorWeight*queryDistance(q, x))
 	}
 	return res, nil
 }

@@ -21,7 +21,10 @@ func BenchmarkColdRefine(b *testing.B) {
 	for _, n := range []int{500, 1000, 2000} {
 		b.Run(fmt.Sprintf("images=%d", n), func(b *testing.B) {
 			coll := makeDenseLogCollection(b, n/50, 50, 3*n, 29)
-			ctx := coll.queryContext(7, 20).withLogIndex()
+			ctx, err := coll.queryContext(7, 20).validated(true)
+			if err != nil {
+				b.Fatal(err)
+			}
 			ctx.Batch = NewCollectionBatch(coll.visual)
 			refine := func() time.Duration {
 				start := time.Now()

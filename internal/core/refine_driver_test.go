@@ -175,7 +175,7 @@ func drawRefineCase(seed uint64) *refineCase {
 func (c *refineCase) context() *QueryContext {
 	ctx := &QueryContext{LogVectors: c.logs, Query: c.query, Labeled: c.labeled, Workers: c.workers}
 	if c.logIndex {
-		ctx.LogIndex = kernel.NewSparseSVIndex(kernel.SparsePoints(c.logs))
+		ctx.LogVectors, ctx.LogIndex = nil, logIndexOf(ctx)
 	}
 	switch c.batch {
 	case "transient":
@@ -353,7 +353,10 @@ func (c *refineCase) check() (map[string]bool, error) {
 // biases and counts.
 func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme, want *refResult, seen map[string]bool) error {
 	sel := LRFCSVMWithSelection{Strategy: ref.strategy, RandomSeed: ref.seed}.selection()
-	step1 := ctx.withLogIndex()
+	step1, err := ctx.validated(true)
+	if err != nil {
+		return fmt.Errorf("%s step 1: %w", name, err)
+	}
 	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), c.params.withDefaults(), sel)
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)

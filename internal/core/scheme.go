@@ -41,15 +41,20 @@ type QueryContext struct {
 	// (CollectionBatch.startsWith); bench/ sets both, which is all that keeps
 	// the pair legal, and it ends once bench/ sets a Batch alone.
 	Visual []linalg.Vector
-	// LogVectors holds the user-log relevance vector of every image. It may
-	// be nil for schemes that do not use the log (Euclidean, RF-SVM).
+	// LogVectors is the un-indexed form of the log, for callers without a
+	// LogIndex (examples, bench/, tests): one relevance column per image, as
+	// feedbacklog.Log.RelevanceVectors returns them. Each Rank call of a log
+	// scheme converts it into a transient index (kernel.NewLogIndex), which
+	// refuses a nil column or one of another dimension; nothing else reads
+	// it. It may be nil for schemes that do not use the log (Euclidean,
+	// RF-SVM), and must be when LogIndex is set.
 	LogVectors []*sparse.Vector
-	// LogIndex is LogVectors inverted by session — each session's judged
-	// images, ascending — as feedbacklog.Log.ExtendSessionIndex keeps it or
-	// kernel.NewSparseSVIndex builds it; it may cover images past the
-	// collection. The log schemes score the log half of every scanned row
-	// through it. Nil makes each Rank call build one for itself.
-	LogIndex *kernel.SparseSVIndex
+	// LogIndex is the log indexed by session and by image, as
+	// feedbacklog.Log.ExtendIndex keeps it for the retrieval engine and the
+	// evaluation experiments; the log schemes read the log only through it.
+	// It may end before the collection (an image past its columns has no
+	// judgment) or run past it (a scan never reaches those columns).
+	LogIndex *kernel.LogIndex
 	// Query is the index of the query image.
 	Query int
 	// Labeled is the set S_l of images judged in the current feedback round.
@@ -103,32 +108,50 @@ func (ctx *QueryContext) validateQuery() error {
 	return nil
 }
 
-// Validate checks structural consistency of the context.
+// Validate checks structural consistency of the context; needLog checks its
+// log too, converting LogVectors as a Rank call would.
 func (ctx *QueryContext) Validate(needLog bool) error {
+	_, err := ctx.validated(needLog)
+	return err
+}
+
+// validated validates the context and returns it, carrying a log index when
+// needLog: ctx itself when it carries one, otherwise a copy carrying
+// LogVectors converted. Every scheme calls it once per Rank, so that its
+// scans (step 1's and step 3's alike) and its training points share the
+// index.
+func (ctx *QueryContext) validated(needLog bool) (*QueryContext, error) {
 	if err := ctx.validateQuery(); err != nil {
-		return err
+		return nil, err
 	}
 	n := ctx.NumImages()
-	if needLog {
+	if needLog && ctx.LogIndex != nil && ctx.LogVectors != nil {
+		return nil, fmt.Errorf("core: a query context carries both LogVectors and a LogIndex")
+	}
+	if needLog && ctx.LogIndex == nil {
 		if len(ctx.LogVectors) != n {
-			return fmt.Errorf("core: log vectors (%d) do not cover the collection (%d images)", len(ctx.LogVectors), n)
+			return nil, fmt.Errorf("core: log vectors (%d) do not cover the collection (%d images)", len(ctx.LogVectors), n)
 		}
-		if ix := ctx.LogIndex; ix != nil && ctx.LogVectors[0] != nil && ix.Dim() != ctx.LogVectors[0].Dim {
-			return fmt.Errorf("core: log index of %d sessions beside log vectors of %d", ix.Dim(), ctx.LogVectors[0].Dim)
+		ix, err := kernel.NewLogIndex(ctx.LogVectors)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
+		c := *ctx
+		c.LogVectors, c.LogIndex = nil, ix
+		ctx = &c
 	}
 	if len(ctx.Labeled) == 0 {
-		return fmt.Errorf("core: no labeled examples")
+		return nil, fmt.Errorf("core: no labeled examples")
 	}
 	for _, ex := range ctx.Labeled {
 		if ex.Index < 0 || ex.Index >= n {
-			return fmt.Errorf("core: labeled image %d out of range [0,%d)", ex.Index, n)
+			return nil, fmt.Errorf("core: labeled image %d out of range [0,%d)", ex.Index, n)
 		}
 		if ex.Label != 1 && ex.Label != -1 {
-			return fmt.Errorf("core: labeled image %d has label %v, want +1 or -1", ex.Index, ex.Label)
+			return nil, fmt.Errorf("core: labeled image %d has label %v, want +1 or -1", ex.Index, ex.Label)
 		}
 	}
-	return nil
+	return ctx, nil
 }
 
 // labeledSet returns the labeled indices as a set for quick membership tests.
@@ -140,26 +163,16 @@ func (ctx *QueryContext) labeledSet() map[int]bool {
 	return set
 }
 
-// logPoints returns the log vectors of the given image indices as kernel
-// points.
+// logPoints returns the log columns of the given image indices as kernel
+// points, views into the log index.
 func (ctx *QueryContext) logPoints(indices []int) []kernel.Point {
+	cols := make([]sparse.Vector, len(indices))
 	out := make([]kernel.Point, len(indices))
 	for i, idx := range indices {
-		out[i] = kernel.NewSparse(ctx.LogVectors[idx])
+		cols[i] = ctx.LogIndex.Column(idx)
+		out[i] = kernel.NewSparse(&cols[i])
 	}
 	return out
-}
-
-// withLogIndex returns ctx when it carries a log index, and otherwise a copy
-// carrying one built from LogVectors: what a log scheme calls once per Rank,
-// so that its scans (step 1's and step 3's alike) share the index.
-func (ctx *QueryContext) withLogIndex() *QueryContext {
-	if ctx.LogIndex != nil {
-		return ctx
-	}
-	c := *ctx
-	c.LogIndex = kernel.NewSparseSVIndex(kernel.SparsePoints(ctx.LogVectors))
-	return &c
 }
 
 // Scheme is a retrieval scheme: it scores every image of the collection for

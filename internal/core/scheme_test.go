@@ -31,6 +31,9 @@ func TestQueryContextValidate(t *testing.T) {
 		{"bad labeled index", QueryContext{Visual: visual, Query: 0, Labeled: []LabeledExample{{Index: 9, Label: 1}}}, false},
 		{"bad label value", QueryContext{Visual: visual, Query: 0, Labeled: []LabeledExample{{Index: 1, Label: 0}}}, false},
 		{"missing log", QueryContext{Visual: visual, Query: 0, Labeled: good.Labeled}, true},
+		{"nil log vector", QueryContext{Visual: visual, LogVectors: []*sparse.Vector{logs[0], logs[1], nil}, Query: 0, Labeled: good.Labeled}, true},
+		{"log vector of another dimension", QueryContext{Visual: visual, LogVectors: []*sparse.Vector{logs[0], logs[1], sparse.New(3)}, Query: 0, Labeled: good.Labeled}, true},
+		{"both log forms", QueryContext{Visual: visual, LogVectors: logs, LogIndex: logIndexOf(good), Query: 0, Labeled: good.Labeled}, true},
 	}
 	for _, c := range cases {
 		if err := c.ctx.Validate(c.needLog); err == nil {

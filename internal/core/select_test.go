@@ -40,6 +40,7 @@ func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float6
 	}
 	order := linalg.ArgsortDesc(scores)
 	picked := make(map[int]bool, num)
+	log := logIndexOf(ctx)
 
 	// Presumed positives: best-scoring log-covered candidates first.
 	for _, oi := range order {
@@ -47,7 +48,7 @@ func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float6
 			break
 		}
 		idx := candidates[oi]
-		if picked[idx] || ctx.LogVectors[idx].NNZ() == 0 {
+		if picked[idx] || !log.Covered(idx) {
 			continue
 		}
 		picked[idx] = true
@@ -173,13 +174,15 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 		top, err = rankTopRanges(ctx, b, cands, k, nil, fn)
 	case "unlabeled":
 		if exhaustive {
-			idx, labels, err = selectUnlabeledRanges(ctx, b, k, fn)
+			indexed := *ctx
+			indexed.LogVectors, indexed.LogIndex = nil, logIndexOf(ctx)
+			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, fn)
 			return
 		}
 		labeled, _ := labeledSplit(ctx)
 		slices.Sort(labeled)
 		sc.pick.reset(k)
-		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: slices.Compact(labeled), logVectors: ctx.LogVectors}, sc); err == nil {
+		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: slices.Compact(labeled), log: logIndexOf(ctx)}, sc); err == nil {
 			idx, labels = sc.pick.drain()
 		}
 	}
@@ -365,7 +368,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 			tb.Fatal(err)
 		}
 	}
-	ctx = &QueryContext{Visual: visual, LogVectors: log.RelevanceVectors(), LogIndex: log.ExtendSessionIndex(nil), Query: 0}
+	ctx = &QueryContext{Visual: visual, LogIndex: log.ExtendIndex(nil), Query: 0}
 	for i := 0; i < page; i++ {
 		// Half the page from the query's category, half from elsewhere.
 		ex := LabeledExample{Index: i / 2, Label: 1}

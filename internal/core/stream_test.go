@@ -2,9 +2,9 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/sparse"
 )
 
@@ -38,6 +38,25 @@ func TestStreamRankingAllocations(t *testing.T) {
 		t.Errorf("Euclidean.RankTopAppend allocates %.0f times per query with a recycled buffer, want at most 1", allocs)
 	}
 
+	// A batch an ingestion grew shares its parent's arenas: a query on each
+	// new epoch allocates what the growth does and what a steady query does,
+	// and no arena for a garbage collection to find in the old epoch's pool.
+	// Each chain grows only its latest batch, as the engine does.
+	row := ctx.Batch.VisualSet().Rows()[:1]
+	grown := NewCollectionBatch(ctx.Batch.VisualSet().Rows())
+	growth := testing.AllocsPerRun(20, func() { grown = grown.Append(row) })
+	epoch := *ctx
+	epoch.Visual, epoch.Batch = nil, NewCollectionBatch(ctx.Batch.VisualSet().Rows())
+	perEpoch := testing.AllocsPerRun(20, func() {
+		epoch.Batch = epoch.Batch.Append(row)
+		if _, err := (Euclidean{}).RankTopAppend(&epoch, k, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEpoch > growth+1 {
+		t.Errorf("a query on each new epoch allocates %.0f times, the growth alone %.0f: want at most one more", perEpoch, growth)
+	}
+
 	// A pass of at most minUnitRows rows is one unit, which the caller scores
 	// without forking: at 500 images a query on every core (Workers: 0, at
 	// least two of them) allocates what the serial one does. AllocsPerRun
@@ -68,9 +87,9 @@ func TestStreamRankingAllocations(t *testing.T) {
 
 	// The two-SVM scoring pass over a context that carries its log index, as
 	// the engine's do. What is pinned is that bytes per pass do not grow with
-	// the collection — on the cold case: the query rotates and the log vectors
-	// change slice identity every pass (a commit produces a new slice), so
-	// nothing a pass needs was left behind by the one before. A distance row
+	// the collection — on the cold case: the query rotates and the log index
+	// alternates between two copies of the log every pass (a commit produces
+	// a new index), so nothing a pass needs was left behind by the one before. A distance row
 	// kept per query cost 8 bytes per image here, a point wrapper per log
 	// vector 16, and a row buffer per range for the log half would cost 8;
 	// what still scales is the RBF tile's two 64-row column buffers, 1 KB
@@ -85,13 +104,22 @@ func TestStreamRankingAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logs := [2][]*sparse.Vector{ctx.LogVectors, slices.Clone(ctx.LogVectors)}
+		cols := make([]*sparse.Vector, n)
+		for i := range cols {
+			col := ctx.LogIndex.Column(i)
+			cols[i] = &col
+		}
+		copied, err := kernel.NewLogIndex(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := [2]*kernel.LogIndex{ctx.LogIndex, copied}
 		buf := make([]Ranked, 0, k)
 		pass := 0
 		return steadyBytesPerPass(func() {
 			pass++
 			ctx.Query = pass * 331 % n
-			ctx.LogVectors = logs[pass%2]
+			ctx.LogIndex = logs[pass%2]
 			got, err := pre.RankTopAppend(ctx, k, buf[:0])
 			if err != nil || len(got) != k {
 				t.Fatalf("ranked %d images, err %v", len(got), err)

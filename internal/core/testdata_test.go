@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
@@ -146,4 +147,17 @@ func (c *syntheticCollection) precisionAt(scores []float64, query, k int) float6
 		}
 	}
 	return float64(relevant) / float64(len(top))
+}
+
+// logIndexOf is the log index a Rank call reads for ctx: the one it carries,
+// or its LogVectors converted.
+func logIndexOf(ctx *QueryContext) *kernel.LogIndex {
+	if ctx.LogIndex != nil {
+		return ctx.LogIndex
+	}
+	ix, err := kernel.NewLogIndex(ctx.LogVectors)
+	if err != nil {
+		panic(err)
+	}
+	return ix
 }

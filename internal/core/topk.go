@@ -3,7 +3,7 @@ package core
 import (
 	"slices"
 
-	"lrfcsvm/internal/sparse"
+	"lrfcsvm/internal/kernel"
 )
 
 // This file is the bounded selection substrate of the streaming query path:
@@ -165,8 +165,8 @@ func (s *unlabeledSelector) reset(num int) {
 
 // consume offers the combined scores of the images [lo, lo+len(scores)).
 // labeled lists the judged images, ascending and distinct; they are never
-// drafted. logVectors tells which images the log covers.
-func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, logVectors []*sparse.Vector) {
+// drafted. log tells which images the log covers.
+func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, log *kernel.LogIndex) {
 	next, _ := slices.BinarySearch(labeled, lo)
 	for i, v := range scores {
 		idx := lo + i
@@ -174,7 +174,7 @@ func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, log
 			next++
 			continue
 		}
-		if logVectors[idx].NNZ() != 0 {
+		if log.Covered(idx) {
 			s.covered.push(idx, v)
 		}
 		s.best.push(idx, v)

@@ -32,6 +32,7 @@ func denseLogCoupledSetup(b testing.TB) (modalities []Modality, labels, initial 
 // alternating initial labels.
 func coupledProblem(coll *syntheticCollection, query, labeledK int) (modalities []Modality, labels, initial []float64) {
 	ctx := coll.queryContext(query, labeledK)
+	ctx.LogVectors, ctx.LogIndex = nil, logIndexOf(ctx)
 	batch := NewCollectionBatch(ctx.Visual)
 	ctx.Batch = batch
 	p := CSVMParams{}.withDefaults()

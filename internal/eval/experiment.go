@@ -112,11 +112,11 @@ type Experiment struct {
 	Labels     []int
 	LogStats   feedbacklog.Stats
 
-	// batch is Visual indexed and logIndex the log inverted by session: the
-	// collection and the log index of every query context the experiment
-	// hands out.
+	// batch is Visual indexed and logIndex the log indexed by session and by
+	// image, built once: the collection and the log of every query context
+	// the experiment hands out.
 	batch    *core.CollectionBatch
-	logIndex *kernel.SparseSVIndex
+	logIndex *kernel.LogIndex
 }
 
 // Prepare generates the dataset, extracts and normalizes the visual
@@ -146,7 +146,7 @@ func Prepare(cfg Config) (*Experiment, error) {
 		Labels:     labels,
 		LogStats:   log.Stats(),
 		batch:      core.NewCollectionBatch(visual),
-		logIndex:   log.ExtendSessionIndex(nil),
+		logIndex:   log.ExtendIndex(nil),
 	}, nil
 }
 
@@ -184,12 +184,11 @@ func (e *Experiment) QueryContext(query int) *core.QueryContext {
 		labeled = append(labeled, core.LabeledExample{Index: idx, Label: label})
 	}
 	return &core.QueryContext{
-		LogVectors: e.LogVectors,
-		LogIndex:   e.logIndex,
-		Query:      query,
-		Labeled:    labeled,
-		Workers:    e.Config.Workers,
-		Batch:      e.batch,
+		LogIndex: e.logIndex,
+		Query:    query,
+		Labeled:  labeled,
+		Workers:  e.Config.Workers,
+		Batch:    e.batch,
 	}
 }
 

@@ -163,7 +163,9 @@ const headerSlab = 64
 // judged since then get their new components appended copy-on-write, and
 // images added by GrowImages since prev get empty columns. When nothing
 // changed, prev itself is returned, so downstream caches keyed on slice
-// identity keep hitting. prev is never mutated.
+// identity keep hitting. prev is never mutated. Only bench/ keeps a column
+// view this way — the retrieval engine keeps the log as one index
+// (ExtendIndex) — and the method ends once bench/ stops calling it.
 func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []*sparse.Vector {
 	if prevSessions < 0 || prevSessions > len(l.sessions) || len(prev) > l.numImages {
 		panic(fmt.Sprintf("feedbacklog: stale column view (%d images at %d sessions) cannot extend to %d images at %d sessions",
@@ -199,22 +201,20 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 	return out
 }
 
-// ExtendSessionIndex returns the log inverted by session as a
-// kernel.SparseSVIndex over the images: index s holds the images session s
-// judged, ascending, with their judgments — row s of the relevance matrix,
-// and the index kernel.NewSparseSVIndex builds of RelevanceVectors() (nil
-// while the log has no session). prev is an index an earlier call returned
-// for this log: only the sessions it does not hold are appended, at
-// O(judgments added), sharing its storage as kernel.SparseSVIndex.Extend
-// does — so only the latest index may be extended, by calls serialized with
-// the log's mutations. When no session was added prev itself is returned;
-// images added by GrowImages change nothing until a session judges them.
-func (l *Log) ExtendSessionIndex(prev *kernel.SparseSVIndex) *kernel.SparseSVIndex {
+// ExtendIndex returns the log indexed by session and by image
+// (kernel.LogIndex), logically the index kernel.NewLogIndex builds of
+// RelevanceVectors(). prev is an index an earlier call returned for this log,
+// or nil: only the sessions it does not hold are added, at O(judgments
+// added), sharing its storage as kernel.LogIndex.Extend does — so only the
+// latest index may be extended, by calls serialized with the log's
+// mutations. When no session was added prev itself is returned; images added
+// by GrowImages change nothing until a session judges them.
+func (l *Log) ExtendIndex(prev *kernel.LogIndex) *kernel.LogIndex {
 	from := prev.Dim()
 	if from > len(l.sessions) {
-		panic(fmt.Sprintf("feedbacklog: stale session index (%d sessions) cannot extend to %d sessions", from, len(l.sessions)))
+		panic(fmt.Sprintf("feedbacklog: stale log index (%d sessions) cannot extend to %d sessions", from, len(l.sessions)))
 	}
-	if from == len(l.sessions) {
+	if prev != nil && from == len(l.sessions) {
 		return prev
 	}
 	rows := make([][]sparse.Entry, 0, len(l.sessions)-from)

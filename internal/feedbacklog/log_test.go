@@ -1,11 +1,14 @@
 package feedbacklog
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 func TestNewLogPanicsOnBadSize(t *testing.T) {
@@ -211,23 +214,24 @@ func TestExtendRelevanceVectorsStalePanics(t *testing.T) {
 	log.ExtendRelevanceVectors(nil, 5)
 }
 
-// TestExtendSessionIndexMatchesInversion holds the session index kept
-// incrementally — extended after one commit, after several, across
-// GrowImages, and not at all — to the index kernel.NewSparseSVIndex inverts
-// RelevanceVectors() to after every extension, and every index an earlier
-// extension returned to what it held then: extensions write past the end of
-// the storage they share.
-func TestExtendSessionIndexMatchesInversion(t *testing.T) {
+// TestExtendIndexMatchesRelevanceVectors holds the log index kept incrementally —
+// extended after one commit, after several, across GrowImages, and not at
+// all — to RelevanceVectors() after every extension: the index
+// kernel.NewSparseSVIndex inverts them to, and the same column, coverage and
+// session count for every image. Every index an earlier extension returned
+// must still read what it read then: extensions write past the end of the
+// storage they share.
+func TestExtendIndexMatchesRelevanceVectors(t *testing.T) {
 	rng := linalg.NewRNG(30)
 	log := NewLog(40)
-	inversion := func() *kernel.SparseSVIndex {
-		return kernel.NewSparseSVIndex(kernel.SparsePoints(log.RelevanceVectors()))
+	ix := log.ExtendIndex(nil)
+	if ix == nil || ix.Dim() != 0 || ix.Sessions() != nil {
+		t.Fatalf("a log of no session: index %+v, want an empty one", ix)
 	}
-	var ix *kernel.SparseSVIndex
-	if ix = log.ExtendSessionIndex(ix); ix != nil {
-		t.Fatalf("a log of no session: index of %d sessions, want nil as the inversion", ix.Dim())
+	type kept struct {
+		ix   *kernel.LogIndex
+		cols []*sparse.Vector
 	}
-	type kept struct{ ix, want *kernel.SparseSVIndex }
 	var earlier []kept
 	for step := 0; step < 30; step++ {
 		if step%7 == 3 {
@@ -241,28 +245,44 @@ func TestExtendSessionIndexMatchesInversion(t *testing.T) {
 			mustAdd(t, log, judged)
 		}
 		prev := ix
-		ix = log.ExtendSessionIndex(prev)
-		want := inversion()
-		if !reflect.DeepEqual(ix, want) {
-			t.Fatalf("step %d: the index extended to %d sessions is not the inversion of the columns", step, log.NumSessions())
+		ix = log.ExtendIndex(prev)
+		cols := log.RelevanceVectors()
+		if err := sameIndex(ix, cols); err != nil {
+			t.Fatalf("step %d: the index extended to %d sessions: %v", step, log.NumSessions(), err)
 		}
-		if prev != nil && prev.Dim() == log.NumSessions() && ix != prev {
+		if prev.Dim() == log.NumSessions() && ix != prev {
 			t.Fatalf("step %d: no session added, and the previous index was not returned", step)
 		}
-		earlier = append(earlier, kept{ix, want})
+		earlier = append(earlier, kept{ix, cols})
 	}
 	for i, k := range earlier {
-		if !reflect.DeepEqual(k.ix, k.want) {
-			t.Errorf("the index of step %d changed after later extensions", i)
+		if err := sameIndex(k.ix, k.cols); err != nil {
+			t.Errorf("the index of step %d changed after later extensions: %v", i, err)
 		}
 	}
 }
 
-func TestExtendSessionIndexStalePanics(t *testing.T) {
+// sameIndex reports how ix differs from the log whose relevance columns are
+// cols: its session count, its index by session (kernel.NewSparseSVIndex's
+// inversion of the columns), and each image's column and coverage.
+func sameIndex(ix *kernel.LogIndex, cols []*sparse.Vector) error {
+	if ix.Dim() != cols[0].Dim || !reflect.DeepEqual(ix.Sessions(), kernel.NewSparseSVIndex(kernel.SparsePoints(cols))) {
+		return fmt.Errorf("%d sessions, the log %d, or another session index", ix.Dim(), cols[0].Dim)
+	}
+	for i, col := range cols {
+		got := ix.Column(i)
+		if got.Dim != col.Dim || !slices.Equal(got.Entries, col.Entries) || ix.Covered(i) != (col.NNZ() > 0) {
+			return fmt.Errorf("image %d: column %+v (covered %v), want %+v", i, got, ix.Covered(i), col)
+		}
+	}
+	return nil
+}
+
+func TestExtendIndexStalePanics(t *testing.T) {
 	ahead := NewLog(3)
 	mustAdd(t, ahead, map[int]Judgment{0: Relevant})
 	mustAdd(t, ahead, map[int]Judgment{1: Irrelevant})
-	ix := ahead.ExtendSessionIndex(nil)
+	ix := ahead.ExtendIndex(nil)
 	log := NewLog(3)
 	mustAdd(t, log, map[int]Judgment{2: Relevant})
 	defer func() {
@@ -270,7 +290,7 @@ func TestExtendSessionIndexStalePanics(t *testing.T) {
 			t.Fatal("an index of 2 sessions extended to a log of 1 without a panic")
 		}
 	}()
-	log.ExtendSessionIndex(ix)
+	log.ExtendIndex(ix)
 }
 
 func TestCloneIsolatesSessionList(t *testing.T) {

@@ -40,10 +40,13 @@
 // The log modality has one sparse product method: points inverted by
 // session (SparseSVIndex), and one index type with two users. The scans walk
 // each support vector of a linear model through the collection's log
-// inverted by session — each session's judged images, ascending, which the
-// retrieval engine keeps beside its log columns and extends by whole sessions
-// (feedbacklog.Log.ExtendSessionIndex) — so a scan range costs the cells the
-// support vectors meet in it (LinearAccumulateSessions). The solver's Gram
+// inverted by session — each session's judged images, ascending — so a scan
+// range costs the cells the support vectors meet in it
+// (LinearAccumulateSessions). That index is one half of the collection's log
+// index (LogIndex), which the retrieval engine keeps as its only form of the
+// log and extends by whole sessions (feedbacklog.Log.ExtendIndex); the other
+// half is each image's relevance column, a run in its page of images' entry
+// array, which the training points are views into. The solver's Gram
 // matrix walks each row point through its training problem's points inverted
 // by session (Cache). Either gives Sparse.Dot's bits for every pair: the
 // same products, each rounded on its own, in the same ascending-session

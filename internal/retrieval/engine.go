@@ -22,7 +22,6 @@ import (
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
-	"lrfcsvm/internal/sparse"
 )
 
 // Result is one ranked image.
@@ -111,13 +110,10 @@ type Engine struct {
 	// operation and work against that consistent snapshot.
 	cur atomic.Pointer[epoch]
 
-	// mu serializes mutations and guards the log and the incremental
-	// log-column cache.
-	mu          sync.Mutex
-	log         *feedbacklog.Log
-	logVectors  []*sparse.Vector      // incremental column cache, see logColumns
-	logIndex    *kernel.SparseSVIndex // the log inverted by session, kept beside logVectors
-	logSessions int                   // sessions covered by logVectors and logIndex
+	// mu serializes mutations and guards the log and its index.
+	mu       sync.Mutex
+	log      *feedbacklog.Log
+	logIndex *kernel.LogIndex // the log indexed for ranking, see logIndexed
 
 	// closed is set by Close: mutations read it at admission and closeCtx
 	// at every cancellation check of a query or a refinement.
@@ -277,23 +273,16 @@ func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
 	return e.cur.Load().batch.VisualSet().Rows(), e.log.Clone()
 }
 
-// logColumns returns the per-image log relevance vectors covering at least
-// the given epoch's collection and the same log inverted by session,
-// extending both incremental caches by whatever sessions and images arrived
-// since the last call. The returned slice is trimmed to the epoch's
-// collection size so schemes see an exactly matching column view; trimming
-// shares storage. The index may name images past the epoch, which no scan of
-// it reaches.
-func (e *Engine) logColumns(ep *epoch) ([]*sparse.Vector, *kernel.SparseSVIndex) {
+// logIndexed returns the log indexed by session and by image, extending the
+// engine's index by whatever sessions were committed since the last call —
+// the first call builds it. Ingestion changes nothing here: an image no
+// session judged is past the index's columns, which is uncovered, and a scan
+// of an older epoch never reaches the images the index may hold past it.
+func (e *Engine) logIndexed() *kernel.LogIndex {
 	e.mu.Lock()
-	e.logVectors = e.log.ExtendRelevanceVectors(e.logVectors, e.logSessions)
-	e.logIndex = e.log.ExtendSessionIndex(e.logIndex)
-	e.logSessions = e.log.NumSessions()
-	cols, index := e.logVectors, e.logIndex
-	e.mu.Unlock()
-	// The log covers every image the engine has ever published, which may
-	// already exceed this epoch's snapshot if an ingestion raced ahead.
-	return cols[:ep.batch.Len()], index
+	defer e.mu.Unlock()
+	e.logIndex = e.log.ExtendIndex(e.logIndex)
+	return e.logIndex
 }
 
 // InitialQuery returns the top-k images by Euclidean visual similarity to
@@ -388,14 +377,12 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 		return nil, fmt.Errorf("retrieval: scheme %q needs at least one judgment", kind)
 	}
 
-	logVectors, logIndex := s.engine.logColumns(ep)
 	ctx := &core.QueryContext{
-		LogVectors: logVectors,
-		LogIndex:   logIndex,
-		Query:      s.query,
-		Labeled:    labeled,
-		Batch:      ep.batch,
-		Ctx:        s.engine.withCloseAware(stdctx),
+		LogIndex: s.engine.logIndexed(),
+		Query:    s.query,
+		Labeled:  labeled,
+		Batch:    ep.batch,
+		Ctx:      s.engine.withCloseAware(stdctx),
 	}
 	scheme, err := s.engine.scheme(kind)
 	if err != nil {

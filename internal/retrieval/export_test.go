@@ -1,12 +1,7 @@
 package retrieval
 
-import (
-	"lrfcsvm/internal/kernel"
-	"lrfcsvm/internal/sparse"
-)
+import "lrfcsvm/internal/kernel"
 
-// LogColumns is the log-column cache and session index as Session.Refine
-// reads them, for the external model test.
-func (e *Engine) LogColumns() ([]*sparse.Vector, *kernel.SparseSVIndex) {
-	return e.logColumns(e.cur.Load())
-}
+// LogIndex is the log index as Session.Refine reads it, for the external
+// model test.
+func (e *Engine) LogIndex() *kernel.LogIndex { return e.logIndexed() }

@@ -27,8 +27,9 @@ import (
 // -fsync policy, with the snapshotter compacting it or not.
 var cells = []string{"nojournal", "off", "off+snapshotter", "always", "always+snapshotter"}
 
-// regimes are what the scripted suites this driver replaced were written
-// for, each pinned to a seed and a cell that must keep passing through it.
+// regimes are the edges the driver must keep reaching — what the scripted
+// suites it replaced were written for, and the log index's — each pinned to
+// a seed and a cell that must keep passing through it.
 var regimes = map[string]struct {
 	seed uint64
 	cell string
@@ -36,6 +37,10 @@ var regimes = map[string]struct {
 	"gamma-threshold":   {2, "nojournal"},          // an ingestion takes the collection past the 64 points the RBF bandwidth estimate samples
 	"shard-boundary":    {3, "off+snapshotter"},    // an ingestion opens the second 2,048-row shard
 	"torn-final-record": {1, "always+snapshotter"}, // a recovery truncates the torn final record of the journal
+	// The log index's edges, each met by a log scheme's refine that answers:
+	"log-of-no-session":    {19, "nojournal"},      // no session committed yet
+	"images-past-the-log":  {2, "always"},          // images ingested since the index was last read, past every judged one
+	"extends-a-used-index": {4, "off+snapshotter"}, // sessions committed since an earlier refine read the index
 }
 
 // TestEngineMatchesModel drives the engine and the model (model_test.go)
@@ -91,6 +96,10 @@ type driver struct {
 	held   []linalg.Vector // the rows SnapshotWith returned at the last check
 	ops    []string
 	seen   map[string]bool // the regimes passed through
+
+	// What this engine's log index has met: whether a refine has read it,
+	// and whether images were ingested or sessions committed since the last.
+	indexed, ingested, committed bool
 }
 
 // runDriver runs a seed's 200 steps on a cell and returns the regimes they
@@ -235,15 +244,16 @@ func (d *driver) checkState() {
 	want := retrieval.CollectionStats{Images: n, Dim: len(d.m.rows[0]), Shards: (n + kernel.DefaultShardSize - 1) / kernel.DefaultShardSize, Epoch: d.epoch}
 	d.check(d.e.Collection() == want, "Collection() = %+v, the model has %+v", d.e.Collection(), want)
 	d.check(d.e.NumLogSessions() == len(d.m.sessions), "NumLogSessions() = %d, the model committed %d", d.e.NumLogSessions(), len(d.m.sessions))
-	cols, index := d.e.LogColumns()
+	index := d.e.LogIndex()
 	wantCols := d.m.log().RelevanceVectors()
-	d.check(len(cols) == n, "%d log columns for %d images", len(cols), n)
-	for i, col := range cols {
-		same := col.Dim == wantCols[i].Dim && slices.Equal(col.Entries, wantCols[i].Entries)
-		d.check(same, "log column %d is %+v, RelevanceVectors() of the model's sessions has %+v", i, col, wantCols[i])
+	d.check(index.Dim() == wantCols[0].Dim, "the log index holds %d sessions, the model %d", index.Dim(), wantCols[0].Dim)
+	for i, want := range wantCols {
+		col := index.Column(i)
+		same := col.Dim == want.Dim && slices.Equal(col.Entries, want.Entries) && index.Covered(i) == (want.NNZ() > 0)
+		d.check(same, "the log index has column %+v for image %d (covered %v), RelevanceVectors() of the model's sessions %+v", col, i, index.Covered(i), want)
 	}
 	wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))
-	d.check(reflect.DeepEqual(index, wantIndex), "the session index kept beside the log columns is not the one those of the model's sessions invert to")
+	d.check(reflect.DeepEqual(index.Sessions(), wantIndex), "the log index by session is not the one the model's sessions invert to")
 	// Snapshot rows are views into the store: whatever was ingested since,
 	// the last check's read as they did.
 	for i, row := range d.held {
@@ -277,6 +287,7 @@ func (d *driver) start() {
 		d.check(err == nil, "%v", err)
 	}
 	d.w, d.broken, d.open, d.epoch, d.held = world{}, false, nil, 1, nil
+	d.indexed, d.ingested, d.committed = false, false, false
 	d.checkState()
 }
 
@@ -375,6 +386,7 @@ func (d *driver) step() {
 		want, wantErr := d.m.rank(w, kind, p.m, k)
 		got, err := p.e.Refine(ctx, kind, k)
 		d.agree(fmt.Sprintf("Refine(query %d, %d judged, %s, k=%d)", p.m.query, len(p.m.judgments), kind, k), got, want, err, wantErr)
+		d.refined(kind, len(p.m.judgments) > 0, err)
 	default:
 		d.commit()
 	}
@@ -385,9 +397,30 @@ func (d *driver) commit() {
 	ctx, w := d.ctx()
 	want := d.m.commit(w, p.m)
 	d.agree(fmt.Sprintf("Commit(query %d, %d judged)", p.m.query, len(p.m.judgments)), nil, nil, p.e.Commit(ctx), want)
+	d.committed = d.committed || want == nil
 	d.mutated(want)
 	if want == nil && d.rng.Bool(0.7) { // the rest stay open a while: to be judged and committed again
 		d.open = slices.DeleteFunc(d.open, func(o pair) bool { return o == p })
+	}
+}
+
+// refined follows a refine: a log scheme's answer meets the regimes of the
+// log index, and every refine the engine does not refuse for want of a
+// judgment reads the index.
+func (d *driver) refined(kind retrieval.SchemeKind, judged bool, err error) {
+	if err == nil && (kind == retrieval.SchemeLRF2SVMs || kind == retrieval.SchemeLRFCSVM) {
+		last := -1 // the highest image a session judged
+		for _, s := range d.m.sessions {
+			for img := range s.Judgments {
+				last = max(last, img)
+			}
+		}
+		d.seen["log-of-no-session"] = d.seen["log-of-no-session"] || len(d.m.sessions) == 0
+		d.seen["images-past-the-log"] = d.seen["images-past-the-log"] || d.indexed && d.ingested && len(d.m.rows) > last+1
+		d.seen["extends-a-used-index"] = d.seen["extends-a-used-index"] || d.indexed && d.committed
+	}
+	if judged || kind == retrieval.SchemeEuclidean {
+		d.indexed, d.ingested, d.committed = true, false, false
 	}
 }
 
@@ -424,6 +457,7 @@ func (d *driver) ingest() {
 	if want == nil {
 		d.check(first == wantFirst, "the engine's first new image is %d, the model's %d", first, wantFirst)
 		d.epoch++
+		d.ingested = true
 		d.seen["gamma-threshold"] = d.seen["gamma-threshold"] || n <= 64 && len(d.m.rows) > 64
 		d.seen["shard-boundary"] = d.seen["shard-boundary"] || n <= kernel.DefaultShardSize && len(d.m.rows) > kernel.DefaultShardSize
 	}

@@ -3,7 +3,7 @@ package retrieval_test
 // The definition TestEngineMatchesModel holds the engine to. A collection is
 // a slice of rows, the log a slice of committed sessions, a ranking is the
 // scheme's scores over both, fully sorted; a mutation appends or refuses.
-// There is no epoch, shard, column cache, journal or sessions table here, so
+// There is no epoch, shard, log index, journal or sessions table here, so
 // whatever those do in the engine has to come out as if they did not exist.
 
 import (

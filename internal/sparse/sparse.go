@@ -115,7 +115,7 @@ func (v *Vector) Dot(w *Vector) float64 {
 func (v *Vector) SquaredNorm() float64 {
 	var s float64
 	for _, e := range v.Entries {
-		s += e.Value * e.Value
+		s += float64(e.Value * e.Value)
 	}
 	return s
 }
@@ -123,7 +123,8 @@ func (v *Vector) SquaredNorm() float64 {
 // SquaredDistance returns ||v-w||^2.
 func (v *Vector) SquaredDistance(w *Vector) float64 {
 	// ||v-w||^2 = ||v||^2 + ||w||^2 - 2<v,w>; cheaper than merging twice.
-	d := v.SquaredNorm() + w.SquaredNorm() - 2*v.Dot(w)
+	// Each product is rounded on its own, so no build fuses it.
+	d := v.SquaredNorm() + w.SquaredNorm() - float64(2*v.Dot(w))
 	if d < 0 {
 		// guard against tiny negative values from cancellation
 		return 0
