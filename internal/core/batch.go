@@ -169,7 +169,7 @@ func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
 // Arenas live in the collection batch's pool; a steady-state pass borrows
 // one per worker, scores through it and returns it without allocating.
 type rankScratch struct {
-	lanes [4][]float64
+	lanes [3][]float64
 	pts   []kernel.Point
 	cols  []sparse.Vector // the column headers pts name
 	sel   topKSelector
@@ -180,12 +180,11 @@ type rankScratch struct {
 }
 
 // The lanes of an arena. The sink owns the first; a range scorer may use the
-// other three for the duration of one call.
+// other two for the duration of one call.
 const (
 	laneScores = iota // the range's scores, for the sinks that select from them
 	laneKernel        // kernel accumulation buffer, then the query's distances
 	laneLog           // log-modality decision values
-	laneRow           // kernel.LinearAccumulateSessions' row buffer: all +0 between calls
 )
 
 // lane returns scratch lane i with length n, growing its backing array only
@@ -467,20 +466,19 @@ func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg
 }
 
 // logDecisions returns the log model's decision values of the rows [lo, lo+n)
-// in the arena's log lane. A linear model walks its support vectors through
-// the collection's log inverted by session (kernel.LinearAccumulateSessions);
-// what that declines — another kernel, a log of no session, a coefficient
-// that is not finite — takes svm.Model.DecisionBatch, one pass per support
-// vector over the rows' log columns. Both give the bits of the per-SV pass.
+// in the arena's log lane. A linear model walks its weight vector through the
+// collection's log inverted by session (kernel.LinearAccumulateWeights): each
+// row starts from the bias and adds w_s·y_s for its sessions of w, ascending.
+// Another kernel takes svm.Model.DecisionBatch, one pass per support vector
+// over the rows' log columns.
 func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int) []float64 {
 	dst := sc.lane(laneLog, n)
-	if _, linear := m.Kernel.(kernel.Linear); linear {
+	if w, linear := m.LinearWeights(); linear {
 		for i := range dst {
 			dst[i] = m.Bias
 		}
-		if kernel.LinearAccumulateSessions(m.Coefficients, m.SupportPoints, log.Sessions(), lo, dst, sc.lane(laneRow, n)) {
-			return dst
-		}
+		kernel.LinearAccumulateWeights(w, log.Sessions(), lo, dst)
+		return dst
 	}
 	m.DecisionBatch(sc.logPoints(log, lo, n), dst, sc.lane(laneKernel, n))
 	return dst

@@ -7,9 +7,11 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 // TestScanRangesCoversCollection verifies the driver's exhaustive source
@@ -51,6 +53,54 @@ func TestScanRangesCoversCollection(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLogWeightsSharedByScanWorkers: a linear log model's weight vector is
+// built once, by whichever scan worker first asks, and every worker reads
+// that one build. A fresh model is scored over 6 one-shard units on 3
+// workers (the race job runs this under -race); every range sees the same
+// weights and every row gets the reference's log decision, bit for bit.
+func TestLogWeightsSharedByScanWorkers(t *testing.T) {
+	c := makeCollection(t, 3, 14, 40, 0.1, 5)
+	ctx := c.queryContext(0, 8)
+	ctx.Batch, ctx.Workers = NewShardedCollectionBatch(ctx.Visual, 7), 3
+	ctx.LogIndex = logIndexOf(ctx)
+	var labels []float64
+	var pts []kernel.Point
+	for _, ex := range ctx.Labeled {
+		labels = append(labels, ex.Label)
+		pts = append(pts, kernel.NewSparse(c.logVectors[ex.Index]))
+	}
+	lm, err := refTrain(pts, labels, costsOf(len(labels), svmCost), kernel.Linear{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := newScanPass(ctx, ctx.Batch.VisualSet(), CandidateSet{}, nil, nil); p.units < 3 || p.workers != 3 {
+		t.Fatalf("the pass has %d units on %d workers, want at least 3 on 3", p.units, p.workers)
+	}
+	var mu sync.Mutex
+	builds := map[*sparse.Entry]bool{}
+	scores, err := scanScores(ctx, ctx.Batch, func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
+		copy(dst, logDecisions(sc, lm, ctx.LogIndex, lo, sub.Len()))
+		w, _ := lm.LinearWeights()
+		mu.Lock()
+		defer mu.Unlock()
+		builds[unsafe.SliceData(w.Entries)] = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := lm.LinearWeights(); len(w.Entries) == 0 {
+		t.Fatal("the model carries no session")
+	}
+	if len(builds) != 1 {
+		t.Errorf("the scan workers read %d builds of the weights, want 1", len(builds))
+	}
+	for i, got := range scores {
+		if want := logDecision(lm, c.logVectors[i]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("image %d: log decision %v, reference %v", i, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 	"lrfcsvm/internal/svm"
 )
 
@@ -20,8 +21,9 @@ import (
 // A scanned row's score is the contract's: the visual decision value is
 // svm.Model.DecisionSet over a one-row set (the tile's arithmetic: the norm
 // expansion and expOne, not RBF.Eval's direct distance and math.Exp), the log
-// decision value svm.Model.Decision, and the query prior −0.02·√ of a one-row
-// SquaredDistancesInto.
+// decision value logDecision (a linear model scored by its weight vector, not
+// svm.Model.Decision's per-support-vector sum), and the query prior −0.02·√
+// of a one-row SquaredDistancesInto.
 
 // refScheme names a scheme for the reference: Euclidean, RF-SVM, LRF-2SVMs
 // or LRF-CSVM with its parameters and step-1 heuristic.
@@ -70,6 +72,32 @@ func visualDecision(m *svm.Model, x linalg.Vector) float64 {
 	dst := make([]float64, 1)
 	m.DecisionSet(oneRow(x), dst, nil)
 	return dst[0]
+}
+
+// logDecision is a log model's decision value on one image's log column y.
+// A linear model is scored by its weight vector w over sessions: w_s sums
+// float64(c_t·v_ts) over the support vectors t that carry session s, in
+// ascending t from +0, and the score is the bias plus float64(w_s·y_s) over
+// y's sessions that some support vector carries, ascending. Another kernel
+// is svm.Model.Decision.
+func logDecision(m *svm.Model, y *sparse.Vector) float64 {
+	if _, linear := m.Kernel.(kernel.Linear); !linear {
+		return m.Decision(kernel.NewSparse(y))
+	}
+	w, carried := make([]float64, y.Dim), make([]bool, y.Dim)
+	for t, sv := range m.SupportPoints {
+		for _, e := range sv.(kernel.Sparse).Entries {
+			w[e.Index] += float64(m.Coefficients[t] * e.Value)
+			carried[e.Index] = true
+		}
+	}
+	sum := m.Bias
+	for _, e := range y.Entries {
+		if carried[e.Index] {
+			sum += float64(w[e.Index] * e.Value)
+		}
+	}
+	return sum
 }
 
 // queryDistance is one row's Euclidean distance to the query, what
@@ -126,7 +154,7 @@ func referenceRefine(ctx *QueryContext, s refScheme) (*refResult, error) {
 		// Step 1: the two models' summed decision value drafts N' images.
 		combined := make([]float64, n)
 		for i, x := range visual {
-			combined[i] = visualDecision(vm, x) + lm.Decision(kernel.NewSparse(logs[i]))
+			combined[i] = visualDecision(vm, x) + logDecision(lm, logs[i])
 		}
 		res.drafted, res.initial = refSelect(ctx, s, combined, p.NumUnlabeled)
 		// Step 2: the coupled SVM over the labeled and drafted points.
@@ -146,7 +174,7 @@ func referenceRefine(ctx *QueryContext, s refScheme) (*refResult, error) {
 	}
 	// Step 3 (and LRF-2SVMs): the summed decision value plus the prior.
 	for i, x := range visual {
-		res.scores[i] = visualDecision(vm, x) + lm.Decision(kernel.NewSparse(logs[i])) - float64(queryPriorWeight*queryDistance(q, x))
+		res.scores[i] = visualDecision(vm, x) + logDecision(lm, logs[i]) - float64(queryPriorWeight*queryDistance(q, x))
 	}
 	return res, nil
 }

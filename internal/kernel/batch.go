@@ -3,7 +3,8 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"sync"
 
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
@@ -48,7 +49,7 @@ func checkBatch(n, d int) {
 
 // EvalBatch implements BatchKernel. Sparse points take the per-pair merge
 // join, Sparse.Dot; the log modality's hot sparse products go through a
-// SparseSVIndex instead (LinearAccumulateSessions, Cache).
+// SparseSVIndex instead (LinearAccumulateWeights, Cache).
 func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	if xv, ok := x.(Dense); ok {
@@ -70,8 +71,8 @@ func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
 // each index — a log session — the (point, value) cells of the points that
 // carry it, in ascending point order. It has two users: a training problem's
 // points, whose Gram matrix the solver reads (Cache), and a collection's log
-// vectors, through which the scans walk a linear model's support vectors
-// (LinearAccumulateSessions) — there the cells of session s are the images it
+// vectors, through which the scans walk a linear model's weight vector
+// (LinearAccumulateWeights) — there the cells of session s are the images it
 // judged, row s of the relevance matrix. An index is never written once it is
 // built or extended, so concurrent readers share it.
 type SparseSVIndex struct {
@@ -201,86 +202,83 @@ func (ix *SparseSVIndex) from(i, lo int) []svCell {
 	return cells[a:]
 }
 
-// denseFoldRatio picks LinearAccumulateSessions' fold for one support
-// vector: every row of the range once its cells there number at least a
-// quarter of the range's rows, the cells again otherwise. Both fold the same
-// values; the ratio only weighs a sequential pass over the range against a
-// second walk of the cells, searches for the range's first row included (at
-// 500 images a support vector meets more cells than the range has rows, at
-// 5,000 a few dozen in a range of 2,048).
-const denseFoldRatio = 4
+// weightScratch pools LinearWeights' accumulators: a sum per session, all +0
+// between builds, and a bitmap of the sessions a build touched, all clear.
+var weightScratch sync.Pool
 
-// LinearAccumulateSessions adds a linear model's decision pass over the rows
+type weightSums struct {
+	sums    []float64
+	touched []uint64
+}
+
+// LinearWeights returns a linear model's weight vector over sessions, w =
+// Σ_t coefs[t]·svs[t]: w_s sums float64(coefs[t]·v_ts) over the support
+// vectors t that carry session s, in ascending t from +0, and w holds exactly
+// the sessions some support vector carries, ascending, whatever the sum (a
+// non-finite coefficient reaches only its support vector's sessions). A
+// pooled dense accumulator, read back in the order of the bitmap of the
+// sessions touched, makes a build cost the entries and a bit per session and
+// allocate only w. Reports false for counts that differ or a support vector
+// that is not a sparse point of the first one's dimension.
+func LinearWeights(coefs []float64, svs []Point) (sparse.Vector, bool) {
+	if len(coefs) != len(svs) {
+		return sparse.Vector{}, false
+	}
+	dim := 0
+	for t, p := range svs {
+		v, ok := p.(Sparse)
+		if !ok || t > 0 && v.Dim != dim {
+			return sparse.Vector{}, false
+		}
+		dim = v.Dim
+	}
+	acc, _ := weightScratch.Get().(*weightSums)
+	if acc == nil || len(acc.sums) < dim {
+		acc = &weightSums{sums: make([]float64, dim), touched: make([]uint64, (dim+63)/64)}
+	}
+	sums, touched := acc.sums, acc.touched[:(dim+63)/64]
+	for t, c := range coefs {
+		for _, e := range svs[t].(Sparse).Entries {
+			sums[e.Index] += float64(c * e.Value)
+			touched[e.Index>>6] |= 1 << (e.Index & 63)
+		}
+	}
+	n := 0
+	for _, word := range touched {
+		n += bits.OnesCount64(word)
+	}
+	w := sparse.Vector{Dim: dim, Entries: make([]sparse.Entry, 0, n)}
+	for k, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			s := k<<6 + bits.TrailingZeros64(word)
+			w.Entries = append(w.Entries, sparse.Entry{Index: s, Value: sums[s]})
+			sums[s] = 0
+		}
+		touched[k] = 0
+	}
+	weightScratch.Put(acc)
+	return w, true
+}
+
+// LinearAccumulateWeights adds a linear model's decision pass over the rows
 // [lo, lo+len(dst)) of the points ix inverts — one scan range of the
-// collection's log vectors — to dst: dst[r] += Σ_t coefs[t]·<svs[t], y_{lo+r}>.
-// It walks the support vectors, not the rows: support vector t, in ascending
-// order, adds the products of each of its sessions into row[j-lo] for the
-// images j of that session inside the range (a binary search finds the first,
-// the walk stops past the last), then folds coefs[t]·row into dst
-// and clears row again — through those cells when they are few against the
-// range, over the whole range when they are not. A support vector that meets
-// few cells costs those cells, not a walk and a fold per row. row is scratch
-// of len(dst), all +0 on entry and left so.
-//
-// Same bits as the per-SV pass, nsv successive Linear.EvalBatch
-// accumulations. For a fixed row and t the products are Sparse.Dot's, added
-// in ascending session order from +0 (an image occurs once per session), and
-// the values are folded over ascending t, each product rounded on its own as
-// Sparse.Dot rounds it. A row t shares no session with — or whose sum is +0,
-// which is the only zero a sum from +0 reaches — receives coefs[t]·(+0) = ±0
-// in the per-SV pass, which leaves every dst value but -0 as it is; so the
-// fold through the cells skips it (a row reached through several sessions is
-// folded at the first and is +0 at the others), and a range whose dst holds a
-// -0 folds over the whole range for every t. Reports false, leaving dst and
-// row untouched, when ix is nil, a support vector is not a sparse point of
-// ix's dimension, or a coefficient is not finite (Inf·0 is NaN, so the
-// skipped terms would not be ±0).
-func LinearAccumulateSessions(coefs []float64, svs []Point, ix *SparseSVIndex, lo int, dst, row []float64) bool {
-	if ix == nil || len(coefs) != len(svs) {
-		return false
-	}
-	for t, c := range coefs {
-		if sv, ok := svs[t].(Sparse); !ok || sv.Dim != ix.dim || math.IsInf(c, 0) || math.IsNaN(c) {
-			return false
+// collection's log — to dst, walking the model's weight vector w
+// (LinearWeights), whose sessions must be ix's: for each session s of w, in
+// ascending order, it adds float64(w_s·y_s) into the row of each image of s
+// inside the range (a binary search finds the first, the walk stops past the
+// last). A row receives its sessions of w in ascending order whatever the
+// range, so any cut of the rows gives the same bits.
+func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []float64) {
+	for _, e := range w.Entries {
+		ws := e.Value
+		for _, cell := range ix.from(e.Index, lo) {
+			r := int(cell.t) - lo
+			if uint(r) >= uint(len(dst)) {
+				break
+			}
+			dst[r] += float64(ws * cell.w)
 		}
 	}
-	checkBatch(len(dst), len(row))
-	everyRow := slices.ContainsFunc(dst, func(d float64) bool { return d == 0 && math.Signbit(d) })
-	for t, c := range coefs {
-		entries := svs[t].(Sparse).Entries
-		met := 0
-		for _, e := range entries {
-			w := e.Value
-			for _, cell := range ix.from(e.Index, lo) {
-				r := int(cell.t) - lo
-				if uint(r) >= uint(len(row)) {
-					break
-				}
-				row[r] += float64(w * cell.w)
-				met++
-			}
-		}
-		if everyRow || met*denseFoldRatio >= len(row) {
-			for r, v := range row {
-				dst[r] += float64(c * v)
-				row[r] = 0
-			}
-			continue
-		}
-		for _, e := range entries {
-			for _, cell := range ix.from(e.Index, lo) {
-				r := int(cell.t) - lo
-				if uint(r) >= uint(len(row)) {
-					break
-				}
-				if v := row[r]; v != 0 {
-					dst[r] += float64(c * v)
-					row[r] = 0
-				}
-			}
-		}
-	}
-	return true
 }
 
 // EvalBatch implements BatchKernel. Every product is written float64(x*y).

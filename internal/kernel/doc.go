@@ -32,26 +32,28 @@
 // pick the member its SMO step runs on, so the name covers the trainer too,
 // and no second CPU probe exists. The row dot also computes the query distances
 // (DenseSet.SquaredDistancesInto), and the log modality's linear decision
-// pass has its own routine, LinearAccumulateSessions, in Go on every build
-// and with its multiply-adds written so that no build fuses them.
+// pass has its own routines, the weight build and its walk, in Go on every
+// build and with their multiply-adds written so that no build fuses them.
 //
 // # Sparse products
 //
 // The log modality has one sparse product method: points inverted by
 // session (SparseSVIndex), and one index type with two users. The scans walk
-// each support vector of a linear model through the collection's log
-// inverted by session — each session's judged images, ascending — so a scan
-// range costs the cells the support vectors meet in it
-// (LinearAccumulateSessions). That index is one half of the collection's log
-// index (LogIndex), which the retrieval engine keeps as its only form of the
-// log and extends by whole sessions (feedbacklog.Log.ExtendIndex); the other
+// a linear model's weight vector over sessions, w = Σ_t c_t·sv_t, built once
+// per model (LinearWeights), through the collection's log inverted by
+// session — each session's judged images, ascending — so a scan range costs
+// the cells of w's sessions in it (LinearAccumulateWeights); its scores
+// differ from the per-support-vector sum in the last bits only. That index is
+// one half of the collection's log index (LogIndex), which the retrieval
+// engine keeps as its only form of the log and extends by whole sessions
+// (feedbacklog.Log.ExtendIndex); the other
 // half is each image's relevance column, a run in its page of images' entry
 // array, which the training points are views into. The solver's Gram
 // matrix walks each row point through its training problem's points inverted
-// by session (Cache). Either gives Sparse.Dot's bits for every pair: the
-// same products, each rounded on its own, in the same ascending-session
-// order, from +0. Linear.EvalBatch over sparse points is the per-pair merge
-// join and serves only the shapes neither index takes.
+// by session (Cache), which gives Sparse.Dot's bits for every pair: the same
+// products, each rounded on its own, in the same ascending-session order,
+// from +0. Linear.EvalBatch over sparse points is the per-pair merge join
+// and serves only the shapes the index does not take.
 //
 // On amd64 both sets are held to the same contract: bit-identical float64
 // results to the straight-line reference loop kept with the parity tests,
@@ -70,7 +72,7 @@
 // architectures only the Go routines exist and the Go specification lets
 // the compiler fuse x*y + z — arm64 does, in linalg and so in the row norms —
 // so results there repeat from run to run but are not pinned. The tile's Go
-// routines, the log half (the session-index pass, the Gram fill's gather,
+// routines, the log half (the weight build and walk, the Gram fill's gather,
 // sparse.Vector.Dot), RBF.EvalBatch and the trainer (package svm, core's
 // label correction) write each product as float64(x*y), which the
 // specification forbids fusing, so over the same norms and kernel values

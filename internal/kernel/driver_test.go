@@ -23,8 +23,9 @@ import (
 //     backend's row dot to linalg.Matrix.MulVecInto;
 //   - EvalBatch to per-pair Eval, and EvalSet and GramSet to the same
 //     expansion per pair;
-//   - LinearAccumulateSessions, range by range through one shared index, to
-//     one Linear.EvalBatch pass per support vector (perSVAccumulate);
+//   - LinearWeights and LinearAccumulateWeights, the log half's weight build
+//     and its walk range by range through one shared index, to their
+//     straight-line definition (refWeights, refDecisions);
 //   - Cache.Row, fresh and grown, to per-pair Eval and its transpose;
 //   - every backend's exp to element-wise expOne;
 //   - DenseSet.Grow and ShardedSet.Grow to a rebuild over the same points.
@@ -62,9 +63,9 @@ func TestExpLanesBitParity(t *testing.T)                     { kernelPin(t, "exp
 func TestExpSweepMatchesExpOne(t *testing.T)                 { kernelPin(t, "exp-out-of-window", 2) }
 func TestDenseSetGrowMatchesRebuild(t *testing.T)            { kernelPin(t, "grow-split-last", 6) }
 
-// TestLinearAccumulateSessionsMatchesPerSV pins the session-index regimes,
-// one subtest each.
-func TestLinearAccumulateSessionsMatchesPerSV(t *testing.T) {
+// TestLinearWeightsMatchDefinition pins the log half's regimes, one subtest
+// each.
+func TestLinearWeightsMatchDefinition(t *testing.T) {
 	for _, c := range []struct {
 		name, regime string
 		seed         uint64
@@ -73,6 +74,7 @@ func TestLinearAccumulateSessionsMatchesPerSV(t *testing.T) {
 		{"special values", "sessions-signed-zero", 3},
 		{"odd support vectors", "sessions-odd-sv", 1},
 		{"non-finite coefficients", "sessions-non-finite", 36},
+		{"empty model", "sessions-empty-model", 14},
 	} {
 		t.Run(c.name, func(t *testing.T) { kernelPin(t, c.regime, c.seed) })
 	}
@@ -303,14 +305,17 @@ func checkEvalPaths(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	seen["eval-gram"] = n > 8
 }
 
-// checkSessions holds LinearAccumulateSessions to the per-SV pass: at the
-// shapes of the benchmark's log modality (thousands of sessions, up to 64
-// support vectors, one repeated and one without an entry, rows from ~60
-// entries down to none, the last images judged by no session) or small draws
-// full of signed zeros, infinities and NaNs; from several goroutines sharing
-// one index, each cutting the rows into ranges of its own. A model the index
-// cannot score — a non-finite coefficient, a support vector that is dense or
-// of another dimension — must be refused, dst and row untouched.
+// checkSessions holds the log half — LinearWeights' build and
+// LinearAccumulateWeights' walk — to its definition (refWeights,
+// refDecisions): at the shapes of the benchmark's log modality (thousands of
+// sessions, up to 64 support vectors, one repeated and one without an entry,
+// rows from ~60 entries down to none, the last images judged by no session)
+// or small draws full of signed zeros, infinities and NaNs, coefficients
+// included (a non-finite one reaches only the rows of its sessions); from
+// several goroutines sharing one model, each building its weights and
+// walking one shared build range by range, cut at 0, 1, n−1 and n, at every
+// shard boundary, or at random. A model the build cannot take — a support
+// vector that is dense or of another dimension — must be refused.
 func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	t.Helper()
 	workload := rng.Bool(0.4)
@@ -360,6 +365,10 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	if dim == 0 {
 		ix = (*SparseSVIndex)(nil).Extend(nil) // a log of no session
 	}
+	unjudged := ix == nil // no image judged yet: sessions without cells
+	if unjudged {
+		ix = (*SparseSVIndex)(nil).Extend(make([][]sparse.Entry, dim))
+	}
 	dst0 := make([]float64, rows)
 	bias := pick(rng, 0.25, 0, math.Copysign(0, -1))
 	for j := range dst0 {
@@ -370,40 +379,55 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	}
 	label := fmt.Sprintf("%d sessions, %d SVs, %d rows (%d judged), bias %v (signbit %v)", dim, nsv, rows, judged, bias, math.Signbit(bias))
 
-	refuse := ""
+	special := ""
 	if nsv > 0 && rng.Bool(0.15) {
 		i := rng.Intn(nsv)
-		refuse = pick(rng, "non-finite", "odd-sv")
-		if refuse == "non-finite" {
+		special = pick(rng, "non-finite", "odd-sv")
+		if special == "non-finite" {
 			coefs[i] = pick(rng, math.Inf(1), math.Inf(-1), math.NaN())
 		} else {
 			svs[i] = pick[Point](rng, Dense(make(linalg.Vector, dim)), NewSparse(sparse.New(dim+3)))
 		}
 	}
-	if ix == nil && refuse == "" {
-		refuse = "no-index"
-	}
-	if refuse != "" {
-		got := slices.Clone(dst0)
-		var row []float64
-		if ok, err := accumulateRange(coefs, svs, ix, 0, rows, got, &row); ok || err != nil {
-			t.Fatalf("%s, %s: accepted %v, %v", label, refuse, ok, err)
+	if special == "odd-sv" {
+		if _, ok := LinearWeights(coefs, svs); ok {
+			t.Fatalf("%s: the build took a support vector that is not a sparse point of the model's dimension", label)
 		}
-		checkParity(t, label+" (refused)", got, dst0)
-		seen["sessions-"+refuse] = true
+		seen["sessions-odd-sv"] = true
 		return
 	}
+	wantW := refWeights(coefs, svs)
 	want := slices.Clone(dst0)
-	perSVAccumulate(coefs, svs, ys, want)
-	workers := 1 + rng.Intn(4)
+	refDecisions(wantW, ys, want)
+	shared, err := buildWeights(coefs, svs, wantW)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	// One worker cuts at 0, 1, n−1 and n, one at every boundary of a shard
+	// size, and one to four more at random, unless a coefficient is not
+	// finite or no image is judged: their draws end before the cuts,
+	// which keeps the checks after this one on the seeds they were pinned to.
+	var shardCuts []int
+	for c, shard := 0, []int{7, 64, 100, 2048}[rows%4]; c < rows; c += shard {
+		shardCuts = append(shardCuts, c)
+	}
+	cuts := [][][2]int{cutRanges(rows, 1, rows-1), cutRanges(rows, shardCuts...)}
+	if special == "" && !unjudged {
+		for range 1 + rng.Intn(4) {
+			cuts = append(cuts, splitRanges(rng, rows, 1+rng.Intn(rows)))
+		}
+	}
+	workers := len(cuts)
 	got, errs := make([][]float64, workers), make([]error, workers)
 	var wg sync.WaitGroup
-	for w := range got {
-		ranges := splitRanges(rng, rows, 1+rng.Intn(rows))
+	for w, ranges := range cuts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w], errs[w] = scoreBySessions(coefs, svs, ix, dst0, ranges)
+			// Each worker also builds the weights itself, through the shared
+			// pool, and walks the one shared build.
+			_, errs[w] = buildWeights(coefs, svs, wantW)
+			got[w] = walkRanges(shared, ix, dst0, ranges)
 		}()
 	}
 	wg.Wait()
@@ -413,8 +437,10 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		}
 		checkParity(t, fmt.Sprintf("%s, worker %d", label, w), got[w], want)
 	}
-	seen["sessions-uncovered-tail"] = judged < rows && workers > 1
+	seen["sessions-uncovered-tail"] = judged < rows && workers > 2
 	seen["sessions-signed-zero"] = !workload && slices.ContainsFunc(dst0, func(d float64) bool { return d == 0 && math.Signbit(d) })
+	seen["sessions-non-finite"] = special == "non-finite" && slices.ContainsFunc(want, func(d float64) bool { return math.IsInf(d, 0) || math.IsNaN(d) })
+	seen["sessions-empty-model"] = nsv == 0 && rows > 1
 }
 
 // checkCaches holds a cache's Gram matrix, fresh and grown at split points 0,

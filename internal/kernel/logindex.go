@@ -9,7 +9,7 @@ import (
 
 // LogIndex is a collection's feedback log indexed both ways the log modality
 // reads it. By session it is the SparseSVIndex the scans walk a linear
-// model's support vectors through (LinearAccumulateSessions). By image it is
+// model's weight vector through (LinearAccumulateWeights). By image it is
 // each image's relevance column — its judgments in ascending session order —
 // which the training points and the coverage test read (Column, Covered).
 //

@@ -3,41 +3,69 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
 )
 
-// perSVAccumulate is the definition LinearAccumulateSessions is held to: one
-// Linear.EvalBatch pass per support vector over every row, folded into dst in
-// support-vector order.
-func perSVAccumulate(coefs []float64, svs, ys []Point, dst []float64) {
-	buf := make([]float64, len(ys))
+// refWeights is the definition LinearWeights is held to, written straight:
+// w_s sums float64(coefs[t]·v_ts) over the support vectors t that carry
+// session s, in ascending t from +0, and w holds exactly the sessions some
+// support vector carries, ascending, in the support vectors' dimension (0
+// for a model of none).
+func refWeights(coefs []float64, svs []Point) sparse.Vector {
+	dim := 0
+	if len(svs) > 0 {
+		dim = svs[0].(Sparse).Dim
+	}
+	sums, carried := make([]float64, dim), make([]bool, dim)
 	for t, sv := range svs {
-		Linear{}.EvalBatch(sv, ys, buf)
-		for j, kv := range buf {
-			dst[j] += float64(coefs[t] * kv)
+		for _, e := range sv.(Sparse).Entries {
+			sums[e.Index] += float64(coefs[t] * e.Value)
+			carried[e.Index] = true
+		}
+	}
+	w := sparse.Vector{Dim: dim}
+	for s, ok := range carried {
+		if ok {
+			w.Entries = append(w.Entries, sparse.Entry{Index: s, Value: sums[s]})
+		}
+	}
+	return w
+}
+
+// refDecisions is the definition LinearAccumulateWeights is held to: row j
+// starts from dst[j] and adds float64(w_s·y_s) for each of its sessions s
+// that w holds, in ascending order.
+func refDecisions(w sparse.Vector, ys []Point, dst []float64) {
+	ws := make(map[int]float64, len(w.Entries))
+	for _, e := range w.Entries {
+		ws[e.Index] = e.Value
+	}
+	for j, y := range ys {
+		for _, e := range y.(Sparse).Entries {
+			if v, ok := ws[e.Index]; ok {
+				dst[j] += float64(v * e.Value)
+			}
 		}
 	}
 }
 
-// accumulateRange runs LinearAccumulateSessions over the rows [lo, hi) into
-// dst[lo:hi] through row, a buffer the caller keeps between calls as a scan
-// worker keeps its arena's, and reports an error when the call leaves row
-// holding anything but +0.
-func accumulateRange(coefs []float64, svs []Point, ix *SparseSVIndex, lo, hi int, dst []float64, row *[]float64) (bool, error) {
-	if cap(*row) < hi-lo {
-		*row = make([]float64, hi-lo)
+// checkWeights holds a built weight vector to refWeights, bit for bit.
+func checkWeights(label string, got, want sparse.Vector) error {
+	if got.Dim != want.Dim || len(got.Entries) != len(want.Entries) {
+		return fmt.Errorf("%s: weights of %d sessions holding %d, want %d holding %d", label, got.Dim, len(got.Entries), want.Dim, len(want.Entries))
 	}
-	buf := (*row)[:hi-lo]
-	ok := LinearAccumulateSessions(coefs, svs, ix, lo, dst[lo:hi], buf)
-	for r, v := range buf {
-		if math.Float64bits(v) != 0 {
-			return ok, fmt.Errorf("rows [%d,%d) leave the row buffer holding %v at %d", lo, hi, v, r)
+	for k, e := range want.Entries {
+		if g := got.Entries[k]; g.Index != e.Index || !sameBits(g.Value, e.Value) {
+			return fmt.Errorf("%s: weight %d is session %d = %.17g, want session %d = %.17g", label, k, g.Index, g.Value, e.Index, e.Value)
 		}
 	}
-	return ok, nil
+	return nil
 }
 
 // splitRanges cuts [0, n) into consecutive ranges of 1 to maxLen rows, the
@@ -52,39 +80,54 @@ func splitRanges(rng *linalg.RNG, n, maxLen int) [][2]int {
 	return out
 }
 
-// scoreBySessions scores a copy of dst0 range by range through one row
-// buffer, empty ranges at the start, middle and end included (they change
-// nothing), and returns the scores, or the first refusal or row buffer not
-// left +0.
-func scoreBySessions(coefs []float64, svs []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) ([]float64, error) {
-	got := append([]float64(nil), dst0...)
-	n := len(dst0)
-	ranges = append([][2]int{{0, 0}, {n / 2, n / 2}, {n, n}}, ranges...)
-	var row []float64
-	for _, r := range ranges {
-		ok, err := accumulateRange(coefs, svs, ix, r[0], r[1], got, &row)
-		if err == nil && !ok {
-			err = fmt.Errorf("rows [%d,%d) refused", r[0], r[1])
-		}
-		if err != nil {
-			return nil, err
-		}
+// cutRanges cuts [0, n) at the given points (clamped to [0, n], repeats
+// giving empty ranges).
+func cutRanges(n int, cuts ...int) [][2]int {
+	var out [][2]int
+	lo := 0
+	for _, c := range append(cuts, n) {
+		c = max(lo, min(n, c))
+		out = append(out, [2]int{lo, c})
+		lo = c
 	}
-	return got, nil
+	return out
 }
 
-// checkSessionsMatchPerSV scores ys through an index over them, range by
-// range, and holds every row of the result to the per-SV pass from the same
-// initial dst0, bit for bit.
-func checkSessionsMatchPerSV(t *testing.T, label string, coefs []float64, svs, ys []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) {
+// walkRanges walks w over a copy of dst0 range by range, empty ranges at the
+// start, middle and end included (they change nothing), and returns the
+// scores.
+func walkRanges(w sparse.Vector, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) []float64 {
+	got := slices.Clone(dst0)
+	n := len(dst0)
+	for _, r := range append([][2]int{{0, 0}, {n / 2, n / 2}, {n, n}}, ranges...) {
+		LinearAccumulateWeights(w, ix, r[0], got[r[0]:r[1]])
+	}
+	return got
+}
+
+// buildWeights builds the model's weights and holds them to want.
+func buildWeights(coefs []float64, svs []Point, want sparse.Vector) (sparse.Vector, error) {
+	w, ok := LinearWeights(coefs, svs)
+	if !ok {
+		return w, fmt.Errorf("the build refused the model")
+	}
+	return w, checkWeights("build", w, want)
+}
+
+// checkWeightsMatchDefinition builds the weights of the model, walks them
+// over ys through an index over them range by range, and holds the weights
+// and every row of the result to the definition from the same initial dst0,
+// bit for bit.
+func checkWeightsMatchDefinition(t *testing.T, label string, coefs []float64, svs, ys []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) {
 	t.Helper()
-	want := append([]float64(nil), dst0...)
-	perSVAccumulate(coefs, svs, ys, want)
-	got, err := scoreBySessions(coefs, svs, ix, dst0, ranges)
+	wantW := refWeights(coefs, svs)
+	want := slices.Clone(dst0)
+	refDecisions(wantW, ys, want)
+	w, err := buildWeights(coefs, svs, wantW)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	checkParity(t, label, got, want)
+	checkParity(t, label, walkRanges(w, ix, dst0, ranges), want)
 }
 
 // logLikeVector draws a sparse vector of the given dimension with about mean
@@ -108,16 +151,17 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 
 // FuzzLinearAccumulateSessions builds a small sparse model and collection
 // from the input bytes (values in sevenths, so products round; zero
-// coefficients and destinations of either sign, ±Inf and NaN, so the fold's
-// ±0 terms show; coefficients of ±Inf and NaN, which must be refused), cuts
-// the collection into two ranges anywhere, and holds LinearAccumulateSessions
-// to the per-SV pass, bit for bit, with the row buffer +0 after every call.
+// coefficients and destinations of either sign, ±Inf and NaN, so signed
+// zeros show; coefficients of ±Inf and NaN, which reach only the rows of the
+// sessions their support vectors carry), cuts the collection into two ranges
+// anywhere, and holds the log half — the weight build and the walk — to its
+// definition, bit for bit.
 func FuzzLinearAccumulateSessions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 2, 1, 0x80, 0x80, 0x80, 1, 3, 9, 1, 3, 0xf7}) // negative coefficients, -0 bias, rows without entries
 	f.Add([]byte{3, 0, 0, 1, 5, 0, 0, 0, 2, 1, 7, 2, 7, 2, 1, 14, 2, 0xf2, 1, 1, 21})
 	f.Add([]byte{15, 3, 8, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})
-	f.Add([]byte{3, 1, 3, 2, 0x7f, 5}) // +Inf coefficient, rows without entries, nonzero bias: refused
+	f.Add([]byte{3, 1, 3, 2, 0x7f, 5}) // +Inf coefficient, rows without entries, nonzero bias
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -139,7 +183,6 @@ func FuzzLinearAccumulateSessions(f *testing.F) {
 			return NewSparse(v)
 		}
 		coefs := make([]float64, nsv)
-		finite := true
 		for i := range coefs {
 			switch b := int8(next()); b {
 			case math.MaxInt8:
@@ -151,7 +194,6 @@ func FuzzLinearAccumulateSessions(f *testing.F) {
 			default:
 				coefs[i] = float64(b) / 7
 			}
-			finite = finite && !math.IsInf(coefs[i], 0) && !math.IsNaN(coefs[i])
 		}
 		svs := make([]Point, nsv)
 		for i := range svs {
@@ -162,58 +204,96 @@ func FuzzLinearAccumulateSessions(f *testing.F) {
 			ys[j] = vector()
 		}
 		cut := int(next()) % (rows + 1)
-		ix := NewSparseSVIndex(ys)
 		dst0 := make([]float64, rows)
 		for j := range dst0 {
 			dst0[j] = bias
 		}
 		label := fmt.Sprintf("dim %d, %d SVs, coefficients %v, bias %v (signbit %v), cut at %d", dim, nsv, coefs, bias, math.Signbit(bias), cut)
-		if !finite {
-			got := append([]float64(nil), dst0...)
-			var row []float64
-			if ok, err := accumulateRange(coefs, svs, ix, 0, rows, got, &row); ok || err != nil {
-				t.Fatalf("%s: accepted %v, %v", label, ok, err)
-			}
-			checkParity(t, label+" (refused)", got, dst0)
-			return
-		}
-		checkSessionsMatchPerSV(t, label, coefs, svs, ys, ix, dst0, [][2]int{{0, cut}, {cut, rows}})
+		checkWeightsMatchDefinition(t, label, coefs, svs, ys, NewSparseSVIndex(ys), dst0, cutRanges(rows, cut))
 	})
 }
 
-// BenchmarkLinearAccumulateSessions times one log-side decision pass over a
-// 2,048-row scan range against 48 support vectors of ~60 entries in 2,500
-// sessions, at the three row densities of the benchmark's collections (an
-// image with a log history, a sparsely covered one, a mostly uncovered one),
-// in ns per row. The bias is non-zero, so only the rows a support vector
-// reaches are folded, as in a scan.
-func BenchmarkLinearAccumulateSessions(b *testing.B) {
-	const dim, nsv, rows = 2500, 48, 2048
-	rng := linalg.NewRNG(9)
-	svs := make([]Point, nsv)
-	coefs := make([]float64, nsv)
-	for i := range svs {
-		svs[i] = NewSparse(logLikeVector(rng, dim, 60, true))
-		coefs[i] = rng.Range(-1, 1)
+// TestLinearWeightsCostWhatTheyCarry: a build costs the sessions the model
+// carries, not the log's. A model of 40 support vectors carrying about 40
+// sessions of a 100,000-session log allocates its weights and nothing more
+// once the pooled accumulator is warm.
+func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random and allocates beside the code under test")
 	}
-	for _, mean := range []float64{60, 4, 0.8} {
+	const dim, nsv = 100000, 40
+	rng := linalg.NewRNG(3)
+	coefs, svs := make([]float64, nsv), make([]Point, nsv)
+	for i := range svs {
+		v := sparse.New(dim)
+		v.Set(rng.Intn(dim), 1)
+		svs[i], coefs[i] = NewSparse(v), rng.Range(-1, 1)
+	}
+	w, ok := LinearWeights(coefs, svs) // warms the pool
+	if !ok {
+		t.Fatal("the build refused the model")
+	}
+	own := float64(16 * len(w.Entries))
+	// No collection may empty the pool between the warm-up and the runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		LinearWeights(coefs, svs)
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/runs, float64(after.TotalAlloc-before.TotalAlloc)/runs
+	t.Logf("weights of %d sessions (%.0f bytes) of %d: %d allocations, %.0f bytes per build", len(w.Entries), own, dim, allocs, bytes)
+	if allocs > 1 || bytes > 2*own {
+		t.Errorf("a build allocates %d objects and %.0f bytes, want at most 1 and %.0f (twice the weights' own)", allocs, bytes, 2*own)
+	}
+}
+
+// BenchmarkLogHalf times the scan's log half over one 2,048-row range, the
+// weight build plus the walk, in ns per row, with the build's allocations:
+// 48 support vectors of ~60 entries in 2,500 sessions at the three row
+// densities of the benchmark's collections (an image with a log history, a
+// sparsely covered one, a mostly uncovered one), and ingest-commit's shape,
+// 20 support vectors of ~8 entries in 8,000 sessions over rows of ~8.
+func BenchmarkLogHalf(b *testing.B) {
+	const rows = 2048
+	rng := linalg.NewRNG(9)
+	model := func(dim, nsv int, mean float64) ([]float64, []Point) {
+		coefs, svs := make([]float64, nsv), make([]Point, nsv)
+		for i := range svs {
+			svs[i], coefs[i] = NewSparse(logLikeVector(rng, dim, mean, true)), rng.Range(-1, 1)
+		}
+		return coefs, svs
+	}
+	run := func(name string, dim int, coefs []float64, svs []Point, mean float64) {
 		ys := make([]Point, rows)
 		for j := range ys {
 			ys[j] = NewSparse(logLikeVector(rng, dim, mean, true))
 		}
 		ix := NewSparseSVIndex(ys)
 		dst := make([]float64, rows)
-		row := make([]float64, rows)
-		b.Run(fmt.Sprintf("entries=%v", mean), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			LinearWeights(coefs, svs) // warms the pooled accumulator
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range dst {
 					dst[j] = 0.25
 				}
-				if !LinearAccumulateSessions(coefs, svs, ix, 0, dst, row) {
+				w, ok := LinearWeights(coefs, svs)
+				if !ok {
 					b.Fatal("refused")
 				}
+				LinearAccumulateWeights(w, ix, 0, dst)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
+	coefs, svs := model(2500, 48, 60)
+	for _, mean := range []float64{60, 4, 0.8} {
+		run(fmt.Sprintf("entries=%v", mean), 2500, coefs, svs, mean)
+	}
+	coefs, svs = model(8000, 20, 8)
+	run("ingest-commit", 8000, coefs, svs, 8)
 }

@@ -50,6 +50,7 @@ import (
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 // Problem is a training set: points, binary labels in {-1,+1} and a
@@ -139,6 +140,12 @@ type Model struct {
 	// pointer (copying would copy the sync.Once).
 	svOnce sync.Once
 	svSet  *kernel.DenseSet
+	// wOnce lazily builds weights, the weight vector of a linear model over
+	// sparse support vectors, for the log half of the scans; linear reports
+	// whether it was built.
+	wOnce   sync.Once
+	weights sparse.Vector
+	linear  bool
 }
 
 // denseSVSet returns the support vectors as a flat DenseSet when they are
@@ -158,6 +165,19 @@ func (m *Model) denseSVSet() *kernel.DenseSet {
 		}
 	})
 	return m.svSet
+}
+
+// LinearWeights returns the model's weight vector over sessions, Σ_t c_t·sv_t
+// (kernel.LinearWeights), building it once on first use, so every scan
+// worker reads one copy; false when the kernel is not Linear or the support
+// vectors are not sparse points of one dimension.
+func (m *Model) LinearWeights() (sparse.Vector, bool) {
+	m.wOnce.Do(func() {
+		if _, ok := m.Kernel.(kernel.Linear); ok {
+			m.weights, m.linear = kernel.LinearWeights(m.Coefficients, m.SupportPoints)
+		}
+	})
+	return m.weights, m.linear
 }
 
 // Train solves the dual problem and returns the resulting model: one Solve
