@@ -2,6 +2,7 @@ package eval
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"lrfcsvm/internal/dataset"
@@ -22,18 +23,23 @@ func goldenConfig() Config {
 	}
 }
 
-// goldenMAP pins the MAP of every scheme on the golden profile, recorded
-// from the current main with %.17g formatting (bit-exact for float64). The
-// hot ranking path is heavily optimized (batched kernels, shared Gram
-// caches, fused exponentials) under the contract that reported metrics stay
-// bit-identical; this test catches any future refactor that silently drifts
-// them. If a change intentionally alters the arithmetic, re-record these
-// values and justify the drift in EXPERIMENTS.md.
+// goldenMAP pins the MAP of every scheme on the golden profile, and of the
+// logkernel sweep's two log=rbf variants (the only schemes whose log half
+// scores through the RBF kernel rather than the linear weight vector),
+// recorded with %.17g formatting (bit-exact for float64). The hot ranking
+// path is heavily optimized (batched kernels, shared Gram caches, fused
+// exponentials) under the contract that reported metrics stay bit-identical;
+// this test catches any future refactor that silently drifts them. If a
+// change intentionally alters the arithmetic, re-record these values and
+// justify the drift in EXPERIMENTS.md.
 var goldenMAP = map[string]string{
 	"Euclidean": "0.29422361845972955",
 	"RF-SVM":    "0.38934009406231629",
 	"LRF-2SVMs": "0.39732730746619632",
 	"LRF-CSVM":  "0.38258267195767198",
+
+	"LRF-2SVMs log=rbf": "0.40635765726043493",
+	"LRF-CSVM log=rbf":  "0.36257642563198117",
 }
 
 func TestGoldenMAPRegression(t *testing.T) {
@@ -41,7 +47,18 @@ func TestGoldenMAPRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := exp.Run("golden", nil)
+	schemes := exp.DefaultSchemes()
+	for _, a := range Ablations {
+		if a.Name != "logkernel" {
+			continue
+		}
+		for _, s := range a.Schemes(exp) {
+			if strings.HasSuffix(s.Name(), "log=rbf") {
+				schemes = append(schemes, s)
+			}
+		}
+	}
+	table, err := exp.Run("golden", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
