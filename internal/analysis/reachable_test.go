@@ -28,7 +28,6 @@ var testOnly = map[string]string{
 	"internal/faultinject.":           "test harness by design: the storage and cbirserver fault tests wrap a journal's file in it; no program may",
 	"internal/analysis/analysistest.": "test harness by design: suite_test.go and cmd/cbirlint's self-test run analyzers over fixtures with it",
 
-	"internal/svm.Model.Decision": "the scalar f(x) that svm's batch_test.go pins DecisionBatch and DecisionSet to and svm_test.go reads margins with; a copy in a test file would be the duplicate",
 	"internal/svm.Model.Predict":  "sign(f(x)) over Decision: the svm training tests and core's coupled_test.go assert classifications with it",
 	"internal/kernel.DensePoints": "fixture of ~25 kernel and svm tests: wraps vectors as the []Point a Problem or a cache takes",
 

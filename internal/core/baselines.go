@@ -80,19 +80,18 @@ const visualGammaScale = 4
 // kernel preserves it (the log-kernel ablation benchmark compares the two).
 var defaultLogKernel kernel.Kernel = kernel.Linear{}
 
-// LogRBFKernel estimates an RBF kernel over the collection's log vectors
-// with the mean-distance heuristic (restricted to log-covered images). It is
-// the paper's literal kernel choice for the log modality and is exercised by
-// the log-kernel ablation benchmark.
-func LogRBFKernel(logVectors []*sparse.Vector) kernel.Kernel {
-	pts := make([]kernel.Point, 0, len(logVectors))
-	for _, v := range logVectors {
-		if v == nil || v.NNZ() == 0 {
-			continue
+// LogRBFKernel estimates an RBF kernel over the log columns of the first n
+// images of the log index with the mean-distance heuristic (restricted to
+// log-covered images). It is the paper's literal kernel choice for the log
+// modality and is exercised by the log-kernel ablation benchmark.
+func LogRBFKernel(log *kernel.LogIndex, n int) kernel.Kernel {
+	var cols []sparse.Vector
+	for i := range n {
+		if log.Covered(i) {
+			cols = append(cols, log.Column(i))
 		}
-		pts = append(pts, kernel.NewSparse(v))
 	}
-	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(pts), func(i int) kernel.Point { return pts[i] }, gammaSample)}
+	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(cols), func(i int) kernel.Point { return kernel.NewSparse(&cols[i]) }, gammaSample)}
 }
 
 // trainModality trains a plain SVM on the labeled examples of one modality;

@@ -30,7 +30,7 @@ import (
 // selectors — or every score (Scheme.Rank: the ablation heuristics of step 1
 // rank every unlabeled image).
 // Whatever a range needs beside the stores — score lanes, the query's
-// distances, the log columns as kernel points — lives in the scanning
+// distances, the log column a row is scored on — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
 // used in: nothing derived from the collection is kept per query, so no pass
 // but the one that returns every score allocates with the size of the
@@ -164,16 +164,17 @@ func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
 }
 
 // rankScratch is one pooled scoring arena, everything a worker needs beside
-// the stores to score ranges of at most one shard: score lanes, a buffer of
-// kernel points and the reusable bounded selectors of the streaming passes.
+// the stores to score ranges of at most one shard: score lanes, a log column
+// header and the reusable bounded selectors of the streaming passes.
 // Arenas live in the collection batch's pool; a steady-state pass borrows
 // one per worker, scores through it and returns it without allocating.
 type rankScratch struct {
 	lanes [3][]float64
-	pts   []kernel.Point
-	cols  []sparse.Vector // the column headers pts name
-	sel   topKSelector
-	pick  unlabeledSelector
+	// col is the log column a non-linear log model scores, a view into the
+	// index; held here, the point that names it does not escape per row.
+	col  sparse.Vector
+	sel  topKSelector
+	pick unlabeledSelector
 	// view is a reusable DenseSet header, so slicing a range out of a shard
 	// allocates nothing.
 	view *kernel.DenseSet
@@ -195,23 +196,6 @@ func (s *rankScratch) lane(i, n int) []float64 {
 		s.lanes[i] = make([]float64, max(n, 2*cap(s.lanes[i])))
 	}
 	return s.lanes[i][:n]
-}
-
-// logPoints wraps the log columns of the rows [lo, lo+n) as kernel points in
-// the arena's buffers: the column headers, views into the index, and the
-// points that name them. kernel.Sparse is one pointer, so boxing it
-// allocates nothing.
-func (s *rankScratch) logPoints(ix *kernel.LogIndex, lo, n int) []kernel.Point {
-	if cap(s.pts) < n {
-		s.pts = make([]kernel.Point, n)
-		s.cols = make([]sparse.Vector, n)
-	}
-	pts, cols := s.pts[:n], s.cols[:n]
-	for i := range pts {
-		cols[i] = ix.Column(lo + i)
-		pts[i] = kernel.NewSparse(&cols[i])
-	}
-	return pts
 }
 
 // scratchGet borrows a scoring arena from the batch's pool.
@@ -469,8 +453,8 @@ func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg
 // in the arena's log lane. A linear model walks its weight vector through the
 // collection's log inverted by session (kernel.LinearAccumulateWeights): each
 // row starts from the bias and adds w_s·y_s for its sessions of w, ascending.
-// Another kernel takes svm.Model.DecisionBatch, one pass per support vector
-// over the rows' log columns.
+// Another kernel scores row by row with svm.Model.Decision over the row's log
+// column, read into the arena's column header.
 func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int) []float64 {
 	dst := sc.lane(laneLog, n)
 	if w, linear := m.LinearWeights(); linear {
@@ -480,7 +464,10 @@ func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int
 		kernel.LinearAccumulateWeights(w, log.Sessions(), lo, dst)
 		return dst
 	}
-	m.DecisionBatch(sc.logPoints(log, lo, n), dst, sc.lane(laneKernel, n))
+	for i := range dst {
+		sc.col = log.Column(lo + i)
+		dst[i] = m.Decision(kernel.NewSparse(&sc.col))
+	}
 	return dst
 }
 

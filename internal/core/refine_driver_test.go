@@ -162,7 +162,7 @@ func drawRefineCase(seed uint64) *refineCase {
 		c.params.Coupled = CoupledConfig{Rho: 0.25, Delta: 0.5}
 	}
 	if rng.Bool(0.1) {
-		c.params.LogKernel = LogRBFKernel(c.logs)
+		c.params.LogKernel = LogRBFKernel(logIndexOf(&QueryContext{LogVectors: c.logs}), len(c.logs))
 	}
 	c.shardSize, c.workers = pick(7, 100, 2048, 0), 1+rng.Intn(3)
 	c.k = pick(-3, 0, 1, 10, 100, n, n+5)
@@ -383,7 +383,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme,
 			return fmt.Errorf("%s step 2: modality %d bias %v, alpha %d of %d; reference %v", name, m, gm.Bias, i, len(gm.Alphas), wm.Bias)
 		}
 	}
-	uncovered := slices.ContainsFunc(want.drafted, func(i int) bool { return c.logs[i].NNZ() == 0 })
+	uncovered := slices.ContainsFunc(want.drafted, func(i int) bool { return len(c.logs[i].Entries) == 0 })
 	seen["uncovered-drafted"] = seen["uncovered-drafted"] || uncovered && len(want.drafted) == c.params.withDefaults().NumUnlabeled
 	seen["one-class"] = seen["one-class"] || len(want.drafted) > 0 && !slices.ContainsFunc(c.labeled, func(ex LabeledExample) bool { return ex.Label < 0 })
 	seen["flips"] = seen["flips"] || w.Flips > 0

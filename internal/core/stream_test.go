@@ -94,38 +94,48 @@ func TestStreamRankingAllocations(t *testing.T) {
 	// vector 16, and a row buffer per range for the log half would cost 8;
 	// what still scales is the RBF tile's two 64-row column buffers, 1 KB
 	// per range, which escape to the heap.
-	bytesPerOp := func(n int) int64 {
-		ctx, _, _ := selectBenchProblem(t, n)
-		if ctx.LogIndex == nil {
-			t.Fatal("the benchmark problem carries no log index")
-		}
-		ctx.Workers = 1
-		pre, err := LRF2SVMs{}.Pretrain(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cols := make([]*sparse.Vector, n)
-		for i := range cols {
-			col := ctx.LogIndex.Column(i)
-			cols[i] = &col
-		}
-		copied, err := kernel.NewLogIndex(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs := [2]*kernel.LogIndex{ctx.LogIndex, copied}
-		buf := make([]Ranked, 0, k)
-		pass := 0
-		return steadyBytesPerPass(func() {
-			pass++
-			ctx.Query = pass * 331 % n
-			ctx.LogIndex = logs[pass%2]
-			got, err := pre.RankTopAppend(ctx, k, buf[:0])
-			if err != nil || len(got) != k {
-				t.Fatalf("ranked %d images, err %v", len(got), err)
+	bytesPerOp := func(rbfLog bool) func(n int) int64 {
+		return func(n int) int64 {
+			ctx, _, _ := selectBenchProblem(t, n)
+			if ctx.LogIndex == nil {
+				t.Fatal("the benchmark problem carries no log index")
 			}
-			buf = got
-		})
+			ctx.Workers = 1
+			scheme := LRF2SVMs{}
+			if rbfLog {
+				scheme.LogKernel = LogRBFKernel(ctx.LogIndex, n)
+			}
+			pre, err := scheme.Pretrain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := make([]*sparse.Vector, n)
+			for i := range cols {
+				col := ctx.LogIndex.Column(i)
+				cols[i] = &col
+			}
+			copied, err := kernel.NewLogIndex(cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs := [2]*kernel.LogIndex{ctx.LogIndex, copied}
+			buf := make([]Ranked, 0, k)
+			pass := 0
+			return steadyBytesPerPass(func() {
+				pass++
+				ctx.Query = pass * 331 % n
+				ctx.LogIndex = logs[pass%2]
+				got, err := pre.RankTopAppend(ctx, k, buf[:0])
+				if err != nil || len(got) != k {
+					t.Fatalf("ranked %d images, err %v", len(got), err)
+				}
+				buf = got
+			})
+		}
 	}
-	requireBytesDoNotGrowWithN(t, "Pretrained2SVMs.RankTopAppend", bytesPerOp)
+	requireBytesDoNotGrowWithN(t, "Pretrained2SVMs.RankTopAppend", bytesPerOp(false))
+	// An RBF log model scores row by row through svm.Model.Decision, over the
+	// arena's column header: a header that escaped per row would cost 24
+	// bytes an image.
+	requireBytesDoNotGrowWithN(t, "Pretrained2SVMs.RankTopAppend, RBF log kernel", bytesPerOp(true))
 }

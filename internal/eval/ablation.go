@@ -54,7 +54,7 @@ var Ablations = []Ablation{
 	{Name: "unlabeled", Schemes: csvmSweep("N'", []int{8, 16, 32, 64}, func(p *core.CSVMParams, nu int) { p.NumUnlabeled = nu })},
 	// The default linear co-judgment log kernel against the paper's RBF.
 	{Name: "logkernel", Schemes: func(exp *Experiment) []core.Scheme {
-		rbf := core.LogRBFKernel(exp.LogVectors)
+		rbf := core.LogRBFKernel(exp.logIndex, len(exp.Visual))
 		return []core.Scheme{
 			Named{core.LRF2SVMs{}, "LRF-2SVMs log=linear"},
 			Named{core.LRF2SVMs{LogKernel: rbf}, "LRF-2SVMs log=rbf"},

@@ -11,7 +11,6 @@ import (
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
-	"lrfcsvm/internal/sparse"
 )
 
 // Config describes one full experiment: a dataset, a simulated feedback log,
@@ -107,10 +106,9 @@ func (c Config) withDefaults() Config {
 type Experiment struct {
 	Config Config
 
-	Visual     []linalg.Vector
-	LogVectors []*sparse.Vector
-	Labels     []int
-	LogStats   feedbacklog.Stats
+	Visual   []linalg.Vector
+	Labels   []int
+	LogStats feedbacklog.Stats
 
 	// batch is Visual indexed and logIndex the log indexed by session and by
 	// image, built once: the collection and the log of every query context
@@ -140,13 +138,12 @@ func Prepare(cfg Config) (*Experiment, error) {
 		return nil, fmt.Errorf("eval: log simulation: %w", err)
 	}
 	return &Experiment{
-		Config:     cfg,
-		Visual:     visual,
-		LogVectors: log.RelevanceVectors(),
-		Labels:     labels,
-		LogStats:   log.Stats(),
-		batch:      core.NewCollectionBatch(visual),
-		logIndex:   log.ExtendIndex(nil),
+		Config:   cfg,
+		Visual:   visual,
+		Labels:   labels,
+		LogStats: log.Stats(),
+		batch:    core.NewCollectionBatch(visual),
+		logIndex: log.ExtendIndex(nil),
 	}, nil
 }
 

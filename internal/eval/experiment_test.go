@@ -55,11 +55,11 @@ func TestPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 6 * 20
-	if len(exp.Visual) != n || len(exp.LogVectors) != n || len(exp.Labels) != n {
-		t.Fatalf("prepared sizes %d/%d/%d", len(exp.Visual), len(exp.LogVectors), len(exp.Labels))
+	if len(exp.Visual) != n || len(exp.Labels) != n {
+		t.Fatalf("prepared sizes %d/%d", len(exp.Visual), len(exp.Labels))
 	}
-	if exp.LogStats.Sessions != 40 {
-		t.Errorf("log sessions = %d", exp.LogStats.Sessions)
+	if exp.LogStats.Sessions != 40 || exp.logIndex.Dim() != 40 {
+		t.Errorf("log sessions = %d, indexed %d", exp.LogStats.Sessions, exp.logIndex.Dim())
 	}
 	// Visual descriptors must be normalized (roughly zero-mean).
 	var mean float64

@@ -83,8 +83,8 @@ func TestRelevanceVector(t *testing.T) {
 		t.Errorf("r0 = %v", r0.ToDense())
 	}
 	r5 := all[5]
-	if r5.NNZ() != 0 {
-		t.Errorf("never-judged image has %d non-zeros", r5.NNZ())
+	if len(r5.Entries) != 0 {
+		t.Errorf("never-judged image has %d non-zeros", len(r5.Entries))
 	}
 }
 
@@ -271,7 +271,7 @@ func sameIndex(ix *kernel.LogIndex, cols []*sparse.Vector) error {
 	}
 	for i, col := range cols {
 		got := ix.Column(i)
-		if got.Dim != col.Dim || !slices.Equal(got.Entries, col.Entries) || ix.Covered(i) != (col.NNZ() > 0) {
+		if got.Dim != col.Dim || !slices.Equal(got.Entries, col.Entries) || ix.Covered(i) != (len(col.Entries) > 0) {
 			return fmt.Errorf("image %d: column %+v (covered %v), want %+v", i, got, ix.Covered(i), col)
 		}
 	}

@@ -15,55 +15,10 @@ import (
 // collection store) into a caller-provided destination, with no allocation
 // and no per-pair interface dispatch in the inner loops. The scoring passes
 // of every retrieval scheme run through it.
-//
-// Unless a method documents otherwise, the batched paths perform exactly the
-// same floating-point arithmetic in the same order as the scalar Eval, so
-// batched scores are bit-for-bit identical to the scalar path.
-
-// BatchKernel is a Kernel that can evaluate one point against many in a
-// single call. dst[j] receives K(x, ys[j]); len(dst) must equal len(ys).
-type BatchKernel interface {
-	Kernel
-	EvalBatch(x Point, ys []Point, dst []float64)
-}
-
-// EvalBatch stores K(x, ys[j]) into dst[j] for any kernel, using the
-// kernel's batched implementation when it has one and falling back to
-// per-pair evaluation otherwise.
-func EvalBatch(k Kernel, x Point, ys []Point, dst []float64) {
-	if bk, ok := k.(BatchKernel); ok {
-		bk.EvalBatch(x, ys, dst)
-		return
-	}
-	checkBatch(len(ys), len(dst))
-	for j, y := range ys {
-		dst[j] = k.Eval(x, y)
-	}
-}
 
 func checkBatch(n, d int) {
 	if n != d {
-		panic(fmt.Sprintf("kernel: EvalBatch destination length %d, want %d", d, n))
-	}
-}
-
-// EvalBatch implements BatchKernel. Sparse points take the per-pair merge
-// join, Sparse.Dot; the log modality's hot sparse products go through a
-// SparseSVIndex instead (LinearAccumulateWeights, Cache).
-func (Linear) EvalBatch(x Point, ys []Point, dst []float64) {
-	checkBatch(len(ys), len(dst))
-	if xv, ok := x.(Dense); ok {
-		for j, y := range ys {
-			if yv, ok := y.(Dense); ok {
-				dst[j] = linalg.Vector(xv).Dot(linalg.Vector(yv))
-			} else {
-				dst[j] = x.Dot(y)
-			}
-		}
-		return
-	}
-	for j, y := range ys {
-		dst[j] = x.Dot(y)
+		panic(fmt.Sprintf("kernel: destination length %d, want %d", d, n))
 	}
 }
 
@@ -281,20 +236,19 @@ func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []f
 	}
 }
 
-// EvalBatch implements BatchKernel. Every product is written float64(x*y).
+// EvalBatch stores K(x, ys[j]) into dst[j], Eval's bits; len(dst) must
+// equal len(ys). It is the dense lane that fills the trainer's visual Gram
+// rows (Cache): for a dense x, four dense points of its dimension go per
+// trip, four independent chains that are each Vector.SquaredDistance's
+// single accumulator over the same ascending elements, written inline so a
+// pair costs no non-inlined call and no length check; every product is
+// written float64(x*y). The rest, and a trip with a point of another type or
+// dimension, go one at a time through Eval.
 func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
-	switch xv := x.(type) {
-	case Dense:
-		// The subtract-square sum is written inline rather than calling
-		// Vector.SquaredDistance: same single accumulator over the same
-		// ascending elements (bit-identical — the training paths that pin
-		// solver trajectories come through here), but without a non-inlined
-		// call and its length-check per pair. Four points go per trip, four
-		// independent chains that are each that sum; the rest, and a trip
-		// with a point of another type or dimension, go one at a time.
+	j := 0
+	if xv, ok := x.(Dense); ok {
 		xs := []float64(xv)
-		j := 0
 		for ; j+4 <= len(ys); j += 4 {
 			w0, ok0 := ys[j].(Dense)
 			w1, ok1 := ys[j+1].(Dense)
@@ -314,34 +268,9 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 			dst[j], dst[j+1] = math.Exp(float64(-k.Gamma*s0)), math.Exp(float64(-k.Gamma*s1))
 			dst[j+2], dst[j+3] = math.Exp(float64(-k.Gamma*s2)), math.Exp(float64(-k.Gamma*s3))
 		}
-		for ; j < len(ys); j++ {
-			if yv, ok := ys[j].(Dense); ok {
-				w := []float64(yv)
-				if len(w) != len(xs) {
-					panic(fmt.Sprintf("kernel: EvalBatch dimension mismatch %d != %d", len(w), len(xs)))
-				}
-				var s float64
-				for i, xi := range xs {
-					d := xi - w[i]
-					s += float64(d * d)
-				}
-				dst[j] = math.Exp(float64(-k.Gamma * s))
-			} else {
-				dst[j] = k.Eval(x, ys[j])
-			}
-		}
-	case Sparse:
-		for j, y := range ys {
-			if yv, ok := y.(Sparse); ok {
-				dst[j] = math.Exp(float64(-k.Gamma * xv.Vector.SquaredDistance(yv.Vector)))
-			} else {
-				dst[j] = k.Eval(x, y)
-			}
-		}
-	default:
-		for j, y := range ys {
-			dst[j] = k.Eval(x, y)
-		}
+	}
+	for ; j < len(ys); j++ {
+		dst[j] = k.Eval(x, ys[j])
 	}
 }
 
@@ -462,41 +391,21 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 	return &DenseSet{mat: mat, norms: norms}
 }
 
-// SetKernel is a kernel with a specialized evaluation of one dense point
-// against a whole DenseSet. dst[i] receives K(x, set_i); len(dst) must equal
-// set.Len().
-type SetKernel interface {
-	Kernel
-	EvalSet(x linalg.Vector, set *DenseSet, dst []float64)
-}
-
-// EvalSet stores K(x, set_i) into dst[i] for any kernel, using the kernel's
-// set implementation when it has one and per-pair evaluation otherwise.
-func EvalSet(k Kernel, x Point, set *DenseSet, dst []float64) {
-	if sk, ok := k.(SetKernel); ok {
-		if xv, ok := x.(Dense); ok {
-			sk.EvalSet(linalg.Vector(xv), set, dst)
-			return
-		}
-	}
-	checkBatch(set.Len(), len(dst))
-	for i := range dst {
-		dst[i] = k.Eval(x, set.Point(i))
-	}
-}
-
-// EvalSet implements SetKernel: one matrix-vector product over the flat
-// storage. Bit-identical to the scalar dot products.
+// EvalSet implements Kernel: one matrix-vector product over the flat
+// storage, linalg.Matrix.MulVecInto's four-accumulator sum. Eval sums
+// linalg.Vector.Dot's single chain instead, so the two differ in the last
+// bits.
 func (Linear) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 	set.mat.MulVecInto(dst, x)
 }
 
-// EvalSet implements SetKernel: squared distances are expanded as
+// EvalSet implements Kernel: squared distances are expanded as
 // ||x||^2 + norms - 2*(set*x), so the whole row is one matrix-vector
-// product against the precomputed row norms. Cancellation in the expansion
-// makes individual kernel values drift from the scalar path by O(1e-15)
-// relative error; EXPERIMENTS.md records that every reported MAP metric is
-// nevertheless unchanged to full float64 precision.
+// product against the precomputed row norms (DenseSet.SquaredDistancesInto),
+// then math.Exp. Cancellation in the expansion makes individual kernel
+// values drift from Eval by O(1e-15) relative error; EXPERIMENTS.md records
+// that every reported MAP metric is nevertheless unchanged to full float64
+// precision.
 func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 	set.SquaredDistancesInto(dst, x)
 	for i, d := range dst {
@@ -534,13 +443,12 @@ func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
 }
 
 // GramSet computes the Gram matrix of a dense set through the batched row
-// path: row i is one EvalSet call over contiguous storage, reusing the set's
-// precomputed norms where the kernel can.
+// path: row i is one EvalSet call over contiguous storage.
 func GramSet(k Kernel, set *DenseSet) *linalg.Matrix {
 	n := set.Len()
 	m := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		EvalSet(k, set.Point(i), set, m.Row(i))
+		k.EvalSet(linalg.Vector(set.Point(i)), set, m.Row(i))
 	}
 	return m
 }

@@ -14,8 +14,9 @@ package kernel
 // dimension — is inverted by session into a SparseSVIndex (the type the
 // scans walk the collection's log through), and a row is gathered through
 // it: one walk over x_i's entries, each visiting only the points that carry
-// that session. Every other kernel and point mix fills its rows with
-// EvalBatch. Both give Eval's bits. A cache is not safe for concurrent use.
+// that session. RBF fills its rows through RBF.EvalBatch, whose dense lane
+// is the trainer's visual Gram rows, and any other kernel or point mix
+// through Eval. All give Eval's bits. A cache is not safe for concurrent use.
 type Cache struct {
 	kernel Kernel
 	points []Point
@@ -59,7 +60,7 @@ func (c *Cache) Row(i int) []float64 {
 // evaluates its row against those points and against points i.. and mirrors
 // it into column i. The gather needs the base's index beside the new points'
 // one, of the same dimension; a base grown from a filled cache kept none,
-// so a cache grown twice fills through EvalBatch.
+// so a Linear cache grown twice fills through Eval.
 func (c *Cache) fill() {
 	n := len(c.points)
 	g := make([]float64, n*n)
@@ -89,12 +90,23 @@ func (c *Cache) fill() {
 			}
 			tail.gather(x, i-n0, row[n0:])
 		} else {
-			EvalBatch(c.kernel, c.points[i], c.points[:n0], row[:n0])
-			EvalBatch(c.kernel, c.points[i], c.points[i:], row[i:])
+			c.evalRow(c.points[i], c.points[:n0], row[:n0])
+			c.evalRow(c.points[i], c.points[i:], row[i:])
 		}
 		for j, v := range row {
 			g[j*n+i] = v
 		}
 	}
 	c.gram = g
+}
+
+// evalRow stores K(x, ys[j]) into dst[j] for a row the gather does not take.
+func (c *Cache) evalRow(x Point, ys []Point, dst []float64) {
+	if rbf, ok := c.kernel.(RBF); ok {
+		rbf.EvalBatch(x, ys, dst)
+		return
+	}
+	for j, y := range ys {
+		dst[j] = c.kernel.Eval(x, y)
+	}
 }

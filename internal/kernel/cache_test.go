@@ -8,8 +8,7 @@ import (
 	"lrfcsvm/internal/sparse"
 )
 
-// evalOnly hides a kernel's batched path, so a cache fills its rows through
-// EvalBatch's per-pair fall-back.
+// evalOnly hides RBF's batched path, so a cache fills its rows through Eval.
 type evalOnly struct{ Kernel }
 
 // checkGramOf holds every Row(i)[j] of c to k.Eval(pts[i], pts[j]) and to

@@ -7,6 +7,11 @@
 // The paper trains all schemes with the Gaussian RBF kernel. Two kernels
 // exist because two are trained: RBF over the visual descriptors and Linear,
 // the log modality's default co-judgment kernel (an ablation swaps in RBF).
+// A Kernel evaluates one pair (Eval) or one dense point against a DenseSet
+// (EvalSet). Beside them each pairing a modality uses has one batched path:
+// RBF.EvalBatch fills the trainer's visual Gram rows, RBF.AccumulateSet
+// scores a scan's visual half and the session index its linear log half
+// (below); the RBF log ablation goes pair by pair through Eval.
 //
 // # Compute backends
 //
@@ -52,8 +57,8 @@
 // matrix walks each row point through its training problem's points inverted
 // by session (Cache), which gives Sparse.Dot's bits for every pair: the same
 // products, each rounded on its own, in the same ascending-session order,
-// from +0. Linear.EvalBatch over sparse points is the per-pair merge join
-// and serves only the shapes the index does not take.
+// from +0. The shapes the index does not take go pair by pair through Eval,
+// the same merge join.
 //
 // On amd64 both sets are held to the same contract: bit-identical float64
 // results to the straight-line reference loop kept with the parity tests,

@@ -21,8 +21,8 @@ import (
 //     to accumulateRBFScalar;
 //   - DenseSet.SquaredDistancesInto to linalg's norm expansion, and every
 //     backend's row dot to linalg.Matrix.MulVecInto;
-//   - EvalBatch to per-pair Eval, and EvalSet and GramSet to the same
-//     expansion per pair;
+//   - RBF.EvalBatch to per-pair Eval, and every kernel's EvalSet and
+//     GramSet to the same expansion per pair;
 //   - LinearWeights and LinearAccumulateWeights, the log half's weight build
 //     and its walk range by range through one shared index, to their
 //     straight-line definition (refWeights, refDecisions);
@@ -248,9 +248,12 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 }
 
 // setPairRef is EvalSet's definition of one pair: linalg's four-accumulator
-// dot, for RBF the norm expansion over it and math.Exp, and Eval for a kernel
-// without a set path.
+// dot, and for RBF the norm expansion over it and math.Exp. evalOnly hides
+// only RBF's EvalBatch, so its set form is RBF's.
 func setPairRef(k Kernel, x linalg.Vector, set *DenseSet, i int) float64 {
+	if e, ok := k.(evalOnly); ok {
+		k = e.Kernel
+	}
 	m := &linalg.Matrix{Rows: 1, Cols: set.Dim(), Data: set.Point(i)}
 	out := make(linalg.Vector, 1)
 	switch k := k.(type) {
@@ -260,9 +263,13 @@ func setPairRef(k Kernel, x linalg.Vector, set *DenseSet, i int) float64 {
 	case Linear:
 		return m.MulVecInto(out, x)[0]
 	}
-	return k.Eval(Dense(x), set.Point(i))
+	panic(fmt.Sprintf("no set definition for %T", k))
 }
 
+// checkEvalPaths holds RBF.EvalBatch over dense and sparse points to per-pair
+// Eval, and EvalSet and GramSet of three kernels to setPairRef. A kernel
+// without a batched path still draws its batch point, which keeps the draws
+// after this check on the seeds the regimes are pinned to.
 func checkEvalPaths(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	t.Helper()
 	n, dim := 1+rng.Intn(40), pick(rng, 1, 3, 4, 5, 7, 9, 36)
@@ -277,26 +284,30 @@ func checkEvalPaths(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	for _, k := range kernels {
 		for i, pts := range [][]Point{dense, sparsePts} {
 			x := pts[rng.Intn(n)]
+			rbf, ok := k.(RBF)
+			if !ok {
+				continue
+			}
 			got := make([]float64, n)
-			EvalBatch(k, x, pts, got)
+			rbf.EvalBatch(x, pts, got)
 			for j, y := range pts {
 				if w := k.Eval(x, y); !sameBits(got[j], w) {
-					t.Fatalf("%s EvalBatch over %d %s points of %d: [%d] = %v, Eval %v", k.Name(), n, []string{"dense", "sparse"}[i], dim, j, got[j], w)
+					t.Fatalf("%v EvalBatch over %d %s points of %d: [%d] = %v, Eval %v", k, n, []string{"dense", "sparse"}[i], dim, j, got[j], w)
 				}
 			}
 			seen["eval-sparse"] = seen["eval-sparse"] || i == 1 && n > 4
 		}
 		x := vecs[rng.Intn(n)]
 		got := make([]float64, n)
-		EvalSet(k, Dense(x), set, got)
+		k.EvalSet(x, set, got)
 		gram := GramSet(k, set)
 		for i := range n {
 			if w := setPairRef(k, x, set, i); !sameBits(got[i], w) {
-				t.Fatalf("%s EvalSet over %d points of %d: [%d] = %v, want %v", k.Name(), n, dim, i, got[i], w)
+				t.Fatalf("%v EvalSet over %d points of %d: [%d] = %v, want %v", k, n, dim, i, got[i], w)
 			}
 			for j := range n {
 				if w := setPairRef(k, vecs[i], set, j); !sameBits(gram.Row(i)[j], w) {
-					t.Fatalf("%s GramSet of %d points of %d: (%d,%d) = %v, want %v", k.Name(), n, dim, i, j, gram.Row(i)[j], w)
+					t.Fatalf("%v GramSet of %d points of %d: (%d,%d) = %v, want %v", k, n, dim, i, j, gram.Row(i)[j], w)
 				}
 			}
 		}

@@ -81,10 +81,12 @@ func SparsePoints(vs []*sparse.Vector) []Point {
 	return out
 }
 
-// Kernel is a Mercer kernel K(x,y).
+// Kernel is a Mercer kernel K(x,y), on one pair (Eval) or on one dense point
+// against a DenseSet (EvalSet: dst[i] = K(x, set_i), len(dst) = set.Len(),
+// not Eval's arithmetic: each kernel's EvalSet states what it computes).
 type Kernel interface {
 	Eval(x, y Point) float64
-	Name() string
+	EvalSet(x linalg.Vector, set *DenseSet, dst []float64)
 }
 
 // Linear is the kernel K(x,y) = <x,y>.
@@ -92,9 +94,6 @@ type Linear struct{}
 
 // Eval implements Kernel.
 func (Linear) Eval(x, y Point) float64 { return x.Dot(y) }
-
-// Name implements Kernel.
-func (Linear) Name() string { return "linear" }
 
 // RBF is the Gaussian radial basis function kernel
 // K(x,y) = exp(-gamma * ||x-y||^2), the kernel used throughout the paper's
@@ -107,9 +106,6 @@ type RBF struct {
 func (k RBF) Eval(x, y Point) float64 {
 	return math.Exp(-k.Gamma * x.SquaredDistance(y))
 }
-
-// Name implements Kernel.
-func (k RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
 
 // EstimateRBFGamma returns a data-driven RBF bandwidth for a collection of
 // n points, the i-th read through point: gamma = 1 / mean squared pairwise

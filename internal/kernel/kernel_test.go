@@ -47,9 +47,6 @@ func TestLinearKernel(t *testing.T) {
 	if got := k.Eval(a, b); got != 11 {
 		t.Errorf("linear = %v, want 11", got)
 	}
-	if k.Name() != "linear" {
-		t.Errorf("Name = %q", k.Name())
-	}
 }
 
 func TestRBFKernel(t *testing.T) {

@@ -47,7 +47,7 @@ func sameLog(ix *LogIndex, cols []*sparse.Vector) error {
 	}
 	for i, col := range cols {
 		got := ix.Column(i)
-		if got.Dim != col.Dim || !slices.Equal(got.Entries, col.Entries) || ix.Covered(i) != (col.NNZ() > 0) {
+		if got.Dim != col.Dim || !slices.Equal(got.Entries, col.Entries) || ix.Covered(i) != (len(col.Entries) > 0) {
 			return fmt.Errorf("image %d: column %+v (covered %v), want %+v", i, got, ix.Covered(i), col)
 		}
 	}

@@ -249,7 +249,7 @@ func (d *driver) checkState() {
 	d.check(index.Dim() == wantCols[0].Dim, "the log index holds %d sessions, the model %d", index.Dim(), wantCols[0].Dim)
 	for i, want := range wantCols {
 		col := index.Column(i)
-		same := col.Dim == want.Dim && slices.Equal(col.Entries, want.Entries) && index.Covered(i) == (want.NNZ() > 0)
+		same := col.Dim == want.Dim && slices.Equal(col.Entries, want.Entries) && index.Covered(i) == (len(want.Entries) > 0)
 		d.check(same, "the log index has column %+v for image %d (covered %v), RelevanceVectors() of the model's sessions %+v", col, i, index.Covered(i), want)
 	}
 	wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))

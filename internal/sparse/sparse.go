@@ -48,9 +48,6 @@ func FromDense(d linalg.Vector) *Vector {
 	return v
 }
 
-// NNZ returns the number of stored non-zero components.
-func (v *Vector) NNZ() int { return len(v.Entries) }
-
 // Set assigns value at index, replacing an existing entry, inserting a new
 // one, or removing the entry when value is zero.
 func (v *Vector) Set(index int, value float64) {

@@ -10,14 +10,14 @@ import (
 
 func TestNewAndSet(t *testing.T) {
 	v := New(10)
-	if v.Dim != 10 || v.NNZ() != 0 {
+	if v.Dim != 10 || len(v.Entries) != 0 {
 		t.Fatalf("unexpected new vector %+v", v)
 	}
 	v.Set(3, 2.5)
 	v.Set(7, -1)
 	v.Set(1, 4)
-	if v.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", v.NNZ())
+	if len(v.Entries) != 3 {
+		t.Fatalf("%d entries, want 3", len(v.Entries))
 	}
 	if v.At(3) != 2.5 || v.At(7) != -1 || v.At(1) != 4 || v.At(0) != 0 {
 		t.Error("At returned wrong values")
@@ -34,15 +34,15 @@ func TestSetOverwriteAndDelete(t *testing.T) {
 	v := New(5)
 	v.Set(2, 1)
 	v.Set(2, 3)
-	if v.NNZ() != 1 || v.At(2) != 3 {
+	if len(v.Entries) != 1 || v.At(2) != 3 {
 		t.Error("overwrite failed")
 	}
 	v.Set(2, 0)
-	if v.NNZ() != 0 || v.At(2) != 0 {
+	if len(v.Entries) != 0 || v.At(2) != 0 {
 		t.Error("delete via zero failed")
 	}
 	v.Set(4, 0)
-	if v.NNZ() != 0 {
+	if len(v.Entries) != 0 {
 		t.Error("setting absent entry to zero should be a no-op")
 	}
 }
@@ -68,8 +68,8 @@ func TestNewNegativeDimPanics(t *testing.T) {
 func TestFromDenseToDenseRoundTrip(t *testing.T) {
 	d := linalg.Vector{0, 1, 0, -2, 0, 0, 3}
 	v := FromDense(d)
-	if v.NNZ() != 3 {
-		t.Errorf("NNZ = %d, want 3", v.NNZ())
+	if len(v.Entries) != 3 {
+		t.Errorf("%d entries, want 3", len(v.Entries))
 	}
 	if !v.ToDense().Equal(d, 0) {
 		t.Errorf("round trip = %v", v.ToDense())

@@ -127,7 +127,7 @@ type Model struct {
 	Kernel        kernel.Kernel
 
 	// Alphas holds the dual variable of every training point (not only the
-	// support vectors), in training order. The LRF-CSVM inspects these.
+	// support vectors), in training order.
 	Alphas []float64
 	// Iterations is the number of SMO pair updates performed.
 	Iterations int
@@ -214,40 +214,14 @@ func (m *Model) Decision(x kernel.Point) float64 {
 	return sum
 }
 
-// DecisionBatch stores f(ys[j]) into dst[j] through the batched kernel path.
-// buf is optional scratch of length len(ys); pass nil to allocate. The
-// accumulation order per point is identical to Decision, so the scores are
-// bit-for-bit equal to the scalar path. The model is read-only here, so
-// concurrent DecisionBatch calls (e.g. one per collection shard) are safe.
-func (m *Model) DecisionBatch(ys []kernel.Point, dst, buf []float64) {
-	if len(dst) != len(ys) {
-		panic(fmt.Sprintf("svm: DecisionBatch destination length %d, want %d", len(dst), len(ys)))
-	}
-	for j := range dst {
-		dst[j] = m.Bias
-	}
-	if len(m.SupportPoints) == 0 {
-		return
-	}
-	if len(buf) != len(ys) {
-		buf = make([]float64, len(ys))
-	}
-	for i, sv := range m.SupportPoints {
-		kernel.EvalBatch(m.Kernel, sv, ys, buf)
-		c := m.Coefficients[i]
-		for j, kv := range buf {
-			dst[j] += float64(c * kv)
-		}
-	}
-}
-
 // DecisionSet stores f(set_i) into dst[i], evaluating every support vector
 // against the flat collection storage. buf is optional scratch of length
 // set.Len(). Dense RBF models go through the fused, pair-blocked
 // kernel.RBF.AccumulateSet path, which matches Decision to O(1e-15)
 // relative error (norm expansion plus ~2 ulp fast exponential); other
-// kernels accumulate per support vector with scalar-identical arithmetic.
-// Safe for concurrent calls on disjoint destinations.
+// kernels accumulate each dense support vector's kernel.Kernel.EvalSet row,
+// which for Linear is a four-accumulator dot that differs from Decision's in
+// the last bits. Safe for concurrent calls on disjoint destinations.
 func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 	if len(dst) != set.Len() {
 		panic(fmt.Sprintf("svm: DecisionSet destination length %d, want %d", len(dst), set.Len()))
@@ -268,7 +242,7 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 		buf = make([]float64, len(dst))
 	}
 	for i, sv := range m.SupportPoints {
-		kernel.EvalSet(m.Kernel, sv, set, buf)
+		m.Kernel.EvalSet(linalg.Vector(sv.(kernel.Dense)), set, buf)
 		c := m.Coefficients[i]
 		for j, kv := range buf {
 			dst[j] += float64(c * kv)
@@ -445,8 +419,9 @@ func (s *Solver) Iterations() int { return s.iterations }
 // from the Gram matrix. A support vector exists only after a pair update,
 // which filled the matrix, so this evaluates no kernel pair. The summation
 // order (bias first, then ascending j over alpha_j > 0) and every operand
-// match Model().DecisionBatch over the same points, so the values are
-// bit-identical to it.
+// match Model().Decision of the same point, whose kernel values are the
+// matrix's (kernel.Cache gives Eval's bits), so the values are bit-identical
+// to it.
 func (s *Solver) Decisions(from int, dst []float64) {
 	for i := range dst {
 		dst[i] = s.intercept
