@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -165,26 +166,35 @@ func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
 
 // rankScratch is one pooled scoring arena, everything a worker needs beside
 // the stores to score ranges of at most one shard: score lanes, a log column
-// header and the reusable bounded selectors of the streaming passes.
+// header, the RBF tile's working memory and the streaming passes' selectors.
 // Arenas live in the collection batch's pool; a steady-state pass borrows
 // one per worker, scores through it and returns it without allocating.
 type rankScratch struct {
 	lanes [3][]float64
 	// col is the log column a non-linear log model scores, a view into the
 	// index; held here, the point that names it does not escape per row.
-	col  sparse.Vector
-	sel  topKSelector
-	pick unlabeledSelector
+	col   sparse.Vector
+	tiles kernel.TileScratch
+	sel   topKSelector
+	pick  unlabeledSelector
 	// view is a reusable DenseSet header, so slicing a range out of a shard
 	// allocates nothing.
 	view *kernel.DenseSet
+	// floor is a top-K pass's floor (float64 bits) in its result arena; cut
+	// is the range a top-K worker scores: its bound, floor and rows handed back.
+	floor atomic.Uint64
+	cut   struct {
+		bound    kernel.Bound
+		floor    *atomic.Uint64
+		lo, next int
+	}
 }
 
 // The lanes of an arena. The sink owns the first; a range scorer may use the
 // other two for the duration of one call.
 const (
 	laneScores = iota // the range's scores, for the sinks that select from them
-	laneKernel        // kernel accumulation buffer, then the query's distances
+	lanePrior         // the query's distances, then its prior
 	laneLog           // log-modality decision values
 )
 
@@ -210,6 +220,7 @@ func (b *CollectionBatch) scratchGet() *rankScratch {
 // scratchPut returns a borrowed arena to the pool.
 func (b *CollectionBatch) scratchPut(s *rankScratch) {
 	b.leased.Add(-1)
+	s.cut.bound = nil
 	b.scratch.Put(s)
 }
 
@@ -325,20 +336,54 @@ func (p *scanPass) score(sc *rankScratch, lo, hi int) {
 	p.sink.consume(sc, lo, scores)
 }
 
-// topKSink keeps the best k scores in the arenas' bounded selectors.
-type topKSink struct{}
+// topKSink keeps the best k scores in the arenas' bounded selectors, and
+// bounds the RBF tile by their floor (kernel.Bound): the largest k-th best
+// score a worker of the pass keeps, raised after every tile. A skipped row
+// ranks below k kept rows, so the pass keeps what it keeps without a floor.
+type topKSink struct{ floor *atomic.Uint64 }
 
 func (topKSink) like(sc, proto *rankScratch) { sc.sel.reset(proto.sel.k) }
 
-func (topKSink) dst(sc *rankScratch, _, n int) []float64 { return sc.lane(laneScores, n) }
+func (s topKSink) dst(sc *rankScratch, lo, n int) []float64 {
+	sc.cut.bound, sc.cut.floor, sc.cut.lo, sc.cut.next = sc, s.floor, lo, 0
+	return sc.lane(laneScores, n)
+}
 
-func (topKSink) consume(sc *rankScratch, lo int, scores []float64) {
-	for i, v := range scores {
-		sc.sel.push(lo+i, v)
+// consume offers, a tile at a time, the rows the driver has not handed back.
+func (topKSink) consume(sc *rankScratch, _ int, scores []float64) {
+	for i := sc.cut.next; i < len(scores); i += 64 {
+		n := min(64, len(scores)-i)
+		sc.Scored(i, n, ^uint64(0)>>(64-n))
 	}
+	sc.cut.bound = nil
 }
 
 func (topKSink) merge(into, from *rankScratch) { into.sel.merge(&from.sel) }
+
+// Floor implements kernel.Bound: the pass's floor.
+func (sc *rankScratch) Floor() float64 { return math.Float64frombits(sc.cut.floor.Load()) }
+
+// Scored implements kernel.Bound: it offers the tile's scored rows.
+func (sc *rankScratch) Scored(lo, n int, kept uint64) {
+	for ; kept != 0; kept &= kept - 1 {
+		i := lo + bits.TrailingZeros64(kept)
+		if v := sc.lanes[laneScores][i]; sc.sel.admits(sc.cut.lo+i, v) {
+			sc.sel.push(sc.cut.lo+i, v)
+		}
+	}
+	sc.cut.next = lo + n
+	sc.publish()
+}
+
+// publish raises the pass's floor to the arena's k-th best score by atomic max.
+func (sc *rankScratch) publish() {
+	for len(sc.sel.h) == sc.sel.k {
+		old, v := sc.cut.floor.Load(), sc.sel.h[0].Score
+		if !(v > math.Float64frombits(old)) || sc.cut.floor.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
 
 // rankTopRanges streams the images cands names through fn into their top k
 // under the (score, index) order, appended to dst (reusing its capacity — a
@@ -357,7 +402,8 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k 
 	sc := b.scratchGet()
 	defer b.scratchPut(sc)
 	sc.sel.reset(k)
-	if err := scanRanges(ctx, b, cands, fn, topKSink{}, sc); err != nil {
+	sc.floor.Store(math.Float64bits(math.Inf(-1)))
+	if err := scanRanges(ctx, b, cands, fn, topKSink{floor: &sc.floor}, sc); err != nil {
 		return nil, err
 	}
 	return sc.sel.drain(dst), nil
@@ -431,21 +477,17 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 }
 
 // coupledScorer scores by the summed decision value of a visual and a log
-// model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — plus the
-// query prior around the descriptor q. Step 1 of Fig. 1 selects by the
-// decision values alone and passes a nil q.
+// model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — minus the
+// query prior around the descriptor q, computed first so a top-K pass can
+// bound the visual pass by them. Step 1 selects by the decisions alone (nil q).
 func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector) rangeScorer {
 	log := ctx.LogIndex
 	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
-		n := sub.Len()
-		visualModel.DecisionSet(sub, dst, sc.lane(laneKernel, n))
-		logScores := logDecisions(sc, logModel, log, lo, n)
-		for i := range dst {
-			dst[i] += logScores[i]
-		}
+		var prior []float64
 		if q != nil {
-			addQueryPrior(sc, q, sub, dst)
+			prior = queryPrior(sc, q, sub)
 		}
+		visualModel.DecisionBounded(sub, dst, logDecisions(sc, logModel, log, lo, sub.Len()), prior, &sc.tiles, sc.cut.bound)
 	}
 }
 
@@ -477,24 +519,25 @@ func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logMode
 	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx))
 }
 
-// visualScorer scores by the decision value of a visual-modality model plus
+// visualScorer scores by the decision value of a visual-modality model minus
 // the query prior: RF-SVM's retrieval pass.
 func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) rangeScorer {
 	q := b.queryVector(ctx)
 	return func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		model.DecisionSet(sub, dst, sc.lane(laneKernel, sub.Len()))
-		addQueryPrior(sc, q, sub, dst)
+		model.DecisionBounded(sub, dst, nil, queryPrior(sc, q, sub), &sc.tiles, sc.cut.bound)
 	}
 }
 
-// addQueryPrior adds the initial-similarity prior to the scores of a range,
-// q being the query's descriptor; see queryPriorWeight for the rationale.
-func addQueryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet, scores []float64) {
-	dist := sc.lane(laneKernel, len(scores))
-	rangeDistances(q, sub, dist)
-	for i := range scores {
-		scores[i] -= float64(queryPriorWeight * dist[i])
+// queryPrior returns, in the arena's prior lane, the initial-similarity prior
+// of the rows of a range that an SVM scheme's score subtracts, q being the
+// query's descriptor; see queryPriorWeight for the rationale.
+func queryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet) []float64 {
+	prior := sc.lane(lanePrior, sub.Len())
+	rangeDistances(q, sub, prior)
+	for i, d := range prior {
+		prior[i] = float64(queryPriorWeight * d)
 	}
+	return prior
 }
 
 // rangeDistances writes the Euclidean distance from q to every row of a range

@@ -452,9 +452,8 @@ func requireBytesDoNotGrowWithN(t *testing.T, what string, bytesPerOp func(n int
 // TestSelectUnlabeledBytesDoNotGrowWithN pins the allocation contract of the
 // streaming step 1: a pass allocates the drafted selection and its own
 // bookkeeping, never a collection-sized slice (the select-by-sort allocated
-// 4 × 8 bytes per image: 64 KB against 512 KB at these sizes). What still
-// scales is the kernels' per-call temporaries, about 1 KB per 2048-image
-// range — under one byte per image.
+// 4 × 8 bytes per image: 64 KB against 512 KB at these sizes). The RBF
+// tile's working memory is the pooled arena's, so nothing scales per range.
 func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")

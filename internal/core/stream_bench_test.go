@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // This file benchmarks the steady-state ranking path in isolation — the
 // stage between a trained model and a bounded result list: streaming
@@ -110,4 +113,46 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 			buf = got
 		}
 	})
+}
+
+// BenchmarkTopKPass times the retrieval pass alone — the models are trained
+// outside the timer — of LRF-2SVMs and of LRF-CSVM's step 3 at 5,000 and
+// 20,000 images of the dense-log collections, on every core and with a
+// recycled result buffer: the pass the RBF tile driver bounds by the top-K
+// floor. B/op must not grow with the collection. The share of kernel pairs
+// the bound skips is BenchmarkBoundedTile's, in package kernel.
+func BenchmarkTopKPass(b *testing.B) {
+	for _, n := range []int{5000, 20000} {
+		coll := makeDenseLogCollection(b, n/50, 50, 3*n, 29)
+		ctx, err := coll.queryContext(7, 20).validated(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Batch = NewCollectionBatch(coll.visual)
+		for _, s := range []struct {
+			name   string
+			scored rangeScored
+		}{{"lrf-2svms", LRF2SVMs{}}, {"lrf-csvm-step3", LRFCSVM{}}} {
+			batch, fn, err := s.scored.scorer(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/images=%d", s.name, n), func(b *testing.B) {
+				buf := make([]Ranked, 0, benchK)
+				pass := func() {
+					got, err := rankTopRanges(ctx, batch, CandidateSet{}, benchK, buf[:0], fn)
+					if err != nil || len(got) != benchK {
+						b.Fatalf("ranked %d images, err %v", len(got), err)
+					}
+					buf = got
+				}
+				pass() // fills the scratch pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+			})
+		}
+	}
 }

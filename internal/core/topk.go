@@ -69,6 +69,12 @@ func (s *topKSelector) push(index int, score float64) {
 	s.siftDown(0, len(s.h))
 }
 
+// admits reports whether push would keep a candidate; it inlines, so a
+// stream of rows calls push only for a row that enters.
+func (s *topKSelector) admits(index int, score float64) bool {
+	return len(s.h) < s.k || rankedBefore(Ranked{Index: index, Score: score}, s.h[0])
+}
+
 // merge offers every kept candidate of another selector.
 func (s *topKSelector) merge(o *topKSelector) {
 	for _, c := range o.h {

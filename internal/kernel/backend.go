@@ -1,33 +1,12 @@
 package kernel
 
-// The fused distance+RBF-exp pass over DenseSet rows (RBF.AccumulateSet) is
-// the dominant kernel of the SVM ranking path. It has one implementation,
-// the tile driver blockAccumulateRBF, parameterised only by the four
-// routines it calls: the RBF arguments of a tile against a pair of support
-// vectors (pairArgs), the row dot against one (one; it also serves
-// DenseSet.SquaredDistancesInto), the exponential over a tile column (exp)
-// and the coefficient fold of a pair (fold). There are three members: the
-// pure-Go routines (everywhere), the Go-assembly AVX2 routines (amd64
-// without the purego tag, hasAVX2) and the AVX-512 member (hasAVX512 too),
-// whose pair arguments and fold run eight rows per step in 512-bit
-// registers and whose other two routines are the AVX2 ones. The assembly
-// reproduces the Go four-accumulator summation pattern lane for lane — four
-// rows against two support vectors per step in AVX2, eight in AVX-512, each
-// lane the Go chain — and evaluates the norm expansion's, expOne's and the
-// fold's arithmetic in their order, one correctly rounded instruction per
-// Go operation and no fused multiply-add. On amd64, where the Go compiler
-// does not fuse either, the assembly members, the Go members and the
-// straight-line reference loop the parity tests keep (accumulateRBFScalar)
-// agree to the bit — no ULP tolerance is needed or permitted. On other architectures only the Go
-// members exist; each writes its products float64(x*y), which the Go spec
-// forbids fusing into an add, so over the same row norms they give amd64's
-// bits. The choice is made once, here, for the widest member the CPU
-// runs: package svm runs its SMO step's assembly member exactly where this
-// package runs an assembly member (AVX2), so Backend names what the trainer
-// runs on too.
+import (
+	"math"
+	"slices"
+)
 
-// dotKernels is one backend: the four routines of the tile driver and the
-// name Backend reports for them.
+// dotKernels is one member (see the package documentation): the four
+// routines of the tile driver, rbfTiles, and the name Backend reports.
 type dotKernels struct {
 	name     string
 	pairArgs pairArgsFunc
@@ -79,55 +58,187 @@ type pairArgsFunc func(mat []float64, rows, cols int, u, v, xn []float64, nU, nV
 // out[r] = (out[r] + cA·eA[r]) + cB·eB[r].
 type foldFunc func(out, eA, eB []float64, cA, cB float64)
 
-// rbfBlockRows is the row-tile size of the blocked AccumulateSet driver:
-// 64 rows x 36 dims x 8 B = 18 KiB of row data per tile, small enough that
-// the tile stays L1-resident across every support-vector pass while the
-// exp-lane batches are long enough to amortize their loop overhead.
+// rbfBlockRows is the tile driver's row-tile size: 64 rows x 36 dims x 8 B
+// = 18 KiB per tile stays L1-resident across every support-vector pass, the
+// exp-lane batches amortize their loop overhead, and a bit per row fills a
+// Bound's mask.
 const rbfBlockRows = 64
 
-// blockAccumulateRBF is the tile driver behind RBF.AccumulateSet. Per row it
-// performs exactly the arithmetic of the reference loop in exactly its
-// accumulation order — four-accumulator dots combined as ((s0+s1)+s2)+s3,
-// norm expansion with clamp, per-element Cephes exp (expOne), and coefficient
-// pairs folded as (dst + cA*eA) + cB*eB — structured so each row tile is
-// scored against all support vectors while hot and the exponentials run over
-// whole tile columns.
-func blockAccumulateRBF(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
-	n := svs.Len()
-	rows := xs.Len()
-	cols := xs.mat.Cols
-	svData := svs.mat.Data
-	var dA, dB [rbfBlockRows]float64
+// Bound is a top-K pass as the tile driver sees it (RBF.AccumulateBounded).
+type Bound interface {
+	// Floor returns the k-th best score the pass has kept, -Inf while it
+	// keeps fewer than k; the driver reads it before every tile.
+	Floor() float64
+	// Scored hands over the tile [lo, lo+n) of the set once scored: row
+	// lo+j holds its score when bit j of kept is set and was skipped if not.
+	Scored(lo, n int, kept uint64)
+}
+
+// TileScratch is the tile driver's working memory, kept by the caller so a
+// scan allocates none per range: a 64-row column per support vector, a
+// tile's gathered survivors, the support vectors in phase and model order.
+type TileScratch struct {
+	cols, rows []float64
+	ub, xn     [rbfBlockRows]float64
+	kept       [rbfBlockRows]int
+	order, seq []int
+	p1         int
+	sumAbs     float64
+	prunable   bool
+}
+
+// boundLimit caps the squared norms a bound is taken over: every product and
+// sum of the expansion is finite, a kernel value in [0, 1] up to expOne's ulps.
+const boundLimit = 1e290
+
+// split orders the support vectors: phase 1 the coefficients not ≤ 0, plus
+// one from phase 2 when they are odd (a tile takes the row dot at most once),
+// phase 2 the rest, from the back. A bound needs phase 2's terms provably ≤ 0
+// and finite: gamma ≥ 0, finite coefficients, norms under boundLimit.
+func (ts *TileScratch) split(gamma float64, coefs, norms []float64, cols int) {
+	n := len(coefs)
+	ts.order, ts.seq, ts.p1 = slices.Grow(ts.order[:0], n)[:n], ts.seq[:0], 0
+	ts.sumAbs, ts.prunable = 0, gamma >= 0 && gamma <= math.MaxFloat64
+	for t, c := range coefs {
+		ts.seq = append(ts.seq, t)
+		ts.sumAbs += math.Abs(c)
+		if c <= 0 {
+			ts.order[n-1-(t-ts.p1)] = t
+			ts.prunable = ts.prunable && c >= -math.MaxFloat64 && norms[t] <= boundLimit
+		} else {
+			ts.order[ts.p1] = t
+			ts.p1++
+		}
+	}
+	ts.p1 = min(ts.p1+ts.p1%2, n)
+	if len(ts.cols) < n*rbfBlockRows || len(ts.rows) < cols*rbfBlockRows {
+		ts.cols, ts.rows = make([]float64, n*rbfBlockRows), make([]float64, cols*rbfBlockRows)
+	}
+}
+
+// col returns the first m rows of support vector t's column.
+func (ts *TileScratch) col(t, m int) []float64 { return ts.cols[t*rbfBlockRows : t*rbfBlockRows+m] }
+
+// columns stores the kernel columns of the support vectors list names over
+// the m rows of mat: pairs through pairArgs, an odd last one through the row
+// dot and the same expansion. A column's bits do not depend on its partner.
+func (ts *TileScratch) columns(k dotKernels, gamma float64, svs *DenseSet, list []int, mat []float64, m int, xn []float64) {
+	cols, i := svs.Dim(), 0
+	for ; i+2 <= len(list); i += 2 {
+		t, u := list[i], list[i+1]
+		k.pairArgs(mat, m, cols, svs.mat.Row(t), svs.mat.Row(u), xn, svs.norms[t], svs.norms[u], -gamma, ts.col(t, m), ts.col(u, m))
+		k.exp(ts.col(t, m))
+		k.exp(ts.col(u, m))
+	}
+	if i < len(list) {
+		t, d := list[i], ts.col(list[i], m)
+		k.one(mat, m, cols, svs.mat.Row(t), d)
+		for j := range d {
+			a := xn[j] + svs.norms[t] - float64(2*d[j])
+			if a < 0 {
+				a = 0
+			}
+			d[j] = -gamma * a
+		}
+		k.exp(d)
+	}
+}
+
+// fold adds the columns of the support vectors list names, in list order,
+// into acc: pairs as (acc + cA·eA) + cB·eB, an odd last one as acc + c·e.
+func (ts *TileScratch) fold(k dotKernels, coefs []float64, list []int, acc []float64) {
+	m, i := len(acc), 0
+	for ; i+2 <= len(list); i += 2 {
+		k.fold(acc, ts.col(list[i], m), ts.col(list[i+1], m), coefs[list[i]], coefs[list[i+1]])
+	}
+	if i < len(list) {
+		c, e := coefs[list[i]], ts.col(list[i], m)
+		for j := range acc {
+			acc[j] += float64(c * e[j])
+		}
+	}
+}
+
+// prune bounds the rows of the tile at base from above and lists in ts.kept
+// those whose bound reaches the floor. A row's score is the recursive sum
+// S = ((b + Σ_t c_t·K_t) + add) − sub over the n support vectors in model
+// order; its bound is U = ((b + Σ_{t∈P1} c_t·K_t) + add) − sub over phase 1,
+// from the same columns. Phase 2's terms are ≤ 0, so S ≤ U in exact
+// arithmetic. With u = 2⁻⁵³, K ≤ 1 up to expOne's ulps and T = |b| + Σ|c| +
+// |add| + |sub|, each computed sum of n+3 terms is within γ_{n+2}·T ≈
+// (n+2)·u·T of its exact value, so the computed S ≤ U + 2(n+2)·u·T. The
+// margin (n+4)·2u·T covers that, the rounding of T and of the margin; and
+// as rounding is monotone, fl(U + margin) < floor implies U + margin < floor.
+// A skipped row scores strictly below the floor, so a row whose score ties
+// it is always scored; a NaN or an infinity in U or T keeps the row.
+func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, xn []float64, base int, floor float64) int {
+	ub := ts.ub[:len(out)]
+	copy(ub, out)
+	ts.fold(k, coefs, ts.order[:ts.p1], ub)
+	slack, m := float64(len(coefs)+4)*0x1p-52, 0
+	for j, u := range ub {
+		mag := math.Abs(out[j]) + ts.sumAbs
+		if add != nil {
+			u, mag = u+add[base+j], mag+math.Abs(add[base+j])
+		}
+		if sub != nil {
+			u, mag = u-sub[base+j], mag+math.Abs(sub[base+j])
+		}
+		if !(xn[j] <= boundLimit && u+float64(slack*mag) < floor) {
+			ts.kept[m] = j
+			m++
+		}
+	}
+	return m
+}
+
+// rbfTiles is the tile driver of RBF.AccumulateBounded. Per 64-row tile it
+// computes phase 1's columns, skips the rows prune bounds below b's floor,
+// gathers the survivors, computes phase 2's columns over them, folds every
+// column in the model's order and finishes the scores as (dst + add) − sub:
+// a scored row has the reference loop's bits (accumulateRBFScalar).
+func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, ts *TileScratch, b Bound) {
+	rows, cols := xs.Len(), xs.Dim()
+	ts.split(gamma, coefs, svs.norms, cols)
 	for base := 0; base < rows; base += rbfBlockRows {
-		blk := rows - base
-		if blk > rbfBlockRows {
-			blk = rbfBlockRows
+		blk := min(rows-base, rbfBlockRows)
+		mat, xn, out := xs.mat.Data[base*cols:(base+blk)*cols], xs.norms[base:base+blk], dst[base:base+blk]
+		ts.columns(k, gamma, svs, ts.order[:ts.p1], mat, blk, xn)
+		m, acc := blk, out
+		if b != nil && ts.prunable {
+			if floor := b.Floor(); floor > math.Inf(-1) {
+				m = ts.prune(k, coefs, out, add, sub, xn, base, floor)
+			}
 		}
-		mat := xs.mat.Data[base*cols : (base+blk)*cols]
-		xn := xs.norms[base : base+blk]
-		out := dst[base : base+blk]
-		t := 0
-		for ; t+2 <= n; t += 2 {
-			k.pairArgs(mat, blk, cols, svData[t*cols:(t+1)*cols], svData[(t+1)*cols:(t+2)*cols],
-				xn, svs.norms[t], svs.norms[t+1], -gamma, dA[:blk], dB[:blk])
-			k.exp(dA[:blk])
-			k.exp(dB[:blk])
-			k.fold(out, dA[:blk], dB[:blk], coefs[t], coefs[t+1])
-		}
-		if t < n {
-			k.one(mat, blk, cols, svData[t*cols:(t+1)*cols], dA[:blk])
-			nA, cA := svs.norms[t], coefs[t]
-			for j := 0; j < blk; j++ {
-				a := xn[j] + nA - float64(2*dA[j])
-				if a < 0 {
-					a = 0
+		if m < blk {
+			// Gather the survivors' rows, norms, scores and phase-1 columns.
+			for i, j := range ts.kept[:m] {
+				copy(ts.rows[i*cols:(i+1)*cols], mat[j*cols:(j+1)*cols])
+				ts.xn[i], ts.ub[i] = xn[j], out[j]
+				for _, t := range ts.order[:ts.p1] {
+					ts.cols[t*rbfBlockRows+i] = ts.cols[t*rbfBlockRows+j]
 				}
-				dA[j] = -gamma * a
 			}
-			k.exp(dA[:blk])
-			for j := 0; j < blk; j++ {
-				out[j] += float64(cA * dA[j])
+			mat, xn, acc = ts.rows[:m*cols], ts.xn[:m], ts.ub[:m]
+		}
+		ts.columns(k, gamma, svs, ts.order[ts.p1:], mat, m, xn)
+		ts.fold(k, coefs, ts.seq, acc)
+		var kept uint64
+		for i, v := range acc {
+			j := i
+			if m < blk {
+				j = ts.kept[i]
 			}
+			if add != nil {
+				v += add[base+j]
+			}
+			if sub != nil {
+				v -= sub[base+j]
+			}
+			out[j], kept = v, kept|1<<j
+		}
+		if b != nil {
+			b.Scored(base, blk, kept)
 		}
 	}
 }

@@ -414,24 +414,20 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 }
 
 // AccumulateSet adds coefs[t]*K(svs_t, xs_j) for every support vector t to
-// dst[j] through the tile driver of backend.go, on the four routines picked
-// at package initialisation: the RBF arguments of a tile against a pair of
-// support vectors, the row dot against the odd last one, the exponential
-// over a tile column and the coefficient fold of a pair — all four in
-// assembly on the avx2 backend, all four in Go on the unrolled one. Both
-// backends perform the same floating-point operations in the same order —
-// four-way-accumulator dots combined as ((s0+s1)+s2)+s3, the norm expansion
-// of EvalSet, the Cephes fast exponential expOne, and coefficient pairs
-// folded in support-vector order. On amd64 that makes the result the same
-// bits on either backend and on every CPU (the parity tests pin both against
-// the straight-line reference loop, and the golden MAPs and trajectory pins
-// are amd64 values); elsewhere the Go routines round each product on its own
-// too, so only linalg's row norms and math.Exp outside expWindow can move
-// them. The fast exponential is within ~2 ulp of math.Exp, so each
-// accumulated score matches the per-SV math.Exp path to O(1e-15) relative
-// error (EXPERIMENTS.md records the reported MAP metrics unchanged). Callers
-// pre-fill dst with the bias.
+// dst[j], which callers pre-fill with the bias: AccumulateBounded with no
+// lanes, bound or kept working memory. Every member gives the same bits, each
+// score within O(1e-15) relative of the per-SV math.Exp path (the fast
+// exponential is ~2 ulp off; EXPERIMENTS.md records the MAPs unchanged).
 func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
+	k.AccumulateBounded(coefs, svs, xs, dst, nil, nil, new(TileScratch), nil)
+}
+
+// AccumulateBounded is AccumulateSet for a scoring pass, on the caller's
+// working memory ts: each score is finished as (dst + add) − sub (a nil lane
+// adds nothing), and a non-nil b makes it a top-K pass: a row proved below
+// b's floor is skipped, keeping its dst, and each tile is handed to b once
+// scored. A scored row has the bits it has without b.
+func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, ts *TileScratch, b Bound) {
 	if len(coefs) != svs.Len() {
 		panic(fmt.Sprintf("kernel: AccumulateSet has %d coefficients for %d support vectors", len(coefs), svs.Len()))
 	}
@@ -439,7 +435,7 @@ func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
 		panic(fmt.Sprintf("kernel: AccumulateSet dimension mismatch %d != %d", svs.Dim(), xs.Dim()))
 	}
 	checkBatch(xs.Len(), len(dst))
-	blockAccumulateRBF(activeKernels, k.Gamma, coefs, svs, xs, dst)
+	rbfTiles(activeKernels, k.Gamma, coefs, svs, xs, dst, add, sub, ts, b)
 }
 
 // GramSet computes the Gram matrix of a dense set through the batched row

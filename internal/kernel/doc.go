@@ -15,30 +15,24 @@
 //
 // # Compute backends
 //
-// RBF.AccumulateSet, the fused distance+exp pass every SVM scoring scan
-// runs on, has one implementation: a tile driver (64-row blocks so row data
-// stays L1-resident across support-vector passes, exponentials batched over
-// a whole tile column instead of per-element math.Exp calls) over four
-// routines — the RBF arguments of a tile against a pair of support vectors
-// (pair dot, norm expansion, clamp and scaling in one pass), the row dot
-// against one support vector, the in-place exponential, and the fold of a
-// pair's two kernel columns into the scores. The four are fixed once at
-// package initialisation from what the code can observe, the widest member
-// the build and the CPU run: on amd64 without the purego tag, Go assembly,
-// all four, when runtime CPU detection (AVX2 + OS XSAVE support) passes —
-// the pair routine scores four rows against two support vectors per step
-// and the row dot four rows — and with the pair routine and the fold eight
-// rows wide in 512-bit registers when it also finds AVX-512F and the OS
-// saves the ZMM state; otherwise pure Go, four-accumulator eight-wide
-// unrolled dots and four interleaved scalar exponential lanes (expLanes).
-// Backend() names the set that runs ("avx512", "avx2" or "unrolled") and is
-// surfaced in GET /api/status as "kernel_backend"; it cannot be set.
-// Package svm reads the same fact (AVX2, true on both assembly members) to
-// pick the member its SMO step runs on, so the name covers the trainer too,
-// and no second CPU probe exists. The row dot also computes the query distances
-// (DenseSet.SquaredDistancesInto), and the log modality's linear decision
-// pass has its own routines, the weight build and its walk, in Go on every
-// build and with their multiply-adds written so that no build fuses them.
+// RBF.AccumulateSet and AccumulateBounded, the fused distance+exp pass of
+// every SVM scoring scan, have one implementation: a driver of 64-row tiles
+// (row data L1-resident across support-vector passes, exponentials batched
+// over a tile column) over four routines — the RBF arguments of a tile
+// against a pair of support vectors, the row dot against one, the in-place
+// exponential and the fold of a pair's two columns into the scores. A tile
+// computes the columns of the positive-coefficient support vectors first; in
+// a top-K pass (a Bound) a row they bound below the pass's floor is skipped,
+// the other columns are computed for the surviving rows only, and every
+// column folds in the model's order, so a scored row's bits do not depend on
+// what was skipped. The routines are the widest member the build and CPU
+// run, fixed at package initialisation: AVX-512 or AVX2 assembly on amd64
+// without the purego tag, pure Go otherwise. Backend() names it ("avx512",
+// "avx2" or "unrolled"; GET /api/status's "kernel_backend"), and package svm
+// picks its SMO step's member by the same fact (AVX2). The row dot also
+// computes the query distances (DenseSet.SquaredDistancesInto); the log
+// modality's linear decision pass has its own routines, in Go on every
+// build, written so that no build fuses their multiply-adds.
 //
 // # Sparse products
 //

@@ -16,7 +16,7 @@ import (
 // NaNs are equal: a propagated NaN's payload depends on operand order, which
 // the contract does not fix):
 //
-//   - the tile (blockAccumulateRBF) on every backend this build and CPU have,
+//   - the tile (rbfTiles) on every backend this build and CPU have,
 //     whole and shard by shard from several goroutines, and RBF.AccumulateSet,
 //     to accumulateRBFScalar;
 //   - DenseSet.SquaredDistancesInto to linalg's norm expansion, and every
@@ -105,6 +105,7 @@ func runKernelDriver(t *testing.T, seed uint64) map[string]bool {
 	checkCaches(t, rng, seen)
 	checkExpLanes(t, rng, seen)
 	checkGrowth(t, rng, seen)
+	checkBoundedTile(t, rng, seen)
 	return seen
 }
 
@@ -179,7 +180,7 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 	for _, k := range kernelsUnderTest() {
 		got := make([]float64, rows)
 		fill(got, 0)
-		blockAccumulateRBF(k, gamma, coefs, svs, xs, got)
+		rbfTiles(k, gamma, coefs, svs, xs, got, nil, nil, new(TileScratch), nil)
 		checkParity(t, k.name+" tile "+label, got, want)
 	}
 	got := make([]float64, rows)
@@ -200,7 +201,7 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 				for s := w; s < sharded.NumShards(); s += workers {
 					lo, sh := sharded.ShardStart(s), sharded.Shard(s)
 					fill(got[lo:lo+sh.Len()], lo)
-					blockAccumulateRBF(k, gamma, coefs, svs, sh, got[lo:lo+sh.Len()])
+					rbfTiles(k, gamma, coefs, svs, sh, got[lo:lo+sh.Len()], nil, nil, new(TileScratch), nil)
 				}
 			}()
 		}

@@ -2,7 +2,7 @@ package kernel
 
 // accumulateRBFScalar is the straight-line AccumulateSet loop: one row at a
 // time, one expOne call per row and support vector. It exists to be read
-// and to be the oracle the parity tests pin blockAccumulateRBF against, bit
+// and to be the oracle the parity tests pin rbfTiles against, bit
 // for bit, over every backend.
 func accumulateRBFScalar(gamma float64, coefs []float64, svs, xs *DenseSet, dst []float64) {
 	n := svs.Len()

@@ -250,6 +250,35 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 	}
 }
 
+// DecisionBounded stores into dst[i] the scoring pass's score of set_i,
+// (f(set_i) + add[i]) − sub[i] (a nil lane adds nothing), with DecisionSet's
+// bits. Dense RBF models run through kernel.RBF.AccumulateBounded on the
+// caller's tile scratch ts, and a non-nil b makes the pass a top-K pass: a
+// row the kernel proves below b's floor is skipped, keeps the bias in dst
+// and is never handed to b as scored (see kernel.Bound). Other models score
+// every row through DecisionSet and leave b to the caller.
+func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, ts *kernel.TileScratch, b kernel.Bound) {
+	if rbf, ok := m.Kernel.(kernel.RBF); ok && len(m.SupportPoints) > 0 && m.denseSVSet() != nil {
+		if len(dst) != set.Len() {
+			panic(fmt.Sprintf("svm: DecisionBounded destination length %d, want %d", len(dst), set.Len()))
+		}
+		for j := range dst {
+			dst[j] = m.Bias
+		}
+		rbf.AccumulateBounded(m.Coefficients, m.denseSVSet(), set, dst, add, sub, ts, b)
+		return
+	}
+	m.DecisionSet(set, dst, nil)
+	for j := range dst {
+		if add != nil {
+			dst[j] += add[j]
+		}
+		if sub != nil {
+			dst[j] -= sub[j]
+		}
+	}
+}
+
 // Predict returns the predicted label in {-1,+1}. Zero decision values are
 // mapped to +1.
 func (m *Model) Predict(x kernel.Point) float64 {
