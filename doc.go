@@ -138,7 +138,8 @@
 // internal/core); atomicpublish forbids sync/atomic's functions, so
 // atomically published state is a typed atomic, which has no plain access;
 // exppurity confines math.Exp and friends to
-// internal/kernel, where the pinned ≤2-ulp exponential lives; and
+// internal/kernel, where the pinned ≤2-ulp exponential lives, the one the
+// trainer and the scans share; and
 // lockjournal requires journal appends to happen inside the engine
 // mutation mutex, before the state mutation they cover. Violations are
 // suppressed only by an audited //cbirlint:ignore <analyzer> <reason>

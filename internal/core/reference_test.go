@@ -20,7 +20,7 @@ import (
 //
 // A scanned row's score is the contract's: the visual decision value is
 // svm.Model.DecisionSet over a one-row set (the tile's arithmetic: the norm
-// expansion and expOne, not RBF.Eval's direct distance and math.Exp), the log
+// expansion, not RBF.Eval's direct distance, then expOne, as in Eval), the log
 // decision value logDecision (a linear model scored by its weight vector, not
 // svm.Model.Decision's per-support-vector sum), and the query prior −0.02·√
 // of a one-row SquaredDistancesInto.

@@ -91,9 +91,10 @@ func TestStreamRankingAllocations(t *testing.T) {
 	// alternates between two copies of the log every pass (a commit produces
 	// a new index), so nothing a pass needs was left behind by the one before. A distance row
 	// kept per query cost 8 bytes per image here, a point wrapper per log
-	// vector 16, and a row buffer per range for the log half would cost 8;
-	// what still scales is the RBF tile's two 64-row column buffers, 1 KB
-	// per range, which escape to the heap.
+	// vector 16, and a row buffer per range for the log half would cost 8.
+	// The RBF tile's column buffers are the pooled arena's
+	// (kernel.TileScratch), so nothing scales per range: a pass allocates the
+	// same few bytes at 2,000 images as at 16,000.
 	bytesPerOp := func(rbfLog bool) func(n int) int64 {
 		return func(n int) int64 {
 			ctx, _, _ := selectBenchProblem(t, n)

@@ -76,7 +76,7 @@ func gaussianBlur(in [][]float64, sigma float64) [][]float64 {
 	kernel := make([]float64, 2*radius+1)
 	var sum float64
 	for i := -radius; i <= radius; i++ {
-		//cbirlint:ignore exppurity one-time blur-kernel construction at extraction time, never on the ranking path
+		//cbirlint:ignore exppurity one-time blur-kernel construction at extraction time, never on the ranking path; the σ = 1 weights are the same bits on amd64's FMA and non-FMA math.Exp paths
 		v := math.Exp(-float64(i*i) / (2 * sigma * sigma))
 		kernel[i+radius] = v
 		sum += v

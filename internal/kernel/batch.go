@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 
@@ -237,13 +236,15 @@ func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []f
 }
 
 // EvalBatch stores K(x, ys[j]) into dst[j], Eval's bits; len(dst) must
-// equal len(ys). It is the dense lane that fills the trainer's visual Gram
-// rows (Cache): for a dense x, four dense points of its dimension go per
+// equal len(ys). It is the lane that fills the trainer's RBF Gram rows
+// (Cache): it writes the row's arguments −gamma·‖x − y_j‖² into dst, then
+// runs the backend's exponential over the row once, which is expOne element
+// for element. For a dense x, four dense points of its dimension go per
 // trip, four independent chains that are each Vector.SquaredDistance's
 // single accumulator over the same ascending elements, written inline so a
 // pair costs no non-inlined call and no length check; every product is
 // written float64(x*y). The rest, and a trip with a point of another type or
-// dimension, go one at a time through Eval.
+// dimension, go one at a time through SquaredDistance.
 func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	j := 0
@@ -265,13 +266,13 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 				s2 += float64(d2 * d2)
 				s3 += float64(d3 * d3)
 			}
-			dst[j], dst[j+1] = math.Exp(float64(-k.Gamma*s0)), math.Exp(float64(-k.Gamma*s1))
-			dst[j+2], dst[j+3] = math.Exp(float64(-k.Gamma*s2)), math.Exp(float64(-k.Gamma*s3))
+			dst[j], dst[j+1], dst[j+2], dst[j+3] = -k.Gamma*s0, -k.Gamma*s1, -k.Gamma*s2, -k.Gamma*s3
 		}
 	}
 	for ; j < len(ys); j++ {
-		dst[j] = k.Eval(x, ys[j])
+		dst[j] = -k.Gamma * x.SquaredDistance(ys[j])
 	}
+	activeKernels.exp(dst)
 }
 
 // DenseSet stores a collection of dense points as one flat row-major matrix
@@ -402,22 +403,23 @@ func (Linear) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 // EvalSet implements Kernel: squared distances are expanded as
 // ||x||^2 + norms - 2*(set*x), so the whole row is one matrix-vector
 // product against the precomputed row norms (DenseSet.SquaredDistancesInto),
-// then math.Exp. Cancellation in the expansion makes individual kernel
-// values drift from Eval by O(1e-15) relative error; EXPERIMENTS.md records
-// that every reported MAP metric is nevertheless unchanged to full float64
-// precision.
+// then the backend's exponential over the row's arguments, expOne's bits.
+// Cancellation in the expansion makes individual kernel values drift from
+// Eval by O(1e-15) relative error; EXPERIMENTS.md records that every
+// reported MAP metric is nevertheless unchanged to full float64 precision.
 func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 	set.SquaredDistancesInto(dst, x)
 	for i, d := range dst {
-		dst[i] = math.Exp(-k.Gamma * d)
+		dst[i] = -k.Gamma * d
 	}
+	activeKernels.exp(dst)
 }
 
 // AccumulateSet adds coefs[t]*K(svs_t, xs_j) for every support vector t to
 // dst[j], which callers pre-fill with the bias: AccumulateBounded with no
 // lanes, bound or kept working memory. Every member gives the same bits, each
-// score within O(1e-15) relative of the per-SV math.Exp path (the fast
-// exponential is ~2 ulp off; EXPERIMENTS.md records the MAPs unchanged).
+// score within O(1e-15) relative of the per-support-vector sum of Eval (the
+// norm expansion drifts; EXPERIMENTS.md records the MAPs unchanged).
 func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
 	k.AccumulateBounded(coefs, svs, xs, dst, nil, nil, new(TileScratch), nil)
 }

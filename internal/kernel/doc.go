@@ -11,7 +11,8 @@
 // (EvalSet). Beside them each pairing a modality uses has one batched path:
 // RBF.EvalBatch fills the trainer's visual Gram rows, RBF.AccumulateSet
 // scores a scan's visual half and the session index its linear log half
-// (below); the RBF log ablation goes pair by pair through Eval.
+// (below); the RBF log ablation goes pair by pair through Eval. All of
+// them share one exponential, expOne (exp.go).
 //
 // # Compute backends
 //
@@ -64,19 +65,21 @@
 // exponential: the assembly performs its operations in its order, one
 // correctly rounded instruction each and no fused multiply-add, and hands
 // any quad holding a NaN or an argument outside [-700, 700] back to it.
-// Training solvers keep calling math.Exp directly. The golden MAPs and the
-// solver-trajectory pins are amd64 values: there the compiler fuses nothing
-// (at any GOAMD64 level the pinned lanes hold no FMA), so the assembly, the
-// Go routines and the reference agree to the bit on every CPU. On other
-// architectures only the Go routines exist and the Go specification lets
-// the compiler fuse x*y + z — arm64 does, in linalg and so in the row norms —
-// so results there repeat from run to run but are not pinned. The tile's Go
-// routines, the log half (the weight build and walk, the Gram fill's gather,
-// sparse.Vector.Dot), RBF.EvalBatch and the trainer (package svm, core's
-// label correction) write each product as float64(x*y), which the
-// specification forbids fusing, so over the same norms and kernel values
-// they give amd64's bits (math.Exp aside), and CI checks the arm64 build's
-// code for fused multiply-adds there.
+// The golden MAPs and the solver-trajectory pins are amd64 values: there
+// the compiler fuses nothing (at any GOAMD64 level the pinned lanes hold no
+// FMA), so the assembly, the Go routines and the reference agree to the bit
+// on every CPU, with or without FMA (CI runs the pinned packages under
+// GODEBUG=cpu.fma=off too). On other architectures only the Go routines
+// exist and the Go specification lets the compiler fuse x*y + z — arm64
+// does, in linalg's statistics and random numbers, which build the
+// synthetic collections — so results there repeat from run to run but are
+// not pinned. The tile's Go routines, the exponential (expOne, expLanes,
+// RBF.Eval and RBF.EvalSet), the log half (the weight build and walk, the
+// Gram fill's gather, sparse.Vector.Dot), RBF.EvalBatch and the trainer
+// (package svm, core's label correction) write each product as
+// float64(x*y), which the specification forbids fusing, so over the same
+// norms they give amd64's bits, and CI checks the arm64 build's code for
+// fused multiply-adds there.
 //
 // # Quantized sets
 //

@@ -249,7 +249,7 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 }
 
 // setPairRef is EvalSet's definition of one pair: linalg's four-accumulator
-// dot, and for RBF the norm expansion over it and math.Exp. evalOnly hides
+// dot, and for RBF the norm expansion over it and expOne. evalOnly hides
 // only RBF's EvalBatch, so its set form is RBF's.
 func setPairRef(k Kernel, x linalg.Vector, set *DenseSet, i int) float64 {
 	if e, ok := k.(evalOnly); ok {
@@ -260,7 +260,7 @@ func setPairRef(k Kernel, x linalg.Vector, set *DenseSet, i int) float64 {
 	switch k := k.(type) {
 	case RBF:
 		m.RowSquaredDistancesNormInto(out, x, set.norms[i:i+1])
-		return math.Exp(-k.Gamma * out[0])
+		return expOne(-k.Gamma * out[0])
 	case Linear:
 		return m.MulVecInto(out, x)[0]
 	}
@@ -391,7 +391,7 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	}
 	label := fmt.Sprintf("%d sessions, %d SVs, %d rows (%d judged), bias %v (signbit %v)", dim, nsv, rows, judged, bias, math.Signbit(bias))
 
-	special := ""
+	special, oddDense := "", false
 	if nsv > 0 && rng.Bool(0.15) {
 		i := rng.Intn(nsv)
 		special = pick(rng, "non-finite", "odd-sv")
@@ -399,11 +399,19 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 			coefs[i] = pick(rng, math.Inf(1), math.Inf(-1), math.NaN())
 		} else {
 			svs[i] = pick[Point](rng, Dense(make(linalg.Vector, dim)), NewSparse(sparse.New(dim+3)))
+			_, oddDense = svs[i].(Dense)
 		}
 	}
 	if special == "odd-sv" {
-		if _, ok := LinearWeights(coefs, svs); ok {
-			t.Fatalf("%s: the build took a support vector that is not a sparse point of the model's dimension", label)
+		// A sparse point of another dimension is odd only beside other
+		// support vectors: a model's one support vector defines its
+		// dimension, and the build takes it.
+		if nsv > 1 || oddDense {
+			if _, ok := LinearWeights(coefs, svs); ok {
+				t.Fatalf("%s: the build took a support vector that is not a sparse point of the model's dimension", label)
+			}
+		} else if _, err := buildWeights(coefs, svs, refWeights(coefs, svs)); err != nil {
+			t.Fatalf("%s: one sparse support vector of dimension %d: %v", label, dim+3, err)
 		}
 		seen["sessions-odd-sv"] = true
 		return

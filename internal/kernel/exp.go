@@ -2,23 +2,22 @@ package kernel
 
 import "math"
 
-// Fast exponential for the batched RBF scoring path.
+// The exponential of the RBF kernel, on every path.
 //
-// math.Exp is a single-value routine with ~20ns latency that the scoring
-// loops would call once per (support vector, image) pair, making it the
-// dominant cost of an RBF ranking pass. expOne is the classic Cephes rational
-// approximation (the algorithm vectorized math libraries use) and defines
-// what a tile computes per element; every backend's exp routine is
-// bit-identical to element-wise expOne. Two evaluate it four elements at a
-// time: expLanes, four interleaved scalar Go lanes so the divisions and
-// polynomial chains overlap in the pipeline (the purego, non-AVX2 and
-// non-amd64 lane), and expQuadsAVX2 (backend_avx2_amd64.s), the same
-// operations in the same order in four-wide vector instructions. Maximum
-// error is ~2 ulp (~4e-16 relative), the same order as the norm-expansion
-// drift of the batch path; training paths keep math.Exp so solver results
-// stay bit-exact. Arguments outside [-expWindow, expWindow] (and NaN)
-// delegate to math.Exp for correct underflow, overflow and special-case
-// handling.
+// math.Exp costs ~20ns a call, the dominant cost of an RBF ranking pass, and
+// on amd64 it is assembly whose last bits depend on whether the CPU has FMA.
+// expOne is the classic Cephes rational approximation (the algorithm
+// vectorized math libraries use), with no multiply-add a compiler may fuse.
+// RBF.Eval calls it; RBF.EvalBatch, RBF.EvalSet and the tile run a backend's
+// exp routine over a row of arguments, bit-identical to element-wise expOne.
+// Two evaluate it four elements at a time: expLanes, four interleaved scalar
+// Go lanes so the divisions and polynomial chains overlap in the pipeline
+// (the purego, non-AVX2 and non-amd64 lane), and expQuadsAVX2
+// (backend_avx2_amd64.s), the same operations in the same order in
+// four-wide vector instructions. Maximum error is ~2 ulp (~4e-16 relative).
+// Arguments outside [-expWindow, expWindow] (and NaN) delegate to math.Exp,
+// for underflow, overflow and special cases; an RBF argument is never
+// positive, so what it delegates are kernel values below 1e-304.
 
 const (
 	expLog2E = 1.4426950408889634073599 // 1/ln(2)

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/sparse"
@@ -102,9 +101,9 @@ type RBF struct {
 	Gamma float64
 }
 
-// Eval implements Kernel.
+// Eval implements Kernel, with the exponential every RBF path computes.
 func (k RBF) Eval(x, y Point) float64 {
-	return math.Exp(-k.Gamma * x.SquaredDistance(y))
+	return expOne(-k.Gamma * x.SquaredDistance(y))
 }
 
 // EstimateRBFGamma returns a data-driven RBF bandwidth for a collection of

@@ -8,9 +8,10 @@
 //   - per-sample cost upper bounds C_i, so that the unlabeled transductive
 //     points can be weighted by rho*C while the labeled points keep cost C
 //     (Eq. 1 of the paper), and
-//   - access to the hinge slack xi_i of every training point after training,
-//     which the LRF-CSVM label-correction loop inspects to decide which
-//     unlabeled labels to flip.
+//   - the decision values of a trailing range of the training points after
+//     each solve, read off the Gram matrix (Solver.Decisions), from which
+//     the LRF-CSVM label-correction loop computes each unlabeled point's
+//     hinge loss under either label to decide which labels to flip.
 //
 // The solver follows the standard dual formulation
 //
