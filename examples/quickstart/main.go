@@ -53,45 +53,46 @@ func main() {
 	stats := fblog.Stats()
 	fmt.Printf("simulated %d log sessions covering %.0f%% of the collection\n\n", stats.Sessions, 100*stats.CoverageFraction)
 
-	// 4. Issue a query: the user picks image 5 and judges the top-15
-	// initial results (simulated here with the category oracle).
+	// 4. Issue a query: the user picks image 5 and judges the first 15 of
+	// the top-20 initial results (simulated here with the category oracle).
+	// The collection and the log are indexed once, as the retrieval engine
+	// keeps them, and every round ranks only the top 20.
 	query := 5
-	ctx := &core.QueryContext{Visual: visual, LogVectors: fblog.RelevanceVectors(), Query: query}
-	euclScores, err := core.Euclidean{}.Rank(ctx)
+	ctx := &core.QueryContext{Batch: core.NewCollectionBatch(visual), LogIndex: fblog.ExtendIndex(nil), Query: query}
+	euclTop, err := core.Euclidean{}.RankTop(ctx, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, idx := range core.TopK(euclScores, 15) {
+	for _, r := range euclTop[:15] {
 		label := -1.0
-		if labels[idx] == labels[query] {
+		if labels[r.Index] == labels[query] {
 			label = 1.0
 		}
-		ctx.Labeled = append(ctx.Labeled, core.LabeledExample{Index: idx, Label: label})
+		ctx.Labeled = append(ctx.Labeled, core.LabeledExample{Index: r.Index, Label: label})
 	}
 
 	// 5. Refine with the paper's log-based coupled SVM.
-	csvmScores, err := core.LRFCSVM{}.Rank(ctx)
+	csvmTop, err := core.LRFCSVM{}.RankTop(ctx, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	printTop := func(name string, scores []float64) float64 {
-		top := core.TopK(scores, 20)
+	printTop := func(name string, top []core.Ranked) float64 {
 		relevant := 0
 		fmt.Printf("%-22s top-20:", name)
-		for _, idx := range top {
+		for _, r := range top {
 			marker := " "
-			if labels[idx] == labels[query] {
+			if labels[r.Index] == labels[query] {
 				relevant++
 				marker = "+"
 			}
-			fmt.Printf(" %s%d", marker, idx)
+			fmt.Printf(" %s%d", marker, r.Index)
 		}
 		p := float64(relevant) / 20
 		fmt.Printf("\n%-22s precision@20 = %.2f\n\n", "", p)
 		return p
 	}
-	pe := printTop("Euclidean (initial)", euclScores)
-	pc := printTop("LRF-CSVM (1 round)", csvmScores)
+	pe := printTop("Euclidean (initial)", euclTop)
+	pc := printTop("LRF-CSVM (1 round)", csvmTop)
 	fmt.Printf("one feedback round with the user log improved precision@20 from %.2f to %.2f\n", pe, pc)
 }

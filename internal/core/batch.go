@@ -28,8 +28,8 @@ import (
 // run by one driver (scanRanges): the source is every shard or a pruned
 // candidate set (candidates.go), the scorer is the scheme's, and the sink
 // keeps the top K, the unlabeled points of LRF-CSVM's step 1 — both bounded
-// selectors — or every score (Scheme.Rank: the ablation heuristics of step 1
-// rank every unlabeled image).
+// selectors — or every score (Scheme.Rank: the boundary and random
+// heuristics of step 1 rank every unlabeled image).
 // Whatever a range needs beside the stores — score lanes, the query's
 // distances, the log column a row is scored on — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
@@ -429,10 +429,10 @@ func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick
 
 // selectUnlabeledRanges is the streaming selection of LRF-CSVM's step 1: the
 // combined scores fn streams feed the log-assisted heuristic's bounded
-// selectors (see unlabeledSelector), so drafting the N' = num unlabeled
-// points (fewer when fewer exist) materializes no collection-sized slice and
-// runs on every worker.
-func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, fn rangeScorer) (indices []int, initialLabels []float64, err error) {
+// selectors (see unlabeledSelector), positives first from the images covered
+// marks, so drafting the N' = num unlabeled points (fewer when fewer exist)
+// materializes no collection-sized slice and runs on every worker.
+func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer) (indices []int, initialLabels []float64, err error) {
 	labeled, _ := labeledSplit(ctx)
 	slices.Sort(labeled)
 	labeled = slices.Compact(labeled)
@@ -445,7 +445,7 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, fn ra
 	sc := b.scratchGet()
 	defer b.scratchPut(sc)
 	sc.pick.reset(num)
-	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, log: ctx.LogIndex}, sc); err != nil {
+	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, log: covered}, sc); err != nil {
 		return nil, nil, err
 	}
 	indices, initialLabels = sc.pick.drain()
@@ -465,7 +465,7 @@ func (scoreSink) consume(*rankScratch, int, []float64) {}
 func (scoreSink) merge(into, from *rankScratch) {}
 
 // scanScores materializes the score of every image under fn: Scheme.Rank,
-// what the ablation heuristics of step 1 and the test references read.
+// what step 1's boundary and random heuristics and the test references read.
 func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float64, error) {
 	scores := make([]float64, b.VisualSet().Len())
 	sc := b.scratchGet()

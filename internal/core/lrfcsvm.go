@@ -85,7 +85,13 @@ type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualIn
 // shard range is scored by the two initial models and selected from on the
 // spot, like the final retrieval pass.
 func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-	return selectUnlabeledRanges(ctx, batch, num, coupledScorer(ctx, visualInit, logInit, nil))
+	return selectUnlabeledRanges(ctx, batch, num, ctx.LogIndex, coupledScorer(ctx, visualInit, logInit, nil))
+}
+
+// selectMaxMin is the paper's max/min heuristic: the same pass over a log
+// that covers no image (the scores still read the log).
+func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
+	return selectUnlabeledRanges(ctx, batch, num, (*kernel.LogIndex)(nil).Extend(nil), coupledScorer(ctx, visualInit, logInit, nil))
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
@@ -172,50 +178,6 @@ func (s LRFCSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
-// selectUnlabeled drafts up to num unlabeled images from candidates: half
-// with the largest combined scores (initial label +1), half with the
-// smallest (initial label -1). When there are fewer candidates than
-// requested, every candidate is drafted, split between the two halves.
-func selectUnlabeled(candidates []int, combined []float64, num int) (indices []int, initialLabels []float64) {
-	if num > len(candidates) {
-		num = len(candidates)
-	}
-	if num == 0 {
-		return nil, nil
-	}
-	scores := make([]float64, len(candidates))
-	for i, idx := range candidates {
-		scores[i] = combined[idx]
-	}
-	order := linalg.ArgsortDesc(scores)
-	half := num / 2
-	if half == 0 {
-		half = 1
-	}
-	picked := make(map[int]bool, num)
-	// Highest combined scores: presumed relevant.
-	for i := 0; i < half && i < len(order); i++ {
-		idx := candidates[order[i]]
-		if picked[idx] {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, 1)
-	}
-	// Lowest combined scores: presumed irrelevant.
-	for i := 0; i < num-half && i < len(order); i++ {
-		idx := candidates[order[len(order)-1-i]]
-		if picked[idx] {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, -1)
-	}
-	return indices, initialLabels
-}
-
 // BoundarySelection is an alternative unlabeled-selection strategy used by
 // the ablation benchmarks: it drafts the images closest to the current
 // decision boundary (smallest |combined score|), the active-learning
@@ -283,7 +245,7 @@ const (
 	SelectLogAssisted SelectionStrategy = iota
 	// SelectMaxMin is the purely score-driven variant of the paper's
 	// pseudocode: half closest to the positive data, half closest to the
-	// negative data, regardless of log coverage.
+	// negative data, regardless of log coverage (selectMaxMin).
 	SelectMaxMin
 	// SelectBoundary drafts images nearest the decision boundary.
 	SelectBoundary
@@ -341,14 +303,14 @@ func (s LRFCSVMWithSelection) RankTopAppend(ctx *QueryContext, k int, dst []Rank
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
-// selection resolves the strategy to a step-1 heuristic. The ablation
-// heuristics rank every unlabeled image, so they materialize the full
-// combined scores; they run in the evaluation harness only.
+// selection resolves the strategy to a step-1 heuristic. Boundary and random
+// rank every unlabeled image, so they materialize the full combined scores;
+// they run in the evaluation harness only.
 func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
 	switch s.Strategy {
 	case SelectMaxMin:
-		pick = selectUnlabeled
+		return selectMaxMin
 	case SelectBoundary:
 		pick = BoundarySelection
 	case SelectRandom:

@@ -59,37 +59,6 @@ func TestLRFCSVMBeatsRFSVMWithInformativeLog(t *testing.T) {
 	}
 }
 
-func TestSelectUnlabeledSplitsAndExcludes(t *testing.T) {
-	candidates := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	combined := []float64{5, 4, 3, 2, 1, 0, -1, -2}
-	idx, labels := selectUnlabeled(candidates, combined, 4)
-	if len(idx) != 4 || len(labels) != 4 {
-		t.Fatalf("selected %d/%d", len(idx), len(labels))
-	}
-	// Two highest (0,1) labeled +1; two lowest (7,6) labeled -1.
-	wantPos := map[int]bool{0: true, 1: true}
-	wantNeg := map[int]bool{7: true, 6: true}
-	for i, id := range idx {
-		if labels[i] == 1 && !wantPos[id] {
-			t.Errorf("index %d labeled +1 unexpectedly", id)
-		}
-		if labels[i] == -1 && !wantNeg[id] {
-			t.Errorf("index %d labeled -1 unexpectedly", id)
-		}
-	}
-}
-
-func TestSelectUnlabeledSmallCandidatePool(t *testing.T) {
-	idx, labels := selectUnlabeled([]int{3, 9}, []float64{0, 0, 0, 1, 0, 0, 0, 0, 0, -1}, 10)
-	if len(idx) != 2 || len(labels) != 2 {
-		t.Fatalf("selected %d", len(idx))
-	}
-	idx, labels = selectUnlabeled(nil, nil, 10)
-	if idx != nil || labels != nil {
-		t.Error("empty candidate pool should select nothing")
-	}
-}
-
 func TestBoundaryAndRandomSelection(t *testing.T) {
 	candidates := []int{0, 1, 2, 3, 4, 5}
 	combined := []float64{-3, -0.1, 0.2, 5, -2, 0.05}

@@ -180,12 +180,10 @@ func referenceRefine(ctx *QueryContext, s refScheme) (*refResult, error) {
 }
 
 // refSelect is step 1's heuristic over every unlabeled image's combined
-// score: the log-assisted one through select-by-sort (oracleSelection), the
+// score: the log-assisted one and max-min through select-by-sort
+// (logAssistedSelection, max-min over a log that covers no image), the other
 // ablation ones through the heuristics themselves.
 func refSelect(ctx *QueryContext, s refScheme, combined []float64, num int) ([]int, []float64) {
-	if s.strategy == SelectLogAssisted {
-		return oracleSelection(ctx, combined, num)
-	}
 	var candidates []int
 	for i := range combined {
 		if !slices.ContainsFunc(ctx.Labeled, func(ex LabeledExample) bool { return ex.Index == i }) {
@@ -193,8 +191,10 @@ func refSelect(ctx *QueryContext, s refScheme, combined []float64, num int) ([]i
 		}
 	}
 	switch s.strategy {
+	case SelectLogAssisted:
+		return logAssistedSelection(logIndexOf(ctx), candidates, combined, num)
 	case SelectMaxMin:
-		return selectUnlabeled(candidates, combined, num)
+		return logAssistedSelection((*kernel.LogIndex)(nil).Extend(nil), candidates, combined, num)
 	case SelectBoundary:
 		return BoundarySelection(candidates, combined, num)
 	}

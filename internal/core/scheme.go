@@ -36,13 +36,13 @@ type LabeledExample struct {
 // size, the query's descriptor, the labeled points, every scanned row.
 type QueryContext struct {
 	// Visual is the un-indexed form of the collection, for callers without a
-	// Batch (examples, tests): each Rank call indexes it into a transient
-	// one. Beside a Batch it is only checked to be the batch's collection
+	// Batch (tests): each Rank call indexes it into a transient one. Beside a
+	// Batch it is only checked to be the batch's collection
 	// (CollectionBatch.startsWith); bench/ sets both, which is all that keeps
 	// the pair legal, and it ends once bench/ sets a Batch alone.
 	Visual []linalg.Vector
 	// LogVectors is the un-indexed form of the log, for callers without a
-	// LogIndex (examples, bench/, tests): one relevance column per image, as
+	// LogIndex (bench/, tests): one relevance column per image, as
 	// feedbacklog.Log.RelevanceVectors returns them. Each Rank call of a log
 	// scheme converts it into a transient index (kernel.NewLogIndex), which
 	// refuses a nil column or one of another dimension; nothing else reads

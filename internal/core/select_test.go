@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -18,12 +19,13 @@ import (
 
 // logAssistedSelection is the select-by-sort implementation of the
 // log-assisted heuristic that step 1 ran before it became a streaming pass,
-// kept as the oracle of the streaming selection: every candidate's score is
-// materialized and fully sorted, then the presumed positives are drafted
-// from the log-covered candidates best first, the remainder of the half is
-// filled from the global ranking, and the presumed negatives are drafted from
-// the global minimum upwards.
-func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float64, num int) (indices []int, initialLabels []float64) {
+// kept as the oracle of the streaming selection: every candidate is fully
+// sorted by its score, descending, ties by ascending index (candidates
+// ascend), then the presumed positives are drafted from the candidates log
+// covers best first, the remainder of the half is filled from the global
+// ranking, and the presumed negatives are drafted from the global minimum
+// upwards. Over a log that covers no image it is the max-min heuristic.
+func logAssistedSelection(log *kernel.LogIndex, candidates []int, combined []float64, num int) (indices []int, initialLabels []float64) {
 	if num > len(candidates) {
 		num = len(candidates)
 	}
@@ -34,64 +36,34 @@ func logAssistedSelection(ctx *QueryContext, candidates []int, combined []float6
 	if half == 0 {
 		half = 1
 	}
-	scores := make([]float64, len(candidates))
-	for i, idx := range candidates {
-		scores[i] = combined[idx]
-	}
-	order := linalg.ArgsortDesc(scores)
+	order := slices.Clone(candidates)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(combined[b], combined[a]) })
 	picked := make(map[int]bool, num)
-	log := logIndexOf(ctx)
+	draft := func(idx int, label float64) {
+		picked[idx] = true
+		indices = append(indices, idx)
+		initialLabels = append(initialLabels, label)
+	}
 
 	// Presumed positives: best-scoring log-covered candidates first.
-	for _, oi := range order {
-		if len(indices) >= half {
-			break
+	for _, idx := range order {
+		if len(indices) < half && log.Covered(idx) {
+			draft(idx, 1)
 		}
-		idx := candidates[oi]
-		if picked[idx] || !log.Covered(idx) {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, 1)
 	}
 	// Fill up from the global ranking if the log-covered pool ran dry.
-	for _, oi := range order {
-		if len(indices) >= half {
-			break
+	for _, idx := range order {
+		if len(indices) < half && !picked[idx] {
+			draft(idx, 1)
 		}
-		idx := candidates[oi]
-		if picked[idx] {
-			continue
-		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, 1)
 	}
 	// Presumed negatives: global minimum of the combined score.
 	for i := len(order) - 1; i >= 0 && len(indices) < num; i-- {
-		idx := candidates[order[i]]
-		if picked[idx] {
-			continue
+		if idx := order[i]; !picked[idx] {
+			draft(idx, -1)
 		}
-		picked[idx] = true
-		indices = append(indices, idx)
-		initialLabels = append(initialLabels, -1)
 	}
 	return indices, initialLabels
-}
-
-// oracleSelection runs the select-by-sort oracle over the unlabeled images of
-// ctx, exactly as step 1 did before it streamed.
-func oracleSelection(ctx *QueryContext, combined []float64, num int) ([]int, []float64) {
-	labeledSet := ctx.labeledSet()
-	candidates := make([]int, 0, ctx.NumImages())
-	for i := 0; i < ctx.NumImages(); i++ {
-		if !labeledSet[i] {
-			candidates = append(candidates, i)
-		}
-	}
-	return logAssistedSelection(ctx, candidates, combined, num)
 }
 
 // copyScorer streams a materialized score slice, so a test decides every
@@ -176,13 +148,22 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 		if exhaustive {
 			indexed := *ctx
 			indexed.LogVectors, indexed.LogIndex = nil, logIndexOf(ctx)
-			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, fn)
+			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn)
 			return
 		}
 		labeled, _ := labeledSplit(ctx)
 		slices.Sort(labeled)
-		sc.pick.reset(k)
-		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: slices.Compact(labeled), log: logIndexOf(ctx)}, sc); err == nil {
+		labeled = slices.Compact(labeled)
+		// The draft is clamped to the unlabeled images the pass names, as
+		// selectUnlabeledRanges clamps it to the collection's.
+		n, named := b.VisualSet().Len(), 0
+		for _, r := range subsetTopK(make([]float64, n), cands, n, n) {
+			if _, found := slices.BinarySearch(labeled, r.Index); !found {
+				named++
+			}
+		}
+		sc.pick.reset(min(k, named))
+		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: labeled, log: logIndexOf(ctx)}, sc); err == nil {
 			idx, labels = sc.pick.drain()
 		}
 	}
@@ -208,18 +189,29 @@ func randomCandidates(rng *linalg.RNG, n int) CandidateSet {
 // and worker count, keeps exactly what the naive computation keeps — every
 // score materialized, filtered to the candidates and fully sorted — down to
 // the bits of the scores, on seeded scores full of exact ties and both zeros.
-// The last collection spans two default shards, so at the serving shard size
-// too every sink runs on two workers and merges their arenas.
+// The fifth collection spans two default shards, so at the serving shard size
+// too every sink runs on two workers and merges their arenas. The sixth's log
+// covers no image, so step 1 drafts what the max-min heuristic drafts: the
+// oracle runs over an empty log. The seventh has fewer unlabeled images than
+// k, so every one of them is drafted, split between the two halves.
 func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 	rng := linalg.NewRNG(20260928)
 	const k = 16
 	sameBits := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	for rep, n := range []int{300, 300, 300, 300, kernel.DefaultShardSize + 52} {
-		c := randomSelectionCase(rng, n, 0.5, 20)
+	for rep, col := range []struct {
+		n, numLabeled int
+		covered       float64
+	}{{300, 20, 0.5}, {300, 20, 0.5}, {300, 20, 0.5}, {300, 20, 0.5}, {kernel.DefaultShardSize + 52, 20, 0.5}, {300, 20, 0}, {24, 12, 0.5}} {
+		n := col.n
+		c := randomSelectionCase(rng, n, col.covered, col.numLabeled)
 		base := &QueryContext{Visual: c.visual, LogVectors: c.logs, Labeled: c.labeled}
 		labeled := base.labeledSet()
+		log := logIndexOf(base)
+		if col.covered == 0 {
+			log = (*kernel.LogIndex)(nil).Extend(nil)
+		}
 		for _, cands := range []CandidateSet{{}, randomCandidates(rng, n)} {
 			// The oracle: which images the source names, then plain sorts.
 			member := make([]bool, n)
@@ -238,7 +230,7 @@ func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 				}
 			}
 			wantTop := subsetTopK(c.combined, cands, n, k)
-			wantIdx, wantLabels := logAssistedSelection(base, unlabeledMembers, c.combined, k)
+			wantIdx, wantLabels := logAssistedSelection(log, unlabeledMembers, c.combined, k)
 
 			for _, shardSize := range []int{1, 7, kernel.DefaultShardSize} {
 				batch := NewShardedCollectionBatch(c.visual, shardSize)

@@ -147,7 +147,8 @@ func (s *topKSelector) siftDown(i, n int) {
 // the half best log-covered unlabeled images, the half best overall (the
 // fill; at most half of them are drafted already) and the N' worst (at most
 // half of them are drafted positives). Their order is strict, so the
-// selection does not depend on how the collection is cut into ranges.
+// selection does not depend on how the collection is cut into ranges. Over
+// a log that covers no image it is the paper's max/min draft (SelectMaxMin).
 type unlabeledSelector struct {
 	half, num     int
 	covered, best topKSelector

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"lrfcsvm/internal/linalg"
@@ -23,12 +24,12 @@ func checkBatch(n, d int) {
 
 // SparseSVIndex is sparse points of one dimension inverted by index: for
 // each index — a log session — the (point, value) cells of the points that
-// carry it, in ascending point order. It has two users: a training problem's
-// points, whose Gram matrix the solver reads (Cache), and a collection's log
-// vectors, through which the scans walk a linear model's weight vector
-// (LinearAccumulateWeights) — there the cells of session s are the images it
-// judged, row s of the relevance matrix. An index is never written once it is
-// built or extended, so concurrent readers share it.
+// carry it, in ascending point order. One walk reads it
+// (LinearAccumulateWeights): the scans' over a collection's log vectors —
+// there the cells of session s are the images it judged, row s of the
+// relevance matrix — and the Gram fill's over a training problem's points
+// (Cache). An index is never written once it is built or extended, so
+// concurrent readers share it.
 type SparseSVIndex struct {
 	dim int
 	// cells[start[i]:start[i+1]] are the cells of index i, in ascending t.
@@ -119,24 +120,6 @@ func (ix *SparseSVIndex) Extend(rows [][]sparse.Entry) *SparseSVIndex {
 	return &out
 }
 
-// gather adds <points[t], x> into acc[t] for every point t ≥ lo, in one walk
-// of x's entries, each entry visiting only the cells of its index. For a
-// fixed t the products are the matched products of the merge join, points[t]'s
-// value times x's (the same bits either way round), added in the same
-// ascending-index order: starting from +0, acc[t] ends on Sparse.Dot's bits,
-// and stays +0 for a point that shares no index with x. The product is
-// rounded on its own, as Sparse.Dot's is, so no build fuses the two.
-func (ix *SparseSVIndex) gather(x []sparse.Entry, lo int, acc []float64) {
-	for _, e := range x {
-		v := e.Value
-		for _, c := range ix.cells[ix.start[e.Index]:ix.start[e.Index+1]] {
-			if int(c.t) >= lo {
-				acc[c.t] += float64(c.w * v)
-			}
-		}
-	}
-}
-
 // from returns the cells of index i whose points are at least lo, found by
 // a binary search over the cells, which ascend in t.
 func (ix *SparseSVIndex) from(i, lo int) []svCell {
@@ -221,7 +204,8 @@ func LinearWeights(coefs []float64, svs []Point) (sparse.Vector, bool) {
 // ascending order, it adds float64(w_s·y_s) into the row of each image of s
 // inside the range (a binary search finds the first, the walk stops past the
 // last). A row receives its sessions of w in ascending order whatever the
-// range, so any cut of the rows gives the same bits.
+// range, so any cut of the rows gives the same bits. The Gram fill walks a
+// training point as w (Cache).
 func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []float64) {
 	for _, e := range w.Entries {
 		ws := e.Value
@@ -378,17 +362,10 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 	}
 	mat := &linalg.Matrix{Rows: s.mat.Rows + len(vs), Cols: cols, Data: data}
 
-	// Same arithmetic as Matrix.RowSquaredNorms, applied only to new rows,
-	// so grown norms are bit-identical to a from-scratch rebuild.
-	norms := s.norms
-	for i := s.mat.Rows; i < mat.Rows; i++ {
-		row := data[i*cols : (i+1)*cols]
-		var sum float64
-		for _, x := range row {
-			sum += float64(x * x)
-		}
-		norms = append(norms, sum)
-	}
+	// The new rows' norms alone, so grown norms are a rebuild's bits.
+	norms := slices.Grow(s.norms, len(vs))[:mat.Rows]
+	added := linalg.Matrix{Rows: len(vs), Cols: cols, Data: data[s.mat.Rows*cols:]}
+	added.RowSquaredNorms(norms[s.mat.Rows:])
 	return &DenseSet{mat: mat, norms: norms}
 }
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math"
 	"testing"
 
 	"lrfcsvm/internal/linalg"
@@ -38,35 +37,6 @@ func TestDenseSetSlice(t *testing.T) {
 			t.Errorf("slice norm %d = %v, want %v", i, sub.norms[i], set.norms[4+i])
 		}
 	}
-}
-
-// TestFastExpAccuracy bounds the fast exponential against math.Exp
-// over the argument range the RBF scoring path produces, and checks the
-// extreme ranges delegate to math.Exp exactly.
-func TestFastExpAccuracy(t *testing.T) {
-	rng := linalg.NewRNG(7)
-	for i := 0; i < 20000; i++ {
-		x := rng.Range(-120, 5)
-		want := math.Exp(x)
-		got := expOne(x)
-		if relErr(got, want) > 5e-15 {
-			t.Fatalf("expOne(%v) = %v, want %v", x, got, want)
-		}
-	}
-	for _, x := range []float64{-1e6, -750, 710, 1e6, math.Inf(-1), math.Inf(1), math.NaN()} {
-		got := expOne(x)
-		want := math.Exp(x)
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Errorf("expOne(%v) = %v, want math.Exp's %v", x, got, want)
-		}
-	}
-}
-
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }
 
 func TestDenseSetGrowLeavesReceiverIntact(t *testing.T) {

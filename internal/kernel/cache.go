@@ -11,12 +11,12 @@ package kernel
 // RBF adds the two norms — so each entry is Eval's bits either way round.
 //
 // The log modality's problem — the Linear kernel over sparse points of one
-// dimension — is inverted by session into a SparseSVIndex (the type the
-// scans walk the collection's log through), and a row is gathered through
-// it: one walk over x_i's entries, each visiting only the points that carry
-// that session. RBF fills its rows through RBF.EvalBatch, whose dense lane
-// is the trainer's visual Gram rows, and any other kernel or point mix
-// through Eval. All give Eval's bits. A cache is not safe for concurrent use.
+// dimension — is inverted by session into a SparseSVIndex, and row i is the
+// scans' walk through it (LinearAccumulateWeights) with x_i as the weight
+// vector: from +0, Sparse.Dot's products, operands swapped, in its order.
+// RBF fills its rows through RBF.EvalBatch, whose dense lane is the trainer's
+// visual Gram rows, and any other kernel or point mix through Eval. All give
+// Eval's bits. A cache is not safe for concurrent use.
 type Cache struct {
 	kernel Kernel
 	points []Point
@@ -58,9 +58,10 @@ func (c *Cache) Row(i int) []float64 {
 // fill computes the Gram matrix: the block of the first n0 points is the
 // filled base's, copied (n0 = 0 without one), and every later point i
 // evaluates its row against those points and against points i.. and mirrors
-// it into column i. The gather needs the base's index beside the new points'
+// it into column i. The walk needs the base's index beside the new points'
 // one, of the same dimension; a base grown from a filled cache kept none,
-// so a Linear cache grown twice fills through Eval.
+// so a Linear cache grown twice fills through Eval. The walked cells start
+// at +0: the copy and the mirrors write only other cells.
 func (c *Cache) fill() {
 	n := len(c.points)
 	g := make([]float64, n*n)
@@ -84,11 +85,11 @@ func (c *Cache) fill() {
 	for i := n0; i < n; i++ {
 		row := g[i*n : (i+1)*n]
 		if tail != nil {
-			x := c.points[i].(Sparse).Entries
+			x := *c.points[i].(Sparse).Vector
 			if n0 > 0 {
-				head.gather(x, 0, row[:n0])
+				LinearAccumulateWeights(x, head, 0, row[:n0])
 			}
-			tail.gather(x, i-n0, row[n0:])
+			LinearAccumulateWeights(x, tail, i-n0, row[i:])
 		} else {
 			c.evalRow(c.points[i], c.points[:n0], row[:n0])
 			c.evalRow(c.points[i], c.points[i:], row[i:])
@@ -100,7 +101,7 @@ func (c *Cache) fill() {
 	c.gram = g
 }
 
-// evalRow stores K(x, ys[j]) into dst[j] for a row the gather does not take.
+// evalRow stores K(x, ys[j]) into dst[j] for a row the walk does not take.
 func (c *Cache) evalRow(x Point, ys []Point, dst []float64) {
 	if rbf, ok := c.kernel.(RBF); ok {
 		rbf.EvalBatch(x, ys, dst)

@@ -38,7 +38,8 @@
 // # Sparse products
 //
 // The log modality has one sparse product method: points inverted by
-// session (SparseSVIndex), and one index type with two users. The scans walk
+// session (SparseSVIndex), read by one walk (LinearAccumulateWeights). The
+// scans walk
 // a linear model's weight vector over sessions, w = Σ_t c_t·sv_t, built once
 // per model (LinearWeights), through the collection's log inverted by
 // session — each session's judged images, ascending — so a scan range costs
@@ -49,11 +50,11 @@
 // (feedbacklog.Log.ExtendIndex); the other
 // half is each image's relevance column, a run in its page of images' entry
 // array, which the training points are views into. The solver's Gram
-// matrix walks each row point through its training problem's points inverted
-// by session (Cache), which gives Sparse.Dot's bits for every pair: the same
-// products, each rounded on its own, in the same ascending-session order,
-// from +0. The shapes the index does not take go pair by pair through Eval,
-// the same merge join.
+// matrix is the same walk with each row point as the weight vector, through
+// its training problem's points inverted by session (Cache), which gives
+// Sparse.Dot's bits for every pair: the same products, each rounded on its
+// own, in the same ascending-session order, from +0. The shapes the index
+// does not take go pair by pair through Eval, the same merge join.
 //
 // On amd64 both sets are held to the same contract: bit-identical float64
 // results to the straight-line reference loop kept with the parity tests,
@@ -74,9 +75,9 @@
 // does, in linalg's statistics and random numbers, which build the
 // synthetic collections — so results there repeat from run to run but are
 // not pinned. The tile's Go routines, the exponential (expOne, expLanes,
-// RBF.Eval and RBF.EvalSet), the log half (the weight build and walk, the
-// Gram fill's gather, sparse.Vector.Dot), RBF.EvalBatch and the trainer
-// (package svm, core's label correction) write each product as
+// RBF.Eval and RBF.EvalSet), the log half (the weight build and the walk,
+// which the Gram fill shares, sparse.Vector.Dot), RBF.EvalBatch and the
+// trainer (package svm, core's label correction) write each product as
 // float64(x*y), which the specification forbids fusing, so over the same
 // norms they give amd64's bits, and CI checks the arm64 build's code for
 // fused multiply-adds there.

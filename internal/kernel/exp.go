@@ -15,9 +15,10 @@ import "math"
 // (the purego, non-AVX2 and non-amd64 lane), and expQuadsAVX2
 // (backend_avx2_amd64.s), the same operations in the same order in
 // four-wide vector instructions. Maximum error is ~2 ulp (~4e-16 relative).
-// Arguments outside [-expWindow, expWindow] (and NaN) delegate to math.Exp,
-// for underflow, overflow and special cases; an RBF argument is never
-// positive, so what it delegates are kernel values below 1e-304.
+// Outside [-expWindow, expWindow], and for NaN, expOne returns whatever
+// math.Exp returns: on amd64 +Inf from x ≈ 709.436 on, though e^x is finite
+// up to 709.78. No RBF argument is positive: the kernel delegates only its
+// values below 1e-304.
 
 const (
 	expLog2E = 1.4426950408889634073599 // 1/ln(2)

@@ -149,14 +149,14 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 	return v
 }
 
-// FuzzLinearAccumulateSessions builds a small sparse model and collection
+// FuzzLinearAccumulateWeights builds a small sparse model and collection
 // from the input bytes (values in sevenths, so products round; zero
 // coefficients and destinations of either sign, ±Inf and NaN, so signed
 // zeros show; coefficients of ±Inf and NaN, which reach only the rows of the
 // sessions their support vectors carry), cuts the collection into two ranges
 // anywhere, and holds the log half — the weight build and the walk — to its
 // definition, bit for bit.
-func FuzzLinearAccumulateSessions(f *testing.F) {
+func FuzzLinearAccumulateWeights(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 2, 1, 0x80, 0x80, 0x80, 1, 3, 9, 1, 3, 0xf7}) // negative coefficients, -0 bias, rows without entries
 	f.Add([]byte{3, 0, 0, 1, 5, 0, 0, 0, 2, 1, 7, 2, 7, 2, 1, 14, 2, 0xf2, 1, 1, 21})

@@ -29,32 +29,12 @@ func Entropy(values []float64) float64 {
 	return h
 }
 
-// ArgsortDesc returns the indices that sort xs in descending order.
+// ArgsortAsc returns the indices that sort xs in ascending order.
 // Ties are broken by ascending index so the ordering is deterministic.
 // The index tiebreak makes the comparator a total order, so any correct
 // sort yields the same permutation — which is why switching between sort
 // implementations here is safe, and why the generic slices sort (no
 // reflect-based swapping, inlinable comparator) is used over sort.Slice.
-func ArgsortDesc(xs []float64) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if xs[a] != xs[b] {
-			if xs[a] > xs[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	return idx
-}
-
-// ArgsortAsc returns the indices that sort xs in ascending order. Ties are
-// broken by ascending index, with the same total-order rationale as
-// ArgsortDesc.
 func ArgsortAsc(xs []float64) []int {
 	idx := make([]int, len(xs))
 	for i := range idx {
