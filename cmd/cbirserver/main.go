@@ -58,7 +58,7 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
-	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/retrieval"
 	"lrfcsvm/internal/server"
 	"lrfcsvm/internal/storage"
@@ -97,42 +97,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	visual, fblog, coveredSeq, err := loadCollection(*snapshotPath, *featuresPath, *logPath)
+	engine, journal, replay, err := startEngine(*snapshotPath, *featuresPath, *logPath, *journalPath, fsync)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cbirserver:", err)
 		os.Exit(1)
 	}
-
-	// Journal replay: recover everything committed or ingested since the
-	// state loaded above was persisted. The snapshot records the journal
-	// sequence it covers, so replay never double-applies a record even if
-	// the previous process died between snapshot install and compaction.
-	var journal *storage.Journal
-	var replay storage.ReplayStats
-	if *journalPath != "" {
-		if fblog == nil {
-			fblog = feedbacklog.NewLog(len(visual))
-		}
-		journal, visual, replay, err = storage.OpenJournal(*journalPath, visual, fblog, storage.JournalOptions{Fsync: fsync, SnapshotSeq: coveredSeq})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cbirserver: journal:", err)
-			os.Exit(1)
-		}
-		if replay.Records > 0 || replay.Skipped > 0 || replay.TornTailBytes > 0 {
-			log.Printf("cbirserver: journal %s replayed %d records (%d sessions, %d images), %d already covered by the snapshot, %d torn bytes truncated",
-				*journalPath, replay.Records, replay.Sessions, replay.Images, replay.Skipped, replay.TornTailBytes)
-		}
-	}
-
-	var opts retrieval.Options
-	if journal != nil {
-		opts.Journal = journal
-	}
-	// The engine copies the rows: visual, not read again, is garbage from here.
-	engine, err := retrieval.NewEngine(visual, fblog, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cbirserver:", err)
-		os.Exit(1)
+	if replay.Records > 0 || replay.Skipped > 0 || replay.TornTailBytes > 0 {
+		log.Printf("cbirserver: journal %s replayed %d records (%d sessions, %d images), %d already covered by the snapshot, %d torn bytes truncated",
+			*journalPath, replay.Records, replay.Sessions, replay.Images, replay.Skipped, replay.TornTailBytes)
 	}
 
 	// Snapshot compaction keeps journal replay bounded; it needs both a
@@ -230,12 +202,12 @@ func main() {
 
 	// The heap goal the server starts serving under is twice the heap the
 	// last collection found live. Left to chance, that collection falls
-	// anywhere in the load — with the decoded rows NewEngine copied from
-	// still reachable or not — and the served heap's peak moves by the size
-	// of the collection's descriptors from one start to the next. One
-	// collection started here, once those rows are garbage, sets the goal
-	// from what the server keeps; it runs beside the first requests rather
-	// than in front of them.
+	// anywhere in the load — with the loaders' buffers, the log file's
+	// decoding and the row views handed to the journal still reachable or
+	// not — and the served heap's peak moves from one start to the next. One
+	// collection started here, once those are garbage, sets the goal from
+	// what the server keeps; it runs beside the first requests rather than
+	// in front of them.
 	go runtime.GC()
 
 	coll := engine.Collection()
@@ -290,22 +262,64 @@ func durabilityStatus(journal *storage.Journal, snapshotter *storage.Snapshotter
 	}
 }
 
-// loadCollection resolves the startup collection: an existing snapshot wins,
-// otherwise the feature store (plus optional log store) is imported. The
-// third return is the journal sequence the loaded state covers (0 for a
-// fresh import or a snapshot written without a journal).
-func loadCollection(snapshotPath, featuresPath, logPath string) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
+// startEngine brings the engine up: the collection loaded (loadCollection),
+// then the journal replayed over it when journalPath is set, then the engine
+// over the store. Replay recovers everything committed or ingested since the
+// loaded state was persisted; the snapshot records the journal sequence it
+// covers, so replay never double-applies a record even if the previous
+// process died between snapshot install and compaction. Replayed images join
+// the store through its Grow, and the engine takes the store over: the
+// collection is stored once.
+func startEngine(snapshotPath, featuresPath, logPath, journalPath string, fsync storage.FsyncPolicy) (*retrieval.Engine, *storage.Journal, storage.ReplayStats, error) {
+	var replay storage.ReplayStats
+	set, fblog, coveredSeq, err := loadCollection(snapshotPath, featuresPath, logPath)
+	if err != nil {
+		return nil, nil, replay, err
+	}
+	if set.Len() == 0 {
+		return nil, nil, replay, fmt.Errorf("cbirserver: %s holds no images", featuresPath)
+	}
+	var opts retrieval.Options
+	var journal *storage.Journal
+	if journalPath != "" {
+		if fblog == nil {
+			fblog = feedbacklog.NewLog(set.Len())
+		}
+		rows := set.Rows()
+		journal, rows, replay, err = storage.OpenJournal(journalPath, rows, fblog, storage.JournalOptions{Fsync: fsync, SnapshotSeq: coveredSeq})
+		if err != nil {
+			return nil, nil, replay, fmt.Errorf("journal: %w", err)
+		}
+		set = set.Grow(rows[set.Len():])
+		opts.Journal = journal
+	}
+	engine, err := retrieval.NewEngineOver(set, fblog, opts)
+	if err != nil {
+		if journal != nil {
+			journal.Close()
+		}
+		return nil, nil, replay, err
+	}
+	return engine, journal, replay, nil
+}
+
+// loadCollection resolves the startup collection, decoded straight into a
+// sharded store: an existing snapshot wins, otherwise the feature store
+// (plus optional log store) is imported. The third return is the journal
+// sequence the loaded state covers (0 for a fresh import or a snapshot
+// written without a journal).
+func loadCollection(snapshotPath, featuresPath, logPath string) (*kernel.ShardedSet, *feedbacklog.Log, uint64, error) {
 	if snapshotPath != "" {
-		visual, fblog, seq, err := storage.LoadSnapshotAt(snapshotPath)
+		set, fblog, seq, err := storage.LoadSnapshotSetAt(snapshotPath)
 		if err == nil {
 			log.Printf("cbirserver: resuming from snapshot %s", snapshotPath)
-			return visual, fblog, seq, nil
+			return set, fblog, seq, nil
 		}
 		if !errors.Is(err, os.ErrNotExist) {
 			return nil, nil, 0, err
 		}
 	}
-	visual, _, err := storage.LoadFeatures(featuresPath)
+	set, err := storage.LoadFeatureSet(featuresPath)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -315,5 +329,5 @@ func loadCollection(snapshotPath, featuresPath, logPath string) ([]linalg.Vector
 			return nil, nil, 0, err
 		}
 	}
-	return visual, fblog, 0, nil
+	return set, fblog, 0, nil
 }

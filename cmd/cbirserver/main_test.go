@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -177,6 +178,74 @@ func TestReadmeNamesTheFlags(t *testing.T) {
 	for _, m := range regexp.MustCompile("`-([a-z][a-z-]*)").FindAllSubmatch(readme, -1) {
 		if !any[string(m[1])] {
 			t.Errorf("README.md names `-%s`, which no program under cmd/ defines", m[1])
+		}
+	}
+}
+
+// TestStartRefusesBadRows: a collection with one bad row, or none, starts no
+// server.
+// A record of another dimension and a non-finite descriptor are each refused
+// with the image's index, and both dimensions where they differ, as
+// NewEngine's check reports them — from the feature store, and a non-finite
+// descriptor from a snapshot too, with or without a journal.
+func TestStartRefusesBadRows(t *testing.T) {
+	rows := func() []linalg.Vector {
+		return []linalg.Vector{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 0, 1}}
+	}
+	wider, nan := rows(), rows()
+	wider[2] = linalg.Vector{7, 8, 9, 10}
+	nan[2][1] = math.NaN()
+	for _, c := range []struct {
+		what     string
+		rows     []linalg.Vector
+		snapshot bool
+		want     string
+	}{
+		{"a record of another dimension", wider, false, "image 2 has dimension 4, collection has 3"},
+		{"a non-finite descriptor", nan, false, "retrieval: image 2 is not finite (squared norm NaN)"},
+		{"a non-finite descriptor in a snapshot", nan, true, "retrieval: image 2 is not finite (squared norm NaN)"},
+	} {
+		for _, journaled := range []bool{false, true} {
+			dir := t.TempDir()
+			features, snapshot, journal := filepath.Join(dir, "features.bin"), "", ""
+			if err := storage.SaveFeatures(features, c.rows, make([]int, len(c.rows))); err != nil {
+				t.Fatal(err)
+			}
+			if c.snapshot {
+				snapshot = filepath.Join(dir, "engine.snap")
+				if err := storage.SaveSnapshotAt(snapshot, c.rows, feedbacklog.NewLog(len(c.rows)), 0); err != nil {
+					t.Fatal(err)
+				}
+				features = filepath.Join(dir, "missing.bin") // the snapshot wins
+			}
+			if journaled {
+				journal = filepath.Join(dir, "engine.wal")
+			}
+			engine, j, _, err := startEngine(snapshot, features, "", journal, storage.FsyncOff)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (journal %v): started with error %v, want one naming %q", c.what, journaled, err, c.want)
+			}
+			if engine != nil {
+				engine.Close()
+			}
+			if j != nil {
+				j.Close()
+			}
+		}
+	}
+
+	// An empty feature store is refused too, with a journal or without (a
+	// journaled start used to panic on a log over no images), naming the
+	// file.
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.bin")
+	if err := storage.SaveFeatures(empty, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, journal := range []string{"", filepath.Join(dir, "engine.wal")} {
+		want := empty + " holds no images"
+		if _, _, _, err := startEngine("", empty, "", journal, storage.FsyncOff); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("an empty feature store (journal %q) started with error %v, want one naming %q", journal, err, want)
 		}
 	}
 }

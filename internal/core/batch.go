@@ -80,7 +80,14 @@ func NewCollectionBatch(visual []linalg.Vector) *CollectionBatch {
 // bit-identical for every shard size; the knob trades per-worker cache
 // residency against scheduling granularity.
 func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *CollectionBatch {
-	return &CollectionBatch{set: kernel.NewShardedSet(visual, shardSize), scratch: new(sync.Pool)}
+	return NewCollectionBatchOver(kernel.NewShardedSet(visual, shardSize))
+}
+
+// NewCollectionBatchOver takes the sharded store over as the batch's store,
+// without a copy: a collection decoded straight into a kernel.SetBuilder is
+// then stored once. The set must not be grown by anyone but the batch.
+func NewCollectionBatchOver(set *kernel.ShardedSet) *CollectionBatch {
+	return &CollectionBatch{set: set, scratch: new(sync.Pool)}
 }
 
 // Len returns the number of images in the collection.

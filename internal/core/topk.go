@@ -181,11 +181,17 @@ func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, log
 			next++
 			continue
 		}
-		if log.Covered(idx) {
+		// A row is offered to a selector only when it enters, and the log
+		// is asked only about a row that would enter the covered pool.
+		if s.covered.admits(idx, v) && log.Covered(idx) {
 			s.covered.push(idx, v)
 		}
-		s.best.push(idx, v)
-		s.worst.push(-idx, -v)
+		if s.best.admits(idx, v) {
+			s.best.push(idx, v)
+		}
+		if s.worst.admits(-idx, -v) {
+			s.worst.push(-idx, -v)
+		}
 	}
 }
 

@@ -266,7 +266,7 @@ func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 // interface calls. A DenseSet is immutable after construction and safe for
 // concurrent readers.
 type DenseSet struct {
-	mat   *linalg.Matrix
+	mat   linalg.Matrix
 	norms linalg.Vector
 }
 
@@ -274,7 +274,7 @@ type DenseSet struct {
 // precomputes their squared norms. All vectors must have the same length.
 func NewDenseSet(vs []linalg.Vector) *DenseSet {
 	m := linalg.FromRows(vs)
-	return &DenseSet{mat: m, norms: m.RowSquaredNorms(make(linalg.Vector, m.Rows))}
+	return &DenseSet{mat: *m, norms: m.RowSquaredNorms(make(linalg.Vector, m.Rows))}
 }
 
 // Len returns the number of points in the set.
@@ -314,7 +314,7 @@ func (s *DenseSet) SquaredDistancesInto(dst []float64, x linalg.Vector) {
 // repeatedly by SliceInto. Candidate-restricted scoring loops keep one view
 // per scratch arena so slicing a shard run costs zero allocations.
 func NewSetView() *DenseSet {
-	return &DenseSet{mat: &linalg.Matrix{}}
+	return &DenseSet{}
 }
 
 // SliceInto writes the sub-set [lo,hi) of the receiver into view (which must
@@ -360,7 +360,7 @@ func (s *DenseSet) Grow(vs []linalg.Vector) *DenseSet {
 	for _, v := range vs {
 		data = append(data, v...)
 	}
-	mat := &linalg.Matrix{Rows: s.mat.Rows + len(vs), Cols: cols, Data: data}
+	mat := linalg.Matrix{Rows: s.mat.Rows + len(vs), Cols: cols, Data: data}
 
 	// The new rows' norms alone, so grown norms are a rebuild's bits.
 	norms := slices.Grow(s.norms, len(vs))[:mat.Rows]

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"lrfcsvm/internal/linalg"
@@ -136,4 +137,37 @@ func TestShardedSetGrowDimensionMismatch(t *testing.T) {
 		}
 	}()
 	s.Grow([]linalg.Vector{{1, 2}})
+}
+
+// TestSetBuilderTakesAnyRowCount: a builder told the right row count, none,
+// too few or too many (an untrusted count) builds the set NewShardedSet
+// builds over the same rows, and a set whose tail block has room left grows
+// to what a rebuild holds — also at a dimension where maxReserveBytes caps
+// the first shard's block, which then grows geometrically to the shard.
+func TestSetBuilderTakesAnyRowCount(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 23} {
+		vs := randomVectors(n, 3, uint64(n))
+		want := NewShardedSet(vs, 8)
+		for _, expect := range []int{0, -1, 1, n / 2, n - 1, n, n + 1, 3 * n, 1 << 40} {
+			b := NewSetBuilder(3, 8, expect)
+			for _, v := range vs {
+				copy(b.Next(), v)
+			}
+			got := b.Set()
+			identicalSets(t, got, want)
+			more := randomVectors(11, 3, 99)
+			identicalSets(t, got.Grow(more), NewShardedSet(append(slices.Clone(vs), more...), 8))
+		}
+	}
+
+	const wide = 1 << 15 // 256 KiB a row: the first block holds three
+	vs := randomVectors(23, wide, 5)
+	want := NewShardedSet(vs, 8)
+	for _, expect := range []int{0, 9, 1 << 40} {
+		b := NewSetBuilder(wide, 8, expect)
+		for _, v := range vs {
+			copy(b.Next(), v)
+		}
+		identicalSets(t, b.Set(), want)
+	}
 }

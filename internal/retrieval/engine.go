@@ -124,22 +124,46 @@ type Engine struct {
 // existing feedback log (which may be empty but must cover the same
 // collection). It refuses what AddImages refuses: descriptors of differing
 // dimension or of dimension 0, and rows whose squared norm is not finite.
-// The descriptors are copied; the input is not kept.
+// The descriptors are copied into a sharded store (kernel.NewShardedSet);
+// the input is not kept.
 func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Engine, error) {
-	if len(visual) == 0 {
+	// NewShardedSet takes one dimension; NewEngineOver checks the norms.
+	for i, d := range visual {
+		if len(d) != len(visual[0]) {
+			return nil, wrongDimension("image", i, len(d), len(visual[0]))
+		}
+	}
+	return NewEngineOver(kernel.NewShardedSet(visual, 0), log, opts)
+}
+
+// NewEngineOver builds an engine that takes the sharded store over as its
+// collection, without a copy (core.NewCollectionBatchOver): the form for a
+// collection decoded straight into a store (storage.LoadFeatureSet,
+// storage.LoadSnapshotSetAt). It refuses what NewEngine refuses — an empty
+// collection, dimension 0, an image whose squared norm, read from the store,
+// is not finite — and the caller must not grow the set afterwards.
+func NewEngineOver(set *kernel.ShardedSet, log *feedbacklog.Log, opts Options) (*Engine, error) {
+	n := set.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("retrieval: empty collection")
 	}
-	if err := checkDescriptors("image", visual, len(visual[0])); err != nil {
-		return nil, err
+	if set.Dim() == 0 {
+		// Nothing to rank by, and the journal cannot frame such rows.
+		return nil, fmt.Errorf("retrieval: a collection of dimension 0")
+	}
+	for i := range n {
+		if norm := set.SquaredNorm(i); math.IsNaN(norm) || math.IsInf(norm, 0) {
+			return nil, notFinite("image", i, norm)
+		}
 	}
 	if log == nil {
-		log = feedbacklog.NewLog(len(visual))
+		log = feedbacklog.NewLog(n)
 	}
-	if log.NumImages() != len(visual) {
-		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), len(visual))
+	if log.NumImages() != n {
+		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), n)
 	}
 	e := &Engine{opts: opts, log: log}
-	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatch(visual)})
+	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatchOver(set)})
 	return e, nil
 }
 
@@ -148,21 +172,29 @@ func NewEngine(visual []linalg.Vector, log *feedbacklog.Log, opts Options) (*Eng
 // that is not finite (a NaN or Inf component, or components that overflow
 // when squared) — such a row is at distance NaN from itself and +Inf from
 // everything else, so it would poison every ranking that reaches it, and the
-// journal would replay it forever. A collection of dimension 0 holds nothing
-// to rank by, and the journal cannot frame its rows.
+// journal would replay it forever.
 func checkDescriptors(what string, rows []linalg.Vector, dim int) error {
-	if dim == 0 {
-		return fmt.Errorf("retrieval: a collection of dimension 0")
-	}
 	for i, d := range rows {
 		if len(d) != dim {
-			return fmt.Errorf("retrieval: %s %d has dimension %d, collection has %d", what, i, len(d), dim)
+			return wrongDimension(what, i, len(d), dim)
 		}
 		if norm := d.Dot(d); math.IsNaN(norm) || math.IsInf(norm, 0) {
-			return fmt.Errorf("retrieval: %s %d is not finite (squared norm %v)", what, i, norm)
+			return notFinite(what, i, norm)
 		}
 	}
 	return nil
+}
+
+// wrongDimension is checkDescriptors' refusal of a row of another
+// dimension; NewEngine makes it before the rows are stored.
+func wrongDimension(what string, i, got, dim int) error {
+	return fmt.Errorf("retrieval: %s %d has dimension %d, collection has %d", what, i, got, dim)
+}
+
+// notFinite is checkDescriptors' refusal of a row whose squared norm is not
+// finite; NewEngineOver reads the norm from the store.
+func notFinite(what string, i int, norm float64) error {
+	return fmt.Errorf("retrieval: %s %d is not finite (squared norm %v)", what, i, norm)
 }
 
 // Close shuts the engine down. The engine starts no goroutine, so there is

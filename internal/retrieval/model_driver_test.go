@@ -264,23 +264,26 @@ func (d *driver) checkState() {
 	d.held = rows
 }
 
-// start brings an engine up as cbirserver does: the snapshot, the journal's
-// tail replayed over it, the snapshotter.
+// start brings an engine up as cbirserver does: the snapshot decoded into
+// a store, the journal's tail replayed over it and grown into the store, the
+// engine over that store, the snapshotter.
 func (d *driver) start() {
-	rows, log, seq, err := storage.LoadSnapshotAt(d.path("snap"))
+	set, log, seq, err := storage.LoadSnapshotSetAt(d.path("snap"))
 	d.check(err == nil, "%v", err)
 	var opts retrieval.Options
 	if d.journaled {
 		d.faults = faultinject.New(faultinject.Plan{})
 		var replay storage.ReplayStats
+		rows := set.Rows()
 		d.journal, rows, replay, err = storage.OpenJournal(d.path("wal"), rows, log, storage.JournalOptions{
 			Fsync: d.fsync, SnapshotSeq: seq, WrapFile: func(f *os.File) storage.File { return d.faults.Wrap(f) },
 		})
 		d.check(err == nil, "%v", err)
+		set = set.Grow(rows[set.Len():])
 		d.seen["torn-final-record"] = d.seen["torn-final-record"] || replay.TornTailBytes > 0
 		opts.Journal = d.journal
 	}
-	d.e, err = retrieval.NewEngine(rows, log, opts)
+	d.e, err = retrieval.NewEngineOver(set, log, opts)
 	d.check(err == nil, "%v", err)
 	if d.snapshotter {
 		d.snap, err = storage.NewSnapshotter(d.journal, d.e.SnapshotWith, storage.SnapshotterConfig{SnapshotPath: d.path("snap"), Interval: time.Hour})
@@ -485,9 +488,9 @@ func (d *driver) snapshot() {
 	}
 	d.logf("snapshot -> %v", err)
 	d.check(err == nil, "%v", err)
-	rows, log, _, err := storage.LoadSnapshotAt(d.path("snap"))
+	set, log, _, err := storage.LoadSnapshotSetAt(d.path("snap"))
 	d.check(err == nil, "%v", err)
-	d.sameState("the snapshot file", rows, log)
+	d.sameState("the snapshot file", set.Rows(), log)
 }
 
 // arm makes the journal fail the next record it is handed: a write that

@@ -59,16 +59,20 @@ func logsEquivalent(a, b *feedbacklog.Log) bool {
 func fuzzLogBytesBadQuery(f testing.TB) []byte {
 	f.Helper()
 	var buf bytes.Buffer
-	if err := writeHeader(&buf, KindLog); err != nil {
+	rw, err := newRecordWriter(&buf, KindLog)
+	if err != nil {
 		f.Fatal(err)
 	}
 	var sizeRec [4]byte
 	binary.LittleEndian.PutUint32(sizeRec[:], 8)
-	if err := writeRecord(&buf, sizeRec[:]); err != nil {
+	if err := rw.writePayload(sizeRec[:]); err != nil {
 		f.Fatal(err)
 	}
 	bad := encodeSession(feedbacklog.Session{QueryImage: 1000, Judgments: map[int]feedbacklog.Judgment{2: feedbacklog.Relevant}})
-	if err := writeRecord(&buf, bad); err != nil {
+	if err := rw.writePayload(bad); err != nil {
+		f.Fatal(err)
+	}
+	if err := rw.w.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -120,12 +124,16 @@ func FuzzLogRoundTrip(f *testing.F) {
 func fuzzFeaturesWrappedDim(f testing.TB) []byte {
 	f.Helper()
 	var buf bytes.Buffer
-	if err := writeHeader(&buf, KindFeatures); err != nil {
+	rw, err := newRecordWriter(&buf, KindFeatures)
+	if err != nil {
 		f.Fatal(err)
 	}
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint32(payload[4:8], 1<<29)
-	if err := writeRecord(&buf, payload); err != nil {
+	if err := rw.writePayload(payload); err != nil {
+		f.Fatal(err)
+	}
+	if err := rw.w.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -148,8 +156,23 @@ func FuzzFeaturesRoundTrip(f *testing.F) {
 	f.Add(fuzzFeaturesWrappedDim(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		features, labels, err := ReadFeatures(bytes.NewReader(data))
+		set, setErr := readFeatureSet(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
+			if setErr == nil {
+				t.Fatalf("the store loader accepted what ReadFeatures refuses (%v)", err)
+			}
 			return
+		}
+		// The store loader gives a uniform collection's bits, and refuses
+		// a mixed one.
+		uniform := len(features) == 0 || !slices.ContainsFunc(features, func(v linalg.Vector) bool { return len(v) != len(features[0]) })
+		if uniform != (setErr == nil) {
+			t.Fatalf("ReadFeatures read a uniform collection: %v; the store loader: %v", uniform, setErr)
+		}
+		if uniform {
+			if err := storeHoldsRows(set, features); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteFeatures(&buf, features, labels); err != nil {
@@ -190,10 +213,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(corrupt)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		visual, log, _, err := ReadSnapshotAt(bytes.NewReader(data))
+		set, log, _, err := readSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		if err := storeHoldsRows(set, snapshotDescriptors(data, set.Len(), set.Dim())); err != nil {
+			t.Fatal(err)
+		}
+		visual := set.Rows()
 		var buf bytes.Buffer
 		if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
 			t.Fatalf("re-encode decoded snapshot: %v", err)
@@ -218,6 +245,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// snapshotDescriptors decodes the n descriptor records of dimension dim
+// that follow an accepted snapshot's meta record by their offsets in data,
+// without the record reader.
+func snapshotDescriptors(data []byte, n, dim int) []linalg.Vector {
+	off := fileHeaderLen
+	off += 8 + int(binary.LittleEndian.Uint32(data[off:])) // the meta record
+	rows := make([]linalg.Vector, n)
+	for i := range rows {
+		rows[i] = make(linalg.Vector, dim)
+		for j := range rows[i] {
+			rows[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8+8*j:]))
+		}
+		off += 8 + 8*dim
+	}
+	return rows
 }
 
 // fuzzJournalSeeds builds the seed inputs for FuzzJournalReplay: a valid
@@ -267,7 +311,7 @@ func fuzzJournalSeeds(f testing.TB) [][]byte {
 	return [][]byte{
 		valid,
 		valid[:len(valid)-4],
-		valid[:journalHeaderLen+3],
+		valid[:fileHeaderLen+3],
 		corrupt,
 		withRecord(badQuery),
 		withRecord(badImage),

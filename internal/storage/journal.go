@@ -68,9 +68,6 @@ import (
 	"lrfcsvm/internal/linalg"
 )
 
-// journalHeaderLen is the size of the file header (magic + version + kind).
-const journalHeaderLen = 8
-
 // journalRecordHeaderLen is the journal's record frame: length(u32),
 // header-crc(u32, over the length bytes), payload-crc(u32). The header CRC
 // is what lets replay tell a bit-rotted length field (which would otherwise
@@ -84,7 +81,7 @@ const journalBaseRecordLen = journalRecordHeaderLen + 9
 
 // emptyJournalSize is the size of a journal holding no data records: the
 // file header plus the base record.
-const emptyJournalSize = journalHeaderLen + journalBaseRecordLen
+const emptyJournalSize = fileHeaderLen + journalBaseRecordLen
 
 // Journal entry kinds (first payload byte of every record).
 const (
@@ -158,7 +155,7 @@ type JournalOptions struct {
 	// Fsync selects the flush-to-stable-storage policy.
 	Fsync FsyncPolicy
 	// SnapshotSeq is the journal sequence the base state passed to
-	// OpenJournal already covers (as returned by LoadSnapshotAt): records
+	// OpenJournal already covers (as returned by LoadSnapshotSetAt): records
 	// with sequence <= SnapshotSeq are skipped during replay instead of
 	// double-applied. 0 means the base state predates the journal (a fresh
 	// import), so everything replays.
@@ -326,10 +323,10 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 	}
 	base, n, err := readJournalRecord(br)
 	if err != nil {
-		if errors.Is(err, errZeroHeader) && !j.zeroToEOF(journalHeaderLen, size) {
+		if errors.Is(err, errZeroHeader) && !j.zeroToEOF(fileHeaderLen, size) {
 			return nil, ReplayStats{}, fmt.Errorf("%w: zero-filled journal base record followed by data", ErrCorrupt)
 		}
-		if errors.Is(err, errZeroHeader) || errors.Is(err, errTornTail) || (n > 0 && journalHeaderLen+n >= size) {
+		if errors.Is(err, errZeroHeader) || errors.Is(err, errTornTail) || (n > 0 && fileHeaderLen+n >= size) {
 			// The base record itself was the interrupted write of the
 			// initial create: nothing follows it.
 			return fresh()

@@ -1,0 +1,404 @@
+package storage
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/linalg"
+)
+
+// storeHoldsRows reports how set differs from kernel.NewShardedSet over
+// rows: its layout, its stored values and its squared norms, bit for bit.
+func storeHoldsRows(set *kernel.ShardedSet, rows []linalg.Vector) error {
+	want := kernel.NewShardedSet(rows, 0)
+	if set.Len() != want.Len() || set.Dim() != want.Dim() || set.NumShards() != want.NumShards() || set.ShardSize() != want.ShardSize() {
+		return fmt.Errorf("store of %d×%d in %d shards of %d, want %d×%d in %d of %d",
+			set.Len(), set.Dim(), set.NumShards(), set.ShardSize(), want.Len(), want.Dim(), want.NumShards(), want.ShardSize())
+	}
+	for si := range want.NumShards() {
+		if set.Shard(si).Len() != want.Shard(si).Len() {
+			return fmt.Errorf("shard %d holds %d rows, want %d", si, set.Shard(si).Len(), want.Shard(si).Len())
+		}
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range want.Len() {
+		if !slices.EqualFunc(set.Point(i), want.Point(i), sameBits) {
+			return fmt.Errorf("row %d is %v, want %v", i, set.Point(i), want.Point(i))
+		}
+		if !sameBits(set.SquaredNorm(i), want.SquaredNorm(i)) {
+			return fmt.Errorf("row %d has squared norm %v, want %v", i, set.SquaredNorm(i), want.SquaredNorm(i))
+		}
+	}
+	return nil
+}
+
+// randomRows draws n descriptors of dimension dim.
+func randomRows(n, dim int, seed uint64) []linalg.Vector {
+	rng := linalg.NewRNG(seed)
+	rows := make([]linalg.Vector, n)
+	for i := range rows {
+		rows[i] = make(linalg.Vector, dim)
+		for j := range rows[i] {
+			rows[i][j] = rng.Normal(0, 1)
+		}
+	}
+	return rows
+}
+
+// saveCollection writes rows as a feature store and as a snapshot with an
+// empty log in dir, and returns the two paths.
+func saveCollection(t testing.TB, dir string, rows []linalg.Vector) (features, snapshot string) {
+	t.Helper()
+	features, snapshot = filepath.Join(dir, "features.bin"), filepath.Join(dir, "engine.snap")
+	if err := SaveFeatures(features, rows, make([]int, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshotAt(snapshot, rows, feedbacklog.NewLog(len(rows)), 7); err != nil {
+		t.Fatal(err)
+	}
+	return features, snapshot
+}
+
+// TestLoadedStoreMatchesNewShardedSet holds both store loaders to
+// kernel.NewShardedSet over the rows saved (and, for the feature store, the
+// rows ReadFeatures decodes): the same shards, values and norms, bit for
+// bit — at shard boundaries, around them and with the values whose bits an
+// arithmetic slip would change.
+func TestLoadedStoreMatchesNewShardedSet(t *testing.T) {
+	shard := kernel.DefaultShardSize
+	for _, n := range []int{1, 5, shard - 1, shard, shard + 1, 2*shard + 300} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rows := randomRows(n, 7, uint64(n))
+			rows[0][0], rows[0][1], rows[n-1][6] = math.Copysign(0, -1), 5e-324, -1e150
+			features, snapshot := saveCollection(t, t.TempDir(), rows)
+
+			set, err := LoadFeatureSet(features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read, _, err := LoadFeatures(features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storeHoldsRows(set, read); err != nil {
+				t.Errorf("features: %v", err)
+			}
+			if err := storeHoldsRows(set, rows); err != nil {
+				t.Errorf("features against the saved rows: %v", err)
+			}
+
+			set, log, seq, err := LoadSnapshotSetAt(snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storeHoldsRows(set, rows); err != nil {
+				t.Errorf("snapshot: %v", err)
+			}
+			if seq != 7 || log.NumImages() != n || log.NumSessions() != 0 {
+				t.Errorf("snapshot: sequence %d and a log of %d sessions over %d images, want 7, 0 and %d", seq, log.NumSessions(), log.NumImages(), n)
+			}
+		})
+	}
+}
+
+// TestLoadAllocations holds a load to one block per shard and nothing per
+// image: loading four times the images allocates at most one more object per
+// extra shard, and the bytes allocated stay within a tenth of the store (rows
+// and squared norms) plus a constant, for the feature store and the
+// snapshot alike. GC is off while a load is measured.
+func TestLoadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	const dim = 36
+	shard := kernel.DefaultShardSize
+	type load struct {
+		mallocs, bytes uint64
+	}
+	// The fewest objects and bytes of three loads: MemStats counts every
+	// goroutine's allocations, the test framework's too.
+	measure := func(t *testing.T, read func() (*kernel.ShardedSet, error)) load {
+		least := load{math.MaxUint64, math.MaxUint64}
+		for range 3 {
+			runtime.GC()
+			gc := debug.SetGCPercent(-1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			set, err := read()
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(set)
+			least.mallocs = min(least.mallocs, after.Mallocs-before.Mallocs)
+			least.bytes = min(least.bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := 2*shard, 8*shard
+	paths := map[int][2]string{}
+	for _, n := range []int{small, large} {
+		features, snapshot := saveCollection(t, t.TempDir(), randomRows(n, dim, 3))
+		paths[n] = [2]string{features, snapshot}
+	}
+	for k, kind := range []string{"features", "snapshot"} {
+		t.Run(kind, func(t *testing.T) {
+			read := func(n int) func() (*kernel.ShardedSet, error) {
+				if k == 0 {
+					return func() (*kernel.ShardedSet, error) { return LoadFeatureSet(paths[n][0]) }
+				}
+				return func() (*kernel.ShardedSet, error) {
+					set, _, _, err := LoadSnapshotSetAt(paths[n][1])
+					return set, err
+				}
+			}
+			a, b := measure(t, read(small)), measure(t, read(large))
+			store := uint64(large * (dim + 1) * 8)
+			t.Logf("%d images: %d objects, %d bytes; %d images: %d objects, %d bytes (the store %d)",
+				small, a.mallocs, a.bytes, large, b.mallocs, b.bytes, store)
+			if extra := uint64((large - small) / shard); b.mallocs > a.mallocs+extra {
+				t.Errorf("%d extra shards cost %d objects, want at most one each", extra, b.mallocs-a.mallocs)
+			}
+			if b.bytes > store+store/10+64<<10 {
+				t.Errorf("a load of %d images allocates %d bytes, want at most 1.1 × the store's %d + 64 KiB", large, b.bytes, store)
+			}
+		})
+	}
+}
+
+// resealed returns a copy of data whose record at file offset off has its
+// payload edited and its CRC recomputed, so only the decoder's content checks
+// can refuse it.
+func resealed(data []byte, off int, edit func(payload []byte)) []byte {
+	data = slices.Clone(data)
+	n := int(binary.LittleEndian.Uint32(data[off:]))
+	edit(data[off+8 : off+8+n])
+	binary.LittleEndian.PutUint32(data[off+4:], crc32.ChecksumIEEE(data[off+8:off+8+n]))
+	return data
+}
+
+// TestLoadersRefuseDamage: every check of the readers holds for the slice
+// readers and the store loaders alike, and for the log read through the same
+// record reader, each refusing with ErrCorrupt — a truncated record, a
+// flipped CRC bit, a record length past the limit, a payload whose size
+// contradicts its dimension, a snapshot that announces more images than it
+// holds, and trailing data after a snapshot.
+func TestLoadersRefuseDamage(t *testing.T) {
+	rows := randomRows(6, 3, 9)
+	var features, snapshot bytes.Buffer
+	if err := WriteFeatures(&features, rows, make([]int, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshotAt(&snapshot, rows, feedbacklog.NewLog(len(rows)), 0); err != nil {
+		t.Fatal(err)
+	}
+	const featureRecord = 8 + 8 + 3*8 // header, label and dim, three values
+	second := fileHeaderLen + featureRecord
+	type loader struct {
+		name string
+		read func([]byte) error
+	}
+	featureLoaders := []loader{
+		{"ReadFeatures", func(b []byte) error { _, _, err := ReadFeatures(bytes.NewReader(b)); return err }},
+		{"store", func(b []byte) error { _, err := readFeatureSet(bytes.NewReader(b), int64(len(b))); return err }},
+	}
+	snapshotLoaders := []loader{
+		{"ReadSnapshotAt", func(b []byte) error { _, _, _, err := ReadSnapshotAt(bytes.NewReader(b)); return err }},
+	}
+	var logFile bytes.Buffer
+	if err := WriteLog(&logFile, sampleLog(t)); err != nil {
+		t.Fatal(err)
+	}
+	logLoaders := []loader{{"ReadLog", func(b []byte) error { _, err := ReadLog(bytes.NewReader(b)); return err }}}
+	fb, sb, lb := features.Bytes(), snapshot.Bytes(), logFile.Bytes()
+	flippedLog := slices.Clone(lb)
+	flippedLog[fileHeaderLen+8+4+4] ^= 1 // the first session's CRC
+	tooLong := slices.Clone(fb)
+	binary.LittleEndian.PutUint32(tooLong[second:], maxRecordLen+1)
+	flipped := slices.Clone(fb)
+	flipped[second+4] ^= 1 // a CRC bit
+	const meta = 8 + 12    // the snapshot's meta record, without a sequence
+	flippedSnapshot := slices.Clone(sb)
+	flippedSnapshot[fileHeaderLen+meta+4] ^= 1 // the first descriptor's CRC
+	overCount := resealed(sb, fileHeaderLen, func(p []byte) { binary.LittleEndian.PutUint32(p[0:4], math.MaxUint32) })
+	for _, c := range []struct {
+		what    string
+		loaders []loader
+		data    []byte
+	}{
+		{"a truncated feature record", featureLoaders, fb[:len(fb)-5]},
+		{"a truncated feature record header", featureLoaders, fb[:second+3]},
+		{"a flipped CRC bit", featureLoaders, flipped},
+		{"a record past the length limit", featureLoaders, tooLong},
+		{"a feature record whose size contradicts its dimension", featureLoaders,
+			resealed(fb, second, func(p []byte) { binary.LittleEndian.PutUint32(p[4:8], 4) })},
+		{"a truncated log", logLoaders, lb[:len(lb)-5]},
+		{"a flipped CRC bit in a log", logLoaders, flippedLog},
+		{"a truncated snapshot", snapshotLoaders, sb[:len(sb)-5]},
+		{"a flipped CRC bit in a snapshot", snapshotLoaders, flippedSnapshot},
+		{"an implausible snapshot count with too few records", snapshotLoaders, overCount},
+		{"trailing data after a snapshot", snapshotLoaders, append(slices.Clone(sb), sb[fileHeaderLen+meta:fileHeaderLen+meta+8+24]...)},
+	} {
+		for _, l := range c.loaders {
+			if err := l.read(c.data); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s returned %v, want ErrCorrupt", c.what, l.name, err)
+			}
+		}
+	}
+
+	// The count is untrusted until the records arrive: a snapshot that
+	// announces 2^32 − 1 images reserves a shard and a bounded table, not
+	// the collection — nor, at a large dimension, more than the one
+	// descriptor it holds.
+	if raceEnabled {
+		return
+	}
+	var wide bytes.Buffer
+	if err := WriteSnapshotAt(&wide, randomRows(1, 1<<16, 5), feedbacklog.NewLog(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	wideOverCount := resealed(wide.Bytes(), fileHeaderLen, func(p []byte) { binary.LittleEndian.PutUint32(p[0:4], math.MaxUint32) })
+	for _, c := range []struct {
+		what  string
+		data  []byte
+		bound uint64
+	}{
+		{"3 dimensions", overCount, 1 << 20},
+		{"65,536 dimensions", wideOverCount, 4 * uint64(len(wideOverCount))},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := readSnapshot(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("a snapshot of %s announcing %d images returned %v, want ErrCorrupt", c.what, uint32(math.MaxUint32), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.bound {
+			t.Errorf("a snapshot of %s announcing %d images allocated %d bytes before it was refused, want at most %d", c.what, uint32(math.MaxUint32), got, c.bound)
+		}
+	}
+}
+
+// pinnedCollection is a fixed collection whose encodings are pinned: 300
+// descriptors of dimension 5 (two with a negative zero, a subnormal and the
+// largest finite value), labels from -2 to 2 and a log of three sessions.
+func pinnedCollection(t testing.TB) ([]linalg.Vector, []int, *feedbacklog.Log) {
+	t.Helper()
+	const n, dim = 300, 5
+	rows := make([]linalg.Vector, n)
+	labels := make([]int, n)
+	for i := range rows {
+		rows[i] = make(linalg.Vector, dim)
+		for j := range rows[i] {
+			rows[i][j] = float64(i*7+j*3)/8 - 3
+		}
+		labels[i] = i%5 - 2
+	}
+	rows[1][0], rows[2][1], rows[3][2] = math.Copysign(0, -1), 5e-324, math.MaxFloat64
+	log := feedbacklog.NewLog(n)
+	for q, judged := range []map[int]feedbacklog.Judgment{
+		{0: feedbacklog.Relevant, 299: feedbacklog.Irrelevant},
+		{17: feedbacklog.Relevant, 3: feedbacklog.Relevant, 150: feedbacklog.Irrelevant},
+		{42: feedbacklog.Irrelevant},
+	} {
+		if _, err := log.AddSession(feedbacklog.Session{QueryImage: q * 100, TargetCategory: q - 1, Judgments: judged}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows, labels, log
+}
+
+// TestWritersEncodeAsPinned pins the bytes the writers produce for a fixed
+// collection: the encoding of every file kind is a format, so a writer may
+// change how it builds a record but not one byte of what it writes.
+func TestWritersEncodeAsPinned(t *testing.T) {
+	rows, labels, log := pinnedCollection(t)
+	for _, c := range []struct {
+		what  string
+		write func(io.Writer) error
+		size  int
+		sum   string
+	}{
+		{"features", func(w io.Writer) error { return WriteFeatures(w, rows, labels) }, 16808, "9e45ef82a983c29d71cfab7a31f7ad813f3a00e6f63599f04aac89809a9647f1"},
+		{"log", func(w io.Writer) error { return WriteLog(w, log) }, 128, "63e35f8d394528e01f4a53236499191647264a21ecd06e8f9cb6cf273a41f80d"},
+		{"snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, rows, log, 0) }, 14536, "07c44d53d70d91d8b06d3f3464fe2792e790d54c39f1fcd865433277831eab61"},
+		{"snapshot at sequence 42", func(w io.Writer) error { return WriteSnapshotAt(w, rows, log, 42) }, 14544, "ca33dc996da1678194818327cd3155e143f87dc94a6c9dd7fc97d092a942d204"},
+	} {
+		var buf bytes.Buffer
+		if err := c.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != c.size || sum != c.sum {
+			t.Errorf("%s: %d bytes with SHA-256 %s, want %d bytes with %s", c.what, buf.Len(), sum, c.size, c.sum)
+		}
+	}
+}
+
+// TestWriterAllocationsDoNotGrow: the writers encode every record into one
+// reused buffer, so writing four times the rows allocates no more objects.
+func TestWriterAllocationsDoNotGrow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	for _, c := range []struct {
+		what  string
+		write func(rows []linalg.Vector, labels []int, log *feedbacklog.Log) error
+	}{
+		{"WriteFeatures", func(rows []linalg.Vector, labels []int, _ *feedbacklog.Log) error {
+			return WriteFeatures(io.Discard, rows, labels)
+		}},
+		{"WriteSnapshotAt", func(rows []linalg.Vector, _ []int, log *feedbacklog.Log) error {
+			return WriteSnapshotAt(io.Discard, rows, log, 3)
+		}},
+	} {
+		allocs := func(n int) float64 {
+			rows, labels, log := randomRows(n, 36, 4), make([]int, n), feedbacklog.NewLog(n)
+			return testing.AllocsPerRun(5, func() {
+				if err := c.write(rows, labels, log); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(500), allocs(2000); b > a {
+			t.Errorf("%s allocates %.0f objects for 500 rows and %.0f for 2,000", c.what, a, b)
+		}
+	}
+}
+
+// BenchmarkLoadCollection times a load straight into the sharded store, of
+// the feature store and of the snapshot, at 5,000 and 50,000 images of the
+// benchmark's 36-dimensional descriptors. With -benchmem, allocs/op must not
+// scale with the images: one block per shard.
+func BenchmarkLoadCollection(b *testing.B) {
+	for _, n := range []int{5000, 50000} {
+		features, snapshot := saveCollection(b, b.TempDir(), randomRows(n, 36, 1))
+		b.Run(fmt.Sprintf("features/%d", n), func(b *testing.B) {
+			for range b.N {
+				if _, err := LoadFeatureSet(features); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("snapshot/%d", n), func(b *testing.B) {
+			for range b.N {
+				if _, _, _, err := LoadSnapshotSetAt(snapshot); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -14,6 +14,16 @@
 //
 // Payload encodings are fixed-width little-endian and documented on the
 // respective Write/Read functions.
+//
+// Every file is read through one record buffer that each record reuses, and
+// written through one that each record is encoded into, so neither costs an
+// allocation per record. A feature store is read either as rows
+// (ReadFeatures) or straight into the sharded store the engine serves from
+// (LoadFeatureSet); a snapshot's collection is always read into a store
+// (LoadSnapshotSetAt), ReadSnapshotAt's rows being views into it. Each
+// descriptor is decoded into its shard's block (kernel.SetBuilder), one
+// allocation per shard and none per image, and the store is the one
+// NewShardedSet builds over the rows, bit for bit.
 package storage
 
 import (
@@ -29,6 +39,7 @@ import (
 	"slices"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
@@ -44,6 +55,9 @@ const (
 const formatVersion uint16 = 1
 
 var magic = [4]byte{'L', 'R', 'F', 'C'}
+
+// fileHeaderLen is the size of the file header (magic + version + kind).
+const fileHeaderLen = 8
 
 // ErrCorrupt is returned when a record fails its checksum or the file
 // structure is malformed.
@@ -85,42 +99,116 @@ func readHeader(r io.Reader, wantKind uint16) error {
 	return nil
 }
 
-func writeRecord(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("storage: write record header: %w", err)
+// recordWriter frames a file's records in one buffer that every record
+// reuses: the record header, then the payload, written in one call. A writer
+// asks for a payload's room (record), fills it and writes it (write), so a
+// file of any number of records allocates one buffer.
+type recordWriter struct {
+	w   *bufio.Writer
+	buf []byte
+}
+
+// newRecordWriter writes the file header of the given kind and returns the
+// writer of the records after it.
+func newRecordWriter(w io.Writer, kind uint16) (*recordWriter, error) {
+	bw := bufio.NewWriter(w)
+	if err := writeHeader(bw, kind); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("storage: write record payload: %w", err)
+	return &recordWriter{w: bw}, nil
+}
+
+// record returns the room for the next record's payload, n bytes that the
+// caller fills before it calls write.
+func (rw *recordWriter) record(n int) []byte {
+	if cap(rw.buf) < 8+n {
+		rw.buf = make([]byte, 8+n)
+	}
+	rw.buf = rw.buf[:8+n]
+	return rw.buf[8:]
+}
+
+// write frames and writes the payload record returned.
+func (rw *recordWriter) write() error {
+	payload := rw.buf[8:]
+	binary.LittleEndian.PutUint32(rw.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rw.buf[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := rw.w.Write(rw.buf); err != nil {
+		return fmt.Errorf("storage: write record: %w", err)
 	}
 	return nil
 }
 
-// readRecord returns the next record payload, or io.EOF cleanly at the end
-// of the file.
-func readRecord(r io.Reader, maxLen uint32) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writePayload writes a payload built elsewhere as the next record.
+func (rw *recordWriter) writePayload(payload []byte) error {
+	copy(rw.record(len(payload)), payload)
+	return rw.write()
+}
+
+// readBufferSize is the read-ahead of a recordReader: a collection is read
+// in a few hundred system calls, not one per 4 KiB.
+const readBufferSize = 64 << 10
+
+// recordReader reads a file's records through one buffer that every record
+// reuses: a payload is valid until the next call, so a reader decodes what
+// it keeps before it asks for the next record.
+type recordReader struct {
+	r   *bufio.Reader
+	hdr [8]byte
+	buf []byte
+}
+
+// newRecordReader checks the file header against the wanted kind and returns
+// the reader of the records after it.
+func newRecordReader(r io.Reader, kind uint16) (*recordReader, error) {
+	br := bufio.NewReaderSize(r, readBufferSize)
+	if err := readHeader(br, kind); err != nil {
+		return nil, err
+	}
+	return &recordReader{r: br}, nil
+}
+
+// next returns the next record payload, or io.EOF cleanly at the end of the
+// file.
+func (rr *recordReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: truncated record header", ErrCorrupt)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxLen {
-		return nil, fmt.Errorf("%w: record length %d exceeds limit %d", ErrCorrupt, length, maxLen)
+	length := binary.LittleEndian.Uint32(rr.hdr[0:4])
+	sum := binary.LittleEndian.Uint32(rr.hdr[4:8])
+	if length > maxRecordLen {
+		return nil, fmt.Errorf("%w: record length %d exceeds limit %d", ErrCorrupt, length, maxRecordLen)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(rr.buf) < int(length) {
+		rr.buf = make([]byte, length)
+	}
+	payload := rr.buf[:length]
+	if _, err := io.ReadFull(rr.r, payload); err != nil {
 		return nil, fmt.Errorf("%w: truncated record payload", ErrCorrupt)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return payload, nil
+}
+
+// encodeDescriptor writes a descriptor's values as little-endian float64s.
+func encodeDescriptor(dst []byte, v linalg.Vector) {
+	for j, x := range v {
+		binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(x))
+	}
+}
+
+// decodeDescriptor fills dst from the little-endian float64s of src and
+// returns it.
+func decodeDescriptor(dst linalg.Vector, src []byte) linalg.Vector {
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+	}
+	return dst
 }
 
 // maxRecordLen bounds a single record (16 MiB) as a corruption guard.
@@ -134,56 +222,93 @@ func WriteFeatures(w io.Writer, features []linalg.Vector, labels []int) error {
 	if len(features) != len(labels) {
 		return fmt.Errorf("storage: %d features but %d labels", len(features), len(labels))
 	}
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, KindFeatures); err != nil {
+	rw, err := newRecordWriter(w, KindFeatures)
+	if err != nil {
 		return err
 	}
 	for i, f := range features {
-		payload := make([]byte, 8+8*len(f))
+		payload := rw.record(8 + 8*len(f))
 		binary.LittleEndian.PutUint32(payload[0:4], uint32(int32(labels[i])))
 		binary.LittleEndian.PutUint32(payload[4:8], uint32(len(f)))
-		for j, x := range f {
-			binary.LittleEndian.PutUint64(payload[8+8*j:], math.Float64bits(x))
-		}
-		if err := writeRecord(bw, payload); err != nil {
+		encodeDescriptor(payload[8:], f)
+		if err := rw.write(); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return rw.w.Flush()
 }
 
-// ReadFeatures reads a feature store written by WriteFeatures.
-func ReadFeatures(r io.Reader) ([]linalg.Vector, []int, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, KindFeatures); err != nil {
-		return nil, nil, err
+// readFeatures reads a feature store written by WriteFeatures record by
+// record, handing row each image's index, label and descriptor: dim
+// little-endian float64s, valid until the next record.
+func readFeatures(r io.Reader, row func(i, label int, desc []byte) error) error {
+	rr, err := newRecordReader(r, KindFeatures)
+	if err != nil {
+		return err
 	}
-	var features []linalg.Vector
-	var labels []int
-	for {
-		payload, err := readRecord(br, maxRecordLen)
+	for i := 0; ; i++ {
+		payload, err := rr.next()
 		if err == io.EOF {
-			return features, labels, nil
+			return nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if len(payload) < 8 {
-			return nil, nil, fmt.Errorf("%w: feature record too short", ErrCorrupt)
+			return fmt.Errorf("%w: feature record too short", ErrCorrupt)
 		}
 		label := int(int32(binary.LittleEndian.Uint32(payload[0:4])))
 		// int arithmetic: in uint32, 8+8*dim wraps to 8 at dim = 2^29.
 		dim := int(binary.LittleEndian.Uint32(payload[4:8]))
 		if len(payload) != 8+8*dim {
-			return nil, nil, fmt.Errorf("%w: feature record size mismatch", ErrCorrupt)
+			return fmt.Errorf("%w: feature record size mismatch", ErrCorrupt)
 		}
-		vec := make(linalg.Vector, dim)
-		for j := range vec {
-			vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+8*j:]))
+		if err := row(i, label, payload[8:]); err != nil {
+			return err
 		}
-		features = append(features, vec)
-		labels = append(labels, label)
 	}
+}
+
+// ReadFeatures reads a feature store written by WriteFeatures. Its records
+// may differ in dimension.
+func ReadFeatures(r io.Reader) ([]linalg.Vector, []int, error) {
+	var features []linalg.Vector
+	var labels []int
+	err := readFeatures(r, func(_, label int, desc []byte) error {
+		features = append(features, decodeDescriptor(make(linalg.Vector, len(desc)/8), desc))
+		labels = append(labels, label)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return features, labels, nil
+}
+
+// readFeatureSet reads a feature store straight into a sharded store (see
+// LoadFeatureSet). size is the file's length in bytes, 0 if unknown: it
+// bounds how many records the file holds, which sizes the store's blocks.
+func readFeatureSet(r io.Reader, size int64) (*kernel.ShardedSet, error) {
+	var b *kernel.SetBuilder
+	dim := 0
+	err := readFeatures(r, func(i, _ int, desc []byte) error {
+		if b == nil {
+			dim = len(desc) / 8
+			b = kernel.NewSetBuilder(dim, 0, int((size-fileHeaderLen)/int64(16+len(desc))))
+		}
+		if len(desc) != 8*dim {
+			return fmt.Errorf("storage: image %d has dimension %d, collection has %d", i, len(desc)/8, dim)
+		}
+		decodeDescriptor(b.Next(), desc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if b == nil {
+		return kernel.NewShardedSet(nil, 0), nil
+	}
+	return b.Set(), nil
 }
 
 // SaveFeatures writes a feature store to the named file, replacing any
@@ -202,27 +327,53 @@ func LoadFeatures(path string) ([]linalg.Vector, []int, error) {
 	return ReadFeatures(f)
 }
 
+// LoadFeatureSet reads the descriptors of the named feature store straight
+// into a sharded store with the default shard size, one block per shard and
+// nothing per image; the labels are skipped. Unlike ReadFeatures it refuses
+// a record whose dimension differs from the first one's, naming the image
+// and both dimensions. The store is what kernel.NewShardedSet builds over
+// ReadFeatures's rows, bit for bit.
+func LoadFeatureSet(path string) (*kernel.ShardedSet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
+	}
+	return readFeatureSet(f, info.Size())
+}
+
 // WriteLog writes a feedback log (one record per session) to w.
 //
 // Payload encoding per record: query(u32) category(i32) count(u32) then
 // count pairs of image(u32) judgment(i8, padded to i32).
 func WriteLog(w io.Writer, log *feedbacklog.Log) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, KindLog); err != nil {
+	rw, err := newRecordWriter(w, KindLog)
+	if err != nil {
 		return err
 	}
 	// First record: collection size, so the log can be reconstructed.
-	var sizeRec [4]byte
-	binary.LittleEndian.PutUint32(sizeRec[:], uint32(log.NumImages()))
-	if err := writeRecord(bw, sizeRec[:]); err != nil {
+	binary.LittleEndian.PutUint32(rw.record(4), uint32(log.NumImages()))
+	if err := rw.write(); err != nil {
 		return err
 	}
+	if err := writeSessions(rw, log); err != nil {
+		return err
+	}
+	return rw.w.Flush()
+}
+
+// writeSessions writes one record per log session.
+func writeSessions(rw *recordWriter, log *feedbacklog.Log) error {
 	for _, s := range log.Sessions() {
-		if err := writeRecord(bw, encodeSession(s)); err != nil {
+		if err := rw.writePayload(encodeSession(s)); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // encodeSession serializes one log session: query(u32) category(i32)
@@ -287,11 +438,11 @@ func validateSession(s feedbacklog.Session, numImages int) error {
 
 // ReadLog reads a feedback log written by WriteLog.
 func ReadLog(r io.Reader) (*feedbacklog.Log, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, KindLog); err != nil {
+	rr, err := newRecordReader(r, KindLog)
+	if err != nil {
 		return nil, err
 	}
-	sizeRec, err := readRecord(br, maxRecordLen)
+	sizeRec, err := rr.next()
 	if err != nil {
 		return nil, fmt.Errorf("storage: read log size record: %w", err)
 	}
@@ -304,7 +455,7 @@ func ReadLog(r io.Reader) (*feedbacklog.Log, error) {
 	}
 	log := feedbacklog.NewLog(numImages)
 	for {
-		payload, err := readRecord(br, maxRecordLen)
+		payload, err := rr.next()
 		if err == io.EOF {
 			return log, nil
 		}
@@ -366,49 +517,49 @@ func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, 
 		return fmt.Errorf("storage: snapshot log covers %d images, collection has %d", log.NumImages(), len(visual))
 	}
 	dim := len(visual[0])
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, KindSnapshot); err != nil {
+	rw, err := newRecordWriter(w, KindSnapshot)
+	if err != nil {
 		return err
 	}
-	meta := make([]byte, 12, 20)
+	metaLen := 12
+	if journalSeq != 0 {
+		metaLen = 20
+	}
+	meta := rw.record(metaLen)
 	binary.LittleEndian.PutUint32(meta[0:4], uint32(len(visual)))
 	binary.LittleEndian.PutUint32(meta[4:8], uint32(dim))
 	binary.LittleEndian.PutUint32(meta[8:12], uint32(log.NumSessions()))
 	if journalSeq != 0 {
-		meta = meta[:20]
 		binary.LittleEndian.PutUint64(meta[12:20], journalSeq)
 	}
-	if err := writeRecord(bw, meta); err != nil {
+	if err := rw.write(); err != nil {
 		return err
 	}
 	for i, v := range visual {
 		if len(v) != dim {
 			return fmt.Errorf("storage: descriptor %d has dimension %d, want %d", i, len(v), dim)
 		}
-		payload := make([]byte, 8*dim)
-		for j, x := range v {
-			binary.LittleEndian.PutUint64(payload[8*j:], math.Float64bits(x))
-		}
-		if err := writeRecord(bw, payload); err != nil {
+		encodeDescriptor(rw.record(8*dim), v)
+		if err := rw.write(); err != nil {
 			return err
 		}
 	}
-	for _, s := range log.Sessions() {
-		if err := writeRecord(bw, encodeSession(s)); err != nil {
-			return err
-		}
+	if err := writeSessions(rw, log); err != nil {
+		return err
 	}
-	return bw.Flush()
+	return rw.w.Flush()
 }
 
-// ReadSnapshotAt reads an engine snapshot and the journal sequence it
-// covers (0 for snapshots written without a journal).
-func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, KindSnapshot); err != nil {
+// readSnapshot reads an engine snapshot written by WriteSnapshotAt, its
+// collection straight into a sharded store with the default shard size. The
+// meta record's image count is untrusted until the records arrive: it only
+// sizes the builder, which reserves no more than the rows delivered.
+func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, error) {
+	rr, err := newRecordReader(r, KindSnapshot)
+	if err != nil {
 		return nil, nil, 0, err
 	}
-	meta, err := readRecord(br, maxRecordLen)
+	meta, err := rr.next()
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("storage: read snapshot meta record: %w", err)
 	}
@@ -425,30 +576,20 @@ func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 	if images <= 0 || dim <= 0 || uint32(dim) > maxRecordLen/8 {
 		return nil, nil, 0, fmt.Errorf("%w: implausible snapshot shape %dx%d", ErrCorrupt, images, dim)
 	}
-	// Cap the preallocation: the image count is untrusted until the records
-	// actually arrive, and each one costs at least a record header.
-	prealloc := images
-	if prealloc > 4096 {
-		prealloc = 4096
-	}
-	visual := make([]linalg.Vector, 0, prealloc)
+	b := kernel.NewSetBuilder(dim, 0, images)
 	for i := 0; i < images; i++ {
-		payload, err := readRecord(br, maxRecordLen)
+		payload, err := rr.next()
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("%w: truncated snapshot collection", ErrCorrupt)
 		}
 		if len(payload) != 8*dim {
 			return nil, nil, 0, fmt.Errorf("%w: snapshot descriptor size mismatch", ErrCorrupt)
 		}
-		vec := make(linalg.Vector, dim)
-		for j := range vec {
-			vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*j:]))
-		}
-		visual = append(visual, vec)
+		decodeDescriptor(b.Next(), payload)
 	}
 	log := feedbacklog.NewLog(images)
 	for i := 0; i < sessions; i++ {
-		payload, err := readRecord(br, maxRecordLen)
+		payload, err := rr.next()
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("%w: truncated snapshot log", ErrCorrupt)
 		}
@@ -460,10 +601,21 @@ func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 			return nil, nil, 0, fmt.Errorf("%w: rebuild snapshot log: %v", ErrCorrupt, err)
 		}
 	}
-	if _, err := readRecord(br, maxRecordLen); err != io.EOF {
+	if _, err := rr.next(); err != io.EOF {
 		return nil, nil, 0, fmt.Errorf("%w: trailing data after snapshot", ErrCorrupt)
 	}
-	return visual, log, journalSeq, nil
+	return b.Set(), log, journalSeq, nil
+}
+
+// ReadSnapshotAt reads an engine snapshot and the journal sequence it
+// covers (0 for snapshots written without a journal). The descriptors are
+// views into the store readSnapshot decodes.
+func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
+	set, log, journalSeq, err := readSnapshot(r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return set.Rows(), log, journalSeq, nil
 }
 
 // SaveSnapshotAt writes an engine snapshot to the named file atomically and
@@ -547,4 +699,17 @@ func LoadSnapshotAt(path string) ([]linalg.Vector, *feedbacklog.Log, uint64, err
 	}
 	defer f.Close()
 	return ReadSnapshotAt(f)
+}
+
+// LoadSnapshotSetAt reads an engine snapshot from the named file like
+// LoadSnapshotAt, its collection as the sharded store LoadSnapshotAt's rows
+// are views of: the default shard size, one block per shard and nothing per
+// image, what kernel.NewShardedSet builds over the rows, bit for bit.
+func LoadSnapshotSetAt(path string) (*kernel.ShardedSet, *feedbacklog.Log, uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	defer f.Close()
+	return readSnapshot(f)
 }
