@@ -30,6 +30,7 @@ var testOnly = map[string]string{
 
 	"internal/svm.Model.Predict":  "sign(f(x)) over Decision: the svm training tests and core's coupled_test.go assert classifications with it",
 	"internal/kernel.DensePoints": "fixture of ~25 kernel and svm tests: wraps vectors as the []Point a Problem or a cache takes",
+	"internal/kernel.CountPairs":  "core's BenchmarkTopKPass counts the kernel pairs LRF-CSVM's step 3 evaluates through it; it swaps the running member, which a _test.go file of kernel cannot do for core's tests",
 
 	"internal/sparse.FromDense":      "fixture of the sparse, kernel and svm tests: builds a log vector from a literal",
 	"internal/sparse.Vector.At":      "how the feedbacklog, retrieval and sparse tests read one judgment out of a relevance column",

@@ -20,18 +20,18 @@ func (Euclidean) Name() string { return "Euclidean" }
 // scorer implements rangeScored. Euclidean ranking ignores user feedback, so
 // unlike the learning schemes it does not require any labeled examples in
 // the context.
-func (Euclidean) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
+func (Euclidean) scorer(ctx *QueryContext) (scoring, error) {
 	if err := ctx.validateQuery(); err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
 	b := ctx.collectionBatch()
 	q := b.queryVector(ctx)
-	return b, func(_ *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
+	return scoring{batch: b, fn: func(_ *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
 		rangeDistances(q, sub, dst)
 		for i := range dst {
 			dst[i] = -dst[i]
 		}
-	}, nil
+	}}, nil
 }
 
 // Rank implements Scheme.
@@ -141,16 +141,16 @@ func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error
 }
 
 // scorer implements rangeScored: the round's model plus the query prior.
-func (s RFSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
+func (s RFSVM) scorer(ctx *QueryContext) (scoring, error) {
 	if err := ctx.Validate(false); err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
 	batch := ctx.collectionBatch()
 	model, err := s.train(ctx, batch)
 	if err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
-	return batch, visualScorer(ctx, batch, model), nil
+	return scoring{batch: batch, fn: visualScorer(ctx, batch, model)}, nil
 }
 
 // Rank implements Scheme.
@@ -199,17 +199,17 @@ func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visual, log 
 }
 
 // scorer implements rangeScored: the round's model pair plus the query prior.
-func (s LRF2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
+func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
 	batch := ctx.collectionBatch()
 	visual, log, err := s.train(ctx, batch)
 	if err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
-	return batch, retrievalScorer(ctx, batch, visual.Model(), log.Model()), nil
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, visual.Model(), log.Model(), nil)}, nil
 }
 
 // Rank implements Scheme.
@@ -252,13 +252,13 @@ func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
 
 // scorer implements rangeScored with exactly the post-training arithmetic of
 // LRF2SVMs.
-func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
+func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
-		return nil, nil, err
+		return scoring{}, err
 	}
 	batch := ctx.collectionBatch()
-	return batch, retrievalScorer(ctx, batch, p.visualModel, p.logModel), nil
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, p.visualModel, p.logModel, nil)}, nil
 }
 
 // RankTopAppend streams the top k with the pretrained pair.

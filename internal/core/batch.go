@@ -33,11 +33,14 @@ import (
 // Whatever a range needs beside the stores — score lanes, the query's
 // distances, the log column a row is scored on — lives in the scanning
 // worker's pooled arena, sized to one shard and computed in the range it is
-// used in: nothing derived from the collection is kept per query, so no pass
-// but the one that returns every score allocates with the size of the
-// collection. The one thing kept per log version, the log indexed by session
-// and by image, comes with the context (QueryContext.LogIndex); a context
-// without it has one built per Rank call.
+// used in: nothing derived from the collection is kept per query, so no
+// pass but the one that returns every score allocates with the size of the
+// collection. The one exception is LRF-CSVM's hand-off from step 1 to step 3
+// (stepLane): one float64 per image, kept for the length of a refine and
+// borrowed from the batch's free list, so a steady refine allocates none.
+// The one thing kept per log version, the log indexed by session and by
+// image, comes with the context (QueryContext.LogIndex); a context without
+// it has one built per Rank call.
 
 // CollectionBatch holds what every query against the same collection shares:
 // the sharded flat visual store with per-shard row norms — the one copy of
@@ -62,9 +65,11 @@ type CollectionBatch struct {
 	// to a shard, not to the collection, so a batch shares the pool of the
 	// batch it was appended to: an ingestion neither allocates arenas anew
 	// nor leaves the old epoch's in a pool only a garbage collection empties.
-	// leased counts this batch's arenas out on loan: zero after any pass,
-	// cancelled or not.
+	// lanes keeps LRF-CSVM's step lanes the same way (stepLanes). leased
+	// counts this batch's arenas and lanes out on loan: zero after any pass
+	// or refine, cancelled or not.
 	scratch *sync.Pool
+	lanes   *stepLanes
 	leased  atomic.Int64
 }
 
@@ -87,7 +92,7 @@ func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *Collectio
 // without a copy: a collection decoded straight into a kernel.SetBuilder is
 // then stored once. The set must not be grown by anyone but the batch.
 func NewCollectionBatchOver(set *kernel.ShardedSet) *CollectionBatch {
-	return &CollectionBatch{set: set, scratch: new(sync.Pool)}
+	return &CollectionBatch{set: set, scratch: new(sync.Pool), lanes: new(stepLanes)}
 }
 
 // Len returns the number of images in the collection.
@@ -101,9 +106,10 @@ func (b *CollectionBatch) Len() int { return b.set.Len() }
 // The default-kernel bandwidth is re-estimated lazily over the full grown
 // collection — the evenly spaced subsample of the estimator is deterministic,
 // so the grown batch's kernel is identical to a from-scratch batch over the
-// same collection. The grown batch shares the receiver's scoring arenas.
+// same collection. The grown batch shares the receiver's scoring arenas and
+// step lanes.
 func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
-	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch}
+	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch, lanes: b.lanes}
 }
 
 // Grow is Append for a caller that keeps the whole collection as a slice:
@@ -187,6 +193,8 @@ type rankScratch struct {
 	// view is a reusable DenseSet header, so slicing a range out of a shard
 	// allocates nothing.
 	view *kernel.DenseSet
+	// units holds the tail units a pass claims first (scanPass.first).
+	units []int
 	// floor is a top-K pass's floor (float64 bits) in its result arena; cut
 	// is the range a top-K worker scores: its bound, floor and rows handed back.
 	floor atomic.Uint64
@@ -229,6 +237,116 @@ func (b *CollectionBatch) scratchPut(s *rankScratch) {
 	b.leased.Add(-1)
 	s.cut.bound = nil
 	b.scratch.Put(s)
+}
+
+// stepLane is LRF-CSVM's hand-off from step 1 to step 3 of Fig. 1, borrowed
+// from the collection batch for one refine (laneGet, lanePut). Step 1's
+// visual pass records in sums each image's K⁺, the sum of the kernel columns
+// of the initial visual model's positive coefficients — the judged-relevant
+// support vectors, terms of them — which its tiles compute for every image
+// anyway (kernel.PositiveSums). Step 3's bound reads K⁺ in place of the
+// columns of the final visual model's support vectors that are those same
+// judged images: deferred names them by support-vector index. seeds are the
+// rows whose units step 3 scans first: the query and the drafted positives.
+type stepLane struct {
+	sums []float64
+	// written reports that step 1's pass ran and recorded sums; init is its
+	// visual model.
+	written  bool
+	init     *svm.Model
+	terms    int
+	deferred []int
+	seeds    []int
+}
+
+// stepLanes is a batch's free list of step lanes: it keeps as many as
+// refines have run at once, up to GOMAXPROCS, so a steady server reuses one
+// or two. A lane is collection-sized (400 KB at 50,000 images), and a
+// sync.Pool would keep one per P that a refine ended on, plus the copies its
+// victim cache keeps across a collection.
+type stepLanes struct {
+	mu   sync.Mutex
+	free []*stepLane
+}
+
+// laneGet borrows a step lane sized to the collection, unwritten.
+func (b *CollectionBatch) laneGet() *stepLane {
+	b.leased.Add(1)
+	var l *stepLane
+	b.lanes.mu.Lock()
+	if n := len(b.lanes.free); n > 0 {
+		l, b.lanes.free = b.lanes.free[n-1], b.lanes.free[:n-1]
+	}
+	b.lanes.mu.Unlock()
+	if l == nil {
+		l = new(stepLane)
+	}
+	if n := b.Len(); cap(l.sums) < n {
+		// Headroom for the images some ingestions append (1/64: 6 KB of a
+		// 400 KB lane at 50,000 images).
+		l.sums = make([]float64, n, n+n/64)
+	} else {
+		l.sums = l.sums[:n]
+	}
+	l.written, l.terms, l.deferred, l.seeds = false, 0, l.deferred[:0], l.seeds[:0]
+	return l
+}
+
+// lanePut returns a borrowed lane to the free list; a nil lane is none.
+func (b *CollectionBatch) lanePut(l *stepLane) {
+	if l == nil {
+		return
+	}
+	b.leased.Add(-1)
+	l.init = nil
+	b.lanes.mu.Lock()
+	if len(b.lanes.free) < runtime.GOMAXPROCS(0) {
+		b.lanes.free = append(b.lanes.free, l)
+	}
+	b.lanes.mu.Unlock()
+}
+
+// handOff turns step 1's record into step 3's bound for the final visual
+// model, whose first len(labels) training points are the judged images
+// under labels, in step 1's order: a support vector is deferred when it is
+// a judged-relevant image with a positive dual in step 1 too, so that its
+// column is one of the lane's terms. The lane's columns are step 3's bits
+// only under the same kernel, so it hands nothing off unless step 1 ran and
+// both models are RBF of one gamma (the batch's default).
+func (l *stepLane) handOff(final *svm.Model, labels []float64) {
+	l.deferred, l.terms = l.deferred[:0], 0
+	init := l.init
+	if !l.written {
+		return
+	}
+	ki, ok := init.Kernel.(kernel.RBF)
+	if kf, same := final.Kernel.(kernel.RBF); !ok || !same || ki != kf {
+		return
+	}
+	for _, c := range init.Coefficients {
+		if c > 0 {
+			l.terms++
+		}
+	}
+	t := 0
+	for i, a := range final.Alphas {
+		if !(a > 0) {
+			continue
+		}
+		if i < len(labels) && labels[i] > 0 && init.Alphas[i] > 0 {
+			l.deferred = append(l.deferred, t)
+		}
+		t++
+	}
+}
+
+// bound is the lane as step 3's visual pass takes it: the zero value when
+// no support vector is deferred, so an unwritten lane is never read.
+func (l *stepLane) bound() kernel.PositiveSums {
+	if l == nil || len(l.deferred) == 0 {
+		return kernel.PositiveSums{}
+	}
+	return kernel.PositiveSums{Lane: l.sums, Deferred: l.deferred, Terms: l.terms}
 }
 
 // collectionBatch returns the context's collection: the attached batch, or a
@@ -282,7 +400,8 @@ type rangeSink interface {
 // workers within one unit, and the pass returns the context's error; what it
 // kept is then partial and to be discarded. A nil context is never cancelled.
 func scanRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, fn rangeScorer, sink rangeSink, result *rankScratch) error {
-	p := newScanPass(ctx, b.VisualSet(), cands, fn, sink)
+	p := newScanPass(ctx, b.VisualSet(), cands, fn, sink, result.units[:0])
+	result.units = p.first
 	if p.workers <= 1 {
 		return p.drain(new(atomic.Int64), result)
 	}
@@ -292,16 +411,17 @@ func scanRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, fn ra
 		mu     sync.Mutex
 		failed error
 	)
+	// The workers share one copy of the pass, which only they move to the
+	// heap, so the serial path above keeps p on the stack.
+	shared := p
 	for w := 0; w < p.workers; w++ {
 		wg.Add(1)
-		// Each worker walks its own copy of the pass, so the serial path
-		// above keeps p on the stack.
-		go func(p scanPass) {
+		go func() {
 			defer wg.Done()
 			sc := b.scratchGet()
 			defer b.scratchPut(sc)
 			sink.like(sc, result)
-			err := p.drain(&next, sc)
+			err := shared.drain(&next, sc)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -309,7 +429,7 @@ func scanRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, fn ra
 				return
 			}
 			sink.merge(result, sc)
-		}(p)
+		}()
 	}
 	wg.Wait()
 	return failed
@@ -326,7 +446,7 @@ func (p *scanPass) drain(next *atomic.Int64, sc *rankScratch) error {
 		if err := ctxErr(p.stdctx); err != nil {
 			return err
 		}
-		p.unit(sc, t)
+		p.unit(sc, p.claim(t))
 	}
 }
 
@@ -486,15 +606,22 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 // coupledScorer scores by the summed decision value of a visual and a log
 // model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — minus the
 // query prior around the descriptor q, computed first so a top-K pass can
-// bound the visual pass by them. Step 1 selects by the decisions alone (nil q).
-func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector) rangeScorer {
+// bound the visual pass by them. Step 1 selects by the decisions alone (nil
+// q). pos is LRF-CSVM's step lane as the visual pass takes it, over the whole
+// collection (recorded by step 1, stepLane.bound for step 3), or the zero
+// value.
+func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector, pos kernel.PositiveSums) rangeScorer {
 	log := ctx.LogIndex
 	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
 		var prior []float64
 		if q != nil {
 			prior = queryPrior(sc, q, sub)
 		}
-		visualModel.DecisionBounded(sub, dst, logDecisions(sc, logModel, log, lo, sub.Len()), prior, &sc.tiles, sc.cut.bound)
+		pos := pos
+		if pos.Lane != nil {
+			pos.Lane = pos.Lane[lo : lo+sub.Len()]
+		}
+		visualModel.DecisionBounded(sub, dst, logDecisions(sc, logModel, log, lo, sub.Len()), prior, pos, &sc.tiles, sc.cut.bound)
 	}
 }
 
@@ -521,9 +648,10 @@ func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int
 }
 
 // retrievalScorer is coupledScorer with the query prior: the retrieval pass
-// of the two-modality schemes (step 3 of Fig. 1).
-func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) rangeScorer {
-	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx))
+// of the two-modality schemes (step 3 of Fig. 1), bounded by LRF-CSVM's step
+// lane when it has one (nil: none).
+func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, lane *stepLane) rangeScorer {
+	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx), lane.bound())
 }
 
 // visualScorer scores by the decision value of a visual-modality model minus
@@ -531,7 +659,7 @@ func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logMode
 func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) rangeScorer {
 	q := b.queryVector(ctx)
 	return func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		model.DecisionBounded(sub, dst, nil, queryPrior(sc, q, sub), &sc.tiles, sc.cut.bound)
+		model.DecisionBounded(sub, dst, nil, queryPrior(sc, q, sub), kernel.PositiveSums{}, &sc.tiles, sc.cut.bound)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestLogWeightsSharedByScanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := newScanPass(ctx, ctx.Batch.VisualSet(), CandidateSet{}, nil, nil); p.units < 3 || p.workers != 3 {
+	if p := newScanPass(ctx, ctx.Batch.VisualSet(), CandidateSet{}, nil, nil, nil); p.units < 3 || p.workers != 3 {
 		t.Fatalf("the pass has %d units on %d workers, want at least 3 on 3", p.units, p.workers)
 	}
 	var mu sync.Mutex

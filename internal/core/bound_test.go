@@ -34,7 +34,7 @@ func plantedScorer(q linalg.Vector, model *svm.Model, add []float64, skipped *at
 		if b != nil {
 			b = skipCounter{b, skipped}
 		}
-		model.DecisionBounded(sub, dst, add[lo:lo+len(dst)], queryPrior(sc, q, sub), &sc.tiles, b)
+		model.DecisionBounded(sub, dst, add[lo:lo+len(dst)], queryPrior(sc, q, sub), kernel.PositiveSums{}, &sc.tiles, b)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestTopKPassMatchesScanScores(t *testing.T) {
 	}
 	q := batch.queryVector(ctx)
 	visual, err := scanScores(ctx, batch, func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		model.DecisionBounded(sub, dst, nil, nil, &sc.tiles, nil)
+		model.DecisionBounded(sub, dst, nil, nil, kernel.PositiveSums{}, &sc.tiles, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"lrfcsvm/internal/kernel"
 )
@@ -29,6 +30,10 @@ type CandidateSet struct {
 	// mentions it. Images appended after an index build land here, so a
 	// pruned query can never miss a freshly ingested image.
 	TailStart int
+	// first lists rows whose tail units the pass claims before the other
+	// tail units: an order, not a membership (LRF-CSVM's step 3 starts with
+	// the query and the drafted positives, so the top-K floor rises early).
+	first []int
 }
 
 // scanPass is one scoring pass cut into independent work units, each a
@@ -36,12 +41,17 @@ type CandidateSet struct {
 // one cache-local slab): one unit per candidate list, then the tail's shards
 // cut into perShard chunks of chunk rows, a worker's share of the tail within
 // [minUnitRows, shard size], so a tail of up to minUnitRows rows is one unit.
+// The queue hands out the lists, then the tail units holding the rows of
+// CandidateSet.first, then the other tail units, each ascending (claim).
 type scanPass struct {
 	set   *kernel.ShardedSet
 	lists [][]int32
 	// tailLo is the first row of the tail and firstShard the shard holding it.
 	tailLo, firstShard int
 	chunk, perShard    int
+	// first lists the tail units claimed first, ascending and distinct,
+	// numbered from the first tail unit.
+	first []int
 	// units counts the work units and workers the goroutines that claim them.
 	units, workers int
 
@@ -59,7 +69,9 @@ type scanPass struct {
 // floor is that cost in rows, not any collection's size.
 const minUnitRows = 1024
 
-func newScanPass(ctx *QueryContext, set *kernel.ShardedSet, cands CandidateSet, fn rangeScorer, sink rangeSink) scanPass {
+// newScanPass cuts the pass into units, collecting the units of
+// cands.first's rows into units (reused storage).
+func newScanPass(ctx *QueryContext, set *kernel.ShardedSet, cands CandidateSet, fn rangeScorer, sink rangeSink, units []int) scanPass {
 	n, ss := set.Len(), set.ShardSize()
 	tailLo := min(max(cands.TailStart, 0), n)
 	p := scanPass{set: set, lists: cands.Lists, tailLo: tailLo, firstShard: tailLo / ss, stdctx: ctx.Ctx, fn: fn, sink: sink}
@@ -71,7 +83,34 @@ func newScanPass(ctx *QueryContext, set *kernel.ShardedSet, cands CandidateSet, 
 		p.units += (set.NumShards() - p.firstShard) * p.perShard
 	}
 	p.workers = min(workers, p.units)
+	for _, r := range cands.first {
+		if r >= tailLo && r < n {
+			si := r / ss
+			units = append(units, (si-p.firstShard)*p.perShard+(r-set.ShardStart(si))/p.chunk)
+		}
+	}
+	slices.Sort(units)
+	p.first = slices.Compact(units)
 	return p
+}
+
+// claim maps the queue's t-th claim to a unit: the lists, then the units of
+// p.first, then the u-th of the tail units p.first does not name.
+func (p *scanPass) claim(t int) int {
+	u := t - len(p.lists)
+	if u < 0 || len(p.first) == 0 {
+		return t
+	}
+	if u < len(p.first) {
+		return len(p.lists) + p.first[u]
+	}
+	u -= len(p.first)
+	for _, f := range p.first {
+		if f <= u {
+			u++
+		}
+	}
+	return len(p.lists) + u
 }
 
 // unit scores work unit t through the arena sc: the maximal runs of

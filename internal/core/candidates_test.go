@@ -115,7 +115,7 @@ func TestScanPassUnits(t *testing.T) {
 				shardEnd := func(i int) int { return min((i/shardSize+1)*shardSize, n) }
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("n=%d lists=%d shard=%d workers=%d", n, len(cands.Lists), shardSize, workers)
-					p := newScanPass(&QueryContext{Workers: workers}, set, cands, nil, nil)
+					p := newScanPass(&QueryContext{Workers: workers}, set, cands, nil, nil, nil)
 					if p.workers != min(workers, p.units) {
 						t.Fatalf("%s: %d workers for %d units", name, p.workers, p.units)
 					}

@@ -65,10 +65,10 @@ func (LRFCSVM) Name() string { return "LRF-CSVM" }
 
 // scorer implements rangeScored: steps 1-2 of Fig. 1, then step 3's scorer —
 // the coupled decision value, with the same initial-similarity tie-break
-// prior as the other SVM schemes.
-func (s LRFCSVM) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	batch, _, final, err := trainCSVM(ctx, s.Params, selectLogAssisted)
-	return batch, final, err
+// prior as the other SVM schemes — and step 1's lane.
+func (s LRFCSVM) scorer(ctx *QueryContext) (scoring, error) {
+	final, _, err := trainCSVM(ctx, s.Params, selectLogAssisted)
+	return final, err
 }
 
 // Rank implements Scheme.
@@ -76,28 +76,47 @@ func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(
 
 // unlabeledSelection is the selection heuristic of step 1 of Fig. 1: given
 // the two per-modality SVMs trained on the labeled data alone, it drafts up
-// to num unlabeled images and their initial labels, in training order.
+// to num unlabeled images and their initial labels, in training order, and
+// records lane's sums if its pass scores every image (nil: no lane).
 // selectLogAssisted is the algorithm's own; LRFCSVMWithSelection swaps in the
 // ablation heuristics.
-type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) (indices []int, initialLabels []float64, err error)
+type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) (indices []int, initialLabels []float64, err error)
 
 // selectLogAssisted is the log-assisted heuristic as a streaming pass: every
 // shard range is scored by the two initial models and selected from on the
 // spot, like the final retrieval pass.
-func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-	return selectUnlabeledRanges(ctx, batch, num, ctx.LogIndex, coupledScorer(ctx, visualInit, logInit, nil))
+func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) ([]int, []float64, error) {
+	return selectStreamed(ctx, batch, visualInit, logInit, num, ctx.LogIndex, lane)
 }
 
 // selectMaxMin is the paper's max/min heuristic: the same pass over a log
 // that covers no image (the scores still read the log).
-func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-	return selectUnlabeledRanges(ctx, batch, num, (*kernel.LogIndex)(nil).Extend(nil), coupledScorer(ctx, visualInit, logInit, nil))
+func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) ([]int, []float64, error) {
+	return selectStreamed(ctx, batch, visualInit, logInit, num, (*kernel.LogIndex)(nil).Extend(nil), lane)
+}
+
+// selectStreamed drafts through step 1's streaming pass with the coverage
+// index covered, recording the lane as it scores. A pass that drafts runs
+// over every image, so a draft means the lane is written; with nothing to
+// draft the pass does not run and the lane stays unwritten.
+func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, lane *stepLane) ([]int, []float64, error) {
+	var pos kernel.PositiveSums
+	if lane != nil {
+		pos = kernel.PositiveSums{Lane: lane.sums, Record: true}
+	}
+	indices, initialLabels, err := selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos))
+	if lane != nil && err == nil && len(indices) > 0 {
+		lane.written = true
+	}
+	return indices, initialLabels, err
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
 // the unlabeled selection — and assembles the coupled training problem,
-// with step 1's solver of each modality.
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
+// with step 1's solver of each modality. A lane (nil: none) is recorded by
+// the selection and keeps step 1's visual model and step 3's seeds: the
+// query and the drafted positives.
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection, lane *stepLane) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
@@ -112,9 +131,19 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
 	}
-	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualInit.Model(), logInit.Model(), p.NumUnlabeled)
+	visualModel := visualInit.Model()
+	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualModel, logInit.Model(), p.NumUnlabeled, lane)
 	if err != nil {
 		return nil, nil, nil, nil, err
+	}
+	if lane != nil {
+		lane.init = visualModel
+		lane.seeds = append(lane.seeds[:0], ctx.Query)
+		for i, y := range initialLabels {
+			if y > 0 {
+				lane.seeds = append(lane.seeds, unlabeledIdx[i])
+			}
+		}
 	}
 	modalities = []Modality{
 		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx)},
@@ -135,24 +164,31 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted)
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted, nil)
 	return modalities, labels, initialLabels, err
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
 // selection with the given heuristic and the annealed coupled-SVM
-// optimization. It returns the coupled models with step 3's scorer, which
-// shares step 1's log index.
-func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (batch *CollectionBatch, coupled *CoupledResult, final rangeScorer, err error) {
+// optimization. It returns the coupled models with step 3's scoring, which
+// shares step 1's log index and reads step 1's lane; the caller releases it.
+// On an error the lane is back on the batch's free list.
+func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (final scoring, coupled *CoupledResult, err error) {
 	ctx, err = ctx.validated(true)
 	if err != nil {
-		return nil, nil, nil, err
+		return scoring{}, nil, err
 	}
-	batch = ctx.collectionBatch()
+	batch := ctx.collectionBatch()
+	lane := batch.laneGet()
+	defer func() {
+		if err != nil {
+			batch.lanePut(lane)
+		}
+	}()
 	p := params.withDefaults()
-	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, sel)
+	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, sel, lane)
 	if err != nil {
-		return nil, nil, nil, err
+		return scoring{}, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
@@ -161,9 +197,10 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (ba
 	p.Coupled.Ctx = ctx.Ctx
 	coupled, err = trainCoupled(modalities, labels, initialLabels, p.Coupled, labeled)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
+		return scoring{}, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
-	return batch, coupled, retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1]), nil
+	lane.handOff(coupled.Models[0], labels)
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1], lane), lane: lane}, coupled, nil
 }
 
 // RankTop implements Scheme: steps 1-2 run exactly as in Rank, and the
@@ -285,9 +322,9 @@ func (s LRFCSVMWithSelection) Name() string {
 
 // scorer implements rangeScored: the shared three steps with this variant's
 // step-1 heuristic.
-func (s LRFCSVMWithSelection) scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error) {
-	batch, _, final, err := trainCSVM(ctx, s.Params, s.selection())
-	return batch, final, err
+func (s LRFCSVMWithSelection) scorer(ctx *QueryContext) (scoring, error) {
+	final, _, err := trainCSVM(ctx, s.Params, s.selection())
+	return final, err
 }
 
 // Rank implements Scheme.
@@ -304,8 +341,8 @@ func (s LRFCSVMWithSelection) RankTopAppend(ctx *QueryContext, k int, dst []Rank
 }
 
 // selection resolves the strategy to a step-1 heuristic. Boundary and random
-// rank every unlabeled image, so they materialize the full combined scores;
-// they run in the evaluation harness only.
+// rank every unlabeled image, so they materialize the full combined scores,
+// without the lane; they run in the evaluation harness only.
 func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
 	switch s.Strategy {
@@ -320,8 +357,8 @@ func (s LRFCSVMWithSelection) selection() unlabeledSelection {
 	default:
 		return selectLogAssisted
 	}
-	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int) ([]int, []float64, error) {
-		combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil))
+	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, _ *stepLane) ([]int, []float64, error) {
+		combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil, kernel.PositiveSums{}))
 		if err != nil {
 			return nil, nil, err
 		}

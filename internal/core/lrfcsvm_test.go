@@ -101,9 +101,9 @@ func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
 	n := len(col.visual)
 	for _, query := range []int{0, 9, 22} {
 		ctx := col.queryContext(query, n)
-		if _, coupled, _, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
+		if final, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
 			t.Fatal(err)
-		} else if len(coupled.UnlabeledLabels) != 0 {
+		} else if final.release(); len(coupled.UnlabeledLabels) != 0 {
 			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, len(coupled.UnlabeledLabels))
 		}
 		want, err := LRF2SVMs{}.Rank(ctx)

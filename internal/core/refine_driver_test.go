@@ -293,7 +293,7 @@ func (c *refineCase) check() (map[string]bool, error) {
 	set := ctx.collectionBatch().VisualSet()
 	seen := map[string]bool{
 		"shards":         set.NumShards() > 1 && c.workers > 1,
-		"parallel":       newScanPass(ctx, set, CandidateSet{}, nil, nil).workers > 1,
+		"parallel":       newScanPass(ctx, set, CandidateSet{}, nil, nil, nil).workers > 1,
 		"grown-batch":    c.batch == "grown" && n > 1,
 		"top-k-strict":   c.k > 0 && c.k < n,
 		"k-out-of-range": c.k < 0 || c.k > n,
@@ -357,7 +357,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme,
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
-	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), c.params.withDefaults(), sel)
+	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), c.params.withDefaults(), sel, nil)
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
@@ -369,10 +369,11 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme,
 			return fmt.Errorf("%s step 1: drafted point %d is not image %d of %v", name, i, idx, want.drafted)
 		}
 	}
-	_, got, _, err := trainCSVM(ctx, c.params, sel)
+	final, got, err := trainCSVM(ctx, c.params, sel)
 	if err != nil {
 		return fmt.Errorf("%s step 2: %w", name, err)
 	}
+	final.release()
 	w := want.coupled
 	if g, r := [4]int{got.Flips, got.Retrainings, got.RhoSteps, got.SolverIterations}, [4]int{w.Flips, w.Retrainings, w.RhoSteps, w.SolverIterations}; g != r || !slices.Equal(got.UnlabeledLabels, w.UnlabeledLabels) {
 		return fmt.Errorf("%s step 2: flips, retrainings, rho steps, iterations %v, labels %v; reference %v, %v", name, g, got.UnlabeledLabels, r, w.UnlabeledLabels)

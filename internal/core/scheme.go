@@ -193,32 +193,55 @@ type Scheme interface {
 
 // rangeScored is what a scheme contributes to a ranking pass, and all it
 // contributes: scorer validates the context, trains whatever the scheme
-// trains, and returns the collection batch with the function that scores one
-// range of it (query prior included). Which ranges are scored and what is
-// kept of the scores is the driver's business (scanRanges).
+// trains, and returns the pass's scoring. Which ranges are scored and what
+// is kept of the scores is the driver's business (scanRanges).
 type rangeScored interface {
-	scorer(ctx *QueryContext) (*CollectionBatch, rangeScorer, error)
+	scorer(ctx *QueryContext) (scoring, error)
+}
+
+// scoring is a ranking pass as a scheme prepares it: the collection batch,
+// the function that scores one range of it (query prior included) and, for
+// LRF-CSVM, the step lane its final pass reads, borrowed from the batch until
+// release (nil for every other scheme).
+type scoring struct {
+	batch *CollectionBatch
+	fn    rangeScorer
+	lane  *stepLane
+}
+
+// release returns the borrowed lane; the pass must not run after it.
+func (s scoring) release() { s.batch.lanePut(s.lane) }
+
+// top streams the top k of the images cands names, appended to dst, starting
+// with the units of the lane's seeds.
+func (s scoring) top(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
+	if s.lane != nil {
+		cands.first = s.lane.seeds
+	}
+	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn)
 }
 
 // rankScores scores every image of the collection: Scheme.Rank. It and
 // rankTop take the scheme as a type parameter, not as an interface value, so
 // calling them does not move a copy of the scheme's options to the heap.
 func rankScores[S rangeScored](s S, ctx *QueryContext) ([]float64, error) {
-	b, fn, err := s.scorer(ctx)
+	pass, err := s.scorer(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return scanScores(ctx, b, fn)
+	defer pass.release()
+	return scanScores(ctx, pass.batch, pass.fn)
 }
 
 // rankTop appends the top k of the images cands names to dst:
 // Scheme.RankTopAppend over the zero CandidateSet.
 func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
-	b, fn, err := s.scorer(ctx)
+	pass, err := s.scorer(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return rankTopRanges(ctx, b, cands, k, dst, fn)
+	defer pass.release()
+	return pass.top(ctx, cands, k, dst)
 }
 
 // RankTop is s.RankTop, for callers that hold a scheme by its interface.

@@ -239,7 +239,7 @@ func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 						name := fmt.Sprintf("rep=%d n=%d lists=%d sink=%s shard=%d workers=%d", rep, n, len(cands.Lists), sink, shardSize, workers)
 						ctx := *base
 						ctx.Batch, ctx.Workers = batch, workers
-						if p := newScanPass(&ctx, batch.VisualSet(), cands, nil, nil); n > kernel.DefaultShardSize && workers > 1 && p.workers < 2 {
+						if p := newScanPass(&ctx, batch.VisualSet(), cands, nil, nil, nil); n > kernel.DefaultShardSize && workers > 1 && p.workers < 2 {
 							t.Fatalf("%s: the pass runs on %d worker", name, p.workers)
 						}
 						scores, top, idx, labels, err := runPass(&ctx, batch, cands, sink, k, copyScorer(c.combined))
@@ -372,10 +372,10 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 	ctx.Batch = NewCollectionBatch(visual)
 	p := CSVMParams{}.withDefaults()
 	_, _, _, _, err := trainingProblem(ctx, ctx.Batch, p,
-		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int) ([]int, []float64, error) {
+		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int, _ *stepLane) ([]int, []float64, error) {
 			visualInit, logInit = v, l
 			return nil, nil, nil
-		})
+		}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -397,13 +397,13 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
 			// One untimed pass fills the scratch pool, as any earlier refine on
 			// the engine's batch has.
-			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
+			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16)
+				idx, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil)
 				if err != nil || len(idx) != 16 {
 					b.Fatalf("drafted %d images, err %v", len(idx), err)
 				}
@@ -454,7 +454,7 @@ func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 		ctx, visualInit, logInit := selectBenchProblem(t, n)
 		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
 		return steadyBytesPerPass(func() {
-			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16); err != nil {
+			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+
+	"lrfcsvm/internal/kernel"
 )
 
 // This file benchmarks the steady-state ranking path in isolation — the
@@ -103,7 +106,7 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel))
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel, nil))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -120,7 +123,9 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 // 20,000 images of the dense-log collections, on every core and with a
 // recycled result buffer: the pass the RBF tile driver bounds by the top-K
 // floor. B/op must not grow with the collection. The share of kernel pairs
-// the bound skips is BenchmarkBoundedTile's, in package kernel.
+// the bound skips in a model of the benchmark's sign mix is
+// BenchmarkBoundedTile's, in package kernel; the lrf-csvm-step3 case at
+// 50,000 images reports step 3's own (benchStep3Pairs).
 func BenchmarkTopKPass(b *testing.B) {
 	for _, n := range []int{5000, 20000} {
 		coll := makeDenseLogCollection(b, n/50, 50, 3*n, 29)
@@ -133,26 +138,93 @@ func BenchmarkTopKPass(b *testing.B) {
 			name   string
 			scored rangeScored
 		}{{"lrf-2svms", LRF2SVMs{}}, {"lrf-csvm-step3", LRFCSVM{}}} {
-			batch, fn, err := s.scored.scorer(ctx)
+			pass, err := s.scored.scorer(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/images=%d", s.name, n), func(b *testing.B) {
 				buf := make([]Ranked, 0, benchK)
-				pass := func() {
-					got, err := rankTopRanges(ctx, batch, CandidateSet{}, benchK, buf[:0], fn)
+				run := func() {
+					got, err := pass.top(ctx, CandidateSet{}, benchK, buf[:0])
 					if err != nil || len(got) != benchK {
 						b.Fatalf("ranked %d images, err %v", len(got), err)
 					}
 					buf = got
 				}
-				pass() // fills the scratch pool
+				run() // fills the scratch pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pass()
+					run()
 				}
 			})
+			pass.release()
 		}
 	}
+	benchStep3Pairs(b)
+}
+
+// benchStep3Pairs is BenchmarkTopKPass's lrf-csvm-step3 case at 50,000
+// images (100 categories of 500, stored in category order, and 2,000 log
+// sessions): 12 refines — 6 queries, 20 and 40 judged — trained outside the
+// timer, whose step-3 passes the timed loop cycles through. pairs/row·sv is
+// the share of step 3's kernel pairs (row × visual support vector) its tiles
+// evaluate over the 12 passes, counted through a wrapped kernel member
+// (kernel.CountPairs); max-pairs/row·sv is the largest share of one pass.
+// Both are taken over one untimed sweep, so they do not depend on
+// -benchtime.
+func benchStep3Pairs(b *testing.B) {
+	const n = 50000
+	coll := makeDenseLogCollection(b, 100, 500, 2000, 29)
+	batch := NewCollectionBatch(coll.visual)
+	type refine struct {
+		ctx  *QueryContext
+		pass scoring
+		svs  int
+	}
+	var refines []refine
+	for _, q := range []int{7, 4321, 12345, 26000, 38888, 49999} {
+		for _, judged := range []int{20, 40} {
+			ctx, err := coll.queryContext(q, judged).validated(true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx.Batch = batch
+			pass, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pass.release()
+			refines = append(refines, refine{ctx, pass, len(coupled.Models[0].SupportPoints)})
+		}
+	}
+	b.Run(fmt.Sprintf("lrf-csvm-step3/images=%d", n), func(b *testing.B) {
+		buf := make([]Ranked, 0, benchK)
+		run := func(r refine) {
+			got, err := r.pass.top(r.ctx, CandidateSet{}, benchK, buf[:0])
+			if err != nil || len(got) != benchK {
+				b.Fatalf("ranked %d images, err %v", len(got), err)
+			}
+			buf = got
+		}
+		var counted atomic.Int64
+		restore := kernel.CountPairs(&counted)
+		var pairs, all int64
+		var most float64
+		for _, r := range refines {
+			before := counted.Load()
+			run(r)
+			pairs, all = pairs+counted.Load()-before, all+int64(n*r.svs)
+			most = max(most, float64(counted.Load()-before)/float64(n*r.svs))
+		}
+		restore()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(refines[i%len(refines)])
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(pairs)/float64(all), "pairs/row·sv")
+		b.ReportMetric(most, "max-pairs/row·sv")
+	})
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // dotKernels is one member (see the package documentation): the four
@@ -19,13 +20,27 @@ var goKernels = dotKernels{name: "unrolled", pairArgs: pairArgsGo, one: dotRowsG
 
 // activeKernels is what AccumulateSet runs on, fixed once at package
 // initialisation from the build constraints and the CPU: the widest member
-// the CPU runs. Nothing sets it afterwards.
+// the CPU runs. Nothing but CountPairs sets it afterwards.
 var activeKernels = func() dotKernels {
 	if ks := asmKernels(); len(ks) > 0 {
 		return ks[len(ks)-1]
 	}
 	return goKernels
 }()
+
+// CountPairs adds to n the kernel values (row × support vector pairs) every
+// later pass evaluates, until restore is called: activeKernels becomes the
+// running member with an exponential that counts the arguments it takes.
+// Each tile column is one exponential call, so a pass counts its evaluated
+// pairs. It is a benchmark's counter, to be called with no pass running.
+func CountPairs(n *atomic.Int64) (restore func()) {
+	k := activeKernels
+	activeKernels.exp = func(v []float64) {
+		n.Add(int64(len(v)))
+		k.exp(v)
+	}
+	return func() { activeKernels = k }
+}
 
 // Backend reports which kernels the scoring scans and the SMO step run on:
 // "avx512" (the tile's pair arguments and fold eight rows per instruction,
@@ -74,43 +89,76 @@ type Bound interface {
 	Scored(lo, n int, kept uint64)
 }
 
+// PositiveSums is a lane of one value per row of a set, K⁺_i = Σ_{c_t>0}
+// K(x_i, s_t), shared by two passes over the same rows under the same gamma.
+// A pass with Record set writes each row's sum of its positive-coefficient
+// columns, which its tiles compute for every row anyway, added in model order
+// from +0. A later pass reads the lane in place of the columns of Deferred:
+// its positive-coefficient support vectors whose columns the lane's sums
+// hold, because they are support vectors of the recording pass too. Those
+// leave the bound's phase 1, and the bound adds c_max·K⁺_i for them, c_max
+// being the largest of their coefficients. The zero value is no lane.
+type PositiveSums struct {
+	// Lane holds a row's sum at the row's index in the set.
+	Lane []float64
+	// Record makes the pass write Lane rather than read it.
+	Record bool
+	// Deferred lists, ascending, the support vectors whose columns the
+	// lane's sums hold; an entry whose coefficient is not > 0 is ignored.
+	Deferred []int
+	// Terms is how many columns each sum adds: the recording pass's
+	// positive coefficients.
+	Terms int
+}
+
 // TileScratch is the tile driver's working memory, kept by the caller so a
 // scan allocates none per range: a 64-row column per support vector, a
 // tile's gathered survivors, the support vectors in phase and model order.
+// npos counts phase 1's positive coefficients before the parity rule, and
+// cmax is the largest coefficient a lane stands in for (0: none deferred).
 type TileScratch struct {
-	cols, rows []float64
-	ub, xn     [rbfBlockRows]float64
-	kept       [rbfBlockRows]int
-	order, seq []int
-	p1         int
-	sumAbs     float64
-	prunable   bool
+	cols, rows   []float64
+	ub, xn       [rbfBlockRows]float64
+	kept         [rbfBlockRows]int
+	order, seq   []int
+	p1, npos     int
+	sumAbs, cmax float64
+	prunable     bool
 }
 
 // boundLimit caps the squared norms a bound is taken over: every product and
 // sum of the expansion is finite, a kernel value in [0, 1] up to expOne's ulps.
 const boundLimit = 1e290
 
-// split orders the support vectors: phase 1 the coefficients not ≤ 0, plus
-// one from phase 2 when they are odd (a tile takes the row dot at most once),
-// phase 2 the rest, from the back. A bound needs phase 2's terms provably ≤ 0
-// and finite: gamma ≥ 0, finite coefficients, norms under boundLimit.
-func (ts *TileScratch) split(gamma float64, coefs, norms []float64, cols int) {
+// split orders the support vectors: phase 1 the coefficients not ≤ 0 that
+// deferred does not name, plus one from phase 2 when they are odd (a tile
+// takes the row dot at most once), phase 2 the rest, from the back. A bound
+// needs phase 2's terms provably ≤ 0 and finite — gamma ≥ 0, finite
+// coefficients, norms under boundLimit — or, for a deferred one, bounded by
+// the lane (PositiveSums).
+func (ts *TileScratch) split(gamma float64, coefs, norms []float64, cols int, deferred []int) {
 	n := len(coefs)
-	ts.order, ts.seq, ts.p1 = slices.Grow(ts.order[:0], n)[:n], ts.seq[:0], 0
+	ts.order, ts.seq, ts.p1, ts.cmax = slices.Grow(ts.order[:0], n)[:n], ts.seq[:0], 0, 0
 	ts.sumAbs, ts.prunable = 0, gamma >= 0 && gamma <= math.MaxFloat64
 	for t, c := range coefs {
 		ts.seq = append(ts.seq, t)
 		ts.sumAbs += math.Abs(c)
-		if c <= 0 {
-			ts.order[n-1-(t-ts.p1)] = t
-			ts.prunable = ts.prunable && c >= -math.MaxFloat64 && norms[t] <= boundLimit
-		} else {
+		for len(deferred) > 0 && deferred[0] < t {
+			deferred = deferred[1:]
+		}
+		if c > 0 && (len(deferred) == 0 || deferred[0] != t) {
 			ts.order[ts.p1] = t
 			ts.p1++
+			continue
+		}
+		ts.order[n-1-(t-ts.p1)] = t
+		if c > 0 {
+			ts.cmax = max(ts.cmax, c)
+		} else {
+			ts.prunable = ts.prunable && c >= -math.MaxFloat64 && norms[t] <= boundLimit
 		}
 	}
-	ts.p1 = min(ts.p1+ts.p1%2, n)
+	ts.npos, ts.p1 = ts.p1, min(ts.p1+ts.p1%2, n)
 	if len(ts.cols) < n*rbfBlockRows || len(ts.rows) < cols*rbfBlockRows {
 		ts.cols, ts.rows = make([]float64, n*rbfBlockRows), make([]float64, cols*rbfBlockRows)
 	}
@@ -162,22 +210,33 @@ func (ts *TileScratch) fold(k dotKernels, coefs []float64, list []int, acc []flo
 // prune bounds the rows of the tile at base from above and lists in ts.kept
 // those whose bound reaches the floor. A row's score is the recursive sum
 // S = ((b + Σ_t c_t·K_t) + add) − sub over the n support vectors in model
-// order; its bound is U = ((b + Σ_{t∈P1} c_t·K_t) + add) − sub over phase 1,
-// from the same columns. Phase 2's terms are ≤ 0, so S ≤ U in exact
-// arithmetic. With u = 2⁻⁵³, K ≤ 1 up to expOne's ulps and T = |b| + Σ|c| +
-// |add| + |sub|, each computed sum of n+3 terms is within γ_{n+2}·T ≈
-// (n+2)·u·T of its exact value, so the computed S ≤ U + 2(n+2)·u·T. The
-// margin (n+4)·2u·T covers that, the rounding of T and of the margin; and
-// as rounding is monotone, fl(U + margin) < floor implies U + margin < floor.
+// order; its bound is U = (((b + Σ_{t∈P1} c_t·K_t) + c_max·K⁺) + add) − sub
+// over phase 1, from the same columns, and the lane's sum K⁺ of the deferred
+// columns (PositiveSums; the term is absent without one). Phase 2's other
+// terms are ≤ 0, and each deferred term is c_t·K_t ≤ c_max·K_t with K_t ≥ 0
+// one of K⁺'s terms (a deferred one the parity rule pulled into phase 1 is
+// counted twice), so S ≤ U in exact arithmetic. With u = 2⁻⁵³, K ≤ 1 up to
+// expOne's ulps and T = |b| + Σ|c| + c_max·K⁺ + |add| + |sub|, the computed
+// S, a sum of n+3 terms, is within γ_{n+2}·T ≈ (n+2)·u·T of its exact value.
+// U is a sum of n+3 terms without a lane, within γ_{n+2}·T, or of at most
+// n+4 with one, within γ_{n+3}·T, and the lane's sum of `terms` columns is
+// within terms·u·K⁺ of its own, so the computed S ≤ U + (2n+4)·u·T, or
+// U + (2n+5+terms)·u·T with a lane. The margin (n+terms+4)·2u·T covers that,
+// the rounding of T and of the margin; and as rounding is monotone,
+// fl(U + margin) < floor implies U + margin < floor.
 // A skipped row scores strictly below the floor, so a row whose score ties
 // it is always scored; a NaN or an infinity in U or T keeps the row.
-func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, xn []float64, base int, floor float64) int {
+func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, lane, xn []float64, terms, base int, floor float64) int {
 	ub := ts.ub[:len(out)]
 	copy(ub, out)
 	ts.fold(k, coefs, ts.order[:ts.p1], ub)
-	slack, m := float64(len(coefs)+4)*0x1p-52, 0
+	slack, m := float64(len(coefs)+terms+4)*0x1p-52, 0
 	for j, u := range ub {
 		mag := math.Abs(out[j]) + ts.sumAbs
+		if lane != nil {
+			h := float64(ts.cmax * lane[base+j])
+			u, mag = u+h, mag+math.Abs(h)
+		}
 		if add != nil {
 			u, mag = u+add[base+j], mag+math.Abs(add[base+j])
 		}
@@ -192,22 +251,44 @@ func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, xn []float64, b
 	return m
 }
 
+// record writes into a tile's lane the sum of each row's positive-coefficient
+// columns, in model order from +0: PositiveSums.Record.
+func (ts *TileScratch) record(lane []float64) {
+	clear(lane)
+	for _, t := range ts.order[:ts.npos] {
+		for j, e := range ts.col(t, len(lane)) {
+			lane[j] += e
+		}
+	}
+}
+
 // rbfTiles is the tile driver of RBF.AccumulateBounded. Per 64-row tile it
-// computes phase 1's columns, skips the rows prune bounds below b's floor,
-// gathers the survivors, computes phase 2's columns over them, folds every
-// column in the model's order and finishes the scores as (dst + add) − sub:
-// a scored row has the reference loop's bits (accumulateRBFScalar).
-func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, ts *TileScratch, b Bound) {
+// computes phase 1's columns (and records pos's lane from them), skips the
+// rows prune bounds below b's floor, gathers the survivors, computes phase
+// 2's columns over them, folds every column in the model's order and
+// finishes the scores as (dst + add) − sub: a scored row has the reference
+// loop's bits (accumulateRBFScalar).
+func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, pos PositiveSums, ts *TileScratch, b Bound) {
 	rows, cols := xs.Len(), xs.Dim()
-	ts.split(gamma, coefs, svs.norms, cols)
+	deferred, lane, terms := pos.Deferred, pos.Lane, pos.Terms
+	if pos.Record {
+		deferred = nil
+	}
+	ts.split(gamma, coefs, svs.norms, cols, deferred)
+	if pos.Record || ts.cmax == 0 {
+		lane, terms = nil, 0
+	}
 	for base := 0; base < rows; base += rbfBlockRows {
 		blk := min(rows-base, rbfBlockRows)
 		mat, xn, out := xs.mat.Data[base*cols:(base+blk)*cols], xs.norms[base:base+blk], dst[base:base+blk]
 		ts.columns(k, gamma, svs, ts.order[:ts.p1], mat, blk, xn)
+		if pos.Record {
+			ts.record(pos.Lane[base : base+blk])
+		}
 		m, acc := blk, out
 		if b != nil && ts.prunable {
 			if floor := b.Floor(); floor > math.Inf(-1) {
-				m = ts.prune(k, coefs, out, add, sub, xn, base, floor)
+				m = ts.prune(k, coefs, out, add, sub, lane, xn, terms, base, floor)
 			}
 		}
 		if m < blk {

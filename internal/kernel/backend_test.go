@@ -124,7 +124,7 @@ func BenchmarkBackends(b *testing.B) {
 		ts := new(TileScratch)
 		b.Run(k.name+"/accumulate", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rbfTiles(k, 1.0/dim, coefs, svs, xs, dst, nil, nil, ts, nil)
+				rbfTiles(k, 1.0/dim, coefs, svs, xs, dst, nil, nil, PositiveSums{}, ts, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*nsv), "ns/row·sv")
 		})
@@ -136,6 +136,6 @@ func BenchmarkBackends(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 			})
 		}
-		after(k.name, func() { rbfTiles(k, 1.0/dim, coefs, svs, probe, dst[:probeRows], nil, nil, ts, nil) })
+		after(k.name, func() { rbfTiles(k, 1.0/dim, coefs, svs, probe, dst[:probeRows], nil, nil, PositiveSums{}, ts, nil) })
 	}
 }

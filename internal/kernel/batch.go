@@ -398,15 +398,17 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 // score within O(1e-15) relative of the per-support-vector sum of Eval (the
 // norm expansion drifts; EXPERIMENTS.md records the MAPs unchanged).
 func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
-	k.AccumulateBounded(coefs, svs, xs, dst, nil, nil, new(TileScratch), nil)
+	k.AccumulateBounded(coefs, svs, xs, dst, nil, nil, PositiveSums{}, new(TileScratch), nil)
 }
 
 // AccumulateBounded is AccumulateSet for a scoring pass, on the caller's
 // working memory ts: each score is finished as (dst + add) − sub (a nil lane
 // adds nothing), and a non-nil b makes it a top-K pass: a row proved below
 // b's floor is skipped, keeping its dst, and each tile is handed to b once
-// scored. A scored row has the bits it has without b.
-func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, ts *TileScratch, b Bound) {
+// scored. pos records a lane of positive column sums or bounds the deferred
+// support vectors by one (PositiveSums; its Lane is indexed like dst). A
+// scored row has the bits it has without b and without pos.
+func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, pos PositiveSums, ts *TileScratch, b Bound) {
 	if len(coefs) != svs.Len() {
 		panic(fmt.Sprintf("kernel: AccumulateSet has %d coefficients for %d support vectors", len(coefs), svs.Len()))
 	}
@@ -414,7 +416,10 @@ func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub
 		panic(fmt.Sprintf("kernel: AccumulateSet dimension mismatch %d != %d", svs.Dim(), xs.Dim()))
 	}
 	checkBatch(xs.Len(), len(dst))
-	rbfTiles(activeKernels, k.Gamma, coefs, svs, xs, dst, add, sub, ts, b)
+	if pos.Record || len(pos.Deferred) > 0 {
+		checkBatch(xs.Len(), len(pos.Lane))
+	}
+	rbfTiles(activeKernels, k.Gamma, coefs, svs, xs, dst, add, sub, pos, ts, b)
 }
 
 // GramSet computes the Gram matrix of a dense set through the batched row

@@ -12,10 +12,11 @@ import (
 // This file holds the tile driver's top-K bound to its definition: a scored
 // row carries the bits of the straight-line reference (accumulateRBFScalar,
 // then + add − sub), and a skipped row's reference score is strictly below
-// the floor the driver read for its tile. checkBoundedTile is the reference
-// driver's draw (runKernelDriver), FuzzBoundedTile the same check on fuzzed
-// shapes, and BenchmarkBoundedTile counts the kernel pairs a bounded pass
-// evaluates through a wrapped member.
+// the floor the driver read for its tile, with or without a lane of positive
+// column sums standing in for deferred support vectors (PositiveSums).
+// checkBoundedTile is the reference driver's draw (runKernelDriver),
+// FuzzBoundedTile the same check on fuzzed shapes, and BenchmarkBoundedTile
+// counts the kernel pairs a bounded pass evaluates through a wrapped member.
 
 // floorKeeper is a top-K pass's floor as a test keeps it: the k-th best of
 // the scores handed to it, over a drawn static floor (k = 0: the static
@@ -68,8 +69,69 @@ type boundCase struct {
 	coefs         []float64
 	svs, xs       *DenseSet
 	pre, add, sub []float64 // the pre-filled scores and the two lanes
+	pos           PositiveSums
 	static        float64
 	k             int
+}
+
+// columnSums is the lane of the sums of the columns of the support vectors
+// summed names, ascending, by the straight-line loop: unit coefficients
+// from +0, so each row adds the kernel values in the order a recording pass
+// does.
+func (c boundCase) columnSums(summed []int) []float64 {
+	vecs, ones := make([]linalg.Vector, len(summed)), make([]float64, len(summed))
+	for i, t := range summed {
+		vecs[i], ones[i] = linalg.Vector(c.svs.mat.Row(t)), 1
+	}
+	lane := make([]float64, c.xs.Len())
+	if len(summed) > 0 {
+		accumulateRBFScalar(c.gamma, ones, NewDenseSet(vecs), c.xs, lane)
+	}
+	return lane
+}
+
+// hinted returns the case with the positive support vectors of deferred
+// deferred and the lane holding the column sums of those of summed, which
+// must include them, as a recording pass over a model whose positive
+// support vectors are summed writes it.
+func (c boundCase) hinted(deferred, summed []int) boundCase {
+	c.pos = PositiveSums{Lane: c.columnSums(summed), Deferred: deferred, Terms: len(summed)}
+	return c
+}
+
+// drawHint draws a subset of the case's positive support vectors to defer
+// and a superset of it, within the positive ones, for the lane to sum.
+func drawHint(rng *linalg.RNG, coefs []float64) (deferred, summed []int) {
+	all := rng.Bool(0.5)
+	for t, c := range coefs {
+		if c > 0 && rng.Bool(0.6) {
+			deferred = append(deferred, t)
+			summed = append(summed, t)
+		} else if c > 0 && (all || rng.Bool(0.5)) {
+			summed = append(summed, t)
+		}
+	}
+	return deferred, summed
+}
+
+// positives lists the support vectors of positive coefficient, ascending.
+func positives(coefs []float64) []int {
+	var ts []int
+	for t, c := range coefs {
+		if c > 0 {
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
+// parityDefers reports whether the parity rule pulls a deferred support
+// vector into phase 1: the undeferred positives are odd and the support
+// vector split places first in phase 2 is a deferred one.
+func parityDefers(coefs []float64, deferred []int) bool {
+	var ts TileScratch
+	ts.split(0, coefs, make([]float64, len(coefs)), 1, deferred)
+	return ts.p1 > ts.npos && slices.Contains(deferred, ts.order[ts.npos])
 }
 
 // reference is the score of every row by the straight-line loop.
@@ -93,7 +155,7 @@ func (c boundCase) check(t *testing.T, label string, k dotKernels, want []float6
 	t.Helper()
 	got := slices.Clone(c.pre)
 	f := newFloorKeeper(c.static, c.k, got)
-	rbfTiles(k, c.gamma, c.coefs, c.svs, c.xs, got, c.add, c.sub, new(TileScratch), f)
+	rbfTiles(k, c.gamma, c.coefs, c.svs, c.xs, got, c.add, c.sub, c.pos, new(TileScratch), f)
 	rows := c.xs.Len()
 	if len(f.tiles) != (rows+rbfBlockRows-1)/rbfBlockRows {
 		t.Fatalf("%s on %s: %d tiles handed back for %d rows", label, k.name, len(f.tiles), rows)
@@ -147,7 +209,9 @@ func drawFloor(rng *linalg.RNG, want []float64) (static float64, k int, ulp stri
 // coefficients of either sign, lanes to add and subtract or none, rows
 // across the tile and poisoned ones — and a floor at a row's score or one
 // ulp around it, live as a top-K pass keeps it, both or none, and holds
-// every member to the reference.
+// every member to the reference. Then it runs the same pass with a random
+// subset of the positive support vectors deferred to a lane of column sums,
+// and records the lane of every positive column through the exported form.
 func checkBoundedTile(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	t.Helper()
 	rows, dim, nsv := drawRows(rng), pick(rng, 1, 3, 4, 5, 8, 36, 37), pick(rng, 1, 2, 3, 7, 8, 15, 20, 31, 40)
@@ -210,10 +274,26 @@ func checkBoundedTile(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		seen["bound-live"] = seen["bound-live"] || skipped > 0 && c.k > 0 && ulp == "none"
 		seen["bound-special"] = seen["bound-special"] || skipped > 0 && special
 	}
-	// The exported form on the backend that runs, and with no bound.
-	got := slices.Clone(c.pre)
-	RBF{Gamma: c.gamma}.AccumulateBounded(c.coefs, c.svs, c.xs, got, c.add, c.sub, new(TileScratch), nil)
+	// The same pass with deferred support vectors, and a lane that sums
+	// their columns and maybe other positive ones'.
+	deferred, summed := drawHint(rng, coefs)
+	if len(deferred) > 0 {
+		h := c.hinted(deferred, summed)
+		twice := parityDefers(coefs, deferred)
+		label := fmt.Sprintf("%s, deferred %v of %v summed", label, deferred, summed)
+		for _, k := range kernelsUnderTest() {
+			skipped, _ := h.check(t, label, k, want)
+			seen["bound-hinted"] = seen["bound-hinted"] || skipped > 0 && sign == "mixed"
+			seen["bound-hinted-twice"] = seen["bound-hinted-twice"] || skipped > 0 && twice
+			seen["bound-hinted-superset"] = seen["bound-hinted-superset"] || skipped > 0 && len(summed) > len(deferred)
+		}
+	}
+	// The exported form on the backend that runs, with no bound, recording
+	// the lane of every positive column.
+	got, lane := slices.Clone(c.pre), make([]float64, rows)
+	RBF{Gamma: c.gamma}.AccumulateBounded(c.coefs, c.svs, c.xs, got, c.add, c.sub, PositiveSums{Lane: lane, Record: true}, new(TileScratch), nil)
 	checkParity(t, "AccumulateBounded without a bound on "+Backend()+" "+label, got, want)
+	checkParity(t, "the recorded lane on "+Backend()+" "+label, lane, c.columnSums(positives(coefs)))
 }
 
 // TestBoundedTileMatchesReference pins the bound's regimes, one subtest
@@ -233,6 +313,9 @@ func TestBoundedTileMatchesReference(t *testing.T) {
 		{"bound-ulp-below", 6},
 		{"bound-live", 71},
 		{"bound-special", 14},
+		{"bound-hinted", 16},
+		{"bound-hinted-twice", 16},
+		{"bound-hinted-superset", 16},
 	} {
 		t.Run(c.regime, func(t *testing.T) { kernelPin(t, c.regime, c.seed) })
 	}
@@ -242,12 +325,21 @@ func TestBoundedTileMatchesReference(t *testing.T) {
 // in sevenths, coefficients of either sign and zero, rows across two tiles,
 // lanes or none — with a floor at a row's reference score, one ulp either
 // side of it, or kept live as a top-K pass keeps it, and holds every member
-// to the reference.
+// to the reference. Two last bytes, when the input has them, run it hinted
+// too: the first masks the positive support vectors deferred to a lane of
+// column sums, the second those the lane sums beside them.
 func FuzzBoundedTile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 70, 1, 0, 9, 200, 7, 14, 250, 3})
 	f.Add([]byte{8, 7, 100, 4, 2, 1, 3, 129, 131, 64, 7, 21, 250, 3, 90, 90})
 	f.Add([]byte{1, 1, 129, 0, 1, 4, 5, 6, 7, 8, 9})
+	// Three tiles of one-dimensional rows under a live top-1 floor, the
+	// first positive support vector deferred and the second summed with it.
+	hinted := []byte{0, 2, 129, 7, 0, 0, 3, 14, 7, 249, 7, 0, 14}
+	for i := range 130 {
+		hinted = append(hinted, byte(i%15))
+	}
+	f.Add(append(hinted, 0, 0b01, 0b10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -305,6 +397,23 @@ func FuzzBoundedTile(f *testing.F) {
 		label := fmt.Sprintf("%d rows × %d dims, coefficients %v, floor %v, live k %d", rows, dim, coefs, c.static, c.k)
 		for _, k := range kernelsUnderTest() {
 			c.check(t, label, k, want)
+		}
+		deferMask, sumMask := next(), next()
+		var deferred, summed []int
+		for t, v := range coefs {
+			if v > 0 && deferMask>>(t%8)&1 == 1 {
+				deferred = append(deferred, t)
+			}
+			if v > 0 && (deferMask|sumMask)>>(t%8)&1 == 1 {
+				summed = append(summed, t)
+			}
+		}
+		if len(deferred) > 0 {
+			h := c.hinted(deferred, summed)
+			label := fmt.Sprintf("%s, deferred %v of %v summed", label, deferred, summed)
+			for _, k := range kernelsUnderTest() {
+				h.check(t, label, k, want)
+			}
 		}
 	})
 }
@@ -373,7 +482,7 @@ func BenchmarkBoundedTile(b *testing.B) {
 					if bounded {
 						f = newFloorKeeper(math.Inf(-1), k, dst)
 					}
-					rbfTiles(counted, 1.0/dim, coefs, svs, xs, dst, add, sub, ts, f)
+					rbfTiles(counted, 1.0/dim, coefs, svs, xs, dst, add, sub, PositiveSums{}, ts, f)
 				}
 				b.ReportMetric(float64(pairs)/float64(b.N*rows*shape.nsv), "pairs/row·sv")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")

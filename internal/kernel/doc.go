@@ -26,9 +26,13 @@
 // a top-K pass (a Bound) a row they bound below the pass's floor is skipped,
 // the other columns are computed for the surviving rows only, and every
 // column folds in the model's order, so a scored row's bits do not depend on
-// what was skipped. The routines are the widest member the build and CPU
-// run, fixed at package initialisation: AVX-512 or AVX2 assembly on amd64
-// without the purego tag, pure Go otherwise. Backend() names it ("avx512",
+// what was skipped. A pass may also record, or read in place of the
+// columns of deferred support vectors, a lane of each row's sum of
+// positive-coefficient columns (PositiveSums): LRF-CSVM's step 3 bounds the
+// support vectors its step 1 shares by the sums step 1's pass recorded.
+// The routines are the widest member the build and CPU run, fixed at
+// package initialisation: AVX-512 or AVX2 assembly on amd64 without the
+// purego tag, pure Go otherwise. Backend() names it ("avx512",
 // "avx2" or "unrolled"; GET /api/status's "kernel_backend"), and package svm
 // picks its SMO step's member by the same fact (AVX2). The row dot also
 // computes the query distances (DenseSet.SquaredDistancesInto); the log

@@ -180,7 +180,7 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 	for _, k := range kernelsUnderTest() {
 		got := make([]float64, rows)
 		fill(got, 0)
-		rbfTiles(k, gamma, coefs, svs, xs, got, nil, nil, new(TileScratch), nil)
+		rbfTiles(k, gamma, coefs, svs, xs, got, nil, nil, PositiveSums{}, new(TileScratch), nil)
 		checkParity(t, k.name+" tile "+label, got, want)
 	}
 	got := make([]float64, rows)
@@ -201,7 +201,7 @@ func checkTileAndDistances(t *testing.T, rng *linalg.RNG, seen map[string]bool) 
 				for s := w; s < sharded.NumShards(); s += workers {
 					lo, sh := sharded.ShardStart(s), sharded.Shard(s)
 					fill(got[lo:lo+sh.Len()], lo)
-					rbfTiles(k, gamma, coefs, svs, sh, got[lo:lo+sh.Len()], nil, nil, new(TileScratch), nil)
+					rbfTiles(k, gamma, coefs, svs, sh, got[lo:lo+sh.Len()], nil, nil, PositiveSums{}, new(TileScratch), nil)
 				}
 			}()
 		}

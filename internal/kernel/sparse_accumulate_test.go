@@ -216,7 +216,7 @@ func FuzzLinearAccumulateWeights(f *testing.F) {
 // TestLinearWeightsCostWhatTheyCarry: a build costs the sessions the model
 // carries, not the log's. A model of 40 support vectors carrying about 40
 // sessions of a 100,000-session log allocates its weights and nothing more
-// once the pooled accumulator is warm.
+// once the pooled accumulator is warm on the P that builds.
 func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random and allocates beside the code under test")
@@ -229,6 +229,9 @@ func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
 		v.Set(rng.Intn(dim), 1)
 		svs[i], coefs[i] = NewSparse(v), rng.Range(-1, 1)
 	}
+	// The warm-up leaves the accumulator in its P's private pool slot, which
+	// a build on another P cannot take: the measurement runs on one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w, ok := LinearWeights(coefs, svs) // warms the pool
 	if !ok {
 		t.Fatal("the build refused the model")

@@ -23,7 +23,7 @@
 // losing records. Record payloads:
 //
 //	base record:    kind(1)=3 baseSeq(u64)
-//	session record: kind(1)=1 then the encodeSession payload
+//	session record: kind(1)=1 then the appendSession payload
 //	images record:  kind(1)=2 flags(1) count(u32) dim(u32) count*dim*float64
 //
 // An image batch larger than one record allows is split into a group of
@@ -620,14 +620,18 @@ func applyImageGroup(group [][]byte, visual []linalg.Vector, fblog *feedbacklog.
 	return visual, nil
 }
 
-// AppendSession journals one committed feedback session.
+// AppendSession journals one committed feedback session: its kind byte and
+// encoding in one allocation, the image keys sorted on the stack unless the
+// session judges more than sessionKeysOnStack images.
 func (j *Journal) AppendSession(s feedbacklog.Session) error {
-	enc := encodeSession(s)
-	payload := make([]byte, 1+len(enc))
-	payload[0] = journalEntrySession
-	copy(payload[1:], enc)
+	var keys [sessionKeysOnStack]int
+	payload, _ := appendSession(append(make([]byte, 0, 13+8*len(s.Judgments)), journalEntrySession), s, keys[:0])
 	return j.append(payload, func(st *JournalStats) { st.Sessions++ })
 }
+
+// sessionKeysOnStack is how many judged images AppendSession sorts without
+// allocating: a feedback page is 20.
+const sessionKeysOnStack = 64
 
 // AppendImages journals one ingested image batch. All descriptors must
 // share one dimension (the engine validates this before invoking the

@@ -349,7 +349,9 @@ func TestWritersEncodeAsPinned(t *testing.T) {
 }
 
 // TestWriterAllocationsDoNotGrow: the writers encode every record into one
-// reused buffer, so writing four times the rows allocates no more objects.
+// reused buffer, so writing four times the rows and the sessions allocates
+// no more objects. The log holds a session per ten images, each judging
+// twenty of them; a session encoded on its own allocated twice.
 func TestWriterAllocationsDoNotGrow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the program")
@@ -364,9 +366,22 @@ func TestWriterAllocationsDoNotGrow(t *testing.T) {
 		{"WriteSnapshotAt", func(rows []linalg.Vector, _ []int, log *feedbacklog.Log) error {
 			return WriteSnapshotAt(io.Discard, rows, log, 3)
 		}},
+		{"WriteLog", func(_ []linalg.Vector, _ []int, log *feedbacklog.Log) error {
+			return WriteLog(io.Discard, log)
+		}},
 	} {
 		allocs := func(n int) float64 {
 			rows, labels, log := randomRows(n, 36, 4), make([]int, n), feedbacklog.NewLog(n)
+			rng := linalg.NewRNG(5)
+			for range n / 10 {
+				judged := map[int]feedbacklog.Judgment{}
+				for len(judged) < 20 {
+					judged[rng.Intn(n)] = feedbacklog.Judgment(1 - 2*rng.Intn(2))
+				}
+				if _, err := log.AddSession(feedbacklog.Session{QueryImage: rng.Intn(n), Judgments: judged}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			return testing.AllocsPerRun(5, func() {
 				if err := c.write(rows, labels, log); err != nil {
 					t.Fatal(err)
@@ -374,8 +389,41 @@ func TestWriterAllocationsDoNotGrow(t *testing.T) {
 			})
 		}
 		if a, b := allocs(500), allocs(2000); b > a {
-			t.Errorf("%s allocates %.0f objects for 500 rows and %.0f for 2,000", c.what, a, b)
+			t.Errorf("%s allocates %.0f objects for 500 rows and 50 sessions and %.0f for 2,000 and 200", c.what, a, b)
 		}
+	}
+}
+
+// TestAppendSessionAllocatesOnce: the journal frames a session's kind byte
+// and encoding in one allocation, beside what appending a built payload
+// costs; encoded on its own, then framed, a session allocated three times.
+func TestAppendSessionAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "j.wal"), randomRows(100, 3, 1), feedbacklog.NewLog(100), JournalOptions{Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s := journalSession(0, 100)
+	for i := range 20 {
+		s.Judgments[3*i] = feedbacklog.Relevant
+	}
+	payload := append([]byte{journalEntrySession}, encodeSession(s)...)
+	built := testing.AllocsPerRun(20, func() {
+		if err := j.append(payload, func(st *JournalStats) { st.Sessions++ }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	session := testing.AllocsPerRun(20, func() {
+		if err := j.AppendSession(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("AppendSession %.0f, its built payload %.0f", session, built)
+	if session > built+1 {
+		t.Errorf("AppendSession allocates %.0f objects, appending its built payload %.0f: want one more", session, built)
 	}
 }
 

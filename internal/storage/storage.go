@@ -139,12 +139,6 @@ func (rw *recordWriter) write() error {
 	return nil
 }
 
-// writePayload writes a payload built elsewhere as the next record.
-func (rw *recordWriter) writePayload(payload []byte) error {
-	copy(rw.record(len(payload)), payload)
-	return rw.write()
-}
-
 // readBufferSize is the read-ahead of a recordReader: a collection is read
 // in a few hundred system calls, not one per 4 KiB.
 const readBufferSize = 64 << 10
@@ -366,38 +360,42 @@ func WriteLog(w io.Writer, log *feedbacklog.Log) error {
 	return rw.w.Flush()
 }
 
-// writeSessions writes one record per log session.
+// writeSessions writes one record per log session, each appended straight
+// into the record buffer, its image keys sorted in one reused scratch.
 func writeSessions(rw *recordWriter, log *feedbacklog.Log) error {
+	var imgs []int
 	for _, s := range log.Sessions() {
-		if err := rw.writePayload(encodeSession(s)); err != nil {
+		rw.record(0) // the buffer holds the header's room alone
+		rw.buf, imgs = appendSession(rw.buf, s, imgs)
+		if err := rw.write(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// encodeSession serializes one log session: query(u32) category(i32)
-// count(u32) then count pairs of image(u32) judgment(i8, padded to i32).
-// Judgments are written in ascending image order so the encoding is
-// deterministic.
-func encodeSession(s feedbacklog.Session) []byte {
-	imgs := make([]int, 0, len(s.Judgments))
+// appendSession appends the encoding of one log session to dst: query(u32)
+// category(i32) count(u32) then count pairs of image(u32) judgment(i8,
+// padded to i32). Judgments are written in ascending image order so the
+// encoding is deterministic; the image keys are sorted in imgs, whose
+// storage is reused and returned grown.
+func appendSession(dst []byte, s feedbacklog.Session, imgs []int) ([]byte, []int) {
+	imgs = imgs[:0]
 	for img := range s.Judgments {
 		imgs = append(imgs, img)
 	}
 	slices.Sort(imgs)
-	payload := make([]byte, 12+8*len(imgs))
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(s.QueryImage))
-	binary.LittleEndian.PutUint32(payload[4:8], uint32(int32(s.TargetCategory)))
-	binary.LittleEndian.PutUint32(payload[8:12], uint32(len(imgs)))
-	for i, img := range imgs {
-		binary.LittleEndian.PutUint32(payload[12+8*i:], uint32(img))
-		binary.LittleEndian.PutUint32(payload[16+8*i:], uint32(int32(s.Judgments[img])))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.QueryImage))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(s.TargetCategory)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(imgs)))
+	for _, img := range imgs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(img))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(s.Judgments[img])))
 	}
-	return payload
+	return dst, imgs
 }
 
-// decodeSession parses a session payload written by encodeSession.
+// decodeSession parses a session payload written by appendSession.
 func decodeSession(payload []byte) (feedbacklog.Session, error) {
 	if len(payload) < 12 {
 		return feedbacklog.Session{}, fmt.Errorf("%w: log record too short", ErrCorrupt)

@@ -21,6 +21,18 @@ func sampleFeatures() ([]linalg.Vector, []int) {
 	}, []int{0, 1, 1}
 }
 
+// writePayload writes a payload built elsewhere as the next record.
+func (rw *recordWriter) writePayload(payload []byte) error {
+	copy(rw.record(len(payload)), payload)
+	return rw.write()
+}
+
+// encodeSession is one session's record payload, as the writers append it.
+func encodeSession(s feedbacklog.Session) []byte {
+	payload, _ := appendSession(nil, s, nil)
+	return payload
+}
+
 func sampleLog(t *testing.T) *feedbacklog.Log {
 	t.Helper()
 	log := feedbacklog.NewLog(10)

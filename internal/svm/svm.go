@@ -256,9 +256,11 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 // bits. Dense RBF models run through kernel.RBF.AccumulateBounded on the
 // caller's tile scratch ts, and a non-nil b makes the pass a top-K pass: a
 // row the kernel proves below b's floor is skipped, keeps the bias in dst
-// and is never handed to b as scored (see kernel.Bound). Other models score
-// every row through DecisionSet and leave b to the caller.
-func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, ts *kernel.TileScratch, b kernel.Bound) {
+// and is never handed to b as scored (see kernel.Bound); pos is the lane of
+// positive column sums the kernel records or bounds by
+// (kernel.PositiveSums). Other models score every row through DecisionSet,
+// leave b to the caller and neither write nor read pos.
+func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, pos kernel.PositiveSums, ts *kernel.TileScratch, b kernel.Bound) {
 	if rbf, ok := m.Kernel.(kernel.RBF); ok && len(m.SupportPoints) > 0 && m.denseSVSet() != nil {
 		if len(dst) != set.Len() {
 			panic(fmt.Sprintf("svm: DecisionBounded destination length %d, want %d", len(dst), set.Len()))
@@ -266,7 +268,7 @@ func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, t
 		for j := range dst {
 			dst[j] = m.Bias
 		}
-		rbf.AccumulateBounded(m.Coefficients, m.denseSVSet(), set, dst, add, sub, ts, b)
+		rbf.AccumulateBounded(m.Coefficients, m.denseSVSet(), set, dst, add, sub, pos, ts, b)
 		return
 	}
 	m.DecisionSet(set, dst, nil)
