@@ -193,6 +193,11 @@ type rankScratch struct {
 	// view is a reusable DenseSet header, so slicing a range out of a shard
 	// allocates nothing.
 	view *kernel.DenseSet
+	// block, weights and seeds are a seeded top-K pass's: the seed rows
+	// gathered, a linear log model's weights scattered, the rows themselves.
+	block   kernel.DenseSet
+	weights kernel.WeightTable
+	seeds   []int
 	// units holds the tail units a pass claims first (scanPass.first).
 	units []int
 	// floor is a top-K pass's floor (float64 bits) in its result arena; cut
@@ -246,8 +251,11 @@ func (b *CollectionBatch) scratchPut(s *rankScratch) {
 // support vectors, terms of them — which its tiles compute for every image
 // anyway (kernel.PositiveSums). Step 3's bound reads K⁺ in place of the
 // columns of the final visual model's support vectors that are those same
-// judged images: deferred names them by support-vector index. seeds are the
-// rows whose units step 3 scans first: the query and the drafted positives.
+// judged images: deferred names them by support-vector index. seeds are step
+// 1's best rows by its combined score, judged images included
+// (unlabeledSelector), which step 3 scores before its pass to start from a
+// floor; first are the rows whose units it scans first: the query and the
+// drafted positives.
 type stepLane struct {
 	sums []float64
 	// written reports that step 1's pass ran and recorded sums; init is its
@@ -257,6 +265,7 @@ type stepLane struct {
 	terms    int
 	deferred []int
 	seeds    []int
+	first    []int
 }
 
 // stepLanes is a batch's free list of step lanes: it keeps as many as
@@ -288,7 +297,7 @@ func (b *CollectionBatch) laneGet() *stepLane {
 	} else {
 		l.sums = l.sums[:n]
 	}
-	l.written, l.terms, l.deferred, l.seeds = false, 0, l.deferred[:0], l.seeds[:0]
+	l.written, l.terms, l.deferred, l.seeds, l.first = false, 0, l.deferred[:0], l.seeds[:0], l.first[:0]
 	return l
 }
 
@@ -515,8 +524,9 @@ func (sc *rankScratch) publish() {
 // rankTopRanges streams the images cands names through fn into their top k
 // under the (score, index) order, appended to dst (reusing its capacity — a
 // caller recycling its result buffer allocates nothing here). No
-// collection-sized slice is materialized.
-func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k int, dst []Ranked, fn rangeScorer) ([]Ranked, error) {
+// collection-sized slice is materialized. A pass over every image starts
+// from the floor of its seeds (seedFloor); the zero seedBlock is none.
+func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k int, dst []Ranked, fn rangeScorer, seeds seedBlock) ([]Ranked, error) {
 	if n := b.VisualSet().Len(); k > n {
 		k = n
 	}
@@ -530,10 +540,60 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k 
 	defer b.scratchPut(sc)
 	sc.sel.reset(k)
 	sc.floor.Store(math.Float64bits(math.Inf(-1)))
+	if seeds.score != nil && cands.Lists == nil && cands.TailStart <= 0 {
+		if err := sc.seedFloor(ctx, seeds, k); err != nil {
+			return nil, err
+		}
+	}
 	if err := scanRanges(ctx, b, cands, fn, topKSink{floor: &sc.floor}, sc); err != nil {
 		return nil, err
 	}
 	return sc.sel.drain(dst), nil
+}
+
+// blockScorer scores rows of the collection named by index, wherever they
+// lie, into dst with the bits their pass's rangeScorer gives them, taking
+// its temporaries from the arena sc.
+type blockScorer func(sc *rankScratch, rows []int, dst []float64)
+
+// seedBlock is what a top-K pass may start from: rows of the collection and
+// the scorer of the pass's bits for them (nil: no seeds).
+type seedBlock struct {
+	rows  []int
+	score blockScorer
+}
+
+// seedFloor starts the top-k pass of the result arena sc from a floor: it
+// scores the distinct rows of seeds as one block and, when there are at
+// least k, raises the pass's floor to the k-th best of their scores — the
+// floor the pass would publish had it scored them first. Those k rows are
+// rows of the pass scored with its own bits, so every row the floor lets
+// the tile skip ranks below k rows of the pass, and the pass keeps what it
+// keeps without one. Only rows of the pass may raise its floor, so the
+// caller seeds only a pass over every image. The seeds are scored again by
+// the pass, which keeps them once.
+func (sc *rankScratch) seedFloor(ctx *QueryContext, seeds seedBlock, k int) error {
+	rows := append(sc.seeds[:0], seeds.rows...)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	sc.seeds = rows
+	if len(rows) < k {
+		return nil
+	}
+	if err := ctxErr(ctx.Ctx); err != nil {
+		return err
+	}
+	scores := sc.lane(laneScores, len(rows))
+	seeds.score(sc, rows, scores)
+	for i, r := range rows {
+		if sc.sel.admits(r, scores[i]) {
+			sc.sel.push(r, scores[i])
+		}
+	}
+	sc.cut.floor = &sc.floor
+	sc.publish()
+	sc.sel.reset(k)
+	return nil
 }
 
 // unlabeledSink keeps the unlabeled points of LRF-CSVM's step 1 in the
@@ -558,8 +618,10 @@ func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick
 // combined scores fn streams feed the log-assisted heuristic's bounded
 // selectors (see unlabeledSelector), positives first from the images covered
 // marks, so drafting the N' = num unlabeled points (fewer when fewer exist)
-// materializes no collection-sized slice and runs on every worker.
-func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer) (indices []int, initialLabels []float64, err error) {
+// materializes no collection-sized slice and runs on every worker. A pass
+// that runs marks lane (nil: none) written, fn having recorded its sums, and
+// hands it step 1's best rows as step 3's seeds.
+func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer, lane *stepLane) (indices []int, initialLabels []float64, err error) {
 	labeled, _ := labeledSplit(ctx)
 	slices.Sort(labeled)
 	labeled = slices.Compact(labeled)
@@ -576,6 +638,9 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, cover
 		return nil, nil, err
 	}
 	indices, initialLabels = sc.pick.drain()
+	if lane != nil {
+		lane.written, lane.seeds = true, sc.pick.seeds(lane.seeds[:0])
+	}
 	return indices, initialLabels, nil
 }
 
@@ -652,6 +717,41 @@ func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int
 // lane when it has one (nil: none).
 func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, lane *stepLane) rangeScorer {
 	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx), lane.bound())
+}
+
+// seedScorer is retrievalScorer over rows gathered from anywhere into one
+// block of the arena (kernel.ShardedSet.GatherInto): the query prior per
+// row, the log decision per row (rowLogDecisions) and the visual decision
+// of the block with no bound, which neither reads a step lane nor needs
+// one — a scored row has the same bits with or without it.
+func seedScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) blockScorer {
+	q, log := b.queryVector(ctx), ctx.LogIndex
+	return func(sc *rankScratch, rows []int, dst []float64) {
+		block := b.set.GatherInto(&sc.block, rows)
+		visualModel.DecisionBounded(block, dst, rowLogDecisions(sc, logModel, log, rows), queryPrior(sc, q, block), kernel.PositiveSums{}, &sc.tiles, nil)
+	}
+}
+
+// rowLogDecisions is logDecisions for rows named by index: a linear model
+// scatters its weight vector into the arena (kernel.WeightTable) and scores
+// each row from its own log column, adding the row's sessions of w in
+// ascending order, LinearAccumulateWeights' bits; another kernel scores row
+// by row through svm.Model.Decision, as logDecisions does.
+func rowLogDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, rows []int) []float64 {
+	dst := sc.lane(laneLog, len(rows))
+	if w, linear := m.LinearWeights(); linear {
+		sc.weights.Load(w)
+		for i, r := range rows {
+			dst[i] = sc.weights.Decision(m.Bias, log.Column(r))
+		}
+		sc.weights.Unload(w)
+		return dst
+	}
+	for i, r := range rows {
+		sc.col = log.Column(r)
+		dst[i] = m.Decision(kernel.NewSparse(&sc.col))
+	}
+	return dst
 }
 
 // visualScorer scores by the decision value of a visual-modality model minus

@@ -148,7 +148,7 @@ func TestTopKPassMatchesScanScores(t *testing.T) {
 					name := fmt.Sprintf("k=%d shard=%d workers=%d lists=%d", k, shardSize, workers, len(c.Lists))
 					pass := *ctx
 					pass.Batch, pass.Workers = sharded, workers
-					got, err := rankTopRanges(&pass, sharded, c, k, nil, plantedScorer(sharded.queryVector(&pass), model, add, &skipped))
+					got, err := rankTopRanges(&pass, sharded, c, k, nil, plantedScorer(sharded.queryVector(&pass), model, add, &skipped), seedBlock{})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

@@ -97,25 +97,21 @@ func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit
 
 // selectStreamed drafts through step 1's streaming pass with the coverage
 // index covered, recording the lane as it scores. A pass that drafts runs
-// over every image, so a draft means the lane is written; with nothing to
-// draft the pass does not run and the lane stays unwritten.
+// over every image, so a draft means the lane is written and seeded; with
+// nothing to draft the pass does not run and the lane stays unwritten.
 func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, lane *stepLane) ([]int, []float64, error) {
 	var pos kernel.PositiveSums
 	if lane != nil {
 		pos = kernel.PositiveSums{Lane: lane.sums, Record: true}
 	}
-	indices, initialLabels, err := selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos))
-	if lane != nil && err == nil && len(indices) > 0 {
-		lane.written = true
-	}
-	return indices, initialLabels, err
+	return selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos), lane)
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
 // the unlabeled selection — and assembles the coupled training problem,
-// with step 1's solver of each modality. A lane (nil: none) is recorded by
-// the selection and keeps step 1's visual model and step 3's seeds: the
-// query and the drafted positives.
+// with step 1's solver of each modality. A lane (nil: none) is recorded and
+// seeded by the selection and keeps step 1's visual model and the rows whose
+// units step 3 scans first: the query and the drafted positives.
 func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection, lane *stepLane) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
@@ -138,10 +134,10 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 	}
 	if lane != nil {
 		lane.init = visualModel
-		lane.seeds = append(lane.seeds[:0], ctx.Query)
+		lane.first = append(lane.first[:0], ctx.Query)
 		for i, y := range initialLabels {
 			if y > 0 {
-				lane.seeds = append(lane.seeds, unlabeledIdx[i])
+				lane.first = append(lane.first, unlabeledIdx[i])
 			}
 		}
 	}
@@ -200,7 +196,8 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (fi
 		return scoring{}, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
 	lane.handOff(coupled.Models[0], labels)
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, coupled.Models[0], coupled.Models[1], lane), lane: lane}, coupled, nil
+	vm, lm := coupled.Models[0], coupled.Models[1]
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seed: seedScorer(ctx, batch, vm, lm), lane: lane}, coupled, nil
 }
 
 // RankTop implements Scheme: steps 1-2 run exactly as in Rank, and the

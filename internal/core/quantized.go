@@ -54,7 +54,7 @@ func (e Euclidean) RankTopQuantized(ctx *QueryContext, k, oversample int, dst []
 			// are the smallest approximate distances.
 			approx[i] = -d
 		}
-	})
+	}, seedBlock{})
 	if err != nil {
 		return nil, err
 	}

@@ -201,24 +201,27 @@ type rangeScored interface {
 
 // scoring is a ranking pass as a scheme prepares it: the collection batch,
 // the function that scores one range of it (query prior included) and, for
-// LRF-CSVM, the step lane its final pass reads, borrowed from the batch until
-// release (nil for every other scheme).
+// LRF-CSVM, the scorer of its seed rows and the step lane its final pass
+// reads, borrowed from the batch until release (nil for every other scheme).
 type scoring struct {
 	batch *CollectionBatch
 	fn    rangeScorer
+	seed  blockScorer
 	lane  *stepLane
 }
 
 // release returns the borrowed lane; the pass must not run after it.
 func (s scoring) release() { s.batch.lanePut(s.lane) }
 
-// top streams the top k of the images cands names, appended to dst, starting
-// with the units of the lane's seeds.
+// top streams the top k of the images cands names, appended to dst: a full
+// pass from the floor of the lane's seeds, and any pass starting with the
+// units of the lane's first rows.
 func (s scoring) top(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
+	var seeds seedBlock
 	if s.lane != nil {
-		cands.first = s.lane.seeds
+		cands.first, seeds = s.lane.first, seedBlock{rows: s.lane.seeds, score: s.seed}
 	}
-	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn)
+	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn, seeds)
 }
 
 // rankScores scores every image of the collection: Scheme.Rank. It and

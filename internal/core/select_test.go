@@ -143,12 +143,12 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 			scores = nil
 		}
 	case "top-K":
-		top, err = rankTopRanges(ctx, b, cands, k, nil, fn)
+		top, err = rankTopRanges(ctx, b, cands, k, nil, fn, seedBlock{})
 	case "unlabeled":
 		if exhaustive {
 			indexed := *ctx
 			indexed.LogVectors, indexed.LogIndex = nil, logIndexOf(ctx)
-			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn)
+			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn, nil)
 			return
 		}
 		labeled, _ := labeledSplit(ctx)

@@ -43,8 +43,8 @@ func TestStepLaneIsTheDeferredColumnsSum(t *testing.T) {
 			}
 			lane, vm := pass.lane, coupled.Models[0]
 			name := fmt.Sprintf("query %d, %d judged", q, judged)
-			if !lane.written || lane.seeds[0] != q {
-				t.Fatalf("%s: lane written %v, seeds %v", name, lane.written, lane.seeds)
+			if !lane.written || lane.first[0] != q {
+				t.Fatalf("%s: lane written %v, first rows %v", name, lane.written, lane.first)
 			}
 			want := make([]float64, set.Len())
 			for _, sv := range lane.deferred {
@@ -191,4 +191,110 @@ func TestConcurrentRefinesShareTheLanes(t *testing.T) {
 	if l := batch.leased.Load(); l != 0 {
 		t.Fatalf("%d arenas or lanes not returned", l)
 	}
+}
+
+// TestSeededFloorIsExact holds LRF-CSVM's seeded step 3 to the same pass
+// unseeded, over the refine driver's collections (drawRefineCase, seeds
+// 1–48), at k = 1, 20, seedRows, seedRows+1, the case's own k and past the
+// collection:
+//
+//   - the floor seedFloor starts the pass from is, by Float64bits, the k-th
+//     best of the unseeded pass's scores of the distinct seed rows, and
+//     −Inf when there are fewer than k of them; so it is with every seed
+//     given twice;
+//   - the seeded pass returns the unseeded pass's top k, bit for bit.
+//
+// A pass whose context is cancelled before the seed block returns the
+// context's error without scoring a seed. Each regime below must be reached:
+// fewer seeds than k, duplicate seeds, k past the collection, judged images
+// among the seeds, the cancelled block, and step 1 with nothing to draft.
+func TestSeededFloorIsExact(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := uint64(1); seed <= 48; seed++ {
+		c := drawRefineCase(seed)
+		ctx, err := c.context().validated(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Batch = ctx.collectionBatch()
+		b, n := ctx.Batch, len(c.visual)
+		pass, _, err := trainCSVM(ctx, c.params, selectLogAssisted)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		scores, err := scanScores(ctx, b, pass.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane, judged := pass.lane, ctx.labeledSet()
+		rows := slices.Compact(slices.Sorted(slices.Values(lane.seeds)))
+		seen["no-seeds"] = seen["no-seeds"] || !lane.written && len(rows) == 0
+		for _, k := range []int{1, 20, seedRows, seedRows + 1, c.k, n + 5} {
+			if k <= 0 {
+				continue
+			}
+			name := fmt.Sprintf("seed %d (%d images, %d seeds), k %d", seed, n, len(rows), k)
+			want, kk := math.Inf(-1), min(k, n)
+			if len(rows) >= kk {
+				want = refTop(scores, func(i int) bool { _, ok := slices.BinarySearch(rows, i); return ok }, kk)[kk-1].Score
+				seen["k-beyond-n"] = seen["k-beyond-n"] || k > n
+				seen["judged-seeds"] = seen["judged-seeds"] || slices.ContainsFunc(rows, func(i int) bool { return judged[i] })
+				seen["duplicate-seeds"] = true
+			} else if len(rows) > 0 {
+				seen["fewer-than-k"] = true
+			}
+			twice := append(slices.Clone(lane.seeds), lane.seeds...)
+			for _, seeds := range [][]int{lane.seeds, twice} {
+				if got := seededFloor(t, ctx, seedBlock{rows: seeds, score: pass.seed}, kk); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: seeded floor %v from %v, the unseeded pass's k-th best of them %v", name, got, seeds, want)
+				}
+			}
+			unseeded, err := rankTopRanges(ctx, b, CandidateSet{first: lane.first}, k, nil, pass.fn, seedBlock{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pass.top(ctx, CandidateSet{}, k, nil)
+			if err := sameRanking(got, err, unseeded); err != nil {
+				t.Fatalf("%s: the seeded pass against the unseeded: %v", name, err)
+			}
+		}
+		if len(rows) > 0 {
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			stopped := *ctx
+			stopped.Ctx = cancelled
+			scored := false
+			block := seedBlock{rows: lane.seeds, score: func(sc *rankScratch, rows []int, dst []float64) {
+				scored = true
+				pass.seed(sc, rows, dst)
+			}}
+			if _, err := rankTopRanges(&stopped, b, CandidateSet{}, 1, nil, pass.fn, block); !errors.Is(err, context.Canceled) || scored {
+				t.Fatalf("seed %d: a pass cancelled before its seed block returns %v, seeds scored %v", seed, err, scored)
+			}
+			seen["cancelled"] = true
+		}
+		pass.release()
+		if l := b.leased.Load(); l != 0 {
+			t.Fatalf("seed %d: %d arenas or lanes not returned", seed, l)
+		}
+	}
+	for _, r := range []string{"fewer-than-k", "duplicate-seeds", "k-beyond-n", "judged-seeds", "cancelled", "no-seeds"} {
+		if !seen[r] {
+			t.Errorf("no case reaches %s", r)
+		}
+	}
+}
+
+// seededFloor returns the floor a top-k pass starts from with the given
+// seeds, on an arena of the context's batch.
+func seededFloor(t *testing.T, ctx *QueryContext, seeds seedBlock, k int) float64 {
+	t.Helper()
+	sc := ctx.Batch.scratchGet()
+	defer ctx.Batch.scratchPut(sc)
+	sc.sel.reset(k)
+	sc.floor.Store(math.Float64bits(math.Inf(-1)))
+	if err := sc.seedFloor(ctx, seeds, k); err != nil {
+		t.Fatal(err)
+	}
+	return math.Float64frombits(sc.floor.Load())
 }

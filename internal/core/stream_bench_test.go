@@ -73,7 +73,7 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], visualScorer(ctx, sharded, model))
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], visualScorer(ctx, sharded, model), seedBlock{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel, nil))
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel, nil), seedBlock{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,8 +124,8 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 // recycled result buffer: the pass the RBF tile driver bounds by the top-K
 // floor. B/op must not grow with the collection. The share of kernel pairs
 // the bound skips in a model of the benchmark's sign mix is
-// BenchmarkBoundedTile's, in package kernel; the lrf-csvm-step3 case at
-// 50,000 images reports step 3's own (benchStep3Pairs).
+// BenchmarkBoundedTile's, in package kernel; the lrf-csvm-step3/12-refines
+// cases report step 3's own on two serving shapes (benchStep3Pairs).
 func BenchmarkTopKPass(b *testing.B) {
 	for _, n := range []int{5000, 20000} {
 		coll := makeDenseLogCollection(b, n/50, 50, 3*n, 29)
@@ -164,67 +164,76 @@ func BenchmarkTopKPass(b *testing.B) {
 	benchStep3Pairs(b)
 }
 
-// benchStep3Pairs is BenchmarkTopKPass's lrf-csvm-step3 case at 50,000
-// images (100 categories of 500, stored in category order, and 2,000 log
-// sessions): 12 refines — 6 queries, 20 and 40 judged — trained outside the
-// timer, whose step-3 passes the timed loop cycles through. pairs/row·sv is
-// the share of step 3's kernel pairs (row × visual support vector) its tiles
-// evaluate over the 12 passes, counted through a wrapped kernel member
-// (kernel.CountPairs); max-pairs/row·sv is the largest share of one pass.
-// Both are taken over one untimed sweep, so they do not depend on
-// -benchtime.
+// benchStep3Pairs is BenchmarkTopKPass's lrf-csvm-step3 case on the
+// dense-log collections of two workloads, stored in category order: 50
+// categories of 100 images with 1,000 log sessions, and 100 of 500 with
+// 2,000. Per shape, 12 refines — 6 queries spread over the collection, 20
+// and 40 judged — are trained outside the timer, and the timed loop cycles
+// through their step-3 passes. pairs/row·sv is the share of step 3's kernel
+// pairs (row × visual support vector) its tiles evaluate over the 12 passes,
+// counted through a wrapped kernel member (kernel.CountPairs), seed rows
+// included; max-pairs/row·sv is the largest share of one pass. Both are
+// taken over one untimed sweep, so they do not depend on -benchtime.
 func benchStep3Pairs(b *testing.B) {
-	const n = 50000
-	coll := makeDenseLogCollection(b, 100, 500, 2000, 29)
-	batch := NewCollectionBatch(coll.visual)
-	type refine struct {
-		ctx  *QueryContext
-		pass scoring
-		svs  int
+	for _, sh := range []struct {
+		cats, per, sessions int
+		queries             []int
+	}{
+		{50, 100, 1000, []int{7, 432, 1234, 2600, 3888, 4999}},
+		{100, 500, 2000, []int{7, 4321, 12345, 26000, 38888, 49999}},
+	} {
+		n := sh.cats * sh.per
+		coll := makeDenseLogCollection(b, sh.cats, sh.per, sh.sessions, 29)
+		batch := NewCollectionBatch(coll.visual)
+		type refine struct {
+			ctx  *QueryContext
+			pass scoring
+			svs  int
+		}
+		var refines []refine
+		for _, q := range sh.queries {
+			for _, judged := range []int{20, 40} {
+				ctx, err := coll.queryContext(q, judged).validated(true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx.Batch = batch
+				pass, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer pass.release()
+				refines = append(refines, refine{ctx, pass, len(coupled.Models[0].SupportPoints)})
+			}
+		}
+		b.Run(fmt.Sprintf("lrf-csvm-step3/12-refines/%dx%d", sh.cats, sh.per), func(b *testing.B) {
+			buf := make([]Ranked, 0, benchK)
+			run := func(r refine) {
+				got, err := r.pass.top(r.ctx, CandidateSet{}, benchK, buf[:0])
+				if err != nil || len(got) != benchK {
+					b.Fatalf("ranked %d images, err %v", len(got), err)
+				}
+				buf = got
+			}
+			var counted atomic.Int64
+			restore := kernel.CountPairs(&counted)
+			var pairs, all int64
+			var most float64
+			for _, r := range refines {
+				before := counted.Load()
+				run(r)
+				pairs, all = pairs+counted.Load()-before, all+int64(n*r.svs)
+				most = max(most, float64(counted.Load()-before)/float64(n*r.svs))
+			}
+			restore()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(refines[i%len(refines)])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(pairs)/float64(all), "pairs/row·sv")
+			b.ReportMetric(most, "max-pairs/row·sv")
+		})
 	}
-	var refines []refine
-	for _, q := range []int{7, 4321, 12345, 26000, 38888, 49999} {
-		for _, judged := range []int{20, 40} {
-			ctx, err := coll.queryContext(q, judged).validated(true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx.Batch = batch
-			pass, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pass.release()
-			refines = append(refines, refine{ctx, pass, len(coupled.Models[0].SupportPoints)})
-		}
-	}
-	b.Run(fmt.Sprintf("lrf-csvm-step3/images=%d", n), func(b *testing.B) {
-		buf := make([]Ranked, 0, benchK)
-		run := func(r refine) {
-			got, err := r.pass.top(r.ctx, CandidateSet{}, benchK, buf[:0])
-			if err != nil || len(got) != benchK {
-				b.Fatalf("ranked %d images, err %v", len(got), err)
-			}
-			buf = got
-		}
-		var counted atomic.Int64
-		restore := kernel.CountPairs(&counted)
-		var pairs, all int64
-		var most float64
-		for _, r := range refines {
-			before := counted.Load()
-			run(r)
-			pairs, all = pairs+counted.Load()-before, all+int64(n*r.svs)
-			most = max(most, float64(counted.Load()-before)/float64(n*r.svs))
-		}
-		restore()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(refines[i%len(refines)])
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(pairs)/float64(all), "pairs/row·sv")
-		b.ReportMetric(most, "max-pairs/row·sv")
-	})
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"lrfcsvm/internal/kernel"
@@ -139,4 +141,77 @@ func TestStreamRankingAllocations(t *testing.T) {
 	// arena's column header: a header that escaped per row would cost 24
 	// bytes an image.
 	requireBytesDoNotGrowWithN(t, "Pretrained2SVMs.RankTopAppend, RBF log kernel", bytesPerOp(true))
+}
+
+// TestSeededStep3Allocations pins the seed block of LRF-CSVM's step 3 to the
+// pooled arenas: a steady refine's pass allocates as many times with its
+// seeds as without them. The seed rows are gathered into the arena's block,
+// and the linear log model's weights scattered into its table, both kept
+// between passes; a block or table that escaped per pass would show here.
+// The passes of 12 refines are cycled through, as a server's refines come.
+// It also requires the seeds to pay: over the 12 passes, on one worker, the
+// seeded passes evaluate at most 0.8 times the kernel pairs the unseeded
+// ones do, their own included (kernel.CountPairs).
+func TestSeededStep3Allocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")
+	}
+	const k = 20
+	coll := makeDenseLogCollection(t, 50, 100, 1000, 29)
+	batch := NewCollectionBatch(coll.visual)
+	type refine struct {
+		ctx  *QueryContext
+		pass scoring
+	}
+	var refines []refine
+	for _, q := range []int{7, 432, 1234, 2600, 3888, 4999} {
+		for _, judged := range []int{20, 40} {
+			ctx, err := coll.queryContext(q, judged).validated(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.Batch, ctx.Workers = batch, 1
+			pass, _, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pass.release()
+			if math.IsInf(seededFloor(t, ctx, seedBlock{rows: pass.lane.seeds, score: pass.seed}, k), -1) {
+				t.Fatalf("query %d, %d judged: the pass starts from no floor", q, judged)
+			}
+			refines = append(refines, refine{ctx, pass})
+		}
+	}
+	buf := make([]Ranked, 0, k)
+	i := 0
+	pass := func(seeded bool) {
+		r := refines[i%len(refines)]
+		i++
+		seeds := seedBlock{}
+		if seeded {
+			seeds = seedBlock{rows: r.pass.lane.seeds, score: r.pass.seed}
+		}
+		got, err := rankTopRanges(r.ctx, batch, CandidateSet{first: r.pass.lane.first}, k, buf[:0], r.pass.fn, seeds)
+		if err != nil || len(got) != k {
+			t.Fatalf("ranked %d images, err %v", len(got), err)
+		}
+		buf = got
+	}
+	allocs := func(seeded bool) float64 { return testing.AllocsPerRun(48, func() { pass(seeded) }) }
+	if seeded, unseeded := allocs(true), allocs(false); seeded != unseeded {
+		t.Errorf("a seeded step-3 pass allocates %.0f times, unseeded %.0f: want the same", seeded, unseeded)
+	}
+	pairs := func(seeded bool) int64 {
+		var n atomic.Int64
+		defer kernel.CountPairs(&n)()
+		for range refines {
+			pass(seeded)
+		}
+		return n.Load()
+	}
+	if seeded, unseeded := pairs(true), pairs(false); float64(seeded) > 0.8*float64(unseeded) {
+		t.Errorf("seeded step-3 passes evaluate %d kernel pairs, unseeded %d: want at most 0.8 times", seeded, unseeded)
+	} else {
+		t.Logf("seeded step-3 passes evaluate %d kernel pairs, unseeded %d", seeded, unseeded)
+	}
 }

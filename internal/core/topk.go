@@ -149,14 +149,23 @@ func (s *topKSelector) siftDown(i, n int) {
 // half of them are drafted positives). Their order is strict, so the
 // selection does not depend on how the collection is cut into ranges. Over
 // a log that covers no image it is the paper's max/min draft (SelectMaxMin).
+// A fourth, top, keeps the seedRows best images of all, judged ones
+// included: the rows step 3 starts from (seeds).
 type unlabeledSelector struct {
 	half, num     int
 	covered, best topKSelector
 	// worst keeps (-index, -score): negation is exact and turns "smallest
 	// score first, ties by descending index" into the one selection order.
 	worst topKSelector
+	top   topKSelector
 	buf   []Ranked
 }
+
+// seedRows is how many of step 1's best rows step 3 scores before its pass
+// to start from a floor (rankTopRanges): more than the 20 results a refine
+// returns, and half a 64-row tile of work. EXPERIMENTS.md "Step 3 starts
+// from step 1's best rows" measures 20, 32, 64 and 128.
+const seedRows = 32
 
 // reset prepares the selector to draft num unlabeled points.
 func (s *unlabeledSelector) reset(num int) {
@@ -168,6 +177,7 @@ func (s *unlabeledSelector) reset(num int) {
 	s.covered.reset(s.half)
 	s.best.reset(s.half)
 	s.worst.reset(num)
+	s.top.reset(seedRows)
 }
 
 // consume offers the combined scores of the images [lo, lo+len(scores)).
@@ -177,6 +187,9 @@ func (s *unlabeledSelector) consume(lo int, scores []float64, labeled []int, log
 	next, _ := slices.BinarySearch(labeled, lo)
 	for i, v := range scores {
 		idx := lo + i
+		if s.top.admits(idx, v) {
+			s.top.push(idx, v)
+		}
 		if next < len(labeled) && labeled[next] == idx {
 			next++
 			continue
@@ -200,6 +213,17 @@ func (s *unlabeledSelector) merge(o *unlabeledSelector) {
 	s.covered.merge(&o.covered)
 	s.best.merge(&o.best)
 	s.worst.merge(&o.worst)
+	s.top.merge(&o.top)
+}
+
+// seeds appends the indices of the best rows kept to dst, in heap order, and
+// empties that selector.
+func (s *unlabeledSelector) seeds(dst []int) []int {
+	for _, c := range s.top.h {
+		dst = append(dst, c.Index)
+	}
+	s.top.h = s.top.h[:0]
+	return dst
 }
 
 // drain empties the selector into the drafted images, in training order —

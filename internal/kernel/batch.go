@@ -219,6 +219,50 @@ func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []f
 	}
 }
 
+// WeightTable is a linear model's weight vector (LinearWeights) scattered
+// densely — a value and a presence bit per session — so that a row scores
+// from its own log column without a walk of the index. The zero value is an
+// empty table; Load fills it and Unload empties it again, so a kept table
+// is reused without clearing its values.
+type WeightTable struct {
+	w   []float64
+	has []uint64
+}
+
+// Load scatters w into the table, which must be empty.
+func (t *WeightTable) Load(w sparse.Vector) {
+	if len(t.w) < w.Dim {
+		// Headroom for the sessions a few commits add.
+		n := w.Dim + w.Dim/16 + 64
+		t.w, t.has = make([]float64, n), make([]uint64, (n+63)/64)
+	}
+	for _, e := range w.Entries {
+		t.w[e.Index] = e.Value
+		t.has[e.Index>>6] |= 1 << (e.Index & 63)
+	}
+}
+
+// Unload empties the table of w, the vector Load scattered.
+func (t *WeightTable) Unload(w sparse.Vector) {
+	for _, e := range w.Entries {
+		t.has[e.Index>>6] &^= 1 << (e.Index & 63)
+	}
+}
+
+// Decision returns the row's linear decision value from its log column col:
+// bias plus float64(w_s·y_s) for each of the column's sessions s that the
+// loaded w holds, in ascending order — the bits LinearAccumulateWeights
+// gives the row when it starts from bias.
+func (t *WeightTable) Decision(bias float64, col sparse.Vector) float64 {
+	d := bias
+	for _, e := range col.Entries {
+		if s := e.Index; s < len(t.w) && t.has[s>>6]&(1<<(s&63)) != 0 {
+			d += float64(t.w[s] * e.Value)
+		}
+	}
+	return d
+}
+
 // EvalBatch stores K(x, ys[j]) into dst[j], Eval's bits; len(dst) must
 // equal len(ys). It is the lane that fills the trainer's RBF Gram rows
 // (Cache): it writes the row's arguments −gamma·‖x − y_j‖² into dst, then

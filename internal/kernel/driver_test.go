@@ -24,8 +24,9 @@ import (
 //   - RBF.EvalBatch to per-pair Eval, and every kernel's EvalSet and
 //     GramSet to the same expansion per pair;
 //   - LinearWeights and LinearAccumulateWeights, the log half's weight build
-//     and its walk range by range through one shared index, to their
-//     straight-line definition (refWeights, refDecisions);
+//     and its walk range by range through one shared index, and
+//     WeightTable.Decision row by row, to their straight-line definition
+//     (refWeights, refDecisions);
 //   - Cache.Row, fresh and grown, to per-pair Eval and its transpose;
 //   - every backend's exp to element-wise expOne;
 //   - DenseSet.Grow and ShardedSet.Grow to a rebuild over the same points.
@@ -64,7 +65,8 @@ func TestExpSweepMatchesExpOne(t *testing.T)                 { kernelPin(t, "exp
 func TestDenseSetGrowMatchesRebuild(t *testing.T)            { kernelPin(t, "grow-split-last", 6) }
 
 // TestLinearWeightsMatchDefinition pins the log half's regimes, one subtest
-// each.
+// each: the walk's, and those of a row scored from its own column against
+// the weights scattered (WeightTable), which must give the walk's bits.
 func TestLinearWeightsMatchDefinition(t *testing.T) {
 	for _, c := range []struct {
 		name, regime string
@@ -75,6 +77,10 @@ func TestLinearWeightsMatchDefinition(t *testing.T) {
 		{"odd support vectors", "sessions-odd-sv", 1},
 		{"non-finite coefficients", "sessions-non-finite", 36},
 		{"empty model", "sessions-empty-model", 14},
+		{"row from its column: empty column", "rows-empty-column", 3},
+		{"row from its column: no session of w", "rows-outside-w", 3},
+		{"row from its column: non-finite weights", "rows-non-finite", 36},
+		{"row from its column: -0 bias", "rows-signed-zero", 3},
 	} {
 		t.Run(c.name, func(t *testing.T) { kernelPin(t, c.regime, c.seed) })
 	}
@@ -423,6 +429,17 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	checkRowDecisions(t, label, new(WeightTable), shared, ys, dst0, want)
+	inW := func(y Point) bool {
+		return slices.ContainsFunc(y.(Sparse).Entries, func(e sparse.Entry) bool {
+			_, ok := slices.BinarySearchFunc(shared.Entries, e.Index, func(w sparse.Entry, s int) int { return w.Index - s })
+			return ok
+		})
+	}
+	seen["rows-empty-column"] = slices.ContainsFunc(ys, func(y Point) bool { return len(y.(Sparse).Entries) == 0 })
+	seen["rows-outside-w"] = slices.ContainsFunc(ys, func(y Point) bool { return len(y.(Sparse).Entries) > 0 && !inW(y) })
+	seen["rows-non-finite"] = slices.ContainsFunc(shared.Entries, func(e sparse.Entry) bool { return math.IsInf(e.Value, 0) || math.IsNaN(e.Value) }) && slices.ContainsFunc(ys, inW)
+	seen["rows-signed-zero"] = slices.ContainsFunc(dst0, func(d float64) bool { return d == 0 && math.Signbit(d) })
 	// One worker cuts at 0, 1, n−1 and n, one at every boundary of a shard
 	// size, and one to four more at random, unless a coefficient is not
 	// finite or no image is judged: their draws end before the cuts,

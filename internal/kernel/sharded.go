@@ -203,6 +203,23 @@ func (s *ShardedSet) SquaredNorm(i int) float64 {
 	return s.shards[i/s.shardSize].norms[i%s.shardSize]
 }
 
+// GatherInto copies the points rows names, in that order, and their stored
+// norms into block, reusing its storage, and returns it: a block of rows
+// from anywhere in the set that scores each row as the row scores in place,
+// every batched path computing a row from its own values and norm. block
+// must be the caller's own set, never a view (SliceInto), whose storage is
+// a shard's.
+func (s *ShardedSet) GatherInto(block *DenseSet, rows []int) *DenseSet {
+	data, norms := block.mat.Data[:0], block.norms[:0]
+	for _, r := range rows {
+		data = append(data, s.Point(r)...)
+		norms = append(norms, s.SquaredNorm(r))
+	}
+	block.mat = linalg.Matrix{Rows: len(rows), Cols: s.dim, Data: data}
+	block.norms = norms
+	return block
+}
+
 // Grow returns a new ShardedSet holding the receiver's points followed by vs
 // (which are copied). Full shards are shared with the receiver; only the
 // tail shard is grown (copy-on-write through DenseSet.Grow, so concurrent

@@ -117,7 +117,8 @@ func buildWeights(coefs []float64, svs []Point, want sparse.Vector) (sparse.Vect
 // checkWeightsMatchDefinition builds the weights of the model, walks them
 // over ys through an index over them range by range, and holds the weights
 // and every row of the result to the definition from the same initial dst0,
-// bit for bit.
+// bit for bit; so is every row scored from its own column
+// (checkRowDecisions).
 func checkWeightsMatchDefinition(t *testing.T, label string, coefs []float64, svs, ys []Point, ix *SparseSVIndex, dst0 []float64, ranges [][2]int) {
 	t.Helper()
 	wantW := refWeights(coefs, svs)
@@ -128,6 +129,27 @@ func checkWeightsMatchDefinition(t *testing.T, label string, coefs []float64, sv
 		t.Fatalf("%s: %v", label, err)
 	}
 	checkParity(t, label, walkRanges(w, ix, dst0, ranges), want)
+	checkRowDecisions(t, label, new(WeightTable), w, ys, dst0, want)
+}
+
+// checkRowDecisions holds WeightTable.Decision — a row scored from its own
+// column against w scattered into tab — to the walk's definition: row j
+// from dst0[j] scores want[j], bit for bit. Once unloaded, the table must
+// add nothing to any row.
+func checkRowDecisions(t *testing.T, label string, tab *WeightTable, w sparse.Vector, ys []Point, dst0, want []float64) {
+	t.Helper()
+	got := make([]float64, len(ys))
+	score := func() {
+		for j, y := range ys {
+			got[j] = tab.Decision(dst0[j], *y.(Sparse).Vector)
+		}
+	}
+	tab.Load(w)
+	score()
+	tab.Unload(w)
+	checkParity(t, label+", rows from their columns", got, want)
+	score()
+	checkParity(t, label+", rows from their columns after Unload", got, dst0)
 }
 
 // logLikeVector draws a sparse vector of the given dimension with about mean
@@ -154,8 +176,8 @@ func logLikeVector(rng *linalg.RNG, dim int, mean float64, unit bool) *sparse.Ve
 // coefficients and destinations of either sign, ±Inf and NaN, so signed
 // zeros show; coefficients of ±Inf and NaN, which reach only the rows of the
 // sessions their support vectors carry), cuts the collection into two ranges
-// anywhere, and holds the log half — the weight build and the walk — to its
-// definition, bit for bit.
+// anywhere, and holds the log half — the weight build, the walk and each row
+// scored from its own column (WeightTable) — to its definition, bit for bit.
 func FuzzLinearAccumulateWeights(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 2, 1, 0x80, 0x80, 0x80, 1, 3, 9, 1, 3, 0xf7}) // negative coefficients, -0 bias, rows without entries

@@ -500,10 +500,17 @@ func baseRecordPayload(baseSeq uint64) []byte {
 // header-crc(u32, over the length bytes), payload-crc(u32), payload.
 func frameJournalRecord(payload []byte) []byte {
 	rec := make([]byte, journalRecordHeaderLen+len(payload))
+	copy(rec[journalRecordHeaderLen:], payload)
+	return frameInPlace(rec)
+}
+
+// frameInPlace fills in the header of a record whose payload was built
+// behind journalRecordHeaderLen reserved bytes, and returns the record.
+func frameInPlace(rec []byte) []byte {
+	payload := rec[journalRecordHeaderLen:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[0:4]))
 	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(payload))
-	copy(rec[journalRecordHeaderLen:], payload)
 	return rec
 }
 
@@ -620,13 +627,16 @@ func applyImageGroup(group [][]byte, visual []linalg.Vector, fblog *feedbacklog.
 	return visual, nil
 }
 
-// AppendSession journals one committed feedback session: its kind byte and
-// encoding in one allocation, the image keys sorted on the stack unless the
-// session judges more than sessionKeysOnStack images.
+// AppendSession journals one committed feedback session in one allocation:
+// the record's header is reserved at the front of the buffer its kind byte
+// and encoding are built into, and filled in once they are. The image keys
+// are sorted on the stack unless the session judges more than
+// sessionKeysOnStack images.
 func (j *Journal) AppendSession(s feedbacklog.Session) error {
 	var keys [sessionKeysOnStack]int
-	payload, _ := appendSession(append(make([]byte, 0, 13+8*len(s.Judgments)), journalEntrySession), s, keys[:0])
-	return j.append(payload, func(st *JournalStats) { st.Sessions++ })
+	rec := make([]byte, journalRecordHeaderLen, journalRecordHeaderLen+13+8*len(s.Judgments))
+	rec, _ = appendSession(append(rec, journalEntrySession), s, keys[:0])
+	return j.appendAll([][]byte{frameInPlace(rec)}, func(st *JournalStats) { st.Sessions++ })
 }
 
 // sessionKeysOnStack is how many judged images AppendSession sorts without
@@ -649,10 +659,11 @@ func (j *Journal) AppendImages(descriptors []linalg.Vector) error {
 	if perRecord < 1 {
 		return fmt.Errorf("storage: descriptor dimension %d exceeds a journal record", dim)
 	}
-	var payloads [][]byte
+	var records [][]byte
 	for start := 0; start < len(descriptors); start += perRecord {
 		chunk := descriptors[start:min(start+perRecord, len(descriptors))]
-		payload := make([]byte, 10+8*len(chunk)*dim)
+		rec := make([]byte, journalRecordHeaderLen+10+8*len(chunk)*dim)
+		payload := rec[journalRecordHeaderLen:]
 		payload[0] = journalEntryImages
 		if start+perRecord >= len(descriptors) {
 			payload[1] = journalFlagFinalChunk
@@ -669,31 +680,22 @@ func (j *Journal) AppendImages(descriptors []linalg.Vector) error {
 				off += 8
 			}
 		}
-		payloads = append(payloads, payload)
+		records = append(records, frameInPlace(rec))
 	}
 	n := int64(len(descriptors))
-	return j.appendAll(payloads, func(st *JournalStats) { st.Images += n })
+	return j.appendAll(records, func(st *JournalStats) { st.Images += n })
 }
 
-// append frames and writes one record; see appendAll.
-func (j *Journal) append(payload []byte, count func(*JournalStats)) error {
-	return j.appendAll([][]byte{payload}, count)
-}
-
-// appendAll frames and writes a group of records all-or-nothing. Each
-// record is assembled into a single buffer and written with one call, so a
-// crash tears at most the final record — exactly what replay truncates
-// away. Under FsyncAlways the group is synced once, after its last record.
+// appendAll writes a group of framed records all-or-nothing. Each record
+// is one buffer written with one call, so a crash tears at most the final
+// record — exactly what replay truncates away. Under FsyncAlways the group
+// is synced once, after its last record.
 // The first failed write or fsync fails the append: the whole group is
 // rolled back (truncated out), so the journal never holds records whose
 // caller was told the mutation failed; if even the rollback fails the
 // journal declares itself broken and refuses further appends rather than
 // risk diverging from the in-memory state.
-func (j *Journal) appendAll(payloads [][]byte, count func(*JournalStats)) error {
-	records := make([][]byte, len(payloads))
-	for i, payload := range payloads {
-		records[i] = frameJournalRecord(payload)
-	}
+func (j *Journal) appendAll(records [][]byte, count func(*JournalStats)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {

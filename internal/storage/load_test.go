@@ -394,9 +394,10 @@ func TestWriterAllocationsDoNotGrow(t *testing.T) {
 	}
 }
 
-// TestAppendSessionAllocatesOnce: the journal frames a session's kind byte
-// and encoding in one allocation, beside what appending a built payload
-// costs; encoded on its own, then framed, a session allocated three times.
+// TestAppendSessionAllocatesOnce: the journal builds a session's record in
+// one allocation — header reserved, kind byte and encoding appended, header
+// filled in place — and writes it without another; encoded on its own, then
+// framed, a session allocated three times.
 func TestAppendSessionAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the program")
@@ -410,20 +411,13 @@ func TestAppendSessionAllocatesOnce(t *testing.T) {
 	for i := range 20 {
 		s.Judgments[3*i] = feedbacklog.Relevant
 	}
-	payload := append([]byte{journalEntrySession}, encodeSession(s)...)
-	built := testing.AllocsPerRun(20, func() {
-		if err := j.append(payload, func(st *JournalStats) { st.Sessions++ }); err != nil {
-			t.Fatal(err)
-		}
-	})
-	session := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(20, func() {
 		if err := j.AppendSession(s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("AppendSession %.0f, its built payload %.0f", session, built)
-	if session > built+1 {
-		t.Errorf("AppendSession allocates %.0f objects, appending its built payload %.0f: want one more", session, built)
+	if allocs != 1 {
+		t.Errorf("AppendSession allocates %.0f objects, want 1", allocs)
 	}
 }
 
