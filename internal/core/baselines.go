@@ -198,7 +198,8 @@ func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visual, log 
 	return visual, log, nil
 }
 
-// scorer implements rangeScored: the round's model pair plus the query prior.
+// scorer implements rangeScored: the round's model pair plus the query
+// prior, a top-K pass starting from the rows the log vouches for.
 func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
@@ -209,7 +210,15 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	if err != nil {
 		return scoring{}, err
 	}
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, visual.Model(), log.Model(), nil)}, nil
+	return twoSVMsScoring(ctx, batch, visual.Model(), log.Model()), nil
+}
+
+// twoSVMsScoring is LRF-2SVMs' retrieval pass with the model pair: a
+// top-K pass is seeded by the judged positives and the images the log
+// judged relevant beside them (vouchedSeeds).
+func twoSVMsScoring(ctx *QueryContext, batch *CollectionBatch, visualModel, logModel *svm.Model) scoring {
+	seeds := seedBlock{log: ctx.LogIndex, labeled: ctx.Labeled, score: seedScorer(ctx, batch, visualModel, logModel)}
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, visualModel, logModel, nil), seeds: seeds}
 }
 
 // Rank implements Scheme.
@@ -257,8 +266,7 @@ func (p *Pretrained2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	if err != nil {
 		return scoring{}, err
 	}
-	batch := ctx.collectionBatch()
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, p.visualModel, p.logModel, nil)}, nil
+	return twoSVMsScoring(ctx, ctx.collectionBatch(), p.visualModel, p.logModel), nil
 }
 
 // RankTopAppend streams the top k with the pretrained pair.

@@ -194,18 +194,26 @@ type rankScratch struct {
 	// allocates nothing.
 	view *kernel.DenseSet
 	// block, weights and seeds are a seeded top-K pass's: the seed rows
-	// gathered, a linear log model's weights scattered, the rows themselves.
-	block   kernel.DenseSet
-	weights kernel.WeightTable
-	seeds   []int
+	// gathered, a linear log model's weights indexed, the rows themselves;
+	// sessions, vouched, tally and ranked are where its log-vouched rows are
+	// picked (vouchedSeeds).
+	block    kernel.DenseSet
+	weights  kernel.WeightTable
+	seeds    []int
+	sessions []int
+	vouched  []int
+	tally    topKSelector
+	ranked   []Ranked
 	// units holds the tail units a pass claims first (scanPass.first).
 	units []int
 	// floor is a top-K pass's floor (float64 bits) in its result arena; cut
-	// is the range a top-K worker scores: its bound, floor and rows handed back.
+	// is the range a top-K worker scores: its bound, floor, the rows the seed
+	// block scored and the rows handed back.
 	floor atomic.Uint64
 	cut   struct {
 		bound    kernel.Bound
 		floor    *atomic.Uint64
+		done     []int
 		lo, next int
 	}
 }
@@ -214,7 +222,7 @@ type rankScratch struct {
 // other two for the duration of one call.
 const (
 	laneScores = iota // the range's scores, for the sinks that select from them
-	lanePrior         // the query's distances, then its prior
+	lanePrior         // the query prior, which the tile writes (kernel.Prior)
 	laneLog           // log-modality decision values
 )
 
@@ -476,20 +484,24 @@ func (p *scanPass) score(sc *rankScratch, lo, hi int) {
 // bounds the RBF tile by their floor (kernel.Bound): the largest k-th best
 // score a worker of the pass keeps, raised after every tile. A skipped row
 // ranks below k kept rows, so the pass keeps what it keeps without a floor.
-type topKSink struct{ floor *atomic.Uint64 }
+// The floor is the result arena's, and so are the rows the seed block
+// scored into its selector (seedFloor, rankScratch.seeds), which the pass
+// neither scores nor offers again.
+type topKSink struct{ result *rankScratch }
 
 func (topKSink) like(sc, proto *rankScratch) { sc.sel.reset(proto.sel.k) }
 
 func (s topKSink) dst(sc *rankScratch, lo, n int) []float64 {
-	sc.cut.bound, sc.cut.floor, sc.cut.lo, sc.cut.next = sc, s.floor, lo, 0
+	sc.cut.bound, sc.cut.floor, sc.cut.done, sc.cut.lo, sc.cut.next = sc, &s.result.floor, s.result.seeds, lo, 0
 	return sc.lane(laneScores, n)
 }
 
-// consume offers, a tile at a time, the rows the driver has not handed back.
+// consume offers, a tile at a time, the rows the driver has not handed back
+// and the seed block has not scored.
 func (topKSink) consume(sc *rankScratch, _ int, scores []float64) {
 	for i := sc.cut.next; i < len(scores); i += 64 {
 		n := min(64, len(scores)-i)
-		sc.Scored(i, n, ^uint64(0)>>(64-n))
+		sc.Scored(i, n, ^uint64(0)>>(64-n)&^sc.Done(i, n))
 	}
 	sc.cut.bound = nil
 }
@@ -511,6 +523,18 @@ func (sc *rankScratch) Scored(lo, n int, kept uint64) {
 	sc.publish()
 }
 
+// Done implements kernel.Bound: the rows of the tile the seed block scored.
+func (sc *rankScratch) Done(lo, n int) uint64 {
+	lo += sc.cut.lo
+	done := sc.cut.done
+	i, _ := slices.BinarySearch(done, lo)
+	var mask uint64
+	for ; i < len(done) && done[i] < lo+n; i++ {
+		mask |= 1 << (done[i] - lo)
+	}
+	return mask
+}
+
 // publish raises the pass's floor to the arena's k-th best score by atomic max.
 func (sc *rankScratch) publish() {
 	for len(sc.sel.h) == sc.sel.k {
@@ -525,11 +549,11 @@ func (sc *rankScratch) publish() {
 // under the (score, index) order, appended to dst (reusing its capacity — a
 // caller recycling its result buffer allocates nothing here). No
 // collection-sized slice is materialized. A pass over every image starts
-// from the floor of its seeds (seedFloor); the zero seedBlock is none.
+// from the floor of its seeds (seedFloor) and skips the rows they scored;
+// the zero seedBlock is none.
 func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k int, dst []Ranked, fn rangeScorer, seeds seedBlock) ([]Ranked, error) {
-	if n := b.VisualSet().Len(); k > n {
-		k = n
-	}
+	n := b.VisualSet().Len()
+	k = min(k, n)
 	if k <= 0 {
 		if dst == nil {
 			dst = []Ranked{}
@@ -540,12 +564,13 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k 
 	defer b.scratchPut(sc)
 	sc.sel.reset(k)
 	sc.floor.Store(math.Float64bits(math.Inf(-1)))
+	sc.seeds = sc.seeds[:0]
 	if seeds.score != nil && cands.Lists == nil && cands.TailStart <= 0 {
-		if err := sc.seedFloor(ctx, seeds, k); err != nil {
+		if err := sc.seedFloor(ctx, seeds, k, n); err != nil {
 			return nil, err
 		}
 	}
-	if err := scanRanges(ctx, b, cands, fn, topKSink{floor: &sc.floor}, sc); err != nil {
+	if err := scanRanges(ctx, b, cands, fn, topKSink{result: sc}, sc); err != nil {
 		return nil, err
 	}
 	return sc.sel.drain(dst), nil
@@ -556,27 +581,35 @@ func rankTopRanges(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, k 
 // its temporaries from the arena sc.
 type blockScorer func(sc *rankScratch, rows []int, dst []float64)
 
-// seedBlock is what a top-K pass may start from: rows of the collection and
-// the scorer of the pass's bits for them (nil: no seeds).
+// seedBlock is what a top-K pass may start from: rows of the collection —
+// given (LRF-CSVM's step 1 best rows), or picked around the judged
+// positives of labeled by the log (LRF-2SVMs; vouchedSeeds), when log is
+// set — and the scorer of the pass's bits for them (nil: no seeds).
 type seedBlock struct {
-	rows  []int
-	score blockScorer
+	rows    []int
+	log     *kernel.LogIndex
+	labeled []LabeledExample
+	score   blockScorer
 }
 
-// seedFloor starts the top-k pass of the result arena sc from a floor: it
-// scores the distinct rows of seeds as one block and, when there are at
-// least k, raises the pass's floor to the k-th best of their scores — the
-// floor the pass would publish had it scored them first. Those k rows are
-// rows of the pass scored with its own bits, so every row the floor lets
-// the tile skip ranks below k rows of the pass, and the pass keeps what it
-// keeps without one. Only rows of the pass may raise its floor, so the
-// caller seeds only a pass over every image. The seeds are scored again by
-// the pass, which keeps them once.
-func (sc *rankScratch) seedFloor(ctx *QueryContext, seeds seedBlock, k int) error {
+// seedFloor starts the top-k pass of the result arena sc, over n images,
+// from a floor: it scores the distinct rows of seeds as one block and, when
+// there are at least k, keeps their scores in the pass's selector, raises
+// the pass's floor to the k-th best of them — the floor the pass would
+// publish had it scored them first — and leaves the rows in sc.seeds for
+// the pass to skip. Those k rows are rows of the pass scored with its own
+// bits, so every row the floor lets the tile skip ranks below k rows of the
+// pass, and the pass keeps what it keeps without one. Only rows of the pass
+// may raise its floor, so the caller seeds only a pass over every image.
+// With fewer than k rows nothing is scored and sc.seeds is left empty.
+func (sc *rankScratch) seedFloor(ctx *QueryContext, seeds seedBlock, k, n int) error {
 	rows := append(sc.seeds[:0], seeds.rows...)
+	if seeds.log != nil {
+		rows = sc.vouchedSeeds(seeds.log, seeds.labeled, n, rows)
+	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
-	sc.seeds = rows
+	sc.seeds = rows[:0]
 	if len(rows) < k {
 		return nil
 	}
@@ -592,8 +625,65 @@ func (sc *rankScratch) seedFloor(ctx *QueryContext, seeds seedBlock, k int) erro
 	}
 	sc.cut.floor = &sc.floor
 	sc.publish()
-	sc.sel.reset(k)
+	sc.seeds = rows
 	return nil
+}
+
+// vouchedSeeds appends to dst LRF-2SVMs' seed rows, at most seedRows of
+// them: the distinct judged positives of labeled, ascending, then the
+// images of the first n that the log judged relevant in a session where one
+// of those positives was judged relevant, most such sessions first, ties by
+// ascending index. Log judgments are real user judgments (see
+// unlabeledSelector), so these are mostly the round's true top rows. The
+// pick reads the log by image (the positives' columns) and by session (the
+// images each judged relevant), and once the arena's buffers have grown it
+// allocates nothing.
+func (sc *rankScratch) vouchedSeeds(log *kernel.LogIndex, labeled []LabeledExample, n int, dst []int) []int {
+	start := len(dst)
+	for _, ex := range labeled {
+		if ex.Label > 0 {
+			dst = append(dst, ex.Index)
+		}
+	}
+	pos := dst[start:]
+	slices.Sort(pos)
+	pos = slices.Compact(pos)
+	dst = dst[:start+len(pos)]
+	if len(pos) >= seedRows {
+		return dst[:start+seedRows]
+	}
+	sessions := sc.sessions[:0]
+	for _, p := range pos {
+		for _, e := range log.Column(p).Entries {
+			if e.Value > 0 {
+				sessions = append(sessions, e.Index)
+			}
+		}
+	}
+	slices.Sort(sessions)
+	sessions = slices.Compact(sessions)
+	images, ix := sc.vouched[:0], log.Sessions()
+	for _, s := range sessions {
+		images = ix.AppendPositive(s, images)
+	}
+	slices.Sort(images)
+	sc.tally.reset(seedRows - len(pos))
+	for i := 0; i < len(images); {
+		r, j := images[i], i+1
+		for j < len(images) && images[j] == r {
+			j++
+		}
+		if _, judged := slices.BinarySearch(pos, r); r < n && !judged && sc.tally.admits(r, float64(j-i)) {
+			sc.tally.push(r, float64(j-i))
+		}
+		i = j
+	}
+	sc.ranked = sc.tally.drain(sc.ranked[:0])
+	for _, c := range sc.ranked {
+		dst = append(dst, c.Index)
+	}
+	sc.sessions, sc.vouched = sessions, images
+	return dst
 }
 
 // unlabeledSink keeps the unlabeled points of LRF-CSVM's step 1 in the
@@ -670,23 +760,19 @@ func scanScores(ctx *QueryContext, b *CollectionBatch, fn rangeScorer) ([]float6
 
 // coupledScorer scores by the summed decision value of a visual and a log
 // model — CSVM_Dist of Fig. 1, and the combined score of LRF-2SVMs — minus the
-// query prior around the descriptor q, computed first so a top-K pass can
-// bound the visual pass by them. Step 1 selects by the decisions alone (nil
-// q). pos is LRF-CSVM's step lane as the visual pass takes it, over the whole
-// collection (recorded by step 1, stepLane.bound for step 3), or the zero
-// value.
+// query prior around the descriptor q, which the visual pass's tile writes
+// as it reads the rows and bounds by with the log decisions computed first.
+// Step 1 selects by the decisions alone (nil q). pos is LRF-CSVM's step lane
+// as the visual pass takes it, over the whole collection (recorded by step
+// 1, stepLane.bound for step 3), or the zero value.
 func coupledScorer(ctx *QueryContext, visualModel, logModel *svm.Model, q linalg.Vector, pos kernel.PositiveSums) rangeScorer {
 	log := ctx.LogIndex
 	return func(sc *rankScratch, sub *kernel.DenseSet, lo int, dst []float64) {
-		var prior []float64
-		if q != nil {
-			prior = queryPrior(sc, q, sub)
-		}
 		pos := pos
 		if pos.Lane != nil {
 			pos.Lane = pos.Lane[lo : lo+sub.Len()]
 		}
-		visualModel.DecisionBounded(sub, dst, logDecisions(sc, logModel, log, lo, sub.Len()), prior, pos, &sc.tiles, sc.cut.bound)
+		visualModel.DecisionBounded(sub, dst, logDecisions(sc, logModel, log, lo, sub.Len()), sc.prior(q, sub.Len()), pos, &sc.tiles, sc.cut.bound)
 	}
 }
 
@@ -720,20 +806,20 @@ func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logMode
 }
 
 // seedScorer is retrievalScorer over rows gathered from anywhere into one
-// block of the arena (kernel.ShardedSet.GatherInto): the query prior per
-// row, the log decision per row (rowLogDecisions) and the visual decision
-// of the block with no bound, which neither reads a step lane nor needs
-// one — a scored row has the same bits with or without it.
+// block of the arena (kernel.ShardedSet.GatherInto): the log decision per
+// row (rowLogDecisions), then the query prior and the visual decision of
+// the block with no bound, which neither reads a step lane nor needs one —
+// a scored row has the same bits with or without it.
 func seedScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model) blockScorer {
 	q, log := b.queryVector(ctx), ctx.LogIndex
 	return func(sc *rankScratch, rows []int, dst []float64) {
 		block := b.set.GatherInto(&sc.block, rows)
-		visualModel.DecisionBounded(block, dst, rowLogDecisions(sc, logModel, log, rows), queryPrior(sc, q, block), kernel.PositiveSums{}, &sc.tiles, nil)
+		visualModel.DecisionBounded(block, dst, rowLogDecisions(sc, logModel, log, rows), sc.prior(q, len(rows)), kernel.PositiveSums{}, &sc.tiles, nil)
 	}
 }
 
 // rowLogDecisions is logDecisions for rows named by index: a linear model
-// scatters its weight vector into the arena (kernel.WeightTable) and scores
+// indexes its weight vector in the arena (kernel.WeightTable) and scores
 // each row from its own log column, adding the row's sessions of w in
 // ascending order, LinearAccumulateWeights' bits; another kernel scores row
 // by row through svm.Model.Decision, as logDecisions does.
@@ -759,28 +845,28 @@ func rowLogDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, rows [
 func visualScorer(ctx *QueryContext, b *CollectionBatch, model *svm.Model) rangeScorer {
 	q := b.queryVector(ctx)
 	return func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		model.DecisionBounded(sub, dst, nil, queryPrior(sc, q, sub), kernel.PositiveSums{}, &sc.tiles, sc.cut.bound)
+		model.DecisionBounded(sub, dst, nil, sc.prior(q, sub.Len()), kernel.PositiveSums{}, &sc.tiles, sc.cut.bound)
 	}
 }
 
-// queryPrior returns, in the arena's prior lane, the initial-similarity prior
-// of the rows of a range that an SVM scheme's score subtracts, q being the
-// query's descriptor; see queryPriorWeight for the rationale.
-func queryPrior(sc *rankScratch, q linalg.Vector, sub *kernel.DenseSet) []float64 {
-	prior := sc.lane(lanePrior, sub.Len())
-	rangeDistances(q, sub, prior)
-	for i, d := range prior {
-		prior[i] = float64(queryPriorWeight * d)
+// prior is the initial-similarity prior an SVM scheme's score subtracts
+// from n rows, around the query's descriptor q (nil: none), written into
+// the arena's prior lane by the pass that reads the rows; see
+// queryPriorWeight for the rationale.
+func (sc *rankScratch) prior(q linalg.Vector, n int) kernel.Prior {
+	if q == nil {
+		return kernel.Prior{}
 	}
-	return prior
+	return kernel.Prior{Query: q, Weight: queryPriorWeight, Lane: sc.lane(lanePrior, n)}
 }
 
 // rangeDistances writes the Euclidean distance from q to every row of a range
-// into dst: what the Euclidean scheme negates into its score and the query
-// prior weighs. Distances use the norm-expansion batch path (one matrix-vector
-// product per range against the precomputed row norms, on the kernel
-// backend's row dot); EXPERIMENTS.md documents the O(1e-15) per-score drift
-// and the unchanged MAP metrics.
+// into dst: what the Euclidean scheme negates into its score (the SVM
+// schemes' prior weighs the same distance, kernel.Prior). Distances use the
+// norm-expansion batch path (one matrix-vector product per range against
+// the precomputed row norms, on the kernel backend's row dot);
+// EXPERIMENTS.md documents the O(1e-15) per-score drift and the unchanged
+// MAP metrics.
 func rangeDistances(q linalg.Vector, sub *kernel.DenseSet, dst []float64) {
 	sub.SquaredDistancesInto(dst, q)
 	for i := range dst {

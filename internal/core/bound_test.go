@@ -34,7 +34,7 @@ func plantedScorer(q linalg.Vector, model *svm.Model, add []float64, skipped *at
 		if b != nil {
 			b = skipCounter{b, skipped}
 		}
-		model.DecisionBounded(sub, dst, add[lo:lo+len(dst)], queryPrior(sc, q, sub), kernel.PositiveSums{}, &sc.tiles, b)
+		model.DecisionBounded(sub, dst, add[lo:lo+len(dst)], sc.prior(q, sub.Len()), kernel.PositiveSums{}, &sc.tiles, b)
 	}
 }
 
@@ -82,13 +82,16 @@ func TestTopKPassMatchesScanScores(t *testing.T) {
 	}
 	q := batch.queryVector(ctx)
 	visual, err := scanScores(ctx, batch, func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		model.DecisionBounded(sub, dst, nil, nil, kernel.PositiveSums{}, &sc.tiles, nil)
+		model.DecisionBounded(sub, dst, nil, kernel.Prior{}, kernel.PositiveSums{}, &sc.tiles, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prior, err := scanScores(ctx, batch, func(sc *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
-		copy(dst, queryPrior(sc, q, sub))
+	prior, err := scanScores(ctx, batch, func(_ *rankScratch, sub *kernel.DenseSet, _ int, dst []float64) {
+		rangeDistances(q, sub, dst)
+		for i, d := range dst {
+			dst[i] = float64(queryPriorWeight * d)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -197,7 +197,8 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (fi
 	}
 	lane.handOff(coupled.Models[0], labels)
 	vm, lm := coupled.Models[0], coupled.Models[1]
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seed: seedScorer(ctx, batch, vm, lm), lane: lane}, coupled, nil
+	seeds := seedBlock{rows: lane.seeds, score: seedScorer(ctx, batch, vm, lm)}
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seeds: seeds, lane: lane}, coupled, nil
 }
 
 // RankTop implements Scheme: steps 1-2 run exactly as in Rank, and the

@@ -200,13 +200,15 @@ type rangeScored interface {
 }
 
 // scoring is a ranking pass as a scheme prepares it: the collection batch,
-// the function that scores one range of it (query prior included) and, for
-// LRF-CSVM, the scorer of its seed rows and the step lane its final pass
-// reads, borrowed from the batch until release (nil for every other scheme).
+// the function that scores one range of it (query prior included), the
+// seed rows a top-K pass starts from with their scorer — LRF-CSVM's step 1
+// best rows, the rows the log vouches for in LRF-2SVMs' pass, none in the
+// other schemes' — and, for LRF-CSVM, the step lane its final pass reads,
+// borrowed from the batch until release (nil for every other scheme).
 type scoring struct {
 	batch *CollectionBatch
 	fn    rangeScorer
-	seed  blockScorer
+	seeds seedBlock
 	lane  *stepLane
 }
 
@@ -214,14 +216,13 @@ type scoring struct {
 func (s scoring) release() { s.batch.lanePut(s.lane) }
 
 // top streams the top k of the images cands names, appended to dst: a full
-// pass from the floor of the lane's seeds, and any pass starting with the
-// units of the lane's first rows.
+// pass from the floor of the seeds, and any pass starting with the units of
+// the lane's first rows.
 func (s scoring) top(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
-	var seeds seedBlock
 	if s.lane != nil {
-		cands.first, seeds = s.lane.first, seedBlock{rows: s.lane.seeds, score: s.seed}
+		cands.first = s.lane.first
 	}
-	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn, seeds)
+	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn, s.seeds)
 }
 
 // rankScores scores every image of the collection: Scheme.Rank. It and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lrfcsvm/internal/kernel"
+	"lrfcsvm/internal/svm"
 )
 
 // This file benchmarks the steady-state ranking path in isolation — the
@@ -124,8 +125,9 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 // recycled result buffer: the pass the RBF tile driver bounds by the top-K
 // floor. B/op must not grow with the collection. The share of kernel pairs
 // the bound skips in a model of the benchmark's sign mix is
-// BenchmarkBoundedTile's, in package kernel; the lrf-csvm-step3/12-refines
-// cases report step 3's own on two serving shapes (benchStep3Pairs).
+// BenchmarkBoundedTile's, in package kernel; the 12-refines cases report
+// each seeded pass's own on the serving shapes (benchPassPairs): step 3's
+// on two, LRF-2SVMs' on ingest-commit's.
 func BenchmarkTopKPass(b *testing.B) {
 	for _, n := range []int{5000, 20000} {
 		coll := makeDenseLogCollection(b, n/50, 50, 3*n, 29)
@@ -161,26 +163,29 @@ func BenchmarkTopKPass(b *testing.B) {
 			pass.release()
 		}
 	}
-	benchStep3Pairs(b)
+	benchPassPairs(b)
 }
 
-// benchStep3Pairs is BenchmarkTopKPass's lrf-csvm-step3 case on the
-// dense-log collections of two workloads, stored in category order: 50
-// categories of 100 images with 1,000 log sessions, and 100 of 500 with
-// 2,000. Per shape, 12 refines — 6 queries spread over the collection, 20
-// and 40 judged — are trained outside the timer, and the timed loop cycles
-// through their step-3 passes. pairs/row·sv is the share of step 3's kernel
-// pairs (row × visual support vector) its tiles evaluate over the 12 passes,
-// counted through a wrapped kernel member (kernel.CountPairs), seed rows
-// included; max-pairs/row·sv is the largest share of one pass. Both are
-// taken over one untimed sweep, so they do not depend on -benchtime.
-func benchStep3Pairs(b *testing.B) {
+// benchPassPairs is BenchmarkTopKPass's 12-refines cases on the dense-log
+// collections of three workloads, stored in category order: LRF-CSVM's step
+// 3 on 50 categories of 100 images with 1,000 log sessions and on 100 of 500
+// with 2,000, LRF-2SVMs' pass on ingest-commit's 100 of 200 with 2,000. Per
+// case, 12 refines — 6 queries spread over the collection, 20 and 40 judged
+// — are trained outside the timer, and the timed loop cycles through their
+// final passes. pairs/row·sv is the share of the pass's kernel pairs (row ×
+// visual support vector) its tiles evaluate over the 12 passes, counted
+// through a wrapped kernel member (kernel.CountPairs), seed rows included;
+// max-pairs/row·sv is the largest share of one pass. Both are taken over one
+// untimed sweep, so they do not depend on -benchtime.
+func benchPassPairs(b *testing.B) {
 	for _, sh := range []struct {
+		scheme              string
 		cats, per, sessions int
 		queries             []int
 	}{
-		{50, 100, 1000, []int{7, 432, 1234, 2600, 3888, 4999}},
-		{100, 500, 2000, []int{7, 4321, 12345, 26000, 38888, 49999}},
+		{"lrf-csvm-step3", 50, 100, 1000, []int{7, 432, 1234, 2600, 3888, 4999}},
+		{"lrf-csvm-step3", 100, 500, 2000, []int{7, 4321, 12345, 26000, 38888, 49999}},
+		{"lrf-2svms", 100, 200, 2000, []int{7, 4321, 12345, 16000, 18888, 19999}},
 	} {
 		n := sh.cats * sh.per
 		coll := makeDenseLogCollection(b, sh.cats, sh.per, sh.sessions, 29)
@@ -198,15 +203,27 @@ func benchStep3Pairs(b *testing.B) {
 					b.Fatal(err)
 				}
 				ctx.Batch = batch
-				pass, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
-				if err != nil {
-					b.Fatal(err)
+				var pass scoring
+				var visual *svm.Model
+				if sh.scheme == "lrf-2svms" {
+					v, l, err := LRF2SVMs{}.train(ctx, batch)
+					if err != nil {
+						b.Fatal(err)
+					}
+					visual = v.Model()
+					pass = twoSVMsScoring(ctx, batch, visual, l.Model())
+				} else {
+					p, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pass, visual = p, coupled.Models[0]
 				}
 				defer pass.release()
-				refines = append(refines, refine{ctx, pass, len(coupled.Models[0].SupportPoints)})
+				refines = append(refines, refine{ctx, pass, len(visual.SupportPoints)})
 			}
 		}
-		b.Run(fmt.Sprintf("lrf-csvm-step3/12-refines/%dx%d", sh.cats, sh.per), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/12-refines/%dx%d", sh.scheme, sh.cats, sh.per), func(b *testing.B) {
 			buf := make([]Ranked, 0, benchK)
 			run := func(r refine) {
 				got, err := r.pass.top(r.ctx, CandidateSet{}, benchK, buf[:0])

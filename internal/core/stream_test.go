@@ -176,7 +176,7 @@ func TestSeededStep3Allocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pass.release()
-			if math.IsInf(seededFloor(t, ctx, seedBlock{rows: pass.lane.seeds, score: pass.seed}, k), -1) {
+			if math.IsInf(seededFloor(t, ctx, pass.seeds, k), -1) {
 				t.Fatalf("query %d, %d judged: the pass starts from no floor", q, judged)
 			}
 			refines = append(refines, refine{ctx, pass})
@@ -189,7 +189,7 @@ func TestSeededStep3Allocations(t *testing.T) {
 		i++
 		seeds := seedBlock{}
 		if seeded {
-			seeds = seedBlock{rows: r.pass.lane.seeds, score: r.pass.seed}
+			seeds = r.pass.seeds
 		}
 		got, err := rankTopRanges(r.ctx, batch, CandidateSet{first: r.pass.lane.first}, k, buf[:0], r.pass.fn, seeds)
 		if err != nil || len(got) != k {
@@ -213,5 +213,78 @@ func TestSeededStep3Allocations(t *testing.T) {
 		t.Errorf("seeded step-3 passes evaluate %d kernel pairs, unseeded %d: want at most 0.8 times", seeded, unseeded)
 	} else {
 		t.Logf("seeded step-3 passes evaluate %d kernel pairs, unseeded %d", seeded, unseeded)
+	}
+}
+
+// TestSeededTwoSVMsAllocations is TestSeededStep3Allocations for LRF-2SVMs'
+// pass, seeded by the rows the log vouches for, on the ingest-commit
+// workload's shape (100 categories of 200 images, 2,000 log sessions): a
+// steady pass allocates as many times with its seeds as without them — the
+// pick's sessions, images and tally live in the arena, kept between passes
+// — and over 12 refines (6 queries, 20 and 40 judged), on one worker, the
+// seeded passes evaluate at most 0.85 times the kernel pairs the unseeded
+// ones do, their own included.
+func TestSeededTwoSVMsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")
+	}
+	const k = 20
+	coll := makeDenseLogCollection(t, 100, 200, 2000, 29)
+	batch := NewCollectionBatch(coll.visual)
+	type refine struct {
+		ctx  *QueryContext
+		pass scoring
+	}
+	var refines []refine
+	for _, q := range []int{7, 4321, 12345, 16000, 18888, 19999} {
+		for _, judged := range []int{20, 40} {
+			ctx, err := coll.queryContext(q, judged).validated(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.Batch, ctx.Workers = batch, 1
+			pass, err := LRF2SVMs{}.scorer(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pass.release()
+			refines = append(refines, refine{ctx, pass})
+		}
+	}
+	buf := make([]Ranked, 0, k)
+	i := 0
+	pass := func(seeded bool) {
+		r := refines[i%len(refines)]
+		i++
+		seeds := seedBlock{}
+		if seeded {
+			seeds = r.pass.seeds
+		}
+		got, err := rankTopRanges(r.ctx, batch, CandidateSet{}, k, buf[:0], r.pass.fn, seeds)
+		if err != nil || len(got) != k {
+			t.Fatalf("ranked %d images, err %v", len(got), err)
+		}
+		buf = got
+	}
+	// The pick's buffers grow to the largest refine's in one cycle.
+	for range refines {
+		pass(true)
+	}
+	allocs := func(seeded bool) float64 { return testing.AllocsPerRun(48, func() { pass(seeded) }) }
+	if seeded, unseeded := allocs(true), allocs(false); seeded != unseeded {
+		t.Errorf("a seeded LRF-2SVMs pass allocates %.0f times, unseeded %.0f: want the same", seeded, unseeded)
+	}
+	pairs := func(seeded bool) int64 {
+		var n atomic.Int64
+		defer kernel.CountPairs(&n)()
+		for range refines {
+			pass(seeded)
+		}
+		return n.Load()
+	}
+	if seeded, unseeded := pairs(true), pairs(false); float64(seeded) > 0.85*float64(unseeded) {
+		t.Errorf("seeded LRF-2SVMs passes evaluate %d kernel pairs, unseeded %d: want at most 0.85 times", seeded, unseeded)
+	} else {
+		t.Logf("seeded LRF-2SVMs passes evaluate %d kernel pairs, unseeded %d", seeded, unseeded)
 	}
 }

@@ -161,8 +161,10 @@ type unlabeledSelector struct {
 	buf   []Ranked
 }
 
-// seedRows is how many of step 1's best rows step 3 scores before its pass
-// to start from a floor (rankTopRanges): more than the 20 results a refine
+// seedRows is how many seed rows a seeded top-K pass scores before its pass
+// to start from a floor (rankTopRanges): step 1's best rows in LRF-CSVM's
+// step 3, the judged positives and the rows the log vouches for beside them
+// in LRF-2SVMs' pass (vouchedSeeds). It is more than the 20 results a refine
 // returns, and half a 64-row tile of work. EXPERIMENTS.md "Step 3 starts
 // from step 1's best rows" measures 20, 32, 64 and 128.
 const seedRows = 32

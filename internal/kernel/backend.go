@@ -87,6 +87,10 @@ type Bound interface {
 	// Scored hands over the tile [lo, lo+n) of the set once scored: row
 	// lo+j holds its score when bit j of kept is set and was skipped if not.
 	Scored(lo, n int, kept uint64)
+	// Done returns the rows of the tile [lo, lo+n) the pass has scored
+	// already, bit j for row lo+j: the driver skips them as it skips a row
+	// below the floor. The driver asks before every tile.
+	Done(lo, n int) uint64
 }
 
 // PositiveSums is a lane of one value per row of a set, K⁺_i = Σ_{c_t>0}
@@ -208,7 +212,8 @@ func (ts *TileScratch) fold(k dotKernels, coefs []float64, list []int, acc []flo
 }
 
 // prune bounds the rows of the tile at base from above and lists in ts.kept
-// those whose bound reaches the floor. A row's score is the recursive sum
+// those whose bound reaches the floor and that done does not name. A row's
+// score is the recursive sum
 // S = ((b + Σ_t c_t·K_t) + add) − sub over the n support vectors in model
 // order; its bound is U = (((b + Σ_{t∈P1} c_t·K_t) + c_max·K⁺) + add) − sub
 // over phase 1, from the same columns, and the lane's sum K⁺ of the deferred
@@ -226,7 +231,7 @@ func (ts *TileScratch) fold(k dotKernels, coefs []float64, list []int, acc []flo
 // fl(U + margin) < floor implies U + margin < floor.
 // A skipped row scores strictly below the floor, so a row whose score ties
 // it is always scored; a NaN or an infinity in U or T keeps the row.
-func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, lane, xn []float64, terms, base int, floor float64) int {
+func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, lane, xn []float64, terms, base int, floor float64, done uint64) int {
 	ub := ts.ub[:len(out)]
 	copy(ub, out)
 	ts.fold(k, coefs, ts.order[:ts.p1], ub)
@@ -243,7 +248,19 @@ func (ts *TileScratch) prune(k dotKernels, coefs, out, add, sub, lane, xn []floa
 		if sub != nil {
 			u, mag = u-sub[base+j], mag+math.Abs(sub[base+j])
 		}
-		if !(xn[j] <= boundLimit && u+float64(slack*mag) < floor) {
+		if done>>j&1 == 0 && !(xn[j] <= boundLimit && u+float64(slack*mag) < floor) {
+			ts.kept[m] = j
+			m++
+		}
+	}
+	return m
+}
+
+// pending lists in ts.kept the rows of an n-row tile that done does not name.
+func (ts *TileScratch) pending(n int, done uint64) int {
+	m := 0
+	for j := range n {
+		if done>>j&1 == 0 {
 			ts.kept[m] = j
 			m++
 		}
@@ -263,13 +280,19 @@ func (ts *TileScratch) record(lane []float64) {
 }
 
 // rbfTiles is the tile driver of RBF.AccumulateBounded. Per 64-row tile it
-// computes phase 1's columns (and records pos's lane from them), skips the
-// rows prune bounds below b's floor, gathers the survivors, computes phase
-// 2's columns over them, folds every column in the model's order and
-// finishes the scores as (dst + add) − sub: a scored row has the reference
+// writes the rows' prior (the tile's first read of them), computes phase 1's
+// columns (and records pos's lane from them), skips the rows b has scored
+// and those prune bounds below b's floor, gathers the survivors, computes
+// phase 2's columns over them, folds every column in the model's order and
+// finishes the scores as (dst + add) − prior: a scored row has the reference
 // loop's bits (accumulateRBFScalar).
-func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, pos PositiveSums, ts *TileScratch, b Bound) {
+func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, dst, add []float64, prior Prior, pos PositiveSums, ts *TileScratch, b Bound) {
 	rows, cols := xs.Len(), xs.Dim()
+	var sub []float64
+	var qq float64
+	if prior.Query != nil {
+		sub, qq = prior.Lane, prior.Query.Dot(prior.Query)
+	}
 	deferred, lane, terms := pos.Deferred, pos.Lane, pos.Terms
 	if pos.Record {
 		deferred = nil
@@ -281,14 +304,23 @@ func rbfTiles(k dotKernels, gamma float64, coefs []float64, svs, xs *DenseSet, d
 	for base := 0; base < rows; base += rbfBlockRows {
 		blk := min(rows-base, rbfBlockRows)
 		mat, xn, out := xs.mat.Data[base*cols:(base+blk)*cols], xs.norms[base:base+blk], dst[base:base+blk]
+		if sub != nil {
+			prior.rows(k, mat, blk, cols, xn, qq, sub[base:base+blk])
+		}
 		ts.columns(k, gamma, svs, ts.order[:ts.p1], mat, blk, xn)
 		if pos.Record {
 			ts.record(pos.Lane[base : base+blk])
 		}
 		m, acc := blk, out
-		if b != nil && ts.prunable {
-			if floor := b.Floor(); floor > math.Inf(-1) {
-				m = ts.prune(k, coefs, out, add, sub, lane, xn, terms, base, floor)
+		if b != nil {
+			floor, done := math.Inf(-1), b.Done(base, blk)
+			if ts.prunable {
+				floor = b.Floor()
+			}
+			if floor > math.Inf(-1) {
+				m = ts.prune(k, coefs, out, add, sub, lane, xn, terms, base, floor, done)
+			} else if done != 0 {
+				m = ts.pending(blk, done)
 			}
 		}
 		if m < blk {

@@ -236,7 +236,7 @@ folddone:
 // the lanes of Y0 are the chains, the tail folds into lane 0 (scalar adds on
 // the low half, the high half set aside first) and the lanes combine in the
 // same order. Used for the odd trailing support vector and for
-// DenseSet.SquaredDistancesInto.
+// DenseSet.SquaredDistancesInto and the tile's query prior (Prior).
 TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-40
 	MOVQ mat+0(FP), SI
 	MOVQ rows+8(FP), R11

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -139,6 +140,17 @@ func (ix *SparseSVIndex) from(i, lo int) []svCell {
 	return cells[a:]
 }
 
+// AppendPositive appends to dst, ascending, the points whose cell of index i
+// is positive: for a collection's log, the images session i judged relevant.
+func (ix *SparseSVIndex) AppendPositive(i int, dst []int) []int {
+	for _, c := range ix.cells[ix.start[i]:ix.start[i+1]] {
+		if c.w > 0 {
+			dst = append(dst, int(c.t))
+		}
+	}
+	return dst
+}
+
 // weightScratch pools LinearWeights' accumulators: a sum per session, all +0
 // between builds, and a bitmap of the sessions a build touched, all clear.
 var weightScratch sync.Pool
@@ -219,45 +231,57 @@ func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []f
 	}
 }
 
-// WeightTable is a linear model's weight vector (LinearWeights) scattered
-// densely — a value and a presence bit per session — so that a row scores
-// from its own log column without a walk of the index. The zero value is an
-// empty table; Load fills it and Unload empties it again, so a kept table
-// is reused without clearing its values.
+// WeightTable is a linear model's weight vector (LinearWeights) indexed by
+// session, so that a row scores from its own log column without a walk of
+// the index: a presence bit per session and, per 64 sessions, how many of
+// w's sessions lie below them, which ranks a present session to its entry
+// of w. It holds 12 bytes per 64 sessions, where a dense value per session
+// would hold 512. The zero value is an empty table; Load fills it and Unload
+// empties it again, so a kept table is reused without clearing.
 type WeightTable struct {
-	w   []float64
-	has []uint64
+	has  []uint64
+	rank []int32
+	w    []sparse.Entry
 }
 
-// Load scatters w into the table, which must be empty.
+// Load indexes w into the table, which must be empty.
 func (t *WeightTable) Load(w sparse.Vector) {
-	if len(t.w) < w.Dim {
+	words := (w.Dim + 63) / 64
+	if len(t.has) < words {
 		// Headroom for the sessions a few commits add.
-		n := w.Dim + w.Dim/16 + 64
-		t.w, t.has = make([]float64, n), make([]uint64, (n+63)/64)
+		n := words + words/16 + 1
+		t.has, t.rank = make([]uint64, n), make([]int32, n)
 	}
 	for _, e := range w.Entries {
-		t.w[e.Index] = e.Value
 		t.has[e.Index>>6] |= 1 << (e.Index & 63)
 	}
+	var below int32
+	for k, word := range t.has[:words] {
+		t.rank[k] = below
+		below += int32(bits.OnesCount64(word))
+	}
+	t.w = w.Entries
 }
 
-// Unload empties the table of w, the vector Load scattered.
+// Unload empties the table of w, the vector Load indexed.
 func (t *WeightTable) Unload(w sparse.Vector) {
 	for _, e := range w.Entries {
 		t.has[e.Index>>6] &^= 1 << (e.Index & 63)
 	}
+	t.w = nil
 }
 
 // Decision returns the row's linear decision value from its log column col:
 // bias plus float64(w_s·y_s) for each of the column's sessions s that the
-// loaded w holds, in ascending order — the bits LinearAccumulateWeights
-// gives the row when it starts from bias.
+// loaded w holds, whatever its weight, in ascending order — the bits
+// LinearAccumulateWeights gives the row when it starts from bias.
 func (t *WeightTable) Decision(bias float64, col sparse.Vector) float64 {
 	d := bias
 	for _, e := range col.Entries {
-		if s := e.Index; s < len(t.w) && t.has[s>>6]&(1<<(s&63)) != 0 {
-			d += float64(t.w[s] * e.Value)
+		s := e.Index
+		if k := s >> 6; k < len(t.has) && t.has[k]&(1<<(s&63)) != 0 {
+			i := t.rank[k] + int32(bits.OnesCount64(t.has[k]&(1<<(s&63)-1)))
+			d += float64(t.w[i].Value * e.Value)
 		}
 	}
 	return d
@@ -343,14 +367,56 @@ func (s *DenseSet) SquaredDistancesInto(dst []float64, x linalg.Vector) {
 		panic(fmt.Sprintf("kernel: SquaredDistancesInto dimension mismatch %d != %d", len(x), s.mat.Cols))
 	}
 	checkBatch(s.Len(), len(dst))
-	activeKernels.one(s.mat.Data, s.mat.Rows, s.mat.Cols, x, dst)
-	xx := x.Dot(x)
+	squaredDistances(activeKernels, s.mat.Data, s.mat.Rows, s.mat.Cols, s.norms, x, x.Dot(x), dst)
+}
+
+// squaredDistances is SquaredDistancesInto over the rows of mat, of squared
+// norms norms, on member k's row dot; xx is x·x.
+func squaredDistances(k dotKernels, mat []float64, rows, cols int, norms, x []float64, xx float64, dst []float64) {
+	k.one(mat, rows, cols, x, dst)
 	for i, d := range dst {
-		d = s.norms[i] + xx - 2*d
+		d = norms[i] + xx - 2*d
 		if d < 0 {
 			d = 0
 		}
 		dst[i] = d
+	}
+}
+
+// Prior is the query prior a scoring pass subtracts from every score: row
+// i's is Weight·√d_i, d_i its squared distance to Query as
+// DenseSet.SquaredDistancesInto computes it. The tile driver
+// (RBF.AccumulateBounded) writes it into Lane, indexed like the scores, a
+// tile at a time before the tile's first kernel columns, so a pass reads
+// each row from memory once; Fill writes the same values for a pass that
+// runs no tile. The zero value is no prior.
+type Prior struct {
+	Query  linalg.Vector
+	Weight float64
+	Lane   []float64
+}
+
+// Fill writes the prior of every row of set into p.Lane.
+func (p Prior) Fill(set *DenseSet) {
+	p.check(set)
+	p.rows(activeKernels, set.mat.Data, set.Len(), set.Dim(), set.norms, p.Query.Dot(p.Query), p.Lane)
+}
+
+// check panics unless the prior fits set: a query of its dimension and a
+// lane of one value per row.
+func (p Prior) check(set *DenseSet) {
+	if len(p.Query) != set.Dim() {
+		panic(fmt.Sprintf("kernel: Prior dimension mismatch %d != %d", len(p.Query), set.Dim()))
+	}
+	checkBatch(set.Len(), len(p.Lane))
+}
+
+// rows writes the prior of the rows of mat, of squared norms norms, into dst
+// on member k's row dot; qq is Query·Query.
+func (p Prior) rows(k dotKernels, mat []float64, rows, cols int, norms []float64, qq float64, dst []float64) {
+	squaredDistances(k, mat, rows, cols, norms, p.Query, qq, dst)
+	for i, d := range dst {
+		dst[i] = float64(p.Weight * math.Sqrt(d))
 	}
 }
 
@@ -442,17 +508,19 @@ func (k RBF) EvalSet(x linalg.Vector, set *DenseSet, dst []float64) {
 // score within O(1e-15) relative of the per-support-vector sum of Eval (the
 // norm expansion drifts; EXPERIMENTS.md records the MAPs unchanged).
 func (k RBF) AccumulateSet(coefs []float64, svs, xs *DenseSet, dst []float64) {
-	k.AccumulateBounded(coefs, svs, xs, dst, nil, nil, PositiveSums{}, new(TileScratch), nil)
+	k.AccumulateBounded(coefs, svs, xs, dst, nil, Prior{}, PositiveSums{}, new(TileScratch), nil)
 }
 
 // AccumulateBounded is AccumulateSet for a scoring pass, on the caller's
-// working memory ts: each score is finished as (dst + add) − sub (a nil lane
-// adds nothing), and a non-nil b makes it a top-K pass: a row proved below
-// b's floor is skipped, keeping its dst, and each tile is handed to b once
-// scored. pos records a lane of positive column sums or bounds the deferred
-// support vectors by one (PositiveSums; its Lane is indexed like dst). A
-// scored row has the bits it has without b and without pos.
-func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub []float64, pos PositiveSums, ts *TileScratch, b Bound) {
+// working memory ts: each score is finished as (dst + add) − prior (a nil
+// lane adds nothing, the zero Prior subtracts nothing), the prior written
+// into its lane as the rows are read (Prior), and a non-nil b makes it a
+// top-K pass: a row proved below b's floor, or one b has scored already, is
+// skipped, keeping its dst, and each tile is handed to b once scored. pos
+// records a lane of positive column sums or bounds the deferred support
+// vectors by one (PositiveSums; its Lane is indexed like dst). A scored row
+// has the bits it has without b and without pos.
+func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add []float64, prior Prior, pos PositiveSums, ts *TileScratch, b Bound) {
 	if len(coefs) != svs.Len() {
 		panic(fmt.Sprintf("kernel: AccumulateSet has %d coefficients for %d support vectors", len(coefs), svs.Len()))
 	}
@@ -463,7 +531,10 @@ func (k RBF) AccumulateBounded(coefs []float64, svs, xs *DenseSet, dst, add, sub
 	if pos.Record || len(pos.Deferred) > 0 {
 		checkBatch(xs.Len(), len(pos.Lane))
 	}
-	rbfTiles(activeKernels, k.Gamma, coefs, svs, xs, dst, add, sub, pos, ts, b)
+	if prior.Query != nil {
+		prior.check(xs)
+	}
+	rbfTiles(activeKernels, k.Gamma, coefs, svs, xs, dst, add, prior, pos, ts, b)
 }
 
 // GramSet computes the Gram matrix of a dense set through the batched row

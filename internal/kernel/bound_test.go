@@ -11,9 +11,12 @@ import (
 
 // This file holds the tile driver's top-K bound to its definition: a scored
 // row carries the bits of the straight-line reference (accumulateRBFScalar,
-// then + add − sub), and a skipped row's reference score is strictly below
-// the floor the driver read for its tile, with or without a lane of positive
-// column sums standing in for deferred support vectors (PositiveSums).
+// then + add − the prior), a skipped row's reference score is strictly below
+// the floor the driver read for its tile or the row is one the pass scored
+// already (Bound.Done), with or without a lane of positive column sums
+// standing in for deferred support vectors (PositiveSums), and the prior lane
+// the tile writes holds every row's prior by its definition
+// (DenseSet.SquaredDistancesInto, math.Sqrt, the weight).
 // checkBoundedTile is the reference driver's draw (runKernelDriver),
 // FuzzBoundedTile the same check on fuzzed shapes, and BenchmarkBoundedTile
 // counts the kernel pairs a bounded pass evaluates through a wrapped member.
@@ -25,6 +28,7 @@ import (
 type floorKeeper struct {
 	static float64
 	k      int
+	done   []int // the rows scored already, ascending
 	dst    []float64
 	best   []float64 // the k best scores handed over, ascending
 	read   float64   // the floor of the tile being scored
@@ -39,6 +43,16 @@ type keptTile struct {
 
 func newFloorKeeper(static float64, k int, dst []float64) *floorKeeper {
 	return &floorKeeper{static: static, k: k, dst: dst, read: math.Inf(-1)}
+}
+
+func (f *floorKeeper) Done(lo, n int) uint64 {
+	var mask uint64
+	for _, r := range f.done {
+		if r >= lo && r < lo+n {
+			mask |= 1 << (r - lo)
+		}
+	}
+	return mask
 }
 
 func (f *floorKeeper) Floor() float64 {
@@ -65,13 +79,29 @@ func (f *floorKeeper) Scored(lo, n int, kept uint64) {
 
 // boundCase is one bounded pass to check on every member.
 type boundCase struct {
-	gamma         float64
-	coefs         []float64
-	svs, xs       *DenseSet
-	pre, add, sub []float64 // the pre-filled scores and the two lanes
-	pos           PositiveSums
-	static        float64
-	k             int
+	gamma    float64
+	coefs    []float64
+	svs, xs  *DenseSet
+	pre, add []float64 // the pre-filled scores and the lane added
+	prior    Prior     // its Query and Weight; check gives it a lane
+	pos      PositiveSums
+	static   float64
+	k        int
+	done     []int // the rows the pass scored already, ascending
+}
+
+// priorLane is the prior's definition row by row, nil for none:
+// SquaredDistancesInto on the running member, math.Sqrt, the weight.
+func (c boundCase) priorLane() []float64 {
+	if c.prior.Query == nil {
+		return nil
+	}
+	lane := make([]float64, c.xs.Len())
+	c.xs.SquaredDistancesInto(lane, c.prior.Query)
+	for j, d := range lane {
+		lane[j] = float64(c.prior.Weight * math.Sqrt(d))
+	}
+	return lane
 }
 
 // columnSums is the lane of the sums of the columns of the support vectors
@@ -138,24 +168,35 @@ func parityDefers(coefs []float64, deferred []int) bool {
 func (c boundCase) reference() []float64 {
 	want := slices.Clone(c.pre)
 	accumulateRBFScalar(c.gamma, c.coefs, c.svs, c.xs, want)
+	sub := c.priorLane()
 	for j := range want {
 		if c.add != nil {
 			want[j] += c.add[j]
 		}
-		if c.sub != nil {
-			want[j] -= c.sub[j]
+		if sub != nil {
+			want[j] -= sub[j]
 		}
 	}
 	return want
 }
 
-// check runs the case on member k and holds it to the reference; it reports
-// how many rows were skipped and whether a scored row tied its tile's floor.
+// check runs the case on member k and holds it to the reference, and the
+// prior lane the tile wrote to the prior's definition; it reports how many
+// rows were skipped below the floor and whether a scored row tied its
+// tile's floor.
 func (c boundCase) check(t *testing.T, label string, k dotKernels, want []float64) (skipped int, tie bool) {
 	t.Helper()
 	got := slices.Clone(c.pre)
 	f := newFloorKeeper(c.static, c.k, got)
-	rbfTiles(k, c.gamma, c.coefs, c.svs, c.xs, got, c.add, c.sub, c.pos, new(TileScratch), f)
+	f.done = c.done
+	prior := c.prior
+	if prior.Query != nil {
+		prior.Lane = make([]float64, c.xs.Len())
+	}
+	rbfTiles(k, c.gamma, c.coefs, c.svs, c.xs, got, c.add, prior, c.pos, new(TileScratch), f)
+	if prior.Query != nil {
+		checkParity(t, label+": the prior lane on "+k.name, prior.Lane, c.priorLane())
+	}
 	rows := c.xs.Len()
 	if len(f.tiles) != (rows+rbfBlockRows-1)/rbfBlockRows {
 		t.Fatalf("%s on %s: %d tiles handed back for %d rows", label, k.name, len(f.tiles), rows)
@@ -166,6 +207,13 @@ func (c boundCase) check(t *testing.T, label string, k dotKernels, want []float6
 		}
 		for j := range tile.n {
 			r := tile.lo + j
+			if _, done := slices.BinarySearch(c.done, r); done {
+				if tile.kept>>j&1 == 1 || math.Float64bits(got[r]) != math.Float64bits(c.pre[r]) {
+					t.Fatalf("%s on %s: row %d, scored already, handed back %v with dst %v (pre-filled %v)",
+						label, k.name, r, tile.kept>>j&1 == 1, got[r], c.pre[r])
+				}
+				continue
+			}
 			if tile.kept>>j&1 == 1 {
 				if !sameBits(got[r], want[r]) {
 					t.Fatalf("%s on %s: row %d scored %.17g, reference %.17g", label, k.name, r, got[r], want[r])
@@ -254,16 +302,18 @@ func checkBoundedTile(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		}
 	}
 	if rng.Bool(0.6) {
-		c.sub = make([]float64, rows)
-		for j := range c.sub {
-			c.sub[j] = 0.02 * math.Abs(rng.Normal(0, 3))
+		// A query away from the rows or on one, whose distance to itself
+		// is the rounding residue the clamp is for.
+		c.prior = Prior{Query: drawVectors(rng, 1, dim)[0], Weight: pick(rng, 0.02, 0.5, math.Abs(rng.Normal(0, 3)))}
+		if rows > 0 && rng.Bool(0.3) {
+			c.prior.Query = slices.Clone(rowVecs[rng.Intn(rows)])
 		}
 	}
 	want := c.reference()
 	var ulp string
 	c.static, c.k, ulp = drawFloor(rng, want)
 	label := fmt.Sprintf("%d rows × %d dims, %d %s SVs, gamma %v, floor %v (%s), live k %d, lanes %v %v",
-		rows, dim, nsv, sign, c.gamma, c.static, ulp, c.k, c.add != nil, c.sub != nil)
+		rows, dim, nsv, sign, c.gamma, c.static, ulp, c.k, c.add != nil, c.prior.Query != nil)
 	for _, k := range kernelsUnderTest() {
 		skipped, tie := c.check(t, label, k, want)
 		seen["bound-skipped-"+sign] = seen["bound-skipped-"+sign] || skipped > 0
@@ -290,10 +340,35 @@ func checkBoundedTile(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	}
 	// The exported form on the backend that runs, with no bound, recording
 	// the lane of every positive column.
-	got, lane := slices.Clone(c.pre), make([]float64, rows)
-	RBF{Gamma: c.gamma}.AccumulateBounded(c.coefs, c.svs, c.xs, got, c.add, c.sub, PositiveSums{Lane: lane, Record: true}, new(TileScratch), nil)
+	got, lane, prior := slices.Clone(c.pre), make([]float64, rows), c.prior
+	if prior.Query != nil {
+		prior.Lane = make([]float64, rows)
+	}
+	RBF{Gamma: c.gamma}.AccumulateBounded(c.coefs, c.svs, c.xs, got, c.add, prior, PositiveSums{Lane: lane, Record: true}, new(TileScratch), nil)
 	checkParity(t, "AccumulateBounded without a bound on "+Backend()+" "+label, got, want)
 	checkParity(t, "the recorded lane on "+Backend()+" "+label, lane, c.columnSums(positives(coefs)))
+	seen["bound-prior"] = seen["bound-prior"] || c.prior.Query != nil && rows > rbfBlockRows
+	seen["bound-prior-special"] = seen["bound-prior-special"] || c.prior.Query != nil && special && rows > 0
+	// Fill, the prior of a pass that runs no tile, is the tile's lane.
+	if prior.Query != nil {
+		prior.Fill(c.xs)
+		checkParity(t, "Prior.Fill on "+Backend()+" "+label, prior.Lane, c.priorLane())
+	}
+	// The same pass with rows the pass has scored already, which the tile
+	// must skip whatever their bound and leave as they are.
+	if rows > 0 {
+		for r := 0; r < rows; r++ {
+			if rng.Bool(0.2) {
+				c.done = append(c.done, r)
+			}
+		}
+		label := fmt.Sprintf("%s, rows %v scored already", label, c.done)
+		for _, k := range kernelsUnderTest() {
+			c.check(t, label, k, want)
+		}
+		seen["bound-done"] = seen["bound-done"] || len(c.done) > 0 && c.static > math.Inf(-1)
+		seen["bound-done-unbounded"] = seen["bound-done-unbounded"] || len(c.done) > 0 && c.static == math.Inf(-1) && c.k == 0
+	}
 }
 
 // TestBoundedTileMatchesReference pins the bound's regimes, one subtest
@@ -308,14 +383,18 @@ func TestBoundedTileMatchesReference(t *testing.T) {
 		{"bound-skipped-negative", 6},
 		{"bound-odd-sv", 26},
 		{"bound-tie", 19},
-		{"bound-ulp-above", 12},
+		{"bound-ulp-above", 4},
 		{"bound-ulp-at", 15},
 		{"bound-ulp-below", 6},
-		{"bound-live", 71},
+		{"bound-live", 10},
 		{"bound-special", 14},
-		{"bound-hinted", 16},
-		{"bound-hinted-twice", 16},
-		{"bound-hinted-superset", 16},
+		{"bound-hinted", 27},
+		{"bound-hinted-twice", 27},
+		{"bound-hinted-superset", 27},
+		{"bound-prior", 16},
+		{"bound-prior-special", 7},
+		{"bound-done", 3},
+		{"bound-done-unbounded", 5},
 	} {
 		t.Run(c.regime, func(t *testing.T) { kernelPin(t, c.regime, c.seed) })
 	}
@@ -323,11 +402,13 @@ func TestBoundedTileMatchesReference(t *testing.T) {
 
 // FuzzBoundedTile builds a small bounded pass from the input bytes — values
 // in sevenths, coefficients of either sign and zero, rows across two tiles,
-// lanes or none — with a floor at a row's reference score, one ulp either
-// side of it, or kept live as a top-K pass keeps it, and holds every member
-// to the reference. Two last bytes, when the input has them, run it hinted
-// too: the first masks the positive support vectors deferred to a lane of
-// column sums, the second those the lane sums beside them.
+// a lane to add and a query prior or none — with a floor at a row's
+// reference score, one ulp either side of it, or kept live as a top-K pass
+// keeps it, and holds every member to the reference and its prior lane to
+// the prior's definition. Two more bytes, when the input has them, run it
+// hinted too: the first masks the positive support vectors deferred to a
+// lane of column sums, the second those the lane sums beside them. A last
+// byte runs it again with the rows r whose bit r%8 it sets scored already.
 func FuzzBoundedTile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 70, 1, 0, 9, 200, 7, 14, 250, 3})
@@ -340,6 +421,11 @@ func FuzzBoundedTile(f *testing.F) {
 		hinted = append(hinted, byte(i%15))
 	}
 	f.Add(append(hinted, 0, 0b01, 0b10))
+	// The same with a query prior and the rows 2 and 5 of every eight
+	// scored already.
+	withPrior := slices.Clone(hinted)
+	withPrior[4] = 2
+	f.Add(append(withPrior, 0, 0b01, 0b10, 0b00100100))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -379,10 +465,7 @@ func FuzzBoundedTile(f *testing.F) {
 			}
 		}
 		if lanes&2 != 0 {
-			c.sub = make([]float64, rows)
-			for j := range c.sub {
-				c.sub[j] = math.Abs(value()) / 50
-			}
+			c.prior = Prior{Query: vectors(1)[0], Weight: math.Abs(value()) / 50}
 		}
 		want := c.reference()
 		c.static = want[floorAt%rows]
@@ -415,17 +498,28 @@ func FuzzBoundedTile(f *testing.F) {
 				h.check(t, label, k, want)
 			}
 		}
+		if doneMask := next(); doneMask != 0 {
+			for r := range rows {
+				if doneMask>>(r%8)&1 == 1 {
+					c.done = append(c.done, r)
+				}
+			}
+			label := fmt.Sprintf("%s, rows %v scored already", label, c.done)
+			for _, k := range kernelsUnderTest() {
+				c.check(t, label, k, want)
+			}
+		}
 	})
 }
 
 // BenchmarkBoundedTile counts the kernel pairs a top-20 pass evaluates
 // through the tile driver's bound, against the pairs of an unbounded pass,
-// through the running member wrapped so that its pair and row-dot routines
-// count the rows they take: 5,000 rows of 36 dimensions in 50 clusters, a
-// query cluster, support vectors from it (positive coefficients) and from
-// others (negative), a log lane that lifts a third of the query's cluster and
-// the query prior as the lane subtracted. The two models have the sign mix of
-// the benchmark's traffic: feedback-paper's step-3 visual model (41 support
+// through the running member wrapped so that its exponential counts the
+// arguments it takes (one per pair; the prior takes none): 5,000 rows of 36
+// dimensions in 50 clusters, a query cluster, support vectors from it
+// (positive coefficients) and from others (negative), a log lane that lifts
+// a third of the query's cluster and the query prior the tile writes. The
+// two models have the sign mix of the benchmark's traffic: feedback-paper's step-3 visual model (41 support
 // vectors, 21 negative) and ingest-commit's LRF-2SVMs model (20, 12
 // negative). pairs/row·sv is the evaluated share; ns/row the pass.
 func BenchmarkBoundedTile(b *testing.B) {
@@ -441,13 +535,13 @@ func BenchmarkBoundedTile(b *testing.B) {
 	}
 	xs := NewDenseSet(vecs)
 	query := vecs[0]
-	add, sub := make([]float64, rows), make([]float64, rows)
+	add := make([]float64, rows)
 	for j := range add {
 		if j%clusters == 0 && rng.Bool(0.33) {
 			add[j] = rng.Range(0.2, 1)
 		}
-		sub[j] = 0.02 * math.Sqrt(query.SquaredDistance(vecs[j]))
 	}
+	prior := Prior{Query: query, Weight: 0.02, Lane: make([]float64, rows)}
 	for _, shape := range []struct {
 		name          string
 		nsv, negative int
@@ -462,13 +556,9 @@ func BenchmarkBoundedTile(b *testing.B) {
 		svs := NewDenseSet(svVecs)
 		var pairs int
 		counted := activeKernels
-		counted.pairArgs = func(mat []float64, rows, cols int, u, v, xn []float64, nU, nV, negGamma float64, aU, aV []float64) {
-			pairs += 2 * rows
-			activeKernels.pairArgs(mat, rows, cols, u, v, xn, nU, nV, negGamma, aU, aV)
-		}
-		counted.one = func(mat []float64, rows, cols int, u, du []float64) {
-			pairs += rows
-			activeKernels.one(mat, rows, cols, u, du)
+		counted.exp = func(v []float64) {
+			pairs += len(v)
+			activeKernels.exp(v)
 		}
 		dst, ts := make([]float64, rows), new(TileScratch)
 		for _, bounded := range []bool{false, true} {
@@ -482,7 +572,7 @@ func BenchmarkBoundedTile(b *testing.B) {
 					if bounded {
 						f = newFloorKeeper(math.Inf(-1), k, dst)
 					}
-					rbfTiles(counted, 1.0/dim, coefs, svs, xs, dst, add, sub, PositiveSums{}, ts, f)
+					rbfTiles(counted, 1.0/dim, coefs, svs, xs, dst, add, prior, PositiveSums{}, ts, f)
 				}
 				b.ReportMetric(float64(pairs)/float64(b.N*rows*shape.nsv), "pairs/row·sv")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")

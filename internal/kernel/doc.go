@@ -22,11 +22,14 @@
 // over a tile column) over four routines — the RBF arguments of a tile
 // against a pair of support vectors, the row dot against one, the in-place
 // exponential and the fold of a pair's two columns into the scores. A tile
-// computes the columns of the positive-coefficient support vectors first; in
-// a top-K pass (a Bound) a row they bound below the pass's floor is skipped,
-// the other columns are computed for the surviving rows only, and every
-// column folds in the model's order, so a scored row's bits do not depend on
-// what was skipped. A pass may also record, or read in place of the
+// first writes its rows' query prior (Prior: the row dot against the query,
+// DenseSet.SquaredDistancesInto's expansion, the square root and the
+// weight), so a pass reads each row from memory once, then computes the
+// columns of the positive-coefficient support vectors; in a top-K pass (a
+// Bound) a row they bound below the pass's floor, or one the pass scored
+// already, is skipped, the other columns are computed for the surviving rows
+// only, and every column folds in the model's order, so a scored row's bits
+// do not depend on what was skipped. A pass may also record, or read in place of the
 // columns of deferred support vectors, a lane of each row's sum of
 // positive-coefficient columns (PositiveSums): LRF-CSVM's step 3 bounds the
 // support vectors its step 1 shares by the sums step 1's pass recorded.
@@ -35,7 +38,8 @@
 // purego tag, pure Go otherwise. Backend() names it ("avx512",
 // "avx2" or "unrolled"; GET /api/status's "kernel_backend"), and package svm
 // picks its SMO step's member by the same fact (AVX2). The row dot also
-// computes the query distances (DenseSet.SquaredDistancesInto); the log
+// computes the query distances (DenseSet.SquaredDistancesInto, which the
+// prior and the Euclidean scheme weigh); the log
 // modality's linear decision pass has its own routines, in Go on every
 // build, written so that no build fuses their multiply-adds.
 //

@@ -252,15 +252,18 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 }
 
 // DecisionBounded stores into dst[i] the scoring pass's score of set_i,
-// (f(set_i) + add[i]) − sub[i] (a nil lane adds nothing), with DecisionSet's
-// bits. Dense RBF models run through kernel.RBF.AccumulateBounded on the
-// caller's tile scratch ts, and a non-nil b makes the pass a top-K pass: a
-// row the kernel proves below b's floor is skipped, keeps the bias in dst
-// and is never handed to b as scored (see kernel.Bound); pos is the lane of
+// (f(set_i) + add[i]) − prior_i (a nil lane adds nothing, the zero prior
+// subtracts nothing), with DecisionSet's bits, and each row's prior in the
+// prior's lane (kernel.Prior). Dense RBF models run through
+// kernel.RBF.AccumulateBounded on the caller's tile scratch ts, and a
+// non-nil b makes the pass a top-K pass: a row the kernel proves below b's
+// floor, or one b has scored already, is skipped, keeps the bias in dst and
+// is never handed to b as scored (see kernel.Bound); pos is the lane of
 // positive column sums the kernel records or bounds by
 // (kernel.PositiveSums). Other models score every row through DecisionSet,
-// leave b to the caller and neither write nor read pos.
-func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, pos kernel.PositiveSums, ts *kernel.TileScratch, b kernel.Bound) {
+// subtract the prior kernel.Prior.Fill writes, leave b to the caller and
+// neither write nor read pos.
+func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add []float64, prior kernel.Prior, pos kernel.PositiveSums, ts *kernel.TileScratch, b kernel.Bound) {
 	if rbf, ok := m.Kernel.(kernel.RBF); ok && len(m.SupportPoints) > 0 && m.denseSVSet() != nil {
 		if len(dst) != set.Len() {
 			panic(fmt.Sprintf("svm: DecisionBounded destination length %d, want %d", len(dst), set.Len()))
@@ -268,16 +271,19 @@ func (m *Model) DecisionBounded(set *kernel.DenseSet, dst, add, sub []float64, p
 		for j := range dst {
 			dst[j] = m.Bias
 		}
-		rbf.AccumulateBounded(m.Coefficients, m.denseSVSet(), set, dst, add, sub, pos, ts, b)
+		rbf.AccumulateBounded(m.Coefficients, m.denseSVSet(), set, dst, add, prior, pos, ts, b)
 		return
 	}
 	m.DecisionSet(set, dst, nil)
+	if prior.Query != nil {
+		prior.Fill(set)
+	}
 	for j := range dst {
 		if add != nil {
 			dst[j] += add[j]
 		}
-		if sub != nil {
-			dst[j] -= sub[j]
+		if prior.Query != nil {
+			dst[j] -= prior.Lane[j]
 		}
 	}
 }
