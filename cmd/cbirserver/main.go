@@ -185,12 +185,12 @@ func main() {
 					engine.NumImages(), engine.NumLogSessions(), *snapshotPath)
 			}
 		case *snapshotPath != "":
-			snapVisual, snapLog := engine.SnapshotWith(nil)
-			if err := storage.SaveSnapshotAt(*snapshotPath, snapVisual, snapLog, 0); err != nil {
+			snapSet, snapLog := engine.SnapshotWith(nil)
+			if err := storage.SaveSnapshotSetAt(*snapshotPath, snapSet, snapLog, 0); err != nil {
 				log.Printf("cbirserver: save snapshot: %v", err)
 			} else {
 				log.Printf("cbirserver: snapshot of %d images (%d log sessions) written to %s",
-					len(snapVisual), snapLog.NumSessions(), *snapshotPath)
+					snapSet.Len(), snapLog.NumSessions(), *snapshotPath)
 			}
 		}
 		if journal != nil {
@@ -203,8 +203,8 @@ func main() {
 	// The heap goal the server starts serving under is twice the heap the
 	// last collection found live. Left to chance, that collection falls
 	// anywhere in the load — with the loaders' buffers, the log file's
-	// decoding and the row views handed to the journal still reachable or
-	// not — and the served heap's peak moves from one start to the next. One
+	// decoding and the journal's replay still reachable or not — and the
+	// served heap's peak moves from one start to the next. One
 	// collection started here, once those are garbage, sets the goal from
 	// what the server keeps; it runs beside the first requests rather than
 	// in front of them.
@@ -268,8 +268,8 @@ func durabilityStatus(journal *storage.Journal, snapshotter *storage.Snapshotter
 // loaded state was persisted; the snapshot records the journal sequence it
 // covers, so replay never double-applies a record even if the previous
 // process died between snapshot install and compaction. Replayed images join
-// the store through its Grow, and the engine takes the store over: the
-// collection is stored once.
+// the store through its Grow, as ingested ones do, and the engine takes the
+// store over: the collection is stored once.
 func startEngine(snapshotPath, featuresPath, logPath, journalPath string, fsync storage.FsyncPolicy) (*retrieval.Engine, *storage.Journal, storage.ReplayStats, error) {
 	var replay storage.ReplayStats
 	set, fblog, coveredSeq, err := loadCollection(snapshotPath, featuresPath, logPath)
@@ -285,12 +285,10 @@ func startEngine(snapshotPath, featuresPath, logPath, journalPath string, fsync 
 		if fblog == nil {
 			fblog = feedbacklog.NewLog(set.Len())
 		}
-		rows := set.Rows()
-		journal, rows, replay, err = storage.OpenJournal(journalPath, rows, fblog, storage.JournalOptions{Fsync: fsync, SnapshotSeq: coveredSeq})
+		journal, set, replay, err = storage.OpenJournalOver(journalPath, set, fblog, storage.JournalOptions{Fsync: fsync, SnapshotSeq: coveredSeq})
 		if err != nil {
 			return nil, nil, replay, fmt.Errorf("journal: %w", err)
 		}
-		set = set.Grow(rows[set.Len():])
 		opts.Journal = journal
 	}
 	engine, err := retrieval.NewEngineOver(set, fblog, opts)

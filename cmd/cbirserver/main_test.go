@@ -17,6 +17,7 @@ import (
 
 	"lrfcsvm/internal/faultinject"
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 	"lrfcsvm/internal/server"
@@ -35,7 +36,8 @@ func TestDurabilityStatusSurfacesFaults(t *testing.T) {
 		visual[i] = linalg.Vector{rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)}
 	}
 	in := faultinject.New(faultinject.Plan{})
-	journal, visual, replay, err := storage.OpenJournal(filepath.Join(dir, "engine.wal"), visual, feedbacklog.NewLog(len(visual)),
+	fblog := feedbacklog.NewLog(len(visual))
+	journal, set, replay, err := storage.OpenJournalOver(filepath.Join(dir, "engine.wal"), kernel.NewShardedSet(visual, 0), fblog,
 		storage.JournalOptions{
 			Fsync:    storage.FsyncOff, // no background flusher: the test plays the flush ticker itself
 			WrapFile: func(f *os.File) storage.File { return in.Wrap(f) },
@@ -44,7 +46,7 @@ func TestDurabilityStatusSurfacesFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal.Close()
-	engine, err := retrieval.NewEngine(visual, feedbacklog.NewLog(len(visual)), retrieval.Options{Journal: journal})
+	engine, err := retrieval.NewEngineOver(set, fblog, retrieval.Options{Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestStartRefusesBadRows(t *testing.T) {
 			}
 			if c.snapshot {
 				snapshot = filepath.Join(dir, "engine.snap")
-				if err := storage.SaveSnapshotAt(snapshot, c.rows, feedbacklog.NewLog(len(c.rows)), 0); err != nil {
+				if err := storage.SaveSnapshotSetAt(snapshot, kernel.NewShardedSet(c.rows, 0), feedbacklog.NewLog(len(c.rows)), 0); err != nil {
 					t.Fatal(err)
 				}
 				features = filepath.Join(dir, "missing.bin") // the snapshot wins

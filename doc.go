@@ -56,7 +56,7 @@
 // consistent snapshot and are never blocked or torn. Shard layout depends
 // only on the shard size, never on ingestion batching. Committed feedback rounds extend the per-image log
 // relevance columns incrementally the same way. A grown engine can be
-// persisted as one self-contained snapshot file (storage.SaveSnapshotAt /
+// persisted as one self-contained snapshot file (storage.SaveSnapshotSetAt /
 // retrieval.Engine.SnapshotWith) and reloaded bit-identically; cmd/cbirserver
 // does this automatically on graceful shutdown via its -snapshot flag.
 //
@@ -76,19 +76,21 @@
 // (retrieval.Options.Journal) before the in-memory state mutates, under
 // the engine's mutation lock, so journal order matches log order exactly
 // and a failed append fails the request (a record that could not be made
-// durable is rolled back out of the file). Startup replays snapshot +
-// journal (storage.OpenJournal) and reconstructs the pre-crash in-memory
-// engine bit-identically: records carry sequence numbers and the snapshot
-// records the sequence it covers (storage.SaveSnapshotAt), so replay skips
-// what the snapshot already contains — a crash between snapshot install
-// and journal compaction cannot double-apply a record. A torn trailing
-// record — which an interrupted append can only leave at the end of the
-// file — is tolerated and truncated, while a record whose bytes are all
-// present but wrong, or a journal compacted past its snapshot, surfaces as
-// storage.ErrCorrupt rather than silently discarding acknowledged records.
+// durable is rolled back out of the file). Startup replays the journal into
+// the store the snapshot was loaded into (storage.OpenJournalOver) and
+// reconstructs the pre-crash in-memory engine bit-identically, each
+// replayed image batch joining the store as a live ingestion does: records
+// carry sequence numbers and the snapshot records the sequence it covers
+// (storage.SaveSnapshotSetAt), so replay skips what the snapshot already
+// contains — a crash between snapshot install and journal compaction cannot
+// double-apply a record. A torn trailing record — which an interrupted
+// append can only leave at the end of the file — is tolerated and
+// truncated, while a record whose bytes are all present but wrong, or a
+// journal compacted past its snapshot, surfaces as storage.ErrCorrupt
+// rather than silently discarding acknowledged records.
 // storage.Snapshotter periodically folds the journal into the snapshot
 // (serialized passes: capture state + covered sequence under the engine
-// lock, atomic SaveSnapshotAt, then drop the covered journal prefix),
+// lock, atomic SaveSnapshotSetAt, then drop the covered journal prefix),
 // bounding replay time by the tail written since the last snapshot.
 //
 // The fsync policy (storage.FsyncPolicy) trades commit latency against the

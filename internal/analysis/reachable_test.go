@@ -43,10 +43,6 @@ var testOnly = map[string]string{
 	"internal/imaging.Image.Fill":         "fixture of the features and imaging tests: a flat image, whose descriptor is known in closed form",
 	"internal/eval.RecallAtK":             "the recall measure TestANNRecallMatrix and TestQuantizedLaneRecallAndMAP gate the approximate lanes with",
 	"internal/metrics.ValidateExposition": "the scraper-side parser that the metrics golden tests and the server's /metrics tests hold every exposition to",
-	"internal/storage.Journal.Size":       "the journal tests cut the file at record boundaries read from it (torn-tail and truncation recovery)",
-	"internal/storage.LoadSnapshotAt":     "the snapshot as rows, views into LoadSnapshotSetAt's store: the snapshot tests read files back through it",
-	"internal/storage.ReadSnapshotAt":     "the snapshot as rows from a reader, views into the store the one snapshot decoder builds: the snapshot tests and the fuzz target's round trip read through it",
-	"internal/storage.validateSession":    "the fuzz targets assert it on whatever a decoder accepts, without rebuilding a log",
 }
 
 // declGraph is the reference graph over the module's top-level declarations

@@ -180,9 +180,9 @@ func (s *ShardedSet) Point(i int) Dense {
 }
 
 // Rows returns every point in order as views into the shards' storage: the
-// slice form the snapshot writer and the quantizer take, for the cost of the
-// headers. Grow never rewrites a stored row, so the views stay valid, and
-// must stay unwritten, however the set is grown afterwards.
+// slice form the quantizer takes, for the cost of the headers. Grow never
+// rewrites a stored row, so the views stay valid, and must stay unwritten,
+// however the set is grown afterwards.
 func (s *ShardedSet) Rows() []linalg.Vector {
 	rows := make([]linalg.Vector, 0, s.n)
 	for _, shard := range s.shards {

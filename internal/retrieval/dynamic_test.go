@@ -94,9 +94,9 @@ func TestConcurrentIngestionAndQueries(t *testing.T) {
 		}
 	}
 
-	// A snapshot's rows are views into the copy-on-write shards: one reader
-	// walks snapshots while the ingesters append behind them and move the
-	// tail shard to larger arrays, which is the race detector's to check.
+	// A snapshot's store is the copy-on-write shards: one reader walks
+	// snapshots while the ingesters append behind them and move the tail
+	// shard to larger arrays, which is the race detector's to check.
 	stop, walked := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(walked)
@@ -106,8 +106,9 @@ func TestConcurrentIngestionAndQueries(t *testing.T) {
 				return
 			default:
 			}
-			rows, _ := e.SnapshotWith(nil)
-			for i, row := range rows {
+			set, _ := e.SnapshotWith(nil)
+			for i := range set.Len() {
+				row := set.Point(i)
 				if sum := row[0] + row[1] + row[2]; math.IsNaN(sum) {
 					report(fmt.Errorf("snapshot row %d reads %v", i, row))
 				}

@@ -287,22 +287,23 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 	return old.batch.Len(), nil
 }
 
-// SnapshotWith returns the collection's visual descriptors and a copy of the
-// feedback log, mutually consistent and suitable for persisting while the
-// engine keeps serving and ingesting (see package storage's snapshot format).
-// The rows are views into the engine's store (kernel.ShardedSet.Rows): no
-// ingestion rewrites them and the caller must not. A non-nil mark is invoked
-// while the mutation lock is held, before the state is captured: the
-// snapshotter reads the journal offset the state corresponds to in it —
-// appends are journaled under the same lock, so no record can land between
-// the mark and the capture. It satisfies storage.SnapshotSource.
-func (e *Engine) SnapshotWith(mark func()) ([]linalg.Vector, *feedbacklog.Log) {
+// SnapshotWith returns the collection's store and a copy of the feedback
+// log, mutually consistent and suitable for persisting while the engine keeps
+// serving and ingesting (see package storage's snapshot format). The store is
+// the one the engine serves from: ingestion grows it copy-on-write and never
+// rewrites a stored row, and the caller must not write it either. A non-nil
+// mark is invoked while the mutation lock is held, before the state is
+// captured: the snapshotter reads the journal offset the state corresponds
+// to in it — appends are journaled under the same lock, so no record can
+// land between the mark and the capture. It satisfies
+// storage.SnapshotSource.
+func (e *Engine) SnapshotWith(mark func()) (*kernel.ShardedSet, *feedbacklog.Log) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if mark != nil {
 		mark()
 	}
-	return e.cur.Load().batch.VisualSet().Rows(), e.log.Clone()
+	return e.cur.Load().batch.VisualSet(), e.log.Clone()
 }
 
 // logIndexed returns the log indexed by session and by image, extending the

@@ -89,11 +89,11 @@ type driver struct {
 	snap    *storage.Snapshotter
 	faults  *faultinject.Injector
 
-	w      world           // closed and journal as they stand; cancelled is drawn per operation
-	broken bool            // the armed fault fails the rollback too: the journal refuses records until a restart
-	epoch  int64           // ingestions this engine accepted, plus one
-	open   []pair          // the last few sessions started, committed ones among them
-	held   []linalg.Vector // the rows SnapshotWith returned at the last check
+	w      world              // closed and journal as they stand; cancelled is drawn per operation
+	broken bool               // the armed fault fails the rollback too: the journal refuses records until a restart
+	epoch  int64              // ingestions this engine accepted, plus one
+	open   []pair             // the last few sessions started, committed ones among them
+	held   *kernel.ShardedSet // the store SnapshotWith returned at the last check
 	ops    []string
 	seen   map[string]bool // the regimes passed through
 
@@ -172,7 +172,7 @@ func drive(dir string, seed uint64, cell string, steps []int) (seen map[string]b
 		}
 		d.m.commit(world{}, s)
 	}
-	err = storage.SaveSnapshotAt(d.path("snap"), d.m.rows, d.m.log(), 0)
+	err = storage.SaveSnapshotSetAt(d.path("snap"), kernel.NewShardedSet(d.m.rows, 0), d.m.log(), 0)
 	d.check(err == nil, "%v", err)
 	stepSeeds := make([]uint64, 200)
 	for i := range stepSeeds {
@@ -227,10 +227,10 @@ func (d *driver) agree(op string, got, want []retrieval.Result, gotErr, wantErr 
 }
 
 // sameState compares a copy of the state, a snapshot's, with the model's.
-func (d *driver) sameState(what string, rows []linalg.Vector, log *feedbacklog.Log) {
-	d.check(len(rows) == len(d.m.rows) && log.NumSessions() == len(d.m.sessions), "%s holds %d rows and %d sessions, the model %d and %d", what, len(rows), log.NumSessions(), len(d.m.rows), len(d.m.sessions))
-	for i, row := range rows {
-		d.check(slices.Equal(row, d.m.rows[i]), "%s: row %d is %v, the model's %v", what, i, row, d.m.rows[i])
+func (d *driver) sameState(what string, set *kernel.ShardedSet, log *feedbacklog.Log) {
+	d.check(set.Len() == len(d.m.rows) && log.NumSessions() == len(d.m.sessions), "%s holds %d rows and %d sessions, the model %d and %d", what, set.Len(), log.NumSessions(), len(d.m.rows), len(d.m.sessions))
+	for i := range set.Len() {
+		d.check(slices.Equal(set.Point(i), kernel.Dense(d.m.rows[i])), "%s: row %d is %v, the model's %v", what, i, set.Point(i), d.m.rows[i])
 	}
 	for i, s := range log.Sessions() {
 		want := d.m.sessions[i]
@@ -254,19 +254,19 @@ func (d *driver) checkState() {
 	}
 	wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))
 	d.check(reflect.DeepEqual(index.Sessions(), wantIndex), "the log index by session is not the one the model's sessions invert to")
-	// Snapshot rows are views into the store: whatever was ingested since,
-	// the last check's read as they did.
-	for i, row := range d.held {
-		d.check(slices.Equal(row, d.m.rows[i]), "row %d of a snapshot taken %d rows ago now reads %v, it was %v", i, n-len(d.held), row, d.m.rows[i])
+	// A snapshot is the store: whatever was ingested since, the last
+	// check's reads as it did.
+	for i := 0; d.held != nil && i < d.held.Len(); i++ {
+		d.check(slices.Equal(d.held.Point(i), kernel.Dense(d.m.rows[i])), "row %d of a snapshot taken %d rows ago now reads %v, it was %v", i, n-d.held.Len(), d.held.Point(i), d.m.rows[i])
 	}
-	rows, log := d.e.SnapshotWith(nil)
-	d.sameState("SnapshotWith", rows, log)
-	d.held = rows
+	set, log := d.e.SnapshotWith(nil)
+	d.sameState("SnapshotWith", set, log)
+	d.held = set
 }
 
 // start brings an engine up as cbirserver does: the snapshot decoded into
-// a store, the journal's tail replayed over it and grown into the store, the
-// engine over that store, the snapshotter.
+// a store, the journal's tail replayed into it, the engine over that store,
+// the snapshotter.
 func (d *driver) start() {
 	set, log, seq, err := storage.LoadSnapshotSetAt(d.path("snap"))
 	d.check(err == nil, "%v", err)
@@ -274,12 +274,10 @@ func (d *driver) start() {
 	if d.journaled {
 		d.faults = faultinject.New(faultinject.Plan{})
 		var replay storage.ReplayStats
-		rows := set.Rows()
-		d.journal, rows, replay, err = storage.OpenJournal(d.path("wal"), rows, log, storage.JournalOptions{
+		d.journal, set, replay, err = storage.OpenJournalOver(d.path("wal"), set, log, storage.JournalOptions{
 			Fsync: d.fsync, SnapshotSeq: seq, WrapFile: func(f *os.File) storage.File { return d.faults.Wrap(f) },
 		})
 		d.check(err == nil, "%v", err)
-		set = set.Grow(rows[set.Len():])
 		d.seen["torn-final-record"] = d.seen["torn-final-record"] || replay.TornTailBytes > 0
 		opts.Journal = d.journal
 	}
@@ -471,7 +469,7 @@ func (d *driver) ingest() {
 }
 
 // snapshot persists the state the way the cell does — the snapshotter's pass,
-// which compacts the journal, or SnapshotWith and SaveSnapshotAt beside a
+// which compacts the journal, or SnapshotWith and SaveSnapshotSetAt beside a
 // journal that keeps every record — and reads the file back.
 func (d *driver) snapshot() {
 	var err error
@@ -479,18 +477,18 @@ func (d *driver) snapshot() {
 		err = d.snap.SnapshotNow()
 	} else {
 		var mark uint64
-		rows, log := d.e.SnapshotWith(func() {
+		set, log := d.e.SnapshotWith(func() {
 			if d.journal != nil {
 				mark = d.journal.LastSeq()
 			}
 		})
-		err = storage.SaveSnapshotAt(d.path("snap"), rows, log, mark)
+		err = storage.SaveSnapshotSetAt(d.path("snap"), set, log, mark)
 	}
 	d.logf("snapshot -> %v", err)
 	d.check(err == nil, "%v", err)
 	set, log, _, err := storage.LoadSnapshotSetAt(d.path("snap"))
 	d.check(err == nil, "%v", err)
-	d.sameState("the snapshot file", set.Rows(), log)
+	d.sameState("the snapshot file", set, log)
 }
 
 // arm makes the journal fail the next record it is handed: a write that
@@ -523,13 +521,13 @@ func (d *driver) crash() {
 	if !d.journaled {
 		d.snapshot()
 	} else if d.w.closed == nil && d.w.journal == nil && d.rng.Bool(0.7) {
-		before, undo := d.journal.Size(), d.m
+		before, undo := d.journal.Stats().Bytes, d.m
 		if d.rng.Bool(0.5) {
 			d.commit()
 		} else {
 			d.ingest()
 		}
-		if grew := d.journal.Size() - before; grew > 0 && d.rng.Bool(0.75) {
+		if grew := d.journal.Stats().Bytes - before; grew > 0 && d.rng.Bool(0.75) {
 			cut, d.m = before+1+int64(d.rng.Intn(int(grew)-1)), undo
 		}
 	}

@@ -321,10 +321,10 @@ func (d *serverDriver) open(rows []linalg.Vector, log *feedbacklog.Log, twinRows
 func (d *serverDriver) restart() {
 	d.srv.Close()
 	d.s.Close()
-	rows, log := d.e.SnapshotWith(nil)
-	twinRows, twinLog := d.twin.SnapshotWith(nil)
+	set, log := d.e.SnapshotWith(nil)
+	twinSet, twinLog := d.twin.SnapshotWith(nil)
 	d.logf("restart")
-	d.open(rows, log, twinRows, twinLog)
+	d.open(set.Rows(), log, twinSet.Rows(), twinLog)
 }
 
 func (d *serverDriver) logf(format string, args ...any) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/retrieval"
 	"lrfcsvm/internal/storage"
 )
@@ -62,11 +63,11 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dir := t.TempDir()
 	visual, labels, log := testCollection(t)
-	journal, visual, _, err := storage.OpenJournal(filepath.Join(dir, "engine.wal"), visual, log, storage.JournalOptions{Fsync: storage.FsyncInterval})
+	journal, set, _, err := storage.OpenJournalOver(filepath.Join(dir, "engine.wal"), kernel.NewShardedSet(visual, 0), log, storage.JournalOptions{Fsync: storage.FsyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := retrieval.NewEngine(visual, log, retrieval.Options{Journal: journal})
+	engine, err := retrieval.NewEngineOver(set, log, retrieval.Options{Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,49 +7,55 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
-// fuzzLogBytes encodes a small valid log store for the seed corpus.
-func fuzzLogBytes(f *testing.F) []byte {
-	f.Helper()
-	log := feedbacklog.NewLog(8)
-	sessions := []map[int]feedbacklog.Judgment{
-		{0: feedbacklog.Relevant, 3: feedbacklog.Irrelevant},
-		{7: feedbacklog.Relevant, 1: feedbacklog.Relevant, 2: feedbacklog.Irrelevant},
-	}
-	for i, j := range sessions {
-		if _, err := log.AddSession(feedbacklog.Session{QueryImage: i, TargetCategory: i, Judgments: j}); err != nil {
-			f.Fatal(err)
+// recordsFile encodes a file of the kind holding the record payloads given,
+// checksums and all, whatever the payloads say.
+func recordsFile(t testing.TB, kind uint16, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rw, err := newRecordWriter(&buf, kind)
+	for _, p := range payloads {
+		if err == nil {
+			copy(rw.record(len(p)), p)
+			err = rw.write()
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, log); err != nil {
-		f.Fatal(err)
+	if err == nil {
+		err = rw.w.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// words is a payload built by hand: little-endian 32-bit words.
+func words(ws ...int32) []byte {
+	var payload []byte
+	for _, w := range ws {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(w))
+	}
+	return payload
+}
+
+// encodeSession is one session's record payload, as the writers append it.
+func encodeSession(s feedbacklog.Session) []byte {
+	payload, _ := appendSession(nil, s, nil)
+	return payload
+}
+
+// logsEquivalent reports whether two logs cover as many images and hold the
+// same sessions, in order.
 func logsEquivalent(a, b *feedbacklog.Log) bool {
-	if a.NumImages() != b.NumImages() || a.NumSessions() != b.NumSessions() {
-		return false
-	}
-	for i, sa := range a.Sessions() {
-		sb := b.Sessions()[i]
-		if sa.QueryImage != sb.QueryImage || sa.TargetCategory != sb.TargetCategory || len(sa.Judgments) != len(sb.Judgments) {
-			return false
-		}
-		for img, j := range sa.Judgments {
-			if sb.Judgments[img] != j {
-				return false
-			}
-		}
-	}
-	return true
+	return a.NumImages() == b.NumImages() && reflect.DeepEqual(a.Sessions(), b.Sessions())
 }
 
 // fuzzLogBytesBadQuery encodes a log store whose session claims an
@@ -57,32 +63,19 @@ func logsEquivalent(a, b *feedbacklog.Log) bool {
 // (the collection size is file-level state), so it used to round-trip
 // silently and explode later in the query path. ReadLog must reject it.
 func fuzzLogBytesBadQuery(f testing.TB) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	rw, err := newRecordWriter(&buf, KindLog)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var sizeRec [4]byte
-	binary.LittleEndian.PutUint32(sizeRec[:], 8)
-	if err := rw.writePayload(sizeRec[:]); err != nil {
-		f.Fatal(err)
-	}
-	bad := encodeSession(feedbacklog.Session{QueryImage: 1000, Judgments: map[int]feedbacklog.Judgment{2: feedbacklog.Relevant}})
-	if err := rw.writePayload(bad); err != nil {
-		f.Fatal(err)
-	}
-	if err := rw.w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
+	return recordsFile(f, KindLog, words(8), encodeSession(feedbacklog.Session{QueryImage: 1000, Judgments: map[int]feedbacklog.Judgment{2: feedbacklog.Relevant}}))
 }
 
 // FuzzLogRoundTrip feeds arbitrary bytes to the log decoder: decoding must
-// never panic, and whatever decodes successfully must survive a
-// write-and-reread round trip unchanged.
+// never panic, and whatever decodes successfully re-encodes to the same
+// bytes — the decoder accepts the writer's encoding only.
 func FuzzLogRoundTrip(f *testing.F) {
-	valid := fuzzLogBytes(f)
+	_, _, log := pinnedCollection(f)
+	var buf bytes.Buffer
+	if err := WriteLog(&buf, log); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
 	f.Add(valid)
 	truncated := valid[:len(valid)-5]
 	f.Add(truncated)
@@ -92,15 +85,20 @@ func FuzzLogRoundTrip(f *testing.F) {
 	f.Add([]byte("LRFC junk"))
 	f.Add([]byte{})
 	f.Add(fuzzLogBytesBadQuery(f))
+	// Image 5 judged relevant and then irrelevant, which a map decoded as
+	// {5: −1} and re-encoded to 48 bytes where the file had 56; and a
+	// judgment of 257, which an int8 read as relevant.
+	f.Add(recordsFile(f, KindLog, words(8), words(1, 0, 2, 5, 1, 5, -1)))
+	f.Add(recordsFile(f, KindLog, words(8), words(1, 0, 1, 5, 257)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ReadLog(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Whatever decoded is internally consistent: every session's query
-		// image and judged images lie inside the declared collection.
+		// Whatever decoded is a log AddSession builds: every session is one
+		// a log of the declared collection takes.
 		for _, s := range log.Sessions() {
-			if err := validateSession(s, log.NumImages()); err != nil {
+			if _, err := feedbacklog.NewLog(log.NumImages()).AddSession(s); err != nil {
 				t.Fatalf("decoded log holds an invalid session: %v", err)
 			}
 		}
@@ -108,39 +106,14 @@ func FuzzLogRoundTrip(f *testing.F) {
 		if err := WriteLog(&buf, log); err != nil {
 			t.Fatalf("re-encode decoded log: %v", err)
 		}
-		again, err := ReadLog(&buf)
-		if err != nil {
-			t.Fatalf("re-read encoded log: %v", err)
-		}
-		if !logsEquivalent(log, again) {
-			t.Fatal("log changed across a write/read round trip")
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("a decoded log of %d bytes re-encodes to %d other ones", len(data), buf.Len())
 		}
 	})
 }
 
-// fuzzFeaturesWrappedDim encodes a one-record feature store whose dim field
-// is 2^29: in uint32 arithmetic the record size check 8+8*dim wraps to 8,
-// the size of this record's payload.
-func fuzzFeaturesWrappedDim(f testing.TB) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	rw, err := newRecordWriter(&buf, KindFeatures)
-	if err != nil {
-		f.Fatal(err)
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint32(payload[4:8], 1<<29)
-	if err := rw.writePayload(payload); err != nil {
-		f.Fatal(err)
-	}
-	if err := rw.w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzFeaturesRoundTrip is the same property for the feature store:
-// decoding never panics, and what decodes survives a round trip bit for bit.
+// decoding never panics, and what decodes re-encodes to the same bytes.
 func FuzzFeaturesRoundTrip(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteFeatures(&buf, []linalg.Vector{{1.5, -2}, {0, 0.25}}, []int{3, -1}); err != nil {
@@ -153,7 +126,9 @@ func FuzzFeaturesRoundTrip(f *testing.F) {
 	corrupt[12] ^= 0x01
 	f.Add(corrupt)
 	f.Add([]byte{})
-	f.Add(fuzzFeaturesWrappedDim(f))
+	// A dim field of 2^29: in uint32 arithmetic the record size check
+	// 8+8*dim wraps to 8, the size of this record's payload.
+	f.Add(recordsFile(f, KindFeatures, words(0, 1<<29)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		features, labels, err := ReadFeatures(bytes.NewReader(data))
 		set, setErr := readFeatureSet(bytes.NewReader(data), int64(len(data)))
@@ -178,31 +153,22 @@ func FuzzFeaturesRoundTrip(f *testing.F) {
 		if err := WriteFeatures(&buf, features, labels); err != nil {
 			t.Fatalf("re-encode decoded features: %v", err)
 		}
-		features2, labels2, err := ReadFeatures(&buf)
-		if err != nil {
-			t.Fatalf("re-read encoded features: %v", err)
-		}
-		if len(features2) != len(features) || !slices.Equal(labels, labels2) {
-			t.Fatal("feature store changed across a write/read round trip")
-		}
-		for i := range features {
-			if !slices.EqualFunc(features[i], features2[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-				t.Fatalf("feature %d changed across a round trip", i)
-			}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("a decoded feature store of %d bytes re-encodes to %d other ones", len(data), buf.Len())
 		}
 	})
 }
 
 // FuzzSnapshotRoundTrip is the same property for the combined engine
-// snapshot store.
+// snapshot store, whose accepted descriptors are also read back by their
+// file offsets (snapshotDescriptors).
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	log := feedbacklog.NewLog(3)
 	if _, err := log.AddSession(feedbacklog.Session{QueryImage: 1, Judgments: map[int]feedbacklog.Judgment{0: feedbacklog.Relevant, 2: feedbacklog.Irrelevant}}); err != nil {
 		f.Fatal(err)
 	}
-	visual := []linalg.Vector{{1.5, -2}, {0, 0.25}, {3, 4}}
 	var buf bytes.Buffer
-	if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
+	if err := WriteSnapshotAt(&buf, kernel.NewShardedSet([]linalg.Vector{{1.5, -2}, {0, 0.25}, {3, 4}}, 0), log, 0); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -212,37 +178,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	corrupt[12] ^= 0x01
 	f.Add(corrupt)
 	f.Add([]byte{})
+	// A sequence of 0 in the 20-byte meta record, which the writer writes
+	// in the 12-byte form.
+	f.Add(recordsFile(f, KindSnapshot, words(1, 1, 0, 0, 0), make([]byte, 8)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, log, _, err := readSnapshot(bytes.NewReader(data))
+		set, log, seq, err := readSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if err := storeHoldsRows(set, snapshotDescriptors(data, set.Len(), set.Dim())); err != nil {
 			t.Fatal(err)
 		}
-		visual := set.Rows()
 		var buf bytes.Buffer
-		if err := WriteSnapshotAt(&buf, visual, log, 0); err != nil {
+		if err := WriteSnapshotAt(&buf, set, log, seq); err != nil {
 			t.Fatalf("re-encode decoded snapshot: %v", err)
 		}
-		visual2, log2, _, err := ReadSnapshotAt(&buf)
-		if err != nil {
-			t.Fatalf("re-read encoded snapshot: %v", err)
-		}
-		if len(visual2) != len(visual) || !logsEquivalent(log, log2) {
-			t.Fatal("snapshot changed across a write/read round trip")
-		}
-		for i := range visual {
-			if len(visual[i]) != len(visual2[i]) {
-				t.Fatalf("descriptor %d changed length across a round trip", i)
-			}
-			for j := range visual[i] {
-				// Bit-level comparison so NaN payloads in fuzzed input do
-				// not trip the float comparison.
-				if math.Float64bits(visual[i][j]) != math.Float64bits(visual2[i][j]) {
-					t.Fatalf("descriptor %d changed across a round trip", i)
-				}
-			}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("a decoded snapshot of %d bytes re-encodes to %d other ones", len(data), buf.Len())
 		}
 	})
 }
@@ -272,8 +224,8 @@ func fuzzJournalSeeds(f testing.TB) [][]byte {
 	f.Helper()
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.wal")
-	visual, fblog := journalBase(8, 3)
-	j, _, _, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncOff})
+	set, fblog := journalBase(8, 3)
+	j, _, _, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncOff})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -361,16 +313,16 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		visual, fblog := journalBase(8, 3)
-		j, visual, replay, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncOff})
+		set, fblog := journalBase(8, 3)
+		j, set, replay, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncOff})
 		if err != nil {
 			return
 		}
-		if len(visual) != fblog.NumImages() {
-			t.Fatalf("replay desynced: %d descriptors, log covers %d", len(visual), fblog.NumImages())
+		if set.Len() != fblog.NumImages() {
+			t.Fatalf("replay desynced: %d descriptors, log covers %d", set.Len(), fblog.NumImages())
 		}
 		for _, s := range fblog.Sessions() {
-			if err := validateSession(s, fblog.NumImages()); err != nil {
+			if _, err := feedbacklog.NewLog(fblog.NumImages()).AddSession(s); err != nil {
 				t.Fatalf("replayed an invalid session: %v", err)
 			}
 		}
@@ -382,15 +334,15 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		visual2, fblog2 := journalBase(8, 3)
-		_, visual2, replay2, err := OpenJournal(path, visual2, fblog2, JournalOptions{Fsync: FsyncOff})
+		set2, fblog2 := journalBase(8, 3)
+		_, set2, replay2, err := OpenJournalOver(path, set2, fblog2, JournalOptions{Fsync: FsyncOff})
 		if err != nil {
 			t.Fatalf("re-replay of repaired journal: %v", err)
 		}
 		if replay2.TornTailBytes != 0 {
 			t.Fatalf("repaired journal still has a torn tail: %+v", replay2)
 		}
-		if replay2.Records != replay.Records+1 || replay2.Sessions != replay.Sessions+1 || len(visual2) != len(visual) {
+		if replay2.Records != replay.Records+1 || replay2.Sessions != replay.Sessions+1 || set2.Len() != set.Len() {
 			t.Fatalf("re-replay diverged: %+v then %+v", replay, replay2)
 		}
 	})

@@ -16,7 +16,7 @@
 // record after it has sequence baseSeq+i. Sequences are assigned once,
 // never reused, and survive compaction (compaction drops a prefix and
 // advances baseSeq). A snapshot records the sequence it covers
-// (SaveSnapshotAt), so replay skips records the snapshot already contains
+// (SaveSnapshotSetAt), so replay skips records the snapshot already contains
 // — a crash between snapshot installation and journal compaction can
 // therefore never double-apply a record, and a journal compacted beyond
 // what the snapshot covers is detected as a mismatch instead of silently
@@ -35,7 +35,7 @@
 // record the file ends in the middle of, a zero-filled tail, or a final
 // record whose payload sectors never became durable (header intact,
 // checksum wrong, nothing after it) — is the torn tail of an interrupted
-// append: replay stops there and OpenJournal truncates the file back to
+// append: replay stops there and OpenJournalOver truncates the file back to
 // the last intact record. A failed record with intact data after it, or
 // an intact record whose content contradicts the replayed state, cannot
 // be a torn append; it is genuine corruption and surfaces as ErrCorrupt
@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 )
 
@@ -155,7 +156,7 @@ type JournalOptions struct {
 	// Fsync selects the flush-to-stable-storage policy.
 	Fsync FsyncPolicy
 	// SnapshotSeq is the journal sequence the base state passed to
-	// OpenJournal already covers (as returned by LoadSnapshotSetAt): records
+	// OpenJournalOver already covers (as returned by LoadSnapshotSetAt): records
 	// with sequence <= SnapshotSeq are skipped during replay instead of
 	// double-applied. 0 means the base state predates the journal (a fresh
 	// import), so everything replays.
@@ -205,7 +206,7 @@ type JournalStats struct {
 	AppendRetries int64
 }
 
-// ReplayStats describes what OpenJournal recovered from an existing journal.
+// ReplayStats describes what OpenJournalOver recovered from an existing journal.
 type ReplayStats struct {
 	// Records, Sessions and Images count the applied entries. Skipped
 	// counts records the snapshot already covered (sequence <=
@@ -241,28 +242,28 @@ type Journal struct {
 	stopOnce sync.Once
 }
 
-// OpenJournal opens (creating if necessary) the journal at path and replays
-// its records onto the given base state: visual and fblog must be the state
-// the journal is resumed against — a freshly loaded snapshot (pass its
+// OpenJournalOver opens (creating if necessary) the journal at path and
+// replays its records onto the given base state: set and fblog must be the
+// state the journal is resumed against — a freshly loaded snapshot (pass its
 // covered sequence via JournalOptions.SnapshotSeq) or the initial
 // feature/log import (SnapshotSeq 0). Records the snapshot already covers
-// are skipped; the rest are applied — image batches grow visual and fblog,
-// sessions are appended to fblog. The grown collection is returned together
-// with replay statistics, and the journal is left positioned for appending.
+// are skipped; the rest are applied — an image batch grows the store, as
+// Engine.AddImages does, and fblog; a session is appended to fblog. The grown
+// store is returned with replay statistics, positioned for appending.
 //
 // A torn trailing record (interrupted append) is truncated away and
 // reported in ReplayStats.TornTailBytes. An intact record that is invalid,
 // or a journal whose retained records no longer connect to the snapshot
 // (compacted past it), returns ErrCorrupt.
-func OpenJournal(path string, visual []linalg.Vector, fblog *feedbacklog.Log, opts JournalOptions) (*Journal, []linalg.Vector, ReplayStats, error) {
-	if len(visual) == 0 {
+func OpenJournalOver(path string, set *kernel.ShardedSet, fblog *feedbacklog.Log, opts JournalOptions) (*Journal, *kernel.ShardedSet, ReplayStats, error) {
+	if set.Len() == 0 {
 		return nil, nil, ReplayStats{}, fmt.Errorf("storage: journal over an empty collection")
 	}
 	if fblog == nil {
 		return nil, nil, ReplayStats{}, fmt.Errorf("storage: journal without a log")
 	}
-	if fblog.NumImages() != len(visual) {
-		return nil, nil, ReplayStats{}, fmt.Errorf("storage: journal log covers %d images, collection has %d", fblog.NumImages(), len(visual))
+	if fblog.NumImages() != set.Len() {
+		return nil, nil, ReplayStats{}, fmt.Errorf("storage: journal log covers %d images, collection has %d", fblog.NumImages(), set.Len())
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -273,7 +274,7 @@ func OpenJournal(path string, visual []linalg.Vector, fblog *feedbacklog.Log, op
 		file = opts.WrapFile(f)
 	}
 	j := &Journal{path: path, opts: opts, f: file}
-	visual, replay, err := j.replayAndSeal(visual, fblog)
+	set, replay, err := j.replayAndSeal(set, fblog)
 	if err != nil {
 		file.Close()
 		return nil, nil, ReplayStats{}, err
@@ -283,13 +284,29 @@ func OpenJournal(path string, visual []linalg.Vector, fblog *feedbacklog.Log, op
 		j.done = make(chan struct{})
 		go j.syncLoop()
 	}
-	return j, visual, replay, nil
+	return j, set, replay, nil
+}
+
+// OpenJournal is OpenJournalOver for a collection kept as rows: it copies
+// them into a store and returns the grown store's rows, views into it. Only
+// bench/ opens a journal over rows; the form ends once bench/ calls
+// OpenJournalOver.
+func OpenJournal(path string, visual []linalg.Vector, fblog *feedbacklog.Log, opts JournalOptions) (*Journal, []linalg.Vector, ReplayStats, error) {
+	set, err := rowsSet(visual)
+	if err != nil {
+		return nil, nil, ReplayStats{}, err
+	}
+	j, set, replay, err := OpenJournalOver(path, set, fblog, opts)
+	if err != nil {
+		return nil, nil, ReplayStats{}, err
+	}
+	return j, set.Rows(), replay, nil
 }
 
 // replayAndSeal replays the existing journal content onto the base state,
 // truncates any torn tail, and leaves the file sized and positioned for
 // appending.
-func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) ([]linalg.Vector, ReplayStats, error) {
+func (j *Journal) replayAndSeal(set *kernel.ShardedSet, fblog *feedbacklog.Log) (*kernel.ShardedSet, ReplayStats, error) {
 	info, err := j.f.Stat()
 	if err != nil {
 		return nil, ReplayStats{}, fmt.Errorf("storage: stat journal: %w", err)
@@ -300,14 +317,14 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 	// record can precede a durable base record (reset syncs before any
 	// append is accepted), so nothing was ever recorded. The file may have
 	// just been created: its directory entry is made durable too.
-	fresh := func() ([]linalg.Vector, ReplayStats, error) {
+	fresh := func() (*kernel.ShardedSet, ReplayStats, error) {
 		if err := j.reset(j.opts.SnapshotSeq + 1); err != nil {
 			return nil, ReplayStats{}, err
 		}
 		if err := syncDir(filepath.Dir(j.path)); err != nil {
 			return nil, ReplayStats{}, fmt.Errorf("storage: create journal: %w", err)
 		}
-		return visual, ReplayStats{TornTailBytes: size}, nil
+		return set, ReplayStats{TornTailBytes: size}, nil
 	}
 	if size < emptyJournalSize {
 		// New journal — or a crash during creation left a partial header or
@@ -414,7 +431,7 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 				if groupSkipped {
 					replay.Skipped += int(groupRecords)
 				} else {
-					visual, err = applyImageGroup(group, visual, fblog, &replay)
+					set, err = applyImageGroup(group, set, fblog, &replay)
 					if err != nil {
 						return nil, ReplayStats{}, err
 					}
@@ -425,8 +442,7 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 		case skip:
 			replay.Skipped++
 		default:
-			visual, err = applyJournalEntry(payload, visual, fblog, &replay)
-			if err != nil {
+			if err := applyJournalEntry(payload, fblog, &replay); err != nil {
 				return nil, ReplayStats{}, err
 			}
 			replay.Records++
@@ -459,7 +475,7 @@ func (j *Journal) replayAndSeal(visual []linalg.Vector, fblog *feedbacklog.Log) 
 			return nil, ReplayStats{}, err
 		}
 	}
-	return visual, replay, nil
+	return set, replay, nil
 }
 
 // reset truncates the journal to an empty state whose next data record will
@@ -570,61 +586,60 @@ func readJournalRecord(r io.Reader) ([]byte, int64, error) {
 }
 
 // applyJournalEntry applies one intact non-images record payload to the
-// replayed state (image chunks are grouped and applied by applyImageGroup).
+// replayed log (image chunks are grouped and applied by applyImageGroup).
 // Every failure here is ErrCorrupt: the checksum verified, so the record is
 // as written and its content contradicts the state it claims to extend.
-func applyJournalEntry(payload []byte, visual []linalg.Vector, fblog *feedbacklog.Log, replay *ReplayStats) ([]linalg.Vector, error) {
+func applyJournalEntry(payload []byte, fblog *feedbacklog.Log, replay *ReplayStats) error {
 	switch payload[0] {
 	case journalEntrySession:
 		session, err := decodeSession(payload[1:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// AddSession validates the query image and every judged image
 		// against the replayed collection; any rejection here means the
 		// record contradicts the state it claims to extend.
 		if _, err := fblog.AddSession(session); err != nil {
-			return nil, fmt.Errorf("%w: replay session: %v", ErrCorrupt, err)
+			return fmt.Errorf("%w: replay session: %v", ErrCorrupt, err)
 		}
 		replay.Sessions++
-		return visual, nil
+		return nil
 	case journalEntryBase:
-		return nil, fmt.Errorf("%w: base record in the journal body", ErrCorrupt)
+		return fmt.Errorf("%w: base record in the journal body", ErrCorrupt)
 	default:
-		return nil, fmt.Errorf("%w: unknown journal entry kind %d", ErrCorrupt, payload[0])
+		return fmt.Errorf("%w: unknown journal entry kind %d", ErrCorrupt, payload[0])
 	}
 }
 
 // applyImageGroup applies one complete image-batch group (every chunk up to
-// and including the final-flagged one) to the replayed state.
-func applyImageGroup(group [][]byte, visual []linalg.Vector, fblog *feedbacklog.Log, replay *ReplayStats) ([]linalg.Vector, error) {
-	total := 0
+// and including the final-flagged one) to the replayed state: its
+// descriptors are decoded into one block, which joins the store through
+// kernel.ShardedSet.Grow, and fblog covers them.
+func applyImageGroup(group [][]byte, set *kernel.ShardedSet, fblog *feedbacklog.Log, replay *ReplayStats) (*kernel.ShardedSet, error) {
+	dim, total := set.Dim(), 0
 	for _, payload := range group {
 		if len(payload) < 10 {
 			return nil, fmt.Errorf("%w: images record too short", ErrCorrupt)
 		}
 		count := int(binary.LittleEndian.Uint32(payload[2:6]))
-		dim := int(binary.LittleEndian.Uint32(payload[6:10]))
-		if count <= 0 || dim <= 0 || len(payload) != 10+8*count*dim {
+		d := int(binary.LittleEndian.Uint32(payload[6:10]))
+		if count <= 0 || d <= 0 || len(payload) != 10+8*count*d {
 			return nil, fmt.Errorf("%w: images record size mismatch", ErrCorrupt)
 		}
-		if want := len(visual[0]); dim != want {
-			return nil, fmt.Errorf("%w: journaled descriptors have dimension %d, collection has %d", ErrCorrupt, dim, want)
-		}
-		off := 10
-		for i := 0; i < count; i++ {
-			vec := make(linalg.Vector, dim)
-			for d := range vec {
-				vec[d] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-				off += 8
-			}
-			visual = append(visual, vec)
+		if d != dim {
+			return nil, fmt.Errorf("%w: journaled descriptors have dimension %d, collection has %d", ErrCorrupt, d, dim)
 		}
 		total += count
 	}
+	block, rows := make(linalg.Vector, total*dim), make([]linalg.Vector, 0, total)
+	for _, payload := range group {
+		for desc := payload[10:]; len(desc) > 0; desc = desc[8*dim:] {
+			rows = append(rows, decodeDescriptor(block[len(rows)*dim:(len(rows)+1)*dim], desc))
+		}
+	}
 	fblog.GrowImages(total)
 	replay.Images += total
-	return visual, nil
+	return set.Grow(rows), nil
 }
 
 // AppendSession journals one committed feedback session in one allocation:
@@ -813,14 +828,6 @@ func (j *Journal) syncLoop() {
 	}
 }
 
-// Size returns the current journal file size in bytes (an empty journal is
-// emptyJournalSize long).
-func (j *Journal) Size() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size
-}
-
 // TailBytes returns how many bytes of data records the journal currently
 // holds — the quantity snapshot compaction bounds.
 func (j *Journal) TailBytes() int64 {
@@ -851,7 +858,7 @@ func (j *Journal) Fsync() FsyncPolicy { return j.opts.Fsync }
 
 // CompactTo removes every record with sequence <= covered (as returned by
 // LastSeq at the moment a state snapshot was captured, and recorded in that
-// snapshot via SaveSnapshotAt): those records are covered by the snapshot
+// snapshot via SaveSnapshotSetAt): those records are covered by the snapshot
 // and no longer needed for replay. Later records are preserved, and their
 // sequences never change. CompactTo is idempotent — compacting to an
 // already-compacted (or smaller) sequence is a no-op — and the rewrite is

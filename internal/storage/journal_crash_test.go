@@ -26,8 +26,8 @@ func TestJournalCrashChild(t *testing.T) {
 	if path == "" {
 		t.Skip("helper process for TestCrashRecoveryKill9")
 	}
-	visual, fblog := journalBase(8, 3)
-	j, _, _, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncAlways})
+	set, fblog := journalBase(8, 3)
+	j, _, _, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		t.Fatalf("helper died after only %d acks", acked+1)
 	}
 
-	visual, fblog := journalBase(8, 3)
-	j, _, replay, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncOff})
+	set, fblog := journalBase(8, 3)
+	j, _, replay, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncOff})
 	if err != nil {
 		t.Fatalf("replay after kill -9: %v", err)
 	}
@@ -111,8 +111,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reVisual, reLog := journalBase(8, 3)
-	if _, _, rb, err := OpenJournal(path, reVisual, reLog, JournalOptions{}); err != nil || rb.Sessions != next+1 {
+	reSet, reLog := journalBase(8, 3)
+	if _, _, rb, err := OpenJournalOver(path, reSet, reLog, JournalOptions{}); err != nil || rb.Sessions != next+1 {
 		t.Fatalf("reopen after repair: %v (replay %+v)", err, rb)
 	}
 }

@@ -12,23 +12,15 @@ import (
 
 	"lrfcsvm/internal/faultinject"
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
 
 // journalBase builds the deterministic base state every journal test replays
-// onto: the same call always yields the same collection and (empty) log.
-func journalBase(n, dim int) ([]linalg.Vector, *feedbacklog.Log) {
-	rng := linalg.NewRNG(97)
-	visual := make([]linalg.Vector, n)
-	for i := range visual {
-		v := make(linalg.Vector, dim)
-		for d := range v {
-			v[d] = rng.Normal(0, 1)
-		}
-		visual[i] = v
-	}
-	return visual, feedbacklog.NewLog(n)
+// onto: the same call always yields the same store and (empty) log.
+func journalBase(n, dim int) (*kernel.ShardedSet, *feedbacklog.Log) {
+	return kernel.NewShardedSet(randomRows(n, dim, 97), 0), feedbacklog.NewLog(n)
 }
 
 // journalSession generates the i-th deterministic feedback session over a
@@ -70,12 +62,12 @@ func TestJournalMidFileCorruptionRejected(t *testing.T) {
 // openChunked opens the journal at path over one image whose dimension fits
 // exactly two descriptors in a record, and returns a batch of three, which
 // spans two chunk records.
-func openChunked(t *testing.T, path string) (*Journal, []linalg.Vector, ReplayStats, []linalg.Vector) {
+func openChunked(t *testing.T, path string) (*Journal, *kernel.ShardedSet, ReplayStats, []linalg.Vector) {
 	t.Helper()
 	dim := (maxRecordLen - 10) / 16
 	base := make(linalg.Vector, dim)
 	base[0] = 1
-	j, visual, replay, err := OpenJournal(path, []linalg.Vector{base}, feedbacklog.NewLog(1), JournalOptions{Fsync: FsyncOff})
+	j, set, replay, err := OpenJournalOver(path, kernel.NewShardedSet([]linalg.Vector{base}, 0), feedbacklog.NewLog(1), JournalOptions{Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +77,7 @@ func openChunked(t *testing.T, path string) (*Journal, []linalg.Vector, ReplaySt
 		batch[i] = make(linalg.Vector, dim)
 		batch[i][0], batch[i][dim-1] = float64(i+10), float64(-i)
 	}
-	return j, visual, replay, batch
+	return j, set, replay, batch
 }
 
 // TestJournalOversizedBatchChunked: an image batch too large for one record
@@ -104,12 +96,12 @@ func TestJournalOversizedBatchChunked(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, visual, replay, _ := openChunked(t, path)
-	if replay.Records != 2 || replay.Images != 3 || len(visual) != 4 {
-		t.Fatalf("replay = %+v over %d descriptors", replay, len(visual))
+	_, set, replay, _ := openChunked(t, path)
+	if replay.Records != 2 || replay.Images != 3 || set.Len() != 4 {
+		t.Fatalf("replay = %+v over %d descriptors", replay, set.Len())
 	}
 	for i, want := range batch {
-		if !visual[1+i].Equal(want, 0) {
+		if !linalg.Vector(set.Point(1+i)).Equal(want, 0) {
 			t.Fatalf("replayed descriptor %d corrupted", i)
 		}
 	}
@@ -134,8 +126,8 @@ func TestJournalSemanticCorruptionRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "engine.wal")
-			visual, fblog := journalBase(8, 3)
-			j, _, _, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncOff})
+			set, fblog := journalBase(8, 3)
+			j, _, _, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncOff})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,8 +142,8 @@ func TestJournalSemanticCorruptionRejected(t *testing.T) {
 			if err := os.WriteFile(path, append(raw, frameJournalRecord(tc.payload)...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			baseVisual, baseLog := journalBase(8, 3)
-			if _, _, _, err := OpenJournal(path, baseVisual, baseLog, JournalOptions{}); !errors.Is(err, ErrCorrupt) {
+			baseSet, baseLog := journalBase(8, 3)
+			if _, _, _, err := OpenJournalOver(path, baseSet, baseLog, JournalOptions{}); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("expected ErrCorrupt, got %v", err)
 			}
 		})
@@ -182,8 +174,8 @@ func TestJournalFsyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) { journalPin(t, 1, "always", "synced-append") })
 	t.Run("off", func(t *testing.T) { journalPin(t, 1, "off", "synced-on-demand", "synced-at-close") })
 	t.Run("interval", func(t *testing.T) {
-		visual, fblog := journalBase(8, 3)
-		j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "i.wal"), visual, fblog, JournalOptions{Fsync: FsyncInterval})
+		set, fblog := journalBase(8, 3)
+		j, _, _, err := OpenJournalOver(filepath.Join(t.TempDir(), "i.wal"), set, fblog, JournalOptions{Fsync: FsyncInterval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,24 +194,28 @@ func TestJournalFsyncPolicies(t *testing.T) {
 }
 
 func TestOpenJournalValidation(t *testing.T) {
-	visual, fblog := journalBase(4, 2)
+	set, fblog := journalBase(4, 2)
 	path := filepath.Join(t.TempDir(), "engine.wal")
-	if _, _, _, err := OpenJournal(path, nil, fblog, JournalOptions{}); err == nil {
+	if _, _, _, err := OpenJournalOver(path, kernel.NewShardedSet(nil, 0), fblog, JournalOptions{}); err == nil {
 		t.Error("empty collection accepted")
 	}
-	if _, _, _, err := OpenJournal(path, visual, nil, JournalOptions{}); err == nil {
+	if _, _, _, err := OpenJournalOver(path, set, nil, JournalOptions{}); err == nil {
 		t.Error("nil log accepted")
 	}
-	if _, _, _, err := OpenJournal(path, visual, feedbacklog.NewLog(2), JournalOptions{}); err == nil {
+	if _, _, _, err := OpenJournalOver(path, set, feedbacklog.NewLog(2), JournalOptions{}); err == nil {
 		t.Error("mismatched log accepted")
 	}
 	// A non-journal file of the right magic is rejected, not replayed.
 	logPath := filepath.Join(t.TempDir(), "log.bin")
-	if err := SaveLog(logPath, sampleLog(t)); err != nil {
+	logged := feedbacklog.NewLog(10)
+	if _, err := logged.AddSession(journalSession(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	visual10, fblog10 := journalBase(10, 2)
-	if _, _, _, err := OpenJournal(logPath, visual10, fblog10, JournalOptions{}); err == nil {
+	if err := SaveLog(logPath, logged); err != nil {
+		t.Fatal(err)
+	}
+	set10, fblog10 := journalBase(10, 2)
+	if _, _, _, err := OpenJournalOver(logPath, set10, fblog10, JournalOptions{}); err == nil {
 		t.Error("log store accepted as journal")
 	}
 }
@@ -228,12 +224,12 @@ func TestOpenJournalValidation(t *testing.T) {
 // commit path under each fsync policy (CI's race job uploads its output).
 func BenchmarkCommitJournal(b *testing.B) {
 	run := func(b *testing.B, journal func(b *testing.B) retrieval.JournalSink) {
-		visual, fblog := journalBase(256, 16)
+		set, fblog := journalBase(256, 16)
 		opts := retrieval.Options{}
 		if journal != nil {
 			opts.Journal = journal(b)
 		}
-		engine, err := retrieval.NewEngine(visual, fblog, opts)
+		engine, err := retrieval.NewEngineOver(set, fblog, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,8 +252,8 @@ func BenchmarkCommitJournal(b *testing.B) {
 	}
 	open := func(fsync FsyncPolicy) func(b *testing.B) retrieval.JournalSink {
 		return func(b *testing.B) retrieval.JournalSink {
-			visual, fblog := journalBase(256, 16)
-			j, _, _, err := OpenJournal(filepath.Join(b.TempDir(), "bench.wal"), visual, fblog, JournalOptions{Fsync: fsync})
+			set, fblog := journalBase(256, 16)
+			j, _, _, err := OpenJournalOver(filepath.Join(b.TempDir(), "bench.wal"), set, fblog, JournalOptions{Fsync: fsync})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,8 +273,8 @@ func BenchmarkCommitJournal(b *testing.B) {
 func TestJournalConcurrentAppendsUnderTransientFaults(t *testing.T) {
 	in := faultinject.New(faultinject.Plan{})
 	path := filepath.Join(t.TempDir(), "engine.wal")
-	visual, fblog := journalBase(8, 3)
-	j, _, _, err := OpenJournal(path, visual, fblog, JournalOptions{Fsync: FsyncAlways, WrapFile: func(f *os.File) File { return in.Wrap(f) }})
+	set, fblog := journalBase(8, 3)
+	j, _, _, err := OpenJournalOver(path, set, fblog, JournalOptions{Fsync: FsyncAlways, WrapFile: func(f *os.File) File { return in.Wrap(f) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +301,8 @@ func TestJournalConcurrentAppendsUnderTransientFaults(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reVisual, reLog := journalBase(8, 3)
-	j2, _, replay, err := OpenJournal(path, reVisual, reLog, JournalOptions{})
+	reSet, reLog := journalBase(8, 3)
+	j2, _, replay, err := OpenJournalOver(path, reSet, reLog, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +330,7 @@ func TestJournalTornChunkGroupDiscarded(t *testing.T) {
 	if err := j.AppendSession(feedbacklog.Session{QueryImage: 0, Judgments: map[int]feedbacklog.Judgment{0: feedbacklog.Relevant}}); err != nil {
 		t.Fatal(err)
 	}
-	preBatch := j.Size()
+	preBatch := j.Stats().Bytes
 	if err := j.AppendImages(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +342,9 @@ func TestJournalTornChunkGroupDiscarded(t *testing.T) {
 	if err := os.Truncate(path, firstChunkEnd); err != nil {
 		t.Fatal(err)
 	}
-	_, visual, replay, _ := openChunked(t, path)
-	if len(visual) != 1 || replay.Images != 0 || replay.Sessions != 1 {
-		t.Fatalf("partial batch surfaced: %d descriptors, replay %+v", len(visual), replay)
+	_, set, replay, _ := openChunked(t, path)
+	if set.Len() != 1 || replay.Images != 0 || replay.Sessions != 1 {
+		t.Fatalf("partial batch surfaced: %d descriptors, replay %+v", set.Len(), replay)
 	}
 	if replay.TornTailBytes != firstChunkEnd-preBatch {
 		t.Fatalf("torn bytes = %d, want the whole first chunk (%d)", replay.TornTailBytes, firstChunkEnd-preBatch)
@@ -374,8 +370,8 @@ func TestJournalZeroFilledRegions(t *testing.T) {
 		if err := os.WriteFile(p, forged.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		visual, fblog := journalBase(8, 3)
-		if _, _, _, err := OpenJournal(p, visual, fblog, JournalOptions{}); !errors.Is(err, ErrCorrupt) {
+		set, fblog := journalBase(8, 3)
+		if _, _, _, err := OpenJournalOver(p, set, fblog, JournalOptions{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("expected ErrCorrupt for base sequence 0, got %v", err)
 		}
 	})

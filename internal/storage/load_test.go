@@ -3,10 +3,7 @@ package storage
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
@@ -66,7 +63,7 @@ func saveCollection(t testing.TB, dir string, rows []linalg.Vector) (features, s
 	if err := SaveFeatures(features, rows, make([]int, len(rows))); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSnapshotAt(snapshot, rows, feedbacklog.NewLog(len(rows)), 7); err != nil {
+	if err := SaveSnapshotSetAt(snapshot, kernel.NewShardedSet(rows, 0), feedbacklog.NewLog(len(rows)), 7); err != nil {
 		t.Fatal(err)
 	}
 	return features, snapshot
@@ -118,7 +115,8 @@ func TestLoadedStoreMatchesNewShardedSet(t *testing.T) {
 // image: loading four times the images allocates at most one more object per
 // extra shard, and the bytes allocated stay within a tenth of the store (rows
 // and squared norms) plus a constant, for the feature store and the
-// snapshot alike. GC is off while a load is measured.
+// snapshot alike; a journal replayed into the loaded store costs objects by
+// the group, not by the image. GC is off while a load is measured.
 func TestLoadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the program")
@@ -178,119 +176,50 @@ func TestLoadAllocations(t *testing.T) {
 			}
 		})
 	}
-}
-
-// resealed returns a copy of data whose record at file offset off has its
-// payload edited and its CRC recomputed, so only the decoder's content checks
-// can refuse it.
-func resealed(data []byte, off int, edit func(payload []byte)) []byte {
-	data = slices.Clone(data)
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	edit(data[off+8 : off+8+n])
-	binary.LittleEndian.PutUint32(data[off+4:], crc32.ChecksumIEEE(data[off+8:off+8+n]))
-	return data
-}
-
-// TestLoadersRefuseDamage: every check of the readers holds for the slice
-// readers and the store loaders alike, and for the log read through the same
-// record reader, each refusing with ErrCorrupt — a truncated record, a
-// flipped CRC bit, a record length past the limit, a payload whose size
-// contradicts its dimension, a snapshot that announces more images than it
-// holds, and trailing data after a snapshot.
-func TestLoadersRefuseDamage(t *testing.T) {
-	rows := randomRows(6, 3, 9)
-	var features, snapshot bytes.Buffer
-	if err := WriteFeatures(&features, rows, make([]int, len(rows))); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshotAt(&snapshot, rows, feedbacklog.NewLog(len(rows)), 0); err != nil {
-		t.Fatal(err)
-	}
-	const featureRecord = 8 + 8 + 3*8 // header, label and dim, three values
-	second := fileHeaderLen + featureRecord
-	type loader struct {
-		name string
-		read func([]byte) error
-	}
-	featureLoaders := []loader{
-		{"ReadFeatures", func(b []byte) error { _, _, err := ReadFeatures(bytes.NewReader(b)); return err }},
-		{"store", func(b []byte) error { _, err := readFeatureSet(bytes.NewReader(b), int64(len(b))); return err }},
-	}
-	snapshotLoaders := []loader{
-		{"ReadSnapshotAt", func(b []byte) error { _, _, _, err := ReadSnapshotAt(bytes.NewReader(b)); return err }},
-	}
-	var logFile bytes.Buffer
-	if err := WriteLog(&logFile, sampleLog(t)); err != nil {
-		t.Fatal(err)
-	}
-	logLoaders := []loader{{"ReadLog", func(b []byte) error { _, err := ReadLog(bytes.NewReader(b)); return err }}}
-	fb, sb, lb := features.Bytes(), snapshot.Bytes(), logFile.Bytes()
-	flippedLog := slices.Clone(lb)
-	flippedLog[fileHeaderLen+8+4+4] ^= 1 // the first session's CRC
-	tooLong := slices.Clone(fb)
-	binary.LittleEndian.PutUint32(tooLong[second:], maxRecordLen+1)
-	flipped := slices.Clone(fb)
-	flipped[second+4] ^= 1 // a CRC bit
-	const meta = 8 + 12    // the snapshot's meta record, without a sequence
-	flippedSnapshot := slices.Clone(sb)
-	flippedSnapshot[fileHeaderLen+meta+4] ^= 1 // the first descriptor's CRC
-	overCount := resealed(sb, fileHeaderLen, func(p []byte) { binary.LittleEndian.PutUint32(p[0:4], math.MaxUint32) })
-	for _, c := range []struct {
-		what    string
-		loaders []loader
-		data    []byte
-	}{
-		{"a truncated feature record", featureLoaders, fb[:len(fb)-5]},
-		{"a truncated feature record header", featureLoaders, fb[:second+3]},
-		{"a flipped CRC bit", featureLoaders, flipped},
-		{"a record past the length limit", featureLoaders, tooLong},
-		{"a feature record whose size contradicts its dimension", featureLoaders,
-			resealed(fb, second, func(p []byte) { binary.LittleEndian.PutUint32(p[4:8], 4) })},
-		{"a truncated log", logLoaders, lb[:len(lb)-5]},
-		{"a flipped CRC bit in a log", logLoaders, flippedLog},
-		{"a truncated snapshot", snapshotLoaders, sb[:len(sb)-5]},
-		{"a flipped CRC bit in a snapshot", snapshotLoaders, flippedSnapshot},
-		{"an implausible snapshot count with too few records", snapshotLoaders, overCount},
-		{"trailing data after a snapshot", snapshotLoaders, append(slices.Clone(sb), sb[fileHeaderLen+meta:fileHeaderLen+meta+8+24]...)},
-	} {
-		for _, l := range c.loaders {
-			if err := l.read(c.data); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: %s returned %v, want ErrCorrupt", c.what, l.name, err)
+	// Four times the images in each group, over four times the collection:
+	// the tail shard's rows and norms may move once more a group.
+	t.Run("journal", func(t *testing.T) {
+		const groups = 8
+		replay := func(n, perGroup int) func() (*kernel.ShardedSet, error) {
+			base, err := LoadFeatureSet(paths[n][0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := journalOfGroups(t, t.TempDir(), base, groups, perGroup)
+			return func() (*kernel.ShardedSet, error) {
+				j, set, _, err := OpenJournalOver(path, base, feedbacklog.NewLog(n), JournalOptions{Fsync: FsyncOff})
+				if err == nil {
+					err = j.Close()
+				}
+				return set, err
 			}
 		}
-	}
+		a, b := measure(t, replay(small, 16)), measure(t, replay(large, 64))
+		t.Logf("%d groups of 16 images over %d: %d objects; of 64 over %d: %d objects", groups, small, a.mallocs, large, b.mallocs)
+		if b.mallocs > a.mallocs+2*groups {
+			t.Errorf("%d groups of 64 images cost %d objects, of 16 images %d: want at most two more a group", groups, b.mallocs, a.mallocs)
+		}
+	})
+}
 
-	// The count is untrusted until the records arrive: a snapshot that
-	// announces 2^32 − 1 images reserves a shard and a bounded table, not
-	// the collection — nor, at a large dimension, more than the one
-	// descriptor it holds.
-	if raceEnabled {
-		return
-	}
-	var wide bytes.Buffer
-	if err := WriteSnapshotAt(&wide, randomRows(1, 1<<16, 5), feedbacklog.NewLog(1), 0); err != nil {
+// journalOfGroups writes a journal over set holding groups image batches of
+// perGroup images each, and returns its path.
+func journalOfGroups(t testing.TB, dir string, set *kernel.ShardedSet, groups, perGroup int) string {
+	t.Helper()
+	path := filepath.Join(dir, "engine.wal")
+	j, _, _, err := OpenJournalOver(path, set, feedbacklog.NewLog(set.Len()), JournalOptions{Fsync: FsyncOff})
+	if err != nil {
 		t.Fatal(err)
 	}
-	wideOverCount := resealed(wide.Bytes(), fileHeaderLen, func(p []byte) { binary.LittleEndian.PutUint32(p[0:4], math.MaxUint32) })
-	for _, c := range []struct {
-		what  string
-		data  []byte
-		bound uint64
-	}{
-		{"3 dimensions", overCount, 1 << 20},
-		{"65,536 dimensions", wideOverCount, 4 * uint64(len(wideOverCount))},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, _, err := readSnapshot(bytes.NewReader(c.data))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("a snapshot of %s announcing %d images returned %v, want ErrCorrupt", c.what, uint32(math.MaxUint32), err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > c.bound {
-			t.Errorf("a snapshot of %s announcing %d images allocated %d bytes before it was refused, want at most %d", c.what, uint32(math.MaxUint32), got, c.bound)
+	for g := range groups {
+		if err := j.AppendImages(randomRows(perGroup, set.Dim(), uint64(g))); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // pinnedCollection is a fixed collection whose encodings are pinned: 300
@@ -327,6 +256,7 @@ func pinnedCollection(t testing.TB) ([]linalg.Vector, []int, *feedbacklog.Log) {
 // change how it builds a record but not one byte of what it writes.
 func TestWritersEncodeAsPinned(t *testing.T) {
 	rows, labels, log := pinnedCollection(t)
+	set := kernel.NewShardedSet(rows, 0)
 	for _, c := range []struct {
 		what  string
 		write func(io.Writer) error
@@ -335,8 +265,8 @@ func TestWritersEncodeAsPinned(t *testing.T) {
 	}{
 		{"features", func(w io.Writer) error { return WriteFeatures(w, rows, labels) }, 16808, "9e45ef82a983c29d71cfab7a31f7ad813f3a00e6f63599f04aac89809a9647f1"},
 		{"log", func(w io.Writer) error { return WriteLog(w, log) }, 128, "63e35f8d394528e01f4a53236499191647264a21ecd06e8f9cb6cf273a41f80d"},
-		{"snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, rows, log, 0) }, 14536, "07c44d53d70d91d8b06d3f3464fe2792e790d54c39f1fcd865433277831eab61"},
-		{"snapshot at sequence 42", func(w io.Writer) error { return WriteSnapshotAt(w, rows, log, 42) }, 14544, "ca33dc996da1678194818327cd3155e143f87dc94a6c9dd7fc97d092a942d204"},
+		{"snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, set, log, 0) }, 14536, "07c44d53d70d91d8b06d3f3464fe2792e790d54c39f1fcd865433277831eab61"},
+		{"snapshot at sequence 42", func(w io.Writer) error { return WriteSnapshotAt(w, set, log, 42) }, 14544, "ca33dc996da1678194818327cd3155e143f87dc94a6c9dd7fc97d092a942d204"},
 	} {
 		var buf bytes.Buffer
 		if err := c.write(&buf); err != nil {
@@ -358,15 +288,15 @@ func TestWriterAllocationsDoNotGrow(t *testing.T) {
 	}
 	for _, c := range []struct {
 		what  string
-		write func(rows []linalg.Vector, labels []int, log *feedbacklog.Log) error
+		write func(rows []linalg.Vector, set *kernel.ShardedSet, labels []int, log *feedbacklog.Log) error
 	}{
-		{"WriteFeatures", func(rows []linalg.Vector, labels []int, _ *feedbacklog.Log) error {
+		{"WriteFeatures", func(rows []linalg.Vector, _ *kernel.ShardedSet, labels []int, _ *feedbacklog.Log) error {
 			return WriteFeatures(io.Discard, rows, labels)
 		}},
-		{"WriteSnapshotAt", func(rows []linalg.Vector, _ []int, log *feedbacklog.Log) error {
-			return WriteSnapshotAt(io.Discard, rows, log, 3)
+		{"WriteSnapshotAt", func(_ []linalg.Vector, set *kernel.ShardedSet, _ []int, log *feedbacklog.Log) error {
+			return WriteSnapshotAt(io.Discard, set, log, 3)
 		}},
-		{"WriteLog", func(_ []linalg.Vector, _ []int, log *feedbacklog.Log) error {
+		{"WriteLog", func(_ []linalg.Vector, _ *kernel.ShardedSet, _ []int, log *feedbacklog.Log) error {
 			return WriteLog(io.Discard, log)
 		}},
 	} {
@@ -382,8 +312,9 @@ func TestWriterAllocationsDoNotGrow(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			set := kernel.NewShardedSet(rows, 0)
 			return testing.AllocsPerRun(5, func() {
-				if err := c.write(rows, labels, log); err != nil {
+				if err := c.write(rows, set, labels, log); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -402,7 +333,7 @@ func TestAppendSessionAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the program")
 	}
-	j, _, _, err := OpenJournal(filepath.Join(t.TempDir(), "j.wal"), randomRows(100, 3, 1), feedbacklog.NewLog(100), JournalOptions{Fsync: FsyncOff})
+	j, _, _, err := OpenJournalOver(filepath.Join(t.TempDir(), "j.wal"), kernel.NewShardedSet(randomRows(100, 3, 1), 0), feedbacklog.NewLog(100), JournalOptions{Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +354,10 @@ func TestAppendSessionAllocatesOnce(t *testing.T) {
 
 // BenchmarkLoadCollection times a load straight into the sharded store, of
 // the feature store and of the snapshot, at 5,000 and 50,000 images of the
-// benchmark's 36-dimensional descriptors. With -benchmem, allocs/op must not
-// scale with the images: one block per shard.
+// benchmark's 36-dimensional descriptors, and the replay of a journal of 40
+// image batches of 8 over the loaded feature store, as cbirserver starts.
+// With -benchmem, allocs/op must not scale with the images: one block per
+// shard, and the journal's objects per batch.
 func BenchmarkLoadCollection(b *testing.B) {
 	for _, n := range []int{5000, 50000} {
 		features, snapshot := saveCollection(b, b.TempDir(), randomRows(n, 36, 1))
@@ -440,6 +373,21 @@ func BenchmarkLoadCollection(b *testing.B) {
 				if _, _, _, err := LoadSnapshotSetAt(snapshot); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("journal/%d", n), func(b *testing.B) {
+			base, err := LoadFeatureSet(features)
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := journalOfGroups(b, b.TempDir(), base, 40, 8)
+			b.ResetTimer()
+			for range b.N {
+				j, _, _, err := OpenJournalOver(path, base, feedbacklog.NewLog(n), JournalOptions{Fsync: FsyncOff})
+				if err != nil {
+					b.Fatal(err)
+				}
+				j.Close()
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Snapshot compaction: the background companion of the write-ahead journal.
 // The snapshotter periodically captures a consistent engine state, persists
-// it through the atomic SaveSnapshotAt, and truncates the journal prefix the
+// it through the atomic SaveSnapshotSetAt, and truncates the journal prefix the
 // snapshot now covers — so replay time after a crash stays proportional to
 // the journal tail written since the last snapshot, not to the server's
 // whole uptime.
@@ -13,17 +13,18 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
-	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/kernel"
 )
 
-// SnapshotSource captures a consistent view of the engine state; the rows may
-// be views into live storage, read and never written here. The mark callback
+// SnapshotSource captures a consistent view of the engine state: the store
+// the engine serves from, which later ingestions grow copy-on-write and never
+// rewrite, and a copy of the log. The mark callback
 // must be invoked while the state is pinned (i.e. under the same lock that
 // serializes journal appends): the snapshotter uses it to read the journal
 // offset the captured state corresponds to, so compaction removes exactly
 // the records the snapshot covers and nothing appended concurrently.
 // retrieval.Engine.SnapshotWith has this shape.
-type SnapshotSource func(mark func()) ([]linalg.Vector, *feedbacklog.Log)
+type SnapshotSource func(mark func()) (*kernel.ShardedSet, *feedbacklog.Log)
 
 // SnapshotterConfig tunes the snapshotter. The zero value of the trigger
 // fields selects the defaults; a non-positive Interval together with a
@@ -31,7 +32,7 @@ type SnapshotSource func(mark func()) ([]linalg.Vector, *feedbacklog.Log)
 // fire).
 type SnapshotterConfig struct {
 	// SnapshotPath is where snapshots are written (atomically, see
-	// SaveSnapshotAt).
+	// SaveSnapshotSetAt).
 	SnapshotPath string
 	// Interval is the time trigger: a snapshot is taken when this much time
 	// has passed since the last one and the journal is non-empty. <=0
@@ -198,8 +199,8 @@ func (s *Snapshotter) backgroundPass() {
 
 func (s *Snapshotter) snapshotLocked() error {
 	var mark uint64
-	visual, fblog := s.source(func() { mark = s.journal.LastSeq() })
-	err := SaveSnapshotAt(s.cfg.SnapshotPath, visual, fblog, mark)
+	set, fblog := s.source(func() { mark = s.journal.LastSeq() })
+	err := SaveSnapshotSetAt(s.cfg.SnapshotPath, set, fblog, mark)
 	if err == nil {
 		err = s.journal.CompactTo(mark)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lrfcsvm/internal/feedbacklog"
+	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
@@ -17,13 +18,13 @@ import (
 // follows must still work — cbirserver relies on exactly this order.
 func TestSnapshotterCloseThenFinalSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	visual, fblog := journalBase(8, 3)
-	j, visual, _, err := OpenJournal(filepath.Join(dir, "engine.wal"), visual, fblog, JournalOptions{Fsync: FsyncOff})
+	set, fblog := journalBase(8, 3)
+	j, set, _, err := OpenJournalOver(filepath.Join(dir, "engine.wal"), set, fblog, JournalOptions{Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	engine, err := retrieval.NewEngine(visual, fblog, retrieval.Options{Journal: j})
+	engine, err := retrieval.NewEngineOver(set, fblog, retrieval.Options{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,8 @@ func TestSnapshotterTriggers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			visual, fblog := journalBase(8, 3)
-			j, _, _, err := OpenJournal(filepath.Join(dir, "engine.wal"), visual, fblog, JournalOptions{Fsync: FsyncOff})
+			set, fblog := journalBase(8, 3)
+			j, _, _, err := OpenJournalOver(filepath.Join(dir, "engine.wal"), set, fblog, JournalOptions{Fsync: FsyncOff})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +93,7 @@ func TestSnapshotterTriggers(t *testing.T) {
 			}
 			start := time.Unix(1e9, 0)
 			var elapsed atomic.Int64 // the clock; the loop reads it only on a tick, seconds away
-			snap, err := NewSnapshotter(j, func(func()) ([]linalg.Vector, *feedbacklog.Log) { return nil, nil }, SnapshotterConfig{
+			snap, err := NewSnapshotter(j, func(func()) (*kernel.ShardedSet, *feedbacklog.Log) { return nil, nil }, SnapshotterConfig{
 				SnapshotPath:    filepath.Join(dir, "engine.snap"),
 				Interval:        interval,
 				MaxJournalBytes: tc.maxBytes,

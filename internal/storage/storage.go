@@ -20,7 +20,7 @@
 // allocation per record. A feature store is read either as rows
 // (ReadFeatures) or straight into the sharded store the engine serves from
 // (LoadFeatureSet); a snapshot's collection is always read into a store
-// (LoadSnapshotSetAt), ReadSnapshotAt's rows being views into it. Each
+// (LoadSnapshotSetAt) and written from one (SaveSnapshotSetAt). Each
 // descriptor is decoded into its shard's block (kernel.SetBuilder), one
 // allocation per shard and none per image, and the store is the one
 // NewShardedSet builds over the rows, bit for bit.
@@ -395,7 +395,8 @@ func appendSession(dst []byte, s feedbacklog.Session, imgs []int) ([]byte, []int
 	return dst, imgs
 }
 
-// decodeSession parses a session payload written by appendSession.
+// decodeSession parses a session payload written by appendSession, and only
+// that: images strictly ascending, judgments ±1, so it re-encodes the same.
 func decodeSession(payload []byte) (feedbacklog.Session, error) {
 	if len(payload) < 12 {
 		return feedbacklog.Session{}, fmt.Errorf("%w: log record too short", ErrCorrupt)
@@ -407,31 +408,16 @@ func decodeSession(payload []byte) (feedbacklog.Session, error) {
 		return feedbacklog.Session{}, fmt.Errorf("%w: log record size mismatch", ErrCorrupt)
 	}
 	judgments := make(map[int]feedbacklog.Judgment, count)
+	prev := -1
 	for i := 0; i < count; i++ {
 		img := int(binary.LittleEndian.Uint32(payload[12+8*i:]))
-		j := feedbacklog.Judgment(int32(binary.LittleEndian.Uint32(payload[16+8*i:])))
-		judgments[img] = j
+		j := int32(binary.LittleEndian.Uint32(payload[16+8*i:]))
+		if img <= prev || j != int32(feedbacklog.Relevant) && j != int32(feedbacklog.Irrelevant) {
+			return feedbacklog.Session{}, fmt.Errorf("%w: session judges image %d as %d after image %d", ErrCorrupt, img, j, prev)
+		}
+		judgments[img], prev = feedbacklog.Judgment(j), img
 	}
 	return feedbacklog.Session{QueryImage: query, TargetCategory: category, Judgments: judgments}, nil
-}
-
-// validateSession checks a decoded session against the collection it
-// claims to belong to — the same rules feedbacklog.Log.AddSession enforces
-// (which is what actually guards every read path; an out-of-range query
-// image used to round-trip silently and only explode much later, in the
-// query path of a server that loaded the file). The fuzz targets use this
-// helper to assert the invariant on whatever a decoder accepts, without
-// rebuilding a log.
-func validateSession(s feedbacklog.Session, numImages int) error {
-	if s.QueryImage < 0 || s.QueryImage >= numImages {
-		return fmt.Errorf("%w: session query image %d outside collection of %d images", ErrCorrupt, s.QueryImage, numImages)
-	}
-	for img := range s.Judgments {
-		if img < 0 || img >= numImages {
-			return fmt.Errorf("%w: session judges image %d outside collection of %d images", ErrCorrupt, img, numImages)
-		}
-	}
-	return nil
 }
 
 // ReadLog reads a feedback log written by WriteLog.
@@ -489,10 +475,10 @@ func LoadLog(path string) (*feedbacklog.Log, error) {
 }
 
 // WriteSnapshotAt writes one self-contained engine snapshot to w: the visual
-// descriptor of every image followed by every feedback-log session, the two
-// halves a live engine needs to be reconstructed after ingesting images and
-// collecting feedback (see retrieval.Engine.SnapshotWith). The log must cover
-// exactly the given collection.
+// descriptor of every image of the store followed by every feedback-log
+// session, the two halves a live engine needs to be reconstructed after
+// ingesting images and collecting feedback (see retrieval.Engine.SnapshotWith).
+// The log must cover exactly the store's collection.
 //
 // Layout after the file header: a meta record images(u32) dim(u32)
 // sessions(u32), then one record of dim float64 per image, then one session
@@ -504,17 +490,17 @@ func LoadLog(path string) (*feedbacklog.Log, error) {
 // encoding) so that a replay of snapshot + journal can skip the records the
 // snapshot already contains — regardless of whether the journal was compacted
 // before or after the crash.
-func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
-	if len(visual) == 0 {
+func WriteSnapshotAt(w io.Writer, set *kernel.ShardedSet, log *feedbacklog.Log, journalSeq uint64) error {
+	if set.Len() == 0 {
 		return fmt.Errorf("storage: snapshot of an empty collection")
 	}
 	if log == nil {
 		return fmt.Errorf("storage: snapshot without a log")
 	}
-	if log.NumImages() != len(visual) {
-		return fmt.Errorf("storage: snapshot log covers %d images, collection has %d", log.NumImages(), len(visual))
+	if log.NumImages() != set.Len() {
+		return fmt.Errorf("storage: snapshot log covers %d images, collection has %d", log.NumImages(), set.Len())
 	}
-	dim := len(visual[0])
+	dim := set.Dim()
 	rw, err := newRecordWriter(w, KindSnapshot)
 	if err != nil {
 		return err
@@ -524,7 +510,7 @@ func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, 
 		metaLen = 20
 	}
 	meta := rw.record(metaLen)
-	binary.LittleEndian.PutUint32(meta[0:4], uint32(len(visual)))
+	binary.LittleEndian.PutUint32(meta[0:4], uint32(set.Len()))
 	binary.LittleEndian.PutUint32(meta[4:8], uint32(dim))
 	binary.LittleEndian.PutUint32(meta[8:12], uint32(log.NumSessions()))
 	if journalSeq != 0 {
@@ -533,11 +519,8 @@ func WriteSnapshotAt(w io.Writer, visual []linalg.Vector, log *feedbacklog.Log, 
 	if err := rw.write(); err != nil {
 		return err
 	}
-	for i, v := range visual {
-		if len(v) != dim {
-			return fmt.Errorf("storage: descriptor %d has dimension %d, want %d", i, len(v), dim)
-		}
-		encodeDescriptor(rw.record(8*dim), v)
+	for i := range set.Len() {
+		encodeDescriptor(rw.record(8*dim), linalg.Vector(set.Point(i)))
 		if err := rw.write(); err != nil {
 			return err
 		}
@@ -561,7 +544,7 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("storage: read snapshot meta record: %w", err)
 	}
-	if len(meta) != 12 && len(meta) != 20 {
+	if len(meta) != 12 && (len(meta) != 20 || binary.LittleEndian.Uint64(meta[12:20]) == 0) { // a zero sequence is written short
 		return nil, nil, 0, fmt.Errorf("%w: bad snapshot meta record", ErrCorrupt)
 	}
 	images := int(binary.LittleEndian.Uint32(meta[0:4]))
@@ -574,11 +557,16 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 	if images <= 0 || dim <= 0 || uint32(dim) > maxRecordLen/8 {
 		return nil, nil, 0, fmt.Errorf("%w: implausible snapshot shape %dx%d", ErrCorrupt, images, dim)
 	}
+	// A file that ends before a record the meta record announced is
+	// truncated; a damaged record says how.
 	b := kernel.NewSetBuilder(dim, 0, images)
 	for i := 0; i < images; i++ {
 		payload, err := rr.next()
+		if err == io.EOF {
+			err = fmt.Errorf("%w: truncated snapshot collection", ErrCorrupt)
+		}
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: truncated snapshot collection", ErrCorrupt)
+			return nil, nil, 0, err
 		}
 		if len(payload) != 8*dim {
 			return nil, nil, 0, fmt.Errorf("%w: snapshot descriptor size mismatch", ErrCorrupt)
@@ -588,8 +576,11 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 	log := feedbacklog.NewLog(images)
 	for i := 0; i < sessions; i++ {
 		payload, err := rr.next()
+		if err == io.EOF {
+			err = fmt.Errorf("%w: truncated snapshot log", ErrCorrupt)
+		}
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: truncated snapshot log", ErrCorrupt)
+			return nil, nil, 0, err
 		}
 		session, err := decodeSession(payload)
 		if err != nil {
@@ -605,24 +596,34 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 	return b.Set(), log, journalSeq, nil
 }
 
-// ReadSnapshotAt reads an engine snapshot and the journal sequence it
-// covers (0 for snapshots written without a journal). The descriptors are
-// views into the store readSnapshot decodes.
-func ReadSnapshotAt(r io.Reader) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
-	set, log, journalSeq, err := readSnapshot(r)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return set.Rows(), log, journalSeq, nil
+// SaveSnapshotSetAt writes an engine snapshot of the store and the log to the
+// named file atomically and durably (see installStaged), so a crash mid-write
+// never destroys the previous snapshot; journalSeq as in WriteSnapshotAt.
+func SaveSnapshotSetAt(path string, set *kernel.ShardedSet, log *feedbacklog.Log, journalSeq uint64) error {
+	return save(path, "snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, set, log, journalSeq) })
 }
 
-// SaveSnapshotAt writes an engine snapshot to the named file atomically and
-// durably (see installStaged), so a crash mid-write never destroys the
-// previous snapshot. It records the journal sequence the state covers (see
-// WriteSnapshotAt), so crash replay can tell which journal records the
-// snapshot already contains.
+// SaveSnapshotAt is SaveSnapshotSetAt for a collection kept as rows, which it
+// copies into a store first. Only bench/ saves rows; the form ends once
+// bench/ calls SaveSnapshotSetAt.
 func SaveSnapshotAt(path string, visual []linalg.Vector, log *feedbacklog.Log, journalSeq uint64) error {
-	return save(path, "snapshot", func(w io.Writer) error { return WriteSnapshotAt(w, visual, log, journalSeq) })
+	set, err := rowsSet(visual)
+	if err != nil {
+		return err
+	}
+	return SaveSnapshotSetAt(path, set, log, journalSeq)
+}
+
+// rowsSet copies the row adapters' rows (SaveSnapshotAt, OpenJournal) into a
+// store with the default shard size, refusing rows of more than one
+// dimension, which a store cannot hold.
+func rowsSet(rows []linalg.Vector) (*kernel.ShardedSet, error) {
+	for i, v := range rows {
+		if len(v) != len(rows[0]) {
+			return nil, fmt.Errorf("storage: descriptor %d has dimension %d, want %d", i, len(v), len(rows[0]))
+		}
+	}
+	return kernel.NewShardedSet(rows, 0), nil
 }
 
 // save installs what write produces at path (see installStaged) and closes
@@ -687,22 +688,12 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// LoadSnapshotAt reads an engine snapshot from the named file, with the
-// journal sequence it covers; pass the sequence to OpenJournal (JournalOptions.SnapshotSeq) so
-// replay skips the records the snapshot already contains.
-func LoadSnapshotAt(path string) ([]linalg.Vector, *feedbacklog.Log, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadSnapshotAt(f)
-}
-
-// LoadSnapshotSetAt reads an engine snapshot from the named file like
-// LoadSnapshotAt, its collection as the sharded store LoadSnapshotAt's rows
-// are views of: the default shard size, one block per shard and nothing per
-// image, what kernel.NewShardedSet builds over the rows, bit for bit.
+// LoadSnapshotSetAt reads an engine snapshot from the named file, its
+// collection as a sharded store with the default shard size (one block per
+// shard and nothing per image, what kernel.NewShardedSet builds over the
+// rows, bit for bit), and the journal sequence it covers: pass the sequence
+// to OpenJournalOver (JournalOptions.SnapshotSeq) so replay skips the records
+// the snapshot already contains.
 func LoadSnapshotSetAt(path string) (*kernel.ShardedSet, *feedbacklog.Log, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
