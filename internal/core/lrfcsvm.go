@@ -92,7 +92,7 @@ func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, lo
 // selectMaxMin is the paper's max/min heuristic: the same pass over a log
 // that covers no image (the scores still read the log).
 func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) ([]int, []float64, error) {
-	return selectStreamed(ctx, batch, visualInit, logInit, num, (*kernel.LogIndex)(nil).Extend(nil), lane)
+	return selectStreamed(ctx, batch, visualInit, logInit, num, &kernel.LogIndex{}, lane)
 }
 
 // selectStreamed drafts through step 1's streaming pass with the coverage

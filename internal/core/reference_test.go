@@ -194,7 +194,7 @@ func refSelect(ctx *QueryContext, s refScheme, combined []float64, num int) ([]i
 	case SelectLogAssisted:
 		return logAssistedSelection(logIndexOf(ctx), candidates, combined, num)
 	case SelectMaxMin:
-		return logAssistedSelection((*kernel.LogIndex)(nil).Extend(nil), candidates, combined, num)
+		return logAssistedSelection(&kernel.LogIndex{}, candidates, combined, num)
 	case SelectBoundary:
 		return BoundarySelection(candidates, combined, num)
 	}

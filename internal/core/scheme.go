@@ -49,9 +49,9 @@ type QueryContext struct {
 	// it. It may be nil for schemes that do not use the log (Euclidean,
 	// RF-SVM), and must be when LogIndex is set.
 	LogVectors []*sparse.Vector
-	// LogIndex is the log indexed by session and by image, as
-	// feedbacklog.Log.ExtendIndex keeps it for the retrieval engine and the
-	// evaluation experiments; the log schemes read the log only through it.
+	// LogIndex is the log indexed by session — the log's own rows — and by
+	// image, as feedbacklog.Log.ExtendIndex returns it to the retrieval engine
+	// and the experiments; the log schemes read the log only through it.
 	// It may end before the collection (an image past its columns has no
 	// judgment) or run past it (a scan never reaches those columns).
 	LogIndex *kernel.LogIndex

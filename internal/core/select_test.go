@@ -210,7 +210,7 @@ func TestScanRangesMatchesNaiveOracle(t *testing.T) {
 		labeled := base.labeledSet()
 		log := logIndexOf(base)
 		if col.covered == 0 {
-			log = (*kernel.LogIndex)(nil).Extend(nil)
+			log = &kernel.LogIndex{}
 		}
 		for _, cands := range []CandidateSet{{}, randomCandidates(rng, n)} {
 			// The oracle: which images the source names, then plain sorts.

@@ -6,8 +6,9 @@
 package feedbacklog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/sparse"
@@ -25,7 +26,8 @@ const (
 )
 
 // Session is one unit of user feedback: a single relevance-feedback round in
-// which the user judged the images returned for a query.
+// which the user judged the images returned for a query, as AddSession takes
+// it and Sessions gives it back: the log keeps no map (see Log).
 type Session struct {
 	// ID is the session's position in the log (assigned by Log.AddSession).
 	ID int
@@ -39,20 +41,40 @@ type Session struct {
 	Judgments map[int]Judgment
 }
 
+// AppendSorted appends the session's judgments to dst as entries {Index:
+// image, Value: judgment}, in ascending image order — the form the log keeps
+// them in — and returns the extended slice.
+func (s Session) AppendSorted(dst []sparse.Entry) []sparse.Entry {
+	n := len(dst)
+	//cbirlint:ignore determinism the entries are sorted below
+	for img, j := range s.Judgments {
+		dst = append(dst, sparse.Entry{Index: img, Value: float64(j)})
+	}
+	slices.SortFunc(dst[n:], func(a, b sparse.Entry) int { return cmp.Compare(a.Index, b.Index) })
+	return dst
+}
+
 // Log is an ordered collection of feedback sessions over a fixed image
-// collection. It is the log database of the paper: a relevance matrix with
-// one row per session and one column per image.
+// collection. It is the log database of the paper: a relevance matrix R with
+// one row per session and one column per image, stored once: each session's
+// query and category, and one index whose row s is session s's judgments in
+// ascending image order (kernel.SparseSVIndex), which the log schemes' scans
+// walk and ExtendIndex hands to the index by image without a copy.
 type Log struct {
 	numImages int
-	sessions  []Session
+	heads     []head
+	rows      *kernel.SparseSVIndex
 }
+
+// head is a session's query image and category, as wide as the files keep them.
+type head struct{ query, category int32 }
 
 // NewLog creates an empty log over a collection of numImages images.
 func NewLog(numImages int) *Log {
 	if numImages <= 0 {
 		panic(fmt.Sprintf("feedbacklog: non-positive image count %d", numImages))
 	}
-	return &Log{numImages: numImages}
+	return &Log{numImages: numImages, rows: &kernel.SparseSVIndex{}}
 }
 
 // NumImages returns the size of the image collection the log refers to.
@@ -69,53 +91,75 @@ func (l *Log) GrowImages(added int) {
 	l.numImages += added
 }
 
-// Clone returns a snapshot copy of the log: the session list is copied, so
-// the original can keep growing while the clone is serialized or inspected.
-// The per-session judgment maps are shared — they are treated as immutable
-// once added (AddSession callers hand over ownership).
+// Clone returns a copy of the log in O(1): it shares the log's storage with
+// no room to append into, so the original and the clone can both keep
+// growing, and each holds exactly its own sessions — the original grows
+// while a clone is serialized or inspected.
 func (l *Log) Clone() *Log {
-	return &Log{numImages: l.numImages, sessions: append([]Session(nil), l.sessions...)}
+	return &Log{numImages: l.numImages, heads: slices.Clip(l.heads), rows: l.rows.Clip()}
 }
 
 // NumSessions returns the number of recorded sessions, i.e. the
 // dimensionality M of the per-image log relevance vectors.
-func (l *Log) NumSessions() int { return len(l.sessions) }
+func (l *Log) NumSessions() int { return len(l.heads) }
 
-// Sessions returns the recorded sessions in insertion order. The returned
-// slice is shared; callers must not modify it.
-func (l *Log) Sessions() []Session { return l.sessions }
+// Row returns session s's query image, its target category and its
+// judgments: the images it judged, ascending, each entry's value its
+// judgment, a view into the log that the caller must not write.
+func (l *Log) Row(s int) (query, category int, judged []sparse.Entry) {
+	h := l.heads[s]
+	return int(h.query), int(h.category), l.rows.Row(s)
+}
 
-// AddSession appends a session to the log, assigning its ID. Judgments that
-// reference images outside the collection are rejected, as is a query image
-// outside it — a session replayed from a corrupt store must not smuggle an
-// out-of-range query into the log, where it would only explode much later
-// in the query path.
+// Sessions returns the recorded sessions in insertion order, each with a
+// judgment map of its own, built on every call: a view for the benchmark
+// harness and tests, which the log does not keep.
+func (l *Log) Sessions() []Session {
+	out := make([]Session, len(l.heads))
+	for s := range out {
+		query, category, judged := l.Row(s)
+		judgments := make(map[int]Judgment, len(judged))
+		for _, e := range judged {
+			judgments[e.Index] = Judgment(e.Value)
+		}
+		out[s] = Session{ID: s, QueryImage: query, TargetCategory: category, Judgments: judgments}
+	}
+	return out
+}
+
+// AddSession appends a session to the log, assigning its ID: AddRow of its
+// judgments sorted by image (up to 64 on the stack; a feedback page is 20),
+// which reports the first bad judgment the same way on every run. The map is
+// not kept.
 func (l *Log) AddSession(s Session) (int, error) {
-	if len(s.Judgments) == 0 {
+	var buf [64]sparse.Entry
+	return l.AddRow(s.QueryImage, s.TargetCategory, s.AppendSorted(buf[:0]))
+}
+
+// AddRow appends a session given as its query image, category and judgments
+// — entries {Index: image, Value: ±1}, strictly ascending by image; the row
+// is copied — and assigns its ID. It refuses an empty row, another value and
+// a query or judged image outside the collection: a session replayed from a
+// corrupt store must not smuggle one into the log, where it would only
+// explode much later in the query path.
+func (l *Log) AddRow(query, category int, row []sparse.Entry) (int, error) {
+	if len(row) == 0 {
 		return 0, fmt.Errorf("feedbacklog: session with no judgments")
 	}
-	if s.QueryImage < 0 || s.QueryImage >= l.numImages {
-		return 0, fmt.Errorf("feedbacklog: query image %d outside collection of %d images", s.QueryImage, l.numImages)
+	if query < 0 || query >= l.numImages {
+		return 0, fmt.Errorf("feedbacklog: query image %d outside collection of %d images", query, l.numImages)
 	}
-	// Validate in ascending image order so a session with several bad
-	// judgments reports the same error on every run — replay tooling and
-	// tests compare these messages, and map order would shuffle them.
-	imgs := make([]int, 0, len(s.Judgments))
-	for img := range s.Judgments {
-		imgs = append(imgs, img)
-	}
-	sort.Ints(imgs)
-	for _, img := range imgs {
-		if img < 0 || img >= l.numImages {
-			return 0, fmt.Errorf("feedbacklog: judgment for image %d outside collection of %d images", img, l.numImages)
+	for _, e := range row {
+		if e.Index < 0 || e.Index >= l.numImages {
+			return 0, fmt.Errorf("feedbacklog: judgment for image %d outside collection of %d images", e.Index, l.numImages)
 		}
-		if j := s.Judgments[img]; j != Relevant && j != Irrelevant {
-			return 0, fmt.Errorf("feedbacklog: invalid judgment %d for image %d", j, img)
+		if e.Value != float64(Relevant) && e.Value != float64(Irrelevant) {
+			return 0, fmt.Errorf("feedbacklog: invalid judgment %v for image %d", e.Value, e.Index)
 		}
 	}
-	s.ID = len(l.sessions)
-	l.sessions = append(l.sessions, s)
-	return s.ID, nil
+	l.rows.AppendRow(row)
+	l.heads = append(l.heads, head{query: int32(query), category: int32(category)})
+	return len(l.heads) - 1, nil
 }
 
 // RelevanceVectors returns the log relevance vectors of every image, indexed
@@ -123,27 +167,14 @@ func (l *Log) AddSession(s Session) (int, error) {
 func (l *Log) RelevanceVectors() []*sparse.Vector {
 	out := make([]*sparse.Vector, l.numImages)
 	for i := range out {
-		out[i] = sparse.New(len(l.sessions))
+		out[i] = sparse.New(len(l.heads))
 	}
-	for sid, s := range l.sessions {
-		// Deterministic iteration keeps the construction reproducible even
-		// though map order is random: entries are set per image, and Set
-		// keeps per-vector entries sorted by session index anyway.
-		for _, img := range s.images() {
-			out[img].Set(sid, float64(s.Judgments[img]))
+	for sid := range l.heads {
+		for _, e := range l.rows.Row(sid) {
+			out[e.Index].Set(sid, e.Value)
 		}
 	}
 	return out
-}
-
-// images returns the images the session judged, ascending.
-func (s Session) images() []int {
-	imgs := make([]int, 0, len(s.Judgments))
-	for img := range s.Judgments {
-		imgs = append(imgs, img)
-	}
-	sort.Ints(imgs)
-	return imgs
 }
 
 // headerSlab is how many column headers ExtendRelevanceVectors carves out of
@@ -167,14 +198,14 @@ const headerSlab = 64
 // view this way — the retrieval engine keeps the log as one index
 // (ExtendIndex) — and the method ends once bench/ stops calling it.
 func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []*sparse.Vector {
-	if prevSessions < 0 || prevSessions > len(l.sessions) || len(prev) > l.numImages {
+	dim := len(l.heads)
+	if prevSessions < 0 || prevSessions > dim || len(prev) > l.numImages {
 		panic(fmt.Sprintf("feedbacklog: stale column view (%d images at %d sessions) cannot extend to %d images at %d sessions",
-			len(prev), prevSessions, l.numImages, len(l.sessions)))
+			len(prev), prevSessions, l.numImages, dim))
 	}
-	if prevSessions == len(l.sessions) && len(prev) == l.numImages {
+	if prevSessions == dim && len(prev) == l.numImages {
 		return prev
 	}
-	dim := len(l.sessions)
 	out := make([]*sparse.Vector, l.numImages)
 	var slab []sparse.Vector
 	for i := range out {
@@ -187,15 +218,14 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 			out[i].Entries = prev[i].Entries
 		}
 	}
-	for sid := prevSessions; sid < len(l.sessions); sid++ {
-		s := l.sessions[sid]
-		for _, img := range s.images() {
+	for sid := prevSessions; sid < dim; sid++ {
+		for _, cell := range l.rows.Row(sid) {
 			// Sessions are appended in id order and every existing entry of
 			// the column has a smaller session index, so the new component
 			// goes at the end; the full slice expression forces the append
 			// to copy instead of scribbling on storage shared with prev.
-			e := out[img].Entries
-			out[img].Entries = append(e[:len(e):len(e)], sparse.Entry{Index: sid, Value: float64(s.Judgments[img])})
+			e := out[cell.Index].Entries
+			out[cell.Index].Entries = append(e[:len(e):len(e)], sparse.Entry{Index: sid, Value: cell.Value})
 		}
 	}
 	return out
@@ -203,29 +233,18 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 
 // ExtendIndex returns the log indexed by session and by image
 // (kernel.LogIndex), logically the index kernel.NewLogIndex builds of
-// RelevanceVectors(). prev is an index an earlier call returned for this log,
-// or nil: only the sessions it does not hold are added, at O(judgments
-// added), sharing its storage as kernel.LogIndex.Extend does — so only the
-// latest index may be extended, by calls serialized with the log's
-// mutations. When no session was added prev itself is returned; images added
-// by GrowImages change nothing until a session judges them.
+// RelevanceVectors(). Its session side is the log's own index, copied by
+// value; prev is an index an earlier call returned for this log, or nil, and
+// only the sessions it does not hold are added to the pages by image, at
+// O(judgments added), sharing its storage as kernel.LogIndex.Extend does —
+// so only the latest index may be extended, by calls serialized with the
+// log's mutations. When no session was added prev itself is returned;
+// images added by GrowImages change nothing until a session judges them.
 func (l *Log) ExtendIndex(prev *kernel.LogIndex) *kernel.LogIndex {
-	from := prev.Dim()
-	if from > len(l.sessions) {
-		panic(fmt.Sprintf("feedbacklog: stale log index (%d sessions) cannot extend to %d sessions", from, len(l.sessions)))
-	}
-	if prev != nil && from == len(l.sessions) {
+	if prev != nil && prev.Dim() == len(l.heads) {
 		return prev
 	}
-	rows := make([][]sparse.Entry, 0, len(l.sessions)-from)
-	for _, s := range l.sessions[from:] {
-		row := make([]sparse.Entry, 0, len(s.Judgments))
-		for _, img := range s.images() {
-			row = append(row, sparse.Entry{Index: img, Value: float64(s.Judgments[img])})
-		}
-		rows = append(rows, row)
-	}
-	return prev.Extend(rows)
+	return prev.Extend(l.rows)
 }
 
 // Stats summarizes a log.
@@ -238,18 +257,17 @@ type Stats struct {
 
 // Stats computes summary statistics of the log.
 func (l *Log) Stats() Stats {
-	st := Stats{Sessions: len(l.sessions)}
-	judged := make(map[int]bool)
-	for _, s := range l.sessions {
-		st.TotalJudgments += len(s.Judgments)
-		//cbirlint:ignore determinism set membership is iteration-order independent
-		for img := range s.Judgments {
-			judged[img] = true
+	st := Stats{Sessions: len(l.heads)}
+	judged := make([]bool, l.numImages)
+	for s := range l.heads {
+		for _, e := range l.rows.Row(s) {
+			st.TotalJudgments++
+			if !judged[e.Index] {
+				judged[e.Index] = true
+				st.JudgedImages++
+			}
 		}
 	}
-	st.JudgedImages = len(judged)
-	if l.numImages > 0 {
-		st.CoverageFraction = float64(st.JudgedImages) / float64(l.numImages)
-	}
+	st.CoverageFraction = float64(st.JudgedImages) / float64(l.numImages)
 	return st
 }

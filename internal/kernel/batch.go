@@ -25,23 +25,18 @@ func checkBatch(n, d int) {
 
 // SparseSVIndex is sparse points of one dimension inverted by index: for
 // each index — a log session — the (point, value) cells of the points that
-// carry it, in ascending point order. One walk reads it
-// (LinearAccumulateWeights): the scans' over a collection's log vectors —
-// there the cells of session s are the images it judged, row s of the
-// relevance matrix — and the Gram fill's over a training problem's points
-// (Cache). An index is never written once it is built or extended, so
-// concurrent readers share it.
+// carry it, in ascending point order, as entries {Index: point, Value:
+// value}. One walk reads it (LinearAccumulateWeights): the scans' over a
+// collection's log — there the cells of session s are the images it judged,
+// row s of the relevance matrix, and the index is the log itself
+// (feedbacklog.Log keeps it and appends each session with AppendRow) — and
+// the Gram fill's over a training problem's points (Cache). The zero value
+// is an index of no index.
 type SparseSVIndex struct {
 	dim int
-	// cells[start[i]:start[i+1]] are the cells of index i, in ascending t.
+	// cells[start[i]:start[i+1]] are the cells of index i, in ascending point.
 	start []int32
-	cells []svCell
-}
-
-// svCell is one stored entry of point t.
-type svCell struct {
-	t int32
-	w float64
+	cells []sparse.Entry
 }
 
 // NewSparseSVIndex inverts points, or returns nil when they are not sparse
@@ -75,10 +70,10 @@ func NewSparseSVIndex(points []Point) *SparseSVIndex {
 		sum += start[i]
 		start[i] = sum
 	}
-	cells := make([]svCell, n)
+	cells := make([]sparse.Entry, n)
 	for t, p := range points {
 		for _, e := range p.(Sparse).Entries {
-			cells[start[e.Index+1]] = svCell{t: int32(t), w: e.Value}
+			cells[start[e.Index+1]] = sparse.Entry{Index: t, Value: e.Value}
 			start[e.Index+1]++
 		}
 	}
@@ -94,44 +89,51 @@ func (ix *SparseSVIndex) Dim() int {
 	return ix.dim
 }
 
-// Extend returns the index of the receiver's points with one index appended
-// per row: rows[k] lists the cells of index Dim()+k as entries {Index: point,
-// Value: value}, in strictly ascending point order — the inversion of giving
-// every point one more component. A nil receiver is the index of no index.
-// The result shares the receiver's storage and writes only past its end, so
-// the receiver stays valid for its readers and an extension costs the cells
-// it adds (amortized). As with DenseSet.Grow, only the most recently extended
-// index may be extended again, and Extend calls must be serialized by the
-// caller (the retrieval engine's mutation lock does both).
-func (ix *SparseSVIndex) Extend(rows [][]sparse.Entry) *SparseSVIndex {
-	out := SparseSVIndex{start: []int32{0}}
-	if ix != nil {
-		out = *ix
-	}
-	for k, row := range rows {
-		for i, e := range row {
-			if e.Index < 0 || i > 0 && e.Index <= row[i-1].Index {
-				panic(fmt.Sprintf("kernel: Extend row %d has point %d at position %d, not in strictly ascending order", k, e.Index, i))
-			}
-			out.cells = append(out.cells, svCell{t: int32(e.Index), w: e.Value})
+// AppendRow appends index Dim() to the index in place, its cells the
+// entries of row, which must ascend strictly in point — the inversion of
+// giving every point one more component — at amortized cost. It writes only
+// past the ends of the index's storage, so a copy of the index taken before
+// (what a LogIndex holds) keeps reading what it read, and concurrent readers
+// share such a copy; a copy that is to grow on its own must be clipped apart
+// first (Clip). Calls must be serialized by the caller.
+func (ix *SparseSVIndex) AppendRow(row []sparse.Entry) {
+	for i, e := range row {
+		if e.Index < 0 || i > 0 && e.Index <= row[i-1].Index {
+			panic(fmt.Sprintf("kernel: AppendRow has point %d at position %d, not in strictly ascending order", e.Index, i))
 		}
-		out.start = append(out.start, int32(len(out.cells)))
 	}
-	out.dim += len(rows)
-	return &out
+	if len(ix.start) == 0 {
+		ix.start = append(ix.start, 0)
+	}
+	ix.cells = append(ix.cells, row...)
+	ix.start = append(ix.start, int32(len(ix.cells)))
+	ix.dim++
+}
+
+// Clip returns a copy of the index in O(1), with no room to append into: the
+// copy and the receiver can each grow (AppendRow) without meeting.
+func (ix *SparseSVIndex) Clip() *SparseSVIndex {
+	return &SparseSVIndex{dim: ix.dim, start: slices.Clip(ix.start), cells: slices.Clip(ix.cells)}
+}
+
+// Row returns the cells of index i, ascending in point: for a collection's
+// log, the images session i judged and their judgments. The entries are a
+// view into the index; the caller must not write them.
+func (ix *SparseSVIndex) Row(i int) []sparse.Entry {
+	return ix.cells[ix.start[i]:ix.start[i+1]:ix.start[i+1]]
 }
 
 // from returns the cells of index i whose points are at least lo, found by
-// a binary search over the cells, which ascend in t.
-func (ix *SparseSVIndex) from(i, lo int) []svCell {
+// a binary search over the cells, which ascend in point.
+func (ix *SparseSVIndex) from(i, lo int) []sparse.Entry {
 	cells := ix.cells[ix.start[i]:ix.start[i+1]]
-	if len(cells) == 0 || int(cells[0].t) >= lo {
+	if len(cells) == 0 || cells[0].Index >= lo {
 		return cells
 	}
 	a, b := 0, len(cells)
 	for a < b {
 		m := int(uint(a+b) >> 1)
-		if int(cells[m].t) < lo {
+		if cells[m].Index < lo {
 			a = m + 1
 		} else {
 			b = m
@@ -143,9 +145,9 @@ func (ix *SparseSVIndex) from(i, lo int) []svCell {
 // AppendPositive appends to dst, ascending, the points whose cell of index i
 // is positive: for a collection's log, the images session i judged relevant.
 func (ix *SparseSVIndex) AppendPositive(i int, dst []int) []int {
-	for _, c := range ix.cells[ix.start[i]:ix.start[i+1]] {
-		if c.w > 0 {
-			dst = append(dst, int(c.t))
+	for _, c := range ix.Row(i) {
+		if c.Value > 0 {
+			dst = append(dst, c.Index)
 		}
 	}
 	return dst
@@ -222,11 +224,11 @@ func LinearAccumulateWeights(w sparse.Vector, ix *SparseSVIndex, lo int, dst []f
 	for _, e := range w.Entries {
 		ws := e.Value
 		for _, cell := range ix.from(e.Index, lo) {
-			r := int(cell.t) - lo
+			r := cell.Index - lo
 			if uint(r) >= uint(len(dst)) {
 				break
 			}
-			dst[r] += float64(ws * cell.w)
+			dst[r] += float64(ws * cell.Value)
 		}
 	}
 }

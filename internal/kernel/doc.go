@@ -53,11 +53,11 @@
 // session — each session's judged images, ascending — so a scan range costs
 // the cells of w's sessions in it (LinearAccumulateWeights); its scores
 // differ from the per-support-vector sum in the last bits only. That index is
-// one half of the collection's log index (LogIndex), which the retrieval
-// engine keeps as its only form of the log and extends by whole sessions
-// (feedbacklog.Log.ExtendIndex); the other
-// half is each image's relevance column, a run in its page of images' entry
-// array, which the training points are views into. The solver's Gram
+// the log itself — feedbacklog.Log keeps it, a row per session (AppendRow) —
+// and one half of the collection's log index (LogIndex), which holds a copy;
+// the other half, which feedbacklog.Log.ExtendIndex extends by new sessions,
+// is each image's relevance column, a run in its page of images' entry array,
+// which the training points are views into. The solver's Gram
 // matrix is the same walk with each row point as the weight vector, through
 // its training problem's points inverted by session (Cache), which gives
 // Sparse.Dot's bits for every pair: the same products, each rounded on its

@@ -381,11 +381,14 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		ix = NewSparseSVIndex(ys[:judged])
 	}
 	if dim == 0 {
-		ix = (*SparseSVIndex)(nil).Extend(nil) // a log of no session
+		ix = &SparseSVIndex{} // a log of no session
 	}
 	unjudged := ix == nil // no image judged yet: sessions without cells
 	if unjudged {
-		ix = (*SparseSVIndex)(nil).Extend(make([][]sparse.Entry, dim))
+		ix = &SparseSVIndex{}
+		for range dim {
+			ix.AppendRow(nil)
+		}
 	}
 	dst0 := make([]float64, rows)
 	bias := pick(rng, 0.25, 0, math.Copysign(0, -1))

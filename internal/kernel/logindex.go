@@ -9,7 +9,8 @@ import (
 
 // LogIndex is a collection's feedback log indexed both ways the log modality
 // reads it. By session it is the SparseSVIndex the scans walk a linear
-// model's weight vector through (LinearAccumulateWeights). By image it is
+// model's weight vector through (LinearAccumulateWeights) — the log's own,
+// which feedbacklog.Log keeps and this index holds a copy of. By image it is
 // each image's relevance column — its judgments in ascending session order —
 // which the training points and the coverage test read (Column, Covered).
 //
@@ -26,14 +27,13 @@ import (
 // amortized, plus the page list, and writes only past what the receiver's
 // columns and tails hold. Images past the page list, or in a page no session
 // judged, have no judgment: a collection that grows costs the index nothing
-// until a session judges the new images. As with SparseSVIndex.Extend, only
-// the most recently extended index may be extended again, by calls the
-// caller serializes. An index is never written once it is built or extended,
-// so concurrent readers share it.
+// until a session judges the new images. Only the most recently extended
+// index may be extended again, by calls the caller serializes. An index is
+// never written once it is built or extended, so concurrent readers share
+// it.
 type LogIndex struct {
-	dim      int
-	sessions *SparseSVIndex
-	pages    []*logPage // image i is run i%pageImages of page i/pageImages; a nil page holds none
+	sessions SparseSVIndex // a copy of the log's, see Extend
+	pages    []*logPage    // image i is run i%pageImages of page i/pageImages; a nil page holds none
 }
 
 // pageImages is how many consecutive images share a page. An extension
@@ -83,7 +83,7 @@ func NewLogIndex(columns []*sparse.Vector) (*LogIndex, error) {
 	}
 	pages := make([]logPage, (len(columns)+pageImages-1)/pageImages)
 	entries := make([]sparse.Entry, size)
-	ix := &LogIndex{dim: dim, pages: make([]*logPage, len(pages))}
+	ix := &LogIndex{pages: make([]*logPage, len(pages))}
 	start, at := 0, 0 // the first entry of the page, the next
 	for i, v := range columns {
 		page := &pages[i/pageImages]
@@ -95,49 +95,49 @@ func NewLogIndex(columns []*sparse.Vector) (*LogIndex, error) {
 		at += runCap(len(v.Entries))
 		page.entries, page.used = entries[start:at:at], int32(at-start)
 	}
-	ix.sessions = NewSparseSVIndex(SparsePoints(columns))
+	if sessions := NewSparseSVIndex(SparsePoints(columns)); sessions != nil {
+		ix.sessions = *sessions
+	}
 	return ix, nil
 }
 
-// Extend returns the index of the receiver's log with one session appended
-// per row: rows[k] lists the images session Dim()+k judged as entries
-// {Index: image, Value: judgment}, in strictly ascending image order. A nil
-// receiver is the index of a log of no session.
-func (ix *LogIndex) Extend(rows [][]sparse.Entry) *LogIndex {
+// Extend returns the index of the log whose sessions are the rows of
+// sessions, which holds the receiver's sessions and appends more
+// (feedbacklog.Log keeps it, SparseSVIndex.AppendRow appends to it): the
+// result's session side is a copy of sessions, and only the sessions past
+// the receiver's are added to the pages. A nil receiver, like the zero
+// LogIndex, is the index of a log of no session.
+func (ix *LogIndex) Extend(sessions *SparseSVIndex) *LogIndex {
 	out := &LogIndex{}
 	if ix != nil {
 		*out = *ix
 	}
+	from, to := out.sessions.dim, sessions.dim
+	if to < from {
+		panic(fmt.Sprintf("kernel: an index of %d sessions cannot extend to %d", from, to))
+	}
+	added := sessions.cells[len(out.sessions.cells):] // the judgments of sessions from..to
 	old := out.pages
 	images := len(old) * pageImages
-	for k, row := range rows {
-		for i, e := range row {
-			if e.Index < 0 || i > 0 && e.Index <= row[i-1].Index {
-				panic(fmt.Sprintf("kernel: Extend row %d has image %d at position %d, not in strictly ascending order", k, e.Index, i))
-			}
-		}
-		if len(row) > 0 {
-			images = max(images, row[len(row)-1].Index+1)
-		}
+	for _, e := range added {
+		images = max(images, e.Index+1)
 	}
 	pages := make([]*logPage, (images+pageImages-1)/pageImages)
 	copy(pages, old)
 	// Copy each page a judgment falls in and count the judgment into its
 	// run's length, ready each copy for its new lengths, then write.
 	var touched []int
-	for _, row := range rows {
-		for _, e := range row {
-			p := e.Index / pageImages
-			if pages[p] == nil || p < len(old) && pages[p] == old[p] {
-				fresh := &logPage{}
-				if pages[p] != nil {
-					*fresh = *pages[p]
-				}
-				pages[p] = fresh
-				touched = append(touched, p)
+	for _, e := range added {
+		p := e.Index / pageImages
+		if pages[p] == nil || p < len(old) && pages[p] == old[p] {
+			fresh := &logPage{}
+			if pages[p] != nil {
+				*fresh = *pages[p]
 			}
-			pages[p].runs[e.Index%pageImages].n++
+			pages[p] = fresh
+			touched = append(touched, p)
 		}
+		pages[p].runs[e.Index%pageImages].n++
 	}
 	for _, p := range touched {
 		var was *logPage
@@ -146,17 +146,15 @@ func (ix *LogIndex) Extend(rows [][]sparse.Entry) *LogIndex {
 		}
 		pages[p].ready(was)
 	}
-	for k, row := range rows {
-		for _, e := range row {
+	for s := from; s < to; s++ {
+		for _, e := range sessions.Row(s) {
 			page := pages[e.Index/pageImages]
 			run := &page.runs[e.Index%pageImages]
-			page.entries[run.off+run.n] = sparse.Entry{Index: out.dim + k, Value: e.Value}
+			page.entries[run.off+run.n] = sparse.Entry{Index: s, Value: e.Value}
 			run.n++
 		}
 	}
-	out.sessions = out.sessions.Extend(rows)
-	out.dim += len(rows)
-	out.pages = pages
+	out.sessions, out.pages = *sessions, pages
 	return out
 }
 
@@ -219,17 +217,17 @@ func (ix *LogIndex) Dim() int {
 	if ix == nil {
 		return 0
 	}
-	return ix.dim
+	return ix.sessions.dim
 }
 
 // Sessions returns the log inverted by session — the cells of session s are
 // the images it judged, ascending — or nil for a log of no session, as
 // NewSparseSVIndex returns for points of dimension 0.
 func (ix *LogIndex) Sessions() *SparseSVIndex {
-	if ix.dim == 0 {
+	if ix.sessions.dim == 0 {
 		return nil
 	}
-	return ix.sessions
+	return &ix.sessions
 }
 
 // run returns where image i's column lies, and its page; nil for an image in
@@ -251,7 +249,7 @@ func (ix *LogIndex) Covered(i int) bool {
 // judgments as entries. The entries are a view into the index, with no room
 // to append into; the caller must not write them.
 func (ix *LogIndex) Column(i int) sparse.Vector {
-	v := sparse.Vector{Dim: ix.dim}
+	v := sparse.Vector{Dim: ix.sessions.dim}
 	if run, page := ix.run(i); run.n > 0 {
 		v.Entries = page.entries[run.off : run.off+run.n : run.off+run.n]
 	}

@@ -26,16 +26,18 @@ func logColumns(images int, sessions []map[int]float64) []*sparse.Vector {
 	return cols
 }
 
-// sessionRows is the sessions as the rows LogIndex.Extend takes.
-func sessionRows(sessions []map[int]float64) [][]sparse.Entry {
-	rows := make([][]sparse.Entry, len(sessions))
-	for s, judged := range sessions {
+// appendSessions appends the sessions to ix as the rows LogIndex.Extend
+// reads, each sorted by image, and returns ix.
+func appendSessions(ix *SparseSVIndex, sessions ...map[int]float64) *SparseSVIndex {
+	for _, judged := range sessions {
+		var row []sparse.Entry
 		for img, v := range judged {
-			rows[s] = append(rows[s], sparse.Entry{Index: img, Value: v})
+			row = append(row, sparse.Entry{Index: img, Value: v})
 		}
-		slices.SortFunc(rows[s], func(a, b sparse.Entry) int { return a.Index - b.Index })
+		slices.SortFunc(row, func(a, b sparse.Entry) int { return a.Index - b.Index })
+		ix.AppendRow(row)
 	}
-	return rows
+	return ix
 }
 
 // sameLog reports how ix differs from the log whose relevance columns are
@@ -76,10 +78,11 @@ func TestLogIndexExtendMovesFullRuns(t *testing.T) {
 	}
 	var versions []*LogIndex
 	var ix *LogIndex
+	rows := &SparseSVIndex{}
 	seen := map[string]int{}
-	for s, row := range sessionRows(sessions) {
+	for s := range sessions {
 		prev := ix
-		ix = ix.Extend([][]sparse.Entry{row})
+		ix = ix.Extend(appendSessions(rows, sessions[s]))
 		versions = append(versions, ix)
 		if err := sameLog(ix, logColumns(images, sessions[:s+1])); err != nil {
 			t.Fatalf("after session %d: %v", s, err)
@@ -134,20 +137,22 @@ func TestLogIndexExtendCostsWhatItAdds(t *testing.T) {
 	}
 	cost := func(images int) (allocs uint64, bytes float64) {
 		var ix *LogIndex
+		rows := &SparseSVIndex{}
 		for s := 0; s < 64; s++ {
 			judged := make(map[int]float64)
 			for k := 0; k < 20; k++ {
 				judged[(s*37+k*101)%500] = float64(1 - 2*(k%2))
 			}
-			ix = ix.Extend(sessionRows([]map[int]float64{judged}))
+			ix = ix.Extend(appendSessions(rows, judged))
 		}
-		ix = ix.Extend(sessionRows([]map[int]float64{{images - 1: 1}}))
+		ix = ix.Extend(appendSessions(rows, map[int]float64{images - 1: 1}))
 		judged := make(map[int]float64)
 		for k := 0; k < 20; k++ {
 			judged[25*k+24] = 1
 		}
-		rows := sessionRows([]map[int]float64{judged})
-		// Every run extends the same version, so each costs the same.
+		appendSessions(rows, judged)
+		// Every run extends the same version by the same session, so each
+		// costs the same.
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -15,10 +15,11 @@ import (
 // and then refines a probe session with lrf-2svms, so every refine meets a
 // log one session longer than the last. The collections hold 5,000 and
 // 50,000 images of 16 dimensions in categories of 100, with a log of n/25
-// sessions of 20 judgments; the refine that first indexes the log runs
-// before the timer. B/op shows what the log costs per commit: the pages of
-// its index a session's judgments fall in and the page list, beside the
-// refine's own allocations.
+// sessions of 20 judgments. The log's rows are its index by session, so the
+// refine that first indexes the log builds only the pages by image, lazily,
+// before the timer. B/op shows what the log costs per commit: the session's
+// row appended to the log in place (amortized), the pages of the index its
+// judgments fall in and the page list, beside the refine's own allocations.
 func BenchmarkRefineAfterCommit(b *testing.B) {
 	for _, n := range []int{5000, 50000} {
 		b.Run(fmt.Sprintf("images=%d", n), func(b *testing.B) {

@@ -99,10 +99,11 @@ func (ep *epoch) checkImage(what string, image int) error {
 	return nil
 }
 
-// Engine is the retrieval engine. It is safe for concurrent use: queries and
-// feedback rounds proceed lock-free against the current collection epoch,
-// while mutations (image ingestion, log commits) are serialized behind a
-// mutation lock and become visible atomically.
+// Engine is the retrieval engine. It is safe for concurrent use: queries rank
+// the current collection epoch without a lock, and mutations (ingestion, log
+// commits) are serialized behind a mutation lock, held across each one's
+// journal append and its fsync, and become visible atomically. A refine takes
+// that lock too, to extend the log index (logIndexed): it waits out a mutation.
 type Engine struct {
 	opts Options
 
@@ -344,7 +345,7 @@ type Session struct {
 	query  int
 
 	mu        sync.Mutex
-	judgments map[int]bool // image -> relevant?
+	judgments map[int]feedbacklog.Judgment
 	committed bool
 }
 
@@ -353,7 +354,7 @@ func (e *Engine) StartSession(query int) (*Session, error) {
 	if err := e.cur.Load().checkImage("query", query); err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, query: query, judgments: make(map[int]bool)}, nil
+	return &Session{engine: e, query: query, judgments: make(map[int]feedbacklog.Judgment)}, nil
 }
 
 // Judge records the user's relevance judgment for an image.
@@ -366,7 +367,10 @@ func (s *Session) Judge(image int, relevant bool) error {
 	if s.committed {
 		return fmt.Errorf("retrieval: session already committed")
 	}
-	s.judgments[image] = relevant
+	s.judgments[image] = feedbacklog.Irrelevant
+	if relevant {
+		s.judgments[image] = feedbacklog.Relevant
+	}
 	return nil
 }
 
@@ -388,12 +392,8 @@ func (s *Session) NumJudgments() int {
 func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Result, error) {
 	s.mu.Lock()
 	labeled := make([]core.LabeledExample, 0, len(s.judgments))
-	for img, rel := range s.judgments {
-		label := -1.0
-		if rel {
-			label = 1.0
-		}
-		labeled = append(labeled, core.LabeledExample{Index: img, Label: label})
+	for img, j := range s.judgments {
+		labeled = append(labeled, core.LabeledExample{Index: img, Label: float64(j)})
 	}
 	s.mu.Unlock()
 	// Load the epoch only after collecting the judgments: each judgment was
@@ -442,16 +442,9 @@ func (s *Session) Commit(ctx context.Context) error {
 	if len(s.judgments) == 0 {
 		return fmt.Errorf("retrieval: nothing to commit")
 	}
-	judgments := make(map[int]feedbacklog.Judgment, len(s.judgments))
-	for img, rel := range s.judgments {
-		if rel {
-			judgments[img] = feedbacklog.Relevant
-		} else {
-			judgments[img] = feedbacklog.Irrelevant
-		}
-	}
+	// The map is handed over: the log keeps a sorted row of it, not the map.
 	e := s.engine
-	session := feedbacklog.Session{QueryImage: s.query, Judgments: judgments}
+	session := feedbacklog.Session{QueryImage: s.query, Judgments: s.judgments}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {

@@ -1,6 +1,7 @@
 package retrieval_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -131,5 +132,54 @@ func TestSnapshotWithAllocatesNothingPerImage(t *testing.T) {
 	t.Logf("SnapshotWith allocates %d bytes at 5,000 images and %d at 50,000", small, large)
 	if large > small+64 {
 		t.Errorf("SnapshotWith allocates %d bytes at 50,000 images, %d at 5,000: something per image", large, small)
+	}
+}
+
+// TestEngineKeepsOneCopyOfTheLog holds the engine to one copy of the
+// feedback log: once 8,000 sessions of 20 judgments are committed to an
+// engine over 20,000 images and one refine has indexed them, what the log
+// keeps alive beyond its index (kernel.LogIndex, measured alone: the engine
+// dropped, the index kept) is a query and a category per session and the
+// slack of their growth, at most 32 bytes a session. A map per session beside
+// the index (about 700 bytes a session, 5.6 MB here) fails it.
+func TestEngineKeepsOneCopyOfTheLog(t *testing.T) {
+	const n, sessions = 20000, 8000
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	rng := linalg.NewRNG(11)
+	before := heap()
+	e, err := retrieval.NewEngine(categoryRows(rng, n, 36), nil, retrieval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collection := heap()
+	ctx := context.Background()
+	for range sessions {
+		if err := judgedSession(t, e, rng, n).Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := judgedSession(t, e, rng, n).Refine(ctx, retrieval.SchemeLRF2SVMs, 20); err != nil {
+		t.Fatal(err)
+	}
+	withLog := heap()
+	ix := e.LogIndex()
+	runtime.KeepAlive(e)
+	e = nil
+	index := heap() - before
+	runtime.KeepAlive(ix)
+	if ix.Dim() != sessions {
+		t.Fatalf("the index holds %d sessions, want %d", ix.Dim(), sessions)
+	}
+	extra := withLog - collection - index
+	t.Logf("%d sessions: the engine grew by %d bytes, its log index alone holds %d, the rest is %d bytes a session",
+		sessions, withLog-collection, index, extra/sessions)
+	if extra > 32*sessions {
+		t.Errorf("the log keeps %d bytes beyond its index, %d a session: a second copy of the log", extra, extra/sessions)
 	}
 }

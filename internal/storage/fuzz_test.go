@@ -48,8 +48,7 @@ func words(ws ...int32) []byte {
 
 // encodeSession is one session's record payload, as the writers append it.
 func encodeSession(s feedbacklog.Session) []byte {
-	payload, _ := appendSession(nil, s, nil)
-	return payload
+	return appendSession(nil, s.QueryImage, s.TargetCategory, s.AppendSorted(nil))
 }
 
 // logsEquivalent reports whether two logs cover as many images and hold the

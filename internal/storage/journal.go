@@ -52,6 +52,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,6 +68,7 @@ import (
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 // journalRecordHeaderLen is the journal's record frame: length(u32),
@@ -328,7 +330,15 @@ func (j *Journal) replayAndSeal(set *kernel.ShardedSet, fblog *feedbacklog.Log) 
 	}
 	if size < emptyJournalSize {
 		// New journal — or a crash during creation left a partial header or
-		// base record.
+		// base record. A short file that begins otherwise is another file
+		// (an empty log store is 20 bytes): refused, not truncated.
+		head := make([]byte, min(size, fileHeaderLen))
+		if _, err := j.f.ReadAt(head, 0); err != nil {
+			return nil, ReplayStats{}, fmt.Errorf("storage: read journal: %w", err)
+		}
+		if !bytes.HasPrefix(header(KindJournal), head) {
+			return nil, ReplayStats{}, fmt.Errorf("%w: a %d-byte file that does not begin as a journal", ErrCorrupt, size)
+		}
 		return fresh()
 	}
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
@@ -592,15 +602,8 @@ func readJournalRecord(r io.Reader) ([]byte, int64, error) {
 func applyJournalEntry(payload []byte, fblog *feedbacklog.Log, replay *ReplayStats) error {
 	switch payload[0] {
 	case journalEntrySession:
-		session, err := decodeSession(payload[1:])
-		if err != nil {
+		if err := decodeSession(payload[1:], fblog); err != nil {
 			return err
-		}
-		// AddSession validates the query image and every judged image
-		// against the replayed collection; any rejection here means the
-		// record contradicts the state it claims to extend.
-		if _, err := fblog.AddSession(session); err != nil {
-			return fmt.Errorf("%w: replay session: %v", ErrCorrupt, err)
 		}
 		replay.Sessions++
 		return nil
@@ -644,19 +647,15 @@ func applyImageGroup(group [][]byte, set *kernel.ShardedSet, fblog *feedbacklog.
 
 // AppendSession journals one committed feedback session in one allocation:
 // the record's header is reserved at the front of the buffer its kind byte
-// and encoding are built into, and filled in once they are. The image keys
-// are sorted on the stack unless the session judges more than
-// sessionKeysOnStack images.
+// and encoding are built into, and filled in once they are. The judgments
+// are sorted on the stack unless the session judges more than 64 images (a
+// feedback page is 20).
 func (j *Journal) AppendSession(s feedbacklog.Session) error {
-	var keys [sessionKeysOnStack]int
+	var row [64]sparse.Entry
 	rec := make([]byte, journalRecordHeaderLen, journalRecordHeaderLen+13+8*len(s.Judgments))
-	rec, _ = appendSession(append(rec, journalEntrySession), s, keys[:0])
+	rec = appendSession(append(rec, journalEntrySession), s.QueryImage, s.TargetCategory, s.AppendSorted(row[:0]))
 	return j.appendAll([][]byte{frameInPlace(rec)}, func(st *JournalStats) { st.Sessions++ })
 }
-
-// sessionKeysOnStack is how many judged images AppendSession sorts without
-// allocating: a feedback page is 20.
-const sessionKeysOnStack = 64
 
 // AppendImages journals one ingested image batch. All descriptors must
 // share one dimension (the engine validates this before invoking the

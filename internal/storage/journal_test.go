@@ -205,18 +205,24 @@ func TestOpenJournalValidation(t *testing.T) {
 	if _, _, _, err := OpenJournalOver(path, set, feedbacklog.NewLog(2), JournalOptions{}); err == nil {
 		t.Error("mismatched log accepted")
 	}
-	// A non-journal file of the right magic is rejected, not replayed.
+	// A non-journal file of the right magic is rejected, not replayed, and
+	// left as it was: an empty log store is shorter than an empty journal,
+	// which an open treats as a journal whose creation was interrupted only
+	// when its bytes begin as a journal's.
 	logPath := filepath.Join(t.TempDir(), "log.bin")
-	logged := feedbacklog.NewLog(10)
-	if _, err := logged.AddSession(journalSession(0, 10)); err != nil {
+	if err := SaveLog(logPath, feedbacklog.NewLog(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveLog(logPath, logged); err != nil {
+	before, err := os.ReadFile(logPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	set10, fblog10 := journalBase(10, 2)
 	if _, _, _, err := OpenJournalOver(logPath, set10, fblog10, JournalOptions{}); err == nil {
 		t.Error("log store accepted as journal")
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused log store of %d bytes reads %d bytes after the open (%v)", len(before), len(after), err)
 	}
 }
 

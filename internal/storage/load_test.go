@@ -357,8 +357,35 @@ func TestAppendSessionAllocatesOnce(t *testing.T) {
 // benchmark's 36-dimensional descriptors, and the replay of a journal of 40
 // image batches of 8 over the loaded feature store, as cbirserver starts.
 // With -benchmem, allocs/op must not scale with the images: one block per
-// shard, and the journal's objects per batch.
+// shard, and the journal's objects per batch. The log cases load a log store
+// of sessions of 20 judgments (LoadLog) as cbirserver's -log does: 1,500
+// over 500 images, the feedback-small workload's, and 2,000 over 20,000,
+// ingest-commit's start.
 func BenchmarkLoadCollection(b *testing.B) {
+	for _, c := range []struct{ images, sessions int }{{500, 1500}, {20000, 2000}} {
+		rng := linalg.NewRNG(uint64(c.images))
+		log := feedbacklog.NewLog(c.images)
+		for range c.sessions {
+			judged := make(map[int]feedbacklog.Judgment, 20)
+			for len(judged) < 20 {
+				judged[rng.Intn(c.images)] = feedbacklog.Judgment(2*rng.Intn(2) - 1)
+			}
+			if _, err := log.AddSession(feedbacklog.Session{QueryImage: rng.Intn(c.images), Judgments: judged}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		path := filepath.Join(b.TempDir(), "log.bin")
+		if err := SaveLog(path, log); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("log/%d/%d", c.images, c.sessions), func(b *testing.B) {
+			for range b.N {
+				if _, err := LoadLog(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{5000, 50000} {
 		features, snapshot := saveCollection(b, b.TempDir(), randomRows(n, 36, 1))
 		b.Run(fmt.Sprintf("features/%d", n), func(b *testing.B) {

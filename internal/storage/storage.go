@@ -36,11 +36,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/kernel"
 	"lrfcsvm/internal/linalg"
+	"lrfcsvm/internal/sparse"
 )
 
 // File kinds.
@@ -63,14 +63,14 @@ const fileHeaderLen = 8
 // structure is malformed.
 var ErrCorrupt = errors.New("storage: corrupt file")
 
+// header is the file header of a file of the kind.
+func header(kind uint16) []byte {
+	h := binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), formatVersion)
+	return binary.LittleEndian.AppendUint16(h, kind)
+}
+
 func writeHeader(w io.Writer, kind uint16) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return fmt.Errorf("storage: write magic: %w", err)
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint16(buf[0:2], formatVersion)
-	binary.LittleEndian.PutUint16(buf[2:4], kind)
-	if _, err := w.Write(buf[:]); err != nil {
+	if _, err := w.Write(header(kind)); err != nil {
 		return fmt.Errorf("storage: write header: %w", err)
 	}
 	return nil
@@ -361,12 +361,12 @@ func WriteLog(w io.Writer, log *feedbacklog.Log) error {
 }
 
 // writeSessions writes one record per log session, each appended straight
-// into the record buffer, its image keys sorted in one reused scratch.
+// into the record buffer from the log's rows.
 func writeSessions(rw *recordWriter, log *feedbacklog.Log) error {
-	var imgs []int
-	for _, s := range log.Sessions() {
+	for s := range log.NumSessions() {
+		query, category, judged := log.Row(s)
 		rw.record(0) // the buffer holds the header's room alone
-		rw.buf, imgs = appendSession(rw.buf, s, imgs)
+		rw.buf = appendSession(rw.buf, query, category, judged)
 		if err := rw.write(); err != nil {
 			return err
 		}
@@ -376,48 +376,47 @@ func writeSessions(rw *recordWriter, log *feedbacklog.Log) error {
 
 // appendSession appends the encoding of one log session to dst: query(u32)
 // category(i32) count(u32) then count pairs of image(u32) judgment(i8,
-// padded to i32). Judgments are written in ascending image order so the
-// encoding is deterministic; the image keys are sorted in imgs, whose
-// storage is reused and returned grown.
-func appendSession(dst []byte, s feedbacklog.Session, imgs []int) ([]byte, []int) {
-	imgs = imgs[:0]
-	for img := range s.Judgments {
-		imgs = append(imgs, img)
+// padded to i32), judged as a log row holds them, in ascending image order,
+// so the encoding is deterministic.
+func appendSession(dst []byte, query, category int, judged []sparse.Entry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(query))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(category)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(judged)))
+	for _, e := range judged {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Index))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(e.Value)))
 	}
-	slices.Sort(imgs)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.QueryImage))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(s.TargetCategory)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(imgs)))
-	for _, img := range imgs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(img))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(s.Judgments[img])))
-	}
-	return dst, imgs
+	return dst
 }
 
 // decodeSession parses a session payload written by appendSession, and only
-// that: images strictly ascending, judgments ±1, so it re-encodes the same.
-func decodeSession(payload []byte) (feedbacklog.Session, error) {
+// that — images strictly ascending, judgments ±1, so it re-encodes the same —
+// into log, whose AddRow checks the images against the collection: a session
+// it refuses contradicts the state its record extends, and is corrupt.
+func decodeSession(payload []byte, log *feedbacklog.Log) error {
 	if len(payload) < 12 {
-		return feedbacklog.Session{}, fmt.Errorf("%w: log record too short", ErrCorrupt)
+		return fmt.Errorf("%w: log record too short", ErrCorrupt)
 	}
 	query := int(binary.LittleEndian.Uint32(payload[0:4]))
 	category := int(int32(binary.LittleEndian.Uint32(payload[4:8])))
 	count := int(binary.LittleEndian.Uint32(payload[8:12]))
 	if len(payload) != 12+8*count {
-		return feedbacklog.Session{}, fmt.Errorf("%w: log record size mismatch", ErrCorrupt)
+		return fmt.Errorf("%w: log record size mismatch", ErrCorrupt)
 	}
-	judgments := make(map[int]feedbacklog.Judgment, count)
-	prev := -1
+	var buf [64]sparse.Entry // a feedback page is 20
+	row, prev := buf[:0], -1
 	for i := 0; i < count; i++ {
 		img := int(binary.LittleEndian.Uint32(payload[12+8*i:]))
 		j := int32(binary.LittleEndian.Uint32(payload[16+8*i:]))
 		if img <= prev || j != int32(feedbacklog.Relevant) && j != int32(feedbacklog.Irrelevant) {
-			return feedbacklog.Session{}, fmt.Errorf("%w: session judges image %d as %d after image %d", ErrCorrupt, img, j, prev)
+			return fmt.Errorf("%w: session judges image %d as %d after image %d", ErrCorrupt, img, j, prev)
 		}
-		judgments[img], prev = feedbacklog.Judgment(j), img
+		row, prev = append(row, sparse.Entry{Index: img, Value: float64(j)}), img
 	}
-	return feedbacklog.Session{QueryImage: query, TargetCategory: category, Judgments: judgments}, nil
+	if _, err := log.AddRow(query, category, row); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // ReadLog reads a feedback log written by WriteLog.
@@ -446,14 +445,8 @@ func ReadLog(r io.Reader) (*feedbacklog.Log, error) {
 		if err != nil {
 			return nil, err
 		}
-		session, err := decodeSession(payload)
-		if err != nil {
+		if err := decodeSession(payload, log); err != nil {
 			return nil, err
-		}
-		// AddSession validates the query image and every judged image
-		// against the declared collection size.
-		if _, err := log.AddSession(session); err != nil {
-			return nil, fmt.Errorf("%w: rebuild log: %v", ErrCorrupt, err)
 		}
 	}
 }
@@ -582,12 +575,8 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		session, err := decodeSession(payload)
-		if err != nil {
+		if err := decodeSession(payload, log); err != nil {
 			return nil, nil, 0, err
-		}
-		if _, err := log.AddSession(session); err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: rebuild snapshot log: %v", ErrCorrupt, err)
 		}
 	}
 	if _, err := rr.next(); err != io.EOF {
