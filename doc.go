@@ -54,8 +54,12 @@
 // kernel estimate grow incrementally, and the grown index is published as a
 // new immutable epoch, so in-flight rankings finish against their own
 // consistent snapshot and are never blocked or torn. Shard layout depends
-// only on the shard size, never on ingestion batching. Committed feedback rounds extend the per-image log
-// relevance columns incrementally the same way. A grown engine can be
+// only on the shard size, never on ingestion batching. The epoch holds the
+// feedback log too — a clone of the log commits grow — and its index
+// (kernel.LogIndex): a committed feedback round extends the index by its
+// session and publishes a new epoch, the same way, so a query, a refine and
+// the log's counts each read one epoch and never take the mutation lock,
+// which only orders mutations and their journal appends. A grown engine can be
 // persisted as one self-contained snapshot file (storage.SaveSnapshotSetAt /
 // retrieval.Engine.SnapshotWith) and reloaded bit-identically; cmd/cbirserver
 // does this automatically on graceful shutdown via its -snapshot flag.

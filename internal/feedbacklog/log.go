@@ -99,6 +99,14 @@ func (l *Log) Clone() *Log {
 	return &Log{numImages: l.numImages, heads: slices.Clip(l.heads), rows: l.rows.Clip()}
 }
 
+// Reserve makes room for sessions more sessions holding judgments more
+// judgments in all, so the AddRow calls of a loader that knows them (or a
+// bound on them) copy nothing on the way.
+func (l *Log) Reserve(sessions, judgments int) {
+	l.heads = slices.Grow(l.heads, sessions)
+	l.rows.Grow(sessions, judgments)
+}
+
 // NumSessions returns the number of recorded sessions, i.e. the
 // dimensionality M of the per-image log relevance vectors.
 func (l *Log) NumSessions() int { return len(l.heads) }
@@ -238,8 +246,11 @@ func (l *Log) ExtendRelevanceVectors(prev []*sparse.Vector, prevSessions int) []
 // only the sessions it does not hold are added to the pages by image, at
 // O(judgments added), sharing its storage as kernel.LogIndex.Extend does —
 // so only the latest index may be extended, by calls serialized with the
-// log's mutations. When no session was added prev itself is returned;
-// images added by GrowImages change nothing until a session judges them.
+// log's mutations: in the retrieval engine a commit is the only extender,
+// under its mutation lock, before it publishes the index (the first index
+// is built once, from a clone taken at the engine's start). When no session
+// was added prev itself is returned; images added by GrowImages change
+// nothing until a session judges them.
 func (l *Log) ExtendIndex(prev *kernel.LogIndex) *kernel.LogIndex {
 	if prev != nil && prev.Dim() == len(l.heads) {
 		return prev

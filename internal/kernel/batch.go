@@ -110,6 +110,13 @@ func (ix *SparseSVIndex) AppendRow(row []sparse.Entry) {
 	ix.dim++
 }
 
+// Grow makes room for rows more indexes holding cells more cells in all, so
+// the AppendRow calls that add them copy nothing (slices.Grow).
+func (ix *SparseSVIndex) Grow(rows, cells int) {
+	ix.start = slices.Grow(ix.start, rows+1) // the first AppendRow adds start[0] too
+	ix.cells = slices.Grow(ix.cells, cells)
+}
+
 // Clip returns a copy of the index in O(1), with no room to append into: the
 // copy and the receiver can each grow (AppendRow) without meeting.
 func (ix *SparseSVIndex) Clip() *SparseSVIndex {

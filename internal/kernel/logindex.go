@@ -28,9 +28,10 @@ import (
 // columns and tails hold. Images past the page list, or in a page no session
 // judged, have no judgment: a collection that grows costs the index nothing
 // until a session judges the new images. Only the most recently extended
-// index may be extended again, by calls the caller serializes. An index is
-// never written once it is built or extended, so concurrent readers share
-// it.
+// index may be extended again, by calls the caller serializes: in the
+// retrieval engine that is the commit, the only extender, which extends the
+// index under its mutation lock and then publishes it. An index is never
+// written once it is built or extended, so concurrent readers share it.
 type LogIndex struct {
 	sessions SparseSVIndex // a copy of the log's, see Extend
 	pages    []*logPage    // image i is run i%pageImages of page i/pageImages; a nil page holds none

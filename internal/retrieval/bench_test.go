@@ -4,22 +4,25 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"lrfcsvm/internal/feedbacklog"
 	"lrfcsvm/internal/linalg"
 	"lrfcsvm/internal/retrieval"
 )
 
-// BenchmarkRefineAfterCommit measures what a commit costs the refine after
-// it, the ingest-commit workload's read: each op commits one 20-image session
+// BenchmarkRefineAfterCommit measures where a committed session's cost lands,
+// in the ingest-commit workload's loop: each op commits one 20-image session
 // and then refines a probe session with lrf-2svms, so every refine meets a
 // log one session longer than the last. The collections hold 5,000 and
 // 50,000 images of 16 dimensions in categories of 100, with a log of n/25
-// sessions of 20 judgments. The log's rows are its index by session, so the
-// refine that first indexes the log builds only the pages by image, lazily,
-// before the timer. B/op shows what the log costs per commit: the session's
-// row appended to the log in place (amortized), the pages of the index its
-// judgments fall in and the page list, beside the refine's own allocations.
+// sessions of 20 judgments. A commit extends the log index by its session
+// before it publishes the epoch that holds it, so the log's cost is the
+// commit's — the session's row appended to the log in place (amortized), the
+// pages of the index its judgments fall in and the page list, the epoch —
+// and the refine reads a finished index. commit-ns/op and refine-ns/op
+// report the two halves of an op; B/op is both. The probe's first refine
+// builds the first index, before the timer.
 func BenchmarkRefineAfterCommit(b *testing.B) {
 	for _, n := range []int{5000, 50000} {
 		b.Run(fmt.Sprintf("images=%d", n), func(b *testing.B) {
@@ -33,16 +36,23 @@ func BenchmarkRefineAfterCommit(b *testing.B) {
 			if _, err := probe.Refine(ctx, retrieval.SchemeLRF2SVMs, 20); err != nil {
 				b.Fatal(err)
 			}
+			var commits, refines time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := judgedSession(b, e, rng, n).Commit(ctx); err != nil {
+				s := judgedSession(b, e, rng, n)
+				start := time.Now()
+				if err := s.Commit(ctx); err != nil {
 					b.Fatal(err)
 				}
+				committed := time.Now()
 				if _, err := probe.Refine(ctx, retrieval.SchemeLRF2SVMs, 20); err != nil {
 					b.Fatal(err)
 				}
+				commits, refines = commits+committed.Sub(start), refines+time.Since(committed)
 			}
+			b.ReportMetric(float64(commits.Nanoseconds())/float64(b.N), "commit-ns/op")
+			b.ReportMetric(float64(refines.Nanoseconds())/float64(b.N), "refine-ns/op")
 		})
 	}
 }

@@ -79,15 +79,21 @@ var ErrJournal = errors.New("retrieval: journal append failed")
 // once bench/ stops naming it.
 const DefaultTrainWorkers = 2
 
-// epoch is one immutable snapshot of the indexed collection: its sequence
-// number (1 for the initial collection, the next for every ingestion) and the
-// batch whose sharded store is the engine's only copy of the descriptors.
-// Ingesting images publishes a new epoch in one store, number included;
-// queries started against an older epoch keep ranking its (still valid)
-// snapshot, so ingestion never blocks or corrupts an in-flight ranking.
+// epoch is one immutable state of the engine, the only one it publishes: its
+// sequence number (1 for the initial collection, the next for every
+// ingestion; a commit keeps it), the batch whose sharded store is the
+// engine's only copy of the descriptors, the feedback log (an O(1) clone of
+// the engine's) and the log's index. Every mutation publishes a new epoch in
+// one store; readers rank the epoch they loaded, a state the serialized
+// mutations produced, which no later mutation blocks or corrupts.
 type epoch struct {
 	seq   int64
 	batch *core.CollectionBatch
+	log   *feedbacklog.Log
+	// index returns log's kernel.LogIndex. The initial epoch's builds it once
+	// (sync.OnceValue), on the first refine or the first commit; every commit
+	// publishes the index it extended.
+	index func() *kernel.LogIndex
 }
 
 // checkImage refuses an image index (a query, a judged image) outside the
@@ -99,22 +105,23 @@ func (ep *epoch) checkImage(what string, image int) error {
 	return nil
 }
 
-// Engine is the retrieval engine. It is safe for concurrent use: queries rank
-// the current collection epoch without a lock, and mutations (ingestion, log
-// commits) are serialized behind a mutation lock, held across each one's
-// journal append and its fsync, and become visible atomically. A refine takes
-// that lock too, to extend the log index (logIndexed): it waits out a mutation.
+// Engine is the retrieval engine. It is safe for concurrent use: one epoch
+// holds the collection, the feedback log and the log's index, and every read
+// (a query, a refine, the counts, Log) loads one and takes no lock. Mutations
+// (ingestion, log commits) are serialized behind a mutation lock, held
+// across each one's journal append and its fsync, and each publishes a new
+// epoch in one store, so a read never waits out a mutation.
 type Engine struct {
 	opts Options
 
-	// cur is the current collection epoch; readers Load it once per
-	// operation and work against that consistent snapshot.
+	// cur is the current epoch; readers Load it once per operation and work
+	// against that consistent snapshot.
 	cur atomic.Pointer[epoch]
 
-	// mu serializes mutations and guards the log and its index.
-	mu       sync.Mutex
-	log      *feedbacklog.Log
-	logIndex *kernel.LogIndex // the log indexed for ranking, see logIndexed
+	// mu orders mutations and their journal appends; log is the log they
+	// grow, which readers never touch (they read an epoch's clone).
+	mu  sync.Mutex
+	log *feedbacklog.Log
 
 	// closed is set by Close: mutations read it at admission and closeCtx
 	// at every cancellation check of a query or a refinement.
@@ -163,8 +170,12 @@ func NewEngineOver(set *kernel.ShardedSet, log *feedbacklog.Log, opts Options) (
 	if log.NumImages() != n {
 		return nil, fmt.Errorf("retrieval: log covers %d images, collection has %d", log.NumImages(), n)
 	}
+	// The first index is built on first use: not here, where it would cost
+	// every start, nor by the writer log, which a commit may be growing.
+	first := log.Clone()
+	index := sync.OnceValue(func() *kernel.LogIndex { return first.ExtendIndex(nil) })
 	e := &Engine{opts: opts, log: log}
-	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatchOver(set)})
+	e.cur.Store(&epoch{seq: 1, batch: core.NewCollectionBatchOver(set), log: first, index: index})
 	return e, nil
 }
 
@@ -226,19 +237,12 @@ func (e *Engine) Collection() CollectionStats {
 }
 
 // NumLogSessions returns the number of feedback sessions accumulated so far.
-func (e *Engine) NumLogSessions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.log.NumSessions()
-}
+func (e *Engine) NumLogSessions() int { return e.cur.Load().log.NumSessions() }
 
-// Log returns the engine's feedback log (shared, not a copy). Callers that
-// need a stable view while the engine keeps serving should use SnapshotWith.
-func (e *Engine) Log() *feedbacklog.Log {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.log
-}
+// Log returns the current epoch's feedback log: a clone that no commit or
+// ingestion changes, so it stays a stable view while the engine keeps
+// serving. Readers share it; the caller must not grow it (Clone it first).
+func (e *Engine) Log() *feedbacklog.Log { return e.cur.Load().log }
 
 // AddImages ingests new visual descriptors into the live collection,
 // appending them after the existing images, and returns the index of the
@@ -281,42 +285,32 @@ func (e *Engine) AddImages(ctx context.Context, descriptors []linalg.Vector) (in
 		}
 	}
 	// Mutations are serialized by e.mu, so only the latest epoch's batch is
-	// ever appended to, as the copy-on-write store requires.
+	// ever appended to, as the copy-on-write store requires. The index stays:
+	// an image no session judged is past its columns, which is uncovered.
 	old := e.cur.Load()
 	e.log.GrowImages(len(descriptors))
-	e.cur.Store(&epoch{seq: old.seq + 1, batch: old.batch.Append(descriptors)})
+	e.cur.Store(&epoch{seq: old.seq + 1, batch: old.batch.Append(descriptors), log: e.log.Clone(), index: old.index})
 	return old.batch.Len(), nil
 }
 
-// SnapshotWith returns the collection's store and a copy of the feedback
-// log, mutually consistent and suitable for persisting while the engine keeps
-// serving and ingesting (see package storage's snapshot format). The store is
-// the one the engine serves from: ingestion grows it copy-on-write and never
-// rewrites a stored row, and the caller must not write it either. A non-nil
-// mark is invoked while the mutation lock is held, before the state is
-// captured: the snapshotter reads the journal offset the state corresponds
-// to in it — appends are journaled under the same lock, so no record can
-// land between the mark and the capture. It satisfies
-// storage.SnapshotSource.
+// SnapshotWith returns the collection's store and the feedback log of one
+// epoch, mutually consistent and suitable for persisting while the engine
+// keeps serving and ingesting (see package storage's snapshot format). Both
+// are the ones the engine serves from: ingestion grows the store
+// copy-on-write and never rewrites a stored row, no mutation changes the
+// epoch's log, and the caller must write neither. A non-nil mark is invoked
+// while the mutation lock is held, just before the epoch is loaded: the
+// snapshotter reads the journal offset the state corresponds to in it —
+// appends are journaled under the same lock, so no record can land between
+// the mark and the load. It satisfies storage.SnapshotSource.
 func (e *Engine) SnapshotWith(mark func()) (*kernel.ShardedSet, *feedbacklog.Log) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if mark != nil {
 		mark()
 	}
-	return e.cur.Load().batch.VisualSet(), e.log.Clone()
-}
-
-// logIndexed returns the log indexed by session and by image, extending the
-// engine's index by whatever sessions were committed since the last call —
-// the first call builds it. Ingestion changes nothing here: an image no
-// session judged is past the index's columns, which is uncovered, and a scan
-// of an older epoch never reaches the images the index may hold past it.
-func (e *Engine) logIndexed() *kernel.LogIndex {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.logIndex = e.log.ExtendIndex(e.logIndex)
-	return e.logIndex
+	ep := e.cur.Load()
+	return ep.batch.VisualSet(), ep.log
 }
 
 // InitialQuery returns the top-k images by Euclidean visual similarity to
@@ -384,8 +378,9 @@ func (s *Session) NumJudgments() int {
 // Refine re-ranks the collection with the chosen scheme using the session's
 // judgments (and, for the log-based schemes, the engine's accumulated
 // feedback log) and returns the top-k results. Each refinement ranks the
-// collection epoch current at call time, so results reflect images ingested
-// since the session started. The context's cancellation is honored
+// epoch current at call time — its collection and its log, as one state — so
+// results reflect images ingested and sessions committed since the session
+// started, and it takes no lock. The context's cancellation is honored
 // throughout: the sharded scan checks it between shard ranges and the SMO
 // solver between iterations, so a cancelled or deadline-expired refinement
 // returns the context's error instead of finishing the round.
@@ -411,7 +406,7 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 	}
 
 	ctx := &core.QueryContext{
-		LogIndex: s.engine.logIndexed(),
+		LogIndex: ep.index(),
 		Query:    s.query,
 		Labeled:  labeled,
 		Batch:    ep.batch,
@@ -467,6 +462,11 @@ func (s *Session) Commit(ctx context.Context) error {
 	if _, err := e.log.AddSession(session); err != nil {
 		return err
 	}
+	// The index is extended before the epoch that holds it is published,
+	// and only here, where commits are serialized.
+	old := e.cur.Load()
+	index := e.log.ExtendIndex(old.index())
+	e.cur.Store(&epoch{seq: old.seq, batch: old.batch, log: e.log.Clone(), index: func() *kernel.LogIndex { return index }})
 	s.committed = true
 	return nil
 }

@@ -37,10 +37,11 @@ var regimes = map[string]struct {
 	"gamma-threshold":   {2, "nojournal"},          // an ingestion takes the collection past the 64 points the RBF bandwidth estimate samples
 	"shard-boundary":    {3, "off+snapshotter"},    // an ingestion opens the second 2,048-row shard
 	"torn-final-record": {1, "always+snapshotter"}, // a recovery truncates the torn final record of the journal
-	// The log index's edges, each met by a log scheme's refine that answers:
-	"log-of-no-session":    {19, "nojournal"},      // no session committed yet
-	"images-past-the-log":  {2, "always"},          // images ingested since the index was last read, past every judged one
-	"extends-a-used-index": {4, "off+snapshotter"}, // sessions committed since an earlier refine read the index
+	// The log index's edges:
+	"log-of-no-session":       {19, "nojournal"}, // a log scheme's refine answers before any session is committed
+	"commit-builds-the-index": {1, "off"},        // a commit runs the first index build: no refine has read the index yet
+	"refine-builds-the-index": {2, "nojournal"},  // a log scheme's refine that answers runs the first index build
+	"ingests-past-the-index":  {5, "always"},     // an ingestion after the index is built, which it leaves as it is
 }
 
 // TestEngineMatchesModel drives the engine and the model (model_test.go)
@@ -97,9 +98,9 @@ type driver struct {
 	ops    []string
 	seen   map[string]bool // the regimes passed through
 
-	// What this engine's log index has met: whether a refine has read it,
-	// and whether images were ingested or sessions committed since the last.
-	indexed, ingested, committed bool
+	// built is whether this engine's first log index has been built: by a
+	// refine that read it or by a commit, whichever came first.
+	built bool
 }
 
 // runDriver runs a seed's 200 steps on a cell and returns the regimes they
@@ -228,7 +229,8 @@ func (d *driver) agree(op string, got, want []retrieval.Result, gotErr, wantErr 
 
 // sameState compares a copy of the state, a snapshot's, with the model's.
 func (d *driver) sameState(what string, set *kernel.ShardedSet, log *feedbacklog.Log) {
-	d.check(set.Len() == len(d.m.rows) && log.NumSessions() == len(d.m.sessions), "%s holds %d rows and %d sessions, the model %d and %d", what, set.Len(), log.NumSessions(), len(d.m.rows), len(d.m.sessions))
+	d.check(set.Len() == len(d.m.rows) && log.NumImages() == len(d.m.rows) && log.NumSessions() == len(d.m.sessions),
+		"%s holds %d rows and %d sessions over %d images, the model %d and %d", what, set.Len(), log.NumSessions(), log.NumImages(), len(d.m.rows), len(d.m.sessions))
 	for i := range set.Len() {
 		d.check(slices.Equal(set.Point(i), kernel.Dense(d.m.rows[i])), "%s: row %d is %v, the model's %v", what, i, set.Point(i), d.m.rows[i])
 	}
@@ -244,16 +246,18 @@ func (d *driver) checkState() {
 	want := retrieval.CollectionStats{Images: n, Dim: len(d.m.rows[0]), Shards: (n + kernel.DefaultShardSize - 1) / kernel.DefaultShardSize, Epoch: d.epoch}
 	d.check(d.e.Collection() == want, "Collection() = %+v, the model has %+v", d.e.Collection(), want)
 	d.check(d.e.NumLogSessions() == len(d.m.sessions), "NumLogSessions() = %d, the model committed %d", d.e.NumLogSessions(), len(d.m.sessions))
-	index := d.e.LogIndex()
-	wantCols := d.m.log().RelevanceVectors()
-	d.check(index.Dim() == wantCols[0].Dim, "the log index holds %d sessions, the model %d", index.Dim(), wantCols[0].Dim)
-	for i, want := range wantCols {
-		col := index.Column(i)
-		same := col.Dim == want.Dim && slices.Equal(col.Entries, want.Entries) && index.Covered(i) == (len(want.Entries) > 0)
-		d.check(same, "the log index has column %+v for image %d (covered %v), RelevanceVectors() of the model's sessions %+v", col, i, index.Covered(i), want)
+	if d.built { // reading the index before would build it, out of the regimes' order
+		_, index := d.e.LogIndex()
+		wantCols := d.m.log().RelevanceVectors()
+		d.check(index.Dim() == wantCols[0].Dim, "the log index holds %d sessions, the model %d", index.Dim(), wantCols[0].Dim)
+		for i, want := range wantCols {
+			col := index.Column(i)
+			same := col.Dim == want.Dim && slices.Equal(col.Entries, want.Entries) && index.Covered(i) == (len(want.Entries) > 0)
+			d.check(same, "the log index has column %+v for image %d (covered %v), RelevanceVectors() of the model's sessions %+v", col, i, index.Covered(i), want)
+		}
+		wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))
+		d.check(reflect.DeepEqual(index.Sessions(), wantIndex), "the log index by session is not the one the model's sessions invert to")
 	}
-	wantIndex := kernel.NewSparseSVIndex(kernel.SparsePoints(wantCols))
-	d.check(reflect.DeepEqual(index.Sessions(), wantIndex), "the log index by session is not the one the model's sessions invert to")
 	// A snapshot is the store: whatever was ingested since, the last
 	// check's reads as it did.
 	for i := 0; d.held != nil && i < d.held.Len(); i++ {
@@ -261,6 +265,7 @@ func (d *driver) checkState() {
 	}
 	set, log := d.e.SnapshotWith(nil)
 	d.sameState("SnapshotWith", set, log)
+	d.sameState("Log", set, d.e.Log())
 	d.held = set
 }
 
@@ -288,7 +293,7 @@ func (d *driver) start() {
 		d.check(err == nil, "%v", err)
 	}
 	d.w, d.broken, d.open, d.epoch, d.held = world{}, false, nil, 1, nil
-	d.indexed, d.ingested, d.committed = false, false, false
+	d.built = false
 	d.checkState()
 }
 
@@ -398,7 +403,10 @@ func (d *driver) commit() {
 	ctx, w := d.ctx()
 	want := d.m.commit(w, p.m)
 	d.agree(fmt.Sprintf("Commit(query %d, %d judged)", p.m.query, len(p.m.judgments)), nil, nil, p.e.Commit(ctx), want)
-	d.committed = d.committed || want == nil
+	if want == nil {
+		d.seen["commit-builds-the-index"] = d.seen["commit-builds-the-index"] || !d.built
+		d.built = true
+	}
 	d.mutated(want)
 	if want == nil && d.rng.Bool(0.7) { // the rest stay open a while: to be judged and committed again
 		d.open = slices.DeleteFunc(d.open, func(o pair) bool { return o == p })
@@ -407,22 +415,13 @@ func (d *driver) commit() {
 
 // refined follows a refine: a log scheme's answer meets the regimes of the
 // log index, and every refine the engine does not refuse for want of a
-// judgment reads the index.
+// judgment reads the index, building it if it is the first to.
 func (d *driver) refined(kind retrieval.SchemeKind, judged bool, err error) {
 	if err == nil && (kind == retrieval.SchemeLRF2SVMs || kind == retrieval.SchemeLRFCSVM) {
-		last := -1 // the highest image a session judged
-		for _, s := range d.m.sessions {
-			for img := range s.Judgments {
-				last = max(last, img)
-			}
-		}
 		d.seen["log-of-no-session"] = d.seen["log-of-no-session"] || len(d.m.sessions) == 0
-		d.seen["images-past-the-log"] = d.seen["images-past-the-log"] || d.indexed && d.ingested && len(d.m.rows) > last+1
-		d.seen["extends-a-used-index"] = d.seen["extends-a-used-index"] || d.indexed && d.committed
+		d.seen["refine-builds-the-index"] = d.seen["refine-builds-the-index"] || !d.built
 	}
-	if judged || kind == retrieval.SchemeEuclidean {
-		d.indexed, d.ingested, d.committed = true, false, false
-	}
+	d.built = d.built || judged || kind == retrieval.SchemeEuclidean
 }
 
 // mutated follows a commit or an ingestion: a fault is spent by the operation
@@ -458,7 +457,7 @@ func (d *driver) ingest() {
 	if want == nil {
 		d.check(first == wantFirst, "the engine's first new image is %d, the model's %d", first, wantFirst)
 		d.epoch++
-		d.ingested = true
+		d.seen["ingests-past-the-index"] = d.seen["ingests-past-the-index"] || d.built
 		d.seen["gamma-threshold"] = d.seen["gamma-threshold"] || n <= 64 && len(d.m.rows) > 64
 		d.seen["shard-boundary"] = d.seen["shard-boundary"] || n <= kernel.DefaultShardSize && len(d.m.rows) > kernel.DefaultShardSize
 	}

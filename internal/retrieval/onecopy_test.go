@@ -95,8 +95,8 @@ func TestEngineKeepsOneCopyOfTheCollection(t *testing.T) {
 
 // TestSnapshotWithAllocatesNothingPerImage: a snapshot pass hands the
 // snapshot writer the engine's store, not a view per image, so capturing the
-// state of 50,000 images allocates no more bytes than capturing 5,000 — the
-// log's clone aside, which an empty log keeps constant. A row view per image
+// state of 50,000 images allocates no more bytes than capturing 5,000: the
+// log is the epoch's, handed over as it is. A row view per image
 // is 24 bytes an image: 1.08 MB more at 50,000.
 func TestSnapshotWithAllocatesNothingPerImage(t *testing.T) {
 	perCall := func(n int) uint64 {
@@ -137,8 +137,8 @@ func TestSnapshotWithAllocatesNothingPerImage(t *testing.T) {
 
 // TestEngineKeepsOneCopyOfTheLog holds the engine to one copy of the
 // feedback log: once 8,000 sessions of 20 judgments are committed to an
-// engine over 20,000 images and one refine has indexed them, what the log
-// keeps alive beyond its index (kernel.LogIndex, measured alone: the engine
+// engine over 20,000 images, each extending the log index by its session,
+// and one refine has read it, what the log keeps alive beyond its index (kernel.LogIndex, measured alone: the engine
 // dropped, the index kept) is a query and a category per session and the
 // slack of their growth, at most 32 bytes a session. A map per session beside
 // the index (about 700 bytes a session, 5.6 MB here) fails it.
@@ -168,7 +168,7 @@ func TestEngineKeepsOneCopyOfTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	withLog := heap()
-	ix := e.LogIndex()
+	_, ix := e.LogIndex()
 	runtime.KeepAlive(e)
 	e = nil
 	index := heap() - before

@@ -150,6 +150,10 @@ type recordReader struct {
 	r   *bufio.Reader
 	hdr [8]byte
 	buf []byte
+	// rest is how many bytes follow the records returned so far, when the
+	// source tells its size (Size, as io.SectionReader and bytes.Reader do);
+	// 0 when it does not.
+	rest int64
 }
 
 // newRecordReader checks the file header against the wanted kind and returns
@@ -159,7 +163,21 @@ func newRecordReader(r io.Reader, kind uint16) (*recordReader, error) {
 	if err := readHeader(br, kind); err != nil {
 		return nil, err
 	}
-	return &recordReader{r: br}, nil
+	rr := &recordReader{r: br}
+	if sized, ok := r.(interface{ Size() int64 }); ok {
+		rr.rest = sized.Size() - fileHeaderLen
+	}
+	return rr, nil
+}
+
+// reserveLog sizes log once for the session records left in the source, so
+// decoding them copies no cells on the way: a record is at least an 8-byte
+// frame, a 12-byte head and one 8-byte judgment, so they hold at most rest/28
+// sessions — of which the caller knows sessions, or 0 — and rest/8 judgments.
+func (rr *recordReader) reserveLog(log *feedbacklog.Log, sessions int) {
+	if rr.rest > 0 {
+		log.Reserve(min(sessions, int(rr.rest/28)), int(rr.rest/8))
+	}
 }
 
 // next returns the next record payload, or io.EOF cleanly at the end of the
@@ -180,6 +198,7 @@ func (rr *recordReader) next() ([]byte, error) {
 		rr.buf = make([]byte, length)
 	}
 	payload := rr.buf[:length]
+	rr.rest -= 8 + int64(length)
 	if _, err := io.ReadFull(rr.r, payload); err != nil {
 		return nil, fmt.Errorf("%w: truncated record payload", ErrCorrupt)
 	}
@@ -437,6 +456,7 @@ func ReadLog(r io.Reader) (*feedbacklog.Log, error) {
 		return nil, fmt.Errorf("%w: non-positive collection size", ErrCorrupt)
 	}
 	log := feedbacklog.NewLog(numImages)
+	rr.reserveLog(log, 0)
 	for {
 		payload, err := rr.next()
 		if err == io.EOF {
@@ -457,14 +477,19 @@ func SaveLog(path string, log *feedbacklog.Log) error {
 	return save(path, "log", func(w io.Writer) error { return WriteLog(w, log) })
 }
 
-// LoadLog reads a feedback log from the named file.
+// LoadLog reads a feedback log from the named file, read as a section of
+// its size, which sizes the log's storage once.
 func LoadLog(path string) (*feedbacklog.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return ReadLog(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
+	}
+	return ReadLog(io.NewSectionReader(f, 0, info.Size()))
 }
 
 // WriteSnapshotAt writes one self-contained engine snapshot to w: the visual
@@ -567,6 +592,7 @@ func readSnapshot(r io.Reader) (*kernel.ShardedSet, *feedbacklog.Log, uint64, er
 		decodeDescriptor(b.Next(), payload)
 	}
 	log := feedbacklog.NewLog(images)
+	rr.reserveLog(log, sessions)
 	for i := 0; i < sessions; i++ {
 		payload, err := rr.next()
 		if err == io.EOF {
@@ -682,12 +708,17 @@ func syncDir(dir string) error {
 // shard and nothing per image, what kernel.NewShardedSet builds over the
 // rows, bit for bit), and the journal sequence it covers: pass the sequence
 // to OpenJournalOver (JournalOptions.SnapshotSeq) so replay skips the records
-// the snapshot already contains.
+// the snapshot already contains. The file is read as a section of its size,
+// which sizes the log's storage once.
 func LoadSnapshotSetAt(path string) (*kernel.ShardedSet, *feedbacklog.Log, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("storage: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return readSnapshot(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: stat %s: %w", path, err)
+	}
+	return readSnapshot(io.NewSectionReader(f, 0, info.Size()))
 }
