@@ -75,7 +75,7 @@ func TestBuildConfigValidatesFlags(t *testing.T) {
 // variants, and the scheme it runs there is the main table's.
 func TestAblationsContainMainTableRow(t *testing.T) {
 	defaultVariant := map[string]string{
-		"selection":   "LRF-CSVM[log-assisted]",
+		"selection":   "LRF-CSVM selection=log-assisted",
 		"rho":         "LRF-CSVM rho=1",
 		"delta":       "LRF-CSVM delta=1",
 		"unlabeled":   "LRF-CSVM N'=16",

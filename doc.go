@@ -25,7 +25,7 @@
 // the top K, the unlabeled points of step 1 of Fig. 1, or every score.
 // Workers claim in-shard ranges from one queue, and the context is
 // checked between them. The top-K sink streams through bounded heaps
-// (core.Scheme.RankTop / core.TopK, O(n log K)) merged under the strict
+// (core.RankTop / core.TopK, O(n log K)) merged under the strict
 // descending-score, ascending-index order, so results are bit-identical to
 // a full stable sort for every shard size and worker count. Per-query score
 // lanes and selectors come from a pooled scratch arena on the collection

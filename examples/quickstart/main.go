@@ -59,7 +59,7 @@ func main() {
 	// keeps them, and every round ranks only the top 20.
 	query := 5
 	ctx := &core.QueryContext{Batch: core.NewCollectionBatch(visual), LogIndex: fblog.ExtendIndex(nil), Query: query}
-	euclTop, err := core.Euclidean{}.RankTop(ctx, 20)
+	euclTop, err := core.RankTop(core.Euclidean{}, ctx, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 	}
 
 	// 5. Refine with the paper's log-based coupled SVM.
-	csvmTop, err := core.LRFCSVM{}.RankTop(ctx, 20)
+	csvmTop, err := core.RankTop(core.LRFCSVM{}, ctx, 20)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func (Euclidean) scorer(ctx *QueryContext) (scoring, error) {
 // Rank implements Scheme.
 func (s Euclidean) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements Scheme: per-shard distances are computed into a pooled
-// scratch lane and pushed through bounded selection, so no collection-sized
-// slice is materialized.
+// RankTop is RankTopAppend onto nil: per-shard distances are computed into a
+// pooled scratch lane and pushed through bounded selection, so no
+// collection-sized slice is materialized.
 func (s Euclidean) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
 	return s.RankTopAppend(ctx, k, nil)
 }
@@ -156,13 +156,8 @@ func (s RFSVM) scorer(ctx *QueryContext) (scoring, error) {
 // Rank implements Scheme.
 func (s RFSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements Scheme: the same trained model as Rank, scored through
-// streaming per-shard selection.
-func (s RFSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
-	return s.RankTopAppend(ctx, k, nil)
-}
-
-// RankTopAppend implements Scheme.
+// RankTopAppend implements Scheme: the same trained model as Rank, scored
+// through streaming per-shard selection.
 func (s RFSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
@@ -224,13 +219,8 @@ func twoSVMsScoring(ctx *QueryContext, batch *CollectionBatch, visualModel, logM
 // Rank implements Scheme.
 func (s LRF2SVMs) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// RankTop implements Scheme: the same trained models as Rank, scored through
-// streaming per-shard selection.
-func (s LRF2SVMs) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
-	return s.RankTopAppend(ctx, k, nil)
-}
-
-// RankTopAppend implements Scheme.
+// RankTopAppend implements Scheme: the same trained models as Rank, scored
+// through streaming per-shard selection.
 func (s LRF2SVMs) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }

@@ -21,6 +21,10 @@ type CSVMParams struct {
 	// LogKernel overrides the kernel over user-log vectors; nil selects the
 	// linear co-judgment kernel (defaultLogKernel).
 	LogKernel kernel.Kernel
+	// Selection is step 1's drafting heuristic; the zero value is the
+	// algorithm's own, log-assisted one, and the others are Section 6.5's
+	// ablation (draft).
+	Selection SelectionStrategy
 }
 
 // withDefaults resolves the zero values of p; it is the one place LRF-CSVM's
@@ -67,33 +71,52 @@ func (LRFCSVM) Name() string { return "LRF-CSVM" }
 // the coupled decision value, with the same initial-similarity tie-break
 // prior as the other SVM schemes — and step 1's lane.
 func (s LRFCSVM) scorer(ctx *QueryContext) (scoring, error) {
-	final, _, err := trainCSVM(ctx, s.Params, selectLogAssisted)
+	final, _, err := trainCSVM(ctx, s.Params)
 	return final, err
 }
 
 // Rank implements Scheme.
 func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
 
-// unlabeledSelection is the selection heuristic of step 1 of Fig. 1: given
-// the two per-modality SVMs trained on the labeled data alone, it drafts up
-// to num unlabeled images and their initial labels, in training order, and
-// records lane's sums if its pass scores every image (nil: no lane).
-// selectLogAssisted is the algorithm's own; LRFCSVMWithSelection swaps in the
-// ablation heuristics.
-type unlabeledSelection func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) (indices []int, initialLabels []float64, err error)
-
-// selectLogAssisted is the log-assisted heuristic as a streaming pass: every
-// shard range is scored by the two initial models and selected from on the
-// spot, like the final retrieval pass.
-func selectLogAssisted(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) ([]int, []float64, error) {
-	return selectStreamed(ctx, batch, visualInit, logInit, num, ctx.LogIndex, lane)
+// draft is step 1's selection heuristic, p.Selection: given the two
+// per-modality SVMs trained on the labeled data alone, it drafts up to
+// p.NumUnlabeled unlabeled images and their initial labels, in training
+// order, and records lane's sums if its pass scores every image (nil: no
+// lane). The log-assisted heuristic and max/min — the same pass over a log
+// that covers no image (the scores still read the log) — stream; boundary
+// and random rank every unlabeled image, so they materialize the full
+// combined scores, without the lane, and run in the evaluation harness only.
+func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, lane *stepLane) ([]int, []float64, error) {
+	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
+	switch p.Selection {
+	case SelectMaxMin:
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, &kernel.LogIndex{}, lane)
+	case SelectBoundary:
+		pick = BoundarySelection
+	case SelectRandom:
+		pick = func(candidates []int, combined []float64, num int) ([]int, []float64) {
+			return RandomSelection(linalg.NewRNG(randomSelectionSeed), candidates, combined, num)
+		}
+	default:
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, ctx.LogIndex, lane)
+	}
+	combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil, kernel.PositiveSums{}))
+	if err != nil {
+		return nil, nil, err
+	}
+	labeledSet := ctx.labeledSet()
+	candidates := make([]int, 0, ctx.NumImages())
+	for i := 0; i < ctx.NumImages(); i++ {
+		if !labeledSet[i] {
+			candidates = append(candidates, i)
+		}
+	}
+	indices, initialLabels := pick(candidates, combined, p.NumUnlabeled)
+	return indices, initialLabels, nil
 }
 
-// selectMaxMin is the paper's max/min heuristic: the same pass over a log
-// that covers no image (the scores still read the log).
-func selectMaxMin(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, lane *stepLane) ([]int, []float64, error) {
-	return selectStreamed(ctx, batch, visualInit, logInit, num, &kernel.LogIndex{}, lane)
-}
+// randomSelectionSeed seeds SelectRandom's draft.
+const randomSelectionSeed = 11
 
 // selectStreamed drafts through step 1's streaming pass with the coverage
 // index covered, recording the lane as it scores. A pass that drafts runs
@@ -112,7 +135,7 @@ func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logIn
 // with step 1's solver of each modality. A lane (nil: none) is recorded and
 // seeded by the selection and keeps step 1's visual model and the rows whose
 // units step 3 scans first: the query and the drafted positives.
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, sel unlabeledSelection, lane *stepLane) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, lane *stepLane) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	labeledIdx, labels := labeledSplit(ctx)
 
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
@@ -128,7 +151,7 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, se
 		return nil, nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
 	}
 	visualModel := visualInit.Model()
-	unlabeledIdx, initialLabels, err := sel(ctx, batch, visualModel, logInit.Model(), p.NumUnlabeled, lane)
+	unlabeledIdx, initialLabels, err := p.draft(ctx, batch, visualModel, logInit.Model(), lane)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -160,16 +183,16 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), selectLogAssisted, nil)
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), nil)
 	return modalities, labels, initialLabels, err
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
-// selection with the given heuristic and the annealed coupled-SVM
+// selection with params' heuristic and the annealed coupled-SVM
 // optimization. It returns the coupled models with step 3's scoring, which
 // shares step 1's log index and reads step 1's lane; the caller releases it.
 // On an error the lane is back on the batch's free list.
-func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (final scoring, coupled *CoupledResult, err error) {
+func trainCSVM(ctx *QueryContext, params CSVMParams) (final scoring, coupled *CoupledResult, err error) {
 	ctx, err = ctx.validated(true)
 	if err != nil {
 		return scoring{}, nil, err
@@ -182,7 +205,7 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (fi
 		}
 	}()
 	p := params.withDefaults()
-	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, sel, lane)
+	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, lane)
 	if err != nil {
 		return scoring{}, nil, err
 	}
@@ -201,14 +224,9 @@ func trainCSVM(ctx *QueryContext, params CSVMParams, sel unlabeledSelection) (fi
 	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seeds: seeds, lane: lane}, coupled, nil
 }
 
-// RankTop implements Scheme: steps 1-2 run exactly as in Rank, and the
-// final retrieval pass streams through per-shard bounded selection like the
-// unlabeled selection of step 1 does.
-func (s LRFCSVM) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
-	return s.RankTopAppend(ctx, k, nil)
-}
-
-// RankTopAppend implements Scheme.
+// RankTopAppend implements Scheme: steps 1-2 run exactly as in Rank, and
+// the final retrieval pass streams through per-shard bounded selection like
+// the unlabeled selection of step 1 does.
 func (s LRFCSVM) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
@@ -267,8 +285,8 @@ func RandomSelection(rng *linalg.RNG, candidates []int, combined []float64, num 
 	return indices, initialLabels
 }
 
-// SelectionStrategy names an unlabeled-selection heuristic for the
-// configurable variant used in ablations.
+// SelectionStrategy names step 1's unlabeled-selection heuristic
+// (CSVMParams.Selection).
 type SelectionStrategy int
 
 // Selection strategies.
@@ -280,7 +298,7 @@ const (
 	SelectLogAssisted SelectionStrategy = iota
 	// SelectMaxMin is the purely score-driven variant of the paper's
 	// pseudocode: half closest to the positive data, half closest to the
-	// negative data, regardless of log coverage (selectMaxMin).
+	// negative data, regardless of log coverage (CSVMParams.draft).
 	SelectMaxMin
 	// SelectBoundary drafts images nearest the decision boundary.
 	SelectBoundary
@@ -304,79 +322,10 @@ func (s SelectionStrategy) String() string {
 	}
 }
 
-// LRFCSVMWithSelection is LRFCSVM with a configurable unlabeled-selection
-// strategy; it exists for the ablation study comparing the paper's max/min
-// heuristic against boundary-based active selection and random drafting.
-type LRFCSVMWithSelection struct {
-	Params     CSVMParams
-	Strategy   SelectionStrategy
-	RandomSeed uint64
-}
-
-// Name implements Scheme.
-func (s LRFCSVMWithSelection) Name() string {
-	return fmt.Sprintf("LRF-CSVM[%s]", s.Strategy)
-}
-
-// scorer implements rangeScored: the shared three steps with this variant's
-// step-1 heuristic.
-func (s LRFCSVMWithSelection) scorer(ctx *QueryContext) (scoring, error) {
-	final, _, err := trainCSVM(ctx, s.Params, s.selection())
-	return final, err
-}
-
-// Rank implements Scheme.
-func (s LRFCSVMWithSelection) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(s, ctx) }
-
-// RankTop implements Scheme.
-func (s LRFCSVMWithSelection) RankTop(ctx *QueryContext, k int) ([]Ranked, error) {
-	return s.RankTopAppend(ctx, k, nil)
-}
-
-// RankTopAppend implements Scheme.
-func (s LRFCSVMWithSelection) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error) {
-	return rankTop(s, ctx, CandidateSet{}, k, dst)
-}
-
-// selection resolves the strategy to a step-1 heuristic. Boundary and random
-// rank every unlabeled image, so they materialize the full combined scores,
-// without the lane; they run in the evaluation harness only.
-func (s LRFCSVMWithSelection) selection() unlabeledSelection {
-	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
-	switch s.Strategy {
-	case SelectMaxMin:
-		return selectMaxMin
-	case SelectBoundary:
-		pick = BoundarySelection
-	case SelectRandom:
-		pick = func(candidates []int, combined []float64, num int) ([]int, []float64) {
-			return RandomSelection(linalg.NewRNG(s.RandomSeed), candidates, combined, num)
-		}
-	default:
-		return selectLogAssisted
-	}
-	return func(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, _ *stepLane) ([]int, []float64, error) {
-		combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil, kernel.PositiveSums{}))
-		if err != nil {
-			return nil, nil, err
-		}
-		labeledSet := ctx.labeledSet()
-		candidates := make([]int, 0, ctx.NumImages())
-		for i := 0; i < ctx.NumImages(); i++ {
-			if !labeledSet[i] {
-				candidates = append(candidates, i)
-			}
-		}
-		indices, initialLabels := pick(candidates, combined, num)
-		return indices, initialLabels, nil
-	}
-}
-
 // Ensure the schemes satisfy the Scheme interface.
 var (
 	_ Scheme = Euclidean{}
 	_ Scheme = RFSVM{}
 	_ Scheme = LRF2SVMs{}
 	_ Scheme = LRFCSVM{}
-	_ Scheme = LRFCSVMWithSelection{}
 )

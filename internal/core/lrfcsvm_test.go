@@ -101,7 +101,7 @@ func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
 	n := len(col.visual)
 	for _, query := range []int{0, 9, 22} {
 		ctx := col.queryContext(query, n)
-		if final, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted); err != nil {
+		if final, coupled, err := trainCSVM(ctx, CSVMParams{}); err != nil {
 			t.Fatal(err)
 		} else if final.release(); len(coupled.UnlabeledLabels) != 0 {
 			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, len(coupled.UnlabeledLabels))
@@ -119,11 +119,11 @@ func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
 				t.Fatalf("query %d image %d: LRF-CSVM scores %v, LRF-2SVMs %v", query, i, got[i], want[i])
 			}
 		}
-		wantTop, err := LRF2SVMs{}.RankTop(ctx, 10)
+		wantTop, err := RankTop(LRF2SVMs{}, ctx, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTop, err := LRFCSVM{}.RankTop(ctx, 10)
+		gotTop, err := RankTop(LRFCSVM{}, ctx, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

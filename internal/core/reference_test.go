@@ -26,12 +26,10 @@ import (
 // of a one-row SquaredDistancesInto.
 
 // refScheme names a scheme for the reference: Euclidean, RF-SVM, LRF-2SVMs
-// or LRF-CSVM with its parameters and step-1 heuristic.
+// or LRF-CSVM with its parameters, step 1's heuristic included.
 type refScheme struct {
-	name     string
-	params   CSVMParams
-	strategy SelectionStrategy
-	seed     uint64 // SelectRandom's
+	name   string
+	params CSVMParams
 }
 
 // refResult is what the reference computes for one query: every image's
@@ -190,7 +188,7 @@ func refSelect(ctx *QueryContext, s refScheme, combined []float64, num int) ([]i
 			candidates = append(candidates, i)
 		}
 	}
-	switch s.strategy {
+	switch s.params.Selection {
 	case SelectLogAssisted:
 		return logAssistedSelection(logIndexOf(ctx), candidates, combined, num)
 	case SelectMaxMin:
@@ -198,7 +196,7 @@ func refSelect(ctx *QueryContext, s refScheme, combined []float64, num int) ([]i
 	case SelectBoundary:
 		return BoundarySelection(candidates, combined, num)
 	}
-	return RandomSelection(linalg.NewRNG(s.seed), candidates, combined, num)
+	return RandomSelection(linalg.NewRNG(randomSelectionSeed), candidates, combined, num)
 }
 
 // refCoupled is Fig. 1's step 2 written out: rho doubles from rhoInit to the

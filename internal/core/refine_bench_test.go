@@ -28,7 +28,7 @@ func BenchmarkColdRefine(b *testing.B) {
 			ctx.Batch = NewCollectionBatch(coll.visual)
 			refine := func() time.Duration {
 				start := time.Now()
-				got, err := LRFCSVM{}.RankTop(ctx, benchK)
+				got, err := RankTop(LRFCSVM{}, ctx, benchK)
 				if err != nil || len(got) != benchK {
 					b.Fatalf("ranked %d images, err %v", len(got), err)
 				}

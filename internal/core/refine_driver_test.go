@@ -17,8 +17,8 @@ import (
 // workers, k, how the context names its collection) from a seed, and holds
 // every scheme, through Rank and through RankTopAppend, to referenceRefine,
 // Float64bits: Euclidean (also through RankTopCandidates over a candidate
-// set), RF-SVM, LRF-2SVMs (also pretrained), LRF-CSVM and LRFCSVMWithSelection
-// under its four heuristics, whose drafted images, initial labels, duals,
+// set), RF-SVM, LRF-2SVMs (also pretrained) and LRF-CSVM under each of step
+// 1's four heuristics, whose drafted images, initial labels, duals,
 // biases and counts must be the reference's too. The draws straddle the scan
 // cuts (collections of 1…2,100 images across minUnitRows and the 2,048-row
 // shard), reach images without a log entry, one-class and all-relevant
@@ -53,7 +53,7 @@ func TestTopKTiedScoresDeterministic(t *testing.T)            { refinePin(t, "ti
 func TestTopKSelectorMergeOrderInvariant(t *testing.T)        { refinePin(t, "parallel-ties", 6) }
 func TestRankTopEdgeCases(t *testing.T)                       { refinePin(t, "k-out-of-range", 2) }
 func TestRankTopCandidatesEdgeCases(t *testing.T)             { refinePin(t, "candidates-edge", 1) }
-func TestLRFCSVMWithSelectionStrategies(t *testing.T)         { refinePin(t, "drafted-random", 1) }
+func TestLRFCSVMSelectionStrategies(t *testing.T)             { refinePin(t, "drafted-random", 1) }
 func TestTrainCSVMDraftsUnlabeled(t *testing.T)               { refinePin(t, "drafted-log-assisted", 1) }
 
 func refinePin(t *testing.T, regime string, seed uint64) {
@@ -282,10 +282,11 @@ func (c *refineCase) check() (map[string]bool, error) {
 		{Euclidean{}, refScheme{name: "Euclidean"}},
 		{RFSVM{}, refScheme{name: "RF-SVM"}},
 		{LRF2SVMs{LogKernel: c.params.LogKernel}, refScheme{name: "LRF-2SVMs", params: c.params}},
-		{LRFCSVM{Params: c.params}, refScheme{name: "LRF-CSVM", params: c.params}},
 	}
 	for _, s := range []SelectionStrategy{SelectLogAssisted, SelectMaxMin, SelectBoundary, SelectRandom} {
-		schemes = append(schemes, pair{LRFCSVMWithSelection{Params: c.params, Strategy: s, RandomSeed: c.seed}, refScheme{name: "LRF-CSVM", params: c.params, strategy: s, seed: c.seed}})
+		p := c.params
+		p.Selection = s
+		schemes = append(schemes, pair{LRFCSVM{Params: p}, refScheme{name: "LRF-CSVM", params: p}})
 	}
 	// One context serves every pass, as one collection batch serves every
 	// query: each pass reuses the arenas the passes before it returned.
@@ -301,6 +302,9 @@ func (c *refineCase) check() (map[string]bool, error) {
 	seen["parallel-ties"] = seen["parallel"] && c.twins
 	for _, s := range schemes {
 		name := s.served.Name()
+		if csvm, ok := s.served.(LRFCSVM); ok {
+			name = fmt.Sprintf("%s[%v]", name, csvm.Params.Selection)
+		}
 		want, err := referenceRefine(refCtx, s.ref)
 		if err != nil {
 			return nil, fmt.Errorf("%s reference: %w", name, err)
@@ -339,8 +343,8 @@ func (c *refineCase) check() (map[string]bool, error) {
 			if err := sameRanking(got, err, wantTop); err != nil {
 				return nil, fmt.Errorf("%s pretrained: %w", name, err)
 			}
-		case LRFCSVM, LRFCSVMWithSelection:
-			if err := c.checkCoupled(ctx, name, s.ref, want, seen); err != nil {
+		case LRFCSVM:
+			if err := c.checkCoupled(ctx, name, served.Params, want, seen); err != nil {
 				return nil, err
 			}
 		}
@@ -351,13 +355,12 @@ func (c *refineCase) check() (map[string]bool, error) {
 // checkCoupled holds LRF-CSVM's steps 1 and 2 to the reference: the drafted
 // images and their initial labels, then the coupled result's labels, duals,
 // biases and counts.
-func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme, want *refResult, seen map[string]bool) error {
-	sel := LRFCSVMWithSelection{Strategy: ref.strategy, RandomSeed: ref.seed}.selection()
+func (c *refineCase) checkCoupled(ctx *QueryContext, name string, params CSVMParams, want *refResult, seen map[string]bool) error {
 	step1, err := ctx.validated(true)
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
-	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), c.params.withDefaults(), sel, nil)
+	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), params.withDefaults(), nil)
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
@@ -369,7 +372,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme,
 			return fmt.Errorf("%s step 1: drafted point %d is not image %d of %v", name, i, idx, want.drafted)
 		}
 	}
-	final, got, err := trainCSVM(ctx, c.params, sel)
+	final, got, err := trainCSVM(ctx, params)
 	if err != nil {
 		return fmt.Errorf("%s step 2: %w", name, err)
 	}
@@ -389,7 +392,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, ref refScheme,
 	seen["one-class"] = seen["one-class"] || len(want.drafted) > 0 && !slices.ContainsFunc(c.labeled, func(ex LabeledExample) bool { return ex.Label < 0 })
 	seen["flips"] = seen["flips"] || w.Flips > 0
 	seen["ties"] = seen["ties"] || c.twins && len(want.drafted) > 1
-	seen["drafted-"+ref.strategy.String()] = len(want.drafted) > 0
+	seen["drafted-"+params.Selection.String()] = len(want.drafted) > 0
 	return nil
 }
 

@@ -177,17 +177,15 @@ func (ctx *QueryContext) logPoints(indices []int) []kernel.Point {
 
 // Scheme is a retrieval scheme: it scores every image of the collection for
 // the query described by the context. Higher scores are more relevant.
-// RankTop returns the best k images in descending score order, ties broken
-// by ascending index — indices and scores bit-identical to Rank followed by
-// TopK, for any shard size and worker count — streamed through bounded
-// per-shard selection instead of one materialized score per image.
-// RankTopAppend is the allocation-free variant: it appends the same results
-// to dst (reusing dst's capacity), so a steady-state caller that recycles its
+// RankTopAppend appends the best k images to dst (reusing dst's capacity) in
+// descending score order, ties broken by ascending index — indices and
+// scores bit-identical to Rank followed by TopK, for any shard size and
+// worker count — streamed through bounded per-shard selection instead of one
+// materialized score per image, so a steady-state caller that recycles its
 // result buffer completes the whole ranking through pooled scratch memory.
 type Scheme interface {
 	Name() string
 	Rank(ctx *QueryContext) ([]float64, error)
-	RankTop(ctx *QueryContext, k int) ([]Ranked, error)
 	RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Ranked, error)
 }
 
@@ -248,7 +246,8 @@ func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, d
 	return pass.top(ctx, cands, k, dst)
 }
 
-// RankTop is s.RankTop, for callers that hold a scheme by its interface.
+// RankTop returns s's best k images in a fresh slice: s.RankTopAppend onto
+// nil.
 func RankTop(s Scheme, ctx *QueryContext, k int) ([]Ranked, error) {
-	return s.RankTop(ctx, k)
+	return s.RankTopAppend(ctx, k, nil)
 }

@@ -70,9 +70,6 @@ func TestSchemeNames(t *testing.T) {
 	if (LRFCSVM{}).Name() != "LRF-CSVM" {
 		t.Error("LRF-CSVM name")
 	}
-	if (LRFCSVMWithSelection{Strategy: SelectBoundary}).Name() != "LRF-CSVM[boundary]" {
-		t.Error("selection variant name")
-	}
 }
 
 func TestSelectionStrategyString(t *testing.T) {

@@ -309,8 +309,8 @@ func TestSelectUnlabeledRangesCancelled(t *testing.T) {
 	// are far shorter than the solver's poll interval), so the cancellation
 	// lands in step 1's selection scan.
 	qctx.Ctx = newCountdownCtx(5)
-	if got, err := (LRFCSVM{}).RankTop(qctx, 5); !errors.Is(err, context.Canceled) || got != nil {
-		t.Fatalf("cancelled LRFCSVM.RankTop = %v, %v; want nil, context.Canceled", got, err)
+	if got, err := RankTop(LRFCSVM{}, qctx, 5); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled RankTop(LRFCSVM{}) = %v, %v; want nil, context.Canceled", got, err)
 	}
 	if got := qctx.Batch.leased.Load(); got != 0 {
 		t.Fatalf("%d scratch arenas not returned after a cancelled refine", got)
@@ -370,16 +370,11 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 		ctx.Labeled = append(ctx.Labeled, ex)
 	}
 	ctx.Batch = NewCollectionBatch(visual)
-	p := CSVMParams{}.withDefaults()
-	_, _, _, _, err := trainingProblem(ctx, ctx.Batch, p,
-		func(_ *QueryContext, _ *CollectionBatch, v, l *svm.Model, _ int, _ *stepLane) ([]int, []float64, error) {
-			visualInit, logInit = v, l
-			return nil, nil, nil
-		}, nil)
+	v, l, err := LRF2SVMs{}.train(ctx, ctx.Batch)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ctx, visualInit, logInit
+	return ctx, v.Model(), l.Model()
 }
 
 var selectSink []int
@@ -397,13 +392,13 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
 			// One untimed pass fills the scratch pool, as any earlier refine on
 			// the engine's batch has.
-			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil); err != nil {
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil)
+				idx, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil)
 				if err != nil || len(idx) != 16 {
 					b.Fatalf("drafted %d images, err %v", len(idx), err)
 				}
@@ -454,7 +449,7 @@ func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 		ctx, visualInit, logInit := selectBenchProblem(t, n)
 		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
 		return steadyBytesPerPass(func() {
-			if _, _, err := selectLogAssisted(ctx, ctx.Batch, visualInit, logInit, 16, nil); err != nil {
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

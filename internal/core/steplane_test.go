@@ -38,7 +38,7 @@ func TestStepLaneIsTheDeferredColumnsSum(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx.Batch, ctx.Workers = batch, 2
-			pass, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+			pass, coupled, err := trainCSVM(ctx, CSVMParams{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestNothingToDraftReadsNoLane(t *testing.T) {
 	for _, query := range []int{0, 9, 22} {
 		ctx := coll.queryContext(query, n)
 		ctx.Batch = NewCollectionBatch(coll.visual)
-		want, err := LRF2SVMs{}.RankTop(ctx, 10)
+		want, err := RankTop(LRF2SVMs{}, ctx, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestNothingToDraftReadsNoLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pass, _, err := trainCSVM(indexed, CSVMParams{}, selectLogAssisted)
+		pass, _, err := trainCSVM(indexed, CSVMParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestCancelledRefineReturnsTheLane(t *testing.T) {
 		ctx.Batch, ctx.Workers = batch, workers
 		checks := newCountdownCtx(math.MaxInt32)
 		ctx.Ctx = checks
-		if _, err := (LRFCSVM{}).RankTop(ctx, 20); err != nil {
+		if _, err := RankTop(LRFCSVM{}, ctx, 20); err != nil {
 			t.Fatal(err)
 		}
 		total := int(math.MaxInt32 - checks.remaining.Load())
@@ -145,7 +145,7 @@ func TestCancelledRefineReturnsTheLane(t *testing.T) {
 		}
 		for allowed := range total {
 			ctx.Ctx = newCountdownCtx(allowed)
-			if _, err := (LRFCSVM{}).RankTop(ctx, 20); !errors.Is(err, context.Canceled) {
+			if _, err := RankTop(LRFCSVM{}, ctx, 20); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%d workers, cancelled after %d of %d checks: err %v", workers, allowed, total, err)
 			}
 			if l := batch.leased.Load(); l != 0 {
@@ -170,7 +170,7 @@ func TestConcurrentRefinesShareTheLanes(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx.Batch, ctx.Workers = batch, 2
-		if want[i], err = (LRFCSVM{}).RankTop(ctx, 20); err != nil {
+		if want[i], err = RankTop(LRFCSVM{}, ctx, 20); err != nil {
 			t.Fatal(err)
 		}
 		ctxs[i] = ctx
@@ -181,7 +181,7 @@ func TestConcurrentRefinesShareTheLanes(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := LRFCSVM{}.RankTop(ctx, 20)
+				got, err := RankTop(LRFCSVM{}, ctx, 20)
 				if err := sameRanking(got, err, want[i]); err != nil {
 					t.Errorf("round %d, query %d: %v", round, queries[i], err)
 				}
@@ -227,7 +227,7 @@ func TestSeededFloorIsExact(t *testing.T) {
 		ctx.Batch = ctx.collectionBatch()
 		b, n := ctx.Batch, len(c.visual)
 
-		pass, _, err := trainCSVM(ctx, c.params, selectLogAssisted)
+		pass, _, err := trainCSVM(ctx, c.params)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -213,7 +213,7 @@ func benchPassPairs(b *testing.B) {
 					visual = v.Model()
 					pass = twoSVMsScoring(ctx, batch, visual, l.Model())
 				} else {
-					p, coupled, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+					p, coupled, err := trainCSVM(ctx, CSVMParams{})
 					if err != nil {
 						b.Fatal(err)
 					}

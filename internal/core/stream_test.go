@@ -171,7 +171,7 @@ func TestSeededStep3Allocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx.Batch, ctx.Workers = batch, 1
-			pass, _, err := trainCSVM(ctx, CSVMParams{}, selectLogAssisted)
+			pass, _, err := trainCSVM(ctx, CSVMParams{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,13 +39,9 @@ var Ablations = []Ablation{
 	// Section 6.5's unlabeled-selection strategies: the log-assisted default,
 	// Fig. 1's score-driven max/min, boundary-based active selection and
 	// random drafting.
-	{Name: "selection", Schemes: func(*Experiment) []core.Scheme {
-		var schemes []core.Scheme
-		for _, strat := range []core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom} {
-			schemes = append(schemes, core.LRFCSVMWithSelection{Strategy: strat, RandomSeed: 11})
-		}
-		return schemes
-	}},
+	{Name: "selection", Schemes: csvmSweep("selection",
+		[]core.SelectionStrategy{core.SelectLogAssisted, core.SelectMaxMin, core.SelectBoundary, core.SelectRandom},
+		func(p *core.CSVMParams, s core.SelectionStrategy) { p.Selection = s })},
 	// The final weight ceiling rho of the annealing schedule (Eq. 1).
 	{Name: "rho", Schemes: csvmSweep("rho", []float64{0.1, 0.25, 0.5, 1, 2}, func(p *core.CSVMParams, rho float64) { p.Coupled.Rho = rho })},
 	// The label-correction threshold Delta of Fig. 1.

@@ -66,13 +66,13 @@ func runCap(n int) int {
 // feedbacklog.Log.RelevanceVectors returns them: each column's entries in
 // strictly ascending session order, inside its dimension, as sparse.Vector
 // keeps them. It refuses an empty slice, a nil column and a column of
-// another dimension than the first. The pages share one array, each its own
-// part, laid out as a compaction lays it out but with no free tail.
+// another dimension than the first. The columns are inverted by session and
+// laid out into pages as Extend lays out a log's sessions.
 func NewLogIndex(columns []*sparse.Vector) (*LogIndex, error) {
 	if len(columns) == 0 || columns[0] == nil {
 		return nil, fmt.Errorf("kernel: no log column for image 0")
 	}
-	dim, size := columns[0].Dim, 0
+	dim := columns[0].Dim
 	for i, v := range columns {
 		if v == nil {
 			return nil, fmt.Errorf("kernel: the log column of image %d is nil", i)
@@ -80,26 +80,12 @@ func NewLogIndex(columns []*sparse.Vector) (*LogIndex, error) {
 		if v.Dim != dim {
 			return nil, fmt.Errorf("kernel: the log column of image %d has %d sessions, image 0's has %d", i, v.Dim, dim)
 		}
-		size += runCap(len(v.Entries))
 	}
-	pages := make([]logPage, (len(columns)+pageImages-1)/pageImages)
-	entries := make([]sparse.Entry, size)
-	ix := &LogIndex{pages: make([]*logPage, len(pages))}
-	start, at := 0, 0 // the first entry of the page, the next
-	for i, v := range columns {
-		page := &pages[i/pageImages]
-		if i%pageImages == 0 {
-			start, ix.pages[i/pageImages] = at, page
-		}
-		page.runs[i%pageImages] = logRun{off: int32(at - start), n: int32(len(v.Entries))}
-		copy(entries[at:], v.Entries)
-		at += runCap(len(v.Entries))
-		page.entries, page.used = entries[start:at:at], int32(at-start)
+	sessions := NewSparseSVIndex(SparsePoints(columns))
+	if sessions == nil { // a log of no session
+		sessions = &SparseSVIndex{}
 	}
-	if sessions := NewSparseSVIndex(SparsePoints(columns)); sessions != nil {
-		ix.sessions = *sessions
-	}
-	return ix, nil
+	return (*LogIndex)(nil).Extend(sessions), nil
 }
 
 // Extend returns the index of the log whose sessions are the rows of

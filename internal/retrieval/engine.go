@@ -24,10 +24,11 @@ import (
 	"lrfcsvm/internal/linalg"
 )
 
-// Result is one ranked image.
+// Result is one ranked image, as the HTTP API encodes it
+// (server.ResultJSON).
 type Result struct {
-	Image int
-	Score float64
+	Image int     `json:"image"`
+	Score float64 `json:"score"`
 }
 
 // SchemeKind names the relevance-feedback schemes the engine can run.

@@ -170,14 +170,6 @@ func answer(err error) want {
 	return want{status: http.StatusBadRequest, err: err.Error()}
 }
 
-func resultsJSON(rs []retrieval.Result) []ResultJSON {
-	out := make([]ResultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = ResultJSON{r.Image, r.Score}
-	}
-	return out
-}
-
 // flakyJournal is a JournalSink whose next append fails once it is armed.
 type flakyJournal struct{ armed atomic.Bool }
 
@@ -563,7 +555,7 @@ func (d *serverDriver) query() {
 		}
 		d.reach("query-200", true)
 		d.reach("k-capped", k > d.m.cfg.MaxK)
-		return want{status: http.StatusOK, body: QueryResponse{Query: image, K: n, Results: resultsJSON(rs)}}
+		return want{status: http.StatusOK, body: QueryResponse{Query: image, K: n, Results: rs}}
 	})
 }
 
@@ -671,7 +663,7 @@ func (d *serverDriver) refine() {
 			return answer(err)
 		}
 		d.reach("k-capped", req.K > d.m.cfg.MaxK)
-		return want{status: http.StatusOK, body: RefineResponse{Scheme: scheme, Results: resultsJSON(rs)}}
+		return want{status: http.StatusOK, body: RefineResponse{Scheme: scheme, Results: rs}}
 	})
 }
 

@@ -629,19 +629,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ResultJSON is one ranked image in API responses.
-type ResultJSON struct {
-	Image int     `json:"image"`
-	Score float64 `json:"score"`
-}
-
-func toResultJSON(rs []retrieval.Result) []ResultJSON {
-	out := make([]ResultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = ResultJSON{Image: r.Image, Score: r.Score}
-	}
-	return out
-}
+// ResultJSON is one ranked image in API responses: the engine's result,
+// encoded as it is.
+type ResultJSON = retrieval.Result
 
 // QueryResponse is the payload of GET /api/query.
 type QueryResponse struct {
@@ -678,7 +668,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{Query: image, K: k, Results: toResultJSON(results)})
+	writeJSON(w, http.StatusOK, QueryResponse{Query: image, K: k, Results: results})
 }
 
 // AddImagesRequest is the payload of POST /api/images: the visual
@@ -855,7 +845,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RefineResponse{Scheme: string(kind), Results: toResultJSON(results)})
+	writeJSON(w, http.StatusOK, RefineResponse{Scheme: string(kind), Results: results})
 }
 
 // CommitRequest is the payload of POST /api/sessions/commit.
