@@ -30,7 +30,13 @@
 // a full stable sort for every shard size and worker count. Per-query score
 // lanes and selectors come from a pooled scratch arena on the collection
 // batch: a steady-state query with a recycled result buffer
-// (RankTopAppend) allocates one object per ranking pass. LRF-CSVM's
+// (RankTopAppend) allocates one object per ranking pass. An SVM scheme's
+// training — the solvers, their Gram matrices, the models, LRF-CSVM's draft
+// and coupled state — comes from a training arena pooled beside them and
+// handed back once the answer is built, so a refine allocates its answer
+// and a few fixed headers, 1.2-1.6 KB in 9-13 objects through
+// retrieval.Session.Refine whatever the collection and the log
+// (retrieval.TestRefineAllocations). LRF-CSVM's
 // unlabeled selection keeps bounded selectors of capacity N', so a refine
 // keeps no score per image and sorts nothing. The K limit is
 // threaded end to end — Engine.InitialQuery, Session.Refine, and the HTTP

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lrfcsvm/internal/kernel"
@@ -49,18 +48,6 @@ func (s Euclidean) RankTopAppend(ctx *QueryContext, k int, dst []Ranked) ([]Rank
 	return rankTop(s, ctx, CandidateSet{}, k, dst)
 }
 
-// labeledSplit splits the context's labeled examples into parallel index and
-// label slices, the representation the SVM trainers consume.
-func labeledSplit(ctx *QueryContext) (indices []int, labels []float64) {
-	indices = make([]int, len(ctx.Labeled))
-	labels = make([]float64, len(ctx.Labeled))
-	for i, ex := range ctx.Labeled {
-		indices[i] = ex.Index
-		labels[i] = ex.Label
-	}
-	return indices, labels
-}
-
 // gammaSample is the subsample size used by the RBF bandwidth heuristic.
 const gammaSample = 64
 
@@ -94,17 +81,6 @@ func LogRBFKernel(log *kernel.LogIndex, n int) kernel.Kernel {
 	return kernel.RBF{Gamma: kernel.EstimateRBFGamma(len(cols), func(i int) kernel.Point { return kernel.NewSparse(&cols[i]) }, gammaSample)}
 }
 
-// trainModality trains a plain SVM on the labeled examples of one modality;
-// its solver holds the model and the points' Gram matrix. Cancelling ctx
-// (the query's context; may be nil) abandons the training.
-func trainModality(ctx context.Context, points []kernel.Point, labels []float64, c float64, k kernel.Kernel) (*svm.Solver, error) {
-	s, err := svm.NewSolver(points, svm.Config{Kernel: k, Ctx: ctx})
-	if err == nil {
-		err = s.Solve(labels, svm.NewProblem(points, labels, c).C)
-	}
-	return s, err
-}
-
 // svmCost is the soft-margin cost of a labeled example in every SVM-based
 // scheme and in both modalities (C of RF-SVM and LRF-2SVMs, C_w and C_u of
 // Eq. 1). The paper does not report its choice; no table, sweep or program of
@@ -130,27 +106,31 @@ type RFSVM struct{}
 // Name implements Scheme.
 func (RFSVM) Name() string { return "RF-SVM" }
 
-// train validates the context and trains the round's visual SVM.
-func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch) (*svm.Model, error) {
-	indices, labels := labeledSplit(ctx)
-	s, err := trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+// train trains the round's visual SVM in the arena.
+func (RFSVM) train(ctx *QueryContext, batch *CollectionBatch, a *trainArena) (*svm.Model, error) {
+	indices, labels := a.labeledSplit(ctx)
+	a.points[0] = a.visualPoints(batch, indices, a.points[0])
+	s, err := a.trainModality(0, ctx.Ctx, a.points[0], labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, fmt.Errorf("core: RF-SVM training: %w", err)
 	}
-	return s.Model(), nil
+	return s.ModelInto(a.model(0)), nil
 }
 
-// scorer implements rangeScored: the round's model plus the query prior.
+// scorer implements rangeScored: the round's model, trained in an arena of
+// the batch's, plus the query prior.
 func (s RFSVM) scorer(ctx *QueryContext) (scoring, error) {
 	if err := ctx.Validate(false); err != nil {
 		return scoring{}, err
 	}
 	batch := ctx.collectionBatch()
-	model, err := s.train(ctx, batch)
+	a := batch.trainerGet()
+	model, err := s.train(ctx, batch, a)
 	if err != nil {
+		batch.trainerPut(a)
 		return scoring{}, err
 	}
-	return scoring{batch: batch, fn: visualScorer(ctx, batch, model)}, nil
+	return scoring{batch: batch, fn: visualScorer(ctx, batch, model), arena: a}, nil
 }
 
 // Rank implements Scheme.
@@ -175,37 +155,46 @@ type LRF2SVMs struct {
 // Name implements Scheme.
 func (LRF2SVMs) Name() string { return "LRF-2SVMs" }
 
-// train trains the round's two independent per-modality SVMs.
-func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch) (visual, log *svm.Solver, err error) {
+// train trains the round's two independent per-modality SVMs in the
+// arena's first two solver slots, over its labeled points (points[0] and
+// points[1]).
+func (s LRF2SVMs) train(ctx *QueryContext, batch *CollectionBatch, a *trainArena) (visual, log *svm.Solver, err error) {
 	logKernel := s.LogKernel
 	if logKernel == nil {
 		logKernel = defaultLogKernel
 	}
-	indices, labels := labeledSplit(ctx)
-	visual, err = trainModality(ctx.Ctx, batch.visualPoints(indices), labels, svmCost, batch.defaultVisualKernel())
+	indices, labels := a.labeledSplit(ctx)
+	a.points[0] = a.visualPoints(batch, indices, a.points[0])
+	visual, err = a.trainModality(0, ctx.Ctx, a.points[0], labels, svmCost, batch.defaultVisualKernel())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs visual training: %w", err)
 	}
-	log, err = trainModality(ctx.Ctx, ctx.logPoints(indices), labels, svmCost, logKernel)
+	a.points[1] = a.logPoints(ctx, indices, a.points[1])
+	log, err = a.trainModality(1, ctx.Ctx, a.points[1], labels, svmCost, logKernel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: LRF-2SVMs log training: %w", err)
 	}
 	return visual, log, nil
 }
 
-// scorer implements rangeScored: the round's model pair plus the query
-// prior, a top-K pass starting from the rows the log vouches for.
+// scorer implements rangeScored: the round's model pair, trained in an
+// arena of the batch's, plus the query prior, a top-K pass starting from the
+// rows the log vouches for.
 func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
 		return scoring{}, err
 	}
 	batch := ctx.collectionBatch()
-	visual, log, err := s.train(ctx, batch)
+	a := batch.trainerGet()
+	visual, log, err := s.train(ctx, batch, a)
 	if err != nil {
+		batch.trainerPut(a)
 		return scoring{}, err
 	}
-	return twoSVMsScoring(ctx, batch, visual.Model(), log.Model()), nil
+	pass := twoSVMsScoring(ctx, batch, visual.ModelInto(a.model(0)), log.ModelInto(a.model(1)))
+	pass.arena = a
+	return pass, nil
 }
 
 // twoSVMsScoring is LRF-2SVMs' retrieval pass with the model pair: a
@@ -236,13 +225,13 @@ type Pretrained2SVMs struct {
 }
 
 // Pretrain runs only the training stage of one LRF-2SVMs round and returns
-// the model pair for repeated ranking.
+// the model pair for repeated ranking, trained in an arena of its own.
 func (s LRF2SVMs) Pretrain(ctx *QueryContext) (*Pretrained2SVMs, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
 		return nil, err
 	}
-	visual, log, err := s.train(ctx, ctx.collectionBatch())
+	visual, log, err := s.train(ctx, ctx.collectionBatch(), new(trainArena))
 	if err != nil {
 		return nil, err
 	}

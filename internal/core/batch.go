@@ -65,12 +65,14 @@ type CollectionBatch struct {
 	// to a shard, not to the collection, so a batch shares the pool of the
 	// batch it was appended to: an ingestion neither allocates arenas anew
 	// nor leaves the old epoch's in a pool only a garbage collection empties.
-	// lanes keeps LRF-CSVM's step lanes the same way (stepLanes). leased
-	// counts this batch's arenas and lanes out on loan: zero after any pass
-	// or refine, cancelled or not.
-	scratch *sync.Pool
-	lanes   *stepLanes
-	leased  atomic.Int64
+	// lanes keeps LRF-CSVM's step lanes the same way, and trainers the SVM
+	// schemes' training arenas (trainArena), each in a free list (freeList).
+	// leased counts this batch's arenas and lanes out on loan: zero after any
+	// pass or refine, cancelled or not.
+	scratch  *sync.Pool
+	lanes    *freeList[stepLane]
+	trainers *freeList[trainArena]
+	leased   atomic.Int64
 }
 
 // NewCollectionBatch indexes the collection's visual descriptors into
@@ -92,7 +94,7 @@ func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *Collectio
 // without a copy: a collection decoded straight into a kernel.SetBuilder is
 // then stored once. The set must not be grown by anyone but the batch.
 func NewCollectionBatchOver(set *kernel.ShardedSet) *CollectionBatch {
-	return &CollectionBatch{set: set, scratch: new(sync.Pool), lanes: new(stepLanes)}
+	return &CollectionBatch{set: set, scratch: new(sync.Pool), lanes: new(freeList[stepLane]), trainers: new(freeList[trainArena])}
 }
 
 // Len returns the number of images in the collection.
@@ -106,10 +108,10 @@ func (b *CollectionBatch) Len() int { return b.set.Len() }
 // The default-kernel bandwidth is re-estimated lazily over the full grown
 // collection — the evenly spaced subsample of the estimator is deterministic,
 // so the grown batch's kernel is identical to a from-scratch batch over the
-// same collection. The grown batch shares the receiver's scoring arenas and
-// step lanes.
+// same collection. The grown batch shares the receiver's scoring arenas,
+// step lanes and training arenas.
 func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
-	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch, lanes: b.lanes}
+	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch, lanes: b.lanes, trainers: b.trainers}
 }
 
 // Grow is Append for a caller that keeps the whole collection as a slice:
@@ -165,16 +167,6 @@ func (b *CollectionBatch) defaultVisualKernel() kernel.Kernel {
 // queryVector returns the query image's descriptor, a view into the store.
 func (b *CollectionBatch) queryVector(ctx *QueryContext) linalg.Vector {
 	return linalg.Vector(b.set.Point(ctx.Query))
-}
-
-// visualPoints returns the visual descriptors of the given image indices as
-// kernel points, views into the store.
-func (b *CollectionBatch) visualPoints(indices []int) []kernel.Point {
-	out := make([]kernel.Point, len(indices))
-	for i, idx := range indices {
-		out[i] = b.set.Point(idx)
-	}
-	return out
 }
 
 // rankScratch is one pooled scoring arena, everything a worker needs beside
@@ -276,28 +268,43 @@ type stepLane struct {
 	first    []int
 }
 
-// stepLanes is a batch's free list of step lanes: it keeps as many as
-// refines have run at once, up to GOMAXPROCS, so a steady server reuses one
-// or two. A lane is collection-sized (400 KB at 50,000 images), and a
-// sync.Pool would keep one per P that a refine ended on, plus the copies its
-// victim cache keeps across a collection.
-type stepLanes struct {
+// freeList is a batch's free list of one kind of refine-scoped memory, the
+// step lanes or the training arenas: it keeps as many as refines have held
+// at once, up to GOMAXPROCS, so a steady server reuses one or two. A lane is
+// collection-sized (400 KB at 50,000 images), and a sync.Pool would keep one
+// per P that a refine ended on, plus the copies its victim cache keeps
+// across a collection.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*stepLane
+	free []*T
+}
+
+// get takes an item off the list, or a new one when it is empty.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return new(T)
+	}
+	t := f.free[n-1]
+	f.free = f.free[:n-1]
+	return t
+}
+
+// put returns an item to the list, which drops it when full.
+func (f *freeList[T]) put(t *T) {
+	f.mu.Lock()
+	if len(f.free) < runtime.GOMAXPROCS(0) {
+		f.free = append(f.free, t)
+	}
+	f.mu.Unlock()
 }
 
 // laneGet borrows a step lane sized to the collection, unwritten.
 func (b *CollectionBatch) laneGet() *stepLane {
 	b.leased.Add(1)
-	var l *stepLane
-	b.lanes.mu.Lock()
-	if n := len(b.lanes.free); n > 0 {
-		l, b.lanes.free = b.lanes.free[n-1], b.lanes.free[:n-1]
-	}
-	b.lanes.mu.Unlock()
-	if l == nil {
-		l = new(stepLane)
-	}
+	l := b.lanes.get()
 	if n := b.Len(); cap(l.sums) < n {
 		// Headroom for the images some ingestions append (1/64: 6 KB of a
 		// 400 KB lane at 50,000 images).
@@ -316,11 +323,7 @@ func (b *CollectionBatch) lanePut(l *stepLane) {
 	}
 	b.leased.Add(-1)
 	l.init = nil
-	b.lanes.mu.Lock()
-	if len(b.lanes.free) < runtime.GOMAXPROCS(0) {
-		b.lanes.free = append(b.lanes.free, l)
-	}
-	b.lanes.mu.Unlock()
+	b.lanes.put(l)
 }
 
 // handOff turns step 1's record into step 3's bound for the final visual
@@ -710,11 +713,10 @@ func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick
 // marks, so drafting the N' = num unlabeled points (fewer when fewer exist)
 // materializes no collection-sized slice and runs on every worker. A pass
 // that runs marks lane (nil: none) written, fn having recorded its sums, and
-// hands it step 1's best rows as step 3's seeds.
-func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer, lane *stepLane) (indices []int, initialLabels []float64, err error) {
-	labeled, _ := labeledSplit(ctx)
-	slices.Sort(labeled)
-	labeled = slices.Compact(labeled)
+// hands it step 1's best rows as step 3's seeds. The draft is kept in the
+// arena a.
+func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer, lane *stepLane, a *trainArena) (indices []int, initialLabels []float64, err error) {
+	labeled := a.sortedLabeled(ctx)
 	if unlabeled := b.VisualSet().Len() - len(labeled); num > unlabeled {
 		num = unlabeled
 	}
@@ -727,7 +729,8 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, cover
 	if err := scanRanges(ctx, b, CandidateSet{}, fn, unlabeledSink{labeled: labeled, log: covered}, sc); err != nil {
 		return nil, nil, err
 	}
-	indices, initialLabels = sc.pick.drain()
+	a.drafted, a.initial = sc.pick.drain(a.drafted[:0], a.initial[:0])
+	indices, initialLabels = a.drafted, a.initial
 	if lane != nil {
 		lane.written, lane.seeds = true, sc.pick.seeds(lane.seeds[:0])
 	}

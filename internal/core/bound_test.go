@@ -73,7 +73,7 @@ func TestTopKPassMatchesScanScores(t *testing.T) {
 	ctx := coll.queryContext(5, 20)
 	batch := NewCollectionBatch(coll.visual)
 	ctx.Batch = batch
-	model, err := RFSVM{}.train(ctx, batch)
+	model, err := RFSVM{}.train(ctx, batch, new(trainArena))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,14 +100,16 @@ func TrainCoupled(modalities []Modality, labels []float64, initialUnlabeled []fl
 	for m, mod := range modalities {
 		labeled[m], _ = svm.NewSolver(mod.Labeled, svm.Config{Kernel: mod.Kernel, Ctx: cfg.Ctx})
 	}
-	return trainCoupled(modalities, labels, initialUnlabeled, cfg, labeled)
+	return trainCoupled(modalities, labels, initialUnlabeled, cfg, labeled, new(trainArena))
 }
 
 // trainCoupled is TrainCoupled through labeled[m], a solver over modality m's
 // labeled points under its kernel and cfg.Ctx, grown by the unlabeled ones.
 // One that filled its Gram matrix (LRF-CSVM's step 1) saves those entries;
-// the result is the same bits either way.
-func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg CoupledConfig, labeled []*svm.Solver) (*CoupledResult, error) {
+// the result is the same bits either way. The grown solvers, the working
+// state, the models and the result are the arena's: solver and model slot
+// len(modalities)+m are modality m's.
+func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg CoupledConfig, labeled []*svm.Solver, a *trainArena) (*CoupledResult, error) {
 	if len(modalities) == 0 {
 		return nil, errors.New("core: coupled SVM needs at least one modality")
 	}
@@ -151,10 +153,12 @@ func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg
 	// A direct caller's zero Rho and Delta are LRF-CSVM's.
 	cfg = CSVMParams{Coupled: cfg}.withDefaults().Coupled
 
-	result := &CoupledResult{
-		Models:          make([]*svm.Model, len(modalities)),
-		UnlabeledLabels: append([]float64(nil), initialUnlabeled...),
+	st := &a.coupled
+	st.result = CoupledResult{
+		Models:          resize(st.result.Models, len(modalities)),
+		UnlabeledLabels: append(st.result.UnlabeledLabels[:0], initialUnlabeled...),
 	}
+	result := &st.result
 
 	// The alternating optimization retrains every modality many times —
 	// once per annealing step times once per label-correction pass — but
@@ -165,18 +169,20 @@ func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg
 	// values are built once and patched in place. Every Solve starts from
 	// zero, so a model depends only on the labels and costs it was trained
 	// with, never on the path the schedule took to them.
-	solvers := make([]*svm.Solver, len(modalities))
-	ys := make([]float64, nl+nu)
-	costs := make([][]float64, len(modalities))
-	decisions := make([][]float64, len(modalities))
+	nm := len(modalities)
+	st.solvers = resize(st.solvers, nm)
+	st.ys = resize(st.ys, nl+nu)
+	st.costs = resize(st.costs, nm)
+	st.decisions = resize(st.decisions, nm)
+	solvers, ys, costs, decisions := st.solvers, st.ys, st.costs, st.decisions
 	copy(ys[:nl], labels)
 	for m, mod := range modalities {
-		solvers[m] = labeled[m].Grow(mod.Unlabeled)
-		costs[m] = make([]float64, nl+nu)
+		solvers[m] = labeled[m].Grow(a.solver(nm+m), mod.Unlabeled)
+		costs[m] = resize(costs[m], nl+nu)
 		for i := 0; i < nl; i++ {
 			costs[m][i] = mod.C
 		}
-		decisions[m] = make([]float64, nu)
+		decisions[m] = resize(decisions[m], nu)
 	}
 
 	// trainAll trains every modality on labeled + unlabeled points with the
@@ -257,7 +263,7 @@ func trainCoupled(modalities []Modality, labels, initialUnlabeled []float64, cfg
 	// Only the final models are kept by callers, so the support vectors are
 	// expanded once per modality, from its solver's latest Solve.
 	for m := range result.Models {
-		result.Models[m] = solvers[m].Model()
+		result.Models[m] = solvers[m].ModelInto(a.model(nm + m))
 	}
 	return result, nil
 }

@@ -86,11 +86,12 @@ func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(
 // that covers no image (the scores still read the log) — stream; boundary
 // and random rank every unlabeled image, so they materialize the full
 // combined scores, without the lane, and run in the evaluation harness only.
-func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, lane *stepLane) ([]int, []float64, error) {
+// The streamed draft is kept in the arena.
+func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, lane *stepLane, a *trainArena) ([]int, []float64, error) {
 	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
 	switch p.Selection {
 	case SelectMaxMin:
-		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, &kernel.LogIndex{}, lane)
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, &kernel.LogIndex{}, lane, a)
 	case SelectBoundary:
 		pick = BoundarySelection
 	case SelectRandom:
@@ -98,7 +99,7 @@ func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit,
 			return RandomSelection(linalg.NewRNG(randomSelectionSeed), candidates, combined, num)
 		}
 	default:
-		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, ctx.LogIndex, lane)
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, ctx.LogIndex, lane, a)
 	}
 	combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil, kernel.PositiveSums{}))
 	if err != nil {
@@ -122,22 +123,21 @@ const randomSelectionSeed = 11
 // index covered, recording the lane as it scores. A pass that drafts runs
 // over every image, so a draft means the lane is written and seeded; with
 // nothing to draft the pass does not run and the lane stays unwritten.
-func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, lane *stepLane) ([]int, []float64, error) {
+func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, lane *stepLane, a *trainArena) ([]int, []float64, error) {
 	var pos kernel.PositiveSums
 	if lane != nil {
 		pos = kernel.PositiveSums{Lane: lane.sums, Record: true}
 	}
-	return selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos), lane)
+	return selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos), lane, a)
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
 // the unlabeled selection — and assembles the coupled training problem,
-// with step 1's solver of each modality. A lane (nil: none) is recorded and
-// seeded by the selection and keeps step 1's visual model and the rows whose
-// units step 3 scans first: the query and the drafted positives.
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, lane *stepLane) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
-	labeledIdx, labels := labeledSplit(ctx)
-
+// with step 1's solver of each modality, all in the arena. A lane (nil:
+// none) is recorded and seeded by the selection and keeps step 1's visual
+// model and the rows whose units step 3 scans first: the query and the
+// drafted positives.
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, lane *stepLane, a *trainArena) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
 	// the labeled data only — exactly LRF-2SVMs' two models — and score
 	// every image by the sum of the two decision values; draft N'/2
@@ -146,12 +146,12 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, la
 	// the N'/2 images with the smallest combined score with initial label -1
 	// (Fig. 1, step 1, the discussion in Section 6.5, and the log-assisted
 	// selection of Hoi & Lyu ACM-MM'04; see unlabeledSelector).
-	visualInit, logInit, err := LRF2SVMs{LogKernel: p.LogKernel}.train(ctx, batch)
+	visualInit, logInit, err := LRF2SVMs{LogKernel: p.LogKernel}.train(ctx, batch, a)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
 	}
-	visualModel := visualInit.Model()
-	unlabeledIdx, initialLabels, err := p.draft(ctx, batch, visualModel, logInit.Model(), lane)
+	visualModel := visualInit.ModelInto(a.model(0))
+	unlabeledIdx, initialLabels, err := p.draft(ctx, batch, visualModel, logInit.ModelInto(a.model(1)), lane, a)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -164,48 +164,59 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, la
 			}
 		}
 	}
-	modalities = []Modality{
-		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx)},
-		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx)},
+	a.points[2] = a.visualPoints(batch, unlabeledIdx, a.points[2])
+	a.points[3] = a.logPoints(ctx, unlabeledIdx, a.points[3])
+	a.modalities = [2]Modality{
+		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: a.points[0], Unlabeled: a.points[2]},
+		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: a.points[1], Unlabeled: a.points[3]},
 	}
-	modalities[0].Unlabeled = batch.visualPoints(unlabeledIdx)
-	modalities[1].Unlabeled = ctx.logPoints(unlabeledIdx)
-	return modalities, labels, initialLabels, []*svm.Solver{visualInit, logInit}, nil
+	return a.modalities[:], a.labels, initialLabels, a.solvers[:2], nil
 }
 
 // TrainingProblem extracts the coupled-SVM training problem — modalities,
 // labeled-set labels and initial unlabeled labels — that this scheme would
 // hand to TrainCoupled for the given context, unlabeled selection included.
 // It exists so benchmarks (bench/'s depth replay) can measure TrainCoupled
-// on exactly the problems the feedback path produces.
+// on exactly the problems the feedback path produces. The problem is built
+// in an arena of its own, its visual points copied out as kernel.Dense.
 func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []float64, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), nil)
-	return modalities, labels, initialLabels, err
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), nil, new(trainArena))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, points := range [][]kernel.Point{modalities[0].Labeled, modalities[0].Unlabeled} {
+		for i, pt := range points {
+			points[i], _ = kernel.DenseOf(pt)
+		}
+	}
+	return modalities, labels, initialLabels, nil
 }
 
 // trainCSVM validates the context and runs steps 1-2 of Fig. 1: unlabeled
 // selection with params' heuristic and the annealed coupled-SVM
-// optimization. It returns the coupled models with step 3's scoring, which
-// shares step 1's log index and reads step 1's lane; the caller releases it.
-// On an error the lane is back on the batch's free list.
+// optimization, in an arena of the batch's. It returns the coupled models
+// with step 3's scoring, which shares step 1's log index, reads step 1's
+// lane and holds the arena; the caller releases it. On an error the lane
+// and the arena are back in the batch.
 func trainCSVM(ctx *QueryContext, params CSVMParams) (final scoring, coupled *CoupledResult, err error) {
 	ctx, err = ctx.validated(true)
 	if err != nil {
 		return scoring{}, nil, err
 	}
 	batch := ctx.collectionBatch()
-	lane := batch.laneGet()
+	lane, a := batch.laneGet(), batch.trainerGet()
 	defer func() {
 		if err != nil {
 			batch.lanePut(lane)
+			batch.trainerPut(a)
 		}
 	}()
 	p := params.withDefaults()
-	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, lane)
+	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, lane, a)
 	if err != nil {
 		return scoring{}, nil, err
 	}
@@ -214,14 +225,14 @@ func trainCSVM(ctx *QueryContext, params CSVMParams) (final scoring, coupled *Co
 	// label correction, through step 1's solvers grown by the drafted points;
 	// cancelling the query cancels its training rounds too.
 	p.Coupled.Ctx = ctx.Ctx
-	coupled, err = trainCoupled(modalities, labels, initialLabels, p.Coupled, labeled)
+	coupled, err = trainCoupled(modalities, labels, initialLabels, p.Coupled, labeled, a)
 	if err != nil {
 		return scoring{}, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
 	lane.handOff(coupled.Models[0], labels)
 	vm, lm := coupled.Models[0], coupled.Models[1]
 	seeds := seedBlock{rows: lane.seeds, score: seedScorer(ctx, batch, vm, lm)}
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seeds: seeds, lane: lane}, coupled, nil
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seeds: seeds, lane: lane, arena: a}, coupled, nil
 }
 
 // RankTopAppend implements Scheme: steps 1-2 run exactly as in Rank, and

@@ -101,10 +101,14 @@ func TestLRFCSVMWithNothingToDraftIsLRF2SVMs(t *testing.T) {
 	n := len(col.visual)
 	for _, query := range []int{0, 9, 22} {
 		ctx := col.queryContext(query, n)
-		if final, coupled, err := trainCSVM(ctx, CSVMParams{}); err != nil {
+		final, coupled, err := trainCSVM(ctx, CSVMParams{})
+		if err != nil {
 			t.Fatal(err)
-		} else if final.release(); len(coupled.UnlabeledLabels) != 0 {
-			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, len(coupled.UnlabeledLabels))
+		}
+		drafted := len(coupled.UnlabeledLabels) // the arena's until the release
+		final.release()
+		if drafted != 0 {
+			t.Fatalf("query %d: %d images drafted from a fully judged collection", query, drafted)
 		}
 		want, err := LRF2SVMs{}.Rank(ctx)
 		if err != nil {

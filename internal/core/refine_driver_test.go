@@ -360,7 +360,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, params CSVMPar
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
-	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), params.withDefaults(), nil)
+	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), params.withDefaults(), nil, new(trainArena))
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
@@ -368,7 +368,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, params CSVMPar
 		return fmt.Errorf("%s step 1: initial labels %v, reference %v of %v", name, initial, want.initial, want.drafted)
 	}
 	for i, idx := range want.drafted {
-		if !slices.Equal(mods[0].Unlabeled[i].(kernel.Dense), kernel.Dense(c.visual[idx])) {
+		if d, _ := kernel.DenseOf(mods[0].Unlabeled[i]); !slices.Equal(d, kernel.Dense(c.visual[idx])) {
 			return fmt.Errorf("%s step 1: drafted point %d is not image %d of %v", name, i, idx, want.drafted)
 		}
 	}
@@ -376,7 +376,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, params CSVMPar
 	if err != nil {
 		return fmt.Errorf("%s step 2: %w", name, err)
 	}
-	final.release()
+	defer final.release() // the result is the arena's until then
 	w := want.coupled
 	if g, r := [4]int{got.Flips, got.Retrainings, got.RhoSteps, got.SolverIterations}, [4]int{w.Flips, w.Retrainings, w.RhoSteps, w.SolverIterations}; g != r || !slices.Equal(got.UnlabeledLabels, w.UnlabeledLabels) {
 		return fmt.Errorf("%s step 2: flips, retrainings, rho steps, iterations %v, labels %v; reference %v, %v", name, g, got.UnlabeledLabels, r, w.UnlabeledLabels)

@@ -163,26 +163,19 @@ func (ctx *QueryContext) labeledSet() map[int]bool {
 	return set
 }
 
-// logPoints returns the log columns of the given image indices as kernel
-// points, views into the log index.
-func (ctx *QueryContext) logPoints(indices []int) []kernel.Point {
-	cols := make([]sparse.Vector, len(indices))
-	out := make([]kernel.Point, len(indices))
-	for i, idx := range indices {
-		cols[i] = ctx.LogIndex.Column(idx)
-		out[i] = kernel.NewSparse(&cols[i])
-	}
-	return out
-}
-
 // Scheme is a retrieval scheme: it scores every image of the collection for
 // the query described by the context. Higher scores are more relevant.
 // RankTopAppend appends the best k images to dst (reusing dst's capacity) in
 // descending score order, ties broken by ascending index — indices and
 // scores bit-identical to Rank followed by TopK, for any shard size and
 // worker count — streamed through bounded per-shard selection instead of one
-// materialized score per image, so a steady-state caller that recycles its
-// result buffer completes the whole ranking through pooled scratch memory.
+// materialized score per image. The passes take their working memory from
+// the collection batch's pooled scoring arenas and an SVM scheme trains in a
+// pooled training arena (trainArena), so a steady-state caller that recycles
+// its result buffer allocates only a few fixed headers per ranking — the
+// scorer closures of the SVM schemes — and nothing that grows with the
+// collection or the log; retrieval's TestRefineAllocations pins a whole
+// Session.Refine at under 2 KB.
 type Scheme interface {
 	Name() string
 	Rank(ctx *QueryContext) ([]float64, error)
@@ -201,17 +194,23 @@ type rangeScored interface {
 // the function that scores one range of it (query prior included), the
 // seed rows a top-K pass starts from with their scorer — LRF-CSVM's step 1
 // best rows, the rows the log vouches for in LRF-2SVMs' pass, none in the
-// other schemes' — and, for LRF-CSVM, the step lane its final pass reads,
-// borrowed from the batch until release (nil for every other scheme).
+// other schemes' — and what it borrowed from the batch until release: the
+// training arena its models live in (the SVM schemes) and, for LRF-CSVM,
+// the step lane its final pass reads (nil for every other scheme).
 type scoring struct {
 	batch *CollectionBatch
 	fn    rangeScorer
 	seeds seedBlock
 	lane  *stepLane
+	arena *trainArena
 }
 
-// release returns the borrowed lane; the pass must not run after it.
-func (s scoring) release() { s.batch.lanePut(s.lane) }
+// release returns the borrowed lane and arena; the pass must not run after
+// it.
+func (s scoring) release() {
+	s.batch.lanePut(s.lane)
+	s.batch.trainerPut(s.arena)
+}
 
 // top streams the top k of the images cands names, appended to dst: a full
 // pass from the floor of the seeds, and any pass starting with the units of

@@ -148,12 +148,10 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 		if exhaustive {
 			indexed := *ctx
 			indexed.LogVectors, indexed.LogIndex = nil, logIndexOf(ctx)
-			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn, nil)
+			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn, nil, new(trainArena))
 			return
 		}
-		labeled, _ := labeledSplit(ctx)
-		slices.Sort(labeled)
-		labeled = slices.Compact(labeled)
+		labeled := new(trainArena).sortedLabeled(ctx)
 		// The draft is clamped to the unlabeled images the pass names, as
 		// selectUnlabeledRanges clamps it to the collection's.
 		n, named := b.VisualSet().Len(), 0
@@ -164,7 +162,7 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 		}
 		sc.pick.reset(min(k, named))
 		if err = scanRanges(ctx, b, cands, fn, unlabeledSink{labeled: labeled, log: logIndexOf(ctx)}, sc); err == nil {
-			idx, labels = sc.pick.drain()
+			idx, labels = sc.pick.drain(nil, nil)
 		}
 	}
 	return
@@ -370,7 +368,7 @@ func selectBenchProblem(tb testing.TB, n int) (ctx *QueryContext, visualInit, lo
 		ctx.Labeled = append(ctx.Labeled, ex)
 	}
 	ctx.Batch = NewCollectionBatch(visual)
-	v, l, err := LRF2SVMs{}.train(ctx, ctx.Batch)
+	v, l, err := LRF2SVMs{}.train(ctx, ctx.Batch, new(trainArena))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -392,13 +390,13 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
 			// One untimed pass fills the scratch pool, as any earlier refine on
 			// the engine's batch has.
-			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil); err != nil {
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil)
+				idx, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena))
 				if err != nil || len(idx) != 16 {
 					b.Fatalf("drafted %d images, err %v", len(idx), err)
 				}
@@ -449,7 +447,7 @@ func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 		ctx, visualInit, logInit := selectBenchProblem(t, n)
 		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
 		return steadyBytesPerPass(func() {
-			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil); err != nil {
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena)); err != nil {
 				t.Fatal(err)
 			}
 		})

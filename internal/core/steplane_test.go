@@ -49,7 +49,7 @@ func TestStepLaneIsTheDeferredColumnsSum(t *testing.T) {
 			}
 			want := make([]float64, set.Len())
 			for _, sv := range lane.deferred {
-				p := vm.SupportPoints[sv].(kernel.Dense)
+				p, _ := kernel.DenseOf(vm.SupportPoints[sv])
 				if !slices.ContainsFunc(ctx.Labeled, func(ex LabeledExample) bool {
 					return ex.Label > 0 && slices.Equal(kernel.Dense(coll.visual[ex.Index]), p)
 				}) {
@@ -155,38 +155,63 @@ func TestCancelledRefineReturnsTheLane(t *testing.T) {
 	}
 }
 
-// TestConcurrentRefinesShareTheLanes runs LRF-CSVM refines of different
-// queries at once on one batch, each on two workers, so that they borrow and
-// return step lanes concurrently: each must rank exactly as it does alone,
-// and every lane must be back once they are done.
+// TestConcurrentRefinesShareTheLanes runs RF-SVM, LRF-2SVMs and LRF-CSVM
+// refines of different queries at once on one batch, each on two workers, so
+// that they borrow and return training arenas, scoring arenas and step lanes
+// concurrently, beside one LRF-CSVM refine per round whose context is
+// cancelled before it starts: each completed refine must rank exactly as it
+// does alone, the cancelled ones must return the context's error, and every
+// arena and lane must be back once they are done. Under the race detector an
+// arena handed back while a model of its refine is still read shows as a
+// race.
 func TestConcurrentRefinesShareTheLanes(t *testing.T) {
 	coll := makeDenseLogCollection(t, 6, 50, 600, 29)
 	batch := NewShardedCollectionBatch(coll.visual, 32)
 	queries := []int{5, 60, 130, 170, 240, 299}
-	ctxs, want := make([]*QueryContext, len(queries)), make([][]Ranked, len(queries))
+	schemes := []Scheme{RFSVM{}, LRF2SVMs{}, LRFCSVM{}}
+	ctxs, want := make([]*QueryContext, len(queries)), make([][][]Ranked, len(schemes))
 	for i, q := range queries {
 		ctx, err := coll.queryContext(q, 20).validated(true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx.Batch, ctx.Workers = batch, 2
-		if want[i], err = RankTop(LRFCSVM{}, ctx, 20); err != nil {
-			t.Fatal(err)
-		}
 		ctxs[i] = ctx
 	}
+	for si, s := range schemes {
+		want[si] = make([][]Ranked, len(queries))
+		for i, ctx := range ctxs {
+			var err error
+			if want[si][i], err = RankTop(s, ctx, 20); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	var wg sync.WaitGroup
 	for round := range 3 {
-		for i, ctx := range ctxs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got, err := RankTop(LRFCSVM{}, ctx, 20)
-				if err := sameRanking(got, err, want[i]); err != nil {
-					t.Errorf("round %d, query %d: %v", round, queries[i], err)
-				}
-			}()
+		for si, s := range schemes {
+			for i, ctx := range ctxs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := RankTop(s, ctx, 20)
+					if err := sameRanking(got, err, want[si][i]); err != nil {
+						t.Errorf("round %d, %s, query %d: %v", round, s.Name(), queries[i], err)
+					}
+				}()
+			}
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := *ctxs[round]
+			ctx.Ctx = cancelled
+			if got, err := RankTop(LRFCSVM{}, &ctx, 20); !errors.Is(err, context.Canceled) {
+				t.Errorf("round %d: a cancelled refine ranked %d images, err %v", round, len(got), err)
+			}
+		}()
 	}
 	wg.Wait()
 	if l := batch.leased.Load(); l != 0 {
@@ -240,7 +265,7 @@ func TestSeededFloorIsExact(t *testing.T) {
 		checkSeededPass(t, seen, "", fmt.Sprintf("seed %d, LRF-CSVM", seed), ctx, pass, twice, rows, c.k)
 		pass.release()
 
-		visual, log, err := LRF2SVMs{LogKernel: c.params.LogKernel}.train(ctx, b)
+		visual, log, err := LRF2SVMs{LogKernel: c.params.LogKernel}.train(ctx, b, new(trainArena))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

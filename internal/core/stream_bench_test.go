@@ -62,7 +62,7 @@ func BenchmarkRankingPathRFSVM(b *testing.B) {
 	ctx := coll.queryContext(3, 10)
 	ctx.Workers = 1
 	ctx.Batch = sharded
-	model, err := (RFSVM{}).train(ctx, sharded)
+	model, err := (RFSVM{}).train(ctx, sharded, new(trainArena))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 	ctx := coll.queryContext(3, 10)
 	ctx.Workers = 1
 	ctx.Batch = sharded
-	visual, log, err := (LRF2SVMs{}).train(ctx, sharded)
+	visual, log, err := (LRF2SVMs{}).train(ctx, sharded, new(trainArena))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func benchPassPairs(b *testing.B) {
 				var pass scoring
 				var visual *svm.Model
 				if sh.scheme == "lrf-2svms" {
-					v, l, err := LRF2SVMs{}.train(ctx, batch)
+					v, l, err := LRF2SVMs{}.train(ctx, batch, new(trainArena))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -229,10 +229,9 @@ func (s *unlabeledSelector) seeds(dst []int) []int {
 }
 
 // drain empties the selector into the drafted images, in training order —
-// log-covered positives, fill, negatives worst first — and their labels.
-func (s *unlabeledSelector) drain() (indices []int, initialLabels []float64) {
-	indices = make([]int, 0, s.num)
-	initialLabels = make([]float64, 0, s.num)
+// log-covered positives, fill, negatives worst first — and their labels,
+// appended to indices and initialLabels, which must be empty.
+func (s *unlabeledSelector) drain(indices []int, initialLabels []float64) ([]int, []float64) {
 	draft := func(limit int, sign int, label float64) {
 		for _, c := range s.buf {
 			if len(indices) >= limit {

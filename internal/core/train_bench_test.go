@@ -57,9 +57,10 @@ func coupledProblem(coll *syntheticCollection, query, labeledK int) (modalities 
 			}
 		}
 	}
+	a := new(trainArena)
 	modalities = []Modality{
-		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: batch.visualPoints(labeledIdx), Unlabeled: batch.visualPoints(unlabeledIdx)},
-		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: ctx.logPoints(labeledIdx), Unlabeled: ctx.logPoints(unlabeledIdx)},
+		{Name: "visual", Kernel: batch.defaultVisualKernel(), C: svmCost, Labeled: a.visualPoints(batch, labeledIdx, nil), Unlabeled: a.visualPoints(batch, unlabeledIdx, nil)},
+		{Name: "log", Kernel: p.LogKernel, C: svmCost, Labeled: a.logPoints(ctx, labeledIdx, nil), Unlabeled: a.logPoints(ctx, unlabeledIdx, nil)},
 	}
 	return modalities, labels, initial
 }
@@ -69,8 +70,9 @@ func coupledProblem(coll *syntheticCollection, query, labeledK int) (modalities 
 // benchCoupledSetup's (log vectors of a few entries), log=dense is
 // denseLogCoupledSetup's (the feedback-small shape, ~60 entries). Both train
 // through fresh solvers, as TrainCoupled does. path=refine is a refine's
-// training on log=dense's problem: step 1's two labeled solves, then the
-// coupled trainer through those solvers grown by the drafted points.
+// training on log=dense's problem in one reused training arena, as a
+// refine's pooled one: step 1's two labeled solves, then the coupled
+// trainer through those solvers grown by the drafted points.
 func BenchmarkTrainCoupled(b *testing.B) {
 	for _, lane := range []struct {
 		name  string
@@ -93,15 +95,16 @@ func BenchmarkTrainCoupled(b *testing.B) {
 	b.Run("path=refine", func(b *testing.B) {
 		b.ReportAllocs()
 		labeled := make([]*svm.Solver, len(modalities))
+		a := new(trainArena)
 		for i := 0; i < b.N; i++ {
 			for m, mod := range modalities {
-				s, err := trainModality(context.Background(), mod.Labeled, labels, mod.C, mod.Kernel)
+				s, err := a.trainModality(m, context.Background(), mod.Labeled, labels, mod.C, mod.Kernel)
 				if err != nil {
 					b.Fatal(err)
 				}
 				labeled[m] = s
 			}
-			if _, err := trainCoupled(modalities, labels, initial, CoupledConfig{}, labeled); err != nil {
+			if _, err := trainCoupled(modalities, labels, initial, CoupledConfig{}, labeled, a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -43,6 +43,12 @@ type SparseSVIndex struct {
 // points of one dimension: none at all, a non-sparse or zero-dimension one,
 // or two of different dimensions.
 func NewSparseSVIndex(points []Point) *SparseSVIndex {
+	return new(SparseSVIndex).invert(points)
+}
+
+// invert makes the receiver the inversion of points, reusing its storage,
+// and returns it; nil when NewSparseSVIndex would return nil.
+func (ix *SparseSVIndex) invert(points []Point) *SparseSVIndex {
 	if len(points) == 0 {
 		return nil
 	}
@@ -57,7 +63,8 @@ func NewSparseSVIndex(points []Point) *SparseSVIndex {
 	// A counting sort by index: start[i+2] counts index i, the prefix sum
 	// leaves the first cell of i in start[i+1], and placing the cells in
 	// point order advances it to the first cell of i+1.
-	start := make([]int32, dim+2)
+	start := resize(ix.start, dim+2)
+	clear(start)
 	n := 0
 	for _, p := range points {
 		for _, e := range p.(Sparse).Entries {
@@ -70,14 +77,21 @@ func NewSparseSVIndex(points []Point) *SparseSVIndex {
 		sum += start[i]
 		start[i] = sum
 	}
-	cells := make([]sparse.Entry, n)
+	cells := resize(ix.cells, n)
 	for t, p := range points {
 		for _, e := range p.(Sparse).Entries {
 			cells[start[e.Index+1]] = sparse.Entry{Index: t, Value: e.Value}
 			start[e.Index+1]++
 		}
 	}
-	return &SparseSVIndex{dim: dim, start: start[:dim+1], cells: cells}
+	ix.dim, ix.start, ix.cells = dim, start[:dim+1], cells
+	return ix
+}
+
+// resize returns s with length n, reusing its backing array when it holds
+// n; the contents are unspecified.
+func resize[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Dim returns the dimension of the indexed points, the number of indices; a
@@ -175,10 +189,11 @@ type weightSums struct {
 // the sessions some support vector carries, ascending, whatever the sum (a
 // non-finite coefficient reaches only its support vector's sessions). A
 // pooled dense accumulator, read back in the order of the bitmap of the
-// sessions touched, makes a build cost the entries and a bit per session and
-// allocate only w. Reports false for counts that differ or a support vector
-// that is not a sparse point of the first one's dimension.
-func LinearWeights(coefs []float64, svs []Point) (sparse.Vector, bool) {
+// sessions touched, makes a build cost the entries and a bit per session;
+// w's entries reuse dst's storage, so a build into a grown dst allocates
+// nothing. Reports false for counts that differ or a support vector that is
+// not a sparse point of the first one's dimension.
+func LinearWeights(dst []sparse.Entry, coefs []float64, svs []Point) (sparse.Vector, bool) {
 	if len(coefs) != len(svs) {
 		return sparse.Vector{}, false
 	}
@@ -205,7 +220,7 @@ func LinearWeights(coefs []float64, svs []Point) (sparse.Vector, bool) {
 	for _, word := range touched {
 		n += bits.OnesCount64(word)
 	}
-	w := sparse.Vector{Dim: dim, Entries: make([]sparse.Entry, 0, n)}
+	w := sparse.Vector{Dim: dim, Entries: slices.Grow(dst[:0], n)}
 	for k, word := range touched {
 		for ; word != 0; word &= word - 1 {
 			s := k<<6 + bits.TrailingZeros64(word)
@@ -309,13 +324,13 @@ func (t *WeightTable) Decision(bias float64, col sparse.Vector) float64 {
 func (k RBF) EvalBatch(x Point, ys []Point, dst []float64) {
 	checkBatch(len(ys), len(dst))
 	j := 0
-	if xv, ok := x.(Dense); ok {
+	if xv, ok := DenseOf(x); ok {
 		xs := []float64(xv)
 		for ; j+4 <= len(ys); j += 4 {
-			w0, ok0 := ys[j].(Dense)
-			w1, ok1 := ys[j+1].(Dense)
-			w2, ok2 := ys[j+2].(Dense)
-			w3, ok3 := ys[j+3].(Dense)
+			w0, ok0 := DenseOf(ys[j])
+			w1, ok1 := DenseOf(ys[j+1])
+			w2, ok2 := DenseOf(ys[j+2])
+			w3, ok3 := DenseOf(ys[j+3])
 			if !ok0 || !ok1 || !ok2 || !ok3 || len(w0) != len(xs) || len(w1) != len(xs) || len(w2) != len(xs) || len(w3) != len(xs) {
 				break
 			}
@@ -352,6 +367,29 @@ type DenseSet struct {
 func NewDenseSet(vs []linalg.Vector) *DenseSet {
 	m := linalg.FromRows(vs)
 	return &DenseSet{mat: *m, norms: m.RowSquaredNorms(make(linalg.Vector, m.Rows))}
+}
+
+// LoadPoints makes the receiver the set of the given dense points (DenseOf),
+// copied in order with NewDenseSet's norms, reusing its storage, and reports
+// whether it could: false, leaving the set unspecified, when a point is not
+// dense. Points of different dimensions panic, as in NewDenseSet.
+func (s *DenseSet) LoadPoints(points []Point) bool {
+	data, cols := s.mat.Data[:0], 0
+	for i, p := range points {
+		d, ok := DenseOf(p)
+		if !ok {
+			return false
+		}
+		if i == 0 {
+			cols = len(d)
+		} else if len(d) != cols {
+			panic(fmt.Sprintf("kernel: LoadPoints ragged input: point %d has %d dimensions, want %d", i, len(d), cols))
+		}
+		data = append(data, d...)
+	}
+	s.mat = linalg.Matrix{Rows: len(points), Cols: cols, Data: data}
+	s.norms = s.mat.RowSquaredNorms(resize(s.norms, len(points)))
+	return true
 }
 
 // Len returns the number of points in the set.

@@ -17,30 +17,44 @@ package kernel
 // RBF fills its rows through RBF.EvalBatch, whose dense lane is the trainer's
 // visual Gram rows, and any other kernel or point mix through Eval. All give
 // Eval's bits. A cache is not safe for concurrent use.
+//
+// A cache keeps its storage when it is bound to other points (Reset, Grow):
+// the matrix, the inversion and a grown cache's point list are reused, grown
+// but never shrunk, so a training arena that rebinds its caches every refine
+// allocates nothing once they have grown.
 type Cache struct {
 	kernel Kernel
 	points []Point
 	base   *Cache    // the cache this one was grown from, until the fill
-	gram   []float64 // row-major; nil until the first Row
+	gram   []float64 // row-major; empty until the first Row
 	// index is points inverted by session, kept by a fill from no filled
-	// base when the kernel is Linear over sparse points of one dimension.
+	// base when the kernel is Linear over sparse points of one dimension;
+	// ix is its storage, and that of a grown cache's inversion of its new
+	// points. grown is the storage of a grown cache's points.
 	index *SparseSVIndex
+	ix    SparseSVIndex
+	grown []Point
 }
 
-// NewCache returns the Gram matrix of the given points.
-func NewCache(k Kernel, points []Point) *Cache {
-	return &Cache{kernel: k, points: points}
+// Reset makes the receiver the Gram matrix of the given points under k,
+// keeping its storage; the zero Cache is ready for it. The points are kept,
+// not copied.
+func (c *Cache) Reset(k Kernel, points []Point) {
+	c.kernel, c.points, c.base, c.gram, c.index = k, points, nil, c.gram[:0], nil
 }
 
-// Grow returns the Gram matrix of the receiver's points followed by more.
-// When the receiver is filled by the first Row call of the result, its pairs
-// are copied and only the pairs that involve a point of more are evaluated:
-// LRF-CSVM's coupled problem is its step 1 problem's points followed by the
-// drafted ones, so a refine computes each Gram entry once.
-func (c *Cache) Grow(more []Point) *Cache {
-	points := make([]Point, 0, len(c.points)+len(more))
-	points = append(append(points, c.points...), more...)
-	return &Cache{kernel: c.kernel, points: points, base: c}
+// Grow makes dst the Gram matrix of the receiver's points followed by more,
+// keeping dst's storage, and returns it. When the receiver is filled by the
+// first Row call of dst, its pairs are copied and only the pairs that
+// involve a point of more are evaluated: LRF-CSVM's coupled problem is its
+// step 1 problem's points followed by the drafted ones, so a refine computes
+// each Gram entry once. The receiver must stay bound to its points until
+// then.
+func (c *Cache) Grow(dst *Cache, more []Point) *Cache {
+	dst.grown = append(append(dst.grown[:0], c.points...), more...)
+	dst.Reset(c.kernel, dst.grown)
+	dst.base = c
+	return dst
 }
 
 // Points returns the points of the matrix, in row order.
@@ -48,7 +62,7 @@ func (c *Cache) Points() []Point { return c.points }
 
 // Row returns the kernel row K(points[i], points[j]) for all j.
 func (c *Cache) Row(i int) []float64 {
-	if c.gram == nil {
+	if len(c.gram) == 0 {
 		c.fill()
 	}
 	n := len(c.points)
@@ -64,10 +78,11 @@ func (c *Cache) Row(i int) []float64 {
 // at +0: the copy and the mirrors write only other cells.
 func (c *Cache) fill() {
 	n := len(c.points)
-	g := make([]float64, n*n)
+	g := resize(c.gram, n*n)
+	clear(g)
 	n0 := 0
 	var head, tail *SparseSVIndex
-	if b := c.base; b != nil && b.gram != nil {
+	if b := c.base; b != nil && len(b.gram) > 0 {
 		n0, head = len(b.points), b.index
 		for i := range n0 {
 			copy(g[i*n:i*n+n0], b.gram[i*n0:(i+1)*n0])
@@ -75,7 +90,7 @@ func (c *Cache) fill() {
 	}
 	c.base = nil
 	if _, ok := c.kernel.(Linear); ok {
-		tail = NewSparseSVIndex(c.points[n0:])
+		tail = c.ix.invert(c.points[n0:])
 		if n0 == 0 {
 			c.index = tail
 		} else if head.Dim() != tail.Dim() {

@@ -42,15 +42,15 @@ func checkGramOf(t *testing.T, label string, k Kernel, pts []Point, c *Cache) {
 func checkGrown(t *testing.T, label string, k Kernel, pts []Point, split, mid int, filled bool) {
 	t.Helper()
 	label = fmt.Sprintf("%s, grown at %d and %d from a base filled %v", label, split, mid, filled)
-	base := NewCache(k, pts[:split])
+	base := newCache(k, pts[:split])
 	if filled && split > 0 {
 		base.Row(0)
 	}
-	once := base.Grow(pts[split:mid])
+	once := base.Grow(new(Cache), pts[split:mid])
 	if filled && mid > 0 {
 		once.Row(0)
 	}
-	checkGramOf(t, label, k, pts, once.Grow(pts[mid:]))
+	checkGramOf(t, label, k, pts, once.Grow(new(Cache), pts[mid:]))
 	checkGramOf(t, label+": the base", k, pts[:split], base)
 	checkGramOf(t, label+": the first growth", k, pts[:mid], once)
 }
@@ -61,7 +61,7 @@ func checkGrown(t *testing.T, label string, k Kernel, pts []Point, split, mid in
 func checkGram(t *testing.T, label string, k Kernel, pts []Point) {
 	t.Helper()
 	n := len(pts)
-	checkGramOf(t, label, k, pts, NewCache(k, pts))
+	checkGramOf(t, label, k, pts, newCache(k, pts))
 	for _, split := range []int{0, 1, n - 1, n} {
 		for _, filled := range []bool{true, false} {
 			checkGrown(t, label, k, pts, split, split+(n-split)/2, filled)
@@ -104,11 +104,19 @@ func FuzzCacheRow(f *testing.F) {
 			pts[i] = NewSparse(v)
 		}
 		label := fmt.Sprintf("%d points of dimension %d", len(pts), dim)
-		c := NewCache(Linear{}, pts)
+		c := newCache(Linear{}, pts)
 		checkGramOf(t, label, Linear{}, pts, c)
 		if c.index == nil {
 			t.Fatalf("%s: no session index built", label)
 		}
 		checkGrown(t, label, Linear{}, pts, split, mid, filled)
 	})
+}
+
+// newCache returns the Gram matrix of points under k, a new cache bound as a
+// solver binds its own (Cache.Reset).
+func newCache(k Kernel, points []Point) *Cache {
+	c := new(Cache)
+	c.Reset(k, points)
+	return c
 }

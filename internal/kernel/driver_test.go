@@ -416,7 +416,7 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		// support vectors: a model's one support vector defines its
 		// dimension, and the build takes it.
 		if nsv > 1 || oddDense {
-			if _, ok := LinearWeights(coefs, svs); ok {
+			if _, ok := LinearWeights(nil, coefs, svs); ok {
 				t.Fatalf("%s: the build took a support vector that is not a sparse point of the model's dimension", label)
 			}
 		} else if _, err := buildWeights(coefs, svs, refWeights(coefs, svs)); err != nil {
@@ -488,7 +488,8 @@ func checkSessions(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 // every kernel and point mix it fills differently: the log modality's sparse
 // Linear problem through the session index, dense RBF four points per trip,
 // sparse RBF, dense Linear, zero-dimension sparse points and a kernel with no
-// batched path. Points of two dimensions panic as the pairwise product does.
+// batched path; dense points fill the same matrix held as *Dense. Points of
+// two dimensions panic as the pairwise product does.
 func checkCaches(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 	t.Helper()
 	n, dim, mean := 1+rng.Intn(56), 1+rng.Intn(40), pick(rng, 60, 4, 0.8)
@@ -525,13 +526,13 @@ func checkCaches(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		}
 		for _, order := range [][]Point{mixed, {mixed[1], mixed[0]}} {
 			want := panicOf(func() { Linear{}.Eval(order[1], order[0]) })
-			base := NewCache(Linear{}, order[:1])
+			base := newCache(Linear{}, order[:1])
 			base.Row(0)
-			if got := panicOf(func() { base.Grow(order[1:]).Row(0) }); got != want || want == "<nil>" {
+			if got := panicOf(func() { base.Grow(new(Cache), order[1:]).Row(0) }); got != want || want == "<nil>" {
 				t.Errorf("grown across dimensions: Row panics %q, Eval panics %q", got, want)
 			}
 			want = panicOf(func() { Linear{}.Eval(order[0], order[1]) })
-			c := NewCache(Linear{}, order)
+			c := newCache(Linear{}, order)
 			if got := panicOf(func() { c.Row(1) }); got != want || c.index != nil {
 				t.Errorf("mixed dimensions: Row panics %q, Eval panics %q; index built %v", got, want, c.index != nil)
 			}
@@ -539,12 +540,23 @@ func checkCaches(t *testing.T, rng *linalg.RNG, seen map[string]bool) {
 		seen["cache-mixed-dims"] = true
 		return
 	}
-	c := NewCache(k, pts)
+	c := newCache(k, pts)
 	c.Row(0)
 	if _, sparseLinear := k.(Linear); (c.index != nil) != (sparseLinear && regime != "linear-dense" && regime != "zero-dim") {
 		t.Fatalf("%s: session index built = %v", regime, c.index != nil)
 	}
-	checkGram(t, fmt.Sprintf("%s, %d points of %d", regime, len(pts), dim), k, pts)
+	label := fmt.Sprintf("%s, %d points of %d", regime, len(pts), dim)
+	checkGram(t, label, k, pts)
+	if regime == "rbf-dense" || regime == "linear-dense" || regime == "no-batch" {
+		// The same points held as *Dense, as a training arena passes them,
+		// fill the same matrix.
+		refs := make([]Point, len(pts))
+		for i, p := range pts {
+			d := p.(Dense)
+			refs[i] = &d
+		}
+		checkGramOf(t, label+", as *Dense", k, pts, newCache(k, refs))
+	}
 	seen["cache-"+regime] = true
 }
 

@@ -17,12 +17,26 @@ type Point interface {
 	SquaredDistance(other Point) float64
 }
 
-// Dense adapts a dense feature vector to the Point interface.
+// Dense adapts a dense feature vector to the Point interface. A *Dense is
+// the same point: it boxes into a Point without an allocation, so a trainer
+// that keeps the headers of its points (the SVM schemes' training arena)
+// passes them as pointers, and every path reads both forms alike (DenseOf).
 type Dense linalg.Vector
+
+// DenseOf returns the values of a dense point, held as a Dense or a *Dense.
+func DenseOf(p Point) (Dense, bool) {
+	switch v := p.(type) {
+	case Dense:
+		return v, true
+	case *Dense:
+		return *v, true
+	}
+	return nil, false
+}
 
 // Dot implements Point.
 func (d Dense) Dot(other Point) float64 {
-	o, ok := other.(Dense)
+	o, ok := DenseOf(other)
 	if !ok {
 		panic(fmt.Sprintf("kernel: Dense.Dot with incompatible point type %T", other))
 	}
@@ -31,7 +45,7 @@ func (d Dense) Dot(other Point) float64 {
 
 // SquaredDistance implements Point.
 func (d Dense) SquaredDistance(other Point) float64 {
-	o, ok := other.(Dense)
+	o, ok := DenseOf(other)
 	if !ok {
 		panic(fmt.Sprintf("kernel: Dense.SquaredDistance with incompatible point type %T", other))
 	}

@@ -107,7 +107,7 @@ func walkRanges(w sparse.Vector, ix *SparseSVIndex, dst0 []float64, ranges [][2]
 
 // buildWeights builds the model's weights and holds them to want.
 func buildWeights(coefs []float64, svs []Point, want sparse.Vector) (sparse.Vector, error) {
-	w, ok := LinearWeights(coefs, svs)
+	w, ok := LinearWeights(nil, coefs, svs)
 	if !ok {
 		return w, fmt.Errorf("the build refused the model")
 	}
@@ -238,7 +238,8 @@ func FuzzLinearAccumulateWeights(f *testing.F) {
 // TestLinearWeightsCostWhatTheyCarry: a build costs the sessions the model
 // carries, not the log's. A model of 40 support vectors carrying about 40
 // sessions of a 100,000-session log allocates its weights and nothing more
-// once the pooled accumulator is warm on the P that builds.
+// once the pooled accumulator is warm on the P that builds, and nothing at
+// all into the entries of a vector it built before.
 func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random and allocates beside the code under test")
@@ -254,7 +255,7 @@ func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
 	// The warm-up leaves the accumulator in its P's private pool slot, which
 	// a build on another P cannot take: the measurement runs on one P.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	w, ok := LinearWeights(coefs, svs) // warms the pool
+	w, ok := LinearWeights(nil, coefs, svs) // warms the pool
 	if !ok {
 		t.Fatal("the build refused the model")
 	}
@@ -265,13 +266,16 @@ func TestLinearWeightsCostWhatTheyCarry(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		LinearWeights(coefs, svs)
+		LinearWeights(nil, coefs, svs)
 	}
 	runtime.ReadMemStats(&after)
 	allocs, bytes := (after.Mallocs-before.Mallocs)/runs, float64(after.TotalAlloc-before.TotalAlloc)/runs
 	t.Logf("weights of %d sessions (%.0f bytes) of %d: %d allocations, %.0f bytes per build", len(w.Entries), own, dim, allocs, bytes)
 	if allocs > 1 || bytes > 2*own {
 		t.Errorf("a build allocates %d objects and %.0f bytes, want at most 1 and %.0f (twice the weights' own)", allocs, bytes, 2*own)
+	}
+	if reused := testing.AllocsPerRun(runs, func() { w, _ = LinearWeights(w.Entries, coefs, svs) }); reused != 0 {
+		t.Errorf("a build into a built vector's entries allocates %.0f objects, want none", reused)
 	}
 }
 
@@ -300,13 +304,13 @@ func BenchmarkLogHalf(b *testing.B) {
 		dst := make([]float64, rows)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			LinearWeights(coefs, svs) // warms the pooled accumulator
+			LinearWeights(nil, coefs, svs) // warms the pooled accumulator
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range dst {
 					dst[j] = 0.25
 				}
-				w, ok := LinearWeights(coefs, svs)
+				w, ok := LinearWeights(nil, coefs, svs)
 				if !ok {
 					b.Fatal("refused")
 				}

@@ -96,21 +96,7 @@ func page(rng *linalg.RNG, n, q int) map[int]bool {
 
 // categoryLog is a log of n/25 sessions, each judging a page.
 func categoryLog(tb testing.TB, rng *linalg.RNG, n int) *feedbacklog.Log {
-	log := feedbacklog.NewLog(n)
-	for s := 0; s < n/25; s++ {
-		q := rng.Intn(n)
-		judged := make(map[int]feedbacklog.Judgment, 20)
-		for img, relevant := range page(rng, n, q) {
-			judged[img] = feedbacklog.Irrelevant
-			if relevant {
-				judged[img] = feedbacklog.Relevant
-			}
-		}
-		if _, err := log.AddSession(feedbacklog.Session{QueryImage: q, Judgments: judged}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return log
+	return sessionsLog(tb, rng, n, n/25)
 }
 
 // judgedSession starts a session on a random query and judges a page in it.

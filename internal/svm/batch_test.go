@@ -160,7 +160,7 @@ func TestSolverGrowEvaluatesOnlyNewPairs(t *testing.T) {
 		t.Fatalf("the base evaluated %d pairs, want %d", evals, nl*(nl+1)/2)
 	}
 	before := base.Model()
-	grown := base.Grow(points[nl:])
+	grown := base.Grow(new(Solver), points[nl:])
 	if err := grown.Solve(labels, costs); err != nil {
 		t.Fatal(err)
 	}

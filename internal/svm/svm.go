@@ -30,11 +30,15 @@
 // reports "avx2". The two give the same bits, so the duals, iterations and
 // models are the same on any CPU.
 //
-// A Solver is bound to one point set: it keeps the whole Gram matrix of its
-// points and its working arrays for its whole life, and each Solve takes new
-// labels and costs over those points. The coupled SVM retrains each modality
-// dozens of times per feedback round over one point set this way; Train is
-// one Solve on a fresh Solver, and Grow starts one from another's matrix.
+// A Solver is bound to one point set at a time: it keeps the whole Gram
+// matrix of its points and its working arrays while it is bound, and each
+// Solve takes new labels and costs over those points. The coupled SVM
+// retrains each modality dozens of times per feedback round over one point
+// set this way; Train is one Solve on a fresh Solver, and Grow starts one
+// from another's matrix. Reset and Grow rebind a solver keeping its storage,
+// and ModelInto rewrites a model keeping its, so a trainer that keeps its
+// solvers and models across refines (core's training arena) allocates
+// nothing once they have grown.
 //
 // Every product the solver and the decision functions add is written
 // float64(x*y), which the Go specification forbids fusing into a
@@ -47,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"lrfcsvm/internal/kernel"
@@ -137,10 +142,11 @@ type Model struct {
 	Converged bool
 
 	// svOnce lazily builds svSet, the support vectors in flat row-major
-	// storage, for the fused dense scoring path. Models must be shared by
-	// pointer (copying would copy the sync.Once).
+	// storage (svBuf's), for the fused dense scoring path. Models must be
+	// shared by pointer (copying would copy the sync.Once).
 	svOnce sync.Once
 	svSet  *kernel.DenseSet
+	svBuf  kernel.DenseSet
 	// wOnce lazily builds weights, the weight vector of a linear model over
 	// sparse support vectors, for the log half of the scans; linear reports
 	// whether it was built.
@@ -153,16 +159,8 @@ type Model struct {
 // all dense points, building it once on first use; nil otherwise.
 func (m *Model) denseSVSet() *kernel.DenseSet {
 	m.svOnce.Do(func() {
-		vs := make([]linalg.Vector, len(m.SupportPoints))
-		for i, sv := range m.SupportPoints {
-			d, ok := sv.(kernel.Dense)
-			if !ok {
-				return
-			}
-			vs[i] = linalg.Vector(d)
-		}
-		if len(vs) > 0 {
-			m.svSet = kernel.NewDenseSet(vs)
+		if len(m.SupportPoints) > 0 && m.svBuf.LoadPoints(m.SupportPoints) {
+			m.svSet = &m.svBuf
 		}
 	})
 	return m.svSet
@@ -175,7 +173,7 @@ func (m *Model) denseSVSet() *kernel.DenseSet {
 func (m *Model) LinearWeights() (sparse.Vector, bool) {
 	m.wOnce.Do(func() {
 		if _, ok := m.Kernel.(kernel.Linear); ok {
-			m.weights, m.linear = kernel.LinearWeights(m.Coefficients, m.SupportPoints)
+			m.weights, m.linear = kernel.LinearWeights(m.weights.Entries, m.Coefficients, m.SupportPoints)
 		}
 	})
 	return m.weights, m.linear
@@ -243,7 +241,8 @@ func (m *Model) DecisionSet(set *kernel.DenseSet, dst, buf []float64) {
 		buf = make([]float64, len(dst))
 	}
 	for i, sv := range m.SupportPoints {
-		m.Kernel.EvalSet(linalg.Vector(sv.(kernel.Dense)), set, buf)
+		d, _ := kernel.DenseOf(sv)
+		m.Kernel.EvalSet(linalg.Vector(d), set, buf)
 		c := m.Coefficients[i]
 		for j, kv := range buf {
 			dst[j] += float64(c * kv)
@@ -298,7 +297,7 @@ func (m *Model) Predict(x kernel.Point) float64 {
 }
 
 // Solver is the SMO solver bound to one point set under one Config. It owns
-// the points' Gram matrix and its working arrays for its whole life: kernel
+// the points' Gram matrix and its working arrays while it is bound: kernel
 // values depend only on the points, never on labels or costs, so the first
 // row a Solve reads fills the matrix for every later Solve, which allocates
 // nothing. Each Solve starts from alpha = 0, so what it computes depends only
@@ -309,7 +308,9 @@ type Solver struct {
 	// and costs copied in.
 	p     Problem
 	cfg   Config
-	cache *kernel.Cache
+	cache kernel.Cache
+	// buf carries the six per-point arrays.
+	buf []float64
 
 	alpha []float64
 	grad  []float64 // G_i = (Q alpha)_i - 1
@@ -336,34 +337,48 @@ type Solver struct {
 // NewSolver binds a solver to points under cfg. The points are kept, not
 // copied.
 func NewSolver(points []kernel.Point, cfg Config) (*Solver, error) {
+	s := new(Solver)
+	if err := s.Reset(points, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset binds the receiver to points under cfg, as NewSolver binds a new
+// solver, keeping its storage: its Gram matrix with the inversion of its
+// points (kernel.Cache.Reset) and its per-point arrays, which a solver
+// rebound every refine reuses once they have grown. It must not be the
+// solver another was grown from (Grow) while that one still fills.
+func (s *Solver) Reset(points []kernel.Point, cfg Config) error {
 	if cfg.Kernel == nil {
-		return nil, errors.New("svm: config must specify a kernel")
+		return errors.New("svm: config must specify a kernel")
 	}
-	return newSolver(cfg, kernel.NewCache(cfg.Kernel, points)), nil
+	s.cache.Reset(cfg.Kernel, points)
+	s.bind(cfg)
+	return nil
 }
 
-// Grow returns a solver under the receiver's Config bound to the receiver's
-// points followed by more, whose Gram matrix is the receiver's grown
-// (kernel.Cache.Grow).
-func (s *Solver) Grow(more []kernel.Point) *Solver {
-	return newSolver(s.cfg, s.cache.Grow(more))
+// Grow binds dst to the receiver's points followed by more, under the
+// receiver's Config, keeping dst's storage, and returns it: its Gram matrix
+// is the receiver's grown (kernel.Cache.Grow).
+func (s *Solver) Grow(dst *Solver, more []kernel.Point) *Solver {
+	s.cache.Grow(&dst.cache, more)
+	dst.bind(s.cfg)
+	return dst
 }
 
-// newSolver binds a solver to the points of cache under cfg.
-func newSolver(cfg Config, cache *kernel.Cache) *Solver {
-	points := cache.Points()
+// bind sizes the solver's per-point arrays to the points of its cache under
+// cfg, all zero, and clears the latest solution.
+func (s *Solver) bind(cfg Config) {
+	points := s.cache.Points()
 	n := len(points)
-	// One backing array carries the six per-point arrays.
-	buf := make([]float64, 6*n)
-	return &Solver{
-		p:      Problem{Points: points, Labels: buf[:n], C: buf[n : 2*n]},
-		cfg:    cfg,
-		cache:  cache,
-		alpha:  buf[2*n : 3*n],
-		grad:   buf[3*n : 4*n],
-		upPen:  buf[4*n : 5*n],
-		lowPen: buf[5*n:],
-	}
+	s.buf = slices.Grow(s.buf[:0], 6*n)[:6*n]
+	buf := s.buf
+	clear(buf)
+	s.p = Problem{Points: points, Labels: buf[:n], C: buf[n : 2*n]}
+	s.cfg = cfg
+	s.alpha, s.grad, s.upPen, s.lowPen = buf[2*n:3*n], buf[3*n:4*n], buf[4*n:5*n], buf[5*n:]
+	s.intercept, s.iterations, s.converged = 0, 0, false
 }
 
 // Solve trains on the bound points with the given labels (+-1) and per-point
@@ -418,16 +433,28 @@ func (s *Solver) Solve(labels, costs []float64) error {
 	return nil
 }
 
-// Model returns the decision function of the latest Solve, with its support
-// vectors (coef_i = alpha_i * y_i, in training order) and a copy of every
-// alpha.
-func (s *Solver) Model() *Model {
-	m := &Model{
+// Model returns the decision function of the latest Solve in a new model
+// (ModelInto).
+func (s *Solver) Model() *Model { return s.ModelInto(new(Model)) }
+
+// ModelInto writes the decision function of the latest Solve into m and
+// returns it: its support vectors (coef_i = alpha_i * y_i, in training
+// order) and a copy of every alpha. The model reuses the storage of m's
+// slices, of the support-vector set and of the weight vector m built, so a
+// model rewritten every refine allocates nothing once they have grown; no
+// one may still read m.
+func (s *Solver) ModelInto(m *Model) *Model {
+	*m = Model{
 		Kernel:     s.cfg.Kernel,
 		Bias:       s.intercept,
-		Alphas:     append([]float64(nil), s.alpha...),
+		Alphas:     append(m.Alphas[:0], s.alpha...),
 		Iterations: s.iterations,
 		Converged:  s.converged,
+		// The storage of the slices and of what the model builds.
+		SupportPoints: m.SupportPoints[:0],
+		Coefficients:  m.Coefficients[:0],
+		svBuf:         m.svBuf,
+		weights:       sparse.Vector{Entries: m.weights.Entries[:0]},
 	}
 	nsv := 0
 	for _, a := range s.alpha {
@@ -438,8 +465,8 @@ func (s *Solver) Model() *Model {
 	if nsv == 0 {
 		return m
 	}
-	m.SupportPoints = make([]kernel.Point, 0, nsv)
-	m.Coefficients = make([]float64, 0, nsv)
+	m.SupportPoints = slices.Grow(m.SupportPoints, nsv)
+	m.Coefficients = slices.Grow(m.Coefficients, nsv)
 	for i, a := range s.alpha {
 		if a > 0 {
 			m.SupportPoints = append(m.SupportPoints, s.p.Points[i])
