@@ -31,14 +31,15 @@
 // lanes and selectors come from a pooled scratch arena on the collection
 // batch: a steady-state query with a recycled result buffer
 // (RankTopAppend) allocates one object per ranking pass. An SVM scheme's
-// training — the solvers, their Gram matrices, the models, LRF-CSVM's draft
-// and coupled state — comes from a training arena pooled beside them and
-// handed back once the answer is built, so a refine allocates its answer
-// and a few fixed headers, 1.2-1.6 KB in 9-13 objects through
+// training — the solvers, their Gram matrices, the models, LRF-CSVM's draft,
+// coupled state and step lane (step 1's hand-off to step 3, one float64 per
+// image) — comes from a training arena kept in the batch's one free list and
+// handed back at one point once the answer is built, so a refine allocates
+// its answer and a few fixed headers, 1.2-1.5 KB in 6-10 objects through
 // retrieval.Session.Refine whatever the collection and the log
-// (retrieval.TestRefineAllocations). LRF-CSVM's
-// unlabeled selection keeps bounded selectors of capacity N', so a refine
-// keeps no score per image and sorts nothing. The K limit is
+// (retrieval.TestRefineAllocations). LRF-CSVM's unlabeled selection keeps
+// bounded selectors of capacity N', so a refine keeps no score per image
+// and sorts nothing. The K limit is
 // threaded end to end — Engine.InitialQuery, Session.Refine, and the HTTP
 // query/refine endpoints (with a configurable default and hard ceiling) all
 // return bounded lists, and so does the evaluation harness: every cutoff of

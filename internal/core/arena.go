@@ -13,15 +13,16 @@ import (
 // training allocates for one refine — the judged and drafted images and
 // their labels, the training points, the solvers with their Gram matrices
 // and the inversions of their log points, the models with their
-// support-vector sets and weight vectors, and the coupled SVM's working
-// state. Arenas live in a free list on the collection batch beside its
-// scoring arenas and step lanes (trainerGet, trainerPut): a scheme's scorer
-// borrows one and its scoring hands it back once the pass has built its
-// answer (scoring.release), so nothing trained in it outlives the refine.
-// Its buffers grow to the largest refine seen and never shrink. What leaves
-// a refine — LRF2SVMs.Pretrain's models, LRFCSVM.TrainingProblem's problem,
-// TrainCoupled's result — is trained in an arena of its own that is never
-// pooled.
+// support-vector sets and weight vectors, the coupled SVM's working state
+// and LRF-CSVM's step lane. Arenas live in the collection batch's one free
+// list (trainerGet, trainerPut): a scheme's scorer borrows one and its
+// scoring hands it back once the pass has built its answer, or the scorer
+// has failed (scoring.release), so nothing trained in it outlives the
+// refine. Its buffers grow to the largest refine seen and never shrink; only
+// step 1's pass sizes the lane, so an RF-SVM or LRF-2SVMs arena grows none.
+// What leaves a refine — LRF2SVMs.Pretrain's models,
+// LRFCSVM.TrainingProblem's problem, TrainCoupled's result — is trained in
+// an arena of its own that is never pooled.
 type trainArena struct {
 	// labeled and labels are the judged images in the context's order and
 	// their labels (labeledSplit); judged is the distinct judged images,
@@ -47,6 +48,8 @@ type trainArena struct {
 	// modalities is the coupled problem; the rest is trainCoupled's.
 	modalities [2]Modality
 	coupled    coupledState
+	// lane is LRF-CSVM's hand-off from step 1 to step 3 (stepLane).
+	lane stepLane
 }
 
 // coupledState is trainCoupled's working state: the labels of every point,
@@ -68,7 +71,8 @@ func (b *CollectionBatch) trainerGet() *trainArena {
 
 // trainerPut returns a borrowed arena to the free list; a nil arena is none.
 // Its headers into the collection's store and the log are cleared, so a kept
-// arena holds no epoch's rows or columns through them.
+// arena holds no epoch's rows or columns through them, and its lane is
+// unwritten, so the next refine reads nothing another query recorded.
 func (b *CollectionBatch) trainerPut(a *trainArena) {
 	if a == nil {
 		return
@@ -77,6 +81,8 @@ func (b *CollectionBatch) trainerPut(a *trainArena) {
 	clear(a.dense)
 	clear(a.cols)
 	a.dense, a.cols = a.dense[:0], a.cols[:0]
+	l := &a.lane
+	l.written, l.terms, l.deferred, l.seeds, l.first = false, 0, l.deferred[:0], l.seeds[:0], l.first[:0]
 	b.trainers.put(a)
 }
 

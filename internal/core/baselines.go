@@ -127,8 +127,7 @@ func (s RFSVM) scorer(ctx *QueryContext) (scoring, error) {
 	a := batch.trainerGet()
 	model, err := s.train(ctx, batch, a)
 	if err != nil {
-		batch.trainerPut(a)
-		return scoring{}, err
+		return scoring{batch: batch, arena: a}, err
 	}
 	return scoring{batch: batch, fn: visualScorer(ctx, batch, model), arena: a}, nil
 }
@@ -189,8 +188,7 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 	a := batch.trainerGet()
 	visual, log, err := s.train(ctx, batch, a)
 	if err != nil {
-		batch.trainerPut(a)
-		return scoring{}, err
+		return scoring{batch: batch, arena: a}, err
 	}
 	pass := twoSVMsScoring(ctx, batch, visual.ModelInto(a.model(0)), log.ModelInto(a.model(1)))
 	pass.arena = a
@@ -202,7 +200,7 @@ func (s LRF2SVMs) scorer(ctx *QueryContext) (scoring, error) {
 // judged relevant beside them (vouchedSeeds).
 func twoSVMsScoring(ctx *QueryContext, batch *CollectionBatch, visualModel, logModel *svm.Model) scoring {
 	seeds := seedBlock{log: ctx.LogIndex, labeled: ctx.Labeled, score: seedScorer(ctx, batch, visualModel, logModel)}
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, visualModel, logModel, nil), seeds: seeds}
+	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, visualModel, logModel, kernel.PositiveSums{}), seeds: seeds}
 }
 
 // Rank implements Scheme.

@@ -36,8 +36,9 @@ import (
 // used in: nothing derived from the collection is kept per query, so no
 // pass but the one that returns every score allocates with the size of the
 // collection. The one exception is LRF-CSVM's hand-off from step 1 to step 3
-// (stepLane): one float64 per image, kept for the length of a refine and
-// borrowed from the batch's free list, so a steady refine allocates none.
+// (stepLane): one float64 per image, kept for the length of a refine in the
+// training arena the refine borrows from the batch's free list, so a steady
+// refine allocates none.
 // The one thing kept per log version, the log indexed by session and by
 // image, comes with the context (QueryContext.LogIndex); a context without
 // it has one built per Rank call.
@@ -65,13 +66,12 @@ type CollectionBatch struct {
 	// to a shard, not to the collection, so a batch shares the pool of the
 	// batch it was appended to: an ingestion neither allocates arenas anew
 	// nor leaves the old epoch's in a pool only a garbage collection empties.
-	// lanes keeps LRF-CSVM's step lanes the same way, and trainers the SVM
-	// schemes' training arenas (trainArena), each in a free list (freeList).
-	// leased counts this batch's arenas and lanes out on loan: zero after any
-	// pass or refine, cancelled or not.
+	// trainers, the batch's one free list (freeList), keeps the SVM schemes'
+	// training arenas (trainArena), LRF-CSVM's step lanes in them, and is
+	// shared the same way. leased counts this batch's arenas out on loan:
+	// zero after any pass or refine, cancelled or not.
 	scratch  *sync.Pool
-	lanes    *freeList[stepLane]
-	trainers *freeList[trainArena]
+	trainers *freeList
 	leased   atomic.Int64
 }
 
@@ -94,7 +94,7 @@ func NewShardedCollectionBatch(visual []linalg.Vector, shardSize int) *Collectio
 // without a copy: a collection decoded straight into a kernel.SetBuilder is
 // then stored once. The set must not be grown by anyone but the batch.
 func NewCollectionBatchOver(set *kernel.ShardedSet) *CollectionBatch {
-	return &CollectionBatch{set: set, scratch: new(sync.Pool), lanes: new(freeList[stepLane]), trainers: new(freeList[trainArena])}
+	return &CollectionBatch{set: set, scratch: new(sync.Pool), trainers: new(freeList)}
 }
 
 // Len returns the number of images in the collection.
@@ -108,10 +108,10 @@ func (b *CollectionBatch) Len() int { return b.set.Len() }
 // The default-kernel bandwidth is re-estimated lazily over the full grown
 // collection — the evenly spaced subsample of the estimator is deterministic,
 // so the grown batch's kernel is identical to a from-scratch batch over the
-// same collection. The grown batch shares the receiver's scoring arenas,
-// step lanes and training arenas.
+// same collection. The grown batch shares the receiver's scoring and
+// training arenas.
 func (b *CollectionBatch) Append(added []linalg.Vector) *CollectionBatch {
-	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch, lanes: b.lanes, trainers: b.trainers}
+	return &CollectionBatch{set: b.set.Grow(added), scratch: b.scratch, trainers: b.trainers}
 }
 
 // Grow is Append for a caller that keeps the whole collection as a slice:
@@ -244,9 +244,9 @@ func (b *CollectionBatch) scratchPut(s *rankScratch) {
 	b.scratch.Put(s)
 }
 
-// stepLane is LRF-CSVM's hand-off from step 1 to step 3 of Fig. 1, borrowed
-// from the collection batch for one refine (laneGet, lanePut). Step 1's
-// visual pass records in sums each image's K⁺, the sum of the kernel columns
+// stepLane is LRF-CSVM's hand-off from step 1 to step 3 of Fig. 1, kept in
+// the training arena a refine borrows (trainArena.lane). Step 1's visual
+// pass records in sums each image's K⁺, the sum of the kernel columns
 // of the initial visual model's positive coefficients — the judged-relevant
 // support vectors, terms of them — which its tiles compute for every image
 // anyway (kernel.PositiveSums). Step 3's bound reads K⁺ in place of the
@@ -258,84 +258,68 @@ func (b *CollectionBatch) scratchPut(s *rankScratch) {
 // drafted positives.
 type stepLane struct {
 	sums []float64
-	// written reports that step 1's pass ran and recorded sums; init is its
-	// visual model.
+	// written reports that step 1's pass ran and recorded sums.
 	written  bool
-	init     *svm.Model
 	terms    int
 	deferred []int
 	seeds    []int
 	first    []int
 }
 
-// freeList is a batch's free list of one kind of refine-scoped memory, the
-// step lanes or the training arenas: it keeps as many as refines have held
-// at once, up to GOMAXPROCS, so a steady server reuses one or two. A lane is
-// collection-sized (400 KB at 50,000 images), and a sync.Pool would keep one
-// per P that a refine ended on, plus the copies its victim cache keeps
-// across a collection.
-type freeList[T any] struct {
+// freeList is the batch's free list of training arenas: it keeps as many as
+// refines have held at once, up to GOMAXPROCS, so a steady server reuses one
+// or two. An LRF-CSVM arena's lane is collection-sized (400 KB at 50,000
+// images), and a sync.Pool would keep one per P that a refine ended on, plus
+// the copies its victim cache keeps across a collection.
+type freeList struct {
 	mu   sync.Mutex
-	free []*T
+	free []*trainArena
 }
 
-// get takes an item off the list, or a new one when it is empty.
-func (f *freeList[T]) get() *T {
+// get takes an arena off the list, or a new one when it is empty.
+func (f *freeList) get() *trainArena {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.free)
 	if n == 0 {
-		return new(T)
+		return new(trainArena)
 	}
-	t := f.free[n-1]
+	a := f.free[n-1]
 	f.free = f.free[:n-1]
-	return t
+	return a
 }
 
-// put returns an item to the list, which drops it when full.
-func (f *freeList[T]) put(t *T) {
+// put returns an arena to the list, which drops it when full.
+func (f *freeList) put(a *trainArena) {
 	f.mu.Lock()
 	if len(f.free) < runtime.GOMAXPROCS(0) {
-		f.free = append(f.free, t)
+		f.free = append(f.free, a)
 	}
 	f.mu.Unlock()
 }
 
-// laneGet borrows a step lane sized to the collection, unwritten.
-func (b *CollectionBatch) laneGet() *stepLane {
-	b.leased.Add(1)
-	l := b.lanes.get()
-	if n := b.Len(); cap(l.sums) < n {
+// record sizes the lane's sums to the n images of step 1's pass and returns
+// the lane as that pass takes it, recording.
+func (l *stepLane) record(n int) kernel.PositiveSums {
+	if cap(l.sums) < n {
 		// Headroom for the images some ingestions append (1/64: 6 KB of a
 		// 400 KB lane at 50,000 images).
 		l.sums = make([]float64, n, n+n/64)
-	} else {
-		l.sums = l.sums[:n]
 	}
-	l.written, l.terms, l.deferred, l.seeds, l.first = false, 0, l.deferred[:0], l.seeds[:0], l.first[:0]
-	return l
-}
-
-// lanePut returns a borrowed lane to the free list; a nil lane is none.
-func (b *CollectionBatch) lanePut(l *stepLane) {
-	if l == nil {
-		return
-	}
-	b.leased.Add(-1)
-	l.init = nil
-	b.lanes.put(l)
+	l.sums = l.sums[:n]
+	return kernel.PositiveSums{Lane: l.sums, Record: true}
 }
 
 // handOff turns step 1's record into step 3's bound for the final visual
 // model, whose first len(labels) training points are the judged images
-// under labels, in step 1's order: a support vector is deferred when it is
-// a judged-relevant image with a positive dual in step 1 too, so that its
-// column is one of the lane's terms. The lane's columns are step 3's bits
-// only under the same kernel, so it hands nothing off unless step 1 ran and
-// both models are RBF of one gamma (the batch's default).
-func (l *stepLane) handOff(final *svm.Model, labels []float64) {
+// under labels, in step 1's order, and init is step 1's visual model: a
+// support vector is deferred when it is a judged-relevant image with a
+// positive dual in step 1 too, so that its column is one of the lane's
+// terms. The lane's columns are step 3's bits only under the same kernel, so
+// it hands nothing off unless step 1 ran and both models are RBF of one
+// gamma (the batch's default).
+func (l *stepLane) handOff(init, final *svm.Model, labels []float64) {
 	l.deferred, l.terms = l.deferred[:0], 0
-	init := l.init
 	if !l.written {
 		return
 	}
@@ -363,7 +347,7 @@ func (l *stepLane) handOff(final *svm.Model, labels []float64) {
 // bound is the lane as step 3's visual pass takes it: the zero value when
 // no support vector is deferred, so an unwritten lane is never read.
 func (l *stepLane) bound() kernel.PositiveSums {
-	if l == nil || len(l.deferred) == 0 {
+	if len(l.deferred) == 0 {
 		return kernel.PositiveSums{}
 	}
 	return kernel.PositiveSums{Lane: l.sums, Deferred: l.deferred, Terms: l.terms}
@@ -712,10 +696,10 @@ func (unlabeledSink) merge(into, from *rankScratch) { into.pick.merge(&from.pick
 // selectors (see unlabeledSelector), positives first from the images covered
 // marks, so drafting the N' = num unlabeled points (fewer when fewer exist)
 // materializes no collection-sized slice and runs on every worker. A pass
-// that runs marks lane (nil: none) written, fn having recorded its sums, and
+// that runs marks the arena's lane written, fn having recorded its sums, and
 // hands it step 1's best rows as step 3's seeds. The draft is kept in the
 // arena a.
-func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer, lane *stepLane, a *trainArena) (indices []int, initialLabels []float64, err error) {
+func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, covered *kernel.LogIndex, fn rangeScorer, a *trainArena) (indices []int, initialLabels []float64, err error) {
 	labeled := a.sortedLabeled(ctx)
 	if unlabeled := b.VisualSet().Len() - len(labeled); num > unlabeled {
 		num = unlabeled
@@ -730,11 +714,8 @@ func selectUnlabeledRanges(ctx *QueryContext, b *CollectionBatch, num int, cover
 		return nil, nil, err
 	}
 	a.drafted, a.initial = sc.pick.drain(a.drafted[:0], a.initial[:0])
-	indices, initialLabels = a.drafted, a.initial
-	if lane != nil {
-		lane.written, lane.seeds = true, sc.pick.seeds(lane.seeds[:0])
-	}
-	return indices, initialLabels, nil
+	a.lane.written, a.lane.seeds = true, sc.pick.seeds(a.lane.seeds[:0])
+	return a.drafted, a.initial, nil
 }
 
 // scoreSink keeps every score: each range is scored straight into its place
@@ -803,9 +784,9 @@ func logDecisions(sc *rankScratch, m *svm.Model, log *kernel.LogIndex, lo, n int
 
 // retrievalScorer is coupledScorer with the query prior: the retrieval pass
 // of the two-modality schemes (step 3 of Fig. 1), bounded by LRF-CSVM's step
-// lane when it has one (nil: none).
-func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, lane *stepLane) rangeScorer {
-	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx), lane.bound())
+// lane (stepLane.bound; the zero value for LRF-2SVMs).
+func retrievalScorer(ctx *QueryContext, b *CollectionBatch, visualModel, logModel *svm.Model, pos kernel.PositiveSums) rangeScorer {
+	return coupledScorer(ctx, visualModel, logModel, b.queryVector(ctx), pos)
 }
 
 // seedScorer is retrievalScorer over rows gathered from anywhere into one

@@ -69,7 +69,7 @@ func (LRFCSVM) Name() string { return "LRF-CSVM" }
 
 // scorer implements rangeScored: steps 1-2 of Fig. 1, then step 3's scorer —
 // the coupled decision value, with the same initial-similarity tie-break
-// prior as the other SVM schemes — and step 1's lane.
+// prior as the other SVM schemes — bounded by step 1's lane.
 func (s LRFCSVM) scorer(ctx *QueryContext) (scoring, error) {
 	final, _, err := trainCSVM(ctx, s.Params)
 	return final, err
@@ -81,17 +81,16 @@ func (s LRFCSVM) Rank(ctx *QueryContext) ([]float64, error) { return rankScores(
 // draft is step 1's selection heuristic, p.Selection: given the two
 // per-modality SVMs trained on the labeled data alone, it drafts up to
 // p.NumUnlabeled unlabeled images and their initial labels, in training
-// order, and records lane's sums if its pass scores every image (nil: no
-// lane). The log-assisted heuristic and max/min — the same pass over a log
-// that covers no image (the scores still read the log) — stream; boundary
-// and random rank every unlabeled image, so they materialize the full
-// combined scores, without the lane, and run in the evaluation harness only.
-// The streamed draft is kept in the arena.
-func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, lane *stepLane, a *trainArena) ([]int, []float64, error) {
+// order. The log-assisted heuristic and max/min — the same pass over a log
+// that covers no image (the scores still read the log) — stream, recording
+// the arena's lane; boundary and random rank every unlabeled image, so they
+// materialize the full combined scores, without the lane, and run in the
+// evaluation harness only. The streamed draft is kept in the arena.
+func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, a *trainArena) ([]int, []float64, error) {
 	var pick func(candidates []int, combined []float64, num int) ([]int, []float64)
 	switch p.Selection {
 	case SelectMaxMin:
-		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, &kernel.LogIndex{}, lane, a)
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, &kernel.LogIndex{}, a)
 	case SelectBoundary:
 		pick = BoundarySelection
 	case SelectRandom:
@@ -99,7 +98,7 @@ func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit,
 			return RandomSelection(linalg.NewRNG(randomSelectionSeed), candidates, combined, num)
 		}
 	default:
-		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, ctx.LogIndex, lane, a)
+		return selectStreamed(ctx, batch, visualInit, logInit, p.NumUnlabeled, ctx.LogIndex, a)
 	}
 	combined, err := scanScores(ctx, batch, coupledScorer(ctx, visualInit, logInit, nil, kernel.PositiveSums{}))
 	if err != nil {
@@ -120,24 +119,22 @@ func (p CSVMParams) draft(ctx *QueryContext, batch *CollectionBatch, visualInit,
 const randomSelectionSeed = 11
 
 // selectStreamed drafts through step 1's streaming pass with the coverage
-// index covered, recording the lane as it scores. A pass that drafts runs
-// over every image, so a draft means the lane is written and seeded; with
-// nothing to draft the pass does not run and the lane stays unwritten.
-func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, lane *stepLane, a *trainArena) ([]int, []float64, error) {
-	var pos kernel.PositiveSums
-	if lane != nil {
-		pos = kernel.PositiveSums{Lane: lane.sums, Record: true}
-	}
-	return selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos), lane, a)
+// index covered, recording the arena's lane, sized to the collection, as it
+// scores. A pass that drafts runs over every image, so a draft means the
+// lane is written and seeded; with nothing to draft the pass does not run
+// and the lane stays unwritten.
+func selectStreamed(ctx *QueryContext, batch *CollectionBatch, visualInit, logInit *svm.Model, num int, covered *kernel.LogIndex, a *trainArena) ([]int, []float64, error) {
+	pos := a.lane.record(batch.Len())
+	return selectUnlabeledRanges(ctx, batch, num, covered, coupledScorer(ctx, visualInit, logInit, nil, pos), a)
 }
 
 // trainingProblem runs step 1 of Fig. 1 — the per-modality initial SVMs and
 // the unlabeled selection — and assembles the coupled training problem,
-// with step 1's solver of each modality, all in the arena. A lane (nil:
-// none) is recorded and seeded by the selection and keeps step 1's visual
-// model and the rows whose units step 3 scans first: the query and the
-// drafted positives.
-func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, lane *stepLane, a *trainArena) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
+// with step 1's solver of each modality, all in the arena. Step 1's visual
+// model stays in the arena's model slot 0; the arena's lane is recorded and
+// seeded by the selection and lists the rows whose units step 3 scans
+// first: the query and the drafted positives.
+func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, a *trainArena) (modalities []Modality, labels, initialLabels []float64, labeled []*svm.Solver, err error) {
 	// Step 1 — select N' unlabeled samples. Train one SVM per modality on
 	// the labeled data only — exactly LRF-2SVMs' two models — and score
 	// every image by the sum of the two decision values; draft N'/2
@@ -150,18 +147,14 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, la
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: LRF-CSVM init: %w", err)
 	}
-	visualModel := visualInit.ModelInto(a.model(0))
-	unlabeledIdx, initialLabels, err := p.draft(ctx, batch, visualModel, logInit.ModelInto(a.model(1)), lane, a)
+	unlabeledIdx, initialLabels, err := p.draft(ctx, batch, visualInit.ModelInto(a.model(0)), logInit.ModelInto(a.model(1)), a)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if lane != nil {
-		lane.init = visualModel
-		lane.first = append(lane.first[:0], ctx.Query)
-		for i, y := range initialLabels {
-			if y > 0 {
-				lane.first = append(lane.first, unlabeledIdx[i])
-			}
+	a.lane.first = append(a.lane.first[:0], ctx.Query)
+	for i, y := range initialLabels {
+		if y > 0 {
+			a.lane.first = append(a.lane.first, unlabeledIdx[i])
 		}
 	}
 	a.points[2] = a.visualPoints(batch, unlabeledIdx, a.points[2])
@@ -177,14 +170,15 @@ func trainingProblem(ctx *QueryContext, batch *CollectionBatch, p CSVMParams, la
 // labeled-set labels and initial unlabeled labels — that this scheme would
 // hand to TrainCoupled for the given context, unlabeled selection included.
 // It exists so benchmarks (bench/'s depth replay) can measure TrainCoupled
-// on exactly the problems the feedback path produces. The problem is built
-// in an arena of its own, its visual points copied out as kernel.Dense.
+// on exactly the problems the feedback path produces, step 1's lane recorded
+// as a served refine records it. The problem is built in an arena of its
+// own, its visual points copied out as kernel.Dense.
 func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []float64, error) {
 	ctx, err := ctx.validated(true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), nil, new(trainArena))
+	modalities, labels, initialLabels, _, err := trainingProblem(ctx, ctx.collectionBatch(), s.Params.withDefaults(), new(trainArena))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -200,25 +194,19 @@ func (s LRFCSVM) TrainingProblem(ctx *QueryContext) ([]Modality, []float64, []fl
 // selection with params' heuristic and the annealed coupled-SVM
 // optimization, in an arena of the batch's. It returns the coupled models
 // with step 3's scoring, which shares step 1's log index, reads step 1's
-// lane and holds the arena; the caller releases it. On an error the lane
-// and the arena are back in the batch.
+// lane and holds the arena; the caller releases it, on an error too.
 func trainCSVM(ctx *QueryContext, params CSVMParams) (final scoring, coupled *CoupledResult, err error) {
 	ctx, err = ctx.validated(true)
 	if err != nil {
 		return scoring{}, nil, err
 	}
 	batch := ctx.collectionBatch()
-	lane, a := batch.laneGet(), batch.trainerGet()
-	defer func() {
-		if err != nil {
-			batch.lanePut(lane)
-			batch.trainerPut(a)
-		}
-	}()
+	a := batch.trainerGet()
+	final = scoring{batch: batch, arena: a}
 	p := params.withDefaults()
-	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, lane, a)
+	modalities, labels, initialLabels, labeled, err := trainingProblem(ctx, batch, p, a)
 	if err != nil {
-		return scoring{}, nil, err
+		return final, nil, err
 	}
 
 	// Step 2 — train the coupled SVM with annealed unlabeled weighting and
@@ -227,12 +215,13 @@ func trainCSVM(ctx *QueryContext, params CSVMParams) (final scoring, coupled *Co
 	p.Coupled.Ctx = ctx.Ctx
 	coupled, err = trainCoupled(modalities, labels, initialLabels, p.Coupled, labeled, a)
 	if err != nil {
-		return scoring{}, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
+		return final, nil, fmt.Errorf("core: LRF-CSVM coupled training: %w", err)
 	}
-	lane.handOff(coupled.Models[0], labels)
 	vm, lm := coupled.Models[0], coupled.Models[1]
-	seeds := seedBlock{rows: lane.seeds, score: seedScorer(ctx, batch, vm, lm)}
-	return scoring{batch: batch, fn: retrievalScorer(ctx, batch, vm, lm, lane), seeds: seeds, lane: lane, arena: a}, coupled, nil
+	a.lane.handOff(a.models[0], vm, labels)
+	final.fn = retrievalScorer(ctx, batch, vm, lm, a.lane.bound())
+	final.seeds = seedBlock{rows: a.lane.seeds, score: seedScorer(ctx, batch, vm, lm)}
+	return final, coupled, nil
 }
 
 // RankTopAppend implements Scheme: steps 1-2 run exactly as in Rank, and

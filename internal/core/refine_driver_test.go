@@ -360,7 +360,7 @@ func (c *refineCase) checkCoupled(ctx *QueryContext, name string, params CSVMPar
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}
-	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), params.withDefaults(), nil, new(trainArena))
+	mods, _, initial, _, err := trainingProblem(step1, step1.collectionBatch(), params.withDefaults(), new(trainArena))
 	if err != nil {
 		return fmt.Errorf("%s step 1: %w", name, err)
 	}

@@ -184,8 +184,9 @@ type Scheme interface {
 
 // rangeScored is what a scheme contributes to a ranking pass, and all it
 // contributes: scorer validates the context, trains whatever the scheme
-// trains, and returns the pass's scoring. Which ranges are scored and what
-// is kept of the scores is the driver's business (scanRanges).
+// trains, and returns the pass's scoring — with what it borrowed, on an
+// error too. Which ranges are scored and what is kept of the scores is the
+// driver's business (scanRanges).
 type rangeScored interface {
 	scorer(ctx *QueryContext) (scoring, error)
 }
@@ -194,30 +195,25 @@ type rangeScored interface {
 // the function that scores one range of it (query prior included), the
 // seed rows a top-K pass starts from with their scorer — LRF-CSVM's step 1
 // best rows, the rows the log vouches for in LRF-2SVMs' pass, none in the
-// other schemes' — and what it borrowed from the batch until release: the
-// training arena its models live in (the SVM schemes) and, for LRF-CSVM,
-// the step lane its final pass reads (nil for every other scheme).
+// other schemes' — and the training arena its models live in, borrowed from
+// the batch until release (the SVM schemes; nil for the others), whose step
+// lane LRF-CSVM's final pass reads.
 type scoring struct {
 	batch *CollectionBatch
 	fn    rangeScorer
 	seeds seedBlock
-	lane  *stepLane
 	arena *trainArena
 }
 
-// release returns the borrowed lane and arena; the pass must not run after
-// it.
-func (s scoring) release() {
-	s.batch.lanePut(s.lane)
-	s.batch.trainerPut(s.arena)
-}
+// release returns the borrowed arena; the pass must not run after it.
+func (s scoring) release() { s.batch.trainerPut(s.arena) }
 
 // top streams the top k of the images cands names, appended to dst: a full
 // pass from the floor of the seeds, and any pass starting with the units of
-// the lane's first rows.
+// the lane's first rows (none but LRF-CSVM's).
 func (s scoring) top(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
-	if s.lane != nil {
-		cands.first = s.lane.first
+	if s.arena != nil {
+		cands.first = s.arena.lane.first
 	}
 	return rankTopRanges(ctx, s.batch, cands, k, dst, s.fn, s.seeds)
 }
@@ -227,10 +223,10 @@ func (s scoring) top(ctx *QueryContext, cands CandidateSet, k int, dst []Ranked)
 // calling them does not move a copy of the scheme's options to the heap.
 func rankScores[S rangeScored](s S, ctx *QueryContext) ([]float64, error) {
 	pass, err := s.scorer(ctx)
+	defer pass.release()
 	if err != nil {
 		return nil, err
 	}
-	defer pass.release()
 	return scanScores(ctx, pass.batch, pass.fn)
 }
 
@@ -238,10 +234,10 @@ func rankScores[S rangeScored](s S, ctx *QueryContext) ([]float64, error) {
 // Scheme.RankTopAppend over the zero CandidateSet.
 func rankTop[S rangeScored](s S, ctx *QueryContext, cands CandidateSet, k int, dst []Ranked) ([]Ranked, error) {
 	pass, err := s.scorer(ctx)
+	defer pass.release()
 	if err != nil {
 		return nil, err
 	}
-	defer pass.release()
 	return pass.top(ctx, cands, k, dst)
 }
 

@@ -148,7 +148,7 @@ func runPass(ctx *QueryContext, b *CollectionBatch, cands CandidateSet, sink str
 		if exhaustive {
 			indexed := *ctx
 			indexed.LogVectors, indexed.LogIndex = nil, logIndexOf(ctx)
-			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn, nil, new(trainArena))
+			idx, labels, err = selectUnlabeledRanges(&indexed, b, k, indexed.LogIndex, fn, new(trainArena))
 			return
 		}
 		labeled := new(trainArena).sortedLabeled(ctx)
@@ -379,8 +379,10 @@ var selectSink []int
 
 // BenchmarkSelectUnlabeled measures step 1's scoring-and-selection pass with
 // pretrained initial models on GOMAXPROCS workers (-cpu 1 is the serial
-// path). B/op is the lane's point: the select-by-sort it replaced allocated
-// four collection-sized slices (≈ 4 × 8 × N bytes) per refine.
+// path), in one training arena reused across passes as the batch's free
+// list reuses a served refine's. B/op is the streaming pass's point: the
+// select-by-sort it replaced allocated four collection-sized slices
+// (≈ 4 × 8 × N bytes) per refine.
 func BenchmarkSelectUnlabeled(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -388,15 +390,16 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 	}{{"5k", 5000}, {"50k", 50000}} {
 		b.Run(size.name, func(b *testing.B) {
 			ctx, visualInit, logInit := selectBenchProblem(b, size.n)
-			// One untimed pass fills the scratch pool, as any earlier refine on
-			// the engine's batch has.
-			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena)); err != nil {
+			// One untimed pass fills the scratch pool and sizes the arena's
+			// lane, as any earlier refine on the engine's batch has.
+			a := new(trainArena)
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, a); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena))
+				idx, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, a)
 				if err != nil || len(idx) != 16 {
 					b.Fatalf("drafted %d images, err %v", len(idx), err)
 				}
@@ -411,7 +414,7 @@ func BenchmarkSelectUnlabeled(b *testing.B) {
 func steadyBytesPerPass(pass func()) int64 {
 	const passes = 20
 	var before, after runtime.MemStats
-	pass() // fills the scratch pool
+	pass() // fills the scratch pool and the pass's arena
 	runtime.ReadMemStats(&before)
 	for i := 0; i < passes; i++ {
 		pass()
@@ -438,7 +441,10 @@ func requireBytesDoNotGrowWithN(t *testing.T, what string, bytesPerOp func(n int
 // streaming step 1: a pass allocates the drafted selection and its own
 // bookkeeping, never a collection-sized slice (the select-by-sort allocated
 // 4 × 8 bytes per image: 64 KB against 512 KB at these sizes). The RBF
-// tile's working memory is the pooled arena's, so nothing scales per range.
+// tile's working memory is the pooled scoring arena's, so nothing scales per
+// range, and the step lane the pass records is the training arena's, reused
+// across passes as the batch's free list reuses a served refine's: a lane
+// sized afresh per pass would be the one collection-sized slice.
 func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random, so lanes are reallocated per range")
@@ -446,8 +452,9 @@ func TestSelectUnlabeledBytesDoNotGrowWithN(t *testing.T) {
 	bytesPerOp := func(n int) int64 {
 		ctx, visualInit, logInit := selectBenchProblem(t, n)
 		ctx.Workers = 1 // the parallel path adds its goroutines, whatever n is
+		a := new(trainArena)
 		return steadyBytesPerPass(func() {
-			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, nil, new(trainArena)); err != nil {
+			if _, _, err := selectStreamed(ctx, ctx.Batch, visualInit, logInit, 16, ctx.LogIndex, a); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -16,8 +16,9 @@ import (
 
 // This file holds LRF-CSVM's step lane (stepLane) to what step 3's bound
 // assumes of it: its sums are step 3's deferred columns summed, bit for bit;
-// a refine that drafts nothing never reads it; and a refine borrows and
-// returns it on every path, a cancelled one included.
+// a refine that drafts nothing never reads it, nor what another refine wrote
+// into the arena it borrows; and a refine borrows and returns its training
+// arena, the lane with it, on every path, a cancelled one included.
 
 // TestStepLaneIsTheDeferredColumnsSum pins the lane step 1 records to the
 // sum of step 3's deferred columns: each deferred support vector is a
@@ -42,7 +43,7 @@ func TestStepLaneIsTheDeferredColumnsSum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lane, vm := pass.lane, coupled.Models[0]
+			lane, vm := &pass.arena.lane, coupled.Models[0]
 			name := fmt.Sprintf("query %d, %d judged", q, judged)
 			if !lane.written || lane.first[0] != q {
 				t.Fatalf("%s: lane written %v, first rows %v", name, lane.written, lane.first)
@@ -81,14 +82,16 @@ func TestStepLaneIsTheDeferredColumnsSum(t *testing.T) {
 		t.Fatal("no refine deferred every support vector step 1 summed: the bit pin never ran")
 	}
 	if l := batch.leased.Load(); l != 0 {
-		t.Fatalf("%d arenas or lanes not returned", l)
+		t.Fatalf("%d arenas not returned", l)
 	}
 }
 
 // TestNothingToDraftReadsNoLane: when every image is judged, step 1 drafts
 // nothing, its pass does not run and the lane stays unwritten, so step 3
-// must not read it. The lane is poisoned with sums that would bound every
-// row below any floor; the pass still ranks exactly as LRF-2SVMs does.
+// must not read it. Each undrafted refine follows a drafting one (6 images
+// judged) on the same batch, so it borrows an arena whose lane another query
+// wrote. The lane is poisoned with sums that would bound every row below any
+// floor; the pass still ranks exactly as LRF-2SVMs does.
 func TestNothingToDraftReadsNoLane(t *testing.T) {
 	coll := makeCollection(t, 3, 8, 20, 0.05, 71)
 	n := len(coll.visual)
@@ -99,6 +102,11 @@ func TestNothingToDraftReadsNoLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		drafting := coll.queryContext(query, 6)
+		drafting.Batch = ctx.Batch
+		if _, err := RankTop(LRFCSVM{}, drafting, 10); err != nil {
+			t.Fatal(err)
+		}
 		indexed, err := ctx.validated(true)
 		if err != nil {
 			t.Fatal(err)
@@ -107,11 +115,12 @@ func TestNothingToDraftReadsNoLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pass.lane.written || len(pass.lane.deferred) != 0 || pass.lane.bound().Lane != nil {
-			t.Fatalf("query %d: an undrafted refine hands off written %v, deferred %v", query, pass.lane.written, pass.lane.deferred)
+		lane := &pass.arena.lane
+		if lane.written || len(lane.deferred) != 0 || lane.bound().Lane != nil {
+			t.Fatalf("query %d: an undrafted refine hands off written %v, deferred %v", query, lane.written, lane.deferred)
 		}
-		for i := range pass.lane.sums {
-			pass.lane.sums[i] = -math.MaxFloat64
+		for i := range lane.sums {
+			lane.sums[i] = -math.MaxFloat64
 		}
 		got, err := pass.top(indexed, CandidateSet{}, 10, nil)
 		pass.release()
@@ -124,7 +133,8 @@ func TestNothingToDraftReadsNoLane(t *testing.T) {
 // TestCancelledRefineReturnsTheLane cancels an LRF-CSVM refine at every
 // point it checks its context — step 1's units, the solver's polls, step 3's
 // units — on one worker and on two, and requires every one to return its
-// arenas and its step lane: the batch's leased count reads 0 after each.
+// arenas, its step lane in its training arena: the batch's leased count
+// reads 0 after each.
 func TestCancelledRefineReturnsTheLane(t *testing.T) {
 	coll := makeDenseLogCollection(t, 6, 50, 600, 29)
 	batch := NewShardedCollectionBatch(coll.visual, 32)
@@ -149,7 +159,7 @@ func TestCancelledRefineReturnsTheLane(t *testing.T) {
 				t.Fatalf("%d workers, cancelled after %d of %d checks: err %v", workers, allowed, total, err)
 			}
 			if l := batch.leased.Load(); l != 0 {
-				t.Fatalf("%d workers, cancelled after %d of %d checks: %d arenas or lanes not returned", workers, allowed, total, l)
+				t.Fatalf("%d workers, cancelled after %d of %d checks: %d arenas not returned", workers, allowed, total, l)
 			}
 		}
 	}
@@ -157,11 +167,11 @@ func TestCancelledRefineReturnsTheLane(t *testing.T) {
 
 // TestConcurrentRefinesShareTheLanes runs RF-SVM, LRF-2SVMs and LRF-CSVM
 // refines of different queries at once on one batch, each on two workers, so
-// that they borrow and return training arenas, scoring arenas and step lanes
-// concurrently, beside one LRF-CSVM refine per round whose context is
-// cancelled before it starts: each completed refine must rank exactly as it
-// does alone, the cancelled ones must return the context's error, and every
-// arena and lane must be back once they are done. Under the race detector an
+// that they borrow and return training arenas, step lanes in them, and
+// scoring arenas concurrently, beside one LRF-CSVM refine per round whose
+// context is cancelled before it starts: each completed refine must rank
+// exactly as it does alone, the cancelled ones must return the context's
+// error, and every arena must be back once they are done. Under the race detector an
 // arena handed back while a model of its refine is still read shows as a
 // race.
 func TestConcurrentRefinesShareTheLanes(t *testing.T) {
@@ -215,7 +225,7 @@ func TestConcurrentRefinesShareTheLanes(t *testing.T) {
 	}
 	wg.Wait()
 	if l := batch.leased.Load(); l != 0 {
-		t.Fatalf("%d arenas or lanes not returned", l)
+		t.Fatalf("%d arenas not returned", l)
 	}
 }
 
@@ -256,7 +266,7 @@ func TestSeededFloorIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		lane, judged := pass.lane, ctx.labeledSet()
+		lane, judged := &pass.arena.lane, ctx.labeledSet()
 		rows := slices.Compact(slices.Sorted(slices.Values(lane.seeds)))
 		seen["no-seeds"] = seen["no-seeds"] || !lane.written && len(rows) == 0
 		seen["judged-seeds"] = seen["judged-seeds"] || slices.ContainsFunc(rows, func(i int) bool { return judged[i] })
@@ -293,7 +303,7 @@ func TestSeededFloorIsExact(t *testing.T) {
 		checkSeededPass(t, seen, "2svms-", fmt.Sprintf("seed %d, LRF-2SVMs", seed), ctx, pass, twice, rows, c.k)
 		pass.release()
 		if l := b.leased.Load(); l != 0 {
-			t.Fatalf("seed %d: %d arenas or lanes not returned", seed, l)
+			t.Fatalf("seed %d: %d arenas not returned", seed, l)
 		}
 	}
 	for _, r := range []string{"fewer-than-k", "duplicate-seeds", "k-beyond-n", "judged-seeds", "cancelled", "no-seeds",
@@ -317,8 +327,8 @@ func checkSeededPass(t *testing.T, seen map[string]bool, prefix, name string, ct
 		t.Fatal(err)
 	}
 	var first []int
-	if pass.lane != nil {
-		first = pass.lane.first
+	if pass.arena != nil {
+		first = pass.arena.lane.first
 	}
 	for _, k := range []int{1, 20, seedRows, seedRows + 1, caseK, n + 5} {
 		if k <= 0 {

@@ -107,7 +107,7 @@ func BenchmarkRankingPathCoupled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel, nil), seedBlock{})
+			got, err := rankTopRanges(ctx, sharded, CandidateSet{}, benchK, buf[:0], retrievalScorer(ctx, sharded, visualModel, logModel, kernel.PositiveSums{}), seedBlock{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -191,7 +191,7 @@ func TestSeededStep3Allocations(t *testing.T) {
 		if seeded {
 			seeds = r.pass.seeds
 		}
-		got, err := rankTopRanges(r.ctx, batch, CandidateSet{first: r.pass.lane.first}, k, buf[:0], r.pass.fn, seeds)
+		got, err := rankTopRanges(r.ctx, batch, CandidateSet{first: r.pass.arena.lane.first}, k, buf[:0], r.pass.fn, seeds)
 		if err != nil || len(got) != k {
 			t.Fatalf("ranked %d images, err %v", len(got), err)
 		}

@@ -23,7 +23,14 @@ import (
 //	LRF-2SVMs  60,374 / 30,992 B in 63 / 63 objects
 //	LRF-CSVM  149,671 / 88,608 B in 153 / 153 objects
 //
-// The bounds are those figures, or 20 KB and 60 objects where that is lower.
+// and now, at either shape:
+//
+//	RF-SVM     1,160 B in  6 objects
+//	LRF-2SVMs  1,320 B in  8 objects
+//	LRF-CSVM   1,544 B in 10 objects
+//
+// The bounds are the first figures, or 20 KB and 60 objects where that is
+// lower.
 // The refines run on one P, as testing.AllocsPerRun runs its function: a
 // pass on more workers also allocates their goroutines.
 func TestRefineAllocations(t *testing.T) {

@@ -9,11 +9,12 @@
 package retrieval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -399,8 +400,9 @@ func (s *Session) Refine(stdctx context.Context, kind SchemeKind, k int) ([]Resu
 	// (Loading before the judgment read would race a concurrent Judge
 	// validated against a newer, larger epoch.)
 	ep := s.engine.cur.Load()
-	// Deterministic order of the labeled set regardless of map iteration.
-	sort.Slice(labeled, func(i, j int) bool { return labeled[i].Index < labeled[j].Index })
+	// Deterministic order of the labeled set regardless of map iteration; the
+	// indices are the map's keys, so distinct.
+	slices.SortFunc(labeled, func(a, b core.LabeledExample) int { return cmp.Compare(a.Index, b.Index) })
 
 	if len(labeled) == 0 && kind != SchemeEuclidean {
 		return nil, fmt.Errorf("retrieval: scheme %q needs at least one judgment", kind)
